@@ -10,6 +10,7 @@
 //! bitmaps on the dense path, per-`(block, child)` shard-sequence
 //! tracking on the sparse path).
 
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use flare_des::Time;
@@ -79,39 +80,107 @@ impl HostConfig {
     }
 }
 
-/// In-flight block map in insertion order. Windows are small (the manager
-/// caps them near `hosts + 64`), so a linear scan over a contiguous vec
-/// beats a SipHash probe per packet — and, unlike `HashMap`, iteration
-/// order is deterministic, which makes the retransmission scan
-/// reproducible across processes (std's hasher is randomly seeded).
-#[derive(Debug, Default)]
-struct WindowMap {
-    entries: Vec<(u64, Time)>,
+/// The send window: which blocks are in flight, since when, in send order.
+///
+/// Blocks leave a host in rotation order — position `p` carries block
+/// `(p + stagger_offset) % blocks` — so the window is a deque of send
+/// times over the positions `[first, first + slots.len())`, with
+/// [`CLOSED`] marking a position whose result has arrived. Insert, remove
+/// and lookup are O(1) whatever the window size, and iteration is in
+/// position order: the order of first sends, which makes the
+/// retransmission scan reproducible. The deque reaches back to the oldest
+/// open position, so it holds 8 B per position a straggler keeps it from
+/// popping (under staggering, the blocks other hosts send last) — at
+/// worst `blocks` entries, on the hosts that have one.
+#[derive(Debug)]
+struct SendWindow {
+    blocks: u64,
+    /// `stagger_offset % blocks`.
+    offset: u64,
+    /// Position of `slots[0]`; every earlier position is closed.
+    first: u64,
+    slots: VecDeque<Time>,
+    /// Slots not [`CLOSED`].
+    open: usize,
 }
 
-impl WindowMap {
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
+/// Slot value of a position whose block is no longer in flight.
+const CLOSED: Time = Time::MAX;
 
-    /// Record `block` as in flight since `at` (updates the timestamp if
-    /// the block is already outstanding, e.g. on retransmission).
-    fn insert(&mut self, block: u64, at: Time) {
-        match self.entries.iter_mut().find(|(b, _)| *b == block) {
-            Some(e) => e.1 = at,
-            None => self.entries.push((block, at)),
+impl SendWindow {
+    fn new(blocks: u64, stagger_offset: u64) -> Self {
+        assert!(blocks > 0);
+        Self {
+            blocks,
+            offset: stagger_offset % blocks,
+            first: 0,
+            slots: VecDeque::new(),
+            open: 0,
         }
     }
 
-    /// Close `block`, returning its send time (`None` if not in flight).
-    fn remove(&mut self, block: u64) -> Option<Time> {
-        let at = self.entries.iter().position(|(b, _)| *b == block)?;
-        Some(self.entries.remove(at).1)
+    /// Blocks in flight.
+    fn len(&self) -> usize {
+        self.open
     }
 
-    /// In-flight `(block, sent_at)` pairs in insertion order.
+    fn block_at(&self, pos: u64) -> u64 {
+        (pos + self.offset) % self.blocks
+    }
+
+    fn pos_of(&self, block: u64) -> u64 {
+        (block + self.blocks - self.offset) % self.blocks
+    }
+
+    /// The next block in send order that has never been sent (`None` once
+    /// all have).
+    fn next_unsent(&self) -> Option<u64> {
+        let pos = self.first + self.slots.len() as u64;
+        (pos < self.blocks).then(|| self.block_at(pos))
+    }
+
+    /// Record `block` as in flight since `at`: either the
+    /// [`next_unsent`](Self::next_unsent) block, which opens its position,
+    /// or a block already in flight (a retransmission), whose send time is
+    /// updated in place.
+    fn insert(&mut self, block: u64, at: Time) {
+        debug_assert!(at != CLOSED);
+        let slot = self.pos_of(block).checked_sub(self.first);
+        match slot.map(|s| s as usize) {
+            Some(s) if s == self.slots.len() => {
+                self.slots.push_back(at);
+                self.open += 1;
+            }
+            Some(s) if self.slots.get(s).is_some_and(|&t| t != CLOSED) => self.slots[s] = at,
+            _ => panic!("block {block} is neither next to send nor in flight"),
+        }
+    }
+
+    /// Close `block`, returning its send time (`None` if not in flight:
+    /// never sent, or already closed).
+    fn remove(&mut self, block: u64) -> Option<Time> {
+        if block >= self.blocks {
+            return None;
+        }
+        let slot = self.pos_of(block).checked_sub(self.first)? as usize;
+        let at = std::mem::replace(self.slots.get_mut(slot)?, CLOSED);
+        if at == CLOSED {
+            return None;
+        }
+        self.open -= 1;
+        while self.slots.front() == Some(&CLOSED) {
+            self.slots.pop_front();
+            self.first += 1;
+        }
+        Some(at)
+    }
+
+    /// In-flight `(block, sent_at)` pairs in send order.
     fn iter(&self) -> impl Iterator<Item = (u64, Time)> + '_ {
-        self.entries.iter().copied()
+        (self.first..)
+            .zip(&self.slots)
+            .filter(|&(_, &at)| at != CLOSED)
+            .map(|(pos, &at)| (self.block_at(pos), at))
     }
 }
 
@@ -131,10 +200,7 @@ pub struct DenseFlareHost<T: Element> {
     elems_per_packet: usize,
     /// Input data, progressively overwritten with reduced blocks.
     data: Vec<T>,
-    /// Block ids in send order (staggered).
-    order: Vec<u64>,
-    next_pos: usize,
-    outstanding: WindowMap,
+    outstanding: SendWindow,
     completed: u64,
     sink: ResultSink<T>,
     /// Encode scratch, replenished from consumed result payloads.
@@ -155,17 +221,12 @@ impl<T: Element> DenseFlareHost<T> {
     ) -> Self {
         assert!(elems_per_packet > 0 && !data.is_empty());
         let blocks = data.len().div_ceil(elems_per_packet) as u64;
-        let order = (0..blocks)
-            .map(|p| (p + cfg.stagger_offset) % blocks)
-            .collect();
         Self {
             retx_tag: cfg.retx_tag(),
+            outstanding: SendWindow::new(blocks, cfg.stagger_offset),
             cfg,
             elems_per_packet,
             data,
-            order,
-            next_pos: 0,
-            outstanding: WindowMap::default(),
             completed: 0,
             sink,
             scratch: BufferPool::new(),
@@ -175,7 +236,7 @@ impl<T: Element> DenseFlareHost<T> {
     }
 
     fn total_blocks(&self) -> u64 {
-        self.order.len() as u64
+        self.outstanding.blocks
     }
 
     fn block_range(&self, block: u64) -> std::ops::Range<usize> {
@@ -218,9 +279,10 @@ impl<T: Element> DenseFlareHost<T> {
     }
 
     fn pump(&mut self, ctx: &mut HostCtx<'_>) {
-        while self.outstanding.len() < self.cfg.window && self.next_pos < self.order.len() {
-            let block = self.order[self.next_pos];
-            self.next_pos += 1;
+        while self.outstanding.len() < self.cfg.window {
+            let Some(block) = self.outstanding.next_unsent() else {
+                break;
+            };
             self.send_block(ctx, block);
         }
     }
@@ -326,7 +388,7 @@ impl<T: Element> HostProgram for DenseFlareHost<T> {
 /// count; empty blocks still send a header-only packet.
 ///
 /// Loss recovery mirrors the dense host: in-flight blocks live in a
-/// [`WindowMap`], a [`HostConfig::retransmit_after`] timer re-encodes and
+/// [`SendWindow`], a [`HostConfig::retransmit_after`] timer re-encodes and
 /// re-sends every shard of an overdue block (same shard sequence numbers,
 /// so switches reject the duplicates), and incoming result shards are
 /// deduplicated by sequence number before accumulating — a replayed
@@ -341,9 +403,7 @@ pub struct SparseFlareHost<T: Element, O> {
     /// Per-block shards of block-relative pairs, kept until the block's
     /// result completes so overdue blocks can be re-sent.
     shards_out: Vec<Vec<Vec<(u32, T)>>>,
-    order: Vec<u64>,
-    next_pos: usize,
-    outstanding: WindowMap,
+    outstanding: SendWindow,
     trackers: Vec<ShardTracker>,
     blocks_done: u64,
     result: Vec<T>,
@@ -385,20 +445,15 @@ impl<T: Element, O: ReduceOp<T>> SparseFlareHost<T, O> {
                 }
             })
             .collect();
-        let order = (0..blocks as u64)
-            .map(|p| (p + cfg.stagger_offset) % blocks as u64)
-            .collect();
         let identity = op.identity();
         Self {
             retx_tag: cfg.retx_tag(),
+            outstanding: SendWindow::new(blocks as u64, cfg.stagger_offset),
             cfg,
             op,
             span,
             total_elems,
             shards_out,
-            order,
-            next_pos: 0,
-            outstanding: WindowMap::default(),
             trackers: vec![ShardTracker::default(); blocks],
             blocks_done: 0,
             result: vec![identity; total_elems],
@@ -463,9 +518,10 @@ impl<T: Element, O: ReduceOp<T>> SparseFlareHost<T, O> {
     }
 
     fn pump(&mut self, ctx: &mut HostCtx<'_>) {
-        while self.outstanding.len() < self.cfg.window && self.next_pos < self.order.len() {
-            let block = self.order[self.next_pos];
-            self.next_pos += 1;
+        while self.outstanding.len() < self.cfg.window {
+            let Some(block) = self.outstanding.next_unsent() else {
+                break;
+            };
             self.send_block(ctx, block);
         }
     }
@@ -584,6 +640,92 @@ impl<T: Element, O: ReduceOp<T>> HostProgram for SparseFlareHost<T, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The linear-scan in-flight map [`SendWindow`] replaced, kept as the
+    /// model: `(block, sent_at)` in insertion order, removal preserving
+    /// the relative order of the rest.
+    #[derive(Default)]
+    struct VecModel {
+        entries: Vec<(u64, Time)>,
+    }
+
+    impl VecModel {
+        fn insert(&mut self, block: u64, at: Time) {
+            match self.entries.iter_mut().find(|(b, _)| *b == block) {
+                Some(e) => e.1 = at,
+                None => self.entries.push((block, at)),
+            }
+        }
+
+        fn remove(&mut self, block: u64) -> Option<Time> {
+            let at = self.entries.iter().position(|(b, _)| *b == block)?;
+            Some(self.entries.remove(at).1)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // Random interleavings of what the hosts do — send the next
+        // unsent block, re-send an in-flight one, receive a result for an
+        // in-flight / completed / never-sent / out-of-range block — leave
+        // the window and the model with the same length, the same
+        // `remove` answers and the same iteration order.
+        #[test]
+        fn send_window_matches_the_insertion_ordered_vec(
+            blocks in 1u64..40,
+            stagger in any::<u64>(),
+            ops in proptest::collection::vec((0u8..4, any::<u64>()), 0..200),
+        ) {
+            let mut window = SendWindow::new(blocks, stagger);
+            let mut model = VecModel::default();
+            for (now, &(op, pick)) in ops.iter().enumerate() {
+                let now = now as Time;
+                match op {
+                    0 | 1 => {
+                        if let Some(block) = window.next_unsent() {
+                            prop_assert!(model.entries.iter().all(|e| e.0 != block), "sent twice");
+                            window.insert(block, now);
+                            model.insert(block, now);
+                        }
+                    }
+                    2 => {
+                        if !model.entries.is_empty() {
+                            let block = model.entries[pick as usize % model.entries.len()].0;
+                            window.insert(block, now);
+                            model.insert(block, now);
+                        }
+                    }
+                    _ => {
+                        let block = pick % (blocks + 2);
+                        prop_assert_eq!(window.remove(block), model.remove(block));
+                    }
+                }
+                prop_assert_eq!(window.len(), model.entries.len());
+                prop_assert_eq!(window.iter().collect::<Vec<_>>(), model.entries.clone());
+            }
+        }
+    }
+
+    #[test]
+    fn send_window_sends_every_block_once_in_rotation_order() {
+        let mut window = SendWindow::new(5, 7);
+        let mut sent = Vec::new();
+        while let Some(block) = window.next_unsent() {
+            window.insert(block, sent.len() as Time);
+            sent.push(block);
+        }
+        assert_eq!(sent, [2, 3, 4, 0, 1]);
+        // Results out of order: the closed prefix pops only once position
+        // 0 (block 2) closes.
+        assert_eq!(window.remove(3), Some(1));
+        assert_eq!(window.slots.len(), 5);
+        assert_eq!(window.remove(2), Some(0));
+        assert_eq!((window.first, window.slots.len()), (2, 3));
+        assert_eq!(window.remove(2), None, "already closed");
+        assert_eq!(window.iter().collect::<Vec<_>>(), [(4, 2), (0, 3), (1, 4)]);
+    }
 
     fn cfg() -> HostConfig {
         HostConfig {
@@ -603,8 +745,12 @@ mod tests {
         let sink = result_sink();
         let h = DenseFlareHost::new(cfg(), 4, vec![1i32; 40], sink);
         // 10 blocks rotated by 3.
-        assert_eq!(h.order[..4], [3, 4, 5, 6]);
-        assert_eq!(h.order[7..], [0, 1, 2]);
+        let order: Vec<u64> = (0..10).map(|p| h.outstanding.block_at(p)).collect();
+        assert_eq!(order, [3, 4, 5, 6, 7, 8, 9, 0, 1, 2]);
+        for (pos, &block) in order.iter().enumerate() {
+            assert_eq!(h.outstanding.pos_of(block), pos as u64);
+        }
+        assert_eq!(h.outstanding.next_unsent(), Some(3));
     }
 
     #[test]

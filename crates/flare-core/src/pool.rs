@@ -329,20 +329,31 @@ impl<V> BlockSlab<V> {
     /// Raise the retirement floor; future accesses to ids below it are
     /// rejected (returns `None`). Open entries below the floor are
     /// dropped. The floor never moves backwards.
+    ///
+    /// Costs O(floor advance), not O(slots): every open id is at or above
+    /// the old floor, so an entry the new floor drops sits in the slot of
+    /// an id in `[old floor, new floor)` or in the overflow map.
     pub fn set_floor(&mut self, floor: u64) {
         if floor <= self.floor {
             return;
         }
-        self.floor = floor;
-        for slot in &mut self.slots {
-            if slot.as_ref().is_some_and(|(b, _)| *b < floor) {
-                *slot = None;
+        let old = std::mem::replace(&mut self.floor, floor);
+        if self.len == 0 {
+            return;
+        }
+        let span = (floor - old).min(self.slots.len() as u64);
+        for id in old..old + span {
+            let i = self.idx(id);
+            if self.slots[i].as_ref().is_some_and(|(b, _)| *b < floor) {
+                self.slots[i] = None;
                 self.len -= 1;
             }
         }
-        let before = self.overflow.len();
-        self.overflow.retain(|b, _| *b >= floor);
-        self.len -= before - self.overflow.len();
+        if !self.overflow.is_empty() {
+            let before = self.overflow.len();
+            self.overflow.retain(|b, _| *b >= floor);
+            self.len -= before - self.overflow.len();
+        }
     }
 
     /// The open entry for `block`, or `None` when it is not open (or is
@@ -444,6 +455,7 @@ impl<V> BlockSlab<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn pool_reuses_returned_buffers() {
@@ -581,6 +593,68 @@ mod tests {
         // The floor never moves backwards.
         slab.set_floor(2);
         assert_eq!(slab.floor(), 8);
+    }
+
+    /// The full-scan `set_floor` the O(advance) one replaced, as a model
+    /// over a plain map: drop every entry below the new floor.
+    #[derive(Default)]
+    struct NaiveSlab {
+        open: HashMap<u64, u32>,
+        floor: u64,
+    }
+
+    impl NaiveSlab {
+        fn set_floor(&mut self, floor: u64) {
+            if floor > self.floor {
+                self.floor = floor;
+                self.open.retain(|b, _| *b >= floor);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // Opens, closes and floor raises over a 4-slot slab with ids
+        // spread over 0..40: most opens collide and live in the overflow
+        // map, floors jump past abandoned entries in both places and by
+        // more than the slot count.
+        #[test]
+        fn slab_set_floor_matches_the_full_scan_model(
+            ops in proptest::collection::vec((0u8..4, 0u64..40), 0..120),
+        ) {
+            let mut slab: BlockSlab<u32> = BlockSlab::new(4);
+            let mut model = NaiveSlab::default();
+            for (step, &(op, id)) in ops.iter().enumerate() {
+                let step = step as u32;
+                match op {
+                    0 | 1 => {
+                        let got = slab.get_or_insert_with(id, || step).copied();
+                        let want = (id >= model.floor)
+                            .then(|| *model.open.entry(id).or_insert(step));
+                        prop_assert_eq!(got, want);
+                    }
+                    2 => {
+                        let want = if id >= model.floor { model.open.remove(&id) } else { None };
+                        prop_assert_eq!(slab.remove(id), want);
+                    }
+                    _ => {
+                        // Raise by up to 9 from the current floor (and
+                        // sometimes not at all: the floor never retreats).
+                        let floor = model.floor.saturating_sub(2) + id % 12;
+                        slab.set_floor(floor);
+                        model.set_floor(floor);
+                    }
+                }
+                prop_assert_eq!(slab.floor(), model.floor);
+                prop_assert_eq!(slab.len(), model.open.len());
+                let mut got: Vec<(u64, u32)> = slab.iter().map(|(b, v)| (b, *v)).collect();
+                let mut want: Vec<(u64, u32)> = model.open.iter().map(|(b, v)| (*b, *v)).collect();
+                got.sort_unstable();
+                want.sort_unstable();
+                prop_assert_eq!(got, want);
+            }
+        }
     }
 
     #[test]

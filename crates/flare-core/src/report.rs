@@ -147,7 +147,14 @@ impl TenantReport {
 }
 
 /// Fabric-wide contention summary of a traffic-engine run.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality compares the simulation results only. `switch_pools` is a
+/// host-side diagnostic, not a result: a payload is recycled by whichever
+/// consumer drops the last reference to it, and under the partitioned
+/// driver the copies of a multicast are consumed on different worker
+/// threads, so its counters may differ by a few between two runs that
+/// agree on every simulated number.
+#[derive(Debug, Clone)]
 pub struct FabricStats {
     /// Jain's fairness index over per-tenant switch bytes (see
     /// [`jain_index`]).
@@ -156,11 +163,26 @@ pub struct FabricStats {
     /// used [`flare_net::SwitchModel::Hpu`]).
     pub hpu: Vec<HpuSwitchReport>,
     /// Summed buffer-pool / replay-slab recycling counters across every
-    /// switch program of the run.
+    /// switch program of the run. Not part of equality (see above).
     pub switch_pools: ProgramStats,
     /// Highest single-switch working-memory reservation observed while
     /// tenants were being admitted, in bytes.
     pub reserved_peak_bytes: u64,
+}
+
+impl PartialEq for FabricStats {
+    fn eq(&self, other: &Self) -> bool {
+        // Destructured so that adding a field forces a decision here.
+        let Self {
+            fairness_jain,
+            hpu,
+            switch_pools: _,
+            reserved_peak_bytes,
+        } = self;
+        *fairness_jain == other.fairness_jain
+            && *hpu == other.hpu
+            && *reserved_peak_bytes == other.reserved_peak_bytes
+    }
 }
 
 /// The tenant section of a [`RunReport`](crate::session::RunReport):
@@ -207,6 +229,21 @@ mod tests {
         assert!((jain_index(&[8.0, 0.0, 0.0, 0.0]) - 0.25).abs() < 1e-12);
         // Textbook example: (1+2+3)² / (3·(1+4+9)) = 36/42.
         assert!((jain_index(&[1.0, 2.0, 3.0]) - 36.0 / 42.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn fabric_equality_ignores_the_recycling_counters() {
+        let a = FabricStats {
+            fairness_jain: 1.0,
+            hpu: Vec::new(),
+            switch_pools: ProgramStats::default(),
+            reserved_peak_bytes: 4096,
+        };
+        let mut b = a.clone();
+        b.switch_pools.byte_pool.puts += 1;
+        assert_eq!(a, b, "which consumer recycled a payload is not a result");
+        b.reserved_peak_bytes += 1;
+        assert_ne!(a, b);
     }
 
     #[test]

@@ -419,7 +419,7 @@ pub struct LinkTotals {
 }
 
 /// Final measurements of a network simulation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetReport {
     /// Time of the last processed event.
     pub makespan: Time,
@@ -452,6 +452,10 @@ impl NetSim {
     /// Build a simulator over `topo` with deterministic ECMP routing.
     /// `seed` drives every stochastic element (currently the per-link
     /// loss-injection streams), making runs bitwise-reproducible.
+    ///
+    /// Costs one pass over the nodes, ports and links; routing towards a
+    /// destination is worked out the first time a packet needs it (see
+    /// [`Routing`]).
     pub fn new(topo: Topology, seed: u64) -> Self {
         let routing = topo.build_routing();
         let n = topo.node_count();
@@ -485,6 +489,11 @@ impl NetSim {
     /// Access the topology.
     pub fn topology(&self) -> &Topology {
         &self.core.topo
+    }
+
+    /// Access the routing state (e.g. [`Routing::columns_built`]).
+    pub fn routing(&self) -> &Routing {
+        &self.core.routing
     }
 
     /// Consume the simulator and hand the topology back (lets callers

@@ -8,6 +8,7 @@
 //! ordered).
 
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 use flare_des::rng::splitmix64;
 use flare_des::Time;
@@ -144,8 +145,11 @@ impl Topology {
     pub fn connect(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) -> usize {
         assert_ne!(a, b, "self-links are not allowed");
         let link = self.links.len();
-        let pa = PortId(self.ports[a.index()].len() as u16);
-        let pb = PortId(self.ports[b.index()].len() as u16);
+        let next_port = |ports: &[PortLink]| {
+            PortId(u16::try_from(ports.len()).expect("node is out of u16 port indices"))
+        };
+        let pa = next_port(&self.ports[a.index()]);
+        let pb = next_port(&self.ports[b.index()]);
         self.ports[a.index()].push(PortLink {
             link,
             peer: b,
@@ -230,37 +234,33 @@ impl Topology {
             .map(|i| PortId(i as u16))
     }
 
-    /// Compute destination-based routing: `next_port[node][dest]` = egress
-    /// port, selecting among equal-cost next hops by `hash(flow)`.
+    /// Destination-based shortest-path routing with ECMP by `hash(flow)`.
+    ///
+    /// Costs one pass over the ports: the per-destination next-hop
+    /// columns are built on first use (see [`Routing`]).
     pub fn build_routing(&self) -> Routing {
         let n = self.node_count();
-        let mut next_hops: Vec<Vec<Vec<u16>>> = vec![vec![Vec::new(); n]; n];
-        // BFS from every destination over the undirected graph.
-        for dest in 0..n {
-            let mut dist = vec![u32::MAX; n];
-            dist[dest] = 0;
-            let mut q = VecDeque::from([dest]);
-            while let Some(u) = q.pop_front() {
-                for pl in &self.ports[u] {
-                    let v = pl.peer.index();
-                    if dist[v] == u32::MAX {
-                        dist[v] = dist[u] + 1;
-                        q.push_back(v);
-                    }
-                }
+        let mut adj = Vec::with_capacity(n + 1);
+        let mut peers = Vec::with_capacity(2 * self.links.len());
+        let mut by_peer: Vec<(u32, u16)> = Vec::with_capacity(2 * self.links.len());
+        adj.push(0);
+        for ports in &self.ports {
+            let start = by_peer.len();
+            for (pi, pl) in ports.iter().enumerate() {
+                peers.push(pl.peer.0);
+                by_peer.push((pl.peer.0, pi as u16));
             }
-            for u in 0..n {
-                if u == dest || dist[u] == u32::MAX {
-                    continue;
-                }
-                for (pi, pl) in self.ports[u].iter().enumerate() {
-                    if dist[pl.peer.index()] + 1 == dist[u] {
-                        next_hops[u][dest].push(pi as u16);
-                    }
-                }
-            }
+            by_peer[start..].sort_unstable();
+            adj.push(u32::try_from(peers.len()).expect("port count exceeds u32"));
         }
-        Routing { next_hops }
+        let (nbr_peers, nbr_ports) = by_peer.into_iter().unzip();
+        Routing {
+            adj,
+            peers,
+            nbr_peers,
+            nbr_ports,
+            columns: (0..n).map(|_| OnceLock::new()).collect(),
+        }
     }
 
     /// Build the paper's Figure 15 network: a 2-level fat tree with
@@ -345,19 +345,100 @@ impl FatTree {
     }
 }
 
-/// Destination-based next-hop tables with deterministic ECMP.
+/// Destination-based next hops with deterministic ECMP, built on demand.
+///
+/// A packet addressed to a direct neighbour is answered from the adjacency
+/// alone (every hop of an in-network collective is: host→leaf,
+/// switch→parent, switch→child). Any other destination gets one *column* —
+/// the equal-cost egress ports of every node towards it, from one BFS —
+/// the first time a packet for it is routed. A column is a pure function
+/// of the topology, so under the partitioned driver it does not matter
+/// which worker builds it; [`OnceLock`] keeps `&Routing` shareable.
 #[derive(Debug, Clone)]
 pub struct Routing {
-    /// `next_hops[node][dest]` = candidate egress ports (equal cost).
-    next_hops: Vec<Vec<Vec<u16>>>,
+    /// Node `u`'s ports are the range `adj[u]..adj[u + 1]` of the three
+    /// flat arrays below.
+    adj: Vec<u32>,
+    /// Peers in port order.
+    peers: Vec<u32>,
+    /// The same peers sorted ascending (ties in port order), and the port
+    /// of each: the ports to one neighbour are a contiguous run.
+    nbr_peers: Vec<u32>,
+    nbr_ports: Vec<u16>,
+    /// Per destination, built on first use.
+    columns: Vec<OnceLock<Column>>,
+}
+
+/// Equal-cost egress ports of every node towards one destination: node
+/// `u`'s are `ports[offsets[u]..offsets[u + 1]]`, in port order.
+#[derive(Debug, Clone)]
+struct Column {
+    offsets: Vec<u32>,
+    ports: Vec<u16>,
 }
 
 impl Routing {
+    fn ports_of(&self, node: usize) -> std::ops::Range<usize> {
+        self.adj[node] as usize..self.adj[node + 1] as usize
+    }
+
+    /// One BFS from `dest` over the undirected graph, then per node the
+    /// ports whose peer is one hop closer.
+    fn build_column(&self, dest: usize) -> Column {
+        let n = self.columns.len();
+        let mut dist = vec![u32::MAX; n];
+        dist[dest] = 0;
+        let mut q = VecDeque::from([dest]);
+        while let Some(u) = q.pop_front() {
+            for &v in &self.peers[self.ports_of(u)] {
+                if dist[v as usize] == u32::MAX {
+                    dist[v as usize] = dist[u] + 1;
+                    q.push_back(v as usize);
+                }
+            }
+        }
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut ports = Vec::new();
+        offsets.push(0);
+        for u in 0..n {
+            if u != dest && dist[u] != u32::MAX {
+                for (pi, &v) in self.peers[self.ports_of(u)].iter().enumerate() {
+                    if dist[v as usize] + 1 == dist[u] {
+                        ports.push(pi as u16);
+                    }
+                }
+            }
+            offsets.push(ports.len() as u32);
+        }
+        Column { offsets, ports }
+    }
+
+    /// Equal-cost egress ports at `node` towards `dest`, in port order
+    /// (empty at the destination, when unreachable, or for a node outside
+    /// the topology).
+    fn candidates(&self, node: NodeId, dest: NodeId) -> &[u16] {
+        let (u, d) = (node.index(), dest.index());
+        let n = self.columns.len();
+        if u >= n || d >= n || u == d {
+            return &[];
+        }
+        let range = self.ports_of(u);
+        let sorted = &self.nbr_peers[range.clone()];
+        let lo = sorted.partition_point(|&p| p < dest.0);
+        let run = sorted[lo..].iter().take_while(|&&p| p == dest.0).count();
+        if run > 0 {
+            return &self.nbr_ports[range.start + lo..][..run];
+        }
+        let col = self.columns[d].get_or_init(|| self.build_column(d));
+        &col.ports[col.offsets[u] as usize..col.offsets[u + 1] as usize]
+    }
+
     /// Egress port at `node` towards `dest` for `flow` (ECMP by flow hash).
     ///
-    /// Returns `None` when `node == dest` or `dest` is unreachable.
+    /// Returns `None` when `node == dest`, `dest` is unreachable, or either
+    /// is not a node of the topology.
     pub fn next_port(&self, node: NodeId, dest: NodeId, flow: u32) -> Option<PortId> {
-        let cands = &self.next_hops[node.index()][dest.index()];
+        let cands = self.candidates(node, dest);
         if cands.is_empty() {
             return None;
         }
@@ -365,15 +446,182 @@ impl Routing {
         Some(PortId(cands[pick]))
     }
 
-    /// Number of equal-cost choices at `node` towards `dest`.
+    /// Number of equal-cost choices at `node` towards `dest` (0 when
+    /// [`next_port`](Self::next_port) would return `None`).
     pub fn ecmp_width(&self, node: NodeId, dest: NodeId) -> usize {
-        self.next_hops[node.index()][dest.index()].len()
+        self.candidates(node, dest).len()
+    }
+
+    /// Destination columns built so far: one per distinct destination that
+    /// some packet was routed towards from a node not adjacent to it.
+    pub fn columns_built(&self) -> usize {
+        self.columns.iter().filter(|c| c.get().is_some()).count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The eager all-pairs tables the on-demand [`Routing`] replaced
+    /// (`next_hops[node][dest]` = equal-cost egress ports), kept as the
+    /// oracle of the differential tests.
+    fn all_pairs_next_hops(topo: &Topology) -> Vec<Vec<Vec<u16>>> {
+        let n = topo.node_count();
+        let mut next_hops: Vec<Vec<Vec<u16>>> = vec![vec![Vec::new(); n]; n];
+        // BFS from every destination over the undirected graph.
+        for dest in 0..n {
+            let mut dist = vec![u32::MAX; n];
+            dist[dest] = 0;
+            let mut q = VecDeque::from([dest]);
+            while let Some(u) = q.pop_front() {
+                for pl in &topo.ports[u] {
+                    let v = pl.peer.index();
+                    if dist[v] == u32::MAX {
+                        dist[v] = dist[u] + 1;
+                        q.push_back(v);
+                    }
+                }
+            }
+            for u in 0..n {
+                if u == dest || dist[u] == u32::MAX {
+                    continue;
+                }
+                for (pi, pl) in topo.ports[u].iter().enumerate() {
+                    if dist[pl.peer.index()] + 1 == dist[u] {
+                        next_hops[u][dest].push(pi as u16);
+                    }
+                }
+            }
+        }
+        next_hops
+    }
+
+    /// Every `(node, dest)` pair: the same candidate list, and through the
+    /// public surface the same width and the oracle's
+    /// `splitmix64(flow) % len` pick for flows `0..8`.
+    fn assert_matches_oracle(topo: &Topology) {
+        let oracle = all_pairs_next_hops(topo);
+        let routing = topo.build_routing();
+        let nodes = || (0..topo.node_count() as u32).map(NodeId);
+        for node in nodes() {
+            for dest in nodes() {
+                let cands = &oracle[node.index()][dest.index()];
+                assert_eq!(routing.candidates(node, dest), cands, "{node:?}->{dest:?}");
+                assert_eq!(routing.ecmp_width(node, dest), cands.len());
+                for flow in 0..8 {
+                    let want = (!cands.is_empty()).then(|| {
+                        PortId(cands[(splitmix64(flow as u64) % cands.len() as u64) as usize])
+                    });
+                    assert_eq!(routing.next_port(node, dest, flow), want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn on_demand_routing_matches_the_all_pairs_oracle() {
+        let spec = LinkSpec::hundred_gig();
+        assert_matches_oracle(&Topology::star(4, spec).0);
+        assert_matches_oracle(&Topology::fat_tree_two_level(4, 2, 2, spec).0);
+        assert_matches_oracle(&Topology::fat_tree_two_level(16, 4, 4, spec).0);
+
+        let mut ring = Topology::new();
+        let sw: Vec<NodeId> = (0..6).map(|i| ring.add_switch(format!("s{i}"))).collect();
+        for i in 0..6 {
+            ring.connect(sw[i], sw[(i + 1) % 6], spec);
+        }
+        assert_matches_oracle(&ring);
+
+        // Parallel links: both ports are candidates, in port order, and a
+        // third node behind them sees the same ECMP pair one hop out.
+        let mut par = Topology::new();
+        let (a, b, c) = (par.add_switch("a"), par.add_switch("b"), par.add_host("c"));
+        par.connect(a, b, spec);
+        par.connect(a, c, spec);
+        par.connect(a, b, spec);
+        assert_matches_oracle(&par);
+        let routing = par.build_routing();
+        assert_eq!(routing.ecmp_width(a, b), 2);
+        assert_eq!(routing.ecmp_width(b, c), 2);
+
+        // A disconnected component: unreachable both ways.
+        let mut split = Topology::star(2, spec).0;
+        let (x, y) = (split.add_host("x"), split.add_host("y"));
+        split.connect(x, y, spec);
+        assert_matches_oracle(&split);
+        let routing = split.build_routing();
+        assert_eq!(routing.next_port(NodeId(0), x, 0), None);
+        assert_eq!(routing.next_port(x, NodeId(0), 0), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        // Random connected port graphs: a spanning tree (node `i` hangs
+        // off an earlier node) plus extra edges, parallel ones included.
+        #[test]
+        fn on_demand_routing_matches_the_oracle_on_random_graphs(
+            parents in proptest::collection::vec(any::<u32>(), 1..14),
+            extra in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..12),
+        ) {
+            let spec = LinkSpec::hundred_gig();
+            let mut topo = Topology::new();
+            let n = parents.len() as u32 + 1;
+            let nodes: Vec<NodeId> = (0..n).map(|i| topo.add_switch(format!("n{i}"))).collect();
+            for (i, &p) in parents.iter().enumerate() {
+                topo.connect(nodes[i + 1], nodes[p as usize % (i + 1)], spec);
+            }
+            for &(a, b) in &extra {
+                let (a, b) = (a % n, b % n);
+                if a != b {
+                    topo.connect(nodes[a as usize], nodes[b as usize], spec);
+                }
+            }
+            assert_matches_oracle(&topo);
+        }
+    }
+
+    #[test]
+    fn routing_builds_columns_only_for_non_neighbour_destinations() {
+        let (topo, ft) = Topology::fat_tree_two_level(4, 2, 2, LinkSpec::hundred_gig());
+        let routing = topo.build_routing();
+        // Tree neighbours: answered from the adjacency.
+        assert!(routing.next_port(ft.hosts[0], ft.leaf_of(0), 0).is_some());
+        assert_eq!(routing.ecmp_width(ft.leaves[0], ft.spines[1]), 1);
+        assert_eq!(routing.next_port(ft.hosts[0], ft.hosts[0], 0), None);
+        assert_eq!(routing.columns_built(), 0);
+        // Two hops away: one column, shared by every later lookup.
+        assert!(routing.next_port(ft.hosts[0], ft.hosts[7], 0).is_some());
+        assert_eq!(routing.ecmp_width(ft.leaves[0], ft.hosts[7]), 2);
+        assert_eq!(routing.columns_built(), 1);
+        assert_eq!(routing.clone().columns_built(), 1);
+    }
+
+    #[test]
+    fn routing_answers_none_for_nodes_outside_the_topology() {
+        let (topo, _, hosts) = Topology::star(2, LinkSpec::hundred_gig());
+        let routing = topo.build_routing();
+        let outside = NodeId(topo.node_count() as u32);
+        assert_eq!(routing.next_port(outside, hosts[0], 0), None);
+        assert_eq!(routing.next_port(hosts[0], outside, 0), None);
+        assert_eq!(routing.next_port(hosts[0], NodeId(u32::MAX), 0), None);
+        assert_eq!(routing.ecmp_width(outside, hosts[0]), 0);
+        assert_eq!(routing.ecmp_width(hosts[0], outside), 0);
+        assert_eq!(routing.columns_built(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of u16 port indices")]
+    fn connect_refuses_a_port_index_past_u16() {
+        let mut topo = Topology::new();
+        let (a, b) = (topo.add_switch("a"), topo.add_switch("b"));
+        // Ports 0..=65 535 exist; the next one would wrap to 0.
+        for _ in 0..=u16::MAX as usize + 1 {
+            topo.connect(a, b, LinkSpec::hundred_gig());
+        }
+    }
 
     #[test]
     fn link_serialization_time_is_size_over_bandwidth() {

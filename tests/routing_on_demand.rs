@@ -1,0 +1,115 @@
+//! Routing is paid for per destination actually addressed: an in-network
+//! collective talks only to tree neighbours and builds no routing column;
+//! a host-based ring builds one per ring successor, and the partitioned
+//! driver may build them from any worker without changing a result.
+
+use flare::baselines::ring::RingHost;
+use flare::core::host::{result_sink, DenseFlareHost, HostConfig, ResultSink};
+use flare::core::op::{golden_reduce, Sum};
+use flare::core::switch_prog::{FlareDenseProgram, TreePlacement};
+use flare::net::{LinkSpec, NetSim, Topology};
+
+const ELEMS: usize = 4096;
+
+fn input(rank: usize) -> Vec<i32> {
+    (0..ELEMS).map(|i| (rank * 7 + i % 13) as i32).collect()
+}
+
+fn assert_all_reduced(sinks: &[ResultSink<i32>]) {
+    let inputs: Vec<Vec<i32>> = (0..sinks.len()).map(input).collect();
+    let want = golden_reduce(&Sum, &inputs);
+    for (rank, sink) in sinks.iter().enumerate() {
+        assert_eq!(sink.lock().unwrap().as_ref().unwrap(), &want, "rank {rank}");
+    }
+}
+
+#[test]
+fn dense_allreduce_on_a_fat_tree_builds_no_routing_column() {
+    let (topo, ft) = Topology::fat_tree_two_level(16, 4, 4, LinkSpec::hundred_gig());
+    let mut sim = NetSim::new(topo, 3);
+    // Reduction tree: spine 0 over every leaf, each leaf over its hosts.
+    let root = ft.spines[0];
+    let place = |parent, children, my_child_index| TreePlacement {
+        allreduce: 1,
+        parent,
+        children,
+        my_child_index,
+    };
+    sim.install_switch(
+        root,
+        Box::new(FlareDenseProgram::<i32, Sum>::new(
+            place(None, ft.leaves.clone(), 0),
+            Sum,
+        )),
+        512.0,
+    );
+    for (l, &leaf) in ft.leaves.iter().enumerate() {
+        let hosts = ft.hosts[l * ft.hosts_per_leaf..][..ft.hosts_per_leaf].to_vec();
+        sim.install_switch(
+            leaf,
+            Box::new(FlareDenseProgram::<i32, Sum>::new(
+                place(Some(root), hosts, l as u16),
+                Sum,
+            )),
+            512.0,
+        );
+    }
+    let mut sinks = Vec::new();
+    for (rank, &h) in ft.hosts.iter().enumerate() {
+        let sink = result_sink();
+        sinks.push(sink.clone());
+        let cfg = HostConfig {
+            allreduce: 1,
+            leaf: ft.leaf_of(rank),
+            child_index: (rank % ft.hosts_per_leaf) as u16,
+            window: 8,
+            stagger_offset: (rank % 4) as u64,
+            retransmit_after: None,
+            block_base: 0,
+            wake_seq: 0,
+        };
+        sim.install_host(
+            h,
+            Box::new(DenseFlareHost::new(cfg, 256, input(rank), sink)),
+        );
+    }
+    let report = sim.run(None);
+    assert!(report.last_done.is_some(), "allreduce must complete");
+    assert_all_reduced(&sinks);
+    assert_eq!(
+        sim.routing().columns_built(),
+        0,
+        "every hop of the collective addresses a tree neighbour"
+    );
+}
+
+fn ring_on_paper_fat_tree() -> (NetSim, Vec<ResultSink<i32>>) {
+    let (topo, ft) = Topology::fat_tree_two_level(16, 4, 4, LinkSpec::hundred_gig());
+    let mut sim = NetSim::new(topo, 3);
+    let mut sinks = Vec::new();
+    for (rank, &h) in ft.hosts.iter().enumerate() {
+        let sink = result_sink();
+        sinks.push(sink.clone());
+        let host = RingHost::new(rank, ft.hosts.clone(), 9, Sum, input(rank), 1024, sink);
+        sim.install_host(h, Box::new(host));
+    }
+    (sim, sinks)
+}
+
+#[test]
+fn ring_builds_one_column_per_successor_under_either_driver() {
+    let (mut serial, sinks) = ring_on_paper_fat_tree();
+    let want = serial.run(None);
+    assert!(want.last_done.is_some(), "ring must complete");
+    assert_all_reduced(&sinks);
+    // Every host is the ring successor of exactly one other host, and no
+    // host is adjacent to another: 64 distinct non-neighbour destinations.
+    assert_eq!(serial.routing().columns_built(), 64);
+
+    // Partition lanes share `&Routing` and build the columns concurrently.
+    let (mut parallel, sinks) = ring_on_paper_fat_tree();
+    let got = parallel.run_threads(None, 4);
+    assert_all_reduced(&sinks);
+    assert_eq!(got, want, "which lane builds a column must not show");
+    assert_eq!(parallel.routing().columns_built(), 64);
+}

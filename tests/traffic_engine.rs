@@ -300,6 +300,25 @@ fn lossy_mixed_fleet_is_bitwise_identical_across_drivers_and_epochs() {
 }
 
 #[test]
+fn parallel_epochs_agree_whichever_thread_recycles_a_payload() {
+    // Regression: the test above failed more often than not because
+    // `FabricStats` equality included `switch_pools`, and a multicast
+    // payload is recycled by whichever worker thread drops its last
+    // reference (`byte_pool.puts` 3877 vs 3876 on identical simulations).
+    // Twenty 4-thread epochs give that race twenty chances.
+    let (first, mk_first) = lossy_mixed_epoch(4);
+    assert!(
+        first.fabric.switch_pools.byte_pool.puts > 0,
+        "still readable"
+    );
+    for epoch in 1..20 {
+        let (section, mk) = lossy_mixed_epoch(4);
+        assert_eq!(section, first, "epoch {epoch} diverged");
+        assert_eq!(mk, mk_first, "epoch {epoch} makespan diverged");
+    }
+}
+
+#[test]
 fn disk_traces_replay_into_the_engine() {
     // ROADMAP 2c end to end: a CSV trace on disk becomes tenant specs
     // becomes a run. Two tenants, interleaved arrivals, one backlogged.
