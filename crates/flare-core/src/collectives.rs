@@ -1,210 +1,16 @@
-//! Legacy collective drivers (deprecated shims) and the Horovod-style
-//! sequencer (paper Section 8).
-//!
-//! The original reproduction exposed free functions — callers hand-wired
-//! `Topology` → `NetworkManager` → `AllreducePlan` → `run_dense_allreduce`
-//! / `run_sparse_allreduce` with a shared [`RunOptions`] grab-bag. That
-//! surface is superseded by the [`crate::session`] module:
-//! [`crate::session::FlareSession`] owns the manager, admission and id
-//! allocation, and the typed [`crate::session::Collective`] builder
-//! resolves dense/sparse storage, reproducible trees, windowing and
-//! stagger policy internally.
-//!
-//! The `run_*` functions remain here as **thin deprecated shims** over the
-//! session execution engine for one release so downstream code migrates at
-//! its own pace: they accept a caller-supplied [`crate::manager::AllreducePlan`]
-//! and translate [`RunOptions`] into [`crate::session::Tuning`]. New code
-//! should not use them.
+//! The Horovod-style collective sequencer (paper Section 8).
 //!
 //! [`Sequencer`] resolves the deadlock the paper describes for frameworks
 //! like Horovod, where ranks issue multiple outstanding allreduces in
 //! different orders: it computes the unique execution order all ranks must
 //! follow (the set of operations ready on every rank, in rank-0 issue
 //! order). It accepts [`crate::session::CollectiveHandle`]s directly via
-//! [`Sequencer::submit_handles`].
+//! [`Sequencer::submit_handles`]. Running a collective is the
+//! [`crate::session`] module's job.
 
-use flare_des::Time;
-use flare_net::{NetReport, Topology};
-
-use crate::dtype::Element;
-use crate::manager::AllreducePlan;
-use crate::op::ReduceOp;
-use crate::session::{execute_dense, execute_sparse, CollectiveHandle, Tuning};
+use crate::session::CollectiveHandle;
 
 pub use crate::session::SparsePolicy;
-
-/// Options for a legacy driver run (superseded by
-/// [`crate::session::Tuning`]).
-#[derive(Debug, Clone)]
-pub struct RunOptions {
-    /// Packet payload in elements (dense) — the paper's 256×f32 = 1 KiB.
-    pub elems_per_packet: usize,
-    /// Pairs per packet (sparse) — the paper's 128 pairs = 1 KiB.
-    pub pairs_per_packet: usize,
-    /// Switch processing rate in bytes/ns (PsPIN-calibrated).
-    pub switch_proc_rate: f64,
-    /// Host retransmission timeout, dense and sparse (None = reliable
-    /// network).
-    pub retransmit_after: Option<Time>,
-    /// RNG seed (loss injection etc.).
-    pub seed: u64,
-}
-
-impl Default for RunOptions {
-    fn default() -> Self {
-        let t = Tuning::default();
-        Self {
-            elems_per_packet: t.elems_per_packet,
-            pairs_per_packet: t.pairs_per_packet,
-            switch_proc_rate: match t.switch_model {
-                flare_net::SwitchModel::RateLimited(r) => r,
-                _ => 512.0,
-            },
-            retransmit_after: t.retransmit_after,
-            seed: t.seed,
-        }
-    }
-}
-
-impl RunOptions {
-    fn tuning(&self) -> Tuning {
-        Tuning {
-            elems_per_packet: self.elems_per_packet,
-            pairs_per_packet: self.pairs_per_packet,
-            switch_model: flare_net::SwitchModel::RateLimited(self.switch_proc_rate),
-            retransmit_after: self.retransmit_after,
-            seed: self.seed,
-            ..Tuning::default()
-        }
-    }
-}
-
-/// Build and run a dense allreduce over `inputs` (one vector per host, in
-/// the order of `hosts`). Returns each host's reduced vector plus the
-/// network report.
-#[deprecated(
-    since = "0.1.0",
-    note = "use FlareSession::allreduce (crate::session) instead"
-)]
-pub fn run_dense_allreduce<T: Element, O: ReduceOp<T> + Clone + 'static>(
-    topo: Topology,
-    hosts: &[flare_net::NodeId],
-    plan: &AllreducePlan,
-    op: O,
-    inputs: Vec<Vec<T>>,
-    opts: &RunOptions,
-) -> (Vec<Vec<T>>, NetReport) {
-    let (results, report, _trace, _topo) =
-        execute_dense(topo, hosts, plan, op, inputs, &opts.tuning(), opts.seed);
-    (results, report)
-}
-
-/// Build and run a sparse allreduce: `inputs[r]` is host `r`'s sparsified
-/// `(global index, value)` list over `total_elems` elements.
-#[deprecated(
-    since = "0.1.0",
-    note = "use FlareSession::sparse_allreduce (crate::session) instead"
-)]
-#[allow(clippy::too_many_arguments)]
-pub fn run_sparse_allreduce<T: Element, O: ReduceOp<T> + Clone + 'static>(
-    topo: Topology,
-    hosts: &[flare_net::NodeId],
-    plan: &AllreducePlan,
-    op: O,
-    total_elems: usize,
-    inputs: Vec<Vec<(u32, T)>>,
-    policy: SparsePolicy,
-    opts: &RunOptions,
-) -> (Vec<Vec<T>>, NetReport) {
-    let (results, report, _trace, _topo) = execute_sparse(
-        topo,
-        hosts,
-        plan,
-        op,
-        total_elems,
-        inputs,
-        policy,
-        &opts.tuning(),
-        opts.seed,
-    );
-    (results, report)
-}
-
-/// In-network **reduce**: only `root_rank`'s output is meaningful; other
-/// ranks contribute normally but discard.
-#[deprecated(
-    since = "0.1.0",
-    note = "use FlareSession::reduce (crate::session) instead"
-)]
-pub fn run_reduce<T: Element, O: ReduceOp<T> + Clone + 'static>(
-    topo: Topology,
-    hosts: &[flare_net::NodeId],
-    plan: &AllreducePlan,
-    op: O,
-    inputs: Vec<Vec<T>>,
-    root_rank: usize,
-    opts: &RunOptions,
-) -> (Vec<T>, NetReport) {
-    let (mut results, report, _trace, _topo) =
-        execute_dense(topo, hosts, plan, op, inputs, &opts.tuning(), opts.seed);
-    (results.swap_remove(root_rank), report)
-}
-
-/// In-network **broadcast** of `root_rank`'s vector: non-root ranks
-/// contribute the operator identity, so the allreduce result *is* the
-/// root's data.
-#[deprecated(
-    since = "0.1.0",
-    note = "use FlareSession::broadcast (crate::session) instead"
-)]
-pub fn run_broadcast<T: Element, O: ReduceOp<T> + Clone + 'static>(
-    topo: Topology,
-    hosts: &[flare_net::NodeId],
-    plan: &AllreducePlan,
-    op: O,
-    root_rank: usize,
-    data: Vec<T>,
-    opts: &RunOptions,
-) -> (Vec<Vec<T>>, NetReport) {
-    let identity = vec![op.identity(); data.len()];
-    let inputs: Vec<Vec<T>> = (0..hosts.len())
-        .map(|r| {
-            if r == root_rank {
-                data.clone()
-            } else {
-                identity.clone()
-            }
-        })
-        .collect();
-    let (results, report, _trace, _topo) =
-        execute_dense(topo, hosts, plan, op, inputs, &opts.tuning(), opts.seed);
-    (results, report)
-}
-
-/// In-network **barrier**: a one-element allreduce; returns the time at
-/// which the last host observed completion.
-#[deprecated(
-    since = "0.1.0",
-    note = "use FlareSession::barrier (crate::session) instead"
-)]
-pub fn run_barrier(
-    topo: Topology,
-    hosts: &[flare_net::NodeId],
-    plan: &AllreducePlan,
-    opts: &RunOptions,
-) -> (Time, NetReport) {
-    let inputs: Vec<Vec<i32>> = vec![vec![1]; hosts.len()];
-    let (_, report, _trace, _topo) = execute_dense(
-        topo,
-        hosts,
-        plan,
-        crate::op::Sum,
-        inputs,
-        &opts.tuning(),
-        opts.seed,
-    );
-    (report.last_done.unwrap_or(report.makespan), report)
-}
 
 /// Horovod-style collective sequencer (paper Section 8): ranks may issue
 /// outstanding collectives in different orders, which can deadlock an

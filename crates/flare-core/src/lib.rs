@@ -32,8 +32,7 @@
 //! * [`tag`] — the namespaced wake-tag scheme ([`tag::FlowTag`]) that
 //!   lets an outer multiplexer (the traffic engine) own many flows'
 //!   timers in one `HostProgram` without collisions.
-//! * [`collectives`] — deprecated free-function shims over [`session`]
-//!   plus the Horovod-style issue sequencer (Section 8).
+//! * [`collectives`] — the Horovod-style issue sequencer (Section 8).
 //! * [`features`] — the machine-readable Table 1 capability matrix.
 
 pub mod collectives;

@@ -28,9 +28,6 @@
 //! [`FlareSession::admit`] / [`FlareSession::release`], which return
 //! [`CollectiveHandle`]s that [`Collective::via`] can run under and that
 //! the Horovod-style [`crate::collectives::Sequencer`] accepts directly.
-//!
-//! The pre-session free functions (`run_dense_allreduce` & friends in
-//! [`crate::collectives`]) remain as deprecated shims over this module.
 
 #![deny(missing_docs)]
 
@@ -318,14 +315,6 @@ impl FlareSessionBuilder {
     /// Sparse packet payload in `(index, value)` pairs.
     pub fn pairs_per_packet(mut self, n: usize) -> Self {
         self.tuning.pairs_per_packet = n;
-        self
-    }
-
-    /// Switch processing rate in bytes/ns — shorthand for
-    /// [`switch_model`](Self::switch_model) with
-    /// [`SwitchModel::RateLimited`].
-    pub fn switch_proc_rate(mut self, bytes_per_ns: f64) -> Self {
-        self.tuning.switch_model = SwitchModel::RateLimited(bytes_per_ns);
         self
     }
 
@@ -1072,16 +1061,12 @@ pub fn placement_for(plan: &AllreducePlan, switch: NodeId) -> TreePlacement {
     }
 }
 
-/// Wire a dense run: per-switch Flare programs, per-host participants with
-/// staggered windows, one simulation. Returns the per-rank results, the
-/// network report and the topology (handed back for reuse). Shared by
-/// [`Collective::run`] and the deprecated `run_dense_allreduce` shim.
 /// Resolve the effective worker-thread count for a run: an explicit
 /// [`Tuning::threads`] wins; otherwise the `FLARE_DES_THREADS` environment
 /// variable is consulted. Zero (from either source) and non-numeric
-/// environment values are configuration errors, not silent serial
-/// fallbacks — a benchmark run that *thinks* it is parallel must not
-/// quietly measure the serial driver. Public so engine-style drivers
+/// environment values are configuration errors, not silent one-lane
+/// fallbacks — a benchmark run that *thinks* it is sharded must not
+/// quietly measure the one-lane run. Public so engine-style drivers
 /// (`flare_workloads::traffic`) honor the same knobs as `Collective::run`.
 pub fn resolve_threads(configured: Option<u32>) -> Result<Option<u32>, SessionError> {
     if let Some(n) = configured {
@@ -1101,11 +1086,10 @@ pub fn resolve_threads(configured: Option<u32>) -> Result<Option<u32>, SessionEr
     }
 }
 
-/// Run the simulation with the driver selected by [`Tuning::threads`]:
-/// the serial batched driver when `None`, the partitioned
-/// conservative-lookahead driver otherwise. Both produce bitwise-identical
-/// reports (differentially tested in `flare-net`); the parallel driver
-/// itself falls back to serial on topologies that form a single partition.
+/// Run the simulation as [`Tuning::threads`] selects: as one lane when
+/// `None`, sharded over the partition plan in conservative lookahead
+/// windows otherwise. Both run the same event handler and produce
+/// bitwise-identical reports (differentially tested in `flare-net`).
 fn run_sim(sim: &mut NetSim, tuning: &Tuning) -> NetReport {
     match tuning.threads {
         Some(n) => sim.run_threads(None, n as usize),
@@ -1113,7 +1097,11 @@ fn run_sim(sim: &mut NetSim, tuning: &Tuning) -> NetReport {
     }
 }
 
-pub(crate) fn execute_dense<T: Element, O: ReduceOp<T> + Clone + 'static>(
+/// Wire a dense run: per-switch Flare programs, per-host participants with
+/// staggered windows, one simulation. Returns the per-rank results, the
+/// network report, the telemetry capture (if enabled) and the topology
+/// (handed back for reuse).
+fn execute_dense<T: Element, O: ReduceOp<T> + Clone + 'static>(
     topo: Topology,
     hosts: &[NodeId],
     plan: &AllreducePlan,
@@ -1163,11 +1151,11 @@ pub(crate) fn execute_dense<T: Element, O: ReduceOp<T> + Clone + 'static>(
 }
 
 /// Wire a sparse run: hash/array stores per the policy, shard-tracking
-/// hosts, one simulation. Returns the per-rank results, the network report
-/// and the topology (handed back for reuse). Shared by
-/// [`Collective::run`] and the deprecated `run_sparse_allreduce` shim.
+/// hosts, one simulation. Returns the per-rank results, the network
+/// report, the telemetry capture (if enabled) and the topology (handed back
+/// for reuse).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_sparse<T: Element, O: ReduceOp<T> + Clone + 'static>(
+fn execute_sparse<T: Element, O: ReduceOp<T> + Clone + 'static>(
     topo: Topology,
     hosts: &[NodeId],
     plan: &AllreducePlan,

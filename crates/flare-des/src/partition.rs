@@ -14,6 +14,10 @@
 //! the inputs: running with 1 worker or 16 produces bit-identical
 //! simulations.
 //!
+//! A single partition has no peer to wait for: it needs no windows, no
+//! barrier and no merge, and drains straight to the deadline exactly like
+//! [`crate::run_batched_until`].
+//!
 //! # The lookahead contract
 //!
 //! `lookahead` is the caller's promise that a cross-partition event sent
@@ -37,7 +41,7 @@
 //! driver's global arrival order — simulations whose observables depend
 //! on the relative order of same-timestamp events from different
 //! partitions must validate that order-insensitivity differentially
-//! (`flare-net` does, via its serial reference).
+//! (`flare-net` does, against its one-lane run).
 
 use crate::queue::{EventQueue, DEFAULT_PRIO};
 use crate::Time;
@@ -48,7 +52,9 @@ use std::sync::{Barrier, Mutex};
 ///
 /// The contract mirrors [`crate::Simulator`], with one addition: events
 /// for *other* partitions must go through the [`Outbox`] (respecting the
-/// driver's lookahead bound) instead of the local queue.
+/// driver's lookahead bound) instead of the local queue. A partition
+/// never addresses *itself* through the outbox: its own follow-ups go into
+/// the local queue, whatever their timestamp.
 pub trait PartitionSim {
     /// Event payload processed by this partition.
     type Event: Send;
@@ -196,6 +202,12 @@ where
 {
     assert!(lookahead >= 1, "lookahead must be at least 1");
     assert!(!parts.is_empty(), "no partitions");
+    if let [only] = parts {
+        // Nobody to synchronize with: one window up to the deadline.
+        only.drain_window(deadline);
+        debug_assert!(only.outbox.is_empty(), "partition 0 sent to itself");
+        return only.last;
+    }
     let n = parts.len();
     let workers = threads.clamp(1, n);
     if workers == 1 {
@@ -296,6 +308,10 @@ fn merge_outboxes<S: PartitionSim>(slots: &[Mutex<&mut Partition<S>>]) {
         incoming.clear();
         for (src, slot) in slots.iter().enumerate() {
             let mut p = slot.lock().expect("partition lock");
+            debug_assert!(
+                src != dst || p.outbox.lanes[dst].is_empty(),
+                "partition {src} sent to itself"
+            );
             for r in p.outbox.lanes[dst].drain(..) {
                 incoming.push((r.time, r.prio, src as u32, r.seq, r.event));
             }
@@ -344,7 +360,12 @@ mod tests {
                 // Same-timestamp local echo exercises intra-window batching.
                 queue.schedule_at(t, 0);
             }
-            outbox.send((self.id + 1) % self.n, t + LAT, hops - 1);
+            let next = (self.id + 1) % self.n;
+            if next == self.id {
+                queue.schedule_at(t + LAT, hops - 1);
+            } else {
+                outbox.send(next, t + LAT, hops - 1);
+            }
         }
     }
 
@@ -370,6 +391,15 @@ mod tests {
     }
 
     fn run_ring(n: u32, hops: u32, threads: usize) -> (Time, Vec<Vec<(Time, u32)>>) {
+        run_ring_until(n, hops, threads, Time::MAX)
+    }
+
+    fn run_ring_until(
+        n: u32,
+        hops: u32,
+        threads: usize,
+        deadline: Time,
+    ) -> (Time, Vec<Vec<(Time, u32)>>) {
         let mut parts: Vec<Partition<RingPart>> = (0..n)
             .map(|id| {
                 let mut q = EventQueue::new();
@@ -387,7 +417,7 @@ mod tests {
                 )
             })
             .collect();
-        let end = run_parallel(&mut parts, LAT, threads);
+        let end = run_parallel_until(&mut parts, LAT, threads, deadline);
         (end, parts.into_iter().map(|p| p.sim.log).collect())
     }
 
@@ -429,16 +459,21 @@ mod tests {
 
     #[test]
     fn single_partition_degenerates_to_batched_serial() {
-        let (end, logs) = run_ring(1, 12, 4);
-        let mut serial = RingSerial {
-            n: 1,
-            log: Vec::new(),
-        };
-        let mut q = EventQueue::new();
-        q.schedule_at(1, (0u32, 12));
-        let serial_end = crate::run_batched(&mut serial, &mut q);
-        assert_eq!(end, serial_end);
-        assert_eq!(logs[0].len(), serial.log.len());
+        // One partition is `run_batched_until`, event for event, with the
+        // deadline inclusive: 1 + 6·LAT is the timestamp of a hop.
+        for deadline in [Time::MAX, 1 + 6 * LAT, 6 * LAT] {
+            let (end, logs) = run_ring_until(1, 12, 4, deadline);
+            let mut serial = RingSerial {
+                n: 1,
+                log: Vec::new(),
+            };
+            let mut q = EventQueue::new();
+            q.schedule_at(1, (0u32, 12));
+            let serial_end = crate::run_batched_until(&mut serial, &mut q, deadline);
+            assert_eq!(end, serial_end);
+            let want: Vec<(Time, u32)> = serial.log.iter().map(|&(_, t, h)| (t, h)).collect();
+            assert_eq!(logs[0], want, "deadline {deadline}");
+        }
     }
 
     #[test]

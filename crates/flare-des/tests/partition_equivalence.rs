@@ -13,7 +13,10 @@
 //! exact: the schedule at 2, 4 and 8 workers must equal the 1-worker
 //! windowed schedule event for event.
 
-use flare_des::{run_batched, EventQueue, Outbox, Partition, PartitionSim, Simulator, Time};
+use flare_des::{
+    run_batched_until, run_parallel_until, EventQueue, Outbox, Partition, PartitionSim, Simulator,
+    Time,
+};
 
 use proptest::prelude::*;
 
@@ -154,9 +157,9 @@ fn ev_of(op: &Op) -> Ev {
     }
 }
 
-/// Run the partitioned driver with `threads` workers; returns the final
-/// lane states and the makespan.
-fn run_partitioned(parts: u32, ops: &[Op], threads: usize) -> (Vec<Lane>, Time) {
+/// Run the partitioned driver with `threads` workers up to `deadline`
+/// (inclusive); returns the final lane states and the makespan.
+fn run_partitioned(parts: u32, ops: &[Op], threads: usize, deadline: Time) -> (Vec<Lane>, Time) {
     let mut partitions: Vec<Partition<Lane>> = make_lanes(parts)
         .into_iter()
         .map(|lane| Partition::new(lane, EventQueue::new(), parts as usize))
@@ -166,12 +169,12 @@ fn run_partitioned(parts: u32, ops: &[Op], threads: usize) -> (Vec<Lane>, Time) 
             .queue
             .schedule_at(op.time, ev_of(op));
     }
-    let end = flare_des::run_parallel(&mut partitions, LOOKAHEAD, threads);
+    let end = run_parallel_until(&mut partitions, LOOKAHEAD, threads, deadline);
     (partitions.into_iter().map(|p| p.sim).collect(), end)
 }
 
 /// Run the serial batched reference; returns lane states and makespan.
-fn run_serial(parts: u32, ops: &[Op]) -> (Vec<Lane>, Time) {
+fn run_serial(parts: u32, ops: &[Op], deadline: Time) -> (Vec<Lane>, Time) {
     let mut sim = Global {
         lanes: make_lanes(parts),
     };
@@ -179,7 +182,7 @@ fn run_serial(parts: u32, ops: &[Op]) -> (Vec<Lane>, Time) {
     for op in ops {
         queue.schedule_at(op.time, (op.src % parts, ev_of(op)));
     }
-    let end = run_batched(&mut sim, &mut queue);
+    let end = run_batched_until(&mut sim, &mut queue, deadline);
     (sim.lanes, end)
 }
 
@@ -190,9 +193,9 @@ fn sorted_log(lane: &Lane) -> Vec<(Time, u64)> {
     log
 }
 
-fn check_equivalence(parts: u32, ops: &[Op]) {
-    let (serial, serial_end) = run_serial(parts, ops);
-    let (base, base_end) = run_partitioned(parts, ops, 1);
+fn check_equivalence(parts: u32, ops: &[Op], deadline: Time) {
+    let (serial, serial_end) = run_serial(parts, ops, deadline);
+    let (base, base_end) = run_partitioned(parts, ops, 1, deadline);
 
     // Parallel vs serial: same event multiset per partition, same
     // makespan. (Cross-partition same-timestamp ordering may legally
@@ -206,7 +209,7 @@ fn check_equivalence(parts: u32, ops: &[Op]) {
     // Thread-count invariance is *exact*: same logs, same checksums, same
     // makespan at any worker count.
     for threads in [2, 4, 8] {
-        let (lanes, end) = run_partitioned(parts, ops, threads);
+        let (lanes, end) = run_partitioned(parts, ops, threads, deadline);
         assert_eq!(end, base_end, "makespan changed at {threads} threads");
         assert_eq!(lanes, base, "schedule changed at {threads} threads");
     }
@@ -227,7 +230,7 @@ fn lookahead_boundary_sends_match_serial() {
             payload: 1000 + i as u64,
         })
         .collect();
-    check_equivalence(4, &ops);
+    check_equivalence(4, &ops, Time::MAX);
 }
 
 #[test]
@@ -245,13 +248,15 @@ fn equal_timestamp_cross_partition_fanouts_match_serial() {
             payload: 7 * (i as u64 + 1),
         })
         .collect();
-    check_equivalence(6, &ops);
+    check_equivalence(6, &ops, Time::MAX);
 }
 
 #[test]
 fn single_partition_degenerate_matches_serial() {
     // parts = 1: every "cross" stride wraps to local; the driver must
-    // behave exactly like the serial loop.
+    // behave exactly like the serial loop — same order, not just the same
+    // multiset — whether it drains the queue or stops at a deadline
+    // mid-run (events at exactly the deadline still run).
     let ops: Vec<Op> = (0..5)
         .map(|i| Op {
             src: 0,
@@ -263,7 +268,12 @@ fn single_partition_degenerate_matches_serial() {
             payload: 13 * (i as u64 + 1),
         })
         .collect();
-    check_equivalence(1, &ops);
+    for deadline in [Time::MAX, 4, 9] {
+        check_equivalence(1, &ops, deadline);
+        let (serial, _) = run_serial(1, &ops, deadline);
+        let (lanes, _) = run_partitioned(1, &ops, 4, deadline);
+        assert_eq!(lanes, serial, "deadline {deadline}");
+    }
 }
 
 proptest! {
@@ -297,6 +307,6 @@ proptest! {
                 src, time, ttl, stride, slack, fanout, payload,
             })
             .collect();
-        check_equivalence(parts, &ops);
+        check_equivalence(parts, &ops, Time::MAX);
     }
 }

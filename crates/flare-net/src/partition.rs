@@ -15,12 +15,18 @@
 //!   FIFO, byte counters, and loss-RNG stream are single-writer.
 //!
 //! A star topology collapses to a single shard (the hub switch plus all
-//! hosts), which [`crate::NetSim::run_threads`] detects and runs through
-//! the plain serial driver — parallelism needs at least two shards.
+//! hosts). Its plan numbers nodes and directions exactly like the lane
+//! [`crate::NetSim`] keeps for the whole topology, and one partition runs
+//! without windows, so [`crate::NetSim::run_threads`] on it is
+//! [`crate::NetSim::run`] — parallelism needs at least two shards.
 //!
 //! The shard numbering, local node numbering, and local direction
 //! numbering are all pure functions of the topology, which is what makes
-//! the parallel schedule reproducible across runs and thread counts.
+//! the parallel schedule reproducible across runs and thread counts. Local
+//! slots ascend in global order (node id; `2·link + dir`), so moving state
+//! between the whole-topology lane and the plan's lanes is a stable
+//! [scatter](PartitionPlan::scatter_nodes) /
+//! [gather](PartitionPlan::gather_nodes) by owner.
 
 use flare_des::Time;
 
@@ -113,6 +119,43 @@ impl PartitionPlan {
             lookahead,
         }
     }
+
+    /// Deal per-node values (indexed by node id) out to one `Vec` per
+    /// partition, each in [`node_local`](Self::node_local) order.
+    pub(crate) fn scatter_nodes<T>(&self, whole: Vec<T>) -> Vec<Vec<T>> {
+        scatter(self.parts, &self.part_of, whole)
+    }
+
+    /// Inverse of [`scatter_nodes`](Self::scatter_nodes).
+    pub(crate) fn gather_nodes<T>(&self, lanes: Vec<Vec<T>>) -> Vec<T> {
+        gather(&self.part_of, lanes)
+    }
+
+    /// Deal per-direction values (indexed `2·link + dir`) out to one `Vec`
+    /// per partition, each in [`dir_local`](Self::dir_local) order.
+    pub(crate) fn scatter_dirs<T>(&self, whole: Vec<T>) -> Vec<Vec<T>> {
+        scatter(self.parts, self.dir_owner.as_flattened(), whole)
+    }
+
+    /// Inverse of [`scatter_dirs`](Self::scatter_dirs).
+    pub(crate) fn gather_dirs<T>(&self, lanes: Vec<Vec<T>>) -> Vec<T> {
+        gather(self.dir_owner.as_flattened(), lanes)
+    }
+}
+
+fn scatter<T>(parts: usize, owners: &[u32], whole: Vec<T>) -> Vec<Vec<T>> {
+    debug_assert_eq!(owners.len(), whole.len());
+    let mut lanes: Vec<Vec<T>> = (0..parts).map(|_| Vec::new()).collect();
+    for (value, &p) in whole.into_iter().zip(owners) {
+        lanes[p as usize].push(value);
+    }
+    lanes
+}
+
+fn gather<T>(owners: &[u32], lanes: Vec<Vec<T>>) -> Vec<T> {
+    let mut lanes: Vec<_> = lanes.into_iter().map(Vec::into_iter).collect();
+    let next = |&p: &u32| lanes[p as usize].next().expect("one value per slot");
+    owners.iter().map(next).collect()
 }
 
 #[cfg(test)]
@@ -182,5 +225,23 @@ mod tests {
                 assert_eq!(plan.node_local[m.index()], li as u32);
             }
         }
+        // Scattering global ids lands each on its local slot, and gathers
+        // back in global order.
+        let ids: Vec<NodeId> = (0..topo.node_count() as u32).map(NodeId).collect();
+        let lanes = plan.scatter_nodes(ids.clone());
+        assert_eq!(lanes, plan.nodes_of);
+        assert_eq!(plan.gather_nodes(lanes), ids);
+        let slots: Vec<usize> = (0..2 * topo.link_count()).collect();
+        let lanes = plan.scatter_dirs(slots.clone());
+        for (slot, (owner, local)) in plan
+            .dir_owner
+            .as_flattened()
+            .iter()
+            .zip(plan.dir_local.as_flattened())
+            .enumerate()
+        {
+            assert_eq!(lanes[*owner as usize][*local as usize], slot);
+        }
+        assert_eq!(plan.gather_dirs(lanes), slots);
     }
 }

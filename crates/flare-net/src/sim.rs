@@ -12,19 +12,25 @@
 //!   algorithms).
 //!
 //! Switch programs process packets through a per-switch compute model
-//! ([`SwitchModel`]): either the serial rate limiter calibrated from the
-//! PsPIN simulator (`processing_done(bytes)`, mirroring the paper's SST
-//! calibration) or the event-driven multi-core HPU scheduler
-//! ([`crate::compute`], `processing_done_for(block, bytes)`) — and can
-//! emit packets to arbitrary ports/destinations, including multicast by
-//! emitting one copy per port.
+//! ([`SwitchModel`]), entered through
+//! [`SwitchCtx::processing_done_for`]`(block, bytes)`: either the serial
+//! rate limiter calibrated from the PsPIN simulator (mirroring the paper's
+//! SST calibration) or the event-driven multi-core HPU scheduler
+//! ([`crate::compute`]) — and can emit packets to arbitrary
+//! ports/destinations, including multicast by emitting one copy per port.
+//!
+//! There is one event loop. [`NetSim`] owns the per-run state as a single
+//! *lane* covering the whole topology; [`NetSim::run`] drains that lane,
+//! and [`NetSim::run_threads`] re-indexes it into one lane per
+//! [`PartitionPlan`] shard and runs the same handler over them in
+//! conservative lookahead windows.
 
 use rand::rngs::StdRng;
 use rand::RngExt;
 
 use flare_des::partition::{run_parallel_until, Outbox, Partition, PartitionSim};
 use flare_des::rng::rng_stream;
-use flare_des::{EventQueue, Simulator, Time};
+use flare_des::{EventQueue, Time};
 
 use crate::compute::{ComputeStats, SwitchCompute, SwitchModel};
 use crate::packet::NetPacket;
@@ -96,49 +102,129 @@ pub trait SwitchProgram: Send {
     }
 }
 
-#[derive(Default)]
+/// One link direction: its FIFO serializer, traffic totals and loss model.
 struct DirState {
     busy_until: Time,
     bytes: u64,
     packets: u64,
     drops: u64,
-}
-
-struct LinkState {
-    dirs: [DirState; 2],
     drop_prob: f64,
-    /// Per-*direction* RNG streams derived from `(run seed, 2·link + dir)`:
-    /// every direction's drop pattern is a pure function of the seed and
-    /// that direction's own packet sequence, independent of how traffic
-    /// interleaves elsewhere — so lossy runs are bitwise-reproducible per
-    /// run seed. Per-direction (rather than per-link) streams also make
-    /// each stream single-writer under partitioned execution: only the
-    /// transmitting side's partition ever draws from it.
-    rngs: [StdRng; 2],
+    /// Loss stream derived from `(run seed, 2·link + dir)`: the drop
+    /// pattern is a pure function of the seed and this direction's own
+    /// packet sequence, independent of how traffic interleaves elsewhere —
+    /// so lossy runs are bitwise-reproducible per run seed. Per-direction
+    /// (rather than per-link) streams are also single-writer: only the
+    /// transmitting node's lane ever draws from one.
+    rng: StdRng,
 }
 
-/// Shared mutable simulation state (everything except the programs).
-struct SimCore {
-    topo: Topology,
-    routing: Routing,
-    links: Vec<LinkState>,
-    /// Per-switch processing-pipeline availability for program packets.
-    proc_busy: Vec<Time>,
-    /// Per-switch processing rate in bytes/ns (f64::INFINITY = unmodeled).
-    proc_rate: Vec<f64>,
-    /// Per-switch multi-core HPU scheduler, when the switch was installed
-    /// with [`SwitchModel::Hpu`] (boxed: most nodes have none).
-    compute: Vec<Option<Box<SwitchCompute>>>,
-    done_at: Vec<Option<Time>>,
+/// Per-node state: the installed program, its compute model, completion.
+struct NodeState {
+    host: Option<Box<dyn HostProgram>>,
+    switch: Option<Box<dyn SwitchProgram>>,
+    /// Serial processing pipeline: availability and rate in bytes/ns
+    /// (`f64::INFINITY` = unmodeled).
+    proc_busy: Time,
+    proc_rate: f64,
+    /// Multi-core HPU scheduler, when the switch was installed with
+    /// [`SwitchModel::Hpu`] (boxed: most nodes have none).
+    compute: Option<Box<SwitchCompute>>,
+    done_at: Option<Time>,
+}
+
+/// Everything a run mutates, for the nodes and link directions of one
+/// lane. [`NetSim`] owns the lane that covers the whole topology (node
+/// slot = node id, direction slot = `2·link + dir`);
+/// [`NetSim::run_threads`] re-indexes it into one lane per
+/// [`PartitionPlan`] partition ([`PartitionPlan::node_local`] /
+/// [`PartitionPlan::dir_local`] slots) for the run and back afterwards.
+/// State *moves* between the two layouts — nothing is shared or copied.
+struct LaneState {
+    part: u32,
+    nodes: Vec<NodeState>,
+    dirs: Vec<DirState>,
     drops: u64,
     /// Observability capture ([`Telemetry::Off`] by default: one
     /// discriminant test per hook, no state, no allocation).
     telemetry: Telemetry,
 }
 
-impl SimCore {
+impl LaneState {
+    /// Move the whole lane's state into one lane per partition.
+    fn split(&mut self, plan: &PartitionPlan) -> Vec<LaneState> {
+        let nodes = plan.scatter_nodes(std::mem::take(&mut self.nodes));
+        let dirs = plan.scatter_dirs(std::mem::take(&mut self.dirs));
+        let lanes = nodes.into_iter().zip(dirs).zip(self.telemetry.split(plan));
+        lanes
+            .enumerate()
+            .map(|(p, ((nodes, dirs), telemetry))| LaneState {
+                part: p as u32,
+                nodes,
+                dirs,
+                drops: 0,
+                telemetry,
+            })
+            .collect()
+    }
+
+    /// Move every partition lane's state back into the whole lane.
+    fn merge(&mut self, plan: &PartitionPlan, lanes: Vec<LaneState>) {
+        let (mut nodes, mut dirs, mut telemetry) = (Vec::new(), Vec::new(), Vec::new());
+        for lane in lanes {
+            self.drops += lane.drops;
+            nodes.push(lane.nodes);
+            dirs.push(lane.dirs);
+            telemetry.push(lane.telemetry);
+        }
+        self.nodes = plan.gather_nodes(nodes);
+        self.dirs = plan.gather_dirs(dirs);
+        self.telemetry.merge(plan, telemetry);
+    }
+}
+
+/// A lane as the event loop and the program contexts see it: the shared
+/// read-only fabric plus exclusive access to the lane's state.
+/// `plan: None` is the whole lane — every node and direction is local and
+/// slots are the global numbering; `Some` maps global ids to the lane's
+/// slots and names the owning lane of a remote peer.
+struct NetLane<'a> {
+    topo: &'a Topology,
+    routing: &'a Routing,
+    plan: Option<&'a PartitionPlan>,
+    state: &'a mut LaneState,
+}
+
+impl NetLane<'_> {
+    fn reborrow(&mut self) -> NetLane<'_> {
+        NetLane {
+            topo: self.topo,
+            routing: self.routing,
+            plan: self.plan,
+            state: &mut *self.state,
+        }
+    }
+
+    fn part_of(&self, node: NodeId) -> u32 {
+        self.plan
+            .map_or(self.state.part, |plan| plan.part_of[node.index()])
+    }
+
+    fn node_slot(&self, node: NodeId) -> usize {
+        debug_assert_eq!(self.part_of(node), self.state.part);
+        self.plan
+            .map_or(node.index(), |plan| plan.node_local[node.index()] as usize)
+    }
+
+    fn dir_slot(&self, link: usize, dir: usize) -> usize {
+        self.plan.map_or(2 * link + dir, |plan| {
+            debug_assert_eq!(plan.dir_owner[link][dir], self.state.part);
+            plan.dir_local[link][dir] as usize
+        })
+    }
+
     /// Transmit on a link: returns delivery `(peer, peer_port, arrive_at)`,
-    /// or `None` when the packet is dropped.
+    /// or `None` when the packet is dropped. The transmitting node owns the
+    /// direction, so lanes never race on one.
     fn transmit(
         &mut self,
         now: Time,
@@ -147,99 +233,122 @@ impl SimCore {
         bytes: u32,
     ) -> Option<(NodeId, PortId, Time)> {
         let pl = self.topo.ports_of(node)[port.index()];
-        let spec = self.topo.link(pl.link).spec;
-        let dir = usize::from(self.topo.link(pl.link).a.0 != node);
-        let state = &mut self.links[pl.link];
-        let d = &mut state.dirs[dir];
+        let link = self.topo.link(pl.link);
+        let dir = usize::from(link.a.0 != node);
+        let slot = self.dir_slot(pl.link, dir);
+        let d = &mut self.state.dirs[slot];
         let start = now.max(d.busy_until);
-        let fin = start + spec.serialize_ns(bytes);
+        let fin = start + link.spec.serialize_ns(bytes);
         d.busy_until = fin;
         d.bytes += bytes as u64;
         d.packets += 1;
-        let dropped = state.drop_prob > 0.0 && state.rngs[dir].random::<f64>() < state.drop_prob;
-        self.telemetry
-            .record_tx(2 * pl.link + dir, start, bytes as u64, dropped);
+        let dropped = d.drop_prob > 0.0 && d.rng.random::<f64>() < d.drop_prob;
+        self.state
+            .telemetry
+            .record_tx(slot, start, bytes as u64, dropped);
         if dropped {
-            self.links[pl.link].dirs[dir].drops += 1;
-            self.drops += 1;
+            d.drops += 1;
+            self.state.drops += 1;
             return None;
         }
-        Some((pl.peer, pl.peer_port, fin + spec.latency_ns))
+        Some((pl.peer, pl.peer_port, fin + link.spec.latency_ns))
     }
 
-    fn route_port(&self, node: NodeId, pkt: &NetPacket) -> Option<PortId> {
-        self.routing.next_port(node, pkt.dst, pkt.flow)
+    /// Run `f` on `node`'s host program (if one is installed) with a
+    /// context at time `now`. The program leaves its slot for the call, so
+    /// the context can borrow the whole lane.
+    fn with_host(
+        &mut self,
+        queue: &mut EventQueue<NetEvent>,
+        node: NodeId,
+        now: Time,
+        f: impl FnOnce(&mut dyn HostProgram, &mut HostCtx<'_>),
+    ) {
+        let slot = self.node_slot(node);
+        if let Some(mut prog) = self.state.nodes[slot].host.take() {
+            let mut ctx = HostCtx {
+                core: self.reborrow(),
+                queue,
+                node,
+                now,
+            };
+            f(prog.as_mut(), &mut ctx);
+            self.state.nodes[slot].host = Some(prog);
+        }
+    }
+
+    /// Call `on_start` on this lane's hosts in ascending node id, at
+    /// `now = 0`. Lanes do not interact at t = 0, so per-lane id order
+    /// projects the whole lane's start order.
+    fn start_hosts(&mut self, queue: &mut EventQueue<NetEvent>) {
+        for slot in 0..self.state.nodes.len() {
+            let node = self.plan.map_or(NodeId(slot as u32), |plan| {
+                plan.nodes_of[self.state.part as usize][slot]
+            });
+            self.with_host(queue, node, 0, |prog, ctx| prog.on_start(ctx));
+        }
     }
 }
 
-/// The mutable simulation state a program context operates on: either the
-/// whole core (serial execution) or one partition's slice of it (parallel
-/// execution under [`NetSim::run_threads`]).
-///
-/// Both variants expose identical semantics, so host and switch programs
-/// are oblivious to which driver is running them.
-enum CoreMut<'a> {
-    Whole(&'a mut SimCore),
-    Lane {
-        topo: &'a Topology,
-        routing: &'a Routing,
-        plan: &'a PartitionPlan,
-        state: &'a mut LaneState,
-    },
-}
+impl PartitionSim for NetLane<'_> {
+    type Event = NetEvent;
 
-impl<'a> CoreMut<'a> {
-    fn topo(&self) -> &Topology {
-        match self {
-            CoreMut::Whole(c) => &c.topo,
-            CoreMut::Lane { topo, .. } => topo,
-        }
-    }
-
-    fn route_port(&self, node: NodeId, pkt: &NetPacket) -> Option<PortId> {
-        match self {
-            CoreMut::Whole(c) => c.route_port(node, pkt),
-            CoreMut::Lane { routing, .. } => routing.next_port(node, pkt.dst, pkt.flow),
-        }
-    }
-
-    /// `(processing rate, busy-until slot)` of a switch's serial pipeline.
-    fn proc_slot(&mut self, node: NodeId) -> (f64, &mut Time) {
-        match self {
-            CoreMut::Whole(c) => (c.proc_rate[node.index()], &mut c.proc_busy[node.index()]),
-            CoreMut::Lane { plan, state, .. } => {
-                let i = plan.node_local[node.index()] as usize;
-                (state.proc_rate[i], &mut state.proc_busy[i])
+    fn handle(
+        &mut self,
+        t: Time,
+        event: NetEvent,
+        queue: &mut EventQueue<NetEvent>,
+        outbox: &mut Outbox<NetEvent>,
+    ) {
+        match event {
+            NetEvent::Egress { node, port, pkt } => {
+                if let Some((peer, peer_port, arrive)) =
+                    self.transmit(t, node, port, pkt.wire_bytes)
+                {
+                    let dst = self.part_of(peer);
+                    let ev = NetEvent::Deliver {
+                        node: peer,
+                        in_port: peer_port,
+                        pkt,
+                    };
+                    if dst == self.state.part {
+                        queue.schedule_at(arrive, ev);
+                    } else {
+                        outbox.send(dst, arrive, ev);
+                    }
+                }
             }
-        }
-    }
-
-    fn compute_mut(&mut self, node: NodeId) -> &mut Option<Box<SwitchCompute>> {
-        match self {
-            CoreMut::Whole(c) => &mut c.compute[node.index()],
-            CoreMut::Lane { plan, state, .. } => {
-                &mut state.compute[plan.node_local[node.index()] as usize]
-            }
-        }
-    }
-
-    fn done_slot(&mut self, node: NodeId) -> &mut Option<Time> {
-        match self {
-            CoreMut::Whole(c) => &mut c.done_at[node.index()],
-            CoreMut::Lane { plan, state, .. } => {
-                &mut state.done_at[plan.node_local[node.index()] as usize]
-            }
-        }
-    }
-
-    /// `(telemetry state, node slot)` — the slot is the node's index in
-    /// whichever sink this view writes to (global id on the whole core,
-    /// partition-local on a lane).
-    fn telemetry_slot(&mut self, node: NodeId) -> (&mut Telemetry, usize) {
-        match self {
-            CoreMut::Whole(c) => (&mut c.telemetry, node.index()),
-            CoreMut::Lane { plan, state, .. } => {
-                (&mut state.telemetry, plan.node_local[node.index()] as usize)
+            NetEvent::Deliver { node, in_port, pkt } => match self.topo.kind(node) {
+                NodeKind::Host => {
+                    self.with_host(queue, node, t, |prog, ctx| prog.on_packet(ctx, pkt));
+                }
+                NodeKind::Switch => {
+                    let slot = self.node_slot(node);
+                    match self.state.nodes[slot].switch.take() {
+                        Some(mut prog) if prog.matches(&pkt) => {
+                            let mut ctx = SwitchCtx {
+                                core: self.reborrow(),
+                                queue,
+                                node,
+                                now: t,
+                            };
+                            // Move the packet in (no payload refcount bump)
+                            // so consuming programs can recycle the buffer.
+                            prog.on_packet(&mut ctx, in_port, pkt);
+                            self.state.nodes[slot].switch = Some(prog);
+                        }
+                        prog => {
+                            // Default forwarding along the routing tables.
+                            self.state.nodes[slot].switch = prog;
+                            if let Some(port) = self.routing.next_port(node, pkt.dst, pkt.flow) {
+                                queue.schedule_at(t, NetEvent::Egress { node, port, pkt });
+                            }
+                        }
+                    }
+                }
+            },
+            NetEvent::Wake { node, tag } => {
+                self.with_host(queue, node, t, |prog, ctx| prog.on_wake(ctx, tag));
             }
         }
     }
@@ -268,7 +377,8 @@ macro_rules! ctx_common {
             pub fn send_at(&mut self, at: Time, pkt: NetPacket) {
                 let port = self
                     .core
-                    .route_port(self.node, &pkt)
+                    .routing
+                    .next_port(self.node, pkt.dst, pkt.flow)
                     .expect("no route to destination");
                 self.send_port_at(at, port, pkt);
             }
@@ -291,9 +401,9 @@ macro_rules! ctx_common {
             /// [`crate::telemetry::TraceKind`] for the `(a, b)` payload
             /// conventions per kind).
             pub fn trace(&mut self, kind: TraceKind, flow: u64, a: u64, b: u64) {
-                let (node, now) = (self.node, self.now);
-                let (telemetry, slot) = self.core.telemetry_slot(node);
-                telemetry.event(slot, node.0, now, kind, flow, a, b);
+                let slot = self.core.node_slot(self.node);
+                let telemetry = &mut self.core.state.telemetry;
+                telemetry.event(slot, self.node.0, self.now, kind, flow, a, b);
             }
         }
     };
@@ -301,7 +411,7 @@ macro_rules! ctx_common {
 
 /// Execution context for host programs.
 pub struct HostCtx<'a> {
-    core: CoreMut<'a>,
+    core: NetLane<'a>,
     queue: &'a mut EventQueue<NetEvent>,
     node: NodeId,
     now: Time,
@@ -328,17 +438,14 @@ impl<'a> HostCtx<'a> {
     /// Record this host as finished (first call wins); the simulation keeps
     /// running until the event queue drains.
     pub fn mark_done(&mut self) {
-        let now = self.now;
-        let slot = self.core.done_slot(self.node);
-        if slot.is_none() {
-            *slot = Some(now);
-        }
+        let slot = self.core.node_slot(self.node);
+        self.core.state.nodes[slot].done_at.get_or_insert(self.now);
     }
 }
 
 /// Execution context for switch programs.
 pub struct SwitchCtx<'a> {
-    core: CoreMut<'a>,
+    core: NetLane<'a>,
     queue: &'a mut EventQueue<NetEvent>,
     node: NodeId,
     now: Time,
@@ -346,51 +453,30 @@ pub struct SwitchCtx<'a> {
 ctx_common!(SwitchCtx);
 
 impl<'a> SwitchCtx<'a> {
-    /// Push `bytes` through this switch's processing pipeline; returns the
-    /// completion time at which derived packets should be emitted. The
-    /// pipeline rate is the PsPIN-calibrated aggregation bandwidth.
-    ///
-    /// This is the serial [`SwitchModel::RateLimited`] path; programs that
-    /// know the packet's reduction block should call
-    /// [`processing_done_for`](Self::processing_done_for) instead, which
-    /// also engages the multi-core [`SwitchModel::Hpu`] scheduler.
-    ///
-    /// # Panics
-    /// Debug builds panic when this switch was installed with
-    /// [`SwitchModel::Hpu`]: the serial path would silently model *zero*
-    /// processing delay there (its rate is ∞), hiding a program that
-    /// forgot to go block-aware.
-    pub fn processing_done(&mut self, bytes: u32) -> Time {
-        debug_assert!(
-            self.core.compute_mut(self.node).is_none(),
-            "switch {:?} runs SwitchModel::Hpu: use processing_done_for(block, bytes)",
-            self.node
-        );
-        let (rate, busy) = self.core.proc_slot(self.node);
-        let start = self.now.max(*busy);
-        let fin = if rate.is_finite() {
-            start + ((bytes as f64 / rate).ceil() as Time).max(1)
-        } else {
-            start
-        };
-        *busy = fin;
-        fin
-    }
-
     /// Execute the handler for a packet of `block` with `bytes` wire
     /// bytes; returns the completion time at which derived packets should
     /// be emitted.
     ///
     /// Under [`SwitchModel::Hpu`] the handler is scheduled
     /// hierarchical-FCFS onto `block`'s core subset (queueing when all
-    /// its cores are busy); under `Ideal`/`RateLimited` this is exactly
-    /// [`processing_done`](Self::processing_done) — bit-identical timing
-    /// to the pre-compute-subsystem simulator.
+    /// its cores are busy). Under `Ideal`/`RateLimited` the bytes pass
+    /// through the switch's serial pipeline at the PsPIN-calibrated
+    /// aggregation bandwidth — bit-identical timing to the
+    /// pre-compute-subsystem simulator.
     pub fn processing_done_for(&mut self, block: u64, bytes: u32) -> Time {
-        match self.core.compute_mut(self.node) {
-            Some(hpu) => hpu.execute(self.now, block, bytes),
-            None => self.processing_done(bytes),
+        let slot = self.core.node_slot(self.node);
+        let node = &mut self.core.state.nodes[slot];
+        if let Some(hpu) = &mut node.compute {
+            return hpu.execute(self.now, block, bytes);
         }
+        let start = self.now.max(node.proc_busy);
+        let fin = if node.proc_rate.is_finite() {
+            start + ((bytes as f64 / node.proc_rate).ceil() as Time).max(1)
+        } else {
+            start
+        };
+        node.proc_busy = fin;
+        fin
     }
 
     /// Forward `pkt` along the routing tables (the default action for
@@ -401,7 +487,7 @@ impl<'a> SwitchCtx<'a> {
 
     /// Port of this switch facing a directly-connected neighbor.
     pub fn port_towards(&self, neighbor: NodeId) -> Option<PortId> {
-        self.core.topo().port_towards(self.node, neighbor)
+        self.core.topo.port_towards(self.node, neighbor)
     }
 }
 
@@ -443,9 +529,10 @@ pub struct NetReport {
 
 /// The network simulator.
 pub struct NetSim {
-    core: SimCore,
-    host_progs: Vec<Option<Box<dyn HostProgram>>>,
-    switch_progs: Vec<Option<Box<dyn SwitchProgram>>>,
+    topo: Topology,
+    routing: Routing,
+    /// The lane covering the whole topology.
+    lane: LaneState,
 }
 
 impl NetSim {
@@ -458,54 +545,59 @@ impl NetSim {
     /// [`Routing`]).
     pub fn new(topo: Topology, seed: u64) -> Self {
         let routing = topo.build_routing();
-        let n = topo.node_count();
-        let links = (0..topo.link_count())
-            .map(|link| LinkState {
-                dirs: [DirState::default(), DirState::default()],
+        let nodes = (0..topo.node_count())
+            .map(|_| NodeState {
+                host: None,
+                switch: None,
+                proc_busy: 0,
+                proc_rate: f64::INFINITY,
+                compute: None,
+                done_at: None,
+            })
+            .collect();
+        let dirs = (0..2 * topo.link_count() as u64)
+            .map(|slot| DirState {
+                busy_until: 0,
+                bytes: 0,
+                packets: 0,
+                drops: 0,
                 drop_prob: 0.0,
-                rngs: [
-                    rng_stream(seed, 2 * link as u64),
-                    rng_stream(seed, 2 * link as u64 + 1),
-                ],
+                rng: rng_stream(seed, slot),
             })
             .collect();
         Self {
-            core: SimCore {
-                topo,
-                routing,
-                links,
-                proc_busy: vec![0; n],
-                proc_rate: vec![f64::INFINITY; n],
-                compute: (0..n).map(|_| None).collect(),
-                done_at: vec![None; n],
+            topo,
+            routing,
+            lane: LaneState {
+                part: 0,
+                nodes,
+                dirs,
                 drops: 0,
                 telemetry: Telemetry::Off,
             },
-            host_progs: (0..n).map(|_| None).collect(),
-            switch_progs: (0..n).map(|_| None).collect(),
         }
     }
 
     /// Access the topology.
     pub fn topology(&self) -> &Topology {
-        &self.core.topo
+        &self.topo
     }
 
     /// Access the routing state (e.g. [`Routing::columns_built`]).
     pub fn routing(&self) -> &Routing {
-        &self.core.routing
+        &self.routing
     }
 
     /// Consume the simulator and hand the topology back (lets callers
     /// reuse it for the next run without cloning).
     pub fn into_topology(self) -> Topology {
-        self.core.topo
+        self.topo
     }
 
     /// Install application logic on a host.
     pub fn install_host(&mut self, node: NodeId, prog: Box<dyn HostProgram>) {
-        assert_eq!(self.core.topo.kind(node), NodeKind::Host, "not a host");
-        self.host_progs[node.index()] = Some(prog);
+        assert_eq!(self.topo.kind(node), NodeKind::Host, "not a host");
+        self.lane.nodes[node.index()].host = Some(prog);
     }
 
     /// Install an in-network program on a switch with a processing rate in
@@ -535,28 +627,24 @@ impl NetSim {
         prog: Box<dyn SwitchProgram>,
         model: SwitchModel,
     ) {
-        assert_eq!(self.core.topo.kind(node), NodeKind::Switch, "not a switch");
-        self.switch_progs[node.index()] = Some(prog);
-        match model {
-            SwitchModel::Ideal => {
-                self.core.proc_rate[node.index()] = f64::INFINITY;
-                self.core.compute[node.index()] = None;
-            }
-            SwitchModel::RateLimited(rate) => {
-                self.core.proc_rate[node.index()] = rate;
-                self.core.compute[node.index()] = None;
-            }
-            SwitchModel::Hpu(params) => {
-                self.core.proc_rate[node.index()] = f64::INFINITY;
-                self.core.compute[node.index()] = Some(Box::new(SwitchCompute::new(params)));
-            }
-        }
+        assert_eq!(self.topo.kind(node), NodeKind::Switch, "not a switch");
+        let state = &mut self.lane.nodes[node.index()];
+        state.switch = Some(prog);
+        (state.proc_rate, state.compute) = match model {
+            SwitchModel::Ideal => (f64::INFINITY, None),
+            SwitchModel::RateLimited(rate) => (rate, None),
+            SwitchModel::Hpu(params) => (f64::INFINITY, Some(Box::new(SwitchCompute::new(params)))),
+        };
+    }
+
+    fn compute_of(&self, node: NodeId) -> Option<&SwitchCompute> {
+        self.lane.nodes[node.index()].compute.as_deref()
     }
 
     /// Compute-model counters of a switch installed with
     /// [`SwitchModel::Hpu`] (`None` for `Ideal`/`RateLimited` switches).
     pub fn compute_stats(&self, node: NodeId) -> Option<ComputeStats> {
-        self.core.compute[node.index()].as_ref().map(|c| *c.stats())
+        self.compute_of(node).map(|c| *c.stats())
     }
 
     /// Per-subset peak FIFO depths of a switch installed with
@@ -564,8 +652,7 @@ impl NetSim {
     /// Indexed by scheduling subset; the max equals
     /// [`ComputeStats::queue_peak`].
     pub fn compute_subset_peaks(&self, node: NodeId) -> Option<Vec<usize>> {
-        self.core.compute[node.index()]
-            .as_ref()
+        self.compute_of(node)
             .map(|c| c.subset_queue_peaks().to_vec())
     }
 
@@ -574,11 +661,9 @@ impl NetSim {
     /// probing node ids blindly through
     /// [`compute_stats`](Self::compute_stats).
     pub fn all_compute_stats(&self) -> Vec<(NodeId, ComputeStats)> {
-        self.core
-            .compute
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.as_ref().map(|c| (NodeId(i as u32), *c.stats())))
+        let nodes = self.lane.nodes.iter().enumerate();
+        nodes
+            .filter_map(|(i, n)| Some((NodeId(i as u32), *n.compute.as_ref()?.stats())))
             .collect()
     }
 
@@ -588,17 +673,14 @@ impl NetSim {
     /// simulated timestamps — with or without it, makespans are
     /// bit-identical.
     pub fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
-        let sink = crate::telemetry::TelemetrySink::new(
-            cfg,
-            self.core.topo.node_count(),
-            2 * self.core.topo.link_count(),
-        );
-        self.core.telemetry = Telemetry::On(Box::new(sink));
+        let sink =
+            crate::telemetry::TelemetrySink::new(cfg, self.lane.nodes.len(), self.lane.dirs.len());
+        self.lane.telemetry = Telemetry::On(Box::new(sink));
     }
 
     /// Whether telemetry capture is enabled.
     pub fn telemetry_enabled(&self) -> bool {
-        self.core.telemetry.is_on()
+        self.lane.telemetry.is_on()
     }
 
     /// Extract everything telemetry captured (disabling further capture);
@@ -607,15 +689,12 @@ impl NetSim {
     /// models, so call before [`take_switch`](Self::take_switch)-style
     /// teardown if both are needed.
     pub fn take_telemetry(&mut self) -> Option<TelemetryReport> {
-        let telemetry = std::mem::take(&mut self.core.telemetry);
+        let telemetry = std::mem::take(&mut self.lane.telemetry);
         let (cfg, dirs, events) = telemetry.into_parts()?;
-        let compute: Vec<ComputeTimeline> = self
-            .core
-            .compute
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, c)| {
-                let hpu = c.as_mut()?;
+        let nodes = self.lane.nodes.iter_mut().enumerate();
+        let compute: Vec<ComputeTimeline> = nodes
+            .filter_map(|(i, n)| {
+                let hpu = n.compute.as_mut()?;
                 let samples = hpu.take_timeline()?;
                 Some(ComputeTimeline {
                     node: i as u32,
@@ -625,17 +704,15 @@ impl NetSim {
             })
             .collect();
         Some(TelemetryReport::assemble(
-            &self.core.topo,
-            cfg,
-            dirs,
-            events,
-            compute,
+            &self.topo, cfg, dirs, events, compute,
         ))
     }
 
     /// Inject loss on a link (both directions).
     pub fn set_link_drop_prob(&mut self, link: usize, p: f64) {
-        self.core.links[link].drop_prob = p;
+        for dir in &mut self.lane.dirs[2 * link..2 * link + 2] {
+            dir.drop_prob = p;
+        }
     }
 
     /// Inject loss on every link of the fabric — the common whole-fabric
@@ -644,166 +721,80 @@ impl NetSim {
     /// tuning value through unconditionally.
     pub fn set_uniform_drop_prob(&mut self, p: f64) {
         if p > 0.0 {
-            for link in &mut self.core.links {
-                link.drop_prob = p;
+            for dir in &mut self.lane.dirs {
+                dir.drop_prob = p;
             }
         }
     }
 
     /// Take a switch program back out (to inspect its final state).
     pub fn take_switch(&mut self, node: NodeId) -> Option<Box<dyn SwitchProgram>> {
-        self.switch_progs[node.index()].take()
+        self.lane.nodes[node.index()].switch.take()
     }
 
     /// Take a host program back out (to inspect its final state).
     pub fn take_host(&mut self, node: NodeId) -> Option<Box<dyn HostProgram>> {
-        self.host_progs[node.index()].take()
+        self.lane.nodes[node.index()].host.take()
     }
 
-    /// With telemetry on, arm HPU occupancy timelines on every installed
-    /// compute model (idempotent — resumed runs keep their samples).
-    fn arm_compute_timelines(&mut self) {
-        if !self.core.telemetry.is_on() {
-            return;
-        }
-        for hpu in self.core.compute.iter_mut().flatten() {
-            hpu.enable_timeline();
-        }
-    }
-
-    /// Run to quiescence (or `deadline`); returns the report.
+    /// Run to quiescence (or `deadline`) as one lane: every node and link
+    /// direction is local, so the event queue drains straight to the
+    /// deadline. Returns the report.
     pub fn run(&mut self, deadline: Option<Time>) -> NetReport {
-        self.arm_compute_timelines();
-        let mut queue = EventQueue::new();
-        // Start hosts.
-        for node in self.core.topo.hosts() {
-            if let Some(mut prog) = self.host_progs[node.index()].take() {
-                let mut ctx = HostCtx {
-                    core: CoreMut::Whole(&mut self.core),
-                    queue: &mut queue,
-                    node,
-                    now: 0,
-                };
-                prog.on_start(&mut ctx);
-                self.host_progs[node.index()] = Some(prog);
-            }
-        }
-        // Batched draining: every event in the simulator uses the default
-        // priority, so whole equal-timestamp buckets (multicast fan-outs,
-        // forwarding chains) are delivered with one queue operation while
-        // preserving the exact single-pop order (see `flare_des::queue`).
-        let makespan = match deadline {
-            Some(d) => flare_des::run_batched_until(self, &mut queue, d),
-            None => flare_des::run_batched(self, &mut queue),
-        };
-        self.assemble_report(makespan, queue.processed())
+        let lanes = std::slice::from_mut(&mut self.lane);
+        let (makespan, events) = run_lanes(&self.topo, &self.routing, None, lanes, 1, deadline);
+        self.assemble_report(makespan, events)
     }
 
-    /// Run to quiescence (or `deadline`) with the conservative parallel
-    /// driver on `threads` worker threads; returns the report.
+    /// Run to quiescence (or `deadline`) sharded over `threads` worker
+    /// threads; returns the report.
     ///
     /// The topology is partitioned by [`PartitionPlan::build`] (every
     /// host-bearing switch plus its hosts form one shard, everything else
-    /// is a singleton) and executed in lookahead windows of
+    /// is a singleton), the whole lane's state moves into one lane per
+    /// shard, and the lanes run the same event handler as
+    /// [`NetSim::run`] in conservative lookahead windows of
     /// [`Topology::min_link_latency`]` + 1` ns. The schedule is a pure
     /// function of the topology and programs — independent of `threads` —
-    /// and is validated differentially against [`NetSim::run`], which
-    /// stays the bitwise reference.
+    /// and the report equals [`NetSim::run`]'s (differentially tested).
     ///
-    /// Topologies that collapse to a single partition (e.g. a star) fall
-    /// back to the serial driver.
+    /// A topology that forms a single shard (e.g. a star) has nothing to
+    /// window against: its one lane numbers nodes and directions exactly
+    /// like the whole lane and drains the same way.
     pub fn run_threads(&mut self, deadline: Option<Time>, threads: usize) -> NetReport {
-        let plan = PartitionPlan::build(&self.core.topo);
-        if plan.parts <= 1 {
-            return self.run(deadline);
-        }
-        self.arm_compute_timelines();
-        let threads = threads.max(1);
-        // Split the per-run mutable state and the installed programs into
-        // per-partition lanes: workers never alias a node, link direction,
-        // or program.
-        let lane_states = LaneState::split(&plan, &mut self.core);
-        let mut progs =
-            PartitionedPrograms::split(&plan, &mut self.host_progs, &mut self.switch_progs);
-        let topo = &self.core.topo;
-        let routing = &self.core.routing;
-        let mut parts: Vec<Partition<NetLane<'_>>> = lane_states
-            .into_iter()
-            .enumerate()
-            .map(|(p, state)| {
-                let (hosts, switches) = progs.take_part(p);
-                Partition::new(
-                    NetLane {
-                        topo,
-                        routing,
-                        plan: &plan,
-                        state,
-                        hosts,
-                        switches,
-                    },
-                    EventQueue::new(),
-                    plan.parts,
-                )
-            })
-            .collect();
-        // Start hosts exactly like the serial driver: ascending node id,
-        // now = 0. Partitions do not interact at t = 0, so per-partition
-        // id order projects the serial start order.
-        for part in parts.iter_mut() {
-            let queue = &mut part.queue;
-            part.sim.start_hosts(queue);
-        }
-        let makespan = run_parallel_until(
-            &mut parts,
-            plan.lookahead,
+        let plan = PartitionPlan::build(&self.topo);
+        let mut lanes = self.lane.split(&plan);
+        let (makespan, events) = run_lanes(
+            &self.topo,
+            &self.routing,
+            Some(&plan),
+            &mut lanes,
             threads,
-            deadline.unwrap_or(Time::MAX),
+            deadline,
         );
-        let events: u64 = parts.iter().map(|p| p.queue.processed()).sum();
-        // Tear down: move every lane's state and programs back into the
-        // whole-core layout before any reference to `self.core` re-forms.
-        let collected: Vec<_> = parts
-            .into_iter()
-            .map(|part| {
-                let NetLane {
-                    state,
-                    hosts,
-                    switches,
-                    ..
-                } = part.sim;
-                (state, hosts, switches)
-            })
-            .collect();
-        let mut lanes = Vec::with_capacity(plan.parts);
-        for (p, (state, hosts, switches)) in collected.into_iter().enumerate() {
-            for ((&m, h), s) in plan.nodes_of[p].iter().zip(hosts).zip(switches) {
-                self.host_progs[m.index()] = h;
-                self.switch_progs[m.index()] = s;
-            }
-            lanes.push(state);
-        }
-        LaneState::merge(&plan, lanes, &mut self.core);
+        self.lane.merge(&plan, lanes);
         self.assemble_report(makespan, events)
     }
 
     fn assemble_report(&self, makespan: Time, events: u64) -> NetReport {
         let links: Vec<LinkTotals> = self
-            .core
-            .links
-            .iter()
-            .map(|l| LinkTotals {
-                bytes: l.dirs[0].bytes + l.dirs[1].bytes,
-                packets: l.dirs[0].packets + l.dirs[1].packets,
-                drops: l.dirs[0].drops + l.dirs[1].drops,
+            .lane
+            .dirs
+            .chunks_exact(2)
+            .map(|d| LinkTotals {
+                bytes: d[0].bytes + d[1].bytes,
+                packets: d[0].packets + d[1].packets,
+                drops: d[0].drops + d[1].drops,
             })
             .collect();
+        let done_at: Vec<Option<Time>> = self.lane.nodes.iter().map(|n| n.done_at).collect();
         NetReport {
             makespan,
-            done_at: self.core.done_at.clone(),
-            last_done: self.core.done_at.iter().flatten().max().copied(),
+            last_done: done_at.iter().flatten().max().copied(),
+            done_at,
             total_link_bytes: links.iter().map(|l| l.bytes).sum(),
             total_link_packets: links.iter().map(|l| l.packets).sum(),
-            drops: self.core.drops,
+            drops: self.lane.drops,
             links,
             events,
         }
@@ -811,12 +802,8 @@ impl NetSim {
 
     /// Per-link transported bytes `(link id, bytes)`, for hotspot analysis.
     pub fn link_bytes(&self) -> Vec<(usize, u64)> {
-        self.core
-            .links
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (i, l.dirs[0].bytes + l.dirs[1].bytes))
-            .collect()
+        let links = self.lane.dirs.chunks_exact(2).enumerate();
+        links.map(|(i, d)| (i, d[0].bytes + d[1].bytes)).collect()
     }
 
     /// Per-link utilization over `[0, horizon]`: transported bytes divided
@@ -825,13 +812,11 @@ impl NetSim {
     /// root's uplinks).
     pub fn link_utilization(&self, horizon: Time) -> Vec<(usize, f64)> {
         let horizon = horizon.max(1);
-        self.core
-            .links
-            .iter()
-            .enumerate()
-            .map(|(i, l)| {
-                let cap = self.core.topo.link(i).spec.bytes_per_ns() * horizon as f64;
-                let busiest = l.dirs[0].bytes.max(l.dirs[1].bytes) as f64;
+        let links = self.lane.dirs.chunks_exact(2).enumerate();
+        links
+            .map(|(i, d)| {
+                let cap = self.topo.link(i).spec.bytes_per_ns() * horizon as f64;
+                let busiest = d[0].bytes.max(d[1].bytes) as f64;
                 (i, busiest / cap)
             })
             .collect()
@@ -841,402 +826,57 @@ impl NetSim {
     pub fn hottest_link(&self, horizon: Time) -> Option<(usize, f64)> {
         self.link_utilization(horizon)
             .into_iter()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
+            .max_by(|a, b| a.1.total_cmp(&b.1))
     }
 }
 
-impl Simulator for NetSim {
-    type Event = NetEvent;
-
-    fn handle(&mut self, t: Time, event: NetEvent, queue: &mut EventQueue<NetEvent>) {
-        match event {
-            NetEvent::Egress { node, port, pkt } => {
-                if let Some((peer, peer_port, arrive)) =
-                    self.core.transmit(t, node, port, pkt.wire_bytes)
-                {
-                    queue.schedule_at(
-                        arrive,
-                        NetEvent::Deliver {
-                            node: peer,
-                            in_port: peer_port,
-                            pkt,
-                        },
-                    );
-                }
-            }
-            NetEvent::Deliver { node, in_port, pkt } => match self.core.topo.kind(node) {
-                NodeKind::Host => {
-                    if let Some(mut prog) = self.host_progs[node.index()].take() {
-                        let mut ctx = HostCtx {
-                            core: CoreMut::Whole(&mut self.core),
-                            queue,
-                            node,
-                            now: t,
-                        };
-                        prog.on_packet(&mut ctx, pkt);
-                        self.host_progs[node.index()] = Some(prog);
-                    }
-                }
-                NodeKind::Switch => {
-                    if let Some(mut prog) = self.switch_progs[node.index()].take() {
-                        if prog.matches(&pkt) {
-                            let mut ctx = SwitchCtx {
-                                core: CoreMut::Whole(&mut self.core),
-                                queue,
-                                node,
-                                now: t,
-                            };
-                            // Move the packet in (no payload refcount bump)
-                            // so consuming programs can recycle the buffer.
-                            prog.on_packet(&mut ctx, in_port, pkt);
-                            self.switch_progs[node.index()] = Some(prog);
-                        } else {
-                            self.switch_progs[node.index()] = Some(prog);
-                            if let Some(port) = self.core.route_port(node, &pkt) {
-                                queue.schedule_at(t, NetEvent::Egress { node, port, pkt });
-                            }
-                        }
-                    } else {
-                        // Default forwarding along the routing tables.
-                        if let Some(port) = self.core.route_port(node, &pkt) {
-                            queue.schedule_at(t, NetEvent::Egress { node, port, pkt });
-                        }
-                    }
-                }
-            },
-            NetEvent::Wake { node, tag } => {
-                if let Some(mut prog) = self.host_progs[node.index()].take() {
-                    let mut ctx = HostCtx {
-                        core: CoreMut::Whole(&mut self.core),
-                        queue,
-                        node,
-                        now: t,
-                    };
-                    prog.on_wake(&mut ctx, tag);
-                    self.host_progs[node.index()] = Some(prog);
-                }
-            }
+/// The one run body: start every lane's hosts, drive the lanes to
+/// quiescence (or `deadline`), return `(makespan, events processed)`.
+/// `plan` is the numbering `lanes` were split by (`None`: `lanes` is the
+/// whole lane alone, which has no peer to look ahead for).
+///
+/// Draining is batched: every event uses the default priority, so whole
+/// equal-timestamp buckets (multicast fan-outs, forwarding chains) are
+/// delivered with one queue operation while preserving the exact
+/// single-pop order (see `flare_des::queue`).
+fn run_lanes(
+    topo: &Topology,
+    routing: &Routing,
+    plan: Option<&PartitionPlan>,
+    lanes: &mut [LaneState],
+    threads: usize,
+    deadline: Option<Time>,
+) -> (Time, u64) {
+    // With telemetry on, HPU occupancy timelines record too (idempotent —
+    // resumed runs keep their samples).
+    for state in lanes.iter_mut().filter(|s| s.telemetry.is_on()) {
+        for hpu in state.nodes.iter_mut().filter_map(|n| n.compute.as_mut()) {
+            hpu.enable_timeline();
         }
     }
-}
-
-/// One partition's slice of the per-run mutable state, in dense local
-/// indexing (node slots in [`PartitionPlan::nodes_of`] order, direction
-/// slots in [`PartitionPlan::dir_local`] order). Splitting *moves* the
-/// state out of [`SimCore`] — total memory is unchanged and nothing is
-/// shared between lanes.
-struct LaneState {
-    part: u32,
-    proc_busy: Vec<Time>,
-    proc_rate: Vec<f64>,
-    compute: Vec<Option<Box<SwitchCompute>>>,
-    done_at: Vec<Option<Time>>,
-    dirs: Vec<DirState>,
-    drop_prob: Vec<f64>,
-    rngs: Vec<StdRng>,
-    drops: u64,
-    /// This lane's telemetry slice (mirrors the core's on/off state; see
-    /// [`Telemetry::split`]).
-    telemetry: Telemetry,
-}
-
-impl LaneState {
-    /// Move the per-run state out of `core` into one lane per partition.
-    fn split(plan: &PartitionPlan, core: &mut SimCore) -> Vec<LaneState> {
-        let mut telemetry_lanes = core.telemetry.split(plan).into_iter();
-        let mut lanes: Vec<LaneState> = (0..plan.parts)
-            .map(|p| {
-                let k = plan.nodes_of[p].len();
-                let mut lane = LaneState {
-                    part: p as u32,
-                    proc_busy: Vec::with_capacity(k),
-                    proc_rate: Vec::with_capacity(k),
-                    compute: Vec::with_capacity(k),
-                    done_at: Vec::with_capacity(k),
-                    dirs: Vec::new(),
-                    drop_prob: Vec::new(),
-                    rngs: Vec::new(),
-                    drops: 0,
-                    telemetry: telemetry_lanes.next().expect("one telemetry lane per part"),
-                };
-                for &m in &plan.nodes_of[p] {
-                    let i = m.index();
-                    lane.proc_busy.push(core.proc_busy[i]);
-                    lane.proc_rate.push(core.proc_rate[i]);
-                    lane.compute.push(core.compute[i].take());
-                    lane.done_at.push(core.done_at[i]);
-                }
-                lane
-            })
-            .collect();
-        for (l, link) in std::mem::take(&mut core.links).into_iter().enumerate() {
-            let [d0, d1] = link.dirs;
-            let [r0, r1] = link.rngs;
-            for (d, (dir, rng)) in [(d0, r0), (d1, r1)].into_iter().enumerate() {
-                let lane = &mut lanes[plan.dir_owner[l][d] as usize];
-                debug_assert_eq!(lane.dirs.len(), plan.dir_local[l][d] as usize);
-                lane.dirs.push(dir);
-                lane.rngs.push(rng);
-                lane.drop_prob.push(link.drop_prob);
-            }
-        }
-        lanes
-    }
-
-    /// Move every lane's state back into the whole-core layout.
-    fn merge(plan: &PartitionPlan, mut lanes: Vec<LaneState>, core: &mut SimCore) {
-        core.telemetry.merge(
-            plan,
-            lanes
-                .iter_mut()
-                .map(|lane| std::mem::take(&mut lane.telemetry))
-                .collect(),
-        );
-        for (p, lane) in lanes.iter_mut().enumerate() {
-            for (li, &m) in plan.nodes_of[p].iter().enumerate() {
-                let i = m.index();
-                core.proc_busy[i] = lane.proc_busy[li];
-                core.proc_rate[i] = lane.proc_rate[li];
-                core.compute[i] = lane.compute[li].take();
-                core.done_at[i] = lane.done_at[li];
-            }
-            core.drops += lane.drops;
-        }
-        let mut links = Vec::with_capacity(plan.dir_owner.len());
-        for l in 0..plan.dir_owner.len() {
-            let mut take = |d: usize| {
-                let lane = &mut lanes[plan.dir_owner[l][d] as usize];
-                let li = plan.dir_local[l][d] as usize;
-                (
-                    std::mem::take(&mut lane.dirs[li]),
-                    std::mem::replace(&mut lane.rngs[li], rng_stream(0, 0)),
-                    lane.drop_prob[li],
-                )
+    let count = lanes.len();
+    let mut parts: Vec<Partition<NetLane<'_>>> = lanes
+        .iter_mut()
+        .map(|state| {
+            let lane = NetLane {
+                topo,
+                routing,
+                plan,
+                state,
             };
-            let (dir0, rng0, drop_prob) = take(0);
-            let (dir1, rng1, _) = take(1);
-            links.push(LinkState {
-                dirs: [dir0, dir1],
-                drop_prob,
-                rngs: [rng0, rng1],
-            });
-        }
-        core.links = links;
+            Partition::new(lane, EventQueue::new(), count)
+        })
+        .collect();
+    for part in &mut parts {
+        part.sim.start_hosts(&mut part.queue);
     }
-
-    /// Lane-local [`SimCore::transmit`]: identical link math and RNG
-    /// stream, operating on this partition's direction slots only (the
-    /// transmitting side owns the direction, so this never races).
-    fn transmit(
-        &mut self,
-        topo: &Topology,
-        plan: &PartitionPlan,
-        now: Time,
-        node: NodeId,
-        port: PortId,
-        bytes: u32,
-    ) -> Option<(NodeId, PortId, Time)> {
-        let pl = topo.ports_of(node)[port.index()];
-        let spec = topo.link(pl.link).spec;
-        let dir = usize::from(topo.link(pl.link).a.0 != node);
-        debug_assert_eq!(plan.dir_owner[pl.link][dir], self.part);
-        let li = plan.dir_local[pl.link][dir] as usize;
-        let d = &mut self.dirs[li];
-        let start = now.max(d.busy_until);
-        let fin = start + spec.serialize_ns(bytes);
-        d.busy_until = fin;
-        d.bytes += bytes as u64;
-        d.packets += 1;
-        let dropped =
-            self.drop_prob[li] > 0.0 && self.rngs[li].random::<f64>() < self.drop_prob[li];
-        self.telemetry.record_tx(li, start, bytes as u64, dropped);
-        if dropped {
-            self.dirs[li].drops += 1;
-            self.drops += 1;
-            return None;
-        }
-        Some((pl.peer, pl.peer_port, fin + spec.latency_ns))
-    }
-}
-
-/// Per-partition views of the installed host and switch programs, so the
-/// parallel driver can hand each worker exclusive ownership of its
-/// partition's programs (local-index order, like [`LaneState`]).
-struct PartitionedPrograms {
-    hosts: Vec<Vec<Option<Box<dyn HostProgram>>>>,
-    switches: Vec<Vec<Option<Box<dyn SwitchProgram>>>>,
-}
-
-impl PartitionedPrograms {
-    fn split(
-        plan: &PartitionPlan,
-        host_progs: &mut [Option<Box<dyn HostProgram>>],
-        switch_progs: &mut [Option<Box<dyn SwitchProgram>>],
-    ) -> Self {
-        let mut hosts = Vec::with_capacity(plan.parts);
-        let mut switches = Vec::with_capacity(plan.parts);
-        for members in &plan.nodes_of {
-            hosts.push(
-                members
-                    .iter()
-                    .map(|m| host_progs[m.index()].take())
-                    .collect(),
-            );
-            switches.push(
-                members
-                    .iter()
-                    .map(|m| switch_progs[m.index()].take())
-                    .collect(),
-            );
-        }
-        Self { hosts, switches }
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn take_part(
-        &mut self,
-        p: usize,
-    ) -> (
-        Vec<Option<Box<dyn HostProgram>>>,
-        Vec<Option<Box<dyn SwitchProgram>>>,
-    ) {
-        (
-            std::mem::take(&mut self.hosts[p]),
-            std::mem::take(&mut self.switches[p]),
-        )
-    }
-}
-
-/// One partition of the network simulator: shared read-only topology and
-/// routing, plus exclusively-owned local state and programs. Implements
-/// [`PartitionSim`] so `flare-des`'s windowed driver can execute it.
-struct NetLane<'a> {
-    topo: &'a Topology,
-    routing: &'a Routing,
-    plan: &'a PartitionPlan,
-    state: LaneState,
-    hosts: Vec<Option<Box<dyn HostProgram>>>,
-    switches: Vec<Option<Box<dyn SwitchProgram>>>,
-}
-
-impl NetLane<'_> {
-    fn local(&self, node: NodeId) -> usize {
-        debug_assert_eq!(self.plan.part_of[node.index()], self.state.part);
-        self.plan.node_local[node.index()] as usize
-    }
-
-    fn core_mut(&mut self) -> CoreMut<'_> {
-        CoreMut::Lane {
-            topo: self.topo,
-            routing: self.routing,
-            plan: self.plan,
-            state: &mut self.state,
-        }
-    }
-
-    /// Call `on_start` on this partition's hosts in ascending node id.
-    fn start_hosts(&mut self, queue: &mut EventQueue<NetEvent>) {
-        for li in 0..self.hosts.len() {
-            if let Some(mut prog) = self.hosts[li].take() {
-                let node = self.plan.nodes_of[self.state.part as usize][li];
-                let mut ctx = HostCtx {
-                    core: self.core_mut(),
-                    queue,
-                    node,
-                    now: 0,
-                };
-                prog.on_start(&mut ctx);
-                self.hosts[li] = Some(prog);
-            }
-        }
-    }
-}
-
-impl PartitionSim for NetLane<'_> {
-    type Event = NetEvent;
-
-    // The event dispatch mirrors `<NetSim as Simulator>::handle` exactly;
-    // the only semantic addition is routing a `Deliver` whose receiver
-    // lives in another partition through the outbox. The two copies are
-    // held equivalent by the serial-vs-parallel differential tests.
-    fn handle(
-        &mut self,
-        t: Time,
-        event: NetEvent,
-        queue: &mut EventQueue<NetEvent>,
-        outbox: &mut Outbox<NetEvent>,
-    ) {
-        match event {
-            NetEvent::Egress { node, port, pkt } => {
-                if let Some((peer, peer_port, arrive)) =
-                    self.state
-                        .transmit(self.topo, self.plan, t, node, port, pkt.wire_bytes)
-                {
-                    let dst = self.plan.part_of[peer.index()];
-                    let ev = NetEvent::Deliver {
-                        node: peer,
-                        in_port: peer_port,
-                        pkt,
-                    };
-                    if dst == self.state.part {
-                        queue.schedule_at(arrive, ev);
-                    } else {
-                        outbox.send(dst, arrive, ev);
-                    }
-                }
-            }
-            NetEvent::Deliver { node, in_port, pkt } => match self.topo.kind(node) {
-                NodeKind::Host => {
-                    let li = self.local(node);
-                    if let Some(mut prog) = self.hosts[li].take() {
-                        let mut ctx = HostCtx {
-                            core: self.core_mut(),
-                            queue,
-                            node,
-                            now: t,
-                        };
-                        prog.on_packet(&mut ctx, pkt);
-                        self.hosts[li] = Some(prog);
-                    }
-                }
-                NodeKind::Switch => {
-                    let li = self.local(node);
-                    if let Some(mut prog) = self.switches[li].take() {
-                        if prog.matches(&pkt) {
-                            let mut ctx = SwitchCtx {
-                                core: self.core_mut(),
-                                queue,
-                                node,
-                                now: t,
-                            };
-                            prog.on_packet(&mut ctx, in_port, pkt);
-                            self.switches[li] = Some(prog);
-                        } else {
-                            self.switches[li] = Some(prog);
-                            if let Some(port) = self.routing.next_port(node, pkt.dst, pkt.flow) {
-                                queue.schedule_at(t, NetEvent::Egress { node, port, pkt });
-                            }
-                        }
-                    } else if let Some(port) = self.routing.next_port(node, pkt.dst, pkt.flow) {
-                        queue.schedule_at(t, NetEvent::Egress { node, port, pkt });
-                    }
-                }
-            },
-            NetEvent::Wake { node, tag } => {
-                let li = self.local(node);
-                if let Some(mut prog) = self.hosts[li].take() {
-                    let mut ctx = HostCtx {
-                        core: self.core_mut(),
-                        queue,
-                        node,
-                        now: t,
-                    };
-                    prog.on_wake(&mut ctx, tag);
-                    self.hosts[li] = Some(prog);
-                }
-            }
-        }
-    }
+    let makespan = run_parallel_until(
+        &mut parts,
+        plan.map_or(Time::MAX, |p| p.lookahead),
+        threads,
+        deadline.unwrap_or(Time::MAX),
+    );
+    (makespan, parts.iter().map(|p| p.queue.processed()).sum())
 }
 
 #[cfg(test)]
@@ -1394,7 +1034,7 @@ mod tests {
             pkt.flow == 7
         }
         fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, _in: PortId, pkt: NetPacket) {
-            let fin = ctx.processing_done(pkt.wire_bytes);
+            let fin = ctx.processing_done_for(pkt.block, pkt.wire_bytes);
             let c = self.seen.entry(pkt.block).or_insert(0);
             *c += 1;
             if *c == self.expect {
@@ -1472,7 +1112,7 @@ mod tests {
                 true
             }
             fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, _in: PortId, mut pkt: NetPacket) {
-                let fin = ctx.processing_done(pkt.wire_bytes);
+                let fin = ctx.processing_done_for(pkt.block, pkt.wire_bytes);
                 pkt.dst = self.to;
                 ctx.send_at(fin, pkt);
             }
@@ -1502,42 +1142,8 @@ mod tests {
         assert!(done > 8000, "processing must pace emissions: {done}");
     }
 
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "use processing_done_for")]
-    fn serial_processing_done_is_rejected_on_hpu_switches() {
-        // A block-unaware program on an Hpu switch would silently get
-        // zero processing delay; debug builds must flag the mismatch.
-        struct Legacy;
-        impl SwitchProgram for Legacy {
-            fn matches(&self, _: &NetPacket) -> bool {
-                true
-            }
-            fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, _in: PortId, pkt: NetPacket) {
-                let _ = ctx.processing_done(pkt.wire_bytes);
-            }
-        }
-        let (topo, sw, hosts) = Topology::star(2, spec());
-        let mut sim = NetSim::new(topo, 1);
-        sim.install_host(
-            hosts[0],
-            Box::new(Sender {
-                peer: hosts[1],
-                count: 1,
-                bytes: 100,
-            }),
-        );
-        sim.install_switch_model(
-            sw,
-            Box::new(Legacy),
-            SwitchModel::Hpu(crate::compute::HpuParams::figure5()),
-        );
-        sim.run(None);
-    }
-
-    /// Cross-leaf all-to-one traffic on a fat tree, once serial and once
-    /// parallel: every report field must match bitwise, at every thread
-    /// count.
+    /// Cross-leaf all-to-one traffic on a fat tree, once as one lane and
+    /// once sharded: the whole report must match, at every thread count.
     #[test]
     fn parallel_driver_matches_serial_on_fat_tree() {
         let build = |drop: bool| {
@@ -1574,48 +1180,59 @@ mod tests {
             let want = build(drop).run(None);
             for threads in [1, 2, 8] {
                 let got = build(drop).run_threads(None, threads);
-                assert_eq!(got.makespan, want.makespan, "makespan t={threads}");
-                assert_eq!(got.total_link_bytes, want.total_link_bytes);
-                assert_eq!(got.total_link_packets, want.total_link_packets);
-                assert_eq!(got.drops, want.drops, "drops t={threads} lossy={drop}");
-                assert_eq!(got.events, want.events, "events t={threads}");
-                assert_eq!(got.done_at, want.done_at);
+                assert_eq!(got, want, "t={threads} lossy={drop}");
             }
         }
     }
 
-    /// `run_threads` on a star (one partition) must take the serial path
-    /// and produce the serial result.
+    /// A star's plan has one partition, numbered like the whole lane: the
+    /// sharded run is the one-lane run — report, HPU counters and telemetry.
     #[test]
-    fn run_threads_falls_back_to_serial_on_star() {
+    fn one_partition_plan_is_the_whole_lane_run() {
+        use crate::compute::HpuParams;
         let build = || {
-            let (topo, _sw, hosts) = Topology::star(4, spec());
+            let (topo, sw, hosts) = Topology::star(4, spec());
             let mut sim = NetSim::new(topo, 3);
+            for &h in &hosts[..2] {
+                sim.install_host(
+                    h,
+                    Box::new(TracingSender {
+                        peer: hosts[2],
+                        count: 8,
+                    }),
+                );
+            }
             sim.install_host(
-                hosts[0],
-                Box::new(Sender {
-                    peer: hosts[1],
-                    count: 8,
-                    bytes: 500,
-                }),
-            );
-            sim.install_host(
-                hosts[1],
+                hosts[2],
                 Box::new(Receiver {
-                    expect: 8,
+                    expect: 1,
                     ..Default::default()
                 }),
             );
-            sim
+            let agg = CountingAggregator {
+                expect: 2,
+                seen: Default::default(),
+                collector: hosts[2],
+            };
+            sim.install_switch_model(sw, Box::new(agg), SwitchModel::Hpu(HpuParams::figure5()));
+            sim.set_link_drop_prob(0, 0.3);
+            sim.enable_telemetry(TelemetryConfig { bucket_ns: 64 });
+            (sim, sw)
         };
-        let want = build().run(None);
-        let got = build().run_threads(None, 4);
-        assert_eq!(got.makespan, want.makespan);
-        assert_eq!(got.events, want.events);
-        assert_eq!(got.done_at, want.done_at);
+        let (mut whole, sw) = build();
+        let want = whole.run(None);
+        let (mut sharded, _) = build();
+        assert_eq!(PartitionPlan::build(sharded.topology()).parts, 1);
+        assert_eq!(sharded.run_threads(None, 4), want);
+        assert!(want.drops > 0 && want.last_done.is_some());
+        assert!(whole.compute_stats(sw).unwrap().handlers > 0);
+        assert_eq!(sharded.compute_stats(sw), whole.compute_stats(sw));
+        let trace = whole.take_telemetry().expect("telemetry was enabled");
+        assert!(!trace.compute.is_empty() && !trace.events.is_empty());
+        assert_eq!(sharded.take_telemetry(), Some(trace));
     }
 
-    /// Deadline semantics must match the serial driver: events at exactly
+    /// Deadline semantics must match the one-lane run: events at exactly
     /// the deadline run, later ones stay queued.
     #[test]
     fn run_threads_honors_deadline_like_serial() {
@@ -1642,8 +1259,7 @@ mod tests {
         for deadline in [0, 299, 300, 301, 2000] {
             let want = build().run(Some(deadline));
             let got = build().run_threads(Some(deadline), 3);
-            assert_eq!(got.makespan, want.makespan, "deadline {deadline}");
-            assert_eq!(got.events, want.events, "deadline {deadline}");
+            assert_eq!(got, want, "deadline {deadline}");
         }
     }
 
@@ -1795,8 +1411,8 @@ mod tests {
     }
 
     /// The full capture — utilization buckets, lifecycle events and their
-    /// canonical order — must be bitwise-identical between the serial and
-    /// partitioned drivers at every thread count.
+    /// canonical order — must be bitwise-identical between the one-lane and
+    /// the sharded run at every thread count.
     #[test]
     fn telemetry_capture_is_thread_count_invariant() {
         let build = || {
@@ -2018,5 +1634,19 @@ mod tests {
         let report = sim.run(Some(500));
         assert!(report.makespan <= 500);
         assert_eq!(report.last_done, None);
+    }
+
+    #[test]
+    fn hottest_link_tolerates_zero_capacity_links() {
+        // An idle zero-capacity link has utilization 0/0 = NaN, which must
+        // order like any other value instead of panicking the report helper.
+        let dead = LinkSpec {
+            gbps: 0.0,
+            latency_ns: 50,
+        };
+        let (topo, _sw, _hosts) = Topology::star(2, dead);
+        let sim = NetSim::new(topo, 1);
+        let (_, util) = sim.hottest_link(1_000).expect("two links");
+        assert!(util.is_nan());
     }
 }

@@ -25,7 +25,7 @@
 //! guarantees every node processes the same events at the same times in
 //! the same per-node order regardless of thread count, so the sorted
 //! stream (and therefore every exported artifact) is bitwise-identical
-//! across the serial driver and any worker count.
+//! across the one-lane [`crate::NetSim::run`] and any worker count.
 //!
 //! # Cost contract
 //!
@@ -158,10 +158,10 @@ impl DirSeries {
     }
 }
 
-/// The recording state behind [`Telemetry::On`]. Direction slots are
-/// `2·link + dir` on the whole core and [`PartitionPlan::dir_local`]
-/// slots on a partition lane; node slots are global ids on the whole
-/// core and [`PartitionPlan::node_local`] on a lane.
+/// The recording state behind [`Telemetry::On`]. Slots are the owning
+/// lane's: `2·link + dir` and the node id on the lane that covers the
+/// whole topology, [`PartitionPlan::dir_local`] and
+/// [`PartitionPlan::node_local`] on a partition's lane.
 #[derive(Debug)]
 pub struct TelemetrySink {
     cfg: TelemetryConfig,
@@ -213,9 +213,9 @@ impl TelemetrySink {
     }
 }
 
-/// Telemetry state of a simulator core or partition lane: either fully
-/// disabled (the default — every hook is one discriminant test and no
-/// state exists) or an owned recording sink.
+/// Telemetry state of a simulator lane: either fully disabled (the
+/// default — every hook is one discriminant test and no state exists) or
+/// an owned recording sink.
 #[derive(Debug, Default)]
 pub enum Telemetry {
     /// No capture; all hooks are no-ops.
@@ -258,7 +258,7 @@ impl Telemetry {
         }
     }
 
-    /// Split into per-partition lane sinks (mirrors `LaneState::split`):
+    /// Split the whole lane's sink into per-partition lane sinks:
     /// direction series and per-node ordinals move to their owning lane,
     /// already-recorded events stay behind in `self`.
     pub fn split(&mut self, plan: &PartitionPlan) -> Vec<Telemetry> {
@@ -266,61 +266,40 @@ impl Telemetry {
             Telemetry::Off => return (0..plan.parts).map(|_| Telemetry::Off).collect(),
             Telemetry::On(sink) => sink,
         };
-        let mut lanes: Vec<TelemetrySink> = (0..plan.parts)
-            .map(|p| TelemetrySink {
-                cfg: sink.cfg,
-                dirs: Vec::new(),
-                node_seq: plan.nodes_of[p]
-                    .iter()
-                    .map(|m| sink.node_seq[m.index()])
-                    .collect(),
-                events: Vec::new(),
-            })
-            .collect();
-        // Whole-core slots iterate as (link 0 dir 0, link 0 dir 1,
-        // link 1 dir 0, …) — the exact order `PartitionPlan::build`
-        // assigned the dense per-lane `dir_local` slots in.
-        for (slot, series) in std::mem::take(&mut sink.dirs).into_iter().enumerate() {
-            let (l, d) = (slot / 2, slot % 2);
-            let lane = &mut lanes[plan.dir_owner[l][d] as usize];
-            debug_assert_eq!(lane.dirs.len(), plan.dir_local[l][d] as usize);
-            lane.dirs.push(series);
-        }
+        let node_seq = plan.scatter_nodes(std::mem::take(&mut sink.node_seq));
+        let dirs = plan.scatter_dirs(std::mem::take(&mut sink.dirs));
+        let lanes = node_seq.into_iter().zip(dirs);
         lanes
-            .into_iter()
-            .map(|s| Telemetry::On(Box::new(s)))
+            .map(|(node_seq, dirs)| {
+                Telemetry::On(Box::new(TelemetrySink {
+                    cfg: sink.cfg,
+                    dirs,
+                    node_seq,
+                    events: Vec::new(),
+                }))
+            })
             .collect()
     }
 
-    /// Merge lane sinks back (mirrors `LaneState::merge`): direction
-    /// series and node ordinals return to their whole-core slots, lane
-    /// events are appended (ordering is restored by the sort in
-    /// [`Telemetry::into_parts`]).
+    /// Merge lane sinks back: direction series and node ordinals return
+    /// to their whole-lane slots, lane events are appended (ordering is
+    /// restored by the sort in [`Telemetry::into_parts`]).
     pub fn merge(&mut self, plan: &PartitionPlan, lanes: Vec<Telemetry>) {
         let sink = match self {
             Telemetry::Off => return,
             Telemetry::On(sink) => sink,
         };
-        let mut lane_sinks: Vec<Box<TelemetrySink>> = lanes
-            .into_iter()
-            .map(|l| match l {
-                Telemetry::On(s) => s,
-                Telemetry::Off => unreachable!("lane telemetry state must match the core's"),
-            })
-            .collect();
-        for (p, lane) in lane_sinks.iter_mut().enumerate() {
-            for (li, &m) in plan.nodes_of[p].iter().enumerate() {
-                sink.node_seq[m.index()] = lane.node_seq[li];
-            }
+        let (mut node_seq, mut dirs) = (Vec::new(), Vec::new());
+        for lane in lanes {
+            let Telemetry::On(mut lane) = lane else {
+                unreachable!("lane telemetry state must match the whole lane's")
+            };
             sink.events.append(&mut lane.events);
+            node_seq.push(lane.node_seq);
+            dirs.push(lane.dirs);
         }
-        sink.dirs = (0..plan.dir_owner.len() * 2)
-            .map(|slot| {
-                let (l, d) = (slot / 2, slot % 2);
-                let lane = &mut lane_sinks[plan.dir_owner[l][d] as usize];
-                std::mem::take(&mut lane.dirs[plan.dir_local[l][d] as usize])
-            })
-            .collect();
+        sink.node_seq = plan.gather_nodes(node_seq);
+        sink.dirs = plan.gather_dirs(dirs);
     }
 
     /// Consume the sink: `(config, per-direction series indexed 2·link +

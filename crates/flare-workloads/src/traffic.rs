@@ -956,8 +956,8 @@ impl TenantRun {
 // order: under the partitioned parallel driver, hosts in different
 // lanes report within one lookahead window in lock-acquisition order,
 // not simulated-time order, so "first/last caller wins" would be racy.
-// Under the serial driver events fire in nondecreasing time order, so
-// the folds reduce to first/last caller and every value is unchanged.
+// In a one-lane run events fire in nondecreasing time order, so the
+// folds reduce to first/last caller and every value is unchanged.
 impl Core {
     fn job_start(&mut self, t: usize, job: usize, arrival: Time, now: Time) {
         let tr = &mut self.tenants[t];

@@ -39,7 +39,7 @@ fn run_once(threads: Option<u32>) -> Result<(Vec<Vec<i32>>, u64), SessionError> 
 /// scenarios must run sequentially within this binary.
 #[test]
 fn thread_count_resolution_and_equivalence() {
-    // Baseline: no configuration at all → serial driver.
+    // Baseline: no configuration at all → one lane.
     std::env::remove_var(VAR);
     let (serial_ranks, serial_ns) = run_once(None).expect("serial run");
 
