@@ -1,7 +1,8 @@
 //! sPIN packet handlers for Flare allreduce, runnable on the PsPIN engine.
 //!
-//! These implement [`flare_pspin::PacketHandler`]: each packet's arithmetic
-//! is executed for real (via the `dense`/`sparse` state machines) while the
+//! These implement [`flare_pspin::PacketHandler`] as the PsPIN side of the
+//! one block protocol in `protocol.rs`: each packet's arithmetic is
+//! executed for real (via the `dense`/`sparse` state machines) while the
 //! paper's cycle costs drive the [`flare_pspin::HpuCtx`] cursor:
 //!
 //! * header parse: a fixed small cost,
@@ -17,14 +18,12 @@
 use flare_model::AggKind;
 use flare_pspin::{HpuCtx, PacketHandler, PspinPacket};
 
-use bytes::Bytes;
-
-use crate::dense::{MultiBufferBlock, SingleBufferBlock, TreeBlock};
+use crate::dense::{InsertReport, MultiBufferBlock, SingleBufferBlock, TreeBlock};
 use crate::dtype::Element;
 use crate::op::ReduceOp;
-use crate::pool::{BlockSlab, BufferPool, ReplayRing, RetirementFloor};
-use crate::sparse::{HashInsert, ShardEvent, ShardTracker, SparseArrayStore, SparseHashStore};
-use crate::wire::{encode_dense, encode_sparse, DenseView, Header, PacketKind, SparseView};
+use crate::pool::{BufferPool, PoolStats};
+use crate::protocol::{remote, DenseCore, DenseStorage, Side, SparseCore};
+use crate::wire::{DenseView, SparseView};
 
 /// Fixed cost to parse the Flare header and dispatch (cycles).
 pub const PARSE_CYCLES: u64 = 32;
@@ -49,8 +48,13 @@ pub struct DenseHandlerConfig {
     pub capture_results: bool,
 }
 
+/// One open dense block: the Section 6 design in use, and where its
+/// aggregation buffer lives.
 struct DenseBlock<T> {
     state: DenseBlockState<T>,
+    /// The buffer lives in the L1 of the first cluster that touches the
+    /// block; hierarchical FCFS keeps all later packets on that cluster,
+    /// global FCFS does not and pays the remote-L1 penalty.
     home_cluster: usize,
 }
 
@@ -60,151 +64,36 @@ enum DenseBlockState<T> {
     Tree(TreeBlock<T>),
 }
 
-/// Dense allreduce handler: one instance per (switch, allreduce).
-pub struct DenseAllreduceHandler<T: Element, O> {
-    cfg: DenseHandlerConfig,
-    op: O,
-    blocks: BlockSlab<DenseBlock<T>>,
-    /// Completed blocks: late retransmissions are rejected by comparing
-    /// against the retirement floor (mirrored into the slab) instead of a
-    /// per-packet hash probe.
-    retired: RetirementFloor,
-    /// Encoded result payloads of completed blocks, re-emitted when a
-    /// retransmitted contribution shows the sender missed the result.
-    /// Only populated under [`with_loss_recovery`](Self::with_loss_recovery).
-    replay: ReplayRing<Bytes>,
-    /// Whether the deployment injects loss: gates the replay-cache writes
-    /// so reliable runs do not pin completed payloads for replays that
-    /// can never be requested.
-    loss_recovery: bool,
-    results: Vec<(u64, Vec<T>)>,
-    val_pool: BufferPool<T>,
-}
-
-impl<T: Element, O: ReduceOp<T>> DenseAllreduceHandler<T, O> {
-    /// Create the handler (the network manager "installs" it).
-    pub fn new(cfg: DenseHandlerConfig, op: O) -> Self {
-        Self {
-            cfg,
-            op,
-            blocks: BlockSlab::new(BlockSlab::<DenseBlock<T>>::DEFAULT_SLOTS),
-            retired: RetirementFloor::new(),
-            replay: ReplayRing::new(ReplayRing::<Bytes>::DEFAULT_CAPACITY),
-            loss_recovery: false,
-            results: Vec::new(),
-            val_pool: BufferPool::new(),
-        }
-    }
-
-    /// Enable (or disable) the loss-recovery replay cache — mirror of
-    /// [`crate::switch_prog::FlareDenseProgram::with_loss_recovery`].
-    pub fn with_loss_recovery(mut self, yes: bool) -> Self {
-        self.loss_recovery = yes;
-        self
-    }
-
-    /// Completed `(block, result)` pairs, in completion order.
-    pub fn results(&self) -> &[(u64, Vec<T>)] {
-        &self.results
-    }
-
-    /// Blocks currently holding working memory.
-    pub fn open_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Aggregation-buffer pool counters (steady-state assertions).
-    pub fn pool_stats(&self) -> crate::pool::PoolStats {
-        self.val_pool.stats()
-    }
-
-    /// Emit the block's `DenseResult`; returns the payload so the caller
-    /// can cache it for retransmission replays.
-    fn emit_result(ctx: &mut HpuCtx<'_>, allreduce: u32, block: u64, result: &[T]) -> Bytes {
-        let header = Header {
-            allreduce,
-            block: block as u32,
-            child: 0,
-            kind: PacketKind::DenseResult,
-            last_shard: false,
-            shard_count: 0,
-            elem_count: 0,
-        };
-        // The PspinPacket payload carries the full Flare header + values;
-        // no extra link-layer header is modeled (header_bytes = 0). The
-        // engine never hands emitted payloads back, so there is nothing
-        // to recycle a scratch pool from — encode allocates directly.
-        let payload = encode_dense(header, result);
-        ctx.emit(PspinPacket::new(allreduce, block, 0, 0, payload.clone()));
-        payload
-    }
-}
-
-impl<T: Element, O: ReduceOp<T>> PacketHandler for DenseAllreduceHandler<T, O> {
-    fn process(&mut self, ctx: &mut HpuCtx<'_>, pkt: &PspinPacket) {
-        ctx.compute(PARSE_CYCLES);
-        let (header, view) = match DenseView::<T>::parse(&pkt.payload) {
-            Ok(x) => x,
-            Err(_) => return, // malformed: drop after parse
-        };
-        debug_assert_eq!(header.allreduce, self.cfg.allreduce);
-        if self.retired.is_retired(pkt.block) {
-            // Late retransmission of a finished block: the sender missed
-            // the result — re-emit it from the replay cache (dropped if
-            // evicted; the next retransmission retries).
-            if let Some(cached) = self.replay.get(pkt.block).cloned() {
-                ctx.emit(PspinPacket::new(
-                    self.cfg.allreduce,
-                    pkt.block,
-                    0,
-                    0,
-                    cached,
-                ));
-            }
-            return;
-        }
-        let n = view.len();
-        let l_agg = agg_cycles::<T>(n);
-        let buf_bytes = (n * T::WIRE_BYTES) as i64;
-        let children = self.cfg.children;
-        let algorithm = self.cfg.algorithm;
-        let cluster = ctx.cluster;
-        let Some(block_entry) = self.blocks.get_or_insert_with(pkt.block, || DenseBlock {
-            state: match algorithm {
-                AggKind::SingleBuffer => DenseBlockState::Single(SingleBufferBlock::new(children)),
-                AggKind::MultiBuffer(b) => {
-                    DenseBlockState::Multi(MultiBufferBlock::new(children, b))
-                }
-                AggKind::Tree => DenseBlockState::Tree(TreeBlock::new(children)),
-            },
-            // The aggregation buffer lives in the L1 of the first cluster
-            // that touches the block; hierarchical FCFS keeps all later
-            // packets on that cluster, global FCFS does not and pays the
-            // remote-L1 penalty below.
-            home_cluster: cluster,
-        }) else {
-            return; // below the slab floor: retired block
-        };
-        let home = block_entry.home_cluster;
-        let remote = home != ctx.cluster;
-        let remote_factor = if remote { ctx.remote_factor() } else { 1 };
+impl<T: Element> DenseStorage<T> for DenseBlock<T> {
+    fn fold<O: ReduceOp<T>>(
+        &mut self,
+        side: &mut Side<'_, '_>,
+        op: &O,
+        block: u64,
+        child: u16,
+        vals: &DenseView<'_, T>,
+        pool: &mut BufferPool<T>,
+    ) -> InsertReport<T> {
+        let ctx = side.hpu().expect("handler storage runs on PsPIN");
+        let l_agg = agg_cycles::<T>(vals.len());
+        let home = self.home_cluster;
+        let remote_factor = remote(ctx, home);
         let scaled = move |cycles: u64| cycles * remote_factor;
-
-        let report = match &mut block_entry.state {
+        match &mut self.state {
             DenseBlockState::Single(blk) => {
                 // Critical section around the shared buffer (Section 6.1).
-                ctx.acquire_any(&[(pkt.block, 0)], scaled(l_agg));
-                let r = blk.insert_from(&self.op, header.child, &view, &mut self.val_pool);
+                ctx.acquire_any(&[(block, 0)], scaled(l_agg));
+                let r = blk.insert_from(op, child, vals, pool);
                 if r.result.is_some() {
-                    ctx.release_buffer((pkt.block, 0));
+                    ctx.release_buffer((block, 0));
                 }
                 r
             }
             DenseBlockState::Multi(blk) => {
                 let b = blk.buffers();
-                let candidates: Vec<(u64, u32)> = (0..b as u32).map(|i| (pkt.block, i)).collect();
+                let candidates: Vec<(u64, u32)> = (0..b as u32).map(|i| (block, i)).collect();
                 let chosen = ctx.acquire_any(&candidates, scaled(l_agg));
-                let r = blk.insert_from(&self.op, chosen, header.child, &view, &mut self.val_pool);
+                let r = blk.insert_from(op, chosen, child, vals, pool);
                 if r.merges > 0 {
                     // Final fold of the B−1 other buffers (Section 6.2),
                     // still inside the critical section.
@@ -222,37 +111,98 @@ impl<T: Element, O: ReduceOp<T>> PacketHandler for DenseAllreduceHandler<T, O> {
                 // (64 cycles vs 1024 for aggregation, Section 6.3), then
                 // perform whatever merges both-ready subtrees allow.
                 ctx.dma_copy();
-                let r = blk.insert_from(&self.op, header.child, &view, &mut self.val_pool);
+                let r = blk.insert_from(op, child, vals, pool);
                 if r.merges > 0 {
                     ctx.compute_on_buffer(r.merges as u64 * l_agg, home);
                 }
                 r
             }
-        };
+        }
+    }
 
-        if report.duplicate {
-            return; // retransmission: bitmap already covered this child
+    /// Only a tree keeps a skeleton worth reusing; the buffer designs hold
+    /// nothing once their result is out.
+    fn recycle(mut self) -> Option<Self> {
+        let DenseBlockState::Tree(tree) = &mut self.state else {
+            return None;
+        };
+        tree.reset();
+        Some(self)
+    }
+}
+
+/// Dense allreduce handler: one instance per (switch, allreduce).
+pub struct DenseAllreduceHandler<T: Element, O> {
+    cfg: DenseHandlerConfig,
+    core: DenseCore<T, O, DenseBlock<T>>,
+    results: Vec<(u64, Vec<T>)>,
+}
+
+impl<T: Element, O: ReduceOp<T>> DenseAllreduceHandler<T, O> {
+    /// Create the handler (the network manager "installs" it).
+    pub fn new(cfg: DenseHandlerConfig, op: O) -> Self {
+        Self {
+            core: DenseCore::new(cfg.children, op),
+            cfg,
+            results: Vec::new(),
         }
-        let mem_delta =
-            report.buffers_allocated as i64 * buf_bytes - report.buffers_freed as i64 * buf_bytes;
-        if mem_delta != 0 {
-            ctx.working_mem(mem_delta);
-        }
-        if let Some(result) = report.result {
-            self.blocks.remove(pkt.block);
-            let floor = self.retired.retire(pkt.block);
-            self.blocks.set_floor(floor);
-            let payload = Self::emit_result(ctx, self.cfg.allreduce, pkt.block, &result);
-            if self.loss_recovery {
-                self.replay.put(pkt.block, payload);
-            }
-            ctx.complete_block(pkt.block);
-            if self.cfg.capture_results {
-                self.results.push((pkt.block, result));
-            } else {
-                self.val_pool.put(result);
-            }
-        }
+    }
+
+    /// Enable (or disable) the loss-recovery replay cache — mirror of
+    /// [`crate::switch_prog::FlareDenseProgram::with_loss_recovery`].
+    pub fn with_loss_recovery(mut self, yes: bool) -> Self {
+        self.core.table.loss_recovery = yes;
+        self
+    }
+
+    /// Completed `(block, result)` pairs, in completion order.
+    pub fn results(&self) -> &[(u64, Vec<T>)] {
+        &self.results
+    }
+
+    /// Blocks currently holding working memory.
+    pub fn open_blocks(&self) -> usize {
+        self.core.table.open.len()
+    }
+
+    /// Aggregation-buffer pool counters (steady-state assertions).
+    pub fn pool_stats(&self) -> PoolStats {
+        self.core.stats().agg_pool
+    }
+}
+
+impl<T: Element, O: ReduceOp<T>> PacketHandler for DenseAllreduceHandler<T, O> {
+    fn process(&mut self, ctx: &mut HpuCtx<'_>, pkt: &PspinPacket) {
+        ctx.compute(PARSE_CYCLES);
+        let Ok((header, vals)) = DenseView::<T>::parse(&pkt.payload) else {
+            return; // malformed: drop after parse
+        };
+        debug_assert_eq!(header.allreduce, self.cfg.allreduce);
+        let (children, algorithm, home_cluster) =
+            (self.cfg.children, self.cfg.algorithm, ctx.cluster);
+        let open = |spare: Option<DenseBlock<T>>| DenseBlock {
+            state: match (spare, algorithm) {
+                (Some(shell), _) => shell.state,
+                (None, AggKind::SingleBuffer) => {
+                    DenseBlockState::Single(SingleBufferBlock::new(children))
+                }
+                (None, AggKind::MultiBuffer(b)) => {
+                    DenseBlockState::Multi(MultiBufferBlock::new(children, b))
+                }
+                (None, AggKind::Tree) => DenseBlockState::Tree(TreeBlock::new(children)),
+            },
+            home_cluster,
+        };
+        let allreduce = self.cfg.allreduce;
+        let capture = self.cfg.capture_results.then_some(&mut self.results);
+        self.core.on_contrib(
+            &mut Side::Hpu { ctx, allreduce },
+            pkt.block,
+            &header,
+            &vals,
+            open,
+            capture,
+        );
     }
 }
 
@@ -289,75 +239,33 @@ pub struct SparseHandlerConfig {
     pub capture_results: bool,
 }
 
-struct SparseBlock<T: Element> {
-    store: SparseStoreState<T>,
-    shards: Vec<ShardTracker>,
-    children_done: u16,
-    /// Shard packets already emitted for this block (spill flushes) —
-    /// also the next shard sequence number, so spills and the final
-    /// result set share one contiguous sequence per block (the identity
-    /// the shard-dedup protocol relies on).
-    sent_up: u16,
-    /// Clones of the spill payloads emitted while the block was open,
-    /// so the cached replay set covers the *whole* announced shard
-    /// sequence, not just the final drain. Empty unless loss recovery
-    /// is on.
-    sent_cache: Vec<Bytes>,
-    home_cluster: usize,
-}
-
-enum SparseStoreState<T: Element> {
-    Hash(SparseHashStore<T>),
-    Array(SparseArrayStore<T>),
-}
-
 /// Sparse allreduce handler: one instance per (switch, allreduce).
 pub struct SparseAllreduceHandler<T: Element, O> {
     cfg: SparseHandlerConfig,
-    op: O,
-    blocks: BlockSlab<SparseBlock<T>>,
-    /// Completed blocks, rejected by floor comparison (see the dense
-    /// handler).
-    retired: RetirementFloor,
-    /// Encoded `SparseResult` shard sets of completed blocks, re-emitted
-    /// on a retransmitted contribution for a retired block. Only
-    /// populated under [`with_loss_recovery`](Self::with_loss_recovery).
-    replay: ReplayRing<Vec<Bytes>>,
-    /// Whether the deployment injects loss: gates the replay-cache
-    /// writes (see the dense handler).
-    loss_recovery: bool,
+    core: SparseCore<T, O>,
     results: Vec<(u64, Vec<(u32, T)>)>,
-    spilled_elems: u64,
-    pair_pool: BufferPool<(u32, T)>,
 }
 
 impl<T: Element, O: ReduceOp<T>> SparseAllreduceHandler<T, O> {
     /// Create the handler.
     pub fn new(cfg: SparseHandlerConfig, op: O) -> Self {
-        assert!(cfg.pairs_per_packet > 0);
         Self {
+            core: SparseCore::new(cfg.children, op, cfg.storage, cfg.pairs_per_packet),
             cfg,
-            op,
-            blocks: BlockSlab::new(BlockSlab::<SparseBlock<T>>::DEFAULT_SLOTS),
-            retired: RetirementFloor::new(),
-            replay: ReplayRing::new(ReplayRing::<Bytes>::DEFAULT_CAPACITY),
-            loss_recovery: false,
             results: Vec::new(),
-            spilled_elems: 0,
-            pair_pool: BufferPool::new(),
         }
     }
 
     /// Enable (or disable) the loss-recovery replay cache — mirror of
     /// [`crate::switch_prog::FlareSparseProgram::with_loss_recovery`].
     pub fn with_loss_recovery(mut self, yes: bool) -> Self {
-        self.loss_recovery = yes;
+        self.core.table.loss_recovery = yes;
         self
     }
 
     /// Pair-batch pool counters (steady-state assertions).
-    pub fn pool_stats(&self) -> crate::pool::PoolStats {
-        self.pair_pool.stats()
+    pub fn pool_stats(&self) -> PoolStats {
+        self.core.stats().agg_pool
     }
 
     /// Completed `(block, pairs)` results in completion order.
@@ -368,265 +276,28 @@ impl<T: Element, O: ReduceOp<T>> SparseAllreduceHandler<T, O> {
     /// Total elements forwarded unaggregated due to spill flushes — the
     /// source of the paper's Figure 14 "extra traffic".
     pub fn spilled_elems(&self) -> u64 {
-        self.spilled_elems
-    }
-
-    fn new_block(&self, cluster: usize) -> SparseBlock<T> {
-        SparseBlock {
-            store: match self.cfg.storage {
-                SparseStorageKind::Hash { slots, spill_cap } => {
-                    SparseStoreState::Hash(SparseHashStore::new(slots, spill_cap))
-                }
-                SparseStorageKind::Array { span } => {
-                    SparseStoreState::Array(SparseArrayStore::new(&self.op, span))
-                }
-            },
-            shards: vec![ShardTracker::default(); self.cfg.children as usize],
-            children_done: 0,
-            sent_up: 0,
-            sent_cache: Vec::new(),
-            home_cluster: cluster,
-        }
-    }
-
-    /// Emit `pairs` chunked into shard packets with consecutive sequence
-    /// numbers starting at `first_seq` (non-last shards carry their
-    /// sequence in `shard_count`, the last carries the announced
-    /// `total_count`) — the same contiguous per-block sequencing as the
-    /// net switch program's `send_chunked`, so spill bursts and the final
-    /// result set never reuse a shard identity. Returns the emitted
-    /// payloads (when `collect`) so the caller can cache the result set
-    /// for retransmission replays.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_pairs(
-        ctx: &mut HpuCtx<'_>,
-        allreduce: u32,
-        block: u64,
-        kind: PacketKind,
-        pairs_per_packet: usize,
-        pairs: &[(u32, T)],
-        mark_last: bool,
-        total_count: u16,
-        first_seq: u16,
-        collect: bool,
-    ) -> Vec<Bytes> {
-        let per = pairs_per_packet.max(1);
-        // An empty block still announces completion downstream.
-        let chunks = pairs.len().div_ceil(per).max(1);
-        let mut emitted = Vec::new();
-        for i in 0..chunks {
-            let chunk = &pairs[(i * per).min(pairs.len())..((i + 1) * per).min(pairs.len())];
-            let last = mark_last && i + 1 == chunks;
-            let header = Header {
-                allreduce,
-                block: block as u32,
-                child: 0,
-                kind,
-                last_shard: last,
-                shard_count: Header::shard_seq_field(last, first_seq + i as u16, total_count),
-                elem_count: 0,
-            };
-            let payload = encode_sparse(header, chunk);
-            if collect {
-                emitted.push(payload.clone());
-            }
-            ctx.emit(PspinPacket::new(allreduce, block, 0, 0, payload));
-        }
-        emitted
+        self.core.spilled_elems
     }
 }
 
 impl<T: Element, O: ReduceOp<T>> PacketHandler for SparseAllreduceHandler<T, O> {
     fn process(&mut self, ctx: &mut HpuCtx<'_>, pkt: &PspinPacket) {
         ctx.compute(PARSE_CYCLES);
-        let (header, view) = match SparseView::<T>::parse(&pkt.payload) {
-            Ok(x) => x,
-            Err(_) => return,
+        let Ok((header, pairs)) = SparseView::<T>::parse(&pkt.payload) else {
+            return;
         };
         debug_assert_eq!(header.allreduce, self.cfg.allreduce);
-        if self.retired.is_retired(pkt.block) {
-            // Late packet for a finished block: the sender missed the
-            // result — re-emit the cached shard set, once per poke round
-            // (on the burst's last shard) to bound the amplification.
-            if header.last_shard {
-                if let Some(cached) = self.replay.get(pkt.block) {
-                    for payload in cached.clone() {
-                        ctx.emit(PspinPacket::new(
-                            self.cfg.allreduce,
-                            pkt.block,
-                            0,
-                            0,
-                            payload,
-                        ));
-                    }
-                }
-            }
-            return;
-        }
-        let cluster = ctx.cluster;
-        if self.blocks.get_mut(pkt.block).is_none() {
-            let fresh = self.new_block(cluster);
-            let bytes = match &fresh.store {
-                SparseStoreState::Hash(h) => h.memory_bytes(),
-                SparseStoreState::Array(a) => a.memory_bytes(),
-            };
-            if self
-                .blocks
-                .get_or_insert_with(pkt.block, || fresh)
-                .is_none()
-            {
-                return; // below the slab floor: retired block
-            }
-            ctx.working_mem(bytes as i64);
-        }
-        let block = self.blocks.get_mut(pkt.block).expect("just inserted");
-        // Shard protocol first: a retransmitted shard whose original made
-        // it through must not fold its pairs into the store again.
-        let event = block.shards[header.child as usize].on_shard(
-            header.shard_index(),
-            header.last_shard,
-            header.shard_count,
-        );
-        if event == ShardEvent::Duplicate {
-            return; // rejected at parse cost, before taking the lock
-        }
-        let remote_factor = if block.home_cluster != cluster {
-            ctx.remote_factor()
-        } else {
-            1
-        };
-
-        // Per-element insertion cost (flare-model calibration constants),
-        // executed in the block's critical section (Section 6.1 argument:
-        // sparse handlers need mutual exclusion anyway).
-        let per_elem = match block.store {
-            SparseStoreState::Hash(_) => flare_model::sparse::HASH_INSERT_CYCLES,
-            SparseStoreState::Array(_) => flare_model::sparse::ARRAY_STORE_CYCLES,
-        };
-        let hold = ((view.len() as f64 * per_elem).ceil() as u64 + 1) * remote_factor;
-        let lock = (pkt.block, 0u32);
-        ctx.acquire_any(&[lock], hold);
-
-        let mut flushed = self.pair_pool.get(0);
-        match &mut block.store {
-            SparseStoreState::Hash(h) => {
-                view.for_each(|idx, val| match h.insert(&self.op, idx, val) {
-                    HashInsert::SpillFlush(batch) => {
-                        let extra = (batch.len() as f64 * flare_model::sparse::SPILL_PUSH_CYCLES)
-                            .ceil() as u64;
-                        ctx.extend_hold(lock, extra * remote_factor);
-                        flushed.extend_from_slice(&batch);
-                        h.recycle_spill(batch);
-                    }
-                    HashInsert::Spilled => {
-                        ctx.extend_hold(
-                            lock,
-                            flare_model::sparse::SPILL_PUSH_CYCLES as u64 * remote_factor,
-                        );
-                    }
-                    _ => {}
-                });
-            }
-            SparseStoreState::Array(a) => {
-                view.for_each(|idx, val| {
-                    a.insert(&self.op, idx, val);
-                });
-            }
-        }
-        if !flushed.is_empty() {
-            // Spilled data leaves the switch unaggregated: extra traffic.
-            // The spill shards take the next sequence numbers of the
-            // block's emit stream and (on lossy deployments) join the
-            // replay set, so a replayed shard sequence is never missing
-            // its announced prefix.
-            let spill_first = block.sent_up;
-            block.sent_up += flushed.len().div_ceil(self.cfg.pairs_per_packet.max(1)) as u16;
-            self.spilled_elems += flushed.len() as u64;
-            let spills = Self::emit_pairs(
-                ctx,
-                self.cfg.allreduce,
-                pkt.block,
-                PacketKind::SparseSpill,
-                self.cfg.pairs_per_packet,
-                &flushed,
-                false,
-                0,
-                spill_first,
-                self.loss_recovery,
-            );
-            block.sent_cache.extend(spills);
-        }
-
-        // Shard protocol: has this child delivered all its packets?
-        let block = self.blocks.get_mut(pkt.block).expect("present");
-        if event == ShardEvent::Complete {
-            block.children_done += 1;
-        }
-        if block.children_done < self.cfg.children {
-            self.pair_pool.put(flushed);
-            return;
-        }
-
-        // Block complete: drain the store (paying the flush cost) and
-        // emit, reusing the pooled batch buffer.
-        let mut block = self.blocks.remove(pkt.block).expect("present");
-        let floor = self.retired.retire(pkt.block);
-        self.blocks.set_floor(floor);
-        flushed.clear();
-        let mut result = flushed;
-        let (flush_cycles, mem_bytes) = match &mut block.store {
-            SparseStoreState::Hash(h) => {
-                let mem = h.memory_bytes();
-                h.drain_into(&mut result);
-                let cycles = (result.len() as f64 * flare_model::sparse::EMIT_CYCLES).ceil() as u64;
-                (cycles, mem)
-            }
-            SparseStoreState::Array(a) => {
-                let mem = a.memory_bytes();
-                let span = a.span();
-                a.drain_into(&mut result);
-                let cycles = (span as f64 * flare_model::sparse::ARRAY_FLUSH_SCAN_CYCLES
-                    + result.len() as f64 * flare_model::sparse::EMIT_CYCLES)
-                    .ceil() as u64;
-                (cycles, mem)
-            }
-        };
-        ctx.extend_hold(lock, flush_cycles * remote_factor);
-        ctx.release_buffer(lock);
-        ctx.working_mem(-(mem_bytes as i64));
-        let chunks = result
-            .len()
-            .div_ceil(self.cfg.pairs_per_packet.max(1))
-            .max(1) as u16;
-        let payloads = Self::emit_pairs(
-            ctx,
-            self.cfg.allreduce,
+        let allreduce = self.cfg.allreduce;
+        // Captured results keep their buffer (test/inspection mode); the
+        // pool is replenished by the non-capturing paths.
+        let capture = self.cfg.capture_results.then_some(&mut self.results);
+        self.core.on_contrib(
+            &mut Side::Hpu { ctx, allreduce },
             pkt.block,
-            PacketKind::SparseResult,
-            self.cfg.pairs_per_packet,
-            &result,
-            true,
-            block.sent_up + chunks,
-            block.sent_up,
-            self.loss_recovery,
+            &header,
+            &pairs,
+            capture,
         );
-        if self.loss_recovery {
-            // Cache spills + final drain together: the whole announced
-            // shard sequence replays as one set.
-            let mut cached = std::mem::take(&mut block.sent_cache);
-            cached.extend(payloads);
-            self.replay.put(pkt.block, cached);
-        }
-        ctx.complete_block(pkt.block);
-        if self.cfg.capture_results {
-            // Captured results keep their buffer (test/inspection mode);
-            // the pool is replenished by the non-capturing paths.
-            let mut sorted = result;
-            sorted.sort_unstable_by_key(|&(i, _)| i);
-            self.results.push((pkt.block, sorted));
-        } else {
-            self.pair_pool.put(result);
-        }
     }
 }
 
@@ -634,7 +305,9 @@ impl<T: Element, O: ReduceOp<T>> PacketHandler for SparseAllreduceHandler<T, O> 
 mod tests {
     use super::*;
     use crate::op::{golden_reduce, Sum};
-    use crate::wire::{decode_sparse, HEADER_BYTES};
+    use crate::wire::{
+        decode_sparse, encode_dense, encode_sparse, Header, PacketKind, HEADER_BYTES,
+    };
     use bytes::Bytes;
     use flare_pspin::engine::run_trace;
     use flare_pspin::{ArrivalTrace, PspinConfig, SchedulingPolicy, StaggerMode, TraceConfig};
@@ -877,8 +550,8 @@ mod tests {
     #[test]
     fn sparse_hash_spills_emit_extra_traffic() {
         // Tiny table forces collisions; the spill flush must show up as
-        // emitted SparseSpill packets (extra traffic) while every element
-        // still reaches the output exactly once.
+        // extra emitted shards (at the root every shard is a result) while
+        // every element still reaches the output exactly once.
         let pairs: Vec<(u32, i32)> = (0..32).map(|i| (i, 1)).collect();
         let arrivals = vec![(
             0u64,
@@ -910,7 +583,8 @@ mod tests {
         let mut seen: Vec<u32> = h.results()[0].1.iter().map(|&(i, _)| i).collect();
         for (_, pkt) in engine.emissions() {
             let (hd, pairs) = decode_sparse::<i32>(&pkt.payload).unwrap();
-            if hd.kind == PacketKind::SparseSpill {
+            assert_eq!(hd.kind, PacketKind::SparseResult);
+            if !hd.last_shard {
                 seen.extend(pairs.iter().map(|&(i, _)| i));
             }
         }

@@ -1,17 +1,20 @@
 //! Host-side Flare library: packetization, staggered sending, windowing
 //! and retransmission (paper Sections 4–5).
 //!
-//! Hosts split their `Z` elements into blocks of `N` (one packet each for
-//! dense data), keep at most `window` blocks in flight (bounded by the
-//! switch's working-memory reservation ℛ, Section 4.3), rotate their block
-//! send order by a per-host *stagger offset* (Section 5), and retransmit
+//! There is one host, [`FlareHost`]: it splits its contribution into
+//! blocks, keeps at most `window` of them in flight (bounded by the
+//! switch's working-memory reservation ℛ, Section 4.3), rotates its block
+//! send order by a per-host *stagger offset* (Section 5), and retransmits
 //! blocks whose result has not arrived within a timeout (Section 4.1 —
-//! switch-side duplicate rejection absorbs the retransmissions: child
-//! bitmaps on the dense path, per-`(block, child)` shard-sequence
-//! tracking on the sparse path).
+//! switch-side duplicate rejection absorbs the retransmissions). What a
+//! block *is* comes from its [`Payload`]: `N` dense elements in one
+//! packet, reduced in place ([`DenseFlareHost`]), or a span's `(index,
+//! value)` pairs in numbered shards ([`SparseFlareHost`]).
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
+
+use bytes::Bytes;
 
 use flare_des::Time;
 use flare_net::{HostCtx, HostProgram, NetPacket, NodeId, TraceKind};
@@ -22,7 +25,7 @@ use crate::pool::BufferPool;
 use crate::sparse::{ShardEvent, ShardTracker};
 use crate::tag::FlowTag;
 use crate::wire::{
-    encode_dense_into, encode_sparse_into, DenseView, Header, PacketKind, SparseView, HEADER_BYTES,
+    encode_dense_into, encode_sparse_into, DenseView, Header, PacketKind, SparseView,
 };
 
 /// Shared slot a host writes its final reduced vector into, readable by
@@ -38,7 +41,7 @@ pub fn result_sink<T>() -> ResultSink<T> {
     Arc::new(Mutex::new(None))
 }
 
-/// Host configuration common to dense and sparse participation.
+/// Configuration of a [`FlareHost`], whatever its payload.
 #[derive(Debug, Clone)]
 pub struct HostConfig {
     /// Allreduce id (from the network manager).
@@ -156,17 +159,21 @@ impl SendWindow {
         }
     }
 
-    /// Close `block`, returning its send time (`None` if not in flight:
-    /// never sent, or already closed).
-    fn remove(&mut self, block: u64) -> Option<Time> {
+    /// The deque slot of `block` if it is in flight: sent, and its result
+    /// not yet arrived.
+    fn in_flight(&self, block: u64) -> Option<usize> {
         if block >= self.blocks {
             return None;
         }
         let slot = self.pos_of(block).checked_sub(self.first)? as usize;
-        let at = std::mem::replace(self.slots.get_mut(slot)?, CLOSED);
-        if at == CLOSED {
-            return None;
-        }
+        (*self.slots.get(slot)? != CLOSED).then_some(slot)
+    }
+
+    /// Close `block`, returning its send time (`None` if not in flight:
+    /// never sent, or already closed).
+    fn remove(&mut self, block: u64) -> Option<Time> {
+        let slot = self.in_flight(block)?;
+        let at = std::mem::replace(&mut self.slots[slot], CLOSED);
         self.open -= 1;
         while self.slots.front() == Some(&CLOSED) {
             self.slots.pop_front();
@@ -184,25 +191,68 @@ impl SendWindow {
     }
 }
 
-/// Dense allreduce participant.
+/// What a [`Payload`] made of one result packet.
+pub enum Applied {
+    /// Nothing: not a result of this payload, or a shard it already has
+    /// (a loss-path replay).
+    Ignored,
+    /// Shard `index` of a block's result; `complete` when it was the last
+    /// one outstanding.
+    Shard {
+        /// The shard's sequence number.
+        index: u16,
+        /// Whether the block's result is now whole.
+        complete: bool,
+    },
+    /// The block's whole result.
+    Block,
+}
+
+/// What a Flare host sends and receives. The host owns the protocol —
+/// window, stagger, retransmission, block numbering — and the payload knows
+/// only how to encode and apply its packets.
+pub trait Payload: Send {
+    /// Element type of the reduced vector.
+    type Elem: Element;
+
+    /// The packet kind of this payload's contributions.
+    const CONTRIB: PacketKind;
+
+    /// How many packets local block `block` is sent as.
+    fn packets(&self, block: u64) -> usize;
+
+    /// Encode packet `i` of local block `block` into `out`. `header` is a
+    /// [`Self::CONTRIB`] header carrying the wire block id and the host's
+    /// child index. A re-send must produce the same packet.
+    fn encode(&self, block: u64, i: usize, header: Header, out: &mut Vec<u8>);
+
+    /// Apply one result packet addressed to the in-flight local block
+    /// `block`.
+    fn apply(&mut self, block: u64, packet: &[u8]) -> Applied;
+
+    /// The reduced vector, once every block is complete.
+    fn take_result(&mut self) -> Vec<Self::Elem>;
+}
+
+/// A Flare allreduce participant over payload `P` (see
+/// [`DenseFlareHost`] and [`SparseFlareHost`]).
 ///
-/// The reduction is performed *in place* (the `MPI_IN_PLACE` pattern): a
-/// block's result overwrites that block's range of the input buffer. This
-/// is safe — a result only arrives after the block's contribution was
-/// sent, and retransmission only re-reads blocks whose result has *not*
-/// arrived — and it halves the per-host memory footprint, which both
-/// matters at the 256-host sweep scale and avoids a page-fault storm on
-/// first write to a fresh result allocation.
-pub struct DenseFlareHost<T: Element> {
+/// Loss recovery is the same for every payload: in-flight blocks live in
+/// the send window, a [`HostConfig::retransmit_after`] timer re-encodes
+/// and re-sends every packet of an overdue block (same shard sequence
+/// numbers, so switches reject the duplicates), and a result for a block
+/// no longer in flight — a replay — is dropped before it reaches the
+/// payload.
+pub struct FlareHost<P: Payload> {
     cfg: HostConfig,
     /// Packed [`FlowTag`] this host's retransmit timer fires with.
     retx_tag: u64,
-    elems_per_packet: usize,
-    /// Input data, progressively overwritten with reduced blocks.
-    data: Vec<T>,
+    payload: P,
+    /// Wire bytes of the whole contribution (telemetry).
+    wire_bytes: u64,
     outstanding: SendWindow,
     completed: u64,
-    sink: ResultSink<T>,
+    sink: ResultSink<P::Elem>,
     /// Encode scratch, replenished from consumed result payloads.
     scratch: BufferPool<u8>,
     /// Contribution packets sent (including retransmissions).
@@ -211,22 +261,22 @@ pub struct DenseFlareHost<T: Element> {
     pub retransmits: u64,
 }
 
-impl<T: Element> DenseFlareHost<T> {
-    /// Create a participant contributing `data`.
-    pub fn new(
+impl<P: Payload> FlareHost<P> {
+    /// A participant contributing `payload`: `blocks` blocks, `wire_bytes`
+    /// bytes in all.
+    fn over(
         cfg: HostConfig,
-        elems_per_packet: usize,
-        data: Vec<T>,
-        sink: ResultSink<T>,
+        payload: P,
+        blocks: usize,
+        wire_bytes: usize,
+        sink: ResultSink<P::Elem>,
     ) -> Self {
-        assert!(elems_per_packet > 0 && !data.is_empty());
-        let blocks = data.len().div_ceil(elems_per_packet) as u64;
         Self {
             retx_tag: cfg.retx_tag(),
-            outstanding: SendWindow::new(blocks, cfg.stagger_offset),
+            outstanding: SendWindow::new(blocks as u64, cfg.stagger_offset),
+            wire_bytes: wire_bytes as u64,
             cfg,
-            elems_per_packet,
-            data,
+            payload,
             completed: 0,
             sink,
             scratch: BufferPool::new(),
@@ -235,46 +285,37 @@ impl<T: Element> DenseFlareHost<T> {
         }
     }
 
-    fn total_blocks(&self) -> u64 {
-        self.outstanding.blocks
-    }
-
-    fn block_range(&self, block: u64) -> std::ops::Range<usize> {
-        let start = block as usize * self.elems_per_packet;
-        start..(start + self.elems_per_packet).min(self.data.len())
-    }
-
     fn send_block(&mut self, ctx: &mut HostCtx<'_>, block: u64) {
+        let flow = self.cfg.allreduce as u64;
         let wire_block = self.cfg.block_base + block;
         let header = Header {
             allreduce: self.cfg.allreduce,
             block: wire_block as u32,
             child: self.cfg.child_index,
-            kind: PacketKind::DenseContrib,
+            kind: P::CONTRIB,
             last_shard: false,
             shard_count: 0,
             elem_count: 0,
         };
-        let range = self.block_range(block);
-        let mut buf = self.scratch.get(HEADER_BYTES + range.len() * T::WIRE_BYTES);
-        encode_dense_into(header, &self.data[range], &mut buf);
-        let payload = bytes::Bytes::from(buf);
-        let pkt = NetPacket::new(
-            ctx.node(),
-            self.cfg.leaf,
-            self.cfg.allreduce,
-            wire_block,
-            self.cfg.child_index,
-            PacketKind::DenseContrib as u8,
-            0,
-            payload,
-        );
-        let wire = pkt.wire_bytes as u64;
-        ctx.send(pkt);
-        self.sent_packets += 1;
+        for i in 0..self.payload.packets(block) {
+            let mut buf = self.scratch.get(0);
+            self.payload.encode(block, i, header, &mut buf);
+            let pkt = NetPacket::new(
+                ctx.node(),
+                self.cfg.leaf,
+                self.cfg.allreduce,
+                wire_block,
+                self.cfg.child_index,
+                P::CONTRIB as u8,
+                0,
+                Bytes::from(buf),
+            );
+            let wire = pkt.wire_bytes as u64;
+            ctx.send(pkt);
+            self.sent_packets += 1;
+            ctx.trace(TraceKind::ShardSend, flow, wire_block, wire);
+        }
         self.outstanding.insert(block, ctx.now());
-        let flow = self.cfg.allreduce as u64;
-        ctx.trace(TraceKind::ShardSend, flow, wire_block, wire);
         ctx.trace(TraceKind::InFlight, flow, self.outstanding.len() as u64, 0);
     }
 
@@ -288,13 +329,13 @@ impl<T: Element> DenseFlareHost<T> {
     }
 }
 
-impl<T: Element> HostProgram for DenseFlareHost<T> {
+impl<P: Payload> HostProgram for FlareHost<P> {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
         ctx.trace(
             TraceKind::FlowSubmit,
             self.cfg.allreduce as u64,
-            self.total_blocks(),
-            (self.data.len() * T::WIRE_BYTES) as u64,
+            self.outstanding.blocks,
+            self.wire_bytes,
         );
         self.pump(ctx);
         if let Some(t) = self.cfg.retransmit_after {
@@ -303,48 +344,37 @@ impl<T: Element> HostProgram for DenseFlareHost<T> {
     }
 
     fn on_packet(&mut self, ctx: &mut HostCtx<'_>, pkt: NetPacket) {
-        let Ok((header, view)) = DenseView::<T>::parse(&pkt.payload) else {
-            return;
-        };
-        if header.kind != PacketKind::DenseResult {
-            return;
-        }
-        // Translate the wire block id back into local numbering; ids
+        let flow = self.cfg.allreduce as u64;
+        // Translate the wire block id back into local numbering. Ids
         // outside this run's window are stale (an earlier iteration over
-        // the same collective) and are dropped like duplicates.
-        let local = match pkt.block.checked_sub(self.cfg.block_base) {
-            Some(b) if b < self.total_blocks() => b,
-            _ => {
-                self.scratch.reclaim(pkt.payload);
-                return;
-            }
-        };
-        if self.outstanding.remove(local).is_none() {
-            // Duplicate result (a loss-path replay): already applied —
-            // but still recycle its buffer into the encode scratch pool.
+        // the same collective) and ids not in flight already have their
+        // result (a loss-path replay): both are dropped, but their buffer
+        // still recycles into the encode scratch pool.
+        let local = pkt.block.checked_sub(self.cfg.block_base);
+        let Some(local) = local.filter(|&b| self.outstanding.in_flight(b).is_some()) else {
             self.scratch.reclaim(pkt.payload);
             return;
-        }
-        let range = self.block_range(local);
-        assert!(
-            view.len() >= range.len(),
-            "DenseResult for block {} carries {} elements, need {}",
-            pkt.block,
-            view.len(),
-            range.len()
-        );
-        // In-place: the block is no longer outstanding, so its input
-        // range will never be re-read for a retransmission.
-        view.copy_to_slice(&mut self.data[range]);
+        };
+        let complete = match self.payload.apply(local, &pkt.payload) {
+            Applied::Ignored => false,
+            Applied::Shard { index, complete } => {
+                ctx.trace(TraceKind::ShardRecv, flow, pkt.block, index as u64);
+                complete
+            }
+            Applied::Block => true,
+        };
         // Consumed: recycle the payload as encode scratch when this host
         // held the last reference.
         self.scratch.reclaim(pkt.payload);
+        if !complete {
+            return;
+        }
+        self.outstanding.remove(local);
         self.completed += 1;
-        let flow = self.cfg.allreduce as u64;
         ctx.trace(TraceKind::BlockRetire, flow, pkt.block, 0);
         ctx.trace(TraceKind::InFlight, flow, self.outstanding.len() as u64, 0);
-        if self.completed == self.total_blocks() {
-            *self.sink.lock().expect("sink lock") = Some(std::mem::take(&mut self.data));
+        if self.completed == self.outstanding.blocks {
+            *self.sink.lock().expect("sink lock") = Some(self.payload.take_result());
             ctx.mark_done();
         } else {
             self.pump(ctx);
@@ -355,7 +385,7 @@ impl<T: Element> HostProgram for DenseFlareHost<T> {
         // A stale tag (earlier `wake_seq` incarnation under a traffic
         // mux) dies here without re-arming, bounding timer chains to one
         // per live incarnation.
-        if tag != self.retx_tag || self.completed == self.total_blocks() {
+        if tag != self.retx_tag || self.completed == self.outstanding.blocks {
             return;
         }
         let timeout = self.cfg.retransmit_after.expect("timer armed");
@@ -380,43 +410,110 @@ impl<T: Element> HostProgram for DenseFlareHost<T> {
     }
 }
 
+/// Dense allreduce participant: one packet per block.
+///
+/// The reduction is performed *in place* (the `MPI_IN_PLACE` pattern): a
+/// block's result overwrites that block's range of the input buffer. This
+/// is safe — a result only arrives after the block's contribution was
+/// sent, and retransmission only re-reads blocks whose result has *not*
+/// arrived — and it halves the per-host memory footprint, which both
+/// matters at the 256-host sweep scale and avoids a page-fault storm on
+/// first write to a fresh result allocation.
+pub type DenseFlareHost<T> = FlareHost<DensePayload<T>>;
+
+/// The [`Payload`] of a [`DenseFlareHost`].
+pub struct DensePayload<T> {
+    elems_per_packet: usize,
+    /// Input data, progressively overwritten with reduced blocks.
+    data: Vec<T>,
+}
+
+impl<T: Element> FlareHost<DensePayload<T>> {
+    /// Create a participant contributing `data`.
+    pub fn new(
+        cfg: HostConfig,
+        elems_per_packet: usize,
+        data: Vec<T>,
+        sink: ResultSink<T>,
+    ) -> Self {
+        assert!(elems_per_packet > 0 && !data.is_empty());
+        let blocks = data.len().div_ceil(elems_per_packet);
+        let wire_bytes = data.len() * T::WIRE_BYTES;
+        let payload = DensePayload {
+            elems_per_packet,
+            data,
+        };
+        Self::over(cfg, payload, blocks, wire_bytes, sink)
+    }
+}
+
+impl<T> DensePayload<T> {
+    fn block_range(&self, block: u64) -> std::ops::Range<usize> {
+        let start = block as usize * self.elems_per_packet;
+        start..(start + self.elems_per_packet).min(self.data.len())
+    }
+}
+
+impl<T: Element> Payload for DensePayload<T> {
+    type Elem = T;
+    const CONTRIB: PacketKind = PacketKind::DenseContrib;
+
+    fn packets(&self, _block: u64) -> usize {
+        1
+    }
+
+    fn encode(&self, block: u64, _i: usize, header: Header, out: &mut Vec<u8>) {
+        encode_dense_into(header, &self.data[self.block_range(block)], out);
+    }
+
+    fn apply(&mut self, block: u64, packet: &[u8]) -> Applied {
+        let Ok((header, view)) = DenseView::<T>::parse(packet) else {
+            return Applied::Ignored;
+        };
+        if header.kind != PacketKind::DenseResult {
+            return Applied::Ignored;
+        }
+        let range = self.block_range(block);
+        assert!(
+            view.len() >= range.len(),
+            "DenseResult for block {} carries {} elements, need {}",
+            header.block,
+            view.len(),
+            range.len()
+        );
+        // In place: the block is no longer outstanding, so its input
+        // range will never be re-read for a retransmission.
+        view.copy_to_slice(&mut self.data[range]);
+        Applied::Block
+    }
+
+    fn take_result(&mut self) -> Vec<T> {
+        std::mem::take(&mut self.data)
+    }
+}
+
 /// Sparse allreduce participant (paper Section 7).
 ///
 /// Input is the host's sparsified `(global index, value)` list; blocks
 /// span `span` consecutive indexes; each block's pairs are chunked into
 /// shards of at most `pairs_per_packet`, the last shard announcing the
-/// count; empty blocks still send a header-only packet.
-///
-/// Loss recovery mirrors the dense host: in-flight blocks live in a
-/// [`SendWindow`], a [`HostConfig::retransmit_after`] timer re-encodes and
-/// re-sends every shard of an overdue block (same shard sequence numbers,
-/// so switches reject the duplicates), and incoming result shards are
-/// deduplicated by sequence number before accumulating — a replayed
-/// result must not double-count.
-pub struct SparseFlareHost<T: Element, O> {
-    cfg: HostConfig,
-    /// Packed [`FlowTag`] this host's retransmit timer fires with.
-    retx_tag: u64,
+/// count; empty blocks still send a header-only packet. Incoming result
+/// shards are deduplicated by sequence number before accumulating — a
+/// replayed result must not double-count.
+pub type SparseFlareHost<T, O> = FlareHost<SparsePayload<T, O>>;
+
+/// The [`Payload`] of a [`SparseFlareHost`].
+pub struct SparsePayload<T, O> {
     op: O,
     span: usize,
-    total_elems: usize,
     /// Per-block shards of block-relative pairs, kept until the block's
     /// result completes so overdue blocks can be re-sent.
     shards_out: Vec<Vec<Vec<(u32, T)>>>,
-    outstanding: SendWindow,
     trackers: Vec<ShardTracker>,
-    blocks_done: u64,
     result: Vec<T>,
-    sink: ResultSink<T>,
-    /// Encode scratch, replenished from consumed result payloads.
-    scratch: BufferPool<u8>,
-    /// Contribution packets sent (including retransmissions).
-    pub sent_packets: u64,
-    /// Blocks re-sent by the retransmission timer.
-    pub retransmits: u64,
 }
 
-impl<T: Element, O: ReduceOp<T>> SparseFlareHost<T, O> {
+impl<T: Element, O: ReduceOp<T>> FlareHost<SparsePayload<T, O>> {
     /// Create a sparse participant. `pairs` must be sorted by index and
     /// within `0..total_elems`.
     pub fn new(
@@ -430,6 +527,7 @@ impl<T: Element, O: ReduceOp<T>> SparseFlareHost<T, O> {
     ) -> Self {
         assert!(span > 0 && pairs_per_packet > 0 && total_elems > 0);
         let blocks = total_elems.div_ceil(span);
+        let wire_bytes = pairs.len() * (4 + T::WIRE_BYTES);
         let mut per_block: Vec<Vec<(u32, T)>> = vec![Vec::new(); blocks];
         for (idx, v) in pairs {
             let b = idx as usize / span;
@@ -445,195 +543,69 @@ impl<T: Element, O: ReduceOp<T>> SparseFlareHost<T, O> {
                 }
             })
             .collect();
-        let identity = op.identity();
-        Self {
-            retx_tag: cfg.retx_tag(),
-            outstanding: SendWindow::new(blocks as u64, cfg.stagger_offset),
-            cfg,
+        let payload = SparsePayload {
+            result: vec![op.identity(); total_elems],
             op,
             span,
-            total_elems,
             shards_out,
             trackers: vec![ShardTracker::default(); blocks],
-            blocks_done: 0,
-            result: vec![identity; total_elems],
-            sink,
-            scratch: BufferPool::new(),
-            sent_packets: 0,
-            retransmits: 0,
-        }
-    }
-
-    fn send_block(&mut self, ctx: &mut HostCtx<'_>, block: u64) {
-        // Take the shard list to appease the borrow checker, then put it
-        // back: the shards must survive the send so the retransmission
-        // timer can re-send them with the same sequence numbers.
-        let shards = std::mem::take(&mut self.shards_out[block as usize]);
-        let total = shards.len() as u16;
-        let wire_block = self.cfg.block_base + block;
-        for (i, shard) in shards.iter().enumerate() {
-            let last = i + 1 == shards.len();
-            let header = Header {
-                allreduce: self.cfg.allreduce,
-                block: wire_block as u32,
-                child: self.cfg.child_index,
-                kind: PacketKind::SparseContrib,
-                last_shard: last,
-                shard_count: Header::shard_seq_field(last, i as u16, total),
-                elem_count: 0,
-            };
-            let mut buf = self
-                .scratch
-                .get(HEADER_BYTES + shard.len() * (4 + T::WIRE_BYTES));
-            encode_sparse_into(header, shard, &mut buf);
-            let payload = bytes::Bytes::from(buf);
-            let pkt = NetPacket::new(
-                ctx.node(),
-                self.cfg.leaf,
-                self.cfg.allreduce,
-                wire_block,
-                self.cfg.child_index,
-                PacketKind::SparseContrib as u8,
-                0,
-                payload,
-            );
-            let wire = pkt.wire_bytes as u64;
-            ctx.send(pkt);
-            self.sent_packets += 1;
-            ctx.trace(
-                TraceKind::ShardSend,
-                self.cfg.allreduce as u64,
-                wire_block,
-                wire,
-            );
-        }
-        self.shards_out[block as usize] = shards;
-        self.outstanding.insert(block, ctx.now());
-        ctx.trace(
-            TraceKind::InFlight,
-            self.cfg.allreduce as u64,
-            self.outstanding.len() as u64,
-            0,
-        );
-    }
-
-    fn pump(&mut self, ctx: &mut HostCtx<'_>) {
-        while self.outstanding.len() < self.cfg.window {
-            let Some(block) = self.outstanding.next_unsent() else {
-                break;
-            };
-            self.send_block(ctx, block);
-        }
+        };
+        Self::over(cfg, payload, blocks, wire_bytes, sink)
     }
 }
 
-impl<T: Element, O: ReduceOp<T>> HostProgram for SparseFlareHost<T, O> {
-    fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
-        let pairs: usize = self
-            .shards_out
-            .iter()
-            .flat_map(|b| b.iter())
-            .map(Vec::len)
-            .sum();
-        ctx.trace(
-            TraceKind::FlowSubmit,
-            self.cfg.allreduce as u64,
-            self.trackers.len() as u64,
-            (pairs * (4 + T::WIRE_BYTES)) as u64,
-        );
-        self.pump(ctx);
-        if let Some(t) = self.cfg.retransmit_after {
-            ctx.wake_in(t, self.retx_tag);
-        }
+impl<T: Element, O: ReduceOp<T>> Payload for SparsePayload<T, O> {
+    type Elem = T;
+    const CONTRIB: PacketKind = PacketKind::SparseContrib;
+
+    fn packets(&self, block: u64) -> usize {
+        self.shards_out[block as usize].len()
     }
 
-    fn on_packet(&mut self, ctx: &mut HostCtx<'_>, pkt: NetPacket) {
-        let Ok((header, view)) = SparseView::<T>::parse(&pkt.payload) else {
-            return;
+    fn encode(&self, block: u64, i: usize, header: Header, out: &mut Vec<u8>) {
+        let shards = &self.shards_out[block as usize];
+        let last = i + 1 == shards.len();
+        let header = Header {
+            last_shard: last,
+            shard_count: Header::shard_seq_field(last, i as u16, shards.len() as u16),
+            ..header
+        };
+        encode_sparse_into(header, &shards[i], out);
+    }
+
+    fn apply(&mut self, block: u64, packet: &[u8]) -> Applied {
+        let Ok((header, view)) = SparseView::<T>::parse(packet) else {
+            return Applied::Ignored;
         };
         if header.kind != PacketKind::SparseResult {
-            return;
-        }
-        // Wire → local block id (see the dense path).
-        let Some(local) = pkt.block.checked_sub(self.cfg.block_base) else {
-            self.scratch.reclaim(pkt.payload);
-            return;
-        };
-        let block = local as usize;
-        if block >= self.trackers.len() {
-            self.scratch.reclaim(pkt.payload);
-            return;
+            return Applied::Ignored;
         }
         // Shard protocol first: a replayed result shard (loss recovery)
         // must not accumulate pairs it already delivered.
-        let event = self.trackers[block].on_shard(
-            header.shard_index(),
-            header.last_shard,
-            header.shard_count,
-        );
+        let index = header.shard_index();
+        let event =
+            self.trackers[block as usize].on_shard(index, header.last_shard, header.shard_count);
         if event == ShardEvent::Duplicate {
-            // Already applied (a loss-path replay) — but still recycle
-            // its buffer into the encode scratch pool.
-            self.scratch.reclaim(pkt.payload);
-            return;
+            return Applied::Ignored;
         }
-        ctx.trace(
-            TraceKind::ShardRecv,
-            self.cfg.allreduce as u64,
-            pkt.block,
-            header.shard_index() as u64,
-        );
         // Combine: spilled elements may deliver the same index in several
         // result shards, so accumulation (not overwrite) is required.
-        let base = block * self.span;
+        let base = block as usize * self.span;
         view.for_each(|idx, val| {
-            let g = base + idx as usize;
-            if g < self.total_elems {
-                self.result[g] = self.op.combine(self.result[g], val);
+            if let Some(acc) = self.result.get_mut(base + idx as usize) {
+                *acc = self.op.combine(*acc, val);
             }
         });
-        self.scratch.reclaim(pkt.payload);
-        if event == ShardEvent::Complete {
-            self.blocks_done += 1;
-            self.outstanding.remove(local);
+        let complete = event == ShardEvent::Complete;
+        if complete {
             // The block can never be re-sent again: free its shards.
-            self.shards_out[block] = Vec::new();
-            let flow = self.cfg.allreduce as u64;
-            ctx.trace(TraceKind::BlockRetire, flow, pkt.block, 0);
-            ctx.trace(TraceKind::InFlight, flow, self.outstanding.len() as u64, 0);
-            if self.blocks_done == self.trackers.len() as u64 {
-                *self.sink.lock().expect("sink lock") = Some(std::mem::take(&mut self.result));
-                ctx.mark_done();
-            } else {
-                self.pump(ctx);
-            }
+            self.shards_out[block as usize] = Vec::new();
         }
+        Applied::Shard { index, complete }
     }
 
-    fn on_wake(&mut self, ctx: &mut HostCtx<'_>, tag: u64) {
-        // Stale-incarnation tags are dropped, as on the dense path.
-        if tag != self.retx_tag || self.blocks_done == self.trackers.len() as u64 {
-            return;
-        }
-        let timeout = self.cfg.retransmit_after.expect("timer armed");
-        let now = ctx.now();
-        let overdue: Vec<u64> = self
-            .outstanding
-            .iter()
-            .filter(|&(_, sent)| now.saturating_sub(sent) >= timeout)
-            .map(|(b, _)| b)
-            .collect();
-        for block in overdue {
-            self.retransmits += 1;
-            ctx.trace(
-                TraceKind::Retransmit,
-                self.cfg.allreduce as u64,
-                self.cfg.block_base + block,
-                0,
-            );
-            self.send_block(ctx, block);
-        }
-        ctx.wake_in(timeout, self.retx_tag);
+    fn take_result(&mut self) -> Vec<T> {
+        std::mem::take(&mut self.result)
     }
 }
 
@@ -757,8 +729,8 @@ mod tests {
     fn dense_host_handles_short_final_block() {
         let sink = result_sink();
         let h = DenseFlareHost::new(cfg(), 4, vec![1i32; 10], sink);
-        assert_eq!(h.total_blocks(), 3);
-        assert_eq!(h.block_range(2), 8..10);
+        assert_eq!(h.outstanding.blocks, 3);
+        assert_eq!(h.payload.block_range(2), 8..10);
     }
 
     #[test]
@@ -768,10 +740,10 @@ mod tests {
         let h = SparseFlareHost::new(cfg(), crate::op::Sum, 32, 8, 2, pairs, sink);
         // Block 0 holds indexes 0..8 → 3 pairs → 2 shards (2+1);
         // block 1 (8..16) empty → 1 empty shard; block 2 (16..24) → 1 shard.
-        assert_eq!(h.shards_out[0].len(), 2);
-        assert_eq!(h.shards_out[1], vec![Vec::<(u32, f32)>::new()]);
-        assert_eq!(h.shards_out[2], vec![vec![(1, 4.0)]]);
-        assert_eq!(h.shards_out.len(), 4);
+        assert_eq!(h.payload.shards_out[0].len(), 2);
+        assert_eq!(h.payload.shards_out[1], vec![Vec::<(u32, f32)>::new()]);
+        assert_eq!(h.payload.shards_out[2], vec![vec![(1, 4.0)]]);
+        assert_eq!(h.payload.shards_out.len(), 4);
     }
 
     #[test]

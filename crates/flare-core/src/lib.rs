@@ -13,10 +13,14 @@
 //! * [`sparse`] — flexibility point **F2**: the first in-network *sparse*
 //!   allreduce — direct-mapped hash storage with spill buffers, dense
 //!   array storage, shard counters and empty-block packets (Section 7).
-//! * [`handlers`] — sPIN packet handlers executing the above on the PsPIN
-//!   engine with the paper's cycle costs.
-//! * [`switch_prog`] / [`host`] — the same protocol as network-simulator
-//!   programs for system-level runs (Figure 15).
+//! * `protocol` (crate-private) — the switch-side block protocol, written
+//!   once per payload: admit, reject the duplicate, fold, retire, send up
+//!   or down, replay on lossy fabrics.
+//! * [`handlers`] / [`switch_prog`] — its two adapters: sPIN packet
+//!   handlers on the PsPIN engine, paying the paper's cycle costs, and
+//!   network-simulator switch programs for system-level runs (Figure 15).
+//! * [`host`] — the one host-side participant (window, stagger,
+//!   retransmission) over a dense or a sparse payload.
 //! * [`pool`] — steady-state allocation recycling: pooled aggregation /
 //!   scratch buffers and the direct-mapped open-block slab behind the
 //!   zero-copy datapath.
@@ -44,6 +48,7 @@ pub mod host;
 pub mod manager;
 pub mod op;
 pub mod pool;
+mod protocol;
 pub mod report;
 pub mod session;
 pub mod sparse;

@@ -134,11 +134,11 @@ impl BufferPool<u8> {
 /// `HashMap` cache but costs one index compare per lookup instead of a
 /// SipHash probe — the lookup sits on the per-contribution hot path
 /// (gated behind [`RetirementFloor`], which rejects non-retired blocks on
-/// a comparison). Both switch-program backends keep their completed-block
-/// payloads here so a retransmitted contribution can be answered with a
-/// replay instead of deadlocking the block (paper Section 4.1); the entry
-/// type is generic because the dense program caches one encoded payload
-/// per block while the sparse program caches a whole shard set.
+/// a comparison). The block protocol keeps its completed-block payloads
+/// here so a retransmitted contribution can be answered with a replay
+/// instead of deadlocking the block (paper Section 4.1); the entry type is
+/// generic because the dense protocol caches one encoded payload per
+/// block while the sparse protocol caches a whole shard set.
 #[derive(Debug)]
 pub struct ReplayRing<P> {
     slots: Vec<Option<(u64, P)>>,

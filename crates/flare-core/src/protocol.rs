@@ -1,0 +1,808 @@
+//! The Flare switch-side block protocol, written once per payload.
+//!
+//! A block's life on a switch is the same wherever the switch is modeled:
+//! *admit* the packet (a retired block's retransmission is answered from
+//! the replay entry, an id below the slab floor is dropped, anything else
+//! opens a block from a spare shell), *reject* the duplicate (child bitmap
+//! dense, shard sequence sparse — paper Section 4.1), *fold*, and on
+//! completion *retire* the block, raise the slab floor, encode the
+//! aggregate once, send it up — or, at the root, down to every child by
+//! refcount — and keep it for replays only on lossy fabrics.
+//! [`DenseCore`] and [`SparseCore`] are that lifecycle over one
+//! [`BlockTable`]; the NetSim programs in [`crate::switch_prog`] and the
+//! PsPIN handlers in [`crate::handlers`] parse the packet, say which
+//! [`Side`] they are on, and call in.
+//!
+//! A side is two things only: **where emissions go** and **what handler
+//! cycles cost**. A new cost calibration is a change to [`Side`]'s cost
+//! hooks (or to the PsPIN dense storage's `fold`); a new fault or timer is
+//! a change to the cores and reaches all four adapters at once.
+
+use bytes::Bytes;
+
+use flare_des::Time;
+use flare_model::sparse as cycles;
+use flare_net::{NetPacket, NodeId, SwitchCtx};
+use flare_pspin::{HpuCtx, PspinPacket};
+
+use crate::dense::{InsertReport, TreeBlock};
+use crate::dtype::Element;
+use crate::handlers::SparseStorageKind;
+use crate::op::ReduceOp;
+use crate::pool::{BlockSlab, BufferPool, ReplayRing, RetirementFloor};
+use crate::sparse::{HashInsert, ShardEvent, ShardTracker, SparseArrayStore, SparseHashStore};
+use crate::switch_prog::{ProgramStats, TreePlacement};
+use crate::wire::{
+    encode_dense_into, encode_sparse_into, DenseView, Header, PacketKind, SparseView, HEADER_BYTES,
+};
+
+/// Which model of a switch is running the protocol.
+pub(crate) enum Side<'a, 'c> {
+    /// A NetSim switch: emissions go to the tree neighbours of `place` at
+    /// `at` (the packet's `processing_done_for` time); the packet was
+    /// charged up front, so handler cycles cost nothing here.
+    Net {
+        ctx: &'a mut SwitchCtx<'c>,
+        place: &'a TreePlacement,
+        at: Time,
+    },
+    /// The PsPIN engine: a switch that is the whole tree — no parent, one
+    /// output — and that pays the paper's Section 6/7 cycle costs.
+    Hpu {
+        ctx: &'a mut HpuCtx<'c>,
+        allreduce: u32,
+    },
+}
+
+/// Where an emission goes, relative to this switch's place in the tree.
+#[derive(Clone, Copy)]
+pub(crate) enum To {
+    Parent,
+    Children,
+    /// One child, by child index (replays).
+    Child(u16),
+}
+
+// Where emissions go.
+impl<'c> Side<'_, 'c> {
+    fn allreduce(&self) -> u32 {
+        match self {
+            Side::Net { place, .. } => place.allreduce,
+            Side::Hpu { allreduce, .. } => *allreduce,
+        }
+    }
+
+    fn is_root(&self) -> bool {
+        match self {
+            Side::Net { place, .. } => place.parent.is_none(),
+            Side::Hpu { .. } => true,
+        }
+    }
+
+    /// The child index a packet going `to` carries: this switch's index at
+    /// its parent on the way up, 0 on the way down.
+    fn stamp(&self, to: To) -> u16 {
+        match (self, to) {
+            (Side::Net { place, .. }, To::Parent) => place.my_child_index,
+            _ => 0,
+        }
+    }
+
+    /// Send one encoded payload, sharing it by refcount between recipients.
+    fn send(&mut self, to: To, block: u64, kind: PacketKind, payload: &Bytes) {
+        let (allreduce, child) = (self.allreduce(), self.stamp(to));
+        match self {
+            Side::Net { ctx, place, at } => {
+                let dsts: &[NodeId] = match to {
+                    To::Parent => place.parent.as_slice(),
+                    To::Children => &place.children,
+                    To::Child(i) => std::slice::from_ref(&place.children[i as usize]),
+                };
+                let me = ctx.node();
+                for &dst in dsts {
+                    let pkt = NetPacket::new(
+                        me,
+                        dst,
+                        allreduce,
+                        block,
+                        child,
+                        kind as u8,
+                        0,
+                        payload.clone(),
+                    );
+                    ctx.send_at(*at, pkt);
+                }
+            }
+            // The payload carries the full Flare header; no extra
+            // link-layer header is modeled (header_bytes = 0).
+            Side::Hpu { ctx, .. } => {
+                ctx.emit(PspinPacket::new(allreduce, block, 0, 0, payload.clone()))
+            }
+        }
+    }
+
+    // What handler cycles cost: nothing on NetSim, the paper's Section 6/7
+    // costs on PsPIN. Holds on a buffer homed on another cluster pay the
+    // remote-L1 factor (global FCFS scheduling; hierarchical FCFS keeps a
+    // block's packets on its home cluster).
+
+    /// The PsPIN context, for storage that charges its own cycles
+    /// (the handlers' Section 6 dense designs).
+    pub(crate) fn hpu(&mut self) -> Option<&mut HpuCtx<'c>> {
+        match self {
+            Side::Net { .. } => None,
+            Side::Hpu { ctx, .. } => Some(ctx),
+        }
+    }
+
+    fn working_mem(&mut self, delta_bytes: i64) {
+        if let Some(ctx) = self.hpu() {
+            ctx.working_mem(delta_bytes);
+        }
+    }
+
+    fn complete(&mut self, block: u64) {
+        if let Some(ctx) = self.hpu() {
+            ctx.complete_block(block);
+        }
+    }
+
+    /// Take the block's lock for the per-element insertion cost of `pairs`
+    /// pairs (Section 6.1's argument: sparse handlers need mutual
+    /// exclusion anyway).
+    fn sparse_lock<T: Element>(&mut self, block: u64, b: &SparseBlock<T>, pairs: usize) {
+        if let Some(ctx) = self.hpu() {
+            let per_pair = match b.store {
+                SparseStore::Hash(_) => cycles::HASH_INSERT_CYCLES,
+                SparseStore::Array(_) => cycles::ARRAY_STORE_CYCLES,
+            };
+            let hold = (pairs as f64 * per_pair).ceil() as u64 + 1;
+            ctx.acquire_any(&[(block, 0)], hold * remote(ctx, b.home_cluster));
+        }
+    }
+
+    /// Lengthen the hold by one spill event pushing `elems` elements.
+    fn sparse_spill(&mut self, block: u64, home: usize, elems: usize) {
+        if let Some(ctx) = self.hpu() {
+            let push = (elems as f64 * cycles::SPILL_PUSH_CYCLES).ceil() as u64;
+            ctx.extend_hold((block, 0), push * remote(ctx, home));
+        }
+    }
+
+    /// Pay for draining `b`'s store into `drained` pairs (an array scans
+    /// its whole span), then release the lock and the block's memory.
+    fn sparse_flush<T: Element>(&mut self, block: u64, b: &SparseBlock<T>, drained: usize) {
+        if let Some(ctx) = self.hpu() {
+            let scan = match &b.store {
+                SparseStore::Hash(_) => 0,
+                SparseStore::Array(a) => a.span(),
+            };
+            let flush = (scan as f64 * cycles::ARRAY_FLUSH_SCAN_CYCLES
+                + drained as f64 * cycles::EMIT_CYCLES)
+                .ceil() as u64;
+            ctx.extend_hold((block, 0), flush * remote(ctx, b.home_cluster));
+            ctx.release_buffer((block, 0));
+            ctx.working_mem(-(b.store.memory_bytes() as i64));
+        }
+    }
+}
+
+/// The remote-L1 factor of touching a buffer homed on `home_cluster`.
+pub(crate) fn remote(ctx: &HpuCtx<'_>, home_cluster: usize) -> u64 {
+    if home_cluster == ctx.cluster {
+        1
+    } else {
+        ctx.remote_factor()
+    }
+}
+
+/// Completed `(block, result)` pairs a handler keeps for inspection.
+type Captured<R> = Vec<(u64, R)>;
+
+/// How many finished block shells a table keeps for reuse.
+const SPARE_BLOCKS: usize = 512;
+
+/// The state every block lifecycle shares: open blocks in a direct-mapped
+/// slab, the retirement floor mirrored into the slab (late packets are
+/// rejected on a comparison, not a hash probe), the replay ring, finished
+/// shells kept for reuse, and whether the fabric is lossy.
+pub(crate) struct BlockTable<B, R> {
+    /// Children of this switch in the reduction tree.
+    children: u16,
+    pub(crate) open: BlockSlab<B>,
+    retired: RetirementFloor,
+    /// What each finished block sent, kept for duplicate-contribution
+    /// replays. Only written under `loss_recovery`.
+    replay: ReplayRing<R>,
+    spare: Vec<B>,
+    /// Whether the deployment injects loss. A reliable run caches nothing:
+    /// cached payloads pin their buffers and defeat reclaim, for replays
+    /// that can never be requested.
+    pub(crate) loss_recovery: bool,
+}
+
+impl<B, R> BlockTable<B, R> {
+    fn new(children: u16) -> Self {
+        Self {
+            children,
+            open: BlockSlab::new(BlockSlab::<B>::DEFAULT_SLOTS),
+            retired: RetirementFloor::new(),
+            replay: ReplayRing::new(ReplayRing::<R>::DEFAULT_CAPACITY),
+            spare: Vec::new(),
+            loss_recovery: false,
+        }
+    }
+
+    /// Admit a packet of `block` from `child`: the open block — opened
+    /// with `open` (handed a spare shell when one is kept) if this is its
+    /// first packet — and whether this packet opened it. `None` when the
+    /// packet is dropped: `child` is out of range, or the block already
+    /// finished here and the packet is a retransmission, which `poke`
+    /// answers from the replay entry (unless evicted: the next
+    /// retransmission retries).
+    fn admit(
+        &mut self,
+        block: u64,
+        child: u16,
+        open: impl FnOnce(Option<B>) -> B,
+        poke: impl FnOnce(&R),
+    ) -> Option<(&mut B, bool)> {
+        if child >= self.children {
+            return None;
+        }
+        if self.retired.is_retired(block) {
+            if let Some(entry) = self.replay.get(block) {
+                poke(entry);
+            }
+            return None;
+        }
+        let mut opened = false;
+        let spare = &mut self.spare;
+        let entry = self.open.get_or_insert_with(block, || {
+            opened = true;
+            open(spare.pop())
+        });
+        // `None`: below the slab floor, so retired too.
+        entry.map(|b| (b, opened))
+    }
+
+    /// Close `block`: out of the slab, retired, slab floor raised in
+    /// lockstep. The shell comes back for the caller to strip and
+    /// [`park`](Self::park).
+    fn retire(&mut self, block: u64) -> B {
+        let shell = self.open.remove(block).expect("retiring an open block");
+        let floor = self.retired.retire(block);
+        self.open.set_floor(floor);
+        shell
+    }
+
+    fn park(&mut self, shell: B) {
+        if self.spare.len() < SPARE_BLOCKS {
+            self.spare.push(shell);
+        }
+    }
+}
+
+/// Dense block storage: a parameter of [`DenseCore`], because a slab
+/// stores its entries inline. NetSim keeps a bare [`TreeBlock`] (the
+/// single/multi/tree distinction only changes switch timing there, which
+/// the calibrated processing rate captures); PsPIN keeps the design its
+/// Section 6.4 policy picked plus the block's home cluster.
+pub(crate) trait DenseStorage<T: Element>: Sized {
+    /// Fold one child's contribution, charging what that costs on `side`.
+    fn fold<O: ReduceOp<T>>(
+        &mut self,
+        side: &mut Side<'_, '_>,
+        op: &O,
+        block: u64,
+        child: u16,
+        vals: &DenseView<'_, T>,
+        pool: &mut BufferPool<T>,
+    ) -> InsertReport<T>;
+
+    /// A finished block's shell, reset for reuse — or `None` to drop it.
+    fn recycle(self) -> Option<Self>;
+}
+
+impl<T: Element> DenseStorage<T> for TreeBlock<T> {
+    fn fold<O: ReduceOp<T>>(
+        &mut self,
+        _side: &mut Side<'_, '_>,
+        op: &O,
+        _block: u64,
+        child: u16,
+        vals: &DenseView<'_, T>,
+        pool: &mut BufferPool<T>,
+    ) -> InsertReport<T> {
+        self.insert_from(op, child, vals, pool)
+    }
+
+    fn recycle(mut self) -> Option<Self> {
+        self.reset();
+        Some(self)
+    }
+}
+
+/// The dense block lifecycle of one (switch, allreduce).
+pub(crate) struct DenseCore<T: Element, O, D> {
+    op: O,
+    pub(crate) table: BlockTable<D, Bytes>,
+    val_pool: BufferPool<T>,
+    /// Encode scratch, replenished from consumed contribution payloads.
+    pub(crate) scratch: BufferPool<u8>,
+}
+
+impl<T: Element, O: ReduceOp<T>, D: DenseStorage<T>> DenseCore<T, O, D> {
+    pub(crate) fn new(children: u16, op: O) -> Self {
+        Self {
+            op,
+            table: BlockTable::new(children),
+            val_pool: BufferPool::new(),
+            scratch: BufferPool::new(),
+        }
+    }
+
+    pub(crate) fn stats(&self) -> ProgramStats {
+        ProgramStats {
+            agg_pool: self.val_pool.stats(),
+            byte_pool: self.scratch.stats(),
+            slab: self.table.open.stats(),
+        }
+    }
+
+    fn cache(&mut self, block: u64, payload: Bytes) {
+        if let Some(evicted) = self.table.replay.put(block, payload) {
+            self.scratch.reclaim(evicted);
+        }
+    }
+
+    /// One child's contribution to `block`. `open` builds the block's
+    /// storage from a spare shell or from scratch; a completed result goes
+    /// to `capture` when given, else back to the pool. Returns whether the
+    /// packet was consumed (folded, or rejected as a duplicate) rather
+    /// than dropped.
+    pub(crate) fn on_contrib(
+        &mut self,
+        side: &mut Side<'_, '_>,
+        block: u64,
+        header: &Header,
+        vals: &DenseView<'_, T>,
+        open: impl FnOnce(Option<D>) -> D,
+        capture: Option<&mut Captured<Vec<T>>>,
+    ) -> bool {
+        let poke = |cached: &Bytes| Self::answer_retired_poke(side, block, header.child, cached);
+        let Some((store, _)) = self.table.admit(block, header.child, open, poke) else {
+            return false;
+        };
+        let report = store.fold(
+            side,
+            &self.op,
+            block,
+            header.child,
+            vals,
+            &mut self.val_pool,
+        );
+        if report.duplicate {
+            return true; // retransmission: the bitmap already covers this child
+        }
+        let buffers = report.buffers_allocated as i64 - report.buffers_freed as i64;
+        side.working_mem(buffers * (vals.len() * T::WIRE_BYTES) as i64);
+        let Some(result) = report.result else {
+            return true;
+        };
+        if let Some(shell) = self.table.retire(block).recycle() {
+            self.table.park(shell);
+        }
+        // One encode per block: the payload actually sent (up as a
+        // contribution, or down as the result) doubles as the replay
+        // entry on lossy fabrics.
+        let (to, kind) = if side.is_root() {
+            (To::Children, PacketKind::DenseResult)
+        } else {
+            (To::Parent, PacketKind::DenseContrib)
+        };
+        let header = Header {
+            allreduce: side.allreduce(),
+            block: block as u32,
+            child: side.stamp(to),
+            kind,
+            last_shard: false,
+            shard_count: 0,
+            elem_count: 0,
+        };
+        let mut buf = self
+            .scratch
+            .get(HEADER_BYTES + result.len() * T::WIRE_BYTES);
+        encode_dense_into(header, &result, &mut buf);
+        let payload = Bytes::from(buf);
+        side.send(to, block, kind, &payload);
+        if self.table.loss_recovery {
+            self.cache(block, payload);
+        }
+        side.complete(block);
+        match capture {
+            Some(results) => results.push((block, result)),
+            None => self.val_pool.put(result),
+        }
+        true
+    }
+
+    /// Answer a retransmitted contribution for a block already finished
+    /// here (paper Section 4.1: duplicate rejection + result replay). If
+    /// this switch has seen the block's final `DenseResult` (always true
+    /// at the root, where the result is produced), replay it down to the
+    /// poking child. Otherwise the loss may have been on our own uplink:
+    /// re-send the cached upward aggregate and let the result replicate
+    /// down normally once the parent completes — replaying the *partial*
+    /// subtree aggregate down as if it were the result would hand the
+    /// child a wrong vector.
+    fn answer_retired_poke(side: &mut Side<'_, '_>, block: u64, child: u16, cached: &Bytes) {
+        let result = PacketKind::DenseResult;
+        if matches!(Header::decode(cached), Ok((h, _)) if h.kind == result) {
+            side.send(To::Child(child), block, result, cached);
+        } else {
+            side.send(To::Parent, block, PacketKind::DenseContrib, cached);
+        }
+    }
+
+    /// A result from the parent: replicate it down to every child by
+    /// refcount (the payload is shared, not rebuilt).
+    pub(crate) fn on_result(&mut self, side: &mut Side<'_, '_>, block: u64, payload: &Bytes) {
+        if self.table.loss_recovery {
+            // The final result supersedes the cached upward aggregate:
+            // future pokes replay it directly instead of round-tripping
+            // through the parent.
+            self.cache(block, payload.clone());
+        }
+        side.send(To::Children, block, PacketKind::DenseResult, payload);
+    }
+}
+
+/// The one sparse block store: a hash table with a spill buffer where data
+/// is sparse, an array over the block span where it has densified.
+enum SparseStore<T: Element> {
+    Hash(SparseHashStore<T>),
+    Array(SparseArrayStore<T>),
+}
+
+impl<T: Element> SparseStore<T> {
+    fn memory_bytes(&self) -> usize {
+        match self {
+            SparseStore::Hash(h) => h.memory_bytes(),
+            SparseStore::Array(a) => a.memory_bytes(),
+        }
+    }
+}
+
+pub(crate) struct SparseBlock<T: Element> {
+    store: SparseStore<T>,
+    /// Per-child shard sequence tracking.
+    shards: Vec<ShardTracker>,
+    children_done: u16,
+    /// Shard packets already sent for this block (spill flushes) — also
+    /// the next shard sequence number, so spills and the final drain share
+    /// one contiguous sequence per block (the identity the shard-dedup
+    /// protocol relies on).
+    sent_up: u16,
+    /// Clones of the spill payloads sent while the block was open, so the
+    /// cached replay set covers the *whole* announced shard sequence, not
+    /// just the final drain. Empty unless loss recovery is on.
+    sent_cache: Vec<Bytes>,
+    home_cluster: usize,
+}
+
+/// Cached shard payloads of one finished block, the sparse counterpart of
+/// the dense single-payload replay entry.
+#[derive(Default)]
+pub(crate) struct SparseReplay {
+    /// Encoded shards this switch sent up (spills + the final drained
+    /// aggregate), replayed towards the parent while the block's result
+    /// has not come back down. Empty at the root.
+    up: Vec<Bytes>,
+    /// Encoded downward `SparseResult` shards: generated at the root,
+    /// recorded in passing at inner switches. Replayed to a poking child
+    /// once the set is complete.
+    down: Vec<Bytes>,
+    /// Completion of the downward set (duplicate shards rejected by
+    /// sequence number).
+    down_tracker: ShardTracker,
+}
+
+/// Send `pairs` chunked into shard packets of at most `per` pairs: up to
+/// the parent (spill shards as `SparseSpill`, the `last` burst as
+/// `SparseContrib`), or — at the root, where every shard is part of the
+/// result — down to every child as `SparseResult`. Chunks get consecutive
+/// shard sequence numbers starting at `first_seq`; the wire's
+/// `shard_count` field carries the sequence number on non-last shards and
+/// the announced total on the last one. Payload clones go to `keep` (the
+/// replay set) when given.
+#[allow(clippy::too_many_arguments)]
+fn send_shards<T: Element>(
+    side: &mut Side<'_, '_>,
+    scratch: &mut BufferPool<u8>,
+    per: usize,
+    block: u64,
+    pairs: &[(u32, T)],
+    first_seq: u16,
+    last: bool,
+    mut keep: Option<&mut Vec<Bytes>>,
+) {
+    // An empty pair set still sends one header-only packet (paper
+    // Section 7 "Empty blocks"), hence the `.max(1)`.
+    let chunks = pairs.len().div_ceil(per).max(1);
+    let (to, kind) = match (side.is_root(), last) {
+        (true, _) => (To::Children, PacketKind::SparseResult),
+        (false, true) => (To::Parent, PacketKind::SparseContrib),
+        (false, false) => (To::Parent, PacketKind::SparseSpill),
+    };
+    let (allreduce, child) = (side.allreduce(), side.stamp(to));
+    for i in 0..chunks {
+        let chunk = &pairs[(i * per).min(pairs.len())..((i + 1) * per).min(pairs.len())];
+        let last_shard = last && i + 1 == chunks;
+        let (seq, total) = (first_seq + i as u16, first_seq + chunks as u16);
+        let header = Header {
+            allreduce,
+            block: block as u32,
+            child,
+            kind,
+            last_shard,
+            shard_count: Header::shard_seq_field(last_shard, seq, total),
+            elem_count: 0,
+        };
+        let mut buf = scratch.get(HEADER_BYTES + chunk.len() * (4 + T::WIRE_BYTES));
+        encode_sparse_into(header, chunk, &mut buf);
+        let payload = Bytes::from(buf);
+        side.send(to, block, kind, &payload);
+        if let Some(keep) = keep.as_deref_mut() {
+            keep.push(payload);
+        }
+    }
+}
+
+/// The sparse block lifecycle of one (switch, allreduce) — paper Section 7.
+pub(crate) struct SparseCore<T: Element, O> {
+    op: O,
+    storage: SparseStorageKind,
+    pub(crate) table: BlockTable<SparseBlock<T>, SparseReplay>,
+    pairs_per_packet: usize,
+    pair_pool: BufferPool<(u32, T)>,
+    /// Encode scratch, replenished from consumed contribution payloads.
+    pub(crate) scratch: BufferPool<u8>,
+    /// Spilled elements forwarded unaggregated — the paper's Figure 14
+    /// "extra traffic".
+    pub(crate) spilled_elems: u64,
+}
+
+impl<T: Element, O: ReduceOp<T>> SparseCore<T, O> {
+    pub(crate) fn new(
+        children: u16,
+        op: O,
+        storage: SparseStorageKind,
+        pairs_per_packet: usize,
+    ) -> Self {
+        assert!(pairs_per_packet > 0);
+        Self {
+            op,
+            storage,
+            table: BlockTable::new(children),
+            pairs_per_packet,
+            pair_pool: BufferPool::new(),
+            scratch: BufferPool::new(),
+            spilled_elems: 0,
+        }
+    }
+
+    pub(crate) fn stats(&self) -> ProgramStats {
+        ProgramStats {
+            agg_pool: self.pair_pool.stats(),
+            byte_pool: self.scratch.stats(),
+            slab: self.table.open.stats(),
+        }
+    }
+
+    /// One shard of one child's contribution to `block` (a child switch's
+    /// spill shards arrive the same way and count towards its announced
+    /// total). A completed result goes to `capture`, sorted by index, when
+    /// given, else back to the pool. Returns whether the packet was
+    /// consumed rather than dropped.
+    pub(crate) fn on_contrib(
+        &mut self,
+        side: &mut Side<'_, '_>,
+        block: u64,
+        header: &Header,
+        pairs: &SparseView<'_, T>,
+        capture: Option<&mut Captured<Vec<(u32, T)>>>,
+    ) -> bool {
+        let (op, children, storage) = (&self.op, self.table.children, self.storage);
+        let (per, scratch) = (self.pairs_per_packet, &mut self.scratch);
+        let keep = self.table.loss_recovery;
+        // A new block's store lives in the L1 of the cluster that opens it.
+        let opener = side.hpu().map_or(0, |ctx| ctx.cluster);
+        let open = |spare: Option<SparseBlock<T>>| match spare {
+            // A drained shell's store is already empty; only the
+            // bookkeeping needs resetting.
+            Some(mut b) => {
+                b.shards.fill(ShardTracker::default());
+                b.children_done = 0;
+                b.sent_up = 0;
+                b.sent_cache.clear();
+                b.home_cluster = opener;
+                b
+            }
+            None => SparseBlock {
+                store: match storage {
+                    SparseStorageKind::Hash { slots, spill_cap } => {
+                        SparseStore::Hash(SparseHashStore::new(slots, spill_cap))
+                    }
+                    SparseStorageKind::Array { span } => {
+                        SparseStore::Array(SparseArrayStore::new(op, span))
+                    }
+                },
+                shards: vec![ShardTracker::default(); children as usize],
+                children_done: 0,
+                sent_up: 0,
+                sent_cache: Vec::new(),
+                home_cluster: opener,
+            },
+        };
+        let poke = |entry: &SparseReplay| Self::answer_retired_poke(side, block, header, entry);
+        let Some((b, opened)) = self.table.admit(block, header.child, open, poke) else {
+            return false;
+        };
+        if opened {
+            side.working_mem(b.store.memory_bytes() as i64);
+        }
+        // Shard protocol first: a retransmitted shard whose original made
+        // it through must not fold its pairs into the store a second time.
+        let event = b.shards[header.child as usize].on_shard(
+            header.shard_index(),
+            header.last_shard,
+            header.shard_count,
+        );
+        if event == ShardEvent::Duplicate {
+            return true; // rejected at parse cost, before taking the lock
+        }
+        side.sparse_lock(block, b, pairs.len());
+
+        // Aggregate straight from the packet view; spill flushes collect
+        // into a pooled batch.
+        let mut flushed = self.pair_pool.get(0);
+        let home = b.home_cluster;
+        match &mut b.store {
+            SparseStore::Hash(h) => pairs.for_each(|idx, val| match h.insert(op, idx, val) {
+                HashInsert::SpillFlush(batch) => {
+                    side.sparse_spill(block, home, batch.len());
+                    flushed.extend_from_slice(&batch);
+                    h.recycle_spill(batch);
+                }
+                HashInsert::Spilled => side.sparse_spill(block, home, 1),
+                _ => {}
+            }),
+            SparseStore::Array(a) => pairs.for_each(|idx, val| a.insert(op, idx, val)),
+        }
+        if !flushed.is_empty() {
+            // Spilled data leaves the switch unaggregated: extra traffic.
+            // The spill shards take the block's next sequence numbers and
+            // (on lossy fabrics) join its replay set.
+            self.spilled_elems += flushed.len() as u64;
+            let first_seq = b.sent_up;
+            b.sent_up += flushed.len().div_ceil(per) as u16;
+            let keep = keep.then_some(&mut b.sent_cache);
+            send_shards(side, scratch, per, block, &flushed, first_seq, false, keep);
+        }
+        if event == ShardEvent::Complete {
+            b.children_done += 1;
+        }
+        if b.children_done < children {
+            self.pair_pool.put(flushed);
+            return true;
+        }
+
+        // Every child delivered: drain the store into the pooled batch and
+        // send it as the burst that announces the block's shard total.
+        let mut done = self.table.retire(block);
+        flushed.clear();
+        let mut result = flushed;
+        match &mut done.store {
+            SparseStore::Hash(h) => h.drain_into(&mut result),
+            SparseStore::Array(a) => a.drain_into(&mut result),
+        }
+        side.sparse_flush(block, &done, result.len());
+        let mut sent = std::mem::take(&mut done.sent_cache);
+        let first_seq = done.sent_up;
+        self.table.park(done);
+        let kept = keep.then_some(&mut sent);
+        send_shards(side, scratch, per, block, &result, first_seq, true, kept);
+        if keep {
+            // Merged into any entry `on_result` already opened: root spill
+            // shards can pass down while this block is still open here,
+            // and overwriting would wipe their recorded down set.
+            let entry = self
+                .table
+                .replay
+                .get_or_insert_with(block, SparseReplay::default);
+            if side.is_root() {
+                // The shards just sent *are* the complete downward result.
+                entry.down = sent;
+                entry.down_tracker = ShardTracker::completed();
+            } else {
+                // The upward aggregate, awaiting its result.
+                entry.up = sent;
+            }
+        }
+        side.complete(block);
+        match capture {
+            Some(results) => {
+                result.sort_unstable_by_key(|&(i, _)| i);
+                results.push((block, result));
+            }
+            None => self.pair_pool.put(result),
+        }
+        true
+    }
+
+    /// Answer a retransmitted shard for a block already finished here —
+    /// the sparse mirror of [`DenseCore::answer_retired_poke`], replaying
+    /// whole shard sets. Responds only to the *last* shard of a
+    /// retransmission burst so one poke round triggers one replay, not one
+    /// per shard.
+    fn answer_retired_poke(
+        side: &mut Side<'_, '_>,
+        block: u64,
+        header: &Header,
+        entry: &SparseReplay,
+    ) {
+        if !header.last_shard {
+            return;
+        }
+        if entry.down_tracker.is_complete() {
+            // The full result passed through here: replay it to the
+            // poking child (hosts reject duplicates by shard sequence).
+            for payload in &entry.down {
+                side.send(
+                    To::Child(header.child),
+                    block,
+                    PacketKind::SparseResult,
+                    payload,
+                );
+            }
+        } else {
+            // Result not seen yet: the loss may have been on our uplink —
+            // re-send our aggregate (the parent dedups by shard sequence)
+            // and let the result replicate down normally.
+            for payload in &entry.up {
+                let kind =
+                    Header::decode(payload).map_or(PacketKind::SparseContrib, |(h, _)| h.kind);
+                side.send(To::Parent, block, kind, payload);
+            }
+        }
+    }
+
+    /// A result shard from the parent: replicate it down by refcount.
+    pub(crate) fn on_result(
+        &mut self,
+        side: &mut Side<'_, '_>,
+        block: u64,
+        header: &Header,
+        payload: &Bytes,
+    ) {
+        if self.table.loss_recovery {
+            // Record the passing shard so a later poke can be answered
+            // from here instead of round-tripping to the root (duplicate
+            // shards — themselves replays — are not cached twice).
+            let entry = self
+                .table
+                .replay
+                .get_or_insert_with(block, SparseReplay::default);
+            let event = entry.down_tracker.on_shard(
+                header.shard_index(),
+                header.last_shard,
+                header.shard_count,
+            );
+            if event != ShardEvent::Duplicate {
+                entry.down.push(payload.clone());
+            }
+        }
+        side.send(To::Children, block, PacketKind::SparseResult, payload);
+    }
+}

@@ -34,13 +34,14 @@
 use flare_des::Time;
 use flare_model::AggKind;
 use flare_net::{
-    NetReport, NetSim, NodeId, SwitchModel, TelemetryConfig, TelemetryReport, Topology,
+    HostProgram, NetReport, NetSim, NodeId, SwitchModel, SwitchProgram, TelemetryConfig,
+    TelemetryReport, Topology,
 };
 
 use crate::dtype::Element;
 use crate::handlers::SparseStorageKind;
 use crate::host::{result_sink, DenseFlareHost, HostConfig, ResultSink, SparseFlareHost};
-use crate::manager::{AdmissionError, AllreducePlan, AllreduceRequest, NetworkManager};
+use crate::manager::{AdmissionError, AllreducePlan, AllreduceRequest, NetworkManager, TreeSwitch};
 use crate::op::{ReduceOp, Sum};
 use crate::switch_prog::{FlareDenseProgram, FlareSparseProgram, TreePlacement};
 
@@ -199,6 +200,21 @@ pub struct SparsePolicy {
     pub span: usize,
     /// Use array storage at the root (otherwise hash everywhere).
     pub array_at_root: bool,
+}
+
+impl SparsePolicy {
+    /// The storage a switch of the tree uses: an array at the root when
+    /// [`array_at_root`](Self::array_at_root), a hash table elsewhere.
+    pub fn storage_at(&self, root: bool) -> SparseStorageKind {
+        if root && self.array_at_root {
+            SparseStorageKind::Array { span: self.span }
+        } else {
+            SparseStorageKind::Hash {
+                slots: self.hash_slots,
+                spill_cap: self.spill_cap,
+            }
+        }
+    }
 }
 
 impl Default for SparsePolicy {
@@ -894,21 +910,46 @@ impl<T: Element, O: ReduceOp<T> + Clone + 'static> Collective<'_, T, O> {
         // Lend the session's topology to the simulator and take it back
         // afterwards — no per-collective deep copy.
         let topo = std::mem::take(&mut self.session.topology);
+        let lossy = tuning.link_drop_prob > 0.0;
         let (ranks, net, trace, topo) = match resolved {
             Resolved::Dense(inputs) => {
-                execute_dense(topo, &hosts, &plan, op, inputs, &tuning, seed)
+                let epp = tuning.elems_per_packet;
+                let blocks = inputs[0].len().div_ceil(epp) as u64;
+                let program = |s: &TreeSwitch| -> Box<dyn SwitchProgram> {
+                    let place = placement_for(&plan, s.switch);
+                    Box::new(FlareDenseProgram::new(place, op.clone()).with_loss_recovery(lossy))
+                };
+                let host = |cfg, data, sink| -> Box<dyn HostProgram> {
+                    Box::new(DenseFlareHost::new(cfg, epp, data, sink))
+                };
+                execute(
+                    topo, &hosts, &plan, &tuning, seed, blocks, inputs, program, host,
+                )
             }
-            Resolved::Sparse { total_elems, pairs } => execute_sparse(
-                topo,
-                &hosts,
-                &plan,
-                op,
-                total_elems,
-                pairs,
-                self.policy,
-                &tuning,
-                seed,
-            ),
+            Resolved::Sparse { total_elems, pairs } => {
+                let (policy, ppp) = (self.policy, tuning.pairs_per_packet);
+                let blocks = total_elems.div_ceil(policy.span) as u64;
+                let program = |s: &TreeSwitch| -> Box<dyn SwitchProgram> {
+                    let place = placement_for(&plan, s.switch);
+                    let storage = policy.storage_at(s.parent.is_none());
+                    let prog = FlareSparseProgram::new(place, op.clone(), storage, ppp);
+                    Box::new(prog.with_loss_recovery(lossy))
+                };
+                let host = |cfg, pairs, sink| -> Box<dyn HostProgram> {
+                    Box::new(SparseFlareHost::new(
+                        cfg,
+                        op.clone(),
+                        total_elems,
+                        policy.span,
+                        ppp,
+                        pairs,
+                        sink,
+                    ))
+                };
+                execute(
+                    topo, &hosts, &plan, &tuning, seed, blocks, pairs, program, host,
+                )
+            }
         };
         self.session.topology = topo;
 
@@ -1097,18 +1138,22 @@ fn run_sim(sim: &mut NetSim, tuning: &Tuning) -> NetReport {
     }
 }
 
-/// Wire a dense run: per-switch Flare programs, per-host participants with
-/// staggered windows, one simulation. Returns the per-rank results, the
-/// network report, the telemetry capture (if enabled) and the topology
-/// (handed back for reuse).
-fn execute_dense<T: Element, O: ReduceOp<T> + Clone + 'static>(
+/// Wire a run: one Flare `program` per switch of the tree, one `host`
+/// participant per rank (built from its configuration, its input and the
+/// sink its result goes to) with staggered windows over `blocks` blocks,
+/// one simulation. Returns the per-rank results, the network report, the
+/// telemetry capture (if enabled) and the topology (handed back for reuse).
+#[allow(clippy::too_many_arguments)]
+fn execute<T, I>(
     topo: Topology,
     hosts: &[NodeId],
     plan: &AllreducePlan,
-    op: O,
-    inputs: Vec<Vec<T>>,
     tuning: &Tuning,
     seed: u64,
+    blocks: u64,
+    inputs: Vec<I>,
+    program: impl Fn(&TreeSwitch) -> Box<dyn SwitchProgram>,
+    host: impl Fn(HostConfig, I, ResultSink<T>) -> Box<dyn HostProgram>,
 ) -> (Vec<Vec<T>>, NetReport, Option<TelemetryReport>, Topology) {
     assert_eq!(hosts.len(), inputs.len(), "one input per host");
     let mut sim = NetSim::new(topo, seed);
@@ -1117,14 +1162,11 @@ fn execute_dense<T: Element, O: ReduceOp<T> + Clone + 'static>(
     }
     sim.set_uniform_drop_prob(tuning.link_drop_prob);
     for s in &plan.tree.switches {
-        let prog = FlareDenseProgram::new(placement_for(plan, s.switch), op.clone())
-            .with_loss_recovery(tuning.link_drop_prob > 0.0);
-        sim.install_switch_model(s.switch, Box::new(prog), tuning.switch_model.clone());
+        sim.install_switch_model(s.switch, program(s), tuning.switch_model.clone());
     }
-    let blocks = inputs[0].len().div_ceil(tuning.elems_per_packet) as u64;
     let step = stagger_step(plan.window, blocks, hosts.len());
     let mut sinks: Vec<ResultSink<T>> = Vec::with_capacity(hosts.len());
-    for (rank, (&h, data)) in hosts.iter().zip(inputs).enumerate() {
+    for (rank, (&h, input)) in hosts.iter().zip(inputs).enumerate() {
         let (leaf, child_index) = plan.tree.host_attach[&h];
         let sink = result_sink();
         sinks.push(sink.clone());
@@ -1138,85 +1180,7 @@ fn execute_dense<T: Element, O: ReduceOp<T> + Clone + 'static>(
             block_base: 0,
             wake_seq: 0,
         };
-        let host = DenseFlareHost::new(cfg, tuning.elems_per_packet, data, sink);
-        sim.install_host(h, Box::new(host));
-    }
-    let report = run_sim(&mut sim, tuning);
-    let trace = sim.take_telemetry();
-    let results = sinks
-        .into_iter()
-        .map(|s| s.lock().expect("sink lock").take().expect("host completed"))
-        .collect();
-    (results, report, trace, sim.into_topology())
-}
-
-/// Wire a sparse run: hash/array stores per the policy, shard-tracking
-/// hosts, one simulation. Returns the per-rank results, the network
-/// report, the telemetry capture (if enabled) and the topology (handed back
-/// for reuse).
-#[allow(clippy::too_many_arguments)]
-fn execute_sparse<T: Element, O: ReduceOp<T> + Clone + 'static>(
-    topo: Topology,
-    hosts: &[NodeId],
-    plan: &AllreducePlan,
-    op: O,
-    total_elems: usize,
-    inputs: Vec<Vec<(u32, T)>>,
-    policy: SparsePolicy,
-    tuning: &Tuning,
-    seed: u64,
-) -> (Vec<Vec<T>>, NetReport, Option<TelemetryReport>, Topology) {
-    assert_eq!(hosts.len(), inputs.len());
-    let mut sim = NetSim::new(topo, seed);
-    if let Some(cfg) = tuning.telemetry {
-        sim.enable_telemetry(cfg);
-    }
-    sim.set_uniform_drop_prob(tuning.link_drop_prob);
-    for s in &plan.tree.switches {
-        let storage = if s.parent.is_none() && policy.array_at_root {
-            SparseStorageKind::Array { span: policy.span }
-        } else {
-            SparseStorageKind::Hash {
-                slots: policy.hash_slots,
-                spill_cap: policy.spill_cap,
-            }
-        };
-        let prog = FlareSparseProgram::new(
-            placement_for(plan, s.switch),
-            op.clone(),
-            storage,
-            tuning.pairs_per_packet,
-        )
-        .with_loss_recovery(tuning.link_drop_prob > 0.0);
-        sim.install_switch_model(s.switch, Box::new(prog), tuning.switch_model.clone());
-    }
-    let blocks = total_elems.div_ceil(policy.span) as u64;
-    let step = stagger_step(plan.window, blocks, hosts.len());
-    let mut sinks: Vec<ResultSink<T>> = Vec::with_capacity(hosts.len());
-    for (rank, (&h, pairs)) in hosts.iter().zip(inputs).enumerate() {
-        let (leaf, child_index) = plan.tree.host_attach[&h];
-        let sink = result_sink();
-        sinks.push(sink.clone());
-        let cfg = HostConfig {
-            allreduce: plan.id,
-            leaf,
-            child_index,
-            window: plan.window,
-            stagger_offset: rank as u64 * step,
-            retransmit_after: tuning.retransmit_after,
-            block_base: 0,
-            wake_seq: 0,
-        };
-        let host = SparseFlareHost::new(
-            cfg,
-            op.clone(),
-            total_elems,
-            policy.span,
-            tuning.pairs_per_packet,
-            pairs,
-            sink,
-        );
-        sim.install_host(h, Box::new(host));
+        sim.install_host(h, host(cfg, input, sink));
     }
     let report = run_sim(&mut sim, tuning);
     let trace = sim.take_telemetry();

@@ -6,20 +6,19 @@
 //! (replicated to every child); sparse spills are forwarded up immediately
 //! and re-aggregated by the parent (paper Section 7).
 //!
-//! The per-packet datapath is zero-copy and allocation-free in steady
-//! state: contributions are folded straight out of the packet bytes via
-//! [`DenseView`]/[`SparseView`], aggregation and encode buffers cycle
-//! through per-program [`BufferPool`]s, open blocks live in a
-//! direct-mapped [`BlockSlab`] instead of a per-packet `HashMap` probe,
-//! and multicast replicates one encoded payload by `Bytes` refcount.
-//!
-//! On lossy sessions (`with_loss_recovery`) both programs implement the
-//! paper's Section 4.1 recovery: duplicate contributions are rejected
-//! (child bitmaps dense, shard-sequence tracking sparse) and a
-//! retransmitted contribution for a *retired* block is answered from a
-//! [`ReplayRing`] — with the cached result if it already passed through
-//! this switch, or by re-sending the cached upward aggregate towards the
-//! parent if it has not.
+//! Both programs are adapters: they parse the packet, charge the switch
+//! for it, and hand it to the one block protocol in `protocol.rs` as its
+//! NetSim side — emissions go to the [`TreePlacement`]'s parent and
+//! children at the packet's processing-done time. That core keeps the
+//! per-packet datapath zero-copy and allocation-free in steady state
+//! (contributions fold straight out of the packet bytes via
+//! [`DenseView`]/[`SparseView`], buffers cycle through per-program pools,
+//! multicast replicates one encoded payload by `Bytes` refcount) and, on
+//! lossy sessions (`with_loss_recovery`), implements the paper's Section
+//! 4.1 recovery: duplicate contributions are rejected, and a
+//! retransmitted contribution for a *retired* block is answered with the
+//! cached result if it already passed through this switch, or by
+//! re-sending the cached upward aggregate towards the parent if not.
 //!
 //! The processing time of each switch is modeled by
 //! [`flare_net::SwitchCtx::processing_done_for`]: under the session's
@@ -29,19 +28,15 @@
 //! scheduler of [`flare_net::compute`] — handlers of one block pinned
 //! hierarchical-FCFS to a core subset, exactly the Section 3 architecture.
 
-use bytes::Bytes;
-
 use flare_net::{NetPacket, NodeId, PortId, SwitchCtx, SwitchProgram};
 
 use crate::dense::TreeBlock;
 use crate::dtype::Element;
 use crate::handlers::SparseStorageKind;
 use crate::op::ReduceOp;
-use crate::pool::{BlockSlab, BufferPool, PoolStats, ReplayRing, RetirementFloor, SlabStats};
-use crate::sparse::{HashInsert, ShardEvent, ShardTracker, SparseArrayStore, SparseHashStore};
-use crate::wire::{
-    encode_dense_into, encode_sparse_into, DenseView, Header, PacketKind, SparseView, HEADER_BYTES,
-};
+use crate::pool::{PoolStats, SlabStats};
+use crate::protocol::{DenseCore, Side, SparseCore};
+use crate::wire::{DenseView, PacketKind, SparseView};
 
 /// Placement of a switch within one allreduce's reduction tree.
 #[derive(Debug, Clone)]
@@ -75,46 +70,15 @@ pub struct ProgramStats {
 /// captured by the calibrated processing rate instead.
 pub struct FlareDenseProgram<T: Element, O> {
     place: TreePlacement,
-    op: O,
-    blocks: BlockSlab<TreeBlock<T>>,
-    /// Which blocks have completed here: floor comparison on the hot
-    /// path, with the slab floor raised in lockstep.
-    retired: RetirementFloor,
-    /// Encoded payloads of completed blocks kept for duplicate-contribution
-    /// replays (cheap `Bytes` clones on the loss path): the upward
-    /// aggregate until the block's `DenseResult` passes through, then the
-    /// result itself. Only populated under
-    /// [`with_loss_recovery`](Self::with_loss_recovery).
-    replay: ReplayRing<Bytes>,
-    /// Whether the session injects loss: gates the replay-cache writes so
-    /// a reliable run keeps the exact allocation-free datapath (cached
-    /// payloads pin their buffers and defeat reclaim).
-    loss_recovery: bool,
-    val_pool: BufferPool<T>,
-    byte_pool: BufferPool<u8>,
-    /// Completed block shells (tree skeleton + bitmap) kept for reuse.
-    spare_blocks: Vec<TreeBlock<T>>,
-    /// Blocks fully aggregated at this switch (up-stream progress).
-    pub blocks_done: u64,
+    core: DenseCore<T, O, TreeBlock<T>>,
 }
-
-/// How many completed block shells a program keeps for reuse.
-const SPARE_BLOCKS: usize = 512;
 
 impl<T: Element, O: ReduceOp<T>> FlareDenseProgram<T, O> {
     /// Create the program for one switch of the tree.
     pub fn new(place: TreePlacement, op: O) -> Self {
         Self {
+            core: DenseCore::new(place.children.len() as u16, op),
             place,
-            op,
-            blocks: BlockSlab::new(BlockSlab::<TreeBlock<T>>::DEFAULT_SLOTS),
-            retired: RetirementFloor::new(),
-            replay: ReplayRing::new(ReplayRing::<Bytes>::DEFAULT_CAPACITY),
-            loss_recovery: false,
-            val_pool: BufferPool::new(),
-            byte_pool: BufferPool::new(),
-            spare_blocks: Vec::new(),
-            blocks_done: 0,
         }
     }
 
@@ -123,146 +87,13 @@ impl<T: Element, O: ReduceOp<T>> FlareDenseProgram<T, O> {
     /// it off so completed payloads recycle into the pools instead of
     /// being pinned for replays that can never be requested.
     pub fn with_loss_recovery(mut self, yes: bool) -> Self {
-        self.loss_recovery = yes;
+        self.core.table.loss_recovery = yes;
         self
     }
 
     /// Recycling counters for steady-state zero-allocation assertions.
     pub fn stats(&self) -> ProgramStats {
-        ProgramStats {
-            agg_pool: self.val_pool.stats(),
-            byte_pool: self.byte_pool.stats(),
-            slab: self.blocks.stats(),
-        }
-    }
-
-    fn cache_result(&mut self, block: u64, payload: Bytes) {
-        if let Some(evicted) = self.replay.put(block, payload) {
-            self.byte_pool.reclaim(evicted);
-        }
-    }
-
-    fn result_packet(&self, me: NodeId, dst: NodeId, block: u64, payload: Bytes) -> NetPacket {
-        NetPacket::new(
-            me,
-            dst,
-            self.place.allreduce,
-            block,
-            0,
-            PacketKind::DenseResult as u8,
-            0,
-            payload,
-        )
-    }
-
-    /// Encode `result` as `kind` into a pooled scratch buffer.
-    fn encode_payload(&mut self, block: u64, kind: PacketKind, child: u16, result: &[T]) -> Bytes {
-        let header = Header {
-            allreduce: self.place.allreduce,
-            block: block as u32,
-            child,
-            kind,
-            last_shard: false,
-            shard_count: 0,
-            elem_count: 0,
-        };
-        let mut buf = self
-            .byte_pool
-            .get(HEADER_BYTES + result.len() * T::WIRE_BYTES);
-        encode_dense_into(header, result, &mut buf);
-        Bytes::from(buf)
-    }
-
-    fn finish_block(&mut self, ctx: &mut SwitchCtx<'_>, at: u64, block: u64, result: &[T]) {
-        let me = ctx.node();
-        // One encode per block: the payload actually sent (up as a
-        // contribution, or down as the result) doubles as the replay
-        // cache entry on lossy sessions.
-        let payload = match self.place.parent {
-            Some(parent) => {
-                let payload = self.encode_payload(
-                    block,
-                    PacketKind::DenseContrib,
-                    self.place.my_child_index,
-                    result,
-                );
-                let pkt = NetPacket::new(
-                    me,
-                    parent,
-                    self.place.allreduce,
-                    block,
-                    self.place.my_child_index,
-                    PacketKind::DenseContrib as u8,
-                    0,
-                    payload.clone(),
-                );
-                ctx.send_at(at, pkt);
-                payload
-            }
-            None => {
-                // Root: broadcast the fully-reduced block down the tree,
-                // one refcount bump per child.
-                let payload = self.encode_payload(block, PacketKind::DenseResult, 0, result);
-                for i in 0..self.place.children.len() {
-                    let child = self.place.children[i];
-                    let pkt = self.result_packet(me, child, block, payload.clone());
-                    ctx.send_at(at, pkt);
-                }
-                payload
-            }
-        };
-        if self.loss_recovery {
-            self.cache_result(block, payload);
-        }
-    }
-
-    /// Answer a retransmitted contribution for a block already finished
-    /// here (paper Section 4.1: duplicate rejection + result replay). If
-    /// this switch has seen the block's final `DenseResult` (always true
-    /// at the root, where the result is produced), replay it down to the
-    /// poking child. Otherwise the loss may have been on our own uplink:
-    /// re-send the cached upward aggregate and let the result replicate
-    /// down normally once the parent completes — replaying the *partial*
-    /// subtree aggregate down as if it were the result would hand the
-    /// child a wrong vector.
-    fn answer_retired_poke(
-        &mut self,
-        ctx: &mut SwitchCtx<'_>,
-        at: u64,
-        block: u64,
-        poking_child: u16,
-    ) {
-        let Some(cached) = self.replay.get(block).cloned() else {
-            return; // evicted: the next retransmission retries
-        };
-        let me = ctx.node();
-        let is_result = matches!(
-            Header::decode(&cached),
-            Ok((
-                Header {
-                    kind: PacketKind::DenseResult,
-                    ..
-                },
-                _,
-            ))
-        );
-        if is_result {
-            let child = self.place.children[poking_child as usize];
-            let replay = self.result_packet(me, child, block, cached);
-            ctx.send_at(at, replay);
-        } else if let Some(parent) = self.place.parent {
-            let pkt = NetPacket::new(
-                me,
-                parent,
-                self.place.allreduce,
-                block,
-                self.place.my_child_index,
-                PacketKind::DenseContrib as u8,
-                0,
-                cached,
-            );
-            ctx.send_at(at, pkt);
-        }
+        self.core.stats()
     }
 }
 
@@ -272,73 +103,27 @@ impl<T: Element, O: ReduceOp<T> + 'static> SwitchProgram for FlareDenseProgram<T
     }
 
     fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, _in_port: PortId, pkt: NetPacket) {
-        let Ok((header, view)) = DenseView::<T>::parse(&pkt.payload) else {
+        let Ok((header, vals)) = DenseView::<T>::parse(&pkt.payload) else {
             return;
         };
-        match header.kind {
-            PacketKind::DenseContrib => {
-                let fin = ctx.processing_done_for(pkt.block, pkt.wire_bytes);
-                if self.retired.is_retired(pkt.block) {
-                    // Retransmitted contribution for a finished block: the
-                    // child evidently missed something downstream.
-                    self.answer_retired_poke(ctx, fin, pkt.block, header.child);
-                    return;
-                }
-                let children = self.place.children.len() as u16;
-                if self.blocks.get_mut(pkt.block).is_none() {
-                    // Reuse a completed block shell when one is spare.
-                    let fresh = match self.spare_blocks.pop() {
-                        Some(mut b) => {
-                            b.reset();
-                            b
-                        }
-                        None => TreeBlock::new(children),
-                    };
-                    if self
-                        .blocks
-                        .get_or_insert_with(pkt.block, || fresh)
-                        .is_none()
-                    {
-                        return; // below the slab floor: retired block
-                    }
-                }
-                let blk = self.blocks.get_mut(pkt.block).expect("present");
-                let report = blk.insert_from(&self.op, header.child, &view, &mut self.val_pool);
-                if let Some(result) = report.result {
-                    let shell = self.blocks.remove(pkt.block).expect("present");
-                    if self.spare_blocks.len() < SPARE_BLOCKS {
-                        self.spare_blocks.push(shell);
-                    }
-                    self.blocks_done += 1;
-                    let floor = self.retired.retire(pkt.block);
-                    self.blocks.set_floor(floor);
-                    self.finish_block(ctx, fin, pkt.block, &result);
-                    self.val_pool.put(result);
-                }
-                // The contribution is consumed: recycle its buffer as
-                // encode scratch for outgoing packets.
-                self.byte_pool.reclaim(pkt.payload);
-            }
-            PacketKind::DenseResult => {
-                // From the parent: replicate down to every child by
-                // refcount (the payload is shared, not rebuilt).
-                let fin = ctx.processing_done_for(pkt.block, pkt.wire_bytes);
-                if self.loss_recovery {
-                    // The final result supersedes the cached upward
-                    // aggregate: future pokes replay it directly instead
-                    // of round-tripping through the parent.
-                    self.cache_result(pkt.block, pkt.payload.clone());
-                }
-                let me = ctx.node();
-                for i in 0..self.place.children.len() {
-                    let child = self.place.children[i];
-                    let mut copy = pkt.clone();
-                    copy.src = me;
-                    copy.dst = child;
-                    ctx.send_at(fin, copy);
-                }
-            }
-            _ => {}
+        let contrib = match header.kind {
+            PacketKind::DenseContrib => true,
+            PacketKind::DenseResult => false,
+            _ => return,
+        };
+        let at = ctx.processing_done_for(pkt.block, pkt.wire_bytes);
+        let place = &self.place;
+        let open = |spare: Option<TreeBlock<T>>| {
+            spare.unwrap_or_else(|| TreeBlock::new(place.children.len() as u16))
+        };
+        let mut side = Side::Net { ctx, place, at };
+        if !contrib {
+            self.core.on_result(&mut side, pkt.block, &pkt.payload);
+        } else if self
+            .core
+            .on_contrib(&mut side, pkt.block, &header, &vals, open, None)
+        {
+            self.core.scratch.reclaim(pkt.payload);
         }
     }
 
@@ -347,304 +132,39 @@ impl<T: Element, O: ReduceOp<T> + 'static> SwitchProgram for FlareDenseProgram<T
     }
 }
 
-/// Sparse Flare aggregation program for one switch (Section 7).
+/// Sparse Flare aggregation program for one switch (Section 7). Leaves
+/// typically use hash storage, the root an array (paper: data densifies
+/// toward the root).
 pub struct FlareSparseProgram<T: Element, O> {
     place: TreePlacement,
-    op: O,
-    storage: SparseStorageKind,
-    pairs_per_packet: usize,
-    blocks: BlockSlab<SparseSwitchBlock<T>>,
-    /// Which blocks have completed here: late/duplicate packets for a
-    /// retired block are rejected by comparison instead of re-opening a
-    /// ghost block (which would emit a spurious second result).
-    retired: RetirementFloor,
-    /// Per-block shard payload sets kept for loss-path replays. Only
-    /// populated under [`with_loss_recovery`](Self::with_loss_recovery).
-    replay: ReplayRing<SparseReplay>,
-    /// Whether the session injects loss: gates the replay caches so a
-    /// reliable run keeps the exact allocation-free datapath.
-    loss_recovery: bool,
-    pair_pool: BufferPool<(u32, T)>,
-    byte_pool: BufferPool<u8>,
-    /// Drained block shells (store + trackers) kept for reuse.
-    spare_blocks: Vec<SparseSwitchBlock<T>>,
-    /// Spilled elements forwarded unaggregated (extra-traffic metric).
-    pub spilled_elems: u64,
-    /// Blocks fully aggregated here.
-    pub blocks_done: u64,
-}
-
-struct SparseSwitchBlock<T: Element> {
-    store: SparseStore<T>,
-    shards: Vec<ShardTracker>,
-    children_done: u16,
-    /// Shard packets already sent towards the parent for this block
-    /// (spills) — also the next upward shard sequence number.
-    sent_up: u16,
-    /// Clones of the shard payloads sent towards the parent while the
-    /// block was open (spill shards), kept so a retransmission can replay
-    /// them. Empty unless loss recovery is on.
-    sent_cache: Vec<Bytes>,
-}
-
-/// Cached shard payloads of one block completed at this switch, the
-/// sparse counterpart of the dense single-payload replay entry.
-#[derive(Default)]
-struct SparseReplay {
-    /// Encoded shards this switch sent up (spills + the final drained
-    /// aggregate), replayed towards the parent while the block's result
-    /// has not come back down. Empty at the root.
-    up: Vec<Bytes>,
-    /// Encoded downward `SparseResult` shards: generated at the root,
-    /// recorded in passing at inner switches. Replayed to a poking child
-    /// once the set is complete.
-    down: Vec<Bytes>,
-    /// Completion of the downward set (duplicate shards rejected by
-    /// sequence number).
-    down_tracker: ShardTracker,
-}
-
-enum SparseStore<T: Element> {
-    Hash(SparseHashStore<T>),
-    Array(SparseArrayStore<T>),
+    core: SparseCore<T, O>,
 }
 
 impl<T: Element, O: ReduceOp<T>> FlareSparseProgram<T, O> {
-    /// Create the program. Leaves typically use hash storage, the root an
-    /// array (paper: data densifies toward the root).
+    /// Create the program for one switch of the tree.
     pub fn new(
         place: TreePlacement,
         op: O,
         storage: SparseStorageKind,
         pairs_per_packet: usize,
     ) -> Self {
-        assert!(pairs_per_packet > 0);
+        let children = place.children.len() as u16;
         Self {
+            core: SparseCore::new(children, op, storage, pairs_per_packet),
             place,
-            op,
-            storage,
-            pairs_per_packet,
-            blocks: BlockSlab::new(BlockSlab::<SparseSwitchBlock<T>>::DEFAULT_SLOTS),
-            retired: RetirementFloor::new(),
-            replay: ReplayRing::new(ReplayRing::<Bytes>::DEFAULT_CAPACITY),
-            loss_recovery: false,
-            pair_pool: BufferPool::new(),
-            byte_pool: BufferPool::new(),
-            spare_blocks: Vec::new(),
-            spilled_elems: 0,
-            blocks_done: 0,
         }
     }
 
     /// Enable (or disable) the loss-recovery replay caches; see
     /// [`FlareDenseProgram::with_loss_recovery`].
     pub fn with_loss_recovery(mut self, yes: bool) -> Self {
-        self.loss_recovery = yes;
+        self.core.table.loss_recovery = yes;
         self
     }
 
     /// Recycling counters for steady-state zero-allocation assertions.
     pub fn stats(&self) -> ProgramStats {
-        ProgramStats {
-            agg_pool: self.pair_pool.stats(),
-            byte_pool: self.byte_pool.stats(),
-            slab: self.blocks.stats(),
-        }
-    }
-
-    fn new_block(&self, children: u16) -> SparseSwitchBlock<T> {
-        SparseSwitchBlock {
-            store: match self.storage {
-                SparseStorageKind::Hash { slots, spill_cap } => {
-                    SparseStore::Hash(SparseHashStore::new(slots, spill_cap))
-                }
-                SparseStorageKind::Array { span } => {
-                    SparseStore::Array(SparseArrayStore::new(&self.op, span))
-                }
-            },
-            shards: vec![ShardTracker::default(); children as usize],
-            children_done: 0,
-            sent_up: 0,
-            sent_cache: Vec::new(),
-        }
-    }
-
-    /// Encode `pairs` for `block` as one shard packet toward `dst`,
-    /// drawing the wire buffer from `scratch`. Associated function so it
-    /// can run while a block borrow is still alive elsewhere.
-    #[allow(clippy::too_many_arguments)]
-    fn shard_packet(
-        allreduce: u32,
-        me: NodeId,
-        dst: NodeId,
-        block: u64,
-        kind: PacketKind,
-        child: u16,
-        pairs: &[(u32, T)],
-        last: bool,
-        count: u16,
-        scratch: &mut BufferPool<u8>,
-    ) -> NetPacket {
-        let header = Header {
-            allreduce,
-            block: block as u32,
-            child,
-            kind,
-            last_shard: last,
-            shard_count: count,
-            elem_count: 0,
-        };
-        let mut buf = scratch.get(HEADER_BYTES + pairs.len() * (4 + T::WIRE_BYTES));
-        encode_sparse_into(header, pairs, &mut buf);
-        NetPacket::new(
-            me,
-            dst,
-            allreduce,
-            block,
-            child,
-            kind as u8,
-            0,
-            Bytes::from(buf),
-        )
-    }
-
-    /// Send `pairs` chunked into shard packets: up to the parent as
-    /// `up_kind`, or — at the root — multicast down to every child as
-    /// `SparseResult`, sharing each encoded chunk by refcount. Chunks get
-    /// consecutive shard sequence numbers starting at `first_seq` (the
-    /// wire's `shard_count` field carries the sequence number on non-last
-    /// shards, the announced `total_count` on the last one). Returns
-    /// payload clones for the replay cache when loss recovery is on.
-    #[allow(clippy::too_many_arguments)]
-    fn send_chunked(
-        &mut self,
-        ctx: &mut SwitchCtx<'_>,
-        at: u64,
-        block: u64,
-        up_kind: PacketKind,
-        pairs: &[(u32, T)],
-        mark_last: bool,
-        total_count: u16,
-        first_seq: u16,
-    ) -> Vec<Bytes> {
-        let me = ctx.node();
-        let per = self.pairs_per_packet;
-        // An empty pair set still sends one header-only packet (paper
-        // Section 7 "Empty blocks"), hence the `.max(1)`.
-        let chunk_count = pairs.len().div_ceil(per).max(1);
-        let mut sent = Vec::new();
-        for i in 0..chunk_count {
-            let chunk = &pairs[(i * per).min(pairs.len())..((i + 1) * per).min(pairs.len())];
-            let last = mark_last && i + 1 == chunk_count;
-            let seq_field = Header::shard_seq_field(last, first_seq + i as u16, total_count);
-            match self.place.parent {
-                Some(p) => {
-                    let out = Self::shard_packet(
-                        self.place.allreduce,
-                        me,
-                        p,
-                        block,
-                        up_kind,
-                        self.place.my_child_index,
-                        chunk,
-                        last,
-                        seq_field,
-                        &mut self.byte_pool,
-                    );
-                    if self.loss_recovery {
-                        sent.push(out.payload.clone());
-                    }
-                    ctx.send_at(at, out);
-                }
-                None => {
-                    // Root: one encode per chunk, one refcount bump per
-                    // child.
-                    let proto = Self::shard_packet(
-                        self.place.allreduce,
-                        me,
-                        me,
-                        block,
-                        PacketKind::SparseResult,
-                        0,
-                        chunk,
-                        last,
-                        seq_field,
-                        &mut self.byte_pool,
-                    );
-                    if self.loss_recovery {
-                        sent.push(proto.payload.clone());
-                    }
-                    for c in 0..self.place.children.len() {
-                        let child = self.place.children[c];
-                        let mut copy = proto.clone();
-                        copy.dst = child;
-                        ctx.send_at(at, copy);
-                    }
-                }
-            }
-        }
-        sent
-    }
-
-    /// Answer a retransmitted contribution for a block already finished
-    /// here — the sparse mirror of the dense
-    /// [`FlareDenseProgram::answer_retired_poke`], replaying whole shard
-    /// sets. Responds only to the *last* shard of a retransmission burst
-    /// so one poke round triggers one replay, not one per shard.
-    fn answer_retired_poke(
-        &mut self,
-        ctx: &mut SwitchCtx<'_>,
-        at: u64,
-        block: u64,
-        header: &Header,
-    ) {
-        if !header.last_shard {
-            return;
-        }
-        let Some(entry) = self.replay.get(block) else {
-            return; // evicted: the next retransmission retries
-        };
-        let me = ctx.node();
-        if entry.down_tracker.is_complete() {
-            // The full result passed through here: replay it to the
-            // poking child (hosts reject duplicates by shard sequence).
-            let payloads = entry.down.clone();
-            let child = self.place.children[header.child as usize];
-            for payload in payloads {
-                let pkt = NetPacket::new(
-                    me,
-                    child,
-                    self.place.allreduce,
-                    block,
-                    0,
-                    PacketKind::SparseResult as u8,
-                    0,
-                    payload,
-                );
-                ctx.send_at(at, pkt);
-            }
-        } else if let Some(parent) = self.place.parent {
-            // Result not seen yet: the loss may have been on our uplink —
-            // re-send our aggregate (the parent dedups by shard sequence)
-            // and let the result replicate down normally.
-            let payloads = entry.up.clone();
-            for payload in payloads {
-                let kind = Header::decode(&payload)
-                    .map(|(h, _)| h.kind)
-                    .unwrap_or(PacketKind::SparseContrib);
-                let pkt = NetPacket::new(
-                    me,
-                    parent,
-                    self.place.allreduce,
-                    block,
-                    self.place.my_child_index,
-                    kind as u8,
-                    0,
-                    payload,
-                );
-                ctx.send_at(at, pkt);
-            }
-        }
+        self.core.stats()
     }
 }
 
@@ -654,198 +174,25 @@ impl<T: Element, O: ReduceOp<T> + 'static> SwitchProgram for FlareSparseProgram<
     }
 
     fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, _in_port: PortId, pkt: NetPacket) {
-        let Ok((header, view)) = SparseView::<T>::parse(&pkt.payload) else {
+        let Ok((header, pairs)) = SparseView::<T>::parse(&pkt.payload) else {
             return;
         };
-        match header.kind {
-            PacketKind::SparseContrib | PacketKind::SparseSpill => {
-                let fin = ctx.processing_done_for(pkt.block, pkt.wire_bytes);
-                if self.retired.is_retired(pkt.block) {
-                    // Retransmitted shard for a finished block: replay
-                    // instead of silently dropping (Section 4.1).
-                    self.answer_retired_poke(ctx, fin, pkt.block, &header);
-                    return;
-                }
-                let children = self.place.children.len() as u16;
-                if self.blocks.get_mut(pkt.block).is_none() {
-                    // A drained shell's store is already empty; only the
-                    // shard trackers need resetting.
-                    let fresh = match self.spare_blocks.pop() {
-                        Some(mut b) => {
-                            for t in &mut b.shards {
-                                *t = ShardTracker::default();
-                            }
-                            b.children_done = 0;
-                            b.sent_up = 0;
-                            b.sent_cache.clear();
-                            b
-                        }
-                        None => self.new_block(children),
-                    };
-                    if self
-                        .blocks
-                        .get_or_insert_with(pkt.block, || fresh)
-                        .is_none()
-                    {
-                        return; // below the slab floor: retired block
-                    }
-                }
-                // Aggregate straight from the packet view; spill flushes
-                // collect into a pooled batch.
-                let mut flushed = self.pair_pool.get(0);
-                let block = self.blocks.get_mut(pkt.block).expect("present");
-                // Shard protocol first: a retransmitted shard whose
-                // original made it through must not fold its pairs into
-                // the store a second time (idempotency under duplicates).
-                let event = block.shards[header.child as usize].on_shard(
-                    header.shard_index(),
-                    header.last_shard,
-                    header.shard_count,
-                );
-                if event == ShardEvent::Duplicate {
-                    self.pair_pool.put(flushed);
-                    self.byte_pool.reclaim(pkt.payload);
-                    return;
-                }
-                match &mut block.store {
-                    SparseStore::Hash(h) => {
-                        view.for_each(|idx, val| {
-                            if let HashInsert::SpillFlush(batch) = h.insert(&self.op, idx, val) {
-                                flushed.extend_from_slice(&batch);
-                                h.recycle_spill(batch);
-                            }
-                        });
-                    }
-                    SparseStore::Array(a) => {
-                        view.for_each(|idx, val| {
-                            a.insert(&self.op, idx, val);
-                        });
-                    }
-                }
-                let mut spill_seq = 0;
-                if !flushed.is_empty() {
-                    spill_seq = block.sent_up;
-                    block.sent_up += flushed.len().div_ceil(self.pairs_per_packet) as u16;
-                }
-
-                // Spills from a child switch carry last=false and are
-                // counted in its final total.
-                if event == ShardEvent::Complete {
-                    block.children_done += 1;
-                }
-                let complete = block.children_done >= children;
-
-                if !flushed.is_empty() {
-                    // Spilled data leaves the switch unaggregated: extra
-                    // traffic.
-                    self.spilled_elems += flushed.len() as u64;
-                    let sent = self.send_chunked(
-                        ctx,
-                        fin,
-                        pkt.block,
-                        PacketKind::SparseSpill,
-                        &flushed,
-                        false,
-                        0,
-                        spill_seq,
-                    );
-                    if !sent.is_empty() {
-                        if let Some(b) = self.blocks.get_mut(pkt.block) {
-                            b.sent_cache.extend(sent);
-                        }
-                    }
-                }
-                flushed.clear();
-
-                if complete {
-                    // Complete: drain into the pooled batch and forward.
-                    let mut done = self.blocks.remove(pkt.block).expect("present");
-                    self.blocks_done += 1;
-                    let floor = self.retired.retire(pkt.block);
-                    self.blocks.set_floor(floor);
-                    let mut result = flushed;
-                    match &mut done.store {
-                        SparseStore::Hash(h) => h.drain_into(&mut result),
-                        SparseStore::Array(a) => a.drain_into(&mut result),
-                    }
-                    let chunks = result.len().div_ceil(self.pairs_per_packet).max(1);
-                    let first_seq = done.sent_up;
-                    let total_up = done.sent_up + chunks as u16;
-                    let mut sent_cache = std::mem::take(&mut done.sent_cache);
-                    if self.spare_blocks.len() < SPARE_BLOCKS {
-                        self.spare_blocks.push(done);
-                    }
-                    let sent = self.send_chunked(
-                        ctx,
-                        fin,
-                        pkt.block,
-                        PacketKind::SparseContrib,
-                        &result,
-                        true,
-                        total_up,
-                        first_seq,
-                    );
-                    if self.loss_recovery {
-                        sent_cache.extend(sent);
-                        // At the root the shards just sent *are* the
-                        // complete downward result. Elsewhere they are the
-                        // upward aggregate awaiting its result — merged
-                        // into any entry the SparseResult branch already
-                        // opened (root spill shards can pass down while
-                        // this block is still open here; overwriting
-                        // would wipe their recorded down set).
-                        if self.place.parent.is_some() {
-                            let entry = self
-                                .replay
-                                .get_or_insert_with(pkt.block, SparseReplay::default);
-                            entry.up = sent_cache;
-                        } else {
-                            self.replay.put(
-                                pkt.block,
-                                SparseReplay {
-                                    down: sent_cache,
-                                    down_tracker: ShardTracker::completed(),
-                                    up: Vec::new(),
-                                },
-                            );
-                        }
-                    }
-                    self.pair_pool.put(result);
-                } else {
-                    self.pair_pool.put(flushed);
-                }
-                self.byte_pool.reclaim(pkt.payload);
-            }
-            PacketKind::SparseResult => {
-                // From the parent: replicate down by refcount.
-                let fin = ctx.processing_done_for(pkt.block, pkt.wire_bytes);
-                if self.loss_recovery {
-                    // Record the passing result shard so a later poke can
-                    // be answered from here instead of round-tripping to
-                    // the root (duplicate shards — themselves replays —
-                    // are not cached twice).
-                    let entry = self
-                        .replay
-                        .get_or_insert_with(pkt.block, SparseReplay::default);
-                    if entry.down_tracker.on_shard(
-                        header.shard_index(),
-                        header.last_shard,
-                        header.shard_count,
-                    ) != ShardEvent::Duplicate
-                    {
-                        entry.down.push(pkt.payload.clone());
-                    }
-                }
-                let me = ctx.node();
-                for i in 0..self.place.children.len() {
-                    let child = self.place.children[i];
-                    let mut copy = pkt.clone();
-                    copy.src = me;
-                    copy.dst = child;
-                    ctx.send_at(fin, copy);
-                }
-            }
-            _ => {}
+        let contrib = match header.kind {
+            PacketKind::SparseContrib | PacketKind::SparseSpill => true,
+            PacketKind::SparseResult => false,
+            _ => return,
+        };
+        let at = ctx.processing_done_for(pkt.block, pkt.wire_bytes);
+        let place = &self.place;
+        let mut side = Side::Net { ctx, place, at };
+        if !contrib {
+            self.core
+                .on_result(&mut side, pkt.block, &header, &pkt.payload);
+        } else if self
+            .core
+            .on_contrib(&mut side, pkt.block, &header, &pairs, None)
+        {
+            self.core.scratch.reclaim(pkt.payload);
         }
     }
 
@@ -868,11 +215,22 @@ mod tests {
             my_child_index: 1,
         };
         let prog: FlareDenseProgram<i32, Sum> = FlareDenseProgram::new(p, Sum);
-        assert_eq!(prog.blocks_done, 0);
         let pkt = NetPacket::new(NodeId(1), NodeId(0), 3, 0, 0, 0, 0, bytes::Bytes::new());
         assert!(prog.matches(&pkt));
         let other = NetPacket::new(NodeId(1), NodeId(0), 4, 0, 0, 0, 0, bytes::Bytes::new());
         assert!(!prog.matches(&other));
+    }
+
+    #[test]
+    fn dense_slab_entries_are_bare_tree_blocks() {
+        // 1 024 inline slab slots per program, 128 programs at 512 hosts:
+        // a word more per entry is a measurable share of peak heap.
+        type Program = FlareDenseProgram<f32, Sum>;
+        fn entry_bytes<D>(_: fn(&Program) -> &DenseCore<f32, Sum, D>) -> usize {
+            std::mem::size_of::<D>()
+        }
+        let tree_block = std::mem::size_of::<TreeBlock<f32>>();
+        assert_eq!(entry_bytes(|program| &program.core), tree_block);
     }
 
     #[test]

@@ -25,8 +25,7 @@
 //! the parallel schedule reproducible across runs and thread counts. Local
 //! slots ascend in global order (node id; `2·link + dir`), so moving state
 //! between the whole-topology lane and the plan's lanes is a stable
-//! [scatter](PartitionPlan::scatter_nodes) /
-//! [gather](PartitionPlan::gather_nodes) by owner.
+//! scatter / gather by owner (`PartitionPlan::{scatter,gather}_nodes`).
 
 use flare_des::Time;
 

@@ -58,8 +58,9 @@ use rand::rngs::StdRng;
 use rand::RngExt;
 
 use flare_core::collectives::Sequencer;
-use flare_core::handlers::SparseStorageKind;
-use flare_core::host::{result_sink, DenseFlareHost, HostConfig, ResultSink, SparseFlareHost};
+use flare_core::host::{
+    result_sink, DenseFlareHost, FlareHost, HostConfig, Payload, ResultSink, SparseFlareHost,
+};
 use flare_core::op::Sum;
 use flare_core::report::{
     jain_index, FabricStats, HpuSwitchReport, PayloadSpec, TenantReport, TenantSection,
@@ -628,14 +629,7 @@ impl<'s> TrafficEngine<'s> {
                     PayloadSpec::Sparse { .. } => {
                         // Hash storage in the tree, array at the densified
                         // root — the same shape `Collective::run` wires.
-                        let storage = if rec.parent.is_none() && policy.array_at_root {
-                            SparseStorageKind::Array { span: policy.span }
-                        } else {
-                            SparseStorageKind::Hash {
-                                slots: policy.hash_slots,
-                                spill_cap: policy.spill_cap,
-                            }
-                        };
+                        let storage = policy.storage_at(rec.parent.is_none());
                         FlowSwitch::Sparse(
                             FlareSparseProgram::new(
                                 placement_for(plan, sw),
@@ -841,40 +835,16 @@ impl TenantStatic {
 
 /// The per-flow host program an iteration runs on: the payload half of
 /// the engine's flow-scoped program dispatch (the switch half is
-/// [`FlowSwitch`]). One variant per payload × op the engine admits.
-enum FlowHost {
-    Dense(DenseFlareHost<f32>),
-    Sparse(SparseFlareHost<f32, Sum>),
+/// [`FlowSwitch`]). Beyond [`HostProgram`] the engine needs one thing of
+/// it.
+trait FlowHost: HostProgram {
+    /// Blocks this incarnation's retransmission timer re-sent.
+    fn retransmits(&self) -> u64;
 }
 
-impl FlowHost {
-    fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
-        match self {
-            FlowHost::Dense(h) => h.on_start(ctx),
-            FlowHost::Sparse(h) => h.on_start(ctx),
-        }
-    }
-
-    fn on_packet(&mut self, ctx: &mut HostCtx<'_>, pkt: NetPacket) {
-        match self {
-            FlowHost::Dense(h) => h.on_packet(ctx, pkt),
-            FlowHost::Sparse(h) => h.on_packet(ctx, pkt),
-        }
-    }
-
-    fn on_wake(&mut self, ctx: &mut HostCtx<'_>, tag: u64) {
-        match self {
-            FlowHost::Dense(h) => h.on_wake(ctx, tag),
-            FlowHost::Sparse(h) => h.on_wake(ctx, tag),
-        }
-    }
-
-    /// Blocks this incarnation's retransmission timer re-sent.
+impl<P: Payload> FlowHost for FlareHost<P> {
     fn retransmits(&self) -> u64 {
-        match self {
-            FlowHost::Dense(h) => h.retransmits,
-            FlowHost::Sparse(h) => h.retransmits,
-        }
+        self.retransmits
     }
 }
 
@@ -890,7 +860,7 @@ struct Cell {
     job: usize,
     iter: usize,
     running: bool,
-    inner: Option<FlowHost>,
+    inner: Option<Box<dyn FlowHost>>,
     sink: ResultSink<f32>,
     checked: bool,
 }
@@ -1067,17 +1037,17 @@ impl TrafficHost {
                 wake_seq: g as u32,
             };
             let sink = result_sink();
-            let inner = match cell.stat.payload {
+            let inner: Box<dyn FlowHost> = match cell.stat.payload {
                 PayloadSpec::Dense => {
                     let data = vec![(cell.rank + 1) as f32; cell.stat.elems];
-                    FlowHost::Dense(DenseFlareHost::new(cfg, cell.stat.epp, data, sink.clone()))
+                    Box::new(DenseFlareHost::new(cfg, cell.stat.epp, data, sink.clone()))
                 }
                 PayloadSpec::Sparse { .. } => {
                     let v = (cell.rank + 1) as f32;
                     let pairs: Vec<(u32, f32)> = (0..cell.stat.nnz)
                         .map(|j| (cell.stat.sparse_index(j), v))
                         .collect();
-                    FlowHost::Sparse(SparseFlareHost::new(
+                    Box::new(SparseFlareHost::new(
                         cfg,
                         Sum,
                         cell.stat.elems,

@@ -1,19 +1,25 @@
 //! Edge cases across the stack: wide reduction trees (>64 children,
 //! exercising multi-word bitmaps), f16 end-to-end, duplicate retransmitted
 //! packets at the PsPIN layer, pass-through switch chains, ECMP spreading,
-//! and link-utilization telemetry.
+//! link-utilization telemetry, and the block protocol's two sides (NetSim
+//! switch programs, PsPIN handlers) fed the same packets.
 
 use bytes::Bytes;
 use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
 
 use flare::core::dense::TreeBlock;
 use flare::core::dtype::F16;
-use flare::core::handlers::{DenseAllreduceHandler, DenseHandlerConfig};
+use flare::core::handlers::{
+    DenseAllreduceHandler, DenseHandlerConfig, SparseAllreduceHandler, SparseHandlerConfig,
+    SparseStorageKind,
+};
 use flare::core::manager::compute_reduction_tree;
 use flare::core::session::FlareSession;
-use flare::core::wire::{encode_dense, Header, PacketKind};
+use flare::core::switch_prog::{FlareDenseProgram, FlareSparseProgram, TreePlacement};
+use flare::core::wire::{decode_sparse, encode_dense, encode_sparse, Header, PacketKind};
 use flare::model::AggKind;
-use flare::net::{LinkSpec, NetSim, Topology};
+use flare::net::{HostCtx, HostProgram, LinkSpec, NetPacket, NetSim, NodeId, Topology};
 use flare::prelude::{golden_reduce, Sum};
 use flare::pspin::engine::run_trace;
 use flare::pspin::{PspinConfig, PspinPacket, SchedulingPolicy};
@@ -251,4 +257,392 @@ fn single_element_and_single_block_allreduces_work() {
         .run()
         .unwrap();
     assert_eq!(out.ranks(), &[vec![42], vec![42]]);
+}
+
+// ---- One protocol, two sides -------------------------------------------
+//
+// The same contribution packets go through a root switch program on a star
+// (what its hosts receive) and through the matching PsPIN handler (what it
+// emits). Packets are spaced far enough apart that both sides fold them in
+// script order.
+
+/// Which protocol a script's packets speak.
+#[derive(Clone, Copy)]
+enum Proto {
+    Dense,
+    Sparse(SparseStorageKind),
+}
+
+/// `(send time, block, sending child, encoded packet)`.
+type Script = Vec<(u64, u64, u16, Bytes)>;
+
+const FLOW: u32 = 1;
+const PAIRS_PER_PACKET: usize = 8;
+const SPACING: u64 = 10_000;
+
+fn header(block: u64, child: u16, kind: PacketKind, last: bool, count: u16) -> Header {
+    Header {
+        allreduce: FLOW,
+        block: block as u32,
+        child,
+        kind,
+        last_shard: last,
+        shard_count: count,
+        elem_count: 0,
+    }
+}
+
+fn dense_script(children: u16, blocks: u64) -> Script {
+    let mut script = Script::new();
+    for b in 0..blocks {
+        for c in 0..children {
+            // Order-sensitive values: a different fold order would show.
+            let vals: Vec<f32> = (0..16)
+                .map(|i| 1e7 / (c as f32 + 1.5) + i as f32 * 0.37 + b as f32)
+                .collect();
+            let h = header(b, c, PacketKind::DenseContrib, false, 0);
+            script.push((script.len() as u64 * SPACING, b, c, encode_dense(h, &vals)));
+        }
+    }
+    script
+}
+
+/// Two blocks; each child sends each block as two shards of 12 pairs over
+/// overlapping indexes below 64.
+fn sparse_script(children: u16) -> Script {
+    let mut script = Script::new();
+    for b in 0..2u64 {
+        for c in 0..children {
+            for shard in 0..2u16 {
+                let pairs: Vec<(u32, f32)> = (0..12u32)
+                    .map(|i| {
+                        (
+                            (i * 5 + c as u32 * 3 + shard as u32 * 29) % 64,
+                            1.0 + c as f32,
+                        )
+                    })
+                    .collect();
+                let h = header(b, c, PacketKind::SparseContrib, shard == 1, shard * 2);
+                script.push((
+                    script.len() as u64 * SPACING,
+                    b,
+                    c,
+                    encode_sparse(h, &pairs),
+                ));
+            }
+        }
+    }
+    script
+}
+
+/// One cluster of four cores, scheduled hierarchically.
+fn one_cluster() -> PspinConfig {
+    PspinConfig {
+        clusters: 1,
+        cores_per_cluster: 4,
+        policy: SchedulingPolicy::Hierarchical { subset_size: 4 },
+        ..PspinConfig::paper()
+    }
+}
+
+/// Every payload the matching PsPIN handler emits, in emission order.
+fn through_handler(proto: Proto, children: u16, script: &Script) -> Vec<Bytes> {
+    let arrivals = script
+        .iter()
+        .map(|(t, b, c, p)| (*t, PspinPacket::new(FLOW, *b, *c, 0, p.clone())))
+        .collect();
+    let cfg = one_cluster();
+    let payloads = |e: &[(u64, PspinPacket)]| e.iter().map(|(_, p)| p.payload.clone()).collect();
+    match proto {
+        Proto::Dense => {
+            let cfg_h = DenseHandlerConfig {
+                allreduce: FLOW,
+                children,
+                algorithm: AggKind::Tree,
+                capture_results: false,
+            };
+            let handler = DenseAllreduceHandler::<f32, Sum>::new(cfg_h, Sum);
+            payloads(run_trace(cfg, handler, arrivals, true).1.emissions())
+        }
+        Proto::Sparse(storage) => {
+            let cfg_h = SparseHandlerConfig {
+                allreduce: FLOW,
+                children,
+                storage,
+                pairs_per_packet: PAIRS_PER_PACKET,
+                capture_results: false,
+            };
+            let handler = SparseAllreduceHandler::<f32, Sum>::new(cfg_h, Sum);
+            payloads(run_trace(cfg, handler, arrivals, true).1.emissions())
+        }
+    }
+}
+
+/// A host that sends its part of a script and keeps what comes back.
+struct Scripted {
+    switch: NodeId,
+    script: Script,
+    inbox: Arc<Mutex<Vec<Bytes>>>,
+}
+
+impl HostProgram for Scripted {
+    fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
+        let me = ctx.node();
+        for (at, block, child, payload) in self.script.drain(..) {
+            let kind = payload[10];
+            let pkt = NetPacket::new(me, self.switch, FLOW, block, child, kind, 0, payload);
+            ctx.send_at(at, pkt);
+        }
+    }
+
+    fn on_packet(&mut self, _ctx: &mut HostCtx<'_>, pkt: NetPacket) {
+        self.inbox.lock().unwrap().push(pkt.payload);
+    }
+}
+
+/// What each host of a star receives from the root switch program, in
+/// arrival order, and the bytes the run put on links.
+fn through_star(proto: Proto, children: u16, script: &Script) -> (Vec<Vec<Bytes>>, u64) {
+    let (topo, sw, hosts) = Topology::star(children as usize, LinkSpec::hundred_gig());
+    let mut sim = NetSim::new(topo, 7);
+    let place = TreePlacement {
+        allreduce: FLOW,
+        parent: None,
+        children: hosts.clone(),
+        my_child_index: 0,
+    };
+    match proto {
+        Proto::Dense => {
+            let prog = FlareDenseProgram::<f32, Sum>::new(place, Sum);
+            sim.install_switch(sw, Box::new(prog), 512.0);
+        }
+        Proto::Sparse(storage) => {
+            let prog = FlareSparseProgram::<f32, Sum>::new(place, Sum, storage, PAIRS_PER_PACKET);
+            sim.install_switch(sw, Box::new(prog), 512.0);
+        }
+    }
+    let mut inboxes = Vec::new();
+    for (c, &h) in hosts.iter().enumerate() {
+        let inbox = Arc::new(Mutex::new(Vec::new()));
+        inboxes.push(inbox.clone());
+        let script = script.iter().filter(|s| s.2 == c as u16).cloned().collect();
+        sim.install_host(
+            h,
+            Box::new(Scripted {
+                switch: sw,
+                script,
+                inbox,
+            }),
+        );
+    }
+    let report = sim.run(None);
+    let got = inboxes.iter().map(|i| i.lock().unwrap().clone()).collect();
+    (got, report.total_link_bytes)
+}
+
+const HASH_THAT_SPILLS: SparseStorageKind = SparseStorageKind::Hash {
+    slots: 4,
+    spill_cap: 4,
+};
+
+#[test]
+fn both_sides_produce_byte_identical_results() {
+    let children = 3;
+    let cases = [
+        ("dense tree", Proto::Dense, dense_script(children, 3)),
+        (
+            "sparse array",
+            Proto::Sparse(SparseStorageKind::Array { span: 64 }),
+            sparse_script(children),
+        ),
+        (
+            "sparse hash with spills",
+            Proto::Sparse(HASH_THAT_SPILLS),
+            sparse_script(children),
+        ),
+    ];
+    for (name, proto, script) in cases {
+        let mut emitted = through_handler(proto, children, &script);
+        assert!(
+            emitted.len() >= 2,
+            "{name}: every block must produce a result"
+        );
+        if matches!(proto, Proto::Sparse(HASH_THAT_SPILLS)) {
+            assert!(emitted.len() > 2 * 3, "{name}: the tiny table must spill");
+        }
+        emitted.sort();
+        let (received, _) = through_star(proto, children, &script);
+        for (host, mut got) in received.into_iter().enumerate() {
+            got.sort();
+            assert_eq!(got, emitted, "{name}: host {host} vs the handler");
+        }
+    }
+}
+
+/// A well-formed script, the same script behind one extra packet — sent
+/// first by child 0, claiming a child index the 3-child tree does not have
+/// — and that packet's size.
+fn with_rogue_packet(proto: Proto) -> (Script, Script, u64) {
+    let (clean, rogue) = match proto {
+        Proto::Dense => {
+            let h = header(0, 200, PacketKind::DenseContrib, false, 0);
+            (dense_script(3, 2), encode_dense(h, &[1.0f32; 16]))
+        }
+        Proto::Sparse(_) => {
+            let h = header(0, 3, PacketKind::SparseContrib, true, 1);
+            (sparse_script(3), encode_sparse(h, &[(3u32, 9.0f32)]))
+        }
+    };
+    let rogue_bytes = rogue.len() as u64;
+    let mut dirty = clean.clone();
+    for entry in &mut dirty {
+        entry.0 += SPACING; // the rogue packet is folded first
+    }
+    dirty.insert(0, (0, 0, 0, rogue));
+    (clean, dirty, rogue_bytes)
+}
+
+/// The handler neither panics on the rogue packet nor emits for it, and
+/// the well-formed children's results are unchanged.
+fn handler_drops_the_rogue_packet(proto: Proto) {
+    let (clean, dirty, _) = with_rogue_packet(proto);
+    let emitted = through_handler(proto, 3, &clean);
+    assert!(emitted.len() >= 2);
+    assert_eq!(through_handler(proto, 3, &dirty), emitted);
+}
+
+/// As above through a star: every host receives what it did without the
+/// rogue packet, and only that packet itself crossed a link.
+fn star_drops_the_rogue_packet(proto: Proto) {
+    let (clean, dirty, rogue_bytes) = with_rogue_packet(proto);
+    let (got_clean, bytes_clean) = through_star(proto, 3, &clean);
+    let (got_dirty, bytes_dirty) = through_star(proto, 3, &dirty);
+    assert!(got_clean.iter().all(|inbox| inbox.len() >= 2));
+    assert_eq!(got_dirty, got_clean);
+    assert_eq!(bytes_dirty, bytes_clean + rogue_bytes);
+}
+
+#[test]
+fn dense_handler_drops_an_out_of_range_child_index() {
+    handler_drops_the_rogue_packet(Proto::Dense);
+}
+
+#[test]
+fn sparse_handler_drops_an_out_of_range_child_index() {
+    handler_drops_the_rogue_packet(Proto::Sparse(HASH_THAT_SPILLS));
+}
+
+#[test]
+fn dense_program_drops_an_out_of_range_child_index() {
+    star_drops_the_rogue_packet(Proto::Dense);
+}
+
+#[test]
+fn sparse_program_drops_an_out_of_range_child_index() {
+    star_drops_the_rogue_packet(Proto::Sparse(HASH_THAT_SPILLS));
+}
+
+#[test]
+fn sparse_handler_replays_the_whole_shard_sequence_once_per_burst() {
+    // One child, one block sent as a two-shard burst into a table that
+    // spills; then the same burst twice more, after the block retired.
+    let burst: Vec<Bytes> = (0..2u16)
+        .map(|shard| {
+            let pairs: Vec<(u32, f32)> = (0..16u32).map(|i| (i + 16 * shard as u32, 1.0)).collect();
+            let h = header(0, 0, PacketKind::SparseContrib, shard == 1, shard * 2);
+            encode_sparse(h, &pairs)
+        })
+        .collect();
+    const ROUND: u64 = 100_000;
+    let arrivals = (0..3u64)
+        .flat_map(|round| {
+            let burst = &burst;
+            (0..2u64).map(move |i| {
+                let pkt = PspinPacket::new(FLOW, 0, 0, 0, burst[i as usize].clone());
+                (round * ROUND + i * SPACING, pkt)
+            })
+        })
+        .collect();
+    let handler = SparseAllreduceHandler::<f32, Sum>::new(
+        SparseHandlerConfig {
+            allreduce: FLOW,
+            children: 1,
+            storage: HASH_THAT_SPILLS,
+            pairs_per_packet: PAIRS_PER_PACKET,
+            capture_results: true,
+        },
+        Sum,
+    )
+    .with_loss_recovery(true);
+    let cfg = one_cluster();
+    let (_, engine) = run_trace(cfg, handler, arrivals, true);
+    assert_eq!(engine.handler().results().len(), 1, "reduced exactly once");
+    assert!(engine.handler().spilled_elems() > 0);
+
+    let in_window = |from: u64, to: u64| -> Vec<Bytes> {
+        let hits = engine
+            .emissions()
+            .iter()
+            .filter(|(t, _)| (from..to).contains(t));
+        hits.map(|(_, p)| p.payload.clone()).collect()
+    };
+    // The original: one contiguous announced sequence, spills then drain.
+    let sequence = in_window(0, ROUND);
+    for (i, payload) in sequence.iter().enumerate() {
+        let (h, _) = decode_sparse::<f32>(payload).unwrap();
+        assert_eq!(h.kind, PacketKind::SparseResult);
+        assert_eq!(h.shard_index() as usize, i);
+        assert_eq!(h.last_shard, i + 1 == sequence.len());
+    }
+    let (last, _) = decode_sparse::<f32>(sequence.last().unwrap()).unwrap();
+    assert_eq!(last.shard_count as usize, sequence.len());
+    assert!(sequence.len() > 2, "spill shards are part of the sequence");
+    for round in 1..3 {
+        // The burst's first shard is not answered; its last shard replays
+        // the whole sequence, once.
+        let start = round * ROUND;
+        assert_eq!(in_window(start, start + SPACING), Vec::<Bytes>::new());
+        assert_eq!(in_window(start + SPACING, start + ROUND), sequence);
+    }
+}
+
+#[test]
+fn remote_cluster_spill_pushes_pay_the_remote_l1_factor() {
+    // Global FCFS over two one-core clusters: both children's packets of
+    // block 0 arrive together, so child 1 is handled on the cluster that
+    // does not home the block, and every hold it takes on the block — the
+    // per-element insertions and each spill push alike — costs the
+    // remote-L1 factor.
+    let run = |policy| {
+        let arrivals = (0..2u16)
+            .map(|c| {
+                let pairs: Vec<(u32, f32)> = (0..64u32).map(|i| (i * 2 + c as u32, 1.0)).collect();
+                let h = header(0, c, PacketKind::SparseContrib, true, 1);
+                (0, PspinPacket::new(FLOW, 0, c, 0, encode_sparse(h, &pairs)))
+            })
+            .collect();
+        let cfg_h = SparseHandlerConfig {
+            allreduce: FLOW,
+            children: 2,
+            storage: HASH_THAT_SPILLS,
+            pairs_per_packet: PAIRS_PER_PACKET,
+            capture_results: true,
+        };
+        let handler = SparseAllreduceHandler::<f32, Sum>::new(cfg_h, Sum);
+        let cfg = PspinConfig {
+            clusters: 2,
+            cores_per_cluster: 1,
+            policy,
+            ..PspinConfig::paper()
+        };
+        let (report, engine) = run_trace(cfg, handler, arrivals, true);
+        assert_eq!(report.blocks_completed, 1);
+        assert!(engine.handler().spilled_elems() > 0);
+        report.duration_ns
+    };
+    let local = run(SchedulingPolicy::Hierarchical { subset_size: 1 });
+    let remote = run(SchedulingPolicy::GlobalFcfs);
+    // Pinned to the pre-core handler: with the spill pushes charged as
+    // cluster-local the global-FCFS run ends at 41 952 ns.
+    assert_eq!((local, remote), (4_712, 58_080));
 }
