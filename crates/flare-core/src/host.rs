@@ -506,16 +506,19 @@ pub type SparseFlareHost<T, O> = FlareHost<SparsePayload<T, O>>;
 pub struct SparsePayload<T, O> {
     op: O,
     span: usize,
-    /// Per-block shards of block-relative pairs, kept until the block's
-    /// result completes so overdue blocks can be re-sent.
-    shards_out: Vec<Vec<Vec<(u32, T)>>>,
+    pairs_per_packet: usize,
+    /// Every block's block-relative pairs, ordered by block and within a
+    /// block as given; kept to the end so overdue blocks can be re-sent.
+    pairs: Vec<(u32, T)>,
+    /// Block `b` owns `pairs[offsets[b]..offsets[b + 1]]`.
+    offsets: Vec<u32>,
     trackers: Vec<ShardTracker>,
     result: Vec<T>,
 }
 
 impl<T: Element, O: ReduceOp<T>> FlareHost<SparsePayload<T, O>> {
-    /// Create a sparse participant. `pairs` must be sorted by index and
-    /// within `0..total_elems`.
+    /// Create a sparse participant. `pairs` must be within
+    /// `0..total_elems`; a block sends its pairs in the order given.
     pub fn new(
         cfg: HostConfig,
         op: O,
@@ -526,31 +529,44 @@ impl<T: Element, O: ReduceOp<T>> FlareHost<SparsePayload<T, O>> {
         sink: ResultSink<T>,
     ) -> Self {
         assert!(span > 0 && pairs_per_packet > 0 && total_elems > 0);
+        assert!(u32::try_from(pairs.len()).is_ok(), "offsets are 32-bit");
         let blocks = total_elems.div_ceil(span);
         let wire_bytes = pairs.len() * (4 + T::WIRE_BYTES);
-        let mut per_block: Vec<Vec<(u32, T)>> = vec![Vec::new(); blocks];
-        for (idx, v) in pairs {
-            let b = idx as usize / span;
-            per_block[b].push((idx % span as u32, v));
+        // Stable counting sort by block: count, prefix-sum into each
+        // block's start, scatter with the starts as cursors.
+        let mut offsets = vec![0u32; blocks + 1];
+        for &(idx, _) in &pairs {
+            offsets[idx as usize / span + 1] += 1;
         }
-        let shards_out: Vec<Vec<Vec<(u32, T)>>> = per_block
-            .into_iter()
-            .map(|p| {
-                if p.is_empty() {
-                    vec![Vec::new()] // empty-block packet
-                } else {
-                    p.chunks(pairs_per_packet).map(|c| c.to_vec()).collect()
-                }
-            })
-            .collect();
+        for b in 0..blocks {
+            offsets[b + 1] += offsets[b];
+        }
+        let mut by_block = vec![(0, op.identity()); pairs.len()];
+        for (idx, v) in pairs {
+            let cursor = &mut offsets[idx as usize / span];
+            by_block[*cursor as usize] = (idx % span as u32, v);
+            *cursor += 1;
+        }
+        // Each cursor now stands at its block's end, the next one's start.
+        offsets.copy_within(..blocks, 1);
+        offsets[0] = 0;
         let payload = SparsePayload {
             result: vec![op.identity(); total_elems],
             op,
             span,
-            shards_out,
+            pairs_per_packet,
+            pairs: by_block,
+            offsets,
             trackers: vec![ShardTracker::default(); blocks],
         };
         Self::over(cfg, payload, blocks, wire_bytes, sink)
+    }
+}
+
+impl<T, O> SparsePayload<T, O> {
+    fn block_pairs(&self, block: u64) -> &[(u32, T)] {
+        let b = block as usize;
+        &self.pairs[self.offsets[b] as usize..self.offsets[b + 1] as usize]
     }
 }
 
@@ -559,18 +575,21 @@ impl<T: Element, O: ReduceOp<T>> Payload for SparsePayload<T, O> {
     const CONTRIB: PacketKind = PacketKind::SparseContrib;
 
     fn packets(&self, block: u64) -> usize {
-        self.shards_out[block as usize].len()
+        // An empty block still sends its header-only packet.
+        let pairs = self.block_pairs(block).len();
+        pairs.div_ceil(self.pairs_per_packet).max(1)
     }
 
     fn encode(&self, block: u64, i: usize, header: Header, out: &mut Vec<u8>) {
-        let shards = &self.shards_out[block as usize];
-        let last = i + 1 == shards.len();
+        let shards = self.packets(block);
+        let last = i + 1 == shards;
         let header = Header {
             last_shard: last,
-            shard_count: Header::shard_seq_field(last, i as u16, shards.len() as u16),
+            shard_count: Header::shard_seq_field(last, i as u16, shards as u16),
             ..header
         };
-        encode_sparse_into(header, &shards[i], out);
+        let mut chunks = self.block_pairs(block).chunks(self.pairs_per_packet);
+        encode_sparse_into(header, chunks.nth(i).unwrap_or(&[]), out);
     }
 
     fn apply(&mut self, block: u64, packet: &[u8]) -> Applied {
@@ -596,12 +615,10 @@ impl<T: Element, O: ReduceOp<T>> Payload for SparsePayload<T, O> {
                 *acc = self.op.combine(*acc, val);
             }
         });
-        let complete = event == ShardEvent::Complete;
-        if complete {
-            // The block can never be re-sent again: free its shards.
-            self.shards_out[block as usize] = Vec::new();
+        Applied::Shard {
+            index,
+            complete: event == ShardEvent::Complete,
         }
-        Applied::Shard { index, complete }
     }
 
     fn take_result(&mut self) -> Vec<T> {
@@ -740,10 +757,49 @@ mod tests {
         let h = SparseFlareHost::new(cfg(), crate::op::Sum, 32, 8, 2, pairs, sink);
         // Block 0 holds indexes 0..8 → 3 pairs → 2 shards (2+1);
         // block 1 (8..16) empty → 1 empty shard; block 2 (16..24) → 1 shard.
-        assert_eq!(h.payload.shards_out[0].len(), 2);
-        assert_eq!(h.payload.shards_out[1], vec![Vec::<(u32, f32)>::new()]);
-        assert_eq!(h.payload.shards_out[2], vec![vec![(1, 4.0)]]);
-        assert_eq!(h.payload.shards_out.len(), 4);
+        let p = &h.payload;
+        assert_eq!(
+            (0..4).map(|b| p.packets(b)).collect::<Vec<_>>(),
+            [2, 1, 1, 1]
+        );
+        assert_eq!(p.block_pairs(0), [(0, 1.0), (1, 2.0), (2, 3.0)]);
+        assert_eq!(p.block_pairs(1), []);
+        assert_eq!(p.block_pairs(2), [(1, 4.0)]);
+        assert_eq!(p.offsets, [0, 3, 3, 4, 4]);
+    }
+
+    #[test]
+    fn sparse_host_groups_unsorted_pairs_by_block_in_input_order() {
+        let sink = result_sink();
+        let pairs: Vec<(u32, f32)> = vec![(17, 4.0), (2, 3.0), (31, 5.0), (0, 1.0), (16, 6.0)];
+        let h = SparseFlareHost::new(cfg(), crate::op::Sum, 32, 8, 2, pairs, sink);
+        let p = &h.payload;
+        assert_eq!(p.block_pairs(0), [(2, 3.0), (0, 1.0)]);
+        assert_eq!(p.block_pairs(2), [(1, 4.0), (0, 6.0)]);
+        assert_eq!(p.block_pairs(3), [(7, 5.0)]);
+    }
+
+    #[test]
+    fn sparse_host_encodes_the_chunk_a_shard_index_selects() {
+        // The second shard of a three-pair block is its third pair alone.
+        let pairs = vec![(1, 1.0), (2, 2.0), (3, 3.0f32)];
+        let h = SparseFlareHost::new(cfg(), crate::op::Sum, 8, 8, 2, pairs, result_sink());
+        let mut wire = Vec::new();
+        let header = Header {
+            allreduce: 1,
+            block: 0,
+            child: 0,
+            kind: PacketKind::SparseContrib,
+            last_shard: false,
+            shard_count: 0,
+            elem_count: 0,
+        };
+        h.payload.encode(0, 1, header, &mut wire);
+        let (header, view) = SparseView::<f32>::parse(&wire).expect("a sparse packet");
+        assert!(header.last_shard);
+        let mut got = Vec::new();
+        view.for_each(|idx, v| got.push((idx, v)));
+        assert_eq!(got, [(3, 3.0)]);
     }
 
     #[test]

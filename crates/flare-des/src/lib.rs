@@ -4,11 +4,12 @@
 //! simulator (`flare-pspin`) and the packet-level network simulator
 //! (`flare-net`) — are built on this crate. It provides:
 //!
-//! * [`EventQueue`]: a monotonic, deterministic two-level *ladder* queue
-//!   with stable FIFO ordering among simultaneous events (see the
-//!   [`queue`] module docs for the structure and the determinism
-//!   contract; [`heap::HeapQueue`] is the binary-heap reference
-//!   implementation the differential tests compare against),
+//! * [`EventQueue`]: a monotonic, deterministic *ladder* queue — one slab
+//!   of events, every rung a linked list through it — with stable FIFO
+//!   ordering among simultaneous events (see the [`queue`] module docs for
+//!   the structure and the determinism contract; [`heap::HeapQueue`] is
+//!   the binary-heap reference implementation the differential tests
+//!   compare against),
 //! * [`Simulator`] and the [`run`]/[`run_until`] drivers, plus
 //!   [`run_batched`]/[`run_batched_until`] which deliver whole
 //!   equal-timestamp batches per queue operation,
@@ -81,9 +82,8 @@ pub fn run_until<S: Simulator>(
 /// The handler sequence is identical to [`run`] as long as handlers never
 /// schedule same-timestamp events at a *lower* priority than events
 /// already pending at that timestamp (see the [`queue`] module docs) —
-/// both workspace simulators satisfy this. Multicast fan-outs and
-/// forwarding chains then cost O(1) amortized per event instead of one
-/// heap sift each.
+/// both workspace simulators satisfy this. A batch is one walk of the
+/// earliest bucket's list, however many events it holds.
 pub fn run_batched<S: Simulator>(sim: &mut S, queue: &mut EventQueue<S::Event>) -> Time {
     run_batched_until(sim, queue, Time::MAX)
 }

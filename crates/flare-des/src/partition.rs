@@ -225,6 +225,7 @@ where
     // Two rendezvous per round: one to publish the window, one to collect.
     let barrier = Barrier::new(workers + 1);
 
+    let mut incoming = Vec::new();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
@@ -266,20 +267,24 @@ where
             );
             next.store(0, Ordering::Relaxed);
             barrier.wait(); // start the round
-            barrier.wait(); // all partitions drained
-            merge_outboxes(&slots);
+            barrier.wait(); // all partitions drained, every lock released
+            merge_outboxes(n, &mut incoming, |i, f| {
+                f(&mut slots[i].lock().expect("partition lock"))
+            });
         }
     });
 
     parts.iter().map(|p| p.last).max().unwrap_or(0)
 }
 
-/// The `workers == 1` driver: same windows, same merge, no threads.
+/// The `workers == 1` driver: same windows, same merge, no threads, no
+/// locks, nothing allocated per window.
 fn run_windows_serial<S: PartitionSim>(
     parts: &mut [Partition<S>],
     lookahead: Time,
     deadline: Time,
 ) -> Time {
+    let mut incoming = Vec::new();
     while let Some(t) = parts.iter().filter_map(|p| p.queue.peek_time()).min() {
         if t > deadline {
             break;
@@ -288,42 +293,50 @@ fn run_windows_serial<S: PartitionSim>(
         for p in parts.iter_mut() {
             p.drain_window(end);
         }
-        let slots: Vec<Mutex<&mut Partition<S>>> = parts.iter_mut().map(Mutex::new).collect();
-        merge_outboxes(&slots);
+        merge_outboxes(parts.len(), &mut incoming, |i, f| f(&mut parts[i]));
     }
     parts.iter().map(|p| p.last).max().unwrap_or(0)
 }
 
+/// A cross-partition event in flight at the barrier, keyed for the merge:
+/// `(time, prio, src_partition, seq, event)`.
+type Incoming<E> = (Time, u8, u32, u64, E);
+
 /// Move every buffered cross-partition event into its destination queue,
 /// in `(time, prio, src_partition, seq)` order.
 ///
-/// Called between rounds, when no worker holds a lock. Remote events at a
+/// Called between rounds. `with(i, f)` runs `f` on partition `i`, one
+/// partition at a time: a plain index for the serial driver, an
+/// (uncontended) lock for the threaded one. `incoming` is the caller's
+/// scratch buffer, empty on entry and on return. Remote events at a
 /// `(time, prio)` already populated locally land *after* the local events
 /// (the queue assigns later insertion sequence numbers), which is part of
 /// the documented tie-break.
-fn merge_outboxes<S: PartitionSim>(slots: &[Mutex<&mut Partition<S>>]) {
-    let n = slots.len();
-    let mut incoming: Vec<(Time, u8, u32, u64, S::Event)> = Vec::new();
+fn merge_outboxes<S: PartitionSim>(
+    n: usize,
+    incoming: &mut Vec<Incoming<S::Event>>,
+    mut with: impl FnMut(usize, &mut dyn FnMut(&mut Partition<S>)),
+) {
     for dst in 0..n {
-        incoming.clear();
-        for (src, slot) in slots.iter().enumerate() {
-            let mut p = slot.lock().expect("partition lock");
-            debug_assert!(
-                src != dst || p.outbox.lanes[dst].is_empty(),
-                "partition {src} sent to itself"
-            );
-            for r in p.outbox.lanes[dst].drain(..) {
-                incoming.push((r.time, r.prio, src as u32, r.seq, r.event));
-            }
+        for src in 0..n {
+            with(src, &mut |p| {
+                debug_assert!(
+                    src != dst || p.outbox.lanes[dst].is_empty(),
+                    "partition {src} sent to itself"
+                );
+                let lane = p.outbox.lanes[dst].drain(..);
+                incoming.extend(lane.map(|r| (r.time, r.prio, src as u32, r.seq, r.event)));
+            });
         }
         if incoming.is_empty() {
             continue;
         }
         incoming.sort_by_key(|&(t, prio, src, seq, _)| (t, prio, src, seq));
-        let mut p = slots[dst].lock().expect("partition lock");
-        for (t, prio, _, _, ev) in incoming.drain(..) {
-            p.queue.schedule_at_prio(t, prio, ev);
-        }
+        with(dst, &mut |p| {
+            for (t, prio, _, _, ev) in incoming.drain(..) {
+                p.queue.schedule_at_prio(t, prio, ev);
+            }
+        });
     }
 }
 

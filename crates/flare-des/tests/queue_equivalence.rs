@@ -125,6 +125,76 @@ fn pop_batch_matches_single_pops_for_uniform_priority() {
     assert_eq!(batched, single);
 }
 
+/// Scheduling horizons that straddle every boundary of the ladder: the
+/// same nanosecond, inside the near window, the far buckets around it, the
+/// edge of any plausible far span, and the end of time. `draw` spreads
+/// each class over its range.
+fn horizon(class: u8, draw: u64) -> Time {
+    let w = NEAR_WINDOW as Time;
+    match class {
+        0 => 0,
+        1 => 1 + draw % 7,
+        2 => draw % w,
+        // Around the next window edge, whichever way the base is aligned.
+        3 => w - 3 + draw % 7,
+        4 => w + draw % (8 * w),
+        // Many far buckets ahead: 0.26 ms to 67 ms in 4 096 steps.
+        5 => (64 + draw % 16_384) * w + draw % 5,
+        // Beyond any far span the queue could afford: up to 19 hours.
+        6 => (draw % (1 << 22)) * w * w + draw % 3,
+        _ => Time::MAX,
+    }
+}
+
+/// One step of a differential schedule: `kind` picks push (0–3), pop
+/// (4), pop_batch (5) or a burst of pops (6) that lets the clock cross
+/// windows and spans while later rungs are populated.
+type Op = (u8, u8, u64, u8);
+
+fn ops() -> impl Strategy<Value = Vec<Op>> {
+    proptest::collection::vec((0u8..7, 0u8..8, any::<u64>(), any::<u8>()), 1..600)
+}
+
+/// Drive both queues through `ops`, checking `(time, event)`, `now()`,
+/// `len()` and `peek_time()` after every step, then drain.
+fn check(ops: Vec<Op>, prio_of: impl Fn(u8) -> u8) {
+    let mut q = Pair::new();
+    let mut batch = Vec::new();
+    for (kind, class, draw, prio) in ops {
+        match kind {
+            0..=3 => {
+                let time = q.ladder.now().saturating_add(horizon(class, draw));
+                q.push(time, prio_of(prio));
+            }
+            4 => {
+                q.pop_both();
+            }
+            6 => {
+                for _ in 0..=draw % 32 {
+                    q.pop_both();
+                }
+            }
+            // The reference has no batch operation: its batch is every
+            // event at the head timestamp, one pop at a time.
+            _ => {
+                batch.clear();
+                let t = q.ladder.pop_batch(&mut batch);
+                assert_eq!(t, q.heap.peek_time());
+                for &id in &batch {
+                    assert_eq!(q.heap.pop(), Some((t.expect("a batch has a time"), id)));
+                }
+                if t.is_some() {
+                    assert_ne!(q.heap.peek_time(), t, "batch stopped early");
+                }
+            }
+        }
+        assert_eq!(q.ladder.now(), q.heap.now());
+        assert_eq!(q.ladder.len(), q.heap.len());
+        assert_eq!(q.ladder.peek_time(), q.heap.peek_time());
+    }
+    q.drain_both();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -157,5 +227,19 @@ proptest! {
             }
         }
         q.drain_both();
+    }
+
+    // Every rung and every boundary between rungs, one priority (the
+    // network simulator's case: nothing is ever compared).
+    #[test]
+    fn every_horizon_pops_identically_with_one_priority(ops in ops()) {
+        check(ops, |_| 128);
+    }
+
+    // The same with priorities that collide and invert within a
+    // nanosecond: four classes, so equal keys and inversions are common.
+    #[test]
+    fn every_horizon_pops_identically_with_mixed_priorities(ops in ops()) {
+        check(ops, |p| [0, 1, 128, 255][p as usize % 4]);
     }
 }

@@ -12,10 +12,11 @@ use crate::topology::NodeId;
 /// ack); the payload is opaque to the network.
 ///
 /// The layout is deliberately lean — `NodeId` is `u32`, the payload a
-/// single `Arc` pointer — because a `NetPacket` is moved by value through
-/// every ladder-queue hop (bucket → bottom → batch) of every
-/// egress/deliver event; a `size_of` regression test pins it at 40 bytes
-/// (down from the 48 of word-sized node ids).
+/// single `Arc` pointer — because a `NetPacket` is moved by value into
+/// and out of the event queue's slab for every egress/deliver event, and
+/// a 48-byte event is what fits a slab node in one cache line; a
+/// `size_of` regression test pins it at 40 bytes (down from the 48 of
+/// word-sized node ids).
 #[derive(Debug, Clone)]
 pub struct NetPacket {
     /// Origin node.
