@@ -57,7 +57,7 @@ const BLOCK_MEMORY_LIMIT: usize = 32 << 10;
 /// Children feeding the switch in this figure. The paper does not state
 /// the port count of its Fig. 14 runs; 16 reproduces the published
 /// extra-traffic magnitudes (~100 % at 20 % density) with the same 2 KiB
-/// hash tables (see EXPERIMENTS.md).
+/// hash tables.
 const CHILDREN: usize = 16;
 
 /// Simulate one `(storage, density)` cell. `scale` shrinks the data size

@@ -2,7 +2,9 @@
 //!
 //! One module per paper table/figure computes the rows; the `src/bin/*`
 //! binaries print them in the paper's layout, and `benches/` wraps the
-//! hot paths in criterion. See EXPERIMENTS.md for paper-vs-measured notes.
+//! hot paths in criterion. These are reproduction and developer probes:
+//! they gate nothing. Performance is measured by the stand-alone
+//! `benchmark/` package, simulated drift by `tests/sim_pins.rs`.
 
 pub mod ablation;
 pub mod fig05;
@@ -13,6 +15,5 @@ pub mod fig11;
 pub mod fig13;
 pub mod fig14;
 pub mod fig15;
-pub mod perf;
 pub mod table;
 pub mod table1;

@@ -91,6 +91,13 @@ pub enum SessionError {
     /// re-arm itself at the same instant forever, flooding the event
     /// queue without simulated time ever advancing.
     ZeroRetransmitTimeout,
+    /// [`Tuning::link_drop_prob`] is not a probability a run can finish
+    /// under: at 1 or above every packet is dropped and the hosts
+    /// retransmit for ever; below 0 or NaN would silently run lossless.
+    InvalidDropProbability {
+        /// The offending value, as configured.
+        given: String,
+    },
     /// The session's [`flare_net::SwitchModel::Hpu`] parameters are
     /// inconsistent (e.g. a subset size that does not divide the cluster
     /// width); the contained message is
@@ -155,6 +162,9 @@ impl std::fmt::Display for SessionError {
                     f,
                     "retransmit_after = Some(0): a zero-delay timer would loop without advancing time"
                 )
+            }
+            SessionError::InvalidDropProbability { given } => {
+                write!(f, "link_drop_prob = {given}: expected a value in [0, 1)")
             }
             SessionError::InvalidSwitchModel(why) => {
                 write!(f, "invalid SwitchModel::Hpu parameters: {why}")
@@ -252,7 +262,9 @@ pub struct Tuning {
     pub seed: u64,
     /// Packet size in bytes quoted to admission control.
     pub packet_bytes: usize,
-    /// Drop probability injected on every link (0.0 = lossless). Pair
+    /// Drop probability injected on every link, in `[0, 1)` (0.0 =
+    /// lossless; anything else is rejected at [`Collective::run`] with
+    /// [`SessionError::InvalidDropProbability`]). Pair
     /// with [`Tuning::retransmit_after`]: switch-side duplicate rejection
     /// (child bitmaps dense, shard-sequence tracking sparse) absorbs the
     /// retransmissions (paper Section 4.1).
@@ -266,9 +278,14 @@ pub struct Tuning {
     ///
     /// When unset, the `FLARE_DES_THREADS` environment variable is
     /// consulted at `run()` with the same semantics; an explicit builder
-    /// value wins over the environment. Serial and parallel runs produce
-    /// bitwise-identical results — see the README's "Parallel simulation"
-    /// section for the determinism contract.
+    /// value wins over the environment. The windowed driver is
+    /// thread-count invariant: every `Some(n)` produces the same bits.
+    /// `None` matches it in results, event count and link traffic always,
+    /// and in timing whenever the packets that reach a switch at the same
+    /// instant from different partitions have equal size (every dense
+    /// collective; a sparse one can differ by a nanosecond) — see the
+    /// README's "Parallel simulation" section for the determinism
+    /// contract.
     pub threads: Option<u32>,
     /// Fabric telemetry capture (`None` = off, the default). When set,
     /// every run records windowed per-link utilization, HPU occupancy
@@ -298,6 +315,56 @@ impl Default for Tuning {
     }
 }
 
+impl Tuning {
+    /// The knobs a run actually uses: a copy with [`threads`](Self::threads)
+    /// resolved (an explicit value wins, otherwise the `FLARE_DES_THREADS`
+    /// environment variable is consulted) and every combination a
+    /// simulation cannot finish under turned into a typed error. The one
+    /// place these are checked, for [`Collective::run`] and for
+    /// engine-style drivers (`flare_workloads::traffic`) alike.
+    pub fn validated(&self) -> Result<Tuning, SessionError> {
+        let mut tuning = self.clone();
+        // Zero workers and non-numeric environment values are
+        // configuration errors, not silent one-lane fallbacks: a run that
+        // *thinks* it is sharded must not quietly measure one lane.
+        let invalid_threads = |given: String| Err(SessionError::InvalidThreadCount { given });
+        tuning.threads = match tuning.threads {
+            Some(0) => return invalid_threads("0".to_string()),
+            Some(n) => Some(n),
+            None => match std::env::var("FLARE_DES_THREADS") {
+                Err(_) => None,
+                Ok(raw) => match raw.trim().parse::<u32>() {
+                    Ok(n) if n >= 1 => Some(n),
+                    _ => return invalid_threads(raw),
+                },
+            },
+        };
+        if tuning.retransmit_after == Some(0) {
+            // A zero-delay timer re-arms at the same instant forever,
+            // flooding the event queue without time ever advancing.
+            return Err(SessionError::ZeroRetransmitTimeout);
+        }
+        if !(0.0..1.0).contains(&tuning.link_drop_prob) {
+            return Err(SessionError::InvalidDropProbability {
+                given: tuning.link_drop_prob.to_string(),
+            });
+        }
+        if tuning.link_drop_prob > 0.0 && tuning.retransmit_after.is_none() {
+            // A drop with no retransmission stalls the run forever; fail
+            // fast with a typed error instead of panicking mid-sim.
+            return Err(SessionError::LossWithoutRetransmit);
+        }
+        if let SwitchModel::Hpu(params) = &tuning.switch_model {
+            // Catch inconsistent compute parameters here, not as a
+            // `SwitchCompute::new` panic deep inside switch installation.
+            params
+                .validate()
+                .map_err(SessionError::InvalidSwitchModel)?;
+        }
+        Ok(tuning)
+    }
+}
+
 /// Builder for a [`FlareSession`]; see [`FlareSession::builder`].
 #[derive(Debug)]
 pub struct FlareSessionBuilder {
@@ -319,18 +386,6 @@ impl FlareSessionBuilder {
     /// topology).
     pub fn hosts(mut self, hosts: impl Into<Vec<NodeId>>) -> Self {
         self.hosts = Some(hosts.into());
-        self
-    }
-
-    /// Dense packet payload in elements.
-    pub fn elems_per_packet(mut self, n: usize) -> Self {
-        self.tuning.elems_per_packet = n;
-        self
-    }
-
-    /// Sparse packet payload in `(index, value)` pairs.
-    pub fn pairs_per_packet(mut self, n: usize) -> Self {
-        self.tuning.pairs_per_packet = n;
         self
     }
 
@@ -358,14 +413,10 @@ impl FlareSessionBuilder {
         self
     }
 
-    /// Packet size in bytes quoted to admission control.
-    pub fn packet_bytes(mut self, bytes: usize) -> Self {
-        self.tuning.packet_bytes = bytes;
-        self
-    }
-
-    /// Inject packet loss on every link with probability `p` (pair with
-    /// [`retransmit_after`](Self::retransmit_after) to recover). Both
+    /// Inject packet loss on every link with probability `p` in `[0, 1)`
+    /// (pair with [`retransmit_after`](Self::retransmit_after) to
+    /// recover; a `p` outside the range is rejected at [`Collective::run`]
+    /// with [`SessionError::InvalidDropProbability`]). Both
     /// dense and sparse collectives recover: hosts retransmit overdue
     /// blocks, switches reject the duplicates (child bitmaps dense,
     /// shard-sequence tracking sparse) and replay completed results from
@@ -779,25 +830,7 @@ impl<T: Element, O: ReduceOp<T> + Clone + 'static> Collective<'_, T, O> {
 
         // Resolve per-rank dense inputs or sparse pair lists.
         let op = self.op;
-        let mut tuning = self.session.tuning.clone();
-        tuning.threads = resolve_threads(tuning.threads)?;
-        if tuning.retransmit_after == Some(0) {
-            // A zero-delay timer re-arms at the same instant forever,
-            // flooding the event queue without time ever advancing.
-            return Err(SessionError::ZeroRetransmitTimeout);
-        }
-        if tuning.link_drop_prob > 0.0 && tuning.retransmit_after.is_none() {
-            // A drop with no retransmission stalls the run forever; fail
-            // fast with a typed error instead of panicking mid-sim.
-            return Err(SessionError::LossWithoutRetransmit);
-        }
-        if let SwitchModel::Hpu(params) = &tuning.switch_model {
-            // Catch inconsistent compute parameters here, not as a
-            // `SwitchCompute::new` panic deep inside switch installation.
-            params
-                .validate()
-                .map_err(SessionError::InvalidSwitchModel)?;
-        }
+        let tuning = self.session.tuning.validated()?;
         enum Resolved<T: Element> {
             Dense(Vec<Vec<T>>),
             Sparse {
@@ -1102,35 +1135,10 @@ pub fn placement_for(plan: &AllreducePlan, switch: NodeId) -> TreePlacement {
     }
 }
 
-/// Resolve the effective worker-thread count for a run: an explicit
-/// [`Tuning::threads`] wins; otherwise the `FLARE_DES_THREADS` environment
-/// variable is consulted. Zero (from either source) and non-numeric
-/// environment values are configuration errors, not silent one-lane
-/// fallbacks — a benchmark run that *thinks* it is sharded must not
-/// quietly measure the one-lane run. Public so engine-style drivers
-/// (`flare_workloads::traffic`) honor the same knobs as `Collective::run`.
-pub fn resolve_threads(configured: Option<u32>) -> Result<Option<u32>, SessionError> {
-    if let Some(n) = configured {
-        if n == 0 {
-            return Err(SessionError::InvalidThreadCount {
-                given: "0".to_string(),
-            });
-        }
-        return Ok(Some(n));
-    }
-    match std::env::var("FLARE_DES_THREADS") {
-        Ok(raw) => match raw.trim().parse::<u32>() {
-            Ok(n) if n >= 1 => Ok(Some(n)),
-            _ => Err(SessionError::InvalidThreadCount { given: raw }),
-        },
-        Err(_) => Ok(None),
-    }
-}
-
 /// Run the simulation as [`Tuning::threads`] selects: as one lane when
 /// `None`, sharded over the partition plan in conservative lookahead
-/// windows otherwise. Both run the same event handler and produce
-/// bitwise-identical reports (differentially tested in `flare-net`).
+/// windows otherwise. Both run the same event handler; how far their
+/// reports agree is [`Tuning::threads`]'s contract.
 fn run_sim(sim: &mut NetSim, tuning: &Tuning) -> NetReport {
     match tuning.threads {
         Some(n) => sim.run_threads(None, n as usize),
@@ -1323,6 +1331,26 @@ mod tests {
             .run()
             .unwrap_err();
         assert_eq!(err, SessionError::LossWithoutRetransmit);
+    }
+
+    #[test]
+    fn drop_probability_outside_zero_to_one_is_rejected_up_front() {
+        // At 1.0 and above every packet drops and the hosts re-arm their
+        // timers for ever (the run used to hang); below zero and NaN
+        // used to run lossless without a word.
+        for (p, given) in [(1.0, "1"), (1.5, "1.5"), (-0.5, "-0.5"), (f64::NAN, "NaN")] {
+            let (topo, _sw, _hosts) = Topology::star(3, LinkSpec::hundred_gig());
+            let mut session = FlareSession::builder(topo)
+                .link_drop_prob(p)
+                .retransmit_after(Some(200_000))
+                .build();
+            let err = session
+                .allreduce(vec![vec![1i32; 64]; 3])
+                .run()
+                .unwrap_err();
+            let given = given.to_string();
+            assert_eq!(err, SessionError::InvalidDropProbability { given });
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! Constants below are calibration parameters of this reproduction (the
 //! paper derives them from its RTL simulator; we pick values that reproduce
 //! the published bandwidth relationships — sparse < dense, array > hash,
-//! hash flat vs density — and record them in EXPERIMENTS.md).
+//! hash flat vs density).
 
 use crate::params::SwitchParams;
 use crate::scheduling;

@@ -21,7 +21,7 @@
 //!   allreduce id with a bumped [`HostConfig::block_base`], so block ids
 //!   never alias across iterations.
 //! * **Shared fabric** — one switch program multiplexes every tenant's
-//!   flow on each switch, under the session's [`SwitchModel`]: with
+//!   flow on each switch, under the session's [`flare_net::SwitchModel`]: with
 //!   `Hpu`, all tenants contend for the same cores and per-subset FIFOs.
 //! * **Metrics** — per-tenant iteration makespans and job queueing delays
 //!   (tail statistics via [`TailStats`](flare_core::report::TailStats)),
@@ -66,8 +66,8 @@ use flare_core::report::{
     jain_index, FabricStats, HpuSwitchReport, PayloadSpec, TenantReport, TenantSection,
 };
 use flare_core::session::{
-    placement_for, resolve_threads, stagger_step, CollectiveHandle, FlareSession, RunReport,
-    SessionError, SparsePolicy,
+    placement_for, stagger_step, CollectiveHandle, FlareSession, RunReport, SessionError,
+    SparsePolicy,
 };
 use flare_core::switch_prog::{FlareDenseProgram, FlareSparseProgram, ProgramStats};
 use flare_core::tag::{FlowTag, FlowTagOverflow, KIND_ENGINE_BASE};
@@ -75,8 +75,7 @@ use flare_core::PoolStats;
 use flare_des::rng::{exp_time, rng_stream};
 use flare_des::Time;
 use flare_net::{
-    HostCtx, HostProgram, NetPacket, NetSim, NodeId, PortId, SwitchCtx, SwitchModel, SwitchProgram,
-    TraceKind,
+    HostCtx, HostProgram, NetPacket, NetSim, NodeId, PortId, SwitchCtx, SwitchProgram, TraceKind,
 };
 
 /// Stream-id salt for arrival processes (xor'd with the tenant index).
@@ -455,22 +454,8 @@ impl<'s> TrafficEngine<'s> {
         if self.tenants.is_empty() {
             return Err(TrafficError::NoTenants);
         }
-        let mut tuning = self.session.tuning().clone();
-        // Same fault-handling and driver validation as `Collective::run`:
-        // lossy fabrics need a usable retransmission timeout, and the
-        // worker-thread count resolves explicit-knob-then-environment.
-        tuning.threads = resolve_threads(tuning.threads)?;
-        if tuning.retransmit_after == Some(0) {
-            return Err(TrafficError::Session(SessionError::ZeroRetransmitTimeout));
-        }
-        if tuning.link_drop_prob > 0.0 && tuning.retransmit_after.is_none() {
-            return Err(TrafficError::Session(SessionError::LossWithoutRetransmit));
-        }
-        if let SwitchModel::Hpu(params) = &tuning.switch_model {
-            params
-                .validate()
-                .map_err(|e| TrafficError::Session(SessionError::InvalidSwitchModel(e)))?;
-        }
+        // The same checked, thread-resolved knobs `Collective::run` uses.
+        let tuning = self.session.tuning().validated()?;
         let lossy = tuning.link_drop_prob > 0.0;
 
         // Horovod-style issue-order negotiation: every host rank submits
@@ -1343,6 +1328,28 @@ mod tests {
         assert_eq!(
             eng.run().err(),
             Some(TrafficError::Session(SessionError::LossWithoutRetransmit))
+        );
+        eng.release_all().unwrap();
+    }
+
+    #[test]
+    fn a_drop_probability_of_one_is_refused_with_the_session_error() {
+        // Every packet would drop and no deadline is set: the engine
+        // shares `Collective::run`'s checks, so this is an error, not a
+        // run that never returns.
+        let (topo, _sw, _hosts) = Topology::star(3, LinkSpec::hundred_gig());
+        let mut session = flare_core::session::FlareSession::builder(topo)
+            .link_drop_prob(1.0)
+            .retransmit_after(Some(50_000))
+            .build();
+        let mut eng = TrafficEngine::new(&mut session, 7);
+        eng.add_tenant(TenantSpec::new("t", 256)).unwrap();
+        let given = "1".to_string();
+        assert_eq!(
+            eng.run().err(),
+            Some(TrafficError::Session(
+                SessionError::InvalidDropProbability { given }
+            ))
         );
         eng.release_all().unwrap();
     }

@@ -12,9 +12,16 @@
 //! makespans, queueing delays and Jain's fairness index over switch
 //! bytes.
 //!
-//! Run with: `cargo run --release --example multi_tenant`
+//! Run with: `cargo run --release --example multi_tenant [-- trace.json]`
+//!
+//! Given a path, Part 2 runs with fabric telemetry on and writes its
+//! Perfetto-loadable chrome trace there (open <https://ui.perfetto.dev>
+//! and drop the file in). What is printed is the same either way: capture
+//! never perturbs the schedule.
 
 use flare::core::manager::AdmissionError;
+use flare::net::telemetry::validate_chrome_trace;
+use flare::net::TelemetryConfig;
 use flare::prelude::*;
 
 fn admission_control_demo() {
@@ -92,15 +99,18 @@ fn admission_control_demo() {
     }
 }
 
-fn traffic_engine_demo() {
+fn traffic_engine_demo(trace_path: Option<&str>) {
     const TENANTS: usize = 12;
     // 4 leaves × 4 hosts, 2 spines, with the paper's multi-core HPU
     // switch model so tenants contend for real handler cores.
     let (topo, ft) = Topology::fat_tree_two_level(4, 4, 2, LinkSpec::hundred_gig());
-    let mut session = FlareSession::builder(topo)
+    let mut builder = FlareSession::builder(topo)
         .hosts(ft.hosts)
-        .switch_model(SwitchModel::Hpu(HpuParams::paper()))
-        .build();
+        .switch_model(SwitchModel::Hpu(HpuParams::paper()));
+    if trace_path.is_some() {
+        builder = builder.telemetry(TelemetryConfig::default());
+    }
+    let mut session = builder.build();
 
     let mut engine = TrafficEngine::new(&mut session, 42);
     for i in 0..TENANTS {
@@ -145,6 +155,13 @@ fn traffic_engine_demo() {
     }
     engine.release_all().expect("release tenants");
     assert_eq!(session.active_collectives(), 0);
+
+    if let Some(path) = trace_path {
+        let json = report.trace.expect("telemetry was enabled").chrome_trace();
+        let events = validate_chrome_trace(&json).expect("trace validates");
+        std::fs::write(path, &json).expect("write trace");
+        eprintln!("wrote {path}: {events} trace events, {} bytes", json.len());
+    }
 }
 
 fn main() {
@@ -152,5 +169,5 @@ fn main() {
     admission_control_demo();
     println!();
     println!("== Part 2: multi-tenant traffic engine ==");
-    traffic_engine_demo();
+    traffic_engine_demo(std::env::args().nth(1).as_deref());
 }

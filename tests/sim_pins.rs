@@ -1,0 +1,260 @@
+//! Simulated-behaviour pins: one collective or tenant fleet per row, its
+//! makespan, event count and link traffic (plus pooled iteration tails
+//! for fleets) asserted bit for bit. A change that moves any of them
+//! changed what the simulator computes, not how fast it computes it —
+//! host-side performance is `benchmark/`'s job (see `benchmark/README.md`).
+//!
+//! The suite runs with `FLARE_DES_THREADS` unset, `=1` and `=4`, so every
+//! row is checked on the one-lane, windowed and parallel drivers. One row
+//! is driver-dependent and says so; see
+//! `tests/thread_config.rs::sparse_same_instant_ties_split_one_lane_from_windowed`.
+//!
+//! Rows are grouped into `#[test]`s by debug-build cost (the harness runs
+//! two at a time): the three ~5 s rows get a test each.
+
+use flare::prelude::*;
+
+const KIB: usize = 1024;
+const MIB: usize = 1024 * KIB;
+
+#[derive(Debug)]
+enum Payload {
+    Dense,
+    /// ~1 % density, indexes striped across the domain so every block
+    /// sees traffic and hash stores collide.
+    Sparse,
+}
+use Payload::{Dense, Sparse};
+
+#[derive(Debug)]
+enum Topo {
+    Star,
+    /// Two-level, as many spines as leaves: 4 hosts per leaf at 8 hosts,
+    /// 8 above.
+    FatTree,
+}
+use Topo::{FatTree, Star};
+
+/// One pinned run: its shape, then what it must measure.
+#[derive(Debug)]
+struct Row {
+    payload: Payload,
+    topo: Topo,
+    hosts: usize,
+    bytes_per_host: usize,
+    /// `SwitchModel::Hpu(HpuParams::paper())` instead of the calibrated
+    /// serial pipeline.
+    hpu: bool,
+    /// Per-link drop probability; lossy rows retransmit after 200 µs.
+    loss: f64,
+    /// 0 = one collective; otherwise that many Poisson tenants (two jobs
+    /// of two iterations each) through the traffic engine, every odd one
+    /// sparse when the fabric is lossy.
+    tenants: usize,
+    /// Makespan in ns, events, link bytes.
+    want: [u64; 3],
+    /// A fleet's pooled per-iteration p50 and p99, in ns.
+    tails: Option<[u64; 2]>,
+    /// The makespan under the windowed driver, where it differs.
+    windowed_makespan_ns: Option<u64>,
+}
+
+fn row(payload: Payload, topo: Topo, hosts: usize, bytes_per_host: usize, want: [u64; 3]) -> Row {
+    Row {
+        payload,
+        topo,
+        hosts,
+        bytes_per_host,
+        hpu: false,
+        loss: 0.0,
+        tenants: 0,
+        want,
+        tails: None,
+        windowed_makespan_ns: None,
+    }
+}
+
+impl Row {
+    fn hpu(self) -> Self {
+        Self { hpu: true, ..self }
+    }
+
+    fn loss(self, loss: f64) -> Self {
+        Self { loss, ..self }
+    }
+
+    fn tenants(mut self, tenants: usize, p50_ns: u64, p99_ns: u64) -> Self {
+        (self.tenants, self.tails) = (tenants, Some([p50_ns, p99_ns]));
+        self
+    }
+
+    fn windowed(mut self, makespan_ns: u64) -> Self {
+        self.windowed_makespan_ns = Some(makespan_ns);
+        self
+    }
+
+    fn measure(&self) -> ([u64; 3], Option<[u64; 2]>) {
+        let spec = LinkSpec::hundred_gig();
+        let (topo, hosts) = match self.topo {
+            Star => {
+                let (topo, _switch, hosts) = Topology::star(self.hosts, spec);
+                (topo, hosts)
+            }
+            FatTree => {
+                let per_leaf = if self.hosts == 8 { 4 } else { 8 };
+                let leaves = self.hosts / per_leaf;
+                let (topo, ft) = Topology::fat_tree_two_level(leaves, per_leaf, leaves, spec);
+                (topo, ft.hosts)
+            }
+        };
+        assert_eq!(hosts.len(), self.hosts);
+        let mut builder = FlareSession::builder(topo).hosts(hosts);
+        if self.loss > 0.0 {
+            builder = builder
+                .link_drop_prob(self.loss)
+                .retransmit_after(Some(200_000));
+        }
+        if self.hpu {
+            builder = builder.switch_model(SwitchModel::Hpu(HpuParams::paper()));
+        }
+        let mut session = builder.build();
+
+        let elems = self.bytes_per_host / 4;
+        let (report, tails) = if self.tenants > 0 {
+            let mut engine = TrafficEngine::new(&mut session, 7);
+            for i in 0..self.tenants {
+                let mut spec = TenantSpec::new(format!("tenant-{i}"), elems)
+                    .iterations(2)
+                    .compute(5_000, 0.2)
+                    .arrivals(ArrivalProcess::Poisson {
+                        mean_interarrival_ns: 20_000.0,
+                        jobs: 2,
+                    });
+                if self.loss > 0.0 && i % 2 == 1 {
+                    spec = spec.sparse(0.2);
+                }
+                engine.add_tenant(spec).expect("admit tenant");
+            }
+            let report = engine.run().expect("traffic run");
+            engine.release_all().expect("release tenants");
+            let tenants = &report.tenants.as_ref().expect("tenant section").tenants;
+            let pooled: Vec<u64> = tenants
+                .iter()
+                .flat_map(|t| t.iteration_makespans_ns.iter().copied())
+                .collect();
+            let tails = TailStats::from_samples(&pooled);
+            (report, Some([tails.p50, tails.p99]))
+        } else {
+            let run = match self.payload {
+                Dense => {
+                    let inputs = (0..self.hosts).map(|h| vec![(h + 1) as f32; elems]);
+                    session.allreduce(inputs.collect()).op(Sum).run()
+                }
+                Sparse => {
+                    let nnz = (elems / 100).max(1);
+                    let stride = elems / nnz;
+                    let pairs = (0..self.hosts).map(|h| {
+                        let pair = |i| (((i * stride + h) % elems) as u32, 1.0f32);
+                        (0..nnz).map(pair).collect()
+                    });
+                    session
+                        .sparse_allreduce(elems, pairs.collect())
+                        .op(Sum)
+                        .run()
+                }
+            };
+            (run.expect("collective runs").report, None)
+        };
+        let net = &report.net;
+        ([net.makespan, net.events, net.total_link_bytes], tails)
+    }
+}
+
+fn check(rows: &[Row]) {
+    // Any set value selects the windowed driver; nothing in this binary
+    // writes the variable.
+    let windowed = std::env::var_os("FLARE_DES_THREADS").is_some();
+    for row in rows {
+        let mut want = (row.want, row.tails);
+        if let (true, Some(ns)) = (windowed, row.windowed_makespan_ns) {
+            want.0[0] = ns;
+        }
+        let what = "([makespan ns, events, link bytes], fleet [p50, p99] ns)";
+        assert_eq!(row.measure(), want, "measured != pinned {what} for {row:?}");
+    }
+}
+
+#[test]
+#[rustfmt::skip]
+fn cells_of_128_kib() {
+    check(&[
+        row(Dense,  Star,      8, 128 * KIB, [14_179,   4_096,  2_129_920]),
+        row(Dense,  Star,     32, 128 * KIB, [17_959,  16_384,  8_519_680]),
+        row(Dense,  FatTree,   8, 128 * KIB, [14_753,   5_120,  2_662_400]),
+        row(Dense,  FatTree,  32, 128 * KIB, [17_021,  18_432,  9_584_640]),
+        row(Sparse, Star,      8, 128 * KIB, [ 2_131,     832,    195_008]),
+        row(Sparse, Star,     32, 128 * KIB, [ 7_339,   8_192,  2_828_032]),
+        row(Sparse, FatTree,   8, 128 * KIB, [ 3_980,   1_040,    259_456]),
+        row(Sparse, FatTree,  32, 128 * KIB, [ 7_878,   9_216,  3_254_784]),
+        // The host counts Canary and Swing evaluate at.
+        row(Dense,  FatTree, 128, 128 * KIB, [22_481,  73_728, 38_338_560]),
+        row(Dense,  FatTree, 256, 128 * KIB, [23_969, 147_456, 76_677_120]),
+        row(Dense,  FatTree,   8, 128 * KIB, [20_736,   5_120,  2_662_400]).hpu(),
+        row(Sparse, Star,      8, 128 * KIB, [ 2_672,     832,    195_008]).hpu(),
+        row(Sparse, FatTree,   8, 128 * KIB, [600_000,  1_318,    342_216]).loss(0.01),
+    ]);
+}
+
+#[test]
+#[rustfmt::skip]
+fn tenant_fleets() {
+    check(&[
+        row(Dense, FatTree, 8, 32 * KIB, [   95_469,  20_672,  10_649_600]).tenants(4, 6_752, 11_622),
+        row(Dense, FatTree, 8, 32 * KIB, [1_027_925,  17_532,   8_861_672]).tenants(4, 202_262, 205_220).loss(0.01),
+        row(Dense, FatTree, 8, 64 * KIB, [  192_455,  82_304,  42_598_400]).tenants(8, 38_482, 39_340),
+        row(Dense, FatTree, 8, 64 * KIB, [1_630_135, 155_553,  78_740_208]).tenants(16, 219_876, 599_406).loss(0.01),
+        row(Dense, FatTree, 8, 64 * KIB, [  715_817, 329_216, 170_393_600]).tenants(32, 167_605, 171_004),
+    ]);
+}
+
+#[test]
+fn eight_hosts_of_8_mib() {
+    check(&[
+        row(Dense, Star, 8, 8 * MIB, [691_555, 262_144, 136_314_880]),
+        row(Dense, FatTree, 8, 8 * MIB, [692_129, 327_680, 170_393_600]),
+        row(Sparse, Star, 8, 8 * MIB, [110_525, 52_448, 12_498_880]),
+        row(Sparse, FatTree, 8, 8 * MIB, [111_523, 65_560, 16_630_208]),
+    ]);
+}
+
+#[test]
+#[rustfmt::skip]
+fn sparse_32_hosts_of_8_mib() {
+    check(&[
+        // `benchmark`'s `sparse_star` workload.
+        row(Sparse, Star, 32, 8 * MIB, [444_769, 524_288, 181_357_312]),
+        // Same-instant shards of unequal size meet at the root spine in a
+        // driver-dependent order: ROADMAP item 2(d), reproduced at 16
+        // hosts in `tests/thread_config.rs`.
+        row(Sparse, FatTree, 32, 8 * MIB, [446_677, 589_824, 208_724_480]).windowed(446_675),
+    ]);
+}
+
+#[test]
+#[rustfmt::skip]
+fn dense_star_32_hosts_of_8_mib() {
+    check(&[row(Dense, Star, 32, 8 * MIB, [792_103, 1_048_576, 545_259_520])]);
+}
+
+#[test]
+#[rustfmt::skip]
+fn dense_fat_tree_32_hosts_of_8_mib() {
+    check(&[row(Dense, FatTree, 32, 8 * MIB, [694_397, 1_179_648, 613_416_960])]);
+}
+
+/// `benchmark`'s `dense_star` workload.
+#[test]
+#[rustfmt::skip]
+fn dense_star_32_hosts_of_8_mib_hpu() {
+    check(&[row(Dense, Star, 32, 8 * MIB, [694_924, 1_048_576, 545_259_520]).hpu()]);
+}

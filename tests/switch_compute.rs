@@ -9,8 +9,8 @@
 //! 2. **Determinism** — `Hpu` sessions are bitwise-reproducible: same
 //!    inputs, same seed ⇒ same results and same makespan.
 //! 3. **Regression** — the default (`RateLimited`) and `Ideal` models
-//!    leave every pre-subsystem makespan untouched; the checked-in
-//!    `BENCH_PR3.json` makespans are the witness.
+//!    leave every pre-subsystem makespan untouched; the small star rows
+//!    of `tests/sim_pins.rs` are the witness.
 
 use flare::core::op::{golden_reduce, Sum};
 use flare::core::session::FlareSession;
@@ -124,47 +124,6 @@ fn hpu_model_actually_changes_switch_timing() {
         serial > 2 * full,
         "1-core switch ({serial} ns) must trail the 512-core switch ({full} ns)"
     );
-}
-
-/// Read a makespan from the checked-in PR 3 baseline document.
-fn baseline_makespan(cell: &str) -> u64 {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_PR3.json");
-    let doc = std::fs::read_to_string(path).expect("read BENCH_PR3.json");
-    flare_bench::perf::parse_baseline(&doc)
-        .into_iter()
-        .find(|r| r.name == cell)
-        .unwrap_or_else(|| panic!("cell {cell} missing from baseline"))
-        .makespan_ns
-}
-
-#[test]
-fn default_model_reproduces_the_pr3_makespans() {
-    // The compute subsystem must leave the default datapath untouched:
-    // the dense and sparse small star cells of the tracked matrix still
-    // land on the exact makespans recorded before the subsystem existed.
-    use flare_bench::perf::{run, Mode, Scenario, TopoKind};
-    for (mode, cell) in [
-        (Mode::Dense, "dense/star/8h/128KiB"),
-        (Mode::Sparse, "sparse/star/8h/128KiB"),
-    ] {
-        let m = run(&Scenario {
-            mode,
-            topo: TopoKind::Star,
-            hosts: 8,
-            bytes_per_host: 128 * 1024,
-            reps: 1,
-            drop_prob: 0.0,
-            hpu: false,
-            tenants: 0,
-            threads: 0,
-            trace: false,
-        });
-        assert_eq!(
-            m.makespan_ns,
-            baseline_makespan(cell),
-            "{cell}: default-model makespan drifted from BENCH_PR3.json"
-        );
-    }
 }
 
 #[test]
