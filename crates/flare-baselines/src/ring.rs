@@ -12,8 +12,6 @@
 //! of one flow follow one ECMP path and links are FIFO, so a last-segment
 //! flag suffices to detect chunk completion.
 
-use bytes::Bytes;
-
 use flare_core::dtype::{decode_slice, encode_slice, Element};
 use flare_core::host::ResultSink;
 use flare_core::op::ReduceOp;
@@ -171,7 +169,7 @@ impl<T: Element, O: ReduceOp<T>> RingHost<T, O> {
                 self.step as u16,
                 kind,
                 16, // modeled header
-                Bytes::from(body),
+                body,
             );
             ctx.send(pkt);
             off = end;

@@ -10,8 +10,9 @@
 
 use std::collections::HashMap;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
+use flare_core::dtype::{encode_slice, Element};
 use flare_core::host::ResultSink;
 use flare_core::op::ReduceOp;
 use flare_net::{HostCtx, HostProgram, NetPacket, NodeId};
@@ -53,13 +54,10 @@ const KIND_SPARSE_LAST: u8 = 21;
 const KIND_DENSE_SEG: u8 = 22;
 const KIND_DENSE_LAST: u8 = 23;
 
-fn encode_pairs(pairs: &[(u32, f32)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(pairs.len() * 8);
-    for &(i, v) in pairs {
-        out.extend_from_slice(&i.to_le_bytes());
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
+fn encode_pairs(pairs: &[(u32, f32)]) -> Bytes {
+    let mut out = BytesMut::with_capacity(pairs.len() * 8);
+    f32::write_pairs_le(pairs, &mut out);
+    out.freeze()
 }
 
 fn decode_pairs(b: &[u8]) -> Vec<(u32, f32)> {
@@ -161,7 +159,7 @@ impl<O: ReduceOp<f32>> SparcmlHost<O> {
                     self.round as u16,
                     kind,
                     16,
-                    Bytes::from(body),
+                    body,
                 );
                 ctx.send(pkt);
             }
@@ -189,10 +187,7 @@ impl<O: ReduceOp<f32>> SparcmlHost<O> {
             for s in 0..nsegs {
                 let lo = s * per_seg;
                 let hi = ((s + 1) * per_seg).min(self.n);
-                let mut body = Vec::with_capacity((hi - lo) * 4);
-                for v in &dense[lo..hi] {
-                    body.extend_from_slice(&v.to_le_bytes());
-                }
+                let body = encode_slice(&dense[lo..hi]);
                 let kind = if s + 1 == nsegs {
                     KIND_DENSE_LAST
                 } else {
@@ -207,7 +202,7 @@ impl<O: ReduceOp<f32>> SparcmlHost<O> {
                     self.round as u16,
                     kind,
                     16,
-                    Bytes::from(body),
+                    body,
                 );
                 ctx.send(pkt);
             }

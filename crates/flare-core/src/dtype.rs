@@ -16,6 +16,39 @@
 //! User-defined types are first-class: anything implementing [`Element`]
 //! works with every aggregation algorithm (see `examples/custom_operator.rs`).
 
+use bytes::{Bytes, BytesMut};
+
+/// Where an encoder writes its bytes: a [`BytesMut`] from the payload free
+/// lists on the datapath, a plain `Vec<u8>` in probes and tests. Both
+/// already have these three methods; the trait only names them.
+pub trait ByteSink {
+    /// Forget the contents, keep the capacity.
+    fn clear(&mut self);
+    /// Make room for `additional` more bytes.
+    fn reserve(&mut self, additional: usize);
+    /// Append `bytes`.
+    fn extend_from_slice(&mut self, bytes: &[u8]);
+}
+
+macro_rules! impl_byte_sink {
+    ($t:ty) => {
+        impl ByteSink for $t {
+            fn clear(&mut self) {
+                <$t>::clear(self)
+            }
+            fn reserve(&mut self, additional: usize) {
+                <$t>::reserve(self, additional)
+            }
+            fn extend_from_slice(&mut self, bytes: &[u8]) {
+                <$t>::extend_from_slice(self, bytes)
+            }
+        }
+    };
+}
+
+impl_byte_sink!(Vec<u8>);
+impl_byte_sink!(BytesMut);
+
 /// A value type that Flare can carry on the wire and aggregate in handlers.
 pub trait Element: Copy + PartialEq + Send + Sync + std::fmt::Debug + 'static {
     /// Bytes occupied on the wire (and in aggregation buffers).
@@ -29,7 +62,7 @@ pub trait Element: Copy + PartialEq + Send + Sync + std::fmt::Debug + 'static {
     /// Additive identity (the zero of sparse data).
     fn zero() -> Self;
     /// Append the little-endian encoding to `out`.
-    fn write_le(self, out: &mut Vec<u8>);
+    fn write_le(self, out: &mut impl ByteSink);
     /// Decode from the first `WIRE_BYTES` of `b`.
     fn read_le(b: &[u8]) -> Self;
 
@@ -38,7 +71,7 @@ pub trait Element: Copy + PartialEq + Send + Sync + std::fmt::Debug + 'static {
     /// The default loops [`Element::write_le`]; the built-in types
     /// override it with a block-buffered bulk path — the wire hot loop —
     /// that the compiler vectorizes.
-    fn write_slice_le(vals: &[Self], out: &mut Vec<u8>) {
+    fn write_slice_le(vals: &[Self], out: &mut impl ByteSink) {
         out.reserve(vals.len() * Self::WIRE_BYTES);
         for &v in vals {
             v.write_le(out);
@@ -95,7 +128,7 @@ pub trait Element: Copy + PartialEq + Send + Sync + std::fmt::Debug + 'static {
 
     /// Append the wire encoding of `(index, value)` pairs to `out`.
     /// Built-in types override with a block-buffered bulk path.
-    fn write_pairs_le(pairs: &[(u32, Self)], out: &mut Vec<u8>) {
+    fn write_pairs_le(pairs: &[(u32, Self)], out: &mut impl ByteSink) {
         out.reserve(pairs.len() * (4 + Self::WIRE_BYTES));
         for &(idx, v) in pairs {
             out.extend_from_slice(&idx.to_le_bytes());
@@ -122,7 +155,7 @@ pub trait Element: Copy + PartialEq + Send + Sync + std::fmt::Debug + 'static {
 /// loops free of per-element bounds checks so they vectorize.
 macro_rules! impl_bulk_wire {
     ($t:ty, $bytes:expr) => {
-        fn write_slice_le(vals: &[Self], out: &mut Vec<u8>) {
+        fn write_slice_le(vals: &[Self], out: &mut impl ByteSink) {
             out.reserve(vals.len() * $bytes);
             let mut tmp = [[0u8; $bytes]; 64];
             for chunk in vals.chunks(64) {
@@ -167,7 +200,7 @@ macro_rules! impl_bulk_wire {
             }
         }
 
-        fn write_pairs_le(pairs: &[(u32, Self)], out: &mut Vec<u8>) {
+        fn write_pairs_le(pairs: &[(u32, Self)], out: &mut impl ByteSink) {
             out.reserve(pairs.len() * ($bytes + 4));
             let mut tmp = [[0u8; $bytes + 4]; 64];
             for chunk in pairs.chunks(64) {
@@ -191,7 +224,7 @@ macro_rules! impl_int_element {
             fn zero() -> Self {
                 0
             }
-            fn write_le(self, out: &mut Vec<u8>) {
+            fn write_le(self, out: &mut impl ByteSink) {
                 out.extend_from_slice(&self.to_le_bytes());
             }
             fn read_le(b: &[u8]) -> Self {
@@ -231,7 +264,7 @@ impl Element for f32 {
     fn zero() -> Self {
         0.0
     }
-    fn write_le(self, out: &mut Vec<u8>) {
+    fn write_le(self, out: &mut impl ByteSink) {
         out.extend_from_slice(&self.to_le_bytes());
     }
     fn read_le(b: &[u8]) -> Self {
@@ -355,7 +388,7 @@ impl Element for F16 {
     fn zero() -> Self {
         F16(0)
     }
-    fn write_le(self, out: &mut Vec<u8>) {
+    fn write_le(self, out: &mut impl ByteSink) {
         out.extend_from_slice(&self.0.to_le_bytes());
     }
     fn read_le(b: &[u8]) -> Self {
@@ -387,11 +420,11 @@ impl Element for F16 {
     }
 }
 
-/// Encode a slice of elements little-endian.
-pub fn encode_slice<T: Element>(vals: &[T]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(vals.len() * T::WIRE_BYTES);
+/// Encode a slice of elements little-endian, straight into a payload block.
+pub fn encode_slice<T: Element>(vals: &[T]) -> Bytes {
+    let mut out = BytesMut::with_capacity(vals.len() * T::WIRE_BYTES);
     T::write_slice_le(vals, &mut out);
-    out
+    out.freeze()
 }
 
 /// Decode a little-endian byte slice into elements.

@@ -21,12 +21,9 @@ use flare_net::{HostCtx, HostProgram, NetPacket, NodeId, TraceKind};
 
 use crate::dtype::Element;
 use crate::op::ReduceOp;
-use crate::pool::BufferPool;
 use crate::sparse::{ShardEvent, ShardTracker};
 use crate::tag::FlowTag;
-use crate::wire::{
-    encode_dense_into, encode_sparse_into, DenseView, Header, PacketKind, SparseView,
-};
+use crate::wire::{encode_dense, encode_sparse, DenseView, Header, PacketKind, SparseView};
 
 /// Shared slot a host writes its final reduced vector into, readable by
 /// the caller after the simulation (the simulator owns the programs).
@@ -221,10 +218,10 @@ pub trait Payload: Send {
     /// How many packets local block `block` is sent as.
     fn packets(&self, block: u64) -> usize;
 
-    /// Encode packet `i` of local block `block` into `out`. `header` is a
+    /// Encode packet `i` of local block `block`. `header` is a
     /// [`Self::CONTRIB`] header carrying the wire block id and the host's
     /// child index. A re-send must produce the same packet.
-    fn encode(&self, block: u64, i: usize, header: Header, out: &mut Vec<u8>);
+    fn encode(&self, block: u64, i: usize, header: Header) -> Bytes;
 
     /// Apply one result packet addressed to the in-flight local block
     /// `block`.
@@ -253,8 +250,6 @@ pub struct FlareHost<P: Payload> {
     outstanding: SendWindow,
     completed: u64,
     sink: ResultSink<P::Elem>,
-    /// Encode scratch, replenished from consumed result payloads.
-    scratch: BufferPool<u8>,
     /// Contribution packets sent (including retransmissions).
     pub sent_packets: u64,
     /// Blocks re-sent by the retransmission timer.
@@ -279,7 +274,6 @@ impl<P: Payload> FlareHost<P> {
             payload,
             completed: 0,
             sink,
-            scratch: BufferPool::new(),
             sent_packets: 0,
             retransmits: 0,
         }
@@ -298,8 +292,6 @@ impl<P: Payload> FlareHost<P> {
             elem_count: 0,
         };
         for i in 0..self.payload.packets(block) {
-            let mut buf = self.scratch.get(0);
-            self.payload.encode(block, i, header, &mut buf);
             let pkt = NetPacket::new(
                 ctx.node(),
                 self.cfg.leaf,
@@ -308,7 +300,7 @@ impl<P: Payload> FlareHost<P> {
                 self.cfg.child_index,
                 P::CONTRIB as u8,
                 0,
-                Bytes::from(buf),
+                self.payload.encode(block, i, header),
             );
             let wire = pkt.wire_bytes as u64;
             ctx.send(pkt);
@@ -348,11 +340,9 @@ impl<P: Payload> HostProgram for FlareHost<P> {
         // Translate the wire block id back into local numbering. Ids
         // outside this run's window are stale (an earlier iteration over
         // the same collective) and ids not in flight already have their
-        // result (a loss-path replay): both are dropped, but their buffer
-        // still recycles into the encode scratch pool.
+        // result (a loss-path replay): both are dropped.
         let local = pkt.block.checked_sub(self.cfg.block_base);
         let Some(local) = local.filter(|&b| self.outstanding.in_flight(b).is_some()) else {
-            self.scratch.reclaim(pkt.payload);
             return;
         };
         let complete = match self.payload.apply(local, &pkt.payload) {
@@ -363,15 +353,16 @@ impl<P: Payload> HostProgram for FlareHost<P> {
             }
             Applied::Block => true,
         };
-        // Consumed: recycle the payload as encode scratch when this host
-        // held the last reference.
-        self.scratch.reclaim(pkt.payload);
         if !complete {
             return;
         }
+        // Consumed: if this was its last handle, the payload's block is
+        // free (and cache-hot) for the sends below.
+        let wire_block = pkt.block;
+        drop(pkt);
         self.outstanding.remove(local);
         self.completed += 1;
-        ctx.trace(TraceKind::BlockRetire, flow, pkt.block, 0);
+        ctx.trace(TraceKind::BlockRetire, flow, wire_block, 0);
         ctx.trace(TraceKind::InFlight, flow, self.outstanding.len() as u64, 0);
         if self.completed == self.outstanding.blocks {
             *self.sink.lock().expect("sink lock") = Some(self.payload.take_result());
@@ -462,8 +453,8 @@ impl<T: Element> Payload for DensePayload<T> {
         1
     }
 
-    fn encode(&self, block: u64, _i: usize, header: Header, out: &mut Vec<u8>) {
-        encode_dense_into(header, &self.data[self.block_range(block)], out);
+    fn encode(&self, block: u64, _i: usize, header: Header) -> Bytes {
+        encode_dense(header, &self.data[self.block_range(block)])
     }
 
     fn apply(&mut self, block: u64, packet: &[u8]) -> Applied {
@@ -474,13 +465,13 @@ impl<T: Element> Payload for DensePayload<T> {
             return Applied::Ignored;
         }
         let range = self.block_range(block);
-        assert!(
-            view.len() >= range.len(),
-            "DenseResult for block {} carries {} elements, need {}",
-            header.block,
-            view.len(),
-            range.len()
-        );
+        if view.len() < range.len() {
+            // Well-formed but short (a foreign flow on this allreduce id, a
+            // truncated replay): the block stays in flight for the
+            // retransmit timer or the stall report, like any other packet
+            // that is not this block's result.
+            return Applied::Ignored;
+        }
         // In place: the block is no longer outstanding, so its input
         // range will never be re-read for a retransmission.
         view.copy_to_slice(&mut self.data[range]);
@@ -580,7 +571,7 @@ impl<T: Element, O: ReduceOp<T>> Payload for SparsePayload<T, O> {
         pairs.div_ceil(self.pairs_per_packet).max(1)
     }
 
-    fn encode(&self, block: u64, i: usize, header: Header, out: &mut Vec<u8>) {
+    fn encode(&self, block: u64, i: usize, header: Header) -> Bytes {
         let shards = self.packets(block);
         let last = i + 1 == shards;
         let header = Header {
@@ -589,7 +580,7 @@ impl<T: Element, O: ReduceOp<T>> Payload for SparsePayload<T, O> {
             ..header
         };
         let mut chunks = self.block_pairs(block).chunks(self.pairs_per_packet);
-        encode_sparse_into(header, chunks.nth(i).unwrap_or(&[]), out);
+        encode_sparse(header, chunks.nth(i).unwrap_or(&[]))
     }
 
     fn apply(&mut self, block: u64, packet: &[u8]) -> Applied {
@@ -784,7 +775,6 @@ mod tests {
         // The second shard of a three-pair block is its third pair alone.
         let pairs = vec![(1, 1.0), (2, 2.0), (3, 3.0f32)];
         let h = SparseFlareHost::new(cfg(), crate::op::Sum, 8, 8, 2, pairs, result_sink());
-        let mut wire = Vec::new();
         let header = Header {
             allreduce: 1,
             block: 0,
@@ -794,7 +784,7 @@ mod tests {
             shard_count: 0,
             elem_count: 0,
         };
-        h.payload.encode(0, 1, header, &mut wire);
+        let wire = h.payload.encode(0, 1, header);
         let (header, view) = SparseView::<f32>::parse(&wire).expect("a sparse packet");
         assert!(header.last_shard);
         let mut got = Vec::new();

@@ -21,9 +21,9 @@
 //!   network-simulator switch programs for system-level runs (Figure 15).
 //! * [`host`] — the one host-side participant (window, stagger,
 //!   retransmission) over a dense or a sparse payload.
-//! * [`pool`] — steady-state allocation recycling: pooled aggregation /
-//!   scratch buffers and the direct-mapped open-block slab behind the
-//!   zero-copy datapath.
+//! * [`pool`] — steady-state allocation recycling: pooled aggregation
+//!   buffers and the direct-mapped open-block slab behind the zero-copy
+//!   datapath (packet payloads recycle themselves, in `vendor/bytes`).
 //! * [`manager`] — the network manager: reduction-tree computation,
 //!   allreduce-id allocation, static memory partitioning and admission
 //!   control (Section 4).

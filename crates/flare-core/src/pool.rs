@@ -2,13 +2,25 @@
 //!
 //! The paper's premise is that in-network aggregation wins by touching
 //! each byte as few times as possible; the simulator must therefore not
-//! spend its time in the allocator. Two pieces make the per-packet path
-//! allocation-free once warmed up:
+//! spend its time in the allocator. What recycles where:
 //!
-//! * [`BufferPool`] — a free-list of `Vec`s (aggregation buffers, encode
-//!   scratch, spill batches). Completed blocks return their buffers; new
-//!   blocks take them back. Hit/miss counters make "zero allocations per
-//!   packet in steady state" a testable property instead of a hope.
+//! * **Packet payloads do not pool here.** A payload travels — host to
+//!   switch, switch to parent, root to every host — so a pool owned by one
+//!   node fills on the receiving side and starves on the sending side (31
+//!   of `dense_star`'s 32 hosts `malloc`ed every packet they sent, and each
+//!   of `traffic_lossy`'s 48 switch programs sat on up to 1 024 idle ~1 KiB
+//!   buffers). A payload is one block of `vendor/bytes`, which returns to a
+//!   thread-wide free list when its last handle drops, whoever drops it;
+//!   encoders take a block of exactly the packet's size from the same list.
+//!   A switch program's `byte_pool` counters are its share of that
+//!   traffic: the blocks its encodes asked for and how many a free list
+//!   served.
+//! * [`BufferPool`] — a free-list of `Vec`s for what stays on its node:
+//!   aggregation buffers and sparse pair batches. Completed blocks return
+//!   their buffers; new blocks take them back. Hit/miss counters make
+//!   "zero allocations per packet in steady state" a testable property
+//!   instead of a hope (`tests/zero_copy_datapath.rs` also counts the
+//!   allocator's calls).
 //! * [`BlockSlab`] — open-block state indexed by `block % slots` instead
 //!   of a `HashMap` probe per packet. Block ids are dense and windowed
 //!   (hosts keep at most `window` consecutive ids in flight), so the
@@ -43,6 +55,18 @@ impl PoolStats {
         } else {
             self.hits as f64 / self.gets as f64
         }
+    }
+
+    /// Run `encode`, counting the payload blocks it takes from
+    /// `vendor/bytes` on this thread as gets, and those a free list served
+    /// as hits. (`puts` stays 0: a payload finds its own way back.)
+    pub(crate) fn count_payloads<R>(&mut self, encode: impl FnOnce() -> R) -> R {
+        let before = bytes::pool_stats();
+        let out = encode();
+        let after = bytes::pool_stats();
+        self.gets += after.requests - before.requests;
+        self.hits += after.reused - before.reused;
+        out
     }
 }
 
@@ -116,17 +140,6 @@ impl<E> BufferPool<E> {
     }
 }
 
-impl BufferPool<u8> {
-    /// Reclaim a consumed packet payload into the free-list when this is
-    /// the last reference to it (multicast copies still in flight keep
-    /// their shared buffer alive and are simply not reclaimed).
-    pub fn reclaim(&mut self, payload: bytes::Bytes) {
-        if let Ok(v) = payload.try_into_vec() {
-            self.put(v);
-        }
-    }
-}
-
 /// Replay cache for completed blocks: a direct-mapped ring indexed by
 /// `block % capacity`.
 ///
@@ -141,6 +154,9 @@ impl BufferPool<u8> {
 /// block while the sparse protocol caches a whole shard set.
 #[derive(Debug)]
 pub struct ReplayRing<P> {
+    capacity: usize,
+    /// Empty until the first entry is cached: only lossy fabrics cache, and
+    /// a reliable run should not pay for (or tear down) `capacity` slots.
     slots: Vec<Option<(u64, P)>>,
 }
 
@@ -156,24 +172,30 @@ impl<P> ReplayRing<P> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         Self {
-            slots: (0..capacity).map(|_| None).collect(),
+            capacity,
+            slots: Vec::new(),
         }
     }
 
-    fn idx(&self, block: u64) -> usize {
-        (block % self.slots.len() as u64) as usize
+    /// The slot of `block`, allocating the slots on first use.
+    fn slot_mut(&mut self, block: u64) -> &mut Option<(u64, P)> {
+        if self.slots.is_empty() {
+            self.slots.resize_with(self.capacity, || None);
+        }
+        &mut self.slots[(block % self.capacity as u64) as usize]
     }
 
     /// Cache `payload` for `block`, handing back any evicted (or
-    /// replaced) payload so the caller can reclaim its buffers.
+    /// replaced) payload.
     pub fn put(&mut self, block: u64, payload: P) -> Option<P> {
-        let i = self.idx(block);
-        self.slots[i].replace((block, payload)).map(|(_, old)| old)
+        self.slot_mut(block)
+            .replace((block, payload))
+            .map(|(_, old)| old)
     }
 
     /// The cached payload for `block`, if still resident.
     pub fn get(&self, block: u64) -> Option<&P> {
-        match &self.slots[self.idx(block)] {
+        match self.slots.get((block % self.capacity as u64) as usize)? {
             Some((b, payload)) if *b == block => Some(payload),
             _ => None,
         }
@@ -183,12 +205,17 @@ impl<P> ReplayRing<P> {
     /// `make` if absent (evicting whatever held the slot; the evicted
     /// payload is dropped).
     pub fn get_or_insert_with(&mut self, block: u64, make: impl FnOnce() -> P) -> &mut P {
-        let i = self.idx(block);
-        let hit = matches!(&self.slots[i], Some((b, _)) if *b == block);
-        if !hit {
-            self.slots[i] = Some((block, make()));
+        let slot = self.slot_mut(block);
+        if !matches!(slot, Some((b, _)) if *b == block) {
+            *slot = Some((block, make()));
         }
-        &mut self.slots[i].as_mut().expect("just ensured").1
+        &mut slot.as_mut().expect("just ensured").1
+    }
+
+    /// Slots allocated so far: 0 until something is cached.
+    #[cfg(test)]
+    pub(crate) fn allocated_slots(&self) -> usize {
+        self.slots.len()
     }
 }
 
@@ -494,13 +521,20 @@ mod tests {
 
     #[test]
     fn reclaim_recovers_unique_payloads_only() {
-        let mut pool: BufferPool<u8> = BufferPool::new();
-        let payload = bytes::Bytes::from(vec![1u8, 2, 3]);
+        // Dropping a payload's last handle is what returns its block, and
+        // the next payload of that size is counted as a hit.
+        let mut stats = PoolStats::default();
+        let payload = stats.count_payloads(|| bytes::Bytes::copy_from_slice(&[1u8; 700]));
         let shared = payload.clone();
-        pool.reclaim(payload);
-        assert_eq!(pool.idle(), 0, "shared payloads are not reclaimed");
-        pool.reclaim(shared);
-        assert_eq!(pool.idle(), 1, "unique payloads are");
+        drop(payload);
+        let second = stats.count_payloads(|| bytes::Bytes::copy_from_slice(&[2u8; 700]));
+        assert_ne!(second.as_ptr(), shared.as_ptr(), "a shared block stays");
+        let block = shared.as_ptr();
+        drop(shared);
+        let third = stats.count_payloads(|| bytes::Bytes::copy_from_slice(&[3u8; 700]));
+        assert_eq!(third.as_ptr(), block, "a unique one comes back");
+        assert_eq!((stats.gets, stats.puts), (3, 0));
+        assert!(stats.hits >= 2, "all but a first carve: {stats:?}");
     }
 
     #[test]
@@ -518,6 +552,18 @@ mod tests {
         *ring.get_or_insert_with(5, || "x") = "d";
         assert_eq!(ring.get(5), Some(&"d"));
         assert_eq!(*ring.get_or_insert_with(2, || "fresh"), "fresh");
+    }
+
+    #[test]
+    fn replay_ring_allocates_its_slots_on_first_use() {
+        let mut ring: ReplayRing<u8> = ReplayRing::new(4);
+        assert_eq!(ring.get(1), None, "an empty ring answers None");
+        assert_eq!(ring.allocated_slots(), 0);
+        ring.put(1, 7);
+        assert_eq!(ring.allocated_slots(), 4);
+        let mut other: ReplayRing<u8> = ReplayRing::new(4);
+        *other.get_or_insert_with(6, || 0) += 1;
+        assert_eq!((other.get(6), other.allocated_slots()), (Some(&1), 4));
     }
 
     #[test]

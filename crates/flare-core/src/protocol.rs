@@ -29,12 +29,10 @@ use crate::dense::{InsertReport, TreeBlock};
 use crate::dtype::Element;
 use crate::handlers::SparseStorageKind;
 use crate::op::ReduceOp;
-use crate::pool::{BlockSlab, BufferPool, ReplayRing, RetirementFloor};
+use crate::pool::{BlockSlab, BufferPool, PoolStats, ReplayRing, RetirementFloor};
 use crate::sparse::{HashInsert, ShardEvent, ShardTracker, SparseArrayStore, SparseHashStore};
 use crate::switch_prog::{ProgramStats, TreePlacement};
-use crate::wire::{
-    encode_dense_into, encode_sparse_into, DenseView, Header, PacketKind, SparseView, HEADER_BYTES,
-};
+use crate::wire::{encode_dense, encode_sparse, DenseView, Header, PacketKind, SparseView};
 
 /// Which model of a switch is running the protocol.
 pub(crate) enum Side<'a, 'c> {
@@ -212,12 +210,13 @@ pub(crate) struct BlockTable<B, R> {
     pub(crate) open: BlockSlab<B>,
     retired: RetirementFloor,
     /// What each finished block sent, kept for duplicate-contribution
-    /// replays. Only written under `loss_recovery`.
-    replay: ReplayRing<R>,
+    /// replays. Only written under `loss_recovery`, and without slots
+    /// until then.
+    pub(crate) replay: ReplayRing<R>,
     spare: Vec<B>,
     /// Whether the deployment injects loss. A reliable run caches nothing:
-    /// cached payloads pin their buffers and defeat reclaim, for replays
-    /// that can never be requested.
+    /// cached payloads pin their blocks, for replays that can never be
+    /// requested.
     pub(crate) loss_recovery: bool,
 }
 
@@ -328,8 +327,9 @@ pub(crate) struct DenseCore<T: Element, O, D> {
     op: O,
     pub(crate) table: BlockTable<D, Bytes>,
     val_pool: BufferPool<T>,
-    /// Encode scratch, replenished from consumed contribution payloads.
-    pub(crate) scratch: BufferPool<u8>,
+    /// Payload blocks this program's encodes took, and how many of them a
+    /// free list served.
+    byte_pool: PoolStats,
 }
 
 impl<T: Element, O: ReduceOp<T>, D: DenseStorage<T>> DenseCore<T, O, D> {
@@ -338,29 +338,21 @@ impl<T: Element, O: ReduceOp<T>, D: DenseStorage<T>> DenseCore<T, O, D> {
             op,
             table: BlockTable::new(children),
             val_pool: BufferPool::new(),
-            scratch: BufferPool::new(),
+            byte_pool: PoolStats::default(),
         }
     }
 
     pub(crate) fn stats(&self) -> ProgramStats {
         ProgramStats {
             agg_pool: self.val_pool.stats(),
-            byte_pool: self.scratch.stats(),
+            byte_pool: self.byte_pool,
             slab: self.table.open.stats(),
-        }
-    }
-
-    fn cache(&mut self, block: u64, payload: Bytes) {
-        if let Some(evicted) = self.table.replay.put(block, payload) {
-            self.scratch.reclaim(evicted);
         }
     }
 
     /// One child's contribution to `block`. `open` builds the block's
     /// storage from a spare shell or from scratch; a completed result goes
-    /// to `capture` when given, else back to the pool. Returns whether the
-    /// packet was consumed (folded, or rejected as a duplicate) rather
-    /// than dropped.
+    /// to `capture` when given, else back to the pool.
     pub(crate) fn on_contrib(
         &mut self,
         side: &mut Side<'_, '_>,
@@ -369,10 +361,10 @@ impl<T: Element, O: ReduceOp<T>, D: DenseStorage<T>> DenseCore<T, O, D> {
         vals: &DenseView<'_, T>,
         open: impl FnOnce(Option<D>) -> D,
         capture: Option<&mut Captured<Vec<T>>>,
-    ) -> bool {
+    ) {
         let poke = |cached: &Bytes| Self::answer_retired_poke(side, block, header.child, cached);
         let Some((store, _)) = self.table.admit(block, header.child, open, poke) else {
-            return false;
+            return;
         };
         let report = store.fold(
             side,
@@ -383,12 +375,12 @@ impl<T: Element, O: ReduceOp<T>, D: DenseStorage<T>> DenseCore<T, O, D> {
             &mut self.val_pool,
         );
         if report.duplicate {
-            return true; // retransmission: the bitmap already covers this child
+            return; // retransmission: the bitmap already covers this child
         }
         let buffers = report.buffers_allocated as i64 - report.buffers_freed as i64;
         side.working_mem(buffers * (vals.len() * T::WIRE_BYTES) as i64);
         let Some(result) = report.result else {
-            return true;
+            return;
         };
         if let Some(shell) = self.table.retire(block).recycle() {
             self.table.park(shell);
@@ -410,21 +402,18 @@ impl<T: Element, O: ReduceOp<T>, D: DenseStorage<T>> DenseCore<T, O, D> {
             shard_count: 0,
             elem_count: 0,
         };
-        let mut buf = self
-            .scratch
-            .get(HEADER_BYTES + result.len() * T::WIRE_BYTES);
-        encode_dense_into(header, &result, &mut buf);
-        let payload = Bytes::from(buf);
+        let payload = self
+            .byte_pool
+            .count_payloads(|| encode_dense(header, &result));
         side.send(to, block, kind, &payload);
         if self.table.loss_recovery {
-            self.cache(block, payload);
+            self.table.replay.put(block, payload);
         }
         side.complete(block);
         match capture {
             Some(results) => results.push((block, result)),
             None => self.val_pool.put(result),
         }
-        true
     }
 
     /// Answer a retransmitted contribution for a block already finished
@@ -452,7 +441,7 @@ impl<T: Element, O: ReduceOp<T>, D: DenseStorage<T>> DenseCore<T, O, D> {
             // The final result supersedes the cached upward aggregate:
             // future pokes replay it directly instead of round-tripping
             // through the parent.
-            self.cache(block, payload.clone());
+            self.table.replay.put(block, payload.clone());
         }
         side.send(To::Children, block, PacketKind::DenseResult, payload);
     }
@@ -519,7 +508,7 @@ pub(crate) struct SparseReplay {
 #[allow(clippy::too_many_arguments)]
 fn send_shards<T: Element>(
     side: &mut Side<'_, '_>,
-    scratch: &mut BufferPool<u8>,
+    byte_pool: &mut PoolStats,
     per: usize,
     block: u64,
     pairs: &[(u32, T)],
@@ -549,9 +538,7 @@ fn send_shards<T: Element>(
             shard_count: Header::shard_seq_field(last_shard, seq, total),
             elem_count: 0,
         };
-        let mut buf = scratch.get(HEADER_BYTES + chunk.len() * (4 + T::WIRE_BYTES));
-        encode_sparse_into(header, chunk, &mut buf);
-        let payload = Bytes::from(buf);
+        let payload = byte_pool.count_payloads(|| encode_sparse(header, chunk));
         side.send(to, block, kind, &payload);
         if let Some(keep) = keep.as_deref_mut() {
             keep.push(payload);
@@ -566,8 +553,9 @@ pub(crate) struct SparseCore<T: Element, O> {
     pub(crate) table: BlockTable<SparseBlock<T>, SparseReplay>,
     pairs_per_packet: usize,
     pair_pool: BufferPool<(u32, T)>,
-    /// Encode scratch, replenished from consumed contribution payloads.
-    pub(crate) scratch: BufferPool<u8>,
+    /// Payload blocks this program's encodes took, and how many of them a
+    /// free list served.
+    byte_pool: PoolStats,
     /// Spilled elements forwarded unaggregated — the paper's Figure 14
     /// "extra traffic".
     pub(crate) spilled_elems: u64,
@@ -587,7 +575,7 @@ impl<T: Element, O: ReduceOp<T>> SparseCore<T, O> {
             table: BlockTable::new(children),
             pairs_per_packet,
             pair_pool: BufferPool::new(),
-            scratch: BufferPool::new(),
+            byte_pool: PoolStats::default(),
             spilled_elems: 0,
         }
     }
@@ -595,7 +583,7 @@ impl<T: Element, O: ReduceOp<T>> SparseCore<T, O> {
     pub(crate) fn stats(&self) -> ProgramStats {
         ProgramStats {
             agg_pool: self.pair_pool.stats(),
-            byte_pool: self.scratch.stats(),
+            byte_pool: self.byte_pool,
             slab: self.table.open.stats(),
         }
     }
@@ -603,8 +591,7 @@ impl<T: Element, O: ReduceOp<T>> SparseCore<T, O> {
     /// One shard of one child's contribution to `block` (a child switch's
     /// spill shards arrive the same way and count towards its announced
     /// total). A completed result goes to `capture`, sorted by index, when
-    /// given, else back to the pool. Returns whether the packet was
-    /// consumed rather than dropped.
+    /// given, else back to the pool.
     pub(crate) fn on_contrib(
         &mut self,
         side: &mut Side<'_, '_>,
@@ -612,9 +599,9 @@ impl<T: Element, O: ReduceOp<T>> SparseCore<T, O> {
         header: &Header,
         pairs: &SparseView<'_, T>,
         capture: Option<&mut Captured<Vec<(u32, T)>>>,
-    ) -> bool {
+    ) {
         let (op, children, storage) = (&self.op, self.table.children, self.storage);
-        let (per, scratch) = (self.pairs_per_packet, &mut self.scratch);
+        let (per, byte_pool) = (self.pairs_per_packet, &mut self.byte_pool);
         let keep = self.table.loss_recovery;
         // A new block's store lives in the L1 of the cluster that opens it.
         let opener = side.hpu().map_or(0, |ctx| ctx.cluster);
@@ -647,7 +634,7 @@ impl<T: Element, O: ReduceOp<T>> SparseCore<T, O> {
         };
         let poke = |entry: &SparseReplay| Self::answer_retired_poke(side, block, header, entry);
         let Some((b, opened)) = self.table.admit(block, header.child, open, poke) else {
-            return false;
+            return;
         };
         if opened {
             side.working_mem(b.store.memory_bytes() as i64);
@@ -660,7 +647,7 @@ impl<T: Element, O: ReduceOp<T>> SparseCore<T, O> {
             header.shard_count,
         );
         if event == ShardEvent::Duplicate {
-            return true; // rejected at parse cost, before taking the lock
+            return; // rejected at parse cost, before taking the lock
         }
         side.sparse_lock(block, b, pairs.len());
 
@@ -688,14 +675,16 @@ impl<T: Element, O: ReduceOp<T>> SparseCore<T, O> {
             let first_seq = b.sent_up;
             b.sent_up += flushed.len().div_ceil(per) as u16;
             let keep = keep.then_some(&mut b.sent_cache);
-            send_shards(side, scratch, per, block, &flushed, first_seq, false, keep);
+            send_shards(
+                side, byte_pool, per, block, &flushed, first_seq, false, keep,
+            );
         }
         if event == ShardEvent::Complete {
             b.children_done += 1;
         }
         if b.children_done < children {
             self.pair_pool.put(flushed);
-            return true;
+            return;
         }
 
         // Every child delivered: drain the store into the pooled batch and
@@ -712,7 +701,7 @@ impl<T: Element, O: ReduceOp<T>> SparseCore<T, O> {
         let first_seq = done.sent_up;
         self.table.park(done);
         let kept = keep.then_some(&mut sent);
-        send_shards(side, scratch, per, block, &result, first_seq, true, kept);
+        send_shards(side, byte_pool, per, block, &result, first_seq, true, kept);
         if keep {
             // Merged into any entry `on_result` already opened: root spill
             // shards can pass down while this block is still open here,
@@ -738,7 +727,6 @@ impl<T: Element, O: ReduceOp<T>> SparseCore<T, O> {
             }
             None => self.pair_pool.put(result),
         }
-        true
     }
 
     /// Answer a retransmitted shard for a block already finished here —

@@ -240,8 +240,8 @@ mod tests {
             reserved_peak_bytes: 4096,
         };
         let mut b = a.clone();
-        b.switch_pools.byte_pool.puts += 1;
-        assert_eq!(a, b, "which consumer recycled a payload is not a result");
+        b.switch_pools.byte_pool.hits += 1;
+        assert_eq!(a, b, "which free list served a payload is not a result");
         b.reserved_peak_bytes += 1;
         assert_ne!(a, b);
     }

@@ -12,8 +12,9 @@
 //! children at the packet's processing-done time. That core keeps the
 //! per-packet datapath zero-copy and allocation-free in steady state
 //! (contributions fold straight out of the packet bytes via
-//! [`DenseView`]/[`SparseView`], buffers cycle through per-program pools,
-//! multicast replicates one encoded payload by `Bytes` refcount) and, on
+//! [`DenseView`]/[`SparseView`], aggregation buffers cycle through
+//! per-program pools, a result is encoded once into a payload block from
+//! the thread's free list and multicast by `Bytes` refcount) and, on
 //! lossy sessions (`with_loss_recovery`), implements the paper's Section
 //! 4.1 recovery: duplicate contributions are rejected, and a
 //! retransmitted contribution for a *retired* block is answered with the
@@ -56,7 +57,10 @@ pub struct TreePlacement {
 pub struct ProgramStats {
     /// Aggregation-buffer pool (elements / pairs).
     pub agg_pool: PoolStats,
-    /// Encode-scratch / reclaimed-payload pool (bytes).
+    /// Payload blocks the program's encodes asked `vendor/bytes` for
+    /// (`gets`) and how many of them a free list served (`hits`). `hits`
+    /// depends on what the thread freed before, so it is a recycling
+    /// statistic, not a simulation result.
     pub byte_pool: PoolStats,
     /// Open-block slab lookups.
     pub slab: SlabStats,
@@ -84,7 +88,7 @@ impl<T: Element, O: ReduceOp<T>> FlareDenseProgram<T, O> {
 
     /// Enable (or disable) the loss-recovery replay cache. The session
     /// turns this on whenever `link_drop_prob > 0`; reliable runs leave
-    /// it off so completed payloads recycle into the pools instead of
+    /// it off so completed payloads go back to the free lists instead of
     /// being pinned for replays that can never be requested.
     pub fn with_loss_recovery(mut self, yes: bool) -> Self {
         self.core.table.loss_recovery = yes;
@@ -117,13 +121,11 @@ impl<T: Element, O: ReduceOp<T> + 'static> SwitchProgram for FlareDenseProgram<T
             spare.unwrap_or_else(|| TreeBlock::new(place.children.len() as u16))
         };
         let mut side = Side::Net { ctx, place, at };
-        if !contrib {
+        if contrib {
+            self.core
+                .on_contrib(&mut side, pkt.block, &header, &vals, open, None);
+        } else {
             self.core.on_result(&mut side, pkt.block, &pkt.payload);
-        } else if self
-            .core
-            .on_contrib(&mut side, pkt.block, &header, &vals, open, None)
-        {
-            self.core.scratch.reclaim(pkt.payload);
         }
     }
 
@@ -185,14 +187,12 @@ impl<T: Element, O: ReduceOp<T> + 'static> SwitchProgram for FlareSparseProgram<
         let at = ctx.processing_done_for(pkt.block, pkt.wire_bytes);
         let place = &self.place;
         let mut side = Side::Net { ctx, place, at };
-        if !contrib {
+        if contrib {
+            self.core
+                .on_contrib(&mut side, pkt.block, &header, &pairs, None);
+        } else {
             self.core
                 .on_result(&mut side, pkt.block, &header, &pkt.payload);
-        } else if self
-            .core
-            .on_contrib(&mut side, pkt.block, &header, &pairs, None)
-        {
-            self.core.scratch.reclaim(pkt.payload);
         }
     }
 
@@ -231,6 +231,48 @@ mod tests {
         }
         let tree_block = std::mem::size_of::<TreeBlock<f32>>();
         assert_eq!(entry_bytes(|program| &program.core), tree_block);
+    }
+
+    #[test]
+    fn lossless_runs_allocate_no_replay_slots() {
+        // 1 024 slots of `Option<(u64, Bytes)>` are 16 KiB a program (96
+        // KiB sparse): only a fabric that can lose packets caches replays,
+        // so only there may a program pay for the ring.
+        use crate::host::{result_sink, DenseFlareHost, HostConfig};
+        use flare_net::{LinkSpec, NetSim, Topology};
+        let replay_slots = |lossy: bool| {
+            let (topo, sw, hosts) = Topology::star(3, LinkSpec::hundred_gig());
+            let mut sim = NetSim::new(topo, 1);
+            let place = TreePlacement {
+                allreduce: 1,
+                parent: None,
+                children: hosts.clone(),
+                my_child_index: 0,
+            };
+            let prog = FlareDenseProgram::<i32, Sum>::new(place, Sum).with_loss_recovery(lossy);
+            sim.install_switch(sw, Box::new(prog), 512.0);
+            for (rank, &h) in hosts.iter().enumerate() {
+                let cfg = HostConfig {
+                    allreduce: 1,
+                    leaf: sw,
+                    child_index: rank as u16,
+                    window: 4,
+                    stagger_offset: 0,
+                    retransmit_after: None,
+                    block_base: 0,
+                    wake_seq: 0,
+                };
+                let host = DenseFlareHost::new(cfg, 8, vec![1i32; 64], result_sink());
+                sim.install_host(h, Box::new(host));
+            }
+            assert!(sim.run(None).last_done.is_some(), "allreduce completes");
+            let mut prog = sim.take_switch(sw).expect("installed");
+            let prog = prog.as_any_mut().expect("opts in").downcast_mut();
+            let prog: &mut FlareDenseProgram<i32, Sum> = prog.expect("concrete type");
+            prog.core.table.replay.allocated_slots()
+        };
+        assert_eq!(replay_slots(false), 0);
+        assert_eq!(replay_slots(true), 1024, "a lossy fabric does cache");
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! with values (paper Section 7: "packets also carry the position of each
 //! element inside the block").
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
-use crate::dtype::Element;
+use crate::dtype::{ByteSink, Element};
 
 /// Size of the fixed Flare header in bytes.
 pub const HEADER_BYTES: usize = 16;
@@ -292,10 +292,10 @@ impl<'a, T: Element> SparseView<'a, T> {
     }
 }
 
-/// Serialize a dense packet into a caller-provided (typically pooled)
-/// buffer: header + contiguous element values. The buffer is cleared
-/// first; spare capacity is kept.
-pub fn encode_dense_into<T: Element>(mut header: Header, values: &[T], out: &mut Vec<u8>) {
+/// Serialize a dense packet into a caller-provided sink: header +
+/// contiguous element values. The sink is cleared first; spare capacity is
+/// kept.
+pub fn encode_dense_into<T: Element>(mut header: Header, values: &[T], out: &mut impl ByteSink) {
     header.elem_count = values.len() as u16;
     out.clear();
     out.reserve(HEADER_BYTES + values.len() * T::WIRE_BYTES);
@@ -303,11 +303,12 @@ pub fn encode_dense_into<T: Element>(mut header: Header, values: &[T], out: &mut
     T::write_slice_le(values, out);
 }
 
-/// Encode a dense packet: header + contiguous element values.
+/// Encode a dense packet: header + contiguous element values, written once
+/// into a payload block of exactly that size.
 pub fn encode_dense<T: Element>(header: Header, values: &[T]) -> Bytes {
-    let mut out = Vec::new();
+    let mut out = BytesMut::with_capacity(HEADER_BYTES + values.len() * T::WIRE_BYTES);
     encode_dense_into(header, values, &mut out);
-    Bytes::from(out)
+    out.freeze()
 }
 
 /// Decode a dense packet body previously produced by [`encode_dense`].
@@ -316,9 +317,13 @@ pub fn decode_dense<T: Element>(buf: &[u8]) -> Result<(Header, Vec<T>), WireErro
     Ok((h, view.iter().collect()))
 }
 
-/// Serialize a sparse packet into a caller-provided (typically pooled)
-/// buffer: header + (u32 index, value) pairs. Indexes are block-relative.
-pub fn encode_sparse_into<T: Element>(mut header: Header, pairs: &[(u32, T)], out: &mut Vec<u8>) {
+/// Serialize a sparse packet into a caller-provided sink: header + (u32
+/// index, value) pairs. Indexes are block-relative.
+pub fn encode_sparse_into<T: Element>(
+    mut header: Header,
+    pairs: &[(u32, T)],
+    out: &mut impl ByteSink,
+) {
     header.elem_count = pairs.len() as u16;
     out.clear();
     out.reserve(HEADER_BYTES + pairs.len() * (4 + T::WIRE_BYTES));
@@ -329,9 +334,9 @@ pub fn encode_sparse_into<T: Element>(mut header: Header, pairs: &[(u32, T)], ou
 /// Encode a sparse packet: header + (u32 index, value) pairs. Indexes are
 /// block-relative.
 pub fn encode_sparse<T: Element>(header: Header, pairs: &[(u32, T)]) -> Bytes {
-    let mut out = Vec::new();
+    let mut out = BytesMut::with_capacity(HEADER_BYTES + pairs.len() * (4 + T::WIRE_BYTES));
     encode_sparse_into(header, pairs, &mut out);
-    Bytes::from(out)
+    out.freeze()
 }
 
 /// Decode a sparse packet body previously produced by [`encode_sparse`].

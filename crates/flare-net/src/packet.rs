@@ -11,8 +11,9 @@ use crate::topology::NodeId;
 /// application-defined discriminator (e.g. contribution vs. result vs.
 /// ack); the payload is opaque to the network.
 ///
-/// The layout is deliberately lean — `NodeId` is `u32`, the payload a
-/// single `Arc` pointer — because a `NetPacket` is moved by value into
+/// The layout is deliberately lean — `NodeId` is `u32`, the payload one
+/// pointer to the block that holds its count and its bytes (`vendor/bytes`)
+/// — because a `NetPacket` is moved by value into
 /// and out of the event queue's slab for every egress/deliver event, and
 /// a 48-byte event is what fits a slab node in one cache line; a
 /// `size_of` regression test pins it at 40 bytes (down from the 48 of

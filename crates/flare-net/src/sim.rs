@@ -91,8 +91,8 @@ pub trait SwitchProgram: Send {
     /// normally, "not further delayed" per paper Section 3).
     fn matches(&self, pkt: &NetPacket) -> bool;
     /// Handle a matched packet. The packet is moved in: a program that
-    /// consumes the payload holds its only reference and may reclaim the
-    /// backing buffer into a pool.
+    /// consumes the payload holds its only handle, and dropping it returns
+    /// the payload's block to the free lists of `vendor/bytes`.
     fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, in_port: PortId, pkt: NetPacket);
     /// Downcast hook so callers of [`NetSim::take_switch`] can inspect
     /// concrete program state (pool counters, completion tallies) after a
@@ -332,8 +332,9 @@ impl PartitionSim for NetLane<'_> {
                                 node,
                                 now: t,
                             };
-                            // Move the packet in (no payload refcount bump)
-                            // so consuming programs can recycle the buffer.
+                            // Move the packet in (no payload refcount bump):
+                            // the program's drop of a consumed payload is
+                            // what frees its block for the next encode.
                             prog.on_packet(&mut ctx, in_port, pkt);
                             self.state.nodes[slot].switch = Some(prog);
                         }

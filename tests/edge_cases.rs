@@ -1,10 +1,11 @@
 //! Edge cases across the stack: wide reduction trees (>64 children,
 //! exercising multi-word bitmaps), f16 end-to-end, duplicate retransmitted
 //! packets at the PsPIN layer, pass-through switch chains, ECMP spreading,
-//! link-utilization telemetry, and the block protocol's two sides (NetSim
-//! switch programs, PsPIN handlers) fed the same packets.
+//! link-utilization telemetry, the block protocol's two sides (NetSim
+//! switch programs, PsPIN handlers) fed the same packets, and malformed or
+//! short packets that must be dropped rather than panic.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
@@ -14,12 +15,18 @@ use flare::core::handlers::{
     DenseAllreduceHandler, DenseHandlerConfig, SparseAllreduceHandler, SparseHandlerConfig,
     SparseStorageKind,
 };
+use flare::core::host::{result_sink, DenseFlareHost, HostConfig};
 use flare::core::manager::compute_reduction_tree;
 use flare::core::session::FlareSession;
 use flare::core::switch_prog::{FlareDenseProgram, FlareSparseProgram, TreePlacement};
-use flare::core::wire::{decode_sparse, encode_dense, encode_sparse, Header, PacketKind};
+use flare::core::wire::{
+    decode_dense, decode_sparse, encode_dense, encode_sparse, Header, PacketKind,
+};
 use flare::model::AggKind;
-use flare::net::{HostCtx, HostProgram, LinkSpec, NetPacket, NetSim, NodeId, Topology};
+use flare::net::{
+    HostCtx, HostProgram, LinkSpec, NetPacket, NetSim, NodeId, PortId, SwitchCtx, SwitchProgram,
+    Topology,
+};
 use flare::prelude::{golden_reduce, Sum};
 use flare::pspin::engine::run_trace;
 use flare::pspin::{PspinConfig, PspinPacket, SchedulingPolicy};
@@ -540,6 +547,80 @@ fn dense_program_drops_an_out_of_range_child_index() {
 #[test]
 fn sparse_program_drops_an_out_of_range_child_index() {
     star_drops_the_rogue_packet(Proto::Sparse(HASH_THAT_SPILLS));
+}
+
+/// A root that answers every dense contribution twice: with its values
+/// doubled but one element short, then with all of them. It notes where
+/// the first short payload lives.
+struct ShortThenWhole {
+    first_short: Arc<Mutex<Option<usize>>>,
+}
+
+impl SwitchProgram for ShortThenWhole {
+    fn matches(&self, pkt: &NetPacket) -> bool {
+        pkt.flow == FLOW
+    }
+
+    fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, _in_port: PortId, pkt: NetPacket) {
+        let (h, vals) = decode_dense::<f32>(&pkt.payload).expect("a dense contribution");
+        let doubled: Vec<f32> = vals.iter().map(|v| 2.0 * v).collect();
+        let kind = PacketKind::DenseResult;
+        for cut in [1, 0] {
+            let payload = encode_dense(Header { kind, ..h }, &doubled[..doubled.len() - cut]);
+            if cut == 1 {
+                let at = payload.as_ptr() as usize;
+                self.first_short.lock().unwrap().get_or_insert(at);
+            }
+            let me = ctx.node();
+            ctx.send(NetPacket::new(
+                me, pkt.src, FLOW, pkt.block, 0, kind as u8, 0, payload,
+            ));
+        }
+    }
+}
+
+#[test]
+fn dense_host_ignores_a_short_result_and_completes_on_the_whole_one() {
+    // Well-formed but short results (a foreign flow on this allreduce id,
+    // a truncated replay) used to trip an `assert!` and abort the whole
+    // simulation. Ten elements in blocks of four: blocks 0 and 1 get a
+    // 3-element result they must ignore, and the final block's whole
+    // result is legally short (2 < 4) and must still complete it.
+    let (topo, sw, hosts) = Topology::star(1, LinkSpec::hundred_gig());
+    let mut sim = NetSim::new(topo, 1);
+    let first_short = Arc::new(Mutex::new(None));
+    let prog = ShortThenWhole {
+        first_short: first_short.clone(),
+    };
+    sim.install_switch(sw, Box::new(prog), 512.0);
+    let sink = result_sink();
+    let cfg = HostConfig {
+        allreduce: FLOW,
+        leaf: sw,
+        child_index: 0,
+        window: 2,
+        stagger_offset: 0,
+        retransmit_after: None,
+        block_base: 0,
+        wake_seq: 0,
+    };
+    let data: Vec<f32> = (1..=10).map(|i| i as f32).collect();
+    let host = DenseFlareHost::new(cfg, 4, data.clone(), sink.clone());
+    sim.install_host(hosts[0], Box::new(host));
+    let report = sim.run(None);
+    assert!(report.last_done.is_some(), "every block completed");
+    let got = sink.lock().unwrap().take().expect("host finished");
+    let want: Vec<f32> = data.iter().map(|v| 2.0 * v).collect();
+    assert_eq!(got, want, "only whole results were applied");
+    drop(sim);
+    // The ignored payload was dropped like any other: its block is back on
+    // this thread's free list, among the first few a same-size request pops.
+    let short = first_short
+        .lock()
+        .unwrap()
+        .expect("a short result was sent");
+    let held: Vec<BytesMut> = (0..64).map(|_| BytesMut::with_capacity(28)).collect();
+    assert!(held.iter().any(|b| b.as_ptr() as usize == short));
 }
 
 #[test]

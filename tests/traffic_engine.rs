@@ -141,7 +141,7 @@ fn churn_soak_reaches_a_steady_state() {
     let (topo, sw, _hosts) = Topology::star(8, LinkSpec::hundred_gig());
     let mut session = FlareSession::builder(topo).build();
 
-    let mut shell_allocated = Vec::with_capacity(ROUNDS);
+    let mut payload_misses = Vec::with_capacity(ROUNDS);
     let mut makespans = Vec::with_capacity(ROUNDS);
     let mut pool_stats = Vec::with_capacity(ROUNDS);
     for _ in 0..ROUNDS {
@@ -155,12 +155,17 @@ fn churn_soak_reaches_a_steady_state() {
         let section = report.tenants.as_ref().unwrap();
         assert!(section.tenants.iter().all(|t| t.jobs_completed == 1));
         makespans.push(report.net.makespan);
-        pool_stats.push(section.fabric.switch_pools);
+        // Which requests a free list served depends on what this thread
+        // freed before the round, not on the round.
+        let mut pools = section.fabric.switch_pools;
+        pools.byte_pool.hits = 0;
+        pool_stats.push(pools);
         engine.release_all().expect("release soak tenants");
         // Switch working memory must return to the pool every round.
         assert_eq!(session.active_collectives(), 0);
         assert_eq!(session.reserved_on(sw), 0, "reservation leak");
-        shell_allocated.push(bytes::shell_pool_stats().allocated);
+        let payloads = bytes::pool_stats();
+        payload_misses.push(payloads.requests - payloads.reused);
     }
 
     // Simulated results are independent of how many tenants lived and
@@ -174,20 +179,21 @@ fn churn_soak_reaches_a_steady_state() {
         "switch pool/replay-slab counters drifted under churn"
     );
 
-    // Packet-shell allocations must plateau: after a warmup, recycled
-    // shells serve every round and the per-round allocation delta stops
-    // growing (no monotonic pool growth).
-    let deltas: Vec<u64> = shell_allocated.windows(2).map(|w| w[1] - w[0]).collect();
+    // Payload blocks the free lists could not serve (this thread's, so
+    // all zero when worker threads run the fabric) must plateau: after a
+    // warmup, recycled blocks serve every round and the per-round miss
+    // count stops growing (no monotonic pool growth).
+    let deltas: Vec<u64> = payload_misses.windows(2).map(|w| w[1] - w[0]).collect();
     let (early, late) = deltas.split_at(deltas.len() / 2);
     let late_max = late.iter().max().copied().unwrap();
     let early_max = early.iter().max().copied().unwrap();
     assert!(
         late_max <= early_max,
-        "shell allocations grew round over round: early {early:?}, late {late:?}"
+        "payload misses grew round over round: early {early:?}, late {late:?}"
     );
     assert!(
         late.windows(2).all(|w| w[0] == w[1]),
-        "late rounds must allocate a constant (steady-state) shell count: {late:?}"
+        "late rounds must miss a constant (steady-state) number of times: {late:?}"
     );
 }
 
@@ -303,12 +309,13 @@ fn lossy_mixed_fleet_is_bitwise_identical_across_drivers_and_epochs() {
 fn parallel_epochs_agree_whichever_thread_recycles_a_payload() {
     // Regression: the test above failed more often than not because
     // `FabricStats` equality included `switch_pools`, and a multicast
-    // payload is recycled by whichever worker thread drops its last
-    // reference (`byte_pool.puts` 3877 vs 3876 on identical simulations).
+    // payload's block goes back to whichever worker thread drops its last
+    // handle, so which encodes find one on their own thread's list
+    // (`byte_pool.hits`) differs between identical simulations.
     // Twenty 4-thread epochs give that race twenty chances.
     let (first, mk_first) = lossy_mixed_epoch(4);
     assert!(
-        first.fabric.switch_pools.byte_pool.puts > 0,
+        first.fabric.switch_pools.byte_pool.gets > 0,
         "still readable"
     );
     for epoch in 1..20 {
