@@ -122,9 +122,8 @@ pub fn simulate_dense<T: Element>(kind: AggKind, data_bytes: u64, seed: u64) -> 
 pub const SIZES: [u64; 5] = [KIB, 4 * KIB, 64 * KIB, 512 * KIB, MIB];
 
 /// Compute Figure 11a (i32, as in the paper). The 15 independent
-/// simulations fan out across cores with rayon.
+/// simulations fan out across cores.
 pub fn bandwidth_rows() -> Vec<BandwidthRow> {
-    use rayon::prelude::*;
     let mut points = Vec::new();
     for &size in &SIZES {
         for kind in [
@@ -135,17 +134,14 @@ pub fn bandwidth_rows() -> Vec<BandwidthRow> {
             points.push((size, kind));
         }
     }
-    points
-        .into_par_iter()
-        .map(|(size, kind)| {
-            let (tbps, _) = simulate_dense::<i32>(kind, size, 3);
-            BandwidthRow {
-                data_bytes: size,
-                kind,
-                tbps,
-            }
-        })
-        .collect()
+    crate::par_map(points, |(size, kind)| {
+        let (tbps, _) = simulate_dense::<i32>(kind, size, 3);
+        BandwidthRow {
+            data_bytes: size,
+            kind,
+            tbps,
+        }
+    })
 }
 
 /// Compute Figure 11b at 1 MiB with the policy-selected algorithm.

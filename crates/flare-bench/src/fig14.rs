@@ -190,19 +190,17 @@ pub fn rows() -> Vec<Row> {
 }
 
 /// Compute all cells at a reduced data scale (for quick runs and tests).
-/// The six cells are independent simulations and fan out with rayon.
+/// The six cells are independent simulations and fan out across cores.
 pub fn rows_scaled(scale: f64) -> Vec<Row> {
-    use rayon::prelude::*;
     let mut cells = Vec::new();
     for &density in &DENSITIES {
         for storage in [SparseStorage::Hash, SparseStorage::Array] {
             cells.push((storage, density));
         }
     }
-    cells
-        .into_par_iter()
-        .map(|(storage, density)| simulate(storage, density, scale, 9))
-        .collect()
+    crate::par_map(cells, |(storage, density)| {
+        simulate(storage, density, scale, 9)
+    })
 }
 
 #[cfg(test)]

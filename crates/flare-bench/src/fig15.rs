@@ -200,11 +200,10 @@ pub fn flare_sparse(cfg: &Config) -> Row {
 }
 
 /// Run the full four-system comparison. Each system builds and runs its
-/// own single-threaded simulation; the four runs fan out with rayon.
+/// own single-threaded simulation; the four runs fan out across cores.
 pub fn rows(cfg: &Config) -> Vec<Row> {
-    use rayon::prelude::*;
     let systems: [fn(&Config) -> Row; 4] = [host_dense, flare_dense, host_sparse, flare_sparse];
-    systems.par_iter().map(|f| f(cfg)).collect()
+    crate::par_map(systems.to_vec(), |f| f(cfg))
 }
 
 /// The reduction-tree hosts of the default fabric, exposed for examples.

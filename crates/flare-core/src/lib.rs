@@ -30,6 +30,10 @@
 //! * [`session`] — **the public API**: [`session::FlareSession`] owns the
 //!   manager and tuning; the typed [`session::Collective`] builder runs
 //!   dense/sparse allreduce, reduce, broadcast and barrier.
+//! * [`wiring`] — what the manager does once a tree is computed, written
+//!   once: the switch program and the participant of an admitted flow,
+//!   and the one bring-up of a simulation over the session's topology.
+//!   `Collective::run` and the traffic engine both build from it.
 //! * [`report`] — multi-tenant reporting: per-tenant tail statistics
 //!   (p50/p99/max), Jain's fairness index and HPU contention summaries,
 //!   attached to [`session::RunReport`] by the traffic engine.
@@ -55,6 +59,7 @@ pub mod sparse;
 pub mod switch_prog;
 pub mod tag;
 pub mod wire;
+pub mod wiring;
 
 pub use dtype::{Element, F16};
 pub use op::{golden_reduce, Custom, Max, Min, Prod, ReduceOp, Sum};

@@ -34,16 +34,16 @@
 use flare_des::Time;
 use flare_model::AggKind;
 use flare_net::{
-    HostProgram, NetReport, NetSim, NodeId, SwitchModel, SwitchProgram, TelemetryConfig,
-    TelemetryReport, Topology,
+    HostProgram, NetReport, NodeId, SwitchModel, SwitchProgram, TelemetryConfig, TelemetryReport,
+    Topology,
 };
 
 use crate::dtype::Element;
 use crate::handlers::SparseStorageKind;
-use crate::host::{result_sink, DenseFlareHost, HostConfig, ResultSink, SparseFlareHost};
-use crate::manager::{AdmissionError, AllreducePlan, AllreduceRequest, NetworkManager, TreeSwitch};
+use crate::host::{result_sink, ResultSink};
+use crate::manager::{AdmissionError, AllreducePlan, AllreduceRequest, NetworkManager};
 use crate::op::{ReduceOp, Sum};
-use crate::switch_prog::{FlareDenseProgram, FlareSparseProgram, TreePlacement};
+use crate::wiring::{check_participants, run_fabric, FlowInput, FlowShape, FlowWiring};
 
 /// Why a collective could not run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,6 +75,12 @@ pub enum SessionError {
     /// [`Collective::on_hosts`] naming hosts outside the admitted set).
     HostNotInPlan {
         /// The offending host.
+        host: NodeId,
+    },
+    /// A host appears more than once in a participant list: it would be
+    /// two ranks behind one child index of its leaf switch.
+    DuplicateHost {
+        /// The repeated host.
         host: NodeId,
     },
     /// A sparse pair index at or beyond the collective's element domain.
@@ -144,6 +150,9 @@ impl std::fmt::Display for SessionError {
                     f,
                     "host {host:?} is not part of the admitted reduction tree"
                 )
+            }
+            SessionError::DuplicateHost { host } => {
+                write!(f, "host {host:?} appears twice in the participant list")
             }
             SessionError::IndexOutOfRange { index, total_elems } => {
                 write!(
@@ -515,7 +524,9 @@ impl CollectiveHandle {
 /// A live Flare deployment: topology + network manager + tuning. The entry
 /// point for every collective; see the [module docs](self).
 pub struct FlareSession {
-    topology: Topology,
+    /// Lent to the simulation for the length of a run
+    /// ([`crate::wiring::run_fabric`]) — no per-collective deep copy.
+    pub(crate) topology: Topology,
     manager: NetworkManager,
     tuning: Tuning,
     hosts: Vec<NodeId>,
@@ -583,9 +594,7 @@ impl FlareSession {
         reproducible: bool,
     ) -> Result<CollectiveHandle, SessionError> {
         let hosts = hosts.unwrap_or(&self.hosts);
-        if hosts.is_empty() {
-            return Err(SessionError::NoHosts);
-        }
+        check_participants(hosts)?;
         let req = AllreduceRequest {
             data_bytes: data_bytes.max(1),
             packet_bytes: self.tuning.packet_bytes,
@@ -609,21 +618,6 @@ impl FlareSession {
         } else {
             Err(SessionError::HandleReleased { id })
         }
-    }
-
-    /// Lend the session's topology to a caller-built simulation and take
-    /// it back afterwards — the same no-deep-copy pattern
-    /// [`Collective::run`] uses internally, exposed so external drivers
-    /// (e.g. the `flare-workloads` traffic engine) can run their own
-    /// multi-tenant [`NetSim`] over the session's fabric.
-    ///
-    /// The closure receives the topology by value and must hand it back
-    /// (typically via [`NetSim::into_topology`]) along with its result.
-    pub fn lend_topology<R>(&mut self, f: impl FnOnce(Topology) -> (Topology, R)) -> R {
-        let topo = std::mem::take(&mut self.topology);
-        let (topo, r) = f(topo);
-        self.topology = topo;
-        r
     }
 
     /// An allreduce of `inputs` (one vector per participating host, in
@@ -809,16 +803,15 @@ impl<'s, T: Element, O: ReduceOp<T>> Collective<'s, T, O> {
 }
 
 impl<T: Element, O: ReduceOp<T> + Clone + 'static> Collective<'_, T, O> {
-    /// Validate, admit (unless [`via`](Collective::via) was given), run the
-    /// packet-level simulation, and release the internal admission.
+    /// Validate, admit (unless [`via`](Collective::via) was given), wire
+    /// the flow, run the packet-level simulation, and release the internal
+    /// admission.
     pub fn run(self) -> Result<CollectiveResult<T>, SessionError> {
-        let hosts: Vec<NodeId> = match &self.hosts {
-            Some(h) => h.clone(),
+        let hosts: Vec<NodeId> = match self.hosts {
+            Some(h) => h,
             None => self.session.hosts.clone(),
         };
-        if hosts.is_empty() {
-            return Err(SessionError::NoHosts);
-        }
+        check_participants(&hosts)?;
         if let Some(root) = self.root {
             if root >= hosts.len() {
                 return Err(SessionError::RootOutOfRange {
@@ -827,18 +820,20 @@ impl<T: Element, O: ReduceOp<T> + Clone + 'static> Collective<'_, T, O> {
                 });
             }
         }
-
-        // Resolve per-rank dense inputs or sparse pair lists.
         let op = self.op;
-        let tuning = self.session.tuning.validated()?;
-        enum Resolved<T: Element> {
-            Dense(Vec<Vec<T>>),
-            Sparse {
-                total_elems: usize,
-                pairs: Vec<Vec<(u32, T)>>,
-            },
+        let mut tuning = self.session.tuning.validated()?;
+        if let Some(seed) = self.seed {
+            tuning.seed = seed;
         }
-        let resolved = match self.payload {
+
+        // Resolve the payload shape, the per-rank inputs and the bytes per
+        // host quoted to admission control.
+        let dense = |inputs: Vec<Vec<T>>| {
+            let elems = inputs[0].len();
+            let inputs: Vec<_> = inputs.into_iter().map(FlowInput::Dense).collect();
+            (FlowShape::Dense { elems }, inputs, elems * T::WIRE_BYTES)
+        };
+        let (shape, inputs, data_bytes) = match self.payload {
             Payload::Dense(inputs) => {
                 if inputs.len() != hosts.len() {
                     return Err(SessionError::ShapeMismatch {
@@ -853,7 +848,7 @@ impl<T: Element, O: ReduceOp<T> + Clone + 'static> Collective<'_, T, O> {
                 if inputs.iter().any(|v| v.len() != n) {
                     return Err(SessionError::RaggedInputs);
                 }
-                Resolved::Dense(inputs)
+                dense(inputs)
             }
             Payload::Sparse { total_elems, pairs } => {
                 if pairs.len() != hosts.len() {
@@ -872,7 +867,13 @@ impl<T: Element, O: ReduceOp<T> + Clone + 'static> Collective<'_, T, O> {
                 {
                     return Err(SessionError::IndexOutOfRange { index, total_elems });
                 }
-                Resolved::Sparse { total_elems, pairs }
+                let nnz: usize = pairs.iter().map(Vec::len).sum();
+                let shape = FlowShape::Sparse {
+                    total_elems,
+                    policy: self.policy,
+                };
+                let inputs: Vec<_> = pairs.into_iter().map(FlowInput::Sparse).collect();
+                (shape, inputs, nnz / hosts.len() * (4 + T::WIRE_BYTES))
             }
             Payload::Broadcast { data } => {
                 if data.is_empty() {
@@ -889,19 +890,12 @@ impl<T: Element, O: ReduceOp<T> + Clone + 'static> Collective<'_, T, O> {
                         }
                     })
                     .collect();
-                Resolved::Dense(inputs)
+                dense(inputs)
             }
-            Payload::Barrier => Resolved::Dense(vec![vec![T::zero()]; hosts.len()]),
+            Payload::Barrier => dense(vec![vec![T::zero()]; hosts.len()]),
         };
 
         // Admission: explicit handle or an internal admit-run-release.
-        let data_bytes = match &resolved {
-            Resolved::Dense(inputs) => (inputs[0].len() * T::WIRE_BYTES) as u64,
-            Resolved::Sparse { pairs, .. } => {
-                let nnz: usize = pairs.iter().map(Vec::len).sum();
-                (nnz / hosts.len().max(1) * (4 + T::WIRE_BYTES)) as u64
-            }
-        };
         let (mut plan, owned) = match self.plan {
             Some(plan) => {
                 // A via() handle (or a clone) may have been released, and
@@ -915,76 +909,46 @@ impl<T: Element, O: ReduceOp<T> + Clone + 'static> Collective<'_, T, O> {
                 (plan, false)
             }
             None => {
-                let handle = self
-                    .session
-                    .admit_on(Some(&hosts), data_bytes, self.reproducible)?;
+                let handle =
+                    self.session
+                        .admit_on(Some(&hosts), data_bytes as u64, self.reproducible)?;
                 (handle.plan, true)
             }
         };
-        // Every participant must be attached to the plan's tree — a
-        // pre-admitted handle (`via`) may cover a different host set.
-        if let Some(&host) = hosts
-            .iter()
-            .find(|h| !plan.tree.host_attach.contains_key(h))
-        {
-            if owned {
-                self.session.manager.teardown(plan.id);
-            }
-            return Err(SessionError::HostNotInPlan { host });
-        }
         if let Some(w) = self.window {
             // Only shrink: the admitted switch-memory reservation is sized
             // for the plan's window, so growing it would overrun the
             // admission-control guarantee.
             plan.window = w.clamp(1, plan.window);
         }
+        let id = plan.id;
+        let wiring = FlowWiring::new(plan, hosts, shape, &tuning).inspect_err(|_| {
+            if owned {
+                self.session.manager.teardown(id);
+            }
+        })?;
 
-        let seed = self.seed.unwrap_or(tuning.seed);
-        // Lend the session's topology to the simulator and take it back
-        // afterwards — no per-collective deep copy.
-        let topo = std::mem::take(&mut self.session.topology);
-        let lossy = tuning.link_drop_prob > 0.0;
-        let (ranks, net, trace, topo) = match resolved {
-            Resolved::Dense(inputs) => {
-                let epp = tuning.elems_per_packet;
-                let blocks = inputs[0].len().div_ceil(epp) as u64;
-                let program = |s: &TreeSwitch| -> Box<dyn SwitchProgram> {
-                    let place = placement_for(&plan, s.switch);
-                    Box::new(FlareDenseProgram::new(place, op.clone()).with_loss_recovery(lossy))
-                };
-                let host = |cfg, data, sink| -> Box<dyn HostProgram> {
-                    Box::new(DenseFlareHost::new(cfg, epp, data, sink))
-                };
-                execute(
-                    topo, &hosts, &plan, &tuning, seed, blocks, inputs, program, host,
-                )
-            }
-            Resolved::Sparse { total_elems, pairs } => {
-                let (policy, ppp) = (self.policy, tuning.pairs_per_packet);
-                let blocks = total_elems.div_ceil(policy.span) as u64;
-                let program = |s: &TreeSwitch| -> Box<dyn SwitchProgram> {
-                    let place = placement_for(&plan, s.switch);
-                    let storage = policy.storage_at(s.parent.is_none());
-                    let prog = FlareSparseProgram::new(place, op.clone(), storage, ppp);
-                    Box::new(prog.with_loss_recovery(lossy))
-                };
-                let host = |cfg, pairs, sink| -> Box<dyn HostProgram> {
-                    Box::new(SparseFlareHost::new(
-                        cfg,
-                        op.clone(),
-                        total_elems,
-                        policy.span,
-                        ppp,
-                        pairs,
-                        sink,
-                    ))
-                };
-                execute(
-                    topo, &hosts, &plan, &tuning, seed, blocks, pairs, program, host,
-                )
-            }
-        };
-        self.session.topology = topo;
+        let switches = wiring.plan().tree.switches.iter().map(|s| {
+            let program: Box<dyn SwitchProgram> = wiring.switch_program::<T, O>(s, op.clone());
+            (s.switch, program)
+        });
+        let sinks: Vec<ResultSink<T>> = inputs.iter().map(|_| result_sink()).collect();
+        let participants = inputs.into_iter().zip(&sinks).enumerate();
+        let participants = participants.map(|(rank, (input, sink))| {
+            let program: Box<dyn HostProgram> =
+                wiring.host(rank, 0, op.clone(), input, sink.clone());
+            (wiring.hosts()[rank], program)
+        });
+        let (switches, participants) = (switches.collect(), participants.collect());
+        let (net, trace, ()) =
+            run_fabric(self.session, &tuning, None, switches, participants, |_| ());
+        if owned {
+            self.session.manager.teardown(id);
+        }
+        let ranks = sinks
+            .into_iter()
+            .map(|s| s.lock().expect("sink lock").take().expect("host completed"))
+            .collect();
 
         // Name the collective's trace track after its label (or the
         // default `allreduce-<id>`) so Perfetto shows a readable lane.
@@ -992,12 +956,13 @@ impl<T: Element, O: ReduceOp<T> + Clone + 'static> Collective<'_, T, O> {
             let label = self
                 .label
                 .clone()
-                .unwrap_or_else(|| format!("allreduce-{}", plan.id));
-            t.tracks = vec![(plan.id as u64, label)];
+                .unwrap_or_else(|| format!("allreduce-{id}"));
+            t.tracks = vec![(id as u64, label)];
             Box::new(t)
         });
+        let plan = wiring.plan();
         let report = RunReport {
-            collective: plan.id,
+            collective: id,
             label: self.label,
             algorithm: plan.algorithm,
             window: plan.window,
@@ -1007,9 +972,6 @@ impl<T: Element, O: ReduceOp<T> + Clone + 'static> Collective<'_, T, O> {
             tenants: None,
             trace,
         };
-        if owned {
-            self.session.manager.teardown(plan.id);
-        }
         Ok(CollectiveResult {
             ranks,
             root_rank: self.root,
@@ -1101,102 +1063,6 @@ impl<T> CollectiveResult<T> {
     pub fn num_ranks(&self) -> usize {
         self.ranks.len()
     }
-}
-
-/// Per-rank stagger step (in blocks) that is safe under windowing.
-///
-/// A block stays open until the largest-offset host reaches it, so the
-/// total offset spread must fit inside the window with slack left for
-/// pipelining; when the window already covers every block, staggering is
-/// unconstrained and hosts spread maximally (the paper's Section 5 bound
-/// delta <= delta_c <= delta*Z/N).
-pub fn stagger_step(window: usize, blocks: u64, hosts: usize) -> u64 {
-    if window as u64 >= blocks {
-        (blocks / hosts as u64).max(1)
-    } else {
-        (window.saturating_sub(32) / hosts) as u64
-    }
-}
-
-/// The [`TreePlacement`] of `switch` inside `plan`'s reduction tree —
-/// the record a switch program needs to know its parent, children and
-/// child index. Exposed for external drivers (the traffic engine) that
-/// install their own switch programs over an admitted plan.
-///
-/// # Panics
-/// Panics if `switch` is not part of the plan's tree.
-pub fn placement_for(plan: &AllreducePlan, switch: NodeId) -> TreePlacement {
-    let rec = plan.tree.switch(switch).expect("switch in tree");
-    TreePlacement {
-        allreduce: plan.id,
-        parent: rec.parent,
-        children: rec.children.clone(),
-        my_child_index: rec.my_child_index,
-    }
-}
-
-/// Run the simulation as [`Tuning::threads`] selects: as one lane when
-/// `None`, sharded over the partition plan in conservative lookahead
-/// windows otherwise. Both run the same event handler; how far their
-/// reports agree is [`Tuning::threads`]'s contract.
-fn run_sim(sim: &mut NetSim, tuning: &Tuning) -> NetReport {
-    match tuning.threads {
-        Some(n) => sim.run_threads(None, n as usize),
-        None => sim.run(None),
-    }
-}
-
-/// Wire a run: one Flare `program` per switch of the tree, one `host`
-/// participant per rank (built from its configuration, its input and the
-/// sink its result goes to) with staggered windows over `blocks` blocks,
-/// one simulation. Returns the per-rank results, the network report, the
-/// telemetry capture (if enabled) and the topology (handed back for reuse).
-#[allow(clippy::too_many_arguments)]
-fn execute<T, I>(
-    topo: Topology,
-    hosts: &[NodeId],
-    plan: &AllreducePlan,
-    tuning: &Tuning,
-    seed: u64,
-    blocks: u64,
-    inputs: Vec<I>,
-    program: impl Fn(&TreeSwitch) -> Box<dyn SwitchProgram>,
-    host: impl Fn(HostConfig, I, ResultSink<T>) -> Box<dyn HostProgram>,
-) -> (Vec<Vec<T>>, NetReport, Option<TelemetryReport>, Topology) {
-    assert_eq!(hosts.len(), inputs.len(), "one input per host");
-    let mut sim = NetSim::new(topo, seed);
-    if let Some(cfg) = tuning.telemetry {
-        sim.enable_telemetry(cfg);
-    }
-    sim.set_uniform_drop_prob(tuning.link_drop_prob);
-    for s in &plan.tree.switches {
-        sim.install_switch_model(s.switch, program(s), tuning.switch_model.clone());
-    }
-    let step = stagger_step(plan.window, blocks, hosts.len());
-    let mut sinks: Vec<ResultSink<T>> = Vec::with_capacity(hosts.len());
-    for (rank, (&h, input)) in hosts.iter().zip(inputs).enumerate() {
-        let (leaf, child_index) = plan.tree.host_attach[&h];
-        let sink = result_sink();
-        sinks.push(sink.clone());
-        let cfg = HostConfig {
-            allreduce: plan.id,
-            leaf,
-            child_index,
-            window: plan.window,
-            stagger_offset: rank as u64 * step,
-            retransmit_after: tuning.retransmit_after,
-            block_base: 0,
-            wake_seq: 0,
-        };
-        sim.install_host(h, host(cfg, input, sink));
-    }
-    let report = run_sim(&mut sim, tuning);
-    let trace = sim.take_telemetry();
-    let results = sinks
-        .into_iter()
-        .map(|s| s.lock().expect("sink lock").take().expect("host completed"))
-        .collect();
-    (results, report, trace, sim.into_topology())
 }
 
 #[cfg(test)]
@@ -1509,16 +1375,22 @@ mod tests {
     }
 
     #[test]
-    fn lend_topology_hands_the_fabric_back() {
-        let mut session = star_session(3);
-        let nodes = session.lend_topology(|topo| {
-            let n = topo.hosts().len();
-            (topo, n)
-        });
-        assert_eq!(nodes, 3);
-        // The session still works after the loan.
-        let out = session.allreduce(vec![vec![1i32; 8]; 3]).run().unwrap();
-        assert_eq!(out.rank(0), &[3i32; 8][..]);
+    fn a_repeated_host_is_a_typed_error_on_every_path() {
+        // Used to die inside `run` on a result sink the second rank of
+        // the repeated host could never fill.
+        let (topo, _sw, h) = Topology::star(3, LinkSpec::hundred_gig());
+        let mut session = FlareSession::builder(topo).build();
+        let twice = vec![h[0], h[0], h[1]];
+        let err = SessionError::DuplicateHost { host: h[0] };
+        let inputs = vec![vec![1i32; 64]; 3];
+        let run = session.allreduce(inputs.clone()).on_hosts(twice.clone());
+        assert_eq!(run.run().unwrap_err(), err);
+        assert_eq!(session.admit_on(Some(&twice), 256, false).unwrap_err(), err);
+        let handle = session.admit(256, false).unwrap();
+        let run = session.allreduce(inputs).on_hosts(twice).via(&handle);
+        assert_eq!(run.run().unwrap_err(), err);
+        session.release(handle).unwrap();
+        assert_eq!(session.active_collectives(), 0, "nothing else was admitted");
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Flare as an in-network program for the system-level simulator.
 //!
 //! One [`FlareDenseProgram`] / [`FlareSparseProgram`] instance is installed
-//! per (switch, allreduce) by the network manager. Contributions flow *up*
+//! per (switch, allreduce): built by
+//! [`FlowWiring::switch_program`](crate::wiring::FlowWiring::switch_program)
+//! from the network manager's plan, for a one-shot collective and for a
+//! traffic-engine tenant alike. Contributions flow *up*
 //! the reduction tree (aggregated at every switch), results flow *down*
 //! (replicated to every child); sparse spills are forwarded up immediately
 //! and re-aggregated by the parent (paper Section 7).
@@ -64,6 +67,22 @@ pub struct ProgramStats {
     pub byte_pool: PoolStats,
     /// Open-block slab lookups.
     pub slab: SlabStats,
+}
+
+impl std::ops::AddAssign for ProgramStats {
+    fn add_assign(&mut self, other: Self) {
+        for (sum, pool) in [
+            (&mut self.agg_pool, other.agg_pool),
+            (&mut self.byte_pool, other.byte_pool),
+        ] {
+            sum.gets += pool.gets;
+            sum.hits += pool.hits;
+            sum.puts += pool.puts;
+        }
+        self.slab.direct += other.slab.direct;
+        self.slab.collisions += other.slab.collisions;
+        self.slab.stale_rejected += other.slab.stale_rejected;
+    }
 }
 
 /// Dense Flare aggregation program for one switch.

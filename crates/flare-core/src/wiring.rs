@@ -1,0 +1,321 @@
+//! One flow, wired once: what the paper's network manager does after it
+//! has computed a reduction tree — install one handler per tree switch,
+//! start one windowed sender per host, run the fabric.
+//!
+//! A [`FlowWiring`] is an admitted plan plus a payload [`FlowShape`] plus
+//! the validated [`Tuning`]: it builds the Flare program of a tree switch
+//! ([`FlowWiring::switch_program`]) and the participant of a rank for one
+//! iteration ([`FlowWiring::host`]). [`run_fabric`] is the one bring-up of
+//! a [`NetSim`] over the session's topology. `Collective::run` wires one
+//! flow and installs its programs directly; the `flare-workloads` traffic
+//! engine wires one flow per tenant behind its own multiplexers. Neither
+//! constructs a program, a host or a simulation itself.
+
+#![deny(missing_docs)]
+
+use std::collections::HashSet;
+
+use flare_des::Time;
+use flare_net::{HostProgram, NetReport, NetSim, NodeId, SwitchProgram, TelemetryReport};
+
+use crate::dtype::Element;
+use crate::host::{DenseFlareHost, FlareHost, HostConfig, Payload, ResultSink, SparseFlareHost};
+use crate::manager::{AllreducePlan, TreeSwitch};
+use crate::op::ReduceOp;
+use crate::session::{FlareSession, SessionError, SparsePolicy, Tuning};
+use crate::switch_prog::{FlareDenseProgram, FlareSparseProgram, ProgramStats, TreePlacement};
+
+/// What a flow's blocks are made of.
+#[derive(Debug, Clone, Copy)]
+pub enum FlowShape {
+    /// `elems` dense elements per rank, one packet
+    /// ([`Tuning::elems_per_packet`] elements) per block.
+    Dense {
+        /// Elements per rank.
+        elems: usize,
+    },
+    /// `(index, value)` pairs over a `total_elems` domain, one
+    /// [`SparsePolicy::span`] of indexes per block, sent as shards of
+    /// [`Tuning::pairs_per_packet`] pairs.
+    Sparse {
+        /// Size of the index domain.
+        total_elems: usize,
+        /// Storage along the tree and the block span.
+        policy: SparsePolicy,
+    },
+}
+
+impl FlowShape {
+    /// Blocks one iteration of the flow is split into.
+    pub fn blocks(&self, tuning: &Tuning) -> u64 {
+        match *self {
+            FlowShape::Dense { elems } => elems.div_ceil(tuning.elems_per_packet) as u64,
+            FlowShape::Sparse {
+                total_elems,
+                policy,
+            } => total_elems.div_ceil(policy.span) as u64,
+        }
+    }
+}
+
+/// One rank's contribution to one iteration of a flow.
+#[derive(Debug)]
+pub enum FlowInput<T> {
+    /// The rank's dense vector.
+    Dense(Vec<T>),
+    /// The rank's sparsified `(global index, value)` list.
+    Sparse(Vec<(u32, T)>),
+}
+
+/// A tree switch's Flare program with its payload erased, as
+/// [`FlowWiring::switch_program`] hands it out.
+pub trait WiredSwitch: SwitchProgram {
+    /// Recycling counters of the program.
+    fn stats(&self) -> ProgramStats;
+}
+
+// Both impls forward to the program's inherent `stats`, which method
+// resolution picks over the trait's.
+impl<T: Element, O: ReduceOp<T> + 'static> WiredSwitch for FlareDenseProgram<T, O> {
+    fn stats(&self) -> ProgramStats {
+        self.stats()
+    }
+}
+
+impl<T: Element, O: ReduceOp<T> + 'static> WiredSwitch for FlareSparseProgram<T, O> {
+    fn stats(&self) -> ProgramStats {
+        self.stats()
+    }
+}
+
+/// A rank's participant with its payload erased, as [`FlowWiring::host`]
+/// hands it out.
+pub trait WiredHost: HostProgram {
+    /// Blocks this participant's retransmission timer re-sent.
+    fn retransmits(&self) -> u64;
+}
+
+impl<P: Payload + 'static> WiredHost for FlareHost<P> {
+    fn retransmits(&self) -> u64 {
+        self.retransmits
+    }
+}
+
+/// A participant list a flow can run over: not empty, no host twice (a
+/// repeated host would be two ranks behind one child index, and the second
+/// would never complete).
+pub(crate) fn check_participants(hosts: &[NodeId]) -> Result<(), SessionError> {
+    if hosts.is_empty() {
+        return Err(SessionError::NoHosts);
+    }
+    let mut seen = HashSet::with_capacity(hosts.len());
+    match hosts.iter().find(|&&h| !seen.insert(h)) {
+        Some(&host) => Err(SessionError::DuplicateHost { host }),
+        None => Ok(()),
+    }
+}
+
+/// An admitted flow ready to be installed: the plan's tree, the ranks, the
+/// payload shape and the tuning every one of its programs is built from.
+#[derive(Debug)]
+pub struct FlowWiring {
+    plan: AllreducePlan,
+    hosts: Vec<NodeId>,
+    shape: FlowShape,
+    tuning: Tuning,
+    blocks: u64,
+    step: u64,
+}
+
+impl FlowWiring {
+    /// Wire `plan` for `hosts` (rank order) carrying `shape` under the
+    /// [validated](Tuning::validated) `tuning`. Every participant must be
+    /// attached to the plan's tree, once: a pre-admitted handle may cover
+    /// a different host set than the one a collective names.
+    pub fn new(
+        plan: AllreducePlan,
+        hosts: Vec<NodeId>,
+        shape: FlowShape,
+        tuning: &Tuning,
+    ) -> Result<Self, SessionError> {
+        check_participants(&hosts)?;
+        if let Some(&host) = hosts
+            .iter()
+            .find(|h| !plan.tree.host_attach.contains_key(h))
+        {
+            return Err(SessionError::HostNotInPlan { host });
+        }
+        let blocks = shape.blocks(tuning);
+        // The per-rank stagger step (in blocks) that is safe under
+        // windowing. A block stays open until the largest-offset host
+        // reaches it, so the total offset spread must fit inside the
+        // window with slack left for pipelining; when the window already
+        // covers every block, staggering is unconstrained and hosts spread
+        // maximally (the paper's Section 5 bound delta <= delta_c <=
+        // delta*Z/N).
+        let step = if plan.window as u64 >= blocks {
+            (blocks / hosts.len() as u64).max(1)
+        } else {
+            (plan.window.saturating_sub(32) / hosts.len()) as u64
+        };
+        Ok(Self {
+            step,
+            blocks,
+            plan,
+            hosts,
+            shape,
+            tuning: tuning.clone(),
+        })
+    }
+
+    /// The admitted plan this flow runs under.
+    pub fn plan(&self) -> &AllreducePlan {
+        &self.plan
+    }
+
+    /// The participants, in rank order.
+    pub fn hosts(&self) -> &[NodeId] {
+        &self.hosts
+    }
+
+    /// The Flare program of tree switch `switch` for this flow, reducing
+    /// with `op`: hash storage in the tree and an array at the densified
+    /// root for a sparse flow, replay caches only on a lossy fabric.
+    pub fn switch_program<T: Element, O: ReduceOp<T> + 'static>(
+        &self,
+        switch: &TreeSwitch,
+        op: O,
+    ) -> Box<dyn WiredSwitch> {
+        let place = TreePlacement {
+            allreduce: self.plan.id,
+            parent: switch.parent,
+            children: switch.children.clone(),
+            my_child_index: switch.my_child_index,
+        };
+        let lossy = self.tuning.link_drop_prob > 0.0;
+        match self.shape {
+            FlowShape::Dense { .. } => {
+                let prog: FlareDenseProgram<T, O> = FlareDenseProgram::new(place, op);
+                Box::new(prog.with_loss_recovery(lossy))
+            }
+            FlowShape::Sparse { policy, .. } => {
+                let storage = policy.storage_at(switch.parent.is_none());
+                let ppp = self.tuning.pairs_per_packet;
+                let prog: FlareSparseProgram<T, O> =
+                    FlareSparseProgram::new(place, op, storage, ppp);
+                Box::new(prog.with_loss_recovery(lossy))
+            }
+        }
+    }
+
+    /// Rank `rank`'s participant for iteration `iteration` of the flow,
+    /// contributing `input` and writing the reduced vector to `sink`. A
+    /// one-shot collective is iteration 0; an engine re-running the flow
+    /// passes 0, 1, 2, …, so that block ids and retransmission wake tags
+    /// never alias across iterations.
+    ///
+    /// # Panics
+    /// Panics if `input` is not of the wiring's [`FlowShape`].
+    pub fn host<T: Element, O: ReduceOp<T> + 'static>(
+        &self,
+        rank: usize,
+        iteration: u64,
+        op: O,
+        input: FlowInput<T>,
+        sink: ResultSink<T>,
+    ) -> Box<dyn WiredHost> {
+        let (leaf, child_index) = self.plan.tree.host_attach[&self.hosts[rank]];
+        let cfg = HostConfig {
+            allreduce: self.plan.id,
+            leaf,
+            child_index,
+            window: self.plan.window,
+            stagger_offset: rank as u64 * self.step,
+            retransmit_after: self.tuning.retransmit_after,
+            block_base: iteration * self.blocks,
+            wake_seq: iteration as u32,
+        };
+        match (self.shape, input) {
+            (FlowShape::Dense { .. }, FlowInput::Dense(data)) => {
+                let epp = self.tuning.elems_per_packet;
+                Box::new(DenseFlareHost::new(cfg, epp, data, sink))
+            }
+            (
+                FlowShape::Sparse {
+                    total_elems,
+                    policy,
+                },
+                FlowInput::Sparse(pairs),
+            ) => {
+                let ppp = self.tuning.pairs_per_packet;
+                Box::new(SparseFlareHost::new(
+                    cfg,
+                    op,
+                    total_elems,
+                    policy.span,
+                    ppp,
+                    pairs,
+                    sink,
+                ))
+            }
+            _ => panic!("rank {rank}'s input is not of the flow's shape"),
+        }
+    }
+}
+
+/// Bring the fabric up and run it: lend the session's topology to one
+/// [`NetSim`] seeded with `tuning.seed`, arm telemetry and loss injection,
+/// install `switches` (each under the tuning's switch model) and `hosts`,
+/// run as [`Tuning::threads`] selects — one lane when `None`, sharded over
+/// the partition plan in conservative lookahead windows otherwise — up to
+/// `deadline`, and take the topology back. `harvest` sees the simulation
+/// after the run and after the telemetry capture was extracted (the HPU
+/// occupancy timelines live inside the compute units a harvest may tear
+/// down).
+pub fn run_fabric<R>(
+    session: &mut FlareSession,
+    tuning: &Tuning,
+    deadline: Option<Time>,
+    switches: Vec<(NodeId, Box<dyn SwitchProgram>)>,
+    hosts: Vec<(NodeId, Box<dyn HostProgram>)>,
+    harvest: impl FnOnce(&mut NetSim) -> R,
+) -> (NetReport, Option<TelemetryReport>, R) {
+    let mut sim = NetSim::new(std::mem::take(&mut session.topology), tuning.seed);
+    if let Some(cfg) = tuning.telemetry {
+        sim.enable_telemetry(cfg);
+    }
+    sim.set_uniform_drop_prob(tuning.link_drop_prob);
+    for (node, program) in switches {
+        sim.install_switch_model(node, program, tuning.switch_model.clone());
+    }
+    for (node, program) in hosts {
+        sim.install_host(node, program);
+    }
+    let net = match tuning.threads {
+        Some(n) => sim.run_threads(deadline, n as usize),
+        None => sim.run(deadline),
+    };
+    let trace = sim.take_telemetry();
+    let harvested = harvest(&mut sim);
+    session.topology = sim.into_topology();
+    (net, trace, harvested)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flare_net::{LinkSpec, Topology};
+
+    #[test]
+    fn run_fabric_hands_the_fabric_back() {
+        let (topo, _sw, _hosts) = Topology::star(3, LinkSpec::hundred_gig());
+        let mut session = FlareSession::new(topo);
+        let tuning = session.tuning().validated().unwrap();
+        let seen = |sim: &mut NetSim| sim.topology().hosts().len();
+        let (net, trace, hosts) = run_fabric(&mut session, &tuning, None, vec![], vec![], seen);
+        assert_eq!((net.events, trace.is_none(), hosts), (0, true, 3));
+        // The session still works after the loan.
+        let out = session.allreduce(vec![vec![1i32; 8]; 3]).run().unwrap();
+        assert_eq!(out.rank(0), &[3i32; 8][..]);
+    }
+}

@@ -15,11 +15,12 @@
 //!   runs are bitwise-reproducible.
 //! * **Iteration loop** — per job, every host cycles through the DNN phase
 //!   machine: compute delay (jittered around `compute_ns`) → allreduce
-//!   (a real windowed [`DenseFlareHost`] or [`SparseFlareHost`] over the
-//!   tenant's admitted reduction tree, per [`TenantSpec::payload`]) →
+//!   (a real windowed Flare host over the tenant's admitted reduction
+//!   tree, dense or sparse per [`TenantSpec::payload`], built by the
+//!   tenant's [`FlowWiring`] exactly as `Collective::run` builds its own) →
 //!   next iteration. Successive iterations of one tenant reuse its
-//!   allreduce id with a bumped [`HostConfig::block_base`], so block ids
-//!   never alias across iterations.
+//!   allreduce id under the next iteration index, so block ids never alias
+//!   across iterations.
 //! * **Shared fabric** — one switch program multiplexes every tenant's
 //!   flow on each switch, under the session's [`flare_net::SwitchModel`]: with
 //!   `Hpu`, all tenants contend for the same cores and per-subset FIFOs.
@@ -44,7 +45,7 @@
 //! wakes back even
 //! though the mux owns the `HostProgram` slot, and a stale timer from
 //! iteration `k` is ignored by iteration `k+1` because the sequence no
-//! longer matches ([`HostConfig::wake_seq`]).
+//! longer matches ([`flare_core::host::HostConfig::wake_seq`]).
 //!
 //! Payloads are per-tenant ([`PayloadSpec`]): dense f32 [`Sum`] or
 //! sparse `(index, value)` at a configured density, mixed freely in one
@@ -58,20 +59,15 @@ use rand::rngs::StdRng;
 use rand::RngExt;
 
 use flare_core::collectives::Sequencer;
-use flare_core::host::{
-    result_sink, DenseFlareHost, FlareHost, HostConfig, Payload, ResultSink, SparseFlareHost,
-};
+use flare_core::host::{result_sink, ResultSink};
 use flare_core::op::Sum;
 use flare_core::report::{
     jain_index, FabricStats, HpuSwitchReport, PayloadSpec, TenantReport, TenantSection,
 };
-use flare_core::session::{
-    placement_for, stagger_step, CollectiveHandle, FlareSession, RunReport, SessionError,
-    SparsePolicy,
-};
-use flare_core::switch_prog::{FlareDenseProgram, FlareSparseProgram, ProgramStats};
+use flare_core::session::{CollectiveHandle, FlareSession, RunReport, SessionError, SparsePolicy};
+use flare_core::switch_prog::ProgramStats;
 use flare_core::tag::{FlowTag, FlowTagOverflow, KIND_ENGINE_BASE};
-use flare_core::PoolStats;
+use flare_core::wiring::{run_fabric, FlowInput, FlowShape, FlowWiring, WiredHost, WiredSwitch};
 use flare_des::rng::{exp_time, rng_stream};
 use flare_des::Time;
 use flare_net::{
@@ -283,6 +279,19 @@ impl TenantSpec {
         }
     }
 
+    /// What one iteration looks like to the wiring: dense blocks of one
+    /// packet each, or sparse blocks under [`SparsePolicy::default`] (the
+    /// engine runs sparse tenants under the default policy).
+    fn shape(&self) -> FlowShape {
+        match self.payload {
+            PayloadSpec::Dense => FlowShape::Dense { elems: self.elems },
+            PayloadSpec::Sparse { .. } => FlowShape::Sparse {
+                total_elems: self.elems,
+                policy: SparsePolicy::default(),
+            },
+        }
+    }
+
     fn validate(&self) -> Result<(), TrafficError> {
         if self.elems == 0 {
             return Err(TrafficError::InvalidSpec("elems must be positive".into()));
@@ -320,17 +329,6 @@ impl TenantSpec {
     }
 }
 
-/// Blocks per iteration under `spec`'s payload: dense blocks are one
-/// packet each (`elems_per_packet` elements), sparse blocks span
-/// [`SparsePolicy::default`]`.span` elements (the engine runs sparse
-/// tenants under the default policy).
-fn blocks_per_iteration(spec: &TenantSpec, elems_per_packet: usize) -> u64 {
-    match spec.payload {
-        PayloadSpec::Dense => spec.elems.div_ceil(elems_per_packet) as u64,
-        PayloadSpec::Sparse { .. } => spec.elems.div_ceil(SparsePolicy::default().span) as u64,
-    }
-}
-
 /// An admitted tenant inside the engine.
 struct TenantRt {
     spec: TenantSpec,
@@ -344,7 +342,6 @@ pub struct TrafficEngine<'s> {
     session: &'s mut FlareSession,
     seed: u64,
     deadline: Option<Time>,
-    reserved_peak: u64,
     tenants: Vec<TenantRt>,
 }
 
@@ -356,7 +353,6 @@ impl<'s> TrafficEngine<'s> {
             session,
             seed,
             deadline: None,
-            reserved_peak: 0,
             tenants: Vec::new(),
         }
     }
@@ -395,7 +391,7 @@ impl<'s> TrafficEngine<'s> {
         }
         // Wire block ids are u32; every (job, iteration) gets a fresh
         // block_base, so the whole run must fit.
-        let bpi = blocks_per_iteration(&spec, self.session.tuning().elems_per_packet);
+        let bpi = spec.shape().blocks(self.session.tuning());
         let total_iters = (spec.arrivals.jobs() * spec.iterations) as u64;
         let total_blocks = total_iters * bpi;
         if total_blocks > u32::MAX as u64 {
@@ -412,11 +408,6 @@ impl<'s> TrafficEngine<'s> {
         {
             self.session.release(handle)?;
             return Err(TrafficError::TagOverflow(e));
-        }
-        // Track the fabric-wide reservation high-water mark as tenants
-        // are admitted (max is order-independent over the key set).
-        for &sw in handle.plan().reserved.keys() {
-            self.reserved_peak = self.reserved_peak.max(self.session.reserved_on(sw));
         }
         let idx = self.tenants.len() as u64;
         let arrivals = spec.arrivals.times(self.seed, idx);
@@ -444,7 +435,7 @@ impl<'s> TrafficEngine<'s> {
     /// The returned [`RunReport`]'s scalar fields summarize the *fleet*:
     /// `collective`/`algorithm` come from the first-admitted tenant,
     /// `window` and `tree_depth` are maxima over tenants,
-    /// `reserved_bytes` is the admission high-water mark, and
+    /// `reserved_bytes` is the largest reservation on any tenant switch, and
     /// [`RunReport::tenants`] holds the per-tenant section.
     ///
     /// Tenants stay admitted afterwards: call again for another epoch
@@ -454,27 +445,17 @@ impl<'s> TrafficEngine<'s> {
         if self.tenants.is_empty() {
             return Err(TrafficError::NoTenants);
         }
-        // The same checked, thread-resolved knobs `Collective::run` uses.
-        let tuning = self.session.tuning().validated()?;
-        let lossy = tuning.link_drop_prob > 0.0;
+        // The same checked, thread-resolved knobs `Collective::run` uses,
+        // seeded by the engine.
+        let mut tuning = self.session.tuning().validated()?;
+        tuning.seed = self.seed;
 
         // Horovod-style issue-order negotiation: every host rank submits
         // the labels of the tenants it participates in, in admission
         // order; the negotiated order (tenants present on every rank,
         // rank-0 order) leads, remaining tenants follow in admission
         // order. The result is the per-host cell priority.
-        let union_hosts = {
-            let mut hs: Vec<NodeId> = Vec::new();
-            for t in &self.tenants {
-                for &h in &t.hosts {
-                    if !hs.contains(&h) {
-                        hs.push(h);
-                    }
-                }
-            }
-            hs.sort_by_key(|h| h.index());
-            hs
-        };
+        let union_hosts = sorted_union(self.tenants.iter().flat_map(|t| t.hosts.iter().copied()));
         let mut seq = Sequencer::new();
         for (rank, &h) in union_hosts.iter().enumerate() {
             let mine: Vec<&CollectiveHandle> = self
@@ -504,37 +485,29 @@ impl<'s> TrafficEngine<'s> {
             }
         }
 
-        // Per-tenant static config shared by its cells.
-        let statics: Vec<Arc<TenantStatic>> = self
-            .tenants
-            .iter()
-            .map(|t| {
-                let plan = t.handle.plan();
-                let n = t.hosts.len();
-                let bpi = blocks_per_iteration(&t.spec, tuning.elems_per_packet);
-                Arc::new(TenantStatic {
-                    id: plan.id,
-                    window: plan.window,
-                    step: stagger_step(plan.window, bpi, n),
-                    epp: tuning.elems_per_packet,
-                    ppp: tuning.pairs_per_packet,
-                    elems: t.spec.elems,
-                    payload: t.spec.payload,
-                    nnz: t.spec.nnz(),
-                    span: SparsePolicy::default().span,
-                    bpi,
-                    iterations: t.spec.iterations,
-                    jobs: t.arrivals.len(),
-                    compute_ns: t.spec.compute_ns,
-                    jitter: t.spec.compute_jitter,
-                    retransmit_after: tuning.retransmit_after,
-                    // Tree-sum of per-rank constants (rank+1): exact in f32
-                    // for any realistic host count.
-                    expected: (n * (n + 1) / 2) as f32,
-                    arrivals: t.arrivals.clone(),
-                })
-            })
-            .collect();
+        // Per-tenant static config shared by its cells, the flow's wiring
+        // first: it is where every switch program and every iteration's
+        // participants come from.
+        let mut statics: Vec<Arc<TenantStatic>> = Vec::with_capacity(self.tenants.len());
+        for t in &self.tenants {
+            let plan = t.handle.plan().clone();
+            let n = t.hosts.len();
+            statics.push(Arc::new(TenantStatic {
+                id: plan.id,
+                wiring: FlowWiring::new(plan, t.hosts.clone(), t.spec.shape(), &tuning)?,
+                elems: t.spec.elems,
+                payload: t.spec.payload,
+                nnz: t.spec.nnz(),
+                iterations: t.spec.iterations,
+                jobs: t.arrivals.len(),
+                compute_ns: t.spec.compute_ns,
+                jitter: t.spec.compute_jitter,
+                // Tree-sum of per-rank constants (rank+1): exact in f32
+                // for any realistic host count.
+                expected: (n * (n + 1) / 2) as f32,
+                arrivals: t.arrivals.clone(),
+            }));
+        }
 
         let core = Arc::new(Mutex::new(Core {
             tenants: self
@@ -545,7 +518,7 @@ impl<'s> TrafficEngine<'s> {
         }));
 
         // Per-host cells, in negotiated priority order.
-        let mut host_programs: Vec<(NodeId, TrafficHost)> = Vec::new();
+        let mut host_programs: Vec<(NodeId, Box<dyn HostProgram>)> = Vec::new();
         for &h in &union_hosts {
             let mut cells = Vec::new();
             for &ti in &order {
@@ -553,15 +526,10 @@ impl<'s> TrafficEngine<'s> {
                 let Some(rank) = t.hosts.iter().position(|&x| x == h) else {
                     continue;
                 };
-                let (leaf, child_index) = t.handle.plan().tree.host_attach[&h];
-                let stat = statics[ti].clone();
                 cells.push(Cell {
                     tenant: ti,
                     rank,
-                    leaf,
-                    child_index,
-                    stagger_offset: rank as u64 * stat.step,
-                    stat,
+                    stat: statics[ti].clone(),
                     rng: rng_stream(
                         self.seed,
                         COMPUTE_STREAM ^ ((ti as u64) << 20) ^ rank as u64,
@@ -574,96 +542,42 @@ impl<'s> TrafficEngine<'s> {
                     checked: false,
                 });
             }
-            host_programs.push((
-                h,
-                TrafficHost {
-                    core: core.clone(),
-                    cells,
-                },
-            ));
+            let core = core.clone();
+            host_programs.push((h, Box::new(TrafficHost { core, cells })));
         }
 
         // Per-switch flow multiplexers over the union of tenant trees.
-        let union_switches = {
-            let mut sws: Vec<NodeId> = Vec::new();
-            for t in &self.tenants {
-                for s in &t.handle.plan().tree.switches {
-                    if !sws.contains(&s.switch) {
-                        sws.push(s.switch);
-                    }
-                }
-            }
-            sws.sort_by_key(|s| s.index());
-            sws
-        };
-        let mut switch_programs: Vec<(NodeId, TrafficSwitch)> = Vec::new();
-        let policy = SparsePolicy::default();
+        let tree_switches = self
+            .tenants
+            .iter()
+            .flat_map(|t| &t.handle.plan().tree.switches);
+        let union_switches = sorted_union(tree_switches.map(|s| s.switch));
+        let mut switch_programs: Vec<(NodeId, Box<dyn SwitchProgram>)> = Vec::new();
         for &sw in &union_switches {
             let mut entries = Vec::new();
             for &ti in &order {
-                let t = &self.tenants[ti];
-                let plan = t.handle.plan();
-                let Some(rec) = plan.tree.switch(sw) else {
-                    continue;
-                };
-                let prog = match t.spec.payload {
-                    PayloadSpec::Dense => FlowSwitch::Dense(
-                        FlareDenseProgram::new(placement_for(plan, sw), Sum)
-                            .with_loss_recovery(lossy),
-                    ),
-                    PayloadSpec::Sparse { .. } => {
-                        // Hash storage in the tree, array at the densified
-                        // root — the same shape `Collective::run` wires.
-                        let storage = policy.storage_at(rec.parent.is_none());
-                        FlowSwitch::Sparse(
-                            FlareSparseProgram::new(
-                                placement_for(plan, sw),
-                                Sum,
-                                storage,
-                                tuning.pairs_per_packet,
-                            )
-                            .with_loss_recovery(lossy),
-                        )
-                    }
-                };
-                entries.push(FlowEntry {
-                    flow: plan.id,
-                    bytes: 0,
-                    prog,
-                });
+                let wiring = &statics[ti].wiring;
+                if let Some(rec) = wiring.plan().tree.switch(sw) {
+                    entries.push(FlowEntry {
+                        flow: wiring.plan().id,
+                        bytes: 0,
+                        prog: wiring.switch_program::<f32, Sum>(rec, Sum),
+                    });
+                }
             }
-            switch_programs.push((sw, TrafficSwitch { entries }));
+            switch_programs.push((sw, Box::new(TrafficSwitch { entries })));
         }
+        // Tenants are never released one at a time, so the reservation
+        // high-water mark is what the tenant switches hold right now.
+        let reserved = union_switches
+            .iter()
+            .map(|&sw| self.session.reserved_on(sw));
+        let reserved = reserved.max().unwrap_or(0);
 
-        // One shared simulation over the session's fabric, driven by the
-        // same serial/partitioned driver selection as `Collective::run`.
-        let seed = self.seed;
-        let deadline = self.deadline;
-        let switch_model = tuning.switch_model.clone();
-        let drop_prob = tuning.link_drop_prob;
-        let threads = tuning.threads;
-        let telemetry = tuning.telemetry;
-        let hpu_switches = union_switches.clone();
-        let (net, flow_bytes, pools, hpu, trace) = self.session.lend_topology(move |topo| {
-            let mut sim = NetSim::new(topo, seed);
-            if let Some(cfg) = telemetry {
-                sim.enable_telemetry(cfg);
-            }
-            sim.set_uniform_drop_prob(drop_prob);
-            for (sw, prog) in switch_programs {
-                sim.install_switch_model(sw, Box::new(prog), switch_model.clone());
-            }
-            for (h, prog) in host_programs {
-                sim.install_host(h, Box::new(prog));
-            }
-            let net = match threads {
-                Some(n) => sim.run_threads(deadline, n as usize),
-                None => sim.run(deadline),
-            };
-            // Extract the capture before the switch teardown below: the
-            // HPU occupancy timelines still live inside the compute units.
-            let trace = sim.take_telemetry();
-
+        // One shared simulation over the session's fabric: the bring-up
+        // `Collective::run` uses, with the engine's deadline and a harvest
+        // of what its multiplexers counted.
+        let harvest = |sim: &mut NetSim| {
             let hpu: Vec<HpuSwitchReport> = sim
                 .all_compute_stats()
                 .into_iter()
@@ -675,7 +589,7 @@ impl<'s> TrafficEngine<'s> {
                 .collect();
             let mut flow_bytes: HashMap<u32, u64> = HashMap::new();
             let mut pools = ProgramStats::default();
-            for &sw in &hpu_switches {
+            for &sw in &union_switches {
                 let Some(mut bx) = sim.take_switch(sw) else {
                     continue;
                 };
@@ -685,12 +599,20 @@ impl<'s> TrafficEngine<'s> {
                 {
                     for e in &mux.entries {
                         *flow_bytes.entry(e.flow).or_insert(0) += e.bytes;
-                        pools = add_program_stats(pools, e.prog.stats());
+                        pools += e.prog.stats();
                     }
                 }
             }
-            (sim.into_topology(), (net, flow_bytes, pools, hpu, trace))
-        });
+            (flow_bytes, pools, hpu)
+        };
+        let (net, trace, (flow_bytes, pools, hpu)) = run_fabric(
+            self.session,
+            &tuning,
+            self.deadline,
+            switch_programs,
+            host_programs,
+            harvest,
+        );
 
         // Label every tenant's trace track with its handle name so the
         // Perfetto flow lanes read "tenant-3", not "flow 9".
@@ -731,7 +653,7 @@ impl<'s> TrafficEngine<'s> {
             fairness_jain: jain_index(&tenant_bytes),
             hpu,
             switch_pools: pools,
-            reserved_peak_bytes: self.reserved_peak,
+            reserved_peak_bytes: reserved,
         };
         let first = &self.tenants[0].handle;
         Ok(RunReport {
@@ -744,7 +666,7 @@ impl<'s> TrafficEngine<'s> {
                 .map(|t| t.handle.window())
                 .max()
                 .unwrap(),
-            reserved_bytes: self.reserved_peak,
+            reserved_bytes: reserved,
             tree_depth: self
                 .tenants
                 .iter()
@@ -761,50 +683,27 @@ impl<'s> TrafficEngine<'s> {
     }
 }
 
-fn add_pool_stats(a: PoolStats, b: PoolStats) -> PoolStats {
-    PoolStats {
-        gets: a.gets + b.gets,
-        hits: a.hits + b.hits,
-        puts: a.puts + b.puts,
-    }
-}
-
-fn add_program_stats(a: ProgramStats, b: ProgramStats) -> ProgramStats {
-    ProgramStats {
-        agg_pool: add_pool_stats(a.agg_pool, b.agg_pool),
-        byte_pool: add_pool_stats(a.byte_pool, b.byte_pool),
-        slab: flare_core::SlabStats {
-            direct: a.slab.direct + b.slab.direct,
-            collisions: a.slab.collisions + b.slab.collisions,
-            stale_rejected: a.slab.stale_rejected + b.slab.stale_rejected,
-        },
-    }
+/// The distinct nodes of `nodes`, in node-id order.
+fn sorted_union(nodes: impl Iterator<Item = NodeId>) -> Vec<NodeId> {
+    let mut nodes: Vec<NodeId> = nodes.collect();
+    nodes.sort_by_key(|n| n.index());
+    nodes.dedup();
+    nodes
 }
 
 /// Static per-tenant parameters shared by all of its cells.
 struct TenantStatic {
     id: u32,
-    window: usize,
-    step: u64,
-    /// Dense elements per packet (session tuning).
-    epp: usize,
-    /// Sparse pairs per packet (session tuning).
-    ppp: usize,
+    /// The tenant's flow, wired once per run.
+    wiring: FlowWiring,
     elems: usize,
     payload: PayloadSpec,
     /// Non-zero pairs per iteration (`elems` for dense).
     nnz: usize,
-    /// Sparse block span in elements ([`SparsePolicy::default`]).
-    span: usize,
-    bpi: u64,
     iterations: usize,
     jobs: usize,
     compute_ns: Time,
     jitter: f64,
-    /// Inner hosts arm their retransmission timer with this (session
-    /// tuning); `None` on a lossless fabric keeps the event schedule
-    /// free of timer wakes.
-    retransmit_after: Option<Time>,
     expected: f32,
     arrivals: Vec<Time>,
 }
@@ -818,34 +717,16 @@ impl TenantStatic {
     }
 }
 
-/// The per-flow host program an iteration runs on: the payload half of
-/// the engine's flow-scoped program dispatch (the switch half is
-/// [`FlowSwitch`]). Beyond [`HostProgram`] the engine needs one thing of
-/// it.
-trait FlowHost: HostProgram {
-    /// Blocks this incarnation's retransmission timer re-sent.
-    fn retransmits(&self) -> u64;
-}
-
-impl<P: Payload> FlowHost for FlareHost<P> {
-    fn retransmits(&self) -> u64 {
-        self.retransmits
-    }
-}
-
 /// One tenant's state machine on one host.
 struct Cell {
     tenant: usize,
     rank: usize,
-    leaf: NodeId,
-    child_index: u16,
-    stagger_offset: u64,
     stat: Arc<TenantStatic>,
     rng: StdRng,
     job: usize,
     iter: usize,
     running: bool,
-    inner: Option<Box<dyn FlowHost>>,
+    inner: Option<Box<dyn WiredHost>>,
     sink: ResultSink<f32>,
     checked: bool,
 }
@@ -1009,40 +890,22 @@ impl TrafficHost {
             let cell = &mut self.cells[ci];
             debug_assert!(cell.running && cell.inner.is_none());
             let g = (cell.job * cell.stat.iterations + cell.iter) as u64;
-            let cfg = HostConfig {
-                allreduce: cell.stat.id,
-                leaf: cell.leaf,
-                child_index: cell.child_index,
-                window: cell.stat.window,
-                stagger_offset: cell.stagger_offset,
-                retransmit_after: cell.stat.retransmit_after,
-                block_base: g * cell.stat.bpi,
-                // The iteration index namespaces this incarnation's
-                // retransmit timer (validated ≤ MAX_SEQ at admission).
-                wake_seq: g as u32,
+            let v = (cell.rank + 1) as f32;
+            let input = match cell.stat.payload {
+                PayloadSpec::Dense => FlowInput::Dense(vec![v; cell.stat.elems]),
+                PayloadSpec::Sparse { .. } => FlowInput::Sparse(
+                    (0..cell.stat.nnz)
+                        .map(|j| (cell.stat.sparse_index(j), v))
+                        .collect(),
+                ),
             };
             let sink = result_sink();
-            let inner: Box<dyn FlowHost> = match cell.stat.payload {
-                PayloadSpec::Dense => {
-                    let data = vec![(cell.rank + 1) as f32; cell.stat.elems];
-                    Box::new(DenseFlareHost::new(cfg, cell.stat.epp, data, sink.clone()))
-                }
-                PayloadSpec::Sparse { .. } => {
-                    let v = (cell.rank + 1) as f32;
-                    let pairs: Vec<(u32, f32)> = (0..cell.stat.nnz)
-                        .map(|j| (cell.stat.sparse_index(j), v))
-                        .collect();
-                    Box::new(SparseFlareHost::new(
-                        cfg,
-                        Sum,
-                        cell.stat.elems,
-                        cell.stat.span,
-                        cell.stat.ppp,
-                        pairs,
-                        sink.clone(),
-                    ))
-                }
-            };
+            // The iteration index namespaces this incarnation's block ids
+            // and retransmit timer (validated ≤ MAX_SEQ at admission).
+            let inner = cell
+                .stat
+                .wiring
+                .host(cell.rank, g, Sum, input, sink.clone());
             (cell.tenant, g, inner, sink)
         };
         self.core
@@ -1187,30 +1050,7 @@ struct FlowEntry {
     flow: u32,
     /// Wire bytes of matched packets (the fairness-index resource).
     bytes: u64,
-    prog: FlowSwitch,
-}
-
-/// The per-flow switch program: the switch half of the engine's
-/// flow-scoped program dispatch (the host half is [`FlowHost`]).
-enum FlowSwitch {
-    Dense(FlareDenseProgram<f32, Sum>),
-    Sparse(FlareSparseProgram<f32, Sum>),
-}
-
-impl FlowSwitch {
-    fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, in_port: PortId, pkt: NetPacket) {
-        match self {
-            FlowSwitch::Dense(p) => p.on_packet(ctx, in_port, pkt),
-            FlowSwitch::Sparse(p) => p.on_packet(ctx, in_port, pkt),
-        }
-    }
-
-    fn stats(&self) -> ProgramStats {
-        match self {
-            FlowSwitch::Dense(p) => p.stats(),
-            FlowSwitch::Sparse(p) => p.stats(),
-        }
-    }
+    prog: Box<dyn WiredSwitch>,
 }
 
 impl SwitchProgram for TrafficSwitch {

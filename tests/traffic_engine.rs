@@ -362,3 +362,97 @@ fn disk_traces_replay_into_the_engine() {
     std::fs::remove_file(&path).ok();
     std::fs::remove_dir(&dir).ok();
 }
+
+/// The oracle that `Collective::run` and `TrafficEngine::run` wire a flow
+/// identically: a one-tenant, one-job, one-iteration epoch is the one-shot
+/// collective over the same inputs — same makespan, link bytes and drops
+/// at equal seed, dense and sparse, star and fat tree, lossless and lossy.
+/// (`net.events` is not compared: the engine adds its arrival wakes.)
+#[test]
+fn one_tenant_epoch_equals_the_one_shot_collective() {
+    const ELEMS: usize = 65_536;
+    const SEED: u64 = 29;
+    for sparse in [false, true] {
+        for star in [true, false] {
+            for lossy in [false, true] {
+                let session = || {
+                    let topo = if star {
+                        Topology::star(8, LinkSpec::hundred_gig()).0
+                    } else {
+                        Topology::fat_tree_two_level(2, 4, 2, LinkSpec::hundred_gig()).0
+                    };
+                    let mut b = FlareSession::builder(topo);
+                    if lossy {
+                        b = b.link_drop_prob(0.02).retransmit_after(Some(100_000));
+                    }
+                    b.build()
+                };
+                let mut spec = TenantSpec::new("t", ELEMS);
+                if sparse {
+                    spec = spec.sparse(0.1);
+                }
+                let mut fleet = session();
+                let mut engine = TrafficEngine::new(&mut fleet, SEED);
+                engine.add_tenant(spec).unwrap();
+                let epoch = engine.run().unwrap().net;
+                engine.release_all().unwrap();
+
+                // The engine's inputs: rank r contributes r + 1, a sparse
+                // tenant at every tenth index.
+                let mut alone = session();
+                let ranks = (1..=alone.hosts().len()).map(|r| r as f32);
+                let one_shot = if sparse {
+                    let nnz = ELEMS / 10 + 1; // 6 553.6, rounded
+                    let index = |j| (j * ELEMS / nnz) as u32;
+                    let pairs = ranks.map(|v| (0..nnz).map(|j| (index(j), v)).collect());
+                    let pairs = pairs.collect();
+                    let run = alone.sparse_allreduce(ELEMS, pairs).seed(SEED).run();
+                    run.unwrap().report.net
+                } else {
+                    let inputs = ranks.map(|v| vec![v; ELEMS]).collect();
+                    alone.allreduce(inputs).seed(SEED).run().unwrap().report.net
+                };
+                let cell = format!("sparse={sparse} star={star} lossy={lossy}");
+                assert_eq!(epoch.makespan, one_shot.makespan, "{cell}");
+                assert_eq!(epoch.total_link_bytes, one_shot.total_link_bytes, "{cell}");
+                assert_eq!(epoch.drops, one_shot.drops, "{cell}");
+                assert_eq!(epoch.drops > 0, lossy, "{cell}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_repeated_tenant_host_is_a_typed_error() {
+    // Used to be admitted and then die inside `run` on a wrong reduction:
+    // the second rank of the repeated host sat behind the first's child
+    // index.
+    let (topo, _sw, h) = Topology::star(3, LinkSpec::hundred_gig());
+    let mut session = FlareSession::new(topo);
+    let mut engine = TrafficEngine::new(&mut session, 7);
+    let err = engine.add_tenant(TenantSpec::new("t", 512).on_hosts(vec![h[0], h[0], h[1]]));
+    let host = h[0];
+    assert_eq!(
+        err,
+        Err(TrafficError::Session(SessionError::DuplicateHost { host }))
+    );
+    assert_eq!(engine.tenant_count(), 0);
+    assert_eq!(session.active_collectives(), 0, "nothing was admitted");
+}
+
+#[test]
+fn the_reservation_mark_does_not_survive_release_all() {
+    // A large tenant admitted and released used to leave its 69 632 bytes
+    // in every later report.
+    let (topo, _sw, _hosts) = Topology::star(4, LinkSpec::hundred_gig());
+    let mut session = FlareSession::new(topo);
+    let mut engine = TrafficEngine::new(&mut session, 7);
+    engine.add_tenant(TenantSpec::new("big", 1 << 20)).unwrap();
+    engine.release_all().unwrap();
+    engine.add_tenant(TenantSpec::new("small", 256)).unwrap();
+    let report = engine.run().unwrap();
+    assert_eq!(report.reserved_bytes, 16_384);
+    let fabric = &report.tenants.as_ref().unwrap().fabric;
+    assert_eq!(fabric.reserved_peak_bytes, 16_384);
+    engine.release_all().unwrap();
+}
