@@ -10,31 +10,13 @@
 //! * **spill-buffer capacity** (Section 7): the early-forwarding trade-off
 //!   between switch memory and extra traffic.
 
-use bytes::Bytes;
-
-use flare_core::handlers::{
-    DenseAllreduceHandler, DenseHandlerConfig, SparseAllreduceHandler, SparseHandlerConfig,
-    SparseStorageKind,
-};
-use flare_core::op::Sum;
-use flare_core::wire::{encode_dense, encode_sparse, Header, PacketKind};
+use flare_core::handlers::SparseStorageKind;
+use flare_core::wiring::SwitchRun;
 use flare_model::AggKind;
-use flare_pspin::engine::run_trace;
-use flare_pspin::{ArrivalTrace, PspinConfig, Report, SchedulingPolicy, StaggerMode, TraceConfig};
+use flare_pspin::{PspinConfig, Report, SchedulingPolicy, StaggerMode};
 
-fn dense_payload(c: u16, b: u64) -> Bytes {
-    let vals: Vec<i32> = (0..256).map(|i| i + c as i32).collect();
-    let header = Header {
-        allreduce: 1,
-        block: b as u32,
-        child: c,
-        kind: PacketKind::DenseContrib,
-        last_shard: false,
-        shard_count: 0,
-        elem_count: 0,
-    };
-    encode_dense(header, &vals)
-}
+use crate::table::{self, f2, mib};
+use crate::Scale;
 
 fn dense_run(
     cfg: PspinConfig,
@@ -43,27 +25,15 @@ fn dense_run(
     stagger: StaggerMode,
     seed: u64,
 ) -> Report {
-    let trace = TraceConfig {
-        flow: 1,
+    let run = SwitchRun {
+        cfg,
         children: 64,
         blocks,
-        header_bytes: 0,
-        delta: cfg.line_rate_delta(1024),
         stagger,
-        exponential_jitter: true,
+        jitter: true,
         seed,
     };
-    let arrivals = ArrivalTrace::generate(&trace, dense_payload);
-    let handler: DenseAllreduceHandler<i32, Sum> = DenseAllreduceHandler::new(
-        DenseHandlerConfig {
-            allreduce: 1,
-            children: 64,
-            algorithm: kind,
-            capture_results: false,
-        },
-        Sum,
-    );
-    run_trace(cfg, handler, arrivals, false).0
+    run.dense::<i32>(kind)
 }
 
 /// One subset-size ablation point.
@@ -198,66 +168,81 @@ pub struct SpillRow {
 /// hold data longer (more chances to aggregate downstream packets of the
 /// same flush), smaller ones forward earlier.
 pub fn spill_sweep() -> Vec<SpillRow> {
-    let mut out = Vec::new();
-    for spill_cap in [8usize, 32, 128] {
-        let cfg = PspinConfig {
-            policy: SchedulingPolicy::Hierarchical { subset_size: 8 },
-            ..PspinConfig::paper()
-        };
-        let trace = TraceConfig {
-            flow: 1,
-            children: 16,
-            blocks: 64,
-            header_bytes: 0,
-            delta: cfg.line_rate_delta(3072),
-            stagger: StaggerMode::Target(3072),
-            exponential_jitter: true,
-            seed: 13,
-        };
-        let density = 0.1f64;
-        let span = (128.0 / density) as usize;
-        let arrivals = ArrivalTrace::generate(&trace, |c, b| {
-            let mut rng = flare_des::rng::rng_stream(99, (b << 8) | c as u64);
-            use rand::RngExt;
-            let mut pairs: Vec<(u32, f32)> = Vec::new();
-            for idx in 0..span as u32 {
-                if rng.random::<f64>() < density {
-                    pairs.push((idx, 1.0));
-                }
+    let run = SwitchRun {
+        cfg: PspinConfig::paper(),
+        children: 16,
+        blocks: 64,
+        stagger: StaggerMode::Target(3072),
+        jitter: true,
+        seed: 13,
+    };
+    let density = 0.1f64;
+    let span = (128.0 / density) as usize;
+    let pairs = |c: u16, b: u64| {
+        let mut rng = flare_des::rng::rng_stream(99, (b << 8) | c as u64);
+        use rand::RngExt;
+        let mut pairs: Vec<(u32, f32)> = Vec::new();
+        for idx in 0..span as u32 {
+            if rng.random::<f64>() < density {
+                pairs.push((idx, 1.0));
             }
-            pairs.truncate(128);
-            let header = Header {
-                allreduce: 1,
-                block: b as u32,
-                child: c,
-                kind: PacketKind::SparseContrib,
-                last_shard: true,
-                shard_count: 1,
-                elem_count: 0,
+        }
+        pairs.truncate(128);
+        pairs
+    };
+    [8usize, 32, 128]
+        .into_iter()
+        .map(|spill_cap| {
+            let storage = SparseStorageKind::Hash {
+                slots: 256,
+                spill_cap,
             };
-            encode_sparse(header, &pairs)
-        });
-        let handler: SparseAllreduceHandler<f32, Sum> = SparseAllreduceHandler::new(
-            SparseHandlerConfig {
-                allreduce: 1,
-                children: 16,
-                storage: SparseStorageKind::Hash {
-                    slots: 256,
-                    spill_cap,
-                },
-                pairs_per_packet: 128,
-                capture_results: false,
-            },
-            Sum,
-        );
-        let (report, engine) = run_trace(cfg, handler, arrivals, false);
-        out.push(SpillRow {
-            spill_cap,
-            tbps: report.ingress_tbps,
-            spilled_elems: engine.handler().spilled_elems(),
-        });
-    }
-    out
+            let (report, spilled_elems) = run.sparse::<f32>(storage, 128, 3072, pairs);
+            SpillRow {
+                spill_cap,
+                tbps: report.ingress_tbps,
+                spilled_elems,
+            }
+        })
+        .collect()
+}
+
+/// Print the four sweeps.
+pub fn print(_: Scale) {
+    println!("Ablation 1: scheduling subset size S (64 KiB, i32)");
+    let columns: &[table::Column<SubsetRow>] = &[
+        ("S", |r| r.s.to_string()),
+        ("algorithm", |r| r.kind.label()),
+        ("Tbps", |r| f2(r.tbps)),
+        ("inbuf peak (MiB)", |r| mib(r.input_buffer_peak as f64)),
+        ("lock-wait cyc", |r| r.lock_wait.to_string()),
+    ];
+    table::print(subset_sweep(), columns);
+
+    println!("Ablation 2: remote-L1 penalty factor (global FCFS vs hierarchical)");
+    let columns: &[table::Column<RemoteRow>] = &[
+        ("penalty", |r| format!("{}x", r.factor)),
+        ("global FCFS (Tbps)", |r| f2(r.global_tbps)),
+        ("hierarchical (Tbps)", |r| f2(r.hierarchical_tbps)),
+    ];
+    table::print(remote_penalty_sweep(), columns);
+
+    println!("Ablation 3: staggered sending (256 KiB, single buffer)");
+    let columns: &[table::Column<StaggerRow>] = &[
+        ("stagger", |r| r.mode.to_string()),
+        ("Tbps", |r| f2(r.tbps)),
+        ("inbuf peak (MiB)", |r| mib(r.input_buffer_peak as f64)),
+        ("lock-wait cyc", |r| r.lock_wait.to_string()),
+    ];
+    table::print(stagger_sweep(), columns);
+
+    println!("Ablation 4: sparse spill-buffer capacity (10% density, hash)");
+    let columns: &[table::Column<SpillRow>] = &[
+        ("spill cap", |r| r.spill_cap.to_string()),
+        ("Tbps", |r| f2(r.tbps)),
+        ("spilled elems", |r| r.spilled_elems.to_string()),
+    ];
+    table::print(spill_sweep(), columns);
 }
 
 #[cfg(test)]
@@ -318,5 +303,56 @@ mod tests {
         let max = *s.iter().max().unwrap() as f64;
         let min = *s.iter().min().unwrap() as f64;
         assert!(min / max > 0.8, "{s:?}");
+    }
+
+    #[test]
+    fn sweeps_are_bit_identical_to_the_hand_assembled_ones() {
+        // Recorded at the parent of the `SwitchRun` change, where this
+        // module built its own traces, payloads and handlers.
+        #[rustfmt::skip]
+        let subset = [
+            (0.49724549500255344, 3700320, 0), (0.4724559482053486, 2917200, 0),
+            (0.5123155790075016, 3681600, 3999421), (0.8567228116044044, 2224560, 0),
+            (0.5123155790075016, 3685760, 12056661), (1.4424244476424277, 1298960, 0),
+            (0.5103514788468738, 3697200, 27380013), (2.043456257120585, 567840, 0),
+        ];
+        let got: Vec<(f64, i64, u64)> = subset_sweep()
+            .iter()
+            .map(|r| (r.tbps, r.input_buffer_peak, r.lock_wait))
+            .collect();
+        assert_eq!(got, subset, "single, tree per S of 1, 2, 4, 8");
+
+        let remote = [
+            (0.3144344488425093, 0.31249112832974185),
+            (0.0705153316600487, 0.31249112832974185),
+            (0.014255347629373812, 0.31249112832974185),
+        ];
+        let got: Vec<(f64, f64)> = remote_penalty_sweep()
+            .iter()
+            .map(|r| (r.global_tbps, r.hierarchical_tbps))
+            .collect();
+        assert_eq!(got, remote, "global, hierarchical per factor of 1, 5, 25");
+
+        let stagger = [
+            (0.4480856989823246, 4193280, 33055887),
+            (1.6406345040271648, 4193280, 13431934),
+            (1.69227040513247, 4193280, 13430862),
+        ];
+        let got: Vec<(f64, i64, u64)> = stagger_sweep()
+            .iter()
+            .map(|r| (r.tbps, r.input_buffer_peak, r.lock_wait))
+            .collect();
+        assert_eq!(got, stagger, "none, target L, full");
+
+        let spill = [
+            (0.12236260572785279, 89632),
+            (0.12097673190340659, 88864),
+            (0.12062633118782914, 85504),
+        ];
+        let got: Vec<(f64, u64)> = spill_sweep()
+            .iter()
+            .map(|r| (r.tbps, r.spilled_elems))
+            .collect();
+        assert_eq!(got, spill, "spill capacity 8, 32, 128");
     }
 }

@@ -9,6 +9,8 @@ use flare_model::{scheduling, SwitchParams};
 use flare_pspin::engine::run_trace;
 use flare_pspin::{HpuCtx, PspinConfig, PspinPacket, SchedulingPolicy};
 
+use crate::{fig05_net, table, Scale};
+
 /// One scenario row: model Q vs simulated peak queue.
 #[derive(Debug, Clone)]
 pub struct Row {
@@ -98,6 +100,40 @@ pub fn rows() -> Vec<Row> {
             sim_queue_peak: simulate(Some(1), c_arrivals),
         },
     ]
+}
+
+/// Print the scenarios, then the same ones through a NetSim star
+/// ([`fig05_net`]).
+pub fn print(_: Scale) {
+    println!("Figure 5: hierarchical FCFS scheduling scenarios (K=4, tau=4, delta=1, P=4)");
+    println!();
+    let columns: &[table::Column<Row>] = &[
+        ("scenario", |r| r.scenario.to_string()),
+        ("S", |r| r.s.to_string()),
+        ("delta_c", |r| r.delta_c.to_string()),
+        ("model Q/core", |r| format!("{:.1}", r.model_q)),
+        ("sim queued peak", |r| r.sim_queue_peak.to_string()),
+    ];
+    table::print(rows(), columns);
+    println!("A: global FCFS; B: per-block core pinning builds bursts;");
+    println!("C: staggered sending keeps pinning without the queues.");
+
+    // Cross-validation of the network simulator's switch-compute model:
+    // the same scenarios through a real NetSim star under
+    // SwitchModel::Hpu, next to the closed-form model and the engine.
+    println!();
+    println!("Cross-validation: NetSim switch-compute (SwitchModel::Hpu) vs model vs engine");
+    println!();
+    let columns: &[table::Column<fig05_net::Row>] = &[
+        ("scenario", |r| r.scenario.to_string()),
+        ("S", |r| r.s.to_string()),
+        ("model B (pkt/cyc)", |r| format!("{:.2}", r.model_bandwidth)),
+        ("DES B (pkt/ns)", |r| format!("{:.3}", r.des_bandwidth)),
+        ("model Q/core", |r| format!("{:.1}", r.model_q)),
+        ("DES queue peak", |r| r.des_queue_peak.to_string()),
+        ("engine queue peak", |r| r.engine_queue_peak.to_string()),
+    ];
+    table::print(fig05_net::rows(256), columns);
 }
 
 #[cfg(test)]

@@ -2,8 +2,11 @@
 //! occupancy 𝒬 and working-memory occupancy ℛ, for S=1 vs S=C across data
 //! sizes 8 KiB / 64 KiB / 512 KiB.
 
-use flare_model::units::KIB;
+use flare_model::units::{fmt_bytes, KIB};
 use flare_model::{dense, AggKind, SwitchParams};
+
+use crate::table::{self, f2, mib};
+use crate::Scale;
 
 /// One figure point.
 #[derive(Debug, Clone)]
@@ -40,6 +43,20 @@ pub fn rows() -> Vec<Row> {
         }
     }
     out
+}
+
+/// Print the figure.
+pub fn print(_: Scale) {
+    println!("Figure 7: single-buffer aggregation, modeled (P=64, K=512, C=8, f32)");
+    println!();
+    let columns: &[table::Column<Row>] = &[
+        ("data", |r| fmt_bytes(r.data_bytes)),
+        ("sched", |r| if r.s == 1 { "S=1" } else { "S=C" }.into()),
+        ("bandwidth (Tbps)", |r| f2(r.bandwidth_tbps)),
+        ("input buf (MiB)", |r| mib(r.input_buffer_bytes)),
+        ("work mem (MiB)", |r| mib(r.working_memory_bytes)),
+    ];
+    table::print(rows(), columns);
 }
 
 #[cfg(test)]

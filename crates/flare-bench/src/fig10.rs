@@ -2,8 +2,11 @@
 //! aggregation designs (single, multi(2), multi(4), tree) at S=C across
 //! 64–512 KiB.
 
-use flare_model::units::KIB;
+use flare_model::units::{fmt_bytes, KIB};
 use flare_model::{dense, AggKind, SwitchParams};
+
+use crate::table::{self, f2, mib};
+use crate::Scale;
 
 /// One figure point.
 #[derive(Debug, Clone)]
@@ -44,6 +47,21 @@ pub fn rows() -> Vec<Row> {
         }
     }
     out
+}
+
+/// Print the figure with the Section 6.4 selection policy.
+pub fn print(_: Scale) {
+    println!("Figure 10: dense aggregation designs, modeled (S=C)");
+    println!();
+    let columns: &[table::Column<Row>] = &[
+        ("data", |r| fmt_bytes(r.data_bytes)),
+        ("algorithm", |r| r.kind.label()),
+        ("bandwidth (Tbps)", |r| f2(r.bandwidth_tbps)),
+        ("memory (MiB)", |r| mib(r.memory_bytes)),
+    ];
+    table::print(rows(), columns);
+    println!("Selection policy (Section 6.4): >512KiB single, >256KiB multi(4),");
+    println!(">128KiB multi(2), else tree; reproducible => always tree.");
 }
 
 #[cfg(test)]

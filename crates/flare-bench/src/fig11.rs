@@ -5,19 +5,17 @@
 //! elements per second by datatype at 1 MiB, where Flare's SIMD HPUs gain
 //! on narrow types while SwitchML's fixed 32-bit slots stay flat.
 
-use bytes::Bytes;
-
 use flare_baselines::refmodels::{
     sharp_elements_per_sec, switchml_elements_per_sec, SHARP_TBPS, SWITCHML_TBPS,
 };
 use flare_core::dtype::Element;
-use flare_core::handlers::{agg_cycles, DenseAllreduceHandler, DenseHandlerConfig};
-use flare_core::op::Sum;
-use flare_core::wire::{encode_dense, Header, PacketKind};
-use flare_model::units::{KIB, MIB};
+use flare_core::wiring::SwitchRun;
+use flare_model::units::{fmt_bytes, KIB, MIB};
 use flare_model::{dense, AggKind, SwitchParams};
-use flare_pspin::engine::run_trace;
-use flare_pspin::{ArrivalTrace, PspinConfig, SchedulingPolicy, StaggerMode, TraceConfig};
+use flare_pspin::{PspinConfig, StaggerMode};
+
+use crate::table::{self, f2};
+use crate::Scale;
 
 /// Point of Figure 11a.
 #[derive(Debug, Clone)]
@@ -48,70 +46,20 @@ pub fn reference_lines() -> [(&'static str, f64); 2] {
     [("SwitchML", SWITCHML_TBPS), ("SHARP", SHARP_TBPS)]
 }
 
-fn full_switch() -> PspinConfig {
-    PspinConfig {
-        policy: SchedulingPolicy::Hierarchical { subset_size: 8 },
-        ..PspinConfig::paper()
-    }
-}
-
 /// Run one dense aggregation on the PsPIN engine and return
 /// `(Tbps, elements/s)`.
 pub fn simulate_dense<T: Element>(kind: AggKind, data_bytes: u64, seed: u64) -> (f64, f64) {
     let params = SwitchParams::paper();
-    let cfg = full_switch();
-    let children = params.ports;
-    let elems = params.packet_bytes / T::WIRE_BYTES;
-    let blocks = (data_bytes / params.packet_bytes as u64).max(1);
-    let tau = agg_cycles::<T>(elems);
-    let delta = cfg.line_rate_delta(tau);
-    let stagger = StaggerMode::Target(dense::target_delta_c(&params, kind) as u64);
-    let trace = TraceConfig {
-        flow: 1,
-        children,
-        blocks,
-        header_bytes: 0,
-        delta,
-        stagger,
-        exponential_jitter: true,
+    let run = SwitchRun {
+        cfg: PspinConfig::paper(),
+        children: params.ports,
+        blocks: (data_bytes / params.packet_bytes as u64).max(1),
+        stagger: StaggerMode::Target(dense::target_delta_c(&params, kind) as u64),
+        jitter: true,
         seed,
     };
-    // One shared payload per child (values don't affect timing): encoding
-    // per (child, block) would dominate generation time at 1 MiB.
-    let template: Vec<Bytes> = (0..children as u16)
-        .map(|c| {
-            let vals: Vec<T> = (0..elems)
-                .map(|i| T::from_seed(c as u64 + i as u64))
-                .collect();
-            let header = Header {
-                allreduce: 1,
-                block: 0,
-                child: c,
-                kind: PacketKind::DenseContrib,
-                last_shard: false,
-                shard_count: 0,
-                elem_count: 0,
-            };
-            encode_dense(header, &vals)
-        })
-        .collect();
-    let arrivals = ArrivalTrace::generate(&trace, |c, block| {
-        // Patch the block id into the prebuilt header bytes.
-        let mut raw = template[c as usize].to_vec();
-        raw[4..8].copy_from_slice(&(block as u32).to_le_bytes());
-        Bytes::from(raw)
-    });
-    let handler: DenseAllreduceHandler<T, Sum> = DenseAllreduceHandler::new(
-        DenseHandlerConfig {
-            allreduce: 1,
-            children: children as u16,
-            algorithm: kind,
-            capture_results: false,
-        },
-        Sum,
-    );
-    let (report, _) = run_trace(cfg, handler, arrivals, false);
-    let elems_total = (report.packets_in as f64) * elems as f64;
+    let report = run.dense::<T>(kind);
+    let elems_total = report.packets_in as f64 * (params.packet_bytes / T::WIRE_BYTES) as f64;
     (
         report.ingress_tbps,
         elems_total / report.duration_ns as f64 * 1e9,
@@ -159,6 +107,40 @@ pub fn dtype_rows() -> Vec<DtypeRow> {
     vec![one::<i32>(), one::<i16>(), one::<i8>(), one::<f32>()]
 }
 
+/// Print both panels with the SwitchML and SHARP reference lines.
+pub fn print(_: Scale) {
+    println!("Figure 11 (left): simulated bandwidth vs data size, i32");
+    println!();
+    // One line per size: the rows come size-major, one per design.
+    let columns: &[table::Column<&[BandwidthRow]>] = &[
+        ("data", |of_size| fmt_bytes(of_size[0].data_bytes)),
+        ("single (Tbps)", |of_size| f2(of_size[0].tbps)),
+        ("multi(4)", |of_size| f2(of_size[1].tbps)),
+        ("tree", |of_size| f2(of_size[2].tbps)),
+    ];
+    table::print(bandwidth_rows().chunks(3), columns);
+    for (name, tbps) in reference_lines() {
+        println!("reference: {name} = {tbps} Tbps");
+    }
+
+    println!();
+    println!("Figure 11 (right): elements aggregated per second, 1 MiB data");
+    println!();
+    let columns: &[table::Column<DtypeRow>] = &[
+        ("dtype", |r| r.dtype.to_string()),
+        ("Flare (elem/s)", |r| format!("{:.2e}", r.flare_eps)),
+        ("SwitchML", |r| {
+            if r.switchml_eps > 0.0 {
+                format!("{:.2e}", r.switchml_eps)
+            } else {
+                "n/a".into()
+            }
+        }),
+        ("SHARP", |r| format!("{:.2e}", r.sharp_eps)),
+    ];
+    table::print(dtype_rows(), columns);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,5 +170,21 @@ mod tests {
         let (_, i8_eps) = simulate_dense::<i8>(kind, 256 * KIB, 2);
         assert!(i16_eps > i32_eps * 1.5, "{i16_eps} vs {i32_eps}");
         assert!(i8_eps > i16_eps * 1.5, "{i8_eps} vs {i16_eps}");
+    }
+
+    #[test]
+    fn bandwidth_rows_are_bit_identical_to_the_hand_assembled_ones() {
+        // Recorded at the parent of the `SwitchRun` change, where this
+        // module built its own trace, template payloads and handler.
+        #[rustfmt::skip]
+        let want = [
+            0.008089450656295575, 0.026969205834683953, 0.0409757599076568,
+            0.03234109751283064, 0.10769137425422186, 0.16438373080188315,
+            0.5061521781104724, 1.6619712265301145, 2.052440375813057,
+            2.6986642361152753, 3.5495431405991638, 3.398060101457043,
+            3.2902592767651027, 3.6833772855615563, 3.6295223958090648,
+        ];
+        let got: Vec<f64> = bandwidth_rows().iter().map(|r| r.tbps).collect();
+        assert_eq!(got, want, "single, multi(4), tree per size of SIZES");
     }
 }

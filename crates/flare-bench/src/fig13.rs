@@ -1,8 +1,11 @@
 //! Figure 13: modeled sparse-allreduce bandwidth for hash vs array storage
 //! across sparsified data sizes (64–512 KiB) at 10 % density.
 
-use flare_model::units::KIB;
+use flare_model::units::{fmt_bytes, KIB};
 use flare_model::{sparse, SparseStorage, SwitchParams};
+
+use crate::table::{self, f2};
+use crate::Scale;
 
 /// One figure point.
 #[derive(Debug, Clone)]
@@ -35,6 +38,24 @@ pub fn rows() -> Vec<Row> {
         }
     }
     out
+}
+
+/// Print the figure.
+pub fn print(_: Scale) {
+    println!(
+        "Figure 13: modeled sparse allreduce bandwidth (density {:.0} %)",
+        DENSITY * 100.0
+    );
+    println!();
+    // One line per size: the rows come size-major, hash before array.
+    let columns: &[table::Column<&[Row]>] = &[
+        ("sparsified data", |of_size| {
+            fmt_bytes(of_size[0].data_bytes)
+        }),
+        ("hash (Tbps)", |of_size| f2(of_size[0].bandwidth_tbps)),
+        ("array (Tbps)", |of_size| f2(of_size[1].bandwidth_tbps)),
+    ];
+    table::print(rows().chunks(2), columns);
 }
 
 #[cfg(test)]

@@ -5,19 +5,18 @@
 //! The paper cannot run array storage at 1 % density (the per-block array
 //! outgrows the working memory); this harness reports that cell as `None`.
 
-use bytes::Bytes;
-
-use flare_core::handlers::{SparseAllreduceHandler, SparseHandlerConfig, SparseStorageKind};
-use flare_core::op::Sum;
-use flare_core::wire::{encode_sparse, Header, PacketKind};
+use flare_core::handlers::SparseStorageKind;
+use flare_core::wiring::SwitchRun;
 use flare_model::sparse::SPARSE_ELEM_BYTES;
 use flare_model::units::MIB;
 use flare_model::{SparseStorage, SwitchParams};
-use flare_pspin::engine::run_trace;
-use flare_pspin::{ArrivalTrace, PspinConfig, SchedulingPolicy, StaggerMode, TraceConfig};
+use flare_pspin::{PspinConfig, StaggerMode};
 
 use flare_des::rng::{rng_stream, splitmix64};
 use rand::RngExt;
+
+use crate::table::{self, f2, kib, pct};
+use crate::Scale;
 
 /// One figure point.
 #[derive(Debug, Clone)]
@@ -40,13 +39,6 @@ pub const DENSITIES: [f64; 3] = [0.20, 0.10, 0.01];
 /// Sparsified data size.
 pub const DATA_BYTES: u64 = MIB;
 
-fn full_switch() -> PspinConfig {
-    PspinConfig {
-        policy: SchedulingPolicy::Hierarchical { subset_size: 8 },
-        ..PspinConfig::paper()
-    }
-}
-
 /// Working-memory budget per block: with ~32 blocks in flight per cluster
 /// a block must stay within 1 MiB / 32 = 32 KiB of L1. Beyond this the
 /// configuration is rejected, mirroring the paper's infeasible array/1 %
@@ -64,7 +56,6 @@ const CHILDREN: usize = 16;
 /// (blocks) for quick runs; 1.0 = the full 1 MiB figure point.
 pub fn simulate(storage: SparseStorage, density: f64, scale: f64, seed: u64) -> Row {
     let params = SwitchParams::paper();
-    let children = CHILDREN;
     let pairs_per_packet = params.packet_bytes / SPARSE_ELEM_BYTES; // 128
     let span = (pairs_per_packet as f64 / density).ceil() as usize;
     let blocks = (((DATA_BYTES as f64 * scale) as u64) / params.packet_bytes as u64).max(4);
@@ -97,45 +88,29 @@ pub fn simulate(storage: SparseStorage, density: f64, scale: f64, seed: u64) -> 
         SparseStorage::Array => flare_model::sparse::ARRAY_STORE_CYCLES,
     };
     let tau = (pairs_per_packet as f64 * per_elem) as u64;
-    let delta = full_switch().line_rate_delta(tau);
-    let trace = TraceConfig {
-        flow: 1,
-        children,
+    let run = SwitchRun {
+        cfg: PspinConfig::paper(),
+        children: CHILDREN,
         blocks,
-        header_bytes: 0,
-        delta,
         stagger: StaggerMode::Target(tau),
-        exponential_jitter: true,
+        jitter: true,
         seed,
     };
     // Track the ideal aggregated output per block (distinct indexes):
     // the baseline against which spilling is "extra" traffic.
     let mut union_bits: Vec<Vec<u64>> = vec![vec![0u64; span.div_ceil(64)]; blocks as usize];
-    let arrivals = ArrivalTrace::generate(&trace, |c, b| {
-        let payload = sparse_payload(c, b, span, density, pairs_per_packet, seed);
-        if let Ok((_, pairs)) = flare_core::wire::decode_sparse::<f32>(&payload) {
-            let bits = &mut union_bits[b as usize];
-            for (idx, _) in pairs {
-                bits[idx as usize / 64] |= 1 << (idx % 64);
-            }
+    let (report, _) = run.sparse::<f32>(storage_kind, pairs_per_packet, tau, |c, b| {
+        let pairs = sparse_pairs(c, b, span, density, pairs_per_packet, seed);
+        let bits = &mut union_bits[b as usize];
+        for &(idx, _) in &pairs {
+            bits[idx as usize / 64] |= 1 << (idx % 64);
         }
-        payload
+        pairs
     });
     let ideal_elems: u64 = union_bits
         .iter()
         .map(|bits| bits.iter().map(|w| w.count_ones() as u64).sum::<u64>())
         .sum();
-    let handler: SparseAllreduceHandler<f32, Sum> = SparseAllreduceHandler::new(
-        SparseHandlerConfig {
-            allreduce: 1,
-            children: children as u16,
-            storage: storage_kind,
-            pairs_per_packet,
-            capture_results: false,
-        },
-        Sum,
-    );
-    let (report, _engine) = run_trace(full_switch(), handler, arrivals, false);
     // Everything the switch emits (spill flushes + drained results) goes
     // on the wire; a perfect aggregation would emit exactly the per-block
     // index unions. The surplus is the paper's "extra traffic".
@@ -153,14 +128,14 @@ pub fn simulate(storage: SparseStorage, density: f64, scale: f64, seed: u64) -> 
 
 /// One child's contribution to one block: ~Binomial(span, density)
 /// non-zeros, i.e. about one packet's worth on average (Section 7).
-fn sparse_payload(
+fn sparse_pairs(
     child: u16,
     block: u64,
     span: usize,
     density: f64,
     pairs_per_packet: usize,
     seed: u64,
-) -> Bytes {
+) -> Vec<(u32, f32)> {
     let mut rng = rng_stream(seed, splitmix64(block) ^ child as u64);
     let mut pairs: Vec<(u32, f32)> = Vec::with_capacity(pairs_per_packet + 16);
     for idx in 0..span as u32 {
@@ -172,16 +147,7 @@ fn sparse_payload(
     // so a block fits one packet on average; truncate the tail beyond the
     // MTU (the real host would shard — covered by the system-level sim).
     pairs.truncate(pairs_per_packet);
-    let header = Header {
-        allreduce: 1,
-        block: block as u32,
-        child,
-        kind: PacketKind::SparseContrib,
-        last_shard: true,
-        shard_count: 1,
-        elem_count: 0,
-    };
-    encode_sparse(header, &pairs)
+    pairs
 }
 
 /// Compute all figure cells (full scale).
@@ -201,6 +167,26 @@ pub fn rows_scaled(scale: f64) -> Vec<Row> {
     crate::par_map(cells, |(storage, density)| {
         simulate(storage, density, scale, 9)
     })
+}
+
+/// Print the figure: the full 1 MiB point, or a tenth of it at [`Scale::Quick`].
+pub fn print(scale: Scale) {
+    let (fraction, note) = match scale {
+        Scale::Quick => (0.1, " (quick scale 0.1)"),
+        _ => (1.0, ""),
+    };
+    println!("Figure 14: simulated sparse allreduce, 1 MiB sparsified data{note}");
+    println!();
+    let columns: &[table::Column<Row>] = &[
+        ("density", |r| pct(r.density)),
+        ("storage", |r| r.storage.label().to_string()),
+        ("bandwidth (Tbps)", |r| {
+            r.tbps.map_or("n/a (memory)".into(), f2)
+        }),
+        ("block mem (KiB)", |r| kib(r.block_memory_bytes as f64)),
+        ("extra traffic", |r| pct(r.extra_traffic_frac)),
+    ];
+    table::print(rows_scaled(fraction), columns);
 }
 
 #[cfg(test)]
@@ -262,5 +248,25 @@ mod tests {
             h01.extra_traffic_frac
         );
         assert!(h20.extra_traffic_frac > 0.05, "{}", h20.extra_traffic_frac);
+    }
+
+    #[test]
+    fn quick_rows_are_bit_identical_to_the_hand_assembled_ones() {
+        // Recorded at the parent of the `SwitchRun` change: (Tbps, block
+        // memory, extra-traffic fraction) of `rows_scaled(0.1)`.
+        #[rustfmt::skip]
+        let want = [
+            (Some(0.20543934964433674), 2560, 1.2149566817936595),
+            (Some(0.408471231854776), 2640, 0.0),
+            (Some(0.19395038241342072), 2560, 0.6152173079871225),
+            (Some(0.38140641182288937), 5280, 0.0),
+            (Some(0.18514578667906084), 2560, 0.057093784397449734),
+            (None, 52800, 0.0),
+        ];
+        let got: Vec<(Option<f64>, u64, f64)> = rows_scaled(0.1)
+            .iter()
+            .map(|r| (r.tbps, r.block_memory_bytes, r.extra_traffic_frac))
+            .collect();
+        assert_eq!(got, want, "hash, array per density of DENSITIES");
     }
 }

@@ -17,11 +17,14 @@ use flare_core::op::Sum;
 use flare_core::session::{FlareSession, SparsePolicy};
 use flare_des::{Time, MILLISECOND};
 use flare_model::units::{GIB, MIB};
-use flare_net::{LinkSpec, NetSim, NodeId, Topology};
+use flare_net::{LinkSpec, NetSim, Topology};
 use flare_workloads::{gradient_like_f32, sparsify_top1_per_bucket};
 
 use flare_baselines::ring::RingHost;
 use flare_baselines::sparcml::SparcmlHost;
+
+use crate::table::{self, f2};
+use crate::Scale;
 
 /// Experiment configuration.
 #[derive(Debug, Clone)]
@@ -206,9 +209,32 @@ pub fn rows(cfg: &Config) -> Vec<Row> {
     crate::par_map(systems.to_vec(), |f| f(cfg))
 }
 
-/// The reduction-tree hosts of the default fabric, exposed for examples.
-pub fn default_hosts() -> Vec<NodeId> {
-    paper_fabric(Config::default().hosts).1.hosts
+/// Print the figure at 4 MiB per host, 1 MiB at [`Scale::Quick`], or the
+/// paper's 100 MiB at [`Scale::Full`] (needs tens of GiB of RAM).
+pub fn print(scale: Scale) {
+    let cfg = match scale {
+        Scale::Full => Config::full_scale(),
+        Scale::Default => Config::default(),
+        Scale::Quick => Config {
+            elems: 256 * 1024,
+            ..Config::default()
+        },
+    };
+    println!(
+        "Figure 15: 64-node 2-level fat tree (8-port 100 Gbps), {} MiB f32 per host,",
+        cfg.elems * 4 / (1 << 20)
+    );
+    println!(
+        "ResNet50-style sparsified gradients (top-1 per bucket of {} => ~0.2% density)",
+        cfg.bucket
+    );
+    println!();
+    let columns: &[table::Column<Row>] = &[
+        ("system", |r| r.system.to_string()),
+        ("time (ms)", |r| f2(r.time_ms())),
+        ("traffic (GiB)", |r| format!("{:.3}", r.traffic_gib())),
+    ];
+    table::print(rows(&cfg), columns);
 }
 
 #[cfg(test)]

@@ -1,36 +1,33 @@
-//! Minimal aligned-table printer for figure binaries.
+//! Minimal aligned-table printer for the figure modules.
 
-/// Render rows of cells as an aligned text table with a header rule.
+/// Render rows of cells, one per header, as an aligned text table with a
+/// header rule.
 pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.chars().count()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.chars().count());
-            }
-        }
+    fn line<S: AsRef<str>>(cells: &[S], widths: &[usize]) -> String {
+        let padded = cells.iter().zip(widths);
+        let padded = padded.map(|(cell, &w)| format!("{:>w$}", cell.as_ref()));
+        padded.collect::<Vec<_>>().join("  ").trim_end().to_string() + "\n"
     }
-    let mut out = String::new();
-    let fmt_row = |cells: Vec<String>, widths: &[usize]| -> String {
-        let mut line = String::new();
-        for (i, cell) in cells.iter().enumerate() {
-            let pad = widths.get(i).copied().unwrap_or(0);
-            line.push_str(&format!("{cell:>pad$}  "));
-        }
-        line.trim_end().to_string()
+    let width = |i: usize| {
+        let cells = rows.iter().map(|row| row[i].chars().count());
+        cells.fold(headers[i].chars().count(), usize::max)
     };
-    out.push_str(&fmt_row(
-        headers.iter().map(|s| s.to_string()).collect(),
-        &widths,
-    ));
-    out.push('\n');
-    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&fmt_row(row.clone(), &widths));
-        out.push('\n');
-    }
-    out
+    let widths: Vec<usize> = (0..headers.len()).map(width).collect();
+    let rule = "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len());
+    let body: String = rows.iter().map(|row| line(row, &widths)).collect();
+    line(headers, &widths) + &rule + "\n" + &body
+}
+
+/// One column of a table of `R`s: its header, and a row's cell in it.
+pub type Column<R> = (&'static str, fn(&R) -> String);
+
+/// Print one aligned line per row, one cell per column, under the column
+/// headers, then a blank line.
+pub fn print<R>(rows: impl IntoIterator<Item = R>, columns: &[Column<R>]) {
+    let headers: Vec<&str> = columns.iter().map(|c| c.0).collect();
+    let cells = |r: R| columns.iter().map(|c| (c.1)(&r)).collect();
+    let rows: Vec<Vec<String>> = rows.into_iter().map(cells).collect();
+    println!("{}", render(&headers, &rows));
 }
 
 /// Format a float with 2 decimals.
@@ -46,6 +43,11 @@ pub fn mib(x: f64) -> String {
 /// Format a byte count in KiB with 1 decimal.
 pub fn kib(x: f64) -> String {
     format!("{:.1}", x / 1024.0)
+}
+
+/// Format a fraction as a whole percentage.
+pub fn pct(x: f64) -> String {
+    format!("{:.0}%", x * 100.0)
 }
 
 #[cfg(test)]
@@ -72,5 +74,6 @@ mod tests {
         assert_eq!(f2(1.005), "1.00"); // rounds-to-even display is fine
         assert_eq!(mib(2.0 * 1024.0 * 1024.0), "2.00");
         assert_eq!(kib(1536.0), "1.5");
+        assert_eq!(pct(0.1), "10%");
     }
 }

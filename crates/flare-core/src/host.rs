@@ -279,6 +279,12 @@ impl<P: Payload> FlareHost<P> {
         }
     }
 
+    /// Whether every block's result has arrived (the reduced vector is in
+    /// the sink).
+    pub fn finished(&self) -> bool {
+        self.completed == self.outstanding.blocks
+    }
+
     fn send_block(&mut self, ctx: &mut HostCtx<'_>, block: u64) {
         let flow = self.cfg.allreduce as u64;
         let wire_block = self.cfg.block_base + block;
@@ -364,7 +370,7 @@ impl<P: Payload> HostProgram for FlareHost<P> {
         self.completed += 1;
         ctx.trace(TraceKind::BlockRetire, flow, wire_block, 0);
         ctx.trace(TraceKind::InFlight, flow, self.outstanding.len() as u64, 0);
-        if self.completed == self.outstanding.blocks {
+        if self.finished() {
             *self.sink.lock().expect("sink lock") = Some(self.payload.take_result());
             ctx.mark_done();
         } else {
@@ -376,7 +382,7 @@ impl<P: Payload> HostProgram for FlareHost<P> {
         // A stale tag (earlier `wake_seq` incarnation under a traffic
         // mux) dies here without re-arming, bounding timer chains to one
         // per live incarnation.
-        if tag != self.retx_tag || self.completed == self.outstanding.blocks {
+        if tag != self.retx_tag || self.finished() {
             return;
         }
         let timeout = self.cfg.retransmit_after.expect("timer armed");

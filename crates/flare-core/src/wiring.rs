@@ -10,20 +10,37 @@
 //! flow and installs its programs directly; the `flare-workloads` traffic
 //! engine wires one flow per tenant behind its own multiplexers. Neither
 //! constructs a program, a host or a simulation itself.
+//!
+//! The third thing assembled here is the single-switch run of the paper's
+//! Sections 6.4 and 7 ([`SwitchRun`]): `P` ports offering 1 KiB packets to
+//! one PsPIN unit at the line rate `δ = τ/K`, block order staggered,
+//! arrivals exponentially jittered, one Flare handler installed. Figures
+//! 11 and 14, the ablations and the model cross-checks all build from it.
 
 #![deny(missing_docs)]
 
 use std::collections::HashSet;
 
+use bytes::Bytes;
 use flare_des::Time;
+use flare_model::{AggKind, SwitchParams};
 use flare_net::{HostProgram, NetReport, NetSim, NodeId, SwitchProgram, TelemetryReport};
+use flare_pspin::engine::run_trace;
+use flare_pspin::{
+    ArrivalTrace, Engine, PacketHandler, PspinConfig, Report, StaggerMode, TraceConfig,
+};
 
 use crate::dtype::Element;
+use crate::handlers::{
+    agg_cycles, DenseAllreduceHandler, DenseHandlerConfig, SparseAllreduceHandler,
+    SparseHandlerConfig, SparseStorageKind,
+};
 use crate::host::{DenseFlareHost, FlareHost, HostConfig, Payload, ResultSink, SparseFlareHost};
 use crate::manager::{AllreducePlan, TreeSwitch};
-use crate::op::ReduceOp;
+use crate::op::{ReduceOp, Sum};
 use crate::session::{FlareSession, SessionError, SparsePolicy, Tuning};
 use crate::switch_prog::{FlareDenseProgram, FlareSparseProgram, ProgramStats, TreePlacement};
+use crate::wire::{encode_dense, encode_sparse, Header, PacketKind};
 
 /// What a flow's blocks are made of.
 #[derive(Debug, Clone, Copy)]
@@ -93,11 +110,18 @@ impl<T: Element, O: ReduceOp<T> + 'static> WiredSwitch for FlareSparseProgram<T,
 pub trait WiredHost: HostProgram {
     /// Blocks this participant's retransmission timer re-sent.
     fn retransmits(&self) -> u64;
+    /// Whether every block's result has arrived (the reduced vector is in
+    /// the participant's sink).
+    fn finished(&self) -> bool;
 }
 
 impl<P: Payload + 'static> WiredHost for FlareHost<P> {
     fn retransmits(&self) -> u64 {
         self.retransmits
+    }
+
+    fn finished(&self) -> bool {
+        self.finished()
     }
 }
 
@@ -299,6 +323,125 @@ pub fn run_fabric<R>(
     let harvested = harvest(&mut sim);
     session.topology = sim.into_topology();
     (net, trace, harvested)
+}
+
+/// One single-switch run: `children` ports offer `blocks` reduction
+/// blocks of one 1 KiB packet each to the PsPIN unit `cfg`, paced at the
+/// unit's line rate for the handler's service time. What varies between
+/// the paper's single-switch experiments is exactly these fields; the
+/// trace, the payloads and the handler follow from them.
+#[derive(Debug, Clone)]
+pub struct SwitchRun {
+    /// The PsPIN unit.
+    pub cfg: PspinConfig,
+    /// Ports feeding the switch (`P`): one contribution per port per block.
+    pub children: usize,
+    /// Reduction blocks (`Z/N`).
+    pub blocks: u64,
+    /// Block-order staggering between ports (Section 5).
+    pub stagger: StaggerMode,
+    /// Exponentially distributed interarrivals (Section 6.4) instead of
+    /// deterministic pacing.
+    pub jitter: bool,
+    /// Seed of the jitter streams.
+    pub seed: u64,
+}
+
+impl SwitchRun {
+    /// The allreduce id every packet and the handler carry.
+    const ALLREDUCE: u32 = 1;
+
+    /// Offer one packet per `(child, block)` at `δ = τ/K` and run `handler`
+    /// over the trace.
+    fn run<H: PacketHandler>(
+        &self,
+        tau: u64,
+        handler: H,
+        payload: impl FnMut(u16, u64) -> Bytes,
+    ) -> (Report, Engine<H>) {
+        let trace = TraceConfig {
+            flow: Self::ALLREDUCE,
+            children: self.children,
+            blocks: self.blocks,
+            header_bytes: 0,
+            delta: self.cfg.line_rate_delta(tau),
+            stagger: self.stagger,
+            exponential_jitter: self.jitter,
+            seed: self.seed,
+        };
+        let arrivals = ArrivalTrace::generate(&trace, payload);
+        run_trace(self.cfg.clone(), handler, arrivals, false)
+    }
+
+    fn contribution(kind: PacketKind, child: u16, block: u64) -> Header {
+        let sparse = kind == PacketKind::SparseContrib;
+        Header {
+            allreduce: Self::ALLREDUCE,
+            block: block as u32,
+            child,
+            kind,
+            // One shard per block: a block is sized to fit one packet.
+            last_shard: sparse,
+            shard_count: u16::from(sparse),
+            elem_count: 0,
+        }
+    }
+
+    /// Sum-reduce dense blocks of `T` under aggregation design `kind`: a
+    /// packet carries 1 KiB of elements and `τ` is their aggregation cost
+    /// ([`agg_cycles`]). Payload values do not affect timing; each port
+    /// sends one fixed vector in every block.
+    pub fn dense<T: Element>(&self, kind: AggKind) -> Report {
+        let elems = SwitchParams::paper().packet_bytes / T::WIRE_BYTES;
+        let values: Vec<Vec<T>> = (0..self.children as u64)
+            .map(|c| (0..elems as u64).map(|i| T::from_seed(c + i)).collect())
+            .collect();
+        let handler: DenseAllreduceHandler<T, Sum> = DenseAllreduceHandler::new(
+            DenseHandlerConfig {
+                allreduce: Self::ALLREDUCE,
+                children: self.children as u16,
+                algorithm: kind,
+                capture_results: false,
+            },
+            Sum,
+        );
+        let payload = |c: u16, b: u64| {
+            let header = Self::contribution(PacketKind::DenseContrib, c, b);
+            encode_dense(header, &values[c as usize])
+        };
+        self.run(agg_cycles::<T>(elems), handler, payload).0
+    }
+
+    /// Sum-reduce sparse blocks into `storage`: `pairs(child, block)` is
+    /// one port's `(block-relative index, value)` list for one block, sent
+    /// as a single shard, and `tau` the handler's service time per packet
+    /// (sparse handlers are slower than dense ones, so the caller offers
+    /// packets at the sparse line rate). Returns the report and the
+    /// elements the handler forwarded unaggregated.
+    pub fn sparse<T: Element>(
+        &self,
+        storage: SparseStorageKind,
+        pairs_per_packet: usize,
+        tau: u64,
+        mut pairs: impl FnMut(u16, u64) -> Vec<(u32, T)>,
+    ) -> (Report, u64) {
+        let handler: SparseAllreduceHandler<T, Sum> = SparseAllreduceHandler::new(
+            SparseHandlerConfig {
+                allreduce: Self::ALLREDUCE,
+                children: self.children as u16,
+                storage,
+                pairs_per_packet,
+                capture_results: false,
+            },
+            Sum,
+        );
+        let payload = |c: u16, b: u64| {
+            let header = Self::contribution(PacketKind::SparseContrib, c, b);
+            encode_sparse(header, &pairs(c, b))
+        };
+        let (report, engine) = self.run(tau, handler, payload);
+        (report, engine.handler().spilled_elems())
+    }
 }
 
 #[cfg(test)]

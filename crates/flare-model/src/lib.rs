@@ -4,7 +4,7 @@
 //! statement in the paper and is documented with its source. The model crate
 //! is deliberately dependency-free and purely numeric: the event-level
 //! simulators (`flare-pspin`, `flare-net`) validate these formulas, and the
-//! figure binaries in `flare-bench` evaluate them to regenerate the paper's
+//! figure modules in `flare-bench` evaluate them to regenerate the paper's
 //! *modeled* plots (Figures 5, 7, 10 and 13). The *simulated* plots
 //! (Figures 11, 14, 15) come from the simulators instead.
 //!

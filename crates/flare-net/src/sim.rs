@@ -81,6 +81,12 @@ pub trait HostProgram: Send {
     fn on_packet(&mut self, ctx: &mut HostCtx<'_>, pkt: NetPacket);
     /// Called when a timer requested via [`HostCtx::wake_in`] fires.
     fn on_wake(&mut self, _ctx: &mut HostCtx<'_>, _tag: u64) {}
+    /// Downcast hook so callers of [`NetSim::take_host`] can read what a
+    /// concrete program recorded during the run. Programs that opt in
+    /// return `Some(self)`.
+    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+        None
+    }
 }
 
 /// In-network program installed on a switch for matching flows.
@@ -436,11 +442,13 @@ impl<'a> HostCtx<'a> {
         );
     }
 
-    /// Record this host as finished (first call wins); the simulation keeps
-    /// running until the event queue drains.
+    /// Record this host as finished at the current time; the simulation
+    /// keeps running until the event queue drains. The latest call wins: a
+    /// host that runs several collectives back to back (one participant
+    /// per iteration under a multiplexer) is done when its last one is.
     pub fn mark_done(&mut self) {
         let slot = self.core.node_slot(self.node);
-        self.core.state.nodes[slot].done_at.get_or_insert(self.now);
+        self.core.state.nodes[slot].done_at = Some(self.now);
     }
 }
 
@@ -677,11 +685,6 @@ impl NetSim {
         let sink =
             crate::telemetry::TelemetrySink::new(cfg, self.lane.nodes.len(), self.lane.dirs.len());
         self.lane.telemetry = Telemetry::On(Box::new(sink));
-    }
-
-    /// Whether telemetry capture is enabled.
-    pub fn telemetry_enabled(&self) -> bool {
-        self.lane.telemetry.is_on()
     }
 
     /// Extract everything telemetry captured (disabling further capture);

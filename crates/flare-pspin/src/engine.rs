@@ -114,11 +114,6 @@ impl<H: PacketHandler> Engine<H> {
         &self.handler
     }
 
-    /// Mutable access to the handler.
-    pub fn handler_mut(&mut self) -> &mut H {
-        &mut self.handler
-    }
-
     /// Emitted packets captured so far (requires `capture_emissions`).
     pub fn emissions(&self) -> &[(Time, PspinPacket)] {
         &self.emissions

@@ -13,7 +13,7 @@
 //! [`traffic::TrafficEngine`] drives a population of tenants — each a
 //! DNN-style job churn of compute + allreduce iterations — through one
 //! shared simulation with per-tenant tail metrics. The [`trace`] module
-//! replays on-disk cluster traces (CSV / JSON lines) into that engine.
+//! replays on-disk cluster traces (CSV) into that engine.
 
 pub mod dense;
 pub mod sparse;

@@ -1,16 +1,8 @@
 //! On-disk arrival-trace loader: replay real cluster traces through the
 //! traffic engine (ROADMAP item 2c).
 //!
-//! Two line-oriented formats carry the same four fields —
-//! `arrival_ns, tenant, elems, iterations`:
-//!
-//! * **CSV** — an optional header line (detected by a non-numeric first
-//!   field) followed by `arrival_ns,tenant,elems,iterations` rows.
-//! * **JSON lines** — one flat object per line:
-//!   `{"arrival_ns": 1200, "tenant": "resnet", "elems": 4096,
-//!   "iterations": 3}`. Parsed by a small hand-rolled scanner (this
-//!   workspace vendors no serde); nested objects are not supported and
-//!   not needed.
+//! A trace is CSV: an optional header line (detected by a non-numeric
+//! first field) followed by `arrival_ns,tenant,elems,iterations` rows.
 //!
 //! A file mixes freely into tenants: every distinct `tenant` value
 //! becomes one [`TenantSpec`] whose jobs arrive at that tenant's rows'
@@ -83,9 +75,8 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// Parse trace `text`, auto-detecting the format per line: lines whose
-/// first non-space byte is `{` parse as JSON objects, everything else as
-/// CSV. Blank lines, `#` comments and one CSV header line are skipped.
+/// Parse trace `text`. Blank lines, `#` comments and one header line are
+/// skipped.
 pub fn parse_trace(text: &str) -> Result<Vec<TraceRecord>, TraceError> {
     let mut records = Vec::new();
     for (i, raw) in text.lines().enumerate() {
@@ -94,9 +85,7 @@ pub fn parse_trace(text: &str) -> Result<Vec<TraceRecord>, TraceError> {
         if s.is_empty() || s.starts_with('#') {
             continue;
         }
-        if s.starts_with('{') {
-            records.push(parse_json_line(s, line)?);
-        } else if let Some(rec) = parse_csv_line(s, line, records.is_empty())? {
+        if let Some(rec) = parse_csv_line(s, line, records.is_empty())? {
             records.push(rec);
         }
     }
@@ -159,28 +148,13 @@ pub fn tenant_specs(records: &[TraceRecord]) -> Result<Vec<TenantSpec>, TraceErr
 }
 
 /// Render `records` as CSV with a header (the round-trip inverse of
-/// [`parse_trace`] for CSV input).
+/// [`parse_trace`]).
 pub fn to_csv(records: &[TraceRecord]) -> String {
     let mut out = String::from("arrival_ns,tenant,elems,iterations\n");
     for r in records {
         out.push_str(&format!(
             "{},{},{},{}\n",
             r.arrival_ns, r.tenant, r.elems, r.iterations
-        ));
-    }
-    out
-}
-
-/// Render `records` as JSON lines (the round-trip inverse of
-/// [`parse_trace`] for JSON input). Tenant names are emitted with the
-/// same minimal escaping the parser understands (`\"` and `\\`).
-pub fn to_jsonl(records: &[TraceRecord]) -> String {
-    let mut out = String::new();
-    for r in records {
-        let name = r.tenant.replace('\\', "\\\\").replace('"', "\\\"");
-        out.push_str(&format!(
-            "{{\"arrival_ns\": {}, \"tenant\": \"{name}\", \"elems\": {}, \"iterations\": {}}}\n",
-            r.arrival_ns, r.elems, r.iterations
         ));
     }
     out
@@ -222,124 +196,6 @@ fn parse_csv_line(s: &str, line: usize, first: bool) -> Result<Option<TraceRecor
         elems,
         iterations,
     }))
-}
-
-/// Parse one flat JSON object. A minimal scanner: string values support
-/// `\"` / `\\` escapes, numeric values are unsigned integers, unknown
-/// keys are rejected so typos fail loudly.
-fn parse_json_line(s: &str, line: usize) -> Result<TraceRecord, TraceError> {
-    let malformed = |why: String| TraceError::Malformed { line, why };
-    let inner = s
-        .strip_prefix('{')
-        .and_then(|t| t.strip_suffix('}'))
-        .ok_or_else(|| malformed("JSON object is not `{…}`".into()))?;
-
-    let mut arrival_ns: Option<Time> = None;
-    let mut tenant: Option<String> = None;
-    let mut elems: Option<usize> = None;
-    let mut iterations: Option<usize> = None;
-
-    let bytes = inner.as_bytes();
-    let mut pos = 0usize;
-    let skip_ws = |pos: &mut usize| {
-        while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-    };
-    // Scan a quoted string starting at `pos` (which must be `"`),
-    // returning (value, next position past the closing quote).
-    let scan_string = |start: usize| -> Result<(String, usize), TraceError> {
-        if bytes.get(start) != Some(&b'"') {
-            return Err(malformed("expected a string".into()));
-        }
-        let mut out = String::new();
-        let mut i = start + 1;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'\\' => {
-                    match bytes.get(i + 1) {
-                        Some(&b'"') => out.push('"'),
-                        Some(&b'\\') => out.push('\\'),
-                        _ => return Err(malformed("unsupported string escape".into())),
-                    }
-                    i += 2;
-                }
-                b'"' => return Ok((out, i + 1)),
-                _ => {
-                    // Multi-byte UTF-8 sequences pass through byte by
-                    // byte; re-assemble via the source slice.
-                    let ch_start = i;
-                    let mut ch_end = i + 1;
-                    while ch_end < bytes.len() && (bytes[ch_end] & 0xC0) == 0x80 {
-                        ch_end += 1;
-                    }
-                    out.push_str(&inner[ch_start..ch_end]);
-                    i = ch_end;
-                }
-            }
-        }
-        Err(malformed("unterminated string".into()))
-    };
-
-    loop {
-        skip_ws(&mut pos);
-        if pos >= bytes.len() {
-            break;
-        }
-        let (key, next) = scan_string(pos)?;
-        pos = next;
-        skip_ws(&mut pos);
-        if bytes.get(pos) != Some(&b':') {
-            return Err(malformed(format!("expected `:` after key {key:?}")));
-        }
-        pos += 1;
-        skip_ws(&mut pos);
-        match key.as_str() {
-            "tenant" => {
-                let (v, next) = scan_string(pos)?;
-                if v.is_empty() {
-                    return Err(malformed("tenant name is empty".into()));
-                }
-                tenant = Some(v);
-                pos = next;
-            }
-            "arrival_ns" | "elems" | "iterations" => {
-                let start = pos;
-                while pos < bytes.len() && bytes[pos].is_ascii_digit() {
-                    pos += 1;
-                }
-                let n: u64 = inner[start..pos]
-                    .parse()
-                    .map_err(|_| malformed(format!("{key} is not a non-negative integer")))?;
-                match key.as_str() {
-                    "arrival_ns" => arrival_ns = Some(n),
-                    "elems" => elems = Some(n as usize),
-                    _ => iterations = Some(n as usize),
-                }
-            }
-            other => return Err(malformed(format!("unknown key {other:?}"))),
-        }
-        skip_ws(&mut pos);
-        match bytes.get(pos) {
-            Some(&b',') => pos += 1,
-            None => break,
-            _ => return Err(malformed("expected `,` between fields".into())),
-        }
-    }
-
-    let rec = TraceRecord {
-        arrival_ns: arrival_ns.ok_or_else(|| malformed("missing arrival_ns".into()))?,
-        tenant: tenant.ok_or_else(|| malformed("missing tenant".into()))?,
-        elems: elems.ok_or_else(|| malformed("missing elems".into()))?,
-        iterations: iterations.ok_or_else(|| malformed("missing iterations".into()))?,
-    };
-    if rec.elems == 0 {
-        return Err(malformed("elems must be positive".into()));
-    }
-    if rec.iterations == 0 {
-        return Err(malformed("iterations must be positive".into()));
-    }
-    Ok(rec)
 }
 
 fn parse_positive(field: &str, name: &str, line: usize) -> Result<usize, TraceError> {
@@ -386,15 +242,9 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_round_trips() {
-        let mut recs = sample();
-        recs[1].tenant = "bert \"large\" \\v2".into(); // escaping survives
-        assert_eq!(parse_trace(&to_jsonl(&recs)).unwrap(), recs);
-    }
-
-    #[test]
-    fn formats_mix_with_comments_and_blanks() {
-        let text = "# cluster trace\narrival_ns,tenant,elems,iterations\n0,a,64,1\n\n{\"arrival_ns\": 5, \"tenant\": \"b\", \"elems\": 32, \"iterations\": 2}\n";
+    fn rows_mix_with_comments_and_blanks() {
+        let text =
+            "# cluster trace\narrival_ns,tenant,elems,iterations\n0,a,64,1\n\n 5, b, 32, 2 \n";
         let recs = parse_trace(text).unwrap();
         assert_eq!(recs.len(), 2);
         assert_eq!((recs[0].tenant.as_str(), recs[0].elems), ("a", 64));
@@ -408,16 +258,6 @@ mod tests {
 
         let bad_number = parse_trace("0,a,64,1\nnope,b,32,1\n").unwrap_err();
         assert!(matches!(bad_number, TraceError::Malformed { line: 2, .. }));
-
-        let bad_json = parse_trace("{\"arrival_ns\": 1, \"tenant\": \"x\"}\n").unwrap_err();
-        assert!(
-            matches!(&bad_json, TraceError::Malformed { line: 1, why } if why.contains("elems"))
-        );
-
-        let unknown_key =
-            parse_trace("{\"arrival_ns\": 1, \"tenant\": \"x\", \"elems\": 4, \"iterations\": 1, \"color\": \"red\"}\n")
-                .unwrap_err();
-        assert!(matches!(&unknown_key, TraceError::Malformed { why, .. } if why.contains("color")));
 
         assert_eq!(
             parse_trace("# only comments\n").unwrap_err(),

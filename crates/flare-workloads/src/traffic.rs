@@ -52,8 +52,7 @@
 //! fabric. Lossy tunings (`link_drop_prob > 0`) require
 //! `retransmit_after`, exactly like `Collective::run`.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -509,14 +508,6 @@ impl<'s> TrafficEngine<'s> {
             }));
         }
 
-        let core = Arc::new(Mutex::new(Core {
-            tenants: self
-                .tenants
-                .iter()
-                .map(|t| TenantRun::new(t.hosts.len()))
-                .collect(),
-        }));
-
         // Per-host cells, in negotiated priority order.
         let mut host_programs: Vec<(NodeId, Box<dyn HostProgram>)> = Vec::new();
         for &h in &union_hosts {
@@ -538,12 +529,15 @@ impl<'s> TrafficEngine<'s> {
                     iter: 0,
                     running: false,
                     inner: None,
+                    submitted: 0,
                     sink: result_sink(),
                     checked: false,
+                    job_waits: Vec::new(),
+                    iterations: Vec::new(),
+                    retransmits: 0,
                 });
             }
-            let core = core.clone();
-            host_programs.push((h, Box::new(TrafficHost { core, cells })));
+            host_programs.push((h, Box::new(TrafficHost { cells })));
         }
 
         // Per-switch flow multiplexers over the union of tenant trees.
@@ -559,6 +553,7 @@ impl<'s> TrafficEngine<'s> {
                 let wiring = &statics[ti].wiring;
                 if let Some(rec) = wiring.plan().tree.switch(sw) {
                     entries.push(FlowEntry {
+                        tenant: ti,
                         flow: wiring.plan().id,
                         bytes: 0,
                         prog: wiring.switch_program::<f32, Sum>(rec, Sum),
@@ -587,7 +582,9 @@ impl<'s> TrafficEngine<'s> {
                     subset_peaks: sim.compute_subset_peaks(sw).unwrap_or_default(),
                 })
                 .collect();
-            let mut flow_bytes: HashMap<u32, u64> = HashMap::new();
+            // Switch bytes per tenant (admission order), then what every
+            // cell recorded, in host order.
+            let mut flow_bytes = vec![0u64; statics.len()];
             let mut pools = ProgramStats::default();
             for &sw in &union_switches {
                 let Some(mut bx) = sim.take_switch(sw) else {
@@ -598,14 +595,22 @@ impl<'s> TrafficEngine<'s> {
                     .and_then(|a| a.downcast_mut::<TrafficSwitch>())
                 {
                     for e in &mux.entries {
-                        *flow_bytes.entry(e.flow).or_insert(0) += e.bytes;
+                        flow_bytes[e.tenant] += e.bytes;
                         pools += e.prog.stats();
                     }
                 }
             }
-            (flow_bytes, pools, hpu)
+            let mut cells: Vec<Cell> = Vec::new();
+            for &h in &union_hosts {
+                // Losing one would fold its tenants over too few cells.
+                let mut bx = sim.take_host(h);
+                let mux = bx.as_mut().and_then(|p| p.as_any_mut());
+                let mux = mux.and_then(|a| a.downcast_mut::<TrafficHost>());
+                cells.append(&mut mux.expect("a TrafficHost, installed above").cells);
+            }
+            (flow_bytes, pools, hpu, cells)
         };
-        let (net, trace, (flow_bytes, pools, hpu)) = run_fabric(
+        let (net, trace, (flow_bytes, pools, hpu, cells)) = run_fabric(
             self.session,
             &tuning,
             self.deadline,
@@ -625,30 +630,38 @@ impl<'s> TrafficEngine<'s> {
             Box::new(t)
         });
 
-        // Assemble per-tenant reports (admission order).
+        // Assemble per-tenant reports (admission order). A cell runs its
+        // jobs and iterations in order, so record `k` of every cell of a
+        // tenant is the same job or iteration, and what all of its hosts
+        // got through is a common prefix.
         let mut reports = Vec::with_capacity(self.tenants.len());
-        let mut tenant_bytes = Vec::with_capacity(self.tenants.len());
-        let mut core = core.lock().expect("core lock");
         for (i, t) in self.tenants.iter().enumerate() {
-            let tr = &mut core.tenants[i];
-            tr.makespans.sort_by_key(|&(g, _)| g);
-            tr.queue_delays.sort_by_key(|&(j, _)| j);
-            let switch_bytes = flow_bytes.get(&t.handle.id()).copied().unwrap_or(0);
-            tenant_bytes.push(switch_bytes as f64);
+            let mine: Vec<&Cell> = cells.iter().filter(|c| c.tenant == i).collect();
+            let started = mine.iter().map(|c| c.job_waits.len()).min().unwrap_or(0);
+            let finished = mine.iter().map(|c| c.iterations.len()).min().unwrap_or(0);
+            // Last host done − first host to submit.
+            let makespan = |k: usize| {
+                let first = mine.iter().map(|c| c.iterations[k].submit).min();
+                let last = mine.iter().map(|c| c.iterations[k].done).max();
+                last.unwrap_or(0) - first.unwrap_or(0)
+            };
+            // A job waits until its last host starts it.
+            let wait = |j: usize| mine.iter().map(|c| c.job_waits[j]).max().unwrap_or(0);
             reports.push(TenantReport {
                 id: t.handle.id(),
                 label: t.handle.label().to_string(),
                 hosts: t.hosts.len(),
                 jobs: t.arrivals.len(),
-                jobs_completed: tr.jobs_completed,
-                iterations_completed: tr.makespans.len(),
-                iteration_makespans_ns: tr.makespans.iter().map(|&(_, m)| m).collect(),
-                queueing_delays_ns: tr.queue_delays.iter().map(|&(_, d)| d).collect(),
-                switch_bytes,
+                jobs_completed: finished / t.spec.iterations,
+                iterations_completed: finished,
+                iteration_makespans_ns: (0..finished).map(makespan).collect(),
+                queueing_delays_ns: (0..started).map(wait).collect(),
+                switch_bytes: flow_bytes[i],
                 payload: t.spec.payload,
-                retransmits: tr.retransmits,
+                retransmits: mine.iter().map(|c| c.retransmits).sum(),
             });
         }
+        let tenant_bytes: Vec<f64> = flow_bytes.iter().map(|&b| b as f64).collect();
         let fabric = FabricStats {
             fairness_jain: jain_index(&tenant_bytes),
             hpu,
@@ -727,8 +740,22 @@ struct Cell {
     iter: usize,
     running: bool,
     inner: Option<Box<dyn WiredHost>>,
+    /// When the iteration in flight was submitted.
+    submitted: Time,
     sink: ResultSink<f32>,
     checked: bool,
+    /// `start − arrival` of every job this cell started, in job order.
+    job_waits: Vec<Time>,
+    /// Every iteration this cell finished, in global iteration order.
+    iterations: Vec<IterationRecord>,
+    /// Blocks the retransmission timers of those iterations re-sent.
+    retransmits: u64,
+}
+
+/// One iteration as one host saw it.
+struct IterationRecord {
+    submit: Time,
+    done: Time,
 }
 
 impl Cell {
@@ -746,131 +773,32 @@ impl Cell {
     }
 }
 
-/// Shared metric collector (one per run, referenced by every host).
-struct Core {
-    tenants: Vec<TenantRun>,
-}
-
-struct TenantRun {
-    hosts: usize,
-    /// job → (hosts that started it, max start − arrival across hosts);
-    /// removed once all have started.
-    job_starts: HashMap<usize, (usize, Time)>,
-    /// (job, last-host start − arrival), completion order.
-    queue_delays: Vec<(usize, Time)>,
-    /// global iteration → earliest submit time across hosts.
-    iter_first_submit: HashMap<u64, Time>,
-    /// global iteration → (hosts done, latest done time across hosts);
-    /// removed once all are done.
-    iter_done: HashMap<u64, (usize, Time)>,
-    /// (global iteration, makespan), completion order.
-    makespans: Vec<(u64, Time)>,
-    /// job → hosts finished (removed once all have).
-    job_done: HashMap<usize, usize>,
-    jobs_completed: usize,
-    /// Timer-driven block re-sends, summed over completed iterations.
-    retransmits: u64,
-}
-
-impl TenantRun {
-    fn new(hosts: usize) -> Self {
-        Self {
-            hosts,
-            job_starts: HashMap::new(),
-            queue_delays: Vec::new(),
-            iter_first_submit: HashMap::new(),
-            iter_done: HashMap::new(),
-            makespans: Vec::new(),
-            job_done: HashMap::new(),
-            jobs_completed: 0,
-            retransmits: 0,
-        }
-    }
-}
-
-// Every time-valued metric folds with min/max instead of trusting call
-// order: under the partitioned parallel driver, hosts in different
-// lanes report within one lookahead window in lock-acquisition order,
-// not simulated-time order, so "first/last caller wins" would be racy.
-// In a one-lane run events fire in nondecreasing time order, so the
-// folds reduce to first/last caller and every value is unchanged.
-impl Core {
-    fn job_start(&mut self, t: usize, job: usize, arrival: Time, now: Time) {
-        let tr = &mut self.tenants[t];
-        let e = tr.job_starts.entry(job).or_insert((0, 0));
-        e.0 += 1;
-        e.1 = e.1.max(now - arrival);
-        if e.0 == tr.hosts {
-            let (_, delay) = tr.job_starts.remove(&job).expect("entry just touched");
-            tr.queue_delays.push((job, delay));
-        }
-    }
-
-    fn iter_submit(&mut self, t: usize, g: u64, now: Time) {
-        self.tenants[t]
-            .iter_first_submit
-            .entry(g)
-            .and_modify(|first| *first = (*first).min(now))
-            .or_insert(now);
-    }
-
-    fn iter_done(&mut self, t: usize, g: u64, now: Time) {
-        let tr = &mut self.tenants[t];
-        let e = tr.iter_done.entry(g).or_insert((0, 0));
-        e.0 += 1;
-        e.1 = e.1.max(now);
-        if e.0 == tr.hosts {
-            let (_, last) = tr.iter_done.remove(&g).expect("entry just touched");
-            let first = tr
-                .iter_first_submit
-                .remove(&g)
-                .expect("iteration completed without a submit");
-            tr.makespans.push((g, last - first));
-        }
-    }
-
-    fn job_done(&mut self, t: usize, job: usize) {
-        let tr = &mut self.tenants[t];
-        let c = tr.job_done.entry(job).or_insert(0);
-        *c += 1;
-        if *c == tr.hosts {
-            tr.job_done.remove(&job);
-            tr.jobs_completed += 1;
-        }
-    }
-}
-
 /// Host program multiplexing every tenant cell on one host. All wake
 /// tags — the engine's own and the inner hosts' — are packed
-/// [`FlowTag`]s, dispatched to the owning cell by flow id.
+/// [`FlowTag`]s, dispatched to the owning cell by flow id. A cell records
+/// its own job waits and iterations, so a lane mutates nothing outside the
+/// hosts it runs; the engine folds the records after the run.
 struct TrafficHost {
-    core: Arc<Mutex<Core>>,
     cells: Vec<Cell>,
 }
 
 impl TrafficHost {
     fn try_start_job(&mut self, ctx: &mut HostCtx<'_>, ci: usize) {
         let now = ctx.now();
-        let (tenant, job, arrival) = {
-            let cell = &mut self.cells[ci];
-            if cell.running || cell.job >= cell.stat.jobs {
-                return;
-            }
-            let arrival = cell.stat.arrivals[cell.job];
-            if arrival > now {
-                // Not arrived yet; the ARRIVAL wake scheduled for this
-                // job will retry.
-                return;
-            }
-            cell.running = true;
-            cell.iter = 0;
-            ctx.trace(TraceKind::JobStart, cell.stat.id as u64, cell.job as u64, 0);
-            (cell.tenant, cell.job, arrival)
-        };
-        self.core
-            .lock()
-            .expect("core lock")
-            .job_start(tenant, job, arrival, now);
+        let cell = &mut self.cells[ci];
+        if cell.running || cell.job >= cell.stat.jobs {
+            return;
+        }
+        let arrival = cell.stat.arrivals[cell.job];
+        if arrival > now {
+            // Not arrived yet; the ARRIVAL wake scheduled for this
+            // job will retry.
+            return;
+        }
+        cell.running = true;
+        cell.iter = 0;
+        ctx.trace(TraceKind::JobStart, cell.stat.id as u64, cell.job as u64, 0);
+        cell.job_waits.push(now - arrival);
         self.schedule_compute(ctx, ci);
     }
 
@@ -885,96 +813,76 @@ impl TrafficHost {
     }
 
     fn submit_iteration(&mut self, ctx: &mut HostCtx<'_>, ci: usize) {
-        let now = ctx.now();
-        let (tenant, g, mut inner, sink) = {
-            let cell = &mut self.cells[ci];
-            debug_assert!(cell.running && cell.inner.is_none());
-            let g = (cell.job * cell.stat.iterations + cell.iter) as u64;
-            let v = (cell.rank + 1) as f32;
-            let input = match cell.stat.payload {
-                PayloadSpec::Dense => FlowInput::Dense(vec![v; cell.stat.elems]),
-                PayloadSpec::Sparse { .. } => FlowInput::Sparse(
-                    (0..cell.stat.nnz)
-                        .map(|j| (cell.stat.sparse_index(j), v))
-                        .collect(),
-                ),
-            };
-            let sink = result_sink();
-            // The iteration index namespaces this incarnation's block ids
-            // and retransmit timer (validated ≤ MAX_SEQ at admission).
-            let inner = cell
-                .stat
-                .wiring
-                .host(cell.rank, g, Sum, input, sink.clone());
-            (cell.tenant, g, inner, sink)
-        };
-        self.core
-            .lock()
-            .expect("core lock")
-            .iter_submit(tenant, g, now);
-        inner.on_start(ctx);
         let cell = &mut self.cells[ci];
-        cell.sink = sink;
+        debug_assert!(cell.running && cell.inner.is_none());
+        let g = (cell.job * cell.stat.iterations + cell.iter) as u64;
+        debug_assert_eq!(g as usize, cell.iterations.len());
+        let v = (cell.rank + 1) as f32;
+        let input = match cell.stat.payload {
+            PayloadSpec::Dense => FlowInput::Dense(vec![v; cell.stat.elems]),
+            PayloadSpec::Sparse { .. } => FlowInput::Sparse(
+                (0..cell.stat.nnz)
+                    .map(|j| (cell.stat.sparse_index(j), v))
+                    .collect(),
+            ),
+        };
+        cell.sink = result_sink();
+        // The iteration index namespaces this incarnation's block ids
+        // and retransmit timer (validated ≤ MAX_SEQ at admission).
+        let mut inner = cell
+            .stat
+            .wiring
+            .host(cell.rank, g, Sum, input, cell.sink.clone());
+        cell.submitted = ctx.now();
+        inner.on_start(ctx);
         cell.inner = Some(inner);
     }
 
     fn finish_iteration(&mut self, ctx: &mut HostCtx<'_>, ci: usize) {
-        let now = ctx.now();
-        let (tenant, g, job, job_done, retx) = {
-            let cell = &mut self.cells[ci];
-            let retx = cell.inner.take().map_or(0, |h| h.retransmits());
-            let result = cell
-                .sink
-                .lock()
-                .expect("sink lock")
-                .take()
-                .expect("sink was filled");
-            if !cell.checked {
-                // Verify the first completed iteration end to end; later
-                // iterations reuse the identical data path.
-                cell.checked = true;
-                let want = cell.stat.expected;
-                assert_eq!(result.len(), cell.stat.elems);
-                match cell.stat.payload {
-                    PayloadSpec::Dense => assert!(
-                        result.iter().all(|&v| v == want),
-                        "tenant {} produced a wrong dense reduction (want {want})",
-                        cell.stat.id
-                    ),
-                    PayloadSpec::Sparse { .. } => {
-                        // The tree sum lands exactly on the shared index
-                        // set; everything else stays at the Sum identity.
-                        let mut contributed = vec![false; cell.stat.elems];
-                        for j in 0..cell.stat.nnz {
-                            contributed[cell.stat.sparse_index(j) as usize] = true;
-                        }
-                        for (i, &v) in result.iter().enumerate() {
-                            let expect = if contributed[i] { want } else { 0.0 };
-                            assert!(
-                                v == expect,
-                                "tenant {} sparse result[{i}] = {v}, want {expect}",
-                                cell.stat.id
-                            );
-                        }
+        let cell = &mut self.cells[ci];
+        cell.retransmits += cell.inner.take().map_or(0, |h| h.retransmits());
+        cell.iterations.push(IterationRecord {
+            submit: cell.submitted,
+            done: ctx.now(),
+        });
+        let result = cell
+            .sink
+            .lock()
+            .expect("sink lock")
+            .take()
+            .expect("sink was filled");
+        if !cell.checked {
+            // Verify the first completed iteration end to end; later
+            // iterations reuse the identical data path.
+            cell.checked = true;
+            let want = cell.stat.expected;
+            assert_eq!(result.len(), cell.stat.elems);
+            match cell.stat.payload {
+                PayloadSpec::Dense => assert!(
+                    result.iter().all(|&v| v == want),
+                    "tenant {} produced a wrong dense reduction (want {want})",
+                    cell.stat.id
+                ),
+                PayloadSpec::Sparse { .. } => {
+                    // The tree sum lands exactly on the shared index
+                    // set; everything else stays at the Sum identity.
+                    let mut contributed = vec![false; cell.stat.elems];
+                    for j in 0..cell.stat.nnz {
+                        contributed[cell.stat.sparse_index(j) as usize] = true;
+                    }
+                    for (i, &v) in result.iter().enumerate() {
+                        let expect = if contributed[i] { want } else { 0.0 };
+                        assert!(
+                            v == expect,
+                            "tenant {} sparse result[{i}] = {v}, want {expect}",
+                            cell.stat.id
+                        );
                     }
                 }
             }
-            let g = (cell.job * cell.stat.iterations + cell.iter) as u64;
-            let job = cell.job;
-            cell.iter += 1;
-            let job_done = cell.iter == cell.stat.iterations;
-            (cell.tenant, g, job, job_done, retx)
-        };
-        {
-            let mut core = self.core.lock().expect("core lock");
-            core.tenants[tenant].retransmits += retx;
-            core.iter_done(tenant, g, now);
-            if job_done {
-                core.job_done(tenant, job);
-            }
         }
-        if job_done {
-            let cell = &mut self.cells[ci];
+        cell.iter += 1;
+        if cell.iter == cell.stat.iterations {
             ctx.trace(TraceKind::JobDone, cell.stat.id as u64, cell.job as u64, 0);
             cell.running = false;
             cell.job += 1;
@@ -1008,7 +916,7 @@ impl HostProgram for TrafficHost {
                 return;
             };
             inner.on_packet(ctx, pkt);
-            if cell.sink.lock().expect("sink lock").is_none() {
+            if !inner.finished() {
                 return;
             }
         }
@@ -1037,6 +945,10 @@ impl HostProgram for TrafficHost {
             _ => {}
         }
     }
+
+    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+        Some(self)
+    }
 }
 
 /// Switch program multiplexing every tenant flow on one switch. All
@@ -1047,6 +959,8 @@ struct TrafficSwitch {
 }
 
 struct FlowEntry {
+    /// Admission index of the owning tenant.
+    tenant: usize,
     flow: u32,
     /// Wire bytes of matched packets (the fairness-index resource).
     bytes: u64,

@@ -3,8 +3,8 @@
 //! gradients — host-based ring, Flare dense, SparCML, Flare sparse.
 //!
 //! Run with: `cargo run --release --example fat_tree_training`
-//! (uses a scaled-down gradient; `cargo run -p flare-bench --bin fig15`
-//! is the full harness).
+//! (uses a scaled-down gradient; `cargo run -p flare-bench --bin figures
+//! -- fig15` is the full harness).
 
 use flare_bench::fig15::{self, Config};
 

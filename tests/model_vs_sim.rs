@@ -3,64 +3,29 @@
 //! of the paper validating its models against the RTL simulator — plus the
 //! linear cluster-scaling methodology check.
 
-use bytes::Bytes;
-
-use flare::core::handlers::{DenseAllreduceHandler, DenseHandlerConfig};
-use flare::core::op::Sum;
-use flare::core::wire::{encode_dense, Header, PacketKind};
+use flare::core::wiring::SwitchRun;
 use flare::model::units::KIB;
 use flare::model::{dense, AggKind, SwitchParams};
-use flare::pspin::engine::run_trace;
 use flare::pspin::scaling::scale_report;
-use flare::pspin::{ArrivalTrace, PspinConfig, SchedulingPolicy, StaggerMode, TraceConfig};
-
-fn payload(c: u16, b: u64) -> Bytes {
-    let vals: Vec<i32> = (0..256).map(|i| i + c as i32).collect();
-    let header = Header {
-        allreduce: 1,
-        block: b as u32,
-        child: c,
-        kind: PacketKind::DenseContrib,
-        last_shard: false,
-        shard_count: 0,
-        elem_count: 0,
-    };
-    encode_dense(header, &vals)
-}
+use flare::pspin::{PspinConfig, SchedulingPolicy, StaggerMode};
 
 fn run_on(clusters: usize, kind: AggKind, data_bytes: u64, jitter: bool) -> flare::pspin::Report {
-    let cfg = PspinConfig {
-        clusters,
-        policy: SchedulingPolicy::Hierarchical { subset_size: 8 },
-        ..PspinConfig::paper()
-    };
     let params = SwitchParams {
         clusters,
         ..SwitchParams::paper()
     };
-    let blocks = (data_bytes / 1024).max(1);
-    let trace = TraceConfig {
-        flow: 1,
+    let run = SwitchRun {
+        cfg: PspinConfig {
+            clusters,
+            ..PspinConfig::paper()
+        },
         children: 64,
-        blocks,
-        header_bytes: 0,
-        delta: cfg.line_rate_delta(1024),
+        blocks: (data_bytes / 1024).max(1),
         stagger: StaggerMode::Target(dense::target_delta_c(&params, kind) as u64),
-        exponential_jitter: jitter,
+        jitter,
         seed: 17,
     };
-    let arrivals = ArrivalTrace::generate(&trace, payload);
-    let handler: DenseAllreduceHandler<i32, Sum> = DenseAllreduceHandler::new(
-        DenseHandlerConfig {
-            allreduce: 1,
-            children: 64,
-            algorithm: kind,
-            capture_results: false,
-        },
-        Sum,
-    );
-    let (report, _) = run_trace(cfg, handler, arrivals, false);
-    report
+    run.dense::<i32>(kind)
 }
 
 #[test]
@@ -119,34 +84,19 @@ fn linear_cluster_scaling_matches_direct_simulation() {
 fn staggering_cuts_input_buffer_occupancy_in_sim_as_modeled() {
     // Section 5's central claim: raising δc suppresses queueing. Compare
     // no-stagger vs full-stagger runs of the same workload.
-    let cfg = PspinConfig {
-        clusters: 8,
-        policy: SchedulingPolicy::Hierarchical { subset_size: 8 },
-        ..PspinConfig::paper()
-    };
-    let mk_trace = |stagger| TraceConfig {
-        flow: 1,
-        children: 64,
-        blocks: 128,
-        header_bytes: 0,
-        delta: cfg.line_rate_delta(1024),
-        stagger,
-        exponential_jitter: false,
-        seed: 23,
-    };
     let run = |stagger| {
-        let arrivals = ArrivalTrace::generate(&mk_trace(stagger), payload);
-        let handler: DenseAllreduceHandler<i32, Sum> = DenseAllreduceHandler::new(
-            DenseHandlerConfig {
-                allreduce: 1,
-                children: 64,
-                algorithm: AggKind::SingleBuffer,
-                capture_results: false,
+        let run = SwitchRun {
+            cfg: PspinConfig {
+                clusters: 8,
+                ..PspinConfig::paper()
             },
-            Sum,
-        );
-        let (report, _) = run_trace(cfg.clone(), handler, arrivals, false);
-        report
+            children: 64,
+            blocks: 128,
+            stagger,
+            jitter: false,
+            seed: 23,
+        };
+        run.dense::<i32>(AggKind::SingleBuffer)
     };
     let tight = run(StaggerMode::None);
     let staggered = run(StaggerMode::Full);
@@ -170,33 +120,19 @@ fn global_fcfs_pays_the_remote_l1_penalty() {
     // scatters a block's packets over clusters, so aggregation touches
     // remote L1 at a 25× cost. Compare achieved bandwidth.
     let run_policy = |policy| {
-        let cfg = PspinConfig {
-            clusters: 8,
-            policy,
-            ..PspinConfig::paper()
-        };
-        let trace = TraceConfig {
-            flow: 1,
+        let run = SwitchRun {
+            cfg: PspinConfig {
+                clusters: 8,
+                policy,
+                ..PspinConfig::paper()
+            },
             children: 64,
             blocks: 64,
-            header_bytes: 0,
-            delta: cfg.line_rate_delta(1024),
             stagger: StaggerMode::Full,
-            exponential_jitter: false,
+            jitter: false,
             seed: 29,
         };
-        let arrivals = ArrivalTrace::generate(&trace, payload);
-        let handler: DenseAllreduceHandler<i32, Sum> = DenseAllreduceHandler::new(
-            DenseHandlerConfig {
-                allreduce: 1,
-                children: 64,
-                algorithm: AggKind::SingleBuffer,
-                capture_results: false,
-            },
-            Sum,
-        );
-        let (report, _) = run_trace(cfg, handler, arrivals, false);
-        report
+        run.dense::<i32>(AggKind::SingleBuffer)
     };
     let hier = run_policy(SchedulingPolicy::Hierarchical { subset_size: 8 });
     let global = run_policy(SchedulingPolicy::GlobalFcfs);
