@@ -151,7 +151,7 @@ impl<T: Element, O: ReduceOp<T>> DenseAllreduceHandler<T, O> {
     /// Enable (or disable) the loss-recovery replay cache — mirror of
     /// [`crate::switch_prog::FlareDenseProgram::with_loss_recovery`].
     pub fn with_loss_recovery(mut self, yes: bool) -> Self {
-        self.core.table.loss_recovery = yes;
+        self.core.table.set_loss_recovery(yes);
         self
     }
 
@@ -259,7 +259,7 @@ impl<T: Element, O: ReduceOp<T>> SparseAllreduceHandler<T, O> {
     /// Enable (or disable) the loss-recovery replay cache — mirror of
     /// [`crate::switch_prog::FlareSparseProgram::with_loss_recovery`].
     pub fn with_loss_recovery(mut self, yes: bool) -> Self {
-        self.core.table.loss_recovery = yes;
+        self.core.table.set_loss_recovery(yes);
         self
     }
 

@@ -5,11 +5,21 @@
 //! blocks, keeps at most `window` of them in flight (bounded by the
 //! switch's working-memory reservation ℛ, Section 4.3), rotates its block
 //! send order by a per-host *stagger offset* (Section 5), and retransmits
-//! blocks whose result has not arrived within a timeout (Section 4.1 —
-//! switch-side duplicate rejection absorbs the retransmissions). What a
-//! block *is* comes from its [`Payload`]: `N` dense elements in one
-//! packet, reduced in place ([`DenseFlareHost`]), or a span's `(index,
-//! value)` pairs in numbered shards ([`SparseFlareHost`]).
+//! blocks whose result is overdue (Section 4.1 — switch-side duplicate
+//! rejection absorbs the retransmissions). What a block *is* comes from its
+//! [`Payload`]: `N` dense elements in one packet, reduced in place
+//! ([`DenseFlareHost`]), or a span's `(index, value)` pairs in numbered
+//! shards ([`SparseFlareHost`]).
+//!
+//! *Overdue* is measured, not configured: a deadline per block, from the
+//! round trips the send window already records ([`RttEstimate`], and
+//! [`FlareHost`] for the two kinds of deadline), with
+//! [`HostConfig::retransmit_after`] as the timeout only until the first
+//! result is in. NetReduce (PAPERS.md) is the reference for recovering at
+//! transport timescales; the loss detection is TCP RACK-TLP's (RFC 8985)
+//! idea applied to blocks: a block is lost when one sent after it has come
+//! back and a reorder window has passed, and a flow that hears nothing
+//! probes with one block rather than re-sending its window.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -52,7 +62,9 @@ pub struct HostConfig {
     /// Rotation of the block send order (staggered sending): host `i`
     /// typically uses `i × blocks / P`.
     pub stagger_offset: u64,
-    /// Retransmit a block if its result is missing after this long.
+    /// Retransmit a block if its result is missing after this long, until
+    /// the flow's round trip has been measured ([`RttEstimate`]); `None`
+    /// on a reliable network: no timer is armed.
     pub retransmit_after: Option<Time>,
     /// Offset added to block ids on the wire. Host-side block numbering
     /// stays local (`0..blocks`); the wire carries `block_base + local`.
@@ -80,13 +92,45 @@ impl HostConfig {
     }
 }
 
+/// One window position: when its block was last sent and how many times
+/// it has been re-sent, in one word.
+///
+/// Packed rather than widened because the window is what a host's heap is
+/// made of (8 B per position; `dense_star`'s peak is 32 hosts' windows):
+/// the re-send count takes the top byte, which a simulated time in ns does
+/// not reach in two years.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Slot(u64);
+
+impl Slot {
+    /// A position whose block is no longer in flight.
+    const CLOSED: Slot = Slot(u64::MAX);
+    const TIME_BITS: u32 = 56;
+
+    fn new(sent: Time, tries: u8) -> Self {
+        debug_assert!(sent >> Self::TIME_BITS == 0 && tries < u8::MAX);
+        Slot((tries as u64) << Self::TIME_BITS | sent)
+    }
+
+    /// When the block was last sent.
+    fn sent(self) -> Time {
+        self.0 & ((1 << Self::TIME_BITS) - 1)
+    }
+
+    /// How many times the block was re-sent: 0 while its first send is the
+    /// only one.
+    fn tries(self) -> u8 {
+        (self.0 >> Self::TIME_BITS) as u8
+    }
+}
+
 /// The send window: which blocks are in flight, since when, in send order.
 ///
 /// Blocks leave a host in rotation order — position `p` carries block
-/// `(p + stagger_offset) % blocks` — so the window is a deque of send
-/// times over the positions `[first, first + slots.len())`, with
-/// [`CLOSED`] marking a position whose result has arrived. Insert, remove
-/// and lookup are O(1) whatever the window size, and iteration is in
+/// `(p + stagger_offset) % blocks` — so the window is a deque of [`Slot`]s
+/// over the positions `[first, first + slots.len())`, with
+/// [`Slot::CLOSED`] marking a position whose result has arrived. Open,
+/// close and lookup are O(1) whatever the window size, and iteration is in
 /// position order: the order of first sends, which makes the
 /// retransmission scan reproducible. The deque reaches back to the oldest
 /// open position, so it holds 8 B per position a straggler keeps it from
@@ -99,13 +143,10 @@ struct SendWindow {
     offset: u64,
     /// Position of `slots[0]`; every earlier position is closed.
     first: u64,
-    slots: VecDeque<Time>,
-    /// Slots not [`CLOSED`].
+    slots: VecDeque<Slot>,
+    /// Slots not [`Slot::CLOSED`].
     open: usize,
 }
-
-/// Slot value of a position whose block is no longer in flight.
-const CLOSED: Time = Time::MAX;
 
 impl SendWindow {
     fn new(blocks: u64, stagger_offset: u64) -> Self {
@@ -139,21 +180,25 @@ impl SendWindow {
         (pos < self.blocks).then(|| self.block_at(pos))
     }
 
-    /// Record `block` as in flight since `at`: either the
-    /// [`next_unsent`](Self::next_unsent) block, which opens its position,
-    /// or a block already in flight (a retransmission), whose send time is
-    /// updated in place.
-    fn insert(&mut self, block: u64, at: Time) {
-        debug_assert!(at != CLOSED);
-        let slot = self.pos_of(block).checked_sub(self.first);
-        match slot.map(|s| s as usize) {
-            Some(s) if s == self.slots.len() => {
-                self.slots.push_back(at);
-                self.open += 1;
-            }
-            Some(s) if self.slots.get(s).is_some_and(|&t| t != CLOSED) => self.slots[s] = at,
-            _ => panic!("block {block} is neither next to send nor in flight"),
-        }
+    /// Record the [`next_unsent`](Self::next_unsent) block as in flight
+    /// since `at`.
+    fn push(&mut self, at: Time) {
+        self.slots.push_back(Slot::new(at, 0));
+        self.open += 1;
+    }
+
+    /// The block in deque slot `slot` and its state, if it is in flight.
+    fn in_slot(&self, slot: usize) -> Option<(u64, Slot)> {
+        let state = *self.slots.get(slot).filter(|&&s| s != Slot::CLOSED)?;
+        Some((self.block_at(self.first + slot as u64), state))
+    }
+
+    /// Record the in-flight block in deque slot `slot` as re-sent at `at`;
+    /// its new state.
+    fn resent(&mut self, slot: usize, at: Time) -> Slot {
+        let state = &mut self.slots[slot];
+        *state = Slot::new(at, state.tries().saturating_add(1).min(u8::MAX - 1));
+        *state
     }
 
     /// The deque slot of `block` if it is in flight: sent, and its result
@@ -163,28 +208,180 @@ impl SendWindow {
             return None;
         }
         let slot = self.pos_of(block).checked_sub(self.first)? as usize;
-        (*self.slots.get(slot)? != CLOSED).then_some(slot)
+        (*self.slots.get(slot)? != Slot::CLOSED).then_some(slot)
     }
 
-    /// Close `block`, returning its send time (`None` if not in flight:
-    /// never sent, or already closed).
-    fn remove(&mut self, block: u64) -> Option<Time> {
+    /// Close `block`, returning its state (`None` if not in flight: never
+    /// sent, or already closed).
+    fn remove(&mut self, block: u64) -> Option<Slot> {
         let slot = self.in_flight(block)?;
-        let at = std::mem::replace(&mut self.slots[slot], CLOSED);
+        let state = std::mem::replace(&mut self.slots[slot], Slot::CLOSED);
         self.open -= 1;
-        while self.slots.front() == Some(&CLOSED) {
+        while self.slots.front() == Some(&Slot::CLOSED) {
             self.slots.pop_front();
             self.first += 1;
         }
-        Some(at)
+        Some(state)
+    }
+}
+
+/// What one host has measured of a flow's round trips — the time from
+/// sending a block to its result arriving — in ns: what its retransmission
+/// deadlines are made of.
+///
+/// A block's round trip is not only the fabric's: its result waits for the
+/// slowest participant, so a host that is recovering a loss, or still in
+/// the iteration before, stretches every other host's "round trip" by its
+/// own delay. A timeout on the smoothed round trip therefore feeds on
+/// itself (one host's timeout lengthens the samples, and so the timeouts,
+/// of all the others: measured, `traffic_lossy`'s estimates ran away to
+/// milliseconds). Two quantities do not: the *shortest* round trip, which
+/// no wait can shorten, and how much *later* a result arrives than that of
+/// a block sent no earlier, which starts counting only once the flow is
+/// known to be moving.
+///
+/// Integers throughout — the gains of the smoothed lateness are shifts, as
+/// in TCP (RFC 6298: 1/8 on the mean, 1/4 on the deviation) — because the
+/// deadlines are simulated time: the same bits on every driver and every
+/// machine. A flow's estimate outlives the host that took it: an engine
+/// that re-runs the flow hands each iteration's estimate to the next
+/// ([`crate::wiring::FlowWiring::host`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RttEstimate {
+    /// Shortest round trip of a block that was sent once; 0 until the
+    /// first.
+    pub min_rtt: Time,
+    /// Smoothed lateness: by how much a block's round trip exceeded that
+    /// of the most recently sent block whose result was already in.
+    pub late: Time,
+    /// Smoothed mean deviation of the lateness from `late`.
+    pub late_dev: Time,
+}
+
+/// Lower bound of a measured timeout. In a simulation round trips repeat to
+/// the nanosecond, the deviation decays to nothing and a deadline would sit
+/// on the expected arrival itself, where one queued packet ahead is a
+/// spurious timeout. 2 µs is that slack: two dozen 1 KiB packets on a
+/// 100 Gbit/s link, and the order of the round trip of the smallest fabric
+/// (a star's four hops are 1.2 µs).
+const MIN_TIMEOUT: Time = 2_000;
+
+impl RttEstimate {
+    /// Fold in the round trip `rtt` of a block that was sent once (Karn's
+    /// rule: the result of a re-sent block cannot be matched to one of its
+    /// sends).
+    fn round_trip(&mut self, rtt: Time) {
+        if self.min_rtt == 0 || rtt < self.min_rtt {
+            // A result cannot arrive in the instant its block was sent.
+            self.min_rtt = rtt.max(1);
+        }
     }
 
-    /// In-flight `(block, sent_at)` pairs in send order.
-    fn iter(&self) -> impl Iterator<Item = (u64, Time)> + '_ {
-        (self.first..)
-            .zip(&self.slots)
-            .filter(|&(_, &at)| at != CLOSED)
-            .map(|(pos, &at)| (self.block_at(pos), at))
+    /// Fold in one lateness sample.
+    fn lateness(&mut self, late: Time) {
+        if self.late == 0 && self.late_dev == 0 {
+            (self.late, self.late_dev) = (late, late / 2);
+        } else {
+            let err = self.late.abs_diff(late);
+            self.late_dev = self.late_dev - (self.late_dev >> 2) + (err >> 2);
+            self.late = self.late - (self.late >> 3) + (late >> 3);
+        }
+    }
+
+    /// How long past the round trip of a block sent no earlier a result
+    /// may be before its block counts as lost: `late + 4·late_dev`, at
+    /// least [`MIN_TIMEOUT`].
+    fn reorder_window(&self) -> Time {
+        (self.late + 4 * self.late_dev).max(MIN_TIMEOUT)
+    }
+
+    /// How long a block may be out with nothing sent since having come
+    /// back: `initial` until the first round trip, then twice the shortest
+    /// one (a lone re-sent packet meets no queue of its own flow; the
+    /// factor is the slack for other flows'), at least [`MIN_TIMEOUT`].
+    fn probe_timeout(&self, initial: Time) -> Time {
+        match self.min_rtt {
+            0 => initial,
+            rtt => (2 * rtt).max(MIN_TIMEOUT),
+        }
+    }
+}
+
+/// The retransmission state of a host on a fabric that can lose packets.
+struct Retransmit {
+    /// Packed [`FlowTag`] this host's wakes carry.
+    tag: u64,
+    /// [`HostConfig::retransmit_after`]: the timeout until the first round
+    /// trip is in, and the cap of a block's backoff.
+    initial: Time,
+    rtt: RttEstimate,
+    /// The latest send time of any block that was sent once and whose
+    /// result is in, and the round trip of the latest such block to close
+    /// (0: none yet). A block sent no later has *evidence*: the flow was
+    /// moving after it left, so its own result is late, not waiting.
+    newest_sent: Time,
+    newest_rtt: Time,
+    /// When a block last closed, re-sent or not.
+    last_close: Time,
+    /// When the one wake that counts fires ([`Time::MAX`]: none pending).
+    /// Wakes cannot be cancelled, so arming an earlier one leaves the
+    /// later one in the queue; it fires before `next_due` has come round
+    /// again and returns on that comparison.
+    next_due: Time,
+}
+
+impl Retransmit {
+    fn has_evidence(&self, slot: Slot) -> bool {
+        self.newest_rtt != 0 && slot.sent() <= self.newest_sent
+    }
+
+    /// When the block in `slot` is overdue. With evidence, once it has been
+    /// out for the newest round trip plus the reorder window; without, once
+    /// the probe timeout has passed with nothing coming in (a flow that is
+    /// moving will bring the evidence). Either wait doubles per re-send of
+    /// the block, up to [`HostConfig::retransmit_after`]: backoff keeps a
+    /// host from re-sending into the congestion that delayed the result
+    /// (and a block that staggering leaves open to the end of the flow from
+    /// being re-sent every round trip: every host has some, the blocks the
+    /// others send last). A lower cap re-sends more into a congested fabric
+    /// — measured on 32 hosts × 32 tenants, capping at four waits took
+    /// 9.2 ms where this takes 7.5 — and a higher one only lengthens the
+    /// tail: a block that is lost three times over holds its tenant's next
+    /// jobs behind it.
+    fn due(&self, slot: Slot) -> Time {
+        let (since, wait) = if self.has_evidence(slot) {
+            (slot.sent(), self.newest_rtt + self.rtt.reorder_window())
+        } else {
+            let since = slot.sent().max(self.last_close);
+            (since, self.rtt.probe_timeout(self.initial))
+        };
+        let backed_off = wait.saturating_mul(1 << slot.tries().min(16));
+        since + backed_off.min(self.initial.max(wait))
+    }
+
+    /// The block that was in `slot` closed at `now`.
+    fn closed(&mut self, slot: Slot, now: Time) {
+        self.last_close = now;
+        if slot.tries() != 0 {
+            return; // Karn's rule
+        }
+        let rtt = now - slot.sent();
+        self.rtt.round_trip(rtt);
+        if self.newest_rtt == 0 || slot.sent() > self.newest_sent {
+            (self.newest_sent, self.newest_rtt) = (slot.sent(), rtt);
+            return;
+        }
+        // Sent no later than the newest, in later: by this much.
+        self.rtt.lateness(rtt.saturating_sub(self.newest_rtt));
+        if slot.sent() == self.newest_sent {
+            self.newest_rtt = rtt;
+        }
+    }
+
+    /// Make the wake that counts the one at `due` (now, if that is past).
+    fn arm(&mut self, ctx: &mut HostCtx<'_>, due: Time) {
+        self.next_due = due.max(ctx.now());
+        ctx.wake_in(self.next_due - ctx.now(), self.tag);
     }
 }
 
@@ -234,16 +431,31 @@ pub trait Payload: Send {
 /// A Flare allreduce participant over payload `P` (see
 /// [`DenseFlareHost`] and [`SparseFlareHost`]).
 ///
-/// Loss recovery is the same for every payload: in-flight blocks live in
-/// the send window, a [`HostConfig::retransmit_after`] timer re-encodes
-/// and re-sends every packet of an overdue block (same shard sequence
-/// numbers, so switches reject the duplicates), and a result for a block
-/// no longer in flight — a replay — is dropped before it reaches the
-/// payload.
+/// Loss recovery is the same for every payload. In-flight blocks live in
+/// the send window with the time of their latest send, and each has a
+/// deadline made of the flow's own round trips ([`RttEstimate`]; until the
+/// first block closes, of [`HostConfig::retransmit_after`]), doubled per
+/// re-send of the block:
+///
+/// * A block with *evidence* — the result of a block sent no earlier is in
+///   — is overdue once it has been out for that block's round trip plus
+///   the reorder window, and every such block is re-sent (all packets
+///   re-encoded, same shard sequence numbers, so switches reject the
+///   duplicates).
+/// * Without evidence nothing tells a lost block from a flow that is
+///   waiting for its slowest participant, and a host that re-sent its
+///   window each time would, with every block of an iteration in flight at
+///   once, re-send the iteration. So past the probe timeout one block, the
+///   oldest, is re-sent as a probe; the rest wait for evidence or their
+///   turn.
+///
+/// One wake is pending, for the earliest deadline. A result for a block no
+/// longer in flight — a replay — is dropped before it reaches the payload.
 pub struct FlareHost<P: Payload> {
     cfg: HostConfig,
-    /// Packed [`FlowTag`] this host's retransmit timer fires with.
-    retx_tag: u64,
+    /// `Some` iff [`HostConfig::retransmit_after`] is: a host on a reliable
+    /// fabric carries no timer state (boxed, so not its size either).
+    retx: Option<Box<Retransmit>>,
     payload: P,
     /// Wire bytes of the whole contribution (telemetry).
     wire_bytes: u64,
@@ -266,8 +478,19 @@ impl<P: Payload> FlareHost<P> {
         wire_bytes: usize,
         sink: ResultSink<P::Elem>,
     ) -> Self {
+        let retx = cfg.retransmit_after.map(|initial| {
+            Box::new(Retransmit {
+                tag: cfg.retx_tag(),
+                initial,
+                rtt: RttEstimate::default(),
+                newest_sent: 0,
+                newest_rtt: 0,
+                last_close: 0,
+                next_due: Time::MAX,
+            })
+        });
         Self {
-            retx_tag: cfg.retx_tag(),
+            retx,
             outstanding: SendWindow::new(blocks as u64, cfg.stagger_offset),
             wire_bytes: wire_bytes as u64,
             cfg,
@@ -285,6 +508,22 @@ impl<P: Payload> FlareHost<P> {
         self.completed == self.outstanding.blocks
     }
 
+    /// The flow's round-trip estimate as this host has it now (all zero on
+    /// a host without a retransmission timer).
+    pub fn rtt(&self) -> RttEstimate {
+        self.retx.as_ref().map_or_else(Default::default, |r| r.rtt)
+    }
+
+    /// Start from `rtt`, the estimate an earlier participant of the same
+    /// flow finished with, instead of from
+    /// [`HostConfig::retransmit_after`]. Call before the host starts.
+    pub fn resume_rtt(&mut self, rtt: RttEstimate) {
+        if let Some(retx) = &mut self.retx {
+            retx.rtt = rtt;
+        }
+    }
+
+    /// Put every packet of `block` on the wire.
     fn send_block(&mut self, ctx: &mut HostCtx<'_>, block: u64) {
         let flow = self.cfg.allreduce as u64;
         let wire_block = self.cfg.block_base + block;
@@ -313,16 +552,45 @@ impl<P: Payload> FlareHost<P> {
             self.sent_packets += 1;
             ctx.trace(TraceKind::ShardSend, flow, wire_block, wire);
         }
-        self.outstanding.insert(block, ctx.now());
-        ctx.trace(TraceKind::InFlight, flow, self.outstanding.len() as u64, 0);
     }
 
+    fn trace_in_flight(&self, ctx: &mut HostCtx<'_>) {
+        let (flow, open) = (self.cfg.allreduce as u64, self.outstanding.len() as u64);
+        ctx.trace(TraceKind::InFlight, flow, open, 0);
+    }
+
+    /// Fill the window with first sends, then see to the timer.
     fn pump(&mut self, ctx: &mut HostCtx<'_>) {
+        let mut sent = false;
         while self.outstanding.len() < self.cfg.window {
             let Some(block) = self.outstanding.next_unsent() else {
                 break;
             };
             self.send_block(ctx, block);
+            self.outstanding.push(ctx.now());
+            self.trace_in_flight(ctx);
+            sent = true;
+        }
+        let Some(retx) = &mut self.retx else {
+            return;
+        };
+        // The earliest deadline, as far as one look tells: the oldest
+        // position's, or that of the blocks just sent where the oldest is
+        // backed off past them. What lies between was covered when it was
+        // sent or by the last scan; where the estimate has moved since, the
+        // pending wake finds it that much early or late.
+        let Some((_, oldest)) = self.outstanding.in_slot(0) else {
+            return;
+        };
+        let mut due = retx.due(oldest);
+        if sent {
+            due = due.min(ctx.now() + retx.rtt.probe_timeout(retx.initial));
+        }
+        // Only if it is earlier than the pending wake by more than an
+        // eighth of the shortest timeout: an estimate that creeps down with
+        // every sample would otherwise put a wake behind every result.
+        if due.saturating_add(MIN_TIMEOUT / 8) < retx.next_due {
+            retx.arm(ctx, due);
         }
     }
 }
@@ -336,9 +604,6 @@ impl<P: Payload> HostProgram for FlareHost<P> {
             self.wire_bytes,
         );
         self.pump(ctx);
-        if let Some(t) = self.cfg.retransmit_after {
-            ctx.wake_in(t, self.retx_tag);
-        }
     }
 
     fn on_packet(&mut self, ctx: &mut HostCtx<'_>, pkt: NetPacket) {
@@ -366,10 +631,13 @@ impl<P: Payload> HostProgram for FlareHost<P> {
         // free (and cache-hot) for the sends below.
         let wire_block = pkt.block;
         drop(pkt);
-        self.outstanding.remove(local);
+        let closed = self.outstanding.remove(local);
+        if let (Some(retx), Some(slot)) = (&mut self.retx, closed) {
+            retx.closed(slot, ctx.now());
+        }
         self.completed += 1;
         ctx.trace(TraceKind::BlockRetire, flow, wire_block, 0);
-        ctx.trace(TraceKind::InFlight, flow, self.outstanding.len() as u64, 0);
+        self.trace_in_flight(ctx);
         if self.finished() {
             *self.sink.lock().expect("sink lock") = Some(self.payload.take_result());
             ctx.mark_done();
@@ -379,31 +647,59 @@ impl<P: Payload> HostProgram for FlareHost<P> {
     }
 
     fn on_wake(&mut self, ctx: &mut HostCtx<'_>, tag: u64) {
-        // A stale tag (earlier `wake_seq` incarnation under a traffic
-        // mux) dies here without re-arming, bounding timer chains to one
-        // per live incarnation.
-        if tag != self.retx_tag || self.finished() {
-            return;
-        }
-        let timeout = self.cfg.retransmit_after.expect("timer armed");
+        // A stale tag (earlier `wake_seq` incarnation under a traffic mux)
+        // and a wake that an earlier one has superseded die here without
+        // re-arming: one chain of wakes per live incarnation.
         let now = ctx.now();
-        let overdue: Vec<u64> = self
-            .outstanding
-            .iter()
-            .filter(|&(_, sent)| now.saturating_sub(sent) >= timeout)
-            .map(|(b, _)| b)
-            .collect();
-        for block in overdue {
+        let live = |r: &mut Box<Retransmit>| r.tag == tag && now >= r.next_due;
+        let Some(mut retx) = self.retx.take_if(live) else {
+            return;
+        };
+        // Re-send what is overdue and find the earliest deadline left. A
+        // re-send changes a slot in place, so the deque holds still.
+        let mut earliest = Time::MAX;
+        let mut probed = false;
+        for slot in 0..self.outstanding.slots.len() {
+            let Some((block, state)) = self.outstanding.in_slot(slot) else {
+                continue;
+            };
+            let (due, evidence) = (retx.due(state), retx.has_evidence(state));
+            if due > now {
+                earliest = earliest.min(due);
+                // Blocks that were sent once are due in send order, those
+                // with evidence before those without, and a re-sent block
+                // later than when it was first: past the first position
+                // that is sent once, without evidence and not yet due,
+                // nothing is.
+                if state.tries() == 0 && !evidence {
+                    break;
+                }
+                continue;
+            }
+            // Blocks sent once and without evidence are probed one a wake
+            // (the rest are looked at again a probe timeout on); one that
+            // was re-sent has its own backoff.
+            let probe = !evidence && state.tries() == 0;
+            if probe && probed {
+                earliest = earliest.min(now + retx.rtt.probe_timeout(retx.initial));
+                continue;
+            }
+            probed |= probe;
+            let state = self.outstanding.resent(slot, now);
+            earliest = earliest.min(retx.due(state));
             self.retransmits += 1;
-            ctx.trace(
-                TraceKind::Retransmit,
-                self.cfg.allreduce as u64,
-                self.cfg.block_base + block,
-                0,
-            );
+            let (flow, wire_block) = (self.cfg.allreduce as u64, self.cfg.block_base + block);
+            let tries = state.tries() as u64;
+            ctx.trace(TraceKind::Retransmit, flow, wire_block, tries);
             self.send_block(ctx, block);
+            self.trace_in_flight(ctx);
         }
-        ctx.wake_in(timeout, self.retx_tag);
+        // Nothing in flight: every result has arrived, no wake is needed.
+        retx.next_due = Time::MAX;
+        if earliest != Time::MAX {
+            retx.arm(ctx, earliest);
+        }
+        self.retx = Some(retx);
     }
 }
 
@@ -629,25 +925,25 @@ mod tests {
     use proptest::prelude::*;
 
     /// The linear-scan in-flight map [`SendWindow`] replaced, kept as the
-    /// model: `(block, sent_at)` in insertion order, removal preserving
-    /// the relative order of the rest.
+    /// model: `(block, last sent at, re-sends)` in order of first send,
+    /// removal preserving the relative order of the rest.
     #[derive(Default)]
     struct VecModel {
-        entries: Vec<(u64, Time)>,
+        entries: Vec<(u64, Time, u8)>,
     }
 
     impl VecModel {
-        fn insert(&mut self, block: u64, at: Time) {
-            match self.entries.iter_mut().find(|(b, _)| *b == block) {
-                Some(e) => e.1 = at,
-                None => self.entries.push((block, at)),
-            }
+        fn remove(&mut self, block: u64) -> Option<(Time, u8)> {
+            let at = self.entries.iter().position(|e| e.0 == block)?;
+            let (_, sent, tries) = self.entries.remove(at);
+            Some((sent, tries))
         }
+    }
 
-        fn remove(&mut self, block: u64) -> Option<Time> {
-            let at = self.entries.iter().position(|(b, _)| *b == block)?;
-            Some(self.entries.remove(at).1)
-        }
+    /// In-flight `(block, last sent at, re-sends)` in send order.
+    fn in_flight(window: &SendWindow) -> Vec<(u64, Time, u8)> {
+        let slots = (0..window.slots.len()).filter_map(|s| window.in_slot(s));
+        slots.map(|(b, s)| (b, s.sent(), s.tries())).collect()
     }
 
     proptest! {
@@ -672,24 +968,28 @@ mod tests {
                     0 | 1 => {
                         if let Some(block) = window.next_unsent() {
                             prop_assert!(model.entries.iter().all(|e| e.0 != block), "sent twice");
-                            window.insert(block, now);
-                            model.insert(block, now);
+                            window.push(now);
+                            model.entries.push((block, now, 0));
                         }
                     }
                     2 => {
                         if !model.entries.is_empty() {
-                            let block = model.entries[pick as usize % model.entries.len()].0;
-                            window.insert(block, now);
-                            model.insert(block, now);
+                            let entry = pick as usize % model.entries.len();
+                            let entry = &mut model.entries[entry];
+                            (entry.1, entry.2) = (now, entry.2 + 1);
+                            let slot = window.in_flight(entry.0).expect("the model has it");
+                            let state = window.resent(slot, now);
+                            prop_assert_eq!((state.sent(), state.tries()), (entry.1, entry.2));
                         }
                     }
                     _ => {
                         let block = pick % (blocks + 2);
-                        prop_assert_eq!(window.remove(block), model.remove(block));
+                        let closed = window.remove(block).map(|s| (s.sent(), s.tries()));
+                        prop_assert_eq!(closed, model.remove(block));
                     }
                 }
                 prop_assert_eq!(window.len(), model.entries.len());
-                prop_assert_eq!(window.iter().collect::<Vec<_>>(), model.entries.clone());
+                prop_assert_eq!(in_flight(&window), model.entries.clone());
             }
         }
     }
@@ -699,18 +999,102 @@ mod tests {
         let mut window = SendWindow::new(5, 7);
         let mut sent = Vec::new();
         while let Some(block) = window.next_unsent() {
-            window.insert(block, sent.len() as Time);
+            window.push(sent.len() as Time);
             sent.push(block);
         }
         assert_eq!(sent, [2, 3, 4, 0, 1]);
         // Results out of order: the closed prefix pops only once position
         // 0 (block 2) closes.
-        assert_eq!(window.remove(3), Some(1));
+        assert_eq!(window.remove(3), Some(Slot::new(1, 0)));
         assert_eq!(window.slots.len(), 5);
-        assert_eq!(window.remove(2), Some(0));
+        assert_eq!(window.remove(2), Some(Slot::new(0, 0)));
         assert_eq!((window.first, window.slots.len()), (2, 3));
         assert_eq!(window.remove(2), None, "already closed");
-        assert_eq!(window.iter().collect::<Vec<_>>(), [(4, 2), (0, 3), (1, 4)]);
+        assert_eq!(in_flight(&window), [(4, 2, 0), (0, 3, 0), (1, 4, 0)]);
+    }
+
+    #[test]
+    fn a_slot_packs_the_send_time_and_the_re_send_count() {
+        let latest = (1 << Slot::TIME_BITS) - 1;
+        let slot = Slot::new(latest, 0);
+        assert_eq!((slot.sent(), slot.tries()), (latest, 0));
+        assert_ne!(Slot::new(latest, u8::MAX - 1), Slot::CLOSED);
+        // The count saturates below the closed marker's.
+        let mut window = SendWindow::new(1, 0);
+        window.push(5);
+        for at in 0..300 {
+            window.resent(0, at);
+        }
+        assert_eq!(in_flight(&window), [(0, 299, u8::MAX - 1)]);
+    }
+
+    const INITIAL: Time = 200_000;
+
+    fn retransmit() -> Retransmit {
+        Retransmit {
+            tag: 0,
+            initial: INITIAL,
+            rtt: RttEstimate::default(),
+            newest_sent: 0,
+            newest_rtt: 0,
+            last_close: 0,
+            next_due: Time::MAX,
+        }
+    }
+
+    #[test]
+    fn a_re_sent_block_yields_no_sample() {
+        // Karn's rule: the result of a re-sent block moves neither the
+        // estimate nor the evidence, whichever of its sends it answers.
+        let mut retx = retransmit();
+        retx.closed(Slot::new(100, 1), 150);
+        assert_eq!(retx.rtt, RttEstimate::default());
+        assert!(!retx.has_evidence(Slot::new(100, 0)));
+        assert_eq!(retx.last_close, 150, "but the flow did move");
+        retx.closed(Slot::new(100, 0), 9_100);
+        assert_eq!(retx.rtt.min_rtt, 9_000);
+        retx.closed(Slot::new(100, 3), 9_200);
+        assert_eq!((retx.rtt.min_rtt, retx.newest_rtt), (9_000, 9_000));
+    }
+
+    #[test]
+    fn timeouts_start_at_the_initial_one_and_stay_above_the_floor() {
+        let mut retx = retransmit();
+        // Blind: the configured timeout, from the send.
+        assert_eq!(retx.due(Slot::new(1_000, 0)), 1_000 + INITIAL);
+        // A round trip of 300 ns: twice that is under the floor.
+        retx.closed(Slot::new(1_000, 0), 1_300);
+        assert_eq!(retx.rtt.probe_timeout(INITIAL), MIN_TIMEOUT);
+        // No evidence for a block sent later: the probe timeout, counted
+        // from the last thing that came in.
+        assert_eq!(retx.due(Slot::new(1_200, 0)), 1_300 + MIN_TIMEOUT);
+        assert_eq!(retx.due(Slot::new(5_000, 0)), 5_000 + MIN_TIMEOUT);
+        // Evidence for one sent no later: that round trip plus the
+        // window, which identical samples leave at the floor.
+        for at in [1_310, 1_320, 1_330] {
+            retx.closed(Slot::new(1_000, 0), at);
+        }
+        assert!(retx.rtt.late + 4 * retx.rtt.late_dev < MIN_TIMEOUT);
+        assert_eq!(retx.due(Slot::new(1_000, 0)), 1_000 + 330 + MIN_TIMEOUT);
+        // Each re-send doubles the wait, up to the initial timeout.
+        let waits = [1, 2, 6, 7, 200].map(|tries| retx.due(Slot::new(10_000, tries)) - 10_000);
+        let floor = MIN_TIMEOUT;
+        assert_eq!(waits, [2 * floor, 4 * floor, 64 * floor, INITIAL, INITIAL]);
+    }
+
+    #[test]
+    fn lateness_is_smoothed_with_integer_gains() {
+        let mut rtt = RttEstimate::default();
+        rtt.lateness(8_000);
+        assert_eq!((rtt.late, rtt.late_dev), (8_000, 4_000));
+        rtt.lateness(16_000);
+        // dev: 4000 - 1000 + 8000/4; mean: 8000 - 1000 + 16000/8.
+        assert_eq!((rtt.late, rtt.late_dev), (9_000, 5_000));
+        assert_eq!(rtt.reorder_window(), 29_000);
+        // The shortest round trip only ever falls.
+        rtt.round_trip(700);
+        rtt.round_trip(900);
+        assert_eq!(rtt.min_rtt, 700);
     }
 
     fn cfg() -> HostConfig {

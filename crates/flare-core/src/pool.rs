@@ -161,14 +161,16 @@ pub struct ReplayRing<P> {
 }
 
 impl<P> ReplayRing<P> {
-    /// Default slot count shared by every backend: far larger than any
-    /// admitted window, so an entry can only evict once all senders have
-    /// moved past it.
+    /// Slot count of a ring nobody sized for its flow (a PsPIN handler's;
+    /// `FlowWiring` sizes a NetSim program's to the flow's iteration): far
+    /// larger than any admitted window.
     pub const DEFAULT_CAPACITY: usize = 1024;
 
     /// Ring with `capacity` direct-mapped slots. Entries evict when a
-    /// block `capacity` ids later completes; senders stay well within
-    /// that because their in-flight window is far smaller.
+    /// block `capacity` ids later completes. A sender's window is far
+    /// smaller, but it counts open blocks, not positions: a sender runs
+    /// ahead of a block it is recovering, so only a ring as long as the
+    /// flow never evicts an entry that is still needed.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         Self {
@@ -196,6 +198,17 @@ impl<P> ReplayRing<P> {
     /// The cached payload for `block`, if still resident.
     pub fn get(&self, block: u64) -> Option<&P> {
         match self.slots.get((block % self.capacity as u64) as usize)? {
+            Some((b, payload)) if *b == block => Some(payload),
+            _ => None,
+        }
+    }
+
+    /// Mutable access to the cached payload for `block`, if still resident.
+    pub fn get_mut(&mut self, block: u64) -> Option<&mut P> {
+        match self
+            .slots
+            .get_mut((block % self.capacity as u64) as usize)?
+        {
             Some((b, payload)) if *b == block => Some(payload),
             _ => None,
         }

@@ -1,17 +1,28 @@
 //! The Flare switch-side block protocol, written once per payload.
 //!
 //! A block's life on a switch is the same wherever the switch is modeled:
-//! *admit* the packet (a retired block's retransmission is answered from
-//! the replay entry, an id below the slab floor is dropped, anything else
-//! opens a block from a spare shell), *reject* the duplicate (child bitmap
-//! dense, shard sequence sparse — paper Section 4.1), *fold*, and on
-//! completion *retire* the block, raise the slab floor, encode the
+//! *admit* the packet (a retired block's retransmission is a *poke*,
+//! answered from the replay entry; an id below the slab floor is dropped;
+//! anything else opens a block from a spare shell), *reject* the duplicate
+//! (child bitmap dense, shard sequence sparse — paper Section 4.1), *fold*,
+//! and on completion *retire* the block, raise the slab floor, encode the
 //! aggregate once, send it up — or, at the root, down to every child by
 //! refcount — and keep it for replays only on lossy fabrics.
+//!
 //! [`DenseCore`] and [`SparseCore`] are that lifecycle over one
 //! [`BlockTable`]; the NetSim programs in [`crate::switch_prog`] and the
 //! PsPIN handlers in [`crate::handlers`] parse the packet, say which
 //! [`Side`] they are on, and call in.
+//!
+//! Recovery costs one answer per round of pokes ([`BlockTable::admit`]). A
+//! switch that has the block's result replays it to the poking child alone.
+//! One that does not (the loss was above it) re-sends its cached aggregate
+//! upward for the first poke and absorbs the others of that round: its
+//! children time out together, and each further copy would buy a further
+//! replay of the result from above, replicated to all of them again. For
+//! the same reason a result this switch has already cached is not
+//! replicated a second time; a child that still misses it pokes and is
+//! answered from the cache.
 //!
 //! A side is two things only: **where emissions go** and **what handler
 //! cycles cost**. A new cost calibration is a change to [`Side`]'s cost
@@ -25,13 +36,13 @@ use flare_model::sparse as cycles;
 use flare_net::{NetPacket, NodeId, SwitchCtx};
 use flare_pspin::{HpuCtx, PspinPacket};
 
-use crate::dense::{InsertReport, TreeBlock};
+use crate::dense::{ChildBitmap, InsertReport, TreeBlock};
 use crate::dtype::Element;
 use crate::handlers::SparseStorageKind;
 use crate::op::ReduceOp;
 use crate::pool::{BlockSlab, BufferPool, PoolStats, ReplayRing, RetirementFloor};
 use crate::sparse::{HashInsert, ShardEvent, ShardTracker, SparseArrayStore, SparseHashStore};
-use crate::switch_prog::{ProgramStats, TreePlacement};
+use crate::switch_prog::{ProgramStats, RecoveryStats, TreePlacement};
 use crate::wire::{encode_dense, encode_sparse, DenseView, Header, PacketKind, SparseView};
 
 /// Which model of a switch is running the protocol.
@@ -200,58 +211,166 @@ type Captured<R> = Vec<(u64, R)>;
 /// How many finished block shells a table keeps for reuse.
 const SPARE_BLOCKS: usize = 512;
 
+/// What a finished block's replay entry holds, as the poke protocol sees
+/// it.
+pub(crate) trait Replay {
+    /// Whether the block's final result has passed through this switch (or
+    /// was produced here, at a root): the entry can then answer a poke on
+    /// its own.
+    fn has_result(&self) -> bool;
+}
+
+/// A finished block's replay entry and its poke round.
+#[derive(Default)]
+pub(crate) struct Retired<R> {
+    pub(crate) sent: R,
+    /// The children that have poked since this switch last re-sent its
+    /// aggregate upward (unsized until the first does). One that pokes
+    /// again has waited out a whole host timeout without the result: that
+    /// ends the round. Until then the others' pokes belong to it and are
+    /// absorbed. A set, not the child that opened the round: pokes that
+    /// arrive in one instant then get one answer, at the same time,
+    /// whatever order a driver delivers them in.
+    poked: ChildBitmap,
+}
+
+impl<R> Retired<R> {
+    /// Whether a poke from `child`, one of `children`, opens a round.
+    fn opens_round(&mut self, child: u16, children: u16) -> bool {
+        if self.poked.count() == 0 {
+            self.poked = ChildBitmap::new(children);
+        } else if self.poked.is_set(child) {
+            self.poked.clear();
+        } else {
+            self.poked.set(child);
+            return false;
+        }
+        self.poked.set(child)
+    }
+}
+
+impl<R> From<R> for Retired<R> {
+    fn from(sent: R) -> Self {
+        let poked = ChildBitmap::default();
+        Self { sent, poked }
+    }
+}
+
+/// How a poke is answered.
+#[derive(Clone, Copy)]
+enum Answer {
+    /// Replay the cached result down to the poking child.
+    ReplayDown,
+    /// Re-send the cached aggregate to the parent.
+    ResendUp,
+}
+
+/// What a table keeps only on a fabric that can lose packets. A reliable
+/// run caches nothing — cached payloads pin their blocks, for replays that
+/// can never be requested — and carries none of this.
+struct LossRecovery<R> {
+    /// What each finished block sent, kept for duplicate-contribution
+    /// replays.
+    replay: ReplayRing<Retired<R>>,
+    stats: RecoveryStats,
+}
+
+impl<R> LossRecovery<R> {
+    fn new(slots: usize) -> Box<Self> {
+        Box::new(Self {
+            replay: ReplayRing::new(slots),
+            stats: RecoveryStats::default(),
+        })
+    }
+}
+
 /// The state every block lifecycle shares: open blocks in a direct-mapped
 /// slab, the retirement floor mirrored into the slab (late packets are
-/// rejected on a comparison, not a hash probe), the replay ring, finished
-/// shells kept for reuse, and whether the fabric is lossy.
+/// rejected on a comparison, not a hash probe), finished shells kept for
+/// reuse, and — on a lossy fabric only — the replay entries.
 pub(crate) struct BlockTable<B, R> {
     /// Children of this switch in the reduction tree.
     children: u16,
     pub(crate) open: BlockSlab<B>,
     retired: RetirementFloor,
-    /// What each finished block sent, kept for duplicate-contribution
-    /// replays. Only written under `loss_recovery`, and without slots
-    /// until then.
-    pub(crate) replay: ReplayRing<R>,
     spare: Vec<B>,
-    /// Whether the deployment injects loss. A reliable run caches nothing:
-    /// cached payloads pin their blocks, for replays that can never be
-    /// requested.
-    pub(crate) loss_recovery: bool,
+    /// `Some` iff the deployment injects loss.
+    lossy: Option<Box<LossRecovery<R>>>,
 }
 
-impl<B, R> BlockTable<B, R> {
+impl<B, R: Replay> BlockTable<B, R> {
     fn new(children: u16) -> Self {
         Self {
             children,
             open: BlockSlab::new(BlockSlab::<B>::DEFAULT_SLOTS),
             retired: RetirementFloor::new(),
-            replay: ReplayRing::new(ReplayRing::<R>::DEFAULT_CAPACITY),
             spare: Vec::new(),
-            loss_recovery: false,
+            lossy: None,
         }
+    }
+
+    /// Keep (or stop keeping) replay entries, in a ring of the default
+    /// size.
+    pub(crate) fn set_loss_recovery(&mut self, yes: bool) {
+        self.lossy = yes.then(|| LossRecovery::new(ReplayRing::<R>::DEFAULT_CAPACITY));
+    }
+
+    /// Size the replay ring, if one is kept.
+    pub(crate) fn set_replay_slots(&mut self, slots: usize) {
+        if let Some(lossy) = &mut self.lossy {
+            lossy.replay = ReplayRing::new(slots);
+        }
+    }
+
+    /// Replay-ring slots allocated so far.
+    #[cfg(test)]
+    pub(crate) fn replay_slots_allocated(&self) -> usize {
+        self.lossy
+            .as_ref()
+            .map_or(0, |lossy| lossy.replay.allocated_slots())
+    }
+
+    fn recovery_stats(&self) -> RecoveryStats {
+        self.lossy
+            .as_ref()
+            .map_or_else(Default::default, |lossy| lossy.stats)
     }
 
     /// Admit a packet of `block` from `child`: the open block — opened
     /// with `open` (handed a spare shell when one is kept) if this is its
     /// first packet — and whether this packet opened it. `None` when the
     /// packet is dropped: `child` is out of range, or the block already
-    /// finished here and the packet is a retransmission, which `poke`
-    /// answers from the replay entry (unless evicted: the next
-    /// retransmission retries).
+    /// finished here and the packet is a retransmission. That is a poke if
+    /// `pokes` (a sparse burst pokes once, with its last shard), and
+    /// `answer` sends what the replay entry answers it with: the result to
+    /// the poking child if the entry has it, else the cached aggregate to
+    /// the parent for the poke that opens a round, nothing for the rest of
+    /// the round — and nothing if the entry was evicted: the next
+    /// retransmission retries.
     fn admit(
         &mut self,
         block: u64,
         child: u16,
+        pokes: bool,
         open: impl FnOnce(Option<B>) -> B,
-        poke: impl FnOnce(&R),
+        answer: impl FnOnce(Answer, &R),
     ) -> Option<(&mut B, bool)> {
         if child >= self.children {
             return None;
         }
         if self.retired.is_retired(block) {
-            if let Some(entry) = self.replay.get(block) {
-                poke(entry);
+            let lossy = self.lossy.as_mut().filter(|_| pokes)?;
+            lossy.stats.pokes += 1;
+            if let Some(entry) = lossy.replay.get_mut(block) {
+                if entry.sent.has_result() {
+                    answer(Answer::ReplayDown, &entry.sent);
+                    lossy.stats.replays_down += 1;
+                } else if entry.opens_round(child, self.children) {
+                    answer(Answer::ResendUp, &entry.sent);
+                    lossy.stats.resends_up += 1;
+                } else {
+                    lossy.stats.absorbed += 1;
+                }
             }
             return None;
         }
@@ -322,6 +441,14 @@ impl<T: Element> DenseStorage<T> for TreeBlock<T> {
     }
 }
 
+/// The dense replay entry is the one payload the block last sent or
+/// passed on: its upward aggregate, until the result supersedes it.
+impl Replay for Bytes {
+    fn has_result(&self) -> bool {
+        matches!(Header::decode(self), Ok((h, _)) if h.kind == PacketKind::DenseResult)
+    }
+}
+
 /// The dense block lifecycle of one (switch, allreduce).
 pub(crate) struct DenseCore<T: Element, O, D> {
     op: O,
@@ -347,6 +474,7 @@ impl<T: Element, O: ReduceOp<T>, D: DenseStorage<T>> DenseCore<T, O, D> {
             agg_pool: self.val_pool.stats(),
             byte_pool: self.byte_pool,
             slab: self.table.open.stats(),
+            recovery: self.table.recovery_stats(),
         }
     }
 
@@ -362,8 +490,20 @@ impl<T: Element, O: ReduceOp<T>, D: DenseStorage<T>> DenseCore<T, O, D> {
         open: impl FnOnce(Option<D>) -> D,
         capture: Option<&mut Captured<Vec<T>>>,
     ) {
-        let poke = |cached: &Bytes| Self::answer_retired_poke(side, block, header.child, cached);
-        let Some((store, _)) = self.table.admit(block, header.child, open, poke) else {
+        // Paper Section 4.1, duplicate rejection + result replay. An
+        // aggregate re-sent upward is answered by the parent once it has
+        // the result, which then replicates down normally: replaying the
+        // *partial* subtree aggregate down as if it were the result would
+        // hand the child a wrong vector.
+        let answer = |answer, cached: &Bytes| match answer {
+            Answer::ReplayDown => {
+                let to = To::Child(header.child);
+                side.send(to, block, PacketKind::DenseResult, cached)
+            }
+            Answer::ResendUp => side.send(To::Parent, block, PacketKind::DenseContrib, cached),
+        };
+        let admitted = self.table.admit(block, header.child, true, open, answer);
+        let Some((store, _)) = admitted else {
             return;
         };
         let report = store.fold(
@@ -406,8 +546,8 @@ impl<T: Element, O: ReduceOp<T>, D: DenseStorage<T>> DenseCore<T, O, D> {
             .byte_pool
             .count_payloads(|| encode_dense(header, &result));
         side.send(to, block, kind, &payload);
-        if self.table.loss_recovery {
-            self.table.replay.put(block, payload);
+        if let Some(lossy) = &mut self.table.lossy {
+            lossy.replay.put(block, payload.into());
         }
         side.complete(block);
         match capture {
@@ -416,32 +556,19 @@ impl<T: Element, O: ReduceOp<T>, D: DenseStorage<T>> DenseCore<T, O, D> {
         }
     }
 
-    /// Answer a retransmitted contribution for a block already finished
-    /// here (paper Section 4.1: duplicate rejection + result replay). If
-    /// this switch has seen the block's final `DenseResult` (always true
-    /// at the root, where the result is produced), replay it down to the
-    /// poking child. Otherwise the loss may have been on our own uplink:
-    /// re-send the cached upward aggregate and let the result replicate
-    /// down normally once the parent completes — replaying the *partial*
-    /// subtree aggregate down as if it were the result would hand the
-    /// child a wrong vector.
-    fn answer_retired_poke(side: &mut Side<'_, '_>, block: u64, child: u16, cached: &Bytes) {
-        let result = PacketKind::DenseResult;
-        if matches!(Header::decode(cached), Ok((h, _)) if h.kind == result) {
-            side.send(To::Child(child), block, result, cached);
-        } else {
-            side.send(To::Parent, block, PacketKind::DenseContrib, cached);
-        }
-    }
-
     /// A result from the parent: replicate it down to every child by
     /// refcount (the payload is shared, not rebuilt).
     pub(crate) fn on_result(&mut self, side: &mut Side<'_, '_>, block: u64, payload: &Bytes) {
-        if self.table.loss_recovery {
+        if let Some(lossy) = &mut self.table.lossy {
             // The final result supersedes the cached upward aggregate:
             // future pokes replay it directly instead of round-tripping
-            // through the parent.
-            self.table.replay.put(block, payload.clone());
+            // through the parent. One that is already cached is the
+            // parent's answer to a poke this switch has no more use for.
+            let entry = lossy.replay.get_or_insert_with(block, Retired::default);
+            if entry.sent.has_result() {
+                return;
+            }
+            entry.sent = payload.clone();
         }
         side.send(To::Children, block, PacketKind::DenseResult, payload);
     }
@@ -495,6 +622,12 @@ pub(crate) struct SparseReplay {
     /// Completion of the downward set (duplicate shards rejected by
     /// sequence number).
     down_tracker: ShardTracker,
+}
+
+impl Replay for SparseReplay {
+    fn has_result(&self) -> bool {
+        self.down_tracker.is_complete()
+    }
 }
 
 /// Send `pairs` chunked into shard packets of at most `per` pairs: up to
@@ -585,6 +718,7 @@ impl<T: Element, O: ReduceOp<T>> SparseCore<T, O> {
             agg_pool: self.pair_pool.stats(),
             byte_pool: self.byte_pool,
             slab: self.table.open.stats(),
+            recovery: self.table.recovery_stats(),
         }
     }
 
@@ -602,7 +736,7 @@ impl<T: Element, O: ReduceOp<T>> SparseCore<T, O> {
     ) {
         let (op, children, storage) = (&self.op, self.table.children, self.storage);
         let (per, byte_pool) = (self.pairs_per_packet, &mut self.byte_pool);
-        let keep = self.table.loss_recovery;
+        let keep = self.table.lossy.is_some();
         // A new block's store lives in the L1 of the cluster that opens it.
         let opener = side.hpu().map_or(0, |ctx| ctx.cluster);
         let open = |spare: Option<SparseBlock<T>>| match spare {
@@ -632,8 +766,28 @@ impl<T: Element, O: ReduceOp<T>> SparseCore<T, O> {
                 home_cluster: opener,
             },
         };
-        let poke = |entry: &SparseReplay| Self::answer_retired_poke(side, block, header, entry);
-        let Some((b, opened)) = self.table.admit(block, header.child, open, poke) else {
+        // The sparse mirror of the dense answers, in whole shard sets:
+        // hosts and the parent reject the duplicates by shard sequence.
+        let answer = |answer, entry: &SparseReplay| match answer {
+            Answer::ReplayDown => {
+                let to = To::Child(header.child);
+                for payload in &entry.down {
+                    side.send(to, block, PacketKind::SparseResult, payload);
+                }
+            }
+            Answer::ResendUp => {
+                for payload in &entry.up {
+                    let kind = Header::decode(payload);
+                    let kind = kind.map_or(PacketKind::SparseContrib, |(h, _)| h.kind);
+                    side.send(To::Parent, block, kind, payload);
+                }
+            }
+        };
+        // Only the *last* shard of a retransmission burst pokes, so one
+        // burst is one poke, not one per shard.
+        let pokes = header.last_shard;
+        let admitted = self.table.admit(block, header.child, pokes, open, answer);
+        let Some((b, opened)) = admitted else {
             return;
         };
         if opened {
@@ -702,14 +856,14 @@ impl<T: Element, O: ReduceOp<T>> SparseCore<T, O> {
         self.table.park(done);
         let kept = keep.then_some(&mut sent);
         send_shards(side, byte_pool, per, block, &result, first_seq, true, kept);
-        if keep {
+        if let Some(lossy) = &mut self.table.lossy {
             // Merged into any entry `on_result` already opened: root spill
             // shards can pass down while this block is still open here,
             // and overwriting would wipe their recorded down set.
-            let entry = self
-                .table
+            let entry = &mut lossy
                 .replay
-                .get_or_insert_with(block, SparseReplay::default);
+                .get_or_insert_with(block, Retired::default)
+                .sent;
             if side.is_root() {
                 // The shards just sent *are* the complete downward result.
                 entry.down = sent;
@@ -729,43 +883,6 @@ impl<T: Element, O: ReduceOp<T>> SparseCore<T, O> {
         }
     }
 
-    /// Answer a retransmitted shard for a block already finished here —
-    /// the sparse mirror of [`DenseCore::answer_retired_poke`], replaying
-    /// whole shard sets. Responds only to the *last* shard of a
-    /// retransmission burst so one poke round triggers one replay, not one
-    /// per shard.
-    fn answer_retired_poke(
-        side: &mut Side<'_, '_>,
-        block: u64,
-        header: &Header,
-        entry: &SparseReplay,
-    ) {
-        if !header.last_shard {
-            return;
-        }
-        if entry.down_tracker.is_complete() {
-            // The full result passed through here: replay it to the
-            // poking child (hosts reject duplicates by shard sequence).
-            for payload in &entry.down {
-                side.send(
-                    To::Child(header.child),
-                    block,
-                    PacketKind::SparseResult,
-                    payload,
-                );
-            }
-        } else {
-            // Result not seen yet: the loss may have been on our uplink —
-            // re-send our aggregate (the parent dedups by shard sequence)
-            // and let the result replicate down normally.
-            for payload in &entry.up {
-                let kind =
-                    Header::decode(payload).map_or(PacketKind::SparseContrib, |(h, _)| h.kind);
-                side.send(To::Parent, block, kind, payload);
-            }
-        }
-    }
-
     /// A result shard from the parent: replicate it down by refcount.
     pub(crate) fn on_result(
         &mut self,
@@ -774,22 +891,24 @@ impl<T: Element, O: ReduceOp<T>> SparseCore<T, O> {
         header: &Header,
         payload: &Bytes,
     ) {
-        if self.table.loss_recovery {
+        if let Some(lossy) = &mut self.table.lossy {
             // Record the passing shard so a later poke can be answered
-            // from here instead of round-tripping to the root (duplicate
-            // shards — themselves replays — are not cached twice).
-            let entry = self
-                .table
+            // from here instead of round-tripping to the root. A shard
+            // already recorded is part of the root's answer to a poke, and
+            // was replicated when it first passed.
+            let entry = &mut lossy
                 .replay
-                .get_or_insert_with(block, SparseReplay::default);
+                .get_or_insert_with(block, Retired::default)
+                .sent;
             let event = entry.down_tracker.on_shard(
                 header.shard_index(),
                 header.last_shard,
                 header.shard_count,
             );
-            if event != ShardEvent::Duplicate {
-                entry.down.push(payload.clone());
+            if event == ShardEvent::Duplicate {
+                return;
             }
+            entry.down.push(payload.clone());
         }
         side.send(To::Children, block, PacketKind::SparseResult, payload);
     }

@@ -132,6 +132,12 @@ pub struct TenantReport {
     /// summed over completed iterations (0 on a lossless fabric; in-flight
     /// iterations cut off at the deadline are not counted).
     pub retransmits: u64,
+    /// Shortest round trip (send of a block to arrival of its result) any
+    /// of this tenant's hosts measured over its completed iterations, ns
+    /// ([`RttEstimate::min_rtt`](crate::host::RttEstimate::min_rtt), which
+    /// the hosts' probe timeouts are twice of); 0 where none measured one
+    /// (no retransmission timer, or nothing completed).
+    pub min_rtt_ns: Time,
 }
 
 impl TenantReport {
@@ -148,8 +154,9 @@ impl TenantReport {
 
 /// Fabric-wide contention summary of a traffic-engine run.
 ///
-/// Equality compares the simulation results only. `switch_pools` is a
-/// host-side diagnostic, not a result: a payload is recycled by whichever
+/// Equality compares the simulation results only. The pool and slab
+/// counters of `switch_pools` are a host-side diagnostic, not a result: a
+/// payload is recycled by whichever
 /// consumer drops the last reference to it, and under the partitioned
 /// driver the copies of a multicast are consumed on different worker
 /// threads, so its counters may differ by a few between two runs that
@@ -163,7 +170,9 @@ pub struct FabricStats {
     /// used [`flare_net::SwitchModel::Hpu`]).
     pub hpu: Vec<HpuSwitchReport>,
     /// Summed buffer-pool / replay-slab recycling counters across every
-    /// switch program of the run. Not part of equality (see above).
+    /// switch program of the run, and their summed loss-recovery counters
+    /// ([`ProgramStats::recovery`]). Only the latter are part of equality
+    /// (see above).
     pub switch_pools: ProgramStats,
     /// Highest single-switch working-memory reservation observed while
     /// tenants were being admitted, in bytes.
@@ -176,11 +185,12 @@ impl PartialEq for FabricStats {
         let Self {
             fairness_jain,
             hpu,
-            switch_pools: _,
+            switch_pools,
             reserved_peak_bytes,
         } = self;
         *fairness_jain == other.fairness_jain
             && *hpu == other.hpu
+            && switch_pools.recovery == other.switch_pools.recovery
             && *reserved_peak_bytes == other.reserved_peak_bytes
     }
 }
@@ -242,6 +252,9 @@ mod tests {
         let mut b = a.clone();
         b.switch_pools.byte_pool.hits += 1;
         assert_eq!(a, b, "which free list served a payload is not a result");
+        b.switch_pools.recovery.absorbed += 1;
+        assert_ne!(a, b, "how a poke was answered is");
+        b = a.clone();
         b.reserved_peak_bytes += 1;
         assert_ne!(a, b);
     }
@@ -260,6 +273,7 @@ mod tests {
             switch_bytes: 1024,
             payload: PayloadSpec::Dense,
             retransmits: 0,
+            min_rtt_ns: 0,
         };
         assert_eq!(t.makespan_tails().p50, 20);
         assert_eq!(t.makespan_tails().max, 30);

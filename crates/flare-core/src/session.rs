@@ -40,7 +40,7 @@ use flare_net::{
 
 use crate::dtype::Element;
 use crate::handlers::SparseStorageKind;
-use crate::host::{result_sink, ResultSink};
+use crate::host::{result_sink, ResultSink, RttEstimate};
 use crate::manager::{AdmissionError, AllreducePlan, AllreduceRequest, NetworkManager};
 use crate::op::{ReduceOp, Sum};
 use crate::wiring::{check_participants, run_fabric, FlowInput, FlowShape, FlowWiring};
@@ -264,8 +264,15 @@ pub struct Tuning {
     /// [`SwitchModel::Hpu`] (event-driven multi-core handler scheduling
     /// per [`flare_net::compute`]).
     pub switch_model: SwitchModel,
-    /// Host retransmission timeout, dense and sparse (None = reliable
-    /// network).
+    /// Arms host retransmission, dense and sparse (None = reliable
+    /// network), and is its *initial* timeout: how long a host waits on a
+    /// block while its flow has not measured a round trip yet. From the
+    /// first result on, deadlines follow the fabric
+    /// ([`RttEstimate`]); this value remains the
+    /// cap of a block's exponential backoff. It does not have to be
+    /// tuned: far below the round trip it costs a few probe packets, far
+    /// above it the first iteration of a flow whose first packets are
+    /// lost.
     pub retransmit_after: Option<Time>,
     /// RNG seed (loss injection etc.).
     pub seed: u64,
@@ -407,8 +414,10 @@ impl FlareSessionBuilder {
         self
     }
 
-    /// Host retransmission timeout for dense and sparse collectives
-    /// (None = reliable network). `Some(0)` is rejected at
+    /// Arm host retransmission for dense and sparse collectives, with
+    /// `timeout` as the initial timeout — until a flow has measured its
+    /// round trips, see [`Tuning::retransmit_after`] — (None = reliable
+    /// network). `Some(0)` is rejected at
     /// [`Collective::run`] with [`SessionError::ZeroRetransmitTimeout`]:
     /// a zero-delay timer would re-arm at the same instant forever.
     pub fn retransmit_after(mut self, timeout: Option<Time>) -> Self {
@@ -428,8 +437,9 @@ impl FlareSessionBuilder {
     /// with [`SessionError::InvalidDropProbability`]). Both
     /// dense and sparse collectives recover: hosts retransmit overdue
     /// blocks, switches reject the duplicates (child bitmaps dense,
-    /// shard-sequence tracking sparse) and replay completed results from
-    /// their caches (paper Section 4.1). Drops are decided by a
+    /// shard-sequence tracking sparse), replay completed results from
+    /// their caches and re-send a cached aggregate upward once per round of
+    /// retransmissions (paper Section 4.1). Drops are decided by a
     /// per-link-direction RNG stream derived from the run seed, so a
     /// lossy run is bitwise-reproducible — at any thread count.
     pub fn link_drop_prob(mut self, p: f64) -> Self {
@@ -935,8 +945,14 @@ impl<T: Element, O: ReduceOp<T> + Clone + 'static> Collective<'_, T, O> {
         let sinks: Vec<ResultSink<T>> = inputs.iter().map(|_| result_sink()).collect();
         let participants = inputs.into_iter().zip(&sinks).enumerate();
         let participants = participants.map(|(rank, (input, sink))| {
-            let program: Box<dyn HostProgram> =
-                wiring.host(rank, 0, op.clone(), input, sink.clone());
+            let program: Box<dyn HostProgram> = wiring.host(
+                rank,
+                0,
+                RttEstimate::default(),
+                op.clone(),
+                input,
+                sink.clone(),
+            );
             (wiring.hosts()[rank], program)
         });
         let (switches, participants) = (switches.collect(), participants.collect());

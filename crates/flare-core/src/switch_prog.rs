@@ -20,9 +20,10 @@
 //! the thread's free list and multicast by `Bytes` refcount) and, on
 //! lossy sessions (`with_loss_recovery`), implements the paper's Section
 //! 4.1 recovery: duplicate contributions are rejected, and a
-//! retransmitted contribution for a *retired* block is answered with the
-//! cached result if it already passed through this switch, or by
-//! re-sending the cached upward aggregate towards the parent if not.
+//! retransmitted contribution for a *retired* block — a poke — is answered
+//! with the cached result if it already passed through this switch, or,
+//! once per round of pokes, by re-sending the cached upward aggregate
+//! towards the parent if not ([`RecoveryStats`] counts which).
 //!
 //! The processing time of each switch is modeled by
 //! [`flare_net::SwitchCtx::processing_done_for`]: under the session's
@@ -55,7 +56,26 @@ pub struct TreePlacement {
     pub my_child_index: u16,
 }
 
-/// Combined recycling counters of one switch program.
+/// Loss-recovery work of one switch program (paper Section 4.1), counted
+/// where it happens. All zero on a lossless session, which keeps no replay
+/// entries to poke. `pokes - resends_up - replays_down - absorbed` is the
+/// pokes that found their entry evicted and went unanswered.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RecoveryStats {
+    /// Pokes received: retransmitted contributions for a block that had
+    /// already finished here (a sparse burst counts once, on its last
+    /// shard).
+    pub pokes: u64,
+    /// Pokes answered by re-sending the cached aggregate to the parent:
+    /// one per round of pokes.
+    pub resends_up: u64,
+    /// Pokes answered by replaying the cached result to the poking child.
+    pub replays_down: u64,
+    /// Pokes absorbed: later ones of a round already answered upward.
+    pub absorbed: u64,
+}
+
+/// Combined recycling and recovery counters of one switch program.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProgramStats {
     /// Aggregation-buffer pool (elements / pairs).
@@ -67,6 +87,9 @@ pub struct ProgramStats {
     pub byte_pool: PoolStats,
     /// Open-block slab lookups.
     pub slab: SlabStats,
+    /// Loss recovery: pokes received and how they were answered. Unlike
+    /// the pools, a simulation result.
+    pub recovery: RecoveryStats,
 }
 
 impl std::ops::AddAssign for ProgramStats {
@@ -82,6 +105,10 @@ impl std::ops::AddAssign for ProgramStats {
         self.slab.direct += other.slab.direct;
         self.slab.collisions += other.slab.collisions;
         self.slab.stale_rejected += other.slab.stale_rejected;
+        self.recovery.pokes += other.recovery.pokes;
+        self.recovery.resends_up += other.recovery.resends_up;
+        self.recovery.replays_down += other.recovery.replays_down;
+        self.recovery.absorbed += other.recovery.absorbed;
     }
 }
 
@@ -110,7 +137,15 @@ impl<T: Element, O: ReduceOp<T>> FlareDenseProgram<T, O> {
     /// it off so completed payloads go back to the free lists instead of
     /// being pinned for replays that can never be requested.
     pub fn with_loss_recovery(mut self, yes: bool) -> Self {
-        self.core.table.loss_recovery = yes;
+        self.core.table.set_loss_recovery(yes);
+        self
+    }
+
+    /// Size the replay ring, if one is kept
+    /// ([`FlowWiring`](crate::wiring::FlowWiring) knows how many blocks the
+    /// flow has; the default is for a caller that does not).
+    pub(crate) fn replay_slots(mut self, slots: usize) -> Self {
+        self.core.table.set_replay_slots(slots);
         self
     }
 
@@ -179,7 +214,13 @@ impl<T: Element, O: ReduceOp<T>> FlareSparseProgram<T, O> {
     /// Enable (or disable) the loss-recovery replay caches; see
     /// [`FlareDenseProgram::with_loss_recovery`].
     pub fn with_loss_recovery(mut self, yes: bool) -> Self {
-        self.core.table.loss_recovery = yes;
+        self.core.table.set_loss_recovery(yes);
+        self
+    }
+
+    /// Size the replay ring; see [`FlareDenseProgram::replay_slots`].
+    pub(crate) fn replay_slots(mut self, slots: usize) -> Self {
+        self.core.table.set_replay_slots(slots);
         self
     }
 
@@ -288,7 +329,7 @@ mod tests {
             let mut prog = sim.take_switch(sw).expect("installed");
             let prog = prog.as_any_mut().expect("opts in").downcast_mut();
             let prog: &mut FlareDenseProgram<i32, Sum> = prog.expect("concrete type");
-            prog.core.table.replay.allocated_slots()
+            prog.core.table.replay_slots_allocated()
         };
         assert_eq!(replay_slots(false), 0);
         assert_eq!(replay_slots(true), 1024, "a lossy fabric does cache");

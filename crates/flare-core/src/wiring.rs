@@ -35,9 +35,12 @@ use crate::handlers::{
     agg_cycles, DenseAllreduceHandler, DenseHandlerConfig, SparseAllreduceHandler,
     SparseHandlerConfig, SparseStorageKind,
 };
-use crate::host::{DenseFlareHost, FlareHost, HostConfig, Payload, ResultSink, SparseFlareHost};
+use crate::host::{
+    DenseFlareHost, FlareHost, HostConfig, Payload, ResultSink, RttEstimate, SparseFlareHost,
+};
 use crate::manager::{AllreducePlan, TreeSwitch};
 use crate::op::{ReduceOp, Sum};
+use crate::pool::ReplayRing;
 use crate::session::{FlareSession, SessionError, SparsePolicy, Tuning};
 use crate::switch_prog::{FlareDenseProgram, FlareSparseProgram, ProgramStats, TreePlacement};
 use crate::wire::{encode_dense, encode_sparse, Header, PacketKind};
@@ -113,6 +116,9 @@ pub trait WiredHost: HostProgram {
     /// Whether every block's result has arrived (the reduced vector is in
     /// the participant's sink).
     fn finished(&self) -> bool;
+    /// The flow's round-trip estimate as this participant has it: what
+    /// [`FlowWiring::host`] takes for the flow's next iteration.
+    fn rtt(&self) -> RttEstimate;
 }
 
 impl<P: Payload + 'static> WiredHost for FlareHost<P> {
@@ -122,6 +128,10 @@ impl<P: Payload + 'static> WiredHost for FlareHost<P> {
 
     fn finished(&self) -> bool {
         self.finished()
+    }
+
+    fn rtt(&self) -> RttEstimate {
+        self.rtt()
     }
 }
 
@@ -202,6 +212,28 @@ impl FlowWiring {
         &self.hosts
     }
 
+    /// Replay-ring slots of one switch program of this flow (lossy fabrics
+    /// only; every cached result pins its payload until its slot is
+    /// reused). An entry must outlive every poke for its block, and pokes
+    /// come from hosts that still have the block in flight. A host counts
+    /// open blocks against its window, not positions, so it runs ahead of
+    /// a block it is recovering — and under staggering of the blocks the
+    /// other hosts send last — by any distance: no ring shorter than an
+    /// iteration is safe within it. Across iterations one lap is: a host
+    /// starts iteration `g + 1` once it has closed every block of `g`, so
+    /// a switch retires a block of `g + 1` only when every host below it
+    /// is done with `g`. Where it costs little, two laps also cover the
+    /// one result that can pass a switch before then, a root's spill shard
+    /// (hash storage at the root) of a block still open here.
+    fn replay_slots(&self) -> usize {
+        let blocks = self.blocks as usize;
+        if 2 * blocks <= ReplayRing::<()>::DEFAULT_CAPACITY {
+            2 * blocks
+        } else {
+            blocks
+        }
+    }
+
     /// The Flare program of tree switch `switch` for this flow, reducing
     /// with `op`: hash storage in the tree and an array at the densified
     /// root for a sparse flow, replay caches only on a lossy fabric.
@@ -217,17 +249,18 @@ impl FlowWiring {
             my_child_index: switch.my_child_index,
         };
         let lossy = self.tuning.link_drop_prob > 0.0;
+        let slots = self.replay_slots();
         match self.shape {
             FlowShape::Dense { .. } => {
                 let prog: FlareDenseProgram<T, O> = FlareDenseProgram::new(place, op);
-                Box::new(prog.with_loss_recovery(lossy))
+                Box::new(prog.with_loss_recovery(lossy).replay_slots(slots))
             }
             FlowShape::Sparse { policy, .. } => {
                 let storage = policy.storage_at(switch.parent.is_none());
                 let ppp = self.tuning.pairs_per_packet;
                 let prog: FlareSparseProgram<T, O> =
                     FlareSparseProgram::new(place, op, storage, ppp);
-                Box::new(prog.with_loss_recovery(lossy))
+                Box::new(prog.with_loss_recovery(lossy).replay_slots(slots))
             }
         }
     }
@@ -236,7 +269,11 @@ impl FlowWiring {
     /// contributing `input` and writing the reduced vector to `sink`. A
     /// one-shot collective is iteration 0; an engine re-running the flow
     /// passes 0, 1, 2, …, so that block ids and retransmission wake tags
-    /// never alias across iterations.
+    /// never alias across iterations, and as `rtt` the estimate the rank's
+    /// previous participant [finished with](WiredHost::rtt), so that only
+    /// the flow's first iteration waits out
+    /// [`Tuning::retransmit_after`] for a lost packet (the default
+    /// estimate, no sample, is that first iteration's).
     ///
     /// # Panics
     /// Panics if `input` is not of the wiring's [`FlowShape`].
@@ -244,6 +281,7 @@ impl FlowWiring {
         &self,
         rank: usize,
         iteration: u64,
+        rtt: RttEstimate,
         op: O,
         input: FlowInput<T>,
         sink: ResultSink<T>,
@@ -262,7 +300,9 @@ impl FlowWiring {
         match (self.shape, input) {
             (FlowShape::Dense { .. }, FlowInput::Dense(data)) => {
                 let epp = self.tuning.elems_per_packet;
-                Box::new(DenseFlareHost::new(cfg, epp, data, sink))
+                let mut host = DenseFlareHost::new(cfg, epp, data, sink);
+                host.resume_rtt(rtt);
+                Box::new(host)
             }
             (
                 FlowShape::Sparse {
@@ -272,15 +312,10 @@ impl FlowWiring {
                 FlowInput::Sparse(pairs),
             ) => {
                 let ppp = self.tuning.pairs_per_packet;
-                Box::new(SparseFlareHost::new(
-                    cfg,
-                    op,
-                    total_elems,
-                    policy.span,
-                    ppp,
-                    pairs,
-                    sink,
-                ))
+                let span = policy.span;
+                let mut host = SparseFlareHost::new(cfg, op, total_elems, span, ppp, pairs, sink);
+                host.resume_rtt(rtt);
+                Box::new(host)
             }
             _ => panic!("rank {rank}'s input is not of the flow's shape"),
         }

@@ -63,7 +63,8 @@ pub enum TraceKind {
     ShardSend,
     /// A host received a shard: `a` = block, `b` = shard sequence.
     ShardRecv,
-    /// A host retransmitted an overdue block: `a` = block.
+    /// A host retransmitted an overdue block: `a` = block, `b` = how many
+    /// times it has now been re-sent (1 = its first timeout).
     Retransmit,
     /// A host retired a completed block: `a` = block.
     BlockRetire,

@@ -45,7 +45,10 @@
 //! wakes back even
 //! though the mux owns the `HostProgram` slot, and a stale timer from
 //! iteration `k` is ignored by iteration `k+1` because the sequence no
-//! longer matches ([`flare_core::host::HostConfig::wake_seq`]).
+//! longer matches ([`flare_core::host::HostConfig::wake_seq`]). What
+//! iteration `k` measured of the flow's round trips is handed to iteration
+//! `k+1` ([`RttEstimate`]), so only a flow's first iteration waits out
+//! `retransmit_after` for a lost packet.
 //!
 //! Payloads are per-tenant ([`PayloadSpec`]): dense f32 [`Sum`] or
 //! sparse `(index, value)` at a configured density, mixed freely in one
@@ -58,7 +61,7 @@ use rand::rngs::StdRng;
 use rand::RngExt;
 
 use flare_core::collectives::Sequencer;
-use flare_core::host::{result_sink, ResultSink};
+use flare_core::host::{result_sink, ResultSink, RttEstimate};
 use flare_core::op::Sum;
 use flare_core::report::{
     jain_index, FabricStats, HpuSwitchReport, PayloadSpec, TenantReport, TenantSection,
@@ -535,6 +538,7 @@ impl<'s> TrafficEngine<'s> {
                     job_waits: Vec::new(),
                     iterations: Vec::new(),
                     retransmits: 0,
+                    rtt: RttEstimate::default(),
                 });
             }
             host_programs.push((h, Box::new(TrafficHost { cells })));
@@ -659,6 +663,12 @@ impl<'s> TrafficEngine<'s> {
                 switch_bytes: flow_bytes[i],
                 payload: t.spec.payload,
                 retransmits: mine.iter().map(|c| c.retransmits).sum(),
+                min_rtt_ns: mine
+                    .iter()
+                    .map(|c| c.rtt.min_rtt)
+                    .filter(|&rtt| rtt != 0)
+                    .min()
+                    .unwrap_or(0),
             });
         }
         let tenant_bytes: Vec<f64> = flow_bytes.iter().map(|&b| b as f64).collect();
@@ -750,6 +760,9 @@ struct Cell {
     iterations: Vec<IterationRecord>,
     /// Blocks the retransmission timers of those iterations re-sent.
     retransmits: u64,
+    /// The flow's round-trip estimate as the latest of those iterations
+    /// left it: where the next one starts.
+    rtt: RttEstimate,
 }
 
 /// One iteration as one host saw it.
@@ -829,10 +842,11 @@ impl TrafficHost {
         cell.sink = result_sink();
         // The iteration index namespaces this incarnation's block ids
         // and retransmit timer (validated ≤ MAX_SEQ at admission).
+        let sink = cell.sink.clone();
         let mut inner = cell
             .stat
             .wiring
-            .host(cell.rank, g, Sum, input, cell.sink.clone());
+            .host(cell.rank, g, cell.rtt, Sum, input, sink);
         cell.submitted = ctx.now();
         inner.on_start(ctx);
         cell.inner = Some(inner);
@@ -840,7 +854,10 @@ impl TrafficHost {
 
     fn finish_iteration(&mut self, ctx: &mut HostCtx<'_>, ci: usize) {
         let cell = &mut self.cells[ci];
-        cell.retransmits += cell.inner.take().map_or(0, |h| h.retransmits());
+        if let Some(inner) = cell.inner.take() {
+            cell.retransmits += inner.retransmits();
+            cell.rtt = inner.rtt();
+        }
         cell.iterations.push(IterationRecord {
             submit: cell.submitted,
             done: ctx.now(),

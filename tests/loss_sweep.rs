@@ -8,7 +8,9 @@
 //! * produce bitwise-correct results on every rank (values are chosen so
 //!   f32 sums are exact, making "correct" order-independent), and
 //! * stay within a bounded traffic inflation over the lossless baseline
-//!   (no retransmission storms).
+//!   (no retransmission storms), and
+//! * at 1 % loss, finish well inside one initial timeout: recovery runs on
+//!   the fabric's measured round trips, not on `retransmit_after`.
 
 use flare::net::NodeId;
 use flare::prelude::*;
@@ -16,8 +18,10 @@ use flare::prelude::*;
 const RETX_NS: u64 = 200_000;
 const DROPS: [f64; 2] = [0.01, 0.1];
 /// Lossy traffic may inflate by retransmissions and replays, but must
-/// stay within a constant factor of the lossless packet count.
-const MAX_PACKET_INFLATION: u64 = 25;
+/// stay within a constant factor of the lossless packet count. The worst
+/// cells (10 % loss on the fat tree) measure 1.7; under the fixed-period
+/// timer, with a switch answering every retransmission, 2.6.
+const MAX_PACKET_INFLATION: u64 = 3;
 
 fn topologies() -> Vec<(&'static str, Topology, Vec<NodeId>)> {
     let (star, _sw, hosts) = Topology::star(8, LinkSpec::hundred_gig());
@@ -34,6 +38,17 @@ fn lossy_session(topo: Topology, hosts: Vec<NodeId>, drop: f64) -> FlareSession 
         b = b.link_drop_prob(drop);
     }
     b.build()
+}
+
+/// At 1 % loss a collective is done before its initial timeout would have
+/// fired once (under the fixed-period timer these cells took two to four
+/// periods).
+fn assert_prompt(report: &RunReport, drop: f64, cell: &str) {
+    let done = report.completion_ns();
+    assert!(
+        drop > 0.01 || done < RETX_NS,
+        "{cell}/{drop}: done at {done} ns, an initial timeout or more"
+    );
 }
 
 #[test]
@@ -66,6 +81,7 @@ fn dense_allreduce_sweeps_loss_on_star_and_fat_tree() {
                 "dense/{name}/{drop}: retransmission storm \
                  ({packets} packets vs {base_packets} lossless)"
             );
+            assert_prompt(&out.report, drop, &format!("dense/{name}"));
         }
     }
 }
@@ -124,6 +140,7 @@ fn sparse_allreduce_sweeps_loss_on_star_and_fat_tree() {
                 "sparse/{name}/{drop}: retransmission storm \
                  ({packets} packets vs {base_packets} lossless)"
             );
+            assert_prompt(&out.report, drop, &format!("sparse/{name}"));
         }
     }
 }

@@ -201,7 +201,7 @@ fn cells_of_128_kib() {
         row(Dense,  FatTree, 256, 128 * KIB, [23_969, 147_456, 76_677_120]),
         row(Dense,  FatTree,   8, 128 * KIB, [20_736,   5_120,  2_662_400]).hpu(),
         row(Sparse, Star,      8, 128 * KIB, [ 2_672,     832,    195_008]).hpu(),
-        row(Sparse, FatTree,   8, 128 * KIB, [600_000,  1_318,    342_216]).loss(0.01),
+        row(Sparse, FatTree,   8, 128 * KIB, [200_000,  1_168,    270_888]).loss(0.01),
     ]);
 }
 
@@ -210,9 +210,9 @@ fn cells_of_128_kib() {
 fn tenant_fleets() {
     check(&[
         row(Dense, FatTree, 8, 32 * KIB, [   95_469,  20_672,  10_649_600]).tenants(4, 6_752, 11_622),
-        row(Dense, FatTree, 8, 32 * KIB, [1_027_925,  17_532,   8_861_672]).tenants(4, 202_262, 205_220).loss(0.01),
+        row(Dense, FatTree, 8, 32 * KIB, [  257_627,  16_948,   8_359_496]).tenants(4, 13_981, 42_556).loss(0.01),
         row(Dense, FatTree, 8, 64 * KIB, [  192_455,  82_304,  42_598_400]).tenants(8, 38_482, 39_340),
-        row(Dense, FatTree, 8, 64 * KIB, [1_630_135, 155_553,  78_740_208]).tenants(16, 219_876, 599_406).loss(0.01),
+        row(Dense, FatTree, 8, 64 * KIB, [  837_755, 135_308,  67_050_048]).tenants(16, 104_023, 551_933).loss(0.01),
         row(Dense, FatTree, 8, 64 * KIB, [  715_817, 329_216, 170_393_600]).tenants(32, 167_605, 171_004),
     ]);
 }

@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Fold the stacks `tools/sampler.c` wrote into leaf and inclusive shares.
+
+    python3 tools/fold.py STACKS [--within FRAME] [--top N]
+
+Addresses are resolved with `addr2line -a -f -C -i` against the object they
+fall in (build with debug info: see the header of `tools/sampler.c`), so
+inlined callees appear as frames of their own. A function's *leaf* share is
+the samples whose innermost frame it is: its own instructions. Its
+*inclusive* share is the samples with it anywhere on the stack, counted once
+a sample. `--within FRAME` keeps only samples whose stack contains a frame
+with FRAME in its name, and drops the frames outside it: with
+`workloads::timed`, what is left is the benchmark's timed call.
+
+Objects are taken to be position-independent (rustc's default, and every
+shared library): an address's offset from the start of its object's first
+mapping is what addr2line is asked about.
+"""
+
+import argparse
+import bisect
+import collections
+import re
+import subprocess
+import sys
+
+
+def read(path):
+    maps, stacks, dropped = [], [], 0
+    for line in open(path):
+        kind, _, rest = line.partition(" ")
+        if kind == "map":
+            fields = rest.split(None, 5)
+            start, end = (int(x, 16) for x in fields[0].split("-"))
+            maps.append((start, end, int(fields[2], 16), fields[5].strip()))
+        elif kind == "stack":
+            stacks.append([int(a, 16) for a in rest.split()])
+        elif kind == "dropped":
+            dropped = int(rest)
+    return maps, stacks, dropped
+
+
+def resolve(maps, addresses):
+    """address -> [innermost inlined frame, ..., the function itself]."""
+    base = {}
+    for start, _, offset, obj in maps:
+        if offset == 0:
+            base.setdefault(obj, start)
+    maps = sorted(maps)
+    starts = [m[0] for m in maps]
+    by_object = collections.defaultdict(list)
+    for addr in addresses:
+        i = bisect.bisect_right(starts, addr) - 1
+        if i >= 0 and addr < maps[i][1] and maps[i][3] in base:
+            # A return address: the call is the instruction before it.
+            by_object[maps[i][3]].append((addr, addr - base[maps[i][3]] - 1))
+    names = {}
+    for obj, pairs in by_object.items():
+        query = "\n".join(hex(rel) for _, rel in pairs)
+        out = subprocess.run(
+            ["addr2line", "-a", "-f", "-C", "-i", "-e", obj],
+            input=query, capture_output=True, text=True, check=False,
+        ).stdout.splitlines()
+        frames, at = [], -1
+        for line in out:
+            if line.startswith("0x"):
+                at += 1
+                frames.append([])
+            elif not re.match(r".*:(\d+|\?)( \(discriminator \d+\))?$", line):
+                frames[at].append(line if line != "??" else f"?? in {obj}")
+        for (addr, _), fs in zip(pairs, frames):
+            names[addr] = fs or [f"?? in {obj}"]
+    return names
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("stacks")
+    ap.add_argument("--within", help="keep samples with this frame; drop its callers")
+    ap.add_argument("--top", type=int, default=40)
+    args = ap.parse_args()
+
+    maps, stacks, dropped = read(args.stacks)
+    names = resolve(maps, {a for s in stacks for a in s})
+    leaf, inclusive, kept = collections.Counter(), collections.Counter(), 0
+    for stack in stacks:
+        # Innermost first, inlined frames expanded.
+        frames = [f for a in stack for f in names.get(a, [hex(a)])]
+        if args.within:
+            hits = [i for i, f in enumerate(frames) if args.within in f]
+            if not hits:
+                continue
+            frames = frames[: hits[-1] + 1]
+        if not frames:
+            continue
+        kept += 1
+        leaf[frames[0]] += 1
+        for f in set(frames):
+            inclusive[f] += 1
+
+    print(f"{len(stacks)} samples, {kept} kept, {dropped} dropped for want of room")
+    for title, counts in (("leaf", leaf), ("inclusive", inclusive)):
+        print(f"\n{title:>9}  share  function")
+        for name, n in counts.most_common(args.top):
+            print(f"{n:9d}  {100 * n / max(kept, 1):5.1f}  {name}")
+
+
+if __name__ == "__main__":
+    sys.exit(main())
