@@ -2,8 +2,9 @@
 //! and retransmission (paper Sections 4–5).
 //!
 //! There is one host, [`FlareHost`]: it splits its contribution into
-//! blocks, keeps at most `window` of them in flight (bounded by the
-//! switch's working-memory reservation ℛ, Section 4.3), rotates its block
+//! blocks, keeps at most `window` of them in flight (the admitted plan's
+//! window, which the switches' working-memory reservations are sized
+//! for), rotates its block
 //! send order by a per-host *stagger offset* (Section 5), and retransmits
 //! blocks whose result is overdue (Section 4.1 — switch-side duplicate
 //! rejection absorbs the retransmissions). What a block *is* comes from its
@@ -57,10 +58,13 @@ pub struct HostConfig {
     pub leaf: NodeId,
     /// This host's child index at the leaf.
     pub child_index: u16,
-    /// Maximum blocks in flight (ℛ-derived window).
+    /// Maximum blocks in flight: the admitted plan's stagger-spread
+    /// window (`AllreducePlan::window`), not the paper's ℛ.
     pub window: usize,
-    /// Rotation of the block send order (staggered sending): host `i`
-    /// typically uses `i × blocks / P`.
+    /// Rotation of the block send order (staggered sending): rank `i`
+    /// uses `i × step`, with a step that never wraps the block range
+    /// (`blocks / P` when the window covers every block, so 0 when there
+    /// are more hosts than blocks).
     pub stagger_offset: u64,
     /// Retransmit a block if its result is missing after this long, until
     /// the flow's round trip has been measured ([`RttEstimate`]); `None`

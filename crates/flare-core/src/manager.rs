@@ -57,33 +57,86 @@ impl ReductionTree {
 
 /// Compute a reduction tree for `hosts` on `topo`, avoiding `excluded`
 /// switches. Chooses the root minimizing `(tree depth, node id)` for
-/// determinism; returns `None` when some host is unreachable.
+/// determinism; returns `None` when some host is unreachable (a switch
+/// named as a host counts as unreachable).
+///
+/// Only the winner's tree is built. A tree's depth is its farthest host's
+/// distance from the root less one (the deepest switch is that host's
+/// leaf), so candidates are compared by one breadth-first walk each that
+/// measures nothing else.
 pub fn compute_reduction_tree(
     topo: &Topology,
     hosts: &[NodeId],
     excluded: &HashSet<NodeId>,
 ) -> Option<ReductionTree> {
     assert!(!hosts.is_empty(), "empty host set");
+    let root = nearest_root(topo, hosts, excluded)?;
     let host_set: HashSet<NodeId> = hosts.iter().copied().collect();
-    let mut best: Option<(usize, NodeId, ReductionTree)> = None;
-    for root in topo.switches() {
-        if excluded.contains(&root) {
-            continue;
-        }
-        if let Some(tree) = try_root(topo, &host_set, excluded, root) {
-            let key = (tree.max_depth(), root);
-            if best
-                .as_ref()
-                .map(|(d, r, _)| (key.0, key.1) < (*d, *r))
-                .unwrap_or(true)
-            {
-                best = Some((key.0, key.1, tree));
-            }
-        }
-    }
-    best.map(|(_, _, t)| t)
+    try_root(topo, &host_set, excluded, root)
 }
 
+/// The non-excluded switch whose farthest host is nearest, lowest id on a
+/// tie; `None` when no switch reaches every host. Each candidate costs one
+/// breadth-first walk over flat per-node vectors shared by all of them,
+/// stopped once every host is found or once it can no longer beat the
+/// best candidate so far (walks run in id order, so a later root must be
+/// strictly nearer).
+fn nearest_root(topo: &Topology, hosts: &[NodeId], excluded: &HashSet<NodeId>) -> Option<NodeId> {
+    let n = topo.node_count();
+    let mut wanted = vec![false; n];
+    let mut targets = 0;
+    for &h in hosts {
+        if !std::mem::replace(&mut wanted[h.index()], true) {
+            targets += 1;
+        }
+    }
+    let mut blocked = vec![false; n];
+    for s in excluded {
+        if let Some(b) = blocked.get_mut(s.index()) {
+            *b = true;
+        }
+    }
+    let mut seen = vec![false; n];
+    let (mut frontier, mut next) = (Vec::new(), Vec::new());
+    let mut best: Option<(usize, NodeId)> = None;
+    for root in topo.switches() {
+        if blocked[root.index()] {
+            continue;
+        }
+        let bound = best.map_or(usize::MAX, |(dist, _)| dist);
+        seen.fill(false);
+        seen[root.index()] = true;
+        frontier.clear();
+        frontier.push(root);
+        let (mut found, mut dist) = (0, 0);
+        while found < targets && !frontier.is_empty() && dist + 1 < bound {
+            dist += 1;
+            next.clear();
+            for &u in &frontier {
+                for pl in topo.ports_of(u) {
+                    let v = pl.peer.index();
+                    if seen[v] || blocked[v] {
+                        continue;
+                    }
+                    seen[v] = true;
+                    if topo.kind(pl.peer) == NodeKind::Host {
+                        found += usize::from(wanted[v]); // hosts do not forward
+                    } else {
+                        next.push(pl.peer);
+                    }
+                }
+            }
+            std::mem::swap(&mut frontier, &mut next);
+        }
+        if found == targets {
+            best = Some((dist, root));
+        }
+    }
+    best.map(|(_, root)| root)
+}
+
+/// The reduction tree rooted at `root`: the union of BFS paths from the
+/// root to every host, through non-excluded switches.
 fn try_root(
     topo: &Topology,
     hosts: &HashSet<NodeId>,
@@ -223,8 +276,10 @@ pub struct AllreducePlan {
     /// on each switch's fanout: a root aggregating 8 children needs more
     /// tree buffers than a leaf aggregating 2.
     pub reserved: HashMap<NodeId, u64>,
-    /// Recommended number of in-flight blocks per host (window), from the
-    /// Little's-law buffer count ℛ (Section 4.3).
+    /// Recommended number of in-flight blocks per host (window): enough
+    /// to cover the stagger spread of `hosts` ranks plus 64 blocks of
+    /// pipelining, at most the flow's blocks and at least 8. It is not
+    /// derived from the Little's-law buffer count ℛ (Section 4.3).
     pub window: usize,
 }
 
@@ -272,11 +327,12 @@ impl NetworkManager {
         self.active.contains_key(&id)
     }
 
-    /// The window (per-host in-flight blocks, the paper's ℛ) must cover
-    /// the *stagger spread*: with staggered sending, a block stays open at
-    /// the switch until the latest-offset host reaches it, so the window
-    /// has to exceed `hosts × stagger step` plus pipeline slack, or hosts
-    /// deadlock waiting for completions that need their own window slots.
+    /// The window (per-host in-flight blocks; a heuristic standing in for
+    /// the paper's ℛ) must cover the *stagger spread*: with staggered
+    /// sending, a block stays open at the switch until the latest-offset
+    /// host reaches it, so the window has to exceed `hosts × stagger step`
+    /// plus pipeline slack, or hosts deadlock waiting for completions that
+    /// need their own window slots.
     fn window_for(req: &AllreduceRequest, hosts: usize) -> usize {
         let blocks = (req.data_bytes / req.packet_bytes as u64).max(1);
         (blocks.min(hosts as u64 + 64) as usize).max(8)
@@ -368,9 +424,155 @@ impl NetworkManager {
 mod tests {
     use super::*;
     use flare_net::LinkSpec;
+    use proptest::prelude::*;
 
     fn fat_tree() -> (Topology, flare_net::topology::FatTree) {
         Topology::fat_tree_two_level(4, 4, 2, LinkSpec::hundred_gig())
+    }
+
+    /// The search [`nearest_root`] replaced, as the reference: build every
+    /// candidate's tree and keep the one of least `(max_depth, id)`.
+    fn exhaustive_reduction_tree(
+        topo: &Topology,
+        hosts: &[NodeId],
+        excluded: &HashSet<NodeId>,
+    ) -> Option<ReductionTree> {
+        let host_set: HashSet<NodeId> = hosts.iter().copied().collect();
+        let mut best: Option<(usize, NodeId, ReductionTree)> = None;
+        for root in topo.switches() {
+            if excluded.contains(&root) {
+                continue;
+            }
+            if let Some(tree) = try_root(topo, &host_set, excluded, root) {
+                let key = (tree.max_depth(), root);
+                if best.as_ref().is_none_or(|(d, r, _)| key < (*d, *r)) {
+                    best = Some((key.0, key.1, tree));
+                }
+            }
+        }
+        best.map(|(_, _, t)| t)
+    }
+
+    /// `compute_reduction_tree` and the exhaustive search agree on the
+    /// whole tree: root, switch order and records, host attachments.
+    fn assert_same_tree(topo: &Topology, hosts: &[NodeId], excluded: &HashSet<NodeId>) {
+        let got = compute_reduction_tree(topo, hosts, excluded);
+        let want = exhaustive_reduction_tree(topo, hosts, excluded);
+        let parts = |t: Option<ReductionTree>| t.map(|t| (t.root, t.switches, t.host_attach));
+        assert_eq!(
+            parts(got),
+            parts(want),
+            "hosts {hosts:?}, excluded {excluded:?}"
+        );
+    }
+
+    #[test]
+    fn root_search_equals_the_exhaustive_search_on_stars_and_fat_trees() {
+        let none = HashSet::new();
+        for n in [1, 2, 5, 32] {
+            let (topo, _sw, hosts) = Topology::star(n, LinkSpec::hundred_gig());
+            assert_same_tree(&topo, &hosts, &none);
+        }
+        for (leaves, per_leaf, spines) in [
+            (2, 2, 2),
+            (2, 2, 1),
+            (4, 4, 2),
+            (8, 4, 8),
+            (16, 8, 4),
+            (32, 8, 32),
+            (64, 8, 64),
+        ] {
+            let (topo, ft) =
+                Topology::fat_tree_two_level(leaves, per_leaf, spines, LinkSpec::hundred_gig());
+            let one_per_leaf: Vec<NodeId> = ft.hosts.iter().step_by(per_leaf).copied().collect();
+            for hosts in [&ft.hosts[..], &ft.hosts[..per_leaf], &one_per_leaf] {
+                assert_same_tree(&topo, hosts, &none);
+                let spine0 = HashSet::from([ft.spines[0]]);
+                assert_same_tree(&topo, hosts, &spine0);
+            }
+        }
+    }
+
+    #[test]
+    fn root_search_does_not_walk_through_a_host_on_two_switches() {
+        // s0 - s1 - s2 - s3, host c on s0, a on s3, b on both ends. Through
+        // b, s0 would reach a in 3 hops and win the tie with s1.
+        let mut topo = Topology::new();
+        let spec = LinkSpec::hundred_gig();
+        let s: Vec<NodeId> = (0..4).map(|i| topo.add_switch(format!("s{i}"))).collect();
+        for w in s.windows(2) {
+            topo.connect(w[0], w[1], spec);
+        }
+        let (a, b, c) = (topo.add_host("a"), topo.add_host("b"), topo.add_host("c"));
+        topo.connect(a, s[3], spec);
+        topo.connect(b, s[0], spec);
+        topo.connect(b, s[3], spec);
+        topo.connect(c, s[0], spec);
+        let tree = compute_reduction_tree(&topo, &[a, b, c], &HashSet::new()).unwrap();
+        assert_eq!((tree.root, tree.max_depth()), (s[1], 2));
+        assert_same_tree(&topo, &[a, b, c], &HashSet::new());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        // Fat trees with random host subsets and random switches excluded
+        // (leaves included, which strands their hosts).
+        #[test]
+        fn root_search_equals_the_exhaustive_search_with_exclusions(
+            leaves in 1usize..10,
+            per_leaf in 1usize..5,
+            spines in 1usize..6,
+            host_bits in any::<u64>(),
+            excluded_bits in any::<u32>(),
+        ) {
+            let (topo, ft) =
+                Topology::fat_tree_two_level(leaves, per_leaf, spines, LinkSpec::hundred_gig());
+            let mut hosts: Vec<NodeId> = ft.hosts.iter().enumerate()
+                .filter(|(i, _)| host_bits >> (i % 64) & 1 == 1)
+                .map(|(_, &h)| h)
+                .collect();
+            if hosts.is_empty() {
+                hosts.push(ft.hosts[0]);
+            }
+            let excluded: HashSet<NodeId> = topo.switches().into_iter().enumerate()
+                .filter(|(i, _)| excluded_bits >> (i % 32) & 1 == 1 && i % 3 != 0)
+                .map(|(_, s)| s)
+                .collect();
+            assert_same_tree(&topo, &hosts, &excluded);
+        }
+
+        // Arbitrary switch graphs: chains, cycles and parallel links, hosts
+        // hung off one or two random switches, some switches excluded.
+        #[test]
+        fn root_search_equals_the_exhaustive_search_on_random_graphs(
+            switches in 1usize..12,
+            links in proptest::collection::vec((0usize..12, 0usize..12), 0..30),
+            attach in proptest::collection::vec((0usize..12, 0usize..24), 1..10),
+            excluded_bits in any::<u16>(),
+        ) {
+            let mut topo = Topology::new();
+            let sw: Vec<NodeId> = (0..switches).map(|i| topo.add_switch(format!("s{i}"))).collect();
+            for &(a, b) in &links {
+                let (a, b) = (a % switches, b % switches);
+                if a != b {
+                    topo.connect(sw[a], sw[b], LinkSpec::hundred_gig());
+                }
+            }
+            let hosts: Vec<NodeId> = attach.iter().enumerate().map(|(i, &(s, second))| {
+                let h = topo.add_host(format!("h{i}"));
+                topo.connect(h, sw[s % switches], LinkSpec::hundred_gig());
+                if second < switches && second != s % switches {
+                    topo.connect(h, sw[second], LinkSpec::hundred_gig());
+                }
+                h
+            }).collect();
+            let excluded: HashSet<NodeId> = sw.iter().enumerate()
+                .filter(|(i, _)| excluded_bits >> i & 1 == 1)
+                .map(|(_, &s)| s)
+                .collect();
+            assert_same_tree(&topo, &hosts, &excluded);
+        }
     }
 
     #[test]

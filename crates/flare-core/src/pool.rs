@@ -24,9 +24,11 @@
 //! * [`BlockSlab`] — open-block state indexed by `block % slots` instead
 //!   of a `HashMap` probe per packet. Block ids are dense and windowed
 //!   (hosts keep at most `window` consecutive ids in flight), so the
-//!   direct-mapped slot almost always hits; rare collisions fall back to
-//!   an overflow map, and ids below the retirement floor are rejected as
-//!   out-of-window.
+//!   direct-mapped slot almost always hits. The table starts small and
+//!   doubles on a would-be collision up to its full size, so it holds
+//!   about as many slots as the span of open ids; collisions at full size
+//!   fall back to an overflow map, and ids below the retirement floor are
+//!   rejected as out-of-window.
 
 use std::collections::HashMap;
 
@@ -313,10 +315,20 @@ pub struct SlabStats {
 }
 
 /// Open-block storage indexed by `block % slots` with an overflow map.
+///
+/// The slot table grows with the flow: it starts at 8 slots and doubles,
+/// rehashing every open entry, whenever a block would land on a slot
+/// another open block holds — up to the slot count it was created with.
+/// Only a collision at that size goes to the overflow map. Two ids in
+/// different slots of a table are in different slots of its double, so a
+/// rehash never collides, and the slab stores, finds and counts
+/// ([`SlabStats`]) exactly as one created at full size would; it only
+/// holds fewer slots while the span of open ids is narrow.
 #[derive(Debug)]
 pub struct BlockSlab<V> {
     slots: Vec<Option<(u64, V)>>,
-    mask: u64,
+    /// The slot count growth stops at.
+    max_slots: usize,
     overflow: HashMap<u64, V>,
     floor: u64,
     len: usize,
@@ -324,17 +336,21 @@ pub struct BlockSlab<V> {
 }
 
 impl<V> BlockSlab<V> {
-    /// Default slot count: covers the block window of every scenario in
-    /// the perf matrix without collisions.
+    /// Default slot count: what a switch's slab grows to before
+    /// collisions go to the overflow map.
     pub const DEFAULT_SLOTS: usize = 1024;
 
-    /// Slab with at least `min_slots` direct-mapped slots (rounded up to
-    /// a power of two).
+    /// Slots a slab starts with (fewer if it was created smaller).
+    const INITIAL_SLOTS: usize = 8;
+
+    /// Slab of `min_slots` direct-mapped slots (rounded up to a power of
+    /// two), allocated as the span of open ids needs them.
     pub fn new(min_slots: usize) -> Self {
-        let slots = min_slots.max(2).next_power_of_two();
+        let max_slots = min_slots.max(2).next_power_of_two();
+        let slots = max_slots.min(Self::INITIAL_SLOTS);
         Self {
             slots: (0..slots).map(|_| None).collect(),
-            mask: slots as u64 - 1,
+            max_slots,
             overflow: HashMap::new(),
             floor: 0,
             len: 0,
@@ -342,8 +358,32 @@ impl<V> BlockSlab<V> {
         }
     }
 
+    /// `block`'s slot: the table's length is a power of two.
     fn idx(&self, block: u64) -> usize {
-        (block & self.mask) as usize
+        (block & (self.slots.len() as u64 - 1)) as usize
+    }
+
+    /// Double the table until `block`'s slot is free or its own, or the
+    /// table is full size.
+    fn grow_for(&mut self, block: u64) {
+        while self.slots.len() < self.max_slots
+            && self.slots[self.idx(block)]
+                .as_ref()
+                .is_some_and(|(b, _)| *b != block)
+        {
+            let size = 2 * self.slots.len();
+            let old = std::mem::replace(&mut self.slots, (0..size).map(|_| None).collect());
+            for (b, v) in old.into_iter().flatten() {
+                let i = self.idx(b);
+                self.slots[i] = Some((b, v));
+            }
+        }
+    }
+
+    /// Slots allocated so far.
+    #[cfg(test)]
+    pub(crate) fn allocated_slots(&self) -> usize {
+        self.slots.len()
     }
 
     /// Open blocks currently stored.
@@ -428,6 +468,7 @@ impl<V> BlockSlab<V> {
             self.stats.stale_rejected += 1;
             return None;
         }
+        self.grow_for(block);
         let i = self.idx(block);
         let state = match &self.slots[i] {
             Some((b, _)) if *b == block => 0u8, // present in slot
@@ -772,6 +813,103 @@ mod tests {
         assert!(slab.get_or_insert_with(0, || 9).is_none());
         assert!(slab.get_or_insert_with(1, || 9).is_none());
         assert_eq!(*slab.get_mut(2).unwrap(), 2);
+    }
+
+    /// A slab holding its full slot count from the start, as every slab
+    /// did before tables grew.
+    fn full_size<V>(min_slots: usize) -> BlockSlab<V> {
+        let mut slab = BlockSlab::new(min_slots);
+        slab.slots = (0..slab.max_slots).map(|_| None).collect();
+        slab
+    }
+
+    #[test]
+    fn slab_grows_with_the_span_of_open_ids() {
+        let mut slab: BlockSlab<u64> = BlockSlab::new(BlockSlab::<u64>::DEFAULT_SLOTS);
+        assert_eq!(slab.allocated_slots(), BlockSlab::<u64>::INITIAL_SLOTS);
+        // Eight ids across the wrap of 8, 16 and 32 slots fit in 8.
+        for b in 29..37u64 {
+            slab.get_or_insert_with(b, || b).unwrap();
+        }
+        assert_eq!(slab.allocated_slots(), 8);
+        // 37 would take 29's slot: the table doubles instead.
+        slab.get_or_insert_with(37, || 37).unwrap();
+        assert_eq!(slab.allocated_slots(), 16);
+        for b in 29..38u64 {
+            assert_eq!(slab.get_mut(b).copied(), Some(b), "rehashed {b}");
+        }
+        // A span of 100 open ids needs 128 slots, never more.
+        for b in 38..129u64 {
+            slab.get_or_insert_with(b, || b).unwrap();
+        }
+        assert_eq!((slab.len(), slab.allocated_slots()), (100, 128));
+        assert_eq!(slab.stats().collisions, 0);
+        // Capped at the created size: then the overflow map, as before.
+        let mut small: BlockSlab<u64> = BlockSlab::new(16);
+        for b in 0..20u64 {
+            small.get_or_insert_with(b, || b).unwrap();
+        }
+        assert_eq!(small.allocated_slots(), 16);
+        assert_eq!(small.stats().collisions, 4);
+        assert_eq!(small.len(), 20);
+    }
+
+    #[test]
+    fn slab_floor_advances_across_a_doubling() {
+        let mut slab: BlockSlab<u64> = BlockSlab::new(64);
+        for b in 0..8u64 {
+            slab.get_or_insert_with(b, || b).unwrap();
+        }
+        slab.set_floor(3);
+        for b in 8..13u64 {
+            slab.get_or_insert_with(b, || b).unwrap(); // 11 meets 3: doubles
+        }
+        assert_eq!(slab.allocated_slots(), 16);
+        slab.set_floor(10);
+        let mut open: Vec<u64> = slab.iter().map(|(b, _)| b).collect();
+        open.sort_unstable();
+        assert_eq!(open, [10, 11, 12]);
+        assert_eq!(slab.len(), 3);
+        assert!(slab.get_or_insert_with(9, || 9).is_none());
+        assert_eq!(slab.stats().stale_rejected, 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // Opens, look-ups, closes and floor raises over ids 0..300 in a
+        // slab of 64: growth from 8 slots is invisible in every answer,
+        // every counter and the open set.
+        #[test]
+        fn growing_slab_matches_a_full_size_one(
+            ops in proptest::collection::vec((0u8..5, 0u64..300), 0..200),
+        ) {
+            let mut slab: BlockSlab<u32> = BlockSlab::new(64);
+            let mut full: BlockSlab<u32> = full_size(64);
+            for (step, &(op, id)) in ops.iter().enumerate() {
+                let step = step as u32;
+                match op {
+                    0 | 1 => prop_assert_eq!(
+                        slab.get_or_insert_with(id, || step).copied(),
+                        full.get_or_insert_with(id, || step).copied()
+                    ),
+                    2 => prop_assert_eq!(slab.get_mut(id).copied(), full.get_mut(id).copied()),
+                    3 => prop_assert_eq!(slab.remove(id), full.remove(id)),
+                    _ => {
+                        let floor = slab.floor() + id % 24;
+                        slab.set_floor(floor);
+                        full.set_floor(floor);
+                    }
+                }
+                prop_assert_eq!(slab.stats(), full.stats());
+                prop_assert_eq!(slab.len(), full.len());
+                let mut got: Vec<(u64, u32)> = slab.iter().map(|(b, v)| (b, *v)).collect();
+                let mut want: Vec<(u64, u32)> = full.iter().map(|(b, v)| (b, *v)).collect();
+                got.sort_unstable();
+                want.sort_unstable();
+                prop_assert_eq!(got, want);
+            }
+        }
     }
 
     #[test]

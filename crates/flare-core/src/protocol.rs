@@ -285,7 +285,8 @@ impl<R> LossRecovery<R> {
 }
 
 /// The state every block lifecycle shares: open blocks in a direct-mapped
-/// slab, the retirement floor mirrored into the slab (late packets are
+/// slab that grows with the span of open ids, the retirement floor
+/// mirrored into the slab (late packets are
 /// rejected on a comparison, not a hash probe), finished shells kept for
 /// reuse, and — on a lossy fabric only — the replay entries.
 pub(crate) struct BlockTable<B, R> {

@@ -525,7 +525,8 @@ impl CollectiveHandle {
         self.plan.max_reserved_bytes()
     }
 
-    /// Recommended in-flight blocks per host (the paper's ℛ).
+    /// Recommended in-flight blocks per host: the stagger-spread window of
+    /// [`AllreducePlan::window`].
     pub fn window(&self) -> usize {
         self.plan.window
     }
@@ -790,7 +791,7 @@ impl<'s, T: Element, O: ReduceOp<T>> Collective<'s, T, O> {
     }
 
     /// Shrink the in-flight block window (default: the admitted plan's
-    /// Little's-law recommendation ℛ). Clamped to the admitted window —
+    /// [`AllreducePlan::window`]). Clamped to the admitted window —
     /// the switch-memory reservation is sized for it, so growing would
     /// overrun the admission-control guarantee.
     pub fn window(mut self, blocks: usize) -> Self {
@@ -1005,7 +1006,9 @@ pub struct RunReport {
     pub label: Option<String>,
     /// Aggregation algorithm selected by the Section 6.4 policy.
     pub algorithm: AggKind,
-    /// In-flight blocks per host (the paper's ℛ).
+    /// In-flight blocks per host: the admitted plan's stagger-spread
+    /// window ([`AllreducePlan::window`]), or a smaller override. Not the
+    /// paper's ℛ.
     pub window: usize,
     /// Largest single-switch working-memory reservation, in bytes.
     pub reserved_bytes: u64,

@@ -149,6 +149,31 @@ pub(crate) fn check_participants(hosts: &[NodeId]) -> Result<(), SessionError> {
     }
 }
 
+/// The per-rank stagger step, in blocks: rank `r` starts its block order
+/// at `r × step` (Section 5's staggered sending). The offsets never wrap
+/// the block range, `(hosts − 1) · step < blocks`: a wrapped offset puts
+/// two ranks on the same block a whole pass of the burst apart, so that
+/// block, and the broadcast behind it, waits for the pass.
+///
+/// When the window covers every block, ranks spread evenly over the block
+/// range, `blocks / hosts` apart — the paper's `δ ≤ δc ≤ δ·Z/N`. With more
+/// hosts than blocks no whole step fits and the step is 0: every rank
+/// sends in block order. Under a narrower window a block stays open until
+/// the largest-offset rank reaches it, so the spread `(hosts − 1) · step`
+/// must fit inside the window with 32 blocks of slack for pipelining.
+fn stagger_step(blocks: u64, hosts: usize, window: usize) -> u64 {
+    let step = if window as u64 >= blocks {
+        blocks / hosts as u64
+    } else {
+        (window.saturating_sub(32) / hosts) as u64
+    };
+    debug_assert!(
+        step == 0 || (hosts as u64 - 1) * step < blocks,
+        "offsets wrap"
+    );
+    step
+}
+
 /// An admitted flow ready to be installed: the plan's tree, the ranks, the
 /// payload shape and the tuning every one of its programs is built from.
 #[derive(Debug)]
@@ -180,18 +205,7 @@ impl FlowWiring {
             return Err(SessionError::HostNotInPlan { host });
         }
         let blocks = shape.blocks(tuning);
-        // The per-rank stagger step (in blocks) that is safe under
-        // windowing. A block stays open until the largest-offset host
-        // reaches it, so the total offset spread must fit inside the
-        // window with slack left for pipelining; when the window already
-        // covers every block, staggering is unconstrained and hosts spread
-        // maximally (the paper's Section 5 bound delta <= delta_c <=
-        // delta*Z/N).
-        let step = if plan.window as u64 >= blocks {
-            (blocks / hosts.len() as u64).max(1)
-        } else {
-            (plan.window.saturating_sub(32) / hosts.len()) as u64
-        };
+        let step = stagger_step(blocks, hosts.len(), plan.window);
         Ok(Self {
             step,
             blocks,
@@ -483,6 +497,29 @@ impl SwitchRun {
 mod tests {
     use super::*;
     use flare_net::{LinkSpec, Topology};
+
+    #[test]
+    fn stagger_offsets_never_wrap_and_fit_the_window() {
+        for hosts in 1..=1_100usize {
+            for blocks in 1..=300u64 {
+                let b = blocks as usize;
+                for window in [1, 8, 31, 32, 33, 64, hosts + 64, b - 1, b, b + 1] {
+                    let step = stagger_step(blocks, hosts, window);
+                    let spread = (hosts as u64 - 1) * step;
+                    let fits = if (window as u64) < blocks {
+                        // Under 32 blocks of window there is no stagger.
+                        spread + 32 <= window as u64 || step == 0
+                    } else {
+                        step == blocks / hosts as u64
+                    };
+                    assert!(
+                        spread < blocks && fits,
+                        "{hosts} hosts, {blocks} blocks, window {window}: step {step}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn run_fabric_hands_the_fabric_back() {

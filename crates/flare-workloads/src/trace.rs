@@ -1,5 +1,5 @@
 //! On-disk arrival-trace loader: replay real cluster traces through the
-//! traffic engine (ROADMAP item 2c).
+//! traffic engine.
 //!
 //! A trace is CSV: an optional header line (detected by a non-numeric
 //! first field) followed by `arrival_ns,tenant,elems,iterations` rows.

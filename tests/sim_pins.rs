@@ -10,7 +10,13 @@
 //! `tests/thread_config.rs::sparse_same_instant_ties_split_one_lane_from_windowed`.
 //!
 //! Rows are grouped into `#[test]`s by debug-build cost (the harness runs
-//! two at a time): the three ~5 s rows get a test each.
+//! two at a time): the three ~5 s rows get a test each, and the 1 024-host
+//! row is `#[ignore]`d (run it optimised with `--ignored`).
+//!
+//! Dense fat-tree rows with more hosts than blocks are also checked
+//! against a closed form, not only against their pins: every host sends in
+//! block order, so the makespan is the root spine's serial pipeline plus
+//! one fill and one drain ([`Row::root_pipeline_ns`]).
 
 use flare::prelude::*;
 
@@ -57,6 +63,8 @@ struct Row {
     tails: Option<[u64; 2]>,
     /// The makespan under the windowed driver, where it differs.
     windowed_makespan_ns: Option<u64>,
+    /// The makespan must also equal [`Row::root_pipeline_ns`].
+    root_bound: bool,
 }
 
 fn row(payload: Payload, topo: Topo, hosts: usize, bytes_per_host: usize, want: [u64; 3]) -> Row {
@@ -71,6 +79,7 @@ fn row(payload: Payload, topo: Topo, hosts: usize, bytes_per_host: usize, want: 
         want,
         tails: None,
         windowed_makespan_ns: None,
+        root_bound: false,
     }
 }
 
@@ -91,6 +100,35 @@ impl Row {
     fn windowed(mut self, makespan_ns: u64) -> Self {
         self.windowed_makespan_ns = Some(makespan_ns);
         self
+    }
+
+    fn root_bound(self) -> Self {
+        Self {
+            root_bound: true,
+            ..self
+        }
+    }
+
+    /// The makespan of a dense fat-tree collective whose root spine's
+    /// serial pipeline is the bottleneck, with every host sending its
+    /// blocks in the same order: the first aggregate reaches the root
+    /// (a host→leaf hop, the leaf folding one packet per host, a leaf→root
+    /// hop), the root folds one packet per leaf per block back to back, and
+    /// the last result comes down (root→leaf, the leaf's service, leaf→host).
+    fn root_pipeline_ns(&self) -> u64 {
+        let link = LinkSpec::hundred_gig();
+        let SwitchModel::RateLimited(rate) = SwitchModel::calibrated() else {
+            unreachable!("the session default is the serial pipeline");
+        };
+        let epp = Tuning::default().elems_per_packet;
+        let wire = flare::core::wire::HEADER_BYTES + epp * 4;
+        let hop = link.serialize_ns(wire as u32) + link.latency_ns;
+        let service = (wire as f64 / rate).ceil() as u64;
+        let (per_leaf, blocks) = (8, (self.bytes_per_host / (epp * 4)) as u64);
+        let leaves = (self.hosts / per_leaf) as u64;
+        let fill = hop + per_leaf as u64 * service + hop;
+        let drain = hop + service + hop;
+        fill + leaves * blocks * service + drain
     }
 
     fn measure(&self) -> ([u64; 3], Option<[u64; 2]>) {
@@ -180,7 +218,12 @@ fn check(rows: &[Row]) {
             want.0[0] = ns;
         }
         let what = "([makespan ns, events, link bytes], fleet [p50, p99] ns)";
-        assert_eq!(row.measure(), want, "measured != pinned {what} for {row:?}");
+        let got = row.measure();
+        if row.root_bound {
+            let bound = row.root_pipeline_ns();
+            assert_eq!(got.0[0], bound, "makespan != root pipeline for {row:?}");
+        }
+        assert_eq!(got, want, "measured != pinned {what} for {row:?}");
     }
 }
 
@@ -198,7 +241,7 @@ fn cells_of_128_kib() {
         row(Sparse, FatTree,  32, 128 * KIB, [ 7_878,   9_216,  3_254_784]),
         // The host counts Canary and Swing evaluate at.
         row(Dense,  FatTree, 128, 128 * KIB, [22_481,  73_728, 38_338_560]),
-        row(Dense,  FatTree, 256, 128 * KIB, [23_969, 147_456, 76_677_120]),
+        row(Dense,  FatTree, 256, 128 * KIB, [13_451, 147_456, 76_677_120]).root_bound(),
         row(Dense,  FatTree,   8, 128 * KIB, [20_736,   5_120,  2_662_400]).hpu(),
         row(Sparse, Star,      8, 128 * KIB, [ 2_672,     832,    195_008]).hpu(),
         row(Sparse, FatTree,   8, 128 * KIB, [200_000,  1_168,    270_888]).loss(0.01),
@@ -210,7 +253,7 @@ fn cells_of_128_kib() {
 fn tenant_fleets() {
     check(&[
         row(Dense, FatTree, 8, 32 * KIB, [   95_469,  20_672,  10_649_600]).tenants(4, 6_752, 11_622),
-        row(Dense, FatTree, 8, 32 * KIB, [  257_627,  16_948,   8_359_496]).tenants(4, 13_981, 42_556).loss(0.01),
+        row(Dense, FatTree, 8, 32 * KIB, [  257_627,  17_154,   8_464_584]).tenants(4, 13_841, 27_727).loss(0.01),
         row(Dense, FatTree, 8, 64 * KIB, [  192_455,  82_304,  42_598_400]).tenants(8, 38_482, 39_340),
         row(Dense, FatTree, 8, 64 * KIB, [  837_755, 135_308,  67_050_048]).tenants(16, 104_023, 551_933).loss(0.01),
         row(Dense, FatTree, 8, 64 * KIB, [  715_817, 329_216, 170_393_600]).tenants(32, 167_605, 171_004),
@@ -257,4 +300,22 @@ fn dense_fat_tree_32_hosts_of_8_mib() {
 #[rustfmt::skip]
 fn dense_star_32_hosts_of_8_mib_hpu() {
     check(&[row(Dense, Star, 32, 8 * MIB, [694_924, 1_048_576, 545_259_520]).hpu()]);
+}
+
+/// `benchmark`'s `dense_scale` workload: more hosts than blocks, so every
+/// host sends its blocks in the same order and the root spine's pipeline
+/// is the whole cost.
+#[test]
+#[rustfmt::skip]
+fn dense_fat_tree_512_hosts_of_128_kib() {
+    check(&[row(Dense, FatTree, 512, 128 * KIB, [25_739, 294_912, 153_354_240]).root_bound()]);
+}
+
+/// The 1 024-host cell: seconds in a debug build, so it runs optimised
+/// with `--ignored`.
+#[test]
+#[ignore]
+#[rustfmt::skip]
+fn dense_fat_tree_1024_hosts_of_128_kib() {
+    check(&[row(Dense, FatTree, 1024, 128 * KIB, [50_315, 589_824, 306_708_480]).root_bound()]);
 }

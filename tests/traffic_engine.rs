@@ -327,7 +327,7 @@ fn parallel_epochs_agree_whichever_thread_recycles_a_payload() {
 
 #[test]
 fn disk_traces_replay_into_the_engine() {
-    // ROADMAP 2c end to end: a CSV trace on disk becomes tenant specs
+    // Trace replay end to end: a CSV trace on disk becomes tenant specs
     // becomes a run. Two tenants, interleaved arrivals, one backlogged.
     let dir = std::env::temp_dir().join(format!("flare_trace_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
