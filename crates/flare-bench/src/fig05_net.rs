@@ -1,8 +1,9 @@
-//! Figure 5 cross-validation of the **network simulator's** switch-compute
-//! subsystem: the same scheduling scenarios as [`crate::fig05`], but with
-//! the packets flowing through a real `NetSim` star whose switch runs
-//! [`SwitchModel::Hpu`], side by side with the closed-form Section 5 model
-//! and the PsPIN engine.
+//! The rows of Figure 5 ([`crate::fig05`] prints them): the three
+//! scheduling scenarios — queue build-up as a function of the subset size
+//! `S` and the intra-block interarrival `δc` — on the toy switch (K=4
+//! cores, τ=4, δ=1, P=4), computed three ways: the
+//! closed-form Section 5 model, a real `NetSim` star whose switch runs
+//! [`SwitchModel::Hpu`], and the PsPIN engine.
 //!
 //! All three implementations are driven from one parameter set
 //! ([`SwitchParams::figure5`], converted to an [`HpuParams`] for the DES

@@ -162,7 +162,7 @@ mod tests {
             (by_hand(kind, kib, stagger, seed), run.dense::<i32>(kind))
         });
         for (cell, (hand, run)) in cells.iter().zip(&reports) {
-            // `Report` has no `PartialEq`; its `Debug` prints all 17 fields
+            // `Report` has no `PartialEq`; its `Debug` prints all 12 fields
             // and every float in round-trip form.
             assert_eq!(format!("{run:?}"), format!("{hand:?}"), "{cell:?}");
         }

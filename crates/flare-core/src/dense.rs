@@ -2,11 +2,13 @@
 //!
 //! These are the *functional* state machines behind the three aggregation
 //! designs — single buffer (6.1), multiple buffers (6.2) and tree (6.3).
-//! They perform the real elementwise arithmetic; the cycle costs and lock
-//! serialization are modeled by the callers (the PsPIN handlers in
-//! `handlers.rs` and the network switch program in `switch_prog.rs`).
+//! A single buffer is the one-buffer case of [`MultiBufferBlock`]: one
+//! lock, contributions folded in arrival order. The blocks perform the
+//! real elementwise arithmetic; the cycle costs and lock serialization are
+//! modeled by the callers (the PsPIN handlers in `handlers.rs` and the
+//! network switch program in `switch_prog.rs`).
 //!
-//! All three deduplicate retransmitted packets with a per-child bitmap
+//! Both deduplicate retransmitted packets with a per-child bitmap
 //! (paper Section 4.1: "Flare can use a bitmap (with one bit per port)
 //! rather than a counter" so retransmissions are not aggregated twice).
 
@@ -146,75 +148,13 @@ fn accumulate<T: Element, O: ReduceOp<T>>(op: &O, acc: &mut [T], vals: &[T]) {
     }
 }
 
-/// Single shared aggregation buffer per block (Section 6.1).
-///
-/// The first packet is copied into the buffer; subsequent packets are
-/// folded in *arrival order*, so the aggregation order — and hence the
-/// result for order-sensitive operators — depends on packet timing.
-#[derive(Debug)]
-pub struct SingleBufferBlock<T> {
-    buf: Option<Vec<T>>,
-    seen: ChildBitmap,
-    expected: u16,
-}
-
-impl<T: Element> SingleBufferBlock<T> {
-    /// New block expecting one packet from each of `children` children.
-    pub fn new(children: u16) -> Self {
-        Self {
-            buf: None,
-            seen: ChildBitmap::new(children),
-            expected: children,
-        }
-    }
-
-    /// Fold one packet into the buffer (compatibility wrapper over
-    /// [`Self::insert_from`] with a throwaway pool).
-    pub fn insert<O: ReduceOp<T>>(&mut self, op: &O, child: u16, vals: &[T]) -> InsertReport<T> {
-        self.insert_from(op, child, vals, &mut BufferPool::new())
-    }
-
-    /// Fold one packet into the buffer, drawing the accumulation buffer
-    /// from `pool` on the first contribution.
-    pub fn insert_from<O: ReduceOp<T>, S: DenseSource<T> + ?Sized>(
-        &mut self,
-        op: &O,
-        child: u16,
-        vals: &S,
-        pool: &mut BufferPool<T>,
-    ) -> InsertReport<T> {
-        if !self.seen.set(child) {
-            return InsertReport::duplicate();
-        }
-        let mut allocated = 0;
-        match &mut self.buf {
-            None => {
-                let mut buf = pool.get(vals.len());
-                vals.append_to(&mut buf);
-                self.buf = Some(buf);
-                allocated = 1;
-            }
-            Some(acc) => vals.fold_into(op, acc),
-        }
-        let complete = self.seen.count() == self.expected;
-        InsertReport {
-            buffers_allocated: allocated,
-            buffers_freed: usize::from(complete),
-            merges: 0,
-            duplicate: false,
-            result: complete.then(|| self.buf.take().expect("buffer present")),
-        }
-    }
-
-    /// Children observed so far.
-    pub fn received(&self) -> u16 {
-        self.seen.count()
-    }
-}
-
 /// `B` interchangeable buffers per block (Section 6.2). The caller picks
 /// the buffer (whichever lock it acquired); the last packet folds the
 /// partial buffers together in index order.
+///
+/// With `B = 1` this is the single shared buffer of Section 6.1: the first
+/// packet is copied in and later ones are folded in *arrival order*, so
+/// the result of an order-sensitive operator depends on packet timing.
 #[derive(Debug)]
 pub struct MultiBufferBlock<T> {
     bufs: Vec<Option<Vec<T>>>,
@@ -449,13 +389,18 @@ mod tests {
         assert_eq!(bm.count(), 2);
     }
 
+    /// Section 6.1's design: the one-buffer multi-buffer block.
+    fn single_buffer(children: u16) -> MultiBufferBlock<i32> {
+        MultiBufferBlock::new(children, 1)
+    }
+
     #[test]
     fn single_buffer_reduces_correctly() {
         let data = inputs(4, 8);
-        let mut blk = SingleBufferBlock::new(4);
+        let mut blk = single_buffer(4);
         let mut result = None;
         for (c, v) in data.iter().enumerate() {
-            let r = blk.insert(&Sum, c as u16, v);
+            let r = blk.insert(&Sum, 0, c as u16, v);
             if let Some(res) = r.result {
                 result = Some(res);
             }
@@ -466,10 +411,10 @@ mod tests {
     #[test]
     fn single_buffer_first_packet_allocates_and_completion_frees() {
         let data = inputs(2, 4);
-        let mut blk = SingleBufferBlock::new(2);
-        let r0 = blk.insert(&Sum, 0, &data[0]);
+        let mut blk = single_buffer(2);
+        let r0 = blk.insert(&Sum, 0, 0, &data[0]);
         assert_eq!((r0.buffers_allocated, r0.buffers_freed), (1, 0));
-        let r1 = blk.insert(&Sum, 1, &data[1]);
+        let r1 = blk.insert(&Sum, 0, 1, &data[1]);
         assert_eq!((r1.buffers_allocated, r1.buffers_freed), (0, 1));
         assert!(r1.result.is_some());
     }
@@ -477,12 +422,12 @@ mod tests {
     #[test]
     fn single_buffer_ignores_retransmissions() {
         let data = inputs(3, 4);
-        let mut blk = SingleBufferBlock::new(3);
-        blk.insert(&Sum, 0, &data[0]);
-        let dup = blk.insert(&Sum, 0, &data[0]);
+        let mut blk = single_buffer(3);
+        blk.insert(&Sum, 0, 0, &data[0]);
+        let dup = blk.insert(&Sum, 0, 0, &data[0]);
         assert!(dup.duplicate);
-        blk.insert(&Sum, 1, &data[1]);
-        let fin = blk.insert(&Sum, 2, &data[2]);
+        blk.insert(&Sum, 0, 1, &data[1]);
+        let fin = blk.insert(&Sum, 0, 2, &data[2]);
         assert_eq!(fin.result.unwrap(), golden_reduce(&Sum, &data));
     }
 
@@ -578,10 +523,10 @@ mod tests {
         });
         let data = inputs(3, 2);
         let run = |order: &[u16]| {
-            let mut blk = SingleBufferBlock::new(3);
+            let mut blk = single_buffer(3);
             let mut out = None;
             for &c in order {
-                if let Some(r) = blk.insert(&op, c, &data[c as usize]).result {
+                if let Some(r) = blk.insert(&op, 0, c, &data[c as usize]).result {
                     out = Some(r);
                 }
             }

@@ -2,8 +2,8 @@
 //!
 //! Table 1 compares in-network allreduce systems along the three
 //! flexibility axes Flare targets: **F1** custom operators and data types,
-//! **F2** sparse data, **F3** reproducibility. The bench binary `table1`
-//! prints this matrix; the tests here tie Flare's row to capabilities the
+//! **F2** sparse data, **F3** reproducibility. `figures table1` prints
+//! this matrix; the tests here tie Flare's row to capabilities the
 //! code actually has.
 
 /// Degree of support, matching the paper's full/partial/none/unknown marks.

@@ -6,9 +6,9 @@
 //! paper's cycle costs drive the [`flare_pspin::HpuCtx`] cursor:
 //!
 //! * header parse: a fixed small cost,
-//! * dense aggregation: `CYCLES_PER_ELEM × elements` inside the buffer's
-//!   critical section (single/multi buffer) or lock-free after a 64-cycle
-//!   DMA leaf copy (tree),
+//! * dense aggregation: `CYCLES_PER_ELEM × elements` inside a buffer's
+//!   critical section (multi buffer, with a single buffer as its B = 1
+//!   case) or lock-free after a 64-cycle DMA leaf copy (tree),
 //! * sparse aggregation: per-element hash-insert / array-store costs from
 //!   `flare_model::sparse`, spill-buffer flushes emitted as extra traffic,
 //!   and the array's span scan paid at block completion,
@@ -18,7 +18,7 @@
 use flare_model::AggKind;
 use flare_pspin::{HpuCtx, PacketHandler, PspinPacket};
 
-use crate::dense::{InsertReport, MultiBufferBlock, SingleBufferBlock, TreeBlock};
+use crate::dense::{InsertReport, MultiBufferBlock, TreeBlock};
 use crate::dtype::Element;
 use crate::op::ReduceOp;
 use crate::pool::{BufferPool, PoolStats};
@@ -48,8 +48,8 @@ pub struct DenseHandlerConfig {
     pub capture_results: bool,
 }
 
-/// One open dense block: the Section 6 design in use, and where its
-/// aggregation buffer lives.
+/// One open dense block: the Section 6 design in use (a single buffer is
+/// the one-buffer multi buffer), and where its aggregation buffer lives.
 struct DenseBlock<T> {
     state: DenseBlockState<T>,
     /// The buffer lives in the L1 of the first cluster that touches the
@@ -59,7 +59,6 @@ struct DenseBlock<T> {
 }
 
 enum DenseBlockState<T> {
-    Single(SingleBufferBlock<T>),
     Multi(MultiBufferBlock<T>),
     Tree(TreeBlock<T>),
 }
@@ -80,28 +79,20 @@ impl<T: Element> DenseStorage<T> for DenseBlock<T> {
         let remote_factor = remote(ctx, home);
         let scaled = move |cycles: u64| cycles * remote_factor;
         match &mut self.state {
-            DenseBlockState::Single(blk) => {
-                // Critical section around the shared buffer (Section 6.1).
-                ctx.acquire_any(&[(block, 0)], scaled(l_agg));
-                let r = blk.insert_from(op, child, vals, pool);
-                if r.result.is_some() {
-                    ctx.release_buffer((block, 0));
-                }
-                r
-            }
             DenseBlockState::Multi(blk) => {
-                let b = blk.buffers();
-                let candidates: Vec<(u64, u32)> = (0..b as u32).map(|i| (block, i)).collect();
-                let chosen = ctx.acquire_any(&candidates, scaled(l_agg));
-                let r = blk.insert_from(op, chosen, child, vals, pool);
+                // Critical section around whichever of the B buffers frees
+                // first (Sections 6.1 and 6.2).
+                let buffers = 0..blk.buffers() as u32;
+                let lock = ctx.acquire_any(buffers.clone().map(|i| (block, i)), scaled(l_agg));
+                let r = blk.insert_from(op, lock.1 as usize, child, vals, pool);
                 if r.merges > 0 {
                     // Final fold of the B−1 other buffers (Section 6.2),
                     // still inside the critical section.
-                    ctx.extend_hold(candidates[chosen], scaled(r.merges as u64 * l_agg));
+                    ctx.extend_hold(lock, scaled(r.merges as u64 * l_agg));
                 }
                 if r.result.is_some() {
-                    for c in candidates {
-                        ctx.release_buffer(c);
+                    for i in buffers {
+                        ctx.release_buffer((block, i));
                     }
                 }
                 r
@@ -184,7 +175,7 @@ impl<T: Element, O: ReduceOp<T>> PacketHandler for DenseAllreduceHandler<T, O> {
             state: match (spare, algorithm) {
                 (Some(shell), _) => shell.state,
                 (None, AggKind::SingleBuffer) => {
-                    DenseBlockState::Single(SingleBufferBlock::new(children))
+                    DenseBlockState::Multi(MultiBufferBlock::new(children, 1))
                 }
                 (None, AggKind::MultiBuffer(b)) => {
                     DenseBlockState::Multi(MultiBufferBlock::new(children, b))

@@ -27,8 +27,9 @@
 //!   direct-mapped slot almost always hits. The table starts small and
 //!   doubles on a would-be collision up to its full size, so it holds
 //!   about as many slots as the span of open ids; collisions at full size
-//!   fall back to an overflow map, and ids below the retirement floor are
-//!   rejected as out-of-window.
+//!   fall back to an overflow map. The slab knows nothing of retirement:
+//!   a late packet for a finished block is turned away by
+//!   [`RetirementFloor`] before it reaches the slab.
 
 use std::collections::HashMap;
 
@@ -244,9 +245,6 @@ impl<P> ReplayRing<P> {
 /// duplicate/late-packet rejection. Out-of-order completions (bounded by
 /// the sender window) wait in a sorted vector consulted by binary search
 /// until the floor catches up.
-///
-/// Feed the returned floor to [`BlockSlab::set_floor`] so the slab
-/// rejects retired ids on the same comparison.
 #[derive(Debug, Default)]
 pub struct RetirementFloor {
     floor: u64,
@@ -310,8 +308,6 @@ pub struct SlabStats {
     pub direct: u64,
     /// Lookups that fell back to the overflow map (slot collision).
     pub collisions: u64,
-    /// Accesses rejected because the block id was below the floor.
-    pub stale_rejected: u64,
 }
 
 /// Open-block storage indexed by `block % slots` with an overflow map.
@@ -330,7 +326,6 @@ pub struct BlockSlab<V> {
     /// The slot count growth stops at.
     max_slots: usize,
     overflow: HashMap<u64, V>,
-    floor: u64,
     len: usize,
     stats: SlabStats,
 }
@@ -352,7 +347,6 @@ impl<V> BlockSlab<V> {
             slots: (0..slots).map(|_| None).collect(),
             max_slots,
             overflow: HashMap::new(),
-            floor: 0,
             len: 0,
             stats: SlabStats::default(),
         }
@@ -401,48 +395,8 @@ impl<V> BlockSlab<V> {
         self.stats
     }
 
-    /// The retirement floor: ids below it are out of the window.
-    pub fn floor(&self) -> u64 {
-        self.floor
-    }
-
-    /// Raise the retirement floor; future accesses to ids below it are
-    /// rejected (returns `None`). Open entries below the floor are
-    /// dropped. The floor never moves backwards.
-    ///
-    /// Costs O(floor advance), not O(slots): every open id is at or above
-    /// the old floor, so an entry the new floor drops sits in the slot of
-    /// an id in `[old floor, new floor)` or in the overflow map.
-    pub fn set_floor(&mut self, floor: u64) {
-        if floor <= self.floor {
-            return;
-        }
-        let old = std::mem::replace(&mut self.floor, floor);
-        if self.len == 0 {
-            return;
-        }
-        let span = (floor - old).min(self.slots.len() as u64);
-        for id in old..old + span {
-            let i = self.idx(id);
-            if self.slots[i].as_ref().is_some_and(|(b, _)| *b < floor) {
-                self.slots[i] = None;
-                self.len -= 1;
-            }
-        }
-        if !self.overflow.is_empty() {
-            let before = self.overflow.len();
-            self.overflow.retain(|b, _| *b >= floor);
-            self.len -= before - self.overflow.len();
-        }
-    }
-
-    /// The open entry for `block`, or `None` when it is not open (or is
-    /// below the floor).
+    /// The open entry for `block`, or `None` when it is not open.
     pub fn get_mut(&mut self, block: u64) -> Option<&mut V> {
-        if block < self.floor {
-            self.stats.stale_rejected += 1;
-            return None;
-        }
         let i = self.idx(block);
         match &self.slots[i] {
             Some((b, _)) if *b == block => {
@@ -460,14 +414,7 @@ impl<V> BlockSlab<V> {
     }
 
     /// The open entry for `block`, creating it with `make` if absent.
-    /// Returns `None` (without calling `make`) when `block` is below the
-    /// floor — the caller treats that as a late packet for a retired
-    /// block.
-    pub fn get_or_insert_with(&mut self, block: u64, make: impl FnOnce() -> V) -> Option<&mut V> {
-        if block < self.floor {
-            self.stats.stale_rejected += 1;
-            return None;
-        }
+    pub fn get_or_insert_with(&mut self, block: u64, make: impl FnOnce() -> V) -> &mut V {
         self.grow_for(block);
         let i = self.idx(block);
         let state = match &self.slots[i] {
@@ -478,7 +425,7 @@ impl<V> BlockSlab<V> {
         match state {
             0 => {
                 self.stats.direct += 1;
-                Some(&mut self.slots[i].as_mut().expect("matched").1)
+                &mut self.slots[i].as_mut().expect("matched").1
             }
             1 => {
                 // The slot is free, but the block may already live in the
@@ -493,7 +440,7 @@ impl<V> BlockSlab<V> {
                     self.len += 1;
                     self.slots[i] = Some((block, make()));
                 }
-                Some(&mut self.slots[i].as_mut().expect("inserted").1)
+                &mut self.slots[i].as_mut().expect("inserted").1
             }
             _ => {
                 self.stats.collisions += 1;
@@ -501,17 +448,13 @@ impl<V> BlockSlab<V> {
                 if matches!(entry, std::collections::hash_map::Entry::Vacant(_)) {
                     self.len += 1;
                 }
-                Some(entry.or_insert_with(make))
+                entry.or_insert_with(make)
             }
         }
     }
 
     /// Close `block`, handing its state back (slot or overflow).
     pub fn remove(&mut self, block: u64) -> Option<V> {
-        if block < self.floor {
-            self.stats.stale_rejected += 1;
-            return None;
-        }
         let i = self.idx(block);
         if self.slots[i].as_ref().is_some_and(|(b, _)| *b == block) {
             self.len -= 1;
@@ -624,7 +567,7 @@ mod tests {
     fn slab_stores_and_removes_without_collisions() {
         let mut slab: BlockSlab<u32> = BlockSlab::new(8);
         for b in 0..8u64 {
-            *slab.get_or_insert_with(b, || 0).unwrap() = b as u32;
+            *slab.get_or_insert_with(b, || 0) = b as u32;
         }
         assert_eq!(slab.len(), 8);
         assert_eq!(slab.stats().collisions, 0);
@@ -640,7 +583,7 @@ mod tests {
         // ids through an 8-slot slab; every id reuses slots mod 8.
         let mut slab: BlockSlab<u64> = BlockSlab::new(8);
         for b in 0..100u64 {
-            slab.get_or_insert_with(b, || b).unwrap();
+            slab.get_or_insert_with(b, || b);
             if b >= 4 {
                 assert_eq!(slab.remove(b - 4), Some(b - 4));
             }
@@ -652,8 +595,8 @@ mod tests {
     #[test]
     fn slab_collisions_fall_back_to_overflow_correctly() {
         let mut slab: BlockSlab<&'static str> = BlockSlab::new(4);
-        slab.get_or_insert_with(1, || "a").unwrap();
-        slab.get_or_insert_with(5, || "b").unwrap(); // 5 % 4 == 1: collides
+        slab.get_or_insert_with(1, || "a");
+        slab.get_or_insert_with(5, || "b"); // 5 % 4 == 1: collides
         assert_eq!(slab.len(), 2);
         assert!(slab.stats().collisions > 0);
         assert_eq!(*slab.get_mut(1).unwrap(), "a");
@@ -668,93 +611,14 @@ mod tests {
         // closes, a later get_or_insert_with for Y must find Y's existing
         // state (migrated into the slot), not open a duplicate.
         let mut slab: BlockSlab<u32> = BlockSlab::new(4);
-        slab.get_or_insert_with(1, || 10).unwrap(); // slot 1
-        *slab.get_or_insert_with(5, || 0).unwrap() = 50; // 5 % 4 == 1: overflow
+        slab.get_or_insert_with(1, || 10); // slot 1
+        *slab.get_or_insert_with(5, || 0) = 50; // 5 % 4 == 1: overflow
         assert_eq!(slab.remove(1), Some(10)); // slot 1 now free
-        let y = slab.get_or_insert_with(5, || 999).unwrap();
+        let y = slab.get_or_insert_with(5, || 999);
         assert_eq!(*y, 50, "must migrate the live overflow entry, not make()");
         assert_eq!(slab.len(), 1);
         assert_eq!(slab.remove(5), Some(50));
         assert!(slab.is_empty());
-    }
-
-    #[test]
-    fn slab_rejects_ids_below_the_floor() {
-        let mut slab: BlockSlab<u8> = BlockSlab::new(8);
-        slab.get_or_insert_with(3, || 1).unwrap();
-        slab.get_or_insert_with(9, || 2).unwrap();
-        slab.set_floor(8);
-        assert_eq!(slab.len(), 1, "entries below the floor are dropped");
-        assert!(slab.get_or_insert_with(3, || 9).is_none());
-        assert!(slab.get_mut(3).is_none());
-        assert!(slab.remove(3).is_none());
-        assert_eq!(slab.stats().stale_rejected, 3);
-        assert_eq!(*slab.get_mut(9).unwrap(), 2);
-        // The floor never moves backwards.
-        slab.set_floor(2);
-        assert_eq!(slab.floor(), 8);
-    }
-
-    /// The full-scan `set_floor` the O(advance) one replaced, as a model
-    /// over a plain map: drop every entry below the new floor.
-    #[derive(Default)]
-    struct NaiveSlab {
-        open: HashMap<u64, u32>,
-        floor: u64,
-    }
-
-    impl NaiveSlab {
-        fn set_floor(&mut self, floor: u64) {
-            if floor > self.floor {
-                self.floor = floor;
-                self.open.retain(|b, _| *b >= floor);
-            }
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        // Opens, closes and floor raises over a 4-slot slab with ids
-        // spread over 0..40: most opens collide and live in the overflow
-        // map, floors jump past abandoned entries in both places and by
-        // more than the slot count.
-        #[test]
-        fn slab_set_floor_matches_the_full_scan_model(
-            ops in proptest::collection::vec((0u8..4, 0u64..40), 0..120),
-        ) {
-            let mut slab: BlockSlab<u32> = BlockSlab::new(4);
-            let mut model = NaiveSlab::default();
-            for (step, &(op, id)) in ops.iter().enumerate() {
-                let step = step as u32;
-                match op {
-                    0 | 1 => {
-                        let got = slab.get_or_insert_with(id, || step).copied();
-                        let want = (id >= model.floor)
-                            .then(|| *model.open.entry(id).or_insert(step));
-                        prop_assert_eq!(got, want);
-                    }
-                    2 => {
-                        let want = if id >= model.floor { model.open.remove(&id) } else { None };
-                        prop_assert_eq!(slab.remove(id), want);
-                    }
-                    _ => {
-                        // Raise by up to 9 from the current floor (and
-                        // sometimes not at all: the floor never retreats).
-                        let floor = model.floor.saturating_sub(2) + id % 12;
-                        slab.set_floor(floor);
-                        model.set_floor(floor);
-                    }
-                }
-                prop_assert_eq!(slab.floor(), model.floor);
-                prop_assert_eq!(slab.len(), model.open.len());
-                let mut got: Vec<(u64, u32)> = slab.iter().map(|(b, v)| (b, *v)).collect();
-                let mut want: Vec<(u64, u32)> = model.open.iter().map(|(b, v)| (*b, *v)).collect();
-                got.sort_unstable();
-                want.sort_unstable();
-                prop_assert_eq!(got, want);
-            }
-        }
     }
 
     #[test]
@@ -797,24 +661,6 @@ mod tests {
         assert_eq!(r.floor(), 1);
     }
 
-    #[test]
-    fn retirement_floor_matches_slab_rejection() {
-        // The floor handed to BlockSlab::set_floor makes the slab reject
-        // exactly the contiguously retired prefix.
-        let mut r = RetirementFloor::new();
-        let mut slab: BlockSlab<u8> = BlockSlab::new(8);
-        for b in [0u64, 1, 2] {
-            slab.get_or_insert_with(b, || b as u8).unwrap();
-        }
-        for b in [0u64, 1] {
-            slab.remove(b);
-            slab.set_floor(r.retire(b));
-        }
-        assert!(slab.get_or_insert_with(0, || 9).is_none());
-        assert!(slab.get_or_insert_with(1, || 9).is_none());
-        assert_eq!(*slab.get_mut(2).unwrap(), 2);
-    }
-
     /// A slab holding its full slot count from the start, as every slab
     /// did before tables grew.
     fn full_size<V>(min_slots: usize) -> BlockSlab<V> {
@@ -829,60 +675,40 @@ mod tests {
         assert_eq!(slab.allocated_slots(), BlockSlab::<u64>::INITIAL_SLOTS);
         // Eight ids across the wrap of 8, 16 and 32 slots fit in 8.
         for b in 29..37u64 {
-            slab.get_or_insert_with(b, || b).unwrap();
+            slab.get_or_insert_with(b, || b);
         }
         assert_eq!(slab.allocated_slots(), 8);
         // 37 would take 29's slot: the table doubles instead.
-        slab.get_or_insert_with(37, || 37).unwrap();
+        slab.get_or_insert_with(37, || 37);
         assert_eq!(slab.allocated_slots(), 16);
         for b in 29..38u64 {
             assert_eq!(slab.get_mut(b).copied(), Some(b), "rehashed {b}");
         }
         // A span of 100 open ids needs 128 slots, never more.
         for b in 38..129u64 {
-            slab.get_or_insert_with(b, || b).unwrap();
+            slab.get_or_insert_with(b, || b);
         }
         assert_eq!((slab.len(), slab.allocated_slots()), (100, 128));
         assert_eq!(slab.stats().collisions, 0);
         // Capped at the created size: then the overflow map, as before.
         let mut small: BlockSlab<u64> = BlockSlab::new(16);
         for b in 0..20u64 {
-            small.get_or_insert_with(b, || b).unwrap();
+            small.get_or_insert_with(b, || b);
         }
         assert_eq!(small.allocated_slots(), 16);
         assert_eq!(small.stats().collisions, 4);
         assert_eq!(small.len(), 20);
     }
 
-    #[test]
-    fn slab_floor_advances_across_a_doubling() {
-        let mut slab: BlockSlab<u64> = BlockSlab::new(64);
-        for b in 0..8u64 {
-            slab.get_or_insert_with(b, || b).unwrap();
-        }
-        slab.set_floor(3);
-        for b in 8..13u64 {
-            slab.get_or_insert_with(b, || b).unwrap(); // 11 meets 3: doubles
-        }
-        assert_eq!(slab.allocated_slots(), 16);
-        slab.set_floor(10);
-        let mut open: Vec<u64> = slab.iter().map(|(b, _)| b).collect();
-        open.sort_unstable();
-        assert_eq!(open, [10, 11, 12]);
-        assert_eq!(slab.len(), 3);
-        assert!(slab.get_or_insert_with(9, || 9).is_none());
-        assert_eq!(slab.stats().stale_rejected, 1);
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        // Opens, look-ups, closes and floor raises over ids 0..300 in a
-        // slab of 64: growth from 8 slots is invisible in every answer,
-        // every counter and the open set.
+        // Opens, look-ups and closes over ids 0..300 in a slab of 64:
+        // growth from 8 slots is invisible in every answer, every counter
+        // and the open set.
         #[test]
         fn growing_slab_matches_a_full_size_one(
-            ops in proptest::collection::vec((0u8..5, 0u64..300), 0..200),
+            ops in proptest::collection::vec((0u8..4, 0u64..300), 0..200),
         ) {
             let mut slab: BlockSlab<u32> = BlockSlab::new(64);
             let mut full: BlockSlab<u32> = full_size(64);
@@ -890,16 +716,11 @@ mod tests {
                 let step = step as u32;
                 match op {
                     0 | 1 => prop_assert_eq!(
-                        slab.get_or_insert_with(id, || step).copied(),
-                        full.get_or_insert_with(id, || step).copied()
+                        *slab.get_or_insert_with(id, || step),
+                        *full.get_or_insert_with(id, || step)
                     ),
                     2 => prop_assert_eq!(slab.get_mut(id).copied(), full.get_mut(id).copied()),
-                    3 => prop_assert_eq!(slab.remove(id), full.remove(id)),
-                    _ => {
-                        let floor = slab.floor() + id % 24;
-                        slab.set_floor(floor);
-                        full.set_floor(floor);
-                    }
+                    _ => prop_assert_eq!(slab.remove(id), full.remove(id)),
                 }
                 prop_assert_eq!(slab.stats(), full.stats());
                 prop_assert_eq!(slab.len(), full.len());
@@ -915,8 +736,8 @@ mod tests {
     #[test]
     fn slab_iter_covers_slots_and_overflow() {
         let mut slab: BlockSlab<u8> = BlockSlab::new(2);
-        slab.get_or_insert_with(0, || 10).unwrap();
-        slab.get_or_insert_with(2, || 20).unwrap(); // collides with 0
+        slab.get_or_insert_with(0, || 10);
+        slab.get_or_insert_with(2, || 20); // collides with 0
         let mut seen: Vec<(u64, u8)> = slab.iter().map(|(b, v)| (b, *v)).collect();
         seen.sort_unstable();
         assert_eq!(seen, vec![(0, 10), (2, 20)]);

@@ -2,12 +2,12 @@
 //!
 //! A block's life on a switch is the same wherever the switch is modeled:
 //! *admit* the packet (a retired block's retransmission is a *poke*,
-//! answered from the replay entry; an id below the slab floor is dropped;
-//! anything else opens a block from a spare shell), *reject* the duplicate
-//! (child bitmap dense, shard sequence sparse — paper Section 4.1), *fold*,
-//! and on completion *retire* the block, raise the slab floor, encode the
-//! aggregate once, send it up — or, at the root, down to every child by
-//! refcount — and keep it for replays only on lossy fabrics.
+//! answered from the replay entry; anything else opens a block from a
+//! spare shell), *reject* the duplicate (child bitmap dense, shard
+//! sequence sparse — paper Section 4.1), *fold*, and on completion
+//! *retire* the block, encode the aggregate once, send it up — or, at the
+//! root, down to every child by refcount — and keep it for replays only on
+//! lossy fabrics.
 //!
 //! [`DenseCore`] and [`SparseCore`] are that lifecycle over one
 //! [`BlockTable`]; the NetSim programs in [`crate::switch_prog`] and the
@@ -150,9 +150,9 @@ impl<'c> Side<'_, 'c> {
         }
     }
 
-    fn complete(&mut self, block: u64) {
+    fn complete(&mut self) {
         if let Some(ctx) = self.hpu() {
-            ctx.complete_block(block);
+            ctx.complete_block();
         }
     }
 
@@ -166,7 +166,7 @@ impl<'c> Side<'_, 'c> {
                 SparseStore::Array(_) => cycles::ARRAY_STORE_CYCLES,
             };
             let hold = (pairs as f64 * per_pair).ceil() as u64 + 1;
-            ctx.acquire_any(&[(block, 0)], hold * remote(ctx, b.home_cluster));
+            ctx.acquire_any([(block, 0)], hold * remote(ctx, b.home_cluster));
         }
     }
 
@@ -285,10 +285,10 @@ impl<R> LossRecovery<R> {
 }
 
 /// The state every block lifecycle shares: open blocks in a direct-mapped
-/// slab that grows with the span of open ids, the retirement floor
-/// mirrored into the slab (late packets are
-/// rejected on a comparison, not a hash probe), finished shells kept for
-/// reuse, and — on a lossy fabric only — the replay entries.
+/// slab that grows with the span of open ids, the retirement floor (late
+/// packets are rejected on a comparison before they reach the slab),
+/// finished shells kept for reuse, and — on a lossy fabric only — the
+/// replay entries.
 pub(crate) struct BlockTable<B, R> {
     /// Children of this switch in the reduction tree.
     children: u16,
@@ -381,17 +381,14 @@ impl<B, R: Replay> BlockTable<B, R> {
             opened = true;
             open(spare.pop())
         });
-        // `None`: below the slab floor, so retired too.
-        entry.map(|b| (b, opened))
+        Some((entry, opened))
     }
 
-    /// Close `block`: out of the slab, retired, slab floor raised in
-    /// lockstep. The shell comes back for the caller to strip and
-    /// [`park`](Self::park).
+    /// Close `block`: out of the slab and retired. The shell comes back for
+    /// the caller to strip and [`park`](Self::park).
     fn retire(&mut self, block: u64) -> B {
         let shell = self.open.remove(block).expect("retiring an open block");
-        let floor = self.retired.retire(block);
-        self.open.set_floor(floor);
+        self.retired.retire(block);
         shell
     }
 
@@ -550,7 +547,7 @@ impl<T: Element, O: ReduceOp<T>, D: DenseStorage<T>> DenseCore<T, O, D> {
         if let Some(lossy) = &mut self.table.lossy {
             lossy.replay.put(block, payload.into());
         }
-        side.complete(block);
+        side.complete();
         match capture {
             Some(results) => results.push((block, result)),
             None => self.val_pool.put(result),
@@ -874,7 +871,7 @@ impl<T: Element, O: ReduceOp<T>> SparseCore<T, O> {
                 entry.up = sent;
             }
         }
-        side.complete(block);
+        side.complete();
         match capture {
             Some(results) => {
                 result.sort_unstable_by_key(|&(i, _)| i);

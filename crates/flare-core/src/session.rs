@@ -97,6 +97,9 @@ pub enum SessionError {
     /// re-arm itself at the same instant forever, flooding the event
     /// queue without simulated time ever advancing.
     ZeroRetransmitTimeout,
+    /// [`Tuning::telemetry`] was set with `bucket_ns: 0`: a utilization
+    /// bucket must span at least one nanosecond.
+    ZeroTelemetryBucket,
     /// [`Tuning::link_drop_prob`] is not a probability a run can finish
     /// under: at 1 or above every packet is dropped and the hosts
     /// retransmit for ever; below 0 or NaN would silently run lossless.
@@ -171,6 +174,9 @@ impl std::fmt::Display for SessionError {
                     f,
                     "retransmit_after = Some(0): a zero-delay timer would loop without advancing time"
                 )
+            }
+            SessionError::ZeroTelemetryBucket => {
+                write!(f, "telemetry bucket_ns = 0: a bucket spans at least 1 ns")
             }
             SessionError::InvalidDropProbability { given } => {
                 write!(f, "link_drop_prob = {given}: expected a value in [0, 1)")
@@ -308,7 +314,8 @@ pub struct Tuning {
     /// timelines and flow-lifecycle trace events, returned as
     /// [`RunReport::trace`]. Capture never perturbs the schedule:
     /// makespans and results are bit-identical with telemetry on or off,
-    /// at any thread count.
+    /// at any thread count. A zero `bucket_ns` is rejected at
+    /// [`Collective::run`] with [`SessionError::ZeroTelemetryBucket`].
     pub telemetry: Option<TelemetryConfig>,
 }
 
@@ -359,6 +366,9 @@ impl Tuning {
             // A zero-delay timer re-arms at the same instant forever,
             // flooding the event queue without time ever advancing.
             return Err(SessionError::ZeroRetransmitTimeout);
+        }
+        if tuning.telemetry.is_some_and(|t| t.bucket_ns == 0) {
+            return Err(SessionError::ZeroTelemetryBucket);
         }
         if !(0.0..1.0).contains(&tuning.link_drop_prob) {
             return Err(SessionError::InvalidDropProbability {
@@ -1318,6 +1328,19 @@ mod tests {
             .run()
             .unwrap_err();
         assert_eq!(err, SessionError::ZeroRetransmitTimeout);
+    }
+
+    #[test]
+    fn zero_telemetry_bucket_is_rejected_up_front() {
+        let (topo, _sw, _hosts) = Topology::star(3, LinkSpec::hundred_gig());
+        let mut session = FlareSession::builder(topo)
+            .telemetry(flare_net::TelemetryConfig { bucket_ns: 0 })
+            .build();
+        let err = session
+            .allreduce(vec![vec![1i32; 64]; 3])
+            .run()
+            .unwrap_err();
+        assert_eq!(err, SessionError::ZeroTelemetryBucket);
     }
 
     #[test]

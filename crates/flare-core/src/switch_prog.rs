@@ -104,7 +104,6 @@ impl std::ops::AddAssign for ProgramStats {
         }
         self.slab.direct += other.slab.direct;
         self.slab.collisions += other.slab.collisions;
-        self.slab.stale_rejected += other.slab.stale_rejected;
         self.recovery.pokes += other.recovery.pokes;
         self.recovery.resends_up += other.recovery.resends_up;
         self.recovery.replays_down += other.recovery.replays_down;

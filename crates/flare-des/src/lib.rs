@@ -13,9 +13,7 @@
 //! * [`Simulator`] and the [`run`]/[`run_until`] drivers, plus
 //!   [`run_batched`]/[`run_batched_until`] which deliver whole
 //!   equal-timestamp batches per queue operation,
-//! * a statistics toolkit ([`stats`]) for counters, time-weighted occupancy
-//!   integrals (used for the paper's input-buffer and working-memory plots),
-//!   and log2 histograms,
+//! * partitioned parallel runs with conservative lookahead ([`partition`]),
 //! * deterministic random-variate helpers ([`rng`]) including the
 //!   exponential interarrival sampling the paper uses to model host and
 //!   network jitter.
@@ -30,7 +28,6 @@ pub mod heap;
 pub mod partition;
 pub mod queue;
 pub mod rng;
-pub mod stats;
 
 pub use partition::{run_parallel, run_parallel_until, Outbox, Partition, PartitionSim};
 pub use queue::{EventQueue, Simulator};

@@ -29,8 +29,6 @@ pub struct SwitchParams {
     pub dma_copy_cycles: f64,
     /// Core clock in GHz (1 cycle == 1 ns at the default 1 GHz).
     pub clock_ghz: f64,
-    /// L1 scratchpad per cluster in bytes (working memory).
-    pub l1_bytes_per_cluster: usize,
     /// L2 packet memory in bytes (input buffers).
     pub l2_packet_bytes: usize,
 }
@@ -53,17 +51,7 @@ impl SwitchParams {
             cycles_per_elem: 4.0,
             dma_copy_cycles: 64.0,
             clock_ghz: 1.0,
-            l1_bytes_per_cluster: MIB_USIZE,
             l2_packet_bytes: 4 * MIB_USIZE,
-        }
-    }
-
-    /// The configuration actually simulated in the paper's PsPIN RTL runs
-    /// (4 clusters), whose results are scaled linearly to `paper()`.
-    pub fn rtl_sim() -> Self {
-        Self {
-            clusters: 4,
-            ..Self::paper()
         }
     }
 
@@ -84,7 +72,6 @@ impl SwitchParams {
             cycles_per_elem: 4.0,
             dma_copy_cycles: 0.0,
             clock_ghz: 1.0,
-            l1_bytes_per_cluster: 1024,
             l2_packet_bytes: 1 << 20,
         }
     }
@@ -149,15 +136,7 @@ mod tests {
         assert_eq!(p.elems_per_packet(), 256);
         assert_eq!(p.l_cycles(), 1024.0);
         assert_eq!(p.line_rate_delta(), 2.0);
-        assert_eq!(p.l1_bytes_per_cluster, 1024 * 1024);
         assert_eq!(p.l2_packet_bytes, 4 * 1024 * 1024);
-    }
-
-    #[test]
-    fn rtl_sim_is_four_clusters() {
-        let p = SwitchParams::rtl_sim();
-        assert_eq!(p.clusters, 4);
-        assert_eq!(p.cores(), 32);
     }
 
     #[test]

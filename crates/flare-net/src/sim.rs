@@ -374,8 +374,7 @@ macro_rules! ctx_common {
                 self.node
             }
 
-            /// Send `pkt` towards `pkt.dst` via the routing tables at time
-            /// `at` (≥ now).
+            /// Send `pkt` towards `pkt.dst` via the routing tables, now.
             pub fn send(&mut self, pkt: NetPacket) {
                 self.send_at(self.now, pkt);
             }
@@ -680,8 +679,12 @@ impl NetSim {
     /// [`crate::telemetry`]); extract results with
     /// [`take_telemetry`](Self::take_telemetry). Capture never perturbs
     /// simulated timestamps — with or without it, makespans are
-    /// bit-identical.
+    /// bit-identical. A zero `bucket_ns` is taken as 1 ns, for recording
+    /// and export alike.
     pub fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
+        let cfg = TelemetryConfig {
+            bucket_ns: cfg.bucket_ns.max(1),
+        };
         let sink =
             crate::telemetry::TelemetrySink::new(cfg, self.lane.nodes.len(), self.lane.dirs.len());
         self.lane.telemetry = Telemetry::On(Box::new(sink));
@@ -1458,6 +1461,31 @@ mod tests {
         let events = crate::telemetry::validate_chrome_trace(&want.chrome_trace())
             .expect("trace must validate");
         assert!(events > 0);
+    }
+
+    /// A zero bucket width records and exports 1 ns buckets: every
+    /// transmit of one direction starts in its own bucket.
+    #[test]
+    fn zero_width_buckets_export_distinct_increasing_starts() {
+        let (topo, _sw, hosts) = Topology::star(2, spec());
+        let mut sim = NetSim::new(topo, 1);
+        let sender = TracingSender {
+            peer: hosts[1],
+            count: 4,
+        };
+        sim.install_host(hosts[0], Box::new(sender));
+        sim.enable_telemetry(TelemetryConfig { bucket_ns: 0 });
+        sim.run(None);
+        let csv = sim.take_telemetry().expect("enabled").utilization_csv();
+        // The sender's uplink is link 0, direction 0.
+        let starts: Vec<u64> = csv
+            .lines()
+            .skip(1)
+            .filter(|row| row.starts_with("0,0,"))
+            .map(|row| row.split(',').nth(4).unwrap().parse().unwrap())
+            .collect();
+        assert_eq!(starts.len(), 4, "{csv}");
+        assert!(starts.windows(2).all(|w| w[0] < w[1]), "{starts:?}");
     }
 
     #[test]

@@ -42,7 +42,8 @@ use crate::topology::Topology;
 /// Configuration for [`crate::NetSim`] telemetry capture.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetryConfig {
-    /// Width of the per-link-direction utilization buckets, in ns.
+    /// Width of the per-link-direction utilization buckets, in ns
+    /// ([`crate::NetSim::enable_telemetry`] takes 0 as 1).
     pub bucket_ns: Time,
 }
 
@@ -184,7 +185,7 @@ impl TelemetrySink {
 
     #[inline]
     fn record_tx(&mut self, slot: usize, start: Time, bytes: u64, dropped: bool) {
-        let index = start / self.cfg.bucket_ns.max(1);
+        let index = start / self.cfg.bucket_ns;
         self.dirs[slot].record(index, bytes, dropped);
     }
 
@@ -457,8 +458,7 @@ impl TelemetryReport {
                 let (src, dst) = if d == 0 { (lt.a, lt.b) } else { (lt.b, lt.a) };
                 let name = format!("link{} n{}-\\u003en{}", lt.link, src, dst);
                 for bucket in &series.buckets {
-                    let util =
-                        bucket.bytes as f64 / (lt.bytes_per_ns * self.bucket_ns.max(1) as f64);
+                    let util = bucket.bytes as f64 / (lt.bytes_per_ns * self.bucket_ns as f64);
                     push(
                         &mut out,
                         &mut first,
@@ -537,8 +537,7 @@ impl TelemetryReport {
             for (d, series) in lt.dirs.iter().enumerate() {
                 let (src, dst) = if d == 0 { (lt.a, lt.b) } else { (lt.b, lt.a) };
                 for bucket in &series.buckets {
-                    let util =
-                        bucket.bytes as f64 / (lt.bytes_per_ns * self.bucket_ns.max(1) as f64);
+                    let util = bucket.bytes as f64 / (lt.bytes_per_ns * self.bucket_ns as f64);
                     out.push_str(&format!(
                         "{},{},{},{},{},{},{},{},{:.6}\n",
                         lt.link,

@@ -19,18 +19,16 @@ pub enum SchedulingPolicy {
 
 /// Architectural parameters of the simulated PsPIN unit.
 ///
-/// Defaults are the paper's: 1 GHz clock, 8 HPUs per cluster, 1 MiB L1 per
-/// cluster, 4 MiB L2 packet memory, 64-cycle DMA packet copy, 25× remote-L1
-/// penalty. `clusters` defaults to the full-switch 64 (the paper's RTL
-/// simulations use 4 and scale linearly; see [`crate::scaling`]).
+/// Defaults are the paper's: 1 GHz clock, 8 HPUs per cluster, 4 MiB L2
+/// packet memory, 64-cycle DMA packet copy, 25× remote-L1 penalty.
+/// `clusters` defaults to the full-switch 64: the paper's RTL simulations
+/// use 4 and scale linearly, the engine simulates all 64 directly.
 #[derive(Debug, Clone)]
 pub struct PspinConfig {
     /// Number of PULP clusters.
     pub clusters: usize,
     /// HPU cores per cluster (`C`).
     pub cores_per_cluster: usize,
-    /// L1 scratchpad bytes per cluster (working memory).
-    pub l1_bytes_per_cluster: usize,
     /// L2 packet-buffer memory in bytes (input buffers).
     pub l2_packet_bytes: usize,
     /// DMA cost to copy one packet into a buffer, cycles.
@@ -58,20 +56,11 @@ impl PspinConfig {
         Self {
             clusters: 64,
             cores_per_cluster: 8,
-            l1_bytes_per_cluster: 1 << 20,
             l2_packet_bytes: 4 << 20,
             dma_copy_cycles: 64,
             remote_l1_factor: 25,
             icache_fill_cycles: 256,
             policy: SchedulingPolicy::Hierarchical { subset_size: 8 },
-        }
-    }
-
-    /// The 4-cluster configuration matching the paper's RTL simulations.
-    pub fn rtl_sim() -> Self {
-        Self {
-            clusters: 4,
-            ..Self::paper()
         }
     }
 
@@ -96,7 +85,6 @@ impl PspinConfig {
         Self {
             clusters: p.clusters,
             cores_per_cluster: p.cores_per_cluster,
-            l1_bytes_per_cluster: p.l1_bytes_per_cluster,
             l2_packet_bytes: p.l2_packet_bytes,
             dma_copy_cycles: p.dma_copy_cycles as u64,
             remote_l1_factor: Self::paper().remote_l1_factor,
@@ -159,7 +147,6 @@ mod tests {
     fn paper_config_matches_section3() {
         let c = PspinConfig::paper();
         assert_eq!(c.cores(), 512);
-        assert_eq!(c.l1_bytes_per_cluster, 1024 * 1024);
         assert_eq!(c.l2_packet_bytes, 4 * 1024 * 1024);
         assert_eq!(c.dma_copy_cycles, 64);
         assert_eq!(c.remote_l1_factor, 25);
@@ -167,17 +154,9 @@ mod tests {
     }
 
     #[test]
-    fn rtl_sim_has_four_clusters() {
-        let c = PspinConfig::rtl_sim();
-        assert_eq!(c.clusters, 4);
-        assert_eq!(c.cores(), 32);
-    }
-
-    #[test]
     fn from_switch_params_mirrors_the_model_crate() {
         let c = PspinConfig::from_switch_params(&flare_model::SwitchParams::paper(), Some(8), 256);
         assert_eq!(c.cores(), 512);
-        assert_eq!(c.l1_bytes_per_cluster, 1 << 20);
         assert_eq!(c.l2_packet_bytes, 4 << 20);
         assert_eq!(c.dma_copy_cycles, 64);
         assert_eq!(c.policy, SchedulingPolicy::Hierarchical { subset_size: 8 });

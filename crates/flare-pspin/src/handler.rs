@@ -34,7 +34,7 @@ pub struct HandlerEffects {
     /// buffers were allocated, negative when released.
     pub working_mem_delta: i64,
     /// Blocks fully reduced by this handler execution.
-    pub completed_blocks: Vec<u64>,
+    pub blocks_completed: u64,
 }
 
 /// Lock table shared by all HPUs: per-lock earliest-free time.
@@ -130,30 +130,29 @@ impl<'a> HpuCtx<'a> {
     }
 
     /// Spin until one of `candidates` is free, then hold it for
-    /// `hold_cycles`. Returns the index of the acquired candidate.
+    /// `hold_cycles`. Returns the acquired lock.
     ///
-    /// The engine picks the candidate that frees earliest (ties: lowest
-    /// index), models the spin-wait as core-busy time, and serializes the
+    /// The engine picks the candidate that frees earliest (ties: the first
+    /// one), models the spin-wait as core-busy time, and serializes the
     /// critical section by publishing the new `free_at`.
     ///
     /// # Panics
     /// Panics if `candidates` is empty.
-    pub fn acquire_any(&mut self, candidates: &[LockId], hold_cycles: u64) -> usize {
-        assert!(!candidates.is_empty(), "acquire_any needs candidates");
-        let mut best = 0;
-        let mut best_at = Time::MAX;
-        for (i, &lock) in candidates.iter().enumerate() {
-            let at = self.locks.free_at(lock);
-            if at < best_at {
-                best_at = at;
-                best = i;
-            }
-        }
+    pub fn acquire_any(
+        &mut self,
+        candidates: impl IntoIterator<Item = LockId>,
+        hold_cycles: u64,
+    ) -> LockId {
+        let (best_at, lock) = candidates
+            .into_iter()
+            .map(|lock| (self.locks.free_at(lock), lock))
+            .min_by_key(|&(at, _)| at)
+            .expect("acquire_any needs candidates");
         let acquired_at = self.cursor.max(best_at);
         self.lock_wait_cycles += acquired_at - self.cursor;
         self.cursor = acquired_at + hold_cycles;
-        self.locks.set_free_at(candidates[best], self.cursor);
-        best
+        self.locks.set_free_at(lock, self.cursor);
+        lock
     }
 
     /// Extend the critical section of `lock` (which this handler must
@@ -178,9 +177,9 @@ impl<'a> HpuCtx<'a> {
         self.effects.working_mem_delta += delta_bytes;
     }
 
-    /// Mark a block as fully reduced (drives block-latency metrics).
-    pub fn complete_block(&mut self, block: u64) {
-        self.effects.completed_blocks.push(block);
+    /// Count a block as fully reduced.
+    pub fn complete_block(&mut self) {
+        self.effects.blocks_completed += 1;
     }
 
     /// Cycles this invocation spent spinning on locks so far.
@@ -238,8 +237,8 @@ mod tests {
     fn uncontended_lock_has_no_wait() {
         let mut locks = LockTable::default();
         let mut ctx = ctx_on(&mut locks, 50);
-        let chosen = ctx.acquire_any(&[(1, 0)], 100);
-        assert_eq!(chosen, 0);
+        let chosen = ctx.acquire_any([(1, 0)], 100);
+        assert_eq!(chosen, (1, 0));
         assert_eq!(ctx.now(), 150);
         assert_eq!(ctx.lock_wait(), 0);
         assert_eq!(locks.free_at((1, 0)), 150);
@@ -250,11 +249,11 @@ mod tests {
         let mut locks = LockTable::default();
         {
             let mut a = ctx_on(&mut locks, 0);
-            a.acquire_any(&[(7, 0)], 1000);
+            a.acquire_any([(7, 0)], 1000);
             assert_eq!(a.now(), 1000);
         }
         let mut b = HpuCtx::new(10, 1, 0, &mut locks, 64, 25);
-        b.acquire_any(&[(7, 0)], 1000);
+        b.acquire_any([(7, 0)], 1000);
         assert_eq!(b.lock_wait(), 990);
         assert_eq!(b.now(), 2000);
     }
@@ -264,12 +263,12 @@ mod tests {
         let mut locks = LockTable::default();
         {
             let mut a = ctx_on(&mut locks, 0);
-            a.acquire_any(&[(7, 0)], 1000);
+            a.acquire_any([(7, 0)], 1000);
         }
         // Buffer 0 busy until 1000, buffer 1 free: pick 1, no wait.
         let mut b = HpuCtx::new(5, 1, 0, &mut locks, 64, 25);
-        let chosen = b.acquire_any(&[(7, 0), (7, 1)], 500);
-        assert_eq!(chosen, 1);
+        let chosen = b.acquire_any((0..2).map(|i| (7, i)), 500);
+        assert_eq!(chosen, (7, 1));
         assert_eq!(b.lock_wait(), 0);
         assert_eq!(b.now(), 505);
     }
@@ -279,7 +278,7 @@ mod tests {
         let mut locks = LockTable::default();
         {
             let mut ctx = ctx_on(&mut locks, 0);
-            ctx.acquire_any(&[(3, 0)], 100);
+            ctx.acquire_any([(3, 0)], 100);
             ctx.extend_hold((3, 0), 50);
             assert_eq!(ctx.now(), 150);
         }

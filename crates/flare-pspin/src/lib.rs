@@ -14,12 +14,13 @@
 //! objects that perform the *real* aggregation arithmetic while driving a
 //! cycle cursor through an [`handler::HpuCtx`], so the simulator produces
 //! both faithful timing (service times, queue build-up, lock contention,
-//! memory occupancy) and bit-exact functional results (used by the
+//! peak memory occupancy) and bit-exact functional results (used by the
 //! reproducibility experiments).
 //!
-//! The paper's RTL runs simulate 4 clusters and scale linearly to the
-//! 64-cluster area budget; [`scaling`] provides the same extrapolation and
-//! the engine can also simulate all 64 clusters directly.
+//! What only this engine models is global FCFS scheduling with the
+//! remote-L1 penalty, the per-packet cycle cursor and the lock table. The
+//! paper's RTL runs simulate 4 clusters and scale linearly to the
+//! 64-cluster area budget; the engine simulates all 64 directly.
 
 pub mod arrival;
 pub mod config;
@@ -27,7 +28,6 @@ pub mod engine;
 pub mod handler;
 pub mod metrics;
 pub mod packet;
-pub mod scaling;
 
 pub use arrival::{ArrivalTrace, StaggerMode, TraceConfig};
 pub use config::{PspinConfig, SchedulingPolicy};

@@ -1,6 +1,5 @@
 //! Measurement report of a PsPIN simulation run.
 
-use flare_des::stats::{Counter, Histogram, TimeWeighted};
 use flare_des::Time;
 
 /// Aggregated metrics of one engine run.
@@ -24,65 +23,66 @@ pub struct Report {
     /// Peak input-buffer (L2 packet memory) occupancy in bytes: queued plus
     /// in-service packets, the paper's 𝒬 (Eq. 1).
     pub input_buffer_peak: i64,
-    /// Time-average input-buffer occupancy in bytes.
-    pub input_buffer_avg: f64,
     /// Peak working-memory (L1 aggregation buffers) occupancy in bytes —
     /// the paper's ℛ.
     pub working_mem_peak: i64,
-    /// Time-average working-memory occupancy in bytes.
-    pub working_mem_avg: f64,
     /// Peak number of packets waiting in scheduler queues (`Q·K` in the
     /// Section-5 model, not counting in-service packets).
     pub queue_peak: i64,
     /// Total cycles handlers spent spinning on critical sections.
     pub lock_wait_cycles: u64,
-    /// Total busy cycles across all cores (for utilization).
-    pub core_busy_cycles: u64,
-    /// Core utilization in [0, 1]: busy cycles over `K × duration`.
-    pub core_utilization: f64,
-    /// Per-block reduction latency ℒ distribution (ns).
-    pub block_latency: Histogram,
     /// Number of blocks fully reduced.
     pub blocks_completed: u64,
+}
+
+/// An occupancy (bytes resident, packets queued) and its high-water mark.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct Occupancy {
+    pub level: i64,
+    pub peak: i64,
+}
+
+impl Occupancy {
+    /// Add `delta` (may be negative) to the level.
+    pub(crate) fn add(&mut self, delta: i64) {
+        self.level += delta;
+        debug_assert!(self.level >= 0, "occupancy went negative");
+        self.peak = self.peak.max(self.level);
+    }
 }
 
 /// Mutable collectors owned by the engine while running.
 #[derive(Debug, Default)]
 pub(crate) struct Collectors {
-    pub packets_in: Counter,
-    pub packets_out: Counter,
-    pub drops: Counter,
-    pub input_buffer: TimeWeighted,
-    pub working_mem: TimeWeighted,
-    pub queued: TimeWeighted,
+    pub packets_in: u64,
+    pub bytes_in: u64,
+    pub packets_out: u64,
+    pub bytes_out: u64,
+    pub drops: u64,
+    pub input_buffer: Occupancy,
+    pub working_mem: Occupancy,
+    pub queued: Occupancy,
     pub lock_wait_cycles: u64,
-    pub core_busy_cycles: u64,
-    pub block_latency: Histogram,
+    pub blocks_completed: u64,
     pub first_arrival_seen: Time,
 }
 
 impl Collectors {
-    pub(crate) fn report(&self, end: Time, cores: usize) -> Report {
+    pub(crate) fn report(&self, end: Time) -> Report {
         let duration = end.saturating_sub(self.first_arrival_seen).max(1);
-        let bytes_in = self.packets_in.sum();
         Report {
             duration_ns: duration,
-            packets_in: self.packets_in.count(),
-            bytes_in,
-            packets_out: self.packets_out.count(),
-            bytes_out: self.packets_out.sum(),
-            drops: self.drops.count(),
-            ingress_tbps: bytes_in as f64 * 8.0 / duration as f64 / 1000.0,
-            input_buffer_peak: self.input_buffer.peak(),
-            input_buffer_avg: self.input_buffer.time_average(end),
-            working_mem_peak: self.working_mem.peak(),
-            working_mem_avg: self.working_mem.time_average(end),
-            queue_peak: self.queued.peak(),
+            packets_in: self.packets_in,
+            bytes_in: self.bytes_in,
+            packets_out: self.packets_out,
+            bytes_out: self.bytes_out,
+            drops: self.drops,
+            ingress_tbps: self.bytes_in as f64 * 8.0 / duration as f64 / 1000.0,
+            input_buffer_peak: self.input_buffer.peak,
+            working_mem_peak: self.working_mem.peak,
+            queue_peak: self.queued.peak,
             lock_wait_cycles: self.lock_wait_cycles,
-            core_busy_cycles: self.core_busy_cycles,
-            core_utilization: self.core_busy_cycles as f64 / (cores as u64 * duration) as f64,
-            block_latency: self.block_latency.clone(),
-            blocks_completed: self.block_latency.count(),
+            blocks_completed: self.blocks_completed,
         }
     }
 }
@@ -93,26 +93,22 @@ mod tests {
 
     #[test]
     fn report_derives_bandwidth_from_bytes_and_makespan() {
-        let mut c = Collectors {
-            first_arrival_seen: 0,
+        // 1 MiB over 2048 ns = 512 B/ns = 4.096 Tbps.
+        let c = Collectors {
+            packets_in: 1024,
+            bytes_in: 1 << 20,
             ..Collectors::default()
         };
-        // 1 MiB over 2048 ns = 512 B/ns = 4.096 Tbps.
-        for _ in 0..1024 {
-            c.packets_in.record(1024);
-        }
-        let r = c.report(2048, 512);
+        let r = c.report(2048);
         assert!((r.ingress_tbps - 4.096).abs() < 1e-9, "{}", r.ingress_tbps);
         assert_eq!(r.packets_in, 1024);
         assert_eq!(r.bytes_in, 1 << 20);
     }
 
     #[test]
-    fn utilization_is_fraction_of_core_time() {
-        let mut c = Collectors::default();
-        c.packets_in.record(1);
-        c.core_busy_cycles = 1000;
-        let r = c.report(100, 10); // 10 cores × 100 ns = 1000 core-ns
-        assert!((r.core_utilization - 1.0).abs() < 1e-12);
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "occupancy went negative")]
+    fn an_occupancy_rejects_going_negative() {
+        Occupancy::default().add(-1);
     }
 }

@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 
-use flare::core::dense::{MultiBufferBlock, SingleBufferBlock, TreeBlock};
+use flare::core::dense::{MultiBufferBlock, TreeBlock};
 use flare::core::op::{golden_reduce, Custom, Sum};
 use flare::core::sparse::{SparseArrayStore, SparseHashStore};
 use flare::core::wire::{
@@ -32,10 +32,11 @@ proptest! {
     #[test]
     fn single_buffer_matches_golden(inputs in inputs_strategy()) {
         let p = inputs.len() as u16;
-        let mut blk = SingleBufferBlock::new(p);
+        // Section 6.1's single buffer is the one-buffer multi buffer.
+        let mut blk = MultiBufferBlock::new(p, 1);
         let mut out = None;
         for (c, v) in inputs.iter().enumerate() {
-            if let Some(r) = blk.insert(&Sum, c as u16, v).result {
+            if let Some(r) = blk.insert(&Sum, 0, c as u16, v).result {
                 out = Some(r);
             }
         }

@@ -311,6 +311,49 @@ fn dense_fat_tree_512_hosts_of_128_kib() {
     check(&[row(Dense, FatTree, 512, 128 * KIB, [25_739, 294_912, 153_354_240]).root_bound()]);
 }
 
+/// `benchmark`'s `pspin_switch` workload: one PsPIN unit, 64 ports,
+/// 1 024 tree-aggregated f32 blocks, staggered to the tree's target `δc`,
+/// with jittered arrivals. No fabric, so no thread count can move it.
+#[test]
+fn pspin_switch_1024_blocks_of_f32() {
+    use flare::core::wiring::SwitchRun;
+    use flare::model::{dense, AggKind, SwitchParams};
+    use flare::pspin::{PspinConfig, StaggerMode};
+    let target = dense::target_delta_c(&SwitchParams::paper(), AggKind::Tree);
+    let run = SwitchRun {
+        cfg: PspinConfig::paper(),
+        children: 64,
+        blocks: 1024,
+        stagger: StaggerMode::Target(target as u64),
+        jitter: true,
+        seed: 11,
+    };
+    let r = run.dense::<f32>(AggKind::Tree);
+    let got = [
+        r.duration_ns,
+        r.packets_in,
+        r.bytes_in,
+        r.packets_out,
+        r.bytes_out,
+        r.drops,
+        r.input_buffer_peak as u64,
+        r.working_mem_peak as u64,
+        r.queue_peak as u64,
+        r.lock_wait_cycles,
+        r.blocks_completed,
+    ];
+    #[rustfmt::skip]
+    let want = [
+        150_363, 65_536, 68_157_440, 1_024, 1_064_960, 0,
+        3_747_120, 4_271_104, 3_091, 0, 1_024,
+    ];
+    assert_eq!(got, want);
+    assert_eq!(r.ingress_tbps, 3.6262878500694984);
+    // The benchmark's `sim_makespan_ns` is the duration; its
+    // `sim_link_bytes` is this.
+    assert_eq!(r.bytes_in + r.bytes_out, 69_222_400);
+}
+
 /// The 1 024-host cell: seconds in a debug build, so it runs optimised
 /// with `--ignored`.
 #[test]

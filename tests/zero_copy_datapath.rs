@@ -240,7 +240,6 @@ fn dense_steady_state_allocates_zero_payload_buffers_per_packet() {
 
     // Block state never fell back to a HashMap probe.
     assert_eq!(stats.slab.collisions, 0, "windowed ids must map directly");
-    assert_eq!(stats.slab.stale_rejected, 0);
     assert!(stats.slab.direct >= packets);
 }
 
