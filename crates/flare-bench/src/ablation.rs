@@ -12,7 +12,7 @@
 
 use flare_core::handlers::SparseStorageKind;
 use flare_core::wiring::SwitchRun;
-use flare_model::AggKind;
+use flare_model::{AggKind, SwitchParams};
 use flare_pspin::{PspinConfig, Report, SchedulingPolicy, StaggerMode};
 
 use crate::table::{self, f2, mib};
@@ -91,7 +91,10 @@ pub fn remote_penalty_sweep() -> Vec<RemoteRow> {
     let mut out = Vec::new();
     for factor in [1u64, 5, 25] {
         let mk = |policy| PspinConfig {
-            clusters: 8,
+            params: SwitchParams {
+                clusters: 8,
+                ..SwitchParams::paper()
+            },
             remote_l1_factor: factor,
             policy,
             ..PspinConfig::paper()

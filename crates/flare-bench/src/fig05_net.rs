@@ -25,6 +25,7 @@ use flare_net::{
     SwitchModel, SwitchProgram, Topology,
 };
 use flare_pspin::engine::run_trace;
+use flare_pspin::SchedulingPolicy::{self, GlobalFcfs, Hierarchical};
 use flare_pspin::{HpuCtx, PspinConfig, PspinPacket};
 
 /// Flow id the probe program matches.
@@ -140,8 +141,13 @@ pub fn run_des(params: HpuParams, trace: &[(u64, u64, u16)]) -> (f64, usize) {
 
 /// Run the identical arrival trace through the PsPIN engine; returns its
 /// total queued-packet peak.
-fn run_engine(subset: Option<usize>, trace: &[(u64, u64, u16)], tau: u64) -> i64 {
-    let cfg = PspinConfig::from_switch_params(&SwitchParams::figure5(), subset, 0);
+fn run_engine(policy: SchedulingPolicy, trace: &[(u64, u64, u16)], tau: u64) -> i64 {
+    let cfg = PspinConfig {
+        params: SwitchParams::figure5(),
+        icache_fill_cycles: 0,
+        policy,
+        ..PspinConfig::paper()
+    };
     let arrivals = trace
         .iter()
         .map(|&(t, block, child)| {
@@ -193,10 +199,11 @@ pub fn rows(blocks: u64) -> Vec<Row> {
     let staggered = staggered_trace(p.ports, blocks, tau as u64);
 
     let mut out = Vec::new();
-    for (scenario, s, delta_c, trace, engine_subset) in [
-        ("A (S=K, dc=1)", p.cores(), 1u64, &line, None),
-        ("B (S=1, dc=1)", 1, 1, &line, Some(1)),
-        ("C (S=1, dc=tau)", 1, tau as u64, &staggered, Some(1)),
+    let one_core = Hierarchical { subset_size: 1 };
+    for (scenario, s, delta_c, trace, engine_policy) in [
+        ("A (S=K, dc=1)", p.cores(), 1u64, &line, GlobalFcfs),
+        ("B (S=1, dc=1)", 1, 1, &line, one_core),
+        ("C (S=1, dc=tau)", 1, tau as u64, &staggered, one_core),
     ] {
         let op = eval(s, delta_c as f64);
         let (des_bw, des_q) = run_des(hpu(s), trace);
@@ -208,7 +215,7 @@ pub fn rows(blocks: u64) -> Vec<Row> {
             des_bandwidth: des_bw,
             model_q: op.q,
             des_queue_peak: des_q,
-            engine_queue_peak: run_engine(engine_subset, trace, tau as u64),
+            engine_queue_peak: run_engine(engine_policy, trace, tau as u64),
         });
     }
     out

@@ -318,8 +318,11 @@ mod tests {
 
     fn small_cfg() -> PspinConfig {
         PspinConfig {
-            clusters: 2,
-            cores_per_cluster: 4,
+            params: flare_model::SwitchParams {
+                clusters: 2,
+                cores_per_cluster: 4,
+                ..flare_model::SwitchParams::paper()
+            },
             policy: SchedulingPolicy::Hierarchical { subset_size: 4 },
             ..PspinConfig::paper()
         }

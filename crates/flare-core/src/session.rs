@@ -107,10 +107,12 @@ pub enum SessionError {
         /// The offending value, as configured.
         given: String,
     },
-    /// The session's [`flare_net::SwitchModel::Hpu`] parameters are
-    /// inconsistent (e.g. a subset size that does not divide the cluster
-    /// width); the contained message is
-    /// [`flare_net::HpuParams::validate`]'s diagnosis.
+    /// The session's [`SwitchModel`] is one a run cannot finish under: a
+    /// `RateLimited` rate that is NaN, zero or negative, or `Hpu`
+    /// parameters that fail [`flare_net::HpuParams::validate`] (a subset
+    /// size that does not divide the cluster width, a cycle cost that is
+    /// not a finite non-negative number). The contained message is the
+    /// diagnosis.
     InvalidSwitchModel(String),
     /// `.reproducible(true)` was combined with a [`Collective::via`]
     /// handle whose plan was not admitted with tree aggregation, so the
@@ -182,7 +184,7 @@ impl std::fmt::Display for SessionError {
                 write!(f, "link_drop_prob = {given}: expected a value in [0, 1)")
             }
             SessionError::InvalidSwitchModel(why) => {
-                write!(f, "invalid SwitchModel::Hpu parameters: {why}")
+                write!(f, "invalid switch model: {why}")
             }
             SessionError::ReproducibleViaMismatch => {
                 write!(
@@ -380,12 +382,20 @@ impl Tuning {
             // fast with a typed error instead of panicking mid-sim.
             return Err(SessionError::LossWithoutRetransmit);
         }
-        if let SwitchModel::Hpu(params) = &tuning.switch_model {
+        match &tuning.switch_model {
+            // An infinite rate is `Ideal`; a zero one would overflow the
+            // clock, a negative or NaN one run silently as another model.
+            SwitchModel::RateLimited(rate) if rate.is_nan() || *rate <= 0.0 => {
+                return Err(SessionError::InvalidSwitchModel(format!(
+                    "RateLimited({rate}): expected a rate > 0 bytes/ns"
+                )));
+            }
             // Catch inconsistent compute parameters here, not as a
             // `SwitchCompute::new` panic deep inside switch installation.
-            params
+            SwitchModel::Hpu(params) => params
                 .validate()
-                .map_err(SessionError::InvalidSwitchModel)?;
+                .map_err(SessionError::InvalidSwitchModel)?,
+            _ => {}
         }
         Ok(tuning)
     }

@@ -1,7 +1,7 @@
 //! Reference binary-heap event queue.
 //!
 //! This is the pre-ladder implementation of the event queue, kept as the
-//! executable specification of the `(time, prio, seq)` total order: the
+//! executable specification of the `(time, seq)` total order: the
 //! differential tests in `tests/queue_equivalence.rs` drive it and the
 //! ladder [`crate::EventQueue`] with identical adversarial schedules and
 //! assert identical pop sequences. It is not used by the simulators.
@@ -9,19 +9,17 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::queue::DEFAULT_PRIO;
 use crate::Time;
 
 struct Entry<E> {
     time: Time,
-    prio: u8,
     seq: u64,
     event: E,
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.prio == other.prio && self.seq == other.seq
+        self.time == other.time && self.seq == other.seq
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -32,12 +30,12 @@ impl<E> PartialOrd for Entry<E> {
 }
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.prio, self.seq).cmp(&(other.time, other.prio, other.seq))
+        (self.time, self.seq).cmp(&(other.time, other.seq))
     }
 }
 
 /// Binary-heap event queue with the same API subset and the same
-/// `(time, prio, seq)` ordering contract as the ladder [`crate::EventQueue`].
+/// `(time, seq)` ordering contract as the ladder [`crate::EventQueue`].
 pub struct HeapQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
     now: Time,
@@ -74,16 +72,12 @@ impl<E> HeapQueue<E> {
         self.processed
     }
 
-    /// Schedule an event at an absolute time with [`DEFAULT_PRIO`].
+    /// Schedule an event at an absolute time, behind every event already
+    /// scheduled at that time.
     ///
     /// # Panics
     /// Panics if `time` is in the past.
     pub fn schedule_at(&mut self, time: Time, event: E) {
-        self.schedule_at_prio(time, DEFAULT_PRIO, event);
-    }
-
-    /// Schedule with an explicit same-timestamp priority (lower first).
-    pub fn schedule_at_prio(&mut self, time: Time, prio: u8, event: E) {
         assert!(
             time >= self.now,
             "event scheduled in the past: t={} < now={}",
@@ -92,12 +86,7 @@ impl<E> HeapQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Reverse(Entry {
-            time,
-            prio,
-            seq,
-            event,
-        }));
+        self.heap.push(Reverse(Entry { time, seq, event }));
     }
 
     /// Pop the earliest event, advancing the clock to its timestamp.
@@ -132,14 +121,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn reference_queue_orders_by_time_prio_seq() {
+    fn reference_queue_orders_by_time_seq() {
         let mut q = HeapQueue::new();
         q.schedule_at(10, "b");
         q.schedule_at(5, "a");
-        q.schedule_at_prio(10, 0, "b-urgent");
+        q.schedule_at(10, "b-later");
         assert_eq!(q.pop(), Some((5, "a")));
-        assert_eq!(q.pop(), Some((10, "b-urgent")));
         assert_eq!(q.pop(), Some((10, "b")));
+        assert_eq!(q.pop(), Some((10, "b-later")));
         assert_eq!(q.pop(), None);
         assert_eq!(q.processed(), 3);
     }

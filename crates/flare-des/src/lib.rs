@@ -76,11 +76,11 @@ pub fn run_until<S: Simulator>(
 /// equal-timestamp batch with one queue operation
 /// ([`EventQueue::pop_batch`]).
 ///
-/// The handler sequence is identical to [`run`] as long as handlers never
-/// schedule same-timestamp events at a *lower* priority than events
-/// already pending at that timestamp (see the [`queue`] module docs) —
-/// both workspace simulators satisfy this. A batch is one walk of the
-/// earliest bucket's list, however many events it holds.
+/// The handler sequence is identical to [`run`], always: an event a
+/// handler schedules at the batch's own timestamp sorts after every event
+/// of the batch, so it forms the next batch (see the [`queue`] module
+/// docs). A batch is one walk of the earliest bucket's list, however many
+/// events it holds.
 pub fn run_batched<S: Simulator>(sim: &mut S, queue: &mut EventQueue<S::Event>) -> Time {
     run_batched_until(sim, queue, Time::MAX)
 }

@@ -8,7 +8,7 @@
 //! destined for *another* partition is buffered in an [`Outbox`] instead
 //! of being scheduled directly. At the window barrier the buffered
 //! cross-partition events are merged into their destination queues in
-//! `(time, prio, src_partition, seq)` order — a total order that depends
+//! `(time, src_partition, seq)` order — a total order that depends
 //! only on the partitioning and the event history, never on thread
 //! interleaving. The resulting schedule is therefore a pure function of
 //! the inputs: running with 1 worker or 16 produces bit-identical
@@ -32,10 +32,10 @@
 //!
 //! # Tie-breaking at the barrier
 //!
-//! Within one `(time, prio)` class, events a partition scheduled locally
-//! keep their local FIFO order and sort *before* merged remote events
-//! (remotes are appended at the barrier, after the local schedule for
-//! that window already exists); remote events order among themselves by
+//! At one timestamp, events a partition scheduled locally keep their
+//! local FIFO order and sort *before* merged remote events (remotes are
+//! appended at the barrier, after the local schedule for that window
+//! already exists); remote events order among themselves by
 //! `(src_partition, seq)` where `seq` is the per-source send counter.
 //! This is deterministic but intentionally *not* identical to the serial
 //! driver's global arrival order — simulations whose observables depend
@@ -43,7 +43,7 @@
 //! partitions must validate that order-insensitivity differentially
 //! (`flare-net` does, against its one-lane run).
 
-use crate::queue::{EventQueue, DEFAULT_PRIO};
+use crate::queue::EventQueue;
 use crate::Time;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
@@ -74,7 +74,6 @@ pub trait PartitionSim {
 #[derive(Debug)]
 struct Remote<E> {
     time: Time,
-    prio: u8,
     seq: u64,
     event: E,
 }
@@ -99,23 +98,11 @@ impl<E> Outbox<E> {
         }
     }
 
-    /// Buffer `event` for partition `dst` at absolute time `time` with the
-    /// default priority.
+    /// Buffer `event` for partition `dst` at absolute time `time`.
     pub fn send(&mut self, dst: u32, time: Time, event: E) {
-        self.send_prio(dst, time, DEFAULT_PRIO, event);
-    }
-
-    /// Buffer `event` for partition `dst` at absolute time `time` with an
-    /// explicit priority class.
-    pub fn send_prio(&mut self, dst: u32, time: Time, prio: u8, event: E) {
         let seq = self.seq;
         self.seq += 1;
-        self.lanes[dst as usize].push(Remote {
-            time,
-            prio,
-            seq,
-            event,
-        });
+        self.lanes[dst as usize].push(Remote { time, seq, event });
     }
 
     /// Total buffered events across all lanes.
@@ -299,17 +286,17 @@ fn run_windows_serial<S: PartitionSim>(
 }
 
 /// A cross-partition event in flight at the barrier, keyed for the merge:
-/// `(time, prio, src_partition, seq, event)`.
-type Incoming<E> = (Time, u8, u32, u64, E);
+/// `(time, src_partition, seq, event)`.
+type Incoming<E> = (Time, u32, u64, E);
 
 /// Move every buffered cross-partition event into its destination queue,
-/// in `(time, prio, src_partition, seq)` order.
+/// in `(time, src_partition, seq)` order.
 ///
 /// Called between rounds. `with(i, f)` runs `f` on partition `i`, one
 /// partition at a time: a plain index for the serial driver, an
 /// (uncontended) lock for the threaded one. `incoming` is the caller's
 /// scratch buffer, empty on entry and on return. Remote events at a
-/// `(time, prio)` already populated locally land *after* the local events
+/// time already populated locally land *after* the local events
 /// (the queue assigns later insertion sequence numbers), which is part of
 /// the documented tie-break.
 fn merge_outboxes<S: PartitionSim>(
@@ -325,16 +312,16 @@ fn merge_outboxes<S: PartitionSim>(
                     "partition {src} sent to itself"
                 );
                 let lane = p.outbox.lanes[dst].drain(..);
-                incoming.extend(lane.map(|r| (r.time, r.prio, src as u32, r.seq, r.event)));
+                incoming.extend(lane.map(|r| (r.time, src as u32, r.seq, r.event)));
             });
         }
         if incoming.is_empty() {
             continue;
         }
-        incoming.sort_by_key(|&(t, prio, src, seq, _)| (t, prio, src, seq));
+        incoming.sort_by_key(|&(t, src, seq, _)| (t, src, seq));
         with(dst, &mut |p| {
-            for (t, prio, _, _, ev) in incoming.drain(..) {
-                p.queue.schedule_at_prio(t, prio, ev);
+            for (t, _, _, ev) in incoming.drain(..) {
+                p.queue.schedule_at(t, ev);
             }
         });
     }
@@ -490,9 +477,9 @@ mod tests {
     }
 
     #[test]
-    fn outbox_merge_orders_by_time_prio_src_seq() {
+    fn outbox_merge_orders_by_time_src_seq() {
         // Two source partitions both send to partition 2 at the same
-        // (time, prio); the merge must order src 0 before src 1, and
+        // time; the merge must order src 0 before src 1, and
         // within one source by send order.
         struct Sink {
             got: Vec<u32>,

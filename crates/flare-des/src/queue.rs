@@ -1,15 +1,14 @@
 //! Deterministic ladder event queue.
 //!
-//! The queue orders events by the total key `(time, prio, seq)`, `seq`
-//! being the order of the `schedule_*` calls. That makes ordering among
-//! simultaneous equal-priority events FIFO and therefore deterministic,
-//! which the reproducibility experiments (paper Section 6.3) rely on: two
-//! runs with identical inputs must interleave handler executions
-//! identically.
+//! The queue orders events by the total key `(time, seq)`, `seq` being the
+//! order of the `schedule_*` calls. That makes ordering among simultaneous
+//! events FIFO and therefore deterministic, which the reproducibility
+//! experiments (paper Section 6.3) rely on: two runs with identical inputs
+//! must interleave handler executions identically.
 //!
 //! # Structure
 //!
-//! Every pending event lives in one **slab** of nodes `{time, prio, next,
+//! Every pending event lives in one **slab** of nodes `{time, next,
 //! event}` with a free list, and every rung of the ladder is nothing but
 //! `(head, tail)` indices of a FIFO threaded through those nodes:
 //!
@@ -20,8 +19,8 @@
 //!   multicast fan-out) lands in that same bucket.
 //! * **far rung** — `FAR_BUCKETS` buckets, each one near window wide,
 //!   covering the aligned span that holds the near window (link backlogs,
-//!   retransmission timers, a preloaded arrival trace). Each bucket also
-//!   keeps its minimum timestamp for [`EventQueue::peek_time`].
+//!   retransmission timers, a preloaded trace). Each bucket also keeps its
+//!   minimum timestamp for [`EventQueue::peek_time`].
 //! * **overflow** — one list for everything beyond the far span.
 //!
 //! Scheduling at any horizon is one slab write and one tail link. When the
@@ -35,20 +34,12 @@
 //! event is thus written once, read once, and relinked once per rung it
 //! descends.
 //!
-//! No list is ever sorted, because every list is in `seq` order by
-//! construction: a bucket receives relinked nodes (oldest first) only
-//! while it is empty, at the moment its window opens, and direct pushes
-//! only after. A near bucket holds one timestamp, so keeping it in
-//! `(prio, seq)` order takes care only when priorities actually mix: a
-//! node more urgent than the bucket's tail is linked in behind the last
-//! node that is at least as urgent, found by walking the bucket from its
-//! head: one step per same-nanosecond peer that is at least as urgent
-//! (for the PsPIN engine, whose core releases go in front of
-//! same-nanosecond arrivals, 1 354 steps in 65 536 releases on the
-//! benchmark's trace shape). With one priority in use nothing is ever
-//! compared.
+//! No list is ever sorted or walked to insert, because every list is in
+//! `seq` order by construction: a bucket receives relinked nodes (oldest
+//! first) only while it is empty, at the moment its window opens, and
+//! direct pushes only after.
 //!
-//! The other cost that is not constant is the overflow walk: every span
+//! The one cost that is not constant is the overflow walk: every span
 //! the clock enters by way of the overflow list relinks that whole list,
 //! so `n` events parked many spans ahead cost `n` steps per span crossed.
 //!
@@ -68,8 +59,8 @@
 //!
 //! # Determinism contract
 //!
-//! The pop sequence is **exactly** the strict ascending `(time, prio,
-//! seq)` order — bit-identical to the reference binary-heap implementation
+//! The pop sequence is **exactly** the strict ascending `(time, seq)`
+//! order — bit-identical to the reference binary-heap implementation
 //! ([`crate::heap::HeapQueue`]), which the differential tests in
 //! `tests/queue_equivalence.rs` assert on adversarial and randomized
 //! schedules at every horizon. Where an event is stored (which rung, which
@@ -79,17 +70,11 @@
 //! [`EventQueue::pop_batch`] additionally drains every *currently queued*
 //! event of the earliest timestamp in one call. Events scheduled at that
 //! same timestamp *while the batch is being processed* form a follow-up
-//! batch; because their sequence numbers are larger than everything
-//! already drained, batch delivery preserves the total order whenever
-//! those late arrivals do not use a *lower* priority than the
-//! already-drained events — trivially true for the network simulator
-//! (every event uses [`DEFAULT_PRIO`]) and for the PsPIN engine (handlers
-//! never schedule same-timestamp events). See [`crate::run_batched`].
+//! batch; their sequence numbers are larger than everything already
+//! drained, so batch delivery always preserves the single-pop total order.
+//! See [`crate::run_batched`].
 
 use crate::Time;
-
-/// Default priority for events scheduled without an explicit one.
-pub const DEFAULT_PRIO: u8 = 128;
 
 /// Width of the near rung in time units (1 ns buckets): events in the
 /// aligned window of this width that holds the clock are direct-indexed;
@@ -111,7 +96,6 @@ const NIL: u32 = u32::MAX;
 struct Node<E> {
     time: Time,
     next: u32,
-    prio: u8,
     event: Option<E>,
 }
 
@@ -146,8 +130,6 @@ struct Work {
     relinks: u64,
     /// Events moved out of the slab.
     moves: u64,
-    /// Nodes stepped over to link into a mixed-priority bucket.
-    compares: u64,
 }
 
 /// Monotonic future-event list with stable FIFO tie-breaking.
@@ -219,20 +201,12 @@ impl<E> EventQueue<E> {
         self.processed
     }
 
-    /// Schedule an event at an absolute time with [`DEFAULT_PRIO`].
+    /// Schedule an event at an absolute time, behind every event already
+    /// scheduled at that time.
     ///
     /// # Panics
     /// Panics if `time` is in the past — the queue is strictly monotonic.
     pub fn schedule_at(&mut self, time: Time, event: E) {
-        self.schedule_at_prio(time, DEFAULT_PRIO, event);
-    }
-
-    /// Schedule an event with an explicit same-timestamp priority: among
-    /// events at equal time, lower `prio` runs first (FIFO within equal
-    /// priority). Simulators use this to give resource releases (e.g. a
-    /// core finishing) precedence over resource demands arriving at the
-    /// same instant, matching the idealized models.
-    pub fn schedule_at_prio(&mut self, time: Time, prio: u8, event: E) {
         assert!(
             time >= self.now,
             "event scheduled in the past: t={} < now={}",
@@ -242,7 +216,6 @@ impl<E> EventQueue<E> {
         let node = Node {
             time,
             next: NIL,
-            prio,
             event: Some(event),
         };
         let idx = match self.free {
@@ -281,14 +254,11 @@ impl<E> EventQueue<E> {
         self.schedule_at(time, event);
     }
 
-    /// Link node `idx`, whose time is not before the near window, into the
-    /// rung its time selects: behind the bucket's tail, or, in a near
-    /// bucket whose tail is less urgent, behind the last node that is not.
-    /// Nodes reach a list in `seq` order (see the module docs), so this
-    /// keeps near buckets in `(prio, seq)` order and the rest in `seq`
-    /// order.
+    /// Link node `idx`, whose time is not before the near window, behind
+    /// the tail of the rung its time selects. Nodes reach a list in `seq`
+    /// order (see the module docs), so every list stays in `seq` order.
     fn link(&mut self, idx: u32) {
-        let Node { time, prio, .. } = self.nodes[idx as usize];
+        let time = self.nodes[idx as usize].time;
         let window = time >> NEAR_BITS;
         debug_assert!(window >= self.win, "the near window passed this event");
         let rung = if window == self.win {
@@ -305,29 +275,11 @@ impl<E> EventQueue<E> {
         let list = &mut self.lists[rung];
         if list.head == NIL {
             list.head = idx;
-            list.tail = idx;
             self.occupied[rung / WORD_BITS] |= 1 << (rung % WORD_BITS);
-        } else if rung >= NEAR_WINDOW || self.nodes[list.tail as usize].prio <= prio {
-            self.nodes[list.tail as usize].next = idx;
-            list.tail = idx;
         } else {
-            // The tail is less urgent, so the walk ends before it.
-            let mut prev = NIL;
-            let mut at = list.head;
-            while self.nodes[at as usize].prio <= prio {
-                prev = at;
-                at = self.nodes[at as usize].next;
-                #[cfg(test)]
-                {
-                    self.work.compares += 1;
-                }
-            }
-            self.nodes[idx as usize].next = at;
-            match prev {
-                NIL => list.head = idx,
-                _ => self.nodes[prev as usize].next = idx,
-            }
+            self.nodes[list.tail as usize].next = idx;
         }
+        list.tail = idx;
     }
 
     /// Detach the whole list of `rung`, leaving it empty.
@@ -470,17 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn priority_breaks_same_time_ties() {
-        let mut q = EventQueue::new();
-        q.schedule_at(5, "default");
-        q.schedule_at_prio(5, 0, "urgent");
-        q.schedule_at_prio(5, 255, "lazy");
-        assert_eq!(q.pop(), Some((5, "urgent")));
-        assert_eq!(q.pop(), Some((5, "default")));
-        assert_eq!(q.pop(), Some((5, "lazy")));
-    }
-
-    #[test]
     fn simultaneous_events_are_fifo() {
         let mut q = EventQueue::new();
         for i in 0..100 {
@@ -589,12 +530,12 @@ mod tests {
     fn pop_batch_drains_exactly_the_equal_time_prefix() {
         let mut q = EventQueue::new();
         q.schedule_at(5, "a");
-        q.schedule_at(5, "b");
-        q.schedule_at_prio(5, 0, "urgent");
         q.schedule_at(9, "later");
+        q.schedule_at(5, "b");
+        q.schedule_at(5, "c");
         let mut batch = Vec::new();
         assert_eq!(q.pop_batch(&mut batch), Some(5));
-        assert_eq!(batch, vec!["urgent", "a", "b"]);
+        assert_eq!(batch, vec!["a", "b", "c"]);
         assert_eq!(q.now(), 5);
         assert_eq!(q.len(), 1);
         batch.clear();
@@ -646,39 +587,32 @@ mod tests {
     }
 
     /// The `pspin_switch` shape: arrivals answered by a completion
-    /// 100–1 500 ns later, at `prio`.
-    struct Switch {
-        prio: u8,
-    }
+    /// 100–1 500 ns later.
+    struct Switch;
 
     impl Simulator for Switch {
         type Event = Option<u32>;
         fn handle(&mut self, t: Time, arrival: Option<u32>, q: &mut EventQueue<Option<u32>>) {
             if let Some(i) = arrival {
                 let service = 100 + i.wrapping_mul(2_654_435_761) as Time % 1_400;
-                q.schedule_at_prio(t + service, self.prio, None);
+                q.schedule_at(t + service, None);
             }
         }
-    }
-
-    /// Preload 65 536 ascending arrivals over 150 µs, drain them through
-    /// `Switch`, and return the work counted plus the emptied queue.
-    fn drained_trace(prio: u8) -> (Work, EventQueue<Option<u32>>) {
-        let mut q = EventQueue::new();
-        for i in 0..65_536u64 {
-            q.schedule_at(i * 150_000 / 65_536, Some(i as u32));
-        }
-        crate::run_batched(&mut Switch { prio }, &mut q);
-        assert_eq!(q.processed(), 2 * 65_536);
-        (q.work, q)
     }
 
     #[test]
     fn an_event_is_written_once_relinked_at_most_once_and_read_once() {
         // No clock: the counts are the claim. The re-sorted overflow
         // vector this structure replaced passed 7.8 entries through a sort
-        // per event on this schedule.
-        let (work, q) = drained_trace(DEFAULT_PRIO);
+        // per event on this schedule. Preload 65 536 ascending arrivals
+        // over 150 µs and drain them through `Switch`.
+        let mut q = EventQueue::new();
+        for i in 0..65_536u64 {
+            q.schedule_at(i * 150_000 / 65_536, Some(i as u32));
+        }
+        crate::run_batched(&mut Switch, &mut q);
+        assert_eq!(q.processed(), 2 * 65_536);
+        let work = q.work;
         assert_eq!(work.writes, 2 * 65_536);
         assert_eq!(work.moves, work.writes);
         // Nothing is beyond the far span, so an event descends one rung at
@@ -688,7 +622,6 @@ mod tests {
             work.relinks >= 65_536 / 2,
             "the trace never left the near rung: {work:?}"
         );
-        assert_eq!(work.compares, 0, "one priority in use");
 
         // Everything is back where it started: every node free, every
         // list empty.
@@ -705,17 +638,6 @@ mod tests {
         assert!(q.lists.iter().all(|l| l.head == NIL));
         assert!(q.occupied.iter().all(|&w| w == 0));
         assert!(q.mins.iter().all(|&t| t == Time::MAX));
-    }
-
-    #[test]
-    fn urgent_completions_cost_a_step_per_urgent_peer_at_that_instant() {
-        // The PsPIN engine's case: a completion (priority 0) that lands on
-        // a nanosecond holding arrivals goes in front of them, stepping
-        // over earlier completions only.
-        let (work, _) = drained_trace(0);
-        assert_eq!(work.moves, 2 * 65_536);
-        assert!(work.relinks <= work.writes, "{work:?}");
-        assert!(work.compares > 0 && work.compares < 65_536 / 8, "{work:?}");
     }
 
     #[test]

@@ -25,11 +25,11 @@ impl Pair {
         }
     }
 
-    fn push(&mut self, time: Time, prio: u8) {
+    fn push(&mut self, time: Time) {
         let id = self.next_id;
         self.next_id += 1;
-        self.ladder.schedule_at_prio(time, prio, id);
-        self.heap.schedule_at_prio(time, prio, id);
+        self.ladder.schedule_at(time, id);
+        self.heap.schedule_at(time, id);
     }
 
     /// Pop one event from both queues; panics on any divergence.
@@ -53,29 +53,28 @@ fn adversarial_schedule_pops_identically() {
     let mut q = Pair::new();
     let w = NEAR_WINDOW as Time;
 
-    // Same-timestamp burst with mixed priorities (multicast shape).
-    for i in 0..32 {
-        q.push(10, [128u8, 0, 255, 7][i % 4]);
+    // Same-timestamp burst (multicast shape).
+    for _ in 0..32 {
+        q.push(10);
     }
     // Far-future retransmit-style timers: overflow-rung territory,
     // several windows out, pushed out of order.
-    q.push(7 * w + 3, 128);
-    q.push(3 * w + 1, 128);
-    q.push(9 * w, 0);
-    q.push(3 * w + 1, 0); // same far timestamp, higher priority
-                          // Near events interleaved.
-    q.push(2, 128);
-    q.push(w - 1, 128);
+    q.push(7 * w + 3);
+    q.push(3 * w + 1);
+    q.push(9 * w);
+    q.push(3 * w + 1); // same far timestamp
+                       // Near events interleaved.
+    q.push(2);
+    q.push(w - 1);
 
     // Interleave pops with more pushes, including pushes at exactly the
     // current timestamp (switch forwarding) and just-past-the-window.
     for step in 0..200u64 {
         if let Some((t, _)) = q.pop_both() {
             match step % 4 {
-                0 => q.push(t, 128),                // same instant, FIFO tail
-                1 => q.push(t, 1),                  // same instant, jumps queue
-                2 => q.push(t + w + step, 128),     // beyond the near window
-                _ => q.push(t + 1 + step % 17, 64), // near future
+                0 | 1 => q.push(t),             // same instant, FIFO tail
+                2 => q.push(t + w + step),      // beyond the near window
+                _ => q.push(t + 1 + step % 17), // near future
             }
         } else {
             break;
@@ -94,16 +93,15 @@ fn window_boundary_times_pop_identically() {
     let w = NEAR_WINDOW as Time;
     // Every boundary-adjacent delta in one schedule.
     for t in [0, 1, w - 1, w, w + 1, 2 * w - 1, 2 * w, 2 * w + 1] {
-        q.push(t, 128);
-        q.push(t, 0);
+        q.push(t);
+        q.push(t);
     }
     q.drain_both();
 }
 
 #[test]
 fn pop_batch_matches_single_pops_for_uniform_priority() {
-    // The batched drain must yield the single-pop order when every event
-    // has one priority (the network simulator's workload).
+    // The batched drain must yield the single-pop order.
     let mut ladder = EventQueue::new();
     let mut heap = HeapQueue::new();
     let times = [5u64, 5, 5, 9, 9, 12, 5000, 5000, 90000];
@@ -149,22 +147,22 @@ fn horizon(class: u8, draw: u64) -> Time {
 /// One step of a differential schedule: `kind` picks push (0–3), pop
 /// (4), pop_batch (5) or a burst of pops (6) that lets the clock cross
 /// windows and spans while later rungs are populated.
-type Op = (u8, u8, u64, u8);
+type Op = (u8, u8, u64);
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec((0u8..7, 0u8..8, any::<u64>(), any::<u8>()), 1..600)
+    proptest::collection::vec((0u8..7, 0u8..8, any::<u64>()), 1..600)
 }
 
 /// Drive both queues through `ops`, checking `(time, event)`, `now()`,
 /// `len()` and `peek_time()` after every step, then drain.
-fn check(ops: Vec<Op>, prio_of: impl Fn(u8) -> u8) {
+fn check(ops: Vec<Op>) {
     let mut q = Pair::new();
     let mut batch = Vec::new();
-    for (kind, class, draw, prio) in ops {
+    for (kind, class, draw) in ops {
         match kind {
             0..=3 => {
                 let time = q.ladder.now().saturating_add(horizon(class, draw));
-                q.push(time, prio_of(prio));
+                q.push(time);
             }
             4 => {
                 q.pop_both();
@@ -198,22 +196,22 @@ fn check(ops: Vec<Op>, prio_of: impl Fn(u8) -> u8) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    // Random interleavings of pushes (near, far, same-instant, random
-    // priority) and pops never diverge from the reference heap.
+    // Random interleavings of pushes (near, far, same-instant) and pops
+    // never diverge from the reference heap.
     #[test]
     fn random_schedules_pop_identically(
         ops in proptest::collection::vec(
-            (0u8..4, 0u64..(3 * NEAR_WINDOW as u64 + 7), any::<u8>()),
+            (0u8..4, 0u64..(3 * NEAR_WINDOW as u64 + 7)),
             1..400,
         ),
     ) {
         let mut q = Pair::new();
-        for (kind, delta, prio) in ops {
+        for (kind, delta) in ops {
             match kind {
                 // Push relative to the current clock: 0 hits "now" often.
                 0 | 1 => {
                     let base = q.ladder.now();
-                    q.push(base + delta, prio);
+                    q.push(base + delta);
                 }
                 // Pop one from both (no-op when empty).
                 2 => {
@@ -222,24 +220,16 @@ proptest! {
                 // Same-instant push (the forwarding hot path).
                 _ => {
                     let now = q.ladder.now();
-                    q.push(now, prio);
+                    q.push(now);
                 }
             }
         }
         q.drain_both();
     }
 
-    // Every rung and every boundary between rungs, one priority (the
-    // network simulator's case: nothing is ever compared).
+    // Every rung and every boundary between rungs.
     #[test]
     fn every_horizon_pops_identically_with_one_priority(ops in ops()) {
-        check(ops, |_| 128);
-    }
-
-    // The same with priorities that collide and invert within a
-    // nanosecond: four classes, so equal keys and inversions are common.
-    #[test]
-    fn every_horizon_pops_identically_with_mixed_priorities(ops in ops()) {
-        check(ops, |p| [0, 1, 128, 255][p as usize % 4]);
+        check(ops);
     }
 }

@@ -76,6 +76,31 @@ impl SwitchParams {
         }
     }
 
+    /// Check that a simulator can run this switch; returns the first
+    /// problem found. Cycle costs must be finite and non-negative: a NaN
+    /// would serve every packet in the minimum time, an infinite one
+    /// overflow the clock.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.clusters == 0 || self.cores_per_cluster == 0 {
+            return Err("clusters and cores_per_cluster must be positive".into());
+        }
+        if self.elem_bytes == 0 {
+            return Err("elem_bytes must be positive".into());
+        }
+        if self.clock_ghz.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+            return Err("clock_ghz must be positive".into());
+        }
+        for (name, cycles) in [
+            ("cycles_per_elem", self.cycles_per_elem),
+            ("dma_copy_cycles", self.dma_copy_cycles),
+        ] {
+            if !(cycles.is_finite() && cycles >= 0.0) {
+                return Err(format!("{name} = {cycles}: expected a finite cost >= 0"));
+            }
+        }
+        Ok(())
+    }
+
     /// Total number of HPU cores, `K = clusters × C`.
     pub fn cores(&self) -> usize {
         self.clusters * self.cores_per_cluster
@@ -160,6 +185,20 @@ mod tests {
         assert_eq!(p.staggered_delta_c(8 * KIB, p.l_cycles()), 16.0);
         // δc never below δ.
         assert!(p.staggered_delta_c(512, 0.0) >= p.line_rate_delta());
+    }
+
+    #[test]
+    fn cycle_costs_must_be_finite_and_non_negative() {
+        assert!(SwitchParams::paper().validate().is_ok());
+        assert!(SwitchParams::figure5().validate().is_ok());
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            let mut p = SwitchParams::paper();
+            p.cycles_per_elem = bad;
+            assert!(p.validate().unwrap_err().contains("cycles_per_elem"));
+            p.cycles_per_elem = 4.0;
+            p.dma_copy_cycles = bad;
+            assert!(p.validate().unwrap_err().contains("dma_copy_cycles"));
+        }
     }
 
     #[test]

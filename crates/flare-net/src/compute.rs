@@ -24,9 +24,9 @@
 //! Because [`NetSim`](crate::NetSim) delivers events in nondecreasing time
 //! order, dispatching each arrival to the earliest-available core of its
 //! subset reproduces the same schedule as the explicit
-//! arrival/core-done event machinery of the `flare-pspin` engine (FCFS
+//! arrival/core-release event machinery of the `flare-pspin` engine (FCFS
 //! service order with greedy core grab), while costing one `O(S)` scan per
-//! packet instead of two queue operations — the cross-validation tests in
+//! packet instead of a queued core release — the cross-validation tests in
 //! `flare-bench` assert the equivalence on the Figure 5 scenarios.
 //!
 //! [`SwitchModel`] is the session-facing knob: `Ideal` (no processing
@@ -130,15 +130,7 @@ impl HpuParams {
 
     /// Validate internal consistency; returns the first problem found.
     pub fn validate(&self) -> Result<(), String> {
-        if self.params.clusters == 0 || self.params.cores_per_cluster == 0 {
-            return Err("clusters and cores_per_cluster must be positive".into());
-        }
-        if self.params.elem_bytes == 0 {
-            return Err("elem_bytes must be positive".into());
-        }
-        if self.params.clock_ghz.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return Err("clock_ghz must be positive".into());
-        }
+        self.params.validate()?;
         if self.subset_size == 0
             || !self
                 .params

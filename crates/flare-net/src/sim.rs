@@ -842,10 +842,9 @@ impl NetSim {
 /// `plan` is the numbering `lanes` were split by (`None`: `lanes` is the
 /// whole lane alone, which has no peer to look ahead for).
 ///
-/// Draining is batched: every event uses the default priority, so whole
-/// equal-timestamp buckets (multicast fan-outs, forwarding chains) are
-/// delivered with one queue operation while preserving the exact
-/// single-pop order (see `flare_des::queue`).
+/// Draining is batched: whole equal-timestamp buckets (multicast
+/// fan-outs, forwarding chains) are delivered with one queue operation in
+/// the exact single-pop order (see `flare_des::queue`).
 fn run_lanes(
     topo: &Topology,
     routing: &Routing,

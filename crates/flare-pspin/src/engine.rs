@@ -1,43 +1,37 @@
 //! The PsPIN discrete-event engine: packet scheduler, HPU cores, lock
 //! table, memory accounting.
 //!
-//! Event flow: an [`Event::Arrival`] either starts handler execution on an
-//! idle core of the packet's scheduling subset or queues the packet; an
-//! [`Event::CoreDone`] applies the handler's effects (emissions, memory
+//! Two sources of events feed it in time order: the arrival trace, sorted
+//! once, and a queue of core releases. An arrival either starts handler
+//! execution on an idle core of the packet's scheduling subset or queues
+//! the packet; a release applies the handler's effects (emissions, memory
 //! deltas, block completions) and pulls the next queued packet. Handler
 //! code runs *synchronously* at core-start time, returning a cycle cursor
 //! that determines when the core frees; critical-section serialization is
 //! mediated by the shared [`LockTable`] (see `handler.rs`).
+//!
+//! At one instant every release goes before every arrival, so a core that
+//! frees at `t` serves a packet arriving at `t` without queueing it — the
+//! idealized model in which a service time equal to the interarrival
+//! means no queueing (paper Fig. 5, scenario A).
 
 use std::collections::VecDeque;
 
-use flare_des::{EventQueue, Simulator, Time};
+use flare_des::{EventQueue, Time};
 
 use crate::config::{PspinConfig, SchedulingPolicy};
 use crate::handler::{HandlerEffects, HpuCtx, LockTable, PacketHandler};
 use crate::metrics::{Collectors, Report};
 use crate::packet::PspinPacket;
 
-/// Engine events.
-#[derive(Debug)]
-pub enum Event {
-    /// A packet arrived at the processing unit.
-    Arrival(PspinPacket),
-    /// The handler on `core` finished.
-    CoreDone {
-        /// Core index that completed.
-        core: usize,
-    },
-}
-
-/// Effects of an execution, pending until its completion event.
+/// Effects of an execution, pending until its core releases.
 struct Pending {
     effects: HandlerEffects,
     wire_bytes: u32,
     lock_wait: u64,
 }
 
-/// The PsPIN processing-unit simulator.
+/// The PsPIN processing-unit simulator, as [`run_trace`] leaves it.
 pub struct Engine<H: PacketHandler> {
     cfg: PspinConfig,
     handler: H,
@@ -53,15 +47,10 @@ pub struct Engine<H: PacketHandler> {
     collect: Collectors,
     emissions: Vec<(Time, PspinPacket)>,
     capture_emissions: bool,
-    started: bool,
 }
 
 impl<H: PacketHandler> Engine<H> {
-    /// Create an engine running `handler` on the given configuration.
-    ///
-    /// # Panics
-    /// Panics if the configuration fails [`PspinConfig::validate`].
-    pub fn new(cfg: PspinConfig, handler: H) -> Self {
+    fn new(cfg: PspinConfig, handler: H, capture_emissions: bool) -> Self {
         if let Err(e) = cfg.validate() {
             panic!("invalid PspinConfig: {e}");
         }
@@ -75,7 +64,7 @@ impl<H: PacketHandler> Engine<H> {
             }
         }
         let cores = cfg.cores();
-        let clusters = cfg.clusters;
+        let clusters = cfg.params.clusters;
         Self {
             cfg,
             handler,
@@ -86,15 +75,8 @@ impl<H: PacketHandler> Engine<H> {
             icache_warm: vec![false; clusters],
             collect: Collectors::default(),
             emissions: Vec::new(),
-            capture_emissions: false,
-            started: false,
+            capture_emissions,
         }
-    }
-
-    /// Capture emitted packets (with timestamps) for functional checks.
-    pub fn capture_emissions(mut self, yes: bool) -> Self {
-        self.capture_emissions = yes;
-        self
     }
 
     /// Scheduling subset for a block under the configured policy.
@@ -110,14 +92,82 @@ impl<H: PacketHandler> Engine<H> {
         &self.handler
     }
 
-    /// Emitted packets captured so far (requires `capture_emissions`).
+    /// Emitted packets captured by [`run_trace`] (when asked to capture).
     pub fn emissions(&self) -> &[(Time, PspinPacket)] {
         &self.emissions
     }
 
-    /// Produce the metrics report as of time `end`.
-    pub fn report(&self, end: Time) -> Report {
-        self.collect.report(end)
+    /// Serve `arrivals`, sorted by time, merged with the core releases
+    /// they cause; returns the time of the last event.
+    fn serve(&mut self, arrivals: Vec<(Time, PspinPacket)>) -> Time {
+        let mut releases = EventQueue::new();
+        let mut last = 0;
+        self.collect.first_arrival_seen = arrivals.first().map_or(0, |&(t, _)| t);
+        for (t, pkt) in arrivals {
+            self.release_until(t, &mut releases);
+            self.arrive(t, pkt, &mut releases);
+            last = t;
+        }
+        self.release_until(Time::MAX, &mut releases);
+        last.max(releases.now())
+    }
+
+    /// Release every core due by `until`, in scheduling order at each
+    /// instant.
+    fn release_until(&mut self, until: Time, releases: &mut EventQueue<usize>) {
+        while releases.peek_time().is_some_and(|r| r <= until) {
+            let (r, core) = releases.pop().expect("a peeked release pops");
+            self.release(r, core, releases);
+        }
+    }
+
+    fn arrive(&mut self, t: Time, pkt: PspinPacket, releases: &mut EventQueue<usize>) {
+        // L2 packet-memory admission: drop when full (the paper's networks
+        // would instead backpressure; experiments are sized so this never
+        // triggers and `drops` stays 0).
+        if self.collect.input_buffer.level + pkt.wire_bytes as i64
+            > self.cfg.params.l2_packet_bytes as i64
+        {
+            self.collect.drops += 1;
+            return;
+        }
+        self.collect.packets_in += 1;
+        self.collect.bytes_in += pkt.wire_bytes as u64;
+        self.collect.input_buffer.add(pkt.wire_bytes as i64);
+        let subset = self.subset_of(pkt.block);
+        if let Some(core) = self.idle[subset].pop() {
+            self.start_execution(t, core, pkt, releases);
+        } else {
+            self.queues[subset].push_back(pkt);
+            self.collect.queued.add(1);
+        }
+    }
+
+    fn release(&mut self, t: Time, core: usize, releases: &mut EventQueue<usize>) {
+        let pending = self.pending[core].take().expect("no pending work");
+        let collect = &mut self.collect;
+        collect.input_buffer.add(-(pending.wire_bytes as i64));
+        collect.lock_wait_cycles += pending.lock_wait;
+        collect.working_mem.add(pending.effects.working_mem_delta);
+        collect.blocks_completed += pending.effects.blocks_completed;
+        for pkt in pending.effects.emissions {
+            collect.packets_out += 1;
+            collect.bytes_out += pkt.wire_bytes as u64;
+            if self.capture_emissions {
+                self.emissions.push((t, pkt));
+            }
+        }
+        // Pull the next queued packet for this core's subset.
+        let subset = match self.cfg.policy {
+            SchedulingPolicy::GlobalFcfs => 0,
+            SchedulingPolicy::Hierarchical { subset_size } => core / subset_size,
+        };
+        if let Some(pkt) = self.queues[subset].pop_front() {
+            self.collect.queued.add(-1);
+            self.start_execution(t, core, pkt, releases);
+        } else {
+            self.idle[subset].push(core);
+        }
     }
 
     fn start_execution(
@@ -125,7 +175,7 @@ impl<H: PacketHandler> Engine<H> {
         t: Time,
         core: usize,
         pkt: PspinPacket,
-        queue: &mut EventQueue<Event>,
+        releases: &mut EventQueue<usize>,
     ) {
         let cluster = self.cfg.cluster_of(core);
         let icache = if self.icache_warm[cluster] {
@@ -139,7 +189,7 @@ impl<H: PacketHandler> Engine<H> {
             core,
             cluster,
             &mut self.locks,
-            self.cfg.dma_copy_cycles,
+            self.cfg.params.dma_copy_cycles.ceil() as u64,
             self.cfg.remote_l1_factor,
         );
         self.handler.process(&mut ctx, &pkt);
@@ -159,106 +209,39 @@ impl<H: PacketHandler> Engine<H> {
             wire_bytes: pkt.wire_bytes,
             lock_wait,
         });
-        // Priority 0: a core freeing at time t serves before an arrival at
-        // the same t sees "no idle core" — matching the idealized model
-        // where service time == interarrival means no queueing.
-        queue.schedule_at_prio(end, 0, Event::CoreDone { core });
+        releases.schedule_at(end, core);
+        debug_assert!(releases.len() <= self.cfg.cores());
     }
 }
 
-impl<H: PacketHandler> Simulator for Engine<H> {
-    type Event = Event;
-
-    fn handle(&mut self, t: Time, event: Event, queue: &mut EventQueue<Event>) {
-        match event {
-            Event::Arrival(pkt) => {
-                if !self.started {
-                    self.started = true;
-                    self.collect.first_arrival_seen = t;
-                }
-                // L2 packet-memory admission: drop when full (the paper's
-                // networks would instead backpressure; experiments are sized
-                // so this never triggers and `drops` stays 0).
-                if self.collect.input_buffer.level + pkt.wire_bytes as i64
-                    > self.cfg.l2_packet_bytes as i64
-                {
-                    self.collect.drops += 1;
-                    return;
-                }
-                self.collect.packets_in += 1;
-                self.collect.bytes_in += pkt.wire_bytes as u64;
-                self.collect.input_buffer.add(pkt.wire_bytes as i64);
-                let subset = self.subset_of(pkt.block);
-                if let Some(core) = self.idle[subset].pop() {
-                    self.start_execution(t, core, pkt, queue);
-                } else {
-                    self.queues[subset].push_back(pkt);
-                    self.collect.queued.add(1);
-                }
-            }
-            Event::CoreDone { core } => {
-                let pending = self.pending[core].take().expect("no pending work");
-                let collect = &mut self.collect;
-                collect.input_buffer.add(-(pending.wire_bytes as i64));
-                collect.lock_wait_cycles += pending.lock_wait;
-                collect.working_mem.add(pending.effects.working_mem_delta);
-                collect.blocks_completed += pending.effects.blocks_completed;
-                for pkt in pending.effects.emissions {
-                    collect.packets_out += 1;
-                    collect.bytes_out += pkt.wire_bytes as u64;
-                    if self.capture_emissions {
-                        self.emissions.push((t, pkt));
-                    }
-                }
-                // Pull the next queued packet for this core's subset.
-                let subset = match self.cfg.policy {
-                    SchedulingPolicy::GlobalFcfs => 0,
-                    SchedulingPolicy::Hierarchical { subset_size } => core / subset_size,
-                };
-                if let Some(pkt) = self.queues[subset].pop_front() {
-                    self.collect.queued.add(-1);
-                    self.start_execution(t, core, pkt, queue);
-                } else {
-                    self.idle[subset].push(core);
-                }
-            }
-        }
-    }
-}
-
-/// Run `handler` over a pre-built arrival trace and return the report
-/// (and the engine, for functional inspection).
+/// Run `handler` over an arrival trace and return the report (and the
+/// engine, for functional inspection). Arrivals at one instant are served
+/// in trace order; the trace need not be sorted.
+///
+/// # Panics
+/// Panics if `cfg` fails [`PspinConfig::validate`].
 pub fn run_trace<H: PacketHandler>(
     cfg: PspinConfig,
     handler: H,
-    arrivals: Vec<(Time, PspinPacket)>,
+    mut arrivals: Vec<(Time, PspinPacket)>,
     capture: bool,
 ) -> (Report, Engine<H>) {
-    let mut engine = Engine::new(cfg, handler).capture_emissions(capture);
-    let mut queue = EventQueue::new();
-    for (t, pkt) in arrivals {
-        queue.schedule_at(t, Event::Arrival(pkt));
-    }
-    // Batched draining is order-identical to single pops here: handlers
-    // never schedule same-timestamp events (a `CoreDone` always lands at
-    // least one cycle after the packet it completes), so each batch is
-    // fixed before the first of its events runs.
-    let end = flare_des::run_batched(&mut engine, &mut queue);
-    let report = engine.report(end);
-    (report, engine)
+    arrivals.sort_by_key(|&(t, _)| t);
+    let mut engine = Engine::new(cfg, handler, capture);
+    let end = engine.serve(arrivals);
+    (engine.collect.report(end), engine)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use flare_model::SwitchParams;
 
+    /// The Figure 5 switch: one cluster of four cores, no DMA cost.
     fn cfg_small() -> PspinConfig {
         PspinConfig {
-            clusters: 1,
-            cores_per_cluster: 4,
-            l2_packet_bytes: 1 << 20,
-            dma_copy_cycles: 0,
+            params: SwitchParams::figure5(),
             remote_l1_factor: 1,
             icache_fill_cycles: 0,
             policy: SchedulingPolicy::GlobalFcfs,
@@ -286,6 +269,43 @@ mod tests {
         assert_eq!(report.drops, 0);
         // Last arrival at t=15, finishes at 19; makespan = 19.
         assert_eq!(report.duration_ns, 19);
+    }
+
+    #[test]
+    fn a_core_freeing_as_a_packet_arrives_serves_it_without_queueing() {
+        // S=1: every packet of block 0 lands on core 0, arriving back to
+        // back at tau = 4. Each arrival meets the release of the packet
+        // before it at the same instant, and the release goes first.
+        let mut cfg = cfg_small();
+        cfg.policy = SchedulingPolicy::Hierarchical { subset_size: 1 };
+        let arrivals = (0..8u64).map(|i| (4 * i, pkt(0, i as u16))).collect();
+        let (report, _) = run_trace(cfg, fixed_cost_handler(4), arrivals, false);
+        assert_eq!(report.queue_peak, 0);
+        assert_eq!(report.duration_ns, 32);
+    }
+
+    #[test]
+    fn an_unsorted_trace_runs_as_the_sorted_one() {
+        let handler = || {
+            |ctx: &mut HpuCtx<'_>, pkt: &PspinPacket| {
+                ctx.acquire_any([(pkt.block, 0)], 7);
+                ctx.working_mem(16);
+                if pkt.child == 3 {
+                    ctx.emit(pkt.clone());
+                    ctx.complete_block();
+                }
+            }
+        };
+        // Distinct times; a block's packets come 6 ns apart and hold its
+        // lock for 7 cycles, so they contend.
+        let sorted: Vec<_> = (0..40u64)
+            .map(|i| (3 * i, pkt(i % 2, (i / 10) as u16)))
+            .collect();
+        let reversed = sorted.iter().rev().cloned().collect();
+        let (a, _) = run_trace(cfg_small(), handler(), sorted, false);
+        let (b, _) = run_trace(cfg_small(), handler(), reversed, false);
+        assert!(a.lock_wait_cycles > 0 && a.blocks_completed == 10, "{a:?}");
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]
@@ -347,8 +367,9 @@ mod tests {
     #[test]
     fn l2_exhaustion_drops_packets() {
         let mut cfg = cfg_small();
-        cfg.l2_packet_bytes = 8; // two 4-byte packets (headers are 0 here)
-                                 // Slow handler; flood of simultaneous arrivals.
+        // Two 4-byte packets (headers are 0 here); a slow handler and a
+        // flood of simultaneous arrivals.
+        cfg.params.l2_packet_bytes = 8;
         let arrivals = (0..10u64).map(|i| (0, pkt(i, 0))).collect();
         let (report, _) = run_trace(cfg, fixed_cost_handler(1000), arrivals, false);
         assert_eq!(report.packets_in + report.drops, 10);
@@ -383,8 +404,8 @@ mod tests {
     #[test]
     fn hierarchical_routes_blocks_to_fixed_subsets() {
         let mut cfg = cfg_small();
-        cfg.clusters = 2;
-        cfg.cores_per_cluster = 2;
+        cfg.params.clusters = 2;
+        cfg.params.cores_per_cluster = 2;
         cfg.policy = SchedulingPolicy::Hierarchical { subset_size: 2 };
         // Record which core processed each block.
         let seen = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));

@@ -159,9 +159,11 @@ impl ArrivalProcess {
     }
 
     /// Materialize the arrival instants for tenant `tenant_idx` under
-    /// `seed` (deterministic: same inputs → same instants).
-    fn times(&self, seed: u64, tenant_idx: u64) -> Vec<Time> {
-        match self {
+    /// `seed` (deterministic: same inputs → same instants). A Poisson
+    /// process whose instants pass the end of simulated time is an
+    /// invalid spec.
+    fn times(&self, seed: u64, tenant_idx: u64) -> Result<Vec<Time>, TrafficError> {
+        Ok(match self {
             ArrivalProcess::AtStart { jobs } => vec![0; *jobs],
             ArrivalProcess::Poisson {
                 mean_interarrival_ns,
@@ -171,17 +173,22 @@ impl ArrivalProcess {
                 let mut t: Time = 0;
                 (0..*jobs)
                     .map(|_| {
-                        t += exp_time(&mut rng, *mean_interarrival_ns);
-                        t
+                        t = t.checked_add(exp_time(&mut rng, *mean_interarrival_ns))?;
+                        Some(t)
                     })
-                    .collect()
+                    .collect::<Option<_>>()
+                    .ok_or_else(|| {
+                        TrafficError::InvalidSpec(format!(
+                            "{jobs} Poisson arrivals {mean_interarrival_ns} ns apart overflow simulated time"
+                        ))
+                    })?
             }
             ArrivalProcess::Trace(ts) => {
                 let mut v = ts.clone();
                 v.sort_unstable();
                 v
             }
-        }
+        })
     }
 }
 
@@ -314,9 +321,9 @@ impl TenantSpec {
             ..
         } = self.arrivals
         {
-            if mean_interarrival_ns <= 0.0 || mean_interarrival_ns.is_nan() {
+            if !(mean_interarrival_ns > 0.0 && mean_interarrival_ns.is_finite()) {
                 return Err(TrafficError::InvalidSpec(
-                    "Poisson mean interarrival must be positive".into(),
+                    "Poisson mean interarrival must be positive and finite".into(),
                 ));
             }
         }
@@ -370,12 +377,14 @@ impl<'s> TrafficEngine<'s> {
         self.tenants.len()
     }
 
-    /// Admit `spec` as a new tenant: validates the spec, reserves switch
-    /// memory through the session's admission control, labels the handle
-    /// with the spec name and precomputes the arrival instants. Returns
-    /// the tenant's allreduce id.
+    /// Admit `spec` as a new tenant: validates the spec, precomputes the
+    /// arrival instants, reserves switch memory through the session's
+    /// admission control and labels the handle with the spec name.
+    /// Returns the tenant's allreduce id.
     pub fn add_tenant(&mut self, spec: TenantSpec) -> Result<u32, TrafficError> {
         spec.validate()?;
+        let idx = self.tenants.len() as u64;
+        let arrivals = spec.arrivals.times(self.seed, idx)?;
         let hosts = match &spec.hosts {
             Some(h) => h.clone(),
             None => self.session.hosts().to_vec(),
@@ -411,8 +420,6 @@ impl<'s> TrafficEngine<'s> {
             self.session.release(handle)?;
             return Err(TrafficError::TagOverflow(e));
         }
-        let idx = self.tenants.len() as u64;
-        let arrivals = spec.arrivals.times(self.seed, idx);
         let id = handle.id();
         self.tenants.push(TenantRt {
             spec,
@@ -1012,20 +1019,24 @@ mod tests {
             mean_interarrival_ns: 10_000.0,
             jobs: 16,
         };
-        let a = p.times(7, 3);
-        let b = p.times(7, 3);
+        let a = p.times(7, 3).unwrap();
+        let b = p.times(7, 3).unwrap();
         assert_eq!(a, b, "same seed/tenant → same arrivals");
-        assert_ne!(a, p.times(7, 4), "tenants draw from distinct streams");
+        assert_ne!(
+            a,
+            p.times(7, 4).unwrap(),
+            "tenants draw from distinct streams"
+        );
         assert!(a.windows(2).all(|w| w[0] < w[1]), "strictly increasing");
         assert_eq!(p.jobs(), 16);
 
         assert_eq!(
             ArrivalProcess::AtStart { jobs: 3 }.times(7, 0),
-            vec![0, 0, 0]
+            Ok(vec![0, 0, 0])
         );
         assert_eq!(
             ArrivalProcess::Trace(vec![30, 10, 20]).times(7, 0),
-            vec![10, 20, 30]
+            Ok(vec![10, 20, 30])
         );
     }
 
@@ -1054,6 +1065,29 @@ mod tests {
             Err(TrafficError::InvalidSpec(_))
         ));
         assert_eq!(eng.run().err(), Some(TrafficError::NoTenants));
+    }
+
+    #[test]
+    fn arrivals_past_the_end_of_time_are_an_invalid_spec_and_admit_nothing() {
+        let (topo, sw, _hosts) = Topology::star(4, LinkSpec::hundred_gig());
+        let mut session = FlareSession::new(topo);
+        let mut eng = TrafficEngine::new(&mut session, 7);
+        // An infinite mean fails validation; a finite one this large
+        // passes it, and its second instant overflows `Time`.
+        for mean in [f64::INFINITY, 1e30] {
+            let spec = TenantSpec::new("t", 64).arrivals(ArrivalProcess::Poisson {
+                mean_interarrival_ns: mean,
+                jobs: 2,
+            });
+            assert!(
+                matches!(eng.add_tenant(spec), Err(TrafficError::InvalidSpec(_))),
+                "mean {mean}"
+            );
+        }
+        assert_eq!(eng.tenant_count(), 0);
+        drop(eng);
+        assert_eq!(session.reserved_on(sw), 0, "no admission leaked");
+        assert_eq!(session.active_collectives(), 0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use flare::core::handlers::{DenseAllreduceHandler, DenseHandlerConfig};
 use flare::core::op::Sum;
 use flare::core::wire::{encode_dense, Header, PacketKind};
-use flare::model::AggKind;
+use flare::model::{AggKind, SwitchParams};
 use flare::pspin::engine::run_trace;
 use flare::pspin::{ArrivalTrace, PspinConfig, SchedulingPolicy, StaggerMode, TraceConfig};
 use flare::workloads::dense_uniform_f32;
@@ -56,8 +56,11 @@ fn run(algorithm: AggKind, seed: u64) -> Vec<u32> {
         encode_dense::<f32>(header, &data[c as usize])
     });
     let cfg = PspinConfig {
-        clusters: 2,
-        cores_per_cluster: 4,
+        params: SwitchParams {
+            clusters: 2,
+            cores_per_cluster: 4,
+            ..SwitchParams::paper()
+        },
         policy: SchedulingPolicy::Hierarchical { subset_size: 4 },
         ..PspinConfig::paper()
     };

@@ -22,7 +22,7 @@ use flare::core::switch_prog::{FlareDenseProgram, FlareSparseProgram, TreePlacem
 use flare::core::wire::{
     decode_dense, decode_sparse, encode_dense, encode_sparse, Header, PacketKind,
 };
-use flare::model::AggKind;
+use flare::model::{AggKind, SwitchParams};
 use flare::net::{
     HostCtx, HostProgram, LinkSpec, NetPacket, NetSim, NodeId, PortId, SwitchCtx, SwitchProgram,
     Topology,
@@ -122,8 +122,11 @@ fn pspin_handler_ignores_duplicate_contributions() {
     )
     .with_loss_recovery(true);
     let cfg = PspinConfig {
-        clusters: 1,
-        cores_per_cluster: 4,
+        params: SwitchParams {
+            clusters: 1,
+            cores_per_cluster: 4,
+            ..SwitchParams::paper()
+        },
         policy: SchedulingPolicy::Hierarchical { subset_size: 4 },
         ..PspinConfig::paper()
     };
@@ -345,8 +348,11 @@ fn sparse_script(children: u16) -> Script {
 /// One cluster of four cores, scheduled hierarchically.
 fn one_cluster() -> PspinConfig {
     PspinConfig {
-        clusters: 1,
-        cores_per_cluster: 4,
+        params: SwitchParams {
+            clusters: 1,
+            cores_per_cluster: 4,
+            ..SwitchParams::paper()
+        },
         policy: SchedulingPolicy::Hierarchical { subset_size: 4 },
         ..PspinConfig::paper()
     }
@@ -711,8 +717,11 @@ fn remote_cluster_spill_pushes_pay_the_remote_l1_factor() {
         };
         let handler = SparseAllreduceHandler::<f32, Sum>::new(cfg_h, Sum);
         let cfg = PspinConfig {
-            clusters: 2,
-            cores_per_cluster: 1,
+            params: SwitchParams {
+                clusters: 2,
+                cores_per_cluster: 1,
+                ..SwitchParams::paper()
+            },
             policy,
             ..PspinConfig::paper()
         };

@@ -15,7 +15,10 @@ fn run_on(clusters: usize, kind: AggKind, data_bytes: u64, jitter: bool) -> flar
     };
     let run = SwitchRun {
         cfg: PspinConfig {
-            clusters,
+            params: SwitchParams {
+                clusters,
+                ..SwitchParams::paper()
+            },
             ..PspinConfig::paper()
         },
         children: 64,
@@ -86,7 +89,10 @@ fn staggering_cuts_input_buffer_occupancy_in_sim_as_modeled() {
     let run = |stagger| {
         let run = SwitchRun {
             cfg: PspinConfig {
-                clusters: 8,
+                params: SwitchParams {
+                    clusters: 8,
+                    ..SwitchParams::paper()
+                },
                 ..PspinConfig::paper()
             },
             children: 64,
@@ -121,7 +127,10 @@ fn global_fcfs_pays_the_remote_l1_penalty() {
     let run_policy = |policy| {
         let run = SwitchRun {
             cfg: PspinConfig {
-                clusters: 8,
+                params: SwitchParams {
+                    clusters: 8,
+                    ..SwitchParams::paper()
+                },
                 policy,
                 ..PspinConfig::paper()
             },

@@ -8,7 +8,7 @@ use bytes::Bytes;
 use flare::core::handlers::{DenseAllreduceHandler, DenseHandlerConfig};
 use flare::core::op::Sum;
 use flare::core::wire::{encode_dense, Header, PacketKind};
-use flare::model::{select_algorithm, AggKind};
+use flare::model::{select_algorithm, AggKind, SwitchParams};
 use flare::pspin::engine::run_trace;
 use flare::pspin::{ArrivalTrace, PspinConfig, SchedulingPolicy, StaggerMode, TraceConfig};
 use flare::workloads::dense_uniform_f32;
@@ -28,8 +28,11 @@ fn contrib(block: u64, child: u16, vals: &[f32]) -> Bytes {
 
 fn cfg() -> PspinConfig {
     PspinConfig {
-        clusters: 2,
-        cores_per_cluster: 4,
+        params: SwitchParams {
+            clusters: 2,
+            cores_per_cluster: 4,
+            ..SwitchParams::paper()
+        },
         policy: SchedulingPolicy::Hierarchical { subset_size: 4 },
         ..PspinConfig::paper()
     }

@@ -148,6 +148,32 @@ fn invalid_hpu_params_are_a_typed_error_not_a_panic() {
 }
 
 #[test]
+fn a_switch_model_no_run_can_finish_under_is_a_typed_error() {
+    // A zero rate makes every service time infinite and would overflow
+    // the clock mid-run; a negative or NaN rate, or a NaN per-element
+    // cost, would silently serve every packet in 1 ns.
+    use flare::core::session::SessionError;
+    let mut nan_cost = HpuParams::paper();
+    nan_cost.params.cycles_per_elem = f64::NAN;
+    let models = [0.0, -1.0, f64::NAN].map(|r| (SwitchModel::RateLimited(r), "RateLimited"));
+    for (model, why) in models
+        .into_iter()
+        .chain([(SwitchModel::Hpu(nan_cost), "cycles_per_elem")])
+    {
+        let (topo, _sw, _hosts) = Topology::star(3, LinkSpec::hundred_gig());
+        let mut session = FlareSession::builder(topo).switch_model(model).build();
+        let err = session
+            .allreduce(vec![vec![1i32; 64]; 3])
+            .run()
+            .unwrap_err();
+        assert!(
+            matches!(err, SessionError::InvalidSwitchModel(ref w) if w.contains(why)),
+            "{err:?}"
+        );
+    }
+}
+
+#[test]
 fn ideal_and_infinite_rate_models_agree() {
     // `Ideal` is the typed spelling of the historical "rate = ∞" switch:
     // both must produce identical makespans.
