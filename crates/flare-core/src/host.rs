@@ -58,8 +58,10 @@ pub struct HostConfig {
     pub leaf: NodeId,
     /// This host's child index at the leaf.
     pub child_index: u16,
-    /// Maximum blocks in flight: the admitted plan's stagger-spread
-    /// window (`AllreducePlan::window`), not the paper's ℛ.
+    /// Maximum blocks in flight: the admitted plan's window
+    /// (`AllreducePlan::window`), the paper's ℛ where no rank is staggered
+    /// on a lossless fabric of serial pipelines and the stagger-spread
+    /// window elsewhere.
     pub window: usize,
     /// Rotation of the block send order (staggered sending): rank `i`
     /// uses `i × step`, with a step that never wraps the block range

@@ -13,9 +13,12 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
+use flare_model::scheduling::{switch_bandwidth, working_buffers};
 use flare_model::{select_algorithm, AggKind};
 use flare_net::topology::NodeKind;
 use flare_net::{NodeId, Topology};
+
+use crate::wire::HEADER_BYTES;
 
 /// One switch's position in a reduction tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -261,6 +264,12 @@ pub struct AllreduceRequest {
     pub packet_bytes: usize,
     /// Require bitwise reproducibility (forces tree aggregation).
     pub reproducible: bool,
+    /// Time a tree switch takes to fold one packet, in ns, where the
+    /// window of a flow with more hosts than blocks may be sized by the
+    /// paper's ℛ ([`AllreducePlan::window`]); `None` keeps such a flow's
+    /// blocks all in flight. The session gives its serial pipeline's
+    /// ([`flare_net::SwitchModel::service_ns`]) on a lossless fabric only.
+    pub service_ns: Option<u64>,
 }
 
 /// An admitted allreduce: id, tree, algorithm and per-switch reservation.
@@ -272,14 +281,18 @@ pub struct AllreducePlan {
     pub tree: ReductionTree,
     /// Selected aggregation algorithm (paper Section 6.4 policy).
     pub algorithm: AggKind,
-    /// Working-memory bytes reserved per tree switch. Reservations depend
+    /// Working-memory bytes reserved per tree switch:
+    /// [`block_bytes`](Self::block_bytes) × `window`. Reservations depend
     /// on each switch's fanout: a root aggregating 8 children needs more
     /// tree buffers than a leaf aggregating 2.
     pub reserved: HashMap<NodeId, u64>,
-    /// Recommended number of in-flight blocks per host (window): enough
-    /// to cover the stagger spread of `hosts` ranks plus 64 blocks of
-    /// pipelining, at most the flow's blocks and at least 8. It is not
-    /// derived from the Little's-law buffer count ℛ (Section 4.3).
+    /// Recommended number of in-flight blocks per host (window), at most
+    /// the flow's blocks but never fewer than 8. Where hosts outnumber
+    /// blocks no rank is staggered, and on a lossless fabric of serial
+    /// pipelines it is the Little's-law buffer count ℛ of Section 4.3: the
+    /// blocks in flight that keep the tree's slowest switch busy over one
+    /// round trip. Elsewhere it covers the stagger spread of `hosts` ranks
+    /// plus 64 blocks of pipelining.
     pub window: usize,
 }
 
@@ -287,6 +300,14 @@ impl AllreducePlan {
     /// Largest single-switch reservation (display convenience).
     pub fn max_reserved_bytes(&self) -> u64 {
         self.reserved.values().copied().max().unwrap_or(0)
+    }
+
+    /// Working memory one open block holds on a tree switch with `fanout`
+    /// children: `M` buffers of one `packet_bytes` packet, `M` set by the
+    /// algorithm.
+    pub fn block_bytes(&self, fanout: usize, packet_bytes: usize) -> u64 {
+        let m = flare_model::dense::buffers_per_block(self.algorithm, fanout.max(2)).ceil();
+        m as u64 * packet_bytes as u64
     }
 }
 
@@ -327,31 +348,117 @@ impl NetworkManager {
         self.active.contains_key(&id)
     }
 
-    /// The window (per-host in-flight blocks; a heuristic standing in for
-    /// the paper's ℛ) must cover the *stagger spread*: with staggered
-    /// sending, a block stays open at the switch until the latest-offset
-    /// host reaches it, so the window has to exceed `hosts × stagger step`
-    /// plus pipeline slack, or hosts deadlock waiting for completions that
-    /// need their own window slots.
-    fn window_for(req: &AllreduceRequest, hosts: usize) -> usize {
+    /// The window: in-flight blocks per host, at most the flow's blocks
+    /// but never fewer than 8.
+    ///
+    /// With more hosts than blocks no rank is staggered
+    /// (`wiring::stagger_step` is 0 at every window), so where the request
+    /// gives a switch's per-packet service the window only has to cover
+    /// the flow's bandwidth-delay product: the paper's ℛ
+    /// ([`Self::reservation`]). The session gives none, and the flow keeps
+    /// every block in flight, in two cases:
+    /// - on a lossy fabric, where a block being recovered holds its slot
+    ///   for a timeout that no unloaded round trip counts;
+    /// - on HPU switches, where hierarchical FCFS folds many blocks at once
+    ///   and no workload has yet shown a window below every block that
+    ///   keeps the makespan.
+    ///
+    /// Elsewhere the window must cover the *stagger spread*: a block stays
+    /// open at the switch until the latest-offset host reaches it, so the
+    /// window has to exceed `hosts × stagger step` plus pipeline slack, or
+    /// hosts deadlock waiting for completions that need their own window
+    /// slots.
+    ///
+    /// The floor of 8 stays for sparse flows: admission counts their
+    /// packets per host, not their blocks, so without it a sparse flow of
+    /// 2 such packets would get a window of 2 for its dozens of blocks.
+    fn window_for(
+        topo: &Topology,
+        tree: &ReductionTree,
+        hosts: &[NodeId],
+        req: &AllreduceRequest,
+    ) -> usize {
         let blocks = (req.data_bytes / req.packet_bytes as u64).max(1);
-        (blocks.min(hosts as u64 + 64) as usize).max(8)
+        let stagger = (blocks.min(hosts.len() as u64 + 64) as usize).max(8);
+        match req.service_ns {
+            Some(service_ns) if hosts.len() as u64 > blocks => {
+                let r = Self::reservation(topo, tree, hosts, req.packet_bytes, service_ns);
+                r.map_or(stagger, |r| r.min(blocks as usize).max(8))
+            }
+            _ => stagger,
+        }
     }
 
-    /// Working-memory need of one switch: `M` buffers per block for its
-    /// own fanout (algorithm-dependent) × in-flight blocks × packet size.
-    fn switch_need(
-        req: &AllreduceRequest,
-        algorithm: AggKind,
-        fanout: usize,
-        window: usize,
-    ) -> u64 {
-        let m = flare_model::dense::buffers_per_block(algorithm, fanout.max(2)).ceil() as u64;
-        m * window as u64 * req.packet_bytes as u64
+    /// ℛ = ℬ/P · ℒ (Section 4.3, Little's law with `M` = 1, which
+    /// [`AllreducePlan::block_bytes`] multiplies in): the blocks in flight
+    /// that keep the tree's slowest switch `b` busy, each switch a serial
+    /// pipeline folding a packet in `service_ns` (τ). All of a block's
+    /// packets reach a switch together, since no rank is staggered:
+    /// - `ℬ_b/P_b` is `b`'s block rate, `b` the switch of the longest
+    ///   per-block time `P / ℬ` = max(P·τ, a host uplink's serialisation
+    ///   of one packet);
+    /// - `ℒ` is a block's unloaded round trip: every hop up and down
+    ///   (serialisation + latency), each switch's fold on the way up
+    ///   ((P + 1)·τ, Section 5's ℒ at δc = 0 with all P packets queued),
+    ///   one τ at each non-root switch on the way down.
+    ///
+    /// `None` when no count of blocks bounds the flow: a switch below the
+    /// root cannot fold at the line rate of its hosts, so a result coming
+    /// down queues there behind the contributions of later blocks, a wait
+    /// the unloaded ℒ does not count (or a tree edge is not a link).
+    fn reservation(
+        topo: &Topology,
+        tree: &ReductionTree,
+        hosts: &[NodeId],
+        packet_bytes: usize,
+        service_ns: u64,
+    ) -> Option<usize> {
+        let wire = (HEADER_BYTES + packet_bytes) as u32;
+        let tau = service_ns as f64;
+        // (serialisation, serialisation + latency) of the edge `a`–`b`.
+        let hop = |a: NodeId, b: NodeId| {
+            let port = topo.port_towards(a, b)?;
+            let spec = topo.link(topo.ports_of(a)[port.index()].link).spec;
+            let ser = spec.serialize_ns(wire);
+            Some((ser as f64, (ser + spec.latency_ns) as f64))
+        };
+        let mut uplink: f64 = 0.0;
+        for h in hosts {
+            let &(leaf, _) = tree.host_attach.get(h)?;
+            uplink = uplink.max(hop(*h, leaf)?.0);
+        }
+        // Round trip from arriving at each switch to the result leaving
+        // it, root first; and the slowest switch's (ℬ, P).
+        let mut below: HashMap<NodeId, f64> = HashMap::with_capacity(tree.switches.len());
+        let mut slowest = (f64::INFINITY, 1);
+        for s in &tree.switches {
+            let fanout = s.children.len();
+            let mut rtt = (fanout + 1) as f64 * tau;
+            if let Some(parent) = s.parent {
+                if fanout as f64 * tau > uplink {
+                    return None;
+                }
+                rtt += 2.0 * hop(s.switch, parent)?.1 + below.get(&parent)? + tau;
+            }
+            below.insert(s.switch, rtt);
+            let bandwidth = switch_bandwidth(1, tau, uplink / fanout as f64);
+            if bandwidth / (fanout as f64) < slowest.0 / slowest.1 as f64 {
+                slowest = (bandwidth, fanout);
+            }
+        }
+        let mut latency: f64 = 0.0;
+        for h in hosts {
+            let &(leaf, _) = tree.host_attach.get(h)?;
+            latency = latency.max(2.0 * hop(*h, leaf)?.1 + below.get(&leaf)?);
+        }
+        let r = working_buffers(1.0, slowest.0, slowest.1, latency);
+        Some(r.ceil() as usize)
     }
 
     /// Admit an allreduce over `hosts`, retrying with saturated switches
-    /// excluded (the paper's recompute-then-reject behaviour).
+    /// excluded (the paper's recompute-then-reject behaviour). Each tree
+    /// switch reserves `M` buffers of one packet per block in the window
+    /// ([`AllreducePlan::block_bytes`] × [`AllreducePlan::window`]).
     pub fn create_allreduce(
         &mut self,
         topo: &Topology,
@@ -363,39 +470,35 @@ impl NetworkManager {
         loop {
             let tree =
                 compute_reduction_tree(topo, hosts, &excluded).ok_or(AdmissionError::NoTree)?;
-            let window = Self::window_for(req, hosts.len());
-            let reserved: HashMap<NodeId, u64> = tree
-                .switches
-                .iter()
-                .map(|s| {
-                    (
-                        s.switch,
-                        Self::switch_need(req, algorithm, s.children.len(), window),
-                    )
-                })
-                .collect();
+            let window = Self::window_for(topo, &tree, hosts, req);
+            let mut plan = AllreducePlan {
+                id: self.next_id,
+                tree,
+                algorithm,
+                reserved: HashMap::new(),
+                window,
+            };
+            let need = |s: &TreeSwitch| {
+                plan.block_bytes(s.children.len(), req.packet_bytes) * window as u64
+            };
+            let reserved = plan.tree.switches.iter().map(|s| (s.switch, need(s)));
+            plan.reserved = reserved.collect::<HashMap<_, _>>();
             // Find a switch that cannot host this allreduce.
-            let saturated = tree
+            let saturated = plan
+                .tree
                 .switches
                 .iter()
                 .map(|s| s.switch)
-                .find(|&sw| self.used_on(sw) + reserved[&sw] > self.budget_per_switch);
+                .find(|&sw| self.used_on(sw) + plan.reserved[&sw] > self.budget_per_switch);
             match saturated {
                 Some(sw) => {
                     excluded.insert(sw);
                     continue;
                 }
                 None => {
-                    for (&sw, &need) in &reserved {
+                    for (&sw, &need) in &plan.reserved {
                         *self.used.entry(sw).or_insert(0) += need;
                     }
-                    let plan = AllreducePlan {
-                        id: self.next_id,
-                        tree,
-                        algorithm,
-                        reserved,
-                        window,
-                    };
                     self.next_id += 1;
                     self.active.insert(plan.id, plan.clone());
                     return Ok(plan);
@@ -420,10 +523,19 @@ impl NetworkManager {
     }
 }
 
+/// The window rule before unstaggered flows were sized by ℛ, as the
+/// reference of the tests: the stagger spread of `hosts` ranks plus 64
+/// blocks, at most the flow's blocks, at least 8.
+#[cfg(test)]
+pub(crate) fn stagger_window(req: &AllreduceRequest, hosts: usize) -> usize {
+    let blocks = (req.data_bytes / req.packet_bytes as u64).max(1);
+    (blocks.min(hosts as u64 + 64) as usize).max(8)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flare_net::LinkSpec;
+    use flare_net::{LinkSpec, SwitchModel};
     use proptest::prelude::*;
 
     fn fat_tree() -> (Topology, flare_net::topology::FatTree) {
@@ -451,6 +563,113 @@ mod tests {
             }
         }
         best.map(|(_, _, t)| t)
+    }
+
+    /// A 1 KiB packet's fold under `model`, as the session quotes it.
+    fn service(model: &SwitchModel) -> Option<u64> {
+        model.service_ns((HEADER_BYTES + 1024) as u32)
+    }
+
+    /// Admit `data_bytes` per host over `hosts` with switches that fold a
+    /// packet in `service_ns`, on an unlimited budget.
+    fn admit(
+        topo: &Topology,
+        hosts: &[NodeId],
+        data_bytes: u64,
+        service_ns: Option<u64>,
+    ) -> (AllreduceRequest, AllreducePlan) {
+        let req = AllreduceRequest {
+            data_bytes,
+            packet_bytes: 1024,
+            reproducible: false,
+            service_ns,
+        };
+        let mut mgr = NetworkManager::new(u64::MAX);
+        let plan = mgr.create_allreduce(topo, hosts, &req).expect("admitted");
+        (req, plan)
+    }
+
+    #[test]
+    fn an_unstaggered_window_is_littles_law_on_the_root_bound_fat_trees() {
+        // ℛ = ℒ / T with T the root's 3 ns fold times its leaves, ℒ four
+        // hops of 84 + 200 ns and (P + 1) folds up, one down at the leaf.
+        let calibrated = service(&SwitchModel::calibrated());
+        assert_eq!(calibrated, Some(3));
+        for (leaves, window) in [(32, 14), (64, 8), (128, 8)] {
+            let (topo, ft) =
+                Topology::fat_tree_two_level(leaves, 8, leaves, LinkSpec::hundred_gig());
+            let (_, plan) = admit(&topo, &ft.hosts, 128 << 10, calibrated);
+            assert_eq!(plan.window, window, "{leaves} leaves");
+            let root = plan.tree.switch(plan.tree.root).unwrap();
+            let want = plan.block_bytes(root.children.len(), 1024) * window as u64;
+            assert_eq!(plan.max_reserved_bytes(), want);
+        }
+    }
+
+    #[test]
+    fn a_one_host_star_and_a_free_switch_admit_without_panicking() {
+        let (topo, _sw, hosts) = Topology::star(1, LinkSpec::hundred_gig());
+        for model in [SwitchModel::Ideal, SwitchModel::calibrated()] {
+            let (req, plan) = admit(&topo, &hosts, 4, service(&model));
+            assert_eq!(plan.window, stagger_window(&req, 1));
+        }
+        let (topo, _sw, hosts) = Topology::star(100, LinkSpec::hundred_gig());
+        for model in [SwitchModel::Ideal, SwitchModel::RateLimited(f64::INFINITY)] {
+            assert_eq!(service(&model), Some(0));
+            let (_, plan) = admit(&topo, &hosts, 64 << 10, service(&model));
+            assert_eq!(plan.window, 8, "ℛ = 568 / 84 ns, under the floor");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // Stars and fat trees with random host subsets, every switch model,
+        // lossless and lossy: the window never grows, and it moves only
+        // for lossless serial pipelines with more hosts than blocks.
+        #[test]
+        fn the_window_only_shrinks_and_only_where_nothing_staggers(
+            fat_tree in any::<bool>(),
+            size in 1usize..300,
+            per_leaf in 1usize..10,
+            model in 0usize..4,
+            kib in 0u64..320,
+            host_bits in any::<u64>(),
+            lossy in any::<bool>(),
+        ) {
+            let spec = LinkSpec::hundred_gig();
+            let (topo, all) = if fat_tree {
+                let leaves = size.div_ceil(per_leaf).min(40);
+                let (topo, ft) = Topology::fat_tree_two_level(leaves, per_leaf, 1 + size % 4, spec);
+                (topo, ft.hosts)
+            } else {
+                let (topo, _sw, hosts) = Topology::star(size, spec);
+                (topo, hosts)
+            };
+            let mut hosts: Vec<NodeId> = all.iter().enumerate()
+                .filter(|(i, _)| host_bits >> (i % 64) & 1 == 1)
+                .map(|(_, &h)| h)
+                .collect();
+            if hosts.is_empty() {
+                hosts.push(all[0]);
+            }
+            let model = match model {
+                0 => SwitchModel::Ideal,
+                1 => SwitchModel::calibrated(),
+                2 => SwitchModel::RateLimited(64.0),
+                _ => SwitchModel::Hpu(flare_net::HpuParams::paper()),
+            };
+            let hpu = matches!(model, SwitchModel::Hpu(_));
+            let service_ns = service(&model).filter(|_| !lossy);
+            let data_bytes = (kib << 10).max(1);
+            let (req, plan) = admit(&topo, &hosts, data_bytes, service_ns);
+            let old = stagger_window(&req, hosts.len());
+            prop_assert!((1..=old).contains(&plan.window), "{} not in 1..={old}", plan.window);
+            let blocks = (data_bytes / 1024).max(1);
+            if hosts.len() as u64 <= blocks || lossy || hpu {
+                prop_assert_eq!(plan.window, old);
+            }
+        }
     }
 
     /// `compute_reduction_tree` and the exhaustive search agree on the
@@ -644,6 +863,7 @@ mod tests {
             data_bytes: 1 << 20,
             packet_bytes: 1024,
             reproducible: false,
+            service_ns: service(&SwitchModel::calibrated()),
         };
         let plan = mgr.create_allreduce(&topo, &hosts, &req).unwrap();
         assert_eq!(plan.algorithm, AggKind::SingleBuffer); // > 512 KiB
@@ -661,6 +881,7 @@ mod tests {
             data_bytes: 64 << 10,
             packet_bytes: 1024,
             reproducible: true,
+            service_ns: service(&SwitchModel::calibrated()),
         };
         // Saturate spine 0 artificially.
         mgr.used.insert(ft.spines[0], 1 << 20);
@@ -679,6 +900,7 @@ mod tests {
             data_bytes: 1 << 20,
             packet_bytes: 1024,
             reproducible: false,
+            service_ns: service(&SwitchModel::calibrated()),
         };
         assert_eq!(
             mgr.create_allreduce(&topo, &hosts, &req).unwrap_err(),
@@ -694,6 +916,7 @@ mod tests {
             data_bytes: 4 << 10,
             packet_bytes: 1024,
             reproducible: false,
+            service_ns: service(&SwitchModel::calibrated()),
         };
         let a = mgr.create_allreduce(&topo, &hosts, &req).unwrap();
         let b = mgr.create_allreduce(&topo, &hosts, &req).unwrap();

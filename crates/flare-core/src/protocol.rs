@@ -293,6 +293,10 @@ pub(crate) struct BlockTable<B, R> {
     /// Children of this switch in the reduction tree.
     children: u16,
     pub(crate) open: BlockSlab<B>,
+    /// Most blocks open at once: what the admitted reservation must hold.
+    /// A `u32` (block ids on the wire are one) sits beside `children` in
+    /// what would be padding, so the table does not grow.
+    open_peak: u32,
     retired: RetirementFloor,
     spare: Vec<B>,
     /// `Some` iff the deployment injects loss.
@@ -304,6 +308,7 @@ impl<B, R: Replay> BlockTable<B, R> {
         Self {
             children,
             open: BlockSlab::new(BlockSlab::<B>::DEFAULT_SLOTS),
+            open_peak: 0,
             retired: RetirementFloor::new(),
             spare: Vec::new(),
             lossy: None,
@@ -331,10 +336,18 @@ impl<B, R: Replay> BlockTable<B, R> {
             .map_or(0, |lossy| lossy.replay.allocated_slots())
     }
 
-    fn recovery_stats(&self) -> RecoveryStats {
-        self.lossy
-            .as_ref()
-            .map_or_else(Default::default, |lossy| lossy.stats)
+    /// The counters of a program over this table.
+    fn stats(&self, agg_pool: PoolStats, byte_pool: PoolStats) -> ProgramStats {
+        ProgramStats {
+            agg_pool,
+            byte_pool,
+            slab: self.open.stats(),
+            recovery: self
+                .lossy
+                .as_ref()
+                .map_or_else(Default::default, |l| l.stats),
+            open_peak: self.open_peak as usize,
+        }
     }
 
     /// Admit a packet of `block` from `child`: the open block — opened
@@ -376,9 +389,11 @@ impl<B, R: Replay> BlockTable<B, R> {
             return None;
         }
         let mut opened = false;
-        let spare = &mut self.spare;
+        let open_now = self.open.len() as u32 + 1;
+        let (spare, peak) = (&mut self.spare, &mut self.open_peak);
         let entry = self.open.get_or_insert_with(block, || {
             opened = true;
+            *peak = open_now.max(*peak);
             open(spare.pop())
         });
         Some((entry, opened))
@@ -468,12 +483,7 @@ impl<T: Element, O: ReduceOp<T>, D: DenseStorage<T>> DenseCore<T, O, D> {
     }
 
     pub(crate) fn stats(&self) -> ProgramStats {
-        ProgramStats {
-            agg_pool: self.val_pool.stats(),
-            byte_pool: self.byte_pool,
-            slab: self.table.open.stats(),
-            recovery: self.table.recovery_stats(),
-        }
+        self.table.stats(self.val_pool.stats(), self.byte_pool)
     }
 
     /// One child's contribution to `block`. `open` builds the block's
@@ -712,12 +722,7 @@ impl<T: Element, O: ReduceOp<T>> SparseCore<T, O> {
     }
 
     pub(crate) fn stats(&self) -> ProgramStats {
-        ProgramStats {
-            agg_pool: self.pair_pool.stats(),
-            byte_pool: self.byte_pool,
-            slab: self.table.open.stats(),
-            recovery: self.table.recovery_stats(),
-        }
+        self.table.stats(self.pair_pool.stats(), self.byte_pool)
     }
 
     /// One shard of one child's contribution to `block` (a child switch's
@@ -909,5 +914,46 @@ impl<T: Element, O: ReduceOp<T>> SparseCore<T, O> {
             entry.down.push(payload.clone());
         }
         side.send(To::Children, block, PacketKind::SparseResult, payload);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Admit a packet of `block` from `child`: whether it opened the block,
+    /// `None` if it was dropped.
+    fn opens(table: &mut BlockTable<u64, Bytes>, block: u64, child: u16) -> Option<bool> {
+        let admitted = table.admit(block, child, true, |_| block, |_, _| {});
+        admitted.map(|(_, opened)| opened)
+    }
+
+    fn open_peak(table: &BlockTable<u64, Bytes>) -> usize {
+        table
+            .stats(PoolStats::default(), PoolStats::default())
+            .open_peak
+    }
+
+    #[test]
+    fn the_open_block_high_water_counts_opens_until_retirement() {
+        let mut table = BlockTable::new(2);
+        assert_eq!(opens(&mut table, 0, 0), Some(true));
+        assert_eq!(
+            opens(&mut table, 0, 1),
+            Some(false),
+            "a second packet joins"
+        );
+        assert_eq!(opens(&mut table, 1, 0), Some(true));
+        assert_eq!(open_peak(&table), 2);
+        table.retire(0);
+        assert_eq!(opens(&mut table, 2, 0), Some(true));
+        assert_eq!(open_peak(&table), 2, "a retired block no longer counts");
+        assert_eq!(
+            opens(&mut table, 0, 0),
+            None,
+            "a retransmission opens nothing"
+        );
+        assert_eq!(opens(&mut table, 3, 0), Some(true));
+        assert_eq!(open_peak(&table), 3);
     }
 }

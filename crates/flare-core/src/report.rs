@@ -170,9 +170,10 @@ pub struct FabricStats {
     /// used [`flare_net::SwitchModel::Hpu`]).
     pub hpu: Vec<HpuSwitchReport>,
     /// Summed buffer-pool / replay-slab recycling counters across every
-    /// switch program of the run, and their summed loss-recovery counters
-    /// ([`ProgramStats::recovery`]). Only the latter are part of equality
-    /// (see above).
+    /// switch program of the run, their summed loss-recovery counters
+    /// ([`ProgramStats::recovery`]) and the largest open-block high-water
+    /// ([`ProgramStats::open_peak`]). Only the latter two are part of
+    /// equality (see above).
     pub switch_pools: ProgramStats,
     /// Highest single-switch working-memory reservation observed while
     /// tenants were being admitted, in bytes.
@@ -191,6 +192,7 @@ impl PartialEq for FabricStats {
         *fairness_jain == other.fairness_jain
             && *hpu == other.hpu
             && switch_pools.recovery == other.switch_pools.recovery
+            && switch_pools.open_peak == other.switch_pools.open_peak
             && *reserved_peak_bytes == other.reserved_peak_bytes
     }
 }
@@ -254,6 +256,9 @@ mod tests {
         assert_eq!(a, b, "which free list served a payload is not a result");
         b.switch_pools.recovery.absorbed += 1;
         assert_ne!(a, b, "how a poke was answered is");
+        b = a.clone();
+        b.switch_pools.open_peak += 1;
+        assert_ne!(a, b, "how many blocks were open at once is");
         b = a.clone();
         b.reserved_peak_bytes += 1;
         assert_ne!(a, b);

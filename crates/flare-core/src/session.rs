@@ -34,8 +34,8 @@
 use flare_des::Time;
 use flare_model::AggKind;
 use flare_net::{
-    HostProgram, NetReport, NodeId, SwitchModel, SwitchProgram, TelemetryConfig, TelemetryReport,
-    Topology,
+    HostProgram, NetReport, NetSim, NodeId, SwitchModel, SwitchProgram, TelemetryConfig,
+    TelemetryReport, Topology,
 };
 
 use crate::dtype::Element;
@@ -43,7 +43,10 @@ use crate::handlers::SparseStorageKind;
 use crate::host::{result_sink, ResultSink, RttEstimate};
 use crate::manager::{AdmissionError, AllreducePlan, AllreduceRequest, NetworkManager};
 use crate::op::{ReduceOp, Sum};
-use crate::wiring::{check_participants, run_fabric, FlowInput, FlowShape, FlowWiring};
+use crate::wire::HEADER_BYTES;
+use crate::wiring::{
+    check_participants, run_fabric, wired_stats, FlowInput, FlowShape, FlowWiring,
+};
 
 /// Why a collective could not run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -341,6 +344,12 @@ impl Default for Tuning {
 }
 
 impl Tuning {
+    /// Whether links drop packets ([`link_drop_prob`](Self::link_drop_prob)
+    /// above 0).
+    pub(crate) fn lossy(&self) -> bool {
+        self.link_drop_prob > 0.0
+    }
+
     /// The knobs a run actually uses: a copy with [`threads`](Self::threads)
     /// resolved (an explicit value wins, otherwise the `FLARE_DES_THREADS`
     /// environment variable is consulted) and every combination a
@@ -377,7 +386,7 @@ impl Tuning {
                 given: tuning.link_drop_prob.to_string(),
             });
         }
-        if tuning.link_drop_prob > 0.0 && tuning.retransmit_after.is_none() {
+        if tuning.lossy() && tuning.retransmit_after.is_none() {
             // A drop with no retransmission stalls the run forever; fail
             // fast with a typed error instead of panicking mid-sim.
             return Err(SessionError::LossWithoutRetransmit);
@@ -545,8 +554,9 @@ impl CollectiveHandle {
         self.plan.max_reserved_bytes()
     }
 
-    /// Recommended in-flight blocks per host: the stagger-spread window of
-    /// [`AllreducePlan::window`].
+    /// Recommended in-flight blocks per host ([`AllreducePlan::window`]):
+    /// the paper's ℛ where hosts outnumber blocks on a lossless fabric of
+    /// serial pipelines, the stagger-spread window elsewhere.
     pub fn window(&self) -> usize {
         self.plan.window
     }
@@ -626,10 +636,16 @@ impl FlareSession {
     ) -> Result<CollectiveHandle, SessionError> {
         let hosts = hosts.unwrap_or(&self.hosts);
         check_participants(hosts)?;
+        let tuning = &self.tuning;
+        // What one full packet costs a serial pipeline: what sizes the
+        // window of an unstaggered flow, except on a lossy fabric.
+        let wire = (HEADER_BYTES + tuning.packet_bytes) as u32;
+        let service_ns = tuning.switch_model.service_ns(wire);
         let req = AllreduceRequest {
             data_bytes: data_bytes.max(1),
-            packet_bytes: self.tuning.packet_bytes,
+            packet_bytes: tuning.packet_bytes,
             reproducible,
+            service_ns: service_ns.filter(|_| !tuning.lossy()),
         };
         let plan = self.manager.create_allreduce(&self.topology, hosts, &req)?;
         let label = format!("allreduce-{}", plan.id);
@@ -811,7 +827,9 @@ impl<'s, T: Element, O: ReduceOp<T>> Collective<'s, T, O> {
     }
 
     /// Shrink the in-flight block window (default: the admitted plan's
-    /// [`AllreducePlan::window`]). Clamped to the admitted window —
+    /// [`AllreducePlan::window`], which is the paper's ℛ where hosts
+    /// outnumber blocks on a lossless fabric of serial pipelines and the
+    /// stagger-spread window elsewhere). Clamped to the admitted window —
     /// the switch-memory reservation is sized for it, so growing would
     /// overrun the admission-control guarantee.
     pub fn window(mut self, blocks: usize) -> Self {
@@ -977,8 +995,20 @@ impl<T: Element, O: ReduceOp<T> + Clone + 'static> Collective<'_, T, O> {
             (wiring.hosts()[rank], program)
         });
         let (switches, participants) = (switches.collect(), participants.collect());
-        let (net, trace, ()) =
-            run_fabric(self.session, &tuning, None, switches, participants, |_| ());
+        // The most blocks, and working memory, any switch held open.
+        let harvest = |sim: &mut NetSim| {
+            let (mut blocks, mut bytes) = (0, 0);
+            for s in &wiring.plan().tree.switches {
+                let program = sim.take_switch(s.switch);
+                if let Some(stats) = program.and_then(|mut p| wired_stats::<T, O>(p.as_mut())) {
+                    blocks = blocks.max(stats.open_peak);
+                    bytes = bytes.max(wiring.open_bytes(s, &stats));
+                }
+            }
+            (blocks, bytes)
+        };
+        let (net, trace, (open_peak, open_peak_bytes)) =
+            run_fabric(self.session, &tuning, None, switches, participants, harvest);
         if owned {
             self.session.manager.teardown(id);
         }
@@ -1004,6 +1034,8 @@ impl<T: Element, O: ReduceOp<T> + Clone + 'static> Collective<'_, T, O> {
             algorithm: plan.algorithm,
             window: plan.window,
             reserved_bytes: plan.max_reserved_bytes(),
+            open_peak,
+            open_peak_bytes,
             tree_depth: plan.tree.max_depth(),
             net,
             tenants: None,
@@ -1026,12 +1058,29 @@ pub struct RunReport {
     pub label: Option<String>,
     /// Aggregation algorithm selected by the Section 6.4 policy.
     pub algorithm: AggKind,
-    /// In-flight blocks per host: the admitted plan's stagger-spread
-    /// window ([`AllreducePlan::window`]), or a smaller override. Not the
-    /// paper's ℛ.
+    /// In-flight blocks per host: the admitted plan's window
+    /// ([`AllreducePlan::window`]: the paper's ℛ where hosts outnumber
+    /// blocks on a lossless fabric of serial pipelines, the stagger-spread
+    /// window elsewhere), or a smaller override.
     pub window: usize,
     /// Largest single-switch working-memory reservation, in bytes.
     pub reserved_bytes: u64,
+    /// Most blocks one switch held open at once
+    /// ([`ProgramStats::open_peak`]). Every tree switch of a collective
+    /// reserves its admitted window of blocks, so a value above that
+    /// window is a switch whose open blocks outgrew its reservation.
+    ///
+    /// [`ProgramStats::open_peak`]: crate::switch_prog::ProgramStats::open_peak
+    pub open_peak: usize,
+    /// Largest working memory a switch's open blocks held at once, in
+    /// bytes: its most blocks open at once ([`ProgramStats::open_peak`])
+    /// × `M` × packet bytes ([`AllreducePlan::block_bytes`]), the measured
+    /// counterpart of [`reserved_bytes`](Self::reserved_bytes). A flow
+    /// whose ranks are staggered can exceed its reservation: a block stays
+    /// open until its last rank reaches it.
+    ///
+    /// [`ProgramStats::open_peak`]: crate::switch_prog::ProgramStats::open_peak
+    pub open_peak_bytes: u64,
     /// Depth of the reduction tree (0 = single switch).
     pub tree_depth: usize,
     /// The network simulator's measurements.
@@ -1107,8 +1156,10 @@ impl<T> CollectiveResult<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::stagger_window;
     use crate::op::{golden_reduce, Max};
     use flare_net::LinkSpec;
+    use proptest::prelude::*;
 
     fn star_session(hosts: usize) -> FlareSession {
         let (topo, _sw, _hosts) = Topology::star(hosts, LinkSpec::hundred_gig());
@@ -1490,5 +1541,80 @@ mod tests {
             .run()
             .unwrap_err();
         assert_eq!(err, SessionError::NoHosts);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        // Wherever admission sizes a window by ℛ (more hosts than blocks,
+        // lossless), running the same plan at the stagger window it
+        // replaced moves no simulated number: ℛ never starves the tree.
+        // Stars and two-level fat trees, random host subsets, every
+        // switch model.
+        #[test]
+        fn a_littles_law_window_runs_as_the_stagger_window_did(
+            fat_tree in any::<bool>(),
+            size in 12usize..64,
+            per_leaf in 1usize..17,
+            model in 0usize..5,
+            drop in any::<u64>(),
+            drop_too in any::<u64>(),
+            block_pick in any::<u64>(),
+        ) {
+            let spec = LinkSpec::hundred_gig();
+            let topo = if fat_tree {
+                let leaves = size.div_ceil(per_leaf);
+                Topology::fat_tree_two_level(leaves, per_leaf, 1 + size % 3, spec).0
+            } else {
+                Topology::star(size, spec).0
+            };
+            let model = match model {
+                0 => SwitchModel::Ideal,
+                1 => SwitchModel::calibrated(),
+                2 => SwitchModel::RateLimited(128.0),
+                3 => SwitchModel::RateLimited(64.0),
+                _ => SwitchModel::Hpu(flare_net::HpuParams::paper()),
+            };
+            let mut session = FlareSession::builder(topo).switch_model(model).build();
+            let all = session.hosts().to_vec();
+            let mut hosts: Vec<NodeId> = all
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| (drop & drop_too) >> (i % 64) & 1 == 0)
+                .map(|(_, &h)| h)
+                .collect();
+            if hosts.len() < 2 {
+                hosts = all[..2].to_vec();
+            }
+            // hosts / 2 ..= hosts − 1 blocks of one full f32 packet each.
+            let half = hosts.len() / 2;
+            let blocks = half + (block_pick % (hosts.len() - half) as u64) as usize;
+            let elems = blocks * session.tuning().elems_per_packet;
+            let req = AllreduceRequest {
+                data_bytes: (elems * 4) as u64,
+                packet_bytes: session.tuning().packet_bytes,
+                reproducible: false,
+                service_ns: None,
+            };
+            let admitted = session.admit_on(Some(&hosts), req.data_bytes, false).unwrap();
+            let mut stagger = admitted.clone();
+            stagger.plan.window = stagger_window(&req, hosts.len());
+            prop_assert!(admitted.window() <= stagger.window());
+            let mut run = |handle: &CollectiveHandle| {
+                let inputs = (0..hosts.len()).map(|r| vec![r as f32; elems]).collect();
+                let collective = session.allreduce(inputs).on_hosts(hosts.clone());
+                let report = collective.via(handle).run().unwrap().report;
+                let net = &report.net;
+                [net.makespan, net.events, net.total_link_bytes, report.completion_ns()]
+            };
+            let (at_r, at_stagger) = (run(&admitted), run(&stagger));
+            prop_assert_eq!(
+                at_r,
+                at_stagger,
+                "[makespan, events, link bytes, completion] at windows {} and {}",
+                admitted.window(),
+                stagger.window()
+            );
+        }
     }
 }

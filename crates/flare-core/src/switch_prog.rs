@@ -90,10 +90,15 @@ pub struct ProgramStats {
     /// Loss recovery: pokes received and how they were answered. Unlike
     /// the pools, a simulation result.
     pub recovery: RecoveryStats,
+    /// Most blocks open at once on the switch (opened by a first packet,
+    /// closed by retirement): what its admitted reservation has to hold.
+    /// A simulation result; summing two programs keeps the larger.
+    pub open_peak: usize,
 }
 
 impl std::ops::AddAssign for ProgramStats {
     fn add_assign(&mut self, other: Self) {
+        self.open_peak = self.open_peak.max(other.open_peak);
         for (sum, pool) in [
             (&mut self.agg_pool, other.agg_pool),
             (&mut self.byte_pool, other.byte_pool),

@@ -108,6 +108,21 @@ impl<T: Element, O: ReduceOp<T> + 'static> WiredSwitch for FlareSparseProgram<T,
     }
 }
 
+/// The counters of a program [`FlowWiring::switch_program`] built for `T`
+/// reduced by `O`, read back from the simulation it was installed in;
+/// `None` for any other program.
+pub(crate) fn wired_stats<T: Element, O: ReduceOp<T> + 'static>(
+    program: &mut dyn SwitchProgram,
+) -> Option<ProgramStats> {
+    let program = program.as_any_mut()?;
+    match program.downcast_ref::<FlareDenseProgram<T, O>>() {
+        Some(dense) => Some(dense.stats()),
+        None => program
+            .downcast_ref::<FlareSparseProgram<T, O>>()
+            .map(|sparse| sparse.stats()),
+    }
+}
+
 /// A rank's participant with its payload erased, as [`FlowWiring::host`]
 /// hands it out.
 pub trait WiredHost: HostProgram {
@@ -226,6 +241,17 @@ impl FlowWiring {
         &self.hosts
     }
 
+    /// Working memory the open blocks of tree switch `switch` held at
+    /// their peak, in bytes, from its program's `stats`: its most blocks
+    /// open at once × `M` × packet bytes, what admission reserved
+    /// [`AllreducePlan::window`] of.
+    pub fn open_bytes(&self, switch: &TreeSwitch, stats: &ProgramStats) -> u64 {
+        let block = self
+            .plan
+            .block_bytes(switch.children.len(), self.tuning.packet_bytes);
+        stats.open_peak as u64 * block
+    }
+
     /// Replay-ring slots of one switch program of this flow (lossy fabrics
     /// only; every cached result pins its payload until its slot is
     /// reused). An entry must outlive every poke for its block, and pokes
@@ -262,7 +288,7 @@ impl FlowWiring {
             children: switch.children.clone(),
             my_child_index: switch.my_child_index,
         };
-        let lossy = self.tuning.link_drop_prob > 0.0;
+        let lossy = self.tuning.lossy();
         let slots = self.replay_slots();
         match self.shape {
             FlowShape::Dense { .. } => {
@@ -505,6 +531,10 @@ mod tests {
                 let b = blocks as usize;
                 for window in [1, 8, 31, 32, 33, 64, hosts + 64, b - 1, b, b + 1] {
                     let step = stagger_step(blocks, hosts, window);
+                    if hosts as u64 > blocks {
+                        // Where admission sizes the window by ℛ.
+                        assert_eq!(step, 0, "{hosts} hosts, {blocks} blocks, window {window}");
+                    }
                     let spread = (hosts as u64 - 1) * step;
                     let fits = if (window as u64) < blocks {
                         // Under 32 blocks of window there is no stagger.

@@ -42,7 +42,9 @@ pub fn block_latency(p: usize, delta_c: f64, q: f64, tau: f64) -> f64 {
 
 /// Little's-law working-memory requirement (Section 4.3):
 /// `ℛ = M · (ℬ/P) · ℒ` buffers, where `ℬ` is the switch bandwidth in
-/// packets/cycle, so `ℬ/P` is the block completion rate.
+/// packets/cycle, so `ℬ/P` is the block completion rate. The network
+/// manager in `flare-core` (`NetworkManager::create_allreduce`) sizes the
+/// window of a flow whose hosts outnumber its blocks with it, in ns.
 pub fn working_buffers(m: f64, bandwidth_pkt_cycle: f64, p: usize, latency: f64) -> f64 {
     m * bandwidth_pkt_cycle / p as f64 * latency
 }

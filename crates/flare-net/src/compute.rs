@@ -61,6 +61,29 @@ impl SwitchModel {
     pub fn calibrated() -> Self {
         SwitchModel::RateLimited(512.0)
     }
+
+    /// Time the serial pipeline takes to process a packet of `bytes` wire
+    /// bytes, in ns: ⌈bytes / rate⌉, at least 1, under `RateLimited`; 0
+    /// under `Ideal` or an infinite rate. `None` under `Hpu`, whose
+    /// handlers run on many cores at once ([`HpuParams::service_ns`] is one
+    /// core's time).
+    pub fn service_ns(&self, bytes: u32) -> Option<Time> {
+        match self {
+            SwitchModel::Ideal => Some(0),
+            SwitchModel::RateLimited(rate) => Some(serial_service_ns(*rate, bytes)),
+            SwitchModel::Hpu(_) => None,
+        }
+    }
+}
+
+/// ⌈bytes / rate⌉ ns, at least 1; 0 at an infinite rate (no processing
+/// delay). What one packet costs a switch's serial pipeline.
+pub(crate) fn serial_service_ns(rate: f64, bytes: u32) -> Time {
+    if rate.is_finite() {
+        ((bytes as f64 / rate).ceil() as Time).max(1)
+    } else {
+        0
+    }
 }
 
 /// Configuration of the [`SwitchCompute`] model: the architectural

@@ -32,7 +32,7 @@ use flare_des::partition::{run_parallel_until, Outbox, Partition, PartitionSim};
 use flare_des::rng::rng_stream;
 use flare_des::{EventQueue, Time};
 
-use crate::compute::{ComputeStats, SwitchCompute, SwitchModel};
+use crate::compute::{serial_service_ns, ComputeStats, SwitchCompute, SwitchModel};
 use crate::packet::NetPacket;
 use crate::partition::PartitionPlan;
 use crate::telemetry::{ComputeTimeline, Telemetry, TelemetryConfig, TelemetryReport, TraceKind};
@@ -478,11 +478,7 @@ impl<'a> SwitchCtx<'a> {
             return hpu.execute(self.now, block, bytes);
         }
         let start = self.now.max(node.proc_busy);
-        let fin = if node.proc_rate.is_finite() {
-            start + ((bytes as f64 / node.proc_rate).ceil() as Time).max(1)
-        } else {
-            start
-        };
+        let fin = start + serial_service_ns(node.proc_rate, bytes);
         node.proc_busy = fin;
         fin
     }

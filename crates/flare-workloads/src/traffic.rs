@@ -444,7 +444,9 @@ impl<'s> TrafficEngine<'s> {
     /// The returned [`RunReport`]'s scalar fields summarize the *fleet*:
     /// `collective`/`algorithm` come from the first-admitted tenant,
     /// `window` and `tree_depth` are maxima over tenants,
-    /// `reserved_bytes` is the largest reservation on any tenant switch, and
+    /// `reserved_bytes` is the largest reservation on any tenant switch,
+    /// `open_peak` / `open_peak_bytes` the most blocks / bytes any tenant's
+    /// open blocks held on one, and
     /// [`RunReport::tenants`] holds the per-tenant section.
     ///
     /// Tenants stay admitted afterwards: call again for another epoch
@@ -597,6 +599,7 @@ impl<'s> TrafficEngine<'s> {
             // cell recorded, in host order.
             let mut flow_bytes = vec![0u64; statics.len()];
             let mut pools = ProgramStats::default();
+            let mut open_peak_bytes = 0;
             for &sw in &union_switches {
                 let Some(mut bx) = sim.take_switch(sw) else {
                     continue;
@@ -606,8 +609,12 @@ impl<'s> TrafficEngine<'s> {
                     .and_then(|a| a.downcast_mut::<TrafficSwitch>())
                 {
                     for e in &mux.entries {
+                        let (stats, wiring) = (e.prog.stats(), &statics[e.tenant].wiring);
                         flow_bytes[e.tenant] += e.bytes;
-                        pools += e.prog.stats();
+                        if let Some(rec) = wiring.plan().tree.switch(sw) {
+                            open_peak_bytes = open_peak_bytes.max(wiring.open_bytes(rec, &stats));
+                        }
+                        pools += stats;
                     }
                 }
             }
@@ -619,9 +626,9 @@ impl<'s> TrafficEngine<'s> {
                 let mux = mux.and_then(|a| a.downcast_mut::<TrafficHost>());
                 cells.append(&mut mux.expect("a TrafficHost, installed above").cells);
             }
-            (flow_bytes, pools, hpu, cells)
+            (flow_bytes, pools, open_peak_bytes, hpu, cells)
         };
-        let (net, trace, (flow_bytes, pools, hpu, cells)) = run_fabric(
+        let (net, trace, (flow_bytes, pools, open_peak_bytes, hpu, cells)) = run_fabric(
             self.session,
             &tuning,
             self.deadline,
@@ -697,6 +704,8 @@ impl<'s> TrafficEngine<'s> {
                 .max()
                 .unwrap(),
             reserved_bytes: reserved,
+            open_peak: fabric.switch_pools.open_peak,
+            open_peak_bytes,
             tree_depth: self
                 .tenants
                 .iter()

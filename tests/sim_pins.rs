@@ -11,12 +11,16 @@
 //!
 //! Rows are grouped into `#[test]`s by debug-build cost (the harness runs
 //! two at a time): the three ~5 s rows get a test each, and the 1 024-host
-//! row is `#[ignore]`d (run it optimised with `--ignored`).
+//! rows are `#[ignore]`d (run them optimised with `--ignored`).
 //!
 //! Dense fat-tree rows with more hosts than blocks are also checked
 //! against a closed form, not only against their pins: every host sends in
 //! block order, so the makespan is the root spine's serial pipeline plus
-//! one fill and one drain ([`Row::root_pipeline_ns`]).
+//! one fill and one drain ([`Row::root_pipeline_ns`]). Their admitted
+//! window is the Little's-law ℛ, and it is tight: one block less and the
+//! root pipeline starves.
+
+use std::cmp::Ordering;
 
 use flare::prelude::*;
 
@@ -48,9 +52,8 @@ struct Row {
     topo: Topo,
     hosts: usize,
     bytes_per_host: usize,
-    /// `SwitchModel::Hpu(HpuParams::paper())` instead of the calibrated
-    /// serial pipeline.
-    hpu: bool,
+    /// The switch model; the session default unless a row says otherwise.
+    model: SwitchModel,
     /// Per-link drop probability; lossy rows retransmit after 200 µs.
     loss: f64,
     /// 0 = one collective; otherwise that many Poisson tenants (two jobs
@@ -63,8 +66,14 @@ struct Row {
     tails: Option<[u64; 2]>,
     /// The makespan under the windowed driver, where it differs.
     windowed_makespan_ns: Option<u64>,
-    /// The makespan must also equal [`Row::root_pipeline_ns`].
-    root_bound: bool,
+    /// How the makespan compares with [`Row::root_pipeline_ns`], where it
+    /// is checked; those rows also hold no more blocks open on any switch
+    /// than the window they run at.
+    root_pipeline: Option<Ordering>,
+    /// The window the collective runs at, smaller than the admitted one.
+    window: Option<usize>,
+    /// The window admission must grant.
+    admits: Option<usize>,
 }
 
 fn row(payload: Payload, topo: Topo, hosts: usize, bytes_per_host: usize, want: [u64; 3]) -> Row {
@@ -73,19 +82,27 @@ fn row(payload: Payload, topo: Topo, hosts: usize, bytes_per_host: usize, want: 
         topo,
         hosts,
         bytes_per_host,
-        hpu: false,
+        model: SwitchModel::calibrated(),
         loss: 0.0,
         tenants: 0,
         want,
         tails: None,
         windowed_makespan_ns: None,
-        root_bound: false,
+        root_pipeline: None,
+        window: None,
+        admits: None,
     }
 }
 
 impl Row {
     fn hpu(self) -> Self {
-        Self { hpu: true, ..self }
+        let model = SwitchModel::Hpu(HpuParams::paper());
+        Self { model, ..self }
+    }
+
+    fn ideal(self) -> Self {
+        let model = SwitchModel::Ideal;
+        Self { model, ..self }
     }
 
     fn loss(self, loss: f64) -> Self {
@@ -103,10 +120,32 @@ impl Row {
     }
 
     fn root_bound(self) -> Self {
+        let root_pipeline = Some(Ordering::Equal);
         Self {
-            root_bound: true,
+            root_pipeline,
             ..self
         }
+    }
+
+    /// Run at `window` blocks, one less than it takes to keep the root
+    /// pipeline busy: the makespan exceeds [`Row::root_pipeline_ns`].
+    fn starved_at(self, window: usize) -> Self {
+        let (root_pipeline, window) = (Some(Ordering::Greater), Some(window));
+        Self {
+            root_pipeline,
+            window,
+            ..self
+        }
+    }
+
+    fn window(self, window: usize) -> Self {
+        let window = Some(window);
+        Self { window, ..self }
+    }
+
+    fn admits(self, window: usize) -> Self {
+        let admits = Some(window);
+        Self { admits, ..self }
     }
 
     /// The makespan of a dense fat-tree collective whose root spine's
@@ -131,7 +170,7 @@ impl Row {
         fill + leaves * blocks * service + drain
     }
 
-    fn measure(&self) -> ([u64; 3], Option<[u64; 2]>) {
+    fn measure(&self) -> (RunReport, Option<[u64; 2]>) {
         let spec = LinkSpec::hundred_gig();
         let (topo, hosts) = match self.topo {
             Star => {
@@ -152,10 +191,7 @@ impl Row {
                 .link_drop_prob(self.loss)
                 .retransmit_after(Some(200_000));
         }
-        if self.hpu {
-            builder = builder.switch_model(SwitchModel::Hpu(HpuParams::paper()));
-        }
-        let mut session = builder.build();
+        let mut session = builder.switch_model(self.model.clone()).build();
 
         let elems = self.bytes_per_host / 4;
         let (report, tails) = if self.tenants > 0 {
@@ -186,7 +222,10 @@ impl Row {
             let run = match self.payload {
                 Dense => {
                     let inputs = (0..self.hosts).map(|h| vec![(h + 1) as f32; elems]);
-                    session.allreduce(inputs.collect()).op(Sum).run()
+                    // Clamped to the admitted window: `None` runs at it.
+                    let window = self.window.unwrap_or(usize::MAX);
+                    let collective = session.allreduce(inputs.collect()).op(Sum);
+                    collective.window(window).run()
                 }
                 Sparse => {
                     let nnz = (elems / 100).max(1);
@@ -203,8 +242,7 @@ impl Row {
             };
             (run.expect("collective runs").report, None)
         };
-        let net = &report.net;
-        ([net.makespan, net.events, net.total_link_bytes], tails)
+        (report, tails)
     }
 }
 
@@ -218,10 +256,24 @@ fn check(rows: &[Row]) {
             want.0[0] = ns;
         }
         let what = "([makespan ns, events, link bytes], fleet [p50, p99] ns)";
-        let got = row.measure();
-        if row.root_bound {
+        let (report, tails) = row.measure();
+        let net = &report.net;
+        let got = ([net.makespan, net.events, net.total_link_bytes], tails);
+        if let Some(ordering) = row.root_pipeline {
             let bound = row.root_pipeline_ns();
-            assert_eq!(got.0[0], bound, "makespan != root pipeline for {row:?}");
+            assert_eq!(
+                got.0[0].cmp(&bound),
+                ordering,
+                "vs root pipeline {bound} for {row:?}"
+            );
+            // Each switch reserves the window, so this holds per switch.
+            assert!(
+                report.open_peak <= report.window,
+                "open blocks outgrew the window for {row:?}: {report:?}"
+            );
+        }
+        if let Some(window) = row.admits {
+            assert_eq!(report.window, window, "admitted window for {row:?}");
         }
         assert_eq!(got, want, "measured != pinned {what} for {row:?}");
     }
@@ -241,7 +293,12 @@ fn cells_of_128_kib() {
         row(Sparse, FatTree,  32, 128 * KIB, [ 7_878,   9_216,  3_254_784]),
         // The host counts Canary and Swing evaluate at.
         row(Dense,  FatTree, 128, 128 * KIB, [22_481,  73_728, 38_338_560]),
-        row(Dense,  FatTree, 256, 128 * KIB, [13_451, 147_456, 76_677_120]).root_bound(),
+        // ℛ = 13.18 blocks on the calibrated pipeline, 13.52 on an ideal
+        // switch; an HPU switch keeps every block in flight.
+        row(Dense,  FatTree, 256, 128 * KIB, [13_451, 147_456, 76_677_120]).root_bound().admits(14),
+        row(Dense,  FatTree, 256, 128 * KIB, [13_650, 147_456, 76_677_120]).starved_at(13),
+        row(Dense,  FatTree, 256, 128 * KIB, [11_804, 147_456, 76_677_120]).ideal().admits(14),
+        row(Dense,  FatTree, 256, 128 * KIB, [18_820, 147_456, 76_677_120]).hpu().admits(128),
         row(Dense,  FatTree,   8, 128 * KIB, [20_736,   5_120,  2_662_400]).hpu(),
         row(Sparse, Star,      8, 128 * KIB, [ 2_672,     832,    195_008]).hpu(),
         row(Sparse, FatTree,   8, 128 * KIB, [200_000,  1_168,    270_888]).loss(0.01),
@@ -304,11 +361,14 @@ fn dense_star_32_hosts_of_8_mib_hpu() {
 
 /// `benchmark`'s `dense_scale` workload: more hosts than blocks, so every
 /// host sends its blocks in the same order and the root spine's pipeline
-/// is the whole cost.
+/// is the whole cost. Its ℛ is 7.09 blocks.
 #[test]
 #[rustfmt::skip]
 fn dense_fat_tree_512_hosts_of_128_kib() {
-    check(&[row(Dense, FatTree, 512, 128 * KIB, [25_739, 294_912, 153_354_240]).root_bound()]);
+    check(&[
+        row(Dense, FatTree, 512, 128 * KIB, [25_739, 294_912, 153_354_240]).root_bound().admits(8),
+        row(Dense, FatTree, 512, 128 * KIB, [26_115, 294_912, 153_354_240]).starved_at(7),
+    ]);
 }
 
 /// `benchmark`'s `pspin_switch` workload: one PsPIN unit, 64 ports,
@@ -355,10 +415,15 @@ fn pspin_switch_1024_blocks_of_f32() {
 }
 
 /// The 1 024-host cell: seconds in a debug build, so it runs optimised
-/// with `--ignored`.
+/// with `--ignored`. Its ℛ is 4.04 blocks, so admission grants the floor of
+/// 8; 5 would do.
 #[test]
 #[ignore]
 #[rustfmt::skip]
 fn dense_fat_tree_1024_hosts_of_128_kib() {
-    check(&[row(Dense, FatTree, 1024, 128 * KIB, [50_315, 589_824, 306_708_480]).root_bound()]);
+    check(&[
+        row(Dense, FatTree, 1024, 128 * KIB, [50_315, 589_824, 306_708_480]).root_bound().admits(8),
+        row(Dense, FatTree, 1024, 128 * KIB, [50_315, 589_824, 306_708_480]).root_bound().window(5),
+        row(Dense, FatTree, 1024, 128 * KIB, [50_656, 589_824, 306_708_480]).starved_at(4),
+    ]);
 }
