@@ -127,10 +127,10 @@ pub fn run_des(params: HpuParams, trace: &[(u64, u64, u16)]) -> (f64, usize) {
     );
     sim.run(None);
     // One Hpu switch in this rig, so the fleet-wide view has one entry.
-    let all = sim.all_compute_stats();
+    let all = sim.hpu_reports();
     assert_eq!(all.len(), 1, "exactly one Hpu-modeled switch");
-    let (stats_sw, stats) = all[0];
-    assert_eq!(stats_sw, sw);
+    let stats = all[0].stats;
+    assert_eq!(all[0].switch, sw);
     assert_eq!(
         stats.handlers,
         trace.len() as u64,

@@ -72,29 +72,27 @@ pub struct HostConfig {
     /// the flow's round trip has been measured ([`RttEstimate`]); `None`
     /// on a reliable network: no timer is armed.
     pub retransmit_after: Option<Time>,
-    /// Offset added to block ids on the wire. Host-side block numbering
-    /// stays local (`0..blocks`); the wire carries `block_base + local`.
-    /// Successive runs over one admitted collective (DNN iterations driven
-    /// by a traffic engine) bump this so every iteration uses a fresh
-    /// block-id stream and stale switch state can never alias.
-    pub block_base: u64,
-    /// Incarnation sequence for this host's wake tags ([`FlowTag::seq`]).
-    /// A traffic engine re-running one admitted collective bumps this per
-    /// iteration so a stale retransmit timer armed by iteration `k` is
-    /// ignored by iteration `k+1` (the tag no longer matches). Standalone
-    /// collectives use 0. At most [`crate::tag::MAX_SEQ`] — host
-    /// constructors panic past that; admission layers validate first via
-    /// [`FlowTag::pack`].
-    pub wake_seq: u32,
+    /// Which run over one admitted collective this participant is: 0 for a
+    /// standalone collective, 0, 1, 2, … for the DNN iterations a traffic
+    /// engine drives through it. It namespaces the two things a later
+    /// iteration must not mistake for its own:
+    /// * block ids on the wire: local block `b` of `blocks` is sent as
+    ///   `iteration × blocks + b`, so stale switch state never aliases;
+    /// * the retransmission wake tag ([`FlowTag::seq`] = `iteration`), so a
+    ///   timer armed by iteration `k` is ignored by iteration `k + 1`.
+    ///
+    /// At most [`crate::tag::MAX_SEQ`] — host constructors panic past that;
+    /// admission layers validate first via [`FlowTag::pack`].
+    pub iteration: u32,
 }
 
 impl HostConfig {
     /// The packed retransmission wake tag for this configuration:
-    /// `FlowTag { flow: allreduce, kind: KIND_RETRANSMIT, seq: wake_seq }`.
+    /// `FlowTag { flow: allreduce, kind: KIND_RETRANSMIT, seq: iteration }`.
     fn retx_tag(&self) -> u64 {
-        FlowTag::retransmit(self.allreduce, self.wake_seq)
+        FlowTag::retransmit(self.allreduce, self.iteration)
             .pack()
-            .expect("wake_seq exceeds FlowTag seq field; validate at admission")
+            .expect("iteration exceeds FlowTag seq field; validate at admission")
     }
 }
 
@@ -468,8 +466,6 @@ pub struct FlareHost<P: Payload> {
     outstanding: SendWindow,
     completed: u64,
     sink: ResultSink<P::Elem>,
-    /// Contribution packets sent (including retransmissions).
-    pub sent_packets: u64,
     /// Blocks re-sent by the retransmission timer.
     pub retransmits: u64,
 }
@@ -503,9 +499,14 @@ impl<P: Payload> FlareHost<P> {
             payload,
             completed: 0,
             sink,
-            sent_packets: 0,
             retransmits: 0,
         }
+    }
+
+    /// The wire id of local block `block`: this iteration's range of
+    /// [`HostConfig::iteration`] × blocks onwards.
+    fn wire_block(&self, block: u64) -> u64 {
+        self.cfg.iteration as u64 * self.outstanding.blocks + block
     }
 
     /// Whether every block's result has arrived (the reduced vector is in
@@ -532,7 +533,7 @@ impl<P: Payload> FlareHost<P> {
     /// Put every packet of `block` on the wire.
     fn send_block(&mut self, ctx: &mut HostCtx<'_>, block: u64) {
         let flow = self.cfg.allreduce as u64;
-        let wire_block = self.cfg.block_base + block;
+        let wire_block = self.wire_block(block);
         let header = Header {
             allreduce: self.cfg.allreduce,
             block: wire_block as u32,
@@ -555,7 +556,6 @@ impl<P: Payload> FlareHost<P> {
             );
             let wire = pkt.wire_bytes as u64;
             ctx.send(pkt);
-            self.sent_packets += 1;
             ctx.trace(TraceKind::ShardSend, flow, wire_block, wire);
         }
     }
@@ -618,7 +618,7 @@ impl<P: Payload> HostProgram for FlareHost<P> {
         // outside this run's window are stale (an earlier iteration over
         // the same collective) and ids not in flight already have their
         // result (a loss-path replay): both are dropped.
-        let local = pkt.block.checked_sub(self.cfg.block_base);
+        let local = pkt.block.checked_sub(self.wire_block(0));
         let Some(local) = local.filter(|&b| self.outstanding.in_flight(b).is_some()) else {
             return;
         };
@@ -653,7 +653,7 @@ impl<P: Payload> HostProgram for FlareHost<P> {
     }
 
     fn on_wake(&mut self, ctx: &mut HostCtx<'_>, tag: u64) {
-        // A stale tag (earlier `wake_seq` incarnation under a traffic mux)
+        // A stale tag (an earlier iteration's under a traffic mux)
         // and a wake that an earlier one has superseded die here without
         // re-arming: one chain of wakes per live incarnation.
         let now = ctx.now();
@@ -694,7 +694,7 @@ impl<P: Payload> HostProgram for FlareHost<P> {
             let state = self.outstanding.resent(slot, now);
             earliest = earliest.min(retx.due(state));
             self.retransmits += 1;
-            let (flow, wire_block) = (self.cfg.allreduce as u64, self.cfg.block_base + block);
+            let (flow, wire_block) = (self.cfg.allreduce as u64, self.wire_block(block));
             let tries = state.tries() as u64;
             ctx.trace(TraceKind::Retransmit, flow, wire_block, tries);
             self.send_block(ctx, block);
@@ -1111,8 +1111,7 @@ mod tests {
             window: 4,
             stagger_offset: 3,
             retransmit_after: None,
-            block_base: 0,
-            wake_seq: 0,
+            iteration: 0,
         }
     }
 
@@ -1127,6 +1126,63 @@ mod tests {
             assert_eq!(h.outstanding.pos_of(block), pos as u64);
         }
         assert_eq!(h.outstanding.next_unsent(), Some(3));
+    }
+
+    #[test]
+    fn an_iteration_sends_its_own_block_ids_and_wake_sequence() {
+        use flare_net::{LinkSpec, NetSim, PortId, SwitchCtx, SwitchProgram, Topology};
+        type Seen = Arc<Mutex<Vec<u64>>>;
+        /// Swallows every contribution, noting its wire block id.
+        struct Blocks(Seen);
+        impl SwitchProgram for Blocks {
+            fn matches(&self, _: &NetPacket) -> bool {
+                true
+            }
+            fn on_packet(&mut self, _: &mut SwitchCtx<'_>, _: PortId, pkt: NetPacket) {
+                self.0.lock().unwrap().push(pkt.block);
+            }
+        }
+        /// The host, noting the tag of every wake it is handed.
+        struct Wakes(DenseFlareHost<i32>, Seen);
+        impl HostProgram for Wakes {
+            fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
+                self.0.on_start(ctx);
+            }
+            fn on_packet(&mut self, ctx: &mut HostCtx<'_>, pkt: NetPacket) {
+                self.0.on_packet(ctx, pkt);
+            }
+            fn on_wake(&mut self, ctx: &mut HostCtx<'_>, tag: u64) {
+                self.1.lock().unwrap().push(tag);
+                self.0.on_wake(ctx, tag);
+            }
+        }
+        let (blocks, k) = (10, 3);
+        let (topo, sw, hosts) = Topology::star(1, LinkSpec::hundred_gig());
+        let mut sim = NetSim::new(topo, 1);
+        let (sent, wakes) = (Seen::default(), Seen::default());
+        sim.install_switch(sw, Box::new(Blocks(sent.clone())), 512.0);
+        let cfg = HostConfig {
+            leaf: sw,
+            window: blocks,
+            retransmit_after: Some(10_000),
+            iteration: k,
+            ..cfg()
+        };
+        let host = DenseFlareHost::new(cfg, 4, vec![1i32; 4 * blocks], result_sink());
+        sim.install_host(hosts[0], Box::new(Wakes(host, wakes.clone())));
+        // No result ever comes back: the timer fires and re-sends.
+        sim.run(Some(30_000));
+        let mut sent = sent.lock().unwrap().clone();
+        assert!(sent.len() > blocks, "a block was re-sent");
+        sent.sort_unstable();
+        sent.dedup();
+        let first = k as u64 * blocks as u64;
+        assert_eq!(sent, (first..first + blocks as u64).collect::<Vec<_>>());
+        let wakes = wakes.lock().unwrap();
+        assert!(!wakes.is_empty());
+        for &tag in wakes.iter() {
+            assert_eq!(FlowTag::unpack(tag), FlowTag::retransmit(1, k));
+        }
     }
 
     #[test]

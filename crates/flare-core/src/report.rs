@@ -13,7 +13,7 @@
 #![deny(missing_docs)]
 
 use flare_des::Time;
-use flare_net::{ComputeStats, NodeId};
+pub use flare_net::HpuSwitchReport;
 
 use crate::switch_prog::ProgramStats;
 
@@ -68,18 +68,6 @@ pub fn jain_index(xs: &[f64]) -> f64 {
         return 1.0;
     }
     sum * sum / (n as f64 * sq)
-}
-
-/// HPU occupancy of one switch under [`flare_net::SwitchModel::Hpu`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct HpuSwitchReport {
-    /// The switch.
-    pub switch: NodeId,
-    /// Handler/queue counters of its compute model.
-    pub stats: ComputeStats,
-    /// Peak FIFO depth per scheduling subset (max equals
-    /// [`ComputeStats::queue_peak`]).
-    pub subset_peaks: Vec<usize>,
 }
 
 /// What a tenant's per-iteration gradient looks like on the wire: the
@@ -175,9 +163,6 @@ pub struct FabricStats {
     /// ([`ProgramStats::open_peak`]). Only the latter two are part of
     /// equality (see above).
     pub switch_pools: ProgramStats,
-    /// Highest single-switch working-memory reservation observed while
-    /// tenants were being admitted, in bytes.
-    pub reserved_peak_bytes: u64,
 }
 
 impl PartialEq for FabricStats {
@@ -187,13 +172,11 @@ impl PartialEq for FabricStats {
             fairness_jain,
             hpu,
             switch_pools,
-            reserved_peak_bytes,
         } = self;
         *fairness_jain == other.fairness_jain
             && *hpu == other.hpu
             && switch_pools.recovery == other.switch_pools.recovery
             && switch_pools.open_peak == other.switch_pools.open_peak
-            && *reserved_peak_bytes == other.reserved_peak_bytes
     }
 }
 
@@ -249,7 +232,6 @@ mod tests {
             fairness_jain: 1.0,
             hpu: Vec::new(),
             switch_pools: ProgramStats::default(),
-            reserved_peak_bytes: 4096,
         };
         let mut b = a.clone();
         b.switch_pools.byte_pool.hits += 1;
@@ -259,9 +241,6 @@ mod tests {
         b = a.clone();
         b.switch_pools.open_peak += 1;
         assert_ne!(a, b, "how many blocks were open at once is");
-        b = a.clone();
-        b.reserved_peak_bytes += 1;
-        assert_ne!(a, b);
     }
 
     #[test]

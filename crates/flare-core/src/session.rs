@@ -103,6 +103,15 @@ pub enum SessionError {
     /// [`Tuning::telemetry`] was set with `bucket_ns: 0`: a utilization
     /// bucket must span at least one nanosecond.
     ZeroTelemetryBucket,
+    /// A size that packets or blocks are cut by is 0:
+    /// [`Tuning::elems_per_packet`], [`Tuning::pairs_per_packet`],
+    /// [`Tuning::packet_bytes`], or [`SparsePolicy::span`],
+    /// [`SparsePolicy::hash_slots`] or [`SparsePolicy::spill_cap`] of a
+    /// sparse collective.
+    ZeroSize {
+        /// The field, as `Type::field`.
+        field: &'static str,
+    },
     /// [`Tuning::link_drop_prob`] is not a probability a run can finish
     /// under: at 1 or above every packet is dropped and the hosts
     /// retransmit for ever; below 0 or NaN would silently run lossless.
@@ -183,6 +192,7 @@ impl std::fmt::Display for SessionError {
             SessionError::ZeroTelemetryBucket => {
                 write!(f, "telemetry bucket_ns = 0: a bucket spans at least 1 ns")
             }
+            SessionError::ZeroSize { field } => write!(f, "{field} = 0: expected at least 1"),
             SessionError::InvalidDropProbability { given } => {
                 write!(f, "link_drop_prob = {given}: expected a value in [0, 1)")
             }
@@ -232,7 +242,26 @@ pub struct SparsePolicy {
     pub array_at_root: bool,
 }
 
+/// [`SessionError::ZeroSize`] naming the first of `sizes` that is 0.
+fn nonzero(sizes: [(&'static str, usize); 3]) -> Result<(), SessionError> {
+    match sizes.into_iter().find(|&(_, size)| size == 0) {
+        Some((field, _)) => Err(SessionError::ZeroSize { field }),
+        None => Ok(()),
+    }
+}
+
 impl SparsePolicy {
+    /// A block spans at least one index, and the hash storage of a
+    /// non-root switch has a slot and a spill entry at least (checked
+    /// whether or not the tree has such a switch).
+    fn check(&self) -> Result<(), SessionError> {
+        nonzero([
+            ("SparsePolicy::span", self.span),
+            ("SparsePolicy::hash_slots", self.hash_slots),
+            ("SparsePolicy::spill_cap", self.spill_cap),
+        ])
+    }
+
     /// The storage a switch of the tree uses: an array at the root when
     /// [`array_at_root`](Self::array_at_root), a hash table elsewhere.
     pub fn storage_at(&self, root: bool) -> SparseStorageKind {
@@ -373,6 +402,11 @@ impl Tuning {
                 },
             },
         };
+        nonzero([
+            ("Tuning::elems_per_packet", tuning.elems_per_packet),
+            ("Tuning::pairs_per_packet", tuning.pairs_per_packet),
+            ("Tuning::packet_bytes", tuning.packet_bytes),
+        ])?;
         if tuning.retransmit_after == Some(0) {
             // A zero-delay timer re-arms at the same instant forever,
             // flooding the event queue without time ever advancing.
@@ -909,6 +943,7 @@ impl<T: Element, O: ReduceOp<T> + Clone + 'static> Collective<'_, T, O> {
                 if total_elems == 0 {
                     return Err(SessionError::EmptyData);
                 }
+                self.policy.check()?;
                 if let Some(&(index, _)) = pairs
                     .iter()
                     .flat_map(|p| p.iter())
@@ -1402,6 +1437,74 @@ mod tests {
             .run()
             .unwrap_err();
         assert_eq!(err, SessionError::ZeroTelemetryBucket);
+    }
+
+    /// What a 3-host sparse collective under `policy` is rejected with.
+    fn sparse_rejected(session: &mut FlareSession, policy: SparsePolicy) -> SessionError {
+        let pairs = vec![vec![(1u32, 1.0f32)]; 3];
+        let run = session.sparse_allreduce(100, pairs).policy(policy).run();
+        run.expect_err("rejected")
+    }
+
+    fn zero(field: &'static str) -> SessionError {
+        SessionError::ZeroSize { field }
+    }
+
+    #[test]
+    fn a_zero_sparse_span_is_a_typed_error() {
+        let policy = SparsePolicy {
+            span: 0,
+            ..SparsePolicy::default()
+        };
+        let err = sparse_rejected(&mut star_session(3), policy);
+        assert_eq!(err, zero("SparsePolicy::span"));
+    }
+
+    #[test]
+    fn zero_hash_slots_are_a_typed_error() {
+        // Hash storage at the root too, so the star's switch keeps a table.
+        let policy = SparsePolicy {
+            hash_slots: 0,
+            array_at_root: false,
+            ..SparsePolicy::default()
+        };
+        let err = sparse_rejected(&mut star_session(3), policy);
+        assert_eq!(err, zero("SparsePolicy::hash_slots"));
+    }
+
+    #[test]
+    fn a_zero_spill_cap_is_a_typed_error() {
+        let policy = SparsePolicy {
+            spill_cap: 0,
+            array_at_root: false,
+            ..SparsePolicy::default()
+        };
+        let err = sparse_rejected(&mut star_session(3), policy);
+        assert_eq!(err, zero("SparsePolicy::spill_cap"));
+    }
+
+    #[test]
+    fn zero_elems_per_packet_are_a_typed_error() {
+        let mut session = star_session(3);
+        session.tuning.elems_per_packet = 0;
+        let run = session.allreduce(vec![vec![1i32; 64]; 3]).run();
+        assert_eq!(run.err(), Some(zero("Tuning::elems_per_packet")));
+    }
+
+    #[test]
+    fn zero_pairs_per_packet_are_a_typed_error() {
+        let mut session = star_session(3);
+        session.tuning.pairs_per_packet = 0;
+        let err = sparse_rejected(&mut session, SparsePolicy::default());
+        assert_eq!(err, zero("Tuning::pairs_per_packet"));
+    }
+
+    #[test]
+    fn zero_packet_bytes_are_a_typed_error() {
+        let mut session = star_session(3);
+        session.tuning.packet_bytes = 0;
+        let run = session.allreduce(vec![vec![1i32; 64]; 3]).run();
+        assert_eq!(run.err(), Some(zero("Tuning::packet_bytes")));
     }
 
     #[test]

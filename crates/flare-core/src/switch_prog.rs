@@ -323,8 +323,7 @@ mod tests {
                     window: 4,
                     stagger_offset: 0,
                     retransmit_after: None,
-                    block_base: 0,
-                    wake_seq: 0,
+                    iteration: 0,
                 };
                 let host = DenseFlareHost::new(cfg, 8, vec![1i32; 64], result_sink());
                 sim.install_host(h, Box::new(host));

@@ -320,7 +320,7 @@ impl FlowWiring {
     pub fn host<T: Element, O: ReduceOp<T> + 'static>(
         &self,
         rank: usize,
-        iteration: u64,
+        iteration: u32,
         rtt: RttEstimate,
         op: O,
         input: FlowInput<T>,
@@ -334,8 +334,7 @@ impl FlowWiring {
             window: self.plan.window,
             stagger_offset: rank as u64 * self.step,
             retransmit_after: self.tuning.retransmit_after,
-            block_base: iteration * self.blocks,
-            wake_seq: iteration as u32,
+            iteration,
         };
         match (self.shape, input) {
             (FlowShape::Dense { .. }, FlowInput::Dense(data)) => {

@@ -184,12 +184,12 @@ impl HpuParams {
 pub struct ComputeStats {
     /// Handler executions completed (== matched packets processed).
     pub handlers: u64,
-    /// Sum of handler service time (ns), across all cores.
-    pub busy_ns: u64,
     /// Packets that found every core of their subset busy and queued.
     pub queued: u64,
     /// Peak FIFO depth in front of any single scheduling subset (the
-    /// model's per-core `Q` when `S = 1`).
+    /// model's per-core `Q` when `S = 1`): the largest of
+    /// [`SwitchCompute::subset_queue_peaks`], taken when the stats are
+    /// read.
     pub queue_peak: usize,
     /// Arrival time of the first handler.
     pub first_arrival: Option<Time>,
@@ -225,9 +225,10 @@ pub struct SwitchCompute {
     /// kept only for queue-occupancy accounting (entries with
     /// `start <= now` have left the FIFO and are dropped lazily).
     pending: Vec<VecDeque<Time>>,
-    /// Peak FIFO depth observed per scheduling subset
-    /// (`stats.queue_peak` is the max of this vector).
+    /// Peak FIFO depth observed per scheduling subset.
     subset_peak: Vec<usize>,
+    /// Every counter but `queue_peak`, which [`SwitchCompute::stats`]
+    /// derives from `subset_peak`.
     stats: ComputeStats,
     /// Per-subset occupancy samples, recorded only when telemetry armed
     /// the timeline (see [`SwitchCompute::enable_timeline`]).
@@ -276,18 +277,17 @@ impl SwitchCompute {
         self.timeline.take()
     }
 
-    /// The configuration this scheduler was built from.
-    pub fn config(&self) -> &HpuParams {
-        &self.cfg
-    }
-
     /// Occupancy and throughput counters so far.
-    pub fn stats(&self) -> &ComputeStats {
-        &self.stats
+    pub fn stats(&self) -> ComputeStats {
+        let queue_peak = self.subset_peak.iter().max().copied().unwrap_or(0);
+        ComputeStats {
+            queue_peak,
+            ..self.stats
+        }
     }
 
     /// Peak FIFO depth observed in front of each scheduling subset, indexed
-    /// by subset id (`subset_of(block)`). The maximum over this slice equals
+    /// by subset id (`subset_of(block)`). Its maximum is
     /// [`ComputeStats::queue_peak`]; the distribution reveals which subsets
     /// (blocks) bore the contention under multi-tenant load.
     pub fn subset_queue_peaks(&self) -> &[usize] {
@@ -344,7 +344,6 @@ impl SwitchCompute {
         if start > now {
             q.push_back(start);
             self.stats.queued += 1;
-            self.stats.queue_peak = self.stats.queue_peak.max(q.len());
             self.subset_peak[subset] = self.subset_peak[subset].max(q.len());
         }
         if let Some(timeline) = &mut self.timeline {
@@ -357,7 +356,6 @@ impl SwitchCompute {
         }
 
         self.stats.handlers += 1;
-        self.stats.busy_ns += service;
         if self.stats.first_arrival.is_none() {
             self.stats.first_arrival = Some(now);
         }
@@ -492,6 +490,6 @@ mod tests {
     fn empty_stats_report_zero_bandwidth() {
         let c = fig5();
         assert_eq!(c.stats().bandwidth_pkt_ns(), 0.0);
-        assert_eq!(c.stats(), &ComputeStats::default());
+        assert_eq!(c.stats(), ComputeStats::default());
     }
 }

@@ -32,6 +32,8 @@ pub mod topology;
 pub use compute::{ComputeStats, HpuParams, SwitchCompute, SwitchModel};
 pub use packet::NetPacket;
 pub use partition::PartitionPlan;
-pub use sim::{HostCtx, HostProgram, LinkTotals, NetReport, NetSim, SwitchCtx, SwitchProgram};
+pub use sim::{
+    HostCtx, HostProgram, HpuSwitchReport, LinkTotals, NetReport, NetSim, SwitchCtx, SwitchProgram,
+};
 pub use telemetry::{TelemetryConfig, TelemetryReport, TraceEvent, TraceKind};
 pub use topology::{LinkSpec, NodeId, PortId, Topology};

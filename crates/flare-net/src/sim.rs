@@ -149,7 +149,6 @@ struct LaneState {
     part: u32,
     nodes: Vec<NodeState>,
     dirs: Vec<DirState>,
-    drops: u64,
     /// Observability capture ([`Telemetry::Off`] by default: one
     /// discriminant test per hook, no state, no allocation).
     telemetry: Telemetry,
@@ -167,7 +166,6 @@ impl LaneState {
                 part: p as u32,
                 nodes,
                 dirs,
-                drops: 0,
                 telemetry,
             })
             .collect()
@@ -177,7 +175,6 @@ impl LaneState {
     fn merge(&mut self, plan: &PartitionPlan, lanes: Vec<LaneState>) {
         let (mut nodes, mut dirs, mut telemetry) = (Vec::new(), Vec::new(), Vec::new());
         for lane in lanes {
-            self.drops += lane.drops;
             nodes.push(lane.nodes);
             dirs.push(lane.dirs);
             telemetry.push(lane.telemetry);
@@ -254,7 +251,6 @@ impl NetLane<'_> {
             .record_tx(slot, start, bytes as u64, dropped);
         if dropped {
             d.drops += 1;
-            self.state.drops += 1;
             return None;
         }
         Some((pl.peer, pl.peer_port, fin + link.spec.latency_ns))
@@ -522,13 +518,26 @@ pub struct NetReport {
     pub total_link_bytes: u64,
     /// Total packets that traversed links.
     pub total_link_packets: u64,
-    /// Packets dropped by loss injection.
+    /// Packets dropped by loss injection: the sum of the per-link
+    /// [`LinkTotals::drops`] of [`links`](Self::links).
     pub drops: u64,
     /// Per-link byte/packet/drop totals, indexed by link id (lossless
     /// runs report zero drops on every link).
     pub links: Vec<LinkTotals>,
     /// Events processed.
     pub events: u64,
+}
+
+/// HPU occupancy of one switch under [`SwitchModel::Hpu`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct HpuSwitchReport {
+    /// The switch.
+    pub switch: NodeId,
+    /// Handler/queue counters of its compute model.
+    pub stats: ComputeStats,
+    /// Peak FIFO depth per scheduling subset; the largest is
+    /// [`ComputeStats::queue_peak`].
+    pub subset_peaks: Vec<usize>,
 }
 
 /// The network simulator.
@@ -576,7 +585,6 @@ impl NetSim {
                 part: 0,
                 nodes,
                 dirs,
-                drops: 0,
                 telemetry: Telemetry::Off,
             },
         }
@@ -641,33 +649,20 @@ impl NetSim {
         };
     }
 
-    fn compute_of(&self, node: NodeId) -> Option<&SwitchCompute> {
-        self.lane.nodes[node.index()].compute.as_deref()
-    }
-
-    /// Compute-model counters of a switch installed with
-    /// [`SwitchModel::Hpu`] (`None` for `Ideal`/`RateLimited` switches).
-    pub fn compute_stats(&self, node: NodeId) -> Option<ComputeStats> {
-        self.compute_of(node).map(|c| *c.stats())
-    }
-
-    /// Per-subset peak FIFO depths of a switch installed with
-    /// [`SwitchModel::Hpu`] (`None` for `Ideal`/`RateLimited` switches).
-    /// Indexed by scheduling subset; the max equals
-    /// [`ComputeStats::queue_peak`].
-    pub fn compute_subset_peaks(&self, node: NodeId) -> Option<Vec<usize>> {
-        self.compute_of(node)
-            .map(|c| c.subset_queue_peaks().to_vec())
-    }
-
-    /// Compute-model counters of *every* switch installed with
-    /// [`SwitchModel::Hpu`], ascending by node id — so callers stop
-    /// probing node ids blindly through
-    /// [`compute_stats`](Self::compute_stats).
-    pub fn all_compute_stats(&self) -> Vec<(NodeId, ComputeStats)> {
+    /// The HPU occupancy of every switch installed with
+    /// [`SwitchModel::Hpu`], ascending by node id (`Ideal`/`RateLimited`
+    /// switches have none).
+    pub fn hpu_reports(&self) -> Vec<HpuSwitchReport> {
         let nodes = self.lane.nodes.iter().enumerate();
         nodes
-            .filter_map(|(i, n)| Some((NodeId(i as u32), *n.compute.as_ref()?.stats())))
+            .filter_map(|(i, n)| {
+                let hpu = n.compute.as_deref()?;
+                Some(HpuSwitchReport {
+                    switch: NodeId(i as u32),
+                    stats: hpu.stats(),
+                    subset_peaks: hpu.subset_queue_peaks().to_vec(),
+                })
+            })
             .collect()
     }
 
@@ -692,8 +687,8 @@ impl NetSim {
     /// models, so call before [`take_switch`](Self::take_switch)-style
     /// teardown if both are needed.
     pub fn take_telemetry(&mut self) -> Option<TelemetryReport> {
-        let telemetry = std::mem::take(&mut self.lane.telemetry);
-        let (cfg, dirs, events) = telemetry.into_parts()?;
+        // Timelines record only while telemetry is on, so with it off this
+        // collects nothing.
         let nodes = self.lane.nodes.iter_mut().enumerate();
         let compute: Vec<ComputeTimeline> = nodes
             .filter_map(|(i, n)| {
@@ -706,9 +701,7 @@ impl NetSim {
                 })
             })
             .collect();
-        Some(TelemetryReport::assemble(
-            &self.topo, cfg, dirs, events, compute,
-        ))
+        std::mem::take(&mut self.lane.telemetry).into_report(&self.topo, compute)
     }
 
     /// Inject loss on a link (both directions).
@@ -797,16 +790,10 @@ impl NetSim {
             done_at,
             total_link_bytes: links.iter().map(|l| l.bytes).sum(),
             total_link_packets: links.iter().map(|l| l.packets).sum(),
-            drops: self.lane.drops,
+            drops: links.iter().map(|l| l.drops).sum(),
             links,
             events,
         }
-    }
-
-    /// Per-link transported bytes `(link id, bytes)`, for hotspot analysis.
-    pub fn link_bytes(&self) -> Vec<(usize, u64)> {
-        let links = self.lane.dirs.chunks_exact(2).enumerate();
-        links.map(|(i, d)| (i, d[0].bytes + d[1].bytes)).collect()
     }
 
     /// Per-link utilization over `[0, horizon]`: transported bytes divided
@@ -1227,8 +1214,9 @@ mod tests {
         assert_eq!(PartitionPlan::build(sharded.topology()).parts, 1);
         assert_eq!(sharded.run_threads(None, 4), want);
         assert!(want.drops > 0 && want.last_done.is_some());
-        assert!(whole.compute_stats(sw).unwrap().handlers > 0);
-        assert_eq!(sharded.compute_stats(sw), whole.compute_stats(sw));
+        let hpu = whole.hpu_reports();
+        assert!(hpu[0].switch == sw && hpu[0].stats.handlers > 0);
+        assert_eq!(sharded.hpu_reports(), hpu);
         let trace = whole.take_telemetry().expect("telemetry was enabled");
         assert!(!trace.compute.is_empty() && !trace.events.is_empty());
         assert_eq!(sharded.take_telemetry(), Some(trace));
@@ -1484,7 +1472,7 @@ mod tests {
     }
 
     #[test]
-    fn all_compute_stats_lists_every_hpu_switch() {
+    fn hpu_reports_list_every_hpu_switch() {
         use crate::compute::HpuParams;
         struct Agg;
         impl SwitchProgram for Agg {
@@ -1508,11 +1496,11 @@ mod tests {
         );
         sim.install_switch_model(leaf0, Box::new(Agg), SwitchModel::Hpu(HpuParams::figure5()));
         sim.run(None);
-        let all = sim.all_compute_stats();
+        let all = sim.hpu_reports();
         assert_eq!(all.len(), 1);
-        assert_eq!(all[0].0, leaf0);
-        assert_eq!(all[0].1.handlers, 4);
-        assert_eq!(sim.compute_stats(leaf0).unwrap().handlers, 4);
+        assert_eq!(all[0].switch, leaf0);
+        assert_eq!(all[0].stats.handlers, 4);
+        assert_eq!(all[0].subset_peaks.len(), HpuParams::figure5().subsets());
     }
 
     #[test]

@@ -182,37 +182,6 @@ impl TelemetrySink {
             events: Vec::new(),
         }
     }
-
-    #[inline]
-    fn record_tx(&mut self, slot: usize, start: Time, bytes: u64, dropped: bool) {
-        let index = start / self.cfg.bucket_ns;
-        self.dirs[slot].record(index, bytes, dropped);
-    }
-
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn event(
-        &mut self,
-        slot: usize,
-        node: u32,
-        time: Time,
-        kind: TraceKind,
-        flow: u64,
-        a: u64,
-        b: u64,
-    ) {
-        let seq = self.node_seq[slot];
-        self.node_seq[slot] = seq + 1;
-        self.events.push(TraceEvent {
-            time,
-            node,
-            seq,
-            kind,
-            flow,
-            a,
-            b,
-        });
-    }
 }
 
 /// Telemetry state of a simulator lane: either fully disabled (the
@@ -237,7 +206,8 @@ impl Telemetry {
     #[inline]
     pub fn record_tx(&mut self, slot: usize, start: Time, bytes: u64, dropped: bool) {
         if let Telemetry::On(sink) = self {
-            sink.record_tx(slot, start, bytes, dropped);
+            let index = start / sink.cfg.bucket_ns;
+            sink.dirs[slot].record(index, bytes, dropped);
         }
     }
 
@@ -256,7 +226,17 @@ impl Telemetry {
         b: u64,
     ) {
         if let Telemetry::On(sink) = self {
-            sink.event(slot, node, time, kind, flow, a, b);
+            let seq = sink.node_seq[slot];
+            sink.node_seq[slot] = seq + 1;
+            sink.events.push(TraceEvent {
+                time,
+                node,
+                seq,
+                kind,
+                flow,
+                a,
+                b,
+            });
         }
     }
 
@@ -285,7 +265,7 @@ impl Telemetry {
 
     /// Merge lane sinks back: direction series and node ordinals return
     /// to their whole-lane slots, lane events are appended (ordering is
-    /// restored by the sort in [`Telemetry::into_parts`]).
+    /// restored by the sort in [`Telemetry::into_report`]).
     pub fn merge(&mut self, plan: &PartitionPlan, lanes: Vec<Telemetry>) {
         let sink = match self {
             Telemetry::Off => return,
@@ -304,23 +284,46 @@ impl Telemetry {
         sink.dirs = plan.gather_dirs(dirs);
     }
 
-    /// Consume the sink: `(config, per-direction series indexed 2·link +
-    /// dir, lifecycle events in canonical `(time, node, seq)` order)`.
-    /// Returns `None` when off.
-    pub fn into_parts(self) -> Option<(TelemetryConfig, Vec<DirSeries>, Vec<TraceEvent>)> {
-        match self {
-            Telemetry::Off => None,
-            Telemetry::On(sink) => {
-                let TelemetrySink {
-                    cfg,
-                    dirs,
-                    mut events,
-                    ..
-                } = *sink;
-                events.sort_unstable();
-                Some((cfg, dirs, events))
-            }
-        }
+    /// Consume the whole lane's sink into a report: each link's two
+    /// direction series with its endpoints and capacity from `topo`, the
+    /// lifecycle events in canonical `(time, node, seq)` order, and the HPU
+    /// `compute` timelines. Returns `None` when off.
+    pub(crate) fn into_report(
+        self,
+        topo: &Topology,
+        compute: Vec<ComputeTimeline>,
+    ) -> Option<TelemetryReport> {
+        let Telemetry::On(sink) = self else {
+            return None;
+        };
+        let TelemetrySink {
+            cfg,
+            mut dirs,
+            mut events,
+            ..
+        } = *sink;
+        events.sort_unstable();
+        let links = (0..topo.link_count())
+            .map(|l| {
+                let link = topo.link(l);
+                let d1 = std::mem::take(&mut dirs[2 * l + 1]);
+                let d0 = std::mem::take(&mut dirs[2 * l]);
+                LinkTelemetry {
+                    link: l,
+                    a: link.a.0 .0,
+                    b: link.b.0 .0,
+                    bytes_per_ns: link.spec.bytes_per_ns(),
+                    dirs: [d0, d1],
+                }
+            })
+            .collect();
+        Some(TelemetryReport {
+            bucket_ns: cfg.bucket_ns,
+            links,
+            events,
+            compute,
+            tracks: Vec::new(),
+        })
     }
 }
 
@@ -384,37 +387,6 @@ pub struct TelemetryReport {
 }
 
 impl TelemetryReport {
-    /// Assemble a report from sink parts plus topology context.
-    pub(crate) fn assemble(
-        topo: &Topology,
-        cfg: TelemetryConfig,
-        mut dirs: Vec<DirSeries>,
-        events: Vec<TraceEvent>,
-        compute: Vec<ComputeTimeline>,
-    ) -> Self {
-        let links = (0..topo.link_count())
-            .map(|l| {
-                let link = topo.link(l);
-                let d1 = std::mem::take(&mut dirs[2 * l + 1]);
-                let d0 = std::mem::take(&mut dirs[2 * l]);
-                LinkTelemetry {
-                    link: l,
-                    a: link.a.0 .0,
-                    b: link.b.0 .0,
-                    bytes_per_ns: link.spec.bytes_per_ns(),
-                    dirs: [d0, d1],
-                }
-            })
-            .collect();
-        Self {
-            bucket_ns: cfg.bucket_ns,
-            links,
-            events,
-            compute,
-            tracks: Vec::new(),
-        }
-    }
-
     /// Display label of a flow id.
     fn track_label(&self, flow: u64) -> String {
         self.tracks
@@ -698,21 +670,26 @@ mod tests {
         let mut t = Telemetry::Off;
         t.record_tx(0, 5, 100, false);
         t.event(0, 0, 5, TraceKind::ShardSend, 1, 2, 3);
-        assert!(t.into_parts().is_none());
+        assert!(t.into_report(&star().0, Vec::new()).is_none());
+    }
+
+    /// A switch and two hosts, with its node and direction slot counts.
+    fn star() -> (Topology, usize, usize) {
+        let (topo, _sw, _hosts) = Topology::star(2, crate::LinkSpec::hundred_gig());
+        let (nodes, dir_slots) = (topo.node_count(), 2 * topo.link_count());
+        (topo, nodes, dir_slots)
     }
 
     #[test]
     fn events_sort_by_time_node_seq() {
-        let mut t = Telemetry::On(Box::new(TelemetrySink::new(
-            TelemetryConfig::default(),
-            3,
-            0,
-        )));
+        let (topo, nodes, dir_slots) = star();
+        let sink = TelemetrySink::new(TelemetryConfig::default(), nodes, dir_slots);
+        let mut t = Telemetry::On(Box::new(sink));
         t.event(2, 2, 50, TraceKind::ShardSend, 1, 0, 0);
         t.event(0, 0, 10, TraceKind::ShardSend, 1, 0, 0);
         t.event(0, 0, 10, TraceKind::BlockRetire, 1, 0, 0);
         t.event(1, 1, 10, TraceKind::ShardSend, 1, 0, 0);
-        let (_, _, events) = t.into_parts().unwrap();
+        let events = t.into_report(&topo, Vec::new()).unwrap().events;
         let keys: Vec<(Time, u32, u32)> = events.iter().map(|e| (e.time, e.node, e.seq)).collect();
         assert_eq!(keys, vec![(10, 0, 0), (10, 0, 1), (10, 1, 0), (50, 2, 0)]);
     }

@@ -21,7 +21,7 @@ use flare_des::{EventQueue, Time};
 
 use crate::config::{PspinConfig, SchedulingPolicy};
 use crate::handler::{HandlerEffects, HpuCtx, LockTable, PacketHandler};
-use crate::metrics::{Collectors, Report};
+use crate::metrics::{occupy, Report};
 use crate::packet::PspinPacket;
 
 /// Effects of an execution, pending until its core releases.
@@ -44,7 +44,14 @@ pub struct Engine<H: PacketHandler> {
     pending: Vec<Option<Pending>>,
     /// Per-cluster icache warm flags.
     icache_warm: Vec<bool>,
-    collect: Collectors,
+    /// What the run measured so far; [`run_trace`] hands it out.
+    report: Report,
+    /// Bytes resident in the input buffer and in working memory, and
+    /// packets queued: the levels whose high-water marks are `report`'s
+    /// peaks.
+    input_buffer: i64,
+    working_mem: i64,
+    queued: i64,
     emissions: Vec<(Time, PspinPacket)>,
     capture_emissions: bool,
 }
@@ -73,7 +80,10 @@ impl<H: PacketHandler> Engine<H> {
             queues: vec![VecDeque::new(); subsets],
             pending: (0..cores).map(|_| None).collect(),
             icache_warm: vec![false; clusters],
-            collect: Collectors::default(),
+            report: Report::default(),
+            input_buffer: 0,
+            working_mem: 0,
+            queued: 0,
             emissions: Vec::new(),
             capture_emissions,
         }
@@ -98,18 +108,18 @@ impl<H: PacketHandler> Engine<H> {
     }
 
     /// Serve `arrivals`, sorted by time, merged with the core releases
-    /// they cause; returns the time of the last event.
-    fn serve(&mut self, arrivals: Vec<(Time, PspinPacket)>) -> Time {
+    /// they cause, and close the report at the last event.
+    fn serve(&mut self, arrivals: Vec<(Time, PspinPacket)>) {
         let mut releases = EventQueue::new();
         let mut last = 0;
-        self.collect.first_arrival_seen = arrivals.first().map_or(0, |&(t, _)| t);
+        let first = arrivals.first().map_or(0, |&(t, _)| t);
         for (t, pkt) in arrivals {
             self.release_until(t, &mut releases);
             self.arrive(t, pkt, &mut releases);
             last = t;
         }
         self.release_until(Time::MAX, &mut releases);
-        last.max(releases.now())
+        self.report.finish(first, last.max(releases.now()));
     }
 
     /// Release every core due by `until`, in scheduling order at each
@@ -125,34 +135,35 @@ impl<H: PacketHandler> Engine<H> {
         // L2 packet-memory admission: drop when full (the paper's networks
         // would instead backpressure; experiments are sized so this never
         // triggers and `drops` stays 0).
-        if self.collect.input_buffer.level + pkt.wire_bytes as i64
-            > self.cfg.params.l2_packet_bytes as i64
-        {
-            self.collect.drops += 1;
+        let wire = pkt.wire_bytes as i64;
+        if self.input_buffer + wire > self.cfg.params.l2_packet_bytes as i64 {
+            self.report.drops += 1;
             return;
         }
-        self.collect.packets_in += 1;
-        self.collect.bytes_in += pkt.wire_bytes as u64;
-        self.collect.input_buffer.add(pkt.wire_bytes as i64);
+        let report = &mut self.report;
+        report.packets_in += 1;
+        report.bytes_in += wire as u64;
+        occupy(&mut self.input_buffer, &mut report.input_buffer_peak, wire);
         let subset = self.subset_of(pkt.block);
         if let Some(core) = self.idle[subset].pop() {
             self.start_execution(t, core, pkt, releases);
         } else {
             self.queues[subset].push_back(pkt);
-            self.collect.queued.add(1);
+            occupy(&mut self.queued, &mut self.report.queue_peak, 1);
         }
     }
 
     fn release(&mut self, t: Time, core: usize, releases: &mut EventQueue<usize>) {
         let pending = self.pending[core].take().expect("no pending work");
-        let collect = &mut self.collect;
-        collect.input_buffer.add(-(pending.wire_bytes as i64));
-        collect.lock_wait_cycles += pending.lock_wait;
-        collect.working_mem.add(pending.effects.working_mem_delta);
-        collect.blocks_completed += pending.effects.blocks_completed;
+        let report = &mut self.report;
+        let wire = pending.wire_bytes as i64;
+        occupy(&mut self.input_buffer, &mut report.input_buffer_peak, -wire);
+        report.lock_wait_cycles += pending.lock_wait;
+        // Its working-memory delta applied when it started.
+        report.blocks_completed += pending.effects.blocks_completed;
         for pkt in pending.effects.emissions {
-            collect.packets_out += 1;
-            collect.bytes_out += pkt.wire_bytes as u64;
+            report.packets_out += 1;
+            report.bytes_out += pkt.wire_bytes as u64;
             if self.capture_emissions {
                 self.emissions.push((t, pkt));
             }
@@ -163,7 +174,7 @@ impl<H: PacketHandler> Engine<H> {
             SchedulingPolicy::Hierarchical { subset_size } => core / subset_size,
         };
         if let Some(pkt) = self.queues[subset].pop_front() {
-            self.collect.queued.add(-1);
+            occupy(&mut self.queued, &mut self.report.queue_peak, -1);
             self.start_execution(t, core, pkt, releases);
         } else {
             self.idle[subset].push(core);
@@ -195,14 +206,18 @@ impl<H: PacketHandler> Engine<H> {
         self.handler.process(&mut ctx, &pkt);
         let end = ctx.now().max(t + icache + 1);
         let lock_wait = ctx.lock_wait();
-        let mut effects = ctx.effects;
+        let effects = ctx.effects;
         // Working-memory deltas apply at handler *start*: the functional
         // aggregation state mutates here (synchronous-commit model), and a
         // later-starting handler may free buffers an earlier, still-spinning
         // handler allocated — deferring deltas to completion would observe
         // them out of order.
-        self.collect.working_mem.add(effects.working_mem_delta);
-        effects.working_mem_delta = 0;
+        let delta = effects.working_mem_delta;
+        occupy(
+            &mut self.working_mem,
+            &mut self.report.working_mem_peak,
+            delta,
+        );
         debug_assert!(self.pending[core].is_none(), "core already busy");
         self.pending[core] = Some(Pending {
             effects,
@@ -228,8 +243,8 @@ pub fn run_trace<H: PacketHandler>(
 ) -> (Report, Engine<H>) {
     arrivals.sort_by_key(|&(t, _)| t);
     let mut engine = Engine::new(cfg, handler, capture);
-    let end = engine.serve(arrivals);
-    (engine.collect.report(end), engine)
+    engine.serve(arrivals);
+    (std::mem::take(&mut engine.report), engine)
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 use flare_des::Time;
 
 /// Aggregated metrics of one engine run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Report {
     /// Simulated duration in ns (first arrival to last completion).
     pub duration_ns: Time,
@@ -35,56 +35,22 @@ pub struct Report {
     pub blocks_completed: u64,
 }
 
-/// An occupancy (bytes resident, packets queued) and its high-water mark.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct Occupancy {
-    pub level: i64,
-    pub peak: i64,
-}
-
-impl Occupancy {
-    /// Add `delta` (may be negative) to the level.
-    pub(crate) fn add(&mut self, delta: i64) {
-        self.level += delta;
-        debug_assert!(self.level >= 0, "occupancy went negative");
-        self.peak = self.peak.max(self.level);
+impl Report {
+    /// Close a run whose first packet arrived at `first_arrival` and whose
+    /// last event was at `end`: its duration and ingress bandwidth.
+    pub(crate) fn finish(&mut self, first_arrival: Time, end: Time) {
+        let duration = end.saturating_sub(first_arrival).max(1);
+        self.duration_ns = duration;
+        self.ingress_tbps = self.bytes_in as f64 * 8.0 / duration as f64 / 1000.0;
     }
 }
 
-/// Mutable collectors owned by the engine while running.
-#[derive(Debug, Default)]
-pub(crate) struct Collectors {
-    pub packets_in: u64,
-    pub bytes_in: u64,
-    pub packets_out: u64,
-    pub bytes_out: u64,
-    pub drops: u64,
-    pub input_buffer: Occupancy,
-    pub working_mem: Occupancy,
-    pub queued: Occupancy,
-    pub lock_wait_cycles: u64,
-    pub blocks_completed: u64,
-    pub first_arrival_seen: Time,
-}
-
-impl Collectors {
-    pub(crate) fn report(&self, end: Time) -> Report {
-        let duration = end.saturating_sub(self.first_arrival_seen).max(1);
-        Report {
-            duration_ns: duration,
-            packets_in: self.packets_in,
-            bytes_in: self.bytes_in,
-            packets_out: self.packets_out,
-            bytes_out: self.bytes_out,
-            drops: self.drops,
-            ingress_tbps: self.bytes_in as f64 * 8.0 / duration as f64 / 1000.0,
-            input_buffer_peak: self.input_buffer.peak,
-            working_mem_peak: self.working_mem.peak,
-            queue_peak: self.queued.peak,
-            lock_wait_cycles: self.lock_wait_cycles,
-            blocks_completed: self.blocks_completed,
-        }
-    }
+/// Add `delta` (may be negative) to an occupancy `level` (bytes resident,
+/// packets queued) and raise its high-water mark `peak` to it.
+pub(crate) fn occupy(level: &mut i64, peak: &mut i64, delta: i64) {
+    *level += delta;
+    debug_assert!(*level >= 0, "occupancy went negative");
+    *peak = (*peak).max(*level);
 }
 
 #[cfg(test)]
@@ -94,14 +60,14 @@ mod tests {
     #[test]
     fn report_derives_bandwidth_from_bytes_and_makespan() {
         // 1 MiB over 2048 ns = 512 B/ns = 4.096 Tbps.
-        let c = Collectors {
+        let mut r = Report {
             packets_in: 1024,
             bytes_in: 1 << 20,
-            ..Collectors::default()
+            ..Report::default()
         };
-        let r = c.report(2048);
+        r.finish(0, 2048);
         assert!((r.ingress_tbps - 4.096).abs() < 1e-9, "{}", r.ingress_tbps);
-        assert_eq!(r.packets_in, 1024);
+        assert_eq!(r.duration_ns, 2048);
         assert_eq!(r.bytes_in, 1 << 20);
     }
 
@@ -109,6 +75,6 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "occupancy went negative")]
     fn an_occupancy_rejects_going_negative() {
-        Occupancy::default().add(-1);
+        occupy(&mut 0, &mut 0, -1);
     }
 }

@@ -45,7 +45,7 @@
 //! wakes back even
 //! though the mux owns the `HostProgram` slot, and a stale timer from
 //! iteration `k` is ignored by iteration `k+1` because the sequence no
-//! longer matches ([`flare_core::host::HostConfig::wake_seq`]). What
+//! longer matches ([`flare_core::host::HostConfig::iteration`]). What
 //! iteration `k` measured of the flow's round trips is handed to iteration
 //! `k+1` ([`RttEstimate`]), so only a flow's first iteration waits out
 //! `retransmit_after` for a lost packet.
@@ -63,9 +63,7 @@ use rand::RngExt;
 use flare_core::collectives::Sequencer;
 use flare_core::host::{result_sink, ResultSink, RttEstimate};
 use flare_core::op::Sum;
-use flare_core::report::{
-    jain_index, FabricStats, HpuSwitchReport, PayloadSpec, TenantReport, TenantSection,
-};
+use flare_core::report::{jain_index, FabricStats, PayloadSpec, TenantReport, TenantSection};
 use flare_core::session::{CollectiveHandle, FlareSession, RunReport, SessionError, SparsePolicy};
 use flare_core::switch_prog::ProgramStats;
 use flare_core::tag::{FlowTag, FlowTagOverflow, KIND_ENGINE_BASE};
@@ -401,7 +399,7 @@ impl<'s> TrafficEngine<'s> {
             handle.set_label(spec.name.clone());
         }
         // Wire block ids are u32; every (job, iteration) gets a fresh
-        // block_base, so the whole run must fit.
+        // range of them, so the whole run must fit.
         let bpi = spec.shape().blocks(self.session.tuning());
         let total_iters = (spec.arrivals.jobs() * spec.iterations) as u64;
         let total_blocks = total_iters * bpi;
@@ -586,15 +584,7 @@ impl<'s> TrafficEngine<'s> {
         // `Collective::run` uses, with the engine's deadline and a harvest
         // of what its multiplexers counted.
         let harvest = |sim: &mut NetSim| {
-            let hpu: Vec<HpuSwitchReport> = sim
-                .all_compute_stats()
-                .into_iter()
-                .map(|(sw, stats)| HpuSwitchReport {
-                    switch: sw,
-                    stats,
-                    subset_peaks: sim.compute_subset_peaks(sw).unwrap_or_default(),
-                })
-                .collect();
+            let hpu = sim.hpu_reports();
             // Switch bytes per tenant (admission order), then what every
             // cell recorded, in host order.
             let mut flow_bytes = vec![0u64; statics.len()];
@@ -690,7 +680,6 @@ impl<'s> TrafficEngine<'s> {
             fairness_jain: jain_index(&tenant_bytes),
             hpu,
             switch_pools: pools,
-            reserved_peak_bytes: reserved,
         };
         let first = &self.tenants[0].handle;
         Ok(RunReport {
@@ -844,7 +833,7 @@ impl TrafficHost {
     fn submit_iteration(&mut self, ctx: &mut HostCtx<'_>, ci: usize) {
         let cell = &mut self.cells[ci];
         debug_assert!(cell.running && cell.inner.is_none());
-        let g = (cell.job * cell.stat.iterations + cell.iter) as u64;
+        let g = (cell.job * cell.stat.iterations + cell.iter) as u32;
         debug_assert_eq!(g as usize, cell.iterations.len());
         let v = (cell.rank + 1) as f32;
         let input = match cell.stat.payload {
@@ -968,7 +957,7 @@ impl HostProgram for TrafficHost {
             }
             // Inner-host kinds (retransmission timers): forward the raw
             // tag to the incarnation in flight. The inner host compares
-            // it against its own `(flow, kind, wake_seq)` tag, so a wake
+            // it against its own `(flow, kind, iteration)` tag, so a wake
             // armed by an earlier iteration dies there without re-arming.
             k if k < KIND_ENGINE_BASE => {
                 if let Some(inner) = self.cells[ci].inner.as_mut() {

@@ -144,7 +144,7 @@ fn traffic_engine_demo(trace_path: Option<&str>) {
     }
     println!(
         "fleet: makespan {} ns, Jain fairness {:.4}, peak switch reservation {} B",
-        report.net.makespan, section.fabric.fairness_jain, section.fabric.reserved_peak_bytes
+        report.net.makespan, section.fabric.fairness_jain, report.reserved_bytes
     );
     for hpu in &section.fabric.hpu {
         let busiest = hpu.subset_peaks.iter().max().copied().unwrap_or(0);

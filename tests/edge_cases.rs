@@ -607,8 +607,7 @@ fn dense_host_ignores_a_short_result_and_completes_on_the_whole_one() {
         window: 2,
         stagger_offset: 0,
         retransmit_after: None,
-        block_base: 0,
-        wake_seq: 0,
+        iteration: 0,
     };
     let data: Vec<f32> = (1..=10).map(|i| i as f32).collect();
     let host = DenseFlareHost::new(cfg, 4, data.clone(), sink.clone());

@@ -65,8 +65,7 @@ fn dense_allreduce_on_a_fat_tree_builds_no_routing_column() {
             window: 8,
             stagger_offset: (rank % 4) as u64,
             retransmit_after: None,
-            block_base: 0,
-            wake_seq: 0,
+            iteration: 0,
         };
         sim.install_host(
             h,

@@ -1,6 +1,7 @@
 //! Simulated-behaviour pins: one collective or tenant fleet per row, its
 //! makespan, event count and link traffic (plus pooled iteration tails
-//! for fleets) asserted bit for bit. A change that moves any of them
+//! for fleets, drops on lossy rows and the HPU switches' counters on one
+//! fleet) asserted bit for bit. A change that moves any of them
 //! changed what the simulator computes, not how fast it computes it —
 //! host-side performance is `benchmark/`'s job (see `benchmark/README.md`).
 //!
@@ -74,6 +75,12 @@ struct Row {
     window: Option<usize>,
     /// The window admission must grant.
     admits: Option<usize>,
+    /// Packets loss injection dropped: `net.drops`, and the sum of the
+    /// per-link drops.
+    drops: Option<u64>,
+    /// A fleet's HPU switches in node-id order: handlers, queued, queue
+    /// peak, largest subset peak, first arrival and last done.
+    hpu_counters: &'static [[u64; 6]],
 }
 
 fn row(payload: Payload, topo: Topo, hosts: usize, bytes_per_host: usize, want: [u64; 3]) -> Row {
@@ -91,6 +98,8 @@ fn row(payload: Payload, topo: Topo, hosts: usize, bytes_per_host: usize, want: 
         root_pipeline: None,
         window: None,
         admits: None,
+        drops: None,
+        hpu_counters: &[],
     }
 }
 
@@ -100,13 +109,32 @@ impl Row {
         Self { model, ..self }
     }
 
+    /// HPU switches that schedule a block onto one core (`S = 1`), so that
+    /// its packets queue behind each other.
+    fn hpu_one_core_per_block(self) -> Self {
+        let model = SwitchModel::Hpu(HpuParams::paper().with_subset_size(1));
+        Self { model, ..self }
+    }
+
     fn ideal(self) -> Self {
         let model = SwitchModel::Ideal;
         Self { model, ..self }
     }
 
-    fn loss(self, loss: f64) -> Self {
-        Self { loss, ..self }
+    fn loss(self, loss: f64, drops: u64) -> Self {
+        let drops = Some(drops);
+        Self {
+            loss,
+            drops,
+            ..self
+        }
+    }
+
+    fn hpu_counters(self, hpu_counters: &'static [[u64; 6]]) -> Self {
+        Self {
+            hpu_counters,
+            ..self
+        }
     }
 
     fn tenants(mut self, tenants: usize, p50_ns: u64, p99_ns: u64) -> Self {
@@ -275,6 +303,23 @@ fn check(rows: &[Row]) {
         if let Some(window) = row.admits {
             assert_eq!(report.window, window, "admitted window for {row:?}");
         }
+        if let Some(drops) = row.drops {
+            let per_link = net.links.iter().map(|l| l.drops).sum();
+            assert_eq!([net.drops, per_link], [drops; 2], "drops for {row:?}");
+        }
+        if !row.hpu_counters.is_empty() {
+            let fabric = &report.tenants.as_ref().expect("a fleet").fabric;
+            let hpu: Vec<[u64; 6]> = (fabric.hpu.iter())
+                .map(|h| {
+                    let s = &h.stats;
+                    let subset_peak = h.subset_peaks.iter().max().copied().unwrap_or(0);
+                    let first = s.first_arrival.expect("a switch of the fleet's trees");
+                    let (peak, subset_peak) = (s.queue_peak as u64, subset_peak as u64);
+                    [s.handlers, s.queued, peak, subset_peak, first, s.last_done]
+                })
+                .collect();
+            assert_eq!(hpu, row.hpu_counters, "HPU counters for {row:?}");
+        }
         assert_eq!(got, want, "measured != pinned {what} for {row:?}");
     }
 }
@@ -301,7 +346,7 @@ fn cells_of_128_kib() {
         row(Dense,  FatTree, 256, 128 * KIB, [18_820, 147_456, 76_677_120]).hpu().admits(128),
         row(Dense,  FatTree,   8, 128 * KIB, [20_736,   5_120,  2_662_400]).hpu(),
         row(Sparse, Star,      8, 128 * KIB, [ 2_672,     832,    195_008]).hpu(),
-        row(Sparse, FatTree,   8, 128 * KIB, [200_000,  1_168,    270_888]).loss(0.01),
+        row(Sparse, FatTree,   8, 128 * KIB, [200_000,  1_168,    270_888]).loss(0.01, 8),
     ]);
 }
 
@@ -310,9 +355,15 @@ fn cells_of_128_kib() {
 fn tenant_fleets() {
     check(&[
         row(Dense, FatTree, 8, 32 * KIB, [   95_469,  20_672,  10_649_600]).tenants(4, 6_752, 11_622),
-        row(Dense, FatTree, 8, 32 * KIB, [  257_627,  17_154,   8_464_584]).tenants(4, 13_841, 27_727).loss(0.01),
+        row(Dense, FatTree, 8, 32 * KIB, [  257_627,  17_154,   8_464_584]).tenants(4, 13_841, 27_727).loss(0.01, 89),
+        row(Dense, FatTree, 8, 32 * KIB, [  124_384,  20_672,  10_649_600]).tenants(4, 16_481, 18_633).hpu_one_core_per_block().hpu_counters(&[
+            // The two leaves, then the spine that roots every tenant's tree.
+            [2_560, 1_839, 6, 6, 4_714, 124_100],
+            [2_560, 1_864, 6, 6, 4_735, 124_100],
+            [1_024,   195, 1, 1, 9_771, 121_314],
+        ]),
         row(Dense, FatTree, 8, 64 * KIB, [  192_455,  82_304,  42_598_400]).tenants(8, 38_482, 39_340),
-        row(Dense, FatTree, 8, 64 * KIB, [  837_755, 135_308,  67_050_048]).tenants(16, 104_023, 551_933).loss(0.01),
+        row(Dense, FatTree, 8, 64 * KIB, [  837_755, 135_308,  67_050_048]).tenants(16, 104_023, 551_933).loss(0.01, 672),
         row(Dense, FatTree, 8, 64 * KIB, [  715_817, 329_216, 170_393_600]).tenants(32, 167_605, 171_004),
     ]);
 }

@@ -42,6 +42,7 @@ fn acceptance_epoch() -> (TenantSection, u64) {
     let mut engine = TrafficEngine::new(&mut session, 7);
     poisson_fleet(&mut engine, 64);
     let report = engine.run().expect("64-tenant run completes");
+    assert!(report.reserved_bytes > 0);
     let section = report.tenants.clone().expect("tenant section");
     engine.release_all().expect("release fleet");
     assert_eq!(session.active_collectives(), 0);
@@ -64,18 +65,11 @@ fn sixty_four_poisson_tenants_complete_with_tail_metrics() {
     }
     // Identical workloads sharing one fabric: switch-byte shares are even.
     assert!(section.fabric.fairness_jain > 0.99);
-    // The HPU switches really contended: activations everywhere, and the
-    // per-subset peaks are consistent with the scalar queue peak.
+    // The HPU switches really contended: activations everywhere.
     assert!(!section.fabric.hpu.is_empty());
     for h in &section.fabric.hpu {
         assert!(h.stats.handlers > 0);
-        assert_eq!(
-            h.subset_peaks.iter().max().copied().unwrap_or(0),
-            h.stats.queue_peak,
-            "subset peaks must roll up to the scalar peak"
-        );
     }
-    assert!(section.fabric.reserved_peak_bytes > 0);
 }
 
 #[test]
@@ -452,7 +446,5 @@ fn the_reservation_mark_does_not_survive_release_all() {
     engine.add_tenant(TenantSpec::new("small", 256)).unwrap();
     let report = engine.run().unwrap();
     assert_eq!(report.reserved_bytes, 16_384);
-    let fabric = &report.tenants.as_ref().unwrap().fabric;
-    assert_eq!(fabric.reserved_peak_bytes, 16_384);
     engine.release_all().unwrap();
 }

@@ -89,8 +89,7 @@ fn host_config(sw: NodeId, rank: usize) -> HostConfig {
         window: WINDOW,
         stagger_offset: 0,
         retransmit_after: None,
-        block_base: 0,
-        wake_seq: 0,
+        iteration: 0,
     }
 }
 
