@@ -238,13 +238,16 @@ impl<P> ReplayRing<P> {
 /// Tracks retired (completed) block ids as a contiguous floor plus a
 /// small sorted set of out-of-order completions.
 ///
-/// Block ids are dense and windowed, so completions are nearly in order:
-/// the common case is `retire(floor)` advancing the floor and
-/// `is_retired` answering with a single comparison — replacing the
+/// Block ids are dense, so where no rank is staggered completions are
+/// nearly in order: the common case is `retire(floor)` advancing the floor
+/// and `is_retired` answering with a single comparison — replacing the
 /// per-packet `HashSet` probe the PsPIN handlers used to pay for
-/// duplicate/late-packet rejection. Out-of-order completions (bounded by
-/// the sender window) wait in a sorted vector consulted by binary search
-/// until the floor catches up.
+/// duplicate/late-packet rejection. Out-of-order completions wait in a
+/// sorted vector consulted by binary search until the floor catches up.
+/// The sender window does not bound them: under staggering the blocks the
+/// last rank sends last retire last, and the floor waits for them. On
+/// `dense_star` (32 ranks, 8 192 blocks, window 96) the root's vector
+/// reaches 8 160 ids, 64 KiB.
 #[derive(Debug, Default)]
 pub struct RetirementFloor {
     floor: u64,

@@ -43,6 +43,7 @@ use crate::handlers::SparseStorageKind;
 use crate::host::{result_sink, ResultSink, RttEstimate};
 use crate::manager::{AdmissionError, AllreducePlan, AllreduceRequest, NetworkManager};
 use crate::op::{ReduceOp, Sum};
+use crate::tag::FlowTagOverflow;
 use crate::wire::HEADER_BYTES;
 use crate::wiring::{
     check_participants, run_fabric, wired_stats, FlowInput, FlowShape, FlowWiring,
@@ -147,6 +148,19 @@ pub enum SessionError {
         /// environment string).
         given: String,
     },
+    /// Iteration `iteration` of a flow of `blocks` blocks would send block
+    /// ids past the 32-bit wire id, where they alias an earlier
+    /// iteration's ([`crate::wiring::check_iteration`]).
+    BlockIdOverflow {
+        /// The iteration.
+        iteration: u64,
+        /// Blocks per iteration.
+        blocks: u64,
+    },
+    /// An iteration past the retransmission wake tag's sequence field,
+    /// where a stale timer would fire into a later iteration
+    /// ([`crate::wiring::check_iteration`]).
+    WakeTagOverflow(FlowTagOverflow),
 }
 
 impl std::fmt::Display for SessionError {
@@ -215,6 +229,11 @@ impl std::fmt::Display for SessionError {
             SessionError::HandleReleased { id } => {
                 write!(f, "collective handle #{id} was already released")
             }
+            SessionError::BlockIdOverflow { iteration, blocks } => write!(
+                f,
+                "iteration {iteration} of {blocks} blocks runs past the 32-bit wire block ids"
+            ),
+            SessionError::WakeTagOverflow(e) => write!(f, "iteration without a wake tag: {e}"),
         }
     }
 }
@@ -1016,20 +1035,20 @@ impl<T: Element, O: ReduceOp<T> + Clone + 'static> Collective<'_, T, O> {
             let program: Box<dyn SwitchProgram> = wiring.switch_program::<T, O>(s, op.clone());
             (s.switch, program)
         });
+        let switches = switches.collect();
         let sinks: Vec<ResultSink<T>> = inputs.iter().map(|_| result_sink()).collect();
         let participants = inputs.into_iter().zip(&sinks).enumerate();
         let participants = participants.map(|(rank, (input, sink))| {
-            let program: Box<dyn HostProgram> = wiring.host(
-                rank,
-                0,
-                RttEstimate::default(),
-                op.clone(),
-                input,
-                sink.clone(),
-            );
-            (wiring.hosts()[rank], program)
+            let rtt = RttEstimate::default();
+            let host = wiring.host(rank, 0, rtt, op.clone(), input, sink.clone())?;
+            Ok((wiring.hosts()[rank], host as Box<dyn HostProgram>))
         });
-        let (switches, participants) = (switches.collect(), participants.collect());
+        let participants = participants.collect::<Result<Vec<_>, SessionError>>();
+        let participants = participants.inspect_err(|_| {
+            if owned {
+                self.session.manager.teardown(id);
+            }
+        })?;
         // The most blocks, and working memory, any switch held open.
         let harvest = |sim: &mut NetSim| {
             let (mut blocks, mut bytes) = (0, 0);

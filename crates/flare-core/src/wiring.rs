@@ -43,6 +43,7 @@ use crate::op::{ReduceOp, Sum};
 use crate::pool::ReplayRing;
 use crate::session::{FlareSession, SessionError, SparsePolicy, Tuning};
 use crate::switch_prog::{FlareDenseProgram, FlareSparseProgram, ProgramStats, TreePlacement};
+use crate::tag::FlowTag;
 use crate::wire::{encode_dense, encode_sparse, Header, PacketKind};
 
 /// What a flow's blocks are made of.
@@ -162,6 +163,30 @@ pub(crate) fn check_participants(hosts: &[NodeId]) -> Result<(), SessionError> {
         Some(&host) => Err(SessionError::DuplicateHost { host }),
         None => Ok(()),
     }
+}
+
+/// Whether the wire can carry iteration `iteration` of flow `flow`, a flow
+/// of `blocks` blocks per iteration, and if so the packed retransmission
+/// wake tag its participants arm. Two fields tell one iteration from the
+/// others, and both must fit:
+/// * its block ids, `iteration × blocks` onwards, stay below `u32::MAX`
+///   (a header's block id is 32 bits; past it an id aliases an earlier
+///   iteration's): [`SessionError::BlockIdOverflow`];
+/// * `iteration` fits the wake tag's [`crate::tag::MAX_SEQ`]:
+///   [`SessionError::WakeTagOverflow`].
+///
+/// [`FlowWiring::host`] checks every participant by it and the traffic
+/// engine every tenant's last iteration at admission.
+pub fn check_iteration(flow: u32, iteration: u64, blocks: u64) -> Result<u64, SessionError> {
+    let ids = iteration
+        .checked_add(1)
+        .and_then(|n| n.checked_mul(blocks.max(1)));
+    if ids.is_none_or(|ids| ids > u32::MAX as u64) {
+        return Err(SessionError::BlockIdOverflow { iteration, blocks });
+    }
+    // Below u32::MAX now, as the ids are.
+    let tag = FlowTag::retransmit(flow, iteration as u32);
+    tag.pack().map_err(SessionError::WakeTagOverflow)
 }
 
 /// The per-rank stagger step, in blocks: rank `r` starts its block order
@@ -313,7 +338,8 @@ impl FlowWiring {
     /// previous participant [finished with](WiredHost::rtt), so that only
     /// the flow's first iteration waits out
     /// [`Tuning::retransmit_after`] for a lost packet (the default
-    /// estimate, no sample, is that first iteration's).
+    /// estimate, no sample, is that first iteration's). An iteration the
+    /// wire cannot carry is an error ([`check_iteration`]).
     ///
     /// # Panics
     /// Panics if `input` is not of the wiring's [`FlowShape`].
@@ -325,7 +351,8 @@ impl FlowWiring {
         op: O,
         input: FlowInput<T>,
         sink: ResultSink<T>,
-    ) -> Box<dyn WiredHost> {
+    ) -> Result<Box<dyn WiredHost>, SessionError> {
+        check_iteration(self.plan.id, iteration as u64, self.blocks)?;
         let (leaf, child_index) = self.plan.tree.host_attach[&self.hosts[rank]];
         let cfg = HostConfig {
             allreduce: self.plan.id,
@@ -341,7 +368,7 @@ impl FlowWiring {
                 let epp = self.tuning.elems_per_packet;
                 let mut host = DenseFlareHost::new(cfg, epp, data, sink);
                 host.resume_rtt(rtt);
-                Box::new(host)
+                Ok(Box::new(host))
             }
             (
                 FlowShape::Sparse {
@@ -354,7 +381,7 @@ impl FlowWiring {
                 let span = policy.span;
                 let mut host = SparseFlareHost::new(cfg, op, total_elems, span, ppp, pairs, sink);
                 host.resume_rtt(rtt);
-                Box::new(host)
+                Ok(Box::new(host))
             }
             _ => panic!("rank {rank}'s input is not of the flow's shape"),
         }
@@ -521,7 +548,60 @@ impl SwitchRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host::result_sink;
+    use crate::tag::{FlowTagOverflow, MAX_SEQ};
     use flare_net::{LinkSpec, Topology};
+
+    /// A dense flow of `blocks` blocks over a two-host star, wired under the
+    /// tuning of `session`.
+    fn flow(session: &mut FlareSession, blocks: usize) -> FlowWiring {
+        let tuning = session.tuning().validated().unwrap();
+        let elems = blocks * tuning.elems_per_packet;
+        let plan = session
+            .admit(4 * elems as u64, false)
+            .unwrap()
+            .plan()
+            .clone();
+        let hosts = session.hosts().to_vec();
+        FlowWiring::new(plan, hosts, FlowShape::Dense { elems }, &tuning).unwrap()
+    }
+
+    /// Rank 0's participant for iteration `iteration` of `wiring`.
+    fn participant(wiring: &FlowWiring, iteration: u32) -> Result<(), SessionError> {
+        let elems = wiring.blocks as usize * wiring.tuning.elems_per_packet;
+        let input = FlowInput::Dense(vec![1f32; elems]);
+        let rtt = RttEstimate::default();
+        wiring.host(0, iteration, rtt, Sum, input, result_sink())?;
+        Ok(())
+    }
+
+    #[test]
+    fn an_iteration_past_the_wake_tag_is_a_typed_error() {
+        // Its retransmission timer would have no tag of its own.
+        let (topo, _sw, _hosts) = Topology::star(2, LinkSpec::hundred_gig());
+        let mut session = FlareSession::builder(topo)
+            .retransmit_after(Some(10_000))
+            .build();
+        let wiring = flow(&mut session, 2);
+        assert_eq!(participant(&wiring, MAX_SEQ), Ok(()));
+        let seq = MAX_SEQ + 1;
+        let flow = wiring.plan().id;
+        let overflow = SessionError::WakeTagOverflow(FlowTagOverflow { flow, seq });
+        assert_eq!(participant(&wiring, seq), Err(overflow));
+    }
+
+    #[test]
+    fn an_iteration_past_the_wire_block_ids_is_a_typed_error() {
+        // Iteration 2^23 of 512 blocks would send ids 2^32 + b, which a
+        // 32-bit header carries as iteration 0's b.
+        let (topo, _sw, _hosts) = Topology::star(2, LinkSpec::hundred_gig());
+        let mut session = FlareSession::new(topo);
+        let wiring = flow(&mut session, 512);
+        assert_eq!(participant(&wiring, (1 << 23) - 2), Ok(()));
+        let (iteration, blocks) = (1 << 23, 512);
+        let overflow = SessionError::BlockIdOverflow { iteration, blocks };
+        assert_eq!(participant(&wiring, iteration as u32), Err(overflow));
+    }
 
     #[test]
     fn stagger_offsets_never_wrap_and_fit_the_window() {

@@ -67,7 +67,9 @@ use flare_core::report::{jain_index, FabricStats, PayloadSpec, TenantReport, Ten
 use flare_core::session::{CollectiveHandle, FlareSession, RunReport, SessionError, SparsePolicy};
 use flare_core::switch_prog::ProgramStats;
 use flare_core::tag::{FlowTag, FlowTagOverflow, KIND_ENGINE_BASE};
-use flare_core::wiring::{run_fabric, FlowInput, FlowShape, FlowWiring, WiredHost, WiredSwitch};
+use flare_core::wiring::{
+    check_iteration, run_fabric, FlowInput, FlowShape, FlowWiring, WiredHost, WiredSwitch,
+};
 use flare_des::rng::{exp_time, rng_stream};
 use flare_des::Time;
 use flare_net::{
@@ -398,25 +400,17 @@ impl<'s> TrafficEngine<'s> {
         if !spec.name.is_empty() {
             handle.set_label(spec.name.clone());
         }
-        // Wire block ids are u32; every (job, iteration) gets a fresh
-        // range of them, so the whole run must fit.
+        // Every (job, iteration) gets a fresh range of wire block ids and
+        // a fresh wake-tag sequence, so the run's last iteration must fit
+        // both.
         let bpi = spec.shape().blocks(self.session.tuning());
         let total_iters = (spec.arrivals.jobs() * spec.iterations) as u64;
-        let total_blocks = total_iters * bpi;
-        if total_blocks > u32::MAX as u64 {
+        if let Err(e) = check_iteration(handle.id(), total_iters.saturating_sub(1), bpi) {
             self.session.release(handle)?;
-            return Err(TrafficError::InvalidSpec(format!(
-                "jobs × iterations × blocks = {total_blocks} exceeds the u32 wire block-id space"
-            )));
-        }
-        // Every iteration also gets a fresh wake-tag sequence; the last
-        // one must fit the FlowTag seq field or stale-timer suppression
-        // would alias across iterations.
-        if let Err(e) =
-            FlowTag::retransmit(handle.id(), total_iters.saturating_sub(1) as u32).pack()
-        {
-            self.session.release(handle)?;
-            return Err(TrafficError::TagOverflow(e));
+            return Err(match e {
+                SessionError::WakeTagOverflow(e) => TrafficError::TagOverflow(e),
+                e => TrafficError::InvalidSpec(format!("{total_iters} iterations: {e}")),
+            });
         }
         let id = handle.id();
         self.tenants.push(TenantRt {
@@ -846,12 +840,13 @@ impl TrafficHost {
         };
         cell.sink = result_sink();
         // The iteration index namespaces this incarnation's block ids
-        // and retransmit timer (validated ≤ MAX_SEQ at admission).
+        // and retransmit timer (the last one checked at admission).
         let sink = cell.sink.clone();
         let mut inner = cell
             .stat
             .wiring
-            .host(cell.rank, g, cell.rtt, Sum, input, sink);
+            .host(cell.rank, g, cell.rtt, Sum, input, sink)
+            .expect("every iteration checked at admission");
         cell.submitted = ctx.now();
         inner.on_start(ctx);
         cell.inner = Some(inner);

@@ -1,7 +1,12 @@
 #!/usr/bin/env python3
-"""Fold the stacks `tools/sampler.c` wrote into leaf and inclusive shares.
+"""Fold the stacks `tools/sampler.c` or `tools/heap.c` wrote into leaf and inclusive shares.
 
     python3 tools/fold.py STACKS [--within FRAME] [--top N]
+
+A sampler stack weighs one sample. A heap stack carries its weight, the
+bytes allocated there that were live at the heap's peak (`bytes=N`), and
+the heap file also holds the peak and its size-class histogram, which are
+printed first: shares are then of bytes, not of samples.
 
 Addresses are resolved with `addr2line -a -f -C -i` against the object they
 fall in (build with debug info: see the header of `tools/sampler.c`), so
@@ -26,7 +31,8 @@ import sys
 
 
 def read(path):
-    maps, stacks, dropped = [], [], 0
+    """maps, [(weight, addresses)], dropped, peak, [(class, bytes, blocks)]."""
+    maps, stacks, dropped, peak, classes = [], [], 0, None, []
     for line in open(path):
         kind, _, rest = line.partition(" ")
         if kind == "map":
@@ -34,10 +40,17 @@ def read(path):
             start, end = (int(x, 16) for x in fields[0].split("-"))
             maps.append((start, end, int(fields[2], 16), fields[5].strip()))
         elif kind == "stack":
-            stacks.append([int(a, 16) for a in rest.split()])
+            words, weight = rest.split(), 1
+            if words and words[0].startswith("bytes="):
+                weight = int(words.pop(0)[len("bytes="):])
+            stacks.append((weight, [int(a, 16) for a in words]))
         elif kind == "dropped":
             dropped = int(rest)
-    return maps, stacks, dropped
+        elif kind == "peak":
+            peak = int(rest)
+        elif kind == "class":
+            classes.append(tuple(int(x) for x in rest.split()))
+    return maps, stacks, dropped, peak, classes
 
 
 def resolve(maps, addresses):
@@ -80,10 +93,16 @@ def main():
     ap.add_argument("--top", type=int, default=40)
     args = ap.parse_args()
 
-    maps, stacks, dropped = read(args.stacks)
-    names = resolve(maps, {a for s in stacks for a in s})
+    maps, stacks, dropped, peak, classes = read(args.stacks)
+    if peak is not None:
+        print(f"peak {peak} bytes live; by size class at the peak:")
+        print(f"{'class':>12}  {'bytes':>12}  {'blocks':>8}  share")
+        for size, live, blocks in classes:
+            print(f"{size:>12}  {live:>12}  {blocks:>8}  {100 * live / max(peak, 1):5.1f}")
+        print()
+    names = resolve(maps, {a for _, s in stacks for a in s})
     leaf, inclusive, kept = collections.Counter(), collections.Counter(), 0
-    for stack in stacks:
+    for weight, stack in stacks:
         # Innermost first, inlined frames expanded.
         frames = [f for a in stack for f in names.get(a, [hex(a)])]
         if args.within:
@@ -93,12 +112,14 @@ def main():
             frames = frames[: hits[-1] + 1]
         if not frames:
             continue
-        kept += 1
-        leaf[frames[0]] += 1
+        kept += weight
+        leaf[frames[0]] += weight
         for f in set(frames):
-            inclusive[f] += 1
+            inclusive[f] += weight
 
-    print(f"{len(stacks)} samples, {kept} kept, {dropped} dropped for want of room")
+    unit = "bytes" if peak is not None else "samples"
+    total = sum(w for w, _ in stacks)
+    print(f"{total} {unit} in {len(stacks)} stacks, {kept} kept, {dropped} dropped for want of room")
     for title, counts in (("leaf", leaf), ("inclusive", inclusive)):
         print(f"\n{title:>9}  share  function")
         for name, n in counts.most_common(args.top):
