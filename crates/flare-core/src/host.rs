@@ -39,9 +39,9 @@ use crate::wiring::check_iteration;
 /// Shared slot a host writes its final reduced vector into, readable by
 /// the caller after the simulation (the simulator owns the programs).
 ///
-/// `Arc<Mutex<_>>` rather than `Rc<RefCell<_>>` so host programs are
-/// `Send` and can run under the parallel driver; the lock is touched once
-/// per completed allreduce, never per packet.
+/// `Arc<Mutex<_>>` rather than `Rc<RefCell<_>>` because host programs are
+/// `Send` (see [`HostProgram`]); the lock is touched once per completed
+/// allreduce, never per packet.
 pub type ResultSink<T> = Arc<Mutex<Option<Vec<T>>>>;
 
 /// Create an empty result sink.

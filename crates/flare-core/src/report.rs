@@ -143,12 +143,11 @@ impl TenantReport {
 /// Fabric-wide contention summary of a traffic-engine run.
 ///
 /// Equality compares the simulation results only. The pool and slab
-/// counters of `switch_pools` are a host-side diagnostic, not a result: a
-/// payload is recycled by whichever
-/// consumer drops the last reference to it, and under the partitioned
-/// driver the copies of a multicast are consumed on different worker
-/// threads, so its counters may differ by a few between two runs that
-/// agree on every simulated number.
+/// counters of `switch_pools` are a host-side diagnostic, not a result:
+/// which encodes find a block on their thread's free list depends on what
+/// that thread freed before, so a run started on warm free lists (a second
+/// epoch on the same thread, say) may count other hits than one started cold
+/// while agreeing on every simulated number.
 #[derive(Debug, Clone)]
 pub struct FabricStats {
     /// Jain's fairness index over per-tenant switch bytes (see

@@ -138,11 +138,11 @@ pub enum SessionError {
         /// The released allreduce id.
         id: u32,
     },
-    /// The parallel-driver thread count resolved to something unusable:
+    /// The thread count resolved to something unusable:
     /// [`Tuning::threads`] was `Some(0)`, or the `FLARE_DES_THREADS`
-    /// environment variable was set to `0` or to a non-numeric value.
-    /// Zero workers cannot make progress, and silently falling back to
-    /// serial would mask a misconfigured benchmark run.
+    /// environment variable was set to `0` or to a non-numeric value. Every
+    /// valid count runs the one driver, but a misconfigured run still
+    /// fails loudly rather than being read as some other configuration.
     InvalidThreadCount {
         /// The offending value, as configured (builder value or raw
         /// environment string).
@@ -344,30 +344,22 @@ pub struct Tuning {
     /// (child bitmaps dense, shard-sequence tracking sparse) absorbs the
     /// retransmissions (paper Section 4.1).
     pub link_drop_prob: f64,
-    /// Worker threads for the partitioned parallel simulation driver
-    /// (`NetSim::run_threads`). `None` (the default) runs the serial
-    /// batched driver; `Some(n)` with `n >= 1` runs the conservative
-    /// lookahead driver with up to `n` workers (topologies that partition
-    /// into a single shard fall back to serial). `Some(0)` is rejected at
+    /// A simulation thread count, accepted and validated but not acted
+    /// on: every run drains one event queue on the caller's thread
+    /// ([`flare_net::NetSim::run`]), so every valid value produces the same
+    /// bits as `None` (the default). `Some(0)` is rejected at
     /// [`Collective::run`] with [`SessionError::InvalidThreadCount`].
     ///
     /// When unset, the `FLARE_DES_THREADS` environment variable is
-    /// consulted at `run()` with the same semantics; an explicit builder
-    /// value wins over the environment. The windowed driver is
-    /// thread-count invariant: every `Some(n)` produces the same bits.
-    /// `None` matches it in results, event count and link traffic always,
-    /// and in timing whenever the packets that reach a switch at the same
-    /// instant from different partitions have equal size (every dense
-    /// collective; a sparse one can differ by a nanosecond) — see the
-    /// README's "Parallel simulation" section for the determinism
-    /// contract.
+    /// validated at `run()` the same way; an explicit builder value wins
+    /// over the environment.
     pub threads: Option<u32>,
     /// Fabric telemetry capture (`None` = off, the default). When set,
     /// every run records windowed per-link utilization, HPU occupancy
     /// timelines and flow-lifecycle trace events, returned as
     /// [`RunReport::trace`]. Capture never perturbs the schedule:
-    /// makespans and results are bit-identical with telemetry on or off,
-    /// at any thread count. A zero `bucket_ns` is rejected at
+    /// makespans and results are bit-identical with telemetry on or off.
+    /// A zero `bucket_ns` is rejected at
     /// [`Collective::run`] with [`SessionError::ZeroTelemetryBucket`].
     pub telemetry: Option<TelemetryConfig>,
 }
@@ -407,8 +399,7 @@ impl Tuning {
     pub fn validated(&self) -> Result<Tuning, SessionError> {
         let mut tuning = self.clone();
         // Zero workers and non-numeric environment values are
-        // configuration errors, not silent one-lane fallbacks: a run that
-        // *thinks* it is sharded must not quietly measure one lane.
+        // configuration errors, not silently ignored.
         let invalid_threads = |given: String| Err(SessionError::InvalidThreadCount { given });
         tuning.threads = match tuning.threads {
             Some(0) => return invalid_threads("0".to_string()),
@@ -523,14 +514,14 @@ impl FlareSessionBuilder {
     /// their caches and re-send a cached aggregate upward once per round of
     /// retransmissions (paper Section 4.1). Drops are decided by a
     /// per-link-direction RNG stream derived from the run seed, so a
-    /// lossy run is bitwise-reproducible — at any thread count.
+    /// lossy run is bitwise-reproducible.
     pub fn link_drop_prob(mut self, p: f64) -> Self {
         self.tuning.link_drop_prob = p;
         self
     }
 
-    /// Run simulations on `n` worker threads via the partitioned
-    /// conservative-lookahead driver (see [`Tuning::threads`]). `n = 0`
+    /// Set [`Tuning::threads`]: validated, then run on the one driver, so
+    /// any `n >= 1` produces the same bits as leaving it unset. `n = 0`
     /// is rejected at [`Collective::run`] with
     /// [`SessionError::InvalidThreadCount`]; an explicit value here wins
     /// over the `FLARE_DES_THREADS` environment variable.

@@ -391,9 +391,8 @@ impl FlowWiring {
 /// Bring the fabric up and run it: lend the session's topology to one
 /// [`NetSim`] seeded with `tuning.seed`, arm telemetry and loss injection,
 /// install `switches` (each under the tuning's switch model) and `hosts`,
-/// run as [`Tuning::threads`] selects — one lane when `None`, sharded over
-/// the partition plan in conservative lookahead windows otherwise — up to
-/// `deadline`, and take the topology back. `harvest` sees the simulation
+/// run up to `deadline` ([`NetSim::run`], whatever [`Tuning::threads`]
+/// says), and take the topology back. `harvest` sees the simulation
 /// after the run and after the telemetry capture was extracted (the HPU
 /// occupancy timelines live inside the compute units a harvest may tear
 /// down).
@@ -416,10 +415,7 @@ pub fn run_fabric<R>(
     for (node, program) in hosts {
         sim.install_host(node, program);
     }
-    let net = match tuning.threads {
-        Some(n) => sim.run_threads(deadline, n as usize),
-        None => sim.run(deadline),
-    };
+    let net = sim.run(deadline);
     let trace = sim.take_telemetry();
     let harvested = harvest(&mut sim);
     session.topology = sim.into_topology();

@@ -12,8 +12,8 @@
 //!   compare against),
 //! * [`Simulator`] and the [`run`]/[`run_until`] drivers, plus
 //!   [`run_batched`]/[`run_batched_until`] which deliver whole
-//!   equal-timestamp batches per queue operation,
-//! * partitioned parallel runs with conservative lookahead ([`partition`]),
+//!   equal-timestamp batches per queue operation — the one driver every
+//!   network run uses,
 //! * deterministic random-variate helpers ([`rng`]) including the
 //!   exponential interarrival sampling the paper uses to model host and
 //!   network jitter.
@@ -25,11 +25,9 @@
 #![deny(missing_docs)]
 
 pub mod heap;
-pub mod partition;
 pub mod queue;
 pub mod rng;
 
-pub use partition::{run_parallel, run_parallel_until, Outbox, Partition, PartitionSim};
 pub use queue::{EventQueue, Simulator};
 
 /// Simulation time in nanoseconds.

@@ -669,8 +669,9 @@ mod tests {
 
     #[test]
     fn an_empty_queue_stays_under_its_old_footprint() {
-        // 64-lane partitioned runs build one queue per lane; the bucket
-        // vectors this structure replaced took 96 KiB.
+        // Every run builds its own queue, and a figure sweep runs
+        // thousands of short simulations; the bucket vectors this
+        // structure replaced took 96 KiB.
         let q = EventQueue::<u64>::new();
         let bytes = std::mem::size_of_val(&*q.lists)
             + std::mem::size_of_val(&*q.occupied)

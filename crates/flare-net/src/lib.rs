@@ -24,14 +24,12 @@
 
 pub mod compute;
 pub mod packet;
-pub mod partition;
 pub mod sim;
 pub mod telemetry;
 pub mod topology;
 
 pub use compute::{ComputeStats, HpuParams, SwitchCompute, SwitchModel};
 pub use packet::NetPacket;
-pub use partition::PartitionPlan;
 pub use sim::{
     HostCtx, HostProgram, HpuSwitchReport, LinkTotals, NetReport, NetSim, SwitchCtx, SwitchProgram,
 };

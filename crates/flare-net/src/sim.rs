@@ -19,22 +19,18 @@
 //! ([`crate::compute`]) — and can emit packets to arbitrary
 //! ports/destinations, including multicast by emitting one copy per port.
 //!
-//! There is one event loop. [`NetSim`] owns the per-run state as a single
-//! *lane* covering the whole topology; [`NetSim::run`] drains that lane,
-//! and [`NetSim::run_threads`] re-indexes it into one lane per
-//! [`PartitionPlan`] shard and runs the same handler over them in
-//! conservative lookahead windows.
+//! There is one event loop and one driver: [`NetSim::run`] drains a single
+//! event queue over the whole topology with
+//! [`flare_des::run_batched_until`].
 
 use rand::rngs::StdRng;
 use rand::RngExt;
 
-use flare_des::partition::{run_parallel_until, Outbox, Partition, PartitionSim};
 use flare_des::rng::rng_stream;
-use flare_des::{EventQueue, Time};
+use flare_des::{run_batched_until, EventQueue, Simulator, Time};
 
 use crate::compute::{serial_service_ns, ComputeStats, SwitchCompute, SwitchModel};
 use crate::packet::NetPacket;
-use crate::partition::PartitionPlan;
 use crate::telemetry::{ComputeTimeline, Telemetry, TelemetryConfig, TelemetryReport, TraceKind};
 use crate::topology::{NodeId, NodeKind, PortId, Routing, Topology};
 
@@ -70,10 +66,10 @@ pub enum NetEvent {
 
 /// Application logic running on a host.
 ///
-/// `Send` is a supertrait so installed programs can migrate to worker
-/// threads under [`NetSim::run_threads`]; programs never run on two
-/// threads at once (each partition is claimed whole), so `Sync` is not
-/// required.
+/// `Send` is a supertrait so that a [`NetSim`] with its installed programs
+/// is `Send`: a simulation may be built on one thread and run on another
+/// (a sweep's worker, say). A program only ever runs on one thread at a
+/// time, so `Sync` is not required.
 pub trait HostProgram: Send {
     /// Called once at simulation start.
     fn on_start(&mut self, _ctx: &mut HostCtx<'_>) {}
@@ -118,9 +114,8 @@ struct DirState {
     /// Loss stream derived from `(run seed, 2·link + dir)`: the drop
     /// pattern is a pure function of the seed and this direction's own
     /// packet sequence, independent of how traffic interleaves elsewhere —
-    /// so lossy runs are bitwise-reproducible per run seed. Per-direction
-    /// (rather than per-link) streams are also single-writer: only the
-    /// transmitting node's lane ever draws from one.
+    /// so lossy runs are bitwise-reproducible per run seed, and traffic
+    /// added on one link never moves another link's drops.
     rng: StdRng,
 }
 
@@ -138,15 +133,9 @@ struct NodeState {
     done_at: Option<Time>,
 }
 
-/// Everything a run mutates, for the nodes and link directions of one
-/// lane. [`NetSim`] owns the lane that covers the whole topology (node
-/// slot = node id, direction slot = `2·link + dir`);
-/// [`NetSim::run_threads`] re-indexes it into one lane per
-/// [`PartitionPlan`] partition ([`PartitionPlan::node_local`] /
-/// [`PartitionPlan::dir_local`] slots) for the run and back afterwards.
-/// State *moves* between the two layouts — nothing is shared or copied.
-struct LaneState {
-    part: u32,
+/// Everything a run mutates: one [`NodeState`] per node (slot = node id)
+/// and one [`DirState`] per link direction (slot = `2·link + dir`).
+struct RunState {
     nodes: Vec<NodeState>,
     dirs: Vec<DirState>,
     /// Observability capture ([`Telemetry::Off`] by default: one
@@ -154,47 +143,12 @@ struct LaneState {
     telemetry: Telemetry,
 }
 
-impl LaneState {
-    /// Move the whole lane's state into one lane per partition.
-    fn split(&mut self, plan: &PartitionPlan) -> Vec<LaneState> {
-        let nodes = plan.scatter_nodes(std::mem::take(&mut self.nodes));
-        let dirs = plan.scatter_dirs(std::mem::take(&mut self.dirs));
-        let lanes = nodes.into_iter().zip(dirs).zip(self.telemetry.split(plan));
-        lanes
-            .enumerate()
-            .map(|(p, ((nodes, dirs), telemetry))| LaneState {
-                part: p as u32,
-                nodes,
-                dirs,
-                telemetry,
-            })
-            .collect()
-    }
-
-    /// Move every partition lane's state back into the whole lane.
-    fn merge(&mut self, plan: &PartitionPlan, lanes: Vec<LaneState>) {
-        let (mut nodes, mut dirs, mut telemetry) = (Vec::new(), Vec::new(), Vec::new());
-        for lane in lanes {
-            nodes.push(lane.nodes);
-            dirs.push(lane.dirs);
-            telemetry.push(lane.telemetry);
-        }
-        self.nodes = plan.gather_nodes(nodes);
-        self.dirs = plan.gather_dirs(dirs);
-        self.telemetry.merge(plan, telemetry);
-    }
-}
-
-/// A lane as the event loop and the program contexts see it: the shared
-/// read-only fabric plus exclusive access to the lane's state.
-/// `plan: None` is the whole lane — every node and direction is local and
-/// slots are the global numbering; `Some` maps global ids to the lane's
-/// slots and names the owning lane of a remote peer.
+/// The run as the event loop and the program contexts see it: the shared
+/// read-only fabric plus exclusive access to the mutable state.
 struct NetLane<'a> {
     topo: &'a Topology,
     routing: &'a Routing,
-    plan: Option<&'a PartitionPlan>,
-    state: &'a mut LaneState,
+    state: &'a mut RunState,
 }
 
 impl NetLane<'_> {
@@ -202,32 +156,12 @@ impl NetLane<'_> {
         NetLane {
             topo: self.topo,
             routing: self.routing,
-            plan: self.plan,
             state: &mut *self.state,
         }
     }
 
-    fn part_of(&self, node: NodeId) -> u32 {
-        self.plan
-            .map_or(self.state.part, |plan| plan.part_of[node.index()])
-    }
-
-    fn node_slot(&self, node: NodeId) -> usize {
-        debug_assert_eq!(self.part_of(node), self.state.part);
-        self.plan
-            .map_or(node.index(), |plan| plan.node_local[node.index()] as usize)
-    }
-
-    fn dir_slot(&self, link: usize, dir: usize) -> usize {
-        self.plan.map_or(2 * link + dir, |plan| {
-            debug_assert_eq!(plan.dir_owner[link][dir], self.state.part);
-            plan.dir_local[link][dir] as usize
-        })
-    }
-
     /// Transmit on a link: returns delivery `(peer, peer_port, arrive_at)`,
-    /// or `None` when the packet is dropped. The transmitting node owns the
-    /// direction, so lanes never race on one.
+    /// or `None` when the packet is dropped.
     fn transmit(
         &mut self,
         now: Time,
@@ -237,8 +171,7 @@ impl NetLane<'_> {
     ) -> Option<(NodeId, PortId, Time)> {
         let pl = self.topo.ports_of(node)[port.index()];
         let link = self.topo.link(pl.link);
-        let dir = usize::from(link.a.0 != node);
-        let slot = self.dir_slot(pl.link, dir);
+        let slot = 2 * pl.link + usize::from(link.a.0 != node);
         let d = &mut self.state.dirs[slot];
         let start = now.max(d.busy_until);
         let fin = start + link.spec.serialize_ns(bytes);
@@ -258,7 +191,7 @@ impl NetLane<'_> {
 
     /// Run `f` on `node`'s host program (if one is installed) with a
     /// context at time `now`. The program leaves its slot for the call, so
-    /// the context can borrow the whole lane.
+    /// the context can borrow the whole run state.
     fn with_host(
         &mut self,
         queue: &mut EventQueue<NetEvent>,
@@ -266,8 +199,7 @@ impl NetLane<'_> {
         now: Time,
         f: impl FnOnce(&mut dyn HostProgram, &mut HostCtx<'_>),
     ) {
-        let slot = self.node_slot(node);
-        if let Some(mut prog) = self.state.nodes[slot].host.take() {
+        if let Some(mut prog) = self.state.nodes[node.index()].host.take() {
             let mut ctx = HostCtx {
                 core: self.reborrow(),
                 queue,
@@ -275,49 +207,33 @@ impl NetLane<'_> {
                 now,
             };
             f(prog.as_mut(), &mut ctx);
-            self.state.nodes[slot].host = Some(prog);
+            self.state.nodes[node.index()].host = Some(prog);
         }
     }
 
-    /// Call `on_start` on this lane's hosts in ascending node id, at
-    /// `now = 0`. Lanes do not interact at t = 0, so per-lane id order
-    /// projects the whole lane's start order.
+    /// Call `on_start` on every host in ascending node id, at `now = 0`.
     fn start_hosts(&mut self, queue: &mut EventQueue<NetEvent>) {
-        for slot in 0..self.state.nodes.len() {
-            let node = self.plan.map_or(NodeId(slot as u32), |plan| {
-                plan.nodes_of[self.state.part as usize][slot]
-            });
-            self.with_host(queue, node, 0, |prog, ctx| prog.on_start(ctx));
+        for node in 0..self.state.nodes.len() as u32 {
+            self.with_host(queue, NodeId(node), 0, |prog, ctx| prog.on_start(ctx));
         }
     }
 }
 
-impl PartitionSim for NetLane<'_> {
+impl Simulator for NetLane<'_> {
     type Event = NetEvent;
 
-    fn handle(
-        &mut self,
-        t: Time,
-        event: NetEvent,
-        queue: &mut EventQueue<NetEvent>,
-        outbox: &mut Outbox<NetEvent>,
-    ) {
+    fn handle(&mut self, t: Time, event: NetEvent, queue: &mut EventQueue<NetEvent>) {
         match event {
             NetEvent::Egress { node, port, pkt } => {
                 if let Some((peer, peer_port, arrive)) =
                     self.transmit(t, node, port, pkt.wire_bytes)
                 {
-                    let dst = self.part_of(peer);
                     let ev = NetEvent::Deliver {
                         node: peer,
                         in_port: peer_port,
                         pkt,
                     };
-                    if dst == self.state.part {
-                        queue.schedule_at(arrive, ev);
-                    } else {
-                        outbox.send(dst, arrive, ev);
-                    }
+                    queue.schedule_at(arrive, ev);
                 }
             }
             NetEvent::Deliver { node, in_port, pkt } => match self.topo.kind(node) {
@@ -325,7 +241,7 @@ impl PartitionSim for NetLane<'_> {
                     self.with_host(queue, node, t, |prog, ctx| prog.on_packet(ctx, pkt));
                 }
                 NodeKind::Switch => {
-                    let slot = self.node_slot(node);
+                    let slot = node.index();
                     match self.state.nodes[slot].switch.take() {
                         Some(mut prog) if prog.matches(&pkt) => {
                             let mut ctx = SwitchCtx {
@@ -403,9 +319,8 @@ macro_rules! ctx_common {
             /// [`crate::telemetry::TraceKind`] for the `(a, b)` payload
             /// conventions per kind).
             pub fn trace(&mut self, kind: TraceKind, flow: u64, a: u64, b: u64) {
-                let slot = self.core.node_slot(self.node);
                 let telemetry = &mut self.core.state.telemetry;
-                telemetry.event(slot, self.node.0, self.now, kind, flow, a, b);
+                telemetry.event(self.node.0, self.now, kind, flow, a, b);
             }
         }
     };
@@ -442,8 +357,7 @@ impl<'a> HostCtx<'a> {
     /// host that runs several collectives back to back (one participant
     /// per iteration under a multiplexer) is done when its last one is.
     pub fn mark_done(&mut self) {
-        let slot = self.core.node_slot(self.node);
-        self.core.state.nodes[slot].done_at = Some(self.now);
+        self.core.state.nodes[self.node.index()].done_at = Some(self.now);
     }
 }
 
@@ -468,8 +382,7 @@ impl<'a> SwitchCtx<'a> {
     /// aggregation bandwidth — bit-identical timing to the
     /// pre-compute-subsystem simulator.
     pub fn processing_done_for(&mut self, block: u64, bytes: u32) -> Time {
-        let slot = self.core.node_slot(self.node);
-        let node = &mut self.core.state.nodes[slot];
+        let node = &mut self.core.state.nodes[self.node.index()];
         if let Some(hpu) = &mut node.compute {
             return hpu.execute(self.now, block, bytes);
         }
@@ -544,8 +457,8 @@ pub struct HpuSwitchReport {
 pub struct NetSim {
     topo: Topology,
     routing: Routing,
-    /// The lane covering the whole topology.
-    lane: LaneState,
+    /// Everything a run mutates.
+    state: RunState,
 }
 
 impl NetSim {
@@ -581,8 +494,7 @@ impl NetSim {
         Self {
             topo,
             routing,
-            lane: LaneState {
-                part: 0,
+            state: RunState {
                 nodes,
                 dirs,
                 telemetry: Telemetry::Off,
@@ -609,7 +521,7 @@ impl NetSim {
     /// Install application logic on a host.
     pub fn install_host(&mut self, node: NodeId, prog: Box<dyn HostProgram>) {
         assert_eq!(self.topo.kind(node), NodeKind::Host, "not a host");
-        self.lane.nodes[node.index()].host = Some(prog);
+        self.state.nodes[node.index()].host = Some(prog);
     }
 
     /// Install an in-network program on a switch with a processing rate in
@@ -640,7 +552,7 @@ impl NetSim {
         model: SwitchModel,
     ) {
         assert_eq!(self.topo.kind(node), NodeKind::Switch, "not a switch");
-        let state = &mut self.lane.nodes[node.index()];
+        let state = &mut self.state.nodes[node.index()];
         state.switch = Some(prog);
         (state.proc_rate, state.compute) = match model {
             SwitchModel::Ideal => (f64::INFINITY, None),
@@ -653,7 +565,7 @@ impl NetSim {
     /// [`SwitchModel::Hpu`], ascending by node id (`Ideal`/`RateLimited`
     /// switches have none).
     pub fn hpu_reports(&self) -> Vec<HpuSwitchReport> {
-        let nodes = self.lane.nodes.iter().enumerate();
+        let nodes = self.state.nodes.iter().enumerate();
         nodes
             .filter_map(|(i, n)| {
                 let hpu = n.compute.as_deref()?;
@@ -676,9 +588,9 @@ impl NetSim {
         let cfg = TelemetryConfig {
             bucket_ns: cfg.bucket_ns.max(1),
         };
-        let sink =
-            crate::telemetry::TelemetrySink::new(cfg, self.lane.nodes.len(), self.lane.dirs.len());
-        self.lane.telemetry = Telemetry::On(Box::new(sink));
+        let (nodes, dirs) = (self.state.nodes.len(), self.state.dirs.len());
+        let sink = crate::telemetry::TelemetrySink::new(cfg, nodes, dirs);
+        self.state.telemetry = Telemetry::On(Box::new(sink));
     }
 
     /// Extract everything telemetry captured (disabling further capture);
@@ -689,7 +601,7 @@ impl NetSim {
     pub fn take_telemetry(&mut self) -> Option<TelemetryReport> {
         // Timelines record only while telemetry is on, so with it off this
         // collects nothing.
-        let nodes = self.lane.nodes.iter_mut().enumerate();
+        let nodes = self.state.nodes.iter_mut().enumerate();
         let compute: Vec<ComputeTimeline> = nodes
             .filter_map(|(i, n)| {
                 let hpu = n.compute.as_mut()?;
@@ -701,12 +613,12 @@ impl NetSim {
                 })
             })
             .collect();
-        std::mem::take(&mut self.lane.telemetry).into_report(&self.topo, compute)
+        std::mem::take(&mut self.state.telemetry).into_report(&self.topo, compute)
     }
 
     /// Inject loss on a link (both directions).
     pub fn set_link_drop_prob(&mut self, link: usize, p: f64) {
-        for dir in &mut self.lane.dirs[2 * link..2 * link + 2] {
+        for dir in &mut self.state.dirs[2 * link..2 * link + 2] {
             dir.drop_prob = p;
         }
     }
@@ -717,7 +629,7 @@ impl NetSim {
     /// tuning value through unconditionally.
     pub fn set_uniform_drop_prob(&mut self, p: f64) {
         if p > 0.0 {
-            for dir in &mut self.lane.dirs {
+            for dir in &mut self.state.dirs {
                 dir.drop_prob = p;
             }
         }
@@ -725,56 +637,38 @@ impl NetSim {
 
     /// Take a switch program back out (to inspect its final state).
     pub fn take_switch(&mut self, node: NodeId) -> Option<Box<dyn SwitchProgram>> {
-        self.lane.nodes[node.index()].switch.take()
+        self.state.nodes[node.index()].switch.take()
     }
 
     /// Take a host program back out (to inspect its final state).
     pub fn take_host(&mut self, node: NodeId) -> Option<Box<dyn HostProgram>> {
-        self.lane.nodes[node.index()].host.take()
+        self.state.nodes[node.index()].host.take()
     }
 
-    /// Run to quiescence (or `deadline`) as one lane: every node and link
-    /// direction is local, so the event queue drains straight to the
-    /// deadline. Returns the report.
+    /// Run to quiescence (or `deadline`): start every host, then drain the
+    /// event queue batch by batch — whole equal-timestamp buckets
+    /// (multicast fan-outs, forwarding chains) are delivered with one queue
+    /// operation in the exact single-pop order (see `flare_des::queue`).
+    /// Returns the report.
     pub fn run(&mut self, deadline: Option<Time>) -> NetReport {
-        let lanes = std::slice::from_mut(&mut self.lane);
-        let (makespan, events) = run_lanes(&self.topo, &self.routing, None, lanes, 1, deadline);
-        self.assemble_report(makespan, events)
-    }
-
-    /// Run to quiescence (or `deadline`) sharded over `threads` worker
-    /// threads; returns the report.
-    ///
-    /// The topology is partitioned by [`PartitionPlan::build`] (every
-    /// host-bearing switch plus its hosts form one shard, everything else
-    /// is a singleton), the whole lane's state moves into one lane per
-    /// shard, and the lanes run the same event handler as
-    /// [`NetSim::run`] in conservative lookahead windows of
-    /// [`Topology::min_link_latency`]` + 1` ns. The schedule is a pure
-    /// function of the topology and programs — independent of `threads` —
-    /// and the report equals [`NetSim::run`]'s (differentially tested).
-    ///
-    /// A topology that forms a single shard (e.g. a star) has nothing to
-    /// window against: its one lane numbers nodes and directions exactly
-    /// like the whole lane and drains the same way.
-    pub fn run_threads(&mut self, deadline: Option<Time>, threads: usize) -> NetReport {
-        let plan = PartitionPlan::build(&self.topo);
-        let mut lanes = self.lane.split(&plan);
-        let (makespan, events) = run_lanes(
-            &self.topo,
-            &self.routing,
-            Some(&plan),
-            &mut lanes,
-            threads,
-            deadline,
-        );
-        self.lane.merge(&plan, lanes);
-        self.assemble_report(makespan, events)
-    }
-
-    fn assemble_report(&self, makespan: Time, events: u64) -> NetReport {
+        // With telemetry on, HPU occupancy timelines record too (idempotent —
+        // resumed runs keep their samples).
+        let state = &mut self.state;
+        if state.telemetry.is_on() {
+            for hpu in state.nodes.iter_mut().filter_map(|n| n.compute.as_mut()) {
+                hpu.enable_timeline();
+            }
+        }
+        let mut queue = EventQueue::new();
+        let mut lane = NetLane {
+            topo: &self.topo,
+            routing: &self.routing,
+            state: &mut self.state,
+        };
+        lane.start_hosts(&mut queue);
+        let makespan = run_batched_until(&mut lane, &mut queue, deadline.unwrap_or(Time::MAX));
         let links: Vec<LinkTotals> = self
-            .lane
+            .state
             .dirs
             .chunks_exact(2)
             .map(|d| LinkTotals {
@@ -783,7 +677,7 @@ impl NetSim {
                 drops: d[0].drops + d[1].drops,
             })
             .collect();
-        let done_at: Vec<Option<Time>> = self.lane.nodes.iter().map(|n| n.done_at).collect();
+        let done_at: Vec<Option<Time>> = self.state.nodes.iter().map(|n| n.done_at).collect();
         NetReport {
             makespan,
             last_done: done_at.iter().flatten().max().copied(),
@@ -792,7 +686,7 @@ impl NetSim {
             total_link_packets: links.iter().map(|l| l.packets).sum(),
             drops: links.iter().map(|l| l.drops).sum(),
             links,
-            events,
+            events: queue.processed(),
         }
     }
 
@@ -802,7 +696,7 @@ impl NetSim {
     /// root's uplinks).
     pub fn link_utilization(&self, horizon: Time) -> Vec<(usize, f64)> {
         let horizon = horizon.max(1);
-        let links = self.lane.dirs.chunks_exact(2).enumerate();
+        let links = self.state.dirs.chunks_exact(2).enumerate();
         links
             .map(|(i, d)| {
                 let cap = self.topo.link(i).spec.bytes_per_ns() * horizon as f64;
@@ -818,54 +712,6 @@ impl NetSim {
             .into_iter()
             .max_by(|a, b| a.1.total_cmp(&b.1))
     }
-}
-
-/// The one run body: start every lane's hosts, drive the lanes to
-/// quiescence (or `deadline`), return `(makespan, events processed)`.
-/// `plan` is the numbering `lanes` were split by (`None`: `lanes` is the
-/// whole lane alone, which has no peer to look ahead for).
-///
-/// Draining is batched: whole equal-timestamp buckets (multicast
-/// fan-outs, forwarding chains) are delivered with one queue operation in
-/// the exact single-pop order (see `flare_des::queue`).
-fn run_lanes(
-    topo: &Topology,
-    routing: &Routing,
-    plan: Option<&PartitionPlan>,
-    lanes: &mut [LaneState],
-    threads: usize,
-    deadline: Option<Time>,
-) -> (Time, u64) {
-    // With telemetry on, HPU occupancy timelines record too (idempotent —
-    // resumed runs keep their samples).
-    for state in lanes.iter_mut().filter(|s| s.telemetry.is_on()) {
-        for hpu in state.nodes.iter_mut().filter_map(|n| n.compute.as_mut()) {
-            hpu.enable_timeline();
-        }
-    }
-    let count = lanes.len();
-    let mut parts: Vec<Partition<NetLane<'_>>> = lanes
-        .iter_mut()
-        .map(|state| {
-            let lane = NetLane {
-                topo,
-                routing,
-                plan,
-                state,
-            };
-            Partition::new(lane, EventQueue::new(), count)
-        })
-        .collect();
-    for part in &mut parts {
-        part.sim.start_hosts(&mut part.queue);
-    }
-    let makespan = run_parallel_until(
-        &mut parts,
-        plan.map_or(Time::MAX, |p| p.lookahead),
-        threads,
-        deadline.unwrap_or(Time::MAX),
-    );
-    (makespan, parts.iter().map(|p| p.queue.processed()).sum())
 }
 
 #[cfg(test)]
@@ -1131,128 +977,6 @@ mod tests {
         assert!(done > 8000, "processing must pace emissions: {done}");
     }
 
-    /// Cross-leaf all-to-one traffic on a fat tree, once as one lane and
-    /// once sharded: the whole report must match, at every thread count.
-    #[test]
-    fn parallel_driver_matches_serial_on_fat_tree() {
-        let build = |drop: bool| {
-            let (topo, ft) = Topology::fat_tree_two_level(4, 4, 2, spec());
-            let mut sim = NetSim::new(topo, 11);
-            // Hosts in leaves 1..4 all send to host 0 (leaf 0), crossing
-            // the spine layer; host 0's own leaf-mates hammer it too.
-            let dst = ft.hosts[0];
-            for (rank, &h) in ft.hosts.iter().enumerate().skip(1) {
-                sim.install_host(
-                    h,
-                    Box::new(Sender {
-                        peer: dst,
-                        count: 5 + (rank as u64 % 3),
-                        bytes: 400 + 100 * (rank as u32 % 2),
-                    }),
-                );
-            }
-            sim.install_host(
-                dst,
-                Box::new(Receiver {
-                    expect: 10,
-                    ..Default::default()
-                }),
-            );
-            if drop {
-                for l in 0..sim.topology().link_count() {
-                    sim.set_link_drop_prob(l, 0.1);
-                }
-            }
-            sim
-        };
-        for drop in [false, true] {
-            let want = build(drop).run(None);
-            for threads in [1, 2, 8] {
-                let got = build(drop).run_threads(None, threads);
-                assert_eq!(got, want, "t={threads} lossy={drop}");
-            }
-        }
-    }
-
-    /// A star's plan has one partition, numbered like the whole lane: the
-    /// sharded run is the one-lane run — report, HPU counters and telemetry.
-    #[test]
-    fn one_partition_plan_is_the_whole_lane_run() {
-        use crate::compute::HpuParams;
-        let build = || {
-            let (topo, sw, hosts) = Topology::star(4, spec());
-            let mut sim = NetSim::new(topo, 3);
-            for &h in &hosts[..2] {
-                sim.install_host(
-                    h,
-                    Box::new(TracingSender {
-                        peer: hosts[2],
-                        count: 8,
-                    }),
-                );
-            }
-            sim.install_host(
-                hosts[2],
-                Box::new(Receiver {
-                    expect: 1,
-                    ..Default::default()
-                }),
-            );
-            let agg = CountingAggregator {
-                expect: 2,
-                seen: Default::default(),
-                collector: hosts[2],
-            };
-            sim.install_switch_model(sw, Box::new(agg), SwitchModel::Hpu(HpuParams::figure5()));
-            sim.set_link_drop_prob(0, 0.3);
-            sim.enable_telemetry(TelemetryConfig { bucket_ns: 64 });
-            (sim, sw)
-        };
-        let (mut whole, sw) = build();
-        let want = whole.run(None);
-        let (mut sharded, _) = build();
-        assert_eq!(PartitionPlan::build(sharded.topology()).parts, 1);
-        assert_eq!(sharded.run_threads(None, 4), want);
-        assert!(want.drops > 0 && want.last_done.is_some());
-        let hpu = whole.hpu_reports();
-        assert!(hpu[0].switch == sw && hpu[0].stats.handlers > 0);
-        assert_eq!(sharded.hpu_reports(), hpu);
-        let trace = whole.take_telemetry().expect("telemetry was enabled");
-        assert!(!trace.compute.is_empty() && !trace.events.is_empty());
-        assert_eq!(sharded.take_telemetry(), Some(trace));
-    }
-
-    /// Deadline semantics must match the one-lane run: events at exactly
-    /// the deadline run, later ones stay queued.
-    #[test]
-    fn run_threads_honors_deadline_like_serial() {
-        let build = || {
-            let (topo, ft) = Topology::fat_tree_two_level(2, 2, 1, spec());
-            let mut sim = NetSim::new(topo, 5);
-            sim.install_host(
-                ft.hosts[0],
-                Box::new(Sender {
-                    peer: ft.hosts[3],
-                    count: 50,
-                    bytes: 1250,
-                }),
-            );
-            sim.install_host(
-                ft.hosts[3],
-                Box::new(Receiver {
-                    expect: 50,
-                    ..Default::default()
-                }),
-            );
-            sim
-        };
-        for deadline in [0, 299, 300, 301, 2000] {
-            let want = build().run(Some(deadline));
-            let got = build().run_threads(Some(deadline), 3);
-            assert_eq!(got, want, "deadline {deadline}");
-        }
-    }
-
     /// Satellite regression: lossless runs must report zero drops on
     /// every link, and the per-link totals must fold to the grand totals.
     #[test]
@@ -1398,52 +1122,6 @@ mod tests {
             }
         }
         fn on_packet(&mut self, _ctx: &mut HostCtx<'_>, _pkt: NetPacket) {}
-    }
-
-    /// The full capture — utilization buckets, lifecycle events and their
-    /// canonical order — must be bitwise-identical between the one-lane and
-    /// the sharded run at every thread count.
-    #[test]
-    fn telemetry_capture_is_thread_count_invariant() {
-        let build = || {
-            let (topo, ft) = Topology::fat_tree_two_level(3, 3, 2, spec());
-            let mut sim = NetSim::new(topo, 23);
-            let dst = ft.hosts[0];
-            for &h in ft.hosts.iter().skip(1) {
-                sim.install_host(
-                    h,
-                    Box::new(TracingSender {
-                        peer: dst,
-                        count: 6,
-                    }),
-                );
-            }
-            sim.install_host(
-                dst,
-                Box::new(Receiver {
-                    expect: 48,
-                    ..Default::default()
-                }),
-            );
-            sim.set_link_drop_prob(2, 0.2);
-            sim.enable_telemetry(TelemetryConfig { bucket_ns: 64 });
-            sim
-        };
-        let mut serial = build();
-        serial.run(None);
-        let want = serial.take_telemetry().expect("serial capture");
-        for threads in [1, 2, 8] {
-            let mut par = build();
-            par.run_threads(None, threads);
-            let got = par.take_telemetry().expect("parallel capture");
-            assert_eq!(got, want, "telemetry must be identical at t={threads}");
-            assert_eq!(got.chrome_trace(), want.chrome_trace());
-            assert_eq!(got.utilization_csv(), want.utilization_csv());
-        }
-        // And the export is structurally valid Perfetto input.
-        let events = crate::telemetry::validate_chrome_trace(&want.chrome_trace())
-            .expect("trace must validate");
-        assert!(events > 0);
     }
 
     /// A zero bucket width records and exports 1 ns buckets: every

@@ -16,16 +16,12 @@
 //!   per-subset queue depth on every handler dispatch (see
 //!   [`crate::compute::SwitchCompute`]).
 //!
-//! # Thread-count invariance
+//! # Event order
 //!
-//! Under [`crate::NetSim::run_threads`] each partition lane records into
-//! its own buffer; afterwards the lanes are merged and the combined
-//! stream is sorted by the content key `(time, node, seq)` — `seq` is a
-//! per-node event ordinal. The parallel driver's determinism contract
-//! guarantees every node processes the same events at the same times in
-//! the same per-node order regardless of thread count, so the sorted
-//! stream (and therefore every exported artifact) is bitwise-identical
-//! across the one-lane [`crate::NetSim::run`] and any worker count.
+//! Lifecycle events are exported sorted by the content key `(time, node,
+//! seq)` — `seq` is a per-node event ordinal — rather than in recording
+//! order, which interleaves the nodes of one instant by event-queue order.
+//! The key fixes the byte order of every exported trace.
 //!
 //! # Cost contract
 //!
@@ -36,7 +32,6 @@
 
 use flare_des::Time;
 
-use crate::partition::PartitionPlan;
 use crate::topology::Topology;
 
 /// Configuration for [`crate::NetSim`] telemetry capture.
@@ -95,9 +90,10 @@ impl TraceKind {
 
 /// One structured flow-lifecycle event.
 ///
-/// The derived ordering is the merge key: `(time, node, seq)` leads, and
-/// `(node, seq)` is unique per event, so sorting a merged lane dump
-/// yields one canonical stream independent of which lane recorded what.
+/// The derived ordering is the export key: `(time, node, seq)` leads, and
+/// `(node, seq)` is unique per event, so sorting the recorded events
+/// yields one canonical stream independent of the order they were
+/// recorded in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TraceEvent {
     /// Simulation time (ns).
@@ -160,10 +156,8 @@ impl DirSeries {
     }
 }
 
-/// The recording state behind [`Telemetry::On`]. Slots are the owning
-/// lane's: `2·link + dir` and the node id on the lane that covers the
-/// whole topology, [`PartitionPlan::dir_local`] and
-/// [`PartitionPlan::node_local`] on a partition's lane.
+/// The recording state behind [`Telemetry::On`]: one series per link
+/// direction (slot `2·link + dir`) and one event ordinal per node id.
 #[derive(Debug)]
 pub struct TelemetrySink {
     cfg: TelemetryConfig,
@@ -184,7 +178,7 @@ impl TelemetrySink {
     }
 }
 
-/// Telemetry state of a simulator lane: either fully disabled (the
+/// Telemetry state of a simulator: either fully disabled (the
 /// default — every hook is one discriminant test and no state exists) or
 /// an owned recording sink.
 #[derive(Debug, Default)]
@@ -211,23 +205,12 @@ impl Telemetry {
         }
     }
 
-    /// Record a flow-lifecycle event for node slot `slot` (global node id
-    /// `node`).
+    /// Record a flow-lifecycle event for node id `node`.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn event(
-        &mut self,
-        slot: usize,
-        node: u32,
-        time: Time,
-        kind: TraceKind,
-        flow: u64,
-        a: u64,
-        b: u64,
-    ) {
+    pub fn event(&mut self, node: u32, time: Time, kind: TraceKind, flow: u64, a: u64, b: u64) {
         if let Telemetry::On(sink) = self {
-            let seq = sink.node_seq[slot];
-            sink.node_seq[slot] = seq + 1;
+            let seq = sink.node_seq[node as usize];
+            sink.node_seq[node as usize] = seq + 1;
             sink.events.push(TraceEvent {
                 time,
                 node,
@@ -240,51 +223,7 @@ impl Telemetry {
         }
     }
 
-    /// Split the whole lane's sink into per-partition lane sinks:
-    /// direction series and per-node ordinals move to their owning lane,
-    /// already-recorded events stay behind in `self`.
-    pub fn split(&mut self, plan: &PartitionPlan) -> Vec<Telemetry> {
-        let sink = match self {
-            Telemetry::Off => return (0..plan.parts).map(|_| Telemetry::Off).collect(),
-            Telemetry::On(sink) => sink,
-        };
-        let node_seq = plan.scatter_nodes(std::mem::take(&mut sink.node_seq));
-        let dirs = plan.scatter_dirs(std::mem::take(&mut sink.dirs));
-        let lanes = node_seq.into_iter().zip(dirs);
-        lanes
-            .map(|(node_seq, dirs)| {
-                Telemetry::On(Box::new(TelemetrySink {
-                    cfg: sink.cfg,
-                    dirs,
-                    node_seq,
-                    events: Vec::new(),
-                }))
-            })
-            .collect()
-    }
-
-    /// Merge lane sinks back: direction series and node ordinals return
-    /// to their whole-lane slots, lane events are appended (ordering is
-    /// restored by the sort in [`Telemetry::into_report`]).
-    pub fn merge(&mut self, plan: &PartitionPlan, lanes: Vec<Telemetry>) {
-        let sink = match self {
-            Telemetry::Off => return,
-            Telemetry::On(sink) => sink,
-        };
-        let (mut node_seq, mut dirs) = (Vec::new(), Vec::new());
-        for lane in lanes {
-            let Telemetry::On(mut lane) = lane else {
-                unreachable!("lane telemetry state must match the whole lane's")
-            };
-            sink.events.append(&mut lane.events);
-            node_seq.push(lane.node_seq);
-            dirs.push(lane.dirs);
-        }
-        sink.node_seq = plan.gather_nodes(node_seq);
-        sink.dirs = plan.gather_dirs(dirs);
-    }
-
-    /// Consume the whole lane's sink into a report: each link's two
+    /// Consume the sink into a report: each link's two
     /// direction series with its endpoints and capacity from `topo`, the
     /// lifecycle events in canonical `(time, node, seq)` order, and the HPU
     /// `compute` timelines. Returns `None` when off.
@@ -669,7 +608,7 @@ mod tests {
     fn off_telemetry_records_nothing() {
         let mut t = Telemetry::Off;
         t.record_tx(0, 5, 100, false);
-        t.event(0, 0, 5, TraceKind::ShardSend, 1, 2, 3);
+        t.event(0, 5, TraceKind::ShardSend, 1, 2, 3);
         assert!(t.into_report(&star().0, Vec::new()).is_none());
     }
 
@@ -685,10 +624,10 @@ mod tests {
         let (topo, nodes, dir_slots) = star();
         let sink = TelemetrySink::new(TelemetryConfig::default(), nodes, dir_slots);
         let mut t = Telemetry::On(Box::new(sink));
-        t.event(2, 2, 50, TraceKind::ShardSend, 1, 0, 0);
-        t.event(0, 0, 10, TraceKind::ShardSend, 1, 0, 0);
-        t.event(0, 0, 10, TraceKind::BlockRetire, 1, 0, 0);
-        t.event(1, 1, 10, TraceKind::ShardSend, 1, 0, 0);
+        t.event(2, 50, TraceKind::ShardSend, 1, 0, 0);
+        t.event(0, 10, TraceKind::ShardSend, 1, 0, 0);
+        t.event(0, 10, TraceKind::BlockRetire, 1, 0, 0);
+        t.event(1, 10, TraceKind::ShardSend, 1, 0, 0);
         let events = t.into_report(&topo, Vec::new()).unwrap().events;
         let keys: Vec<(Time, u32, u32)> = events.iter().map(|e| (e.time, e.node, e.seq)).collect();
         assert_eq!(keys, vec![(10, 0, 0), (10, 0, 1), (10, 1, 0), (50, 2, 0)]);
@@ -723,10 +662,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        // Lane merging discipline: events recorded into arbitrary
-        // per-lane buffers, merged and sorted by the content key, come
-        // out globally time-ordered with every event preserved —
-        // independent of how the events were scattered across lanes.
+        // Export discipline: events recorded in any interleaving (here
+        // scattered over buffers and concatenated), sorted by the content
+        // key, come out globally time-ordered with every event preserved.
         #[test]
         fn merged_lane_events_are_globally_time_ordered(
             raw in proptest::collection::vec(

@@ -7,8 +7,8 @@
 //! hops, so a flow always follows one path and delivery within a flow is
 //! ordered).
 
+use std::cell::OnceCell;
 use std::collections::VecDeque;
-use std::sync::OnceLock;
 
 use flare_des::rng::splitmix64;
 use flare_des::Time;
@@ -214,18 +214,6 @@ impl Topology {
         &self.links[id]
     }
 
-    /// Minimum propagation latency over all links, in ns (`None` for a
-    /// linkless topology).
-    ///
-    /// This is the conservative-lookahead bound of the parallel driver:
-    /// a packet egressed at time `t` can reach a neighbor no earlier than
-    /// `t + min_link_latency + 1` (serialization takes at least 1 ns), so
-    /// partitions may process a `min_link_latency + 1` wide window of
-    /// events without synchronizing.
-    pub fn min_link_latency(&self) -> Option<Time> {
-        self.links.iter().map(|l| l.spec.latency_ns).min()
-    }
-
     /// The port of `from` whose link peers with `to`, if directly connected.
     pub fn port_towards(&self, from: NodeId, to: NodeId) -> Option<PortId> {
         self.ports[from.index()]
@@ -259,7 +247,7 @@ impl Topology {
             peers,
             nbr_peers,
             nbr_ports,
-            columns: (0..n).map(|_| OnceLock::new()).collect(),
+            columns: (0..n).map(|_| OnceCell::new()).collect(),
         }
     }
 
@@ -352,8 +340,8 @@ impl FatTree {
 /// switch→parent, switch→child). Any other destination gets one *column* —
 /// the equal-cost egress ports of every node towards it, from one BFS —
 /// the first time a packet for it is routed. A column is a pure function
-/// of the topology, so under the partitioned driver it does not matter
-/// which worker builds it; [`OnceLock`] keeps `&Routing` shareable.
+/// of the topology, so building it behind `&Routing` ([`OnceCell`]) does
+/// not change what a run sees.
 #[derive(Debug, Clone)]
 pub struct Routing {
     /// Node `u`'s ports are the range `adj[u]..adj[u + 1]` of the three
@@ -366,7 +354,7 @@ pub struct Routing {
     nbr_peers: Vec<u32>,
     nbr_ports: Vec<u16>,
     /// Per destination, built on first use.
-    columns: Vec<OnceLock<Column>>,
+    columns: Vec<OnceCell<Column>>,
 }
 
 /// Equal-cost egress ports of every node towards one destination: node

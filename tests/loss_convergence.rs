@@ -182,8 +182,9 @@ fn a_20_us_initial_timeout_converges() {
 /// records as not finishing ("2.2 M events and 12 289 drops by 2 ms of
 /// simulated time, the fixed 200 µs timer retransmitting into its own
 /// congestion"; still running after 120 s of host time). It finishes at
-/// 7.5 ms simulated, in 4 s of host time on a release build — which is what
-/// CI runs it on, `--ignored`.
+/// 7.28 ms simulated, in 4 s of host time on a release build — which is
+/// what CI runs it on, `--ignored` — and is pinned bit for bit like the
+/// rows of `sim_pins.rs`.
 #[test]
 #[ignore = "4 s optimised, minutes in a debug build: CI runs it with --release"]
 fn thirty_two_tenants_on_thirty_two_hosts_finish() {
@@ -198,7 +199,10 @@ fn thirty_two_tenants_on_thirty_two_hosts_finish() {
     };
     let report = fleet.run();
     fleet.assert_complete(&report);
-    assert!(report.net.drops > 10_000);
+    let net = &report.net;
+    let got = [net.makespan, net.events, net.total_link_bytes, net.drops];
+    let want = [7_283_703, 4_785_174, 2_344_415_776, 22_763];
+    assert_eq!(got, want, "[makespan ns, events, link bytes, drops]");
 }
 
 // ---- the switch half, packet by packet --------------------------------

@@ -5,10 +5,8 @@
 //! changed what the simulator computes, not how fast it computes it —
 //! host-side performance is `benchmark/`'s job (see `benchmark/README.md`).
 //!
-//! The suite runs with `FLARE_DES_THREADS` unset, `=1` and `=4`, so every
-//! row is checked on the one-lane, windowed and parallel drivers. One row
-//! is driver-dependent and says so; see
-//! `tests/thread_config.rs::sparse_same_instant_ties_split_one_lane_from_windowed`.
+//! There is one driver, so every row has one value: `FLARE_DES_THREADS`
+//! and the builder's thread count are validated but change nothing.
 //!
 //! Rows are grouped into `#[test]`s by debug-build cost (the harness runs
 //! two at a time): the three ~5 s rows get a test each, and the 1 024-host
@@ -65,8 +63,6 @@ struct Row {
     want: [u64; 3],
     /// A fleet's pooled per-iteration p50 and p99, in ns.
     tails: Option<[u64; 2]>,
-    /// The makespan under the windowed driver, where it differs.
-    windowed_makespan_ns: Option<u64>,
     /// How the makespan compares with [`Row::root_pipeline_ns`], where it
     /// is checked; those rows also hold no more blocks open on any switch
     /// than the window they run at.
@@ -94,7 +90,6 @@ fn row(payload: Payload, topo: Topo, hosts: usize, bytes_per_host: usize, want: 
         tenants: 0,
         want,
         tails: None,
-        windowed_makespan_ns: None,
         root_pipeline: None,
         window: None,
         admits: None,
@@ -139,11 +134,6 @@ impl Row {
 
     fn tenants(mut self, tenants: usize, p50_ns: u64, p99_ns: u64) -> Self {
         (self.tenants, self.tails) = (tenants, Some([p50_ns, p99_ns]));
-        self
-    }
-
-    fn windowed(mut self, makespan_ns: u64) -> Self {
-        self.windowed_makespan_ns = Some(makespan_ns);
         self
     }
 
@@ -275,14 +265,8 @@ impl Row {
 }
 
 fn check(rows: &[Row]) {
-    // Any set value selects the windowed driver; nothing in this binary
-    // writes the variable.
-    let windowed = std::env::var_os("FLARE_DES_THREADS").is_some();
     for row in rows {
-        let mut want = (row.want, row.tails);
-        if let (true, Some(ns)) = (windowed, row.windowed_makespan_ns) {
-            want.0[0] = ns;
-        }
+        let want = (row.want, row.tails);
         let what = "([makespan ns, events, link bytes], fleet [p50, p99] ns)";
         let (report, tails) = row.measure();
         let net = &report.net;
@@ -384,11 +368,23 @@ fn sparse_32_hosts_of_8_mib() {
     check(&[
         // `benchmark`'s `sparse_star` workload.
         row(Sparse, Star, 32, 8 * MIB, [444_769, 524_288, 181_357_312]),
-        // Same-instant shards of unequal size meet at the root spine in a
-        // driver-dependent order: ROADMAP item 2(d), reproduced at 16
-        // hosts in `tests/thread_config.rs`.
-        row(Sparse, FatTree, 32, 8 * MIB, [446_677, 589_824, 208_724_480]).windowed(446_675),
+        row(Sparse, FatTree, 32, 8 * MIB, [446_677, 589_824, 208_724_480]),
     ]);
+}
+
+/// The smallest run found on which sparse shards of unequal size reach the
+/// root spine at the same instant from different leaves: the order the
+/// root's serial pipeline folds them in decides the makespan, so a change
+/// to same-instant event order shows here first.
+#[test]
+fn sparse_fat_tree_16_hosts_of_256_kib() {
+    check(&[row(
+        Sparse,
+        FatTree,
+        16,
+        256 * KIB,
+        [8_100, 5_580, 1_721_440],
+    )]);
 }
 
 #[test]
@@ -424,7 +420,7 @@ fn dense_fat_tree_512_hosts_of_128_kib() {
 
 /// `benchmark`'s `pspin_switch` workload: one PsPIN unit, 64 ports,
 /// 1 024 tree-aggregated f32 blocks, staggered to the tree's target `δc`,
-/// with jittered arrivals. No fabric, so no thread count can move it.
+/// with jittered arrivals. No fabric, so no network change can move it.
 #[test]
 fn pspin_switch_1024_blocks_of_f32() {
     use flare::core::wiring::SwitchRun;
