@@ -542,6 +542,34 @@ mod tests {
     }
 
     #[test]
+    fn an_out_of_span_pair_at_an_array_switch_is_skipped() {
+        // Index 16 is outside a 16-index span: the store would panic on it.
+        // The in-span pairs of the same shard still fold.
+        let mk =
+            |t: u64, payload: Bytes| (t, PspinPacket::new(1, 0, 0, HEADER_BYTES as u32, payload));
+        let arrivals = vec![
+            mk(
+                0,
+                sparse_contrib::<i32>(1, 0, 0, &[(3, 5), (16, 7), (15, 1)], true, 1),
+            ),
+            mk(5, sparse_contrib::<i32>(1, 0, 1, &[(3, 2)], true, 1)),
+        ];
+        let handler = SparseAllreduceHandler::new(
+            SparseHandlerConfig {
+                allreduce: 1,
+                children: 2,
+                storage: SparseStorageKind::Array { span: 16 },
+                pairs_per_packet: 128,
+                capture_results: true,
+            },
+            Sum,
+        );
+        let (report, engine) = run_trace(small_cfg(), handler, arrivals, true);
+        assert_eq!(report.blocks_completed, 1);
+        assert_eq!(engine.handler().results()[0].1, vec![(3, 7), (15, 1)]);
+    }
+
+    #[test]
     fn sparse_hash_spills_emit_extra_traffic() {
         // Tiny table forces collisions; the spill flush must show up as
         // extra emitted shards (at the root every shard is a result) while

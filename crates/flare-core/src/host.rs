@@ -852,19 +852,32 @@ impl<T: Element> Payload for DensePayload<T> {
 /// count; empty blocks still send a header-only packet. Incoming result
 /// shards are deduplicated by sequence number before accumulating — a
 /// replayed result must not double-count.
+///
+/// The reduced vector is allocated at the first result shard the host
+/// accepts, not when it is built, so a host still waiting for its first
+/// result holds no result buffer. Each shard then fills the result with the
+/// operator's identity up to the end of its block's span and combines its
+/// pairs into it while those lines are hot: every element is written once
+/// before its first combine.
 pub type SparseFlareHost<T, O> = FlareHost<SparsePayload<T, O>>;
 
 /// The [`Payload`] of a [`SparseFlareHost`].
 pub struct SparsePayload<T, O> {
     op: O,
-    span: usize,
-    pairs_per_packet: usize,
+    /// Indexes per block; block-relative indexes on the wire are below it.
+    span: u32,
+    pairs_per_packet: u32,
+    /// Elements of the whole domain, the length of the result.
+    total: usize,
     /// Every block's block-relative pairs, ordered by block and within a
     /// block as given; kept to the end so overdue blocks can be re-sent.
     pairs: Vec<(u32, T)>,
     /// Block `b` owns `pairs[offsets[b]..offsets[b + 1]]`.
     offsets: Vec<u32>,
     trackers: Vec<ShardTracker>,
+    /// Empty until the first accepted result shard, which reserves all
+    /// `total` elements; identity-filled from then on up to the end of the
+    /// highest block span a shard has been applied to.
     result: Vec<T>,
 }
 
@@ -903,13 +916,14 @@ impl<T: Element, O: ReduceOp<T>> FlareHost<SparsePayload<T, O>> {
         offsets.copy_within(..blocks, 1);
         offsets[0] = 0;
         let payload = SparsePayload {
-            result: vec![op.identity(); total_elems],
             op,
-            span,
-            pairs_per_packet,
+            span: u32::try_from(span).expect("a span is a 32-bit wire index"),
+            pairs_per_packet: u32::try_from(pairs_per_packet).expect("pairs_per_packet is 32-bit"),
+            total: total_elems,
             pairs: by_block,
             offsets,
             trackers: vec![ShardTracker::default(); blocks],
+            result: Vec::new(),
         };
         Self::over(cfg, payload, blocks, wire_bytes, sink)
     }
@@ -929,7 +943,7 @@ impl<T: Element, O: ReduceOp<T>> Payload for SparsePayload<T, O> {
     fn packets(&self, block: u64) -> usize {
         // An empty block still sends its header-only packet.
         let pairs = self.block_pairs(block).len();
-        pairs.div_ceil(self.pairs_per_packet).max(1)
+        pairs.div_ceil(self.pairs_per_packet as usize).max(1)
     }
 
     fn encode(&self, block: u64, i: usize, header: Header) -> Bytes {
@@ -940,7 +954,9 @@ impl<T: Element, O: ReduceOp<T>> Payload for SparsePayload<T, O> {
             shard_count: Header::shard_seq_field(last, i as u16, shards as u16),
             ..header
         };
-        let mut chunks = self.block_pairs(block).chunks(self.pairs_per_packet);
+        let mut chunks = self
+            .block_pairs(block)
+            .chunks(self.pairs_per_packet as usize);
         encode_sparse(header, chunks.nth(i).unwrap_or(&[]))
     }
 
@@ -959,11 +975,23 @@ impl<T: Element, O: ReduceOp<T>> Payload for SparsePayload<T, O> {
         if event == ShardEvent::Duplicate {
             return Applied::Ignored;
         }
+        // Allocated at the first accepted shard, filled one span at a time:
+        // up to the end of this block's span, just before its pairs land.
+        let base = block as usize * self.span as usize;
+        let end = (base + self.span as usize).min(self.total);
+        if self.result.capacity() == 0 {
+            self.result.reserve_exact(self.total);
+        }
+        if self.result.len() < end {
+            self.result.resize(end, self.op.identity());
+        }
         // Combine: spilled elements may deliver the same index in several
-        // result shards, so accumulation (not overwrite) is required.
-        let base = block as usize * self.span;
+        // result shards, so accumulation (not overwrite) is required. A pair
+        // outside the block's span (a foreign or malformed shard) is
+        // skipped, never written into a neighbouring block.
+        let block_result = &mut self.result[base..end];
         view.for_each(|idx, val| {
-            if let Some(acc) = self.result.get_mut(base + idx as usize) {
+            if let Some(acc) = block_result.get_mut(idx as usize) {
                 *acc = self.op.combine(*acc, val);
             }
         });
@@ -974,6 +1002,8 @@ impl<T: Element, O: ReduceOp<T>> Payload for SparsePayload<T, O> {
     }
 
     fn take_result(&mut self) -> Vec<T> {
+        // Every block is in, so every span is already filled: a no-op.
+        self.result.resize(self.total, self.op.identity());
         std::mem::take(&mut self.result)
     }
 }
@@ -1354,6 +1384,163 @@ mod tests {
         let mut got = Vec::new();
         view.for_each(|idx, v| got.push((idx, v)));
         assert_eq!(got, [(3, 3.0)]);
+    }
+
+    /// The header of result shard `seq` of `total` for local block
+    /// `block`, as a switch sends it.
+    fn result_header(block: u64, seq: u16, total: u16) -> Header {
+        let last = seq + 1 == total;
+        Header {
+            allreduce: 1,
+            block: block as u32,
+            child: 0,
+            kind: PacketKind::SparseResult,
+            last_shard: last,
+            shard_count: Header::shard_seq_field(last, seq, total),
+            elem_count: 0,
+        }
+    }
+
+    /// A sparse host over 30 elements in spans of 8: blocks 0..3 are
+    /// whole, block 3 holds indexes 24..30.
+    fn sparse_payload() -> SparsePayload<f32, crate::op::Sum> {
+        let h = SparseFlareHost::new(cfg(), crate::op::Sum, 30, 8, 2, vec![], result_sink());
+        h.payload
+    }
+
+    /// Apply result shard `seq` of `total` to `block`: `None` if it was
+    /// ignored, else whether it completed the block.
+    fn deliver(
+        p: &mut SparsePayload<f32, crate::op::Sum>,
+        block: u64,
+        seq: u16,
+        total: u16,
+        pairs: &[(u32, f32)],
+    ) -> Option<bool> {
+        let shard = encode_sparse(result_header(block, seq, total), pairs);
+        match p.apply(block, &shard) {
+            Applied::Shard { complete, .. } => Some(complete),
+            Applied::Ignored | Applied::Block => None,
+        }
+    }
+
+    #[test]
+    fn a_sparse_result_is_allocated_at_the_first_accepted_shard() {
+        let mut p = sparse_payload();
+        assert_eq!(p.result.capacity(), 0, "nothing before any result");
+        // Not a sparse result: ignored, still nothing allocated.
+        let header = Header {
+            kind: PacketKind::DenseResult,
+            ..result_header(1, 0, 1)
+        };
+        let dense = encode_dense(header, &[1.0f32; 8]);
+        assert!(matches!(p.apply(1, &dense), Applied::Ignored));
+        assert_eq!(p.result.capacity(), 0);
+        // Block 1 first: one reservation of the whole domain, filled up to
+        // the end of block 1's span.
+        assert_eq!(deliver(&mut p, 1, 0, 1, &[(2, 3.0)]), Some(true));
+        assert!(p.result.capacity() >= 30);
+        assert_eq!(p.result.len(), 16);
+        assert_eq!(p.result[10], 3.0);
+    }
+
+    #[test]
+    fn a_later_block_completing_first_leaves_the_earlier_spans_to_their_shards() {
+        let mut p = sparse_payload();
+        assert_eq!(deliver(&mut p, 3, 0, 1, &[(5, 1.5)]), Some(true));
+        assert_eq!(p.result.len(), 30, "the short last span ends the domain");
+        assert_eq!(deliver(&mut p, 0, 0, 1, &[(7, 2.0)]), Some(true));
+        assert_eq!(deliver(&mut p, 2, 0, 1, &[]), Some(true));
+        assert_eq!(deliver(&mut p, 1, 0, 1, &[(0, 4.0)]), Some(true));
+        let mut want = vec![0.0f32; 30];
+        (want[7], want[8], want[29]) = (2.0, 4.0, 1.5);
+        assert_eq!(p.take_result(), want);
+    }
+
+    #[test]
+    fn a_spilled_index_delivered_in_two_shards_is_combined() {
+        let mut p = sparse_payload();
+        assert_eq!(deliver(&mut p, 2, 0, 2, &[(3, 1.0)]), Some(false));
+        assert_eq!(deliver(&mut p, 2, 1, 2, &[(3, 2.5), (4, 1.0)]), Some(true));
+        assert_eq!((p.result[19], p.result[20]), (3.5, 1.0));
+    }
+
+    #[test]
+    fn a_replayed_result_shard_is_a_duplicate_and_counted_once() {
+        let mut p = sparse_payload();
+        assert_eq!(deliver(&mut p, 0, 0, 2, &[(1, 1.0)]), Some(false));
+        assert_eq!(deliver(&mut p, 0, 0, 2, &[(1, 1.0)]), None);
+        assert_eq!(deliver(&mut p, 0, 1, 2, &[]), Some(true));
+        assert_eq!(deliver(&mut p, 0, 0, 2, &[(1, 1.0)]), None);
+        assert_eq!(p.result[1], 1.0);
+    }
+
+    #[test]
+    fn an_out_of_span_result_pair_leaves_the_neighbouring_span_untouched() {
+        let mut p = sparse_payload();
+        // Block 1 is in first, so its span is filled when block 0 names
+        // index 8, which would be element 8, block 1's first. Index 6 of
+        // block 3 would be element 30, past the domain.
+        deliver(&mut p, 1, 0, 1, &[(0, 2.0)]);
+        deliver(&mut p, 0, 0, 1, &[(8, 5.0), (1, 1.0)]);
+        deliver(&mut p, 3, 0, 1, &[(6, 9.0), (5, 2.0)]);
+        let got = p.take_result();
+        assert_eq!(got.len(), 30);
+        assert_eq!((got[1], got[8], got[29]), (1.0, 2.0, 2.0));
+        assert_eq!(got.iter().sum::<f32>(), 5.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // Shards delivered in any order, with replays and pairs outside
+        // their span, leave the result bit for bit where the eager path
+        // (the whole domain identity-filled up front, every accepted pair
+        // combined in delivery order) leaves it.
+        #[test]
+        fn a_sparse_result_filled_per_span_equals_the_eager_one(
+            span in 1usize..12,
+            short in 0usize..12,
+            shards in proptest::collection::vec(
+                proptest::collection::vec(
+                    proptest::collection::vec((0u32..14, -1e3f32..1e3), 0..6),
+                    1..4,
+                ),
+                1..8,
+            ),
+            order in proptest::collection::vec(any::<u16>(), 0..60),
+        ) {
+            // The last block is `short % span` indexes short of a span.
+            let op = crate::op::Sum;
+            let total = shards.len() * span - short % span;
+            let host = SparseFlareHost::<f32, _>::new(cfg(), op, total, span, 4, vec![], result_sink());
+            let mut p = host.payload;
+            let all: Vec<(usize, usize)> = shards
+                .iter()
+                .enumerate()
+                .flat_map(|(b, set)| (0..set.len()).map(move |i| (b, i)))
+                .collect();
+            // Random picks (replays among them), then every shard once.
+            let picks = order.iter().map(|&o| all[o as usize % all.len()]);
+            let mut eager = vec![op.identity(); total];
+            let mut seen = std::collections::HashSet::new();
+            for (b, i) in picks.chain(all.iter().copied()) {
+                let set = &shards[b];
+                let accepted = deliver(&mut p, b as u64, i as u16, set.len() as u16, &set[i]).is_some();
+                prop_assert_eq!(accepted, seen.insert((b, i)));
+                if accepted {
+                    let end = ((b + 1) * span).min(total);
+                    for &(idx, v) in &set[i] {
+                        if let Some(acc) = eager[b * span..end].get_mut(idx as usize) {
+                            *acc = op.combine(*acc, v);
+                        }
+                    }
+                }
+            }
+            let got: Vec<u32> = p.take_result().iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u32> = eager.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

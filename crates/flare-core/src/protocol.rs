@@ -822,7 +822,14 @@ impl<T: Element, O: ReduceOp<T>> SparseCore<T, O> {
                 HashInsert::Spilled => side.sparse_spill(block, home, 1),
                 _ => {}
             }),
-            SparseStore::Array(a) => pairs.for_each(|idx, val| a.insert(op, idx, val)),
+            // A pair outside the block span (a foreign or malformed
+            // contribution) is skipped here, so the store's span assert is
+            // unreachable from the wire.
+            SparseStore::Array(a) => pairs.for_each(|idx, val| {
+                if (idx as usize) < a.span() {
+                    a.insert(op, idx, val);
+                }
+            }),
         }
         if !flushed.is_empty() {
             // Spilled data leaves the switch unaggregated: extra traffic.

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fold the stacks `tools/sampler.c` or `tools/heap.c` wrote into leaf and inclusive shares.
 
-    python3 tools/fold.py STACKS [--within FRAME] [--top N]
+    python3 tools/fold.py STACKS [--within FRAME] [--callers LEAF] [--top N]
 
 A sampler stack weighs one sample. A heap stack carries its weight, the
 bytes allocated there that were live at the heap's peak (`bytes=N`), and
@@ -17,6 +17,17 @@ a sample. `--within FRAME` keeps only samples whose stack contains a frame
 with FRAME in its name, and drops the frames outside it: with
 `workloads::timed`, what is left is the benchmark's timed call.
 
+`--callers LEAF` also prints, for the samples whose leaf has LEAF in its
+name, the innermost three repository frames above that leaf, innermost
+first: frames of this repository's crates (names that start with `flare`
+or `bytes::`, after any leading `<`). It is how time spent in libc is
+charged to the code that called it. glibc's `memcpy`, `memmove` and
+`memset` are internal symbols chosen at load time that the shared object
+does not export, and without glibc's debug info addr2line names the
+nearest exported symbol before them instead: on glibc 2.36 (Debian 12)
+that is `__nss_database_lookup`. A leaf of that name is copy or fill time,
+so run with `--callers __nss_database_lookup` to see whose.
+
 Objects are taken to be position-independent (rustc's default, and every
 shared library): an address's offset from the start of its object's first
 mapping is what addr2line is asked about.
@@ -28,6 +39,10 @@ import collections
 import re
 import subprocess
 import sys
+
+# A frame of this repository's crates: `flare_core::…`, `<flare_net::… as …>`,
+# `bytes::…` (vendor/bytes is ours).
+REPO_FRAME = re.compile(r"<?(flare\w*|bytes)::")
 
 
 def read(path):
@@ -90,6 +105,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("stacks")
     ap.add_argument("--within", help="keep samples with this frame; drop its callers")
+    ap.add_argument("--callers", metavar="LEAF", help="charge samples with this leaf to repository frames")
     ap.add_argument("--top", type=int, default=40)
     args = ap.parse_args()
 
@@ -102,6 +118,7 @@ def main():
         print()
     names = resolve(maps, {a for _, s in stacks for a in s})
     leaf, inclusive, kept = collections.Counter(), collections.Counter(), 0
+    callers = collections.Counter()
     for weight, stack in stacks:
         # Innermost first, inlined frames expanded.
         frames = [f for a in stack for f in names.get(a, [hex(a)])]
@@ -116,11 +133,19 @@ def main():
         leaf[frames[0]] += weight
         for f in set(frames):
             inclusive[f] += weight
+        if args.callers and args.callers in frames[0]:
+            ours = [f for f in frames[1:] if REPO_FRAME.match(f)][:3]
+            callers[" < ".join(ours) or "(no repository frame)"] += weight
 
     unit = "bytes" if peak is not None else "samples"
     total = sum(w for w, _ in stacks)
     print(f"{total} {unit} in {len(stacks)} stacks, {kept} kept, {dropped} dropped for want of room")
-    for title, counts in (("leaf", leaf), ("inclusive", inclusive)):
+    tables = [("leaf", leaf), ("inclusive", inclusive)]
+    if args.callers:
+        matched = sum(callers.values())
+        print(f"\n{matched} {unit} ({100 * matched / max(kept, 1):.1f} %) have a leaf matching {args.callers}")
+        tables.append((f"callers of {args.callers}", callers))
+    for title, counts in tables:
         print(f"\n{title:>9}  share  function")
         for name, n in counts.most_common(args.top):
             print(f"{n:9d}  {100 * n / max(kept, 1):5.1f}  {name}")
