@@ -6,7 +6,6 @@
 //! and Tofu operate) but transmits `Z·log₂P` bytes per host — the
 //! bandwidth baseline SparCML's sparse variant improves on.
 
-use crate::ring::chunk_bounds;
 use flare_core::dtype::Element;
 use flare_core::op::ReduceOp;
 
@@ -50,12 +49,6 @@ pub fn recdouble_bytes_per_host(z_bytes: u64, p: usize) -> u64 {
 /// Ring-allreduce bytes each host transmits: `2(P−1)/P·Z`.
 pub fn ring_bytes_per_host(z_bytes: u64, p: usize) -> u64 {
     (2 * (p as u64 - 1) * z_bytes) / p as u64
-}
-
-/// Sanity helper shared with the figure harness: the chunking both
-/// algorithms use.
-pub fn chunks(z: usize, p: usize) -> Vec<(usize, usize)> {
-    chunk_bounds(z, p)
 }
 
 #[cfg(test)]

@@ -10,8 +10,6 @@
 
 use crate::session::CollectiveHandle;
 
-pub use crate::session::SparsePolicy;
-
 /// Horovod-style collective sequencer (paper Section 8): ranks may issue
 /// outstanding collectives in different orders, which can deadlock an
 /// in-order fabric. The sequencer computes the order every rank must

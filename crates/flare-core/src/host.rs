@@ -895,6 +895,8 @@ impl<T: Element, O: ReduceOp<T>> FlareHost<SparsePayload<T, O>> {
     ) -> Self {
         assert!(span > 0 && pairs_per_packet > 0 && total_elems > 0);
         assert!(u32::try_from(pairs.len()).is_ok(), "offsets are 32-bit");
+        let span32 = u32::try_from(span).expect("a span is a 32-bit wire index");
+        let pairs_per_packet = u32::try_from(pairs_per_packet).expect("pairs_per_packet is 32-bit");
         let blocks = total_elems.div_ceil(span);
         let wire_bytes = pairs.len() * (4 + T::WIRE_BYTES);
         // Stable counting sort by block: count, prefix-sum into each
@@ -909,7 +911,7 @@ impl<T: Element, O: ReduceOp<T>> FlareHost<SparsePayload<T, O>> {
         let mut by_block = vec![(0, op.identity()); pairs.len()];
         for (idx, v) in pairs {
             let cursor = &mut offsets[idx as usize / span];
-            by_block[*cursor as usize] = (idx % span as u32, v);
+            by_block[*cursor as usize] = (idx % span32, v);
             *cursor += 1;
         }
         // Each cursor now stands at its block's end, the next one's start.
@@ -917,8 +919,8 @@ impl<T: Element, O: ReduceOp<T>> FlareHost<SparsePayload<T, O>> {
         offsets[0] = 0;
         let payload = SparsePayload {
             op,
-            span: u32::try_from(span).expect("a span is a 32-bit wire index"),
-            pairs_per_packet: u32::try_from(pairs_per_packet).expect("pairs_per_packet is 32-bit"),
+            span: span32,
+            pairs_per_packet,
             total: total_elems,
             pairs: by_block,
             offsets,

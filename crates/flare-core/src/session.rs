@@ -113,6 +113,14 @@ pub enum SessionError {
         /// The field, as `Type::field`.
         field: &'static str,
     },
+    /// A size the sparse wire writes as a 32-bit index is 2^32 or more:
+    /// [`Tuning::pairs_per_packet`] or [`SparsePolicy::span`].
+    BeyondWireIndex {
+        /// The field, as `Type::field`.
+        field: &'static str,
+        /// The value given.
+        given: usize,
+    },
     /// [`Tuning::link_drop_prob`] is not a probability a run can finish
     /// under: at 1 or above every packet is dropped and the hosts
     /// retransmit for ever; below 0 or NaN would silently run lossless.
@@ -137,16 +145,6 @@ pub enum SessionError {
     HandleReleased {
         /// The released allreduce id.
         id: u32,
-    },
-    /// The thread count resolved to something unusable:
-    /// [`Tuning::threads`] was `Some(0)`, or the `FLARE_DES_THREADS`
-    /// environment variable was set to `0` or to a non-numeric value. Every
-    /// valid count runs the one driver, but a misconfigured run still
-    /// fails loudly rather than being read as some other configuration.
-    InvalidThreadCount {
-        /// The offending value, as configured (builder value or raw
-        /// environment string).
-        given: String,
     },
     /// Iteration `iteration` of a flow of `blocks` blocks would send block
     /// ids past the 32-bit wire id, where they alias an earlier
@@ -207,6 +205,11 @@ impl std::fmt::Display for SessionError {
                 write!(f, "telemetry bucket_ns = 0: a bucket spans at least 1 ns")
             }
             SessionError::ZeroSize { field } => write!(f, "{field} = 0: expected at least 1"),
+            SessionError::BeyondWireIndex { field, given } => write!(
+                f,
+                "{field} = {given}: expected at most {} (a 32-bit wire index)",
+                u32::MAX
+            ),
             SessionError::InvalidDropProbability { given } => {
                 write!(f, "link_drop_prob = {given}: expected a value in [0, 1)")
             }
@@ -217,13 +220,6 @@ impl std::fmt::Display for SessionError {
                 write!(
                     f,
                     "reproducible(true) with a via() handle not admitted for tree aggregation"
-                )
-            }
-            SessionError::InvalidThreadCount { given } => {
-                write!(
-                    f,
-                    "invalid simulation thread count {given:?}: expected an \
-                     integer >= 1 (builder `threads(n)` or FLARE_DES_THREADS)"
                 )
             }
             SessionError::HandleReleased { id } => {
@@ -269,16 +265,27 @@ fn nonzero(sizes: [(&'static str, usize); 3]) -> Result<(), SessionError> {
     }
 }
 
+/// [`SessionError::BeyondWireIndex`] naming `field` if `size` does not fit
+/// the wire's 32-bit index.
+fn wire_index(field: &'static str, size: usize) -> Result<(), SessionError> {
+    match u32::try_from(size) {
+        Ok(_) => Ok(()),
+        Err(_) => Err(SessionError::BeyondWireIndex { field, given: size }),
+    }
+}
+
 impl SparsePolicy {
-    /// A block spans at least one index, and the hash storage of a
-    /// non-root switch has a slot and a spill entry at least (checked
-    /// whether or not the tree has such a switch).
+    /// A block spans at least one index and no more than a 32-bit wire
+    /// index reaches, and the hash storage of a non-root switch has a slot
+    /// and a spill entry at least (checked whether or not the tree has
+    /// such a switch).
     fn check(&self) -> Result<(), SessionError> {
         nonzero([
             ("SparsePolicy::span", self.span),
             ("SparsePolicy::hash_slots", self.hash_slots),
             ("SparsePolicy::spill_cap", self.spill_cap),
-        ])
+        ])?;
+        wire_index("SparsePolicy::span", self.span)
     }
 
     /// The storage a switch of the tree uses: an array at the root when
@@ -344,16 +351,6 @@ pub struct Tuning {
     /// (child bitmaps dense, shard-sequence tracking sparse) absorbs the
     /// retransmissions (paper Section 4.1).
     pub link_drop_prob: f64,
-    /// A simulation thread count, accepted and validated but not acted
-    /// on: every run drains one event queue on the caller's thread
-    /// ([`flare_net::NetSim::run`]), so every valid value produces the same
-    /// bits as `None` (the default). `Some(0)` is rejected at
-    /// [`Collective::run`] with [`SessionError::InvalidThreadCount`].
-    ///
-    /// When unset, the `FLARE_DES_THREADS` environment variable is
-    /// validated at `run()` the same way; an explicit builder value wins
-    /// over the environment.
-    pub threads: Option<u32>,
     /// Fabric telemetry capture (`None` = off, the default). When set,
     /// every run records windowed per-link utilization, HPU occupancy
     /// timelines and flow-lifecycle trace events, returned as
@@ -377,7 +374,6 @@ impl Default for Tuning {
             seed: 7,
             packet_bytes: 1024,
             link_drop_prob: 0.0,
-            threads: None,
             telemetry: None,
         }
     }
@@ -390,52 +386,36 @@ impl Tuning {
         self.link_drop_prob > 0.0
     }
 
-    /// The knobs a run actually uses: a copy with [`threads`](Self::threads)
-    /// resolved (an explicit value wins, otherwise the `FLARE_DES_THREADS`
-    /// environment variable is consulted) and every combination a
+    /// The knobs a run actually uses: a copy, with every combination a
     /// simulation cannot finish under turned into a typed error. The one
     /// place these are checked, for [`Collective::run`] and for
     /// engine-style drivers (`flare_workloads::traffic`) alike.
     pub fn validated(&self) -> Result<Tuning, SessionError> {
-        let mut tuning = self.clone();
-        // Zero workers and non-numeric environment values are
-        // configuration errors, not silently ignored.
-        let invalid_threads = |given: String| Err(SessionError::InvalidThreadCount { given });
-        tuning.threads = match tuning.threads {
-            Some(0) => return invalid_threads("0".to_string()),
-            Some(n) => Some(n),
-            None => match std::env::var("FLARE_DES_THREADS") {
-                Err(_) => None,
-                Ok(raw) => match raw.trim().parse::<u32>() {
-                    Ok(n) if n >= 1 => Some(n),
-                    _ => return invalid_threads(raw),
-                },
-            },
-        };
         nonzero([
-            ("Tuning::elems_per_packet", tuning.elems_per_packet),
-            ("Tuning::pairs_per_packet", tuning.pairs_per_packet),
-            ("Tuning::packet_bytes", tuning.packet_bytes),
+            ("Tuning::elems_per_packet", self.elems_per_packet),
+            ("Tuning::pairs_per_packet", self.pairs_per_packet),
+            ("Tuning::packet_bytes", self.packet_bytes),
         ])?;
-        if tuning.retransmit_after == Some(0) {
+        wire_index("Tuning::pairs_per_packet", self.pairs_per_packet)?;
+        if self.retransmit_after == Some(0) {
             // A zero-delay timer re-arms at the same instant forever,
             // flooding the event queue without time ever advancing.
             return Err(SessionError::ZeroRetransmitTimeout);
         }
-        if tuning.telemetry.is_some_and(|t| t.bucket_ns == 0) {
+        if self.telemetry.is_some_and(|t| t.bucket_ns == 0) {
             return Err(SessionError::ZeroTelemetryBucket);
         }
-        if !(0.0..1.0).contains(&tuning.link_drop_prob) {
+        if !(0.0..1.0).contains(&self.link_drop_prob) {
             return Err(SessionError::InvalidDropProbability {
-                given: tuning.link_drop_prob.to_string(),
+                given: self.link_drop_prob.to_string(),
             });
         }
-        if tuning.lossy() && tuning.retransmit_after.is_none() {
+        if self.lossy() && self.retransmit_after.is_none() {
             // A drop with no retransmission stalls the run forever; fail
             // fast with a typed error instead of panicking mid-sim.
             return Err(SessionError::LossWithoutRetransmit);
         }
-        match &tuning.switch_model {
+        match &self.switch_model {
             // An infinite rate is `Ideal`; a zero one would overflow the
             // clock, a negative or NaN one run silently as another model.
             SwitchModel::RateLimited(rate) if rate.is_nan() || *rate <= 0.0 => {
@@ -450,7 +430,7 @@ impl Tuning {
                 .map_err(SessionError::InvalidSwitchModel)?,
             _ => {}
         }
-        Ok(tuning)
+        Ok(self.clone())
     }
 }
 
@@ -520,13 +500,11 @@ impl FlareSessionBuilder {
         self
     }
 
-    /// Set [`Tuning::threads`]: validated, then run on the one driver, so
-    /// any `n >= 1` produces the same bits as leaving it unset. `n = 0`
-    /// is rejected at [`Collective::run`] with
-    /// [`SessionError::InvalidThreadCount`]; an explicit value here wins
-    /// over the `FLARE_DES_THREADS` environment variable.
-    pub fn threads(mut self, n: u32) -> Self {
-        self.tuning.threads = Some(n);
+    /// Ignores `n`: every run drains one event queue on the caller's
+    /// thread. Kept only for the benchmark package's `par2` probe;
+    /// ROADMAP item 13(h) deletes it together with that probe.
+    #[doc(hidden)]
+    pub fn threads(self, _n: u32) -> Self {
         self
     }
 
@@ -1515,6 +1493,24 @@ mod tests {
         session.tuning.packet_bytes = 0;
         let run = session.allreduce(vec![vec![1i32; 64]; 3]).run();
         assert_eq!(run.err(), Some(zero("Tuning::packet_bytes")));
+    }
+
+    #[test]
+    fn sizes_beyond_a_32_bit_wire_index_are_typed_errors() {
+        // A span of 2^32 used to truncate to a zero divisor in the sparse
+        // host, and such a pairs_per_packet to fail its 32-bit conversion.
+        let given = 1usize << 32;
+        let beyond = |field| SessionError::BeyondWireIndex { field, given };
+        let policy = SparsePolicy {
+            span: given,
+            ..SparsePolicy::default()
+        };
+        let err = sparse_rejected(&mut star_session(3), policy);
+        assert_eq!(err, beyond("SparsePolicy::span"));
+        let mut session = star_session(3);
+        session.tuning.pairs_per_packet = given;
+        let err = sparse_rejected(&mut session, SparsePolicy::default());
+        assert_eq!(err, beyond("Tuning::pairs_per_packet"));
     }
 
     #[test]

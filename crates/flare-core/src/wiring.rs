@@ -391,11 +391,10 @@ impl FlowWiring {
 /// Bring the fabric up and run it: lend the session's topology to one
 /// [`NetSim`] seeded with `tuning.seed`, arm telemetry and loss injection,
 /// install `switches` (each under the tuning's switch model) and `hosts`,
-/// run up to `deadline` ([`NetSim::run`], whatever [`Tuning::threads`]
-/// says), and take the topology back. `harvest` sees the simulation
-/// after the run and after the telemetry capture was extracted (the HPU
-/// occupancy timelines live inside the compute units a harvest may tear
-/// down).
+/// run up to `deadline` ([`NetSim::run`]), and take the topology back.
+/// `harvest` sees the simulation after the run and after the telemetry
+/// capture was extracted (the HPU occupancy timelines live inside the
+/// compute units a harvest may tear down).
 pub fn run_fabric<R>(
     session: &mut FlareSession,
     tuning: &Tuning,

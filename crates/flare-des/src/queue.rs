@@ -72,7 +72,6 @@
 //! same timestamp *while the batch is being processed* form a follow-up
 //! batch; their sequence numbers are larger than everything already
 //! drained, so batch delivery always preserves the single-pop total order.
-//! See [`crate::run_batched`].
 
 use crate::Time;
 
@@ -110,14 +109,6 @@ const EMPTY: List = List {
     head: NIL,
     tail: NIL,
 };
-
-/// Behaviour plugged into the DES driver loop ([`crate::run`]).
-pub trait Simulator {
-    /// Event payload type processed by this simulator.
-    type Event;
-    /// Handle one event at simulation time `t`, possibly scheduling more.
-    fn handle(&mut self, t: Time, event: Self::Event, queue: &mut EventQueue<Self::Event>);
-}
 
 /// What the queue did, counted in test builds only: the work-bound test
 /// pins these per event.
@@ -360,8 +351,8 @@ impl<E> EventQueue<E> {
     ///
     /// The batch is **appended** to `out` — existing contents are kept,
     /// so a driver can accumulate; clear the buffer between calls when
-    /// reusing it for one-batch-at-a-time processing (as
-    /// [`crate::run_batched`] does).
+    /// reusing it for one-batch-at-a-time processing (as `NetSim::run`
+    /// in `flare-net` does).
     ///
     /// Events scheduled at the same timestamp *after* this call form the
     /// next batch; see the module docs for when batch delivery preserves
@@ -586,31 +577,25 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// The `pspin_switch` shape: arrivals answered by a completion
-    /// 100–1 500 ns later.
-    struct Switch;
-
-    impl Simulator for Switch {
-        type Event = Option<u32>;
-        fn handle(&mut self, t: Time, arrival: Option<u32>, q: &mut EventQueue<Option<u32>>) {
-            if let Some(i) = arrival {
-                let service = 100 + i.wrapping_mul(2_654_435_761) as Time % 1_400;
-                q.schedule_at(t + service, None);
-            }
-        }
-    }
-
     #[test]
     fn an_event_is_written_once_relinked_at_most_once_and_read_once() {
         // No clock: the counts are the claim. The re-sorted overflow
         // vector this structure replaced passed 7.8 entries through a sort
         // per event on this schedule. Preload 65 536 ascending arrivals
-        // over 150 µs and drain them through `Switch`.
+        // over 150 µs and drain them batch by batch in the
+        // `pspin_switch` shape: each arrival is answered by a completion
+        // 100–1 500 ns later.
         let mut q = EventQueue::new();
         for i in 0..65_536u64 {
             q.schedule_at(i * 150_000 / 65_536, Some(i as u32));
         }
-        crate::run_batched(&mut Switch, &mut q);
+        let mut batch = Vec::new();
+        while let Some(t) = q.pop_batch(&mut batch) {
+            for i in batch.drain(..).flatten() {
+                let service = 100 + i.wrapping_mul(2_654_435_761) as Time % 1_400;
+                q.schedule_at(t + service, None);
+            }
+        }
         assert_eq!(q.processed(), 2 * 65_536);
         let work = q.work;
         assert_eq!(work.writes, 2 * 65_536);

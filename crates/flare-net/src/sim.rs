@@ -19,15 +19,14 @@
 //! ([`crate::compute`]) — and can emit packets to arbitrary
 //! ports/destinations, including multicast by emitting one copy per port.
 //!
-//! There is one event loop and one driver: [`NetSim::run`] drains a single
-//! event queue over the whole topology with
-//! [`flare_des::run_batched_until`].
+//! There is one event loop: [`NetSim::run`] drains a single event queue
+//! over the whole topology, one equal-timestamp batch at a time.
 
 use rand::rngs::StdRng;
 use rand::RngExt;
 
 use flare_des::rng::rng_stream;
-use flare_des::{run_batched_until, EventQueue, Simulator, Time};
+use flare_des::{EventQueue, Time};
 
 use crate::compute::{serial_service_ns, ComputeStats, SwitchCompute, SwitchModel};
 use crate::packet::NetPacket;
@@ -217,11 +216,8 @@ impl NetLane<'_> {
             self.with_host(queue, NodeId(node), 0, |prog, ctx| prog.on_start(ctx));
         }
     }
-}
 
-impl Simulator for NetLane<'_> {
-    type Event = NetEvent;
-
+    /// Handle one event at time `t`, possibly scheduling more.
     fn handle(&mut self, t: Time, event: NetEvent, queue: &mut EventQueue<NetEvent>) {
         match event {
             NetEvent::Egress { node, port, pkt } => {
@@ -666,7 +662,24 @@ impl NetSim {
             state: &mut self.state,
         };
         lane.start_hosts(&mut queue);
-        let makespan = run_batched_until(&mut lane, &mut queue, deadline.unwrap_or(Time::MAX));
+        // Events at exactly the deadline still run; the makespan is the
+        // time of the last batch (the clock's start if nothing ran). The
+        // batch buffer is freed before the report is built.
+        let deadline = deadline.unwrap_or(Time::MAX);
+        let makespan = {
+            let mut makespan = queue.now();
+            let mut batch = Vec::new();
+            while queue.peek_time().is_some_and(|t| t <= deadline) {
+                let Some(t) = queue.pop_batch(&mut batch) else {
+                    break;
+                };
+                makespan = t;
+                for ev in batch.drain(..) {
+                    lane.handle(t, ev, &mut queue);
+                }
+            }
+            makespan
+        };
         let links: Vec<LinkTotals> = self
             .state
             .dirs
@@ -1327,6 +1340,28 @@ mod tests {
         let report = sim.run(Some(500));
         assert!(report.makespan <= 500);
         assert_eq!(report.last_done, None);
+    }
+
+    #[test]
+    fn a_wake_at_the_deadline_fires_and_one_just_after_does_not() {
+        struct Waker;
+        impl HostProgram for Waker {
+            fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
+                ctx.wake_in(500, 0);
+                ctx.wake_in(501, 1);
+            }
+            fn on_packet(&mut self, _: &mut HostCtx<'_>, _: NetPacket) {}
+            fn on_wake(&mut self, ctx: &mut HostCtx<'_>, _: u64) {
+                ctx.mark_done();
+            }
+        }
+        let (topo, _sw, hosts) = Topology::star(2, spec());
+        let mut sim = NetSim::new(topo, 1);
+        sim.install_host(hosts[0], Box::new(Waker));
+        let report = sim.run(Some(500));
+        assert_eq!(report.makespan, 500);
+        assert_eq!(report.events, 1);
+        assert_eq!(report.last_done, Some(500));
     }
 
     #[test]

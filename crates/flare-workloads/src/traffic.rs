@@ -448,8 +448,8 @@ impl<'s> TrafficEngine<'s> {
         if self.tenants.is_empty() {
             return Err(TrafficError::NoTenants);
         }
-        // The same checked, thread-resolved knobs `Collective::run` uses,
-        // seeded by the engine.
+        // The same checked knobs `Collective::run` uses, seeded by the
+        // engine.
         let mut tuning = self.session.tuning().validated()?;
         tuning.seed = self.seed;
 
@@ -469,24 +469,8 @@ impl<'s> TrafficEngine<'s> {
                 .collect();
             seq.submit_handles(rank, &mine);
         }
-        let negotiated = seq.negotiate();
-        let mut order: Vec<usize> = Vec::with_capacity(self.tenants.len());
-        for label in &negotiated {
-            if let Some(i) = self
-                .tenants
-                .iter()
-                .position(|t| t.handle.label() == label.as_str())
-            {
-                if !order.contains(&i) {
-                    order.push(i);
-                }
-            }
-        }
-        for i in 0..self.tenants.len() {
-            if !order.contains(&i) {
-                order.push(i);
-            }
-        }
+        let labels = self.tenants.iter().map(|t| t.handle.label());
+        let order = issue_order(labels, &seq.negotiate());
 
         // Per-tenant static config shared by its cells, the flow's wiring
         // first: it is where every switch program and every iteration's
@@ -1001,6 +985,31 @@ impl SwitchProgram for TrafficSwitch {
     }
 }
 
+/// Tenant indexes in issue order: each `negotiated` label places the
+/// first tenant of that label (in admission order, `labels`) that has no
+/// place yet, so repeated labels keep their admission order; tenants left
+/// out follow in admission order.
+fn issue_order<'a>(
+    labels: impl Iterator<Item = &'a str> + Clone,
+    negotiated: &[String],
+) -> Vec<usize> {
+    let tenants = labels.clone().count();
+    let mut order: Vec<usize> = Vec::with_capacity(tenants);
+    for label in negotiated {
+        let first_unplaced = labels
+            .clone()
+            .enumerate()
+            .find(|&(i, l)| l == label && !order.contains(&i));
+        order.extend(first_unplaced.map(|(i, _)| i));
+    }
+    for i in 0..tenants {
+        if !order.contains(&i) {
+            order.push(i);
+        }
+    }
+    order
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1031,6 +1040,30 @@ mod tests {
             ArrivalProcess::Trace(vec![30, 10, 20]).times(7, 0),
             Ok(vec![10, 20, 30])
         );
+    }
+
+    #[test]
+    fn issue_order_places_each_negotiated_label_once() {
+        // Every rank submits its tenants in admission order, as `run` does.
+        let negotiate = |labels: &[&str]| {
+            let mut seq = Sequencer::new();
+            for rank in 0..3 {
+                seq.submit(rank, labels);
+            }
+            seq.negotiate()
+        };
+        // A repeated label keeps its tenants in admission order.
+        let labels = ["a", "a", "b"];
+        let order = issue_order(labels.into_iter(), &negotiate(&labels));
+        assert_eq!(order, [0, 1, 2]);
+        let labels = ["a", "b", "a", "b"];
+        let order = issue_order(labels.into_iter(), &negotiate(&labels));
+        assert_eq!(order, [0, 1, 2, 3]);
+        // Unique names: the negotiated labels lead, the rest follow in
+        // admission order.
+        let negotiated = ["c".to_string(), "a".to_string()];
+        let order = issue_order(["a", "b", "c"].into_iter(), &negotiated);
+        assert_eq!(order, [2, 0, 1]);
     }
 
     #[test]

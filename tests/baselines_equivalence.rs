@@ -6,6 +6,7 @@ use flare::baselines::ring::{ring_allreduce, RingHost};
 use flare::baselines::sparcml::{sparcml_allreduce, SparcmlHost};
 use flare::core::host::result_sink;
 use flare::core::op::{golden_reduce, Sum};
+use flare::core::session::FlareSession;
 use flare::net::{LinkSpec, NetSim, Topology};
 use flare::workloads::{densify_f32, sparsify_random_k};
 
@@ -163,8 +164,9 @@ fn sparcml_switches_to_dense_when_data_densifies() {
 
 #[test]
 fn ring_transmits_roughly_twice_the_in_network_bytes() {
-    // Section 1's motivating comparison, measured on the simulator: ring
-    // host traffic ≈ 2Z per host vs Z for Flare.
+    // Section 1's motivating comparison in closed form: ring host traffic
+    // ≈ 2Z per host vs Z for Flare (measured on the simulator by
+    // `ring_link_bytes_are_2_p_minus_1_over_p_of_flares_on_a_star`).
     use flare::baselines::recdouble::{recdouble_bytes_per_host, ring_bytes_per_host};
     let z = 1u64 << 20;
     for p in [8usize, 16, 64] {
@@ -172,5 +174,54 @@ fn ring_transmits_roughly_twice_the_in_network_bytes() {
         let ring = ring_bytes_per_host(z, p);
         assert!(ring > z * 17 / 10 && ring < 2 * z, "p={p}: {ring}");
         assert!(recdouble_bytes_per_host(z, p) >= ring);
+    }
+}
+
+#[test]
+fn ring_link_bytes_are_2_p_minus_1_over_p_of_flares_on_a_star() {
+    // Section 1's comparison measured: a ring and a Flare dense allreduce
+    // of the same Z on a star. A ring segment carries as many bytes as a
+    // Flare packet, both add a 16-byte header, and Z/P is a whole number
+    // of segments, so each run's link bytes have a closed form and their
+    // ratio is exactly 2(P−1)/P.
+    const PAYLOAD: u64 = 1024;
+    const HEADER: u64 = 16;
+    let z = 16 * 1024usize; // i32 elements
+    for p in [4usize, 8, 16] {
+        let inputs: Vec<Vec<i32>> = (0..p)
+            .map(|r| (0..z).map(|i| (r * 31 + i) as i32).collect())
+            .collect();
+        let want = golden_reduce(&Sum, &inputs);
+        let (topo, _sw, hosts) = Topology::star(p, LinkSpec::hundred_gig());
+        let mut sim = NetSim::new(topo, 1);
+        let mut sinks = Vec::new();
+        for (rank, &h) in hosts.iter().enumerate() {
+            let sink = result_sink();
+            sinks.push(sink.clone());
+            let data = inputs[rank].clone();
+            let host = RingHost::new(rank, hosts.clone(), 42, Sum, data, PAYLOAD as usize, sink);
+            sim.install_host(h, Box::new(host));
+        }
+        let ring = sim.run(None).total_link_bytes;
+        for (rank, sink) in sinks.iter().enumerate() {
+            assert_eq!(sink.lock().unwrap().as_ref().unwrap(), &want, "rank {rank}");
+        }
+
+        let (topo, _sw, _hosts) = Topology::star(p, LinkSpec::hundred_gig());
+        let out = FlareSession::builder(topo).build().allreduce(inputs).run();
+        let out = out.expect("the star admits the allreduce");
+        assert!(out.ranks().iter().all(|r| *r == want), "p={p}");
+        let flare = out.report.total_link_bytes();
+
+        // Packets on links. Ring: each host sends 2(P−1) chunks of Z/P,
+        // and a segment crosses two links (host to switch to host). Flare:
+        // each host sends Z up, and the switch sends the result down to
+        // each host.
+        let (p64, z_bytes) = (p as u64, 4 * z as u64);
+        let ring_packets = 2 * p64 * 2 * (p64 - 1) * (z_bytes / p64 / PAYLOAD);
+        let flare_packets = 2 * p64 * (z_bytes / PAYLOAD);
+        assert_eq!(ring, ring_packets * (PAYLOAD + HEADER), "ring, p={p}");
+        assert_eq!(flare, flare_packets * (PAYLOAD + HEADER), "flare, p={p}");
+        assert_eq!(ring * p64, flare * 2 * (p64 - 1), "p={p}");
     }
 }

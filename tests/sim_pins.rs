@@ -5,8 +5,8 @@
 //! changed what the simulator computes, not how fast it computes it —
 //! host-side performance is `benchmark/`'s job (see `benchmark/README.md`).
 //!
-//! There is one driver, so every row has one value: `FLARE_DES_THREADS`
-//! and the builder's thread count are validated but change nothing.
+//! There is one event loop ([`flare::net::NetSim::run`]), so every row
+//! has one value.
 //!
 //! Rows are grouped into `#[test]`s by debug-build cost (the harness runs
 //! two at a time): the three ~5 s rows get a test each, and the 1 024-host
