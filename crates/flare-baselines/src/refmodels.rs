@@ -14,8 +14,6 @@ use flare_core::dtype::Element;
 pub const SWITCHML_TBPS: f64 = 1.6;
 /// SHARP peak aggregation bandwidth (Tbps).
 pub const SHARP_TBPS: f64 = 3.2;
-/// Elements per packet SwitchML processes without recirculation.
-pub const SWITCHML_ELEMS_PER_PACKET: usize = 32;
 /// SwitchML element slot width on the switch (int32), bytes.
 pub const SWITCHML_SLOT_BYTES: usize = 4;
 

@@ -140,9 +140,9 @@ impl<T: Element, O: ReduceOp<T>> DenseAllreduceHandler<T, O> {
     }
 
     /// Enable (or disable) the loss-recovery replay cache — mirror of
-    /// [`crate::switch_prog::FlareDenseProgram::with_loss_recovery`].
+    /// [`crate::switch_prog::FlareSwitch::with_loss_recovery`].
     pub fn with_loss_recovery(mut self, yes: bool) -> Self {
-        self.core.table.set_loss_recovery(yes);
+        self.core.table.set_loss_recovery(yes, None);
         self
     }
 
@@ -248,9 +248,9 @@ impl<T: Element, O: ReduceOp<T>> SparseAllreduceHandler<T, O> {
     }
 
     /// Enable (or disable) the loss-recovery replay cache — mirror of
-    /// [`crate::switch_prog::FlareSparseProgram::with_loss_recovery`].
+    /// [`crate::switch_prog::FlareSwitch::with_loss_recovery`].
     pub fn with_loss_recovery(mut self, yes: bool) -> Self {
-        self.core.table.set_loss_recovery(yes);
+        self.core.table.set_loss_recovery(yes, None);
         self
     }
 

@@ -18,7 +18,8 @@
 //!   or down, replay on lossy fabrics.
 //! * [`handlers`] / [`switch_prog`] — its two adapters: sPIN packet
 //!   handlers on the PsPIN engine, paying the paper's cycle costs, and
-//!   network-simulator switch programs for system-level runs (Figure 15).
+//!   one network-simulator program per switch for system-level runs
+//!   (Figure 15).
 //! * [`host`] — the one host-side participant (window, stagger,
 //!   retransmission) over a dense or a sparse payload.
 //! * [`pool`] — steady-state allocation recycling: pooled aggregation
@@ -31,8 +32,8 @@
 //!   manager and tuning; the typed [`session::Collective`] builder runs
 //!   dense/sparse allreduce, reduce, broadcast and barrier.
 //! * [`wiring`] — what the manager does once a tree is computed, written
-//!   once: the switch program and the participant of an admitted flow,
-//!   and the one bring-up of a simulation over the session's topology.
+//!   once: the participant of an admitted flow, and the one bring-up of a
+//!   simulation, which installs and reads back every switch program.
 //!   `Collective::run` and the traffic engine both build from it.
 //! * [`report`] — multi-tenant reporting: per-tenant tail statistics
 //!   (p50/p99/max), Jain's fairness index and HPU contention summaries,

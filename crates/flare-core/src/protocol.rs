@@ -315,17 +315,11 @@ impl<B, R: Replay> BlockTable<B, R> {
         }
     }
 
-    /// Keep (or stop keeping) replay entries, in a ring of the default
-    /// size.
-    pub(crate) fn set_loss_recovery(&mut self, yes: bool) {
-        self.lossy = yes.then(|| LossRecovery::new(ReplayRing::<R>::DEFAULT_CAPACITY));
-    }
-
-    /// Size the replay ring, if one is kept.
-    pub(crate) fn set_replay_slots(&mut self, slots: usize) {
-        if let Some(lossy) = &mut self.lossy {
-            lossy.replay = ReplayRing::new(slots);
-        }
+    /// Keep (or stop keeping) replay entries, in a ring of `slots` (by
+    /// default [`ReplayRing::DEFAULT_CAPACITY`]).
+    pub(crate) fn set_loss_recovery(&mut self, yes: bool, slots: Option<usize>) {
+        let slots = slots.unwrap_or(ReplayRing::<R>::DEFAULT_CAPACITY);
+        self.lossy = yes.then(|| LossRecovery::new(slots));
     }
 
     /// Replay-ring slots allocated so far.

@@ -77,12 +77,12 @@ pub fn jain_index(xs: &[f64]) -> f64 {
 /// report speak the same type.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PayloadSpec {
-    /// Dense f32 vector: one `DenseFlareHost` + `FlareDenseProgram` per
-    /// flow (the engine's original v1 path).
+    /// Dense f32 vector: one `DenseFlareHost` per rank and a dense core on
+    /// each switch's `FlareSwitch` (the engine's original v1 path).
     Dense,
     /// Sparsified `(index, value)` gradient at the given density: one
-    /// `SparseFlareHost` + `FlareSparseProgram` per flow, hash storage in
-    /// the tree and array storage at the root (paper Section 7).
+    /// `SparseFlareHost` per rank and a sparse core on each `FlareSwitch`,
+    /// hash storage in the tree and an array at the root (Section 7).
     Sparse {
         /// Fraction of elements that are non-zero, in `(0, 1]`.
         density: f64,

@@ -34,8 +34,7 @@
 use flare_des::Time;
 use flare_model::AggKind;
 use flare_net::{
-    HostProgram, NetReport, NetSim, NodeId, SwitchModel, SwitchProgram, TelemetryConfig,
-    TelemetryReport, Topology,
+    HostProgram, NetReport, NodeId, SwitchModel, TelemetryConfig, TelemetryReport, Topology,
 };
 
 use crate::dtype::Element;
@@ -45,9 +44,7 @@ use crate::manager::{AdmissionError, AllreducePlan, AllreduceRequest, NetworkMan
 use crate::op::{ReduceOp, Sum};
 use crate::tag::FlowTagOverflow;
 use crate::wire::HEADER_BYTES;
-use crate::wiring::{
-    check_participants, run_fabric, wired_stats, FlowInput, FlowShape, FlowWiring,
-};
+use crate::wiring::{check_participants, run_fabric, FlowInput, FlowShape, FlowWiring};
 
 /// Why a collective could not run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1000,11 +997,6 @@ impl<T: Element, O: ReduceOp<T> + Clone + 'static> Collective<'_, T, O> {
             }
         })?;
 
-        let switches = wiring.plan().tree.switches.iter().map(|s| {
-            let program: Box<dyn SwitchProgram> = wiring.switch_program::<T, O>(s, op.clone());
-            (s.switch, program)
-        });
-        let switches = switches.collect();
         let sinks: Vec<ResultSink<T>> = inputs.iter().map(|_| result_sink()).collect();
         let participants = inputs.into_iter().zip(&sinks).enumerate();
         let participants = participants.map(|(rank, (input, sink))| {
@@ -1018,20 +1010,18 @@ impl<T: Element, O: ReduceOp<T> + Clone + 'static> Collective<'_, T, O> {
                 self.session.manager.teardown(id);
             }
         })?;
+        let (net, trace, switches, ()) = run_fabric(
+            self.session,
+            &tuning,
+            None,
+            &[&wiring],
+            op,
+            participants,
+            |_| (),
+        );
         // The most blocks, and working memory, any switch held open.
-        let harvest = |sim: &mut NetSim| {
-            let (mut blocks, mut bytes) = (0, 0);
-            for s in &wiring.plan().tree.switches {
-                let program = sim.take_switch(s.switch);
-                if let Some(stats) = program.and_then(|mut p| wired_stats::<T, O>(p.as_mut())) {
-                    blocks = blocks.max(stats.open_peak);
-                    bytes = bytes.max(wiring.open_bytes(s, &stats));
-                }
-            }
-            (blocks, bytes)
-        };
-        let (net, trace, (open_peak, open_peak_bytes)) =
-            run_fabric(self.session, &tuning, None, switches, participants, harvest);
+        let open_peak = switches.iter().map(|s| s.stats.open_peak).max();
+        let open_peak_bytes = switches.iter().map(|s| s.open_bytes).max();
         if owned {
             self.session.manager.teardown(id);
         }
@@ -1057,8 +1047,8 @@ impl<T: Element, O: ReduceOp<T> + Clone + 'static> Collective<'_, T, O> {
             algorithm: plan.algorithm,
             window: plan.window,
             reserved_bytes: plan.max_reserved_bytes(),
-            open_peak,
-            open_peak_bytes,
+            open_peak: open_peak.unwrap_or(0),
+            open_peak_bytes: open_peak_bytes.unwrap_or(0),
             tree_depth: plan.tree.max_depth(),
             net,
             tenants: None,

@@ -1,22 +1,24 @@
 //! Flare as an in-network program for the system-level simulator.
 //!
-//! One [`FlareDenseProgram`] / [`FlareSparseProgram`] instance is installed
-//! per (switch, allreduce): built by
-//! [`FlowWiring::switch_program`](crate::wiring::FlowWiring::switch_program)
-//! from the network manager's plan, for a one-shot collective and for a
-//! traffic-engine tenant alike. Contributions flow *up*
+//! One [`FlareSwitch`] is installed per switch, and it serves every
+//! allreduce the network manager routed through that switch, dispatching
+//! each packet by its allreduce id (paper Sections 3–4): a one-shot
+//! collective's one flow and a traffic engine's tenants alike.
+//! [`run_fabric`](crate::wiring::run_fabric) builds it from the flows'
+//! plans and reads it back after the run. Contributions flow *up*
 //! the reduction tree (aggregated at every switch), results flow *down*
 //! (replicated to every child); sparse spills are forwarded up immediately
 //! and re-aggregated by the parent (paper Section 7).
 //!
-//! Both programs are adapters: they parse the packet, charge the switch
-//! for it, and hand it to the one block protocol in `protocol.rs` as its
-//! NetSim side — emissions go to the [`TreePlacement`]'s parent and
-//! children at the packet's processing-done time. That core keeps the
-//! per-packet datapath zero-copy and allocation-free in steady state
-//! (contributions fold straight out of the packet bytes via
+//! The switch is an adapter: it parses the packet, charges the switch for
+//! it, and hands it to its flow's core, the one block protocol of
+//! `protocol.rs`, as its NetSim side — emissions go to the parent and
+//! children of the flow's [`TreePlacement`] at the packet's
+//! processing-done time. That core keeps the per-packet datapath
+//! zero-copy and allocation-free in steady state (contributions fold
+//! straight out of the packet bytes via
 //! [`DenseView`]/[`SparseView`], aggregation buffers cycle through
-//! per-program pools, a result is encoded once into a payload block from
+//! per-flow pools, a result is encoded once into a payload block from
 //! the thread's free list and multicast by `Bytes` refcount) and, on
 //! lossy sessions (`with_loss_recovery`), implements the paper's Section
 //! 4.1 recovery: duplicate contributions are rejected, and a
@@ -116,147 +118,168 @@ impl std::ops::AddAssign for ProgramStats {
     }
 }
 
-/// Dense Flare aggregation program for one switch.
-///
-/// Functionally the aggregation uses the reproducible combining tree for
-/// every configuration — on the single-threaded network simulator the
-/// single/multi/tree distinction only changes switch timing, which is
-/// captured by the calibrated processing rate instead.
-pub struct FlareDenseProgram<T: Element, O> {
+/// One allreduce a [`FlareSwitch`] serves.
+struct Flow<T: Element, O> {
     place: TreePlacement,
-    core: DenseCore<T, O, TreeBlock<T>>,
+    /// Wire bytes of the flow's packets this switch matched.
+    bytes: u64,
+    core: Core<T, O>,
 }
 
-impl<T: Element, O: ReduceOp<T>> FlareDenseProgram<T, O> {
-    /// Create the program for one switch of the tree.
-    pub fn new(place: TreePlacement, op: O) -> Self {
-        Self {
-            core: DenseCore::new(place.children.len() as u16, op),
+/// A flow's block protocol, by payload. Dense blocks fold into the
+/// reproducible combining tree for every configuration: on the network
+/// simulator the single/multi/tree distinction only changes switch timing,
+/// which the calibrated processing rate captures instead.
+enum Core<T: Element, O> {
+    Dense(DenseCore<T, O, TreeBlock<T>>),
+    Sparse(SparseCore<T, O>),
+}
+
+/// The Flare program of one switch: every allreduce the network manager
+/// routed through it, each at its own place in its own tree. Packets go to
+/// their flow's core by allreduce id; packets of any other flow are
+/// forwarded normally. The flows share the switch's compute model (HPU
+/// cores, rate limit), so contention between them is physical, not
+/// modeled.
+pub struct FlareSwitch<T: Element, O> {
+    flows: Box<[Flow<T, O>]>,
+}
+
+impl<T: Element, O: ReduceOp<T>> FlareSwitch<T, O> {
+    fn serving(place: TreePlacement, core: Core<T, O>) -> Self {
+        let flow = Flow {
             place,
-        }
-    }
-
-    /// Enable (or disable) the loss-recovery replay cache. The session
-    /// turns this on whenever `link_drop_prob > 0`; reliable runs leave
-    /// it off so completed payloads go back to the free lists instead of
-    /// being pinned for replays that can never be requested.
-    pub fn with_loss_recovery(mut self, yes: bool) -> Self {
-        self.core.table.set_loss_recovery(yes);
-        self
-    }
-
-    /// Size the replay ring, if one is kept
-    /// ([`FlowWiring`](crate::wiring::FlowWiring) knows how many blocks the
-    /// flow has; the default is for a caller that does not).
-    pub(crate) fn replay_slots(mut self, slots: usize) -> Self {
-        self.core.table.set_replay_slots(slots);
-        self
-    }
-
-    /// Recycling counters for steady-state zero-allocation assertions.
-    pub fn stats(&self) -> ProgramStats {
-        self.core.stats()
-    }
-}
-
-impl<T: Element, O: ReduceOp<T> + 'static> SwitchProgram for FlareDenseProgram<T, O> {
-    fn matches(&self, pkt: &NetPacket) -> bool {
-        pkt.flow == self.place.allreduce
-    }
-
-    fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, _in_port: PortId, pkt: NetPacket) {
-        let Ok((header, vals)) = DenseView::<T>::parse(&pkt.payload) else {
-            return;
+            bytes: 0,
+            core,
         };
-        let contrib = match header.kind {
-            PacketKind::DenseContrib => true,
-            PacketKind::DenseResult => false,
-            _ => return,
-        };
-        let at = ctx.processing_done_for(pkt.block, pkt.wire_bytes);
-        let place = &self.place;
-        let open = |spare: Option<TreeBlock<T>>| {
-            spare.unwrap_or_else(|| TreeBlock::new(place.children.len() as u16))
-        };
-        let mut side = Side::Net { ctx, place, at };
-        if contrib {
-            self.core
-                .on_contrib(&mut side, pkt.block, &header, &vals, open, None);
-        } else {
-            self.core.on_result(&mut side, pkt.block, &pkt.payload);
-        }
+        let flows = Box::new([flow]);
+        Self { flows }
     }
 
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
+    /// A switch serving one dense allreduce at `place`.
+    pub fn dense(place: TreePlacement, op: O) -> Self {
+        let core = DenseCore::new(place.children.len() as u16, op);
+        Self::serving(place, Core::Dense(core))
     }
-}
 
-/// Sparse Flare aggregation program for one switch (Section 7). Leaves
-/// typically use hash storage, the root an array (paper: data densifies
-/// toward the root).
-pub struct FlareSparseProgram<T: Element, O> {
-    place: TreePlacement,
-    core: SparseCore<T, O>,
-}
-
-impl<T: Element, O: ReduceOp<T>> FlareSparseProgram<T, O> {
-    /// Create the program for one switch of the tree.
-    pub fn new(
+    /// A switch serving one sparse allreduce at `place` (Section 7).
+    /// Leaves typically use hash storage, the root an array (paper: data
+    /// densifies toward the root).
+    pub fn sparse(
         place: TreePlacement,
         op: O,
         storage: SparseStorageKind,
         pairs_per_packet: usize,
     ) -> Self {
         let children = place.children.len() as u16;
-        Self {
-            core: SparseCore::new(children, op, storage, pairs_per_packet),
-            place,
+        let core = SparseCore::new(children, op, storage, pairs_per_packet);
+        Self::serving(place, Core::Sparse(core))
+    }
+
+    /// Serve `other`'s flows too, after this switch's own.
+    pub fn join(self, other: Self) -> Self {
+        let mut flows = self.flows.into_vec();
+        flows.extend(other.flows);
+        let flows = flows.into_boxed_slice();
+        Self { flows }
+    }
+
+    /// Enable (or disable) every flow's loss-recovery replay cache. The
+    /// session turns this on whenever `link_drop_prob > 0`; reliable runs
+    /// leave it off so completed payloads go back to the free lists instead
+    /// of being pinned for replays that can never be requested.
+    pub fn with_loss_recovery(self, yes: bool) -> Self {
+        self.loss_recovery(yes, None)
+    }
+
+    /// [`with_loss_recovery`](Self::with_loss_recovery) with replay rings
+    /// of `slots` ([`FlowWiring`](crate::wiring::FlowWiring) knows how
+    /// many blocks a flow has; the default is for a caller that does not).
+    pub(crate) fn loss_recovery(mut self, yes: bool, slots: Option<usize>) -> Self {
+        for flow in self.flows.iter_mut() {
+            match &mut flow.core {
+                Core::Dense(core) => core.table.set_loss_recovery(yes, slots),
+                Core::Sparse(core) => core.table.set_loss_recovery(yes, slots),
+            }
         }
-    }
-
-    /// Enable (or disable) the loss-recovery replay caches; see
-    /// [`FlareDenseProgram::with_loss_recovery`].
-    pub fn with_loss_recovery(mut self, yes: bool) -> Self {
-        self.core.table.set_loss_recovery(yes);
         self
     }
 
-    /// Size the replay ring; see [`FlareDenseProgram::replay_slots`].
-    pub(crate) fn replay_slots(mut self, slots: usize) -> Self {
-        self.core.table.set_replay_slots(slots);
-        self
+    /// The wire bytes this switch matched for `allreduce` and the counters
+    /// of its flow; `None` if the switch does not serve it.
+    pub fn flow(&self, allreduce: u32) -> Option<(u64, ProgramStats)> {
+        let flow = self.flows.iter().find(|f| f.place.allreduce == allreduce)?;
+        Some((flow.bytes, flow.core.stats()))
     }
 
-    /// Recycling counters for steady-state zero-allocation assertions.
+    /// Recycling and recovery counters, summed over the flows.
     pub fn stats(&self) -> ProgramStats {
-        self.core.stats()
+        let mut sum = ProgramStats::default();
+        self.flows.iter().for_each(|flow| sum += flow.core.stats());
+        sum
     }
 }
 
-impl<T: Element, O: ReduceOp<T> + 'static> SwitchProgram for FlareSparseProgram<T, O> {
+impl<T: Element, O: ReduceOp<T>> Core<T, O> {
+    fn stats(&self) -> ProgramStats {
+        match self {
+            Core::Dense(core) => core.stats(),
+            Core::Sparse(core) => core.stats(),
+        }
+    }
+}
+
+impl<T: Element, O: ReduceOp<T> + 'static> SwitchProgram for FlareSwitch<T, O> {
     fn matches(&self, pkt: &NetPacket) -> bool {
-        pkt.flow == self.place.allreduce
+        self.flows.iter().any(|f| f.place.allreduce == pkt.flow)
     }
 
     fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, _in_port: PortId, pkt: NetPacket) {
-        let Ok((header, pairs)) = SparseView::<T>::parse(&pkt.payload) else {
-            return;
-        };
-        let contrib = match header.kind {
-            PacketKind::SparseContrib | PacketKind::SparseSpill => true,
-            PacketKind::SparseResult => false,
-            _ => return,
-        };
-        let at = ctx.processing_done_for(pkt.block, pkt.wire_bytes);
-        let place = &self.place;
-        let mut side = Side::Net { ctx, place, at };
-        if contrib {
-            self.core
-                .on_contrib(&mut side, pkt.block, &header, &pairs, None);
-        } else {
-            self.core
-                .on_result(&mut side, pkt.block, &header, &pkt.payload);
+        let flow = self
+            .flows
+            .iter_mut()
+            .find(|f| f.place.allreduce == pkt.flow);
+        let Some(flow) = flow else { return };
+        flow.bytes += pkt.wire_bytes as u64;
+        let place = &flow.place;
+        match &mut flow.core {
+            Core::Dense(core) => {
+                let Ok((header, vals)) = DenseView::<T>::parse(&pkt.payload) else {
+                    return;
+                };
+                let contrib = match header.kind {
+                    PacketKind::DenseContrib => true,
+                    PacketKind::DenseResult => false,
+                    _ => return,
+                };
+                let at = ctx.processing_done_for(pkt.block, pkt.wire_bytes);
+                let open = |spare: Option<TreeBlock<T>>| {
+                    spare.unwrap_or_else(|| TreeBlock::new(place.children.len() as u16))
+                };
+                let mut side = Side::Net { ctx, place, at };
+                if contrib {
+                    core.on_contrib(&mut side, pkt.block, &header, &vals, open, None);
+                } else {
+                    core.on_result(&mut side, pkt.block, &pkt.payload);
+                }
+            }
+            Core::Sparse(core) => {
+                let Ok((header, pairs)) = SparseView::<T>::parse(&pkt.payload) else {
+                    return;
+                };
+                let contrib = match header.kind {
+                    PacketKind::SparseContrib | PacketKind::SparseSpill => true,
+                    PacketKind::SparseResult => false,
+                    _ => return,
+                };
+                let at = ctx.processing_done_for(pkt.block, pkt.wire_bytes);
+                let mut side = Side::Net { ctx, place, at };
+                if contrib {
+                    core.on_contrib(&mut side, pkt.block, &header, &pairs, None);
+                } else {
+                    core.on_result(&mut side, pkt.block, &header, &pkt.payload);
+                }
+            }
         }
     }
 
@@ -278,7 +301,7 @@ mod tests {
             children: vec![NodeId(1), NodeId(2)],
             my_child_index: 1,
         };
-        let prog: FlareDenseProgram<i32, Sum> = FlareDenseProgram::new(p, Sum);
+        let prog: FlareSwitch<i32, Sum> = FlareSwitch::dense(p, Sum);
         let pkt = NetPacket::new(NodeId(1), NodeId(0), 3, 0, 0, 0, 0, bytes::Bytes::new());
         assert!(prog.matches(&pkt));
         let other = NetPacket::new(NodeId(1), NodeId(0), 4, 0, 0, 0, 0, bytes::Bytes::new());
@@ -289,12 +312,16 @@ mod tests {
     fn dense_slab_entries_are_bare_tree_blocks() {
         // 1 024 inline slab slots per program, 128 programs at 512 hosts:
         // a word more per entry is a measurable share of peak heap.
-        type Program = FlareDenseProgram<f32, Sum>;
-        fn entry_bytes<D>(_: fn(&Program) -> &DenseCore<f32, Sum, D>) -> usize {
+        type Program = FlareSwitch<f32, Sum>;
+        fn entry_bytes<D>(_: fn(&Program) -> Option<&DenseCore<f32, Sum, D>>) -> usize {
             std::mem::size_of::<D>()
         }
         let tree_block = std::mem::size_of::<TreeBlock<f32>>();
-        assert_eq!(entry_bytes(|program| &program.core), tree_block);
+        let dense = entry_bytes(|program| match &program.flows[0].core {
+            Core::Dense(core) => Some(core),
+            Core::Sparse(_) => None,
+        });
+        assert_eq!(dense, tree_block);
     }
 
     #[test]
@@ -313,7 +340,7 @@ mod tests {
                 children: hosts.clone(),
                 my_child_index: 0,
             };
-            let prog = FlareDenseProgram::<i32, Sum>::new(place, Sum).with_loss_recovery(lossy);
+            let prog = FlareSwitch::<i32, Sum>::dense(place, Sum).with_loss_recovery(lossy);
             sim.install_switch(sw, Box::new(prog), 512.0);
             for (rank, &h) in hosts.iter().enumerate() {
                 let cfg = HostConfig {
@@ -331,8 +358,11 @@ mod tests {
             assert!(sim.run(None).last_done.is_some(), "allreduce completes");
             let mut prog = sim.take_switch(sw).expect("installed");
             let prog = prog.as_any_mut().expect("opts in").downcast_mut();
-            let prog: &mut FlareDenseProgram<i32, Sum> = prog.expect("concrete type");
-            prog.core.table.replay_slots_allocated()
+            let prog: &mut FlareSwitch<i32, Sum> = prog.expect("concrete type");
+            match &prog.flows[0].core {
+                Core::Dense(core) => core.table.replay_slots_allocated(),
+                Core::Sparse(_) => unreachable!("a dense flow"),
+            }
         };
         assert_eq!(replay_slots(false), 0);
         assert_eq!(replay_slots(true), 1024, "a lossy fabric does cache");
@@ -346,7 +376,7 @@ mod tests {
             children: vec![NodeId(1)],
             my_child_index: 0,
         };
-        let prog: FlareSparseProgram<f32, Sum> = FlareSparseProgram::new(
+        let prog: FlareSwitch<f32, Sum> = FlareSwitch::sparse(
             p,
             Sum,
             SparseStorageKind::Hash {
@@ -359,5 +389,99 @@ mod tests {
         assert_eq!(s.agg_pool.gets, 0);
         assert_eq!(s.byte_pool.hit_rate(), 1.0);
         assert_eq!(s.slab.collisions, 0);
+    }
+
+    #[test]
+    fn one_switch_serves_a_dense_and_a_sparse_flow_at_once() {
+        // Hosts 0–1 reduce a dense vector (flow 1), hosts 2–3 a sparse one
+        // (flow 2), and host 4 sends host 5 a packet of flow 3, which the
+        // switch does not serve.
+        use crate::host::{result_sink, DenseFlareHost, HostConfig, SparseFlareHost};
+        use crate::op::golden_reduce;
+        use flare_net::{HostCtx, HostProgram, LinkSpec, NetSim, TelemetryConfig, Topology};
+        struct Stray(NodeId);
+        impl HostProgram for Stray {
+            fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
+                let payload = bytes::Bytes::from(vec![0u8; 100]);
+                ctx.send(NetPacket::new(ctx.node(), self.0, 3, 0, 0, 0, 0, payload));
+            }
+            fn on_packet(&mut self, ctx: &mut HostCtx<'_>, _pkt: NetPacket) {
+                ctx.mark_done();
+            }
+        }
+        let (topo, sw, hosts) = Topology::star(6, LinkSpec::hundred_gig());
+        let mut sim = NetSim::new(topo, 1);
+        sim.enable_telemetry(TelemetryConfig { bucket_ns: 1_000 });
+        let place = |allreduce, children: &[NodeId]| TreePlacement {
+            allreduce,
+            parent: None,
+            children: children.to_vec(),
+            my_child_index: 0,
+        };
+        let (total, span, ppp) = (48, 16, 2);
+        let storage = SparseStorageKind::Array { span };
+        let sparse = FlareSwitch::sparse(place(2, &hosts[2..4]), Sum, storage, ppp);
+        let switch = FlareSwitch::<i32, Sum>::dense(place(1, &hosts[..2]), Sum).join(sparse);
+        sim.install_switch(sw, Box::new(switch), 512.0);
+        let cfg = |allreduce, rank: usize| HostConfig {
+            allreduce,
+            leaf: sw,
+            child_index: rank as u16,
+            window: 4,
+            stagger_offset: 0,
+            retransmit_after: None,
+            iteration: 0,
+        };
+        let dense_in: Vec<Vec<i32>> = vec![(0..64).collect(), (0..64).map(|i| 3 * i).collect()];
+        let sparse_in: Vec<Vec<(u32, i32)>> = vec![
+            vec![(1, 5), (17, 2), (20, 4), (40, 7)],
+            vec![(1, 1), (33, 4)],
+        ];
+        let (dense_sink, sparse_sink) = (result_sink(), result_sink());
+        for rank in 0..2 {
+            let data = dense_in[rank].clone();
+            let host = DenseFlareHost::new(cfg(1, rank), 8, data, dense_sink.clone());
+            sim.install_host(hosts[rank], Box::new(host));
+            let pairs = sparse_in[rank].clone();
+            let sink = sparse_sink.clone();
+            let host = SparseFlareHost::new(cfg(2, rank), Sum, total, span, ppp, pairs, sink);
+            sim.install_host(hosts[2 + rank], Box::new(host));
+        }
+        sim.install_host(hosts[4], Box::new(Stray(hosts[5])));
+        sim.install_host(hosts[5], Box::new(Stray(hosts[4])));
+        let net = sim.run(None);
+
+        let got = |sink: &crate::host::ResultSink<i32>| sink.lock().unwrap().take();
+        assert_eq!(got(&dense_sink), Some(golden_reduce(&Sum, &dense_in)));
+        let densify = |pairs: &Vec<(u32, i32)>| {
+            let mut v = vec![0; total];
+            pairs.iter().for_each(|&(i, x)| v[i as usize] += x);
+            v
+        };
+        let sparse_dense: Vec<Vec<i32>> = sparse_in.iter().map(densify).collect();
+        assert_eq!(got(&sparse_sink), Some(golden_reduce(&Sum, &sparse_dense)));
+        assert!(
+            net.done_at[hosts[5].index()].is_some(),
+            "flow 3 was forwarded"
+        );
+
+        // A star's switch matches exactly what its flow's hosts send it.
+        let trace = sim.take_telemetry().expect("telemetry on");
+        let uplink = |h: NodeId| -> u64 {
+            let link = trace.links.iter().find(|l| l.a == h.0 || l.b == h.0);
+            let link = link.expect("every host is linked");
+            let up = &link.dirs[usize::from(link.b == h.0)];
+            up.buckets.iter().map(|b| b.bytes).sum()
+        };
+        let mut prog = sim.take_switch(sw).expect("installed");
+        let prog = prog.as_any_mut().expect("opts in").downcast_ref();
+        let prog: &FlareSwitch<i32, Sum> = prog.expect("concrete type");
+        for (flow, senders) in [(1, &hosts[..2]), (2, &hosts[2..4])] {
+            let (bytes, _) = prog.flow(flow).expect("served");
+            let sent: u64 = senders.iter().map(|&h| uplink(h)).sum();
+            assert!(sent > 0);
+            assert_eq!(bytes, sent, "flow {flow}");
+        }
+        assert!(prog.flow(3).is_none());
     }
 }

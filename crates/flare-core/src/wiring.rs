@@ -3,13 +3,14 @@
 //! start one windowed sender per host, run the fabric.
 //!
 //! A [`FlowWiring`] is an admitted plan plus a payload [`FlowShape`] plus
-//! the validated [`Tuning`]: it builds the Flare program of a tree switch
-//! ([`FlowWiring::switch_program`]) and the participant of a rank for one
-//! iteration ([`FlowWiring::host`]). [`run_fabric`] is the one bring-up of
-//! a [`NetSim`] over the session's topology. `Collective::run` wires one
-//! flow and installs its programs directly; the `flare-workloads` traffic
-//! engine wires one flow per tenant behind its own multiplexers. Neither
-//! constructs a program, a host or a simulation itself.
+//! the validated [`Tuning`]: it builds the participant of a rank for one
+//! iteration ([`FlowWiring::host`]) and its flow's share of a tree
+//! switch's program. [`run_fabric`] is the one bring-up of a [`NetSim`]
+//! over the session's topology: it installs one [`FlareSwitch`] per switch
+//! of the flows' trees, serving every flow routed through it, and reads
+//! back what each flow did there. `Collective::run` wires one flow; the
+//! `flare-workloads` traffic engine wires one flow per tenant. Neither
+//! constructs a switch program, a host or a simulation itself.
 //!
 //! The third thing assembled here is the single-switch run of the paper's
 //! Sections 6.4 and 7 ([`SwitchRun`]): `P` ports offering 1 KiB packets to
@@ -24,7 +25,7 @@ use std::collections::HashSet;
 use bytes::Bytes;
 use flare_des::Time;
 use flare_model::{AggKind, SwitchParams};
-use flare_net::{HostProgram, NetReport, NetSim, NodeId, SwitchProgram, TelemetryReport};
+use flare_net::{HostProgram, NetReport, NetSim, NodeId, TelemetryReport};
 use flare_pspin::engine::run_trace;
 use flare_pspin::{
     ArrivalTrace, Engine, PacketHandler, PspinConfig, Report, StaggerMode, TraceConfig,
@@ -42,7 +43,7 @@ use crate::manager::{AllreducePlan, TreeSwitch};
 use crate::op::{ReduceOp, Sum};
 use crate::pool::ReplayRing;
 use crate::session::{FlareSession, SessionError, SparsePolicy, Tuning};
-use crate::switch_prog::{FlareDenseProgram, FlareSparseProgram, ProgramStats, TreePlacement};
+use crate::switch_prog::{FlareSwitch, ProgramStats, TreePlacement};
 use crate::tag::FlowTag;
 use crate::wire::{encode_dense, encode_sparse, Header, PacketKind};
 
@@ -86,42 +87,6 @@ pub enum FlowInput<T> {
     Dense(Vec<T>),
     /// The rank's sparsified `(global index, value)` list.
     Sparse(Vec<(u32, T)>),
-}
-
-/// A tree switch's Flare program with its payload erased, as
-/// [`FlowWiring::switch_program`] hands it out.
-pub trait WiredSwitch: SwitchProgram {
-    /// Recycling counters of the program.
-    fn stats(&self) -> ProgramStats;
-}
-
-// Both impls forward to the program's inherent `stats`, which method
-// resolution picks over the trait's.
-impl<T: Element, O: ReduceOp<T> + 'static> WiredSwitch for FlareDenseProgram<T, O> {
-    fn stats(&self) -> ProgramStats {
-        self.stats()
-    }
-}
-
-impl<T: Element, O: ReduceOp<T> + 'static> WiredSwitch for FlareSparseProgram<T, O> {
-    fn stats(&self) -> ProgramStats {
-        self.stats()
-    }
-}
-
-/// The counters of a program [`FlowWiring::switch_program`] built for `T`
-/// reduced by `O`, read back from the simulation it was installed in;
-/// `None` for any other program.
-pub(crate) fn wired_stats<T: Element, O: ReduceOp<T> + 'static>(
-    program: &mut dyn SwitchProgram,
-) -> Option<ProgramStats> {
-    let program = program.as_any_mut()?;
-    match program.downcast_ref::<FlareDenseProgram<T, O>>() {
-        Some(dense) => Some(dense.stats()),
-        None => program
-            .downcast_ref::<FlareSparseProgram<T, O>>()
-            .map(|sparse| sparse.stats()),
-    }
 }
 
 /// A rank's participant with its payload erased, as [`FlowWiring::host`]
@@ -266,18 +231,7 @@ impl FlowWiring {
         &self.hosts
     }
 
-    /// Working memory the open blocks of tree switch `switch` held at
-    /// their peak, in bytes, from its program's `stats`: its most blocks
-    /// open at once × `M` × packet bytes, what admission reserved
-    /// [`AllreducePlan::window`] of.
-    pub fn open_bytes(&self, switch: &TreeSwitch, stats: &ProgramStats) -> u64 {
-        let block = self
-            .plan
-            .block_bytes(switch.children.len(), self.tuning.packet_bytes);
-        stats.open_peak as u64 * block
-    }
-
-    /// Replay-ring slots of one switch program of this flow (lossy fabrics
+    /// Replay-ring slots of this flow on one switch (lossy fabrics
     /// only; every cached result pins its payload until its slot is
     /// reused). An entry must outlive every poke for its block, and pokes
     /// come from hosts that still have the block in flight. A host counts
@@ -299,35 +253,28 @@ impl FlowWiring {
         }
     }
 
-    /// The Flare program of tree switch `switch` for this flow, reducing
+    /// Tree switch `switch`'s program serving this flow alone, reducing
     /// with `op`: hash storage in the tree and an array at the densified
     /// root for a sparse flow, replay caches only on a lossy fabric.
-    pub fn switch_program<T: Element, O: ReduceOp<T> + 'static>(
+    fn switch_program<T: Element, O: ReduceOp<T>>(
         &self,
         switch: &TreeSwitch,
         op: O,
-    ) -> Box<dyn WiredSwitch> {
+    ) -> FlareSwitch<T, O> {
         let place = TreePlacement {
             allreduce: self.plan.id,
             parent: switch.parent,
             children: switch.children.clone(),
             my_child_index: switch.my_child_index,
         };
-        let lossy = self.tuning.lossy();
-        let slots = self.replay_slots();
-        match self.shape {
-            FlowShape::Dense { .. } => {
-                let prog: FlareDenseProgram<T, O> = FlareDenseProgram::new(place, op);
-                Box::new(prog.with_loss_recovery(lossy).replay_slots(slots))
-            }
+        let prog = match self.shape {
+            FlowShape::Dense { .. } => FlareSwitch::dense(place, op),
             FlowShape::Sparse { policy, .. } => {
                 let storage = policy.storage_at(switch.parent.is_none());
-                let ppp = self.tuning.pairs_per_packet;
-                let prog: FlareSparseProgram<T, O> =
-                    FlareSparseProgram::new(place, op, storage, ppp);
-                Box::new(prog.with_loss_recovery(lossy).replay_slots(slots))
+                FlareSwitch::sparse(place, op, storage, self.tuning.pairs_per_packet)
             }
-        }
+        };
+        prog.loss_recovery(self.tuning.lossy(), Some(self.replay_slots()))
     }
 
     /// Rank `rank`'s participant for iteration `iteration` of the flow,
@@ -388,37 +335,91 @@ impl FlowWiring {
     }
 }
 
+/// What one flow did on one switch of its tree, read back after a run.
+#[derive(Debug, Clone, Copy)]
+pub struct SwitchFlow {
+    /// The switch.
+    pub switch: NodeId,
+    /// The flow's index in the slice [`run_fabric`] was given.
+    pub flow: usize,
+    /// Wire bytes of the flow's packets the switch matched.
+    pub bytes: u64,
+    /// The counters of the flow's block protocol on the switch.
+    pub stats: ProgramStats,
+    /// Working memory the flow's open blocks held there at their peak, in
+    /// bytes: its most blocks open at once × `M` × packet bytes, what
+    /// admission reserved [`AllreducePlan::window`] of.
+    pub open_bytes: u64,
+}
+
 /// Bring the fabric up and run it: lend the session's topology to one
 /// [`NetSim`] seeded with `tuning.seed`, arm telemetry and loss injection,
-/// install `switches` (each under the tuning's switch model) and `hosts`,
-/// run up to `deadline` ([`NetSim::run`]), and take the topology back.
-/// `harvest` sees the simulation after the run and after the telemetry
-/// capture was extracted (the HPU occupancy timelines live inside the
-/// compute units a harvest may tear down).
-pub fn run_fabric<R>(
+/// install on every switch of the `flows`' trees one [`FlareSwitch`]
+/// reducing with `op` for the flows routed through it (under the tuning's
+/// switch model) and `hosts`, run up to `deadline` ([`NetSim::run`]), and
+/// take the topology back. Returns what each flow did on each switch, by
+/// node id and then in `flows` order. `harvest` sees the simulation after
+/// the run, the telemetry capture (the HPU occupancy timelines live inside
+/// the compute units a harvest may tear down) and the switch read-back.
+pub fn run_fabric<T: Element, O: ReduceOp<T> + Clone + 'static, R>(
     session: &mut FlareSession,
     tuning: &Tuning,
     deadline: Option<Time>,
-    switches: Vec<(NodeId, Box<dyn SwitchProgram>)>,
+    flows: &[&FlowWiring],
+    op: O,
     hosts: Vec<(NodeId, Box<dyn HostProgram>)>,
     harvest: impl FnOnce(&mut NetSim) -> R,
-) -> (NetReport, Option<TelemetryReport>, R) {
+) -> (NetReport, Option<TelemetryReport>, Vec<SwitchFlow>, R) {
     let mut sim = NetSim::new(std::mem::take(&mut session.topology), tuning.seed);
     if let Some(cfg) = tuning.telemetry {
         sim.enable_telemetry(cfg);
     }
     sim.set_uniform_drop_prob(tuning.link_drop_prob);
-    for (node, program) in switches {
-        sim.install_switch_model(node, program, tuning.switch_model.clone());
+    // `(flow index, the flow's record of the switch)` for each flow whose
+    // tree it is in.
+    let served = |sw: NodeId| {
+        let flows = flows.iter().enumerate();
+        flows.filter_map(move |(i, f)| Some((i, f.plan.tree.switch(sw)?)))
+    };
+    let trees = flows.iter().flat_map(|f| &f.plan.tree.switches);
+    let mut switches: Vec<NodeId> = trees.map(|s| s.switch).collect();
+    switches.sort_by_key(|n| n.index());
+    switches.dedup();
+    for sw in switches {
+        let programs = served(sw).map(|(i, s)| flows[i].switch_program(s, op.clone()));
+        let program = programs.reduce(FlareSwitch::join).expect("a tree switch");
+        sim.install_switch_model(sw, Box::new(program), tuning.switch_model.clone());
     }
     for (node, program) in hosts {
         sim.install_host(node, program);
     }
     let net = sim.run(deadline);
     let trace = sim.take_telemetry();
+    // Read every program back by node id: no switch list lives through the run.
+    let mut read = Vec::new();
+    for sw in (0..sim.topology().node_count() as u32).map(NodeId) {
+        let Some(mut program) = sim.take_switch(sw) else {
+            continue;
+        };
+        let program = program.as_any_mut().and_then(|p| p.downcast_ref());
+        let program: &FlareSwitch<T, O> = program.expect("a FlareSwitch");
+        for (i, s) in served(sw) {
+            let (plan, packet_bytes) = (&flows[i].plan, flows[i].tuning.packet_bytes);
+            let (bytes, stats) = program.flow(plan.id).expect("served");
+            let open_bytes =
+                stats.open_peak as u64 * plan.block_bytes(s.children.len(), packet_bytes);
+            read.push(SwitchFlow {
+                switch: sw,
+                flow: i,
+                bytes,
+                stats,
+                open_bytes,
+            });
+        }
+    }
     let harvested = harvest(&mut sim);
     session.topology = sim.into_topology();
-    (net, trace, harvested)
+    (net, trace, read, harvested)
 }
 
 /// One single-switch run: `children` ports offer `blocks` reduction
@@ -631,8 +632,12 @@ mod tests {
         let mut session = FlareSession::new(topo);
         let tuning = session.tuning().validated().unwrap();
         let seen = |sim: &mut NetSim| sim.topology().hosts().len();
-        let (net, trace, hosts) = run_fabric(&mut session, &tuning, None, vec![], vec![], seen);
-        assert_eq!((net.events, trace.is_none(), hosts), (0, true, 3));
+        let (net, trace, read, hosts) =
+            run_fabric::<f32, Sum, _>(&mut session, &tuning, None, &[], Sum, vec![], seen);
+        assert_eq!(
+            (net.events, trace.is_none(), read.len(), hosts),
+            (0, true, 0, 3)
+        );
         // The session still works after the loan.
         let out = session.allreduce(vec![vec![1i32; 8]; 3]).run().unwrap();
         assert_eq!(out.rank(0), &[3i32; 8][..]);

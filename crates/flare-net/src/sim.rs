@@ -140,6 +140,8 @@ struct RunState {
     /// Observability capture ([`Telemetry::Off`] by default: one
     /// discriminant test per hook, no state, no allocation).
     telemetry: Telemetry,
+    /// Packets dropped for want of a route.
+    unroutable: u64,
 }
 
 /// The run as the event loop and the program contexts see it: the shared
@@ -186,6 +188,15 @@ impl NetLane<'_> {
             return None;
         }
         Some((pl.peer, pl.peer_port, fin + link.spec.latency_ns))
+    }
+
+    /// Send `pkt` out of `node` at `at` along the routing tables. A packet
+    /// with no route, sent or forwarded, is dropped and counted.
+    fn route(&mut self, queue: &mut EventQueue<NetEvent>, at: Time, node: NodeId, pkt: NetPacket) {
+        match self.routing.next_port(node, pkt.dst, pkt.flow) {
+            Some(port) => queue.schedule_at(at, NetEvent::Egress { node, port, pkt }),
+            None => self.state.unroutable += 1,
+        }
     }
 
     /// Run `f` on `node`'s host program (if one is installed) with a
@@ -255,9 +266,7 @@ impl NetLane<'_> {
                         prog => {
                             // Default forwarding along the routing tables.
                             self.state.nodes[slot].switch = prog;
-                            if let Some(port) = self.routing.next_port(node, pkt.dst, pkt.flow) {
-                                queue.schedule_at(t, NetEvent::Egress { node, port, pkt });
-                            }
+                            self.route(queue, t, node, pkt);
                         }
                     }
                 }
@@ -287,27 +296,12 @@ macro_rules! ctx_common {
                 self.send_at(self.now, pkt);
             }
 
-            /// Send `pkt` towards `pkt.dst` at a future time.
+            /// Send `pkt` towards `pkt.dst` at a future time. A packet
+            /// with no route is dropped and counted in
+            /// [`NetReport::unroutable`](crate::NetReport::unroutable).
             pub fn send_at(&mut self, at: Time, pkt: NetPacket) {
-                let port = self
-                    .core
-                    .routing
-                    .next_port(self.node, pkt.dst, pkt.flow)
-                    .expect("no route to destination");
-                self.send_port_at(at, port, pkt);
-            }
-
-            /// Send `pkt` out of an explicit port at a future time.
-            pub fn send_port_at(&mut self, at: Time, port: PortId, pkt: NetPacket) {
                 debug_assert!(at >= self.now);
-                self.queue.schedule_at(
-                    at,
-                    NetEvent::Egress {
-                        node: self.node,
-                        port,
-                        pkt,
-                    },
-                );
+                self.core.route(self.queue, at, self.node, pkt);
             }
 
             /// Record a flow-lifecycle telemetry event for this node
@@ -387,17 +381,6 @@ impl<'a> SwitchCtx<'a> {
         node.proc_busy = fin;
         fin
     }
-
-    /// Forward `pkt` along the routing tables (the default action for
-    /// packets the program does not aggregate).
-    pub fn forward(&mut self, pkt: NetPacket) {
-        self.send(pkt);
-    }
-
-    /// Port of this switch facing a directly-connected neighbor.
-    pub fn port_towards(&self, neighbor: NodeId) -> Option<PortId> {
-        self.core.topo.port_towards(self.node, neighbor)
-    }
 }
 
 /// Always-on per-link totals (both directions summed), indexed by link
@@ -433,6 +416,10 @@ pub struct NetReport {
     /// Per-link byte/packet/drop totals, indexed by link id (lossless
     /// runs report zero drops on every link).
     pub links: Vec<LinkTotals>,
+    /// Packets dropped because their node had no route to their
+    /// destination (a topology of several components): sent by a program
+    /// or forwarded by a switch.
+    pub unroutable: u64,
     /// Events processed.
     pub events: u64,
 }
@@ -494,6 +481,7 @@ impl NetSim {
                 nodes,
                 dirs,
                 telemetry: Telemetry::Off,
+                unroutable: 0,
             },
         }
     }
@@ -699,6 +687,7 @@ impl NetSim {
             total_link_packets: links.iter().map(|l| l.packets).sum(),
             drops: links.iter().map(|l| l.drops).sum(),
             links,
+            unroutable: self.state.unroutable,
             events: queue.processed(),
         }
     }
@@ -988,6 +977,26 @@ mod tests {
         // serializes: done ≈ 130 + 4×2000; plus egress 80 + 50.
         let done = report.last_done.unwrap();
         assert!(done > 8000, "processing must pace emissions: {done}");
+    }
+
+    #[test]
+    fn a_packet_with_no_route_is_dropped_and_counted() {
+        // Two components, a host and a switch each: nothing connects them.
+        let mut topo = Topology::new();
+        let (a, b) = (topo.add_host("a"), topo.add_host("b"));
+        let (sa, sb) = (topo.add_switch("sa"), topo.add_switch("sb"));
+        topo.connect(a, sa, spec());
+        topo.connect(b, sb, spec());
+        let mut sim = NetSim::new(topo, 1);
+        let sender = Sender {
+            peer: b,
+            count: 1,
+            bytes: 100,
+        };
+        sim.install_host(a, Box::new(sender));
+        let report = sim.run(None);
+        assert_eq!(report.unroutable, 1);
+        assert_eq!((report.total_link_packets, report.last_done), (0, None));
     }
 
     /// Satellite regression: lossless runs must report zero drops on

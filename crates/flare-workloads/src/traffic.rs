@@ -21,9 +21,10 @@
 //!   next iteration. Successive iterations of one tenant reuse its
 //!   allreduce id under the next iteration index, so block ids never alias
 //!   across iterations.
-//! * **Shared fabric** — one switch program multiplexes every tenant's
-//!   flow on each switch, under the session's [`flare_net::SwitchModel`]: with
-//!   `Hpu`, all tenants contend for the same cores and per-subset FIFOs.
+//! * **Shared fabric** — each switch runs one Flare program serving every
+//!   tenant's flow routed through it ([`run_fabric`]), under the session's
+//!   [`flare_net::SwitchModel`]: with `Hpu`, all tenants contend for the
+//!   same cores and per-subset FIFOs.
 //! * **Metrics** — per-tenant iteration makespans and job queueing delays
 //!   (tail statistics via [`TailStats`](flare_core::report::TailStats)),
 //!   per-switch HPU subset queue peaks, pooled-buffer recycling counters
@@ -68,13 +69,11 @@ use flare_core::session::{CollectiveHandle, FlareSession, RunReport, SessionErro
 use flare_core::switch_prog::ProgramStats;
 use flare_core::tag::{FlowTag, FlowTagOverflow, KIND_ENGINE_BASE};
 use flare_core::wiring::{
-    check_iteration, run_fabric, FlowInput, FlowShape, FlowWiring, WiredHost, WiredSwitch,
+    check_iteration, run_fabric, FlowInput, FlowShape, FlowWiring, WiredHost,
 };
 use flare_des::rng::{exp_time, rng_stream};
 use flare_des::Time;
-use flare_net::{
-    HostCtx, HostProgram, NetPacket, NetSim, NodeId, PortId, SwitchCtx, SwitchProgram, TraceKind,
-};
+use flare_net::{HostCtx, HostProgram, NetPacket, NetSim, NodeId, TraceKind};
 
 /// Stream-id salt for arrival processes (xor'd with the tenant index).
 const ARRIVAL_STREAM: u64 = 0xA121_77A1;
@@ -473,8 +472,8 @@ impl<'s> TrafficEngine<'s> {
         let order = issue_order(labels, &seq.negotiate());
 
         // Per-tenant static config shared by its cells, the flow's wiring
-        // first: it is where every switch program and every iteration's
-        // participants come from.
+        // first: it is where the tenant's share of every switch program and
+        // every iteration's participants come from.
         let mut statics: Vec<Arc<TenantStatic>> = Vec::with_capacity(self.tenants.len());
         for t in &self.tenants {
             let plan = t.handle.plan().clone();
@@ -529,63 +528,12 @@ impl<'s> TrafficEngine<'s> {
             host_programs.push((h, Box::new(TrafficHost { cells })));
         }
 
-        // Per-switch flow multiplexers over the union of tenant trees.
-        let tree_switches = self
-            .tenants
-            .iter()
-            .flat_map(|t| &t.handle.plan().tree.switches);
-        let union_switches = sorted_union(tree_switches.map(|s| s.switch));
-        let mut switch_programs: Vec<(NodeId, Box<dyn SwitchProgram>)> = Vec::new();
-        for &sw in &union_switches {
-            let mut entries = Vec::new();
-            for &ti in &order {
-                let wiring = &statics[ti].wiring;
-                if let Some(rec) = wiring.plan().tree.switch(sw) {
-                    entries.push(FlowEntry {
-                        tenant: ti,
-                        flow: wiring.plan().id,
-                        bytes: 0,
-                        prog: wiring.switch_program::<f32, Sum>(rec, Sum),
-                    });
-                }
-            }
-            switch_programs.push((sw, Box::new(TrafficSwitch { entries })));
-        }
-        // Tenants are never released one at a time, so the reservation
-        // high-water mark is what the tenant switches hold right now.
-        let reserved = union_switches
-            .iter()
-            .map(|&sw| self.session.reserved_on(sw));
-        let reserved = reserved.max().unwrap_or(0);
-
         // One shared simulation over the session's fabric: the bring-up
-        // `Collective::run` uses, with the engine's deadline and a harvest
-        // of what its multiplexers counted.
+        // `Collective::run` uses, with every tenant's flow in issue order,
+        // the engine's deadline and a harvest of what its cells recorded.
+        let flows: Vec<&FlowWiring> = order.iter().map(|&ti| &statics[ti].wiring).collect();
         let harvest = |sim: &mut NetSim| {
             let hpu = sim.hpu_reports();
-            // Switch bytes per tenant (admission order), then what every
-            // cell recorded, in host order.
-            let mut flow_bytes = vec![0u64; statics.len()];
-            let mut pools = ProgramStats::default();
-            let mut open_peak_bytes = 0;
-            for &sw in &union_switches {
-                let Some(mut bx) = sim.take_switch(sw) else {
-                    continue;
-                };
-                if let Some(mux) = bx
-                    .as_any_mut()
-                    .and_then(|a| a.downcast_mut::<TrafficSwitch>())
-                {
-                    for e in &mux.entries {
-                        let (stats, wiring) = (e.prog.stats(), &statics[e.tenant].wiring);
-                        flow_bytes[e.tenant] += e.bytes;
-                        if let Some(rec) = wiring.plan().tree.switch(sw) {
-                            open_peak_bytes = open_peak_bytes.max(wiring.open_bytes(rec, &stats));
-                        }
-                        pools += stats;
-                    }
-                }
-            }
             let mut cells: Vec<Cell> = Vec::new();
             for &h in &union_hosts {
                 // Losing one would fold its tenants over too few cells.
@@ -594,16 +542,31 @@ impl<'s> TrafficEngine<'s> {
                 let mux = mux.and_then(|a| a.downcast_mut::<TrafficHost>());
                 cells.append(&mut mux.expect("a TrafficHost, installed above").cells);
             }
-            (flow_bytes, pools, open_peak_bytes, hpu, cells)
+            (hpu, cells)
         };
-        let (net, trace, (flow_bytes, pools, open_peak_bytes, hpu, cells)) = run_fabric(
+        let (net, trace, switches, (hpu, cells)) = run_fabric::<f32, _, _>(
             self.session,
             &tuning,
             self.deadline,
-            switch_programs,
+            &flows,
+            Sum,
             host_programs,
             harvest,
         );
+        // Switch bytes per tenant (admission order), the pools summed and
+        // the most working memory any tenant's open blocks held on one.
+        let mut flow_bytes = vec![0u64; statics.len()];
+        let mut pools = ProgramStats::default();
+        let mut open_peak_bytes = 0;
+        for s in &switches {
+            flow_bytes[order[s.flow]] += s.bytes;
+            open_peak_bytes = open_peak_bytes.max(s.open_bytes);
+            pools += s.stats;
+        }
+        // Tenants are never released one at a time, so the reservation
+        // high-water mark is what the tenant switches hold right now.
+        let reserved = switches.iter().map(|s| self.session.reserved_on(s.switch));
+        let reserved = reserved.max().unwrap_or(0);
 
         // Label every tenant's trace track with its handle name so the
         // Perfetto flow lanes read "tenant-3", not "flow 9".
@@ -944,39 +907,6 @@ impl HostProgram for TrafficHost {
                 }
             }
             _ => {}
-        }
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
-}
-
-/// Switch program multiplexing every tenant flow on one switch. All
-/// entries share the switch's compute model (HPU cores, rate limit), so
-/// inter-tenant contention is physical, not modeled.
-struct TrafficSwitch {
-    entries: Vec<FlowEntry>,
-}
-
-struct FlowEntry {
-    /// Admission index of the owning tenant.
-    tenant: usize,
-    flow: u32,
-    /// Wire bytes of matched packets (the fairness-index resource).
-    bytes: u64,
-    prog: Box<dyn WiredSwitch>,
-}
-
-impl SwitchProgram for TrafficSwitch {
-    fn matches(&self, pkt: &NetPacket) -> bool {
-        self.entries.iter().any(|e| e.flow == pkt.flow)
-    }
-
-    fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, in_port: PortId, pkt: NetPacket) {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.flow == pkt.flow) {
-            e.bytes += pkt.wire_bytes as u64;
-            e.prog.on_packet(ctx, in_port, pkt);
         }
     }
 

@@ -7,7 +7,7 @@ use flare::baselines::sparcml::{sparcml_allreduce, SparcmlHost};
 use flare::core::host::result_sink;
 use flare::core::op::{golden_reduce, Sum};
 use flare::core::session::FlareSession;
-use flare::net::{LinkSpec, NetSim, Topology};
+use flare::net::{LinkSpec, NetSim, NodeId, Topology};
 use flare::workloads::{densify_f32, sparsify_random_k};
 
 #[test]
@@ -177,41 +177,54 @@ fn ring_transmits_roughly_twice_the_in_network_bytes() {
     }
 }
 
+/// Section 1's comparison measured: the link bytes of a ring and of a
+/// Flare dense allreduce of the same `z` i32 elements per host over the
+/// hosts of `fabric`, in that order, each result checked against the
+/// golden reduction. A ring segment carries as many bytes as a Flare
+/// packet, [`PAYLOAD`], and both add a 16-byte [`HEADER`].
+fn ring_and_flare_link_bytes(fabric: impl Fn() -> (Topology, Vec<NodeId>), z: usize) -> [u64; 2] {
+    let (topo, hosts) = fabric();
+    let p = hosts.len();
+    let inputs: Vec<Vec<i32>> = (0..p)
+        .map(|r| (0..z).map(|i| (r * 31 + i) as i32).collect())
+        .collect();
+    let want = golden_reduce(&Sum, &inputs);
+    let mut sim = NetSim::new(topo, 1);
+    let mut sinks = Vec::new();
+    for (rank, &h) in hosts.iter().enumerate() {
+        let sink = result_sink();
+        sinks.push(sink.clone());
+        let data = inputs[rank].clone();
+        let host = RingHost::new(rank, hosts.clone(), 42, Sum, data, PAYLOAD as usize, sink);
+        sim.install_host(h, Box::new(host));
+    }
+    let ring = sim.run(None).total_link_bytes;
+    for (rank, sink) in sinks.iter().enumerate() {
+        assert_eq!(sink.lock().unwrap().as_ref().unwrap(), &want, "rank {rank}");
+    }
+
+    let (topo, hosts) = fabric();
+    let mut session = FlareSession::builder(topo).hosts(hosts).build();
+    let out = session.allreduce(inputs).run();
+    let out = out.expect("the fabric admits the allreduce");
+    assert!(out.ranks().iter().all(|r| *r == want), "p={p}");
+    [ring, out.report.total_link_bytes()]
+}
+
+const PAYLOAD: u64 = 1024;
+const HEADER: u64 = 16;
+
 #[test]
 fn ring_link_bytes_are_2_p_minus_1_over_p_of_flares_on_a_star() {
-    // Section 1's comparison measured: a ring and a Flare dense allreduce
-    // of the same Z on a star. A ring segment carries as many bytes as a
-    // Flare packet, both add a 16-byte header, and Z/P is a whole number
-    // of segments, so each run's link bytes have a closed form and their
-    // ratio is exactly 2(P−1)/P.
-    const PAYLOAD: u64 = 1024;
-    const HEADER: u64 = 16;
+    // Z/P is a whole number of segments, so each run's link bytes have a
+    // closed form and their ratio is exactly 2(P−1)/P.
     let z = 16 * 1024usize; // i32 elements
     for p in [4usize, 8, 16] {
-        let inputs: Vec<Vec<i32>> = (0..p)
-            .map(|r| (0..z).map(|i| (r * 31 + i) as i32).collect())
-            .collect();
-        let want = golden_reduce(&Sum, &inputs);
-        let (topo, _sw, hosts) = Topology::star(p, LinkSpec::hundred_gig());
-        let mut sim = NetSim::new(topo, 1);
-        let mut sinks = Vec::new();
-        for (rank, &h) in hosts.iter().enumerate() {
-            let sink = result_sink();
-            sinks.push(sink.clone());
-            let data = inputs[rank].clone();
-            let host = RingHost::new(rank, hosts.clone(), 42, Sum, data, PAYLOAD as usize, sink);
-            sim.install_host(h, Box::new(host));
-        }
-        let ring = sim.run(None).total_link_bytes;
-        for (rank, sink) in sinks.iter().enumerate() {
-            assert_eq!(sink.lock().unwrap().as_ref().unwrap(), &want, "rank {rank}");
-        }
-
-        let (topo, _sw, _hosts) = Topology::star(p, LinkSpec::hundred_gig());
-        let out = FlareSession::builder(topo).build().allreduce(inputs).run();
-        let out = out.expect("the star admits the allreduce");
-        assert!(out.ranks().iter().all(|r| *r == want), "p={p}");
-        let flare = out.report.total_link_bytes();
+        let star = || {
+            let (topo, _sw, hosts) = Topology::star(p, LinkSpec::hundred_gig());
+            (topo, hosts)
+        };
+        let [ring, flare] = ring_and_flare_link_bytes(star, z);
 
         // Packets on links. Ring: each host sends 2(P−1) chunks of Z/P,
         // and a segment crosses two links (host to switch to host). Flare:
@@ -223,5 +236,39 @@ fn ring_link_bytes_are_2_p_minus_1_over_p_of_flares_on_a_star() {
         assert_eq!(ring, ring_packets * (PAYLOAD + HEADER), "ring, p={p}");
         assert_eq!(flare, flare_packets * (PAYLOAD + HEADER), "flare, p={p}");
         assert_eq!(ring * p64, flare * 2 * (p64 - 1), "p={p}");
+    }
+}
+
+#[test]
+fn ring_and_flare_link_bytes_on_a_fat_tree_have_closed_forms() {
+    // Ranks go leaf by leaf, so of the P ring neighbours the L pairs that
+    // straddle two leaves (the wrap-around included) cross four links
+    // (host, leaf, spine, leaf, host) and the rest cross two. Flare's tree
+    // has P host–leaf edges and L leaf–root-spine edges, and each carries
+    // one contribution up and one result down per block.
+    let z = 16 * 1024usize; // i32 elements
+    for (leaves, per_leaf, spines) in [(2usize, 4usize, 2usize), (4, 4, 2)] {
+        let fat_tree = || {
+            let spec = LinkSpec::hundred_gig();
+            let (topo, ft) = Topology::fat_tree_two_level(leaves, per_leaf, spines, spec);
+            (topo, ft.hosts)
+        };
+        let [ring, flare] = ring_and_flare_link_bytes(fat_tree, z);
+
+        let (p, l, z_bytes) = ((leaves * per_leaf) as u64, leaves as u64, 4 * z as u64);
+        let segments = 2 * (p - 1) * (z_bytes / p / PAYLOAD);
+        let ring_hops = 2 * (p - l) + 4 * l;
+        let blocks = z_bytes / PAYLOAD;
+        let shape = format!("{leaves} leaves of {per_leaf}");
+        assert_eq!(
+            ring,
+            segments * ring_hops * (PAYLOAD + HEADER),
+            "ring, {shape}"
+        );
+        assert_eq!(
+            flare,
+            2 * blocks * (p + l) * (PAYLOAD + HEADER),
+            "flare, {shape}"
+        );
     }
 }

@@ -18,7 +18,7 @@ use flare::core::handlers::{
 use flare::core::host::{result_sink, DenseFlareHost, HostConfig};
 use flare::core::manager::compute_reduction_tree;
 use flare::core::session::FlareSession;
-use flare::core::switch_prog::{FlareDenseProgram, FlareSparseProgram, TreePlacement};
+use flare::core::switch_prog::{FlareSwitch, TreePlacement};
 use flare::core::wire::{
     decode_dense, decode_sparse, encode_dense, encode_sparse, Header, PacketKind,
 };
@@ -426,11 +426,11 @@ fn through_star(proto: Proto, children: u16, script: &Script) -> (Vec<Vec<Bytes>
     };
     match proto {
         Proto::Dense => {
-            let prog = FlareDenseProgram::<f32, Sum>::new(place, Sum);
+            let prog = FlareSwitch::<f32, Sum>::dense(place, Sum);
             sim.install_switch(sw, Box::new(prog), 512.0);
         }
         Proto::Sparse(storage) => {
-            let prog = FlareSparseProgram::<f32, Sum>::new(place, Sum, storage, PAIRS_PER_PACKET);
+            let prog = FlareSwitch::<f32, Sum>::sparse(place, Sum, storage, PAIRS_PER_PACKET);
             sim.install_switch(sw, Box::new(prog), 512.0);
         }
     }

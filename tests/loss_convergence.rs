@@ -20,9 +20,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use bytes::Bytes;
 use flare::core::handlers::{DenseAllreduceHandler, DenseHandlerConfig, SparseStorageKind};
-use flare::core::switch_prog::{
-    FlareDenseProgram, FlareSparseProgram, RecoveryStats, TreePlacement,
-};
+use flare::core::switch_prog::{FlareSwitch, RecoveryStats, TreePlacement};
 use flare::core::wire::{encode_dense, encode_sparse, Header, PacketKind};
 use flare::des::Time;
 use flare::net::{
@@ -341,12 +339,12 @@ fn poke_sequence(proto: Proto) -> (Seen, Vec<Seen>, RecoveryStats) {
     };
     match proto {
         Proto::Dense => {
-            let prog = FlareDenseProgram::<f32, Sum>::new(place, Sum).with_loss_recovery(true);
+            let prog = FlareSwitch::<f32, Sum>::dense(place, Sum).with_loss_recovery(true);
             sim.install_switch(leaf, Box::new(prog), 512.0);
         }
         Proto::Sparse => {
             let storage = SparseStorageKind::Array { span: 64 };
-            let prog = FlareSparseProgram::<f32, Sum>::new(place, Sum, storage, 128);
+            let prog = FlareSwitch::<f32, Sum>::sparse(place, Sum, storage, 128);
             sim.install_switch(leaf, Box::new(prog.with_loss_recovery(true)), 512.0);
         }
     }
@@ -380,14 +378,9 @@ fn poke_sequence(proto: Proto) -> (Seen, Vec<Seen>, RecoveryStats) {
     sim.run(None);
     let mut leaf = sim.take_switch(leaf).expect("installed");
     let leaf = leaf.as_any_mut().expect("a Flare program opts in");
-    let recovery = match proto {
-        Proto::Dense => leaf
-            .downcast_mut::<FlareDenseProgram<f32, Sum>>()
-            .map(|p| p.stats()),
-        Proto::Sparse => leaf
-            .downcast_mut::<FlareSparseProgram<f32, Sum>>()
-            .map(|p| p.stats()),
-    };
+    let recovery = leaf
+        .downcast_mut::<FlareSwitch<f32, Sum>>()
+        .map(|p| p.stats());
     let seen = |inbox: &Arc<Mutex<Seen>>| inbox.lock().unwrap().clone();
     let children = inboxes.iter().map(seen).collect();
     (

@@ -5,7 +5,7 @@
 use flare::baselines::ring::RingHost;
 use flare::core::host::{result_sink, DenseFlareHost, HostConfig, ResultSink};
 use flare::core::op::{golden_reduce, Sum};
-use flare::core::switch_prog::{FlareDenseProgram, TreePlacement};
+use flare::core::switch_prog::{FlareSwitch, TreePlacement};
 use flare::net::{LinkSpec, NetSim, Topology};
 
 const ELEMS: usize = 4096;
@@ -36,7 +36,7 @@ fn dense_allreduce_on_a_fat_tree_builds_no_routing_column() {
     };
     sim.install_switch(
         root,
-        Box::new(FlareDenseProgram::<i32, Sum>::new(
+        Box::new(FlareSwitch::<i32, Sum>::dense(
             place(None, ft.leaves.clone(), 0),
             Sum,
         )),
@@ -46,7 +46,7 @@ fn dense_allreduce_on_a_fat_tree_builds_no_routing_column() {
         let hosts = ft.hosts[l * ft.hosts_per_leaf..][..ft.hosts_per_leaf].to_vec();
         sim.install_switch(
             leaf,
-            Box::new(FlareDenseProgram::<i32, Sum>::new(
+            Box::new(FlareSwitch::<i32, Sum>::dense(
                 place(Some(root), hosts, l as u16),
                 Sum,
             )),

@@ -1,9 +1,10 @@
 //! Simulated-behaviour pins: one collective or tenant fleet per row, its
-//! makespan, event count and link traffic (plus pooled iteration tails
-//! for fleets, drops on lossy rows and the HPU switches' counters on one
-//! fleet) asserted bit for bit. A change that moves any of them
-//! changed what the simulator computes, not how fast it computes it —
-//! host-side performance is `benchmark/`'s job (see `benchmark/README.md`).
+//! makespan, completion time, event count and link traffic (plus pooled
+//! iteration tails for fleets, drops on lossy rows and the HPU switches'
+//! counters on one fleet) asserted bit for bit. A change that moves any
+//! of them changed what the simulator computes, not how fast it computes
+//! it — host-side performance is `benchmark/`'s job (see
+//! `benchmark/README.md`).
 //!
 //! There is one event loop ([`flare::net::NetSim::run`]), so every row
 //! has one value.
@@ -59,8 +60,11 @@ struct Row {
     /// of two iterations each) through the traffic engine, every odd one
     /// sparse when the fabric is lossy.
     tenants: usize,
-    /// Makespan in ns, events, link bytes.
-    want: [u64; 3],
+    /// Makespan in ns, completion ([`RunReport::completion_ns`]: the last
+    /// host done) in ns, events, link bytes. The two times differ on the
+    /// lossy rows only, whose last events (timers, late retransmissions)
+    /// come after the last host is done.
+    want: [u64; 4],
     /// A fleet's pooled per-iteration p50 and p99, in ns.
     tails: Option<[u64; 2]>,
     /// How the makespan compares with [`Row::root_pipeline_ns`], where it
@@ -79,7 +83,7 @@ struct Row {
     hpu_counters: &'static [[u64; 6]],
 }
 
-fn row(payload: Payload, topo: Topo, hosts: usize, bytes_per_host: usize, want: [u64; 3]) -> Row {
+fn row(payload: Payload, topo: Topo, hosts: usize, bytes_per_host: usize, want: [u64; 4]) -> Row {
     Row {
         payload,
         topo,
@@ -267,10 +271,19 @@ impl Row {
 fn check(rows: &[Row]) {
     for row in rows {
         let want = (row.want, row.tails);
-        let what = "([makespan ns, events, link bytes], fleet [p50, p99] ns)";
+        let what = "([makespan ns, completion ns, events, link bytes], fleet [p50, p99] ns)";
         let (report, tails) = row.measure();
         let net = &report.net;
-        let got = ([net.makespan, net.events, net.total_link_bytes], tails);
+        let completion = report.completion_ns();
+        let got = (
+            [net.makespan, completion, net.events, net.total_link_bytes],
+            tails,
+        );
+        assert!(
+            completion <= net.makespan,
+            "completion after makespan for {row:?}"
+        );
+        assert_eq!(net.unroutable, 0, "unroutable packets for {row:?}");
         if let Some(ordering) = row.root_pipeline {
             let bound = row.root_pipeline_ns();
             assert_eq!(
@@ -312,25 +325,25 @@ fn check(rows: &[Row]) {
 #[rustfmt::skip]
 fn cells_of_128_kib() {
     check(&[
-        row(Dense,  Star,      8, 128 * KIB, [14_179,   4_096,  2_129_920]),
-        row(Dense,  Star,     32, 128 * KIB, [17_959,  16_384,  8_519_680]),
-        row(Dense,  FatTree,   8, 128 * KIB, [14_753,   5_120,  2_662_400]),
-        row(Dense,  FatTree,  32, 128 * KIB, [17_021,  18_432,  9_584_640]),
-        row(Sparse, Star,      8, 128 * KIB, [ 2_131,     832,    195_008]),
-        row(Sparse, Star,     32, 128 * KIB, [ 7_339,   8_192,  2_828_032]),
-        row(Sparse, FatTree,   8, 128 * KIB, [ 3_980,   1_040,    259_456]),
-        row(Sparse, FatTree,  32, 128 * KIB, [ 7_878,   9_216,  3_254_784]),
+        row(Dense,  Star,      8, 128 * KIB, [14_179, 14_179,   4_096,  2_129_920]),
+        row(Dense,  Star,     32, 128 * KIB, [17_959, 17_959,  16_384,  8_519_680]),
+        row(Dense,  FatTree,   8, 128 * KIB, [14_753, 14_753,   5_120,  2_662_400]),
+        row(Dense,  FatTree,  32, 128 * KIB, [17_021, 17_021,  18_432,  9_584_640]),
+        row(Sparse, Star,      8, 128 * KIB, [ 2_131,  2_131,     832,    195_008]),
+        row(Sparse, Star,     32, 128 * KIB, [ 7_339,  7_339,   8_192,  2_828_032]),
+        row(Sparse, FatTree,   8, 128 * KIB, [ 3_980,  3_980,   1_040,    259_456]),
+        row(Sparse, FatTree,  32, 128 * KIB, [ 7_878,  7_878,   9_216,  3_254_784]),
         // The host counts Canary and Swing evaluate at.
-        row(Dense,  FatTree, 128, 128 * KIB, [22_481,  73_728, 38_338_560]),
+        row(Dense,  FatTree, 128, 128 * KIB, [22_481, 22_481,  73_728, 38_338_560]),
         // ℛ = 13.18 blocks on the calibrated pipeline, 13.52 on an ideal
         // switch; an HPU switch keeps every block in flight.
-        row(Dense,  FatTree, 256, 128 * KIB, [13_451, 147_456, 76_677_120]).root_bound().admits(14),
-        row(Dense,  FatTree, 256, 128 * KIB, [13_650, 147_456, 76_677_120]).starved_at(13),
-        row(Dense,  FatTree, 256, 128 * KIB, [11_804, 147_456, 76_677_120]).ideal().admits(14),
-        row(Dense,  FatTree, 256, 128 * KIB, [18_820, 147_456, 76_677_120]).hpu().admits(128),
-        row(Dense,  FatTree,   8, 128 * KIB, [20_736,   5_120,  2_662_400]).hpu(),
-        row(Sparse, Star,      8, 128 * KIB, [ 2_672,     832,    195_008]).hpu(),
-        row(Sparse, FatTree,   8, 128 * KIB, [200_000,  1_168,    270_888]).loss(0.01, 8),
+        row(Dense,  FatTree, 256, 128 * KIB, [13_451, 13_451, 147_456, 76_677_120]).root_bound().admits(14),
+        row(Dense,  FatTree, 256, 128 * KIB, [13_650, 13_650, 147_456, 76_677_120]).starved_at(13),
+        row(Dense,  FatTree, 256, 128 * KIB, [11_804, 11_804, 147_456, 76_677_120]).ideal().admits(14),
+        row(Dense,  FatTree, 256, 128 * KIB, [18_820, 18_820, 147_456, 76_677_120]).hpu().admits(128),
+        row(Dense,  FatTree,   8, 128 * KIB, [20_736, 20_736,   5_120,  2_662_400]).hpu(),
+        row(Sparse, Star,      8, 128 * KIB, [ 2_672,  2_672,     832,    195_008]).hpu(),
+        row(Sparse, FatTree,   8, 128 * KIB, [200_000,  7_530,  1_168,    270_888]).loss(0.01, 8),
     ]);
 }
 
@@ -338,27 +351,51 @@ fn cells_of_128_kib() {
 #[rustfmt::skip]
 fn tenant_fleets() {
     check(&[
-        row(Dense, FatTree, 8, 32 * KIB, [   95_469,  20_672,  10_649_600]).tenants(4, 6_752, 11_622),
-        row(Dense, FatTree, 8, 32 * KIB, [  257_627,  17_154,   8_464_584]).tenants(4, 13_841, 27_727).loss(0.01, 89),
-        row(Dense, FatTree, 8, 32 * KIB, [  124_384,  20_672,  10_649_600]).tenants(4, 16_481, 18_633).hpu_one_core_per_block().hpu_counters(&[
+        row(Dense, FatTree, 8, 32 * KIB, [   95_469,   95_469,  20_672,  10_649_600]).tenants(4, 6_752, 11_622),
+        row(Dense, FatTree, 8, 32 * KIB, [  257_627,  120_968,  17_154,   8_464_584]).tenants(4, 13_841, 27_727).loss(0.01, 89),
+        row(Dense, FatTree, 8, 32 * KIB, [  124_384,  124_384,  20_672,  10_649_600]).tenants(4, 16_481, 18_633).hpu_one_core_per_block().hpu_counters(&[
             // The two leaves, then the spine that roots every tenant's tree.
             [2_560, 1_839, 6, 6, 4_714, 124_100],
             [2_560, 1_864, 6, 6, 4_735, 124_100],
             [1_024,   195, 1, 1, 9_771, 121_314],
         ]),
-        row(Dense, FatTree, 8, 64 * KIB, [  192_455,  82_304,  42_598_400]).tenants(8, 38_482, 39_340),
-        row(Dense, FatTree, 8, 64 * KIB, [  837_755, 135_308,  67_050_048]).tenants(16, 104_023, 551_933).loss(0.01, 672),
-        row(Dense, FatTree, 8, 64 * KIB, [  715_817, 329_216, 170_393_600]).tenants(32, 167_605, 171_004),
+        row(Dense, FatTree, 8, 64 * KIB, [  192_455,  192_455,  82_304,  42_598_400]).tenants(8, 38_482, 39_340),
+        row(Dense, FatTree, 8, 64 * KIB, [  837_755,  717_478, 135_308,  67_050_048]).tenants(16, 104_023, 551_933).loss(0.01, 672),
+        row(Dense, FatTree, 8, 64 * KIB, [  715_817,  715_817, 329_216, 170_393_600]).tenants(32, 167_605, 171_004),
     ]);
 }
 
 #[test]
 fn eight_hosts_of_8_mib() {
     check(&[
-        row(Dense, Star, 8, 8 * MIB, [691_555, 262_144, 136_314_880]),
-        row(Dense, FatTree, 8, 8 * MIB, [692_129, 327_680, 170_393_600]),
-        row(Sparse, Star, 8, 8 * MIB, [110_525, 52_448, 12_498_880]),
-        row(Sparse, FatTree, 8, 8 * MIB, [111_523, 65_560, 16_630_208]),
+        row(
+            Dense,
+            Star,
+            8,
+            8 * MIB,
+            [691_555, 691_555, 262_144, 136_314_880],
+        ),
+        row(
+            Dense,
+            FatTree,
+            8,
+            8 * MIB,
+            [692_129, 692_129, 327_680, 170_393_600],
+        ),
+        row(
+            Sparse,
+            Star,
+            8,
+            8 * MIB,
+            [110_525, 110_525, 52_448, 12_498_880],
+        ),
+        row(
+            Sparse,
+            FatTree,
+            8,
+            8 * MIB,
+            [111_523, 111_523, 65_560, 16_630_208],
+        ),
     ]);
 }
 
@@ -367,8 +404,8 @@ fn eight_hosts_of_8_mib() {
 fn sparse_32_hosts_of_8_mib() {
     check(&[
         // `benchmark`'s `sparse_star` workload.
-        row(Sparse, Star, 32, 8 * MIB, [444_769, 524_288, 181_357_312]),
-        row(Sparse, FatTree, 32, 8 * MIB, [446_677, 589_824, 208_724_480]),
+        row(Sparse, Star, 32, 8 * MIB, [444_769, 444_769, 524_288, 181_357_312]),
+        row(Sparse, FatTree, 32, 8 * MIB, [446_677, 446_677, 589_824, 208_724_480]),
     ]);
 }
 
@@ -383,27 +420,27 @@ fn sparse_fat_tree_16_hosts_of_256_kib() {
         FatTree,
         16,
         256 * KIB,
-        [8_100, 5_580, 1_721_440],
+        [8_100, 8_100, 5_580, 1_721_440],
     )]);
 }
 
 #[test]
 #[rustfmt::skip]
 fn dense_star_32_hosts_of_8_mib() {
-    check(&[row(Dense, Star, 32, 8 * MIB, [792_103, 1_048_576, 545_259_520])]);
+    check(&[row(Dense, Star, 32, 8 * MIB, [792_103, 792_103, 1_048_576, 545_259_520])]);
 }
 
 #[test]
 #[rustfmt::skip]
 fn dense_fat_tree_32_hosts_of_8_mib() {
-    check(&[row(Dense, FatTree, 32, 8 * MIB, [694_397, 1_179_648, 613_416_960])]);
+    check(&[row(Dense, FatTree, 32, 8 * MIB, [694_397, 694_397, 1_179_648, 613_416_960])]);
 }
 
 /// `benchmark`'s `dense_star` workload.
 #[test]
 #[rustfmt::skip]
 fn dense_star_32_hosts_of_8_mib_hpu() {
-    check(&[row(Dense, Star, 32, 8 * MIB, [694_924, 1_048_576, 545_259_520]).hpu()]);
+    check(&[row(Dense, Star, 32, 8 * MIB, [694_924, 694_924, 1_048_576, 545_259_520]).hpu()]);
 }
 
 /// `benchmark`'s `dense_scale` workload: more hosts than blocks, so every
@@ -413,8 +450,8 @@ fn dense_star_32_hosts_of_8_mib_hpu() {
 #[rustfmt::skip]
 fn dense_fat_tree_512_hosts_of_128_kib() {
     check(&[
-        row(Dense, FatTree, 512, 128 * KIB, [25_739, 294_912, 153_354_240]).root_bound().admits(8),
-        row(Dense, FatTree, 512, 128 * KIB, [26_115, 294_912, 153_354_240]).starved_at(7),
+        row(Dense, FatTree, 512, 128 * KIB, [25_739, 25_739, 294_912, 153_354_240]).root_bound().admits(8),
+        row(Dense, FatTree, 512, 128 * KIB, [26_115, 26_115, 294_912, 153_354_240]).starved_at(7),
     ]);
 }
 
@@ -469,8 +506,8 @@ fn pspin_switch_1024_blocks_of_f32() {
 #[rustfmt::skip]
 fn dense_fat_tree_1024_hosts_of_128_kib() {
     check(&[
-        row(Dense, FatTree, 1024, 128 * KIB, [50_315, 589_824, 306_708_480]).root_bound().admits(8),
-        row(Dense, FatTree, 1024, 128 * KIB, [50_315, 589_824, 306_708_480]).root_bound().window(5),
-        row(Dense, FatTree, 1024, 128 * KIB, [50_656, 589_824, 306_708_480]).starved_at(4),
+        row(Dense, FatTree, 1024, 128 * KIB, [50_315, 50_315, 589_824, 306_708_480]).root_bound().admits(8),
+        row(Dense, FatTree, 1024, 128 * KIB, [50_315, 50_315, 589_824, 306_708_480]).root_bound().window(5),
+        row(Dense, FatTree, 1024, 128 * KIB, [50_656, 50_656, 589_824, 306_708_480]).starved_at(4),
     ]);
 }

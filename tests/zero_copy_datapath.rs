@@ -26,7 +26,7 @@ use std::sync::{Mutex, MutexGuard};
 use flare::core::handlers::SparseStorageKind;
 use flare::core::host::{result_sink, DenseFlareHost, HostConfig, ResultSink, SparseFlareHost};
 use flare::core::op::Sum;
-use flare::core::switch_prog::{FlareDenseProgram, FlareSparseProgram, TreePlacement};
+use flare::core::switch_prog::{FlareSwitch, TreePlacement};
 use flare::net::{LinkSpec, NetReport, NetSim, NodeId, Topology};
 
 /// Counts the calling thread's calls into the allocator (`benchmark/`'s
@@ -104,7 +104,7 @@ fn star_dense(hosts: usize, blocks: usize) -> (NetSim, NodeId, Vec<ResultSink<f3
     };
     sim.install_switch(
         sw,
-        Box::new(FlareDenseProgram::<f32, Sum>::new(place, Sum)),
+        Box::new(FlareSwitch::<f32, Sum>::dense(place, Sum)),
         512.0,
     );
     let mut sinks = Vec::new();
@@ -140,7 +140,7 @@ fn star_sparse(hosts: usize, blocks: usize) -> (NetSim, NodeId, Vec<ResultSink<f
     };
     sim.install_switch(
         sw,
-        Box::new(FlareSparseProgram::<f32, Sum>::new(
+        Box::new(FlareSwitch::<f32, Sum>::sparse(
             place,
             Sum,
             SparseStorageKind::Array { span: SPAN },
@@ -202,7 +202,7 @@ fn dense_steady_state_allocates_zero_payload_buffers_per_packet() {
     let prog = prog
         .as_any_mut()
         .expect("flare programs opt into downcast")
-        .downcast_mut::<FlareDenseProgram<f32, Sum>>()
+        .downcast_mut::<FlareSwitch<f32, Sum>>()
         .expect("concrete type");
     let stats = prog.stats();
     let packets = (hosts * BLOCKS) as u64;
@@ -322,7 +322,7 @@ fn dense_pool_misses_do_not_scale_with_block_count() {
         let stats = prog
             .as_any_mut()
             .unwrap()
-            .downcast_mut::<FlareDenseProgram<f32, Sum>>()
+            .downcast_mut::<FlareSwitch<f32, Sum>>()
             .unwrap()
             .stats();
         (stats.agg_pool.misses(), stats.agg_pool.gets)
@@ -349,7 +349,7 @@ fn sparse_program_reuses_pair_batches_and_reclaims_payloads() {
     let stats = prog
         .as_any_mut()
         .unwrap()
-        .downcast_mut::<FlareSparseProgram<f32, Sum>>()
+        .downcast_mut::<FlareSwitch<f32, Sum>>()
         .unwrap()
         .stats();
     assert!(stats.agg_pool.gets >= (hosts * blocks) as u64);
