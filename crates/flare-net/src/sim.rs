@@ -25,7 +25,7 @@
 use rand::rngs::StdRng;
 use rand::RngExt;
 
-use flare_des::rng::rng_stream;
+use flare_des::rng::{rng_stream, splitmix64};
 use flare_des::{EventQueue, Time};
 
 use crate::compute::{serial_service_ns, ComputeStats, SwitchCompute, SwitchModel};
@@ -142,6 +142,8 @@ struct RunState {
     telemetry: Telemetry,
     /// Packets dropped for want of a route.
     unroutable: u64,
+    /// [`NetReport::order_digest`] of the run so far.
+    order_digest: u64,
 }
 
 /// The run as the event loop and the program contexts see it: the shared
@@ -230,6 +232,7 @@ impl NetLane<'_> {
 
     /// Handle one event at time `t`, possibly scheduling more.
     fn handle(&mut self, t: Time, event: NetEvent, queue: &mut EventQueue<NetEvent>) {
+        self.state.order_digest = fold_event(self.state.order_digest, t, &event);
         match event {
             NetEvent::Egress { node, port, pkt } => {
                 if let Some((peer, peer_port, arrive)) =
@@ -276,6 +279,27 @@ impl NetLane<'_> {
             }
         }
     }
+}
+
+/// Fold one handled event into an order digest: its own time, node and
+/// kind, and its packet's flow, block, child and kind (a `Wake` folds its
+/// tag as the block). The fields are combined by odd multipliers apart
+/// from the running digest, so one SplitMix64 step per event sits on the
+/// digest's chain.
+fn fold_event(digest: u64, t: Time, event: &NetEvent) -> u64 {
+    let id = |p: &NetPacket| (p.flow, p.block, p.child, p.kind);
+    let (kind, node, (flow, block, child, pkt_kind)) = match event {
+        NetEvent::Egress { node, pkt, .. } => (0, node, id(pkt)),
+        NetEvent::Deliver { node, pkt, .. } => (1, node, id(pkt)),
+        NetEvent::Wake { node, tag } => (2, node, (0, *tag, 0, 0)),
+    };
+    let ids = u64::from(node.0) << 32 | u64::from(flow);
+    let kinds = u64::from(child) << 16 | u64::from(pkt_kind) << 8 | kind;
+    let key = t.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        ^ block.wrapping_mul(0xBF58_476D_1CE4_E5B9)
+        ^ ids.wrapping_mul(0x94D0_49BB_1331_11EB)
+        ^ kinds;
+    splitmix64(digest ^ key)
 }
 
 macro_rules! ctx_common {
@@ -422,6 +446,13 @@ pub struct NetReport {
     pub unroutable: u64,
     /// Events processed.
     pub events: u64,
+    /// A digest of the order the run handled its events in: SplitMix64
+    /// folded over every event's time, node, kind and packet identity
+    /// (flow, block, child, packet kind), in handling order. Two runs with
+    /// equal digests handled the same events in the same order, so a
+    /// change that must not move simulated behaviour can show that it
+    /// moved none, not only that the sums held.
+    pub order_digest: u64,
 }
 
 /// HPU occupancy of one switch under [`SwitchModel::Hpu`].
@@ -482,6 +513,7 @@ impl NetSim {
                 dirs,
                 telemetry: Telemetry::Off,
                 unroutable: 0,
+                order_digest: 0,
             },
         }
     }
@@ -643,6 +675,7 @@ impl NetSim {
                 hpu.enable_timeline();
             }
         }
+        state.order_digest = 0;
         let mut queue = EventQueue::new();
         let mut lane = NetLane {
             topo: &self.topo,
@@ -689,6 +722,7 @@ impl NetSim {
             links,
             unroutable: self.state.unroutable,
             events: queue.processed(),
+            order_digest: self.state.order_digest,
         }
     }
 

@@ -198,9 +198,24 @@ fn thirty_two_tenants_on_thirty_two_hosts_finish() {
     let report = fleet.run();
     fleet.assert_complete(&report);
     let net = &report.net;
-    let got = [net.makespan, net.events, net.total_link_bytes, net.drops];
-    let want = [7_283_703, 4_785_174, 2_344_415_776, 22_763];
-    assert_eq!(got, want, "[makespan ns, events, link bytes, drops]");
+    let got = [
+        net.makespan,
+        net.events,
+        net.total_link_bytes,
+        net.drops,
+        net.order_digest,
+    ];
+    let want = [
+        7_283_703,
+        4_785_174,
+        2_344_415_776,
+        22_763,
+        0x3154_fccf_491b_8840,
+    ];
+    assert_eq!(
+        got, want,
+        "[makespan ns, events, link bytes, drops, order digest]"
+    );
 }
 
 // ---- the switch half, packet by packet --------------------------------

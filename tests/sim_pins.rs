@@ -1,7 +1,8 @@
 //! Simulated-behaviour pins: one collective or tenant fleet per row, its
-//! makespan, completion time, event count and link traffic (plus pooled
-//! iteration tails for fleets, drops on lossy rows and the HPU switches'
-//! counters on one fleet) asserted bit for bit. A change that moves any
+//! makespan, completion time, event count, link traffic and a digest of
+//! the order its events were handled in (plus pooled iteration tails for
+//! fleets, drops on lossy rows and the HPU switches' counters on one fleet)
+//! asserted bit for bit. A change that moves any
 //! of them changed what the simulator computes, not how fast it computes
 //! it — host-side performance is `benchmark/`'s job (see
 //! `benchmark/README.md`).
@@ -61,10 +62,13 @@ struct Row {
     /// sparse when the fabric is lossy.
     tenants: usize,
     /// Makespan in ns, completion ([`RunReport::completion_ns`]: the last
-    /// host done) in ns, events, link bytes. The two times differ on the
-    /// lossy rows only, whose last events (timers, late retransmissions)
-    /// come after the last host is done.
-    want: [u64; 4],
+    /// host done) in ns, events, link bytes, and the order digest
+    /// ([`flare::net::NetReport::order_digest`]). The two times differ on
+    /// the lossy rows only, whose last events (timers, late
+    /// retransmissions) come after the last host is done. The digest moves
+    /// when the events or the order they are handled in do, even where
+    /// every sum holds.
+    want: [u64; 5],
     /// A fleet's pooled per-iteration p50 and p99, in ns.
     tails: Option<[u64; 2]>,
     /// How the makespan compares with [`Row::root_pipeline_ns`], where it
@@ -83,7 +87,7 @@ struct Row {
     hpu_counters: &'static [[u64; 6]],
 }
 
-fn row(payload: Payload, topo: Topo, hosts: usize, bytes_per_host: usize, want: [u64; 4]) -> Row {
+fn row(payload: Payload, topo: Topo, hosts: usize, bytes_per_host: usize, want: [u64; 5]) -> Row {
     Row {
         payload,
         topo,
@@ -271,12 +275,19 @@ impl Row {
 fn check(rows: &[Row]) {
     for row in rows {
         let want = (row.want, row.tails);
-        let what = "([makespan ns, completion ns, events, link bytes], fleet [p50, p99] ns)";
+        let what =
+            "([makespan ns, completion ns, events, link bytes, order digest], fleet [p50, p99] ns)";
         let (report, tails) = row.measure();
         let net = &report.net;
         let completion = report.completion_ns();
         let got = (
-            [net.makespan, completion, net.events, net.total_link_bytes],
+            [
+                net.makespan,
+                completion,
+                net.events,
+                net.total_link_bytes,
+                net.order_digest,
+            ],
             tails,
         );
         assert!(
@@ -325,25 +336,25 @@ fn check(rows: &[Row]) {
 #[rustfmt::skip]
 fn cells_of_128_kib() {
     check(&[
-        row(Dense,  Star,      8, 128 * KIB, [14_179, 14_179,   4_096,  2_129_920]),
-        row(Dense,  Star,     32, 128 * KIB, [17_959, 17_959,  16_384,  8_519_680]),
-        row(Dense,  FatTree,   8, 128 * KIB, [14_753, 14_753,   5_120,  2_662_400]),
-        row(Dense,  FatTree,  32, 128 * KIB, [17_021, 17_021,  18_432,  9_584_640]),
-        row(Sparse, Star,      8, 128 * KIB, [ 2_131,  2_131,     832,    195_008]),
-        row(Sparse, Star,     32, 128 * KIB, [ 7_339,  7_339,   8_192,  2_828_032]),
-        row(Sparse, FatTree,   8, 128 * KIB, [ 3_980,  3_980,   1_040,    259_456]),
-        row(Sparse, FatTree,  32, 128 * KIB, [ 7_878,  7_878,   9_216,  3_254_784]),
+        row(Dense,  Star,      8, 128 * KIB, [14_179, 14_179,   4_096,  2_129_920, 0x2508_7066_a536_ee0e]),
+        row(Dense,  Star,     32, 128 * KIB, [17_959, 17_959,  16_384,  8_519_680, 0x9f89_60c8_3802_7d4e]),
+        row(Dense,  FatTree,   8, 128 * KIB, [14_753, 14_753,   5_120,  2_662_400, 0xed2e_09d3_da9c_de24]),
+        row(Dense,  FatTree,  32, 128 * KIB, [17_021, 17_021,  18_432,  9_584_640, 0x841b_5143_e8ce_5563]),
+        row(Sparse, Star,      8, 128 * KIB, [ 2_131,  2_131,     832,    195_008, 0xf98b_ccf0_d91a_1a82]),
+        row(Sparse, Star,     32, 128 * KIB, [ 7_339,  7_339,   8_192,  2_828_032, 0x965b_2436_2e4e_c732]),
+        row(Sparse, FatTree,   8, 128 * KIB, [ 3_980,  3_980,   1_040,    259_456, 0x8d4c_cff6_7dc3_d9aa]),
+        row(Sparse, FatTree,  32, 128 * KIB, [ 7_878,  7_878,   9_216,  3_254_784, 0x9ee0_6a15_582f_9ea3]),
         // The host counts Canary and Swing evaluate at.
-        row(Dense,  FatTree, 128, 128 * KIB, [22_481, 22_481,  73_728, 38_338_560]),
+        row(Dense,  FatTree, 128, 128 * KIB, [22_481, 22_481,  73_728, 38_338_560, 0xf80b_f430_44a1_c772]),
         // ℛ = 13.18 blocks on the calibrated pipeline, 13.52 on an ideal
         // switch; an HPU switch keeps every block in flight.
-        row(Dense,  FatTree, 256, 128 * KIB, [13_451, 13_451, 147_456, 76_677_120]).root_bound().admits(14),
-        row(Dense,  FatTree, 256, 128 * KIB, [13_650, 13_650, 147_456, 76_677_120]).starved_at(13),
-        row(Dense,  FatTree, 256, 128 * KIB, [11_804, 11_804, 147_456, 76_677_120]).ideal().admits(14),
-        row(Dense,  FatTree, 256, 128 * KIB, [18_820, 18_820, 147_456, 76_677_120]).hpu().admits(128),
-        row(Dense,  FatTree,   8, 128 * KIB, [20_736, 20_736,   5_120,  2_662_400]).hpu(),
-        row(Sparse, Star,      8, 128 * KIB, [ 2_672,  2_672,     832,    195_008]).hpu(),
-        row(Sparse, FatTree,   8, 128 * KIB, [200_000,  7_530,  1_168,    270_888]).loss(0.01, 8),
+        row(Dense,  FatTree, 256, 128 * KIB, [13_451, 13_451, 147_456, 76_677_120, 0x057b_7020_db83_2bad]).root_bound().admits(14),
+        row(Dense,  FatTree, 256, 128 * KIB, [13_650, 13_650, 147_456, 76_677_120, 0x4d93_a04c_6c3e_b03c]).starved_at(13),
+        row(Dense,  FatTree, 256, 128 * KIB, [11_804, 11_804, 147_456, 76_677_120, 0x0508_8e75_f206_86aa]).ideal().admits(14),
+        row(Dense,  FatTree, 256, 128 * KIB, [18_820, 18_820, 147_456, 76_677_120, 0xa430_1548_30c5_94cd]).hpu().admits(128),
+        row(Dense,  FatTree,   8, 128 * KIB, [20_736, 20_736,   5_120,  2_662_400, 0xb09b_74c1_e6e2_9292]).hpu(),
+        row(Sparse, Star,      8, 128 * KIB, [ 2_672,  2_672,     832,    195_008, 0xa32d_d2d5_88d2_1377]).hpu(),
+        row(Sparse, FatTree,   8, 128 * KIB, [200_000,  7_530,  1_168,    270_888, 0x5c42_0363_b994_0aea]).loss(0.01, 8),
     ]);
 }
 
@@ -351,51 +362,28 @@ fn cells_of_128_kib() {
 #[rustfmt::skip]
 fn tenant_fleets() {
     check(&[
-        row(Dense, FatTree, 8, 32 * KIB, [   95_469,   95_469,  20_672,  10_649_600]).tenants(4, 6_752, 11_622),
-        row(Dense, FatTree, 8, 32 * KIB, [  257_627,  120_968,  17_154,   8_464_584]).tenants(4, 13_841, 27_727).loss(0.01, 89),
-        row(Dense, FatTree, 8, 32 * KIB, [  124_384,  124_384,  20_672,  10_649_600]).tenants(4, 16_481, 18_633).hpu_one_core_per_block().hpu_counters(&[
+        row(Dense, FatTree, 8, 32 * KIB, [   95_469,   95_469,  20_672,  10_649_600, 0xb36e_fa17_f01c_56f3]).tenants(4, 6_752, 11_622),
+        row(Dense, FatTree, 8, 32 * KIB, [  257_627,  120_968,  17_154,   8_464_584, 0x1cab_2d0c_3d9d_1501]).tenants(4, 13_841, 27_727).loss(0.01, 89),
+        row(Dense, FatTree, 8, 32 * KIB, [  124_384,  124_384,  20_672,  10_649_600, 0xbdb6_a957_9281_a4a6]).tenants(4, 16_481, 18_633).hpu_one_core_per_block().hpu_counters(&[
             // The two leaves, then the spine that roots every tenant's tree.
             [2_560, 1_839, 6, 6, 4_714, 124_100],
             [2_560, 1_864, 6, 6, 4_735, 124_100],
             [1_024,   195, 1, 1, 9_771, 121_314],
         ]),
-        row(Dense, FatTree, 8, 64 * KIB, [  192_455,  192_455,  82_304,  42_598_400]).tenants(8, 38_482, 39_340),
-        row(Dense, FatTree, 8, 64 * KIB, [  837_755,  717_478, 135_308,  67_050_048]).tenants(16, 104_023, 551_933).loss(0.01, 672),
-        row(Dense, FatTree, 8, 64 * KIB, [  715_817,  715_817, 329_216, 170_393_600]).tenants(32, 167_605, 171_004),
+        row(Dense, FatTree, 8, 64 * KIB, [  192_455,  192_455,  82_304,  42_598_400, 0x7220_e6cd_4550_803f]).tenants(8, 38_482, 39_340),
+        row(Dense, FatTree, 8, 64 * KIB, [  837_755,  717_478, 135_308,  67_050_048, 0xc8ff_221f_ae02_eeb1]).tenants(16, 104_023, 551_933).loss(0.01, 672),
+        row(Dense, FatTree, 8, 64 * KIB, [  715_817,  715_817, 329_216, 170_393_600, 0x1b8e_3b22_9f32_6584]).tenants(32, 167_605, 171_004),
     ]);
 }
 
 #[test]
+#[rustfmt::skip]
 fn eight_hosts_of_8_mib() {
     check(&[
-        row(
-            Dense,
-            Star,
-            8,
-            8 * MIB,
-            [691_555, 691_555, 262_144, 136_314_880],
-        ),
-        row(
-            Dense,
-            FatTree,
-            8,
-            8 * MIB,
-            [692_129, 692_129, 327_680, 170_393_600],
-        ),
-        row(
-            Sparse,
-            Star,
-            8,
-            8 * MIB,
-            [110_525, 110_525, 52_448, 12_498_880],
-        ),
-        row(
-            Sparse,
-            FatTree,
-            8,
-            8 * MIB,
-            [111_523, 111_523, 65_560, 16_630_208],
-        ),
+        row(Dense,  Star,    8, 8 * MIB, [691_555, 691_555, 262_144, 136_314_880, 0xf715_081c_2c38_8c53]),
+        row(Dense,  FatTree, 8, 8 * MIB, [692_129, 692_129, 327_680, 170_393_600, 0x55d3_7ecf_fcaa_8ec3]),
+        row(Sparse, Star,    8, 8 * MIB, [110_525, 110_525,  52_448,  12_498_880, 0x63c8_29da_0e0e_d057]),
+        row(Sparse, FatTree, 8, 8 * MIB, [111_523, 111_523,  65_560,  16_630_208, 0x0788_f3bc_ceb1_7062]),
     ]);
 }
 
@@ -404,8 +392,8 @@ fn eight_hosts_of_8_mib() {
 fn sparse_32_hosts_of_8_mib() {
     check(&[
         // `benchmark`'s `sparse_star` workload.
-        row(Sparse, Star, 32, 8 * MIB, [444_769, 444_769, 524_288, 181_357_312]),
-        row(Sparse, FatTree, 32, 8 * MIB, [446_677, 446_677, 589_824, 208_724_480]),
+        row(Sparse, Star, 32, 8 * MIB, [444_769, 444_769, 524_288, 181_357_312, 0xf2a4_e35f_6930_0428]),
+        row(Sparse, FatTree, 32, 8 * MIB, [446_677, 446_677, 589_824, 208_724_480, 0x7460_d181_b595_3977]),
     ]);
 }
 
@@ -414,33 +402,28 @@ fn sparse_32_hosts_of_8_mib() {
 /// root's serial pipeline folds them in decides the makespan, so a change
 /// to same-instant event order shows here first.
 #[test]
+#[rustfmt::skip]
 fn sparse_fat_tree_16_hosts_of_256_kib() {
-    check(&[row(
-        Sparse,
-        FatTree,
-        16,
-        256 * KIB,
-        [8_100, 8_100, 5_580, 1_721_440],
-    )]);
+    check(&[row(Sparse, FatTree, 16, 256 * KIB, [8_100, 8_100, 5_580, 1_721_440, 0xb671_62af_6385_4746])]);
 }
 
 #[test]
 #[rustfmt::skip]
 fn dense_star_32_hosts_of_8_mib() {
-    check(&[row(Dense, Star, 32, 8 * MIB, [792_103, 792_103, 1_048_576, 545_259_520])]);
+    check(&[row(Dense, Star, 32, 8 * MIB, [792_103, 792_103, 1_048_576, 545_259_520, 0x6808_f749_f22b_2207])]);
 }
 
 #[test]
 #[rustfmt::skip]
 fn dense_fat_tree_32_hosts_of_8_mib() {
-    check(&[row(Dense, FatTree, 32, 8 * MIB, [694_397, 694_397, 1_179_648, 613_416_960])]);
+    check(&[row(Dense, FatTree, 32, 8 * MIB, [694_397, 694_397, 1_179_648, 613_416_960, 0x23bc_98b3_15ce_78c5])]);
 }
 
 /// `benchmark`'s `dense_star` workload.
 #[test]
 #[rustfmt::skip]
 fn dense_star_32_hosts_of_8_mib_hpu() {
-    check(&[row(Dense, Star, 32, 8 * MIB, [694_924, 694_924, 1_048_576, 545_259_520]).hpu()]);
+    check(&[row(Dense, Star, 32, 8 * MIB, [694_924, 694_924, 1_048_576, 545_259_520, 0x4057_dec4_0495_f969]).hpu()]);
 }
 
 /// `benchmark`'s `dense_scale` workload: more hosts than blocks, so every
@@ -450,8 +433,8 @@ fn dense_star_32_hosts_of_8_mib_hpu() {
 #[rustfmt::skip]
 fn dense_fat_tree_512_hosts_of_128_kib() {
     check(&[
-        row(Dense, FatTree, 512, 128 * KIB, [25_739, 25_739, 294_912, 153_354_240]).root_bound().admits(8),
-        row(Dense, FatTree, 512, 128 * KIB, [26_115, 26_115, 294_912, 153_354_240]).starved_at(7),
+        row(Dense, FatTree, 512, 128 * KIB, [25_739, 25_739, 294_912, 153_354_240, 0xfe41_20c7_da75_c747]).root_bound().admits(8),
+        row(Dense, FatTree, 512, 128 * KIB, [26_115, 26_115, 294_912, 153_354_240, 0xaf89_96a5_3695_dee0]).starved_at(7),
     ]);
 }
 
@@ -506,8 +489,8 @@ fn pspin_switch_1024_blocks_of_f32() {
 #[rustfmt::skip]
 fn dense_fat_tree_1024_hosts_of_128_kib() {
     check(&[
-        row(Dense, FatTree, 1024, 128 * KIB, [50_315, 50_315, 589_824, 306_708_480]).root_bound().admits(8),
-        row(Dense, FatTree, 1024, 128 * KIB, [50_315, 50_315, 589_824, 306_708_480]).root_bound().window(5),
-        row(Dense, FatTree, 1024, 128 * KIB, [50_656, 50_656, 589_824, 306_708_480]).starved_at(4),
+        row(Dense, FatTree, 1024, 128 * KIB, [50_315, 50_315, 589_824, 306_708_480, 0x534e_86b7_08ab_1f64]).root_bound().admits(8),
+        row(Dense, FatTree, 1024, 128 * KIB, [50_315, 50_315, 589_824, 306_708_480, 0xdf55_3f72_6972_f349]).root_bound().window(5),
+        row(Dense, FatTree, 1024, 128 * KIB, [50_656, 50_656, 589_824, 306_708_480, 0xa8ba_bf1b_0172_6d67]).starved_at(4),
     ]);
 }
