@@ -536,6 +536,30 @@ mod tests {
     }
 
     #[test]
+    fn tree_ignores_a_duplicate_to_an_open_block() {
+        // A retransmission reaches a tree block that still waits for other
+        // children. It must take no buffer from the pool and leave the
+        // first copy's leaf in place; the duplicate here carries other
+        // values, so the result shows which copy was kept.
+        let data = inputs(4, 4);
+        let mut pool = BufferPool::new();
+        let mut blk = TreeBlock::new(4);
+        blk.insert_from(&Sum, 0, &data[0][..], &mut pool);
+        let gets = pool.stats().gets;
+        let dup = blk.insert_from(&Sum, 0, &data[3][..], &mut pool);
+        assert!(dup.duplicate && dup.result.is_none());
+        assert_eq!(dup.buffers_allocated, 0);
+        assert_eq!(pool.stats().gets, gets, "a duplicate drew a buffer");
+        let mut result = None;
+        for c in 1..4 {
+            result = blk
+                .insert_from(&Sum, c, &data[c as usize][..], &mut pool)
+                .result;
+        }
+        assert_eq!(result.expect("completed"), golden_reduce(&Sum, &data));
+    }
+
+    #[test]
     fn tree_frees_all_buffers_by_completion() {
         let p = 7;
         let data = inputs(p, 2);

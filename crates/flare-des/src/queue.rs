@@ -14,9 +14,10 @@
 //!
 //! * **near rung** — [`NEAR_WINDOW`] one-nanosecond buckets covering the
 //!   aligned window that holds the clock, directly indexed by the low bits
-//!   of the timestamp. The first occupied bucket *is* the pending batch;
-//!   handler re-scheduling at the current timestamp (switch forwarding,
-//!   multicast fan-out) lands in that same bucket.
+//!   of the timestamp. The first occupied bucket *is* the pending
+//!   timestamp: chunks are drained from its head, and handler
+//!   re-scheduling at the current timestamp (switch forwarding, multicast
+//!   fan-out) lands at its tail.
 //! * **far rung** — `FAR_BUCKETS` buckets, each one near window wide,
 //!   covering the aligned span that holds the near window (link backlogs,
 //!   retransmission timers, a preloaded trace). Each bucket also keeps its
@@ -67,11 +68,14 @@
 //! bucket) is a function of its timestamp and the clock only, so the
 //! structure cannot leak nondeterminism into the pop order.
 //!
-//! [`EventQueue::pop_batch`] additionally drains every *currently queued*
-//! event of the earliest timestamp in one call. Events scheduled at that
-//! same timestamp *while the batch is being processed* form a follow-up
-//! batch; their sequence numbers are larger than everything already
-//! drained, so batch delivery always preserves the single-pop total order.
+//! [`EventQueue::pop_batch`] drains the earliest timestamp's queued events
+//! in chunks of at most a caller-chosen size, in that same order. What a
+//! chunk leaves stays at the head of its bucket; events scheduled at the
+//! same timestamp *while a chunk is being processed* have larger sequence
+//! numbers than everything still queued there and join the bucket's tail.
+//! So any sequence of chunk sizes, interleaved with any scheduling,
+//! delivers exactly the single-pop total order, and a driver's buffer
+//! holds one chunk, never a whole same-instant burst.
 
 use crate::Time;
 
@@ -345,32 +349,40 @@ impl<E> EventQueue<E> {
         Some((self.retire(slot, 1), event))
     }
 
-    /// Drain every currently queued event of the earliest pending
-    /// timestamp into `out` (in exact pop order), advancing the clock.
-    /// Returns that timestamp, or `None` when the queue is empty.
+    /// Drain up to `max` of the earliest pending timestamp's queued events
+    /// into `out` (in exact pop order), advancing the clock. Returns that
+    /// timestamp, or `None` when the queue is empty.
     ///
-    /// The batch is **appended** to `out` — existing contents are kept,
+    /// The chunk is **appended** to `out` — existing contents are kept,
     /// so a driver can accumulate; clear the buffer between calls when
-    /// reusing it for one-batch-at-a-time processing (as `NetSim::run`
-    /// in `flare-net` does).
+    /// reusing it for one-chunk-at-a-time processing (as `NetSim::run`
+    /// in `flare-net` does). Whatever the chunk leaves of the timestamp
+    /// stays at the head of its bucket, and events scheduled at that same
+    /// timestamp while the chunk is processed join the bucket's tail, so
+    /// the next call continues in the single-pop order (see the module
+    /// docs).
     ///
-    /// Events scheduled at the same timestamp *after* this call form the
-    /// next batch; see the module docs for when batch delivery preserves
-    /// the single-pop total order.
-    pub fn pop_batch(&mut self, out: &mut Vec<E>) -> Option<Time> {
+    /// # Panics
+    /// Panics if `max` is zero.
+    pub fn pop_batch(&mut self, out: &mut Vec<E>, max: usize) -> Option<Time> {
+        assert!(max > 0, "a chunk of no events");
         let slot = self.next_slot()?;
-        let list = self.take_list(slot);
-        let before = out.len();
-        let mut at = list.head;
-        while at != NIL {
+        let head = self.lists[slot].head;
+        let (mut at, mut last, mut n) = (head, head, 0);
+        while at != NIL && n < max {
             let node = &mut self.nodes[at as usize];
             out.push(node.event.take().expect("a linked node holds an event"));
-            at = node.next;
+            (last, at, n) = (at, node.next, n + 1);
         }
-        // The emptied bucket joins the free list whole.
-        self.nodes[list.tail as usize].next = self.free;
-        self.free = list.head;
-        Some(self.retire(slot, out.len() - before))
+        // The drained run joins the free list whole; the rest of the
+        // bucket, if any, stays linked behind `at`.
+        self.nodes[last as usize].next = self.free;
+        self.free = head;
+        self.lists[slot].head = at;
+        if at == NIL {
+            self.occupied[slot / WORD_BITS] &= !(1 << (slot % WORD_BITS));
+        }
+        Some(self.retire(slot, n))
     }
 
     /// Timestamp of the earliest pending event, if any.
@@ -525,14 +537,14 @@ mod tests {
         q.schedule_at(5, "b");
         q.schedule_at(5, "c");
         let mut batch = Vec::new();
-        assert_eq!(q.pop_batch(&mut batch), Some(5));
+        assert_eq!(q.pop_batch(&mut batch, 64), Some(5));
         assert_eq!(batch, vec!["a", "b", "c"]);
         assert_eq!(q.now(), 5);
         assert_eq!(q.len(), 1);
         batch.clear();
-        assert_eq!(q.pop_batch(&mut batch), Some(9));
+        assert_eq!(q.pop_batch(&mut batch, 64), Some(9));
         assert_eq!(batch, vec!["later"]);
-        assert_eq!(q.pop_batch(&mut batch), None);
+        assert_eq!(q.pop_batch(&mut batch, 64), None);
         assert_eq!(q.processed(), 4);
     }
 
@@ -541,13 +553,38 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule_at(5, 1);
         let mut batch = Vec::new();
-        assert_eq!(q.pop_batch(&mut batch), Some(5));
-        // A handler reacting to the batch schedules at the same instant.
-        q.schedule_at(5, 2);
-        q.schedule_at(5, 3);
+        assert_eq!(q.pop_batch(&mut batch, 2), Some(5));
+        assert_eq!(batch, vec![1]);
+        // A handler reacting to the batch schedules at the same instant:
+        // the drained bucket refills and that is the next batch.
+        for i in 2..=6 {
+            q.schedule_at(5, i);
+        }
         batch.clear();
-        assert_eq!(q.pop_batch(&mut batch), Some(5));
+        assert_eq!(q.pop_batch(&mut batch, 2), Some(5));
         assert_eq!(batch, vec![2, 3]);
+        // A chunk leaves the rest of its instant at the bucket's head, and
+        // what its handlers schedule there joins the tail, behind it.
+        q.schedule_at(5, 7);
+        q.schedule_at(6, 9);
+        q.schedule_at(5, 8);
+        batch.clear();
+        assert_eq!(q.pop_batch(&mut batch, 2), Some(5));
+        assert_eq!(batch, vec![4, 5]);
+        assert_eq!((q.now(), q.len(), q.processed()), (5, 4, 5));
+        batch.clear();
+        assert_eq!(q.pop_batch(&mut batch, 64), Some(5));
+        assert_eq!(batch, vec![6, 7, 8]);
+        batch.clear();
+        assert_eq!(q.pop_batch(&mut batch, 64), Some(6));
+        assert_eq!(batch, vec![9]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "a chunk of no events")]
+    fn pop_batch_of_nothing_panics() {
+        EventQueue::<()>::new().pop_batch(&mut Vec::new(), 0);
     }
 
     #[test]
@@ -582,7 +619,7 @@ mod tests {
         // No clock: the counts are the claim. The re-sorted overflow
         // vector this structure replaced passed 7.8 entries through a sort
         // per event on this schedule. Preload 65 536 ascending arrivals
-        // over 150 µs and drain them batch by batch in the
+        // over 150 µs and drain them chunk by chunk in the
         // `pspin_switch` shape: each arrival is answered by a completion
         // 100–1 500 ns later.
         let mut q = EventQueue::new();
@@ -590,7 +627,7 @@ mod tests {
             q.schedule_at(i * 150_000 / 65_536, Some(i as u32));
         }
         let mut batch = Vec::new();
-        while let Some(t) = q.pop_batch(&mut batch) {
+        while let Some(t) = q.pop_batch(&mut batch, 64) {
             for i in batch.drain(..).flatten() {
                 let service = 100 + i.wrapping_mul(2_654_435_761) as Time % 1_400;
                 q.schedule_at(t + service, None);

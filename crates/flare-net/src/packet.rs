@@ -90,8 +90,9 @@ mod tests {
     fn hot_path_layout_stays_lean() {
         // Every simulated hop moves a NetPacket by value through the
         // event queue; keep the struct at 5 words (40 B on 64-bit) so the
-        // bucket→bottom→batch copies stay cheap. Growing this is a perf
-        // regression — widen deliberately or pack the new field.
+        // copies into a slab node and out into the run loop's chunk stay
+        // cheap. Growing this is a perf regression — widen deliberately or
+        // pack the new field.
         assert_eq!(std::mem::size_of::<NetPacket>(), 40);
         assert_eq!(std::mem::size_of::<NodeId>(), 4);
     }

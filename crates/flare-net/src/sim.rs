@@ -20,7 +20,11 @@
 //! ports/destinations, including multicast by emitting one copy per port.
 //!
 //! There is one event loop: [`NetSim::run`] drains a single event queue
-//! over the whole topology, one equal-timestamp batch at a time.
+//! over the whole topology in chunks of at most 64 events of one
+//! timestamp, so its buffer never grows with a same-instant burst. Memory
+//! follows the work, not the fabric: a link direction keeps its
+//! serializer and counters, and only a run that injects loss builds the
+//! per-direction loss table.
 
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -103,12 +107,21 @@ pub trait SwitchProgram: Send {
     }
 }
 
-/// One link direction: its FIFO serializer, traffic totals and loss model.
+/// Events [`NetSim::run`] takes from the queue per drain: enough to
+/// amortise the call, few enough that the buffer stays small however many
+/// events share an instant.
+const CHUNK: usize = 64;
+
+/// One link direction: its FIFO serializer and traffic totals.
 struct DirState {
     busy_until: Time,
     bytes: u64,
     packets: u64,
     drops: u64,
+}
+
+/// One link direction's loss model, in the table a lossy run builds.
+struct DirLoss {
     drop_prob: f64,
     /// Loss stream derived from `(run seed, 2·link + dir)`: the drop
     /// pattern is a pure function of the seed and this direction's own
@@ -137,6 +150,9 @@ struct NodeState {
 struct RunState {
     nodes: Vec<NodeState>,
     dirs: Vec<DirState>,
+    /// One [`DirLoss`] per link direction once loss has been set on any
+    /// link; empty (no allocation) for a lossless run.
+    loss: Vec<DirLoss>,
     /// Observability capture ([`Telemetry::Off`] by default: one
     /// discriminant test per hook, no state, no allocation).
     telemetry: Telemetry,
@@ -181,7 +197,10 @@ impl NetLane<'_> {
         d.busy_until = fin;
         d.bytes += bytes as u64;
         d.packets += 1;
-        let dropped = d.drop_prob > 0.0 && d.rng.random::<f64>() < d.drop_prob;
+        let dropped = match self.state.loss.get_mut(slot) {
+            Some(l) => l.drop_prob > 0.0 && l.rng.random::<f64>() < l.drop_prob,
+            None => false,
+        };
         self.state
             .telemetry
             .record_tx(slot, start, bytes as u64, dropped);
@@ -471,6 +490,8 @@ pub struct HpuSwitchReport {
 pub struct NetSim {
     topo: Topology,
     routing: Routing,
+    /// The run seed the loss streams derive from.
+    seed: u64,
     /// Everything a run mutates.
     state: RunState,
 }
@@ -480,9 +501,11 @@ impl NetSim {
     /// `seed` drives every stochastic element (currently the per-link
     /// loss-injection streams), making runs bitwise-reproducible.
     ///
-    /// Costs one pass over the nodes, ports and links; routing towards a
-    /// destination is worked out the first time a packet needs it (see
-    /// [`Routing`]).
+    /// Costs one pass over the nodes, ports and links, and holds 32 B per
+    /// link direction; routing towards a destination is worked out the
+    /// first time a packet needs it (see [`Routing`]), and the loss
+    /// streams the first time loss is set (see
+    /// [`set_link_drop_prob`](Self::set_link_drop_prob)).
     pub fn new(topo: Topology, seed: u64) -> Self {
         let routing = topo.build_routing();
         let nodes = (0..topo.node_count())
@@ -495,22 +518,22 @@ impl NetSim {
                 done_at: None,
             })
             .collect();
-        let dirs = (0..2 * topo.link_count() as u64)
-            .map(|slot| DirState {
+        let dirs = (0..2 * topo.link_count())
+            .map(|_| DirState {
                 busy_until: 0,
                 bytes: 0,
                 packets: 0,
                 drops: 0,
-                drop_prob: 0.0,
-                rng: rng_stream(seed, slot),
             })
             .collect();
         Self {
             topo,
             routing,
+            seed,
             state: RunState {
                 nodes,
                 dirs,
+                loss: Vec::new(),
                 telemetry: Telemetry::Off,
                 unroutable: 0,
                 order_digest: 0,
@@ -632,9 +655,26 @@ impl NetSim {
         std::mem::take(&mut self.state.telemetry).into_report(&self.topo, compute)
     }
 
-    /// Inject loss on a link (both directions).
+    /// The per-direction loss table, built on first use: every direction
+    /// lossless, each with its own stream.
+    fn loss_table(&mut self) -> &mut [DirLoss] {
+        if self.state.loss.is_empty() {
+            let seed = self.seed;
+            let streams = 0..self.state.dirs.len() as u64;
+            self.state.loss = streams
+                .map(|slot| DirLoss {
+                    drop_prob: 0.0,
+                    rng: rng_stream(seed, slot),
+                })
+                .collect();
+        }
+        &mut self.state.loss
+    }
+
+    /// Inject loss on a link (both directions). The first call builds the
+    /// loss table: one probability and one stream per link direction.
     pub fn set_link_drop_prob(&mut self, link: usize, p: f64) {
-        for dir in &mut self.state.dirs[2 * link..2 * link + 2] {
+        for dir in &mut self.loss_table()[2 * link..2 * link + 2] {
             dir.drop_prob = p;
         }
     }
@@ -642,10 +682,10 @@ impl NetSim {
     /// Inject loss on every link of the fabric — the common whole-fabric
     /// configuration shared by the session executors and the traffic
     /// engine. A no-op when `p == 0.0` so lossless callers can pass the
-    /// tuning value through unconditionally.
+    /// tuning value through unconditionally, and build no loss table.
     pub fn set_uniform_drop_prob(&mut self, p: f64) {
         if p > 0.0 {
-            for dir in &mut self.state.dirs {
+            for dir in self.loss_table() {
                 dir.drop_prob = p;
             }
         }
@@ -662,10 +702,10 @@ impl NetSim {
     }
 
     /// Run to quiescence (or `deadline`): start every host, then drain the
-    /// event queue batch by batch — whole equal-timestamp buckets
-    /// (multicast fan-outs, forwarding chains) are delivered with one queue
-    /// operation in the exact single-pop order (see `flare_des::queue`).
-    /// Returns the report.
+    /// event queue chunk by chunk — up to 64 events of the earliest
+    /// timestamp per queue operation, in the exact single-pop order (see
+    /// `flare_des::queue`); events a chunk schedules at its own instant
+    /// queue behind the rest of that instant. Returns the report.
     pub fn run(&mut self, deadline: Option<Time>) -> NetReport {
         // With telemetry on, HPU occupancy timelines record too (idempotent —
         // resumed runs keep their samples).
@@ -684,18 +724,18 @@ impl NetSim {
         };
         lane.start_hosts(&mut queue);
         // Events at exactly the deadline still run; the makespan is the
-        // time of the last batch (the clock's start if nothing ran). The
-        // batch buffer is freed before the report is built.
+        // time of the last chunk (the clock's start if nothing ran). The
+        // chunk buffer is freed before the report is built.
         let deadline = deadline.unwrap_or(Time::MAX);
         let makespan = {
             let mut makespan = queue.now();
-            let mut batch = Vec::new();
+            let mut chunk = Vec::with_capacity(CHUNK);
             while queue.peek_time().is_some_and(|t| t <= deadline) {
-                let Some(t) = queue.pop_batch(&mut batch) else {
+                let Some(t) = queue.pop_batch(&mut chunk, CHUNK) else {
                     break;
                 };
                 makespan = t;
-                for ev in batch.drain(..) {
+                for ev in chunk.drain(..) {
                     lane.handle(t, ev, &mut queue);
                 }
             }
@@ -810,6 +850,57 @@ mod tests {
         // to its 40-byte packet instead of spilling past it (was 64 B
         // with word-sized ids).
         assert_eq!(std::mem::size_of::<NetEvent>(), 48);
+    }
+
+    #[test]
+    fn link_direction_state_stays_lean() {
+        // Every link direction of the fabric holds one DirState for the
+        // whole run, lossy or not: its serializer and three counters. The
+        // loss model lives in the table only a lossy run builds.
+        assert_eq!(std::mem::size_of::<DirState>(), 32);
+    }
+
+    #[test]
+    fn a_lossless_run_builds_no_loss_table() {
+        let (topo, ft) = Topology::fat_tree_two_level(2, 2, 1, spec());
+        let mut sim = NetSim::new(topo, 1);
+        sim.set_uniform_drop_prob(0.0);
+        sim.install_host(
+            ft.hosts[0],
+            Box::new(Sender {
+                peer: ft.hosts[3],
+                count: 20,
+                bytes: 1000,
+            }),
+        );
+        assert_eq!(sim.run(None).drops, 0);
+        assert_eq!(sim.state.loss.capacity(), 0);
+        sim.set_link_drop_prob(0, 0.1);
+        assert_eq!(sim.state.loss.len(), sim.state.dirs.len());
+    }
+
+    #[test]
+    fn a_lossless_first_setting_draws_no_loss_of_its_own() {
+        // Building the table at p = 0 must neither consume nor reseed the
+        // stream that a later p = 0.3 draws from.
+        let run = |first: Option<f64>| {
+            let (topo, _sw, hosts) = Topology::star(2, spec());
+            let mut sim = NetSim::new(topo, 42);
+            let sender = Sender {
+                peer: hosts[1],
+                count: 500,
+                bytes: 100,
+            };
+            sim.install_host(hosts[0], Box::new(sender));
+            if let Some(p) = first {
+                sim.set_link_drop_prob(0, p);
+            }
+            sim.set_link_drop_prob(0, 0.3);
+            sim.run(None)
+        };
+        let alone = run(None);
+        assert!(alone.drops > 100, "{}", alone.drops);
+        assert_eq!(run(Some(0.0)), alone);
     }
 
     #[test]
