@@ -50,7 +50,7 @@ impl_byte_sink!(Vec<u8>);
 impl_byte_sink!(BytesMut);
 
 /// A value type that Flare can carry on the wire and aggregate in handlers.
-pub trait Element: Copy + PartialEq + Send + Sync + std::fmt::Debug + 'static {
+pub trait Element: Copy + PartialEq + std::fmt::Debug + 'static {
     /// Bytes occupied on the wire (and in aggregation buffers).
     const WIRE_BYTES: usize;
     /// HPU cycles to aggregate one element (load + combine + store),

@@ -39,9 +39,9 @@ use crate::wiring::check_iteration;
 /// Shared slot a host writes its final reduced vector into, readable by
 /// the caller after the simulation (the simulator owns the programs).
 ///
-/// `Arc<Mutex<_>>` rather than `Rc<RefCell<_>>` because host programs are
-/// `Send` (see [`HostProgram`]); the lock is touched once per completed
-/// allreduce, never per packet.
+/// `Arc<Mutex<_>>` rather than `Rc<RefCell<_>>` only because the
+/// benchmark package reads it with `.lock()`; the lock is touched once per
+/// completed allreduce, never per packet.
 pub type ResultSink<T> = Arc<Mutex<Option<Vec<T>>>>;
 
 /// Create an empty result sink.
@@ -463,7 +463,7 @@ pub enum Applied {
 /// What a Flare host sends and receives. The host owns the protocol —
 /// window, stagger, retransmission, block numbering — and the payload knows
 /// only how to encode and apply its packets.
-pub trait Payload: Send {
+pub trait Payload {
     /// Element type of the reduced vector.
     type Elem: Element;
 
@@ -1275,7 +1275,9 @@ mod tests {
     #[test]
     fn an_iteration_sends_its_own_block_ids_and_wake_sequence() {
         use flare_net::{LinkSpec, NetSim, PortId, SwitchCtx, SwitchProgram, Topology};
-        type Seen = Arc<Mutex<Vec<u64>>>;
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        type Seen = Rc<RefCell<Vec<u64>>>;
         /// Swallows every contribution, noting its wire block id.
         struct Blocks(Seen);
         impl SwitchProgram for Blocks {
@@ -1283,7 +1285,7 @@ mod tests {
                 true
             }
             fn on_packet(&mut self, _: &mut SwitchCtx<'_>, _: PortId, pkt: NetPacket) {
-                self.0.lock().unwrap().push(pkt.block);
+                self.0.borrow_mut().push(pkt.block);
             }
         }
         /// The host, noting the tag of every wake it is handed.
@@ -1296,7 +1298,7 @@ mod tests {
                 self.0.on_packet(ctx, pkt);
             }
             fn on_wake(&mut self, ctx: &mut HostCtx<'_>, tag: u64) {
-                self.1.lock().unwrap().push(tag);
+                self.1.borrow_mut().push(tag);
                 self.0.on_wake(ctx, tag);
             }
         }
@@ -1316,13 +1318,13 @@ mod tests {
         sim.install_host(hosts[0], Box::new(Wakes(host, wakes.clone())));
         // No result ever comes back: the timer fires and re-sends.
         sim.run(Some(30_000));
-        let mut sent = sent.lock().unwrap().clone();
+        let mut sent = sent.take();
         assert!(sent.len() > blocks, "a block was re-sent");
         sent.sort_unstable();
         sent.dedup();
         let first = k as u64 * blocks as u64;
         assert_eq!(sent, (first..first + blocks as u64).collect::<Vec<_>>());
-        let wakes = wakes.lock().unwrap();
+        let wakes = wakes.borrow();
         assert!(!wakes.is_empty());
         for &tag in wakes.iter() {
             assert_eq!(FlowTag::unpack(tag), FlowTag::retransmit(1, k));

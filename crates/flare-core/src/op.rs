@@ -9,7 +9,7 @@
 use crate::dtype::Element;
 
 /// A binary reduction operator over element type `T`.
-pub trait ReduceOp<T>: Send + Sync {
+pub trait ReduceOp<T> {
     /// Combine two values. For order-sensitive operators the convention is
     /// `combine(accumulated_left, incoming_right)`.
     fn combine(&self, a: T, b: T) -> T;
@@ -178,7 +178,7 @@ impl<T: Copy, F: Clone> Clone for Custom<T, F> {
     }
 }
 
-impl<T: Copy, F: Fn(T, T) -> T + Send + Sync> Custom<T, F> {
+impl<T: Copy, F: Fn(T, T) -> T> Custom<T, F> {
     /// Create a custom operator. Set `order_insensitive` truthfully: it
     /// gates whether non-tree aggregation is allowed to claim
     /// reproducibility.
@@ -192,7 +192,7 @@ impl<T: Copy, F: Fn(T, T) -> T + Send + Sync> Custom<T, F> {
     }
 }
 
-impl<T: Element, F: Fn(T, T) -> T + Send + Sync> ReduceOp<T> for Custom<T, F> {
+impl<T: Element, F: Fn(T, T) -> T> ReduceOp<T> for Custom<T, F> {
     fn combine(&self, a: T, b: T) -> T {
         (self.f)(a, b)
     }

@@ -516,9 +516,8 @@ impl<T: Element, O: ReduceOp<T>, D: DenseStorage<T>> DenseCore<T, O, D> {
             vals,
             &mut self.val_pool,
         );
-        if report.duplicate {
-            return; // retransmission: the bitmap already covers this child
-        }
+        // A duplicate reports no buffers and no result: it charges nothing
+        // and returns below.
         let buffers = report.buffers_allocated as i64 - report.buffers_freed as i64;
         side.working_mem(buffers * (vals.len() * T::WIRE_BYTES) as i64);
         let Some(result) = report.result else {

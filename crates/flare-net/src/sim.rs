@@ -25,6 +25,11 @@
 //! follows the work, not the fabric: a link direction keeps its
 //! serializer and counters, and only a run that injects loss builds the
 //! per-direction loss table.
+//!
+//! A simulation lives on the thread that built it. Programs carry no
+//! `Send` bound and a packet's payload counts its handles without atomics,
+//! so the compiler refuses to move a [`NetSim`] or a packet to another
+//! thread; a sweep runs one simulation per worker, built on that worker.
 
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -68,12 +73,7 @@ pub enum NetEvent {
 }
 
 /// Application logic running on a host.
-///
-/// `Send` is a supertrait so that a [`NetSim`] with its installed programs
-/// is `Send`: a simulation may be built on one thread and run on another
-/// (a sweep's worker, say). A program only ever runs on one thread at a
-/// time, so `Sync` is not required.
-pub trait HostProgram: Send {
+pub trait HostProgram {
     /// Called once at simulation start.
     fn on_start(&mut self, _ctx: &mut HostCtx<'_>) {}
     /// Called for every packet delivered to this host.
@@ -89,9 +89,7 @@ pub trait HostProgram: Send {
 }
 
 /// In-network program installed on a switch for matching flows.
-///
-/// `Send` is a supertrait for the same reason as [`HostProgram`]'s.
-pub trait SwitchProgram: Send {
+pub trait SwitchProgram {
     /// Whether this program handles `pkt` (unmatched packets are forwarded
     /// normally, "not further delayed" per paper Section 3).
     fn matches(&self, pkt: &NetPacket) -> bool;

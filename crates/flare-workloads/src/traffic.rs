@@ -56,7 +56,7 @@
 //! fabric. Lossy tunings (`link_drop_prob > 0`) require
 //! `retransmit_after`, exactly like `Collective::run`.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -474,11 +474,11 @@ impl<'s> TrafficEngine<'s> {
         // Per-tenant static config shared by its cells, the flow's wiring
         // first: it is where the tenant's share of every switch program and
         // every iteration's participants come from.
-        let mut statics: Vec<Arc<TenantStatic>> = Vec::with_capacity(self.tenants.len());
+        let mut statics: Vec<Rc<TenantStatic>> = Vec::with_capacity(self.tenants.len());
         for t in &self.tenants {
             let plan = t.handle.plan().clone();
             let n = t.hosts.len();
-            statics.push(Arc::new(TenantStatic {
+            statics.push(Rc::new(TenantStatic {
                 id: plan.id,
                 wiring: FlowWiring::new(plan, t.hosts.clone(), t.spec.shape(), &tuning)?,
                 elems: t.spec.elems,
@@ -690,7 +690,7 @@ impl TenantStatic {
 struct Cell {
     tenant: usize,
     rank: usize,
-    stat: Arc<TenantStatic>,
+    stat: Rc<TenantStatic>,
     rng: StdRng,
     job: usize,
     iter: usize,

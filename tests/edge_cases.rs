@@ -6,8 +6,9 @@
 //! short packets that must be dropped rather than panic.
 
 use bytes::{Bytes, BytesMut};
+use std::cell::RefCell;
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use flare::core::dense::TreeBlock;
 use flare::core::dtype::F16;
@@ -395,7 +396,7 @@ fn through_handler(proto: Proto, children: u16, script: &Script) -> Vec<Bytes> {
 struct Scripted {
     switch: NodeId,
     script: Script,
-    inbox: Arc<Mutex<Vec<Bytes>>>,
+    inbox: Rc<RefCell<Vec<Bytes>>>,
 }
 
 impl HostProgram for Scripted {
@@ -409,7 +410,7 @@ impl HostProgram for Scripted {
     }
 
     fn on_packet(&mut self, _ctx: &mut HostCtx<'_>, pkt: NetPacket) {
-        self.inbox.lock().unwrap().push(pkt.payload);
+        self.inbox.borrow_mut().push(pkt.payload);
     }
 }
 
@@ -436,7 +437,7 @@ fn through_star(proto: Proto, children: u16, script: &Script) -> (Vec<Vec<Bytes>
     }
     let mut inboxes = Vec::new();
     for (c, &h) in hosts.iter().enumerate() {
-        let inbox = Arc::new(Mutex::new(Vec::new()));
+        let inbox = Rc::new(RefCell::new(Vec::new()));
         inboxes.push(inbox.clone());
         let script = script.iter().filter(|s| s.2 == c as u16).cloned().collect();
         sim.install_host(
@@ -449,7 +450,7 @@ fn through_star(proto: Proto, children: u16, script: &Script) -> (Vec<Vec<Bytes>
         );
     }
     let report = sim.run(None);
-    let got = inboxes.iter().map(|i| i.lock().unwrap().clone()).collect();
+    let got = inboxes.iter().map(|i| i.take()).collect();
     (got, report.total_link_bytes)
 }
 
@@ -559,7 +560,7 @@ fn sparse_program_drops_an_out_of_range_child_index() {
 /// doubled but one element short, then with all of them. It notes where
 /// the first short payload lives.
 struct ShortThenWhole {
-    first_short: Arc<Mutex<Option<usize>>>,
+    first_short: Rc<RefCell<Option<usize>>>,
 }
 
 impl SwitchProgram for ShortThenWhole {
@@ -575,7 +576,7 @@ impl SwitchProgram for ShortThenWhole {
             let payload = encode_dense(Header { kind, ..h }, &doubled[..doubled.len() - cut]);
             if cut == 1 {
                 let at = payload.as_ptr() as usize;
-                self.first_short.lock().unwrap().get_or_insert(at);
+                self.first_short.borrow_mut().get_or_insert(at);
             }
             let me = ctx.node();
             ctx.send(NetPacket::new(
@@ -594,7 +595,7 @@ fn dense_host_ignores_a_short_result_and_completes_on_the_whole_one() {
     // result is legally short (2 < 4) and must still complete it.
     let (topo, sw, hosts) = Topology::star(1, LinkSpec::hundred_gig());
     let mut sim = NetSim::new(topo, 1);
-    let first_short = Arc::new(Mutex::new(None));
+    let first_short = Rc::new(RefCell::new(None));
     let prog = ShortThenWhole {
         first_short: first_short.clone(),
     };
@@ -620,10 +621,7 @@ fn dense_host_ignores_a_short_result_and_completes_on_the_whole_one() {
     drop(sim);
     // The ignored payload was dropped like any other: its block is back on
     // this thread's free list, among the first few a same-size request pops.
-    let short = first_short
-        .lock()
-        .unwrap()
-        .expect("a short result was sent");
+    let short = first_short.take().expect("a short result was sent");
     let held: Vec<BytesMut> = (0..64).map(|_| BytesMut::with_capacity(28)).collect();
     assert!(held.iter().any(|b| b.as_ptr() as usize == short));
 }

@@ -16,7 +16,9 @@
 //! upward re-send per round of pokes, duplicate results absorbed, a child's
 //! poke still answered from the cache.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::OnceLock;
 
 use bytes::Bytes;
 use flare::core::handlers::{DenseAllreduceHandler, DenseHandlerConfig, SparseStorageKind};
@@ -278,7 +280,7 @@ struct Child {
     index: u16,
     proto: Proto,
     send_at: Vec<Time>,
-    inbox: Arc<Mutex<Vec<(Time, PacketKind)>>>,
+    inbox: Rc<RefCell<Seen>>,
 }
 
 impl HostProgram for Child {
@@ -293,7 +295,7 @@ impl HostProgram for Child {
 
     fn on_packet(&mut self, ctx: &mut HostCtx<'_>, pkt: NetPacket) {
         let got = (ctx.now(), kind_of(&pkt.payload));
-        self.inbox.lock().unwrap().push(got);
+        self.inbox.borrow_mut().push(got);
     }
 }
 
@@ -303,7 +305,7 @@ struct Parent {
     leaf: NodeId,
     proto: Proto,
     results: Vec<Time>,
-    inbox: Arc<Mutex<Vec<(Time, PacketKind)>>>,
+    inbox: Rc<RefCell<Seen>>,
 }
 
 impl SwitchProgram for Parent {
@@ -313,8 +315,7 @@ impl SwitchProgram for Parent {
 
     fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, _in_port: PortId, pkt: NetPacket) {
         self.inbox
-            .lock()
-            .unwrap()
+            .borrow_mut()
             .push((ctx.now(), kind_of(&pkt.payload)));
         for at in self.results.drain(..) {
             let payload = self.proto.result();
@@ -363,7 +364,7 @@ fn poke_sequence(proto: Proto) -> (Seen, Vec<Seen>, RecoveryStats) {
             sim.install_switch(leaf, Box::new(prog.with_loss_recovery(true)), 512.0);
         }
     }
-    let up = Arc::new(Mutex::new(Vec::new()));
+    let up = Rc::new(RefCell::new(Vec::new()));
     let parent = Parent {
         leaf,
         proto,
@@ -373,7 +374,7 @@ fn poke_sequence(proto: Proto) -> (Seen, Vec<Seen>, RecoveryStats) {
     sim.install_switch(spine, Box::new(parent), 512.0);
     let mut inboxes = Vec::new();
     for (index, &host) in ft.hosts.iter().enumerate() {
-        let inbox = Arc::new(Mutex::new(Vec::new()));
+        let inbox = Rc::new(RefCell::new(Vec::new()));
         inboxes.push(inbox.clone());
         let mut send_at = vec![0, 10_000];
         match index {
@@ -396,10 +397,9 @@ fn poke_sequence(proto: Proto) -> (Seen, Vec<Seen>, RecoveryStats) {
     let recovery = leaf
         .downcast_mut::<FlareSwitch<f32, Sum>>()
         .map(|p| p.stats());
-    let seen = |inbox: &Arc<Mutex<Seen>>| inbox.lock().unwrap().clone();
-    let children = inboxes.iter().map(seen).collect();
+    let children = inboxes.iter().map(|inbox| inbox.take()).collect();
     (
-        seen(&up),
+        up.take(),
         children,
         recovery.expect("the leaf's program").recovery,
     )

@@ -2,7 +2,9 @@
 //! makespan, completion time, event count, link traffic and a digest of
 //! the order its events were handled in (plus pooled iteration tails for
 //! fleets, drops on lossy rows and the HPU switches' counters on one fleet)
-//! asserted bit for bit. A change that moves any
+//! asserted bit for bit. A single collective's row also checks every
+//! rank's result against the golden reduction of its inputs (of the
+//! densified pairs, for a sparse row). A change that moves any
 //! of them changed what the simulator computes, not how fast it computes
 //! it — host-side performance is `benchmark/`'s job (see
 //! `benchmark/README.md`).
@@ -24,6 +26,7 @@
 use std::cmp::Ordering;
 
 use flare::prelude::*;
+use flare::workloads::sparse::densify_f32;
 
 const KIB: usize = 1024;
 const MIB: usize = 1024 * KIB;
@@ -245,28 +248,41 @@ impl Row {
             let tails = TailStats::from_samples(&pooled);
             (report, Some([tails.p50, tails.p99]))
         } else {
-            let run = match self.payload {
+            let (run, want) = match self.payload {
                 Dense => {
-                    let inputs = (0..self.hosts).map(|h| vec![(h + 1) as f32; elems]);
+                    let inputs: Vec<Vec<f32>> = (0..self.hosts)
+                        .map(|h| vec![(h + 1) as f32; elems])
+                        .collect();
+                    // Every input repeats one value, so the golden reduction
+                    // of their first elements, repeated, is that of the
+                    // inputs: a reduction of every element costs a second in
+                    // a debug build on the largest rows.
+                    let firsts: Vec<Vec<f32>> = inputs.iter().map(|v| v[..1].to_vec()).collect();
+                    let want = vec![golden_reduce(&Sum, &firsts)[0]; elems];
                     // Clamped to the admitted window: `None` runs at it.
                     let window = self.window.unwrap_or(usize::MAX);
-                    let collective = session.allreduce(inputs.collect()).op(Sum);
-                    collective.window(window).run()
+                    let collective = session.allreduce(inputs).op(Sum);
+                    (collective.window(window).run(), want)
                 }
                 Sparse => {
                     let nnz = (elems / 100).max(1);
                     let stride = elems / nnz;
-                    let pairs = (0..self.hosts).map(|h| {
-                        let pair = |i| (((i * stride + h) % elems) as u32, 1.0f32);
-                        (0..nnz).map(pair).collect()
-                    });
-                    session
-                        .sparse_allreduce(elems, pairs.collect())
-                        .op(Sum)
-                        .run()
+                    let pairs: Vec<Vec<(u32, f32)>> = (0..self.hosts)
+                        .map(|h| {
+                            let pair = |i| (((i * stride + h) % elems) as u32, 1.0f32);
+                            (0..nnz).map(pair).collect()
+                        })
+                        .collect();
+                    // The dense reduction of every host's pairs.
+                    let want = densify_f32(&pairs.concat(), elems);
+                    (session.sparse_allreduce(elems, pairs).op(Sum).run(), want)
                 }
             };
-            (run.expect("collective runs").report, None)
+            let run = run.expect("collective runs");
+            for (rank, got) in run.ranks().iter().enumerate() {
+                assert!(*got == want, "rank {rank}'s result for {self:?}");
+            }
+            (run.report, None)
         };
         (report, tails)
     }

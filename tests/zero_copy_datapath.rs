@@ -21,7 +21,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::{Mutex, MutexGuard};
 
 use flare::core::handlers::SparseStorageKind;
 use flare::core::host::{result_sink, DenseFlareHost, HostConfig, ResultSink, SparseFlareHost};
@@ -67,15 +66,6 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
-
-/// The payload free lists are process-wide state: tests that look at what
-/// they retain must not overlap with tests that warm them.
-fn serial() -> MutexGuard<'static, ()> {
-    static SERIAL: Mutex<()> = Mutex::new(());
-    SERIAL
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 const BLOCKS: usize = 512;
 const ELEMS_PER_PACKET: usize = 256;
@@ -186,7 +176,6 @@ fn run_counted<T>(mut sim: NetSim, sinks: &[ResultSink<T>]) -> (NetReport, u64) 
 
 #[test]
 fn dense_steady_state_allocates_zero_payload_buffers_per_packet() {
-    let _serial = serial();
     let hosts = 8;
     let (mut sim, sw, sinks) = star_dense(hosts, BLOCKS);
     let report = sim.run(None);
@@ -246,7 +235,6 @@ fn dense_steady_state_allocates_zero_payload_buffers_per_packet() {
 /// once per hundred link packets, and must leave the payload free lists
 /// retaining what they did.
 fn assert_warm_run_is_allocation_free<T>(build: impl Fn() -> (NetSim, Vec<ResultSink<T>>)) {
-    let _serial = serial();
     let (sim, sinks) = build();
     run_counted(sim, &sinks);
     let retained = bytes::pool_stats().retained_bytes;
@@ -290,7 +278,6 @@ fn shell_allocations_do_not_scale_with_block_count() {
     // 4x the blocks must not mean 4x the allocator calls: what a warm run
     // still allocates (queue and window growth, the program's first
     // aggregation buffers) depends on the window, not the run length.
-    let _serial = serial();
     let run = |blocks: usize| {
         let (sim, _, sinks) = star_dense(4, blocks);
         let (report, calls) = run_counted(sim, &sinks);
@@ -311,7 +298,6 @@ fn dense_pool_misses_do_not_scale_with_block_count() {
     // Run the same topology with 4x the blocks: miss counts must stay in
     // the same warm-up envelope (they depend on the window, not the run
     // length) — the definition of "allocation-free in steady state".
-    let _serial = serial();
     let run = |blocks: usize| {
         let (mut sim, sw, sinks) = star_dense(4, blocks);
         sim.run(None);
@@ -338,7 +324,6 @@ fn dense_pool_misses_do_not_scale_with_block_count() {
 
 #[test]
 fn sparse_program_reuses_pair_batches_and_reclaims_payloads() {
-    let _serial = serial();
     let (hosts, blocks) = (6, 128);
     let (mut sim, sw, sinks) = star_sparse(hosts, blocks);
     sim.run(None);
