@@ -1188,13 +1188,17 @@ mod tests {
         assert_eq!(session.active_collectives(), 0, "handle released on error");
     }
 
-    /// A lossy 16-tenant mixed dense/sparse fleet with telemetry on exports
-    /// a Perfetto-loadable trace that records every lifecycle stage.
+    /// A lossy 16-tenant mixed dense/sparse fleet on HPU switches with
+    /// telemetry on exports a Perfetto-loadable trace that records every
+    /// lifecycle stage, drops and the occupancy of every HPU switch, and
+    /// whose bytes are pinned.
     #[test]
     fn lossy_fleet_trace_records_every_lifecycle_stage() {
-        use flare_net::TelemetryConfig;
+        use flare_des::rng::splitmix64;
+        use flare_net::{HpuParams, SwitchModel, TelemetryConfig};
         let (topo, _ft) = Topology::fat_tree_two_level(2, 2, 2, LinkSpec::hundred_gig());
         let mut session = FlareSession::builder(topo)
+            .switch_model(SwitchModel::Hpu(HpuParams::paper()))
             .link_drop_prob(0.02)
             .retransmit_after(Some(200_000))
             .telemetry(TelemetryConfig::default())
@@ -1234,6 +1238,30 @@ mod tests {
         // Flow tracks carry tenant labels into the export.
         assert!(trace.tracks.iter().any(|(_, l)| l == "tenant-3"));
         assert!(json.contains("tenant-3"));
+        // Every HPU switch of the run, and only those, exports occupancy.
+        let fabric = &report.tenants.expect("a traffic run").fabric;
+        let hpu: Vec<u32> = fabric.hpu.iter().map(|h| h.switch.0).collect();
+        let compute: Vec<u32> = trace.compute.iter().map(|c| c.node).collect();
+        assert!(!hpu.is_empty());
+        assert_eq!(compute, hpu);
+        assert!(json.contains("\"ph\":\"C\",") && json.contains("\"depth\":"));
+        // The exported bytes, pinned: length and a SplitMix64 fold.
+        let pin = |s: &str| {
+            (
+                s.len(),
+                s.bytes().fold(0, |d, b| splitmix64(d ^ u64::from(b))),
+            )
+        };
+        assert_eq!(
+            pin(&json),
+            (150_447, 12_179_985_610_845_335_644),
+            "chrome_trace"
+        );
+        assert_eq!(
+            pin(&trace.utilization_csv()),
+            (4_587, 2_989_033_762_593_552_900),
+            "utilization_csv"
+        );
     }
 
     #[test]
