@@ -81,19 +81,25 @@ impl HostProgram for TraceSender {
     fn on_packet(&mut self, _ctx: &mut HostCtx<'_>, _pkt: NetPacket) {}
 }
 
-/// A switch program that runs every matched packet through the compute
+/// A switch program that runs every packet of [`FLOW`] through the compute
 /// model and consumes it (the handler itself is the measurement).
 struct HpuProbe {
     handled: u64,
 }
 
 impl SwitchProgram for HpuProbe {
-    fn matches(&self, pkt: &NetPacket) -> bool {
-        pkt.flow == FLOW
-    }
-    fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, _in: PortId, pkt: NetPacket) {
+    fn on_packet(
+        &mut self,
+        ctx: &mut SwitchCtx<'_>,
+        _in: PortId,
+        pkt: NetPacket,
+    ) -> Option<NetPacket> {
+        if pkt.flow != FLOW {
+            return Some(pkt);
+        }
         let _fin = ctx.processing_done_for(pkt.block, pkt.wire_bytes);
         self.handled += 1;
+        None
     }
 }
 
@@ -120,7 +126,7 @@ pub fn run_des(params: HpuParams, trace: &[(u64, u64, u16)]) -> (f64, usize) {
             .collect();
         sim.install_host(h, Box::new(TraceSender { switch: sw, sends }));
     }
-    sim.install_switch_model(
+    sim.install_switch(
         sw,
         Box::new(HpuProbe { handled: 0 }),
         SwitchModel::Hpu(params),

@@ -1274,18 +1274,23 @@ mod tests {
 
     #[test]
     fn an_iteration_sends_its_own_block_ids_and_wake_sequence() {
-        use flare_net::{LinkSpec, NetSim, PortId, SwitchCtx, SwitchProgram, Topology};
+        use flare_net::{
+            LinkSpec, NetSim, PortId, SwitchCtx, SwitchModel, SwitchProgram, Topology,
+        };
         use std::cell::RefCell;
         use std::rc::Rc;
         type Seen = Rc<RefCell<Vec<u64>>>;
         /// Swallows every contribution, noting its wire block id.
         struct Blocks(Seen);
         impl SwitchProgram for Blocks {
-            fn matches(&self, _: &NetPacket) -> bool {
-                true
-            }
-            fn on_packet(&mut self, _: &mut SwitchCtx<'_>, _: PortId, pkt: NetPacket) {
+            fn on_packet(
+                &mut self,
+                _: &mut SwitchCtx<'_>,
+                _: PortId,
+                pkt: NetPacket,
+            ) -> Option<NetPacket> {
                 self.0.borrow_mut().push(pkt.block);
+                None
             }
         }
         /// The host, noting the tag of every wake it is handed.
@@ -1306,7 +1311,11 @@ mod tests {
         let (topo, sw, hosts) = Topology::star(1, LinkSpec::hundred_gig());
         let mut sim = NetSim::new(topo, 1);
         let (sent, wakes) = (Seen::default(), Seen::default());
-        sim.install_switch(sw, Box::new(Blocks(sent.clone())), 512.0);
+        sim.install_switch(
+            sw,
+            Box::new(Blocks(sent.clone())),
+            SwitchModel::calibrated(),
+        );
         let cfg = HostConfig {
             leaf: sw,
             window: blocks,

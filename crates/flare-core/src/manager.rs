@@ -241,15 +241,12 @@ fn try_root(
 pub enum AdmissionError {
     /// No reduction tree exists over the non-saturated switches.
     NoTree,
-    /// The per-switch limit on concurrent allreduces was reached everywhere.
-    TooManyAllreduces,
 }
 
 impl std::fmt::Display for AdmissionError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             AdmissionError::NoTree => write!(f, "no feasible reduction tree"),
-            AdmissionError::TooManyAllreduces => write!(f, "allreduce slots exhausted"),
         }
     }
 }
@@ -609,16 +606,15 @@ mod tests {
     #[test]
     fn a_one_host_star_and_a_free_switch_admit_without_panicking() {
         let (topo, _sw, hosts) = Topology::star(1, LinkSpec::hundred_gig());
-        for model in [SwitchModel::Ideal, SwitchModel::calibrated()] {
-            let (req, plan) = admit(&topo, &hosts, 4, service(&model));
+        let free = SwitchModel::RateLimited(f64::INFINITY);
+        for model in [&free, &SwitchModel::calibrated()] {
+            let (req, plan) = admit(&topo, &hosts, 4, service(model));
             assert_eq!(plan.window, stagger_window(&req, 1));
         }
         let (topo, _sw, hosts) = Topology::star(100, LinkSpec::hundred_gig());
-        for model in [SwitchModel::Ideal, SwitchModel::RateLimited(f64::INFINITY)] {
-            assert_eq!(service(&model), Some(0));
-            let (_, plan) = admit(&topo, &hosts, 64 << 10, service(&model));
-            assert_eq!(plan.window, 8, "ℛ = 568 / 84 ns, under the floor");
-        }
+        assert_eq!(service(&free), Some(0));
+        let (_, plan) = admit(&topo, &hosts, 64 << 10, service(&free));
+        assert_eq!(plan.window, 8, "ℛ = 568 / 84 ns, under the floor");
     }
 
     proptest! {
@@ -654,7 +650,7 @@ mod tests {
                 hosts.push(all[0]);
             }
             let model = match model {
-                0 => SwitchModel::Ideal,
+                0 => SwitchModel::RateLimited(f64::INFINITY),
                 1 => SwitchModel::calibrated(),
                 2 => SwitchModel::RateLimited(64.0),
                 _ => SwitchModel::Hpu(flare_net::HpuParams::paper()),

@@ -322,9 +322,9 @@ pub struct Tuning {
     /// Pairs per packet (sparse) — the paper's 128 pairs = 1 KiB.
     pub pairs_per_packet: usize,
     /// How switch processing time is modeled:
-    /// [`SwitchModel::RateLimited`] (the PsPIN-calibrated serial pipeline,
-    /// the default), [`SwitchModel::Ideal`] (no processing delay) or
-    /// [`SwitchModel::Hpu`] (event-driven multi-core handler scheduling
+    /// [`SwitchModel::RateLimited`] (a serial pipeline; the default is the
+    /// PsPIN-calibrated rate, and an infinite rate is no processing delay)
+    /// or [`SwitchModel::Hpu`] (event-driven multi-core handler scheduling
     /// per [`flare_net::compute`]).
     pub switch_model: SwitchModel,
     /// Arms host retransmission, dense and sparse (None = reliable
@@ -413,8 +413,9 @@ impl Tuning {
             return Err(SessionError::LossWithoutRetransmit);
         }
         match &self.switch_model {
-            // An infinite rate is `Ideal`; a zero one would overflow the
-            // clock, a negative or NaN one run silently as another model.
+            // An infinite rate is no processing delay; a zero one would
+            // overflow the clock, a negative or NaN one run silently as
+            // another model.
             SwitchModel::RateLimited(rate) if rate.is_nan() || *rate <= 0.0 => {
                 return Err(SessionError::InvalidSwitchModel(format!(
                     "RateLimited({rate}): expected a rate > 0 bytes/ns"
@@ -455,8 +456,8 @@ impl FlareSessionBuilder {
         self
     }
 
-    /// Typed switch compute model: `Ideal`, `RateLimited(rate)` or
-    /// `Hpu(params)` — the latter schedules every handler onto a concrete
+    /// Typed switch compute model: `RateLimited(rate)` or `Hpu(params)` —
+    /// the latter schedules every handler onto a concrete
     /// HPU core (hierarchical FCFS, per-subset queueing) with service
     /// times derived from [`flare_model::SwitchParams`].
     pub fn switch_model(mut self, model: SwitchModel) -> Self {
@@ -1668,7 +1669,7 @@ mod tests {
                 Topology::star(size, spec).0
             };
             let model = match model {
-                0 => SwitchModel::Ideal,
+                0 => SwitchModel::RateLimited(f64::INFINITY),
                 1 => SwitchModel::calibrated(),
                 2 => SwitchModel::RateLimited(128.0),
                 3 => SwitchModel::RateLimited(64.0),

@@ -138,7 +138,7 @@ enum Core<T: Element, O> {
 /// The Flare program of one switch: every allreduce the network manager
 /// routed through it, each at its own place in its own tree. Packets go to
 /// their flow's core by allreduce id; packets of any other flow are
-/// forwarded normally. The flows share the switch's compute model (HPU
+/// handed back, and the simulator forwards them normally. The flows share the switch's compute model (HPU
 /// cores, rate limit), so contention between them is physical, not
 /// modeled.
 pub struct FlareSwitch<T: Element, O> {
@@ -230,27 +230,30 @@ impl<T: Element, O: ReduceOp<T>> Core<T, O> {
 }
 
 impl<T: Element, O: ReduceOp<T> + 'static> SwitchProgram for FlareSwitch<T, O> {
-    fn matches(&self, pkt: &NetPacket) -> bool {
-        self.flows.iter().any(|f| f.place.allreduce == pkt.flow)
-    }
-
-    fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, _in_port: PortId, pkt: NetPacket) {
+    fn on_packet(
+        &mut self,
+        ctx: &mut SwitchCtx<'_>,
+        _in_port: PortId,
+        pkt: NetPacket,
+    ) -> Option<NetPacket> {
         let flow = self
             .flows
             .iter_mut()
             .find(|f| f.place.allreduce == pkt.flow);
-        let Some(flow) = flow else { return };
+        let Some(flow) = flow else {
+            return Some(pkt);
+        };
         flow.bytes += pkt.wire_bytes as u64;
         let place = &flow.place;
         match &mut flow.core {
             Core::Dense(core) => {
                 let Ok((header, vals)) = DenseView::<T>::parse(&pkt.payload) else {
-                    return;
+                    return None;
                 };
                 let contrib = match header.kind {
                     PacketKind::DenseContrib => true,
                     PacketKind::DenseResult => false,
-                    _ => return,
+                    _ => return None,
                 };
                 let at = ctx.processing_done_for(pkt.block, pkt.wire_bytes);
                 let open = |spare: Option<TreeBlock<T>>| {
@@ -265,12 +268,12 @@ impl<T: Element, O: ReduceOp<T> + 'static> SwitchProgram for FlareSwitch<T, O> {
             }
             Core::Sparse(core) => {
                 let Ok((header, pairs)) = SparseView::<T>::parse(&pkt.payload) else {
-                    return;
+                    return None;
                 };
                 let contrib = match header.kind {
                     PacketKind::SparseContrib | PacketKind::SparseSpill => true,
                     PacketKind::SparseResult => false,
-                    _ => return,
+                    _ => return None,
                 };
                 let at = ctx.processing_done_for(pkt.block, pkt.wire_bytes);
                 let mut side = Side::Net { ctx, place, at };
@@ -281,6 +284,7 @@ impl<T: Element, O: ReduceOp<T> + 'static> SwitchProgram for FlareSwitch<T, O> {
                 }
             }
         }
+        None
     }
 
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
@@ -302,10 +306,8 @@ mod tests {
             my_child_index: 1,
         };
         let prog: FlareSwitch<i32, Sum> = FlareSwitch::dense(p, Sum);
-        let pkt = NetPacket::new(NodeId(1), NodeId(0), 3, 0, 0, 0, 0, bytes::Bytes::new());
-        assert!(prog.matches(&pkt));
-        let other = NetPacket::new(NodeId(1), NodeId(0), 4, 0, 0, 0, 0, bytes::Bytes::new());
-        assert!(!prog.matches(&other));
+        assert_eq!(prog.flow(3), Some((0, ProgramStats::default())));
+        assert_eq!(prog.flow(4), None);
     }
 
     #[test]
@@ -330,7 +332,7 @@ mod tests {
         // KiB sparse): only a fabric that can lose packets caches replays,
         // so only there may a program pay for the ring.
         use crate::host::{result_sink, DenseFlareHost, HostConfig};
-        use flare_net::{LinkSpec, NetSim, Topology};
+        use flare_net::{LinkSpec, NetSim, SwitchModel, Topology};
         let replay_slots = |lossy: bool| {
             let (topo, sw, hosts) = Topology::star(3, LinkSpec::hundred_gig());
             let mut sim = NetSim::new(topo, 1);
@@ -341,7 +343,7 @@ mod tests {
                 my_child_index: 0,
             };
             let prog = FlareSwitch::<i32, Sum>::dense(place, Sum).with_loss_recovery(lossy);
-            sim.install_switch(sw, Box::new(prog), 512.0);
+            sim.install_switch(sw, Box::new(prog), SwitchModel::calibrated());
             for (rank, &h) in hosts.iter().enumerate() {
                 let cfg = HostConfig {
                     allreduce: 1,
@@ -398,7 +400,8 @@ mod tests {
         // switch does not serve.
         use crate::host::{result_sink, DenseFlareHost, HostConfig, SparseFlareHost};
         use crate::op::golden_reduce;
-        use flare_net::{HostCtx, HostProgram, LinkSpec, NetSim, TelemetryConfig, Topology};
+        use flare_net::Topology;
+        use flare_net::{HostCtx, HostProgram, LinkSpec, NetSim, SwitchModel, TelemetryConfig};
         struct Stray(NodeId);
         impl HostProgram for Stray {
             fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
@@ -422,7 +425,7 @@ mod tests {
         let storage = SparseStorageKind::Array { span };
         let sparse = FlareSwitch::sparse(place(2, &hosts[2..4]), Sum, storage, ppp);
         let switch = FlareSwitch::<i32, Sum>::dense(place(1, &hosts[..2]), Sum).join(sparse);
-        sim.install_switch(sw, Box::new(switch), 512.0);
+        sim.install_switch(sw, Box::new(switch), SwitchModel::calibrated());
         let cfg = |allreduce, rank: usize| HostConfig {
             allreduce,
             leaf: sw,

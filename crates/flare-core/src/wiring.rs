@@ -388,7 +388,7 @@ pub fn run_fabric<T: Element, O: ReduceOp<T> + Clone + 'static, R>(
     for sw in switches {
         let programs = served(sw).map(|(i, s)| flows[i].switch_program(s, op.clone()));
         let program = programs.reduce(FlareSwitch::join).expect("a tree switch");
-        sim.install_switch_model(sw, Box::new(program), tuning.switch_model.clone());
+        sim.install_switch(sw, Box::new(program), tuning.switch_model.clone());
     }
     for (node, program) in hosts {
         sim.install_host(node, program);

@@ -29,26 +29,30 @@
 //! packet instead of a queued core release — the cross-validation tests in
 //! `flare-bench` assert the equivalence on the Figure 5 scenarios.
 //!
-//! [`SwitchModel`] is the session-facing knob: `Ideal` (no processing
-//! delay), `RateLimited` (the historical serial byte-rate pipeline,
-//! bit-identical to pre-subsystem behavior) or `Hpu` (this model).
+//! [`SwitchModel`] is the session-facing knob: `RateLimited` (the
+//! historical serial byte-rate pipeline, bit-identical to pre-subsystem
+//! behavior; an infinite rate means no processing delay) or `Hpu` (this
+//! model). [`SwitchCompute::execute`] returns the occupancy sample of each
+//! dispatch beside its completion time, and the simulator records it only
+//! while telemetry is on: the scheduler keeps no recorder of its own.
 
 use std::collections::VecDeque;
 
 use flare_des::Time;
 use flare_model::SwitchParams;
 
+use crate::telemetry::ComputeSample;
+
 /// How a switch's packet processing is modeled.
 ///
-/// `Ideal` and `RateLimited` preserve the historical serial-pipeline
-/// behavior exactly (every existing makespan is bit-identical);
-/// `Hpu` enables the event-driven multi-core model of this module.
+/// `RateLimited` preserves the historical serial-pipeline behavior exactly
+/// (every existing makespan is bit-identical); `Hpu` enables the
+/// event-driven multi-core model of this module.
 #[derive(Debug, Clone)]
 pub enum SwitchModel {
-    /// No processing delay: handler completion == packet arrival.
-    Ideal,
     /// One serial pipeline draining the given rate in bytes/ns (the
-    /// PsPIN-*calibrated* aggregate bandwidth used since PR 1).
+    /// PsPIN-*calibrated* aggregate bandwidth). `f64::INFINITY` means no
+    /// processing delay: a handler completes on its packet's arrival.
     RateLimited(f64),
     /// Per-core hierarchical-FCFS scheduling over `K = clusters × C` HPU
     /// cores with service times derived from [`SwitchParams`].
@@ -63,13 +67,12 @@ impl SwitchModel {
     }
 
     /// Time the serial pipeline takes to process a packet of `bytes` wire
-    /// bytes, in ns: ⌈bytes / rate⌉, at least 1, under `RateLimited`; 0
-    /// under `Ideal` or an infinite rate. `None` under `Hpu`, whose
+    /// bytes, in ns: ⌈bytes / rate⌉, at least 1, under `RateLimited`; 0 at
+    /// an infinite rate. `None` under `Hpu`, whose
     /// handlers run on many cores at once ([`HpuParams::service_ns`] is one
     /// core's time).
     pub fn service_ns(&self, bytes: u32) -> Option<Time> {
         match self {
-            SwitchModel::Ideal => Some(0),
             SwitchModel::RateLimited(rate) => Some(serial_service_ns(*rate, bytes)),
             SwitchModel::Hpu(_) => None,
         }
@@ -230,9 +233,6 @@ pub struct SwitchCompute {
     /// Every counter but `queue_peak`, which [`SwitchCompute::stats`]
     /// derives from `subset_peak`.
     stats: ComputeStats,
-    /// Per-subset occupancy samples, recorded only when telemetry armed
-    /// the timeline (see [`SwitchCompute::enable_timeline`]).
-    timeline: Option<Vec<crate::telemetry::ComputeSample>>,
 }
 
 impl SwitchCompute {
@@ -254,27 +254,12 @@ impl SwitchCompute {
             pending: vec![VecDeque::new(); subsets],
             subset_peak: vec![0; subsets],
             stats: ComputeStats::default(),
-            timeline: None,
         }
     }
 
     /// Number of scheduling subsets.
     pub fn subsets(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Start recording per-subset occupancy samples on every dispatch
-    /// (idempotent; already-recorded samples are kept). Timing is never
-    /// affected — the recorder observes the schedule the scheduler
-    /// produced.
-    pub fn enable_timeline(&mut self) {
-        self.timeline.get_or_insert_with(Vec::new);
-    }
-
-    /// Take the recorded occupancy timeline (disabling further capture);
-    /// `None` unless [`enable_timeline`](Self::enable_timeline) ran.
-    pub fn take_timeline(&mut self) -> Option<Vec<crate::telemetry::ComputeSample>> {
-        self.timeline.take()
     }
 
     /// Occupancy and throughput counters so far.
@@ -303,13 +288,14 @@ impl SwitchCompute {
 
     /// Execute the handler for a packet of `block` with `bytes` wire bytes
     /// arriving at `now`; returns the completion time at which derived
-    /// packets should be emitted into the DES.
+    /// packets should be emitted into the DES, and the occupancy of the
+    /// block's subset right after the dispatch.
     ///
     /// FCFS within the subset: the handler starts at `now` if a core is
     /// idle, otherwise at the subset's earliest core-free time (arrivals
     /// are processed in nondecreasing time order, so this equals the
     /// explicit queue-then-pop schedule of the PsPIN engine).
-    pub fn execute(&mut self, now: Time, block: u64, bytes: u32) -> Time {
+    pub fn execute(&mut self, now: Time, block: u64, bytes: u32) -> (Time, ComputeSample) {
         let s = self.cfg.subset_size;
         let subset = self.subset_of(block);
         let base = subset * s;
@@ -346,21 +332,19 @@ impl SwitchCompute {
             self.stats.queued += 1;
             self.subset_peak[subset] = self.subset_peak[subset].max(q.len());
         }
-        if let Some(timeline) = &mut self.timeline {
-            timeline.push(crate::telemetry::ComputeSample {
-                time: now,
-                subset: subset as u32,
-                // FIFO depth plus the handler just dispatched.
-                depth: q.len() as u32 + 1,
-            });
-        }
+        let sample = ComputeSample {
+            time: now,
+            subset: subset as u32,
+            // FIFO depth plus the handler just dispatched.
+            depth: q.len() as u32 + 1,
+        };
 
         self.stats.handlers += 1;
         if self.stats.first_arrival.is_none() {
             self.stats.first_arrival = Some(now);
         }
         self.stats.last_done = self.stats.last_done.max(fin);
-        fin
+        (fin, sample)
     }
 }
 
@@ -411,7 +395,7 @@ mod tests {
         // K=4, one subset (S=C=4): four line-rate arrivals each find an
         // idle core (Figure 5 scenario A — no queueing).
         for i in 0..4u64 {
-            let fin = c.execute(i, i, 4);
+            let (fin, _) = c.execute(i, i, 4);
             assert_eq!(fin, i + 4, "packet {i} starts on arrival");
         }
         assert_eq!(c.stats().queue_peak, 0);
@@ -422,8 +406,15 @@ mod tests {
     fn busy_subset_queues_fcfs() {
         // S=1: all packets of block 0 serialize on core 0 (scenario B).
         let mut c = SwitchCompute::new(HpuParams::figure5().with_subset_size(1));
-        let fins: Vec<Time> = (0..4u64).map(|i| c.execute(i, 0, 4)).collect();
+        let (fins, samples): (Vec<Time>, Vec<ComputeSample>) =
+            (0..4u64).map(|i| c.execute(i, 0, 4)).unzip();
         assert_eq!(fins, vec![4, 8, 12, 16], "back-to-back FCFS service");
+        // Each sample counts the queue plus the handler just dispatched.
+        let depths: Vec<(Time, u32, u32)> = samples
+            .iter()
+            .map(|s| (s.time, s.subset, s.depth))
+            .collect();
+        assert_eq!(depths, vec![(0, 0, 1), (1, 0, 2), (2, 0, 3), (3, 0, 4)]);
         // Packets 1..3 queued; the model's Q = P/S·(1 − δk/τ) = 3.
         assert_eq!(c.stats().queue_peak, 3);
         assert_eq!(c.stats().queued, 3);
@@ -437,7 +428,7 @@ mod tests {
         // one finishes.
         let mut c = SwitchCompute::new(HpuParams::figure5().with_subset_size(1));
         for i in 0..4u64 {
-            let fin = c.execute(4 * i, 0, 4);
+            let (fin, _) = c.execute(4 * i, 0, 4);
             assert_eq!(fin, 4 * i + 4);
         }
         assert_eq!(c.stats().queue_peak, 0);
@@ -454,12 +445,12 @@ mod tests {
         assert_eq!(c.subset_of(2), 0);
         // Saturate subset 0 (both cores), queue a third handler; subset 1
         // on the other cluster must still start instantly.
-        let a = c.execute(0, 0, 1024);
-        let b = c.execute(0, 0, 1024);
-        let q = c.execute(0, 0, 1024);
+        let a = c.execute(0, 0, 1024).0;
+        let b = c.execute(0, 0, 1024).0;
+        let q = c.execute(0, 0, 1024).0;
         assert_eq!((a, b), (1088, 1088), "two idle cores absorb two packets");
         assert_eq!(q, 2 * 1088, "third packet queues behind the subset");
-        let other = c.execute(0, 1, 1024);
+        let other = c.execute(0, 1, 1024).0;
         assert_eq!(
             other, a,
             "block 1 runs on its own cluster, unaffected by subset 0's queue"
@@ -469,8 +460,8 @@ mod tests {
     #[test]
     fn cold_icache_charges_each_clusters_first_handler() {
         let mut c = SwitchCompute::new(HpuParams::figure5().with_icache_fill(100));
-        assert_eq!(c.execute(0, 0, 4), 104, "first handler pays the fill");
-        assert_eq!(c.execute(0, 1, 4), 4, "second core is already warm");
+        assert_eq!(c.execute(0, 0, 4).0, 104, "first handler pays the fill");
+        assert_eq!(c.execute(0, 1, 4).0, 4, "second core is already warm");
     }
 
     #[test]

@@ -6,18 +6,24 @@
 //!   it (per-direction FIFO `busy_until`), adds propagation latency, and
 //!   schedules a `Deliver` at the peer;
 //! * `Deliver` — a packet reaches a node: a host's [`HostProgram`] or a
-//!   switch's [`SwitchProgram`] (when one matches the flow) handles it,
-//!   otherwise the switch forwards along the routing tables;
+//!   switch's [`SwitchProgram`] handles it; a packet the switch program
+//!   hands back, or that reaches a switch without one, is forwarded along
+//!   the routing tables;
 //! * `Wake` — a host-requested timer (retransmission timeouts, phased
 //!   algorithms).
 //!
-//! Switch programs process packets through a per-switch compute model
-//! ([`SwitchModel`]), entered through
+//! A switch program decides once per packet: it serves the packet or hands
+//! it back. A served packet goes through the switch's compute model
+//! ([`SwitchModel`], installed with the program by
+//! [`NetSim::install_switch`]), entered through
 //! [`SwitchCtx::processing_done_for`]`(block, bytes)`: either the serial
 //! rate limiter calibrated from the PsPIN simulator (mirroring the paper's
 //! SST calibration) or the event-driven multi-core HPU scheduler
-//! ([`crate::compute`]) — and can emit packets to arbitrary
+//! ([`crate::compute`]). The program can emit packets to arbitrary
 //! ports/destinations, including multicast by emitting one copy per port.
+//! A packet handed back leaves before that call, so it never charges the
+//! switch's compute: other flows pass "not further delayed" (paper
+//! Section 3).
 //!
 //! There is one event loop: [`NetSim::run`] drains a single event queue
 //! over the whole topology in chunks of at most 64 events of one
@@ -39,7 +45,7 @@ use flare_des::{EventQueue, Time};
 
 use crate::compute::{serial_service_ns, ComputeStats, SwitchCompute, SwitchModel};
 use crate::packet::NetPacket;
-use crate::telemetry::{ComputeTimeline, Telemetry, TelemetryConfig, TelemetryReport, TraceKind};
+use crate::telemetry::{TelemetryConfig, TelemetryReport, TelemetrySink, TraceKind};
 use crate::topology::{NodeId, NodeKind, PortId, Routing, Topology};
 
 /// Events processed by [`NetSim`].
@@ -88,15 +94,22 @@ pub trait HostProgram {
     }
 }
 
-/// In-network program installed on a switch for matching flows.
+/// In-network program installed on a switch.
 pub trait SwitchProgram {
-    /// Whether this program handles `pkt` (unmatched packets are forwarded
-    /// normally, "not further delayed" per paper Section 3).
-    fn matches(&self, pkt: &NetPacket) -> bool;
-    /// Handle a matched packet. The packet is moved in: a program that
+    /// Handle a packet delivered to this switch: serve it, or hand it back
+    /// to be forwarded along the routing tables, "not further delayed"
+    /// (paper Section 3). A program hands back the packets of flows it was
+    /// not configured for, before it calls
+    /// [`SwitchCtx::processing_done_for`], so they never charge the
+    /// switch's compute. A served packet is moved in: a program that
     /// consumes the payload holds its only handle, and dropping it returns
     /// the payload's block to the free lists of `vendor/bytes`.
-    fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, in_port: PortId, pkt: NetPacket);
+    fn on_packet(
+        &mut self,
+        ctx: &mut SwitchCtx<'_>,
+        in_port: PortId,
+        pkt: NetPacket,
+    ) -> Option<NetPacket>;
     /// Downcast hook so callers of [`NetSim::take_switch`] can inspect
     /// concrete program state (pool counters, completion tallies) after a
     /// run. Programs that opt in return `Some(self)`.
@@ -129,18 +142,22 @@ struct DirLoss {
     rng: StdRng,
 }
 
-/// Per-node state: the installed program, its compute model, completion.
+/// Per-node state: the installed program, its compute, completion.
 struct NodeState {
     host: Option<Box<dyn HostProgram>>,
     switch: Option<Box<dyn SwitchProgram>>,
-    /// Serial processing pipeline: availability and rate in bytes/ns
-    /// (`f64::INFINITY` = unmodeled).
-    proc_busy: Time,
-    proc_rate: f64,
-    /// Multi-core HPU scheduler, when the switch was installed with
-    /// [`SwitchModel::Hpu`] (boxed: most nodes have none).
-    compute: Option<Box<SwitchCompute>>,
+    compute: Compute,
     done_at: Option<Time>,
+}
+
+/// How a switch processes the packets its program serves.
+enum Compute {
+    /// One serial pipeline: when it is next free, and its rate in bytes/ns
+    /// (`f64::INFINITY`, every node's default, is no processing delay).
+    Serial { busy: Time, rate: f64 },
+    /// The multi-core HPU scheduler of [`SwitchModel::Hpu`] (boxed: most
+    /// nodes have none).
+    Hpu(Box<SwitchCompute>),
 }
 
 /// Everything a run mutates: one [`NodeState`] per node (slot = node id)
@@ -151,9 +168,9 @@ struct RunState {
     /// One [`DirLoss`] per link direction once loss has been set on any
     /// link; empty (no allocation) for a lossless run.
     loss: Vec<DirLoss>,
-    /// Observability capture ([`Telemetry::Off`] by default: one
-    /// discriminant test per hook, no state, no allocation).
-    telemetry: Telemetry,
+    /// Observability capture (`None` by default: one `Option` test per
+    /// hook, no state, no allocation).
+    telemetry: Option<Box<TelemetrySink>>,
     /// Packets dropped for want of a route.
     unroutable: u64,
     /// [`NetReport::order_digest`] of the run so far.
@@ -199,9 +216,9 @@ impl NetLane<'_> {
             Some(l) => l.drop_prob > 0.0 && l.rng.random::<f64>() < l.drop_prob,
             None => false,
         };
-        self.state
-            .telemetry
-            .record_tx(slot, start, bytes as u64, dropped);
+        if let Some(sink) = &mut self.state.telemetry {
+            sink.record_tx(slot, start, bytes as u64, dropped);
+        }
         if dropped {
             d.drops += 1;
             return None;
@@ -269,25 +286,31 @@ impl NetLane<'_> {
                 }
                 NodeKind::Switch => {
                     let slot = node.index();
-                    match self.state.nodes[slot].switch.take() {
-                        Some(mut prog) if prog.matches(&pkt) => {
+                    let unserved = match self.state.nodes[slot].switch.take() {
+                        Some(mut prog) => {
                             let mut ctx = SwitchCtx {
                                 core: self.reborrow(),
                                 queue,
                                 node,
                                 now: t,
+                                charged: false,
                             };
                             // Move the packet in (no payload refcount bump):
                             // the program's drop of a consumed payload is
                             // what frees its block for the next encode.
-                            prog.on_packet(&mut ctx, in_port, pkt);
+                            let unserved = prog.on_packet(&mut ctx, in_port, pkt);
+                            debug_assert!(
+                                unserved.is_none() || !ctx.charged,
+                                "a packet handed back was charged to the switch"
+                            );
                             self.state.nodes[slot].switch = Some(prog);
+                            unserved
                         }
-                        prog => {
-                            // Default forwarding along the routing tables.
-                            self.state.nodes[slot].switch = prog;
-                            self.route(queue, t, node, pkt);
-                        }
+                        None => Some(pkt),
+                    };
+                    // Default forwarding along the routing tables.
+                    if let Some(pkt) = unserved {
+                        self.route(queue, t, node, pkt);
                     }
                 }
             },
@@ -350,8 +373,9 @@ macro_rules! ctx_common {
             /// [`crate::telemetry::TraceKind`] for the `(a, b)` payload
             /// conventions per kind).
             pub fn trace(&mut self, kind: TraceKind, flow: u64, a: u64, b: u64) {
-                let telemetry = &mut self.core.state.telemetry;
-                telemetry.event(self.node.0, self.now, kind, flow, a, b);
+                if let Some(sink) = &mut self.core.state.telemetry {
+                    sink.event(self.node.0, self.now, kind, flow, a, b);
+                }
             }
         }
     };
@@ -398,6 +422,8 @@ pub struct SwitchCtx<'a> {
     queue: &'a mut EventQueue<NetEvent>,
     node: NodeId,
     now: Time,
+    /// Whether the packet in hand was charged to the switch's compute.
+    charged: bool,
 }
 ctx_common!(SwitchCtx);
 
@@ -408,19 +434,29 @@ impl<'a> SwitchCtx<'a> {
     ///
     /// Under [`SwitchModel::Hpu`] the handler is scheduled
     /// hierarchical-FCFS onto `block`'s core subset (queueing when all
-    /// its cores are busy). Under `Ideal`/`RateLimited` the bytes pass
+    /// its cores are busy), and with telemetry on the subset's occupancy
+    /// is recorded at dispatch. Under `RateLimited` the bytes pass
     /// through the switch's serial pipeline at the PsPIN-calibrated
     /// aggregation bandwidth — bit-identical timing to the
     /// pre-compute-subsystem simulator.
     pub fn processing_done_for(&mut self, block: u64, bytes: u32) -> Time {
-        let node = &mut self.core.state.nodes[self.node.index()];
-        if let Some(hpu) = &mut node.compute {
-            return hpu.execute(self.now, block, bytes);
+        self.charged = true;
+        let RunState {
+            nodes, telemetry, ..
+        } = &mut *self.core.state;
+        match &mut nodes[self.node.index()].compute {
+            Compute::Serial { busy, rate } => {
+                *busy = self.now.max(*busy) + serial_service_ns(*rate, bytes);
+                *busy
+            }
+            Compute::Hpu(hpu) => {
+                let (fin, sample) = hpu.execute(self.now, block, bytes);
+                if let Some(sink) = telemetry {
+                    sink.record_hpu(self.node.0, hpu.subsets(), sample);
+                }
+                fin
+            }
         }
-        let start = self.now.max(node.proc_busy);
-        let fin = start + serial_service_ns(node.proc_rate, bytes);
-        node.proc_busy = fin;
-        fin
     }
 }
 
@@ -510,9 +546,10 @@ impl NetSim {
             .map(|_| NodeState {
                 host: None,
                 switch: None,
-                proc_busy: 0,
-                proc_rate: f64::INFINITY,
-                compute: None,
+                compute: Compute::Serial {
+                    busy: 0,
+                    rate: f64::INFINITY,
+                },
                 done_at: None,
             })
             .collect();
@@ -532,7 +569,7 @@ impl NetSim {
                 nodes,
                 dirs,
                 loss: Vec::new(),
-                telemetry: Telemetry::Off,
+                telemetry: None,
                 unroutable: 0,
                 order_digest: 0,
             },
@@ -561,28 +598,15 @@ impl NetSim {
         self.state.nodes[node.index()].host = Some(prog);
     }
 
-    /// Install an in-network program on a switch with a processing rate in
-    /// bytes/ns (calibrated from the PsPIN simulator) — shorthand for
-    /// [`install_switch_model`](Self::install_switch_model) with
-    /// [`SwitchModel::RateLimited`].
-    pub fn install_switch(
-        &mut self,
-        node: NodeId,
-        prog: Box<dyn SwitchProgram>,
-        proc_rate_bytes_per_ns: f64,
-    ) {
-        self.install_switch_model(node, prog, SwitchModel::RateLimited(proc_rate_bytes_per_ns));
-    }
-
-    /// Install an in-network program on a switch under a typed compute
-    /// model: `Ideal` (no processing delay), `RateLimited` (serial
-    /// pipeline, the historical behavior) or `Hpu` (event-driven
+    /// Install an in-network program on a switch under a compute model:
+    /// `RateLimited` (serial pipeline, the historical behavior; an
+    /// infinite rate is no processing delay) or `Hpu` (event-driven
     /// multi-core handler scheduling; see [`crate::compute`]).
     ///
     /// # Panics
     /// Panics if `node` is not a switch, or the `Hpu` parameters fail
     /// [`crate::compute::HpuParams::validate`].
-    pub fn install_switch_model(
+    pub fn install_switch(
         &mut self,
         node: NodeId,
         prog: Box<dyn SwitchProgram>,
@@ -591,21 +615,22 @@ impl NetSim {
         assert_eq!(self.topo.kind(node), NodeKind::Switch, "not a switch");
         let state = &mut self.state.nodes[node.index()];
         state.switch = Some(prog);
-        (state.proc_rate, state.compute) = match model {
-            SwitchModel::Ideal => (f64::INFINITY, None),
-            SwitchModel::RateLimited(rate) => (rate, None),
-            SwitchModel::Hpu(params) => (f64::INFINITY, Some(Box::new(SwitchCompute::new(params)))),
+        state.compute = match model {
+            SwitchModel::RateLimited(rate) => Compute::Serial { busy: 0, rate },
+            SwitchModel::Hpu(params) => Compute::Hpu(Box::new(SwitchCompute::new(params))),
         };
     }
 
     /// The HPU occupancy of every switch installed with
-    /// [`SwitchModel::Hpu`], ascending by node id (`Ideal`/`RateLimited`
-    /// switches have none).
+    /// [`SwitchModel::Hpu`], ascending by node id (`RateLimited` switches
+    /// have none).
     pub fn hpu_reports(&self) -> Vec<HpuSwitchReport> {
         let nodes = self.state.nodes.iter().enumerate();
         nodes
             .filter_map(|(i, n)| {
-                let hpu = n.compute.as_deref()?;
+                let Compute::Hpu(hpu) = &n.compute else {
+                    return None;
+                };
                 Some(HpuSwitchReport {
                     switch: NodeId(i as u32),
                     stats: hpu.stats(),
@@ -626,31 +651,16 @@ impl NetSim {
             bucket_ns: cfg.bucket_ns.max(1),
         };
         let (nodes, dirs) = (self.state.nodes.len(), self.state.dirs.len());
-        let sink = crate::telemetry::TelemetrySink::new(cfg, nodes, dirs);
-        self.state.telemetry = Telemetry::On(Box::new(sink));
+        let sink = TelemetrySink::new(cfg, nodes, dirs);
+        self.state.telemetry = Some(Box::new(sink));
     }
 
     /// Extract everything telemetry captured (disabling further capture);
     /// `None` unless [`enable_telemetry`](Self::enable_telemetry) was
-    /// called. Drains HPU occupancy timelines from the installed compute
-    /// models, so call before [`take_switch`](Self::take_switch)-style
-    /// teardown if both are needed.
+    /// called.
     pub fn take_telemetry(&mut self) -> Option<TelemetryReport> {
-        // Timelines record only while telemetry is on, so with it off this
-        // collects nothing.
-        let nodes = self.state.nodes.iter_mut().enumerate();
-        let compute: Vec<ComputeTimeline> = nodes
-            .filter_map(|(i, n)| {
-                let hpu = n.compute.as_mut()?;
-                let samples = hpu.take_timeline()?;
-                Some(ComputeTimeline {
-                    node: i as u32,
-                    subsets: hpu.subsets(),
-                    samples,
-                })
-            })
-            .collect();
-        std::mem::take(&mut self.state.telemetry).into_report(&self.topo, compute)
+        let sink = self.state.telemetry.take()?;
+        Some(sink.into_report(&self.topo))
     }
 
     /// The per-direction loss table, built on first use: every direction
@@ -705,15 +715,7 @@ impl NetSim {
     /// `flare_des::queue`); events a chunk schedules at its own instant
     /// queue behind the rest of that instant. Returns the report.
     pub fn run(&mut self, deadline: Option<Time>) -> NetReport {
-        // With telemetry on, HPU occupancy timelines record too (idempotent —
-        // resumed runs keep their samples).
-        let state = &mut self.state;
-        if state.telemetry.is_on() {
-            for hpu in state.nodes.iter_mut().filter_map(|n| n.compute.as_mut()) {
-                hpu.enable_timeline();
-            }
-        }
-        state.order_digest = 0;
+        self.state.order_digest = 0;
         let mut queue = EventQueue::new();
         let mut lane = NetLane {
             topo: &self.topo,
@@ -982,18 +984,24 @@ mod tests {
         assert!(report.last_done.is_some());
     }
 
-    /// A switch program that consumes `n` contribution packets per block
-    /// and emits one aggregate to a collector.
+    /// A switch program that consumes `n` contribution packets of `flow`
+    /// per block and emits one aggregate to a collector.
     struct CountingAggregator {
+        flow: u32,
         expect: u16,
         seen: std::collections::HashMap<u64, u16>,
         collector: NodeId,
     }
     impl SwitchProgram for CountingAggregator {
-        fn matches(&self, pkt: &NetPacket) -> bool {
-            pkt.flow == 7
-        }
-        fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, _in: PortId, pkt: NetPacket) {
+        fn on_packet(
+            &mut self,
+            ctx: &mut SwitchCtx<'_>,
+            _in: PortId,
+            pkt: NetPacket,
+        ) -> Option<NetPacket> {
+            if pkt.flow != self.flow {
+                return Some(pkt);
+            }
             let fin = ctx.processing_done_for(pkt.block, pkt.wire_bytes);
             let c = self.seen.entry(pkt.block).or_insert(0);
             *c += 1;
@@ -1001,7 +1009,7 @@ mod tests {
                 let out = NetPacket::new(
                     ctx.node(),
                     self.collector,
-                    7,
+                    self.flow,
                     pkt.block,
                     0,
                     1,
@@ -1010,6 +1018,7 @@ mod tests {
                 );
                 ctx.send_at(fin, out);
             }
+            None
         }
     }
 
@@ -1034,30 +1043,62 @@ mod tests {
                 ..Default::default()
             }),
         );
-        // Two senders use flow 1 in Sender; our aggregator matches flow 7 —
-        // so first check pass-through works, then install matching flow.
-        let mut agg = CountingAggregator {
+        // The senders use flow 1, which the aggregator serves.
+        let agg = CountingAggregator {
+            flow: 1,
             expect: 2,
             seen: Default::default(),
             collector: hosts[2],
         };
-        // Senders send flow 1; rewrite matches() target by using flow 1.
-        agg.seen.clear();
-        struct Match1(CountingAggregator);
-        impl SwitchProgram for Match1 {
-            fn matches(&self, pkt: &NetPacket) -> bool {
-                pkt.flow == 1
-            }
-            fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, p: PortId, pkt: NetPacket) {
-                self.0.on_packet(ctx, p, pkt)
-            }
-        }
-        sim.install_switch(sw, Box::new(Match1(agg)), 1.0);
+        sim.install_switch(sw, Box::new(agg), SwitchModel::RateLimited(1.0));
         let report = sim.run(None);
         // 2 blocks × (2 contributions in + 1 aggregate out): in-bytes
         // 4×100, out 2×100 ⇒ 600 total link bytes.
         assert_eq!(report.total_link_bytes, 600);
         assert!(report.last_done.is_some());
+    }
+
+    #[test]
+    fn a_packet_handed_back_is_forwarded_uncharged() {
+        // The aggregator serves flow 7 only; the senders' flow 1 passes
+        // the HPU switch as if no program were installed.
+        let run = |program: bool| {
+            let (topo, sw, hosts) = Topology::star(2, spec());
+            let mut sim = NetSim::new(topo, 1);
+            let sender = Sender {
+                peer: hosts[1],
+                count: 5,
+                bytes: 500,
+            };
+            sim.install_host(hosts[0], Box::new(sender));
+            let receiver = Receiver {
+                expect: 5,
+                ..Default::default()
+            };
+            sim.install_host(hosts[1], Box::new(receiver));
+            if program {
+                let agg = CountingAggregator {
+                    flow: 7,
+                    expect: 1,
+                    seen: Default::default(),
+                    collector: hosts[1],
+                };
+                let model = SwitchModel::Hpu(crate::compute::HpuParams::figure5());
+                sim.install_switch(sw, Box::new(agg), model);
+            }
+            let report = sim.run(None);
+            let handlers = sim
+                .hpu_reports()
+                .iter()
+                .map(|h| h.stats.handlers)
+                .sum::<u64>();
+            (report, handlers)
+        };
+        let (bare, _) = run(false);
+        let (served, handlers) = run(true);
+        assert_eq!(handlers, 0);
+        assert_eq!(served, bare);
+        assert!(served.last_done.is_some());
     }
 
     #[test]
@@ -1068,13 +1109,16 @@ mod tests {
             to: NodeId,
         }
         impl SwitchProgram for Echo {
-            fn matches(&self, _: &NetPacket) -> bool {
-                true
-            }
-            fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, _in: PortId, mut pkt: NetPacket) {
+            fn on_packet(
+                &mut self,
+                ctx: &mut SwitchCtx<'_>,
+                _in: PortId,
+                mut pkt: NetPacket,
+            ) -> Option<NetPacket> {
                 let fin = ctx.processing_done_for(pkt.block, pkt.wire_bytes);
                 pkt.dst = self.to;
                 ctx.send_at(fin, pkt);
+                None
             }
         }
         sim.install_host(
@@ -1094,7 +1138,8 @@ mod tests {
         );
         // 0.5 bytes/ns processing: 2000 ns per 1000-byte packet dominates
         // the 80 ns link serialization.
-        sim.install_switch(sw, Box::new(Echo { to: hosts[1] }), 0.5);
+        let echo = Box::new(Echo { to: hosts[1] });
+        sim.install_switch(sw, echo, SwitchModel::RateLimited(0.5));
         let report = sim.run(None);
         // Arrivals at switch at ~130, 210, ...; processing of 4 packets
         // serializes: done ≈ 130 + 4×2000; plus egress 80 + 50.
@@ -1299,11 +1344,14 @@ mod tests {
         use crate::compute::HpuParams;
         struct Agg;
         impl SwitchProgram for Agg {
-            fn matches(&self, _: &NetPacket) -> bool {
-                true
-            }
-            fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, _in: PortId, pkt: NetPacket) {
+            fn on_packet(
+                &mut self,
+                ctx: &mut SwitchCtx<'_>,
+                _in: PortId,
+                pkt: NetPacket,
+            ) -> Option<NetPacket> {
                 let _ = ctx.processing_done_for(pkt.block, pkt.wire_bytes);
+                None
             }
         }
         let (topo, ft) = Topology::fat_tree_two_level(2, 2, 1, spec());
@@ -1317,7 +1365,7 @@ mod tests {
                 bytes: 64,
             }),
         );
-        sim.install_switch_model(leaf0, Box::new(Agg), SwitchModel::Hpu(HpuParams::figure5()));
+        sim.install_switch(leaf0, Box::new(Agg), SwitchModel::Hpu(HpuParams::figure5()));
         sim.run(None);
         let all = sim.hpu_reports();
         assert_eq!(all.len(), 1);

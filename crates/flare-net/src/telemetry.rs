@@ -12,9 +12,11 @@
 //!   structured events (flow submit, shard send/recv, retransmit, block
 //!   retire, job start/done, in-flight gauges) keyed by the flow id of
 //!   the `flare_core::tag::FlowTag` namespace.
-//! * **HPU occupancy timelines** — `SwitchModel::Hpu` switches sample
-//!   per-subset queue depth on every handler dispatch (see
-//!   [`crate::compute::SwitchCompute`]).
+//! * **HPU occupancy timelines** — every handler dispatch on a
+//!   `SwitchModel::Hpu` switch records the depth of its subset's queue:
+//!   [`crate::SwitchCtx::processing_done_for`] takes the sample
+//!   [`crate::compute::SwitchCompute::execute`] returns and folds it into
+//!   the sink, as a transmit folds its bytes.
 //!
 //! # Event order
 //!
@@ -25,10 +27,10 @@
 //!
 //! # Cost contract
 //!
-//! [`Telemetry::Off`] stores nothing and every hook is a single enum
-//! discriminant test — no allocation, no bucket math. Simulated
-//! timestamps are never affected either way: telemetry observes the
-//! schedule, it does not participate in it.
+//! Capture off is no [`TelemetrySink`] at all: the simulator stores
+//! nothing and every hook is a single `Option` test — no allocation, no
+//! bucket math. Simulated timestamps are never affected either way:
+//! telemetry observes the schedule, it does not participate in it.
 
 use flare_des::Time;
 
@@ -156,14 +158,18 @@ impl DirSeries {
     }
 }
 
-/// The recording state behind [`Telemetry::On`]: one series per link
-/// direction (slot `2·link + dir`) and one event ordinal per node id.
+/// The recording state of a simulator with capture on: one series per
+/// link direction (slot `2·link + dir`), one event ordinal per node id,
+/// and one occupancy timeline per HPU switch that has dispatched a
+/// handler.
 #[derive(Debug)]
 pub struct TelemetrySink {
     cfg: TelemetryConfig,
     dirs: Vec<DirSeries>,
     node_seq: Vec<u32>,
     events: Vec<TraceEvent>,
+    /// Ascending by switch node id.
+    compute: Vec<ComputeTimeline>,
 }
 
 impl TelemetrySink {
@@ -174,73 +180,65 @@ impl TelemetrySink {
             dirs: vec![DirSeries::default(); dir_slots],
             node_seq: vec![0; nodes],
             events: Vec::new(),
+            compute: Vec::new(),
         }
-    }
-}
-
-/// Telemetry state of a simulator: either fully disabled (the
-/// default — every hook is one discriminant test and no state exists) or
-/// an owned recording sink.
-#[derive(Debug, Default)]
-pub enum Telemetry {
-    /// No capture; all hooks are no-ops.
-    #[default]
-    Off,
-    /// Capture into the boxed sink.
-    On(Box<TelemetrySink>),
-}
-
-impl Telemetry {
-    /// Whether capture is enabled.
-    pub fn is_on(&self) -> bool {
-        matches!(self, Telemetry::On(_))
     }
 
     /// Record a transmit on direction slot `slot` starting at `start`.
     #[inline]
     pub fn record_tx(&mut self, slot: usize, start: Time, bytes: u64, dropped: bool) {
-        if let Telemetry::On(sink) = self {
-            let index = start / sink.cfg.bucket_ns;
-            sink.dirs[slot].record(index, bytes, dropped);
-        }
+        let index = start / self.cfg.bucket_ns;
+        self.dirs[slot].record(index, bytes, dropped);
     }
 
     /// Record a flow-lifecycle event for node id `node`.
     #[inline]
     pub fn event(&mut self, node: u32, time: Time, kind: TraceKind, flow: u64, a: u64, b: u64) {
-        if let Telemetry::On(sink) = self {
-            let seq = sink.node_seq[node as usize];
-            sink.node_seq[node as usize] = seq + 1;
-            sink.events.push(TraceEvent {
-                time,
-                node,
-                seq,
-                kind,
-                flow,
-                a,
-                b,
-            });
-        }
+        let seq = self.node_seq[node as usize];
+        self.node_seq[node as usize] = seq + 1;
+        self.events.push(TraceEvent {
+            time,
+            node,
+            seq,
+            kind,
+            flow,
+            a,
+            b,
+        });
     }
 
-    /// Consume the sink into a report: each link's two
-    /// direction series with its endpoints and capacity from `topo`, the
-    /// lifecycle events in canonical `(time, node, seq)` order, and the HPU
-    /// `compute` timelines. Returns `None` when off.
-    pub(crate) fn into_report(
-        self,
-        topo: &Topology,
-        compute: Vec<ComputeTimeline>,
-    ) -> Option<TelemetryReport> {
-        let Telemetry::On(sink) = self else {
-            return None;
-        };
+    /// Record a handler dispatch on HPU switch `node`, whose scheduler has
+    /// `subsets` scheduling subsets.
+    pub fn record_hpu(&mut self, node: u32, subsets: usize, sample: ComputeSample) {
+        let timelines = &mut self.compute;
+        let i = timelines
+            .binary_search_by_key(&node, |t| t.node)
+            .unwrap_or_else(|i| {
+                let samples = Vec::new();
+                timelines.insert(
+                    i,
+                    ComputeTimeline {
+                        node,
+                        subsets,
+                        samples,
+                    },
+                );
+                i
+            });
+        timelines[i].samples.push(sample);
+    }
+
+    /// Consume the sink into a report: each link's two direction series
+    /// with its endpoints and capacity from `topo`, the lifecycle events
+    /// in canonical `(time, node, seq)` order, and the HPU timelines.
+    pub(crate) fn into_report(self, topo: &Topology) -> TelemetryReport {
         let TelemetrySink {
             cfg,
             mut dirs,
             mut events,
+            compute,
             ..
-        } = *sink;
+        } = self;
         events.sort_unstable();
         let links = (0..topo.link_count())
             .map(|l| {
@@ -256,13 +254,13 @@ impl Telemetry {
                 }
             })
             .collect();
-        Some(TelemetryReport {
+        TelemetryReport {
             bucket_ns: cfg.bucket_ns,
             links,
             events,
             compute,
             tracks: Vec::new(),
-        })
+        }
     }
 }
 
@@ -317,7 +315,8 @@ pub struct TelemetryReport {
     pub links: Vec<LinkTelemetry>,
     /// Flow-lifecycle events in canonical `(time, node, seq)` order.
     pub events: Vec<TraceEvent>,
-    /// HPU occupancy timelines, ascending by switch node id.
+    /// HPU occupancy timelines, ascending by switch node id: one per
+    /// `SwitchModel::Hpu` switch that dispatched a handler during capture.
     pub compute: Vec<ComputeTimeline>,
     /// Flow id → display label (tenant names from the traffic engine,
     /// collective labels from the session). Flows without an entry render
@@ -565,6 +564,7 @@ pub fn validate_chrome_trace(json: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use proptest::prelude::*;
 
     fn ev(time: Time, node: u32, seq: u32) -> TraceEvent {
@@ -606,10 +606,77 @@ mod tests {
 
     #[test]
     fn off_telemetry_records_nothing() {
-        let mut t = Telemetry::Off;
-        t.record_tx(0, 5, 100, false);
-        t.event(0, 5, TraceKind::ShardSend, 1, 2, 3);
-        assert!(t.into_report(&star().0, Vec::new()).is_none());
+        // Capture off is no sink: an HPU switch's dispatches leave no
+        // sample behind. With capture on, the same run records each
+        // dispatch on the switch's timeline.
+        use crate::{HostCtx, HostProgram, NetPacket, NetSim, NodeId, PortId};
+        use crate::{HpuParams, SwitchCtx, SwitchModel, SwitchProgram};
+        struct Send(NodeId);
+        impl HostProgram for Send {
+            fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
+                for block in 0..3 {
+                    let pkt = NetPacket::new(ctx.node(), self.0, 1, block, 0, 0, 64, Bytes::new());
+                    ctx.send(pkt);
+                }
+            }
+            fn on_packet(&mut self, _ctx: &mut HostCtx<'_>, _pkt: NetPacket) {}
+        }
+        struct Fold;
+        impl SwitchProgram for Fold {
+            fn on_packet(
+                &mut self,
+                ctx: &mut SwitchCtx<'_>,
+                _in: PortId,
+                pkt: NetPacket,
+            ) -> Option<NetPacket> {
+                ctx.processing_done_for(pkt.block, pkt.wire_bytes);
+                None
+            }
+        }
+        let run = |on: bool| {
+            let (topo, sw, hosts) = Topology::star(2, crate::LinkSpec::hundred_gig());
+            let mut sim = NetSim::new(topo, 1);
+            sim.install_host(hosts[0], Box::new(Send(hosts[1])));
+            sim.install_switch(sw, Box::new(Fold), SwitchModel::Hpu(HpuParams::figure5()));
+            if on {
+                sim.enable_telemetry(TelemetryConfig::default());
+            }
+            sim.run(None);
+            assert_eq!(sim.hpu_reports()[0].stats.handlers, 3);
+            (sw, sim.take_telemetry())
+        };
+        assert!(run(false).1.is_none());
+        let (sw, report) = run(true);
+        let compute = report.expect("capture on").compute;
+        assert_eq!(compute.len(), 1);
+        assert_eq!((compute[0].node, compute[0].subsets), (sw.0, 1));
+        assert_eq!(compute[0].samples.len(), 3);
+    }
+
+    #[test]
+    fn hpu_samples_land_on_their_switch_in_node_order() {
+        let (topo, nodes, dir_slots) = star();
+        let mut t = TelemetrySink::new(TelemetryConfig::default(), nodes, dir_slots);
+        let sample = |time| ComputeSample {
+            time,
+            subset: 0,
+            depth: 1,
+        };
+        t.record_hpu(2, 4, sample(5));
+        t.record_hpu(0, 1, sample(6));
+        t.record_hpu(2, 4, sample(7));
+        let compute = t.into_report(&topo).compute;
+        let got: Vec<(u32, usize, Vec<Time>)> = compute
+            .iter()
+            .map(|c| {
+                (
+                    c.node,
+                    c.subsets,
+                    c.samples.iter().map(|s| s.time).collect(),
+                )
+            })
+            .collect();
+        assert_eq!(got, vec![(0, 1, vec![6]), (2, 4, vec![5, 7])]);
     }
 
     /// A switch and two hosts, with its node and direction slot counts.
@@ -622,13 +689,12 @@ mod tests {
     #[test]
     fn events_sort_by_time_node_seq() {
         let (topo, nodes, dir_slots) = star();
-        let sink = TelemetrySink::new(TelemetryConfig::default(), nodes, dir_slots);
-        let mut t = Telemetry::On(Box::new(sink));
+        let mut t = TelemetrySink::new(TelemetryConfig::default(), nodes, dir_slots);
         t.event(2, 50, TraceKind::ShardSend, 1, 0, 0);
         t.event(0, 10, TraceKind::ShardSend, 1, 0, 0);
         t.event(0, 10, TraceKind::BlockRetire, 1, 0, 0);
         t.event(1, 10, TraceKind::ShardSend, 1, 0, 0);
-        let events = t.into_report(&topo, Vec::new()).unwrap().events;
+        let events = t.into_report(&topo).events;
         let keys: Vec<(Time, u32, u32)> = events.iter().map(|e| (e.time, e.node, e.seq)).collect();
         assert_eq!(keys, vec![(10, 0, 0), (10, 0, 1), (10, 1, 0), (50, 2, 0)]);
     }

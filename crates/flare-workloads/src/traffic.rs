@@ -106,6 +106,18 @@ pub enum TrafficError {
     TagOverflow(FlowTagOverflow),
     /// [`TrafficEngine::run`] was called with no admitted tenants.
     NoTenants,
+    /// A completed iteration's reduction differs from the one every rank's
+    /// contribution implies: the earliest such iteration of the run, and
+    /// the first index where it differs (for a result of the wrong
+    /// length, where the shorter of the two ends).
+    WrongResult {
+        /// The tenant's id ([`TenantReport::id`]).
+        tenant: u32,
+        /// The iteration, counted over the tenant's jobs.
+        iteration: usize,
+        /// The element index.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for TrafficError {
@@ -115,6 +127,14 @@ impl std::fmt::Display for TrafficError {
             TrafficError::InvalidSpec(why) => write!(f, "invalid tenant spec: {why}"),
             TrafficError::TagOverflow(e) => write!(f, "tenant too long-running: {e}"),
             TrafficError::NoTenants => write!(f, "no tenants admitted"),
+            TrafficError::WrongResult {
+                tenant,
+                iteration,
+                index,
+            } => write!(
+                f,
+                "tenant {tenant} iteration {iteration}: wrong reduction at index {index}"
+            ),
         }
     }
 }
@@ -518,7 +538,7 @@ impl<'s> TrafficEngine<'s> {
                     inner: None,
                     submitted: 0,
                     sink: result_sink(),
-                    checked: false,
+                    wrong: None,
                     job_waits: Vec::new(),
                     iterations: Vec::new(),
                     retransmits: 0,
@@ -553,6 +573,17 @@ impl<'s> TrafficEngine<'s> {
             host_programs,
             harvest,
         );
+        // Every host checked every iteration it completed; the earliest
+        // wrong one fails the run.
+        let wrong = cells.iter().filter_map(|c| Some((c.wrong?, c.stat.id)));
+        if let Some(((iteration, index), tenant)) = wrong.min() {
+            return Err(TrafficError::WrongResult {
+                tenant,
+                iteration,
+                index,
+            });
+        }
+
         // Switch bytes per tenant (admission order), the pools summed and
         // the most working memory any tenant's open blocks held on one.
         let mut flow_bytes = vec![0u64; statics.len()];
@@ -680,10 +711,47 @@ struct TenantStatic {
 impl TenantStatic {
     /// The deterministic sparse index set every rank contributes:
     /// `nnz` indexes spread evenly over `0..elems` (identical across
-    /// ranks, so the reduced value at each is the full tree sum).
+    /// ranks, so the reduced value at each is the full tree sum), strictly
+    /// ascending in `j` since `nnz <= elems`.
     fn sparse_index(&self, j: usize) -> u32 {
         (j * self.elems / self.nnz) as u32
     }
+
+    /// Where a completed iteration's `result` first differs from this
+    /// tenant's reduction (see [`first_mismatch`]).
+    fn check(&self, result: &[f32]) -> Option<usize> {
+        let (elems, want) = (self.elems, self.expected);
+        match self.payload {
+            PayloadSpec::Dense => first_mismatch(result, elems, want, 0..elems),
+            PayloadSpec::Sparse { .. } => {
+                let contributed = (0..self.nnz).map(|j| self.sparse_index(j) as usize);
+                first_mismatch(result, elems, want, contributed)
+            }
+        }
+    }
+}
+
+/// The first index at which `result` differs from the `elems`-element
+/// reduction that holds `want` at each `contributed` index (ascending) and
+/// the `Sum` identity, 0, everywhere else; a result of the wrong length
+/// differs where the shorter of the two ends. `None` if `result` is that
+/// reduction. Allocates nothing.
+fn first_mismatch(
+    result: &[f32],
+    elems: usize,
+    want: f32,
+    contributed: impl Iterator<Item = usize>,
+) -> Option<usize> {
+    let mut contributed = contributed.peekable();
+    let common = result.len().min(elems);
+    let wrong = (0..common).find(|&i| {
+        let expect = match contributed.next_if_eq(&i) {
+            Some(_) => want,
+            None => 0.0,
+        };
+        result[i] != expect
+    });
+    wrong.or((result.len() != elems).then_some(common))
 }
 
 /// One tenant's state machine on one host.
@@ -699,7 +767,9 @@ struct Cell {
     /// When the iteration in flight was submitted.
     submitted: Time,
     sink: ResultSink<f32>,
-    checked: bool,
+    /// The first wrong reduction this host completed: `(iteration,
+    /// index)`.
+    wrong: Option<(usize, usize)>,
     /// `start − arrival` of every job this cell started, in job order.
     job_waits: Vec<Time>,
     /// Every iteration this cell finished, in global iteration order.
@@ -805,46 +875,22 @@ impl TrafficHost {
             cell.retransmits += inner.retransmits();
             cell.rtt = inner.rtt();
         }
-        cell.iterations.push(IterationRecord {
-            submit: cell.submitted,
-            done: ctx.now(),
-        });
         let result = cell
             .sink
             .lock()
             .expect("sink lock")
             .take()
             .expect("sink was filled");
-        if !cell.checked {
-            // Verify the first completed iteration end to end; later
-            // iterations reuse the identical data path.
-            cell.checked = true;
-            let want = cell.stat.expected;
-            assert_eq!(result.len(), cell.stat.elems);
-            match cell.stat.payload {
-                PayloadSpec::Dense => assert!(
-                    result.iter().all(|&v| v == want),
-                    "tenant {} produced a wrong dense reduction (want {want})",
-                    cell.stat.id
-                ),
-                PayloadSpec::Sparse { .. } => {
-                    // The tree sum lands exactly on the shared index
-                    // set; everything else stays at the Sum identity.
-                    let mut contributed = vec![false; cell.stat.elems];
-                    for j in 0..cell.stat.nnz {
-                        contributed[cell.stat.sparse_index(j) as usize] = true;
-                    }
-                    for (i, &v) in result.iter().enumerate() {
-                        let expect = if contributed[i] { want } else { 0.0 };
-                        assert!(
-                            v == expect,
-                            "tenant {} sparse result[{i}] = {v}, want {expect}",
-                            cell.stat.id
-                        );
-                    }
-                }
-            }
+        // Check every completed iteration end to end; the run reports the
+        // first wrong one.
+        if cell.wrong.is_none() {
+            let iteration = cell.iterations.len();
+            cell.wrong = cell.stat.check(&result).map(|index| (iteration, index));
         }
+        cell.iterations.push(IterationRecord {
+            submit: cell.submitted,
+            done: ctx.now(),
+        });
         cell.iter += 1;
         if cell.iter == cell.stat.iterations {
             ctx.trace(TraceKind::JobDone, cell.stat.id as u64, cell.job as u64, 0);
@@ -1186,6 +1232,25 @@ mod tests {
             Err(TrafficError::TagOverflow(_))
         ));
         assert_eq!(session.active_collectives(), 0, "handle released on error");
+    }
+
+    #[test]
+    fn the_result_check_finds_the_first_wrong_element() {
+        // Six elements and a tree sum of 3: everywhere (dense), or at
+        // the contributed indexes 1 and 4 and 0 elsewhere (sparse).
+        let dense = |r: &[f32]| first_mismatch(r, 6, 3.0, 0..6);
+        let sparse = |r: &[f32]| first_mismatch(r, 6, 3.0, [1, 4].into_iter());
+        assert_eq!(dense(&[3.0; 6]), None);
+        assert_eq!(sparse(&[0.0, 3.0, 0.0, 0.0, 3.0, 0.0]), None);
+        // One wrong dense element.
+        assert_eq!(dense(&[3.0, 3.0, 3.0, 2.0, 3.0, 3.0]), Some(3));
+        // One wrong contributed index.
+        assert_eq!(sparse(&[0.0, 3.0, 0.0, 0.0, 6.0, 0.0]), Some(4));
+        // A nonzero index nobody contributed to.
+        assert_eq!(sparse(&[0.0, 3.0, 0.0, 0.0, 3.0, 1.0]), Some(5));
+        // The wrong length: where the shorter of the two ends.
+        assert_eq!(dense(&[3.0; 5]), Some(5));
+        assert_eq!(sparse(&[0.0, 3.0, 0.0, 0.0, 3.0, 0.0, 0.0]), Some(6));
     }
 
     /// A lossy 16-tenant mixed dense/sparse fleet on HPU switches with

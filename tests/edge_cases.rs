@@ -25,8 +25,8 @@ use flare::core::wire::{
 };
 use flare::model::{AggKind, SwitchParams};
 use flare::net::{
-    HostCtx, HostProgram, LinkSpec, NetPacket, NetSim, NodeId, PortId, SwitchCtx, SwitchProgram,
-    Topology,
+    HostCtx, HostProgram, LinkSpec, NetPacket, NetSim, NodeId, PortId, SwitchCtx, SwitchModel,
+    SwitchProgram, Topology,
 };
 use flare::prelude::{golden_reduce, Sum};
 use flare::pspin::engine::run_trace;
@@ -428,11 +428,11 @@ fn through_star(proto: Proto, children: u16, script: &Script) -> (Vec<Vec<Bytes>
     match proto {
         Proto::Dense => {
             let prog = FlareSwitch::<f32, Sum>::dense(place, Sum);
-            sim.install_switch(sw, Box::new(prog), 512.0);
+            sim.install_switch(sw, Box::new(prog), SwitchModel::calibrated());
         }
         Proto::Sparse(storage) => {
             let prog = FlareSwitch::<f32, Sum>::sparse(place, Sum, storage, PAIRS_PER_PACKET);
-            sim.install_switch(sw, Box::new(prog), 512.0);
+            sim.install_switch(sw, Box::new(prog), SwitchModel::calibrated());
         }
     }
     let mut inboxes = Vec::new();
@@ -564,11 +564,15 @@ struct ShortThenWhole {
 }
 
 impl SwitchProgram for ShortThenWhole {
-    fn matches(&self, pkt: &NetPacket) -> bool {
-        pkt.flow == FLOW
-    }
-
-    fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, _in_port: PortId, pkt: NetPacket) {
+    fn on_packet(
+        &mut self,
+        ctx: &mut SwitchCtx<'_>,
+        _in_port: PortId,
+        pkt: NetPacket,
+    ) -> Option<NetPacket> {
+        if pkt.flow != FLOW {
+            return Some(pkt);
+        }
         let (h, vals) = decode_dense::<f32>(&pkt.payload).expect("a dense contribution");
         let doubled: Vec<f32> = vals.iter().map(|v| 2.0 * v).collect();
         let kind = PacketKind::DenseResult;
@@ -583,6 +587,7 @@ impl SwitchProgram for ShortThenWhole {
                 me, pkt.src, FLOW, pkt.block, 0, kind as u8, 0, payload,
             ));
         }
+        None
     }
 }
 
@@ -599,7 +604,7 @@ fn dense_host_ignores_a_short_result_and_completes_on_the_whole_one() {
     let prog = ShortThenWhole {
         first_short: first_short.clone(),
     };
-    sim.install_switch(sw, Box::new(prog), 512.0);
+    sim.install_switch(sw, Box::new(prog), SwitchModel::calibrated());
     let sink = result_sink();
     let cfg = HostConfig {
         allreduce: FLOW,

@@ -26,7 +26,7 @@ use flare::core::switch_prog::{FlareSwitch, RecoveryStats, TreePlacement};
 use flare::core::wire::{encode_dense, encode_sparse, Header, PacketKind};
 use flare::des::Time;
 use flare::net::{
-    HostCtx, HostProgram, NetPacket, NetSim, NodeId, PortId, SwitchCtx, SwitchProgram,
+    HostCtx, HostProgram, NetPacket, NetSim, NodeId, PortId, SwitchCtx, SwitchModel, SwitchProgram,
 };
 use flare::prelude::*;
 use flare::pspin::engine::run_trace;
@@ -309,11 +309,15 @@ struct Parent {
 }
 
 impl SwitchProgram for Parent {
-    fn matches(&self, pkt: &NetPacket) -> bool {
-        pkt.flow == FLOW
-    }
-
-    fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, _in_port: PortId, pkt: NetPacket) {
+    fn on_packet(
+        &mut self,
+        ctx: &mut SwitchCtx<'_>,
+        _in_port: PortId,
+        pkt: NetPacket,
+    ) -> Option<NetPacket> {
+        if pkt.flow != FLOW {
+            return Some(pkt);
+        }
         self.inbox
             .borrow_mut()
             .push((ctx.now(), kind_of(&pkt.payload)));
@@ -325,6 +329,7 @@ impl SwitchProgram for Parent {
                 NetPacket::new(ctx.node(), self.leaf, FLOW, 0, 0, kind, 0, payload),
             );
         }
+        None
     }
 }
 
@@ -356,12 +361,16 @@ fn poke_sequence(proto: Proto) -> (Seen, Vec<Seen>, RecoveryStats) {
     match proto {
         Proto::Dense => {
             let prog = FlareSwitch::<f32, Sum>::dense(place, Sum).with_loss_recovery(true);
-            sim.install_switch(leaf, Box::new(prog), 512.0);
+            sim.install_switch(leaf, Box::new(prog), SwitchModel::calibrated());
         }
         Proto::Sparse => {
             let storage = SparseStorageKind::Array { span: 64 };
             let prog = FlareSwitch::<f32, Sum>::sparse(place, Sum, storage, 128);
-            sim.install_switch(leaf, Box::new(prog.with_loss_recovery(true)), 512.0);
+            sim.install_switch(
+                leaf,
+                Box::new(prog.with_loss_recovery(true)),
+                SwitchModel::calibrated(),
+            );
         }
     }
     let up = Rc::new(RefCell::new(Vec::new()));
@@ -371,7 +380,7 @@ fn poke_sequence(proto: Proto) -> (Seen, Vec<Seen>, RecoveryStats) {
         results: vec![30_000, 40_000],
         inbox: up.clone(),
     };
-    sim.install_switch(spine, Box::new(parent), 512.0);
+    sim.install_switch(spine, Box::new(parent), SwitchModel::calibrated());
     let mut inboxes = Vec::new();
     for (index, &host) in ft.hosts.iter().enumerate() {
         let inbox = Rc::new(RefCell::new(Vec::new()));

@@ -6,7 +6,7 @@ use flare::baselines::ring::RingHost;
 use flare::core::host::{result_sink, DenseFlareHost, HostConfig, ResultSink};
 use flare::core::op::{golden_reduce, Sum};
 use flare::core::switch_prog::{FlareSwitch, TreePlacement};
-use flare::net::{LinkSpec, NetSim, Topology};
+use flare::net::{LinkSpec, NetSim, SwitchModel, Topology};
 
 const ELEMS: usize = 4096;
 
@@ -40,7 +40,7 @@ fn dense_allreduce_on_a_fat_tree_builds_no_routing_column() {
             place(None, ft.leaves.clone(), 0),
             Sum,
         )),
-        512.0,
+        SwitchModel::calibrated(),
     );
     for (l, &leaf) in ft.leaves.iter().enumerate() {
         let hosts = ft.hosts[l * ft.hosts_per_leaf..][..ft.hosts_per_leaf].to_vec();
@@ -50,7 +50,7 @@ fn dense_allreduce_on_a_fat_tree_builds_no_routing_column() {
                 place(Some(root), hosts, l as u16),
                 Sum,
             )),
-            512.0,
+            SwitchModel::calibrated(),
         );
     }
     let mut sinks = Vec::new();

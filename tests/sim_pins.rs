@@ -122,8 +122,9 @@ impl Row {
         Self { model, ..self }
     }
 
-    fn ideal(self) -> Self {
-        let model = SwitchModel::Ideal;
+    /// Switches at an infinite rate: no processing delay.
+    fn unlimited(self) -> Self {
+        let model = SwitchModel::RateLimited(f64::INFINITY);
         Self { model, ..self }
     }
 
@@ -362,11 +363,11 @@ fn cells_of_128_kib() {
         row(Sparse, FatTree,  32, 128 * KIB, [ 7_878,  7_878,   9_216,  3_254_784, 0x9ee0_6a15_582f_9ea3]),
         // The host counts Canary and Swing evaluate at.
         row(Dense,  FatTree, 128, 128 * KIB, [22_481, 22_481,  73_728, 38_338_560, 0xf80b_f430_44a1_c772]),
-        // ℛ = 13.18 blocks on the calibrated pipeline, 13.52 on an ideal
-        // switch; an HPU switch keeps every block in flight.
+        // ℛ = 13.18 blocks on the calibrated pipeline, 13.52 on a switch
+        // at an infinite rate; an HPU switch keeps every block in flight.
         row(Dense,  FatTree, 256, 128 * KIB, [13_451, 13_451, 147_456, 76_677_120, 0x057b_7020_db83_2bad]).root_bound().admits(14),
         row(Dense,  FatTree, 256, 128 * KIB, [13_650, 13_650, 147_456, 76_677_120, 0x4d93_a04c_6c3e_b03c]).starved_at(13),
-        row(Dense,  FatTree, 256, 128 * KIB, [11_804, 11_804, 147_456, 76_677_120, 0x0508_8e75_f206_86aa]).ideal().admits(14),
+        row(Dense,  FatTree, 256, 128 * KIB, [11_804, 11_804, 147_456, 76_677_120, 0x0508_8e75_f206_86aa]).unlimited().admits(14),
         row(Dense,  FatTree, 256, 128 * KIB, [18_820, 18_820, 147_456, 76_677_120, 0xa430_1548_30c5_94cd]).hpu().admits(128),
         row(Dense,  FatTree,   8, 128 * KIB, [20_736, 20_736,   5_120,  2_662_400, 0xb09b_74c1_e6e2_9292]).hpu(),
         row(Sparse, Star,      8, 128 * KIB, [ 2_672,  2_672,     832,    195_008, 0xa32d_d2d5_88d2_1377]).hpu(),

@@ -8,9 +8,10 @@
 //!    illustrative switch, within a documented tolerance.
 //! 2. **Determinism** — `Hpu` sessions are bitwise-reproducible: same
 //!    inputs, same seed ⇒ same results and same makespan.
-//! 3. **Regression** — the default (`RateLimited`) and `Ideal` models
-//!    leave every pre-subsystem makespan untouched; the small star rows
-//!    of `tests/sim_pins.rs` are the witness.
+//! 3. **Regression** — the default `RateLimited` model, at the calibrated
+//!    rate or an infinite one (no processing delay), leaves every
+//!    pre-subsystem makespan untouched; the rows of `tests/sim_pins.rs`
+//!    are the witness.
 
 use flare::core::op::{golden_reduce, Sum};
 use flare::core::session::FlareSession;
@@ -171,20 +172,4 @@ fn a_switch_model_no_run_can_finish_under_is_a_typed_error() {
             "{err:?}"
         );
     }
-}
-
-#[test]
-fn ideal_and_infinite_rate_models_agree() {
-    // `Ideal` is the typed spelling of the historical "rate = ∞" switch:
-    // both must produce identical makespans.
-    let run_with = |model: SwitchModel| {
-        let (topo, _sw, _hosts) = Topology::star(4, LinkSpec::hundred_gig());
-        let mut session = FlareSession::builder(topo).switch_model(model).build();
-        let inputs: Vec<Vec<i32>> = (0..4).map(|r| vec![r; 4096]).collect();
-        session.allreduce(inputs).run().unwrap().report.net.makespan
-    };
-    assert_eq!(
-        run_with(SwitchModel::Ideal),
-        run_with(SwitchModel::RateLimited(f64::INFINITY))
-    );
 }

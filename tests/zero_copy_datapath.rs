@@ -26,7 +26,7 @@ use flare::core::handlers::SparseStorageKind;
 use flare::core::host::{result_sink, DenseFlareHost, HostConfig, ResultSink, SparseFlareHost};
 use flare::core::op::Sum;
 use flare::core::switch_prog::{FlareSwitch, TreePlacement};
-use flare::net::{LinkSpec, NetReport, NetSim, NodeId, Topology};
+use flare::net::{LinkSpec, NetReport, NetSim, NodeId, SwitchModel, Topology};
 
 /// Counts the calling thread's calls into the allocator (`benchmark/`'s
 /// counting allocator, per thread: the tests of this binary run on
@@ -95,7 +95,7 @@ fn star_dense(hosts: usize, blocks: usize) -> (NetSim, NodeId, Vec<ResultSink<f3
     sim.install_switch(
         sw,
         Box::new(FlareSwitch::<f32, Sum>::dense(place, Sum)),
-        512.0,
+        SwitchModel::calibrated(),
     );
     let mut sinks = Vec::new();
     for (rank, &h) in hs.iter().enumerate() {
@@ -136,7 +136,7 @@ fn star_sparse(hosts: usize, blocks: usize) -> (NetSim, NodeId, Vec<ResultSink<f
             SparseStorageKind::Array { span: SPAN },
             PAIRS_PER_PACKET,
         )),
-        512.0,
+        SwitchModel::calibrated(),
     );
     let mut sinks = Vec::new();
     for (rank, &h) in hs.iter().enumerate() {
