@@ -1059,49 +1059,6 @@ mod tests {
     }
 
     #[test]
-    fn a_packet_handed_back_is_forwarded_uncharged() {
-        // The aggregator serves flow 7 only; the senders' flow 1 passes
-        // the HPU switch as if no program were installed.
-        let run = |program: bool| {
-            let (topo, sw, hosts) = Topology::star(2, spec());
-            let mut sim = NetSim::new(topo, 1);
-            let sender = Sender {
-                peer: hosts[1],
-                count: 5,
-                bytes: 500,
-            };
-            sim.install_host(hosts[0], Box::new(sender));
-            let receiver = Receiver {
-                expect: 5,
-                ..Default::default()
-            };
-            sim.install_host(hosts[1], Box::new(receiver));
-            if program {
-                let agg = CountingAggregator {
-                    flow: 7,
-                    expect: 1,
-                    seen: Default::default(),
-                    collector: hosts[1],
-                };
-                let model = SwitchModel::Hpu(crate::compute::HpuParams::figure5());
-                sim.install_switch(sw, Box::new(agg), model);
-            }
-            let report = sim.run(None);
-            let handlers = sim
-                .hpu_reports()
-                .iter()
-                .map(|h| h.stats.handlers)
-                .sum::<u64>();
-            (report, handlers)
-        };
-        let (bare, _) = run(false);
-        let (served, handlers) = run(true);
-        assert_eq!(handlers, 0);
-        assert_eq!(served, bare);
-        assert!(served.last_done.is_some());
-    }
-
-    #[test]
     fn processing_rate_paces_switch_emissions() {
         let (topo, sw, hosts) = Topology::star(2, spec());
         let mut sim = NetSim::new(topo, 1);
@@ -1341,19 +1298,10 @@ mod tests {
 
     #[test]
     fn hpu_reports_list_every_hpu_switch() {
+        // Leaf 0 serves flow 1 on its HPU cores and hands back the flow 7
+        // of `TracingSender`, which passes uncharged; with capture on,
+        // every dispatch is sampled.
         use crate::compute::HpuParams;
-        struct Agg;
-        impl SwitchProgram for Agg {
-            fn on_packet(
-                &mut self,
-                ctx: &mut SwitchCtx<'_>,
-                _in: PortId,
-                pkt: NetPacket,
-            ) -> Option<NetPacket> {
-                let _ = ctx.processing_done_for(pkt.block, pkt.wire_bytes);
-                None
-            }
-        }
         let (topo, ft) = Topology::fat_tree_two_level(2, 2, 1, spec());
         let leaf0 = ft.leaf_of(0);
         let mut sim = NetSim::new(topo, 1);
@@ -1365,13 +1313,31 @@ mod tests {
                 bytes: 64,
             }),
         );
-        sim.install_switch(leaf0, Box::new(Agg), SwitchModel::Hpu(HpuParams::figure5()));
-        sim.run(None);
+        let stray = TracingSender {
+            peer: ft.hosts[0],
+            count: 3,
+        };
+        sim.install_host(ft.hosts[1], Box::new(stray));
+        let agg = CountingAggregator {
+            flow: 1,
+            expect: u16::MAX,
+            seen: Default::default(),
+            collector: ft.hosts[1],
+        };
+        sim.install_switch(leaf0, Box::new(agg), SwitchModel::Hpu(HpuParams::figure5()));
+        sim.enable_telemetry(TelemetryConfig::default());
+        let report = sim.run(None);
+        // Four packets end at leaf 0, three cross it to host 0.
+        assert_eq!(report.total_link_packets, 4 + 3 * 2);
         let all = sim.hpu_reports();
         assert_eq!(all.len(), 1);
         assert_eq!(all[0].switch, leaf0);
         assert_eq!(all[0].stats.handlers, 4);
         assert_eq!(all[0].subset_peaks.len(), HpuParams::figure5().subsets());
+        let compute = sim.take_telemetry().expect("capture on").compute;
+        let timelines: Vec<(u32, usize)> =
+            compute.iter().map(|c| (c.node, c.samples.len())).collect();
+        assert_eq!(timelines, [(leaf0.0, 4)]);
     }
 
     #[test]

@@ -56,6 +56,7 @@
 //! fabric. Lossy tunings (`link_drop_prob > 0`) require
 //! `retransmit_after`, exactly like `Collective::run`.
 
+use std::ops::Range;
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
@@ -458,7 +459,9 @@ impl<'s> TrafficEngine<'s> {
     /// `reserved_bytes` is the largest reservation on any tenant switch,
     /// `open_peak` / `open_peak_bytes` the most blocks / bytes any tenant's
     /// open blocks held on one, and
-    /// [`RunReport::tenants`] holds the per-tenant section.
+    /// [`RunReport::tenants`] holds the per-tenant section. Every host
+    /// checks the reduction of every iteration it completes; a wrong one
+    /// fails the run with [`TrafficError::WrongResult`].
     ///
     /// Tenants stay admitted afterwards: call again for another epoch
     /// (same seed → bitwise-identical results) or
@@ -525,7 +528,6 @@ impl<'s> TrafficEngine<'s> {
                     continue;
                 };
                 cells.push(Cell {
-                    tenant: ti,
                     rank,
                     stat: statics[ti].clone(),
                     rng: rng_stream(
@@ -579,8 +581,8 @@ impl<'s> TrafficEngine<'s> {
         if let Some(((iteration, index), tenant)) = wrong.min() {
             return Err(TrafficError::WrongResult {
                 tenant,
-                iteration,
-                index,
+                iteration: iteration as usize,
+                index: index as usize,
             });
         }
 
@@ -616,7 +618,10 @@ impl<'s> TrafficEngine<'s> {
         // got through is a common prefix.
         let mut reports = Vec::with_capacity(self.tenants.len());
         for (i, t) in self.tenants.iter().enumerate() {
-            let mine: Vec<&Cell> = cells.iter().filter(|c| c.tenant == i).collect();
+            let mine: Vec<&Cell> = cells
+                .iter()
+                .filter(|c| c.stat.id == t.handle.id())
+                .collect();
             let started = mine.iter().map(|c| c.job_waits.len()).min().unwrap_or(0);
             let finished = mine.iter().map(|c| c.iterations.len()).min().unwrap_or(0);
             // Last host done − first host to submit.
@@ -722,9 +727,10 @@ impl TenantStatic {
     fn check(&self, result: &[f32]) -> Option<usize> {
         let (elems, want) = (self.elems, self.expected);
         match self.payload {
-            PayloadSpec::Dense => first_mismatch(result, elems, want, 0..elems),
+            PayloadSpec::Dense => first_mismatch(result, elems, want, std::iter::once(0..elems)),
             PayloadSpec::Sparse { .. } => {
-                let contributed = (0..self.nnz).map(|j| self.sparse_index(j) as usize);
+                let index = |j| self.sparse_index(j) as usize;
+                let contributed = (0..self.nnz).map(index).map(|i| i..i + 1);
                 first_mismatch(result, elems, want, contributed)
             }
         }
@@ -732,17 +738,34 @@ impl TenantStatic {
 }
 
 /// The first index at which `result` differs from the `elems`-element
-/// reduction that holds `want` at each `contributed` index (ascending) and
-/// the `Sum` identity, 0, everywhere else; a result of the wrong length
-/// differs where the shorter of the two ends. `None` if `result` is that
-/// reduction. Allocates nothing.
+/// reduction that holds `want` on each `contributed` run of indexes
+/// (ascending and disjoint) and the `Sum` identity, 0, everywhere else; a
+/// result of the wrong length differs where the shorter of the two ends.
+/// `None` if `result` is that reduction. Allocates nothing.
 fn first_mismatch(
     result: &[f32],
     elems: usize,
     want: f32,
-    contributed: impl Iterator<Item = usize>,
+    contributed: impl Iterator<Item = Range<usize>> + Clone,
 ) -> Option<usize> {
-    let mut contributed = contributed.peekable();
+    // A right result, the common case, costs passes without an early exit
+    // that vectorise: every run holds `want`, which is not 0, and no other
+    // element is nonzero.
+    let holds = |run: Range<usize>| {
+        let run = result.get(run);
+        run.is_some_and(|s| s.iter().fold(true, |ok, &x| ok & (x == want)))
+    };
+    let (mut right, mut covered) = (result.len() == elems && want != 0.0, 0);
+    for run in contributed.clone() {
+        covered += run.len();
+        right &= holds(run);
+    }
+    let nonzero = || result.iter().filter(|&&x| x != 0.0).count();
+    if right && (covered == elems || nonzero() == covered) {
+        return None;
+    }
+    // A wrong one: walk both in order to the first difference.
+    let mut contributed = contributed.flatten().peekable();
     let common = result.len().min(elems);
     let wrong = (0..common).find(|&i| {
         let expect = match contributed.next_if_eq(&i) {
@@ -756,7 +779,6 @@ fn first_mismatch(
 
 /// One tenant's state machine on one host.
 struct Cell {
-    tenant: usize,
     rank: usize,
     stat: Rc<TenantStatic>,
     rng: StdRng,
@@ -769,7 +791,7 @@ struct Cell {
     sink: ResultSink<f32>,
     /// The first wrong reduction this host completed: `(iteration,
     /// index)`.
-    wrong: Option<(usize, usize)>,
+    wrong: Option<(u32, u32)>,
     /// `start − arrival` of every job this cell started, in job order.
     job_waits: Vec<Time>,
     /// Every iteration this cell finished, in global iteration order.
@@ -884,8 +906,11 @@ impl TrafficHost {
         // Check every completed iteration end to end; the run reports the
         // first wrong one.
         if cell.wrong.is_none() {
-            let iteration = cell.iterations.len();
-            cell.wrong = cell.stat.check(&result).map(|index| (iteration, index));
+            let iteration = cell.iterations.len() as u32;
+            cell.wrong = cell
+                .stat
+                .check(&result)
+                .map(|index| (iteration, index as u32));
         }
         cell.iterations.push(IterationRecord {
             submit: cell.submitted,
@@ -1238,8 +1263,8 @@ mod tests {
     fn the_result_check_finds_the_first_wrong_element() {
         // Six elements and a tree sum of 3: everywhere (dense), or at
         // the contributed indexes 1 and 4 and 0 elsewhere (sparse).
-        let dense = |r: &[f32]| first_mismatch(r, 6, 3.0, 0..6);
-        let sparse = |r: &[f32]| first_mismatch(r, 6, 3.0, [1, 4].into_iter());
+        let dense = |r: &[f32]| first_mismatch(r, 6, 3.0, std::iter::once(0..6));
+        let sparse = |r: &[f32]| first_mismatch(r, 6, 3.0, [1..2, 4..5].into_iter());
         assert_eq!(dense(&[3.0; 6]), None);
         assert_eq!(sparse(&[0.0, 3.0, 0.0, 0.0, 3.0, 0.0]), None);
         // One wrong dense element.
