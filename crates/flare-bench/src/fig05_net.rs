@@ -28,7 +28,7 @@ use flare_pspin::engine::run_trace;
 use flare_pspin::SchedulingPolicy::{self, GlobalFcfs, Hierarchical};
 use flare_pspin::{HpuCtx, PspinConfig, PspinPacket};
 
-/// Flow id the probe program matches.
+/// Flow id the probe program serves.
 const FLOW: u32 = 7;
 /// Wire bytes per Figure-5 packet (one 4-byte element).
 const PKT_BYTES: u32 = 4;

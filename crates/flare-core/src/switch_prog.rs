@@ -121,7 +121,7 @@ impl std::ops::AddAssign for ProgramStats {
 /// One allreduce a [`FlareSwitch`] serves.
 struct Flow<T: Element, O> {
     place: TreePlacement,
-    /// Wire bytes of the flow's packets this switch matched.
+    /// Wire bytes of the flow's packets this switch served.
     bytes: u64,
     core: Core<T, O>,
 }
@@ -138,9 +138,9 @@ enum Core<T: Element, O> {
 /// The Flare program of one switch: every allreduce the network manager
 /// routed through it, each at its own place in its own tree. Packets go to
 /// their flow's core by allreduce id; packets of any other flow are
-/// handed back, and the simulator forwards them normally. The flows share the switch's compute model (HPU
-/// cores, rate limit), so contention between them is physical, not
-/// modeled.
+/// handed back, and the simulator forwards them normally. The flows share
+/// the switch's compute model (HPU cores, rate limit), so contention
+/// between them is physical, not modeled.
 pub struct FlareSwitch<T: Element, O> {
     flows: Box<[Flow<T, O>]>,
 }
@@ -205,7 +205,7 @@ impl<T: Element, O: ReduceOp<T>> FlareSwitch<T, O> {
         self
     }
 
-    /// The wire bytes this switch matched for `allreduce` and the counters
+    /// The wire bytes this switch served for `allreduce` and the counters
     /// of its flow; `None` if the switch does not serve it.
     pub fn flow(&self, allreduce: u32) -> Option<(u64, ProgramStats)> {
         let flow = self.flows.iter().find(|f| f.place.allreduce == allreduce)?;
@@ -468,7 +468,7 @@ mod tests {
             "flow 3 was forwarded"
         );
 
-        // A star's switch matches exactly what its flow's hosts send it.
+        // A star's switch serves exactly what its flow's hosts send it.
         let trace = sim.take_telemetry().expect("telemetry on");
         let uplink = |h: NodeId| -> u64 {
             let link = trace.links.iter().find(|l| l.a == h.0 || l.b == h.0);

@@ -342,7 +342,7 @@ pub struct SwitchFlow {
     pub switch: NodeId,
     /// The flow's index in the slice [`run_fabric`] was given.
     pub flow: usize,
-    /// Wire bytes of the flow's packets the switch matched.
+    /// Wire bytes of the flow's packets the switch served.
     pub bytes: u64,
     /// The counters of the flow's block protocol on the switch.
     pub stats: ProgramStats,

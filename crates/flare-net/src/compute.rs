@@ -185,7 +185,7 @@ impl HpuParams {
 /// the quantities the Section 5 analytical model predicts.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ComputeStats {
-    /// Handler executions completed (== matched packets processed).
+    /// Handler executions completed (== served packets processed).
     pub handlers: u64,
     /// Packets that found every core of their subset busy and queued.
     pub queued: u64,

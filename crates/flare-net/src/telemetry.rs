@@ -611,32 +611,6 @@ mod tests {
         assert!(sim.take_telemetry().is_none());
     }
 
-    #[test]
-    fn hpu_samples_land_on_their_switch_in_node_order() {
-        let (topo, nodes, dir_slots) = star();
-        let mut t = TelemetrySink::new(TelemetryConfig::default(), nodes, dir_slots);
-        let sample = |time| ComputeSample {
-            time,
-            subset: 0,
-            depth: 1,
-        };
-        t.record_hpu(2, 4, sample(5));
-        t.record_hpu(0, 1, sample(6));
-        t.record_hpu(2, 4, sample(7));
-        let compute = t.into_report(&topo).compute;
-        let got: Vec<(u32, usize, Vec<Time>)> = compute
-            .iter()
-            .map(|c| {
-                (
-                    c.node,
-                    c.subsets,
-                    c.samples.iter().map(|s| s.time).collect(),
-                )
-            })
-            .collect();
-        assert_eq!(got, vec![(0, 1, vec![6]), (2, 4, vec![5, 7])]);
-    }
-
     /// A switch and two hosts, with its node and direction slot counts.
     fn star() -> (Topology, usize, usize) {
         let (topo, _sw, _hosts) = Topology::star(2, crate::LinkSpec::hundred_gig());
