@@ -24,3 +24,14 @@ pub use recdouble::recursive_doubling_allreduce;
 pub use refmodels::{SHARP_TBPS, SWITCHML_TBPS};
 pub use ring::{ring_allreduce, RingHost};
 pub use sparcml::{sparcml_allreduce, SparcmlHost};
+
+use bytes::Bytes;
+use flare_net::{NetPacket, NodeId};
+
+/// A host-based baseline's packet: its payload behind the 16-byte header
+/// its wire size models.
+fn packet(dst: NodeId, flow: u32, block: u64, step: u16, kind: u8, body: Bytes) -> NetPacket {
+    let mut pkt = NetPacket::new(dst, flow, block, step, kind, body);
+    pkt.wire_bytes += 16;
+    pkt
+}

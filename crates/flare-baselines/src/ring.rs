@@ -154,23 +154,14 @@ impl<T: Element, O: ReduceOp<T>> RingHost<T, O> {
         let chunk = self.send_chunk(self.step);
         let (lo, hi) = self.bounds[chunk];
         let next = self.peers[(self.rank + 1) % self.p()];
-        let me = ctx.node();
         let mut off = lo;
         while off < hi {
             let end = (off + self.segment_elems).min(hi);
             let body = encode_slice(&self.data[off..end]);
             let kind = if end == hi { KIND_LAST_SEG } else { KIND_SEG };
             self.sent_bytes += body.len() as u64;
-            let pkt = NetPacket::new(
-                me,
-                next,
-                self.flow,
-                off as u64, // absolute element offset
-                self.step as u16,
-                kind,
-                16, // modeled header
-                body,
-            );
+            // The block is the absolute element offset.
+            let pkt = crate::packet(next, self.flow, off as u64, self.step as u16, kind, body);
             ctx.send(pkt);
             off = end;
         }

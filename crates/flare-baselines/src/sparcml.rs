@@ -134,7 +134,6 @@ impl<O: ReduceOp<f32>> SparcmlHost<O> {
     /// Send the accumulated state to this round's partner, sparse or dense
     /// depending on which encoding is smaller (SparCML's switch-over).
     fn send_round(&mut self, ctx: &mut HostCtx<'_>) {
-        let me = ctx.node();
         let dst = self.partner();
         let sparse_bytes = self.acc.len() * 8;
         let dense_bytes = self.n * 4;
@@ -151,27 +150,16 @@ impl<O: ReduceOp<f32>> SparcmlHost<O> {
                     KIND_SPARSE_SEG
                 };
                 self.sent_bytes += body.len() as u64;
-                let pkt = NetPacket::new(
-                    me,
-                    dst,
-                    self.flow,
-                    s as u64,
-                    self.round as u16,
-                    kind,
-                    16,
-                    body,
-                );
+                let pkt = crate::packet(dst, self.flow, s as u64, self.round as u16, kind, body);
                 ctx.send(pkt);
             }
             if pairs.is_empty() {
-                let pkt = NetPacket::new(
-                    me,
+                let pkt = crate::packet(
                     dst,
                     self.flow,
                     0,
                     self.round as u16,
                     KIND_SPARSE_LAST,
-                    16,
                     Bytes::new(),
                 );
                 ctx.send(pkt);
@@ -194,16 +182,7 @@ impl<O: ReduceOp<f32>> SparcmlHost<O> {
                     KIND_DENSE_SEG
                 };
                 self.sent_bytes += body.len() as u64;
-                let pkt = NetPacket::new(
-                    me,
-                    dst,
-                    self.flow,
-                    lo as u64,
-                    self.round as u16,
-                    kind,
-                    16,
-                    body,
-                );
+                let pkt = crate::packet(dst, self.flow, lo as u64, self.round as u16, kind, body);
                 ctx.send(pkt);
             }
         }

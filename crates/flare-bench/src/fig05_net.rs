@@ -21,8 +21,8 @@
 
 use flare_model::{scheduling, SwitchParams};
 use flare_net::{
-    HostCtx, HostProgram, HpuParams, LinkSpec, NetPacket, NetSim, NodeId, PortId, SwitchCtx,
-    SwitchModel, SwitchProgram, Topology,
+    HostCtx, HostProgram, HpuParams, LinkSpec, NetPacket, NetSim, NodeId, SwitchCtx, SwitchModel,
+    SwitchProgram, Topology,
 };
 use flare_pspin::engine::run_trace;
 use flare_pspin::SchedulingPolicy::{self, GlobalFcfs, Hierarchical};
@@ -63,18 +63,10 @@ struct TraceSender {
 
 impl HostProgram for TraceSender {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
-        let me = ctx.node();
         for &(t, block, child) in &self.sends {
-            let pkt = NetPacket::new(
-                me,
-                self.switch,
-                FLOW,
-                block,
-                child,
-                0,
-                PKT_BYTES,
-                bytes::Bytes::new(),
-            );
+            // Header only: no payload, PKT_BYTES on the wire.
+            let mut pkt = NetPacket::new(self.switch, FLOW, block, child, 0, bytes::Bytes::new());
+            pkt.wire_bytes = PKT_BYTES;
             ctx.send_at(t, pkt);
         }
     }
@@ -88,12 +80,7 @@ struct HpuProbe {
 }
 
 impl SwitchProgram for HpuProbe {
-    fn on_packet(
-        &mut self,
-        ctx: &mut SwitchCtx<'_>,
-        _in: PortId,
-        pkt: NetPacket,
-    ) -> Option<NetPacket> {
+    fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, pkt: NetPacket) -> Option<NetPacket> {
         if pkt.flow != FLOW {
             return Some(pkt);
         }

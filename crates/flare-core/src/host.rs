@@ -599,13 +599,11 @@ impl<P: Payload> FlareHost<P> {
         };
         for i in 0..self.payload.packets(block) {
             let pkt = NetPacket::new(
-                ctx.node(),
                 self.cfg.leaf,
                 self.cfg.allreduce,
                 wire_block,
                 self.cfg.child_index,
                 P::CONTRIB as u8,
-                0,
                 self.payload.encode(block, i, header),
             );
             let wire = pkt.wire_bytes as u64;
@@ -1274,21 +1272,14 @@ mod tests {
 
     #[test]
     fn an_iteration_sends_its_own_block_ids_and_wake_sequence() {
-        use flare_net::{
-            LinkSpec, NetSim, PortId, SwitchCtx, SwitchModel, SwitchProgram, Topology,
-        };
+        use flare_net::{LinkSpec, NetSim, SwitchCtx, SwitchModel, SwitchProgram, Topology};
         use std::cell::RefCell;
         use std::rc::Rc;
         type Seen = Rc<RefCell<Vec<u64>>>;
         /// Swallows every contribution, noting its wire block id.
         struct Blocks(Seen);
         impl SwitchProgram for Blocks {
-            fn on_packet(
-                &mut self,
-                _: &mut SwitchCtx<'_>,
-                _: PortId,
-                pkt: NetPacket,
-            ) -> Option<NetPacket> {
+            fn on_packet(&mut self, _: &mut SwitchCtx<'_>, pkt: NetPacket) -> Option<NetPacket> {
                 self.0.borrow_mut().push(pkt.block);
                 None
             }

@@ -107,18 +107,9 @@ impl<'c> Side<'_, 'c> {
                     To::Children => &place.children,
                     To::Child(i) => std::slice::from_ref(&place.children[i as usize]),
                 };
-                let me = ctx.node();
                 for &dst in dsts {
-                    let pkt = NetPacket::new(
-                        me,
-                        dst,
-                        allreduce,
-                        block,
-                        child,
-                        kind as u8,
-                        0,
-                        payload.clone(),
-                    );
+                    let pkt =
+                        NetPacket::new(dst, allreduce, block, child, kind as u8, payload.clone());
                     ctx.send_at(*at, pkt);
                 }
             }

@@ -412,22 +412,11 @@ impl Tuning {
             // fast with a typed error instead of panicking mid-sim.
             return Err(SessionError::LossWithoutRetransmit);
         }
-        match &self.switch_model {
-            // An infinite rate is no processing delay; a zero one would
-            // overflow the clock, a negative or NaN one run silently as
-            // another model.
-            SwitchModel::RateLimited(rate) if rate.is_nan() || *rate <= 0.0 => {
-                return Err(SessionError::InvalidSwitchModel(format!(
-                    "RateLimited({rate}): expected a rate > 0 bytes/ns"
-                )));
-            }
-            // Catch inconsistent compute parameters here, not as a
-            // `SwitchCompute::new` panic deep inside switch installation.
-            SwitchModel::Hpu(params) => params
-                .validate()
-                .map_err(SessionError::InvalidSwitchModel)?,
-            _ => {}
-        }
+        // Catch a model no run can finish under here, not as a panic deep
+        // inside switch installation.
+        self.switch_model
+            .validate()
+            .map_err(SessionError::InvalidSwitchModel)?;
         Ok(self.clone())
     }
 }

@@ -35,7 +35,7 @@
 //! scheduler of [`flare_net::compute`] — handlers of one block pinned
 //! hierarchical-FCFS to a core subset, exactly the Section 3 architecture.
 
-use flare_net::{NetPacket, NodeId, PortId, SwitchCtx, SwitchProgram};
+use flare_net::{NetPacket, NodeId, SwitchCtx, SwitchProgram};
 
 use crate::dense::TreeBlock;
 use crate::dtype::Element;
@@ -230,12 +230,7 @@ impl<T: Element, O: ReduceOp<T>> Core<T, O> {
 }
 
 impl<T: Element, O: ReduceOp<T> + 'static> SwitchProgram for FlareSwitch<T, O> {
-    fn on_packet(
-        &mut self,
-        ctx: &mut SwitchCtx<'_>,
-        _in_port: PortId,
-        pkt: NetPacket,
-    ) -> Option<NetPacket> {
+    fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, pkt: NetPacket) -> Option<NetPacket> {
         let flow = self
             .flows
             .iter_mut()
@@ -406,7 +401,7 @@ mod tests {
         impl HostProgram for Stray {
             fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
                 let payload = bytes::Bytes::from(vec![0u8; 100]);
-                ctx.send(NetPacket::new(ctx.node(), self.0, 3, 0, 0, 0, 0, payload));
+                ctx.send(NetPacket::new(self.0, 3, 0, 0, 0, payload));
             }
             fn on_packet(&mut self, ctx: &mut HostCtx<'_>, _pkt: NetPacket) {
                 ctx.mark_done();

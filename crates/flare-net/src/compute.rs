@@ -66,6 +66,21 @@ impl SwitchModel {
         SwitchModel::RateLimited(512.0)
     }
 
+    /// Check that a run can finish under this model; returns the first
+    /// problem found. A `RateLimited` rate must be above 0 bytes/ns (∞ is
+    /// no processing delay; 0 would overflow the clock, and a negative or
+    /// NaN rate would run silently as another model). `Hpu` parameters
+    /// must pass [`HpuParams::validate`].
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            SwitchModel::RateLimited(rate) if rate.is_nan() || *rate <= 0.0 => {
+                Err(format!("RateLimited({rate}): expected a rate > 0 bytes/ns"))
+            }
+            SwitchModel::RateLimited(_) => Ok(()),
+            SwitchModel::Hpu(params) => params.validate(),
+        }
+    }
+
     /// Time the serial pipeline takes to process a packet of `bytes` wire
     /// bytes, in ns: ⌈bytes / rate⌉, at least 1, under `RateLimited`; 0 at
     /// an infinite rate. `None` under `Hpu`, whose

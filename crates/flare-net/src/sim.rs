@@ -8,7 +8,8 @@
 //! * `Deliver` — a packet reaches a node: a host's [`HostProgram`] or a
 //!   switch's [`SwitchProgram`] handles it; a packet the switch program
 //!   hands back, or that reaches a switch without one, is forwarded along
-//!   the routing tables;
+//!   the routing tables. A program knows a packet by the flow, block and
+//!   child it carries, so the event carries no ingress port;
 //! * `Wake` — a host-requested timer (retransmission timeouts, phased
 //!   algorithms).
 //!
@@ -60,12 +61,10 @@ pub enum NetEvent {
         /// The packet.
         pkt: NetPacket,
     },
-    /// Packet arrives at `node` on `in_port`.
+    /// Packet arrives at `node`.
     Deliver {
         /// Receiving node.
         node: NodeId,
-        /// Ingress port.
-        in_port: PortId,
         /// The packet.
         pkt: NetPacket,
     },
@@ -104,12 +103,7 @@ pub trait SwitchProgram {
     /// switch's compute. A served packet is moved in: a program that
     /// consumes the payload holds its only handle, and dropping it returns
     /// the payload's block to the free lists of `vendor/bytes`.
-    fn on_packet(
-        &mut self,
-        ctx: &mut SwitchCtx<'_>,
-        in_port: PortId,
-        pkt: NetPacket,
-    ) -> Option<NetPacket>;
+    fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, pkt: NetPacket) -> Option<NetPacket>;
     /// Downcast hook so callers of [`NetSim::take_switch`] can inspect
     /// concrete program state (pool counters, completion tallies) after a
     /// run. Programs that opt in return `Some(self)`.
@@ -194,15 +188,15 @@ impl NetLane<'_> {
         }
     }
 
-    /// Transmit on a link: returns delivery `(peer, peer_port, arrive_at)`,
-    /// or `None` when the packet is dropped.
+    /// Transmit on a link: returns delivery `(peer, arrive_at)`, or `None`
+    /// when the packet is dropped.
     fn transmit(
         &mut self,
         now: Time,
         node: NodeId,
         port: PortId,
         bytes: u32,
-    ) -> Option<(NodeId, PortId, Time)> {
+    ) -> Option<(NodeId, Time)> {
         let pl = self.topo.ports_of(node)[port.index()];
         let link = self.topo.link(pl.link);
         let slot = 2 * pl.link + usize::from(link.a.0 != node);
@@ -223,7 +217,7 @@ impl NetLane<'_> {
             d.drops += 1;
             return None;
         }
-        Some((pl.peer, pl.peer_port, fin + link.spec.latency_ns))
+        Some((pl.peer, fin + link.spec.latency_ns))
     }
 
     /// Send `pkt` out of `node` at `at` along the routing tables. A packet
@@ -269,18 +263,11 @@ impl NetLane<'_> {
         self.state.order_digest = fold_event(self.state.order_digest, t, &event);
         match event {
             NetEvent::Egress { node, port, pkt } => {
-                if let Some((peer, peer_port, arrive)) =
-                    self.transmit(t, node, port, pkt.wire_bytes)
-                {
-                    let ev = NetEvent::Deliver {
-                        node: peer,
-                        in_port: peer_port,
-                        pkt,
-                    };
-                    queue.schedule_at(arrive, ev);
+                if let Some((peer, arrive)) = self.transmit(t, node, port, pkt.wire_bytes) {
+                    queue.schedule_at(arrive, NetEvent::Deliver { node: peer, pkt });
                 }
             }
-            NetEvent::Deliver { node, in_port, pkt } => match self.topo.kind(node) {
+            NetEvent::Deliver { node, pkt } => match self.topo.kind(node) {
                 NodeKind::Host => {
                     self.with_host(queue, node, t, |prog, ctx| prog.on_packet(ctx, pkt));
                 }
@@ -298,7 +285,7 @@ impl NetLane<'_> {
                             // Move the packet in (no payload refcount bump):
                             // the program's drop of a consumed payload is
                             // what frees its block for the next encode.
-                            let unserved = prog.on_packet(&mut ctx, in_port, pkt);
+                            let unserved = prog.on_packet(&mut ctx, pkt);
                             debug_assert!(
                                 unserved.is_none() || !ctx.charged,
                                 "a packet handed back was charged to the switch"
@@ -330,7 +317,7 @@ fn fold_event(digest: u64, t: Time, event: &NetEvent) -> u64 {
     let id = |p: &NetPacket| (p.flow, p.block, p.child, p.kind);
     let (kind, node, (flow, block, child, pkt_kind)) = match event {
         NetEvent::Egress { node, pkt, .. } => (0, node, id(pkt)),
-        NetEvent::Deliver { node, pkt, .. } => (1, node, id(pkt)),
+        NetEvent::Deliver { node, pkt } => (1, node, id(pkt)),
         NetEvent::Wake { node, tag } => (2, node, (0, *tag, 0, 0)),
     };
     let ids = u64::from(node.0) << 32 | u64::from(flow);
@@ -604,8 +591,8 @@ impl NetSim {
     /// multi-core handler scheduling; see [`crate::compute`]).
     ///
     /// # Panics
-    /// Panics if `node` is not a switch, or the `Hpu` parameters fail
-    /// [`crate::compute::HpuParams::validate`].
+    /// Panics if `node` is not a switch, or `model` fails
+    /// [`SwitchModel::validate`].
     pub fn install_switch(
         &mut self,
         node: NodeId,
@@ -613,6 +600,9 @@ impl NetSim {
         model: SwitchModel,
     ) {
         assert_eq!(self.topo.kind(node), NodeKind::Switch, "not a switch");
+        if let Err(e) = model.validate() {
+            panic!("invalid switch model: {e}");
+        }
         let state = &mut self.state.nodes[node.index()];
         state.switch = Some(prog);
         state.compute = match model {
@@ -765,29 +755,6 @@ impl NetSim {
             order_digest: self.state.order_digest,
         }
     }
-
-    /// Per-link utilization over `[0, horizon]`: transported bytes divided
-    /// by the link's capacity×time, per direction, reported as the busier
-    /// direction's fraction. Identifies reduction-tree hotspots (e.g. the
-    /// root's uplinks).
-    pub fn link_utilization(&self, horizon: Time) -> Vec<(usize, f64)> {
-        let horizon = horizon.max(1);
-        let links = self.state.dirs.chunks_exact(2).enumerate();
-        links
-            .map(|(i, d)| {
-                let cap = self.topo.link(i).spec.bytes_per_ns() * horizon as f64;
-                let busiest = d[0].bytes.max(d[1].bytes) as f64;
-                (i, busiest / cap)
-            })
-            .collect()
-    }
-
-    /// The most-utilized link and its utilization over `[0, horizon]`.
-    pub fn hottest_link(&self, horizon: Time) -> Option<(usize, f64)> {
-        self.link_utilization(horizon)
-            .into_iter()
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-    }
 }
 
 #[cfg(test)]
@@ -804,14 +771,11 @@ mod tests {
     }
     impl HostProgram for Sender {
         fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
-            let me = ctx.node();
             for i in 0..self.count {
                 ctx.send(NetPacket::new(
-                    me,
                     self.peer,
                     1,
                     i,
-                    0,
                     0,
                     0,
                     Bytes::from(vec![0u8; self.bytes as usize]),
@@ -845,11 +809,11 @@ mod tests {
 
     #[test]
     fn event_layout_stays_lean() {
-        // NetEvent is the unit the ladder queue stores and copies; with
-        // the narrowed NodeId/PortId an Egress/Deliver variant packs next
-        // to its 40-byte packet instead of spilling past it (was 64 B
-        // with word-sized ids).
-        assert_eq!(std::mem::size_of::<NetEvent>(), 48);
+        // NetEvent is the unit the ladder queue stores and copies: an
+        // Egress/Deliver variant packs its node (and port) next to its
+        // 32-byte packet, and the event's 40 B with the slab's time and
+        // link make a 56-byte slab node.
+        assert_eq!(std::mem::size_of::<NetEvent>(), 40);
     }
 
     #[test]
@@ -993,12 +957,7 @@ mod tests {
         collector: NodeId,
     }
     impl SwitchProgram for CountingAggregator {
-        fn on_packet(
-            &mut self,
-            ctx: &mut SwitchCtx<'_>,
-            _in: PortId,
-            pkt: NetPacket,
-        ) -> Option<NetPacket> {
+        fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, pkt: NetPacket) -> Option<NetPacket> {
             if pkt.flow != self.flow {
                 return Some(pkt);
             }
@@ -1007,13 +966,11 @@ mod tests {
             *c += 1;
             if *c == self.expect {
                 let out = NetPacket::new(
-                    ctx.node(),
                     self.collector,
                     self.flow,
                     pkt.block,
                     0,
                     1,
-                    0,
                     Bytes::from(vec![0u8; 100]),
                 );
                 ctx.send_at(fin, out);
@@ -1069,7 +1026,6 @@ mod tests {
             fn on_packet(
                 &mut self,
                 ctx: &mut SwitchCtx<'_>,
-                _in: PortId,
                 mut pkt: NetPacket,
             ) -> Option<NetPacket> {
                 let fin = ctx.processing_done_for(pkt.block, pkt.wire_bytes);
@@ -1102,6 +1058,21 @@ mod tests {
         // serializes: done ≈ 130 + 4×2000; plus egress 80 + 50.
         let done = report.last_done.unwrap();
         assert!(done > 8000, "processing must pace emissions: {done}");
+    }
+
+    #[test]
+    #[should_panic(expected = "RateLimited(0): expected a rate > 0 bytes/ns")]
+    fn a_zero_rate_switch_model_is_refused_at_install() {
+        // At rate 0 the first served packet would overflow the clock.
+        let (topo, sw, hosts) = Topology::star(2, spec());
+        let mut sim = NetSim::new(topo, 1);
+        let agg = CountingAggregator {
+            flow: 1,
+            expect: 2,
+            seen: Default::default(),
+            collector: hosts[1],
+        };
+        sim.install_switch(sw, Box::new(agg), SwitchModel::RateLimited(0.0));
     }
 
     #[test]
@@ -1252,15 +1223,12 @@ mod tests {
     }
     impl HostProgram for TracingSender {
         fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
-            let me = ctx.node();
             ctx.trace(TraceKind::FlowSubmit, 7, self.count, 0);
             for i in 0..self.count {
                 ctx.send(NetPacket::new(
-                    me,
                     self.peer,
                     7,
                     i,
-                    0,
                     0,
                     0,
                     Bytes::from(vec![0u8; 256]),
@@ -1508,19 +1476,5 @@ mod tests {
         assert_eq!(report.makespan, 500);
         assert_eq!(report.events, 1);
         assert_eq!(report.last_done, Some(500));
-    }
-
-    #[test]
-    fn hottest_link_tolerates_zero_capacity_links() {
-        // An idle zero-capacity link has utilization 0/0 = NaN, which must
-        // order like any other value instead of panicking the report helper.
-        let dead = LinkSpec {
-            gbps: 0.0,
-            latency_ns: 50,
-        };
-        let (topo, _sw, _hosts) = Topology::star(2, dead);
-        let sim = NetSim::new(topo, 1);
-        let (_, util) = sim.hottest_link(1_000).expect("two links");
-        assert!(util.is_nan());
     }
 }

@@ -92,8 +92,6 @@ pub struct PortLink {
     pub link: usize,
     /// The peer node.
     pub peer: NodeId,
-    /// The peer's port on this link.
-    pub peer_port: PortId,
 }
 
 /// A full-duplex link between two node ports.
@@ -150,16 +148,8 @@ impl Topology {
         };
         let pa = next_port(&self.ports[a.index()]);
         let pb = next_port(&self.ports[b.index()]);
-        self.ports[a.index()].push(PortLink {
-            link,
-            peer: b,
-            peer_port: pb,
-        });
-        self.ports[b.index()].push(PortLink {
-            link,
-            peer: a,
-            peer_port: pa,
-        });
+        self.ports[a.index()].push(PortLink { link, peer: b });
+        self.ports[b.index()].push(PortLink { link, peer: a });
         self.links.push(Link {
             a: (a, pa),
             b: (b, pb),

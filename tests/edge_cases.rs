@@ -25,7 +25,7 @@ use flare::core::wire::{
 };
 use flare::model::{AggKind, SwitchParams};
 use flare::net::{
-    HostCtx, HostProgram, LinkSpec, NetPacket, NetSim, NodeId, PortId, SwitchCtx, SwitchModel,
+    HostCtx, HostProgram, LinkSpec, NetPacket, NetSim, NodeId, SwitchCtx, SwitchModel,
     SwitchProgram, Topology,
 };
 use flare::prelude::{golden_reduce, Sum};
@@ -200,7 +200,7 @@ fn ecmp_spreads_distinct_flows_across_spines() {
 }
 
 #[test]
-fn link_utilization_identifies_the_hot_uplink() {
+fn per_link_totals_identify_the_hot_uplink() {
     // One pair of cross-leaf hosts exchanging traffic: the leaf-spine
     // links must be the hottest (host links carry the same bytes at the
     // same rate, so equal; spine links are on the path too) and intra-leaf
@@ -211,14 +211,11 @@ fn link_utilization_identifies_the_hot_uplink() {
     }
     impl flare::net::HostProgram for Blaster {
         fn on_start(&mut self, ctx: &mut flare::net::HostCtx<'_>) {
-            let me = ctx.node();
             for i in 0..self.count {
                 ctx.send(flare::net::NetPacket::new(
-                    me,
                     self.to,
                     1,
                     i,
-                    0,
                     0,
                     0,
                     Bytes::from(vec![0u8; 1024]),
@@ -250,13 +247,19 @@ fn link_utilization_identifies_the_hot_uplink() {
         }),
     );
     let report = sim.run(None);
-    let (hot, util) = sim.hottest_link(report.makespan).unwrap();
-    assert!(util > 0.5, "the path should be busy: {util}");
+    // Utilization of a link's average direction: on the two busy access
+    // links both directions carry the same 100 packets.
+    let capacity = LinkSpec::hundred_gig().bytes_per_ns() * report.makespan as f64;
+    let util: Vec<f64> = report
+        .links
+        .iter()
+        .map(|l| l.bytes as f64 / 2.0 / capacity)
+        .collect();
+    let hot = util.iter().copied().fold(0.0, f64::max);
+    assert!(hot > 0.5, "the path should be busy: {hot}");
     // Hosts 1 and 2 sit idle: their access links carry nothing.
-    let util_all = sim.link_utilization(report.makespan);
-    let idle_links: usize = util_all.iter().filter(|&&(_, u)| u == 0.0).count();
-    assert!(idle_links >= 2, "{util_all:?}");
-    let _ = hot;
+    let idle_links = util.iter().filter(|&&u| u == 0.0).count();
+    assert!(idle_links >= 2, "{util:?}");
 }
 
 #[test]
@@ -401,10 +404,9 @@ struct Scripted {
 
 impl HostProgram for Scripted {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
-        let me = ctx.node();
         for (at, block, child, payload) in self.script.drain(..) {
             let kind = payload[10];
-            let pkt = NetPacket::new(me, self.switch, FLOW, block, child, kind, 0, payload);
+            let pkt = NetPacket::new(self.switch, FLOW, block, child, kind, payload);
             ctx.send_at(at, pkt);
         }
     }
@@ -556,20 +558,16 @@ fn sparse_program_drops_an_out_of_range_child_index() {
     star_drops_the_rogue_packet(Proto::Sparse(HASH_THAT_SPILLS));
 }
 
-/// A root that answers every dense contribution twice: with its values
-/// doubled but one element short, then with all of them. It notes where
-/// the first short payload lives.
+/// A root that answers every dense contribution of its one host twice:
+/// with its values doubled but one element short, then with all of them.
+/// It notes where the first short payload lives.
 struct ShortThenWhole {
+    host: NodeId,
     first_short: Rc<RefCell<Option<usize>>>,
 }
 
 impl SwitchProgram for ShortThenWhole {
-    fn on_packet(
-        &mut self,
-        ctx: &mut SwitchCtx<'_>,
-        _in_port: PortId,
-        pkt: NetPacket,
-    ) -> Option<NetPacket> {
+    fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, pkt: NetPacket) -> Option<NetPacket> {
         if pkt.flow != FLOW {
             return Some(pkt);
         }
@@ -582,9 +580,8 @@ impl SwitchProgram for ShortThenWhole {
                 let at = payload.as_ptr() as usize;
                 self.first_short.borrow_mut().get_or_insert(at);
             }
-            let me = ctx.node();
             ctx.send(NetPacket::new(
-                me, pkt.src, FLOW, pkt.block, 0, kind as u8, 0, payload,
+                self.host, FLOW, pkt.block, 0, kind as u8, payload,
             ));
         }
         None
@@ -602,6 +599,7 @@ fn dense_host_ignores_a_short_result_and_completes_on_the_whole_one() {
     let mut sim = NetSim::new(topo, 1);
     let first_short = Rc::new(RefCell::new(None));
     let prog = ShortThenWhole {
+        host: hosts[0],
         first_short: first_short.clone(),
     };
     sim.install_switch(sw, Box::new(prog), SwitchModel::calibrated());

@@ -26,7 +26,7 @@ use flare::core::switch_prog::{FlareSwitch, RecoveryStats, TreePlacement};
 use flare::core::wire::{encode_dense, encode_sparse, Header, PacketKind};
 use flare::des::Time;
 use flare::net::{
-    HostCtx, HostProgram, NetPacket, NetSim, NodeId, PortId, SwitchCtx, SwitchModel, SwitchProgram,
+    HostCtx, HostProgram, NetPacket, NetSim, NodeId, SwitchCtx, SwitchModel, SwitchProgram,
 };
 use flare::prelude::*;
 use flare::pspin::engine::run_trace;
@@ -288,7 +288,7 @@ impl HostProgram for Child {
         for &at in &self.send_at {
             let payload = self.proto.contribution(self.index);
             let kind = kind_of(&payload) as u8;
-            let pkt = NetPacket::new(ctx.node(), self.leaf, FLOW, 0, self.index, kind, 0, payload);
+            let pkt = NetPacket::new(self.leaf, FLOW, 0, self.index, kind, payload);
             ctx.send_at(at, pkt);
         }
     }
@@ -309,12 +309,7 @@ struct Parent {
 }
 
 impl SwitchProgram for Parent {
-    fn on_packet(
-        &mut self,
-        ctx: &mut SwitchCtx<'_>,
-        _in_port: PortId,
-        pkt: NetPacket,
-    ) -> Option<NetPacket> {
+    fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, pkt: NetPacket) -> Option<NetPacket> {
         if pkt.flow != FLOW {
             return Some(pkt);
         }
@@ -324,10 +319,7 @@ impl SwitchProgram for Parent {
         for at in self.results.drain(..) {
             let payload = self.proto.result();
             let kind = kind_of(&payload) as u8;
-            ctx.send_at(
-                at,
-                NetPacket::new(ctx.node(), self.leaf, FLOW, 0, 0, kind, 0, payload),
-            );
+            ctx.send_at(at, NetPacket::new(self.leaf, FLOW, 0, 0, kind, payload));
         }
         None
     }
