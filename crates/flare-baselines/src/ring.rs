@@ -173,7 +173,7 @@ impl<T: Element, O: ReduceOp<T>> RingHost<T, O> {
     }
 }
 
-impl<T: Element, O: ReduceOp<T>> HostProgram for RingHost<T, O> {
+impl<T: Element, O: ReduceOp<T> + 'static> HostProgram for RingHost<T, O> {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
         self.send_step(ctx);
     }

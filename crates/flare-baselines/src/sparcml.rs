@@ -218,7 +218,7 @@ impl<O: ReduceOp<f32>> SparcmlHost<O> {
     }
 }
 
-impl<O: ReduceOp<f32>> HostProgram for SparcmlHost<O> {
+impl<O: ReduceOp<f32> + 'static> HostProgram for SparcmlHost<O> {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
         self.send_round(ctx);
     }

@@ -141,13 +141,13 @@ fn run_engine(policy: SchedulingPolicy, trace: &[(u64, u64, u16)], tau: u64) -> 
         policy,
         ..PspinConfig::paper()
     };
+    // Header-only packets: the wire size without a payload behind it.
     let arrivals = trace
         .iter()
-        .map(|&(t, block, child)| {
-            (
-                t,
-                PspinPacket::new(0, block, child, PKT_BYTES, bytes::Bytes::new()),
-            )
+        .map(|&(t, block, _)| {
+            let mut pkt = PspinPacket::new(block, bytes::Bytes::new());
+            pkt.wire_bytes = PKT_BYTES;
+            (t, pkt)
         })
         .collect();
     let handler = move |ctx: &mut HpuCtx<'_>, _pkt: &PspinPacket| ctx.compute(tau);

@@ -22,7 +22,7 @@ use crate::dense::{InsertReport, MultiBufferBlock, TreeBlock};
 use crate::dtype::Element;
 use crate::op::ReduceOp;
 use crate::pool::{BufferPool, PoolStats};
-use crate::protocol::{remote, DenseCore, DenseStorage, Side, SparseCore};
+use crate::protocol::{DenseCore, DenseStorage, Side, SparseCore};
 use crate::wire::{DenseView, SparseView};
 
 /// Fixed cost to parse the Flare header and dispatch (cycles).
@@ -76,7 +76,7 @@ impl<T: Element> DenseStorage<T> for DenseBlock<T> {
         let ctx = side.hpu().expect("handler storage runs on PsPIN");
         let l_agg = agg_cycles::<T>(vals.len());
         let home = self.home_cluster;
-        let remote_factor = remote(ctx, home);
+        let remote_factor = ctx.remote_factor(home);
         let scaled = move |cycles: u64| cycles * remote_factor;
         match &mut self.state {
             DenseBlockState::Multi(blk) => {
@@ -296,9 +296,7 @@ impl<T: Element, O: ReduceOp<T>> PacketHandler for SparseAllreduceHandler<T, O> 
 mod tests {
     use super::*;
     use crate::op::{golden_reduce, Sum};
-    use crate::wire::{
-        decode_sparse, encode_dense, encode_sparse, Header, PacketKind, HEADER_BYTES,
-    };
+    use crate::wire::{decode_sparse, encode_dense, encode_sparse, Header, PacketKind};
     use bytes::Bytes;
     use flare_pspin::engine::run_trace;
     use flare_pspin::{ArrivalTrace, PspinConfig, SchedulingPolicy, StaggerMode, TraceConfig};
@@ -485,8 +483,7 @@ mod tests {
         // 3 children, 1 block; child 0 sends two shards, child 1 one shard,
         // child 2 an empty block.
         let mut arrivals = Vec::new();
-        let mk =
-            |t: u64, payload: Bytes| (t, PspinPacket::new(1, 0, 0, HEADER_BYTES as u32, payload));
+        let mk = |t: u64, payload: Bytes| (t, PspinPacket::new(0, payload));
         arrivals.push(mk(
             0,
             sparse_contrib::<f32>(1, 0, 0, &[(1, 1.0), (5, 2.0)], false, 0),
@@ -520,8 +517,7 @@ mod tests {
     #[test]
     fn sparse_array_end_to_end() {
         let mut arrivals = Vec::new();
-        let mk =
-            |t: u64, payload: Bytes| (t, PspinPacket::new(1, 0, 0, HEADER_BYTES as u32, payload));
+        let mk = |t: u64, payload: Bytes| (t, PspinPacket::new(0, payload));
         arrivals.push(mk(
             0,
             sparse_contrib::<i32>(1, 0, 0, &[(0, 5), (100, 7)], true, 1),
@@ -545,8 +541,7 @@ mod tests {
     fn an_out_of_span_pair_at_an_array_switch_is_skipped() {
         // Index 16 is outside a 16-index span: the store would panic on it.
         // The in-span pairs of the same shard still fold.
-        let mk =
-            |t: u64, payload: Bytes| (t, PspinPacket::new(1, 0, 0, HEADER_BYTES as u32, payload));
+        let mk = |t: u64, payload: Bytes| (t, PspinPacket::new(0, payload));
         let arrivals = vec![
             mk(
                 0,
@@ -577,13 +572,7 @@ mod tests {
         let pairs: Vec<(u32, i32)> = (0..32).map(|i| (i, 1)).collect();
         let arrivals = vec![(
             0u64,
-            PspinPacket::new(
-                1,
-                0,
-                0,
-                HEADER_BYTES as u32,
-                sparse_contrib(1, 0, 0, &pairs, true, 1),
-            ),
+            PspinPacket::new(0, sparse_contrib(1, 0, 0, &pairs, true, 1)),
         )];
         let handler: SparseAllreduceHandler<i32, Sum> = SparseAllreduceHandler::new(
             SparseHandlerConfig {

@@ -653,7 +653,7 @@ impl<P: Payload> FlareHost<P> {
     }
 }
 
-impl<P: Payload> HostProgram for FlareHost<P> {
+impl<P: Payload + 'static> HostProgram for FlareHost<P> {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
         ctx.trace(
             TraceKind::FlowSubmit,

@@ -114,10 +114,8 @@ impl<'c> Side<'_, 'c> {
                 }
             }
             // The payload carries the full Flare header; no extra
-            // link-layer header is modeled (header_bytes = 0).
-            Side::Hpu { ctx, .. } => {
-                ctx.emit(PspinPacket::new(allreduce, block, 0, 0, payload.clone()))
-            }
+            // link-layer header is modeled.
+            Side::Hpu { ctx, .. } => ctx.emit(PspinPacket::new(block, payload.clone())),
         }
     }
 
@@ -157,7 +155,7 @@ impl<'c> Side<'_, 'c> {
                 SparseStore::Array(_) => cycles::ARRAY_STORE_CYCLES,
             };
             let hold = (pairs as f64 * per_pair).ceil() as u64 + 1;
-            ctx.acquire_any([(block, 0)], hold * remote(ctx, b.home_cluster));
+            ctx.acquire_any([(block, 0)], hold * ctx.remote_factor(b.home_cluster));
         }
     }
 
@@ -165,7 +163,7 @@ impl<'c> Side<'_, 'c> {
     fn sparse_spill(&mut self, block: u64, home: usize, elems: usize) {
         if let Some(ctx) = self.hpu() {
             let push = (elems as f64 * cycles::SPILL_PUSH_CYCLES).ceil() as u64;
-            ctx.extend_hold((block, 0), push * remote(ctx, home));
+            ctx.extend_hold((block, 0), push * ctx.remote_factor(home));
         }
     }
 
@@ -180,19 +178,10 @@ impl<'c> Side<'_, 'c> {
             let flush = (scan as f64 * cycles::ARRAY_FLUSH_SCAN_CYCLES
                 + drained as f64 * cycles::EMIT_CYCLES)
                 .ceil() as u64;
-            ctx.extend_hold((block, 0), flush * remote(ctx, b.home_cluster));
+            ctx.extend_hold((block, 0), flush * ctx.remote_factor(b.home_cluster));
             ctx.release_buffer((block, 0));
             ctx.working_mem(-(b.store.memory_bytes() as i64));
         }
-    }
-}
-
-/// The remote-L1 factor of touching a buffer homed on `home_cluster`.
-pub(crate) fn remote(ctx: &HpuCtx<'_>, home_cluster: usize) -> u64 {
-    if home_cluster == ctx.cluster {
-        1
-    } else {
-        ctx.remote_factor()
     }
 }
 

@@ -281,16 +281,13 @@ impl<T: Element, O: ReduceOp<T> + 'static> SwitchProgram for FlareSwitch<T, O> {
         }
         None
     }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::op::Sum;
+    use std::any::Any;
 
     #[test]
     fn placement_describes_tree_position() {
@@ -353,9 +350,8 @@ mod tests {
                 sim.install_host(h, Box::new(host));
             }
             assert!(sim.run(None).last_done.is_some(), "allreduce completes");
-            let mut prog = sim.take_switch(sw).expect("installed");
-            let prog = prog.as_any_mut().expect("opts in").downcast_mut();
-            let prog: &mut FlareSwitch<i32, Sum> = prog.expect("concrete type");
+            let prog: Box<dyn Any> = sim.take_switch(sw).expect("installed");
+            let prog: Box<FlareSwitch<i32, Sum>> = prog.downcast().expect("concrete type");
             match &prog.flows[0].core {
                 Core::Dense(core) => core.table.replay_slots_allocated(),
                 Core::Sparse(_) => unreachable!("a dense flow"),
@@ -471,9 +467,8 @@ mod tests {
             let up = &link.dirs[usize::from(link.b == h.0)];
             up.buckets.iter().map(|b| b.bytes).sum()
         };
-        let mut prog = sim.take_switch(sw).expect("installed");
-        let prog = prog.as_any_mut().expect("opts in").downcast_ref();
-        let prog: &FlareSwitch<i32, Sum> = prog.expect("concrete type");
+        let prog: Box<dyn Any> = sim.take_switch(sw).expect("installed");
+        let prog: Box<FlareSwitch<i32, Sum>> = prog.downcast().expect("concrete type");
         for (flow, senders) in [(1, &hosts[..2]), (2, &hosts[2..4])] {
             let (bytes, _) = prog.flow(flow).expect("served");
             let sent: u64 = senders.iter().map(|&h| uplink(h)).sum();

@@ -20,6 +20,7 @@
 
 #![deny(missing_docs)]
 
+use std::any::Any;
 use std::collections::HashSet;
 
 use bytes::Bytes;
@@ -398,11 +399,10 @@ pub fn run_fabric<T: Element, O: ReduceOp<T> + Clone + 'static, R>(
     // Read every program back by node id: no switch list lives through the run.
     let mut read = Vec::new();
     for sw in (0..sim.topology().node_count() as u32).map(NodeId) {
-        let Some(mut program) = sim.take_switch(sw) else {
+        let Some(program) = sim.take_switch(sw).map(|p| p as Box<dyn Any>) else {
             continue;
         };
-        let program = program.as_any_mut().and_then(|p| p.downcast_ref());
-        let program: &FlareSwitch<T, O> = program.expect("a FlareSwitch");
+        let program: Box<FlareSwitch<T, O>> = program.downcast().expect("a FlareSwitch");
         for (i, s) in served(sw) {
             let (plan, packet_bytes) = (&flows[i].plan, flows[i].tuning.packet_bytes);
             let (bytes, stats) = program.flow(plan.id).expect("served");

@@ -14,16 +14,6 @@ pub fn pkt_per_cycle_to_tbps(rate: f64, packet_bytes: usize, clock_ghz: f64) -> 
     rate * packet_bytes as f64 * 8.0 * clock_ghz * 1e9 / 1e12
 }
 
-/// Convert bytes/second into Tbps.
-pub fn bytes_per_sec_to_tbps(rate: f64) -> f64 {
-    rate * 8.0 / 1e12
-}
-
-/// Convert Gbps into bytes per nanosecond (used by link models).
-pub fn gbps_to_bytes_per_ns(gbps: f64) -> f64 {
-    gbps / 8.0
-}
-
 /// Pretty-print a byte count with binary units (for table output).
 pub fn fmt_bytes(bytes: u64) -> String {
     if bytes >= GIB {
@@ -47,13 +37,6 @@ mod tests {
         // ⇒ 4.096 Tbps, the paper's ~4 Tbps dense peak (Fig. 10/11).
         let tbps = pkt_per_cycle_to_tbps(0.5, 1024, 1.0);
         assert!((tbps - 4.096).abs() < 1e-9, "{tbps}");
-    }
-
-    #[test]
-    fn gbps_conversion_roundtrips() {
-        let bpns = gbps_to_bytes_per_ns(100.0);
-        assert!((bpns - 12.5).abs() < 1e-12);
-        assert!((bytes_per_sec_to_tbps(bpns * 1e9) - 0.1).abs() < 1e-12);
     }
 
     #[test]

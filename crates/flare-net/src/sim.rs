@@ -77,24 +77,23 @@ pub enum NetEvent {
     },
 }
 
-/// Application logic running on a host.
-pub trait HostProgram {
+/// Application logic running on a host. A program is [`Any`](std::any::Any),
+/// so callers of [`NetSim::take_host`] can downcast it to read what it
+/// recorded during the run.
+pub trait HostProgram: std::any::Any {
     /// Called once at simulation start.
     fn on_start(&mut self, _ctx: &mut HostCtx<'_>) {}
     /// Called for every packet delivered to this host.
     fn on_packet(&mut self, ctx: &mut HostCtx<'_>, pkt: NetPacket);
     /// Called when a timer requested via [`HostCtx::wake_in`] fires.
     fn on_wake(&mut self, _ctx: &mut HostCtx<'_>, _tag: u64) {}
-    /// Downcast hook so callers of [`NetSim::take_host`] can read what a
-    /// concrete program recorded during the run. Programs that opt in
-    /// return `Some(self)`.
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        None
-    }
 }
 
-/// In-network program installed on a switch.
-pub trait SwitchProgram {
+/// In-network program installed on a switch. A program is
+/// [`Any`](std::any::Any), so callers of [`NetSim::take_switch`] can
+/// downcast it to inspect its state (pool counters, completion tallies)
+/// after a run.
+pub trait SwitchProgram: std::any::Any {
     /// Handle a packet delivered to this switch: serve it, or hand it back
     /// to be forwarded along the routing tables, "not further delayed"
     /// (paper Section 3). A program hands back the packets of flows it was
@@ -104,12 +103,6 @@ pub trait SwitchProgram {
     /// consumes the payload holds its only handle, and dropping it returns
     /// the payload's block to the free lists of `vendor/bytes`.
     fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, pkt: NetPacket) -> Option<NetPacket>;
-    /// Downcast hook so callers of [`NetSim::take_switch`] can inspect
-    /// concrete program state (pool counters, completion tallies) after a
-    /// run. Programs that opt in return `Some(self)`.
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        None
-    }
 }
 
 /// Events [`NetSim::run`] takes from the queue per drain: enough to

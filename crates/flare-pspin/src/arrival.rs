@@ -33,13 +33,16 @@ pub enum StaggerMode {
 /// Parameters of a synthetic allreduce arrival trace.
 #[derive(Debug, Clone)]
 pub struct TraceConfig {
-    /// Flow (allreduce) identifier stamped on every packet.
+    /// Flow (allreduce) identifier. Not read: a packet carries only its
+    /// block, and the handler takes the allreduce from the Flare header in
+    /// its payload. Kept because the benchmark package sets it.
     pub flow: u32,
     /// Number of children `P` feeding the switch.
     pub children: usize,
     /// Number of reduction blocks (`Z/N`).
     pub blocks: u64,
-    /// Header bytes added to each payload on the wire.
+    /// Header bytes added to each payload on the wire. Every caller passes
+    /// 0: a Flare payload already carries its header.
     pub header_bytes: u32,
     /// Aggregate interarrival `δ` in ns (line rate: `τ_min / K`).
     pub delta: Time,
@@ -102,8 +105,8 @@ impl ArrivalTrace {
             }
             for pos in 0..cfg.blocks {
                 let block = (pos + child * offset) % cfg.blocks;
-                let body = payload(child as u16, block);
-                let pkt = PspinPacket::new(cfg.flow, block, child as u16, cfg.header_bytes, body);
+                let mut pkt = PspinPacket::new(block, payload(child as u16, block));
+                pkt.wire_bytes += cfg.header_bytes;
                 arrivals.push((t, pkt));
                 t += match rng.as_mut() {
                     Some(r) => exp_time(r, period as f64),

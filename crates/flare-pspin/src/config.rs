@@ -66,12 +66,19 @@ impl PspinConfig {
         self.params.cores()
     }
 
+    /// Cores per scheduling subset under the current policy: all `K`
+    /// under global FCFS, `S` under hierarchical FCFS. Subset `s` is the
+    /// cores `s·width..(s+1)·width`.
+    pub fn subset_width(&self) -> usize {
+        match self.policy {
+            SchedulingPolicy::GlobalFcfs => self.cores(),
+            SchedulingPolicy::Hierarchical { subset_size } => subset_size,
+        }
+    }
+
     /// Number of scheduling subsets under the current policy.
     pub fn subsets(&self) -> usize {
-        match self.policy {
-            SchedulingPolicy::GlobalFcfs => 1,
-            SchedulingPolicy::Hierarchical { subset_size } => self.cores() / subset_size,
-        }
+        self.cores() / self.subset_width()
     }
 
     /// Cluster that owns core `core`.
@@ -119,11 +126,11 @@ mod tests {
     #[test]
     fn subsets_divide_cores() {
         let mut c = PspinConfig::paper();
-        assert_eq!(c.subsets(), 64); // S = 8 ⇒ one subset per cluster
+        assert_eq!((c.subsets(), c.subset_width()), (64, 8)); // one subset per cluster
         c.policy = SchedulingPolicy::Hierarchical { subset_size: 1 };
-        assert_eq!(c.subsets(), 512);
+        assert_eq!((c.subsets(), c.subset_width()), (512, 1));
         c.policy = SchedulingPolicy::GlobalFcfs;
-        assert_eq!(c.subsets(), 1);
+        assert_eq!((c.subsets(), c.subset_width()), (1, 512));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 
 use flare_des::{EventQueue, Time};
 
-use crate::config::{PspinConfig, SchedulingPolicy};
+use crate::config::PspinConfig;
 use crate::handler::{HandlerEffects, HpuCtx, LockTable, PacketHandler};
 use crate::metrics::{occupy, Report};
 use crate::packet::PspinPacket;
@@ -62,7 +62,7 @@ impl<H: PacketHandler> Engine<H> {
             panic!("invalid PspinConfig: {e}");
         }
         let subsets = cfg.subsets();
-        let subset_width = cfg.cores() / subsets;
+        let subset_width = cfg.subset_width();
         let mut idle = vec![Vec::new(); subsets];
         // Push in reverse so pop() hands out low-numbered cores first.
         for (s, subset) in idle.iter_mut().enumerate() {
@@ -86,14 +86,6 @@ impl<H: PacketHandler> Engine<H> {
             queued: 0,
             emissions: Vec::new(),
             capture_emissions,
-        }
-    }
-
-    /// Scheduling subset for a block under the configured policy.
-    fn subset_of(&self, block: u64) -> usize {
-        match self.cfg.policy {
-            SchedulingPolicy::GlobalFcfs => 0,
-            SchedulingPolicy::Hierarchical { .. } => (block % self.queues.len() as u64) as usize,
         }
     }
 
@@ -144,7 +136,9 @@ impl<H: PacketHandler> Engine<H> {
         report.packets_in += 1;
         report.bytes_in += wire as u64;
         occupy(&mut self.input_buffer, &mut report.input_buffer_peak, wire);
-        let subset = self.subset_of(pkt.block);
+        // All packets of a block go to one subset (under global FCFS, the
+        // only one).
+        let subset = (pkt.block % self.queues.len() as u64) as usize;
         if let Some(core) = self.idle[subset].pop() {
             self.start_execution(t, core, pkt, releases);
         } else {
@@ -169,10 +163,7 @@ impl<H: PacketHandler> Engine<H> {
             }
         }
         // Pull the next queued packet for this core's subset.
-        let subset = match self.cfg.policy {
-            SchedulingPolicy::GlobalFcfs => 0,
-            SchedulingPolicy::Hierarchical { subset_size } => core / subset_size,
-        };
+        let subset = core / self.cfg.subset_width();
         if let Some(pkt) = self.queues[subset].pop_front() {
             occupy(&mut self.queued, &mut self.report.queue_peak, -1);
             self.start_execution(t, core, pkt, releases);
@@ -197,7 +188,6 @@ impl<H: PacketHandler> Engine<H> {
         };
         let mut ctx = HpuCtx::new(
             t + icache,
-            core,
             cluster,
             &mut self.locks,
             self.cfg.params.dma_copy_cycles.ceil() as u64,
@@ -250,6 +240,7 @@ pub fn run_trace<H: PacketHandler>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SchedulingPolicy;
     use bytes::Bytes;
     use flare_model::SwitchParams;
 
@@ -263,8 +254,8 @@ mod tests {
         }
     }
 
-    fn pkt(block: u64, child: u16) -> PspinPacket {
-        PspinPacket::new(0, block, child, 0, Bytes::from_static(&[0u8; 4]))
+    fn pkt(block: u64) -> PspinPacket {
+        PspinPacket::new(block, Bytes::from_static(&[0u8; 4]))
     }
 
     /// Fixed-cost handler: τ = 4 cycles per packet (the Figure 5 switch).
@@ -275,9 +266,7 @@ mod tests {
     #[test]
     fn figure5_scenario_a_line_rate_no_queueing() {
         // K=4, τ=4, δ=1, global FCFS: every packet finds an idle core.
-        let arrivals = (0..16u64)
-            .map(|i| (i, pkt(i / 4, (i % 4) as u16)))
-            .collect();
+        let arrivals = (0..16u64).map(|i| (i, pkt(i / 4))).collect();
         let (report, _) = run_trace(cfg_small(), fixed_cost_handler(4), arrivals, false);
         assert_eq!(report.packets_in, 16);
         assert_eq!(report.queue_peak, 0);
@@ -293,7 +282,7 @@ mod tests {
         // before it at the same instant, and the release goes first.
         let mut cfg = cfg_small();
         cfg.policy = SchedulingPolicy::Hierarchical { subset_size: 1 };
-        let arrivals = (0..8u64).map(|i| (4 * i, pkt(0, i as u16))).collect();
+        let arrivals = (0..8u64).map(|i| (4 * i, pkt(0))).collect();
         let (report, _) = run_trace(cfg, fixed_cost_handler(4), arrivals, false);
         assert_eq!(report.queue_peak, 0);
         assert_eq!(report.duration_ns, 32);
@@ -305,16 +294,20 @@ mod tests {
             |ctx: &mut HpuCtx<'_>, pkt: &PspinPacket| {
                 ctx.acquire_any([(pkt.block, 0)], 7);
                 ctx.working_mem(16);
-                if pkt.child == 3 {
+                if pkt.payload[0] == 3 {
                     ctx.emit(pkt.clone());
                     ctx.complete_block();
                 }
             }
         };
         // Distinct times; a block's packets come 6 ns apart and hold its
-        // lock for 7 cycles, so they contend.
+        // lock for 7 cycles, so they contend. Each of the last ten (payload
+        // byte 3) completes a block.
         let sorted: Vec<_> = (0..40u64)
-            .map(|i| (3 * i, pkt(i % 2, (i / 10) as u16)))
+            .map(|i| {
+                let body = Bytes::from(vec![(i / 10) as u8; 4]);
+                (3 * i, PspinPacket::new(i % 2, body))
+            })
             .collect();
         let reversed = sorted.iter().rev().cloned().collect();
         let (a, _) = run_trace(cfg_small(), handler(), sorted, false);
@@ -334,7 +327,7 @@ mod tests {
         let mut arrivals = Vec::new();
         for b in 0..4u64 {
             for j in 0..4u64 {
-                arrivals.push((4 * b + j, pkt(b, j as u16)));
+                arrivals.push((4 * b + j, pkt(b)));
             }
         }
         let (report, _) = run_trace(cfg, fixed_cost_handler(4), arrivals, false);
@@ -351,7 +344,7 @@ mod tests {
         let mut arrivals = Vec::new();
         for j in 0..4u64 {
             for x in 0..4u64 {
-                arrivals.push((4 * j + x, pkt(x, j as u16)));
+                arrivals.push((4 * j + x, pkt(x)));
             }
         }
         let (report, _) = run_trace(cfg, fixed_cost_handler(4), arrivals, false);
@@ -364,12 +357,12 @@ mod tests {
             ctx.compute(10);
             ctx.working_mem(64);
             if pkt.block == 1 {
-                ctx.emit(PspinPacket::new(0, 1, 0, 0, Bytes::from_static(&[1, 2])));
+                ctx.emit(PspinPacket::new(1, Bytes::from_static(&[1, 2])));
                 ctx.complete_block();
                 ctx.working_mem(-128);
             }
         };
-        let arrivals = vec![(0, pkt(0, 0)), (1, pkt(0, 1)), (2, pkt(1, 0))];
+        let arrivals = vec![(0, pkt(0)), (1, pkt(0)), (2, pkt(1))];
         let (report, engine) = run_trace(cfg_small(), handler, arrivals, true);
         assert_eq!(report.packets_out, 1);
         assert_eq!(report.bytes_out, 2);
@@ -385,7 +378,7 @@ mod tests {
         // Two 4-byte packets (headers are 0 here); a slow handler and a
         // flood of simultaneous arrivals.
         cfg.params.l2_packet_bytes = 8;
-        let arrivals = (0..10u64).map(|i| (0, pkt(i, 0))).collect();
+        let arrivals = (0..10u64).map(|i| (0, pkt(i))).collect();
         let (report, _) = run_trace(cfg, fixed_cost_handler(1000), arrivals, false);
         assert_eq!(report.packets_in + report.drops, 10);
         assert!(report.drops == 8, "drops = {}", report.drops);
@@ -395,7 +388,7 @@ mod tests {
     fn icache_cold_start_delays_first_handler_per_cluster() {
         let mut cfg = cfg_small();
         cfg.icache_fill_cycles = 100;
-        let arrivals = vec![(0, pkt(0, 0)), (0, pkt(1, 0))];
+        let arrivals = vec![(0, pkt(0)), (0, pkt(1))];
         let (report, _) = run_trace(cfg, fixed_cost_handler(4), arrivals, false);
         // Both packets start at t=0 on cluster 0; only the first pays the
         // icache fill (the second core starts after the flag is warm but at
@@ -409,7 +402,7 @@ mod tests {
         let handler = |ctx: &mut HpuCtx<'_>, pkt: &PspinPacket| {
             ctx.acquire_any([(pkt.block, 0)], 100);
         };
-        let arrivals = vec![(0, pkt(7, 0)), (0, pkt(7, 1))];
+        let arrivals = vec![(0, pkt(7)), (0, pkt(7))];
         let (report, _) = run_trace(cfg_small(), handler, arrivals, false);
         // Second handler spins 100 cycles: completions at 100 and 200.
         assert_eq!(report.duration_ns, 200);
@@ -429,7 +422,7 @@ mod tests {
             seen2.borrow_mut().push((pkt.block, ctx.cluster));
             ctx.compute(1);
         };
-        let arrivals = (0..8u64).map(|i| (i, pkt(i % 2, 0))).collect();
+        let arrivals = (0..8u64).map(|i| (i, pkt(i % 2))).collect();
         let (_, _) = run_trace(cfg, handler, arrivals, false);
         for (block, cluster) in seen.borrow().iter() {
             assert_eq!(

@@ -65,10 +65,6 @@ impl LockTable {
 /// [`HpuCtx::dma_copy`] and [`HpuCtx::acquire_any`]; when the handler
 /// returns, the engine keeps the core busy until the cursor.
 pub struct HpuCtx<'a> {
-    /// Wall-clock time at which the handler started executing.
-    pub start: Time,
-    /// Core (HPU) index executing this handler.
-    pub core: usize,
     /// Cluster owning the core.
     pub cluster: usize,
     pub(crate) cursor: Time,
@@ -82,15 +78,12 @@ pub struct HpuCtx<'a> {
 impl<'a> HpuCtx<'a> {
     pub(crate) fn new(
         start: Time,
-        core: usize,
         cluster: usize,
         locks: &'a mut LockTable,
         dma_copy_cycles: u64,
         remote_l1_factor: u64,
     ) -> Self {
         Self {
-            start,
-            core,
             cluster,
             cursor: start,
             locks,
@@ -112,15 +105,9 @@ impl<'a> HpuCtx<'a> {
     }
 
     /// Burn compute cycles touching an aggregation buffer homed on
-    /// `home_cluster`: remote-L1 accesses cost `remote_l1_factor`× more
-    /// (paper: up to 25×).
+    /// `home_cluster`, at its [`HpuCtx::remote_factor`].
     pub fn compute_on_buffer(&mut self, cycles: u64, home_cluster: usize) {
-        let factor = if home_cluster == self.cluster {
-            1
-        } else {
-            self.remote_l1_factor
-        };
-        self.cursor += cycles * factor;
+        self.cursor += cycles * self.remote_factor(home_cluster);
     }
 
     /// Issue a DMA copy of one packet into an L1 buffer (fixed cost,
@@ -187,10 +174,15 @@ impl<'a> HpuCtx<'a> {
         self.lock_wait_cycles
     }
 
-    /// The configured remote-L1 penalty factor (paper: up to 25×), for
-    /// handlers that scale critical-section holds on remote buffers.
-    pub fn remote_factor(&self) -> u64 {
-        self.remote_l1_factor
+    /// What touching a buffer homed on `home_cluster` costs per cycle: 1
+    /// on this core's cluster, the configured remote-L1 factor (paper: up
+    /// to 25×) on another.
+    pub fn remote_factor(&self, home_cluster: usize) -> u64 {
+        if home_cluster == self.cluster {
+            1
+        } else {
+            self.remote_l1_factor
+        }
     }
 }
 
@@ -211,7 +203,7 @@ mod tests {
     use super::*;
 
     fn ctx_on<'a>(locks: &'a mut LockTable, start: Time) -> HpuCtx<'a> {
-        HpuCtx::new(start, 0, 0, locks, 64, 25)
+        HpuCtx::new(start, 0, locks, 64, 25)
     }
 
     #[test]
@@ -252,7 +244,7 @@ mod tests {
             a.acquire_any([(7, 0)], 1000);
             assert_eq!(a.now(), 1000);
         }
-        let mut b = HpuCtx::new(10, 1, 0, &mut locks, 64, 25);
+        let mut b = ctx_on(&mut locks, 10);
         b.acquire_any([(7, 0)], 1000);
         assert_eq!(b.lock_wait(), 990);
         assert_eq!(b.now(), 2000);
@@ -266,7 +258,7 @@ mod tests {
             a.acquire_any([(7, 0)], 1000);
         }
         // Buffer 0 busy until 1000, buffer 1 free: pick 1, no wait.
-        let mut b = HpuCtx::new(5, 1, 0, &mut locks, 64, 25);
+        let mut b = ctx_on(&mut locks, 5);
         let chosen = b.acquire_any((0..2).map(|i| (7, i)), 500);
         assert_eq!(chosen, (7, 1));
         assert_eq!(b.lock_wait(), 0);
@@ -299,9 +291,9 @@ mod tests {
             };
             let mut locks = LockTable::default();
             let mut ctx = ctx_on(&mut locks, 0);
-            let pkt = PspinPacket::new(0, 0, 0, 32, bytes::Bytes::from_static(b"xy"));
+            let pkt = PspinPacket::new(0, bytes::Bytes::from_static(b"xy"));
             h.process(&mut ctx, &pkt);
-            assert_eq!(ctx.now(), 34);
+            assert_eq!(ctx.now(), 2);
         }
         assert_eq!(total, 1);
     }

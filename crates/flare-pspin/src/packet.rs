@@ -1,41 +1,32 @@
 //! The packet representation seen by the processing unit.
 //!
-//! The switch parser extracts the fields the *packet scheduler* needs —
-//! which flow (allreduce) and which reduction block a packet belongs to
-//! (the paper carries the block id in an IP optional header) — while the
-//! payload stays opaque to the scheduler and is interpreted only by the
-//! handler code installed for the flow.
+//! The switch parser hands the *packet scheduler* one field: the reduction
+//! block (the paper carries the block id in an IP optional header), which
+//! hierarchical FCFS pins to a core subset. The payload stays opaque to the
+//! scheduler; the handler installed for the flow reads everything else from
+//! it — in Flare, the allreduce and child from its 16-byte header.
 
 use bytes::Bytes;
 
 /// A packet dispatched to the PsPIN unit.
 #[derive(Debug, Clone)]
 pub struct PspinPacket {
-    /// Flow identifier: the allreduce this packet belongs to. The network
-    /// manager assigns unique ids so concurrent allreduces never mix.
-    pub flow: u32,
-    /// Reduction-block identifier within the flow; drives hierarchical
-    /// scheduling (all packets of a block go to the same core subset).
+    /// Reduction-block identifier; drives hierarchical scheduling (all
+    /// packets of a block go to the same core subset).
     pub block: u64,
-    /// Index of the reduction-tree child (switch port) this packet came
-    /// from; drives reproducible leaf placement in tree aggregation.
-    pub child: u16,
-    /// Total wire size in bytes (header + payload), used for bandwidth and
-    /// input-buffer accounting.
+    /// Total wire size in bytes, used for bandwidth and input-buffer
+    /// accounting.
     pub wire_bytes: u32,
     /// Opaque payload, interpreted by the installed handler.
     pub payload: Bytes,
 }
 
 impl PspinPacket {
-    /// Convenience constructor for a payload-bearing packet; `wire_bytes`
-    /// is the payload length plus `header_bytes`.
-    pub fn new(flow: u32, block: u64, child: u16, header_bytes: u32, payload: Bytes) -> Self {
+    /// A packet whose wire size is its payload length.
+    pub fn new(block: u64, payload: Bytes) -> Self {
         Self {
-            flow,
             block,
-            child,
-            wire_bytes: header_bytes + payload.len() as u32,
+            wire_bytes: payload.len() as u32,
             payload,
         }
     }
@@ -44,12 +35,21 @@ impl PspinPacket {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flare_des::Time;
 
     #[test]
-    fn wire_bytes_includes_header() {
-        let p = PspinPacket::new(1, 2, 3, 32, Bytes::from(vec![0u8; 1024]));
-        assert_eq!(p.wire_bytes, 1056);
+    fn new_sets_wire_bytes_to_the_payload_length() {
+        let p = PspinPacket::new(2, Bytes::from(vec![0u8; 1024]));
+        assert_eq!((p.block, p.wire_bytes), (2, 1024));
         assert_eq!(p.payload.len(), 1024);
-        assert_eq!((p.flow, p.block, p.child), (1, 2, 3));
+    }
+
+    #[test]
+    fn an_arrival_is_four_words() {
+        // A trace holds one arrival per packet, and the engine sorts it
+        // whole: the payload pointer, the block, and the wire size padded
+        // to a word. Growing this grows every trace.
+        assert_eq!(std::mem::size_of::<PspinPacket>(), 24);
+        assert_eq!(std::mem::size_of::<(Time, PspinPacket)>(), 32);
     }
 }

@@ -56,6 +56,7 @@
 //! fabric. Lossy tunings (`link_drop_prob > 0`) require
 //! `retransmit_after`, exactly like `Collective::run`.
 
+use std::any::Any;
 use std::ops::Range;
 use std::rc::Rc;
 
@@ -559,9 +560,8 @@ impl<'s> TrafficEngine<'s> {
             let mut cells: Vec<Cell> = Vec::new();
             for &h in &union_hosts {
                 // Losing one would fold its tenants over too few cells.
-                let mut bx = sim.take_host(h);
-                let mux = bx.as_mut().and_then(|p| p.as_any_mut());
-                let mux = mux.and_then(|a| a.downcast_mut::<TrafficHost>());
+                let mux = sim.take_host(h).map(|p| p as Box<dyn Any>);
+                let mux = mux.and_then(|a| a.downcast::<TrafficHost>().ok());
                 cells.append(&mut mux.expect("a TrafficHost, installed above").cells);
             }
             (hpu, cells)
@@ -979,10 +979,6 @@ impl HostProgram for TrafficHost {
             }
             _ => {}
         }
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
     }
 }
 

@@ -106,10 +106,7 @@ fn pspin_handler_ignores_duplicate_contributions() {
                 elem_count: 0,
             };
             let payload = encode_dense(header, v);
-            arrivals.push((
-                rep * 1000 + c as u64 * 10,
-                PspinPacket::new(1, 0, c as u16, 0, payload),
-            ));
+            arrivals.push((rep * 1000 + c as u64 * 10, PspinPacket::new(0, payload)));
         }
     }
     let handler: DenseAllreduceHandler<i32, Sum> = DenseAllreduceHandler::new(
@@ -366,7 +363,7 @@ fn one_cluster() -> PspinConfig {
 fn through_handler(proto: Proto, children: u16, script: &Script) -> Vec<Bytes> {
     let arrivals = script
         .iter()
-        .map(|(t, b, c, p)| (*t, PspinPacket::new(FLOW, *b, *c, 0, p.clone())))
+        .map(|(t, b, _, p)| (*t, PspinPacket::new(*b, p.clone())))
         .collect();
     let cfg = one_cluster();
     let payloads = |e: &[(u64, PspinPacket)]| e.iter().map(|(_, p)| p.payload.clone()).collect();
@@ -645,7 +642,7 @@ fn sparse_handler_replays_the_whole_shard_sequence_once_per_burst() {
         .flat_map(|round| {
             let burst = &burst;
             (0..2u64).map(move |i| {
-                let pkt = PspinPacket::new(FLOW, 0, 0, 0, burst[i as usize].clone());
+                let pkt = PspinPacket::new(0, burst[i as usize].clone());
                 (round * ROUND + i * SPACING, pkt)
             })
         })
@@ -705,7 +702,7 @@ fn remote_cluster_spill_pushes_pay_the_remote_l1_factor() {
             .map(|c| {
                 let pairs: Vec<(u32, f32)> = (0..64u32).map(|i| (i * 2 + c as u32, 1.0)).collect();
                 let h = header(0, c, PacketKind::SparseContrib, true, 1);
-                (0, PspinPacket::new(FLOW, 0, c, 0, encode_sparse(h, &pairs)))
+                (0, PspinPacket::new(0, encode_sparse(h, &pairs)))
             })
             .collect();
         let cfg_h = SparseHandlerConfig {

@@ -16,6 +16,7 @@
 //! upward re-send per round of pokes, duplicate results absorbed, a child's
 //! poke still answered from the cache.
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::OnceLock;
@@ -393,11 +394,8 @@ fn poke_sequence(proto: Proto) -> (Seen, Vec<Seen>, RecoveryStats) {
         sim.install_host(host, Box::new(child));
     }
     sim.run(None);
-    let mut leaf = sim.take_switch(leaf).expect("installed");
-    let leaf = leaf.as_any_mut().expect("a Flare program opts in");
-    let recovery = leaf
-        .downcast_mut::<FlareSwitch<f32, Sum>>()
-        .map(|p| p.stats());
+    let leaf: Box<dyn Any> = sim.take_switch(leaf).expect("installed");
+    let recovery = leaf.downcast::<FlareSwitch<f32, Sum>>().map(|p| p.stats());
     let children = inboxes.iter().map(|inbox| inbox.take()).collect();
     (
         up.take(),
@@ -467,7 +465,7 @@ fn a_root_answers_every_poke_with_a_replay() {
     let first = (0..CHILDREN).map(|child| (child as u64 * 10, child));
     let arrivals = first.chain(pokes).map(|(at, child)| {
         let payload = Proto::Dense.contribution(child);
-        (at, PspinPacket::new(FLOW, 0, child, 0, payload))
+        (at, PspinPacket::new(0, payload))
     });
     let cfg = DenseHandlerConfig {
         allreduce: FLOW,

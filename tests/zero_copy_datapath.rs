@@ -20,6 +20,7 @@
 //! it: they assert that no packet costs an allocation of one.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::any::Any;
 use std::cell::Cell;
 
 use flare::core::handlers::SparseStorageKind;
@@ -187,11 +188,9 @@ fn dense_steady_state_allocates_zero_payload_buffers_per_packet() {
         assert!(got.iter().all(|&v| v == want), "rank {rank} result wrong");
     }
 
-    let mut prog = sim.take_switch(sw).expect("program installed");
+    let prog: Box<dyn Any> = sim.take_switch(sw).expect("program installed");
     let prog = prog
-        .as_any_mut()
-        .expect("flare programs opt into downcast")
-        .downcast_mut::<FlareSwitch<f32, Sum>>()
+        .downcast::<FlareSwitch<f32, Sum>>()
         .expect("concrete type");
     let stats = prog.stats();
     let packets = (hosts * BLOCKS) as u64;
@@ -304,13 +303,8 @@ fn dense_pool_misses_do_not_scale_with_block_count() {
         for sink in &sinks {
             assert!(sink.lock().unwrap().is_some(), "completed");
         }
-        let mut prog = sim.take_switch(sw).unwrap();
-        let stats = prog
-            .as_any_mut()
-            .unwrap()
-            .downcast_mut::<FlareSwitch<f32, Sum>>()
-            .unwrap()
-            .stats();
+        let prog: Box<dyn Any> = sim.take_switch(sw).unwrap();
+        let stats = prog.downcast::<FlareSwitch<f32, Sum>>().unwrap().stats();
         (stats.agg_pool.misses(), stats.agg_pool.gets)
     };
     let (misses_short, gets_short) = run(128);
@@ -330,13 +324,8 @@ fn sparse_program_reuses_pair_batches_and_reclaims_payloads() {
     for sink in &sinks {
         assert!(sink.lock().unwrap().is_some(), "sparse allreduce completed");
     }
-    let mut prog = sim.take_switch(sw).unwrap();
-    let stats = prog
-        .as_any_mut()
-        .unwrap()
-        .downcast_mut::<FlareSwitch<f32, Sum>>()
-        .unwrap()
-        .stats();
+    let prog: Box<dyn Any> = sim.take_switch(sw).unwrap();
+    let stats = prog.downcast::<FlareSwitch<f32, Sum>>().unwrap().stats();
     assert!(stats.agg_pool.gets >= (hosts * blocks) as u64);
     let warmup = (2 * WINDOW * (hosts + 1)) as u64;
     assert!(
