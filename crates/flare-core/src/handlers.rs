@@ -152,7 +152,8 @@ impl<T: Element, O: ReduceOp<T>> DenseAllreduceHandler<T, O> {
     }
 
     /// Blocks currently holding working memory.
-    pub fn open_blocks(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn open_blocks(&self) -> usize {
         self.core.table.open.len()
     }
 

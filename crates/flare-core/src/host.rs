@@ -127,22 +127,24 @@ impl Slot {
 /// it has in flight, not for the span of its flow. The newest positions,
 /// at most `reach` of them (the host's window `W`), are a deque of
 /// [`Slot`]s over `[first, first + slots.len())`, with [`Slot::CLOSED`]
-/// marking a position whose result has arrived. An open position that
-/// falls out of the deque, a straggler, moves to `behind`, a list of
-/// `(position, slot)` in position order: under staggering, the blocks the
-/// other hosts send last. A host has at most `W` blocks open, so the window
-/// holds at most `2W` entries whatever the flow's length (`dense_star`,
-/// W = 96: at most 96 deque positions and 62 stragglers a host, where a
-/// deque reaching back to the oldest open position grew to 8 192), and
-/// `behind` is allocated only once a block stays out for more than `W`
-/// sends.
+/// marking a position whose result has arrived. Beside each slot sits the
+/// payload's state `S` for the block (see [`Payload::BlockState`]), made
+/// when the position opens and dropped when it closes. An open position
+/// that falls out of the deque, a straggler, moves to `behind`, a list of
+/// `(position, slot, state)` in position order: under staggering, the
+/// blocks the other hosts send last. A host has at most `W` blocks open,
+/// so the window holds at most `2W` entries whatever the flow's length
+/// (`dense_star`, W = 96: at most 96 deque positions and 62 stragglers a
+/// host, where a deque reaching back to the oldest open position grew to
+/// 8 192), and `behind` is allocated only once a block stays out for more
+/// than `W` sends.
 ///
 /// Open, close and lookup are O(1) in the deque and a binary search in
 /// `behind`. Entries are numbered `behind` first, then the deque: position
 /// order, the order of first sends, which makes the retransmission scan
 /// reproducible.
 #[derive(Debug)]
-struct SendWindow {
+struct SendWindow<S> {
     /// 32-bit, as wire block ids are.
     blocks: u32,
     /// `stagger_offset % blocks`.
@@ -152,12 +154,12 @@ struct SendWindow {
     first: u32,
     /// Blocks in flight: entries not [`Slot::CLOSED`].
     open: u32,
-    slots: VecDeque<Slot>,
+    slots: VecDeque<(Slot, S)>,
     /// The open positions before `first`, ascending.
-    behind: Vec<(u32, Slot)>,
+    behind: Vec<(u32, Slot, S)>,
 }
 
-impl SendWindow {
+impl<S: Default> SendWindow<S> {
     fn new(blocks: u64, stagger_offset: u64) -> Self {
         let blocks = u32::try_from(blocks).expect("positions are 32-bit, as wire block ids");
         assert!(blocks > 0);
@@ -212,20 +214,20 @@ impl SendWindow {
     /// since `at`, keeping the deque to the newest `reach` positions.
     fn push(&mut self, at: Time, reach: usize) {
         while self.slots.len() >= reach.max(1) {
-            let oldest = self.slots.pop_front().expect("a full deque");
+            let (oldest, state) = self.slots.pop_front().expect("a full deque");
             if oldest != Slot::CLOSED {
-                self.behind.push((self.first, oldest));
+                self.behind.push((self.first, oldest, state));
             }
             self.first += 1;
         }
         self.pop_closed();
-        self.slots.push_back(Slot::new(at, 0));
+        self.slots.push_back((Slot::new(at, 0), S::default()));
         self.open += 1;
     }
 
     /// Drop the closed positions at the front of the deque.
     fn pop_closed(&mut self) {
-        while self.slots.front() == Some(&Slot::CLOSED) {
+        while self.slots.front().is_some_and(|e| e.0 == Slot::CLOSED) {
             self.slots.pop_front();
             self.first += 1;
         }
@@ -234,10 +236,10 @@ impl SendWindow {
     /// The block in entry `entry` and its state, if it is in flight.
     fn in_slot(&self, entry: usize) -> Option<(u64, Slot)> {
         let (pos, state) = match self.behind.get(entry) {
-            Some(&straggler) => straggler,
+            Some(&(pos, state, _)) => (pos, state),
             None => {
                 let slot = entry - self.behind.len();
-                (self.first + slot as u32, *self.slots.get(slot)?)
+                (self.first + slot as u32, self.slots.get(slot)?.0)
             }
         };
         (state != Slot::CLOSED).then(|| (self.block_at(pos), state))
@@ -249,7 +251,7 @@ impl SendWindow {
         let stragglers = self.behind.len();
         let state = match entry.checked_sub(stragglers) {
             None => &mut self.behind[entry].1,
-            Some(slot) => &mut self.slots[slot],
+            Some(slot) => &mut self.slots[slot].0,
         };
         *state = Slot::new(at, state.tries().saturating_add(1).min(u8::MAX - 1));
         *state
@@ -265,8 +267,16 @@ impl SendWindow {
         let Some(slot) = pos.checked_sub(self.first) else {
             return self.behind.binary_search_by_key(&pos, |s| s.0).ok();
         };
-        let state = *self.slots.get(slot as usize)?;
+        let state = self.slots.get(slot as usize)?.0;
         (state != Slot::CLOSED).then_some(self.behind.len() + slot as usize)
+    }
+
+    /// The payload's state for the block in entry `entry`.
+    fn block_state(&mut self, entry: usize) -> &mut S {
+        match entry.checked_sub(self.behind.len()) {
+            None => &mut self.behind[entry].2,
+            Some(slot) => &mut self.slots[slot].1,
+        }
     }
 
     /// Close `block`, returning its state (`None` if not in flight: never
@@ -277,7 +287,7 @@ impl SendWindow {
         let Some(slot) = entry.checked_sub(self.behind.len()) else {
             return Some(self.behind.remove(entry).1);
         };
-        let state = std::mem::replace(&mut self.slots[slot], Slot::CLOSED);
+        let (state, _) = std::mem::replace(&mut self.slots[slot], (Slot::CLOSED, S::default()));
         self.pop_closed();
         Some(state)
     }
@@ -470,6 +480,12 @@ pub trait Payload {
     /// The packet kind of this payload's contributions.
     const CONTRIB: PacketKind;
 
+    /// What the host keeps for one block while it is in flight, beside its
+    /// position in the send window: made when the block is first sent,
+    /// dropped when its result is whole. A result for a block not in
+    /// flight never reaches the payload, so no block needs more.
+    type BlockState: Default;
+
     /// How many packets local block `block` is sent as.
     fn packets(&self, block: u64) -> usize;
 
@@ -479,8 +495,8 @@ pub trait Payload {
     fn encode(&self, block: u64, i: usize, header: Header) -> Bytes;
 
     /// Apply one result packet addressed to the in-flight local block
-    /// `block`.
-    fn apply(&mut self, block: u64, packet: &[u8]) -> Applied;
+    /// `block`, whose state is `state`.
+    fn apply(&mut self, block: u64, state: &mut Self::BlockState, packet: &[u8]) -> Applied;
 
     /// The reduced vector, once every block is complete.
     fn take_result(&mut self) -> Vec<Self::Elem>;
@@ -517,7 +533,7 @@ pub struct FlareHost<P: Payload> {
     payload: P,
     /// Wire bytes of the whole contribution (telemetry).
     wire_bytes: u64,
-    outstanding: SendWindow,
+    outstanding: SendWindow<P::BlockState>,
     sink: ResultSink<P::Elem>,
     /// Blocks re-sent by the retransmission timer.
     pub retransmits: u64,
@@ -670,11 +686,14 @@ impl<P: Payload + 'static> HostProgram for FlareHost<P> {
         // outside this run's window are stale (an earlier iteration over
         // the same collective) and ids not in flight already have their
         // result (a loss-path replay): both are dropped.
-        let local = pkt.block.checked_sub(self.wire_block(0));
-        let Some(local) = local.filter(|&b| self.outstanding.in_flight(b).is_some()) else {
+        let Some(local) = pkt.block.checked_sub(self.wire_block(0)) else {
             return;
         };
-        let complete = match self.payload.apply(local, &pkt.payload) {
+        let Some(entry) = self.outstanding.in_flight(local) else {
+            return;
+        };
+        let state = self.outstanding.block_state(entry);
+        let complete = match self.payload.apply(local, state, &pkt.payload) {
             Applied::Ignored => false,
             Applied::Shard { index, complete } => {
                 ctx.trace(TraceKind::ShardRecv, flow, pkt.block, index as u64);
@@ -807,6 +826,8 @@ impl<T> DensePayload<T> {
 impl<T: Element> Payload for DensePayload<T> {
     type Elem = T;
     const CONTRIB: PacketKind = PacketKind::DenseContrib;
+    /// Nothing: one packet is the whole result.
+    type BlockState = ();
 
     fn packets(&self, _block: u64) -> usize {
         1
@@ -816,7 +837,7 @@ impl<T: Element> Payload for DensePayload<T> {
         encode_dense(header, &self.data[self.block_range(block)])
     }
 
-    fn apply(&mut self, block: u64, packet: &[u8]) -> Applied {
+    fn apply(&mut self, block: u64, _: &mut (), packet: &[u8]) -> Applied {
         let Ok((header, view)) = DenseView::<T>::parse(packet) else {
             return Applied::Ignored;
         };
@@ -872,7 +893,6 @@ pub struct SparsePayload<T, O> {
     pairs: Vec<(u32, T)>,
     /// Block `b` owns `pairs[offsets[b]..offsets[b + 1]]`.
     offsets: Vec<u32>,
-    trackers: Vec<ShardTracker>,
     /// Empty until the first accepted result shard, which reserves all
     /// `total` elements; identity-filled from then on up to the end of the
     /// highest block span a shard has been applied to.
@@ -922,7 +942,6 @@ impl<T: Element, O: ReduceOp<T>> FlareHost<SparsePayload<T, O>> {
             total: total_elems,
             pairs: by_block,
             offsets,
-            trackers: vec![ShardTracker::default(); blocks],
             result: Vec::new(),
         };
         Self::over(cfg, payload, blocks, wire_bytes, sink)
@@ -939,6 +958,8 @@ impl<T, O> SparsePayload<T, O> {
 impl<T: Element, O: ReduceOp<T>> Payload for SparsePayload<T, O> {
     type Elem = T;
     const CONTRIB: PacketKind = PacketKind::SparseContrib;
+    /// Which result shards of the block have arrived.
+    type BlockState = ShardTracker;
 
     fn packets(&self, block: u64) -> usize {
         // An empty block still sends its header-only packet.
@@ -960,7 +981,7 @@ impl<T: Element, O: ReduceOp<T>> Payload for SparsePayload<T, O> {
         encode_sparse(header, chunks.nth(i).unwrap_or(&[]))
     }
 
-    fn apply(&mut self, block: u64, packet: &[u8]) -> Applied {
+    fn apply(&mut self, block: u64, shards: &mut ShardTracker, packet: &[u8]) -> Applied {
         let Ok((header, view)) = SparseView::<T>::parse(packet) else {
             return Applied::Ignored;
         };
@@ -970,8 +991,7 @@ impl<T: Element, O: ReduceOp<T>> Payload for SparsePayload<T, O> {
         // Shard protocol first: a replayed result shard (loss recovery)
         // must not accumulate pairs it already delivered.
         let index = header.shard_index();
-        let event =
-            self.trackers[block as usize].on_shard(index, header.last_shard, header.shard_count);
+        let event = shards.on_shard(index, header.last_shard, header.shard_count);
         if event == ShardEvent::Duplicate {
             return Applied::Ignored;
         }
@@ -1031,7 +1051,7 @@ mod tests {
     }
 
     /// In-flight `(block, last sent at, re-sends)` in send order.
-    fn in_flight(window: &SendWindow) -> Vec<(u64, Time, u8)> {
+    fn in_flight(window: &SendWindow<()>) -> Vec<(u64, Time, u8)> {
         let entries = (0..window.entries()).filter_map(|e| window.in_slot(e));
         entries.map(|(b, s)| (b, s.sent(), s.tries())).collect()
     }
@@ -1135,11 +1155,109 @@ mod tests {
         // `dense_scale` runs 512 hosts, and 32 B more a host (a `Vec` and a
         // `usize` beside the deque) was a measured rise of its peak heap:
         // positions are 32-bit and the count of closed blocks is derived.
+        // A dense block keeps no state in flight, so its window entry is
+        // the bare slot; a sparse host's shard trackers live in its window
+        // entries, not in a `Vec` beside it.
+        assert_eq!(std::mem::size_of::<(Slot, ())>(), 8);
         assert_eq!(std::mem::size_of::<DenseFlareHost<f32>>(), 184);
         assert_eq!(
             std::mem::size_of::<SparseFlareHost<f32, crate::op::Sum>>(),
-            264
+            240
         );
+    }
+
+    #[test]
+    fn a_sparse_host_tracks_shards_only_for_its_window_entries() {
+        use flare_net::{LinkSpec, NetSim, SwitchCtx, SwitchModel, SwitchProgram, Topology};
+        use std::cell::Cell;
+        use std::rc::Rc;
+        const W: usize = 4;
+        const HELD: u64 = 1;
+        const LATE: Time = 1_000_000;
+        /// Answers every contribution shard with the same pairs as a result
+        /// shard. Block `HELD`'s first shard is answered at once and again
+        /// late (a replay), its second only late: the block straggles
+        /// behind the window with one shard in and must keep its tracker.
+        struct Mirror(NodeId);
+        impl SwitchProgram for Mirror {
+            fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, pkt: NetPacket) -> Option<NetPacket> {
+                let (header, view) = SparseView::<f32>::parse(&pkt.payload).expect("a shard");
+                let mut pairs = Vec::new();
+                view.for_each(|idx, v| pairs.push((idx, v)));
+                let header = Header {
+                    kind: PacketKind::SparseResult,
+                    ..header
+                };
+                let result = || {
+                    let payload = encode_sparse(header, &pairs);
+                    NetPacket::new(self.0, pkt.flow, pkt.block, 0, 0, payload)
+                };
+                let late = ctx.now() + LATE;
+                match (pkt.block, header.shard_index()) {
+                    (HELD, 0) => {
+                        ctx.send(result());
+                        ctx.send_at(late, result());
+                    }
+                    (HELD, _) => ctx.send_at(late, result()),
+                    _ => ctx.send(result()),
+                }
+                None
+            }
+        }
+        /// The host, noting its most window entries and stragglers after
+        /// any packet.
+        struct Entries(
+            SparseFlareHost<f32, crate::op::Sum>,
+            Rc<Cell<(usize, usize)>>,
+        );
+        impl HostProgram for Entries {
+            fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
+                self.0.on_start(ctx);
+            }
+            fn on_packet(&mut self, ctx: &mut HostCtx<'_>, pkt: NetPacket) {
+                self.0.on_packet(ctx, pkt);
+                let window = &self.0.outstanding;
+                let (entries, behind) = self.1.get();
+                let now = (window.entries(), window.behind.len());
+                self.1.set((entries.max(now.0), behind.max(now.1)));
+            }
+            fn on_wake(&mut self, ctx: &mut HostCtx<'_>, tag: u64) {
+                self.0.on_wake(ctx, tag);
+            }
+        }
+        // 40 blocks of 8 indexes, each with two pairs a shard: block
+        // `HELD` has three pairs, so two shards.
+        let (blocks, span) = (40u64, 8);
+        let mut pairs: Vec<(u32, f32)> =
+            (0..blocks as u32).map(|b| (b * 8 + 3, b as f32)).collect();
+        pairs.extend([(HELD as u32 * 8, 0.5), (HELD as u32 * 8 + 5, 0.25)]);
+        let mut want = vec![0.0f32; blocks as usize * span];
+        for &(idx, v) in &pairs {
+            want[idx as usize] += v;
+        }
+        let (topo, sw, hosts) = Topology::star(1, LinkSpec::hundred_gig());
+        let mut sim = NetSim::new(topo, 1);
+        sim.install_switch(sw, Box::new(Mirror(hosts[0])), SwitchModel::calibrated());
+        let cfg = HostConfig {
+            leaf: sw,
+            window: W,
+            stagger_offset: 0,
+            ..cfg()
+        };
+        let (sink, peak) = (result_sink(), Rc::new(Cell::new((0, 0))));
+        let total = blocks as usize * span;
+        let host = SparseFlareHost::new(cfg, crate::op::Sum, total, span, 2, pairs, sink.clone());
+        sim.install_host(hosts[0], Box::new(Entries(host, peak.clone())));
+        sim.run(None);
+        let got = sink
+            .lock()
+            .expect("sink")
+            .take()
+            .expect("the host finished");
+        assert_eq!(got, want, "the replayed shard counted once");
+        let (entries, behind) = peak.get();
+        assert_eq!(behind, 1, "block {HELD} straggled behind the deque");
+        assert!(entries <= 2 * W, "{entries} entries");
     }
 
     #[test]
@@ -1405,24 +1523,43 @@ mod tests {
         }
     }
 
+    /// A sparse payload and, per block, the shard tracker its window entry
+    /// would hold while it is in flight.
+    struct Receiver {
+        payload: SparsePayload<f32, crate::op::Sum>,
+        shards: Vec<ShardTracker>,
+    }
+
+    /// A sparse host over `total` elements in spans of `span`.
+    fn receiver(total: usize, span: usize) -> Receiver {
+        let h = SparseFlareHost::new(cfg(), crate::op::Sum, total, span, 4, vec![], result_sink());
+        let shards = vec![ShardTracker::default(); total.div_ceil(span)];
+        Receiver {
+            payload: h.payload,
+            shards,
+        }
+    }
+
     /// A sparse host over 30 elements in spans of 8: blocks 0..3 are
     /// whole, block 3 holds indexes 24..30.
-    fn sparse_payload() -> SparsePayload<f32, crate::op::Sum> {
-        let h = SparseFlareHost::new(cfg(), crate::op::Sum, 30, 8, 2, vec![], result_sink());
-        h.payload
+    fn sparse_payload() -> Receiver {
+        receiver(30, 8)
     }
 
     /// Apply result shard `seq` of `total` to `block`: `None` if it was
     /// ignored, else whether it completed the block.
     fn deliver(
-        p: &mut SparsePayload<f32, crate::op::Sum>,
+        r: &mut Receiver,
         block: u64,
         seq: u16,
         total: u16,
         pairs: &[(u32, f32)],
     ) -> Option<bool> {
         let shard = encode_sparse(result_header(block, seq, total), pairs);
-        match p.apply(block, &shard) {
+        match r
+            .payload
+            .apply(block, &mut r.shards[block as usize], &shard)
+        {
             Applied::Shard { complete, .. } => Some(complete),
             Applied::Ignored | Applied::Block => None,
         }
@@ -1431,34 +1568,41 @@ mod tests {
     #[test]
     fn a_sparse_result_is_allocated_at_the_first_accepted_shard() {
         let mut p = sparse_payload();
-        assert_eq!(p.result.capacity(), 0, "nothing before any result");
+        assert_eq!(p.payload.result.capacity(), 0, "nothing before any result");
         // Not a sparse result: ignored, still nothing allocated.
         let header = Header {
             kind: PacketKind::DenseResult,
             ..result_header(1, 0, 1)
         };
         let dense = encode_dense(header, &[1.0f32; 8]);
-        assert!(matches!(p.apply(1, &dense), Applied::Ignored));
-        assert_eq!(p.result.capacity(), 0);
+        assert!(matches!(
+            p.payload.apply(1, &mut ShardTracker::default(), &dense),
+            Applied::Ignored
+        ));
+        assert_eq!(p.payload.result.capacity(), 0);
         // Block 1 first: one reservation of the whole domain, filled up to
         // the end of block 1's span.
         assert_eq!(deliver(&mut p, 1, 0, 1, &[(2, 3.0)]), Some(true));
-        assert!(p.result.capacity() >= 30);
-        assert_eq!(p.result.len(), 16);
-        assert_eq!(p.result[10], 3.0);
+        assert!(p.payload.result.capacity() >= 30);
+        assert_eq!(p.payload.result.len(), 16);
+        assert_eq!(p.payload.result[10], 3.0);
     }
 
     #[test]
     fn a_later_block_completing_first_leaves_the_earlier_spans_to_their_shards() {
         let mut p = sparse_payload();
         assert_eq!(deliver(&mut p, 3, 0, 1, &[(5, 1.5)]), Some(true));
-        assert_eq!(p.result.len(), 30, "the short last span ends the domain");
+        assert_eq!(
+            p.payload.result.len(),
+            30,
+            "the short last span ends the domain"
+        );
         assert_eq!(deliver(&mut p, 0, 0, 1, &[(7, 2.0)]), Some(true));
         assert_eq!(deliver(&mut p, 2, 0, 1, &[]), Some(true));
         assert_eq!(deliver(&mut p, 1, 0, 1, &[(0, 4.0)]), Some(true));
         let mut want = vec![0.0f32; 30];
         (want[7], want[8], want[29]) = (2.0, 4.0, 1.5);
-        assert_eq!(p.take_result(), want);
+        assert_eq!(p.payload.take_result(), want);
     }
 
     #[test]
@@ -1466,7 +1610,7 @@ mod tests {
         let mut p = sparse_payload();
         assert_eq!(deliver(&mut p, 2, 0, 2, &[(3, 1.0)]), Some(false));
         assert_eq!(deliver(&mut p, 2, 1, 2, &[(3, 2.5), (4, 1.0)]), Some(true));
-        assert_eq!((p.result[19], p.result[20]), (3.5, 1.0));
+        assert_eq!((p.payload.result[19], p.payload.result[20]), (3.5, 1.0));
     }
 
     #[test]
@@ -1476,7 +1620,7 @@ mod tests {
         assert_eq!(deliver(&mut p, 0, 0, 2, &[(1, 1.0)]), None);
         assert_eq!(deliver(&mut p, 0, 1, 2, &[]), Some(true));
         assert_eq!(deliver(&mut p, 0, 0, 2, &[(1, 1.0)]), None);
-        assert_eq!(p.result[1], 1.0);
+        assert_eq!(p.payload.result[1], 1.0);
     }
 
     #[test]
@@ -1488,7 +1632,7 @@ mod tests {
         deliver(&mut p, 1, 0, 1, &[(0, 2.0)]);
         deliver(&mut p, 0, 0, 1, &[(8, 5.0), (1, 1.0)]);
         deliver(&mut p, 3, 0, 1, &[(6, 9.0), (5, 2.0)]);
-        let got = p.take_result();
+        let got = p.payload.take_result();
         assert_eq!(got.len(), 30);
         assert_eq!((got[1], got[8], got[29]), (1.0, 2.0, 2.0));
         assert_eq!(got.iter().sum::<f32>(), 5.0);
@@ -1517,8 +1661,7 @@ mod tests {
             // The last block is `short % span` indexes short of a span.
             let op = crate::op::Sum;
             let total = shards.len() * span - short % span;
-            let host = SparseFlareHost::<f32, _>::new(cfg(), op, total, span, 4, vec![], result_sink());
-            let mut p = host.payload;
+            let mut p = receiver(total, span);
             let all: Vec<(usize, usize)> = shards
                 .iter()
                 .enumerate()
@@ -1541,7 +1684,7 @@ mod tests {
                     }
                 }
             }
-            let got: Vec<u32> = p.take_result().iter().map(|v| v.to_bits()).collect();
+            let got: Vec<u32> = p.payload.take_result().iter().map(|v| v.to_bits()).collect();
             let want: Vec<u32> = eager.iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(got, want);
         }

@@ -141,7 +141,8 @@ impl<T: Element> SparseHashStore<T> {
     }
 
     /// Current spill-buffer length.
-    pub fn spill_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn spill_len(&self) -> usize {
         self.spill.len()
     }
 

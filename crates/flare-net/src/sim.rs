@@ -115,12 +115,13 @@ struct DirState {
     busy_until: Time,
     bytes: u64,
     packets: u64,
-    drops: u64,
 }
 
-/// One link direction's loss model, in the table a lossy run builds.
+/// One link direction's loss model and drop count, in the table a lossy
+/// run builds: a lossless direction cannot drop, so it counts nothing.
 struct DirLoss {
     drop_prob: f64,
+    drops: u64,
     /// Loss stream derived from `(run seed, 2·link + dir)`: the drop
     /// pattern is a pure function of the seed and this direction's own
     /// packet sequence, independent of how traffic interleaves elsewhere —
@@ -200,14 +201,17 @@ impl NetLane<'_> {
         d.bytes += bytes as u64;
         d.packets += 1;
         let dropped = match self.state.loss.get_mut(slot) {
-            Some(l) => l.drop_prob > 0.0 && l.rng.random::<f64>() < l.drop_prob,
+            Some(l) => {
+                let drop = l.drop_prob > 0.0 && l.rng.random::<f64>() < l.drop_prob;
+                l.drops += u64::from(drop);
+                drop
+            }
             None => false,
         };
         if let Some(sink) = &mut self.state.telemetry {
             sink.record_tx(slot, start, bytes as u64, dropped);
         }
         if dropped {
-            d.drops += 1;
             return None;
         }
         Some((pl.peer, fin + link.spec.latency_ns))
@@ -538,7 +542,6 @@ impl NetSim {
                 busy_until: 0,
                 bytes: 0,
                 packets: 0,
-                drops: 0,
             })
             .collect();
         Self {
@@ -655,6 +658,7 @@ impl NetSim {
             self.state.loss = streams
                 .map(|slot| DirLoss {
                     drop_prob: 0.0,
+                    drops: 0,
                     rng: rng_stream(seed, slot),
                 })
                 .collect();
@@ -724,14 +728,20 @@ impl NetSim {
             }
             makespan
         };
+        let loss = &self.state.loss;
+        let drops = |link: usize| {
+            loss.get(2 * link..2 * link + 2)
+                .map_or(0, |d| d[0].drops + d[1].drops)
+        };
         let links: Vec<LinkTotals> = self
             .state
             .dirs
             .chunks_exact(2)
-            .map(|d| LinkTotals {
+            .enumerate()
+            .map(|(link, d)| LinkTotals {
                 bytes: d[0].bytes + d[1].bytes,
                 packets: d[0].packets + d[1].packets,
-                drops: d[0].drops + d[1].drops,
+                drops: drops(link),
             })
             .collect();
         let done_at: Vec<Option<Time>> = self.state.nodes.iter().map(|n| n.done_at).collect();
@@ -812,9 +822,10 @@ mod tests {
     #[test]
     fn link_direction_state_stays_lean() {
         // Every link direction of the fabric holds one DirState for the
-        // whole run, lossy or not: its serializer and three counters. The
-        // loss model lives in the table only a lossy run builds.
-        assert_eq!(std::mem::size_of::<DirState>(), 32);
+        // whole run, lossy or not: its serializer and two counters. The
+        // loss model and the drop count live in the table only a lossy run
+        // builds.
+        assert_eq!(std::mem::size_of::<DirState>(), 24);
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //! back-to-back, suppressing queue build-up and critical-section contention
 //! without reducing the aggregate rate.
 
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+
 use bytes::Bytes;
 use rand::rngs::StdRng;
 
@@ -84,7 +87,13 @@ pub struct ArrivalTrace;
 impl ArrivalTrace {
     /// Generate the arrival trace. `payload` is invoked as
     /// `payload(child, block)` to produce each packet's payload bytes
-    /// (pass `|_, _| Bytes::new()` for timing-only studies).
+    /// (pass `|_, _| Bytes::new()` for timing-only studies), in arrival
+    /// order.
+    ///
+    /// Each child's stream is generated in time order, so the trace is a
+    /// k-way merge of the streams: at equal times the lower child goes
+    /// first, as a stable sort of the child-major trace would leave them,
+    /// and no second copy of the trace is ever made to sort.
     pub fn generate(
         cfg: &TraceConfig,
         mut payload: impl FnMut(u16, u64) -> Bytes,
@@ -92,29 +101,40 @@ impl ArrivalTrace {
         assert!(cfg.children > 0 && cfg.blocks > 0, "empty trace");
         let offset = cfg.stagger_offset();
         let period = cfg.child_period();
-        let mut arrivals = Vec::with_capacity(cfg.children * cfg.blocks as usize);
-        for child in 0..cfg.children as u64 {
-            let mut rng: Option<StdRng> =
-                cfg.exponential_jitter.then(|| rng_stream(cfg.seed, child));
-            // Phase-shift children by δ so the aggregate stream is smooth;
-            // with jitter enabled the initial phase is randomized too, so
-            // even single-packet children arrive in a seed-dependent order.
-            let mut t = child * cfg.delta;
-            if let Some(r) = rng.as_mut() {
-                t += exp_time(r, period as f64);
-            }
-            for pos in 0..cfg.blocks {
-                let block = (pos + child * offset) % cfg.blocks;
-                let mut pkt = PspinPacket::new(block, payload(child as u16, block));
-                pkt.wire_bytes += cfg.header_bytes;
-                arrivals.push((t, pkt));
-                t += match rng.as_mut() {
-                    Some(r) => exp_time(r, period as f64),
-                    None => period,
+        let mut jitter: Vec<Option<StdRng>> = (0..cfg.children as u64)
+            .map(|child| cfg.exponential_jitter.then(|| rng_stream(cfg.seed, child)))
+            .collect();
+        let mut gap = |child: usize| match jitter[child].as_mut() {
+            Some(r) => exp_time(r, period as f64),
+            None => period,
+        };
+        // Each child's next packet as `(time, child, position)`. Phase-shift
+        // children by δ so the aggregate stream is smooth; with jitter
+        // enabled the initial phase is randomized too, so even single-packet
+        // children arrive in a seed-dependent order.
+        let mut next: BinaryHeap<Reverse<(Time, usize, u64)>> = (0..cfg.children)
+            .map(|child| {
+                let phase = if cfg.exponential_jitter {
+                    gap(child)
+                } else {
+                    0
                 };
+                Reverse((child as Time * cfg.delta + phase, child, 0))
+            })
+            .collect();
+        let mut arrivals = Vec::with_capacity(cfg.children * cfg.blocks as usize);
+        while let Some(mut head) = next.peek_mut() {
+            let Reverse((t, child, pos)) = *head;
+            let block = (pos + child as u64 * offset) % cfg.blocks;
+            let mut pkt = PspinPacket::new(block, payload(child as u16, block));
+            pkt.wire_bytes += cfg.header_bytes;
+            arrivals.push((t, pkt));
+            if pos + 1 < cfg.blocks {
+                *head = Reverse((t + gap(child), child, pos + 1));
+            } else {
+                PeekMut::pop(head);
             }
         }
-        arrivals.sort_by_key(|&(t, _)| t);
         arrivals
     }
 }
@@ -226,6 +246,55 @@ mod tests {
         });
         assert_eq!(calls.len(), 64);
         assert!(calls.contains(&(0, 0)) && calls.contains(&(3, 15)));
+    }
+
+    /// The trace as it was built before the merge: every child's stream
+    /// in turn, then a stable sort by time.
+    fn child_major_sorted(cfg: &TraceConfig) -> Vec<(Time, u16, u64)> {
+        let (offset, period) = (cfg.stagger_offset(), cfg.child_period());
+        let mut arrivals = Vec::new();
+        for child in 0..cfg.children as u64 {
+            let mut rng = cfg.exponential_jitter.then(|| rng_stream(cfg.seed, child));
+            let mut t = child * cfg.delta;
+            if let Some(r) = rng.as_mut() {
+                t += exp_time(r, period as f64);
+            }
+            for pos in 0..cfg.blocks {
+                arrivals.push((t, child as u16, (pos + child * offset) % cfg.blocks));
+                t += rng.as_mut().map_or(period, |r| exp_time(r, period as f64));
+            }
+        }
+        arrivals.sort_by_key(|&(t, _, _)| t);
+        arrivals
+    }
+
+    #[test]
+    fn the_merged_trace_is_the_stable_sort_of_the_child_major_one() {
+        let jitter = TraceConfig {
+            children: 7,
+            blocks: 50,
+            delta: 3,
+            exponential_jitter: true,
+            ..base_cfg()
+        };
+        let full = TraceConfig {
+            stagger: StaggerMode::Full,
+            ..base_cfg()
+        };
+        // Every child's stream on the same instants: every time ties.
+        let ties = TraceConfig {
+            delta: 0,
+            stagger: StaggerMode::Full,
+            ..base_cfg()
+        };
+        for cfg in [jitter, full, ties] {
+            let merged: Vec<(Time, u16, u64)> =
+                ArrivalTrace::generate(&cfg, |c, _| Bytes::from(c.to_le_bytes().to_vec()))
+                    .into_iter()
+                    .map(|(t, p)| (t, u16::from_le_bytes([p.payload[0], p.payload[1]]), p.block))
+                    .collect();
+            assert_eq!(merged, child_major_sorted(&cfg), "{:?}", cfg.stagger);
+        }
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //! table, memory accounting.
 //!
 //! Two sources of events feed it in time order: the arrival trace, sorted
-//! once, and a queue of core releases. An arrival either starts handler
-//! execution on an idle core of the packet's scheduling subset or queues
-//! the packet; a release applies the handler's effects (emissions, memory
-//! deltas, block completions) and pulls the next queued packet. Handler
-//! code runs *synchronously* at core-start time, returning a cycle cursor
-//! that determines when the core frees; critical-section serialization is
-//! mediated by the shared [`LockTable`] (see `handler.rs`).
+//! unless it already is, and a queue of core releases. An arrival either
+//! starts handler execution on an idle core of the packet's scheduling
+//! subset or queues the packet; a release applies the handler's effects
+//! (emissions, memory deltas, block completions) and pulls the next queued
+//! packet. Handler code runs *synchronously* at core-start time, returning
+//! a cycle cursor that determines when the core frees; critical-section
+//! serialization is mediated by the shared [`LockTable`] (see
+//! `handler.rs`).
 //!
 //! At one instant every release goes before every arrival, so a core that
 //! frees at `t` serves a packet arriving at `t` without queueing it — the
@@ -221,7 +222,9 @@ impl<H: PacketHandler> Engine<H> {
 
 /// Run `handler` over an arrival trace and return the report (and the
 /// engine, for functional inspection). Arrivals at one instant are served
-/// in trace order; the trace need not be sorted.
+/// in trace order; the trace need not be sorted, and one that is (as
+/// [`ArrivalTrace::generate`](crate::ArrivalTrace::generate) makes it) is
+/// served as it is.
 ///
 /// # Panics
 /// Panics if `cfg` fails [`PspinConfig::validate`].
@@ -231,7 +234,9 @@ pub fn run_trace<H: PacketHandler>(
     mut arrivals: Vec<(Time, PspinPacket)>,
     capture: bool,
 ) -> (Report, Engine<H>) {
-    arrivals.sort_by_key(|&(t, _)| t);
+    if !arrivals.is_sorted_by_key(|&(t, _)| t) {
+        arrivals.sort_by_key(|&(t, _)| t);
+    }
     let mut engine = Engine::new(cfg, handler, capture);
     engine.serve(arrivals);
     (std::mem::take(&mut engine.report), engine)

@@ -46,9 +46,9 @@ mod tests {
 
     #[test]
     fn an_arrival_is_four_words() {
-        // A trace holds one arrival per packet, and the engine sorts it
-        // whole: the payload pointer, the block, and the wire size padded
-        // to a word. Growing this grows every trace.
+        // A trace holds one arrival per packet, all alive at once: the
+        // payload pointer, the block, and the wire size padded to a word.
+        // Growing this grows every trace.
         assert_eq!(std::mem::size_of::<PspinPacket>(), 24);
         assert_eq!(std::mem::size_of::<(Time, PspinPacket)>(), 32);
     }
