@@ -34,8 +34,9 @@ pub trait DenseSource<T: Element> {
     /// the accumulation buffer).
     fn append_to(&self, out: &mut Vec<T>);
 
-    /// Combine elementwise into `acc` (`acc.len()` must equal `len()`).
-    fn fold_into<O: ReduceOp<T>>(&self, op: &O, acc: &mut [T]);
+    /// Combine elementwise into `acc`, each `acc[i]` becoming
+    /// `f(acc[i], value[i])` (`acc.len()` must equal `len()`).
+    fn fold_with(&self, acc: &mut [T], f: impl Fn(T, T) -> T);
 }
 
 impl<T: Element> DenseSource<T> for [T] {
@@ -47,8 +48,11 @@ impl<T: Element> DenseSource<T> for [T] {
         out.extend_from_slice(self);
     }
 
-    fn fold_into<O: ReduceOp<T>>(&self, op: &O, acc: &mut [T]) {
-        accumulate(op, acc, self);
+    fn fold_with(&self, acc: &mut [T], f: impl Fn(T, T) -> T) {
+        debug_assert_eq!(acc.len(), self.len(), "block size mismatch");
+        for (a, &b) in acc.iter_mut().zip(self) {
+            *a = f(*a, b);
+        }
     }
 }
 
@@ -61,8 +65,8 @@ impl<T: Element> DenseSource<T> for DenseView<'_, T> {
         DenseView::append_to(self, out);
     }
 
-    fn fold_into<O: ReduceOp<T>>(&self, op: &O, acc: &mut [T]) {
-        self.fold_with(acc, |a, b| op.combine(a, b));
+    fn fold_with(&self, acc: &mut [T], f: impl Fn(T, T) -> T) {
+        DenseView::fold_with(self, acc, f);
     }
 }
 
@@ -115,7 +119,9 @@ impl ChildBitmap {
 /// What one packet insertion did to a block aggregator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InsertReport<T> {
-    /// Aggregation buffers newly allocated by this insertion.
+    /// Aggregation buffers the switch model allocates for this insertion
+    /// (a tree's leaf buffer counts even when the host folded the
+    /// contribution straight into its waiting sibling).
     pub buffers_allocated: usize,
     /// Aggregation buffers released by this insertion (tree merges, final
     /// folds, and block completion all free buffers).
@@ -130,22 +136,32 @@ pub struct InsertReport<T> {
 }
 
 impl<T> InsertReport<T> {
+    /// A contribution that took `allocated` new buffers and `merges`
+    /// merges. Each merge frees a buffer, and so does completing the block
+    /// with `result`.
+    fn folded(allocated: usize, merges: usize, result: Option<Vec<T>>) -> Self {
+        Self {
+            buffers_allocated: allocated,
+            buffers_freed: merges + usize::from(result.is_some()),
+            merges,
+            duplicate: false,
+            result,
+        }
+    }
+
     fn duplicate() -> Self {
         Self {
-            buffers_allocated: 0,
-            buffers_freed: 0,
-            merges: 0,
             duplicate: true,
-            result: None,
+            ..Self::folded(0, 0, None)
         }
     }
 }
 
-fn accumulate<T: Element, O: ReduceOp<T>>(op: &O, acc: &mut [T], vals: &[T]) {
-    debug_assert_eq!(acc.len(), vals.len(), "block size mismatch");
-    for (a, &b) in acc.iter_mut().zip(vals) {
-        *a = op.combine(*a, b);
-    }
+/// A pool buffer holding a copy of `vals`.
+fn copied<T: Element, S: DenseSource<T> + ?Sized>(vals: &S, pool: &mut BufferPool<T>) -> Vec<T> {
+    let mut buf = pool.get(vals.len());
+    vals.append_to(&mut buf);
+    buf
 }
 
 /// `B` interchangeable buffers per block (Section 6.2). The caller picks
@@ -206,21 +222,13 @@ impl<T: Element> MultiBufferBlock<T> {
         let mut allocated = 0;
         match &mut self.bufs[buffer] {
             None => {
-                let mut buf = pool.get(vals.len());
-                vals.append_to(&mut buf);
-                self.bufs[buffer] = Some(buf);
+                self.bufs[buffer] = Some(copied(vals, pool));
                 allocated = 1;
             }
-            Some(acc) => vals.fold_into(op, acc),
+            Some(acc) => vals.fold_with(acc, |a, b| op.combine(a, b)),
         }
         if self.seen.count() < self.expected {
-            return InsertReport {
-                buffers_allocated: allocated,
-                buffers_freed: 0,
-                merges: 0,
-                duplicate: false,
-                result: None,
-            };
+            return InsertReport::folded(allocated, 0, None);
         }
         // Last handler: fold the partial buffers together in index order
         // ("aggregates the content of its packet with the content of B0,
@@ -233,20 +241,15 @@ impl<T: Element> MultiBufferBlock<T> {
                 match &mut acc {
                     None => acc = Some(part),
                     Some(a) => {
-                        accumulate(op, a, &part);
+                        part.fold_with(a, |x, y| op.combine(x, y));
                         folds += 1;
                         pool.put(part);
                     }
                 }
             }
         }
-        InsertReport {
-            buffers_allocated: allocated,
-            buffers_freed: folds + 1,
-            merges: folds,
-            duplicate: false,
-            result: Some(acc.expect("at least this packet's buffer")),
-        }
+        let result = acc.expect("at least this packet's buffer");
+        InsertReport::folded(allocated, folds, Some(result))
     }
 }
 
@@ -255,48 +258,39 @@ impl<T: Element> MultiBufferBlock<T> {
 /// happen when both siblings are present, and operands keep a fixed
 /// left/right order — making the aggregation order independent of packet
 /// arrival order, hence bitwise-reproducible (F3), with no lock contention.
+///
+/// The tree is padded to a power of two leaves; a partial whose sibling
+/// subtree holds no real leaf is promoted without an operation. The block
+/// holds only the partials waiting for their sibling, and a contribution
+/// whose sibling waits with as many values folds straight into it.
 #[derive(Debug)]
 pub struct TreeBlock<T> {
-    /// `levels[0]` are the (padded) leaves; `levels.last()` is the root.
-    levels: Vec<Vec<Option<Vec<T>>>>,
+    /// Partials waiting for their sibling, in no particular order.
+    waiting: Vec<(u8, u16, Vec<T>)>,
     seen: ChildBitmap,
     expected: u16,
+    /// Level of the root: the leaves are level 0.
+    top: u8,
 }
 
 impl<T: Element> TreeBlock<T> {
     /// New combining tree over `children` leaves.
     pub fn new(children: u16) -> Self {
         assert!(children >= 1);
-        let leaves = (children as usize).next_power_of_two();
-        let depth = leaves.trailing_zeros() as usize;
-        let mut levels = Vec::with_capacity(depth + 1);
-        let mut width = leaves;
-        for _ in 0..=depth {
-            levels.push(vec![None; width]);
-            width = (width / 2).max(1);
-        }
         Self {
-            levels,
+            waiting: Vec::new(),
             seen: ChildBitmap::new(children),
             expected: children,
+            top: (children as usize).next_power_of_two().trailing_zeros() as u8,
         }
-    }
-
-    /// Whether the subtree at `(level, idx)` contains any real leaf.
-    fn subtree_live(&self, level: usize, idx: usize) -> bool {
-        (idx << level) < self.expected as usize
     }
 
     /// Reset for reuse on the next block of the same shape (a completed
     /// tree has already handed every buffer out, so only the bitmap — and,
-    /// defensively, any abandoned slots — need clearing).
+    /// defensively, any abandoned partials — need clearing).
     pub fn reset(&mut self) {
         self.seen.clear();
-        for level in &mut self.levels {
-            for slot in level {
-                *slot = None;
-            }
-        }
+        self.waiting.clear();
     }
 
     /// Insert child `i`'s packet into leaf `i` and bubble merges upward
@@ -307,8 +301,8 @@ impl<T: Element> TreeBlock<T> {
     }
 
     /// Insert child `i`'s packet into leaf `i` and bubble merges upward,
-    /// drawing the leaf buffer from `pool` and returning merged-away
-    /// buffers to it.
+    /// drawing buffers from `pool` and returning merged-away buffers to
+    /// it.
     pub fn insert_from<O: ReduceOp<T>, S: DenseSource<T> + ?Sized>(
         &mut self,
         op: &O,
@@ -319,52 +313,54 @@ impl<T: Element> TreeBlock<T> {
         if !self.seen.set(child) {
             return InsertReport::duplicate();
         }
-        let mut level = 0;
-        let mut idx = child as usize;
-        let mut leaf = pool.get(vals.len());
-        vals.append_to(&mut leaf);
-        self.levels[0][idx] = Some(leaf);
+        let (mut level, mut idx) = (0, child);
+        // The climbing partial: `None` while it is the contribution itself.
+        let mut partial: Option<Vec<T>> = None;
         let mut merges = 0;
-        let mut freed = 0;
-        let top = self.levels.len() - 1;
-        while level < top {
+        while level < self.top {
             let sibling = idx ^ 1;
-            let promoted = if !self.subtree_live(level, sibling) {
-                // Padding subtree: promote without an operation.
-                self.levels[level][idx].take()
-            } else if self.levels[level][sibling].is_some() {
-                // Both present: merge left-into-right operand order.
-                let left_idx = idx & !1;
-                let right_idx = left_idx + 1;
-                let mut left = self.levels[level][left_idx].take().expect("left present");
-                let right = self.levels[level][right_idx].take().expect("right present");
-                accumulate(op, &mut left, &right);
-                pool.put(right);
-                merges += 1;
-                freed += 1; // two buffers became one
-                Some(left)
-            } else {
-                // Sibling not ready: this handler is done.
-                return InsertReport {
-                    buffers_allocated: 1,
-                    buffers_freed: freed,
-                    merges,
-                    duplicate: false,
-                    result: None,
+            // A sibling subtree with no real leaf is padding: promote
+            // without an operation.
+            if ((sibling as usize) << level) < self.expected as usize {
+                let at = self
+                    .waiting
+                    .iter()
+                    .position(|w| (w.0, w.1) == (level, sibling));
+                let Some(at) = at else {
+                    // Sibling not ready: this handler is done.
+                    let buf = partial.unwrap_or_else(|| copied(vals, pool));
+                    self.waiting.push((level, idx, buf));
+                    return InsertReport::folded(1, merges, None);
                 };
-            };
+                let (_, _, mut other) = self.waiting.swap_remove(at);
+                // Both present: merge in left-then-right operand order.
+                let right = idx & 1 == 1;
+                partial = Some(match partial {
+                    // No copy: the contribution folds into its sibling,
+                    // still as the left operand when it is the left child.
+                    None if other.len() == vals.len() => {
+                        if right {
+                            vals.fold_with(&mut other, |a, b| op.combine(a, b));
+                        } else {
+                            vals.fold_with(&mut other, |a, b| op.combine(b, a));
+                        }
+                        other
+                    }
+                    mine => {
+                        let mine = mine.unwrap_or_else(|| copied(vals, pool));
+                        let (mut l, r) = if right { (other, mine) } else { (mine, other) };
+                        r.fold_with(&mut l, |a, b| op.combine(a, b));
+                        pool.put(r);
+                        l
+                    }
+                });
+                merges += 1; // two buffers became one
+            }
             level += 1;
             idx >>= 1;
-            self.levels[level][idx] = promoted;
         }
-        let result = self.levels[top][0].take().expect("root present");
-        InsertReport {
-            buffers_allocated: 1,
-            buffers_freed: freed + 1,
-            merges,
-            duplicate: false,
-            result: Some(result),
-        }
+        let result = partial.unwrap_or_else(|| copied(vals, pool));
+        InsertReport::folded(1, merges, Some(result))
     }
 }
 
@@ -372,6 +368,7 @@ impl<T: Element> TreeBlock<T> {
 mod tests {
     use super::*;
     use crate::op::{golden_reduce, Custom, Sum};
+    use proptest::prelude::*;
 
     fn inputs(p: usize, n: usize) -> Vec<Vec<i32>> {
         (0..p)
@@ -613,6 +610,223 @@ mod tests {
         // level; the other 4 rounds are served from the free-list.
         assert!(stats.misses() <= p as u64, "misses: {:?}", stats);
         assert!(stats.hits >= stats.gets - p as u64);
+    }
+
+    /// The level-array tree `TreeBlock` replaced: every padded slot of
+    /// every level allocated up front, each contribution copied into its
+    /// leaf before any merge. The differential tests hold the partial list
+    /// to it.
+    struct LevelTree<T> {
+        /// `levels[0]` are the (padded) leaves; `levels.last()` is the root.
+        levels: Vec<Vec<Option<Vec<T>>>>,
+        seen: ChildBitmap,
+        expected: u16,
+    }
+
+    impl<T: Element> LevelTree<T> {
+        fn new(children: u16) -> Self {
+            let leaves = (children as usize).next_power_of_two();
+            let depth = leaves.trailing_zeros() as usize;
+            let mut levels = Vec::with_capacity(depth + 1);
+            let mut width = leaves;
+            for _ in 0..=depth {
+                levels.push(vec![None; width]);
+                width = (width / 2).max(1);
+            }
+            Self {
+                levels,
+                seen: ChildBitmap::new(children),
+                expected: children,
+            }
+        }
+
+        fn subtree_live(&self, level: usize, idx: usize) -> bool {
+            (idx << level) < self.expected as usize
+        }
+
+        fn reset(&mut self) {
+            self.seen.clear();
+            for level in &mut self.levels {
+                for slot in level {
+                    *slot = None;
+                }
+            }
+        }
+
+        fn insert_from<O: ReduceOp<T>, S: DenseSource<T> + ?Sized>(
+            &mut self,
+            op: &O,
+            child: u16,
+            vals: &S,
+            pool: &mut BufferPool<T>,
+        ) -> InsertReport<T> {
+            if !self.seen.set(child) {
+                return InsertReport::duplicate();
+            }
+            let mut level = 0;
+            let mut idx = child as usize;
+            let mut leaf = pool.get(vals.len());
+            vals.append_to(&mut leaf);
+            self.levels[0][idx] = Some(leaf);
+            let mut merges = 0;
+            let mut freed = 0;
+            let top = self.levels.len() - 1;
+            while level < top {
+                let sibling = idx ^ 1;
+                let promoted = if !self.subtree_live(level, sibling) {
+                    self.levels[level][idx].take()
+                } else if self.levels[level][sibling].is_some() {
+                    let left_idx = idx & !1;
+                    let right_idx = left_idx + 1;
+                    let mut left = self.levels[level][left_idx].take().expect("left present");
+                    let right = self.levels[level][right_idx].take().expect("right present");
+                    right.fold_with(&mut left, |a, b| op.combine(a, b));
+                    pool.put(right);
+                    merges += 1;
+                    freed += 1;
+                    Some(left)
+                } else {
+                    return InsertReport {
+                        buffers_allocated: 1,
+                        buffers_freed: freed,
+                        merges,
+                        duplicate: false,
+                        result: None,
+                    };
+                };
+                level += 1;
+                idx >>= 1;
+                self.levels[level][idx] = promoted;
+            }
+            let result = self.levels[top][0].take().expect("root present");
+            InsertReport {
+                buffers_allocated: 1,
+                buffers_freed: freed + 1,
+                merges,
+                duplicate: false,
+                result: Some(result),
+            }
+        }
+    }
+
+    /// Tree schedules for [`check_tree_against_levels`]: the child count,
+    /// whether some contributions get one value more than the rest, and a
+    /// seed for the values, the lengths and the arrival orders.
+    fn tree_schedules() -> impl Strategy<Value = (u16, bool, u64)> {
+        (1u16..71, (0u8..4).prop_map(|r| r == 0), any::<u64>())
+    }
+
+    /// Run two blocks, the second on the reset shell of the first, through
+    /// a [`TreeBlock`] and a [`LevelTree`] with a non-commutative,
+    /// non-associative operator. Each block's arrivals are a shuffle of
+    /// every child with duplicates (carrying other values) mixed in, half
+    /// of them as wire views. After every insert both report the same
+    /// fields and result bits; where a ragged case merges buffers of
+    /// different lengths, debug builds reject it in both at the same insert.
+    fn check_tree_against_levels((children, ragged, seed): (u16, bool, u64)) {
+        use crate::wire::{encode_dense, Header, PacketKind};
+        use flare_des::rng::splitmix64;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let op = Custom::new("skew", 0i32, false, |a: i32, b: i32| {
+            a.wrapping_mul(3).wrapping_add(b)
+        });
+        let mut state = seed;
+        let mut draw = |bound: u64| {
+            state = splitmix64(state);
+            state % bound
+        };
+        let base = 1 + draw(6) as usize;
+        let lens: Vec<usize> = (0..children)
+            .map(|_| base + usize::from(ragged && draw(4) == 0))
+            .collect();
+        let mut tree = TreeBlock::new(children);
+        let mut model = LevelTree::new(children);
+        let (mut pool, mut model_pool) = (BufferPool::new(), BufferPool::new());
+        for round in 0..2 {
+            let mut order: Vec<u16> = (0..children).collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, draw(i as u64 + 1) as usize);
+            }
+            for _ in 0..draw(u64::from(children) + 1) {
+                let at = draw(order.len() as u64 + 1) as usize;
+                order.insert(at, draw(u64::from(children)) as u16);
+            }
+            for (step, &child) in order.iter().enumerate() {
+                let vals: Vec<i32> = (0..lens[child as usize])
+                    .map(|_| draw(1 << 32) as i32)
+                    .collect();
+                let header = Header {
+                    allreduce: 1,
+                    block: round,
+                    child,
+                    kind: PacketKind::DenseContrib,
+                    last_shard: false,
+                    shard_count: 0,
+                    elem_count: 0,
+                };
+                let packet = encode_dense(header, &vals);
+                let (_, view) = DenseView::<i32>::parse(&packet).expect("packet");
+                let got = catch_unwind(AssertUnwindSafe(|| match step % 2 {
+                    0 => tree.insert_from(&op, child, &view, &mut pool),
+                    _ => tree.insert_from(&op, child, &vals[..], &mut pool),
+                }));
+                let want = catch_unwind(AssertUnwindSafe(|| {
+                    model.insert_from(&op, child, &vals[..], &mut model_pool)
+                }));
+                match (got, want) {
+                    (Ok(got), Ok(want)) => assert_eq!(
+                        got, want,
+                        "children {children}, round {round}, step {step}, child {child}"
+                    ),
+                    (Err(_), Err(_)) => return,
+                    (got, _) => panic!(
+                        "children {children}, round {round}, step {step}: only the {} panicked",
+                        if got.is_err() {
+                            "partial list"
+                        } else {
+                            "model"
+                        }
+                    ),
+                }
+            }
+            tree.reset();
+            model.reset();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // 1–70 children, shuffled arrivals with duplicates, ragged lengths:
+        // every insert reports what the level-array tree reported.
+        #[test]
+        fn tree_block_matches_the_level_array_model(schedule in tree_schedules()) {
+            check_tree_against_levels(schedule);
+        }
+    }
+
+    /// The differential proptest above at 4 096 cases. Tier-1 skips it; CI
+    /// runs it with `--release -- --ignored`.
+    #[test]
+    #[ignore = "4 096 cases: CI runs it with --release"]
+    fn tree_block_matches_the_level_array_model_over_4096_cases() {
+        let mut rng = proptest::TestRng::from_name("tree_block_over_4096_cases");
+        for _ in 0..4096 {
+            check_tree_against_levels(tree_schedules().sample(&mut rng));
+        }
+    }
+
+    #[test]
+    fn a_fresh_or_reset_tree_holds_no_buffer() {
+        let mut blk = TreeBlock::<f32>::new(32);
+        assert_eq!(blk.waiting.capacity(), 0);
+        for c in (0..32).step_by(2) {
+            blk.insert(&Sum, c, &[1.0; 4]);
+        }
+        assert_eq!(blk.waiting.len(), 16, "one partial per waiting leaf");
+        blk.reset();
+        assert!(blk.waiting.is_empty() && blk.seen.count() == 0);
     }
 
     fn permute<F: FnMut(&[u16])>(arr: &mut Vec<u16>, k: usize, f: &mut F) {

@@ -39,12 +39,15 @@ pub enum HashInsert<T> {
 }
 
 /// Direct-mapped hash table with a spill buffer (Section 7).
+///
+/// Slots are packed `(index, value)` pairs beside one occupancy bit each:
+/// every `u32` is a legal index, so none can mark a slot empty.
 #[derive(Debug)]
 pub struct SparseHashStore<T> {
-    slots: Vec<Option<(u32, T)>>,
+    slots: Box<[(u32, T)]>,
+    occupied: Box<[u64]>,
     spill: Vec<(u32, T)>,
     spill_cap: usize,
-    occupied: usize,
     stats: HashStats,
 }
 
@@ -59,15 +62,31 @@ pub struct HashStats {
     pub spilled: u64,
 }
 
+/// Set bits of `words`, counted.
+fn ones(words: &[u64]) -> usize {
+    words.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// Call `f` with each set bit's position in ascending order, clearing all.
+fn drain_bits(words: &mut [u64], mut f: impl FnMut(usize)) {
+    for (i, word) in words.iter_mut().enumerate() {
+        let mut w = std::mem::take(word);
+        while w != 0 {
+            f(i * 64 + w.trailing_zeros() as usize);
+            w &= w - 1;
+        }
+    }
+}
+
 impl<T: Element> SparseHashStore<T> {
     /// Table with `slots` buckets and a spill buffer of `spill_cap`.
     pub fn new(slots: usize, spill_cap: usize) -> Self {
         assert!(slots > 0 && spill_cap > 0);
         Self {
-            slots: vec![None; slots],
+            slots: vec![(0, T::zero()); slots].into_boxed_slice(),
+            occupied: vec![0; slots.div_ceil(64)].into_boxed_slice(),
             spill: Vec::with_capacity(spill_cap),
             spill_cap,
-            occupied: 0,
             stats: HashStats::default(),
         }
     }
@@ -79,26 +98,24 @@ impl<T: Element> SparseHashStore<T> {
     /// Insert one element, combining on index match, spilling on collision.
     pub fn insert<O: ReduceOp<T>>(&mut self, op: &O, idx: u32, val: T) -> HashInsert<T> {
         let b = self.bucket(idx);
-        match &mut self.slots[b] {
-            None => {
-                self.slots[b] = Some((idx, val));
-                self.occupied += 1;
-                self.stats.stored += 1;
-                HashInsert::Stored
-            }
-            Some((existing, acc)) if *existing == idx => {
-                *acc = op.combine(*acc, val);
-                self.stats.combined += 1;
-                HashInsert::Combined
-            }
-            Some(_) => {
-                self.stats.spilled += 1;
-                self.spill.push((idx, val));
-                if self.spill.len() >= self.spill_cap {
-                    HashInsert::SpillFlush(std::mem::take(&mut self.spill))
-                } else {
-                    HashInsert::Spilled
-                }
+        let (word, bit) = (b / 64, 1u64 << (b % 64));
+        let slot = &mut self.slots[b];
+        if self.occupied[word] & bit == 0 {
+            self.occupied[word] |= bit;
+            *slot = (idx, val);
+            self.stats.stored += 1;
+            HashInsert::Stored
+        } else if slot.0 == idx {
+            slot.1 = op.combine(slot.1, val);
+            self.stats.combined += 1;
+            HashInsert::Combined
+        } else {
+            self.stats.spilled += 1;
+            self.spill.push((idx, val));
+            if self.spill.len() >= self.spill_cap {
+                HashInsert::SpillFlush(std::mem::take(&mut self.spill))
+            } else {
+                HashInsert::Spilled
             }
         }
     }
@@ -114,14 +131,9 @@ impl<T: Element> SparseHashStore<T> {
     /// As [`Self::drain`], appending into a caller-provided (typically
     /// pooled) buffer instead of allocating.
     pub fn drain_into(&mut self, out: &mut Vec<(u32, T)>) {
-        out.reserve(self.occupied + self.spill.len());
-        for slot in &mut self.slots {
-            if let Some(pair) = slot.take() {
-                out.push(pair);
-            }
-        }
+        out.reserve(ones(&self.occupied) + self.spill.len());
+        drain_bits(&mut self.occupied, |b| out.push(self.slots[b]));
         out.append(&mut self.spill);
-        self.occupied = 0;
     }
 
     /// Hand a drained spill batch's buffer back after a
@@ -136,8 +148,9 @@ impl<T: Element> SparseHashStore<T> {
     }
 
     /// Occupied slots.
-    pub fn occupied(&self) -> usize {
-        self.occupied
+    #[cfg(test)]
+    pub(crate) fn occupied(&self) -> usize {
+        ones(&self.occupied)
     }
 
     /// Current spill-buffer length.
@@ -152,18 +165,17 @@ impl<T: Element> SparseHashStore<T> {
     }
 
     /// Working-memory footprint in bytes: table slots + spill capacity,
-    /// each holding a u32 index and a value.
+    /// each holding a u32 index and a value (occupancy bits uncharged).
     pub fn memory_bytes(&self) -> usize {
         (self.slots.len() + self.spill_cap) * (4 + T::WIRE_BYTES)
     }
 }
 
-/// Dense array over the block span (Section 7).
+/// Dense array over the block span, one touched bit an element (Section 7).
 #[derive(Debug)]
 pub struct SparseArrayStore<T> {
     vals: Vec<T>,
-    touched: Vec<bool>,
-    nonzero: usize,
+    touched: Box<[u64]>,
     identity: T,
 }
 
@@ -174,8 +186,7 @@ impl<T: Element> SparseArrayStore<T> {
         assert!(span > 0);
         Self {
             vals: vec![op.identity(); span],
-            touched: vec![false; span],
-            nonzero: 0,
+            touched: vec![0; span.div_ceil(64)].into_boxed_slice(),
             identity: op.identity(),
         }
     }
@@ -188,15 +199,12 @@ impl<T: Element> SparseArrayStore<T> {
         let slot = idx as usize;
         assert!(slot < self.vals.len(), "index {idx} outside block span");
         self.vals[slot] = op.combine(self.vals[slot], val);
-        if !self.touched[slot] {
-            self.touched[slot] = true;
-            self.nonzero += 1;
-        }
+        self.touched[slot / 64] |= 1 << (slot % 64);
     }
 
-    /// Scan the span and emit the touched elements in index order,
-    /// resetting the store. The scan cost (span slots) is what makes array
-    /// flushes expensive at low density.
+    /// Emit the touched elements in index order, resetting the store. The
+    /// switch model charges a scan of the whole span, which is what makes
+    /// array flushes expensive at low density.
     pub fn drain(&mut self) -> Vec<(u32, T)> {
         let mut out = Vec::new();
         self.drain_into(&mut out);
@@ -206,15 +214,11 @@ impl<T: Element> SparseArrayStore<T> {
     /// As [`Self::drain`], appending into a caller-provided (typically
     /// pooled) buffer instead of allocating.
     pub fn drain_into(&mut self, out: &mut Vec<(u32, T)>) {
-        out.reserve(self.nonzero);
-        for (i, (v, t)) in self.vals.iter_mut().zip(&mut self.touched).enumerate() {
-            if *t {
-                out.push((i as u32, *v));
-                *v = self.identity;
-                *t = false;
-            }
-        }
-        self.nonzero = 0;
+        out.reserve(ones(&self.touched));
+        let (vals, identity) = (&mut self.vals, self.identity);
+        drain_bits(&mut self.touched, |i| {
+            out.push((i as u32, std::mem::replace(&mut vals[i], identity)));
+        });
     }
 
     /// Block span in elements.
@@ -223,13 +227,15 @@ impl<T: Element> SparseArrayStore<T> {
     }
 
     /// Touched (non-zero) element count.
-    pub fn nonzero(&self) -> usize {
-        self.nonzero
+    #[cfg(test)]
+    pub(crate) fn nonzero(&self) -> usize {
+        ones(&self.touched)
     }
 
-    /// Working-memory footprint in bytes (values + touched bitmap).
+    /// Working-memory footprint in bytes (values + touched bitmap, one
+    /// bit an element, rounded up to whole bytes).
     pub fn memory_bytes(&self) -> usize {
-        self.vals.len() * T::WIRE_BYTES + self.vals.len() / 8
+        self.vals.len() * T::WIRE_BYTES + self.vals.len().div_ceil(8)
     }
 }
 
@@ -322,6 +328,7 @@ impl ShardTracker {
 mod tests {
     use super::*;
     use crate::op::Sum;
+    use proptest::prelude::*;
 
     #[test]
     fn hash_store_combines_same_index() {
@@ -404,6 +411,170 @@ mod tests {
         let a_big = SparseArrayStore::<f32>::new(&Sum, 25_600);
         assert_eq!(a_big.memory_bytes(), a_small.memory_bytes() * 100);
         assert!(h.memory_bytes() < a_big.memory_bytes());
+    }
+
+    #[test]
+    fn array_memory_charges_a_partial_bitmap_byte() {
+        let bytes = |span| SparseArrayStore::<f32>::new(&Sum, span).memory_bytes();
+        assert_eq!(bytes(1), 4 + 1, "one bit still takes a byte");
+        assert_eq!(bytes(8), 32 + 1);
+        assert_eq!(bytes(9), 36 + 2);
+        assert_eq!(bytes(1280), 5120 + 160);
+    }
+
+    /// The hash store `SparseHashStore` replaced: one `Option` per slot.
+    struct OptionSlots<T> {
+        slots: Vec<Option<(u32, T)>>,
+        spill: Vec<(u32, T)>,
+        spill_cap: usize,
+        stats: HashStats,
+    }
+
+    impl<T: Element> OptionSlots<T> {
+        fn new(slots: usize, spill_cap: usize) -> Self {
+            Self {
+                slots: vec![None; slots],
+                spill: Vec::with_capacity(spill_cap),
+                spill_cap,
+                stats: HashStats::default(),
+            }
+        }
+
+        fn insert<O: ReduceOp<T>>(&mut self, op: &O, idx: u32, val: T) -> HashInsert<T> {
+            let b = (splitmix64(idx as u64) % self.slots.len() as u64) as usize;
+            match &mut self.slots[b] {
+                None => {
+                    self.slots[b] = Some((idx, val));
+                    self.stats.stored += 1;
+                    HashInsert::Stored
+                }
+                Some((existing, acc)) if *existing == idx => {
+                    *acc = op.combine(*acc, val);
+                    self.stats.combined += 1;
+                    HashInsert::Combined
+                }
+                Some(_) => {
+                    self.stats.spilled += 1;
+                    self.spill.push((idx, val));
+                    if self.spill.len() >= self.spill_cap {
+                        HashInsert::SpillFlush(std::mem::take(&mut self.spill))
+                    } else {
+                        HashInsert::Spilled
+                    }
+                }
+            }
+        }
+
+        fn drain(&mut self) -> Vec<(u32, T)> {
+            let mut out: Vec<_> = self.slots.iter_mut().filter_map(Option::take).collect();
+            out.append(&mut self.spill);
+            out
+        }
+    }
+
+    /// The array store `SparseArrayStore` replaced: one `bool` per element.
+    struct BoolArray<T> {
+        vals: Vec<T>,
+        touched: Vec<bool>,
+        identity: T,
+    }
+
+    impl<T: Element> BoolArray<T> {
+        fn insert<O: ReduceOp<T>>(&mut self, op: &O, idx: u32, val: T) {
+            let slot = idx as usize;
+            self.vals[slot] = op.combine(self.vals[slot], val);
+            self.touched[slot] = true;
+        }
+
+        fn drain(&mut self) -> Vec<(u32, T)> {
+            let mut out = Vec::new();
+            for (i, (v, t)) in self.vals.iter_mut().zip(&mut self.touched).enumerate() {
+                if std::mem::take(t) {
+                    out.push((i as u32, std::mem::replace(v, self.identity)));
+                }
+            }
+            out
+        }
+    }
+
+    /// A key from a few classes: 0, `u32::MAX` and its neighbours, a
+    /// small range that repeats (combines), and any `u32`.
+    fn key((class, r): (u8, u32)) -> u32 {
+        match class {
+            0 => 0,
+            1 => u32::MAX,
+            2 => u32::MAX - r % 4,
+            3 | 4 => r % 100,
+            _ => r,
+        }
+    }
+
+    /// Steps of the sparse differential tests: `(kind, key class, draw,
+    /// value)`, kind 0 draining the store and any other inserting.
+    fn sparse_steps() -> impl Strategy<Value = Vec<(u8, u8, u32, f32)>> {
+        proptest::collection::vec((0u8..16, 0u8..7, any::<u32>(), -8f32..8.0), 0..400)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // Inserts and drains through the packed store and the `Option`
+        // model: every `HashInsert`, the stats and the drain order agree.
+        #[test]
+        fn packed_hash_store_matches_option_slots(
+            size in 0usize..5,
+            spill_cap in 1usize..24,
+            steps in sparse_steps(),
+        ) {
+            let slots = [1, 63, 64, 65, 1024][size];
+            let mut store = SparseHashStore::<f32>::new(slots, spill_cap);
+            let mut model = OptionSlots::<f32>::new(slots, spill_cap);
+            for &(kind, class, r, val) in &steps {
+                if kind == 0 {
+                    prop_assert_eq!(store.drain(), model.drain());
+                    continue;
+                }
+                let idx = key((class, r));
+                let got = store.insert(&Sum, idx, val);
+                prop_assert_eq!(&got, &model.insert(&Sum, idx, val), "slots {}", slots);
+                if let HashInsert::SpillFlush(batch) = got {
+                    store.recycle_spill(batch);
+                }
+                prop_assert_eq!(store.stats(), model.stats);
+                prop_assert_eq!(
+                    store.occupied(),
+                    model.slots.iter().filter(|s| s.is_some()).count()
+                );
+            }
+            prop_assert_eq!(store.drain(), model.drain());
+        }
+
+        // The bitmap array store drains what the `Vec<bool>` one did, in
+        // the same ascending order, and counts the same touched elements.
+        #[test]
+        fn bitmap_array_store_matches_bool_array(
+            size in 0usize..5,
+            steps in sparse_steps(),
+        ) {
+            let span = [1, 63, 64, 65, 1281][size];
+            let mut store = SparseArrayStore::<f32>::new(&Sum, span);
+            let mut model = BoolArray {
+                vals: vec![0.0f32; span],
+                touched: vec![false; span],
+                identity: 0.0,
+            };
+            for &(kind, class, r, val) in &steps {
+                if kind == 0 {
+                    prop_assert_eq!(store.drain(), model.drain());
+                    continue;
+                }
+                let idx = key((class, r)) % span as u32;
+                store.insert(&Sum, idx, val);
+                model.insert(&Sum, idx, val);
+                prop_assert_eq!(store.nonzero(), model.touched.iter().filter(|&&t| t).count());
+            }
+            prop_assert_eq!(store.drain(), model.drain());
+        }
     }
 
     #[test]

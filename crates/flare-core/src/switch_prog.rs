@@ -319,6 +319,18 @@ mod tests {
     }
 
     #[test]
+    fn slab_entries_stay_their_size() {
+        // The partial list and the packed sparse stores live behind
+        // pointers: an inline slab entry is no larger than the level array
+        // and `Option` slots it replaced.
+        assert_eq!(std::mem::size_of::<TreeBlock<f32>>(), 64);
+        assert_eq!(
+            std::mem::size_of::<crate::protocol::SparseBlock<f32>>(),
+            152
+        );
+    }
+
+    #[test]
     fn lossless_runs_allocate_no_replay_slots() {
         // 1 024 slots of `Option<(u64, Bytes)>` are 16 KiB a program (96
         // KiB sparse): only a fabric that can lose packets caches replays,

@@ -14,7 +14,9 @@
 //! * payloads are encoded into blocks of `vendor/bytes`' free lists, whose
 //!   retained bytes stop growing once warm,
 //! * open-block lookups hit the direct-mapped slab slot, never a
-//!   `HashMap` probe.
+//!   `HashMap` probe,
+//! * a new block's state requests no more memory than the switch model
+//!   charges for it, plus its bitmaps.
 //!
 //! (In two test names, the "shell" of a `Bytes` is the heap block behind
 //! it: they assert that no packet costs an allocation of one.)
@@ -23,9 +25,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::any::Any;
 use std::cell::Cell;
 
+use flare::core::dense::TreeBlock;
 use flare::core::handlers::SparseStorageKind;
 use flare::core::host::{result_sink, DenseFlareHost, HostConfig, ResultSink, SparseFlareHost};
 use flare::core::op::Sum;
+use flare::core::sparse::SparseHashStore;
 use flare::core::switch_prog::{FlareSwitch, TreePlacement};
 use flare::net::{LinkSpec, NetReport, NetSim, NodeId, SwitchModel, Topology};
 
@@ -38,31 +42,45 @@ thread_local! {
     // Const-initialised and without a destructor, so touching it from
     // inside the allocator allocates nothing.
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(bytes: usize) {
     // Ignored once the thread's locals are gone (allocations during exit).
     let _ = CALLS.try_with(|calls| calls.set(calls.get() + 1));
+    let _ = BYTES.try_with(|total| total.set(total.get() + bytes as u64));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter never influences the returned memory.
+// `GlobalAlloc` contract; the counters never influence the returned memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
+}
+
+/// What `f` returned, with the allocator calls it made on this thread and
+/// the bytes they requested.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
+    let (calls, bytes) = (CALLS.with(Cell::get), BYTES.with(Cell::get));
+    let out = f();
+    (
+        out,
+        CALLS.with(Cell::get) - calls,
+        BYTES.with(Cell::get) - bytes,
+    )
 }
 
 #[global_allocator]
@@ -195,10 +213,12 @@ fn dense_steady_state_allocates_zero_payload_buffers_per_packet() {
     let stats = prog.stats();
     let packets = (hosts * BLOCKS) as u64;
 
-    // Every contribution packet took an aggregation buffer...
+    // A contribution takes an aggregation buffer unless its sibling's
+    // partial is waiting, when it folds straight into that one: each leaf
+    // pair's first arrival takes one...
     assert!(
-        stats.agg_pool.gets >= packets,
-        "gets {} < packets {packets}",
+        stats.agg_pool.gets >= packets / 2,
+        "gets {} < half the packets {packets}",
         stats.agg_pool.gets
     );
     // ...but allocations happened only while the pool warmed up: the miss
@@ -342,4 +362,21 @@ fn sparse_program_reuses_pair_batches_and_reclaims_payloads() {
         stats.byte_pool
     );
     assert_eq!(stats.slab.collisions, 0);
+}
+
+#[test]
+fn a_fresh_tree_block_allocates_only_its_bitmap() {
+    // A block holds buffers only for partials waiting for their sibling,
+    // so opening one on a 32-port switch costs one bitmap word.
+    let (_block, calls, bytes) = counted(|| TreeBlock::<f32>::new(32));
+    assert_eq!((calls, bytes), (1, 8));
+}
+
+#[test]
+fn a_hash_store_requests_its_charged_memory_and_its_bitmap() {
+    // Slots and spill capacity are what `memory_bytes` charges the switch
+    // (8 B a pair); the occupancy bitmap adds one bit a slot.
+    let (store, calls, bytes) = counted(|| SparseHashStore::<f32>::new(1024, 128));
+    assert_eq!(calls, 3, "slots, bitmap, spill buffer");
+    assert_eq!(bytes, store.memory_bytes() as u64 + 1024 / 8);
 }

@@ -4,8 +4,8 @@
  * dynamically linked program, it wraps malloc, calloc, realloc, free,
  * posix_memalign and aligned_alloc, and keeps
  *   - the live bytes and blocks per power-of-two size class, and
- *   - the call stack of every allocation of at least 16 KiB, interned,
- *     with the live bytes of each.
+ *   - the call stack of every allocation of at least $HEAP_MIN_BYTES
+ *     bytes (default 16384), interned, with the live bytes of each.
  * When the live total falls for the first time after a new maximum, both
  * are copied: that copy is the state at the peak. At exit it writes
  * /proc/self/maps, the peak, the size-class histogram at the peak, and the
@@ -26,7 +26,11 @@
  *
  * The peak is the process's, not the benchmark's `peak_heap_mib` (the
  * rise within one repetition above what was live when it started): the
- * workload's inputs are in it, as one entry each.
+ * workload's inputs are in it, as one entry each, and so are the
+ * `vendor/bytes` slabs carved during the warm-up repetition. Per-block
+ * switch state is made of allocations of a few KiB: to see their stacks,
+ * lower the threshold, e.g. HEAP_MIN_BYTES=1024 (a lower threshold means
+ * more backtraces, so a slower run and more stacks to intern).
  *
  * Bookkeeping never calls the allocator it wraps: the table of live
  * blocks is mmap'd, stacks are static, and a thread-local guard passes
@@ -49,7 +53,6 @@
 #define MAX_STACKS 16384
 #define MAX_DEPTH 48
 #define STACK_INDEX (2 * MAX_STACKS)
-#define MIN_BYTES (16 << 10)
 
 static void *(*real_malloc)(size_t);
 static void *(*real_calloc)(size_t, size_t);
@@ -61,6 +64,9 @@ static void *(*real_aligned_alloc)(size_t, size_t);
 /* Initial-exec: a dynamic TLS access may itself allocate. */
 static __thread int guard __attribute__((tls_model("initial-exec")));
 static int ready, resolving;
+
+/* Allocations of at least this many bytes keep their stack ($HEAP_MIN_BYTES). */
+static size_t min_bytes = 16 << 10;
 
 /* What dlsym allocates while the real functions are being looked up. */
 static char arena[4096] __attribute__((aligned(16)));
@@ -103,7 +109,7 @@ static void release(void)
 }
 
 /* Live blocks: open addressing on the address, linear probing, deletion
- * by backward shift. `stack` is 0 for a block below MIN_BYTES. */
+ * by backward shift. `stack` is 0 for a block below min_bytes. */
 struct block {
     uintptr_t ptr;
     size_t size;
@@ -274,7 +280,7 @@ static void __attribute__((noinline)) track(void *p, size_t size)
         return;
     void *stack[MAX_DEPTH + 2];
     int n = 0;
-    if (size >= MIN_BYTES) {
+    if (size >= min_bytes) {
         guard++;
         n = backtrace(stack, MAX_DEPTH + 2) - 2;
         guard--;
@@ -396,6 +402,9 @@ __attribute__((constructor)) static void start(void)
 {
     if (!real_free)
         resolve();
+    const char *min = getenv("HEAP_MIN_BYTES");
+    if (min && *min)
+        min_bytes = strtoull(min, NULL, 10);
     /* backtrace's first call loads libgcc and allocates: make it here. */
     void *warm[4];
     guard++;
