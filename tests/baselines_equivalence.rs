@@ -7,7 +7,7 @@ use flare::baselines::sparcml::{sparcml_allreduce, SparcmlHost};
 use flare::core::host::result_sink;
 use flare::core::op::{golden_reduce, Sum};
 use flare::core::session::FlareSession;
-use flare::net::{LinkSpec, NetSim, NodeId, Topology};
+use flare::net::{LinkSpec, NetReport, NetSim, NodeId, Topology};
 use flare::workloads::{densify_f32, sparsify_random_k};
 
 #[test]
@@ -270,5 +270,103 @@ fn ring_and_flare_link_bytes_on_a_fat_tree_have_closed_forms() {
             2 * blocks * (p + l) * (PAYLOAD + HEADER),
             "flare, {shape}"
         );
+    }
+}
+
+/// Each rank of a SparCML run over the hosts of `topo` (rank order), its
+/// report and every rank's result.
+fn sparcml_run(
+    topo: Topology,
+    hosts: &[NodeId],
+    seed: u64,
+    n: usize,
+    inputs: &[Vec<(u32, f32)>],
+    segment_bytes: usize,
+) -> (NetReport, Vec<Vec<f32>>) {
+    let mut sim = NetSim::new(topo, seed);
+    let mut sinks = Vec::new();
+    for (rank, &h) in hosts.iter().enumerate() {
+        let sink = result_sink();
+        sinks.push(sink.clone());
+        let pairs = inputs[rank].clone();
+        let host = SparcmlHost::new(rank, hosts.to_vec(), 7, Sum, n, pairs, segment_bytes, sink);
+        sim.install_host(h, Box::new(host));
+    }
+    let report = sim.run(None);
+    let results = sinks.iter().map(|s| s.lock().unwrap().take().unwrap());
+    (report, results.collect())
+}
+
+#[test]
+fn host_baselines_are_pinned() {
+    // `last_done`, link bytes, link packets and the order digest of a ring
+    // and of SparCML on its sparse and on its dense path (the runs above):
+    // the packets, their order and their wire bytes, bit for bit.
+    let pin = |report: &NetReport| {
+        [
+            report.last_done.unwrap(),
+            report.total_link_bytes,
+            report.total_link_packets,
+            report.order_digest,
+        ]
+    };
+
+    let (topo, _sw, hosts) = Topology::star(6, LinkSpec::hundred_gig());
+    let n = 1800usize;
+    let inputs: Vec<Vec<i32>> = (0..6)
+        .map(|r| (0..n).map(|i| (r * 31 + i) as i32).collect())
+        .collect();
+    let want = golden_reduce(&Sum, &inputs);
+    let mut sim = NetSim::new(topo, 1);
+    let mut sinks = Vec::new();
+    for (rank, &h) in hosts.iter().enumerate() {
+        let sink = result_sink();
+        sinks.push(sink.clone());
+        let host = RingHost::new(
+            rank,
+            hosts.clone(),
+            42,
+            Sum,
+            inputs[rank].clone(),
+            4096,
+            sink,
+        );
+        sim.install_host(h, Box::new(host));
+    }
+    let report = sim.run(None);
+    for sink in &sinks {
+        assert_eq!(sink.lock().unwrap().as_ref().unwrap(), &want);
+    }
+    assert_eq!(
+        pin(&report),
+        [5960, 145920, 120, 7391286584362134117],
+        "ring"
+    );
+
+    // (hosts, input seed, elements, density, sim seed, segment bytes)
+    for (name, (hosts, input_seed, n, density, seed, segment_bytes), want) in [
+        (
+            "sparse",
+            (8, 3, 8_192, 0.02, 9, 2048),
+            [2371, 145472, 96, 1979034104198060091],
+        ),
+        (
+            "dense switch-over",
+            (4, 31, 1000, 0.7, 2, 512),
+            [1558, 66048, 128, 11316704738106150434],
+        ),
+    ] {
+        let (topo, _sw, hosts) = Topology::star(hosts, LinkSpec::hundred_gig());
+        let inputs: Vec<Vec<(u32, f32)>> = (0..hosts.len())
+            .map(|h| sparsify_random_k(input_seed, h as u64, n, density))
+            .collect();
+        let (report, results) = sparcml_run(topo, &hosts, seed, n, &inputs, segment_bytes);
+        let functional = sparcml_allreduce(&Sum, n, &inputs);
+        for got in &results {
+            for (a, b) in got.iter().zip(&functional) {
+                assert!((a - b).abs() < 1e-4, "{name}: {a} vs {b}");
+            }
+        }
+        assert_eq!(pin(&report), want, "SparCML, {name}");
     }
 }
