@@ -41,13 +41,18 @@ pub fn recursive_doubling_allreduce<T: Element, O: ReduceOp<T>>(
     state
 }
 
-/// Bytes each host transmits: `Z·log₂P` (vs `≈2Z` for ring).
-pub fn recdouble_bytes_per_host(z_bytes: u64, p: usize) -> u64 {
+/// Bytes each host transmits: `Z·log₂P` (vs `≈2Z` for ring), the closed
+/// form [`schedule::recursive_doubling`](crate::schedule::recursive_doubling)
+/// is tested against.
+#[cfg(test)]
+pub(crate) fn recdouble_bytes_per_host(z_bytes: u64, p: usize) -> u64 {
     z_bytes * p.trailing_zeros() as u64
 }
 
-/// Ring-allreduce bytes each host transmits: `2(P−1)/P·Z`.
-pub fn ring_bytes_per_host(z_bytes: u64, p: usize) -> u64 {
+/// Ring-allreduce bytes each host transmits: `2(P−1)/P·Z`, the closed form
+/// [`schedule::ring`](crate::schedule::ring) is tested against.
+#[cfg(test)]
+pub(crate) fn ring_bytes_per_host(z_bytes: u64, p: usize) -> u64 {
     (2 * (p as u64 - 1) * z_bytes) / p as u64
 }
 

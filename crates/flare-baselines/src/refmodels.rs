@@ -36,8 +36,10 @@ pub fn sharp_elements_per_sec<T: Element>() -> f64 {
 
 /// Quantize f32 data into SwitchML's fixed-point int32 representation
 /// with a shared `scale` (the host-side preprocessing SwitchML requires;
-/// this is the flexibility cost of integer-only switches).
-pub fn switchml_quantize(data: &[f32], scale: f32) -> Vec<i32> {
+/// this is the flexibility cost of integer-only switches). Only the tests
+/// quantize: Figure 11 needs SwitchML's rates, not its values.
+#[cfg(test)]
+fn switchml_quantize(data: &[f32], scale: f32) -> Vec<i32> {
     assert!(scale > 0.0);
     data.iter()
         .map(|&x| {
@@ -48,7 +50,8 @@ pub fn switchml_quantize(data: &[f32], scale: f32) -> Vec<i32> {
 }
 
 /// Dequantize after aggregation.
-pub fn switchml_dequantize(data: &[i32], scale: f32) -> Vec<f32> {
+#[cfg(test)]
+fn switchml_dequantize(data: &[i32], scale: f32) -> Vec<f32> {
     assert!(scale > 0.0);
     data.iter().map(|&x| x as f32 / scale).collect()
 }

@@ -194,6 +194,12 @@ impl<T: Element> MultiBufferBlock<T> {
         self.bufs.len()
     }
 
+    /// The element count of what the block holds; `None` before its first
+    /// packet.
+    pub(crate) fn held_len(&self) -> Option<usize> {
+        self.bufs.iter().flatten().next().map(Vec::len)
+    }
+
     /// Fold one packet into buffer `buffer` (compatibility wrapper over
     /// [`Self::insert_from`] with a throwaway pool).
     pub fn insert<O: ReduceOp<T>>(
@@ -291,6 +297,12 @@ impl<T: Element> TreeBlock<T> {
     pub fn reset(&mut self) {
         self.seen.clear();
         self.waiting.clear();
+    }
+
+    /// The element count of the partials the block holds; `None` while it
+    /// holds none.
+    pub(crate) fn held_len(&self) -> Option<usize> {
+        self.waiting.first().map(|w| w.2.len())
     }
 
     /// Insert child `i`'s packet into leaf `i` and bubble merges upward

@@ -111,6 +111,13 @@ impl<T: Element> DenseStorage<T> for DenseBlock<T> {
         }
     }
 
+    fn held_len(&self) -> Option<usize> {
+        match &self.state {
+            DenseBlockState::Multi(blk) => blk.held_len(),
+            DenseBlockState::Tree(blk) => blk.held_len(),
+        }
+    }
+
     /// Only a tree keeps a skeleton worth reusing; the buffer designs hold
     /// nothing once their result is out.
     fn recycle(mut self) -> Option<Self> {

@@ -405,6 +405,10 @@ pub(crate) trait DenseStorage<T: Element>: Sized {
         pool: &mut BufferPool<T>,
     ) -> InsertReport<T>;
 
+    /// The element count of what the block holds; `None` while it holds
+    /// nothing.
+    fn held_len(&self) -> Option<usize>;
+
     /// A finished block's shell, reset for reuse — or `None` to drop it.
     fn recycle(self) -> Option<Self>;
 }
@@ -420,6 +424,10 @@ impl<T: Element> DenseStorage<T> for TreeBlock<T> {
         pool: &mut BufferPool<T>,
     ) -> InsertReport<T> {
         self.insert_from(op, child, vals, pool)
+    }
+
+    fn held_len(&self) -> Option<usize> {
+        TreeBlock::held_len(self)
     }
 
     fn recycle(mut self) -> Option<Self> {
@@ -488,6 +496,11 @@ impl<T: Element, O: ReduceOp<T>, D: DenseStorage<T>> DenseCore<T, O, D> {
         let Some((store, _)) = admitted else {
             return;
         };
+        // A contribution of another length than the block's is malformed:
+        // dropped before any fold, it charges nothing.
+        if store.held_len().is_some_and(|len| len != vals.len()) {
+            return;
+        }
         let report = store.fold(
             side,
             &self.op,

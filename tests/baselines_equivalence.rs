@@ -164,16 +164,17 @@ fn sparcml_switches_to_dense_when_data_densifies() {
 
 #[test]
 fn ring_transmits_roughly_twice_the_in_network_bytes() {
-    // Section 1's motivating comparison in closed form: ring host traffic
-    // ≈ 2Z per host vs Z for Flare (measured on the simulator by
+    // Section 1's motivating comparison from the schedules: ring host
+    // traffic ≈ 2Z per host vs Z for Flare (measured on the simulator by
     // `ring_link_bytes_are_2_p_minus_1_over_p_of_flares_on_a_star`).
-    use flare::baselines::recdouble::{recdouble_bytes_per_host, ring_bytes_per_host};
-    let z = 1u64 << 20;
+    use flare::baselines::schedule::{recursive_doubling, ring, Step};
+    let z = 1u64 << 20; // bytes, as one-byte elements
+    let sent = |steps: Vec<Step>| steps.iter().map(|s| s.send.len() as u64).sum::<u64>();
     for p in [8usize, 16, 64] {
         // 2(P−1)/P·Z: 1.75Z at P=8, approaching 2Z as P grows.
-        let ring = ring_bytes_per_host(z, p);
+        let ring = sent(ring(p, 0, z as usize));
         assert!(ring > z * 17 / 10 && ring < 2 * z, "p={p}: {ring}");
-        assert!(recdouble_bytes_per_host(z, p) >= ring);
+        assert!(sent(recursive_doubling(p, 0, z as usize)) >= ring);
     }
 }
 
@@ -368,5 +369,61 @@ fn host_baselines_are_pinned() {
             }
         }
         assert_eq!(pin(&report), want, "SparCML, {name}");
+    }
+}
+
+#[test]
+fn sparcml_survives_a_peer_that_runs_a_round_ahead() {
+    // Rank 1 holds 20 000 pairs, every other rank one. Ranks 2 and 3 finish
+    // round 0 at once and rank 2 sends its round 1 to rank 0, which is
+    // still receiving rank 1's round 0: the early packet must wait for its
+    // round instead of being merged into the current one.
+    let (topo, _sw, hosts) = Topology::star(4, LinkSpec::hundred_gig());
+    let n = 100_000usize;
+    let inputs: Vec<Vec<(u32, f32)>> = (0..4usize)
+        .map(|r| {
+            let k = if r == 1 { 20_000 } else { 1 };
+            (0..k)
+                .map(|i| ((i * 5 + r) as u32, 1.0 + r as f32))
+                .collect()
+        })
+        .collect();
+    let want = sparcml_allreduce(&Sum, n, &inputs);
+    let (report, results) = sparcml_run(topo, &hosts, 1, n, &inputs, 2048);
+    assert!(report.last_done.is_some(), "sparcml must complete");
+    for (rank, got) in results.iter().enumerate() {
+        let wrong = got.iter().zip(&want).filter(|(a, b)| a != b).count();
+        assert_eq!(wrong, 0, "rank {rank}: {wrong} wrong values");
+    }
+}
+
+#[test]
+fn simulated_ring_completes_with_fewer_elements_than_hosts() {
+    // Three of eight chunks are empty: a step that sends nothing still
+    // sends its (empty) last packet, so the receiving step completes.
+    let (topo, _sw, hosts) = Topology::star(8, LinkSpec::hundred_gig());
+    let inputs: Vec<Vec<i32>> = (0..8)
+        .map(|r| (0..5).map(|i| r * 10 + i).collect())
+        .collect();
+    let want = golden_reduce(&Sum, &inputs);
+    let mut sim = NetSim::new(topo, 1);
+    let mut sinks = Vec::new();
+    for (rank, &h) in hosts.iter().enumerate() {
+        let sink = result_sink();
+        sinks.push(sink.clone());
+        let host = RingHost::new(
+            rank,
+            hosts.clone(),
+            42,
+            Sum,
+            inputs[rank].clone(),
+            1024,
+            sink,
+        );
+        sim.install_host(h, Box::new(host));
+    }
+    assert!(sim.run(None).last_done.is_some(), "ring must complete");
+    for (rank, sink) in sinks.iter().enumerate() {
+        assert_eq!(sink.lock().unwrap().as_ref().unwrap(), &want, "rank {rank}");
     }
 }

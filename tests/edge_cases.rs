@@ -515,19 +515,42 @@ fn with_rogue_packet(proto: Proto) -> (Script, Script, u64) {
     (clean, dirty, rogue_bytes)
 }
 
-/// The handler neither panics on the rogue packet nor emits for it, and
-/// the well-formed children's results are unchanged.
-fn handler_drops_the_rogue_packet(proto: Proto) {
-    let (clean, dirty, _) = with_rogue_packet(proto);
+/// A well-formed dense script of three children and two blocks, the same
+/// script with two ragged contributions — child 1's block 0 one value
+/// short, after child 0's block 0, and child 2's block 1 one value long,
+/// after children 0 and 1 merged — each ahead of that child's whole one,
+/// and their size.
+fn with_ragged_contributions() -> (Script, Script, u64) {
+    let clean = dense_script(3, 2);
+    let ragged = [(0u64, 1u16, 15usize), (1, 2, 17)].map(|(block, child, len)| {
+        let h = header(block, child, PacketKind::DenseContrib, false, 0);
+        (block, child, encode_dense(h, &vec![3.0f32; len]))
+    });
+    let ragged_bytes = ragged.iter().map(|r| r.2.len() as u64).sum();
+    let mut dirty = Script::new();
+    for entry in &clean {
+        let (block, child) = (entry.1, entry.2);
+        if let Some(r) = ragged.iter().find(|r| (r.0, r.1) == (block, child)) {
+            dirty.push((dirty.len() as u64 * SPACING, block, child, r.2.clone()));
+        }
+        let mut entry = entry.clone();
+        entry.0 = dirty.len() as u64 * SPACING;
+        dirty.push(entry);
+    }
+    (clean, dirty, ragged_bytes)
+}
+
+/// The handler neither panics on the extra packets of `dirty` nor emits
+/// for them, and the well-formed children's results are unchanged.
+fn handler_drops_the_extra_packets(proto: Proto, (clean, dirty, _): (Script, Script, u64)) {
     let emitted = through_handler(proto, 3, &clean);
     assert!(emitted.len() >= 2);
     assert_eq!(through_handler(proto, 3, &dirty), emitted);
 }
 
 /// As above through a star: every host receives what it did without the
-/// rogue packet, and only that packet itself crossed a link.
-fn star_drops_the_rogue_packet(proto: Proto) {
-    let (clean, dirty, rogue_bytes) = with_rogue_packet(proto);
+/// extra packets, and only those packets themselves crossed a link.
+fn star_drops_the_extra_packets(proto: Proto, (clean, dirty, rogue_bytes): (Script, Script, u64)) {
     let (got_clean, bytes_clean) = through_star(proto, 3, &clean);
     let (got_dirty, bytes_dirty) = through_star(proto, 3, &dirty);
     assert!(got_clean.iter().all(|inbox| inbox.len() >= 2));
@@ -537,22 +560,42 @@ fn star_drops_the_rogue_packet(proto: Proto) {
 
 #[test]
 fn dense_handler_drops_an_out_of_range_child_index() {
-    handler_drops_the_rogue_packet(Proto::Dense);
+    handler_drops_the_extra_packets(Proto::Dense, with_rogue_packet(Proto::Dense));
 }
 
 #[test]
 fn sparse_handler_drops_an_out_of_range_child_index() {
-    handler_drops_the_rogue_packet(Proto::Sparse(HASH_THAT_SPILLS));
+    handler_drops_the_extra_packets(
+        Proto::Sparse(HASH_THAT_SPILLS),
+        with_rogue_packet(Proto::Sparse(HASH_THAT_SPILLS)),
+    );
 }
 
 #[test]
 fn dense_program_drops_an_out_of_range_child_index() {
-    star_drops_the_rogue_packet(Proto::Dense);
+    star_drops_the_extra_packets(Proto::Dense, with_rogue_packet(Proto::Dense));
 }
 
 #[test]
 fn sparse_program_drops_an_out_of_range_child_index() {
-    star_drops_the_rogue_packet(Proto::Sparse(HASH_THAT_SPILLS));
+    star_drops_the_extra_packets(
+        Proto::Sparse(HASH_THAT_SPILLS),
+        with_rogue_packet(Proto::Sparse(HASH_THAT_SPILLS)),
+    );
+}
+
+#[test]
+fn dense_handler_drops_a_ragged_contribution() {
+    // A contribution whose element count differs from what its block holds
+    // used to reach the tree's merge: a debug build panicked, an optimised
+    // one folded the common prefix and then ignored the whole contribution
+    // as a duplicate.
+    handler_drops_the_extra_packets(Proto::Dense, with_ragged_contributions());
+}
+
+#[test]
+fn dense_program_drops_a_ragged_contribution() {
+    star_drops_the_extra_packets(Proto::Dense, with_ragged_contributions());
 }
 
 /// A root that answers every dense contribution of its one host twice:
