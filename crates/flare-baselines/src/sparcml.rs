@@ -114,7 +114,7 @@ impl<O: ReduceOp<f32>> Payload for SparcmlPayload<O> {
             pairs.into_iter().for_each(|p| self.merge(p));
         } else {
             for (k, c) in pkt.payload.chunks_exact(4).enumerate() {
-                let v = f32::from_le_bytes(c.try_into().unwrap());
+                let v = f32::read_le(c);
                 if v != 0.0 {
                     self.merge(((pkt.block as usize + k) as u32, v));
                 }

@@ -841,6 +841,23 @@ mod tests {
         assert!(blk.waiting.is_empty() && blk.seen.count() == 0);
     }
 
+    #[test]
+    fn held_len_is_the_length_of_what_a_block_holds() {
+        // What a switch compares a contribution's length against: nothing
+        // before the first packet and after the result, then the block's.
+        let mut tree = TreeBlock::<i32>::new(3);
+        let mut multi = MultiBufferBlock::<i32>::new(3, 2);
+        assert_eq!((tree.held_len(), multi.held_len()), (None, None));
+        for c in 0..2 {
+            tree.insert(&Sum, c, &[1; 5]);
+            multi.insert(&Sum, c as usize, c, &[1; 5]);
+            assert_eq!((tree.held_len(), multi.held_len()), (Some(5), Some(5)));
+        }
+        assert!(tree.insert(&Sum, 2, &[1; 5]).result.is_some());
+        assert!(multi.insert(&Sum, 0, 2, &[1; 5]).result.is_some());
+        assert_eq!((tree.held_len(), multi.held_len()), (None, None));
+    }
+
     fn permute<F: FnMut(&[u16])>(arr: &mut Vec<u16>, k: usize, f: &mut F) {
         if k == arr.len() {
             f(arr);

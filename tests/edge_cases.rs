@@ -587,9 +587,9 @@ fn sparse_program_drops_an_out_of_range_child_index() {
 #[test]
 fn dense_handler_drops_a_ragged_contribution() {
     // A contribution whose element count differs from what its block holds
-    // used to reach the tree's merge: a debug build panicked, an optimised
-    // one folded the common prefix and then ignored the whole contribution
-    // as a duplicate.
+    // must not reach the tree's merge, where a debug build panics and an
+    // optimised one folds the common prefix and then drops the child's
+    // whole contribution as a duplicate.
     handler_drops_the_extra_packets(Proto::Dense, with_ragged_contributions());
 }
 
