@@ -13,6 +13,7 @@ use bytes::Bytes;
 use flare_core::dtype::{encode_slice, Element};
 use flare_core::host::ResultSink;
 use flare_core::op::ReduceOp;
+use flare_core::wire::HEADER_BYTES;
 use flare_net::{HostCtx, HostProgram, NetPacket, NodeId};
 
 use crate::schedule::Step;
@@ -96,7 +97,7 @@ impl<P: Payload> ScheduleHost<P> {
         let (dst, flow, at) = (self.peers[step.to], self.flow, self.step as u16);
         self.payload.send(step.send.clone(), |block, kind, body| {
             let mut pkt = NetPacket::new(dst, flow, block, at, kind, body);
-            pkt.wire_bytes += 16; // the header the wire size models
+            pkt.wire_bytes += HEADER_BYTES as u32;
             ctx.send(pkt);
         });
         true

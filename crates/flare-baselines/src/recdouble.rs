@@ -12,7 +12,9 @@ use flare_core::op::ReduceOp;
 /// Pure-function recursive-doubling allreduce. `inputs.len()` must be a
 /// power of two. Combination order is partner-rank order, identical on
 /// every host — deterministic, though different from `golden_reduce`'s
-/// host order for non-associative operators.
+/// host order for non-associative operators. Its user is the test
+/// executor of [`crate::schedule`], which checks the recursive-doubling
+/// schedule against it.
 pub fn recursive_doubling_allreduce<T: Element, O: ReduceOp<T>>(
     op: &O,
     inputs: &[Vec<T>],

@@ -20,8 +20,9 @@ use crate::host::{DensePayload, ScheduleHost};
 use crate::schedule;
 
 /// Pure-function ring allreduce over one vector per host; returns the
-/// common result (identical on every host). Used as the functional
-/// baseline and to validate the simulated version.
+/// common result (identical on every host). Its users are tests:
+/// `tests/baselines_equivalence.rs` checks the simulated ring against it,
+/// and the test executor of [`crate::schedule`] the ring schedule.
 pub fn ring_allreduce<T: Element, O: ReduceOp<T>>(op: &O, inputs: &[Vec<T>]) -> Vec<T> {
     let p = inputs.len();
     assert!(p >= 1);

@@ -22,7 +22,9 @@ use crate::host::{segments, Payload, ScheduleHost, LAST};
 use crate::schedule;
 
 /// Pure-function SparCML allreduce over f32 pairs. Returns the dense
-/// result (length `n`) shared by all ranks.
+/// result (length `n`) shared by all ranks. Its user is
+/// `tests/baselines_equivalence.rs`, which checks every rank of a
+/// simulated [`SparcmlHost`] against it.
 pub fn sparcml_allreduce<O: ReduceOp<f32>>(
     op: &O,
     n: usize,
@@ -66,8 +68,9 @@ fn encode_pairs(pairs: &[(u32, f32)]) -> Bytes {
 
 /// A rank's accumulated pair set over `n` elements: each round sends all
 /// of it, as sorted pairs or, once those are no smaller, as the dense
-/// vector (SparCML's switch-over), and merges what the partner sends (a
-/// dense segment's zeros are absent pairs).
+/// vector (SparCML's switch-over), and merges what the partner sends. A
+/// dense segment's zeros are absent pairs, so only an operator whose
+/// identity is 0 switches over.
 pub struct SparcmlPayload<O> {
     op: O,
     n: usize,
@@ -77,8 +80,11 @@ pub struct SparcmlPayload<O> {
 
 impl<O: ReduceOp<f32>> SparcmlPayload<O> {
     fn merge(&mut self, (i, v): (u32, f32)) {
-        let e = self.acc.entry(i).or_insert(0.0);
-        *e = self.op.combine(*e, v);
+        let op = &self.op;
+        self.acc
+            .entry(i)
+            .and_modify(|acc| *acc = op.combine(*acc, v))
+            .or_insert(v);
     }
 
     fn dense(&self) -> Vec<f32> {
@@ -94,7 +100,7 @@ impl<O: ReduceOp<f32>> Payload for SparcmlPayload<O> {
     type Elem = f32;
 
     fn send(&self, range: Range<usize>, mut emit: impl FnMut(u64, u8, Bytes)) {
-        if self.acc.len() * 8 < self.n * 4 {
+        if self.acc.len() * 8 < self.n * 4 || self.op.identity() != 0.0 {
             let pairs: Vec<(u32, f32)> = self.acc.iter().map(|(&i, &v)| (i, v)).collect();
             for (s, seg, kind) in segments(&pairs, self.segment_bytes / 8, KIND_PAIRS) {
                 emit(s as u64, kind, encode_pairs(seg));

@@ -427,17 +427,6 @@ pub fn encode_slice<T: Element>(vals: &[T]) -> Bytes {
     out.freeze()
 }
 
-/// Decode a little-endian byte slice into elements.
-///
-/// # Panics
-/// Panics if `b.len()` is not a multiple of the wire size.
-pub fn decode_slice<T: Element>(b: &[u8]) -> Vec<T> {
-    assert_eq!(b.len() % T::WIRE_BYTES, 0, "truncated element payload");
-    let mut out = Vec::with_capacity(b.len() / T::WIRE_BYTES);
-    T::read_slice_le(b, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,7 +446,9 @@ mod tests {
         fn rt<T: Element>(vals: Vec<T>) {
             let enc = encode_slice(&vals);
             assert_eq!(enc.len(), vals.len() * T::WIRE_BYTES);
-            assert_eq!(decode_slice::<T>(&enc), vals);
+            let mut back = Vec::new();
+            T::read_slice_le(&enc, &mut back);
+            assert_eq!(back, vals);
         }
         rt::<i32>(vec![0, -1, i32::MAX, i32::MIN, 42]);
         rt::<i16>(vec![0, -1, i16::MAX, i16::MIN]);
@@ -523,8 +514,9 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "truncated")]
     fn decode_rejects_truncated_payloads() {
-        decode_slice::<i32>(&[1, 2, 3]);
+        i32::read_slice_le(&[1, 2, 3], &mut Vec::new());
     }
 }

@@ -156,16 +156,16 @@ pub fn table1() -> Vec<SystemRow> {
     ]
 }
 
-/// Flare's row (the claims the rest of this workspace substantiates).
-pub fn flare_row() -> SystemRow {
-    table1().pop().expect("table non-empty")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dense::TreeBlock;
     use crate::op::{Custom, ReduceOp};
+
+    /// Flare's row (the claims the rest of this workspace substantiates).
+    fn flare_row() -> SystemRow {
+        table1().pop().expect("table non-empty")
+    }
 
     #[test]
     fn matrix_matches_paper_shape() {

@@ -304,7 +304,7 @@ impl<T: Element, O: ReduceOp<T>> PacketHandler for SparseAllreduceHandler<T, O> 
 mod tests {
     use super::*;
     use crate::op::{golden_reduce, Sum};
-    use crate::wire::{decode_sparse, encode_dense, encode_sparse, Header, PacketKind};
+    use crate::wire::{encode_dense, encode_sparse, Header, PacketKind, SparseView};
     use bytes::Bytes;
     use flare_pspin::engine::run_trace;
     use flare_pspin::{ArrivalTrace, PspinConfig, SchedulingPolicy, StaggerMode, TraceConfig};
@@ -601,10 +601,10 @@ mod tests {
         // Spills + final result together cover all 32 indexes.
         let mut seen: Vec<u32> = h.results()[0].1.iter().map(|&(i, _)| i).collect();
         for (_, pkt) in engine.emissions() {
-            let (hd, pairs) = decode_sparse::<i32>(&pkt.payload).unwrap();
+            let (hd, pairs) = SparseView::<i32>::parse(&pkt.payload).unwrap();
             assert_eq!(hd.kind, PacketKind::SparseResult);
             if !hd.last_shard {
-                seen.extend(pairs.iter().map(|&(i, _)| i));
+                seen.extend(pairs.iter().map(|(i, _)| i));
             }
         }
         seen.sort_unstable();

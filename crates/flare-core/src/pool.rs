@@ -45,7 +45,8 @@ pub struct PoolStats {
 }
 
 impl PoolStats {
-    /// Requests that had to allocate (`gets - hits`).
+    /// Requests that had to allocate (`gets - hits`). Read by
+    /// `tests/zero_copy_datapath.rs`, which bounds a warm pool's misses.
     pub fn misses(&self) -> u64 {
         self.gets - self.hits
     }

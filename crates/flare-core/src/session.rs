@@ -709,7 +709,8 @@ impl FlareSession {
 
     /// An in-network **broadcast** of `root`'s `data`: non-root ranks
     /// contribute the operator identity, so the allreduce result *is* the
-    /// root's vector.
+    /// root's vector. Run by `tests/session_api.rs` and
+    /// `tests/faults_and_tenancy.rs`; no figure or example broadcasts.
     pub fn broadcast<T: Element>(&mut self, root: usize, data: Vec<T>) -> Collective<'_, T, Sum> {
         let mut c = self.collective(Payload::Broadcast { data });
         c.root = Some(root);
@@ -719,7 +720,8 @@ impl FlareSession {
     /// An in-network **barrier**: a one-element allreduce (the paper: "a
     /// barrier can simply be implemented as an in-network allreduce with
     /// 0-bytes data"). Completion time is
-    /// [`RunReport::completion_ns`].
+    /// [`RunReport::completion_ns`]. Run by `tests/session_api.rs` and
+    /// `tests/faults_and_tenancy.rs`; no figure or example runs a barrier.
     pub fn barrier(&mut self) -> Collective<'_, i32, Sum> {
         self.collective(Payload::Barrier)
     }
@@ -1094,9 +1096,9 @@ pub struct RunReport {
     pub tenants: Option<crate::report::TenantSection>,
     /// Captured fabric telemetry; `Some` only when the session enabled it
     /// (builder [`FlareSessionBuilder::telemetry`] / [`Tuning::telemetry`]).
-    /// Export with [`TelemetryReport::chrome_trace`] (Perfetto-loadable)
-    /// or [`TelemetryReport::utilization_csv`]. Boxed: the capture can
-    /// dwarf the rest of the report.
+    /// Export with [`TelemetryReport::chrome_trace`] (Perfetto-loadable;
+    /// it carries the per-link utilization series as counter tracks).
+    /// Boxed: the capture can dwarf the rest of the report.
     pub trace: Option<Box<TelemetryReport>>,
 }
 
@@ -1149,11 +1151,6 @@ impl<T> CollectiveResult<T> {
     pub fn into_ranks(self) -> Vec<Vec<T>> {
         self.ranks
     }
-
-    /// Number of participating ranks.
-    pub fn num_ranks(&self) -> usize {
-        self.ranks.len()
-    }
 }
 
 #[cfg(test)]
@@ -1183,7 +1180,7 @@ mod tests {
         let inputs: Vec<Vec<i32>> = (0..4).map(|r| vec![r + 1; 100]).collect();
         let want = golden_reduce(&Sum, &inputs);
         let out = session.allreduce(inputs).run().unwrap();
-        assert_eq!(out.num_ranks(), 4);
+        assert_eq!(out.ranks().len(), 4);
         for r in out.ranks() {
             assert_eq!(*r, want);
         }
@@ -1270,7 +1267,7 @@ mod tests {
         let mut session = star_session(3);
         let out = session.barrier().run().unwrap();
         assert!(out.report.completion_ns() > 0);
-        assert_eq!(out.num_ranks(), 3);
+        assert_eq!(out.ranks().len(), 3);
     }
 
     #[test]

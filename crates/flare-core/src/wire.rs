@@ -158,8 +158,7 @@ impl std::error::Error for WireError {}
 /// Values are decoded lazily with unaligned little-endian reads as the
 /// view is iterated — nothing is materialized, so the switch datapath can
 /// fold a contribution straight into its accumulation buffer without a
-/// per-packet `Vec<T>`. Produced by [`DenseView::parse`]; the legacy
-/// [`decode_dense`] is a thin collecting wrapper over this type.
+/// per-packet `Vec<T>`. Produced by [`DenseView::parse`].
 #[derive(Debug, Clone, Copy)]
 pub struct DenseView<'a, T> {
     body: &'a [u8],
@@ -226,8 +225,7 @@ impl<'a, T: Element> DenseView<'a, T> {
 }
 
 /// A borrowed, zero-copy view over the `(index, value)` pairs of a sparse
-/// packet body. See [`DenseView`]; [`decode_sparse`] is the collecting
-/// wrapper.
+/// packet body. See [`DenseView`].
 #[derive(Debug, Clone, Copy)]
 pub struct SparseView<'a, T> {
     body: &'a [u8],
@@ -311,12 +309,6 @@ pub fn encode_dense<T: Element>(header: Header, values: &[T]) -> Bytes {
     out.freeze()
 }
 
-/// Decode a dense packet body previously produced by [`encode_dense`].
-pub fn decode_dense<T: Element>(buf: &[u8]) -> Result<(Header, Vec<T>), WireError> {
-    let (h, view) = DenseView::<T>::parse(buf)?;
-    Ok((h, view.iter().collect()))
-}
-
 /// Serialize a sparse packet into a caller-provided sink: header + (u32
 /// index, value) pairs. Indexes are block-relative.
 pub fn encode_sparse_into<T: Element>(
@@ -337,14 +329,6 @@ pub fn encode_sparse<T: Element>(header: Header, pairs: &[(u32, T)]) -> Bytes {
     let mut out = BytesMut::with_capacity(HEADER_BYTES + pairs.len() * (4 + T::WIRE_BYTES));
     encode_sparse_into(header, pairs, &mut out);
     out.freeze()
-}
-
-/// Decode a sparse packet body previously produced by [`encode_sparse`].
-pub fn decode_sparse<T: Element>(buf: &[u8]) -> Result<(Header, Vec<(u32, T)>), WireError> {
-    let (h, view) = SparseView::<T>::parse(buf)?;
-    let mut pairs = Vec::new();
-    view.append_to(&mut pairs);
-    Ok((h, pairs))
 }
 
 #[cfg(test)]
@@ -377,9 +361,20 @@ mod tests {
         let vals: Vec<i32> = (0..256).map(|i| i * 3 - 100).collect();
         let pkt = encode_dense(header(PacketKind::DenseContrib), &vals);
         assert_eq!(pkt.len(), HEADER_BYTES + 1024);
-        let (h, back) = decode_dense::<i32>(&pkt).unwrap();
-        assert_eq!(h.elem_count, 256);
-        assert_eq!(back, vals);
+        let (h, view) = DenseView::<i32>::parse(&pkt).unwrap();
+        assert_eq!(
+            h,
+            Header {
+                elem_count: 256,
+                ..header(PacketKind::DenseContrib)
+            }
+        );
+        assert_eq!(view.len(), 256);
+        assert_eq!(view.iter().collect::<Vec<_>>(), vals);
+        assert_eq!((view.get(0), view.get(255)), (vals[0], vals[255]));
+        let mut copied = Vec::new();
+        view.append_to(&mut copied);
+        assert_eq!(copied, vals);
     }
 
     #[test]
@@ -387,9 +382,20 @@ mod tests {
         let pairs: Vec<(u32, f32)> = vec![(0, 1.5), (17, -2.25), (1023, 3.0)];
         let pkt = encode_sparse(header(PacketKind::SparseContrib), &pairs);
         assert_eq!(pkt.len(), HEADER_BYTES + 3 * 8);
-        let (h, back) = decode_sparse::<f32>(&pkt).unwrap();
-        assert_eq!(h.elem_count, 3);
-        assert_eq!(back, pairs);
+        let (h, view) = SparseView::<f32>::parse(&pkt).unwrap();
+        assert_eq!(
+            h,
+            Header {
+                elem_count: 3,
+                ..header(PacketKind::SparseContrib)
+            }
+        );
+        assert_eq!(view.len(), 3);
+        assert_eq!(view.iter().collect::<Vec<_>>(), pairs);
+        assert_eq!(view.get(2), pairs[2]);
+        let mut copied = Vec::new();
+        view.append_to(&mut copied);
+        assert_eq!(copied, pairs);
     }
 
     #[test]
@@ -398,9 +404,9 @@ mod tests {
         // children counter advances.
         let pkt = encode_sparse::<f32>(header(PacketKind::SparseContrib), &[]);
         assert_eq!(pkt.len(), HEADER_BYTES);
-        let (h, pairs) = decode_sparse::<f32>(&pkt).unwrap();
+        let (h, view) = SparseView::<f32>::parse(&pkt).unwrap();
         assert_eq!(h.elem_count, 0);
-        assert!(pairs.is_empty());
+        assert_eq!(view.len(), 0);
         assert!(h.last_shard);
     }
 
@@ -414,35 +420,10 @@ mod tests {
         let mut h = header(PacketKind::DenseContrib);
         h.elem_count = 4;
         let enc = h.encode();
-        assert_eq!(decode_dense::<i32>(&enc).unwrap_err(), WireError::Truncated);
-    }
-
-    #[test]
-    fn dense_view_matches_decode_dense() {
-        let vals: Vec<i32> = (0..300).map(|i| i * 7 - 950).collect();
-        let pkt = encode_dense(header(PacketKind::DenseContrib), &vals);
-        let (h_old, old) = decode_dense::<i32>(&pkt).unwrap();
-        let (h_new, view) = DenseView::<i32>::parse(&pkt).unwrap();
-        assert_eq!(h_old, h_new);
-        assert_eq!(view.len(), old.len());
-        assert_eq!(view.iter().collect::<Vec<_>>(), old);
-        assert_eq!(view.get(0), old[0]);
-        assert_eq!(view.get(299), old[299]);
-        let mut copied = Vec::new();
-        view.append_to(&mut copied);
-        assert_eq!(copied, old);
-    }
-
-    #[test]
-    fn sparse_view_matches_decode_sparse() {
-        let pairs: Vec<(u32, f32)> = (0..77).map(|i| (i * 13, i as f32 * 0.25 - 3.0)).collect();
-        let pkt = encode_sparse(header(PacketKind::SparseContrib), &pairs);
-        let (h_old, old) = decode_sparse::<f32>(&pkt).unwrap();
-        let (h_new, view) = SparseView::<f32>::parse(&pkt).unwrap();
-        assert_eq!(h_old, h_new);
-        assert_eq!(view.len(), 77);
-        assert_eq!(view.iter().collect::<Vec<_>>(), old);
-        assert_eq!(view.get(76), old[76]);
+        assert_eq!(
+            DenseView::<i32>::parse(&enc).unwrap_err(),
+            WireError::Truncated
+        );
     }
 
     #[test]

@@ -14,11 +14,6 @@ use rand::{Rng, RngExt, SeedableRng};
 
 use crate::Time;
 
-/// Create a deterministic RNG from a 64-bit seed.
-pub fn rng_from_seed(seed: u64) -> StdRng {
-    StdRng::seed_from_u64(seed)
-}
-
 /// Derive an independent stream from `(seed, stream)`.
 ///
 /// Uses SplitMix64 finalization to decorrelate streams so per-host RNGs can
@@ -65,8 +60,8 @@ mod tests {
 
     #[test]
     fn seeded_rngs_are_reproducible() {
-        let mut a = rng_from_seed(42);
-        let mut b = rng_from_seed(42);
+        let mut a = StdRng::seed_from_u64(42);
+        let mut b = StdRng::seed_from_u64(42);
         for _ in 0..100 {
             assert_eq!(a.random::<u64>(), b.random::<u64>());
         }
@@ -83,7 +78,7 @@ mod tests {
 
     #[test]
     fn exp_time_mean_is_close() {
-        let mut rng = rng_from_seed(7);
+        let mut rng = StdRng::seed_from_u64(7);
         let mean = 1000.0;
         let n = 20_000;
         let total: u64 = (0..n).map(|_| exp_time(&mut rng, mean)).sum();
@@ -96,7 +91,7 @@ mod tests {
 
     #[test]
     fn exp_time_is_strictly_positive() {
-        let mut rng = rng_from_seed(9);
+        let mut rng = StdRng::seed_from_u64(9);
         for _ in 0..1000 {
             assert!(exp_time(&mut rng, 0.01) >= 1);
         }
@@ -104,7 +99,7 @@ mod tests {
 
     #[test]
     fn normal_moments_are_close() {
-        let mut rng = rng_from_seed(11);
+        let mut rng = StdRng::seed_from_u64(11);
         let n = 50_000;
         let samples: Vec<f64> = (0..n).map(|_| normal(&mut rng)).collect();
         let mean = samples.iter().sum::<f64>() / n as f64;

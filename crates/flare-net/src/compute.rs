@@ -153,12 +153,6 @@ impl HpuParams {
         self
     }
 
-    /// Override the cold-icache fill cost.
-    pub fn with_icache_fill(mut self, cycles: u64) -> Self {
-        self.icache_fill_cycles = cycles;
-        self
-    }
-
     /// Total HPU cores, `K`.
     pub fn cores(&self) -> usize {
         self.params.cores()
@@ -474,7 +468,10 @@ mod tests {
 
     #[test]
     fn cold_icache_charges_each_clusters_first_handler() {
-        let mut c = SwitchCompute::new(HpuParams::figure5().with_icache_fill(100));
+        let mut c = SwitchCompute::new(HpuParams {
+            icache_fill_cycles: 100,
+            ..HpuParams::figure5()
+        });
         assert_eq!(c.execute(0, 0, 4).0, 104, "first handler pays the fill");
         assert_eq!(c.execute(0, 1, 4).0, 4, "second core is already warm");
     }

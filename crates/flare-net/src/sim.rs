@@ -668,6 +668,8 @@ impl NetSim {
 
     /// Inject loss on a link (both directions). The first call builds the
     /// loss table: one probability and one stream per link direction.
+    /// A test hook: this module's loss tests call it, and runs set loss
+    /// through [`set_uniform_drop_prob`](Self::set_uniform_drop_prob).
     pub fn set_link_drop_prob(&mut self, link: usize, p: f64) {
         for dir in &mut self.loss_table()[2 * link..2 * link + 2] {
             dir.drop_prob = p;
@@ -1256,15 +1258,19 @@ mod tests {
         sim.install_host(hosts[0], Box::new(sender));
         sim.enable_telemetry(TelemetryConfig { bucket_ns: 0 });
         sim.run(None);
-        let csv = sim.take_telemetry().expect("enabled").utilization_csv();
-        // The sender's uplink is link 0, direction 0.
-        let starts: Vec<u64> = csv
+        let json = sim.take_telemetry().expect("enabled").chrome_trace();
+        // The sender's uplink counter track, one sample per bucket.
+        let track = format!("\"name\":\"link0 n{}-\\u003en", hosts[0].0);
+        let starts: Vec<u64> = json
             .lines()
-            .skip(1)
-            .filter(|row| row.starts_with("0,0,"))
-            .map(|row| row.split(',').nth(4).unwrap().parse().unwrap())
+            .filter(|line| line.contains(&track))
+            .map(|line| {
+                let ts = line.split("\"ts\":").nth(1).unwrap();
+                let ts = &ts[..ts.find(',').unwrap()];
+                ts.replace('.', "").parse().unwrap()
+            })
             .collect();
-        assert_eq!(starts.len(), 4, "{csv}");
+        assert_eq!(starts.len(), 4, "{json}");
         assert!(starts.windows(2).all(|w| w[0] < w[1]), "{starts:?}");
     }
 

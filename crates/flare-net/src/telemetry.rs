@@ -122,8 +122,6 @@ pub struct UtilBucket {
     pub index: u64,
     /// Bytes whose serialization started in this bucket.
     pub bytes: u64,
-    /// Packets whose serialization started in this bucket.
-    pub packets: u64,
     /// Packets dropped by loss injection in this bucket.
     pub drops: u64,
 }
@@ -145,13 +143,11 @@ impl DirSeries {
             // lands in the last bucket or a later one.
             Some(last) if last.index == index => {
                 last.bytes += bytes;
-                last.packets += 1;
                 last.drops += drops;
             }
             _ => self.buckets.push(UtilBucket {
                 index,
                 bytes,
-                packets: 1,
                 drops,
             }),
         }
@@ -438,33 +434,6 @@ impl TelemetryReport {
         out.push_str("\n],\"displayTimeUnit\":\"ns\"}\n");
         out
     }
-
-    /// Render the utilization series as CSV
-    /// (`link,dir,src,dst,bucket_start_ns,bytes,packets,drops,util`).
-    pub fn utilization_csv(&self) -> String {
-        let mut out = String::from("link,dir,src,dst,bucket_start_ns,bytes,packets,drops,util\n");
-        for lt in &self.links {
-            for (d, series) in lt.dirs.iter().enumerate() {
-                let (src, dst) = if d == 0 { (lt.a, lt.b) } else { (lt.b, lt.a) };
-                for bucket in &series.buckets {
-                    let util = bucket.bytes as f64 / (lt.bytes_per_ns * self.bucket_ns as f64);
-                    out.push_str(&format!(
-                        "{},{},{},{},{},{},{},{},{:.6}\n",
-                        lt.link,
-                        d,
-                        src,
-                        dst,
-                        bucket.index * self.bucket_ns,
-                        bucket.bytes,
-                        bucket.packets,
-                        bucket.drops,
-                        util,
-                    ));
-                }
-            }
-        }
-        out
-    }
 }
 
 /// Integer-exact microsecond timestamp (`ns / 1000` with 3 decimals) —
@@ -590,13 +559,11 @@ mod tests {
                 UtilBucket {
                     index: 0,
                     bytes: 150,
-                    packets: 2,
                     drops: 1
                 },
                 UtilBucket {
                     index: 3,
                     bytes: 10,
-                    packets: 1,
                     drops: 0
                 },
             ]

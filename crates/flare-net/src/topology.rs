@@ -317,7 +317,8 @@ pub struct FatTree {
 }
 
 impl FatTree {
-    /// Leaf switch of the host with the given rank.
+    /// Leaf switch of the host with the given rank. Called by
+    /// `tests/routing_on_demand.rs` and this crate's tests.
     pub fn leaf_of(&self, rank: usize) -> NodeId {
         self.leaves[rank / self.hosts_per_leaf]
     }
@@ -425,13 +426,15 @@ impl Routing {
     }
 
     /// Number of equal-cost choices at `node` towards `dest` (0 when
-    /// [`next_port`](Self::next_port) would return `None`).
+    /// [`next_port`](Self::next_port) would return `None`). A test hook:
+    /// `tests/edge_cases.rs` and this module's tests read it.
     pub fn ecmp_width(&self, node: NodeId, dest: NodeId) -> usize {
         self.candidates(node, dest).len()
     }
 
     /// Destination columns built so far: one per distinct destination that
-    /// some packet was routed towards from a node not adjacent to it.
+    /// some packet was routed towards from a node not adjacent to it. A
+    /// test hook: `tests/routing_on_demand.rs` counts columns with it.
     pub fn columns_built(&self) -> usize {
         self.columns.iter().filter(|c| c.get().is_some()).count()
     }

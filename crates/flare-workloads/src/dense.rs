@@ -13,13 +13,8 @@ pub fn dense_uniform_f32(seed: u64, stream: u64, n: usize, lo: f32, hi: f32) -> 
         .collect()
 }
 
-/// Standard-normal f32 values scaled by `sigma` (Box–Muller).
-pub fn dense_normal_f32(seed: u64, stream: u64, n: usize, sigma: f32) -> Vec<f32> {
-    let mut rng = rng_stream(seed, stream);
-    (0..n).map(|_| normal(&mut rng) as f32 * sigma).collect()
-}
-
-/// Uniform i32 values in `[lo, hi)`.
+/// Uniform i32 values in `[lo, hi)`. Test input:
+/// `tests/allreduce_correctness.rs` and `tests/session_api.rs` draw from it.
 pub fn dense_i32(seed: u64, stream: u64, n: usize, lo: i32, hi: i32) -> Vec<i32> {
     assert!(hi > lo);
     let mut rng = rng_stream(seed, stream);
@@ -71,15 +66,6 @@ mod tests {
         for v in dense_i32(3, 0, 10_000, -7, 9) {
             assert!((-7..9).contains(&v));
         }
-    }
-
-    #[test]
-    fn normal_has_requested_scale() {
-        let v = dense_normal_f32(5, 0, 50_000, 2.0);
-        let mean: f32 = v.iter().sum::<f32>() / v.len() as f32;
-        let var: f32 = v.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / v.len() as f32;
-        assert!(mean.abs() < 0.05, "{mean}");
-        assert!((var.sqrt() - 2.0).abs() < 0.1, "{}", var.sqrt());
     }
 
     #[test]

@@ -12,17 +12,16 @@
 //! The [`traffic`] module goes beyond single collectives: a
 //! [`traffic::TrafficEngine`] drives a population of tenants — each a
 //! DNN-style job churn of compute + allreduce iterations — through one
-//! shared simulation with per-tenant tail metrics. The [`trace`] module
-//! replays on-disk cluster traces (CSV) into that engine.
+//! shared simulation with per-tenant tail metrics. A tenant's jobs
+//! arrive all at once, as a seeded Poisson process, or at explicit
+//! instants ([`traffic::ArrivalProcess`]).
 
 pub mod dense;
 pub mod sparse;
-pub mod trace;
 pub mod traffic;
 
-pub use dense::{dense_i32, dense_normal_f32, dense_uniform_f32, gradient_like_f32};
+pub use dense::{dense_i32, dense_uniform_f32, gradient_like_f32};
 pub use sparse::{
     densify_f32, overlap_controlled, sparsify_random_k, sparsify_top1_per_bucket, union_nnz,
 };
-pub use trace::{load_trace, parse_trace, tenant_specs, TraceError, TraceRecord};
 pub use traffic::{ArrivalProcess, TenantSpec, TrafficEngine, TrafficError};

@@ -388,14 +388,10 @@ impl<'s> TrafficEngine<'s> {
     }
 
     /// Bound the simulation (ns); jobs still in flight at the deadline are
-    /// cut off and simply not counted as completed.
+    /// cut off and simply not counted as completed. Called by
+    /// `tests/loss_convergence.rs` and `tests/traffic_epoch_end.rs`.
     pub fn set_deadline(&mut self, deadline: Option<Time>) {
         self.deadline = deadline;
-    }
-
-    /// Number of admitted tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
     }
 
     /// Admit `spec` as a new tenant: validates the spec, precomputes the
@@ -1107,7 +1103,7 @@ mod tests {
                 "mean {mean}"
             );
         }
-        assert_eq!(eng.tenant_count(), 0);
+        assert!(eng.tenants.is_empty());
         drop(eng);
         assert_eq!(session.reserved_on(sw), 0, "no admission leaked");
         assert_eq!(session.active_collectives(), 0);
@@ -1342,11 +1338,6 @@ mod tests {
             pin(&json),
             (150_447, 12_179_985_610_845_335_644),
             "chrome_trace"
-        );
-        assert_eq!(
-            pin(&trace.utilization_csv()),
-            (4_587, 2_989_033_762_593_552_900),
-            "utilization_csv"
         );
     }
 

@@ -36,6 +36,5 @@ pub mod prelude {
     pub use flare_core::tag::{FlowTag, FlowTagOverflow};
     pub use flare_model::{AggKind, SparseStorage, SwitchParams};
     pub use flare_net::{HpuParams, LinkSpec, NodeId, SwitchModel, Topology};
-    pub use flare_workloads::trace::{load_trace, parse_trace, tenant_specs, TraceError};
     pub use flare_workloads::traffic::{ArrivalProcess, TenantSpec, TrafficEngine, TrafficError};
 }

@@ -5,7 +5,7 @@
 use flare::baselines::ring::{ring_allreduce, RingHost};
 use flare::baselines::sparcml::{sparcml_allreduce, SparcmlHost};
 use flare::core::host::result_sink;
-use flare::core::op::{golden_reduce, Sum};
+use flare::core::op::{golden_reduce, Max, Min, Prod, ReduceOp, Sum};
 use flare::core::session::FlareSession;
 use flare::net::{LinkSpec, NetReport, NetSim, NodeId, Topology};
 use flare::workloads::{densify_f32, sparsify_random_k};
@@ -274,9 +274,10 @@ fn ring_and_flare_link_bytes_on_a_fat_tree_have_closed_forms() {
     }
 }
 
-/// Each rank of a SparCML run over the hosts of `topo` (rank order), its
-/// report and every rank's result.
-fn sparcml_run(
+/// Each rank of a SparCML run under `op` over the hosts of `topo` (rank
+/// order), its report and every rank's result.
+fn sparcml_run<O: ReduceOp<f32> + Clone + 'static>(
+    op: O,
     topo: Topology,
     hosts: &[NodeId],
     seed: u64,
@@ -290,7 +291,16 @@ fn sparcml_run(
         let sink = result_sink();
         sinks.push(sink.clone());
         let pairs = inputs[rank].clone();
-        let host = SparcmlHost::new(rank, hosts.to_vec(), 7, Sum, n, pairs, segment_bytes, sink);
+        let host = SparcmlHost::new(
+            rank,
+            hosts.to_vec(),
+            7,
+            op.clone(),
+            n,
+            pairs,
+            segment_bytes,
+            sink,
+        );
         sim.install_host(h, Box::new(host));
     }
     let report = sim.run(None);
@@ -361,7 +371,7 @@ fn host_baselines_are_pinned() {
         let inputs: Vec<Vec<(u32, f32)>> = (0..hosts.len())
             .map(|h| sparsify_random_k(input_seed, h as u64, n, density))
             .collect();
-        let (report, results) = sparcml_run(topo, &hosts, seed, n, &inputs, segment_bytes);
+        let (report, results) = sparcml_run(Sum, topo, &hosts, seed, n, &inputs, segment_bytes);
         let functional = sparcml_allreduce(&Sum, n, &inputs);
         for got in &results {
             for (a, b) in got.iter().zip(&functional) {
@@ -389,12 +399,55 @@ fn sparcml_survives_a_peer_that_runs_a_round_ahead() {
         })
         .collect();
     let want = sparcml_allreduce(&Sum, n, &inputs);
-    let (report, results) = sparcml_run(topo, &hosts, 1, n, &inputs, 2048);
+    let (report, results) = sparcml_run(Sum, topo, &hosts, 1, n, &inputs, 2048);
     assert!(report.last_done.is_some(), "sparcml must complete");
     for (rank, got) in results.iter().enumerate() {
         let wrong = got.iter().zip(&want).filter(|(a, b)| a != b).count();
         assert_eq!(wrong, 0, "rank {rank}: {wrong} wrong values");
     }
+}
+
+#[test]
+fn sparcml_reduces_like_its_reference_under_max_min_and_prod() {
+    // Operators whose identity is not 0: a new index is taken as sent, not
+    // combined with 0, and no round switches to the dense vector, whose
+    // zeros would read as absent pairs. Rank 0 holds more than half the
+    // indexes (Sum would send it dense), some as explicit zeros; the other
+    // ranks hold a few, negative and positive, overlapping rank 0's.
+    fn check<O: ReduceOp<f32> + Clone + 'static>(op: O) {
+        let n = 512usize;
+        for p in [2usize, 4] {
+            let (topo, _sw, hosts) = Topology::star(p, LinkSpec::hundred_gig());
+            let inputs: Vec<Vec<(u32, f32)>> = (0..p)
+                .map(|r| {
+                    let pick = |i: usize| {
+                        if r == 0 {
+                            !i.is_multiple_of(5)
+                        } else {
+                            i % 9 == r
+                        }
+                    };
+                    let value = |i: usize| match (i + r) % 7 {
+                        0 => 0.0,
+                        k => (k as f32 - 3.5) * 0.5 * (1 + r) as f32,
+                    };
+                    let pairs = (0..n).filter(|&i| pick(i)).map(|i| (i as u32, value(i)));
+                    pairs.collect()
+                })
+                .collect();
+            assert!(inputs[0].len() * 8 >= n * 4, "Sum would send rank 0 dense");
+            let want = sparcml_allreduce(&op, n, &inputs);
+            let (report, results) = sparcml_run(op.clone(), topo, &hosts, 1, n, &inputs, 256);
+            assert!(report.last_done.is_some(), "{} on {p} hosts", op.name());
+            for (rank, got) in results.iter().enumerate() {
+                let wrong = got.iter().zip(&want).filter(|(a, b)| a != b).count();
+                assert_eq!(wrong, 0, "{} on {p} hosts, rank {rank}", op.name());
+            }
+        }
+    }
+    check(Max);
+    check(Min);
+    check(Prod);
 }
 
 #[test]

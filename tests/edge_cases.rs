@@ -20,9 +20,7 @@ use flare::core::host::{result_sink, DenseFlareHost, HostConfig};
 use flare::core::manager::compute_reduction_tree;
 use flare::core::session::FlareSession;
 use flare::core::switch_prog::{FlareSwitch, TreePlacement};
-use flare::core::wire::{
-    decode_dense, decode_sparse, encode_dense, encode_sparse, Header, PacketKind,
-};
+use flare::core::wire::{encode_dense, encode_sparse, DenseView, Header, PacketKind, SparseView};
 use flare::model::{AggKind, SwitchParams};
 use flare::net::{
     HostCtx, HostProgram, LinkSpec, NetPacket, NetSim, NodeId, SwitchCtx, SwitchModel,
@@ -611,7 +609,7 @@ impl SwitchProgram for ShortThenWhole {
         if pkt.flow != FLOW {
             return Some(pkt);
         }
-        let (h, vals) = decode_dense::<f32>(&pkt.payload).expect("a dense contribution");
+        let (h, vals) = DenseView::<f32>::parse(&pkt.payload).expect("a dense contribution");
         let doubled: Vec<f32> = vals.iter().map(|v| 2.0 * v).collect();
         let kind = PacketKind::DenseResult;
         for cut in [1, 0] {
@@ -716,12 +714,12 @@ fn sparse_handler_replays_the_whole_shard_sequence_once_per_burst() {
     // The original: one contiguous announced sequence, spills then drain.
     let sequence = in_window(0, ROUND);
     for (i, payload) in sequence.iter().enumerate() {
-        let (h, _) = decode_sparse::<f32>(payload).unwrap();
+        let (h, _) = SparseView::<f32>::parse(payload).unwrap();
         assert_eq!(h.kind, PacketKind::SparseResult);
         assert_eq!(h.shard_index() as usize, i);
         assert_eq!(h.last_shard, i + 1 == sequence.len());
     }
-    let (last, _) = decode_sparse::<f32>(sequence.last().unwrap()).unwrap();
+    let (last, _) = SparseView::<f32>::parse(sequence.last().unwrap()).unwrap();
     assert_eq!(last.shard_count as usize, sequence.len());
     assert!(sequence.len() > 2, "spill shards are part of the sequence");
     for round in 1..3 {

@@ -13,10 +13,7 @@ use proptest::prelude::*;
 use flare::core::dense::{MultiBufferBlock, TreeBlock};
 use flare::core::op::{golden_reduce, Custom, Sum};
 use flare::core::sparse::{SparseArrayStore, SparseHashStore};
-use flare::core::wire::{
-    decode_dense, decode_sparse, encode_dense, encode_sparse, DenseView, Header, PacketKind,
-    SparseView,
-};
+use flare::core::wire::{encode_dense, encode_sparse, DenseView, Header, PacketKind, SparseView};
 use flare::model::{scheduling, SwitchParams};
 
 fn inputs_strategy() -> impl Strategy<Value = Vec<Vec<i32>>> {
@@ -213,6 +210,7 @@ proptest! {
         allreduce in any::<u32>(),
         block in any::<u32>(),
         child in any::<u16>(),
+        shift in 0usize..4,
     ) {
         let header = Header {
             allreduce,
@@ -223,9 +221,17 @@ proptest! {
             shard_count: 0,
             elem_count: 0,
         };
-        let buf = encode_dense(header, &vals);
-        let (h, back) = decode_dense::<i32>(&buf).unwrap();
-        prop_assert_eq!(back, vals);
+        // Offset the packet inside a larger buffer so element reads land
+        // on arbitrary (unaligned) addresses.
+        let pkt = encode_dense(header, &vals);
+        let mut padded = vec![0u8; shift];
+        padded.extend_from_slice(&pkt);
+        let (h, view) = DenseView::<i32>::parse(&padded[shift..]).unwrap();
+        prop_assert_eq!(view.len(), vals.len());
+        prop_assert_eq!(view.iter().collect::<Vec<_>>(), vals.clone());
+        let mut copied = Vec::new();
+        view.append_to(&mut copied);
+        prop_assert_eq!(copied, vals);
         prop_assert_eq!(h.allreduce, allreduce);
         prop_assert_eq!(h.block, block);
         prop_assert_eq!(h.child, child);
@@ -247,58 +253,13 @@ proptest! {
             elem_count: 0,
         };
         let buf = encode_sparse(header, &pairs);
-        let (h, back) = decode_sparse::<i32>(&buf).unwrap();
-        prop_assert_eq!(back, pairs);
-        prop_assert_eq!(h.last_shard, last);
-        prop_assert_eq!(h.shard_count, count);
-    }
-
-    #[test]
-    fn dense_view_iteration_equals_decode_dense(
-        vals in proptest::collection::vec(any::<i32>(), 0..300),
-        shift in 0usize..4,
-    ) {
-        let header = Header {
-            allreduce: 5,
-            block: 1,
-            child: 0,
-            kind: PacketKind::DenseContrib,
-            last_shard: false,
-            shard_count: 0,
-            elem_count: 0,
-        };
-        // Offset the packet inside a larger buffer so element reads land
-        // on arbitrary (unaligned) addresses.
-        let pkt = encode_dense(header, &vals);
-        let mut padded = vec![0u8; shift];
-        padded.extend_from_slice(&pkt);
-        let (h_old, old) = decode_dense::<i32>(&padded[shift..]).unwrap();
-        let (h_new, view) = DenseView::<i32>::parse(&padded[shift..]).unwrap();
-        prop_assert_eq!(h_old, h_new);
-        prop_assert_eq!(view.len(), old.len());
-        prop_assert_eq!(view.iter().collect::<Vec<_>>(), old.clone());
+        let (h, view) = SparseView::<i32>::parse(&buf).unwrap();
+        prop_assert_eq!(view.iter().collect::<Vec<_>>(), pairs.clone());
         let mut copied = Vec::new();
         view.append_to(&mut copied);
-        prop_assert_eq!(copied, old);
-    }
-
-    #[test]
-    fn sparse_view_iteration_equals_decode_sparse(
-        pairs in proptest::collection::vec((any::<u32>(), any::<i32>()), 0..200),
-    ) {
-        let header = Header {
-            allreduce: 7,
-            block: 9,
-            child: 3,
-            kind: PacketKind::SparseContrib,
-            last_shard: true,
-            shard_count: 1,
-            elem_count: 0,
-        };
-        let pkt = encode_sparse(header, &pairs);
-        let (_, old) = decode_sparse::<i32>(&pkt).unwrap();
-        let (_, view) = SparseView::<i32>::parse(&pkt).unwrap();
-        prop_assert_eq!(view.iter().collect::<Vec<_>>(), old);
+        prop_assert_eq!(copied, pairs);
+        prop_assert_eq!(h.last_shard, last);
+        prop_assert_eq!(h.shard_count, count);
     }
 
     #[test]
