@@ -16,6 +16,30 @@ use flare::core::sparse::{SparseArrayStore, SparseHashStore};
 use flare::core::wire::{encode_dense, encode_sparse, DenseView, Header, PacketKind, SparseView};
 use flare::model::{scheduling, SwitchParams};
 
+/// Reference decoder for the view properties: reads the header, then the
+/// body in fixed 4-byte little-endian chunks, with no view involved.
+fn decode_dense(buf: &[u8]) -> (Header, Vec<i32>) {
+    let (h, body) = Header::decode(buf).unwrap();
+    let vals = body
+        .chunks_exact(4)
+        .map(|c| i32::from_le_bytes(c.try_into().unwrap()))
+        .collect();
+    (h, vals)
+}
+
+/// Sparse counterpart of [`decode_dense`]: 8-byte `(u32, i32)` pairs.
+fn decode_sparse(buf: &[u8]) -> (Header, Vec<(u32, i32)>) {
+    let (h, body) = Header::decode(buf).unwrap();
+    let pairs = body
+        .chunks_exact(8)
+        .map(|c| {
+            let idx = u32::from_le_bytes(c[..4].try_into().unwrap());
+            (idx, i32::from_le_bytes(c[4..].try_into().unwrap()))
+        })
+        .collect();
+    (h, pairs)
+}
+
 fn inputs_strategy() -> impl Strategy<Value = Vec<Vec<i32>>> {
     // 1..=12 children, 1..=32 elements, arbitrary i32 values.
     (1usize..=12, 1usize..=32).prop_flat_map(|(p, n)| {
@@ -210,7 +234,6 @@ proptest! {
         allreduce in any::<u32>(),
         block in any::<u32>(),
         child in any::<u16>(),
-        shift in 0usize..4,
     ) {
         let header = Header {
             allreduce,
@@ -221,17 +244,9 @@ proptest! {
             shard_count: 0,
             elem_count: 0,
         };
-        // Offset the packet inside a larger buffer so element reads land
-        // on arbitrary (unaligned) addresses.
-        let pkt = encode_dense(header, &vals);
-        let mut padded = vec![0u8; shift];
-        padded.extend_from_slice(&pkt);
-        let (h, view) = DenseView::<i32>::parse(&padded[shift..]).unwrap();
-        prop_assert_eq!(view.len(), vals.len());
-        prop_assert_eq!(view.iter().collect::<Vec<_>>(), vals.clone());
-        let mut copied = Vec::new();
-        view.append_to(&mut copied);
-        prop_assert_eq!(copied, vals);
+        let buf = encode_dense(header, &vals);
+        let (h, view) = DenseView::<i32>::parse(&buf).unwrap();
+        prop_assert_eq!(view.iter().collect::<Vec<_>>(), vals);
         prop_assert_eq!(h.allreduce, allreduce);
         prop_assert_eq!(h.block, block);
         prop_assert_eq!(h.child, child);
@@ -254,12 +269,62 @@ proptest! {
         };
         let buf = encode_sparse(header, &pairs);
         let (h, view) = SparseView::<i32>::parse(&buf).unwrap();
-        prop_assert_eq!(view.iter().collect::<Vec<_>>(), pairs.clone());
-        let mut copied = Vec::new();
-        view.append_to(&mut copied);
-        prop_assert_eq!(copied, pairs);
+        prop_assert_eq!(view.iter().collect::<Vec<_>>(), pairs);
         prop_assert_eq!(h.last_shard, last);
         prop_assert_eq!(h.shard_count, count);
+    }
+
+    #[test]
+    fn dense_view_iteration_equals_decode_dense(
+        vals in proptest::collection::vec(any::<i32>(), 0..300),
+        shift in 0usize..4,
+    ) {
+        let header = Header {
+            allreduce: 5,
+            block: 1,
+            child: 0,
+            kind: PacketKind::DenseContrib,
+            last_shard: false,
+            shard_count: 0,
+            elem_count: 0,
+        };
+        // Offset the packet inside a larger buffer so element reads land
+        // on arbitrary (unaligned) addresses.
+        let pkt = encode_dense(header, &vals);
+        let mut padded = vec![0u8; shift];
+        padded.extend_from_slice(&pkt);
+        let (h_old, old) = decode_dense(&padded[shift..]);
+        prop_assert_eq!(&old, &vals);
+        let (h_new, view) = DenseView::<i32>::parse(&padded[shift..]).unwrap();
+        prop_assert_eq!(h_old, h_new);
+        prop_assert_eq!(view.len(), old.len());
+        prop_assert_eq!(view.iter().collect::<Vec<_>>(), old.clone());
+        let mut copied = Vec::new();
+        view.append_to(&mut copied);
+        prop_assert_eq!(copied, old);
+    }
+
+    #[test]
+    fn sparse_view_iteration_equals_decode_sparse(
+        pairs in proptest::collection::vec((any::<u32>(), any::<i32>()), 0..200),
+    ) {
+        let header = Header {
+            allreduce: 7,
+            block: 9,
+            child: 3,
+            kind: PacketKind::SparseContrib,
+            last_shard: true,
+            shard_count: 1,
+            elem_count: 0,
+        };
+        let pkt = encode_sparse(header, &pairs);
+        let (_, old) = decode_sparse(&pkt);
+        prop_assert_eq!(&old, &pairs);
+        let (_, view) = SparseView::<i32>::parse(&pkt).unwrap();
+        prop_assert_eq!(view.iter().collect::<Vec<_>>(), old.clone());
+        let mut copied = Vec::new();
+        view.append_to(&mut copied);
+        prop_assert_eq!(copied, old);
     }
 
     #[test]
