@@ -395,6 +395,7 @@ fn a_repeated_tenant_host_is_a_typed_error() {
         err,
         Err(TrafficError::Session(SessionError::DuplicateHost { host }))
     );
+    assert_eq!(engine.run().err(), Some(TrafficError::NoTenants));
     assert_eq!(session.active_collectives(), 0, "nothing was admitted");
 }
 

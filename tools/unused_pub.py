@@ -81,7 +81,13 @@ def strip(line, in_block):
 
 
 def code_lines(path):
-    """(line number, code) for each line of `path` outside `#[cfg(test)]` items."""
+    """(line number, code) for each line of `path` outside `#[cfg(test)]` items.
+
+    A test-only item ends where its braces close, or, if it opens none,
+    at the `;` or `,` that ends it (a field of a struct or of a struct
+    literal). A `}` that closes more than it opened closes the enclosing
+    item, which is not test code: that line is kept.
+    """
     lines = path.read_text().splitlines()
     in_block = False
     skipping, depth, opened = False, 0, False
@@ -90,7 +96,10 @@ def code_lines(path):
         if skipping:
             depth += code.count("{") - code.count("}")
             opened = opened or "{" in code
-            if (opened and depth <= 0) or (not opened and code.rstrip().endswith(";")):
+            if depth < 0:
+                skipping = False
+                yield no, code
+            elif (opened and depth <= 0) or (not opened and code.rstrip().endswith((";", ","))):
                 skipping = False
             continue
         if re.match(r"^\s*#\[cfg\(test\)\]", code):
