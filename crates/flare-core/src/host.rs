@@ -1690,6 +1690,135 @@ mod tests {
         }
     }
 
+    /// Result shard `(block, seq, shards, pairs)`: shard `seq` of the
+    /// `shards` that make block `block`'s result.
+    type Delivery = (usize, u16, u16, Vec<(u32, f32)>);
+
+    /// The progressive densify a sparse host once ran as each shard came
+    /// in, kept as the reference: the vector is identity-filled up to the
+    /// end of a block's span when a shard of that block is accepted, every
+    /// pair inside the span is combined in acceptance order and every
+    /// other pair is skipped.
+    fn progressive<O: ReduceOp<f32>>(
+        op: &O,
+        total: usize,
+        span: usize,
+        accepted: &[&Delivery],
+    ) -> Vec<f32> {
+        let mut result = Vec::new();
+        for &&(block, _, _, ref pairs) in accepted {
+            let base = block * span;
+            let end = (base + span).min(total);
+            if result.len() < end {
+                result.resize(end, op.identity());
+            }
+            let block_result = &mut result[base..end];
+            for &(idx, val) in pairs {
+                if let Some(acc) = block_result.get_mut(idx as usize) {
+                    *acc = op.combine(*acc, val);
+                }
+            }
+        }
+        result.resize(total, op.identity());
+        result
+    }
+
+    /// What a sparse payload over `total` elements in spans of `span`
+    /// makes of `deliveries`, in order: the deliveries it accepted and the
+    /// result it builds from them.
+    fn built<O: ReduceOp<f32>>(
+        op: O,
+        total: usize,
+        span: usize,
+        deliveries: &[Delivery],
+    ) -> (Vec<&Delivery>, Vec<f32>) {
+        let h = SparseFlareHost::new(cfg(), op, total, span, 4, vec![], result_sink());
+        let mut payload = h.payload;
+        let mut trackers = vec![ShardTracker::default(); total.div_ceil(span)];
+        let mut accepted = Vec::new();
+        for d @ &(block, seq, shards, ref pairs) in deliveries {
+            let shard = encode_sparse(result_header(block as u64, seq, shards), pairs);
+            let tracker = &mut trackers[block];
+            if let Applied::Shard { .. } = payload.apply(block as u64, tracker, &shard) {
+                accepted.push(d);
+            }
+        }
+        (accepted, payload.take_result())
+    }
+
+    /// `deliveries` built under `op` equal the progressive reference bit
+    /// for bit, and the accepted ones are each shard's first delivery.
+    fn built_as_progressive<O: ReduceOp<f32> + Clone>(
+        op: O,
+        total: usize,
+        span: usize,
+        deliveries: &[Delivery],
+    ) {
+        let (accepted, got) = built(op.clone(), total, span, deliveries);
+        let mut seen = std::collections::HashSet::new();
+        let first: Vec<&Delivery> = deliveries
+            .iter()
+            .filter(|d| seen.insert((d.0, d.1)))
+            .collect();
+        prop_assert_eq!(&accepted, &first);
+        let want = progressive(&op, total, span, &accepted);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        prop_assert_eq!(bits(&got), bits(&want));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // Random accepted-shard sequences — replays among them, an index
+        // delivered in several shards of its block (a spill), pairs outside
+        // their span — leave the result bit for bit where the progressive
+        // densify left it, under every built-in operator. The values mix
+        // magnitudes so that an f32 `Sum` in another order has other bits.
+        #[test]
+        fn a_sparse_result_is_built_as_the_progressive_densify_built_it(
+            op in 0usize..4,
+            span in 1usize..12,
+            short in 0usize..12,
+            shards in proptest::collection::vec(
+                proptest::collection::vec(
+                    proptest::collection::vec(
+                        (0u32..14, (0u8..6, -1e3f32..1e3).prop_map(|(pick, v)| match pick {
+                            0 => 1e8,
+                            1 => -1e8,
+                            2 => 0.1,
+                            3 => v / 512.0,
+                            _ => v,
+                        })),
+                        0..6,
+                    ),
+                    1..4,
+                ),
+                1..8,
+            ),
+            order in proptest::collection::vec(any::<u16>(), 0..60),
+        ) {
+            // The last block is `short % span` indexes short of a span.
+            let total = shards.len() * span - short % span;
+            let all: Vec<Delivery> = shards
+                .iter()
+                .enumerate()
+                .flat_map(|(b, set)| {
+                    let n = set.len() as u16;
+                    set.iter().enumerate().map(move |(i, p)| (b, i as u16, n, p.clone()))
+                })
+                .collect();
+            // Random picks (replays among them), then every shard once.
+            let picks = order.iter().map(|&o| all[o as usize % all.len()].clone());
+            let deliveries: Vec<Delivery> = picks.chain(all.iter().cloned()).collect();
+            match op {
+                0 => built_as_progressive(crate::op::Sum, total, span, &deliveries),
+                1 => built_as_progressive(crate::op::Max, total, span, &deliveries),
+                2 => built_as_progressive(crate::op::Min, total, span, &deliveries),
+                _ => built_as_progressive(crate::op::Prod, total, span, &deliveries),
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "span > 0")]
     fn sparse_host_rejects_zero_span() {

@@ -4,7 +4,8 @@
 //! fleets, drops on lossy rows and the HPU switches' counters on one fleet)
 //! asserted bit for bit. A single collective's row also checks every
 //! rank's result against the golden reduction of its inputs (of the
-//! densified pairs, for a sparse row). A change that moves any
+//! densified pairs, for a sparse row), and a sparse row pins a digest of
+//! the bits of every rank's result. A change that moves any
 //! of them changed what the simulator computes, not how fast it computes
 //! it — host-side performance is `benchmark/`'s job (see
 //! `benchmark/README.md`).
@@ -88,6 +89,8 @@ struct Row {
     /// A fleet's HPU switches in node-id order: handlers, queued, queue
     /// peak, largest subset peak, first arrival and last done.
     hpu_counters: &'static [[u64; 6]],
+    /// [`result_digest`] of a sparse collective's ranks.
+    results: Option<u64>,
 }
 
 fn row(payload: Payload, topo: Topo, hosts: usize, bytes_per_host: usize, want: [u64; 5]) -> Row {
@@ -106,7 +109,22 @@ fn row(payload: Payload, topo: Topo, hosts: usize, bytes_per_host: usize, want: 
         admits: None,
         drops: None,
         hpu_counters: &[],
+        results: None,
     }
+}
+
+/// A hash (FxHash's step) of the bits of every rank's result, in rank
+/// order: what a change to how a result is built moves, even where every
+/// rank still equals the golden reduction.
+fn result_digest<'a>(ranks: impl Iterator<Item = &'a [f32]>) -> u64 {
+    let mut digest = 0u64;
+    for rank in ranks {
+        for v in rank {
+            digest =
+                (digest.rotate_left(5) ^ v.to_bits() as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
+    digest
 }
 
 impl Row {
@@ -142,6 +160,11 @@ impl Row {
             hpu_counters,
             ..self
         }
+    }
+
+    fn results(self, digest: u64) -> Self {
+        let results = Some(digest);
+        Self { results, ..self }
     }
 
     fn tenants(mut self, tenants: usize, p50_ns: u64, p99_ns: u64) -> Self {
@@ -200,7 +223,9 @@ impl Row {
         fill + leaves * blocks * service + drain
     }
 
-    fn measure(&self) -> (RunReport, Option<[u64; 2]>) {
+    /// The run's report, a fleet's pooled tails and a sparse collective's
+    /// [`result_digest`].
+    fn measure(&self) -> (RunReport, Option<[u64; 2]>, Option<u64>) {
         let spec = LinkSpec::hundred_gig();
         let (topo, hosts) = match self.topo {
             Star => {
@@ -224,7 +249,7 @@ impl Row {
         let mut session = builder.switch_model(self.model.clone()).build();
 
         let elems = self.bytes_per_host / 4;
-        let (report, tails) = if self.tenants > 0 {
+        if self.tenants > 0 {
             let mut engine = TrafficEngine::new(&mut session, 7);
             for i in 0..self.tenants {
                 let mut spec = TenantSpec::new(format!("tenant-{i}"), elems)
@@ -247,7 +272,7 @@ impl Row {
                 .flat_map(|t| t.iteration_makespans_ns.iter().copied())
                 .collect();
             let tails = TailStats::from_samples(&pooled);
-            (report, Some([tails.p50, tails.p99]))
+            (report, Some([tails.p50, tails.p99]), None)
         } else {
             let (run, want) = match self.payload {
                 Dense => {
@@ -283,9 +308,12 @@ impl Row {
             for (rank, got) in run.ranks().iter().enumerate() {
                 assert!(*got == want, "rank {rank}'s result for {self:?}");
             }
-            (run.report, None)
-        };
-        (report, tails)
+            let digest = match self.payload {
+                Dense => None,
+                Sparse => Some(result_digest(run.ranks().iter().map(|r| &r[..]))),
+            };
+            (run.report, None, digest)
+        }
     }
 }
 
@@ -294,7 +322,7 @@ fn check(rows: &[Row]) {
         let want = (row.want, row.tails);
         let what =
             "([makespan ns, completion ns, events, link bytes, order digest], fleet [p50, p99] ns)";
-        let (report, tails) = row.measure();
+        let (report, tails, results) = row.measure();
         let net = &report.net;
         let completion = report.completion_ns();
         let got = (
@@ -346,6 +374,9 @@ fn check(rows: &[Row]) {
             assert_eq!(hpu, row.hpu_counters, "HPU counters for {row:?}");
         }
         assert_eq!(got, want, "measured != pinned {what} for {row:?}");
+        if let Some(digest) = row.results {
+            assert_eq!(results, Some(digest), "result digest for {row:?}");
+        }
     }
 }
 
@@ -357,10 +388,10 @@ fn cells_of_128_kib() {
         row(Dense,  Star,     32, 128 * KIB, [17_959, 17_959,  16_384,  8_519_680, 0x9f89_60c8_3802_7d4e]),
         row(Dense,  FatTree,   8, 128 * KIB, [14_753, 14_753,   5_120,  2_662_400, 0xed2e_09d3_da9c_de24]),
         row(Dense,  FatTree,  32, 128 * KIB, [17_021, 17_021,  18_432,  9_584_640, 0x841b_5143_e8ce_5563]),
-        row(Sparse, Star,      8, 128 * KIB, [ 2_131,  2_131,     832,    195_008, 0xf98b_ccf0_d91a_1a82]),
-        row(Sparse, Star,     32, 128 * KIB, [ 7_339,  7_339,   8_192,  2_828_032, 0x965b_2436_2e4e_c732]),
-        row(Sparse, FatTree,   8, 128 * KIB, [ 3_980,  3_980,   1_040,    259_456, 0x8d4c_cff6_7dc3_d9aa]),
-        row(Sparse, FatTree,  32, 128 * KIB, [ 7_878,  7_878,   9_216,  3_254_784, 0x9ee0_6a15_582f_9ea3]),
+        row(Sparse, Star,      8, 128 * KIB, [ 2_131,  2_131,     832,    195_008, 0xf98b_ccf0_d91a_1a82]).results(0x7eb6_4f25_cac8_2a35),
+        row(Sparse, Star,     32, 128 * KIB, [ 7_339,  7_339,   8_192,  2_828_032, 0x965b_2436_2e4e_c732]).results(0xfc8d_537e_676c_8063),
+        row(Sparse, FatTree,   8, 128 * KIB, [ 3_980,  3_980,   1_040,    259_456, 0x8d4c_cff6_7dc3_d9aa]).results(0x7eb6_4f25_cac8_2a35),
+        row(Sparse, FatTree,  32, 128 * KIB, [ 7_878,  7_878,   9_216,  3_254_784, 0x9ee0_6a15_582f_9ea3]).results(0xfc8d_537e_676c_8063),
         // The host counts Canary and Swing evaluate at.
         row(Dense,  FatTree, 128, 128 * KIB, [22_481, 22_481,  73_728, 38_338_560, 0xf80b_f430_44a1_c772]),
         // ℛ = 13.18 blocks on the calibrated pipeline, 13.52 on a switch
@@ -370,8 +401,8 @@ fn cells_of_128_kib() {
         row(Dense,  FatTree, 256, 128 * KIB, [11_804, 11_804, 147_456, 76_677_120, 0x0508_8e75_f206_86aa]).unlimited().admits(14),
         row(Dense,  FatTree, 256, 128 * KIB, [18_820, 18_820, 147_456, 76_677_120, 0xa430_1548_30c5_94cd]).hpu().admits(128),
         row(Dense,  FatTree,   8, 128 * KIB, [20_736, 20_736,   5_120,  2_662_400, 0xb09b_74c1_e6e2_9292]).hpu(),
-        row(Sparse, Star,      8, 128 * KIB, [ 2_672,  2_672,     832,    195_008, 0xa32d_d2d5_88d2_1377]).hpu(),
-        row(Sparse, FatTree,   8, 128 * KIB, [200_000,  7_530,  1_168,    270_888, 0x5c42_0363_b994_0aea]).loss(0.01, 8),
+        row(Sparse, Star,      8, 128 * KIB, [ 2_672,  2_672,     832,    195_008, 0xa32d_d2d5_88d2_1377]).hpu().results(0x7eb6_4f25_cac8_2a35),
+        row(Sparse, FatTree,   8, 128 * KIB, [200_000,  7_530,  1_168,    270_888, 0x5c42_0363_b994_0aea]).loss(0.01, 8).results(0x7eb6_4f25_cac8_2a35),
     ]);
 }
 
@@ -399,8 +430,8 @@ fn eight_hosts_of_8_mib() {
     check(&[
         row(Dense,  Star,    8, 8 * MIB, [691_555, 691_555, 262_144, 136_314_880, 0xf715_081c_2c38_8c53]),
         row(Dense,  FatTree, 8, 8 * MIB, [692_129, 692_129, 327_680, 170_393_600, 0x55d3_7ecf_fcaa_8ec3]),
-        row(Sparse, Star,    8, 8 * MIB, [110_525, 110_525,  52_448,  12_498_880, 0x63c8_29da_0e0e_d057]),
-        row(Sparse, FatTree, 8, 8 * MIB, [111_523, 111_523,  65_560,  16_630_208, 0x0788_f3bc_ceb1_7062]),
+        row(Sparse, Star,    8, 8 * MIB, [110_525, 110_525,  52_448,  12_498_880, 0x63c8_29da_0e0e_d057]).results(0xbb2a_6e46_0546_64d5),
+        row(Sparse, FatTree, 8, 8 * MIB, [111_523, 111_523,  65_560,  16_630_208, 0x0788_f3bc_ceb1_7062]).results(0xbb2a_6e46_0546_64d5),
     ]);
 }
 
@@ -409,8 +440,8 @@ fn eight_hosts_of_8_mib() {
 fn sparse_32_hosts_of_8_mib() {
     check(&[
         // `benchmark`'s `sparse_star` workload.
-        row(Sparse, Star, 32, 8 * MIB, [444_769, 444_769, 524_288, 181_357_312, 0xf2a4_e35f_6930_0428]),
-        row(Sparse, FatTree, 32, 8 * MIB, [446_677, 446_677, 589_824, 208_724_480, 0x7460_d181_b595_3977]),
+        row(Sparse, Star, 32, 8 * MIB, [444_769, 444_769, 524_288, 181_357_312, 0xf2a4_e35f_6930_0428]).results(0xac69_f39a_f7ed_0a74),
+        row(Sparse, FatTree, 32, 8 * MIB, [446_677, 446_677, 589_824, 208_724_480, 0x7460_d181_b595_3977]).results(0xac69_f39a_f7ed_0a74),
     ]);
 }
 
@@ -421,7 +452,7 @@ fn sparse_32_hosts_of_8_mib() {
 #[test]
 #[rustfmt::skip]
 fn sparse_fat_tree_16_hosts_of_256_kib() {
-    check(&[row(Sparse, FatTree, 16, 256 * KIB, [8_100, 8_100, 5_580, 1_721_440, 0xb671_62af_6385_4746])]);
+    check(&[row(Sparse, FatTree, 16, 256 * KIB, [8_100, 8_100, 5_580, 1_721_440, 0xb671_62af_6385_4746]).results(0xf23f_9528_b19b_55b9)]);
 }
 
 #[test]
