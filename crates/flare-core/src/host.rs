@@ -23,6 +23,8 @@
 //! probes with one block rather than re-sending its window.
 
 use std::collections::VecDeque;
+use std::ops::Deref;
+use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
@@ -36,8 +38,10 @@ use crate::sparse::{ShardEvent, ShardTracker};
 use crate::wire::{encode_dense, encode_sparse, DenseView, Header, PacketKind, SparseView};
 use crate::wiring::check_iteration;
 
-/// Shared slot a host writes its final reduced vector into, readable by
-/// the caller after the simulation (the simulator owns the programs).
+/// Shared slot a host-based baseline (`flare-baselines`) writes its final
+/// reduced vector into, readable by the caller after the simulation (the
+/// simulator owns the programs). A Flare participant keeps its result
+/// itself: it is read back with [`FlareHost::take_result`].
 ///
 /// `Arc<Mutex<_>>` rather than `Rc<RefCell<_>>` only because the
 /// benchmark package reads it with `.lock()`; the lock is touched once per
@@ -47,6 +51,113 @@ pub type ResultSink<T> = Arc<Mutex<Option<Vec<T>>>>;
 /// Create an empty result sink.
 pub fn result_sink<T>() -> ResultSink<T> {
     Arc::new(Mutex::new(None))
+}
+
+/// One rank's reduced vector, read back from its participant after a run.
+///
+/// A dense rank's is the participant's own input buffer, reduced in place:
+/// owned, and no allocation of its own. A sparse rank's is built after the
+/// run from the result shards its participant accepted, and ranks whose
+/// participants accepted the same shard buffers in the same order share
+/// one vector ([`SharedResults`]): on a lossless fabric every rank of a
+/// sparse collective holds the same vector, because the switches multicast
+/// one set of result shards to all of them.
+#[derive(Clone)]
+pub struct RankResult<T>(Held<T>);
+
+#[derive(Clone)]
+enum Held<T> {
+    Owned(Vec<T>),
+    Shared(Rc<Vec<T>>),
+}
+
+impl<T> Deref for RankResult<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match &self.0 {
+            Held::Owned(v) => v,
+            Held::Shared(v) => v,
+        }
+    }
+}
+
+impl<T: Clone> RankResult<T> {
+    /// The vector, copied only if another rank still shares it.
+    pub fn into_vec(self) -> Vec<T> {
+        match self.0 {
+            Held::Owned(v) => v,
+            Held::Shared(v) => Rc::unwrap_or_clone(v),
+        }
+    }
+}
+
+impl<T: PartialEq> PartialEq for RankResult<T> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: PartialEq> PartialEq<Vec<T>> for RankResult<T> {
+    fn eq(&self, other: &Vec<T>) -> bool {
+        **self == other[..]
+    }
+}
+
+impl<T: PartialEq> PartialEq<[T]> for RankResult<T> {
+    fn eq(&self, other: &[T]) -> bool {
+        **self == *other
+    }
+}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for RankResult<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+/// The sparse results one read-back has built so far, each beside the
+/// result shards it was built from. A participant whose accepted shards
+/// are, element for element, the same buffers (by data pointer) in the
+/// same order shares that vector instead of building its own: the same
+/// pairs combined in the same order are the same bits. A participant that
+/// accepted a shard another did not, or in another order (a replay after a
+/// loss), builds its own.
+pub struct SharedResults<T> {
+    built: Vec<(Vec<Bytes>, Rc<Vec<T>>)>,
+}
+
+impl<T> Default for SharedResults<T> {
+    fn default() -> Self {
+        Self { built: Vec::new() }
+    }
+}
+
+impl<T> SharedResults<T> {
+    /// The vector built from `shards`, if one was; else `build(&shards)`,
+    /// kept for the participants read after this one.
+    fn share(
+        &mut self,
+        shards: Vec<Bytes>,
+        build: impl FnOnce(&[Bytes]) -> Vec<T>,
+    ) -> RankResult<T> {
+        let same = |built: &[Bytes]| {
+            built.len() == shards.len()
+                && built
+                    .iter()
+                    .zip(&shards)
+                    .all(|(a, b)| a.as_ptr() == b.as_ptr())
+        };
+        let result = match self.built.iter().find(|(built, _)| same(built)) {
+            Some((_, result)) => result.clone(),
+            None => {
+                let result = Rc::new(build(&shards));
+                self.built.push((shards, result.clone()));
+                result
+            }
+        };
+        RankResult(Held::Shared(result))
+    }
 }
 
 /// Configuration of a [`FlareHost`], whatever its payload.
@@ -495,11 +606,13 @@ pub trait Payload {
     fn encode(&self, block: u64, i: usize, header: Header) -> Bytes;
 
     /// Apply one result packet addressed to the in-flight local block
-    /// `block`, whose state is `state`.
-    fn apply(&mut self, block: u64, state: &mut Self::BlockState, packet: &[u8]) -> Applied;
+    /// `block`, whose state is `state`. The payload may keep a handle on
+    /// `packet`.
+    fn apply(&mut self, block: u64, state: &mut Self::BlockState, packet: &Bytes) -> Applied;
 
-    /// The reduced vector, once every block is complete.
-    fn take_result(&mut self) -> Vec<Self::Elem>;
+    /// The reduced vector, once every block is complete: a sparse payload
+    /// builds it, or shares one in `shared` built from the same shards.
+    fn take_result(&mut self, shared: &mut SharedResults<Self::Elem>) -> RankResult<Self::Elem>;
 }
 
 /// A Flare allreduce participant over payload `P` (see
@@ -525,6 +638,11 @@ pub trait Payload {
 ///
 /// One wake is pending, for the earliest deadline. A result for a block no
 /// longer in flight — a replay — is dropped before it reaches the payload.
+///
+/// The reduced vector stays with the participant: once it has
+/// [`finished`](Self::finished), whoever installed it takes the program
+/// back from the simulation and reads it with
+/// [`take_result`](Self::take_result).
 pub struct FlareHost<P: Payload> {
     cfg: HostConfig,
     /// `Some` iff [`HostConfig::retransmit_after`] is: a host on a reliable
@@ -534,7 +652,6 @@ pub struct FlareHost<P: Payload> {
     /// Wire bytes of the whole contribution (telemetry).
     wire_bytes: u64,
     outstanding: SendWindow<P::BlockState>,
-    sink: ResultSink<P::Elem>,
     /// Blocks re-sent by the retransmission timer.
     pub retransmits: u64,
 }
@@ -542,13 +659,7 @@ pub struct FlareHost<P: Payload> {
 impl<P: Payload> FlareHost<P> {
     /// A participant contributing `payload`: `blocks` blocks, `wire_bytes`
     /// bytes in all.
-    fn over(
-        cfg: HostConfig,
-        payload: P,
-        blocks: usize,
-        wire_bytes: usize,
-        sink: ResultSink<P::Elem>,
-    ) -> Self {
+    fn over(cfg: HostConfig, payload: P, blocks: usize, wire_bytes: usize) -> Self {
         let tag = check_iteration(cfg.allreduce, cfg.iteration as u64, blocks as u64)
             .unwrap_or_else(|e| panic!("{e}; FlowWiring::host checks first"));
         let retx = cfg.retransmit_after.map(|initial| {
@@ -568,7 +679,6 @@ impl<P: Payload> FlareHost<P> {
             wire_bytes: wire_bytes as u64,
             cfg,
             payload,
-            sink,
             retransmits: 0,
         }
     }
@@ -579,10 +689,20 @@ impl<P: Payload> FlareHost<P> {
         self.cfg.iteration as u64 * self.outstanding.blocks as u64 + block
     }
 
-    /// Whether every block's result has arrived (the reduced vector is in
-    /// the sink).
+    /// Whether every block's result has arrived.
     pub fn finished(&self) -> bool {
         self.outstanding.closed() == self.outstanding.blocks
+    }
+
+    /// The reduced vector, once [`finished`](Self::finished) (`None`
+    /// before); read it once. A sparse participant shares a vector in
+    /// `shared` that was built from the same result shards (see
+    /// [`SharedResults`]), and adds the one it builds otherwise.
+    pub fn take_result(
+        &mut self,
+        shared: &mut SharedResults<P::Elem>,
+    ) -> Option<RankResult<P::Elem>> {
+        self.finished().then(|| self.payload.take_result(shared))
     }
 
     /// The flow's round-trip estimate as this host has it now (all zero on
@@ -704,8 +824,8 @@ impl<P: Payload + 'static> HostProgram for FlareHost<P> {
         if !complete {
             return;
         }
-        // Consumed: if this was its last handle, the payload's block is
-        // free (and cache-hot) for the sends below.
+        // Consumed: if this was its last handle (a dense result), the
+        // payload's block is free (and cache-hot) for the sends below.
         let wire_block = pkt.block;
         drop(pkt);
         let closed = self.outstanding.remove(local);
@@ -715,7 +835,6 @@ impl<P: Payload + 'static> HostProgram for FlareHost<P> {
         ctx.trace(TraceKind::BlockRetire, flow, wire_block, 0);
         self.trace_in_flight(ctx);
         if self.finished() {
-            *self.sink.lock().expect("sink lock") = Some(self.payload.take_result());
             ctx.mark_done();
         } else {
             self.pump(ctx);
@@ -799,12 +918,7 @@ pub struct DensePayload<T> {
 
 impl<T: Element> FlareHost<DensePayload<T>> {
     /// Create a participant contributing `data`.
-    pub fn new(
-        cfg: HostConfig,
-        elems_per_packet: usize,
-        data: Vec<T>,
-        sink: ResultSink<T>,
-    ) -> Self {
+    pub fn new(cfg: HostConfig, elems_per_packet: usize, data: Vec<T>) -> Self {
         assert!(elems_per_packet > 0 && !data.is_empty());
         let blocks = data.len().div_ceil(elems_per_packet);
         let wire_bytes = data.len() * T::WIRE_BYTES;
@@ -812,7 +926,7 @@ impl<T: Element> FlareHost<DensePayload<T>> {
             elems_per_packet,
             data,
         };
-        Self::over(cfg, payload, blocks, wire_bytes, sink)
+        Self::over(cfg, payload, blocks, wire_bytes)
     }
 }
 
@@ -837,7 +951,7 @@ impl<T: Element> Payload for DensePayload<T> {
         encode_dense(header, &self.data[self.block_range(block)])
     }
 
-    fn apply(&mut self, block: u64, _: &mut (), packet: &[u8]) -> Applied {
+    fn apply(&mut self, block: u64, _: &mut (), packet: &Bytes) -> Applied {
         let Ok((header, view)) = DenseView::<T>::parse(packet) else {
             return Applied::Ignored;
         };
@@ -858,8 +972,8 @@ impl<T: Element> Payload for DensePayload<T> {
         Applied::Block
     }
 
-    fn take_result(&mut self) -> Vec<T> {
-        std::mem::take(&mut self.data)
+    fn take_result(&mut self, _: &mut SharedResults<T>) -> RankResult<T> {
+        RankResult(Held::Owned(std::mem::take(&mut self.data)))
     }
 }
 
@@ -869,15 +983,18 @@ impl<T: Element> Payload for DensePayload<T> {
 /// span `span` consecutive indexes; each block's pairs are chunked into
 /// shards of at most `pairs_per_packet`, the last shard announcing the
 /// count; empty blocks still send a header-only packet. Incoming result
-/// shards are deduplicated by sequence number before accumulating — a
-/// replayed result must not double-count.
+/// shards are deduplicated by sequence number — a replayed result must not
+/// double-count.
 ///
-/// The reduced vector is allocated at the first result shard the host
-/// accepts, not when it is built, so a host still waiting for its first
-/// result holds no result buffer. Each shard then fills the result with the
-/// operator's identity up to the end of its block's span and combines its
-/// pairs into it while those lines are hot: every element is written once
-/// before its first combine.
+/// The host builds no dense vector while it runs. It records each result
+/// shard it accepts, a handle on the packet buffer the switch multicast to
+/// every child (a reference count, not a copy), in acceptance order. The
+/// vector is built when the result is read
+/// ([`FlareHost::take_result`]): the operator's identity everywhere, then
+/// every shard's pairs combined into its block's span in the order they
+/// were accepted, a pair outside the span skipped. Ranks that accepted the
+/// same shards in the same order share that vector ([`SharedResults`]), so
+/// a lossless sparse collective holds one result, not one per rank.
 pub type SparseFlareHost<T, O> = FlareHost<SparsePayload<T, O>>;
 
 /// The [`Payload`] of a [`SparseFlareHost`].
@@ -893,10 +1010,10 @@ pub struct SparsePayload<T, O> {
     pairs: Vec<(u32, T)>,
     /// Block `b` owns `pairs[offsets[b]..offsets[b + 1]]`.
     offsets: Vec<u32>,
-    /// Empty until the first accepted result shard, which reserves all
-    /// `total` elements; identity-filled from then on up to the end of the
-    /// highest block span a shard has been applied to.
-    result: Vec<T>,
+    /// Every result shard accepted, in acceptance order: what the result
+    /// is built from. Sized for one shard a block, so a flow of one-shard
+    /// results never grows it.
+    shards: Vec<Bytes>,
 }
 
 impl<T: Element, O: ReduceOp<T>> FlareHost<SparsePayload<T, O>> {
@@ -909,7 +1026,6 @@ impl<T: Element, O: ReduceOp<T>> FlareHost<SparsePayload<T, O>> {
         span: usize,
         pairs_per_packet: usize,
         pairs: Vec<(u32, T)>,
-        sink: ResultSink<T>,
     ) -> Self {
         assert!(span > 0 && pairs_per_packet > 0 && total_elems > 0);
         assert!(u32::try_from(pairs.len()).is_ok(), "offsets are 32-bit");
@@ -942,9 +1058,9 @@ impl<T: Element, O: ReduceOp<T>> FlareHost<SparsePayload<T, O>> {
             total: total_elems,
             pairs: by_block,
             offsets,
-            result: Vec::new(),
+            shards: Vec::with_capacity(blocks),
         };
-        Self::over(cfg, payload, blocks, wire_bytes, sink)
+        Self::over(cfg, payload, blocks, wire_bytes)
     }
 }
 
@@ -952,6 +1068,36 @@ impl<T, O> SparsePayload<T, O> {
     fn block_pairs(&self, block: u64) -> &[(u32, T)] {
         let b = block as usize;
         &self.pairs[self.offsets[b] as usize..self.offsets[b + 1] as usize]
+    }
+
+    /// Blocks of the domain.
+    fn blocks(&self) -> u64 {
+        self.offsets.len() as u64 - 1
+    }
+}
+
+impl<T: Element, O: ReduceOp<T>> SparsePayload<T, O> {
+    /// The reduced vector `shards` make: the operator's identity
+    /// everywhere, then each shard's pairs combined into its block's span
+    /// in order, a pair outside the span (a foreign or malformed shard)
+    /// skipped, never written into a neighbouring block. Spilled elements
+    /// may deliver the same index in several shards, so pairs combine,
+    /// never overwrite.
+    fn densify(&self, shards: &[Bytes]) -> Vec<T> {
+        let (span, blocks) = (self.span as usize, self.blocks());
+        let mut result = vec![self.op.identity(); self.total];
+        for shard in shards {
+            let (header, view) = SparseView::<T>::parse(shard).expect("an accepted shard");
+            // `apply` accepts only shards whose header names their block.
+            let base = (header.block as u64 % blocks) as usize * span;
+            let block_result = &mut result[base..(base + span).min(self.total)];
+            view.for_each(|idx, val| {
+                if let Some(acc) = block_result.get_mut(idx as usize) {
+                    *acc = self.op.combine(*acc, val);
+                }
+            });
+        }
+        result
     }
 }
 
@@ -981,50 +1127,32 @@ impl<T: Element, O: ReduceOp<T>> Payload for SparsePayload<T, O> {
         encode_sparse(header, chunks.nth(i).unwrap_or(&[]))
     }
 
-    fn apply(&mut self, block: u64, shards: &mut ShardTracker, packet: &[u8]) -> Applied {
-        let Ok((header, view)) = SparseView::<T>::parse(packet) else {
+    fn apply(&mut self, block: u64, shards: &mut ShardTracker, packet: &Bytes) -> Applied {
+        let Ok((header, _)) = SparseView::<T>::parse(packet) else {
             return Applied::Ignored;
         };
-        if header.kind != PacketKind::SparseResult {
+        // A shard whose header names another block is not this block's
+        // result, like a packet of another kind.
+        if header.kind != PacketKind::SparseResult || header.block as u64 % self.blocks() != block {
             return Applied::Ignored;
         }
         // Shard protocol first: a replayed result shard (loss recovery)
-        // must not accumulate pairs it already delivered.
+        // must not add pairs it already delivered.
         let index = header.shard_index();
         let event = shards.on_shard(index, header.last_shard, header.shard_count);
         if event == ShardEvent::Duplicate {
             return Applied::Ignored;
         }
-        // Allocated at the first accepted shard, filled one span at a time:
-        // up to the end of this block's span, just before its pairs land.
-        let base = block as usize * self.span as usize;
-        let end = (base + self.span as usize).min(self.total);
-        if self.result.capacity() == 0 {
-            self.result.reserve_exact(self.total);
-        }
-        if self.result.len() < end {
-            self.result.resize(end, self.op.identity());
-        }
-        // Combine: spilled elements may deliver the same index in several
-        // result shards, so accumulation (not overwrite) is required. A pair
-        // outside the block's span (a foreign or malformed shard) is
-        // skipped, never written into a neighbouring block.
-        let block_result = &mut self.result[base..end];
-        view.for_each(|idx, val| {
-            if let Some(acc) = block_result.get_mut(idx as usize) {
-                *acc = self.op.combine(*acc, val);
-            }
-        });
+        self.shards.push(packet.clone());
         Applied::Shard {
             index,
             complete: event == ShardEvent::Complete,
         }
     }
 
-    fn take_result(&mut self) -> Vec<T> {
-        // Every block is in, so every span is already filled: a no-op.
-        self.result.resize(self.total, self.op.identity());
-        std::mem::take(&mut self.result)
+    fn take_result(&mut self, shared: &mut SharedResults<T>) -> RankResult<T> {
+        let shards = std::mem::take(&mut self.shards);
+        shared.share(shards, |shards| self.densify(shards))
     }
 }
 
@@ -1157,12 +1285,13 @@ mod tests {
         // positions are 32-bit and the count of closed blocks is derived.
         // A dense block keeps no state in flight, so its window entry is
         // the bare slot; a sparse host's shard trackers live in its window
-        // entries, not in a `Vec` beside it.
+        // entries, not in a `Vec` beside it. A participant keeps its result
+        // itself, with no handle on a sink beside it.
         assert_eq!(std::mem::size_of::<(Slot, ())>(), 8);
-        assert_eq!(std::mem::size_of::<DenseFlareHost<f32>>(), 184);
+        assert_eq!(std::mem::size_of::<DenseFlareHost<f32>>(), 176);
         assert_eq!(
             std::mem::size_of::<SparseFlareHost<f32, crate::op::Sum>>(),
-            240
+            232
         );
     }
 
@@ -1244,17 +1373,19 @@ mod tests {
             stagger_offset: 0,
             ..cfg()
         };
-        let (sink, peak) = (result_sink(), Rc::new(Cell::new((0, 0))));
+        let peak = Rc::new(Cell::new((0, 0)));
         let total = blocks as usize * span;
-        let host = SparseFlareHost::new(cfg, crate::op::Sum, total, span, 2, pairs, sink.clone());
+        let host = SparseFlareHost::new(cfg, crate::op::Sum, total, span, 2, pairs);
         sim.install_host(hosts[0], Box::new(Entries(host, peak.clone())));
         sim.run(None);
-        let got = sink
-            .lock()
-            .expect("sink")
-            .take()
-            .expect("the host finished");
-        assert_eq!(got, want, "the replayed shard counted once");
+        let host = sim.take_host(hosts[0]).expect("installed") as Box<dyn std::any::Any>;
+        let mut host = host.downcast::<Entries>().expect("the wrapper");
+        let got = host.0.take_result(&mut SharedResults::default());
+        assert_eq!(
+            got.expect("the host finished"),
+            want,
+            "the replayed shard counted once"
+        );
         let (entries, behind) = peak.get();
         assert_eq!(behind, 1, "block {HELD} straggled behind the deque");
         assert!(entries <= 2 * W, "{entries} entries");
@@ -1377,8 +1508,7 @@ mod tests {
 
     #[test]
     fn dense_host_staggers_its_block_order() {
-        let sink = result_sink();
-        let h = DenseFlareHost::new(cfg(), 4, vec![1i32; 40], sink);
+        let h = DenseFlareHost::new(cfg(), 4, vec![1i32; 40]);
         // 10 blocks rotated by 3.
         let order: Vec<u64> = (0..10).map(|p| h.outstanding.block_at(p)).collect();
         assert_eq!(order, [3, 4, 5, 6, 7, 8, 9, 0, 1, 2]);
@@ -1432,7 +1562,7 @@ mod tests {
             iteration: k,
             ..cfg()
         };
-        let host = DenseFlareHost::new(cfg, 4, vec![1i32; 4 * blocks], result_sink());
+        let host = DenseFlareHost::new(cfg, 4, vec![1i32; 4 * blocks]);
         sim.install_host(hosts[0], Box::new(Wakes(host, wakes.clone())));
         // No result ever comes back: the timer fires and re-sends.
         sim.run(Some(30_000));
@@ -1451,17 +1581,15 @@ mod tests {
 
     #[test]
     fn dense_host_handles_short_final_block() {
-        let sink = result_sink();
-        let h = DenseFlareHost::new(cfg(), 4, vec![1i32; 10], sink);
+        let h = DenseFlareHost::new(cfg(), 4, vec![1i32; 10]);
         assert_eq!(h.outstanding.blocks, 3);
         assert_eq!(h.payload.block_range(2), 8..10);
     }
 
     #[test]
     fn sparse_host_chunks_blocks_into_shards() {
-        let sink = result_sink();
         let pairs: Vec<(u32, f32)> = vec![(0, 1.0), (1, 2.0), (2, 3.0), (17, 4.0)];
-        let h = SparseFlareHost::new(cfg(), crate::op::Sum, 32, 8, 2, pairs, sink);
+        let h = SparseFlareHost::new(cfg(), crate::op::Sum, 32, 8, 2, pairs);
         // Block 0 holds indexes 0..8 → 3 pairs → 2 shards (2+1);
         // block 1 (8..16) empty → 1 empty shard; block 2 (16..24) → 1 shard.
         let p = &h.payload;
@@ -1477,9 +1605,8 @@ mod tests {
 
     #[test]
     fn sparse_host_groups_unsorted_pairs_by_block_in_input_order() {
-        let sink = result_sink();
         let pairs: Vec<(u32, f32)> = vec![(17, 4.0), (2, 3.0), (31, 5.0), (0, 1.0), (16, 6.0)];
-        let h = SparseFlareHost::new(cfg(), crate::op::Sum, 32, 8, 2, pairs, sink);
+        let h = SparseFlareHost::new(cfg(), crate::op::Sum, 32, 8, 2, pairs);
         let p = &h.payload;
         assert_eq!(p.block_pairs(0), [(2, 3.0), (0, 1.0)]);
         assert_eq!(p.block_pairs(2), [(1, 4.0), (0, 6.0)]);
@@ -1490,7 +1617,7 @@ mod tests {
     fn sparse_host_encodes_the_chunk_a_shard_index_selects() {
         // The second shard of a three-pair block is its third pair alone.
         let pairs = vec![(1, 1.0), (2, 2.0), (3, 3.0f32)];
-        let h = SparseFlareHost::new(cfg(), crate::op::Sum, 8, 8, 2, pairs, result_sink());
+        let h = SparseFlareHost::new(cfg(), crate::op::Sum, 8, 8, 2, pairs);
         let header = Header {
             allreduce: 1,
             block: 0,
@@ -1532,7 +1659,7 @@ mod tests {
 
     /// A sparse host over `total` elements in spans of `span`.
     fn receiver(total: usize, span: usize) -> Receiver {
-        let h = SparseFlareHost::new(cfg(), crate::op::Sum, total, span, 4, vec![], result_sink());
+        let h = SparseFlareHost::new(cfg(), crate::op::Sum, total, span, 4, vec![]);
         let shards = vec![ShardTracker::default(); total.div_ceil(span)];
         Receiver {
             payload: h.payload,
@@ -1546,6 +1673,15 @@ mod tests {
         receiver(30, 8)
     }
 
+    /// Apply `shard` to `block`: `None` if it was ignored, else whether it
+    /// completed the block.
+    fn apply(r: &mut Receiver, block: u64, shard: &Bytes) -> Option<bool> {
+        match r.payload.apply(block, &mut r.shards[block as usize], shard) {
+            Applied::Shard { complete, .. } => Some(complete),
+            Applied::Ignored | Applied::Block => None,
+        }
+    }
+
     /// Apply result shard `seq` of `total` to `block`: `None` if it was
     /// ignored, else whether it completed the block.
     fn deliver(
@@ -1556,53 +1692,50 @@ mod tests {
         pairs: &[(u32, f32)],
     ) -> Option<bool> {
         let shard = encode_sparse(result_header(block, seq, total), pairs);
-        match r
-            .payload
-            .apply(block, &mut r.shards[block as usize], &shard)
-        {
-            Applied::Shard { complete, .. } => Some(complete),
-            Applied::Ignored | Applied::Block => None,
-        }
+        apply(r, block, &shard)
+    }
+
+    /// The vector a receiver builds from the shards it accepted.
+    fn result(r: &mut Receiver) -> Vec<f32> {
+        r.payload
+            .take_result(&mut SharedResults::default())
+            .into_vec()
     }
 
     #[test]
-    fn a_sparse_result_is_allocated_at_the_first_accepted_shard() {
+    fn a_sparse_host_keeps_the_shards_it_accepts_and_builds_nothing_before_it_is_read() {
         let mut p = sparse_payload();
-        assert_eq!(p.payload.result.capacity(), 0, "nothing before any result");
-        // Not a sparse result: ignored, still nothing allocated.
+        // Not a sparse result, a shard whose header names another block,
+        // a replay: none is kept.
         let header = Header {
             kind: PacketKind::DenseResult,
             ..result_header(1, 0, 1)
         };
         let dense = encode_dense(header, &[1.0f32; 8]);
-        assert!(matches!(
-            p.payload.apply(1, &mut ShardTracker::default(), &dense),
-            Applied::Ignored
-        ));
-        assert_eq!(p.payload.result.capacity(), 0);
-        // Block 1 first: one reservation of the whole domain, filled up to
-        // the end of block 1's span.
-        assert_eq!(deliver(&mut p, 1, 0, 1, &[(2, 3.0)]), Some(true));
-        assert!(p.payload.result.capacity() >= 30);
-        assert_eq!(p.payload.result.len(), 16);
-        assert_eq!(p.payload.result[10], 3.0);
+        assert_eq!(apply(&mut p, 1, &dense), None);
+        let foreign = encode_sparse(result_header(2, 0, 1), &[(2, 3.0f32)]);
+        assert_eq!(apply(&mut p, 1, &foreign), None);
+        let shard = encode_sparse(result_header(1, 0, 1), &[(2, 3.0f32)]);
+        assert_eq!(apply(&mut p, 1, &shard), Some(true));
+        assert_eq!(apply(&mut p, 1, &shard), None);
+        // The accepted shard is a handle on the packet's buffer, not a copy.
+        let kept: Vec<*const u8> = p.payload.shards.iter().map(|s| s.as_ptr()).collect();
+        assert_eq!(kept, [shard.as_ptr()]);
+        let mut want = vec![0.0f32; 30];
+        want[10] = 3.0;
+        assert_eq!(result(&mut p), want);
     }
 
     #[test]
     fn a_later_block_completing_first_leaves_the_earlier_spans_to_their_shards() {
         let mut p = sparse_payload();
         assert_eq!(deliver(&mut p, 3, 0, 1, &[(5, 1.5)]), Some(true));
-        assert_eq!(
-            p.payload.result.len(),
-            30,
-            "the short last span ends the domain"
-        );
         assert_eq!(deliver(&mut p, 0, 0, 1, &[(7, 2.0)]), Some(true));
         assert_eq!(deliver(&mut p, 2, 0, 1, &[]), Some(true));
         assert_eq!(deliver(&mut p, 1, 0, 1, &[(0, 4.0)]), Some(true));
         let mut want = vec![0.0f32; 30];
         (want[7], want[8], want[29]) = (2.0, 4.0, 1.5);
-        assert_eq!(p.payload.take_result(), want);
+        assert_eq!(result(&mut p), want);
     }
 
     #[test]
@@ -1610,7 +1743,8 @@ mod tests {
         let mut p = sparse_payload();
         assert_eq!(deliver(&mut p, 2, 0, 2, &[(3, 1.0)]), Some(false));
         assert_eq!(deliver(&mut p, 2, 1, 2, &[(3, 2.5), (4, 1.0)]), Some(true));
-        assert_eq!((p.payload.result[19], p.payload.result[20]), (3.5, 1.0));
+        let got = result(&mut p);
+        assert_eq!((got[19], got[20]), (3.5, 1.0));
     }
 
     #[test]
@@ -1620,7 +1754,40 @@ mod tests {
         assert_eq!(deliver(&mut p, 0, 0, 2, &[(1, 1.0)]), None);
         assert_eq!(deliver(&mut p, 0, 1, 2, &[]), Some(true));
         assert_eq!(deliver(&mut p, 0, 0, 2, &[(1, 1.0)]), None);
-        assert_eq!(p.payload.result[1], 1.0);
+        assert_eq!(result(&mut p)[1], 1.0);
+    }
+
+    #[test]
+    fn ranks_share_a_result_only_where_they_accepted_the_same_shards_in_order() {
+        // Two shards of block 0 and one of block 1, multicast: every rank
+        // sees the same three buffers.
+        let shards = [
+            encode_sparse(result_header(0, 0, 2), &[(1, 0.1f32), (2, 1e8)]),
+            encode_sparse(result_header(0, 1, 2), &[(1, 1e8f32), (2, 0.1)]),
+            encode_sparse(result_header(1, 0, 1), &[(3, 1.0f32)]),
+        ];
+        let (on_time, late) = ([0, 1, 2], [1, 2, 0]);
+        let mut shared = SharedResults::default();
+        let ranks: Vec<RankResult<f32>> = [on_time, on_time, late, on_time]
+            .iter()
+            .map(|order| {
+                let mut p = sparse_payload();
+                for &i in order {
+                    let block = (i / 2) as u64;
+                    apply(&mut p, block, &shards[i]).expect("accepted");
+                }
+                p.payload.take_result(&mut shared)
+            })
+            .collect();
+        let storage: Vec<*const f32> = ranks.iter().map(|r| r.as_ptr()).collect();
+        assert_eq!(storage[0], storage[1]);
+        assert_eq!(storage[0], storage[3]);
+        assert_ne!(storage[0], storage[2], "another order, its own vector");
+        // Each is what its own order makes: 0.1 + 1e8 is 1e8 in f32, so the
+        // order of block 0's two shards shows in the bits.
+        assert_eq!((ranks[0][1], ranks[0][2]), (1e8, 1e8 + 0.1));
+        assert_eq!((ranks[2][1], ranks[2][2]), (1e8 + 0.1, 1e8));
+        assert_eq!(shared.built.len(), 2);
     }
 
     #[test]
@@ -1632,62 +1799,10 @@ mod tests {
         deliver(&mut p, 1, 0, 1, &[(0, 2.0)]);
         deliver(&mut p, 0, 0, 1, &[(8, 5.0), (1, 1.0)]);
         deliver(&mut p, 3, 0, 1, &[(6, 9.0), (5, 2.0)]);
-        let got = p.payload.take_result();
+        let got = result(&mut p);
         assert_eq!(got.len(), 30);
         assert_eq!((got[1], got[8], got[29]), (1.0, 2.0, 2.0));
         assert_eq!(got.iter().sum::<f32>(), 5.0);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        // Shards delivered in any order, with replays and pairs outside
-        // their span, leave the result bit for bit where the eager path
-        // (the whole domain identity-filled up front, every accepted pair
-        // combined in delivery order) leaves it.
-        #[test]
-        fn a_sparse_result_filled_per_span_equals_the_eager_one(
-            span in 1usize..12,
-            short in 0usize..12,
-            shards in proptest::collection::vec(
-                proptest::collection::vec(
-                    proptest::collection::vec((0u32..14, -1e3f32..1e3), 0..6),
-                    1..4,
-                ),
-                1..8,
-            ),
-            order in proptest::collection::vec(any::<u16>(), 0..60),
-        ) {
-            // The last block is `short % span` indexes short of a span.
-            let op = crate::op::Sum;
-            let total = shards.len() * span - short % span;
-            let mut p = receiver(total, span);
-            let all: Vec<(usize, usize)> = shards
-                .iter()
-                .enumerate()
-                .flat_map(|(b, set)| (0..set.len()).map(move |i| (b, i)))
-                .collect();
-            // Random picks (replays among them), then every shard once.
-            let picks = order.iter().map(|&o| all[o as usize % all.len()]);
-            let mut eager = vec![op.identity(); total];
-            let mut seen = std::collections::HashSet::new();
-            for (b, i) in picks.chain(all.iter().copied()) {
-                let set = &shards[b];
-                let accepted = deliver(&mut p, b as u64, i as u16, set.len() as u16, &set[i]).is_some();
-                prop_assert_eq!(accepted, seen.insert((b, i)));
-                if accepted {
-                    let end = ((b + 1) * span).min(total);
-                    for &(idx, v) in &set[i] {
-                        if let Some(acc) = eager[b * span..end].get_mut(idx as usize) {
-                            *acc = op.combine(*acc, v);
-                        }
-                    }
-                }
-            }
-            let got: Vec<u32> = p.payload.take_result().iter().map(|v| v.to_bits()).collect();
-            let want: Vec<u32> = eager.iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(got, want);
-        }
     }
 
     /// Result shard `(block, seq, shards, pairs)`: shard `seq` of the
@@ -1732,7 +1847,7 @@ mod tests {
         span: usize,
         deliveries: &[Delivery],
     ) -> (Vec<&Delivery>, Vec<f32>) {
-        let h = SparseFlareHost::new(cfg(), op, total, span, 4, vec![], result_sink());
+        let h = SparseFlareHost::new(cfg(), op, total, span, 4, vec![]);
         let mut payload = h.payload;
         let mut trackers = vec![ShardTracker::default(); total.div_ceil(span)];
         let mut accepted = Vec::new();
@@ -1743,7 +1858,8 @@ mod tests {
                 accepted.push(d);
             }
         }
-        (accepted, payload.take_result())
+        let result = payload.take_result(&mut SharedResults::default());
+        (accepted, result.into_vec())
     }
 
     /// `deliveries` built under `op` equal the progressive reference bit
@@ -1822,7 +1938,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "span > 0")]
     fn sparse_host_rejects_zero_span() {
-        let sink = result_sink();
-        let _ = SparseFlareHost::new(cfg(), crate::op::Sum, 32, 0, 2, vec![(0, 1f32)], sink);
+        let _ = SparseFlareHost::new(cfg(), crate::op::Sum, 32, 0, 2, vec![(0, 1f32)]);
     }
 }

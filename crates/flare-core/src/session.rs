@@ -39,7 +39,7 @@ use flare_net::{
 
 use crate::dtype::Element;
 use crate::handlers::SparseStorageKind;
-use crate::host::{result_sink, ResultSink, RttEstimate};
+use crate::host::{RankResult, RttEstimate};
 use crate::manager::{AdmissionError, AllreducePlan, AllreduceRequest, NetworkManager};
 use crate::op::{ReduceOp, Sum};
 use crate::tag::FlowTagOverflow;
@@ -156,6 +156,12 @@ pub enum SessionError {
     /// where a stale timer would fire into a later iteration
     /// ([`crate::wiring::check_iteration`]).
     WakeTagOverflow(FlowTagOverflow),
+    /// The run ended with ranks whose participant had not received every
+    /// block's result: no result can be read back for them.
+    Unfinished {
+        /// The ranks, ascending.
+        ranks: Vec<usize>,
+    },
 }
 
 impl std::fmt::Display for SessionError {
@@ -227,6 +233,9 @@ impl std::fmt::Display for SessionError {
                 "iteration {iteration} of {blocks} blocks runs past the 32-bit wire block ids"
             ),
             SessionError::WakeTagOverflow(e) => write!(f, "iteration without a wake tag: {e}"),
+            SessionError::Unfinished { ranks } => {
+                write!(f, "ranks {ranks:?} did not receive their whole result")
+            }
         }
     }
 }
@@ -989,11 +998,9 @@ impl<T: Element, O: ReduceOp<T> + Clone + 'static> Collective<'_, T, O> {
             }
         })?;
 
-        let sinks: Vec<ResultSink<T>> = inputs.iter().map(|_| result_sink()).collect();
-        let participants = inputs.into_iter().zip(&sinks).enumerate();
-        let participants = participants.map(|(rank, (input, sink))| {
+        let participants = inputs.into_iter().enumerate().map(|(rank, input)| {
             let rtt = RttEstimate::default();
-            let host = wiring.host(rank, 0, rtt, op.clone(), input, sink.clone())?;
+            let host = wiring.host(rank, 0, rtt, op.clone(), input)?;
             Ok((wiring.hosts()[rank], host as Box<dyn HostProgram>))
         });
         let participants = participants.collect::<Result<Vec<_>, SessionError>>();
@@ -1002,14 +1009,14 @@ impl<T: Element, O: ReduceOp<T> + Clone + 'static> Collective<'_, T, O> {
                 self.session.manager.teardown(id);
             }
         })?;
-        let (net, trace, switches, ()) = run_fabric(
+        let (net, trace, switches, ranks) = run_fabric(
             self.session,
             &tuning,
             None,
             &[&wiring],
             op,
             participants,
-            |_| (),
+            |sim| wiring.take_results::<T, O>(sim),
         );
         // The most blocks, and working memory, any switch held open.
         let open_peak = switches.iter().map(|s| s.stats.open_peak).max();
@@ -1017,10 +1024,7 @@ impl<T: Element, O: ReduceOp<T> + Clone + 'static> Collective<'_, T, O> {
         if owned {
             self.session.manager.teardown(id);
         }
-        let ranks = sinks
-            .into_iter()
-            .map(|s| s.lock().expect("sink lock").take().expect("host completed"))
-            .collect();
+        let ranks = ranks?;
 
         // Name the collective's trace track after its label (or the
         // default `allreduce-<id>`) so Perfetto shows a readable lane.
@@ -1124,7 +1128,7 @@ impl RunReport {
 /// unified [`RunReport`].
 #[derive(Debug, Clone)]
 pub struct CollectiveResult<T> {
-    ranks: Vec<Vec<T>>,
+    ranks: Vec<RankResult<T>>,
     root_rank: Option<usize>,
     /// Timing, traffic and plan metadata for the run.
     pub report: RunReport,
@@ -1132,7 +1136,16 @@ pub struct CollectiveResult<T> {
 
 impl<T> CollectiveResult<T> {
     /// All per-rank results, in participant order.
-    pub fn ranks(&self) -> &[Vec<T>] {
+    ///
+    /// A dense collective's ranks each own their vector: the rank's input
+    /// buffer, reduced in place. A sparse collective's ranks share storage
+    /// wherever their participants accepted the same result shards in the
+    /// same order: on a lossless fabric that is every rank (the switches
+    /// multicast one set of result shards), so the run holds one vector,
+    /// not one per rank. On a lossy fabric a rank that received a replayed
+    /// shard later than the others holds a vector of its own. Shared or
+    /// not, every rank's vector is built by the same rules, bit for bit.
+    pub fn ranks(&self) -> &[RankResult<T>] {
         &self.ranks
     }
 
@@ -1146,10 +1159,14 @@ impl<T> CollectiveResult<T> {
     pub fn root(&self) -> &[T] {
         &self.ranks[self.root_rank.unwrap_or(0)]
     }
+}
 
-    /// Consume into the per-rank vectors.
+impl<T: Clone> CollectiveResult<T> {
+    /// Consume into the per-rank vectors: a dense collective's are its
+    /// input buffers, uncopied; a shared sparse vector is copied for every
+    /// rank but the last that holds it.
     pub fn into_ranks(self) -> Vec<Vec<T>> {
-        self.ranks
+        self.ranks.into_iter().map(RankResult::into_vec).collect()
     }
 }
 

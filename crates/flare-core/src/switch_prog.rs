@@ -335,7 +335,7 @@ mod tests {
         // 1 024 slots of `Option<(u64, Bytes)>` are 16 KiB a program (96
         // KiB sparse): only a fabric that can lose packets caches replays,
         // so only there may a program pay for the ring.
-        use crate::host::{result_sink, DenseFlareHost, HostConfig};
+        use crate::host::{DenseFlareHost, HostConfig};
         use flare_net::{LinkSpec, NetSim, SwitchModel, Topology};
         let replay_slots = |lossy: bool| {
             let (topo, sw, hosts) = Topology::star(3, LinkSpec::hundred_gig());
@@ -358,7 +358,7 @@ mod tests {
                     retransmit_after: None,
                     iteration: 0,
                 };
-                let host = DenseFlareHost::new(cfg, 8, vec![1i32; 64], result_sink());
+                let host = DenseFlareHost::new(cfg, 8, vec![1i32; 64]);
                 sim.install_host(h, Box::new(host));
             }
             assert!(sim.run(None).last_done.is_some(), "allreduce completes");
@@ -401,7 +401,7 @@ mod tests {
         // Hosts 0–1 reduce a dense vector (flow 1), hosts 2–3 a sparse one
         // (flow 2), and host 4 sends host 5 a packet of flow 3, which the
         // switch does not serve.
-        use crate::host::{result_sink, DenseFlareHost, HostConfig, SparseFlareHost};
+        use crate::host::{DenseFlareHost, HostConfig, SharedResults, SparseFlareHost};
         use crate::op::golden_reduce;
         use flare_net::Topology;
         use flare_net::{HostCtx, HostProgram, LinkSpec, NetSim, SwitchModel, TelemetryConfig};
@@ -443,29 +443,40 @@ mod tests {
             vec![(1, 5), (17, 2), (20, 4), (40, 7)],
             vec![(1, 1), (33, 4)],
         ];
-        let (dense_sink, sparse_sink) = (result_sink(), result_sink());
         for rank in 0..2 {
             let data = dense_in[rank].clone();
-            let host = DenseFlareHost::new(cfg(1, rank), 8, data, dense_sink.clone());
+            let host = DenseFlareHost::new(cfg(1, rank), 8, data);
             sim.install_host(hosts[rank], Box::new(host));
             let pairs = sparse_in[rank].clone();
-            let sink = sparse_sink.clone();
-            let host = SparseFlareHost::new(cfg(2, rank), Sum, total, span, ppp, pairs, sink);
+            let host = SparseFlareHost::new(cfg(2, rank), Sum, total, span, ppp, pairs);
             sim.install_host(hosts[2 + rank], Box::new(host));
         }
         sim.install_host(hosts[4], Box::new(Stray(hosts[5])));
         sim.install_host(hosts[5], Box::new(Stray(hosts[4])));
         let net = sim.run(None);
 
-        let got = |sink: &crate::host::ResultSink<i32>| sink.lock().unwrap().take();
-        assert_eq!(got(&dense_sink), Some(golden_reduce(&Sum, &dense_in)));
+        let mut shared = SharedResults::default();
+        let mut result = |h: NodeId| {
+            let host: Box<dyn Any> = sim.take_host(h).expect("installed");
+            let result = match host.downcast::<DenseFlareHost<i32>>() {
+                Ok(mut dense) => dense.take_result(&mut shared),
+                Err(host) => {
+                    let sparse = host.downcast::<SparseFlareHost<i32, Sum>>();
+                    sparse.expect("a Flare host").take_result(&mut shared)
+                }
+            };
+            result.map(|r| r.to_vec())
+        };
+        let want = Some(golden_reduce(&Sum, &dense_in));
+        assert_eq!([result(hosts[0]), result(hosts[1])], [want.clone(), want]);
         let densify = |pairs: &Vec<(u32, i32)>| {
             let mut v = vec![0; total];
             pairs.iter().for_each(|&(i, x)| v[i as usize] += x);
             v
         };
         let sparse_dense: Vec<Vec<i32>> = sparse_in.iter().map(densify).collect();
-        assert_eq!(got(&sparse_sink), Some(golden_reduce(&Sum, &sparse_dense)));
+        let want = Some(golden_reduce(&Sum, &sparse_dense));
+        assert_eq!([result(hosts[2]), result(hosts[3])], [want.clone(), want]);
         assert!(
             net.done_at[hosts[5].index()].is_some(),
             "flow 3 was forwarded"

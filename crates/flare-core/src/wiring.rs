@@ -38,7 +38,8 @@ use crate::handlers::{
     SparseHandlerConfig, SparseStorageKind,
 };
 use crate::host::{
-    DenseFlareHost, FlareHost, HostConfig, Payload, ResultSink, RttEstimate, SparseFlareHost,
+    DenseFlareHost, FlareHost, HostConfig, Payload, RankResult, RttEstimate, SharedResults,
+    SparseFlareHost,
 };
 use crate::manager::{AllreducePlan, TreeSwitch};
 use crate::op::{ReduceOp, Sum};
@@ -92,18 +93,20 @@ pub enum FlowInput<T> {
 
 /// A rank's participant with its payload erased, as [`FlowWiring::host`]
 /// hands it out.
-pub trait WiredHost: HostProgram {
+pub trait WiredHost<T>: HostProgram {
     /// Blocks this participant's retransmission timer re-sent.
     fn retransmits(&self) -> u64;
-    /// Whether every block's result has arrived (the reduced vector is in
-    /// the participant's sink).
+    /// Whether every block's result has arrived.
     fn finished(&self) -> bool;
     /// The flow's round-trip estimate as this participant has it: what
     /// [`FlowWiring::host`] takes for the flow's next iteration.
     fn rtt(&self) -> RttEstimate;
+    /// The reduced vector, once [`finished`](Self::finished)
+    /// ([`FlareHost::take_result`]).
+    fn take_result(&mut self, shared: &mut SharedResults<T>) -> Option<RankResult<T>>;
 }
 
-impl<P: Payload + 'static> WiredHost for FlareHost<P> {
+impl<P: Payload + 'static> WiredHost<P::Elem> for FlareHost<P> {
     fn retransmits(&self) -> u64 {
         self.retransmits
     }
@@ -114,6 +117,10 @@ impl<P: Payload + 'static> WiredHost for FlareHost<P> {
 
     fn rtt(&self) -> RttEstimate {
         self.rtt()
+    }
+
+    fn take_result(&mut self, shared: &mut SharedResults<P::Elem>) -> Option<RankResult<P::Elem>> {
+        self.take_result(shared)
     }
 }
 
@@ -279,7 +286,8 @@ impl FlowWiring {
     }
 
     /// Rank `rank`'s participant for iteration `iteration` of the flow,
-    /// contributing `input` and writing the reduced vector to `sink`. A
+    /// contributing `input`; it keeps the reduced vector
+    /// ([`WiredHost::take_result`]). A
     /// one-shot collective is iteration 0; an engine re-running the flow
     /// passes 0, 1, 2, …, so that block ids and retransmission wake tags
     /// never alias across iterations, and as `rtt` the estimate the rank's
@@ -298,8 +306,7 @@ impl FlowWiring {
         rtt: RttEstimate,
         op: O,
         input: FlowInput<T>,
-        sink: ResultSink<T>,
-    ) -> Result<Box<dyn WiredHost>, SessionError> {
+    ) -> Result<Box<dyn WiredHost<T>>, SessionError> {
         check_iteration(self.plan.id, iteration as u64, self.blocks)?;
         let (leaf, child_index) = self.plan.tree.host_attach[&self.hosts[rank]];
         let cfg = HostConfig {
@@ -314,7 +321,7 @@ impl FlowWiring {
         match (self.shape, input) {
             (FlowShape::Dense { .. }, FlowInput::Dense(data)) => {
                 let epp = self.tuning.elems_per_packet;
-                let mut host = DenseFlareHost::new(cfg, epp, data, sink);
+                let mut host = DenseFlareHost::new(cfg, epp, data);
                 host.resume_rtt(rtt);
                 Ok(Box::new(host))
             }
@@ -327,11 +334,49 @@ impl FlowWiring {
             ) => {
                 let ppp = self.tuning.pairs_per_packet;
                 let span = policy.span;
-                let mut host = SparseFlareHost::new(cfg, op, total_elems, span, ppp, pairs, sink);
+                let mut host = SparseFlareHost::new(cfg, op, total_elems, span, ppp, pairs);
                 host.resume_rtt(rtt);
                 Ok(Box::new(host))
             }
             _ => panic!("rank {rank}'s input is not of the flow's shape"),
+        }
+    }
+
+    /// Every rank's reduced vector, in rank order, read back from the
+    /// participants [`host`](Self::host) built with `O` once `sim` has run
+    /// them: the result-collection step of a one-shot collective, which
+    /// takes the participants out of `sim`. Sparse ranks that accepted the
+    /// same result shards in the same order share one vector
+    /// ([`SharedResults`]). The ranks whose participant did not finish, or
+    /// is not there, are [`SessionError::Unfinished`].
+    pub(crate) fn take_results<T: Element, O: ReduceOp<T> + 'static>(
+        &self,
+        sim: &mut NetSim,
+    ) -> Result<Vec<RankResult<T>>, SessionError> {
+        let mut shared = SharedResults::default();
+        let mut ranks = Vec::with_capacity(self.hosts.len());
+        let mut unfinished = Vec::new();
+        for (rank, &host) in self.hosts.iter().enumerate() {
+            let program = sim.take_host(host).map(|p| p as Box<dyn Any>);
+            let result = program.and_then(|program| match self.shape {
+                FlowShape::Dense { .. } => program
+                    .downcast::<DenseFlareHost<T>>()
+                    .ok()?
+                    .take_result(&mut shared),
+                FlowShape::Sparse { .. } => program
+                    .downcast::<SparseFlareHost<T, O>>()
+                    .ok()?
+                    .take_result(&mut shared),
+            });
+            match result {
+                Some(result) => ranks.push(result),
+                None => unfinished.push(rank),
+            }
+        }
+        if unfinished.is_empty() {
+            Ok(ranks)
+        } else {
+            Err(SessionError::Unfinished { ranks: unfinished })
         }
     }
 }
@@ -544,7 +589,6 @@ impl SwitchRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::host::result_sink;
     use crate::tag::{FlowTagOverflow, MAX_SEQ};
     use flare_net::{LinkSpec, Topology};
 
@@ -567,7 +611,7 @@ mod tests {
         let elems = wiring.blocks as usize * wiring.tuning.elems_per_packet;
         let input = FlowInput::Dense(vec![1f32; elems]);
         let rtt = RttEstimate::default();
-        wiring.host(0, iteration, rtt, Sum, input, result_sink())?;
+        wiring.host(0, iteration, rtt, Sum, input)?;
         Ok(())
     }
 
@@ -624,6 +668,35 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn reading_back_a_participant_that_never_ran_names_its_rank() {
+        // Rank 1's finished participant is swapped for a fresh one that
+        // never ran before the results are read: an error naming rank 1,
+        // not a panic.
+        let (topo, _sw, _hosts) = Topology::star(2, LinkSpec::hundred_gig());
+        let mut session = FlareSession::new(topo);
+        let tuning = session.tuning().validated().unwrap();
+        let wiring = flow(&mut session, 2);
+        let elems = wiring.blocks as usize * tuning.elems_per_packet;
+        let participant = |rank: usize| {
+            let input = FlowInput::Dense(vec![1f32; elems]);
+            let host = wiring.host(rank, 0, RttEstimate::default(), Sum, input);
+            (wiring.hosts()[rank], host.unwrap() as Box<dyn HostProgram>)
+        };
+        let read = |sim: &mut NetSim| {
+            let (node, never_ran) = participant(1);
+            sim.install_host(node, never_ran);
+            wiring.take_results::<f32, Sum>(sim)
+        };
+        let hosts = vec![participant(0), participant(1)];
+        let flows = [&wiring];
+        let (net, _, _, read) =
+            run_fabric::<f32, _, _>(&mut session, &tuning, None, &flows, Sum, hosts, read);
+        assert!(net.last_done.is_some(), "the run itself completed");
+        let unfinished = SessionError::Unfinished { ranks: vec![1] };
+        assert_eq!(read.map(|ranks| ranks.len()), Err(unfinished));
     }
 
     #[test]

@@ -64,7 +64,7 @@ use rand::rngs::StdRng;
 use rand::RngExt;
 
 use flare_core::collectives::Sequencer;
-use flare_core::host::{result_sink, ResultSink, RttEstimate};
+use flare_core::host::{RttEstimate, SharedResults};
 use flare_core::op::Sum;
 use flare_core::report::{jain_index, FabricStats, PayloadSpec, TenantReport, TenantSection};
 use flare_core::session::{CollectiveHandle, FlareSession, RunReport, SessionError, SparsePolicy};
@@ -536,7 +536,6 @@ impl<'s> TrafficEngine<'s> {
                     running: false,
                     inner: None,
                     submitted: 0,
-                    sink: result_sink(),
                     wrong: None,
                     job_waits: Vec::new(),
                     iterations: Vec::new(),
@@ -781,10 +780,9 @@ struct Cell {
     job: usize,
     iter: usize,
     running: bool,
-    inner: Option<Box<dyn WiredHost>>,
+    inner: Option<Box<dyn WiredHost<f32>>>,
     /// When the iteration in flight was submitted.
     submitted: Time,
-    sink: ResultSink<f32>,
     /// The first wrong reduction this host completed: `(iteration,
     /// index)`.
     wrong: Option<(u32, u32)>,
@@ -873,14 +871,12 @@ impl TrafficHost {
                     .collect(),
             ),
         };
-        cell.sink = result_sink();
         // The iteration index namespaces this incarnation's block ids
         // and retransmit timer (the last one checked at admission).
-        let sink = cell.sink.clone();
         let mut inner = cell
             .stat
             .wiring
-            .host(cell.rank, g, cell.rtt, Sum, input, sink)
+            .host(cell.rank, g, cell.rtt, Sum, input)
             .expect("every iteration checked at admission");
         cell.submitted = ctx.now();
         inner.on_start(ctx);
@@ -889,16 +885,13 @@ impl TrafficHost {
 
     fn finish_iteration(&mut self, ctx: &mut HostCtx<'_>, ci: usize) {
         let cell = &mut self.cells[ci];
-        if let Some(inner) = cell.inner.take() {
-            cell.retransmits += inner.retransmits();
-            cell.rtt = inner.rtt();
-        }
-        let result = cell
-            .sink
-            .lock()
-            .expect("sink lock")
-            .take()
-            .expect("sink was filled");
+        let mut inner = cell.inner.take().expect("an iteration in flight");
+        cell.retransmits += inner.retransmits();
+        cell.rtt = inner.rtt();
+        // Built here, from what the participant kept, and dropped with it.
+        let result = inner
+            .take_result(&mut SharedResults::default())
+            .expect("the iteration finished");
         // Check every completed iteration end to end; the run reports the
         // first wrong one.
         if cell.wrong.is_none() {

@@ -6,6 +6,7 @@
 //! short packets that must be dropped rather than panic.
 
 use bytes::{Bytes, BytesMut};
+use std::any::Any;
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::rc::Rc;
@@ -16,7 +17,7 @@ use flare::core::handlers::{
     DenseAllreduceHandler, DenseHandlerConfig, SparseAllreduceHandler, SparseHandlerConfig,
     SparseStorageKind,
 };
-use flare::core::host::{result_sink, DenseFlareHost, HostConfig};
+use flare::core::host::{DenseFlareHost, HostConfig, SharedResults};
 use flare::core::manager::compute_reduction_tree;
 use flare::core::session::FlareSession;
 use flare::core::switch_prog::{FlareSwitch, TreePlacement};
@@ -641,7 +642,6 @@ fn dense_host_ignores_a_short_result_and_completes_on_the_whole_one() {
         first_short: first_short.clone(),
     };
     sim.install_switch(sw, Box::new(prog), SwitchModel::calibrated());
-    let sink = result_sink();
     let cfg = HostConfig {
         allreduce: FLOW,
         leaf: sw,
@@ -652,11 +652,16 @@ fn dense_host_ignores_a_short_result_and_completes_on_the_whole_one() {
         iteration: 0,
     };
     let data: Vec<f32> = (1..=10).map(|i| i as f32).collect();
-    let host = DenseFlareHost::new(cfg, 4, data.clone(), sink.clone());
+    let host = DenseFlareHost::new(cfg, 4, data.clone());
     sim.install_host(hosts[0], Box::new(host));
     let report = sim.run(None);
     assert!(report.last_done.is_some(), "every block completed");
-    let got = sink.lock().unwrap().take().expect("host finished");
+    let host: Box<dyn Any> = sim.take_host(hosts[0]).expect("installed");
+    let mut host = host
+        .downcast::<DenseFlareHost<f32>>()
+        .expect("a dense host");
+    let got = host.take_result(&mut SharedResults::default());
+    let got = got.expect("host finished");
     let want: Vec<f32> = data.iter().map(|v| 2.0 * v).collect();
     assert_eq!(got, want, "only whole results were applied");
     drop(sim);

@@ -11,8 +11,14 @@
 //!   (no retransmission storms), and
 //! * at 1 % loss, finish well inside one initial timeout: recovery runs on
 //!   the fabric's measured round trips, not on `retransmit_after`.
+//!
+//! A sparse cell also checks how its ranks' results are stored: ranks that
+//! accepted their result shards in different orders (one received a
+//! replay after the others had the original) hold vectors of their own,
+//! and every one of them is still the golden reduction.
 
-use flare::net::NodeId;
+use flare::core::session::FlareSessionBuilder;
+use flare::net::{NodeId, TelemetryConfig, TelemetryReport, TraceKind};
 use flare::prelude::*;
 
 const RETX_NS: u64 = 200_000;
@@ -30,14 +36,55 @@ fn topologies() -> Vec<(&'static str, Topology, Vec<NodeId>)> {
 }
 
 fn lossy_session(topo: Topology, hosts: Vec<NodeId>, drop: f64) -> FlareSession {
-    let mut b = FlareSession::builder(topo)
+    lossy_builder(topo, hosts, drop).build()
+}
+
+fn lossy_builder(topo: Topology, hosts: Vec<NodeId>, drop: f64) -> FlareSessionBuilder {
+    let b = FlareSession::builder(topo)
         .hosts(hosts)
         .retransmit_after(Some(RETX_NS))
         .seed(23);
     if drop > 0.0 {
-        b = b.link_drop_prob(drop);
+        b.link_drop_prob(drop)
+    } else {
+        b
     }
-    b.build()
+}
+
+/// The result shards each of `hosts` accepted, as `(block, shard)` in the
+/// order it accepted them, from a run's trace.
+fn accepted_shards(trace: &TelemetryReport, hosts: &[NodeId]) -> Vec<Vec<(u64, u64)>> {
+    let accepted = |h: NodeId| {
+        let events = trace.events.iter();
+        let shards = events.filter(|e| e.kind == TraceKind::ShardRecv && e.node == h.0);
+        shards.map(|e| (e.a, e.b)).collect()
+    };
+    hosts.iter().map(|&h| accepted(h)).collect()
+}
+
+/// Ranks whose shards arrived in different orders hold different vectors;
+/// how many distinct orders there were.
+fn assert_storage_follows_shard_order(
+    out: &CollectiveResult<f32>,
+    hosts: &[NodeId],
+    cell: &str,
+) -> usize {
+    let trace = out.report.trace.as_ref().expect("telemetry on");
+    let orders = accepted_shards(trace, hosts);
+    let ranks = out.ranks();
+    for a in 0..ranks.len() {
+        for b in a + 1..ranks.len() {
+            let shared = std::ptr::eq(ranks[a].as_ptr(), ranks[b].as_ptr());
+            assert!(
+                !shared || orders[a] == orders[b],
+                "{cell}: ranks {a} and {b} share a vector built from shards in different orders"
+            );
+        }
+    }
+    let mut distinct = orders.clone();
+    distinct.sort();
+    distinct.dedup();
+    distinct.len()
 }
 
 /// At 1 % loss a collective is done before its initial timeout would have
@@ -110,7 +157,8 @@ fn sparse_allreduce_sweeps_loss_on_star_and_fat_tree() {
             }
         }
 
-        let mut lossless = lossy_session(topo, hosts, 0.0);
+        let telemetry = TelemetryConfig::default();
+        let mut lossless = lossy_builder(topo, hosts, 0.0).telemetry(telemetry).build();
         let base = lossless
             .sparse_allreduce(total, pairs.clone())
             .run()
@@ -118,15 +166,29 @@ fn sparse_allreduce_sweeps_loss_on_star_and_fat_tree() {
         assert_eq!(base.rank(0), &want[..], "sparse/{name}: lossless baseline");
         let base_packets = base.report.net.total_link_packets;
         let (topo, hosts) = (lossless.topology().clone(), lossless.hosts().to_vec());
+        // One multicast set of result shards, one vector for every rank.
+        let cell = format!("sparse/{name}");
+        assert_eq!(assert_storage_follows_shard_order(&base, &hosts, &cell), 1);
+        let first = base.rank(0).as_ptr();
+        assert!(base.ranks().iter().all(|r| std::ptr::eq(r.as_ptr(), first)));
 
         for drop in DROPS {
-            let mut session = lossy_session(topo.clone(), hosts.clone(), drop);
+            let builder = lossy_builder(topo.clone(), hosts.clone(), drop);
+            let mut session = builder.telemetry(telemetry).build();
             let out = session
                 .sparse_allreduce(total, pairs.clone())
                 .run()
                 .unwrap();
             if drop >= 0.1 {
                 assert!(out.report.drops() > 0, "sparse/{name}/{drop}: no drops?");
+            }
+            let cell = format!("sparse/{name}/{drop}");
+            let orders = assert_storage_follows_shard_order(&out, &hosts, &cell);
+            if drop >= 0.1 {
+                assert!(
+                    orders > 1,
+                    "{cell}: every rank accepted its shards in one order"
+                );
             }
             for (rank, r) in out.ranks().iter().enumerate() {
                 assert_eq!(

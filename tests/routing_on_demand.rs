@@ -2,8 +2,10 @@
 //! collective talks only to tree neighbours and builds no routing column;
 //! a host-based ring builds one per ring successor.
 
+use std::any::Any;
+
 use flare::baselines::ring::RingHost;
-use flare::core::host::{result_sink, DenseFlareHost, HostConfig, ResultSink};
+use flare::core::host::{result_sink, DenseFlareHost, HostConfig, SharedResults};
 use flare::core::op::{golden_reduce, Sum};
 use flare::core::switch_prog::{FlareSwitch, TreePlacement};
 use flare::net::{LinkSpec, NetSim, SwitchModel, Topology};
@@ -14,11 +16,12 @@ fn input(rank: usize) -> Vec<i32> {
     (0..ELEMS).map(|i| (rank * 7 + i % 13) as i32).collect()
 }
 
-fn assert_all_reduced(sinks: &[ResultSink<i32>]) {
-    let inputs: Vec<Vec<i32>> = (0..sinks.len()).map(input).collect();
-    let want = golden_reduce(&Sum, &inputs);
-    for (rank, sink) in sinks.iter().enumerate() {
-        assert_eq!(sink.lock().unwrap().as_ref().unwrap(), &want, "rank {rank}");
+/// Every rank's result, in rank order, is the reduction of every input.
+fn assert_all_reduced(results: &[Option<Vec<i32>>]) {
+    let inputs: Vec<Vec<i32>> = (0..results.len()).map(input).collect();
+    let want = Some(golden_reduce(&Sum, &inputs));
+    for (rank, result) in results.iter().enumerate() {
+        assert_eq!(result, &want, "rank {rank}");
     }
 }
 
@@ -53,10 +56,7 @@ fn dense_allreduce_on_a_fat_tree_builds_no_routing_column() {
             SwitchModel::calibrated(),
         );
     }
-    let mut sinks = Vec::new();
     for (rank, &h) in ft.hosts.iter().enumerate() {
-        let sink = result_sink();
-        sinks.push(sink.clone());
         let cfg = HostConfig {
             allreduce: 1,
             leaf: ft.leaf_of(rank),
@@ -66,14 +66,21 @@ fn dense_allreduce_on_a_fat_tree_builds_no_routing_column() {
             retransmit_after: None,
             iteration: 0,
         };
-        sim.install_host(
-            h,
-            Box::new(DenseFlareHost::new(cfg, 256, input(rank), sink)),
-        );
+        sim.install_host(h, Box::new(DenseFlareHost::new(cfg, 256, input(rank))));
     }
     let report = sim.run(None);
     assert!(report.last_done.is_some(), "allreduce must complete");
-    assert_all_reduced(&sinks);
+    let results: Vec<Option<Vec<i32>>> = (ft.hosts.iter())
+        .map(|&h| {
+            let host: Box<dyn Any> = sim.take_host(h).expect("installed");
+            let mut host = host
+                .downcast::<DenseFlareHost<i32>>()
+                .expect("a dense host");
+            let result = host.take_result(&mut SharedResults::default());
+            result.map(|r| r.to_vec())
+        })
+        .collect();
+    assert_all_reduced(&results);
     assert_eq!(
         sim.routing().columns_built(),
         0,
@@ -94,7 +101,8 @@ fn ring_builds_one_column_per_successor_under_either_driver() {
     }
     let report = sim.run(None);
     assert!(report.last_done.is_some(), "ring must complete");
-    assert_all_reduced(&sinks);
+    let results: Vec<Option<Vec<i32>>> = sinks.iter().map(|s| s.lock().unwrap().take()).collect();
+    assert_all_reduced(&results);
     // Every host is the ring successor of exactly one other host, and no
     // host is adjacent to another: 64 distinct non-neighbour destinations.
     assert_eq!(sim.routing().columns_built(), 64);

@@ -16,7 +16,9 @@
 //! * open-block lookups hit the direct-mapped slab slot, never a
 //!   `HashMap` probe,
 //! * a new block's state requests no more memory than the switch model
-//!   charges for it, plus its bitmaps.
+//!   charges for it, plus its bitmaps,
+//! * a lossless sparse allreduce builds one result vector, whatever the
+//!   number of ranks that read it.
 //!
 //! (In two test names, the "shell" of a `Bytes` is the heap block behind
 //! it: they assert that no packet costs an allocation of one.)
@@ -27,8 +29,9 @@ use std::cell::Cell;
 
 use flare::core::dense::TreeBlock;
 use flare::core::handlers::SparseStorageKind;
-use flare::core::host::{result_sink, DenseFlareHost, HostConfig, ResultSink, SparseFlareHost};
+use flare::core::host::{DenseFlareHost, HostConfig, RankResult, SharedResults, SparseFlareHost};
 use flare::core::op::Sum;
+use flare::core::session::FlareSession;
 use flare::core::sparse::SparseHashStore;
 use flare::core::switch_prog::{FlareSwitch, TreePlacement};
 use flare::net::{LinkSpec, NetReport, NetSim, NodeId, SwitchModel, Topology};
@@ -43,12 +46,21 @@ thread_local! {
     // inside the allocator allocates nothing.
     static CALLS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Calls for [`LARGE`] bytes or more, and the bytes they requested.
+    static LARGE_CALLS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
+
+/// What counts as a large request: more than anything a run over a few
+/// hosts allocates but a vector of a whole large domain.
+const LARGE: usize = 1 << 20;
 
 fn count(bytes: usize) {
     // Ignored once the thread's locals are gone (allocations during exit).
     let _ = CALLS.try_with(|calls| calls.set(calls.get() + 1));
     let _ = BYTES.try_with(|total| total.set(total.get() + bytes as u64));
+    if bytes >= LARGE {
+        let _ = LARGE_CALLS.try_with(|l| l.set((l.get().0 + 1, l.get().1 + bytes as u64)));
+    }
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
@@ -102,7 +114,7 @@ fn host_config(sw: NodeId, rank: usize) -> HostConfig {
     }
 }
 
-fn star_dense(hosts: usize, blocks: usize) -> (NetSim, NodeId, Vec<ResultSink<f32>>) {
+fn star_dense(hosts: usize, blocks: usize) -> (NetSim, NodeId, Vec<NodeId>) {
     let (topo, sw, hs) = Topology::star(hosts, LinkSpec::hundred_gig());
     let mut sim = NetSim::new(topo, 7);
     let place = TreePlacement {
@@ -116,28 +128,24 @@ fn star_dense(hosts: usize, blocks: usize) -> (NetSim, NodeId, Vec<ResultSink<f3
         Box::new(FlareSwitch::<f32, Sum>::dense(place, Sum)),
         SwitchModel::calibrated(),
     );
-    let mut sinks = Vec::new();
     for (rank, &h) in hs.iter().enumerate() {
-        let sink = result_sink();
-        sinks.push(sink.clone());
         sim.install_host(
             h,
             Box::new(DenseFlareHost::new(
                 host_config(sw, rank),
                 ELEMS_PER_PACKET,
                 vec![(rank + 1) as f32; blocks * ELEMS_PER_PACKET],
-                sink,
             )),
         );
     }
-    (sim, sw, sinks)
+    (sim, sw, hs)
 }
 
 const SPAN: usize = 256;
 const PAIRS_PER_PACKET: usize = 128;
 
 /// ~3 % density, striped by rank.
-fn star_sparse(hosts: usize, blocks: usize) -> (NetSim, NodeId, Vec<ResultSink<f32>>) {
+fn star_sparse(hosts: usize, blocks: usize) -> (NetSim, NodeId, Vec<NodeId>) {
     let total = SPAN * blocks;
     let (topo, sw, hs) = Topology::star(hosts, LinkSpec::hundred_gig());
     let mut sim = NetSim::new(topo, 11);
@@ -157,10 +165,7 @@ fn star_sparse(hosts: usize, blocks: usize) -> (NetSim, NodeId, Vec<ResultSink<f
         )),
         SwitchModel::calibrated(),
     );
-    let mut sinks = Vec::new();
     for (rank, &h) in hs.iter().enumerate() {
-        let sink = result_sink();
-        sinks.push(sink.clone());
         let pairs: Vec<(u32, f32)> = (0..total / 32)
             .map(|i| (((i * 32 + rank) % total) as u32, 1.0))
             .collect();
@@ -173,34 +178,50 @@ fn star_sparse(hosts: usize, blocks: usize) -> (NetSim, NodeId, Vec<ResultSink<f
                 SPAN,
                 PAIRS_PER_PACKET,
                 pairs,
-                sink,
             )),
         );
     }
-    (sim, sw, sinks)
+    (sim, sw, hs)
+}
+
+/// The results of the Flare hosts on `hosts`, in order, taken back from
+/// `sim` after a run (`None` for a host that did not finish).
+fn results(sim: &mut NetSim, hosts: &[NodeId]) -> Vec<Option<RankResult<f32>>> {
+    let mut shared = SharedResults::default();
+    let mut result = |h: NodeId| {
+        let host: Box<dyn Any> = sim.take_host(h).expect("installed");
+        match host.downcast::<DenseFlareHost<f32>>() {
+            Ok(mut dense) => dense.take_result(&mut shared),
+            Err(host) => {
+                let sparse = host.downcast::<SparseFlareHost<f32, Sum>>();
+                sparse.expect("a Flare host").take_result(&mut shared)
+            }
+        }
+    };
+    hosts.iter().map(|&h| result(h)).collect()
 }
 
 /// Run `sim` to completion, counting the allocator calls of the run alone
-/// (not of building the topology, the programs or the inputs).
-fn run_counted<T>(mut sim: NetSim, sinks: &[ResultSink<T>]) -> (NetReport, u64) {
+/// (not of building the topology, the programs or the inputs, nor of
+/// reading the results).
+fn run_counted(mut sim: NetSim, hosts: &[NodeId]) -> (NetReport, u64) {
     let before = CALLS.with(Cell::get);
     let report = sim.run(None);
     let calls = CALLS.with(Cell::get) - before;
     assert!(report.last_done.is_some(), "allreduce must complete");
-    for sink in sinks {
-        assert!(sink.lock().unwrap().is_some(), "every host finished");
-    }
+    let results = results(&mut sim, hosts);
+    assert!(results.iter().all(Option::is_some), "every host finished");
     (report, calls)
 }
 
 #[test]
 fn dense_steady_state_allocates_zero_payload_buffers_per_packet() {
     let hosts = 8;
-    let (mut sim, sw, sinks) = star_dense(hosts, BLOCKS);
+    let (mut sim, sw, nodes) = star_dense(hosts, BLOCKS);
     let report = sim.run(None);
     assert!(report.last_done.is_some(), "allreduce must complete");
-    for (rank, sink) in sinks.iter().enumerate() {
-        let got = sink.lock().unwrap().take().expect("host finished");
+    for (rank, got) in results(&mut sim, &nodes).into_iter().enumerate() {
+        let got = got.expect("host finished");
         let want = (hosts * (hosts + 1) / 2) as f32;
         assert_eq!(got.len(), BLOCKS * ELEMS_PER_PACKET);
         assert!(got.iter().all(|&v| v == want), "rank {rank} result wrong");
@@ -253,13 +274,13 @@ fn dense_steady_state_allocates_zero_payload_buffers_per_packet() {
 /// After one warm-up run, an identical run may call the allocator at most
 /// once per hundred link packets, and must leave the payload free lists
 /// retaining what they did.
-fn assert_warm_run_is_allocation_free<T>(build: impl Fn() -> (NetSim, Vec<ResultSink<T>>)) {
-    let (sim, sinks) = build();
-    run_counted(sim, &sinks);
+fn assert_warm_run_is_allocation_free(build: impl Fn() -> (NetSim, Vec<NodeId>)) {
+    let (sim, hosts) = build();
+    run_counted(sim, &hosts);
     let retained = bytes::pool_stats().retained_bytes;
     for round in 1..=2 {
-        let (sim, sinks) = build();
-        let (report, calls) = run_counted(sim, &sinks);
+        let (sim, hosts) = build();
+        let (report, calls) = run_counted(sim, &hosts);
         let packets = report.total_link_packets;
         assert!(
             calls * 100 <= packets,
@@ -279,16 +300,16 @@ fn dense_steady_state_allocates_zero_bytes_shells_per_packet() {
     // buffers leave the host for good, and only the result multicast's last
     // receiver ever got one back (0.49 allocator calls per packet).
     assert_warm_run_is_allocation_free(|| {
-        let (sim, _, sinks) = star_dense(8, 4 * BLOCKS);
-        (sim, sinks)
+        let (sim, _, hosts) = star_dense(8, 4 * BLOCKS);
+        (sim, hosts)
     });
 }
 
 #[test]
 fn sparse_steady_state_makes_no_allocator_calls_per_packet() {
     assert_warm_run_is_allocation_free(|| {
-        let (sim, _, sinks) = star_sparse(8, 4 * BLOCKS);
-        (sim, sinks)
+        let (sim, _, hosts) = star_sparse(8, 4 * BLOCKS);
+        (sim, hosts)
     });
 }
 
@@ -298,8 +319,8 @@ fn shell_allocations_do_not_scale_with_block_count() {
     // still allocates (queue and window growth, the program's first
     // aggregation buffers) depends on the window, not the run length.
     let run = |blocks: usize| {
-        let (sim, _, sinks) = star_dense(4, blocks);
-        let (report, calls) = run_counted(sim, &sinks);
+        let (sim, _, hosts) = star_dense(4, blocks);
+        let (report, calls) = run_counted(sim, &hosts);
         (calls, report.total_link_packets)
     };
     run(512); // warm the free lists at the longer run's size
@@ -318,11 +339,10 @@ fn dense_pool_misses_do_not_scale_with_block_count() {
     // the same warm-up envelope (they depend on the window, not the run
     // length) — the definition of "allocation-free in steady state".
     let run = |blocks: usize| {
-        let (mut sim, sw, sinks) = star_dense(4, blocks);
+        let (mut sim, sw, hosts) = star_dense(4, blocks);
         sim.run(None);
-        for sink in &sinks {
-            assert!(sink.lock().unwrap().is_some(), "completed");
-        }
+        let results = results(&mut sim, &hosts);
+        assert!(results.iter().all(Option::is_some), "completed");
         let prog: Box<dyn Any> = sim.take_switch(sw).unwrap();
         let stats = prog.downcast::<FlareSwitch<f32, Sum>>().unwrap().stats();
         (stats.agg_pool.misses(), stats.agg_pool.gets)
@@ -339,11 +359,13 @@ fn dense_pool_misses_do_not_scale_with_block_count() {
 #[test]
 fn sparse_program_reuses_pair_batches_and_reclaims_payloads() {
     let (hosts, blocks) = (6, 128);
-    let (mut sim, sw, sinks) = star_sparse(hosts, blocks);
+    let (mut sim, sw, nodes) = star_sparse(hosts, blocks);
     sim.run(None);
-    for sink in &sinks {
-        assert!(sink.lock().unwrap().is_some(), "sparse allreduce completed");
-    }
+    let results = results(&mut sim, &nodes);
+    assert!(
+        results.iter().all(Option::is_some),
+        "sparse allreduce completed"
+    );
     let prog: Box<dyn Any> = sim.take_switch(sw).unwrap();
     let stats = prog.downcast::<FlareSwitch<f32, Sum>>().unwrap().stats();
     assert!(stats.agg_pool.gets >= (hosts * blocks) as u64);
@@ -379,4 +401,36 @@ fn a_hash_store_requests_its_charged_memory_and_its_bitmap() {
     let (store, calls, bytes) = counted(|| SparseHashStore::<f32>::new(1024, 128));
     assert_eq!(calls, 3, "slots, bitmap, spill buffer");
     assert_eq!(bytes, store.memory_bytes() as u64 + 1024 / 8);
+}
+
+#[test]
+fn a_lossless_sparse_allreduce_builds_one_result_for_every_rank() {
+    // 8 ranks over a 1 Mi-element domain at ~1 % density: a vector of the
+    // domain is 4 MiB, above every other request the run makes.
+    let (hosts, total) = (8, 1 << 20);
+    let (topo, _sw, _hs) = Topology::star(hosts, LinkSpec::hundred_gig());
+    let mut session = FlareSession::new(topo);
+    let pairs: Vec<Vec<(u32, f32)>> = (0..hosts)
+        .map(|rank| {
+            let pair = |i: usize| (((i * 97 + rank) % total) as u32, 1.0);
+            (0..total / 100).map(pair).collect()
+        })
+        .collect();
+    let before = LARGE_CALLS.with(Cell::get);
+    let out = session.sparse_allreduce(total, pairs).run().expect("runs");
+    let large = LARGE_CALLS.with(Cell::get);
+    let (calls, bytes) = (large.0 - before.0, large.1 - before.1);
+    let domain = (total * 4) as u64;
+    assert_eq!((calls, bytes), (1, domain), "result storage for one domain");
+    let first = out.rank(0).as_ptr();
+    for (rank, result) in out.ranks().iter().enumerate() {
+        assert!(
+            std::ptr::eq(result.as_ptr(), first),
+            "rank {rank} has its own"
+        );
+    }
+    assert_eq!(
+        out.rank(0).iter().sum::<f32>(),
+        (hosts * (total / 100)) as f32
+    );
 }
