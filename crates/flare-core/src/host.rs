@@ -1759,21 +1759,23 @@ mod tests {
 
     #[test]
     fn ranks_share_a_result_only_where_they_accepted_the_same_shards_in_order() {
-        // Two shards of block 0 and one of block 1, multicast: every rank
-        // sees the same three buffers.
+        // Three shards of block 0 that all name index 1, and one of block
+        // 1, multicast: every rank sees the same four buffers.
         let shards = [
-            encode_sparse(result_header(0, 0, 2), &[(1, 0.1f32), (2, 1e8)]),
-            encode_sparse(result_header(0, 1, 2), &[(1, 1e8f32), (2, 0.1)]),
+            encode_sparse(result_header(0, 0, 3), &[(1, 1e8f32)]),
+            encode_sparse(result_header(0, 1, 3), &[(1, 1.0f32)]),
+            encode_sparse(result_header(0, 2, 3), &[(1, -1e8f32)]),
             encode_sparse(result_header(1, 0, 1), &[(3, 1.0f32)]),
         ];
-        let (on_time, late) = ([0, 1, 2], [1, 2, 0]);
+        // Shard 1 replayed after shard 2 reached a rank.
+        let (on_time, late) = ([0, 1, 2, 3], [0, 2, 1, 3]);
         let mut shared = SharedResults::default();
         let ranks: Vec<RankResult<f32>> = [on_time, on_time, late, on_time]
             .iter()
             .map(|order| {
                 let mut p = sparse_payload();
                 for &i in order {
-                    let block = (i / 2) as u64;
+                    let block = (i / 3) as u64;
                     apply(&mut p, block, &shards[i]).expect("accepted");
                 }
                 p.payload.take_result(&mut shared)
@@ -1783,10 +1785,10 @@ mod tests {
         assert_eq!(storage[0], storage[1]);
         assert_eq!(storage[0], storage[3]);
         assert_ne!(storage[0], storage[2], "another order, its own vector");
-        // Each is what its own order makes: 0.1 + 1e8 is 1e8 in f32, so the
-        // order of block 0's two shards shows in the bits.
-        assert_eq!((ranks[0][1], ranks[0][2]), (1e8, 1e8 + 0.1));
-        assert_eq!((ranks[2][1], ranks[2][2]), (1e8 + 0.1, 1e8));
+        // Each is what its own order makes: 1e8 + 1 is 1e8 in f32, so the
+        // order of block 0's shards shows in the bits.
+        assert_eq!((ranks[0][1], ranks[0][11]), (0.0, 1.0));
+        assert_eq!((ranks[2][1], ranks[2][11]), (1.0, 1.0));
         assert_eq!(shared.built.len(), 2);
     }
 

@@ -1209,6 +1209,18 @@ mod tests {
     }
 
     #[test]
+    fn a_dense_collective_hands_back_its_input_buffers_uncopied() {
+        // Reduced in place and read back without a copy: a caller that
+        // refills the buffers for its next run allocates nothing.
+        let mut session = star_session(3);
+        let inputs: Vec<Vec<i32>> = (0..3).map(|r| vec![r; 600]).collect();
+        let buffers: Vec<*const i32> = inputs.iter().map(|v| v.as_ptr()).collect();
+        let out = session.allreduce(inputs).run().unwrap().into_ranks();
+        assert_eq!(out.iter().map(|v| v.as_ptr()).collect::<Vec<_>>(), buffers);
+        assert!(out.iter().all(|v| *v == [3; 600]));
+    }
+
+    #[test]
     fn op_builder_swaps_operator() {
         let mut session = star_session(3);
         let inputs = vec![vec![3i32; 8], vec![-7; 8], vec![5; 8]];
