@@ -34,6 +34,7 @@ use flare_net::{HostCtx, HostProgram, NetPacket, NodeId, TraceKind};
 
 use crate::dtype::Element;
 use crate::op::ReduceOp;
+use crate::prefetch;
 use crate::sparse::{ShardEvent, ShardTracker};
 use crate::wire::{encode_dense, encode_sparse, DenseView, Header, PacketKind, SparseView};
 use crate::wiring::check_iteration;
@@ -930,10 +931,24 @@ impl<T: Element> FlareHost<DensePayload<T>> {
     }
 }
 
+/// How many blocks ahead of the one it copies a dense host prefetches.
+///
+/// A host sends its blocks in order and receives their results in the same
+/// order about one multicast round later, so the next block is the one a
+/// cursor touches next.
+const LOOKAHEAD: u64 = 1;
+
 impl<T> DensePayload<T> {
     fn block_range(&self, block: u64) -> std::ops::Range<usize> {
         let start = block as usize * self.elems_per_packet;
         start..(start + self.elems_per_packet).min(self.data.len())
+    }
+
+    /// The range [`LOOKAHEAD`] blocks after `block`, wrapping past the last
+    /// block to block 0 as the stagger does.
+    fn ahead(&self, block: u64) -> std::ops::Range<usize> {
+        let blocks = self.data.len().div_ceil(self.elems_per_packet) as u64;
+        self.block_range((block + LOOKAHEAD) % blocks.max(1))
     }
 }
 
@@ -948,7 +963,9 @@ impl<T: Element> Payload for DensePayload<T> {
     }
 
     fn encode(&self, block: u64, _i: usize, header: Header) -> Bytes {
-        encode_dense(header, &self.data[self.block_range(block)])
+        let packet = encode_dense(header, &self.data[self.block_range(block)]);
+        prefetch::for_read(&self.data[self.ahead(block)]);
+        packet
     }
 
     fn apply(&mut self, block: u64, _: &mut (), packet: &Bytes) -> Applied {
@@ -969,6 +986,8 @@ impl<T: Element> Payload for DensePayload<T> {
         // In place: the block is no longer outstanding, so its input
         // range will never be re-read for a retransmission.
         view.copy_to_slice(&mut self.data[range]);
+        let ahead = self.ahead(block);
+        prefetch::for_write(&mut self.data[ahead]);
         Applied::Block
     }
 
@@ -1584,6 +1603,57 @@ mod tests {
         let h = DenseFlareHost::new(cfg(), 4, vec![1i32; 10]);
         assert_eq!(h.outstanding.blocks, 3);
         assert_eq!(h.payload.block_range(2), 8..10);
+        // The look-ahead follows the send order and wraps from the short
+        // last block to block 0.
+        let ahead: Vec<_> = (0..3).map(|b| h.payload.ahead(b)).collect();
+        assert_eq!(ahead, [4..8, 8..10, 0..4]);
+    }
+
+    #[test]
+    fn a_ragged_allreduce_staggered_onto_its_last_block_reduces_every_rank() {
+        // 73 elements in blocks of 7: ten whole blocks and a 3-element
+        // last one. Rank 0's stagger starts it on that last block, so both
+        // its send and its result cursor look ahead across the wrap to
+        // block 0 first; the others start at the front and the middle.
+        use crate::op::golden_reduce;
+        use crate::switch_prog::{FlareSwitch, TreePlacement};
+        use flare_net::{LinkSpec, NetSim, SwitchModel, Topology};
+        let (elems, per_packet) = (73, 7);
+        let (topo, sw, hosts) = Topology::star(3, LinkSpec::hundred_gig());
+        let mut sim = NetSim::new(topo, 1);
+        let place = TreePlacement {
+            allreduce: 1,
+            parent: None,
+            children: hosts.clone(),
+            my_child_index: 0,
+        };
+        let prog = FlareSwitch::<i32, crate::op::Sum>::dense(place, crate::op::Sum);
+        sim.install_switch(sw, Box::new(prog), SwitchModel::calibrated());
+        let inputs: Vec<Vec<i32>> = (0..3)
+            .map(|rank| (0..elems).map(|i| rank * 100 + i).collect())
+            .collect();
+        for (rank, &h) in hosts.iter().enumerate() {
+            let cfg = HostConfig {
+                leaf: sw,
+                child_index: rank as u16,
+                // A window of every block: under a spread wider than the
+                // window, each rank waits on blocks no other has reached.
+                window: 11,
+                stagger_offset: [10, 0, 5][rank],
+                ..cfg()
+            };
+            let host = DenseFlareHost::new(cfg, per_packet, inputs[rank].clone());
+            assert_eq!(host.outstanding.blocks, 11);
+            sim.install_host(h, Box::new(host));
+        }
+        assert!(sim.run(None).last_done.is_some(), "allreduce completes");
+        let want = golden_reduce(&crate::op::Sum, &inputs);
+        for (rank, &h) in hosts.iter().enumerate() {
+            let host = sim.take_host(h).expect("installed") as Box<dyn std::any::Any>;
+            let mut host = host.downcast::<DenseFlareHost<i32>>().expect("dense");
+            let got = host.take_result(&mut SharedResults::default());
+            assert_eq!(got.expect("the host finished"), want, "rank {rank}");
+        }
     }
 
     #[test]

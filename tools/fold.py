@@ -26,7 +26,11 @@ charged to the code that called it. glibc's `memcpy`, `memmove` and
 does not export, and without glibc's debug info addr2line names the
 nearest exported symbol before them instead: on glibc 2.36 (Debian 12)
 that is `__nss_database_lookup`. A leaf of that name is copy or fill time,
-so run with `--callers __nss_database_lookup` to see whose.
+so run with `--callers __nss_database_lookup` to see whose. malloc's own
+internals are misnamed the same way: on glibc 2.36 they resolve to
+`__default_morecore` and `timer_settime`, and every caller of either is a
+`GlobalAlloc::{alloc, dealloc, realloc}`. A leaf of those names is
+allocator time; `--callers __default_morecore` shows whose.
 
 Objects are taken to be position-independent (rustc's default, and every
 shared library): an address's offset from the start of its object's first
