@@ -27,14 +27,13 @@ use std::ops::Deref;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
-use bytes::Bytes;
+use bytes::{prefetch, Bytes};
 
 use flare_des::Time;
 use flare_net::{HostCtx, HostProgram, NetPacket, NodeId, TraceKind};
 
 use crate::dtype::Element;
 use crate::op::ReduceOp;
-use crate::prefetch;
 use crate::sparse::{ShardEvent, ShardTracker};
 use crate::wire::{encode_dense, encode_sparse, DenseView, Header, PacketKind, SparseView};
 use crate::wiring::check_iteration;

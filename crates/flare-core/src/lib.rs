@@ -43,11 +43,8 @@
 //!   timers in one `HostProgram` without collisions.
 //! * [`collectives`] — the Horovod-style issue sequencer (Section 8).
 //! * [`features`] — the machine-readable Table 1 capability matrix.
-//! * `prefetch` (crate-private) — the cache look-ahead a dense host runs
-//!   one block ahead of its send and result cursors, and the one module
-//!   exempt from the crate's `deny(unsafe_code)`.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod collectives;
 pub mod dense;
@@ -58,8 +55,6 @@ pub mod host;
 pub mod manager;
 pub mod op;
 pub mod pool;
-#[allow(unsafe_code)]
-mod prefetch;
 mod protocol;
 pub mod report;
 pub mod session;

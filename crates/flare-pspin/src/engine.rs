@@ -15,6 +15,20 @@
 //! frees at `t` serves a packet arriving at `t` without queueing it — the
 //! idealized model in which a service time equal to the interarrival
 //! means no queueing (paper Fig. 5, scenario A).
+//!
+//! The engine knows which packet each core serves next: the head of its
+//! subset's queue, pulled by that subset's next release. So when a
+//! release pulls a packet it asks the cache for the new head's payload
+//! ([`Bytes::prefetch`](bytes::Bytes::prefetch)) and for the block header
+//! of the packet behind it, which that payload hint reads one pull later.
+//! A trace is tens of MiB and a subset's queue thousands of packets deep,
+//! so without the hint the handler's first touch of every packet misses.
+//! A hint changes no value: no event, order or result depends on it.
+//!
+//! Each execution is lent an empty emission vector. One that emitted
+//! nothing gives it back at once, one that did at its release, so an
+//! execution that emits allocates only while every vector is held by an
+//! emitting execution still in flight.
 
 use std::collections::VecDeque;
 
@@ -55,6 +69,21 @@ pub struct Engine<H: PacketHandler> {
     queued: i64,
     emissions: Vec<(Time, PspinPacket)>,
     capture_emissions: bool,
+    /// Emptied emission vectors, each handed to a later execution so that
+    /// one that emits does not allocate.
+    spare: Vec<Vec<PspinPacket>>,
+    /// What `release` hinted and what `start_execution` served, in order.
+    #[cfg(test)]
+    looks: Vec<Look>,
+}
+
+/// A packet `release` asked the cache for, or one a core started serving:
+/// its subset and its payload's address.
+#[cfg(test)]
+#[derive(Clone, Copy)]
+enum Look {
+    Hinted(usize, *const u8),
+    Served(usize, *const u8),
 }
 
 impl<H: PacketHandler> Engine<H> {
@@ -87,6 +116,9 @@ impl<H: PacketHandler> Engine<H> {
             queued: 0,
             emissions: Vec::new(),
             capture_emissions,
+            spare: Vec::new(),
+            #[cfg(test)]
+            looks: Vec::new(),
         }
     }
 
@@ -156,18 +188,32 @@ impl<H: PacketHandler> Engine<H> {
         report.lock_wait_cycles += pending.lock_wait;
         // Its working-memory delta applied when it started.
         report.blocks_completed += pending.effects.blocks_completed;
-        for pkt in pending.effects.emissions {
+        let mut emissions = pending.effects.emissions;
+        for pkt in emissions.drain(..) {
             report.packets_out += 1;
             report.bytes_out += pkt.wire_bytes as u64;
             if self.capture_emissions {
                 self.emissions.push((t, pkt));
             }
         }
+        self.recycle(emissions);
         // Pull the next queued packet for this core's subset.
         let subset = core / self.cfg.subset_width();
         if let Some(pkt) = self.queues[subset].pop_front() {
             occupy(&mut self.queued, &mut self.report.queue_peak, -1);
             self.start_execution(t, core, pkt, releases);
+            // The subset's next release serves the new head: ask for its
+            // payload now, and for the header behind it, which the head's
+            // hint reads one step later.
+            let queue = &self.queues[subset];
+            if let Some(next) = queue.front() {
+                next.payload.prefetch();
+                #[cfg(test)]
+                self.looks.push(Look::Hinted(subset, next.payload.as_ptr()));
+            }
+            if let Some(after) = queue.get(1) {
+                after.payload.prefetch_header();
+            }
         } else {
             self.idle[subset].push(core);
         }
@@ -187,17 +233,26 @@ impl<H: PacketHandler> Engine<H> {
             self.icache_warm[cluster] = true;
             self.cfg.icache_fill_cycles
         };
+        #[cfg(test)]
+        self.looks.push(Look::Served(
+            core / self.cfg.subset_width(),
+            pkt.payload.as_ptr(),
+        ));
         let mut ctx = HpuCtx::new(
             t + icache,
             cluster,
             &mut self.locks,
             self.cfg.params.dma_copy_cycles.ceil() as u64,
             self.cfg.remote_l1_factor,
+            self.spare.pop().unwrap_or_default(),
         );
         self.handler.process(&mut ctx, &pkt);
         let end = ctx.now().max(t + icache + 1);
         let lock_wait = ctx.lock_wait();
-        let effects = ctx.effects;
+        let mut effects = ctx.effects;
+        if effects.emissions.is_empty() {
+            self.recycle(std::mem::take(&mut effects.emissions));
+        }
         // Working-memory deltas apply at handler *start*: the functional
         // aggregation state mutates here (synchronous-commit model), and a
         // later-starting handler may free buffers an earlier, still-spinning
@@ -217,6 +272,15 @@ impl<H: PacketHandler> Engine<H> {
         });
         releases.schedule_at(end, core);
         debug_assert!(releases.len() <= self.cfg.cores());
+    }
+
+    /// Keep an emptied emission vector for a later execution, unless it
+    /// never allocated.
+    fn recycle(&mut self, emissions: Vec<PspinPacket>) {
+        debug_assert!(emissions.is_empty());
+        if emissions.capacity() > 0 {
+            self.spare.push(emissions);
+        }
     }
 }
 
@@ -354,6 +418,42 @@ mod tests {
         }
         let (report, _) = run_trace(cfg, fixed_cost_handler(4), arrivals, false);
         assert_eq!(report.queue_peak, 0);
+    }
+
+    #[test]
+    fn release_hints_the_packet_its_subset_serves_next() {
+        // Two subsets of two cores at tau = 4. Each block's eight packets
+        // arrive at one instant, a block every 3 ns, alternating subsets:
+        // each subset's queue runs tens deep. Every payload is a
+        // buffer of its own, so its address names the packet.
+        let mut cfg = cfg_small();
+        cfg.policy = SchedulingPolicy::Hierarchical { subset_size: 2 };
+        let packet = |i: u64| PspinPacket::new(i / 8, Bytes::from(vec![i as u8; 4]));
+        let arrivals = (0..64u64).map(|i| (i / 8 * 3, packet(i))).collect();
+        let (report, engine) = run_trace(cfg, fixed_cost_handler(4), arrivals, false);
+        assert!(report.queue_peak >= 24, "queue peak {}", report.queue_peak);
+        let mut hinted = std::collections::HashMap::new();
+        let (mut hints, mut served) = (0, 0);
+        for &look in &engine.looks {
+            match look {
+                Look::Hinted(subset, pkt) => {
+                    assert_eq!(hinted.insert(subset, pkt), None, "hinted twice");
+                    hints += 1;
+                }
+                Look::Served(subset, pkt) => {
+                    served += 1;
+                    if let Some(want) = hinted.remove(&subset) {
+                        assert_eq!(pkt, want, "subset {subset} served another packet");
+                    }
+                }
+            }
+        }
+        assert!(hinted.is_empty(), "a hinted packet was never served");
+        // Each subset's first two packets find idle cores, and after that
+        // its queue never empties until its last packet is pulled: every
+        // other pull leaves a head to hint, 64 - 2 * 2 - 2 of them.
+        assert_eq!(served, 64);
+        assert_eq!(hints, 58);
     }
 
     #[test]

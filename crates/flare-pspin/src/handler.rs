@@ -82,7 +82,9 @@ impl<'a> HpuCtx<'a> {
         locks: &'a mut LockTable,
         dma_copy_cycles: u64,
         remote_l1_factor: u64,
+        emissions: Vec<PspinPacket>,
     ) -> Self {
+        debug_assert!(emissions.is_empty());
         Self {
             cluster,
             cursor: start,
@@ -90,7 +92,10 @@ impl<'a> HpuCtx<'a> {
             lock_wait_cycles: 0,
             dma_copy_cycles,
             remote_l1_factor,
-            effects: HandlerEffects::default(),
+            effects: HandlerEffects {
+                emissions,
+                ..HandlerEffects::default()
+            },
         }
     }
 
@@ -203,7 +208,7 @@ mod tests {
     use super::*;
 
     fn ctx_on<'a>(locks: &'a mut LockTable, start: Time) -> HpuCtx<'a> {
-        HpuCtx::new(start, 0, locks, 64, 25)
+        HpuCtx::new(start, 0, locks, 64, 25, Vec::new())
     }
 
     #[test]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fold the stacks `tools/sampler.c` or `tools/heap.c` wrote into leaf and inclusive shares.
 
-    python3 tools/fold.py STACKS [--within FRAME] [--callers LEAF] [--top N]
+    python3 tools/fold.py STACKS [--within FRAME] [--callers LEAF] [--children FRAME] [--top N]
 
 A sampler stack weighs one sample. A heap stack carries its weight, the
 bytes allocated there that were live at the heap's peak (`bytes=N`), and
@@ -31,6 +31,13 @@ internals are misnamed the same way: on glibc 2.36 they resolve to
 `__default_morecore` and `timer_settime`, and every caller of either is a
 `GlobalAlloc::{alloc, dealloc, realloc}`. A leaf of those names is
 allocator time; `--callers __default_morecore` shows whose.
+
+`--children FRAME` splits the samples under a frame one level down: for
+each sample whose stack has a frame with FRAME in its name, the frame its
+outermost such frame called, or `(self)` where that frame is the leaf.
+Each callee is printed with its share of the kept samples, so the rows
+add up to FRAME's inclusive share. Recursion and inlined copies deeper in
+the stack are charged to the outermost call.
 
 Objects are taken to be position-independent (rustc's default, and every
 shared library): an address's offset from the start of its object's first
@@ -110,6 +117,7 @@ def main():
     ap.add_argument("stacks")
     ap.add_argument("--within", help="keep samples with this frame; drop its callers")
     ap.add_argument("--callers", metavar="LEAF", help="charge samples with this leaf to repository frames")
+    ap.add_argument("--children", metavar="FRAME", help="split FRAME's samples by its immediate callee")
     ap.add_argument("--top", type=int, default=40)
     args = ap.parse_args()
 
@@ -122,7 +130,7 @@ def main():
         print()
     names = resolve(maps, {a for _, s in stacks for a in s})
     leaf, inclusive, kept = collections.Counter(), collections.Counter(), 0
-    callers = collections.Counter()
+    callers, children = collections.Counter(), collections.Counter()
     for weight, stack in stacks:
         # Innermost first, inlined frames expanded.
         frames = [f for a in stack for f in names.get(a, [hex(a)])]
@@ -140,6 +148,10 @@ def main():
         if args.callers and args.callers in frames[0]:
             ours = [f for f in frames[1:] if REPO_FRAME.match(f)][:3]
             callers[" < ".join(ours) or "(no repository frame)"] += weight
+        if args.children:
+            hits = [i for i, f in enumerate(frames) if args.children in f]
+            if hits:
+                children[frames[hits[-1] - 1] if hits[-1] else "(self)"] += weight
 
     unit = "bytes" if peak is not None else "samples"
     total = sum(w for w, _ in stacks)
@@ -149,6 +161,10 @@ def main():
         matched = sum(callers.values())
         print(f"\n{matched} {unit} ({100 * matched / max(kept, 1):.1f} %) have a leaf matching {args.callers}")
         tables.append((f"callers of {args.callers}", callers))
+    if args.children:
+        matched = sum(children.values())
+        print(f"\n{matched} {unit} ({100 * matched / max(kept, 1):.1f} %) have a frame matching {args.children}")
+        tables.append((f"children of {args.children}", children))
     for title, counts in tables:
         print(f"\n{title:>9}  share  function")
         for name, n in counts.most_common(args.top):
