@@ -147,7 +147,8 @@ impl<T: Element, O: ReduceOp<T>> DenseAllreduceHandler<T, O> {
     }
 
     /// Enable (or disable) the loss-recovery replay cache — mirror of
-    /// [`crate::switch_prog::FlareSwitch::with_loss_recovery`].
+    /// [`crate::switch_prog::FlareSwitch::with_loss_recovery`]. Called by
+    /// `tests/loss_convergence.rs` and `tests/edge_cases.rs`.
     pub fn with_loss_recovery(mut self, yes: bool) -> Self {
         self.core.table.set_loss_recovery(yes, None);
         self
@@ -256,7 +257,8 @@ impl<T: Element, O: ReduceOp<T>> SparseAllreduceHandler<T, O> {
     }
 
     /// Enable (or disable) the loss-recovery replay cache — mirror of
-    /// [`crate::switch_prog::FlareSwitch::with_loss_recovery`].
+    /// [`crate::switch_prog::FlareSwitch::with_loss_recovery`]. Called by
+    /// `tests/loss_convergence.rs` and `tests/edge_cases.rs`.
     pub fn with_loss_recovery(mut self, yes: bool) -> Self {
         self.core.table.set_loss_recovery(yes, None);
         self

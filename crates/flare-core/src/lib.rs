@@ -30,7 +30,7 @@
 //!   control (Section 4).
 //! * [`session`] — **the public API**: [`session::FlareSession`] owns the
 //!   manager and tuning; the typed [`session::Collective`] builder runs
-//!   dense/sparse allreduce, reduce, broadcast and barrier.
+//!   dense and sparse allreduce, the one collective the paper evaluates.
 //! * [`wiring`] — what the manager does once a tree is computed, written
 //!   once: the participant of an admitted flow, and the one bring-up of a
 //!   simulation, which installs and reads back every switch program.

@@ -1,4 +1,4 @@
-//! The unified Flare session API: one entry point for every collective.
+//! The unified Flare session API: one entry point for dense and sparse allreduce.
 //!
 //! The paper's headline claim is *flexibility* — one switch program serving
 //! arbitrary datatypes, operators, dense and sparse data, and multiple
@@ -21,10 +21,9 @@
 //! println!("done at {} ns", out.report.completion_ns());
 //! ```
 //!
-//! [`FlareSession::reduce`], [`FlareSession::broadcast`] and
-//! [`FlareSession::barrier`] ride the same machinery (the paper:
-//! "a barrier can simply be implemented as an in-network allreduce with
-//! 0-bytes data"). Multi-tenant admission is explicit via
+//! [`FlareSession::allreduce`] and [`FlareSession::sparse_allreduce`] are
+//! the session's collectives: the paper evaluates allreduce only.
+//! Multi-tenant admission is explicit via
 //! [`FlareSession::admit`] / [`FlareSession::release`], which return
 //! [`CollectiveHandle`]s that [`Collective::via`] can run under and that
 //! the Horovod-style [`crate::collectives::Sequencer`] accepts directly.
@@ -64,13 +63,6 @@ pub enum SessionError {
     EmptyData,
     /// The session (or the `on_hosts` override) has no participating hosts.
     NoHosts,
-    /// A root rank at or beyond the participant count.
-    RootOutOfRange {
-        /// The requested root rank.
-        root: usize,
-        /// Participating hosts.
-        hosts: usize,
-    },
     /// A participating host is not attached to the admitted plan's
     /// reduction tree (e.g. [`Collective::via`] combined with
     /// [`Collective::on_hosts`] naming hosts outside the admitted set).
@@ -174,9 +166,6 @@ impl std::fmt::Display for SessionError {
             SessionError::RaggedInputs => write!(f, "rank inputs have different lengths"),
             SessionError::EmptyData => write!(f, "collective issued with no data"),
             SessionError::NoHosts => write!(f, "no participating hosts"),
-            SessionError::RootOutOfRange { root, hosts } => {
-                write!(f, "root rank {root} out of range for {hosts} hosts")
-            }
             SessionError::HostNotInPlan { host } => {
                 write!(
                     f,
@@ -581,7 +570,7 @@ impl CollectiveHandle {
 }
 
 /// A live Flare deployment: topology + network manager + tuning. The entry
-/// point for every collective; see the [module docs](self).
+/// point for both allreduces; see the [module docs](self).
 pub struct FlareSession {
     /// Lent to the simulation for the length of a run
     /// ([`crate::wiring::run_fabric`]) — no per-collective deep copy.
@@ -704,43 +693,11 @@ impl FlareSession {
         self.collective(Payload::Sparse { total_elems, pairs })
     }
 
-    /// An in-network **reduce**: every rank contributes, only
-    /// `root`'s result is meaningful ([`CollectiveResult::root`]).
-    pub fn reduce<T: Element>(
-        &mut self,
-        root: usize,
-        inputs: Vec<Vec<T>>,
-    ) -> Collective<'_, T, Sum> {
-        let mut c = self.collective(Payload::Dense(inputs));
-        c.root = Some(root);
-        c
-    }
-
-    /// An in-network **broadcast** of `root`'s `data`: non-root ranks
-    /// contribute the operator identity, so the allreduce result *is* the
-    /// root's vector. Run by `tests/session_api.rs` and
-    /// `tests/faults_and_tenancy.rs`; no figure or example broadcasts.
-    pub fn broadcast<T: Element>(&mut self, root: usize, data: Vec<T>) -> Collective<'_, T, Sum> {
-        let mut c = self.collective(Payload::Broadcast { data });
-        c.root = Some(root);
-        c
-    }
-
-    /// An in-network **barrier**: a one-element allreduce (the paper: "a
-    /// barrier can simply be implemented as an in-network allreduce with
-    /// 0-bytes data"). Completion time is
-    /// [`RunReport::completion_ns`]. Run by `tests/session_api.rs` and
-    /// `tests/faults_and_tenancy.rs`; no figure or example runs a barrier.
-    pub fn barrier(&mut self) -> Collective<'_, i32, Sum> {
-        self.collective(Payload::Barrier)
-    }
-
     fn collective<T: Element>(&mut self, payload: Payload<T>) -> Collective<'_, T, Sum> {
         Collective {
             session: self,
             op: Sum,
             payload,
-            root: None,
             reproducible: false,
             policy: SparsePolicy::default(),
             hosts: None,
@@ -771,14 +728,10 @@ enum Payload<T: Element> {
         total_elems: usize,
         pairs: Vec<Vec<(u32, T)>>,
     },
-    /// The root's vector (identity everywhere else).
-    Broadcast { data: Vec<T> },
-    /// No data; completion time is the product.
-    Barrier,
 }
 
 /// A collective under construction. Produced by [`FlareSession::allreduce`]
-/// and friends; consumed by [`run`](Collective::run).
+/// or [`FlareSession::sparse_allreduce`]; consumed by [`run`](Collective::run).
 ///
 /// The builder resolves everything the old free-function API made callers
 /// wire by hand: admission (unless [`via`](Collective::via) supplies an
@@ -788,7 +741,6 @@ pub struct Collective<'s, T: Element, O: ReduceOp<T>> {
     session: &'s mut FlareSession,
     op: O,
     payload: Payload<T>,
-    root: Option<usize>,
     reproducible: bool,
     policy: SparsePolicy,
     hosts: Option<Vec<NodeId>>,
@@ -807,7 +759,6 @@ impl<'s, T: Element, O: ReduceOp<T>> Collective<'s, T, O> {
             session: self.session,
             op,
             payload: self.payload,
-            root: self.root,
             reproducible: self.reproducible,
             policy: self.policy,
             hosts: self.hosts,
@@ -835,6 +786,7 @@ impl<'s, T: Element, O: ReduceOp<T>> Collective<'s, T, O> {
     }
 
     /// Run over an explicit host subset instead of the session default.
+    /// Called by this module's tests.
     pub fn on_hosts(mut self, hosts: impl Into<Vec<NodeId>>) -> Self {
         self.hosts = Some(hosts.into());
         self
@@ -881,14 +833,6 @@ impl<T: Element, O: ReduceOp<T> + Clone + 'static> Collective<'_, T, O> {
             None => self.session.hosts.clone(),
         };
         check_participants(&hosts)?;
-        if let Some(root) = self.root {
-            if root >= hosts.len() {
-                return Err(SessionError::RootOutOfRange {
-                    root,
-                    hosts: hosts.len(),
-                });
-            }
-        }
         let op = self.op;
         let mut tuning = self.session.tuning.validated()?;
         if let Some(seed) = self.seed {
@@ -897,11 +841,6 @@ impl<T: Element, O: ReduceOp<T> + Clone + 'static> Collective<'_, T, O> {
 
         // Resolve the payload shape, the per-rank inputs and the bytes per
         // host quoted to admission control.
-        let dense = |inputs: Vec<Vec<T>>| {
-            let elems = inputs[0].len();
-            let inputs: Vec<_> = inputs.into_iter().map(FlowInput::Dense).collect();
-            (FlowShape::Dense { elems }, inputs, elems * T::WIRE_BYTES)
-        };
         let (shape, inputs, data_bytes) = match self.payload {
             Payload::Dense(inputs) => {
                 if inputs.len() != hosts.len() {
@@ -917,7 +856,8 @@ impl<T: Element, O: ReduceOp<T> + Clone + 'static> Collective<'_, T, O> {
                 if inputs.iter().any(|v| v.len() != n) {
                     return Err(SessionError::RaggedInputs);
                 }
-                dense(inputs)
+                let inputs: Vec<_> = inputs.into_iter().map(FlowInput::Dense).collect();
+                (FlowShape::Dense { elems: n }, inputs, n * T::WIRE_BYTES)
             }
             Payload::Sparse { total_elems, pairs } => {
                 if pairs.len() != hosts.len() {
@@ -945,24 +885,6 @@ impl<T: Element, O: ReduceOp<T> + Clone + 'static> Collective<'_, T, O> {
                 let inputs: Vec<_> = pairs.into_iter().map(FlowInput::Sparse).collect();
                 (shape, inputs, nnz / hosts.len() * (4 + T::WIRE_BYTES))
             }
-            Payload::Broadcast { data } => {
-                if data.is_empty() {
-                    return Err(SessionError::EmptyData);
-                }
-                let root = self.root.expect("broadcast sets root");
-                let identity = vec![op.identity(); data.len()];
-                let inputs = (0..hosts.len())
-                    .map(|r| {
-                        if r == root {
-                            data.clone()
-                        } else {
-                            identity.clone()
-                        }
-                    })
-                    .collect();
-                dense(inputs)
-            }
-            Payload::Barrier => dense(vec![vec![T::zero()]; hosts.len()]),
         };
 
         // Admission: explicit handle or an internal admit-run-release.
@@ -1050,11 +972,7 @@ impl<T: Element, O: ReduceOp<T> + Clone + 'static> Collective<'_, T, O> {
             tenants: None,
             trace,
         };
-        Ok(CollectiveResult {
-            ranks,
-            root_rank: self.root,
-            report,
-        })
+        Ok(CollectiveResult { ranks, report })
     }
 }
 
@@ -1129,7 +1047,6 @@ impl RunReport {
 #[derive(Debug, Clone)]
 pub struct CollectiveResult<T> {
     ranks: Vec<RankResult<T>>,
-    root_rank: Option<usize>,
     /// Timing, traffic and plan metadata for the run.
     pub report: RunReport,
 }
@@ -1152,12 +1069,6 @@ impl<T> CollectiveResult<T> {
     /// Rank `r`'s result vector.
     pub fn rank(&self, r: usize) -> &[T] {
         &self.ranks[r]
-    }
-
-    /// The root's result (reduce/broadcast); falls back to rank 0 for
-    /// rootless collectives, where every rank holds the same vector.
-    pub fn root(&self) -> &[T] {
-        &self.ranks[self.root_rank.unwrap_or(0)]
     }
 }
 
@@ -1257,13 +1168,6 @@ mod tests {
     }
 
     #[test]
-    fn root_out_of_range_is_rejected() {
-        let mut session = star_session(3);
-        let err = session.reduce(3, vec![vec![1i32; 4]; 3]).run().unwrap_err();
-        assert_eq!(err, SessionError::RootOutOfRange { root: 3, hosts: 3 });
-    }
-
-    #[test]
     fn admit_reserves_until_release() {
         let mut session = star_session(4);
         let handle = session.admit(1 << 20, false).unwrap();
@@ -1289,14 +1193,6 @@ mod tests {
             "explicit handles persist across runs"
         );
         session.release(handle).unwrap();
-    }
-
-    #[test]
-    fn barrier_reports_a_positive_completion_time() {
-        let mut session = star_session(3);
-        let out = session.barrier().run().unwrap();
-        assert!(out.report.completion_ns() > 0);
-        assert_eq!(out.ranks().len(), 3);
     }
 
     #[test]

@@ -187,7 +187,10 @@ impl<T: Element, O: ReduceOp<T>> FlareSwitch<T, O> {
     /// Enable (or disable) every flow's loss-recovery replay cache. The
     /// session turns this on whenever `link_drop_prob > 0`; reliable runs
     /// leave it off so completed payloads go back to the free lists instead
-    /// of being pinned for replays that can never be requested.
+    /// of being pinned for replays that can never be requested. The session
+    /// goes through the crate's `loss_recovery`, which also sizes the ring;
+    /// this default-sized form is called by `tests/loss_convergence.rs` and
+    /// this module's tests.
     pub fn with_loss_recovery(self, yes: bool) -> Self {
         self.loss_recovery(yes, None)
     }

@@ -274,7 +274,7 @@ impl TenantSpec {
         self
     }
 
-    /// Restrict to an explicit host set.
+    /// Restrict to an explicit host set. Called by `tests/traffic_engine.rs`.
     pub fn on_hosts(mut self, hosts: Vec<NodeId>) -> Self {
         self.hosts = Some(hosts);
         self

@@ -4,8 +4,7 @@
 //! * concurrent admitted collectives with distinct ids sharing switches
 //!   (Section 4),
 //! * admission control rerouting and rejection,
-//! * collectives built on allreduce: reduce / broadcast / barrier
-//!   (Section 8) and the Horovod-style sequencer over collective handles.
+//! * the Horovod-style sequencer over collective handles.
 
 use flare::core::collectives::Sequencer;
 use flare::core::manager::AdmissionError;
@@ -88,28 +87,6 @@ fn admission_fills_up_then_rejects_then_frees() {
     session.release(a).unwrap();
     let c = session.admit(bytes, false).unwrap();
     assert_ne!(b.id(), c.id());
-}
-
-#[test]
-fn reduce_broadcast_barrier_work() {
-    let n = 700usize;
-    let inputs: Vec<Vec<i32>> = (0..4).map(|h| vec![h + 1; n]).collect();
-    let want = golden_reduce(&Sum, &inputs);
-
-    let (topo, _sw, _hosts) = Topology::star(4, LinkSpec::hundred_gig());
-    let mut session = FlareSession::builder(topo).build();
-    let out = session.reduce(2, inputs.clone()).run().unwrap();
-    assert_eq!(out.root(), &want[..]);
-
-    let payload: Vec<i32> = (0..n as i32).collect();
-    let bcast = session.broadcast(1, payload.clone()).run().unwrap();
-    for r in bcast.ranks() {
-        assert_eq!(*r, payload);
-    }
-
-    let barrier = session.barrier().run().unwrap();
-    assert!(barrier.report.completion_ns() > 0);
-    assert!(barrier.report.net.last_done.is_some());
 }
 
 #[test]

@@ -3,8 +3,8 @@
 //! the order its events were handled in (plus pooled iteration tails for
 //! fleets, drops on lossy rows and the HPU switches' counters on one fleet)
 //! asserted bit for bit. A single collective's row also checks every
-//! rank's result against the golden reduction of its inputs (of the
-//! densified pairs, for a sparse row), and a sparse row pins a digest of
+//! rank's result: a dense row's against the closed form of its inputs, a
+//! sparse row's against the densified pairs. A sparse row pins a digest of
 //! the bits of every rank's result. A change that moves any
 //! of them changed what the simulator computes, not how fast it computes
 //! it — host-side performance is `benchmark/`'s job (see
@@ -26,6 +26,7 @@
 
 use std::cmp::Ordering;
 
+use flare::des::rng::splitmix64;
 use flare::prelude::*;
 use flare::workloads::sparse::densify_f32;
 
@@ -276,15 +277,31 @@ impl Row {
         } else {
             let (run, want) = match self.payload {
                 Dense => {
-                    let inputs: Vec<Vec<f32>> = (0..self.hosts)
-                        .map(|h| vec![(h + 1) as f32; elems])
+                    // Rank h's element i is a(i) + (h + 1), with a(i) a
+                    // splitmix draw in [0, 4096) made once per row: a result
+                    // written to another block's range, or taken from an
+                    // earlier iteration, differs from the right one. The sum
+                    // P·a(i) + P(P+1)/2 is below 2^24 for P ≤ 1 024, so it is
+                    // exact in f32 in any fold order: no golden reduction of
+                    // P inputs (a second in a debug build on the largest
+                    // rows) is needed.
+                    let a: Vec<f32> = (0..elems as u64)
+                        .map(|i| (splitmix64(i) % 4096) as f32)
                         .collect();
-                    // Every input repeats one value, so the golden reduction
-                    // of their first elements, repeated, is that of the
-                    // inputs: a reduction of every element costs a second in
-                    // a debug build on the largest rows.
-                    let firsts: Vec<Vec<f32>> = inputs.iter().map(|v| v[..1].to_vec()).collect();
-                    let want = vec![golden_reduce(&Sum, &firsts)[0]; elems];
+                    let inputs: Vec<Vec<f32>> = (0..self.hosts)
+                        .map(|h| {
+                            let mut v = a.clone();
+                            v.iter_mut().for_each(|x| *x += (h + 1) as f32);
+                            v
+                        })
+                        .collect();
+                    // The draws become the closed form in place. Each rank is
+                    // compared with it as a slice: in a debug build that
+                    // costs a quarter of evaluating the form per element.
+                    let p = self.hosts as f32;
+                    let mut want = a;
+                    want.iter_mut()
+                        .for_each(|x| *x = p * *x + p * (p + 1.0) / 2.0);
                     // Clamped to the admitted window: `None` runs at it.
                     let window = self.window.unwrap_or(usize::MAX);
                     let collective = session.allreduce(inputs).op(Sum);

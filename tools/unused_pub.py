@@ -8,13 +8,19 @@ An item is a `pub fn`, `pub const`, `pub static`, `pub struct`, `pub enum`,
 `pub trait` or `pub type` declared in `crates/*/src` outside a
 `#[cfg(test)]` item. It has a caller if its name appears as a word on a
 line of non-test code in `crates/*/src`, `src/`, `benchmark/src` or
-`examples/`, other than the line that declares it. Comment lines and
-`use` / `pub use` lines do not count, and neither does anything under a
-`tests/` directory or inside a `#[cfg(test)]` item.
+`examples/`, other than a line that declares a public item of that name.
+So two same-named items that nothing else names are both reported: a
+declaration never vouches for another. Comment lines and `use` /
+`pub use` lines do not count, and neither does anything under a `tests/`
+directory or inside a `#[cfg(test)]` item.
 
 The match is by name, not by type, so a method that shares its name with
 another one that is called (`new`, `len`) is taken as called: the check
-can miss an unused item, never flag a used one.
+can miss an unused item. For a public `fn` named like a method of
+`Iterator`, slices or `Option` (`reduce`, `map`, `len`, ...) whose only
+matches are `.name(` calls, both modes print it without failing: it may
+be called by nothing but the standard library's method. A person reads
+that list; it is not an error.
 
 Each line of `tools/unused_pub.allow` is `path::name  # <its user>`, where
 `path` is the crate directory and the module file (`flare-net::topology`)
@@ -36,6 +42,16 @@ ITEM = re.compile(
     r"(fn|const|static|struct|enum|trait|type)\s+(?:mut\s+)?([A-Za-z_][A-Za-z0-9_]*)"
 )
 USE = re.compile(r"^\s*(?:pub(?:\([^)]*\))?\s+)?use\b")
+# Methods of `Iterator`, slices and `Option` that a crate's own `fn` may
+# share a name with; a `.name(` call matches both.
+STD_METHODS = frozenset(
+    """all and_then any as_mut as_ref chain chunks cloned cmp collect contains
+    copied count enumerate expect fill filter filter_map find first flat_map
+    flatten fold for_each get get_mut insert is_empty is_none is_some iter
+    iter_mut join last len map max max_by max_by_key min min_by min_by_key
+    next nth ok_or or partition position product reduce replace rev skip
+    sort sort_by sum swap take to_vec unwrap unwrap_or unzip windows zip""".split()
+)
 
 
 def strip(line, in_block):
@@ -108,41 +124,61 @@ def code_lines(path):
         yield no, code
 
 
-def sources():
-    files = sorted(ROOT.glob("crates/*/src/**/*.rs"))
-    callers = files + sorted(ROOT.glob("src/**/*.rs"))
-    callers += sorted(ROOT.glob("benchmark/src/**/*.rs"))
-    callers += sorted(ROOT.glob("examples/**/*.rs"))
-    return files, [p for p in callers if "tests" not in p.relative_to(ROOT).parts]
+def sources(root):
+    files = sorted(root.glob("crates/*/src/**/*.rs"))
+    callers = files + sorted(root.glob("src/**/*.rs"))
+    callers += sorted(root.glob("benchmark/src/**/*.rs"))
+    callers += sorted(root.glob("examples/**/*.rs"))
+    return files, [p for p in callers if "tests" not in p.relative_to(root).parts]
 
 
-def item_path(path, name):
-    rel = path.relative_to(ROOT)
+def item_path(root, path, name):
+    rel = path.relative_to(root)
     module = rel.with_suffix("").parts[3:]
     return "::".join((rel.parts[1],) + module + (name,))
 
 
-def unused():
-    files, callers = sources()
+def unused(root=ROOT):
+    """The items without a caller, and the `fn`s whose only callers may be std methods.
+
+    Each is a list of `(item path, file relative to root, line number)`.
+    """
+    files, callers = sources(root)
     decls = []
     code = {p: list(code_lines(p)) for p in callers}
     for p in files:
         for no, line in code[p]:
             m = ITEM.match(line)
             if m:
-                decls.append((p, no, m.group(2)))
+                decls.append((p, no, m.group(1), m.group(2)))
+    declared = {}
+    for p, no, _, name in decls:
+        declared.setdefault(name, set()).add((p, no))
     words = {}
     for p, lines in code.items():
         for no, line in lines:
             if USE.match(line):
                 continue
             for w in set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", line)):
-                words.setdefault(w, set()).add((p, no))
-    found = []
-    for p, no, name in decls:
-        if not words.get(name, set()) - {(p, no)}:
-            found.append((item_path(p, name), p.relative_to(ROOT), no))
-    return found
+                words.setdefault(w, set()).add((p, no, line))
+    found, std_only = [], []
+    for p, no, kind, name in decls:
+        where = (item_path(root, p, name), p.relative_to(root), no)
+        matches = [line for q, n, line in words.get(name, ()) if (q, n) not in declared[name]]
+        if not matches:
+            found.append(where)
+        elif kind == "fn" and name in STD_METHODS and all(
+            only_method_calls(line, name) for line in matches
+        ):
+            std_only.append(where)
+    return found, std_only
+
+
+def only_method_calls(line, name):
+    """Whether every use of `name` as a word on `line` is a `.name(` call."""
+    words = re.findall(rf"\b{name}\b", line)
+    calls = re.findall(rf"\.\s*{name}\s*(?:::\s*<[^()]*>\s*)?\(", line)
+    return len(words) == len(calls)
 
 
 def allowed():
@@ -164,7 +200,10 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--check", action="store_true", help="fail on items not in the allowlist")
     args = ap.parse_args()
-    found = unused()
+    found, std_only = unused()
+    for item, path, no in std_only:
+        print(f"{item}  ({path}:{no})  maybe called only as a std method")
+    print(f"{len(std_only)} public fns whose only matches are std-method-like calls (not an error)")
     if not args.check:
         for item, path, no in found:
             print(f"{item}  ({path}:{no})")
