@@ -148,6 +148,15 @@ pub enum SessionError {
     /// where a stale timer would fire into a later iteration
     /// ([`crate::wiring::check_iteration`]).
     WakeTagOverflow(FlowTagOverflow),
+    /// A rank's block holds more pairs than a header can number shards
+    /// for: at most `u16::MAX` shards of [`Tuning::pairs_per_packet`]
+    /// pairs a block ([`crate::wiring::check_shards`]).
+    TooManyShards {
+        /// The block, counted from the rank's first.
+        block: u64,
+        /// The shards its pairs need.
+        shards: usize,
+    },
     /// The run ended with ranks whose participant had not received every
     /// block's result: no result can be read back for them.
     Unfinished {
@@ -222,6 +231,11 @@ impl std::fmt::Display for SessionError {
                 "iteration {iteration} of {blocks} blocks runs past the 32-bit wire block ids"
             ),
             SessionError::WakeTagOverflow(e) => write!(f, "iteration without a wake tag: {e}"),
+            SessionError::TooManyShards { block, shards } => write!(
+                f,
+                "block {block} needs {shards} shards; a header numbers at most {}",
+                u16::MAX
+            ),
             SessionError::Unfinished { ranks } => {
                 write!(f, "ranks {ranks:?} did not receive their whole result")
             }
@@ -1338,6 +1352,37 @@ mod tests {
 
     fn zero(field: &'static str) -> SessionError {
         SessionError::ZeroSize { field }
+    }
+
+    /// Every index of a one-block domain of `pairs` indexes from each rank
+    /// of a two-host star, one pair a shard.
+    fn one_pair_a_shard(pairs: usize) -> Result<CollectiveResult<f32>, SessionError> {
+        let mut session = star_session(2);
+        session.tuning.pairs_per_packet = 1;
+        let policy = SparsePolicy {
+            span: pairs,
+            ..SparsePolicy::default()
+        };
+        let input: Vec<(u32, f32)> = (0..pairs as u32).map(|i| (i, 1.0)).collect();
+        let run = session.sparse_allreduce(pairs, vec![input.clone(), input]);
+        run.policy(policy).run()
+    }
+
+    #[test]
+    fn a_block_of_as_many_shards_as_a_header_numbers_completes() {
+        let out = one_pair_a_shard(u16::MAX as usize).expect("the run completes");
+        for (rank, got) in out.ranks().iter().enumerate() {
+            assert!(got.iter().all(|&x| x == 2.0), "rank {rank}");
+        }
+    }
+
+    #[test]
+    fn a_block_of_more_shards_than_a_header_numbers_is_a_typed_error() {
+        // Shard 65 535 would be numbered 0 again, and the block would never
+        // complete.
+        let err = one_pair_a_shard(1 << 16).expect_err("rejected before it runs");
+        let shards = 1 << 16;
+        assert_eq!(err, SessionError::TooManyShards { block: 0, shards });
     }
 
     #[test]

@@ -162,6 +162,20 @@ pub fn check_iteration(flow: u32, iteration: u64, blocks: u64) -> Result<u64, Se
     tag.pack().map_err(SessionError::WakeTagOverflow)
 }
 
+/// Whether a header can number the shards of block `block`, `pairs` pairs
+/// sent `pairs_per_packet` a shard (an empty block sends one): its shard
+/// field is 16 bits ([`Header::shard_seq_field`]), so a block is at most
+/// `u16::MAX` shards, past which it is [`SessionError::TooManyShards`].
+/// [`FlowWiring::host`] checks every sparse participant's fullest block
+/// by it and the traffic engine every sparse tenant's at admission.
+pub fn check_shards(block: u64, pairs: usize, pairs_per_packet: usize) -> Result<(), SessionError> {
+    let shards = pairs.div_ceil(pairs_per_packet).max(1);
+    if shards > u16::MAX as usize {
+        return Err(SessionError::TooManyShards { block, shards });
+    }
+    Ok(())
+}
+
 /// The per-rank stagger step, in blocks: rank `r` starts its block order
 /// at `r × step` (Section 5's staggered sending). The offsets never wrap
 /// the block range, `(hosts − 1) · step < blocks`: a wrapped offset puts
@@ -295,7 +309,9 @@ impl FlowWiring {
     /// the flow's first iteration waits out
     /// [`Tuning::retransmit_after`] for a lost packet (the default
     /// estimate, no sample, is that first iteration's). An iteration the
-    /// wire cannot carry is an error ([`check_iteration`]).
+    /// wire cannot carry is an error ([`check_iteration`]), and so is a
+    /// sparse block with more shards than a header numbers
+    /// ([`check_shards`]).
     ///
     /// # Panics
     /// Panics if `input` is not of the wiring's [`FlowShape`].
@@ -335,6 +351,8 @@ impl FlowWiring {
                 let ppp = self.tuning.pairs_per_packet;
                 let span = policy.span;
                 let mut host = SparseFlareHost::new(cfg, op, total_elems, span, ppp, pairs);
+                let (block, pairs) = host.fullest_block();
+                check_shards(block, pairs, ppp)?;
                 host.resume_rtt(rtt);
                 Ok(Box::new(host))
             }
@@ -641,6 +659,40 @@ mod tests {
         let (iteration, blocks) = (1 << 23, 512);
         let overflow = SessionError::BlockIdOverflow { iteration, blocks };
         assert_eq!(participant(&wiring, iteration as u32), Err(overflow));
+    }
+
+    #[test]
+    fn a_sparse_block_past_the_header_shard_numbers_is_a_typed_error() {
+        // One pair a shard: the 2^16 pairs of block 1 (of 3) need 2^16
+        // shards, one more than a 16-bit shard field numbers.
+        let (topo, _sw, _hosts) = Topology::star(2, LinkSpec::hundred_gig());
+        let mut session = FlareSession::new(topo);
+        let mut tuning = session.tuning().validated().unwrap();
+        tuning.pairs_per_packet = 1;
+        let span = 1 << 16;
+        let policy = SparsePolicy {
+            span,
+            ..SparsePolicy::default()
+        };
+        let plan = session.admit(1 << 20, false).unwrap().plan().clone();
+        let hosts = session.hosts().to_vec();
+        let shape = FlowShape::Sparse {
+            total_elems: 3 * span,
+            policy,
+        };
+        let wiring = FlowWiring::new(plan, hosts, shape, &tuning).unwrap();
+        let host = |pairs: std::ops::Range<usize>| {
+            let input = FlowInput::Sparse(pairs.map(|i| (i as u32, 1f32)).collect());
+            wiring
+                .host(0, 0, RttEstimate::default(), Sum, input)
+                .map(drop)
+        };
+        assert_eq!(host(span + 1..2 * span), Ok(()));
+        let err = SessionError::TooManyShards {
+            block: 1,
+            shards: span,
+        };
+        assert_eq!(host(span..2 * span), Err(err));
     }
 
     #[test]

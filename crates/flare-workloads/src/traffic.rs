@@ -71,7 +71,7 @@ use flare_core::session::{CollectiveHandle, FlareSession, RunReport, SessionErro
 use flare_core::switch_prog::ProgramStats;
 use flare_core::tag::{FlowTag, FlowTagOverflow, KIND_ENGINE_BASE};
 use flare_core::wiring::{
-    check_iteration, run_fabric, FlowInput, FlowShape, FlowWiring, WiredHost,
+    check_iteration, check_shards, run_fabric, FlowInput, FlowShape, FlowWiring, WiredHost,
 };
 use flare_des::rng::{exp_time, rng_stream};
 use flare_des::Time;
@@ -394,12 +394,18 @@ impl<'s> TrafficEngine<'s> {
         self.deadline = deadline;
     }
 
-    /// Admit `spec` as a new tenant: validates the spec, precomputes the
-    /// arrival instants, reserves switch memory through the session's
-    /// admission control and labels the handle with the spec name.
+    /// Admit `spec` as a new tenant: validates the spec (a sparse one's
+    /// fullest block by [`check_shards`]), precomputes the arrival
+    /// instants, reserves switch memory through the session's admission
+    /// control and labels the handle with the spec name.
     /// Returns the tenant's allreduce id.
     pub fn add_tenant(&mut self, spec: TenantSpec) -> Result<u32, TrafficError> {
         spec.validate()?;
+        if let FlowShape::Sparse { policy, .. } = spec.shape() {
+            // A header must number the shards of the fullest block.
+            let (block, pairs) = fullest_block(spec.elems, spec.nnz(), policy.span);
+            check_shards(block, pairs, self.session.tuning().pairs_per_packet)?;
+        }
         let idx = self.tenants.len() as u64;
         let arrivals = spec.arrivals.times(self.seed, idx)?;
         let hosts = match &spec.hosts {
@@ -708,15 +714,40 @@ struct TenantStatic {
     arrivals: Vec<Time>,
 }
 
-impl TenantStatic {
-    /// The deterministic sparse index set every rank contributes:
-    /// `nnz` indexes spread evenly over `0..elems` (identical across
-    /// ranks, so the reduced value at each is the full tree sum), strictly
-    /// ascending in `j` since `nnz <= elems`.
-    fn sparse_index(&self, j: usize) -> u32 {
-        (j * self.elems / self.nnz) as u32
-    }
+/// The deterministic sparse index set every rank of a tenant contributes:
+/// `nnz` indexes spread evenly over `0..elems`, `⌊j · elems / nnz⌋` for
+/// `j = 0..nnz` (identical across ranks, so the reduced value at each is
+/// the full tree sum), strictly ascending since `nnz <= elems`. Stepped
+/// without a division: each index adds `elems / nnz`, and one more
+/// whenever the remainders `elems % nnz` summed so far reach another `nnz`.
+fn spread(elems: usize, nnz: usize) -> impl ExactSizeIterator<Item = usize> + Clone {
+    let (step, rem) = (elems / nnz, elems % nnz);
+    // `carry` is `j · rem mod nnz` at the `j`th index.
+    let (mut index, mut carry) = (0, 0);
+    (0..nnz).map(move |_| {
+        let at = index;
+        index += step;
+        carry += rem;
+        if carry >= nnz {
+            carry -= nnz;
+            index += 1;
+        }
+        at
+    })
+}
 
+/// The block of `span` indexes that holds the most of [`spread`]`(elems,
+/// nnz)` (the first such block) and how many it holds, one block at a
+/// time: `⌊j · elems / nnz⌋ < x` exactly when `j < x · nnz / elems`, so
+/// `⌈x · nnz / elems⌉` of the indexes lie below `x`.
+fn fullest_block(elems: usize, nnz: usize, span: usize) -> (u64, usize) {
+    let below = |x: usize| ((x as u128 * nnz as u128).div_ceil(elems as u128) as usize).min(nnz);
+    let blocks = (0..elems.div_ceil(span) as u64).rev();
+    let counts = blocks.map(|b| (b, below((b as usize + 1) * span) - below(b as usize * span)));
+    counts.max_by_key(|&(_, n)| n).unwrap_or((0, 0))
+}
+
+impl TenantStatic {
     /// Where a completed iteration's `result` first differs from this
     /// tenant's reduction (see [`first_mismatch`]).
     fn check(&self, result: &[f32]) -> Option<usize> {
@@ -724,8 +755,7 @@ impl TenantStatic {
         match self.payload {
             PayloadSpec::Dense => first_mismatch(result, elems, want, std::iter::once(0..elems)),
             PayloadSpec::Sparse { .. } => {
-                let index = |j| self.sparse_index(j) as usize;
-                let contributed = (0..self.nnz).map(index).map(|i| i..i + 1);
+                let contributed = spread(elems, self.nnz).map(|i| i..i + 1);
                 first_mismatch(result, elems, want, contributed)
             }
         }
@@ -866,8 +896,8 @@ impl TrafficHost {
         let input = match cell.stat.payload {
             PayloadSpec::Dense => FlowInput::Dense(vec![v; cell.stat.elems]),
             PayloadSpec::Sparse { .. } => FlowInput::Sparse(
-                (0..cell.stat.nnz)
-                    .map(|j| (cell.stat.sparse_index(j), v))
+                spread(cell.stat.elems, cell.stat.nnz)
+                    .map(|i| (i as u32, v))
                     .collect(),
             ),
         };
@@ -1000,6 +1030,51 @@ fn issue_order<'a>(
 mod tests {
     use super::*;
     use flare_net::{LinkSpec, Topology};
+    use proptest::prelude::*;
+
+    /// `(elems, nnz)` with `1 ≤ nnz ≤ elems ≤ 2^20`.
+    fn spreads() -> impl Strategy<Value = (usize, usize)> {
+        (1usize..=1 << 20).prop_flat_map(|elems| (Just(elems), 1..=elems))
+    }
+
+    /// The stepped indexes of [`spread`] are `⌊j · elems / nnz⌋`, `nnz` of
+    /// them, and [`fullest_block`] finds the block that counting them
+    /// finds, for a span drawn from `seed`.
+    fn check_spread((elems, nnz): (usize, usize), seed: u64) {
+        let got = spread(elems, nnz);
+        assert_eq!(got.len(), nnz);
+        let want = (0..nnz).map(|j| j * elems / nnz);
+        assert!(got.clone().eq(want), "elems {elems}, nnz {nnz}");
+        let span = 1 + (seed % elems as u64) as usize;
+        let mut counts = vec![0usize; elems.div_ceil(span)];
+        for index in got.clone() {
+            counts[index / span] += 1;
+        }
+        let most = *counts.iter().max().unwrap();
+        let first = counts.iter().position(|&c| c == most).unwrap();
+        let fullest = fullest_block(elems, nnz, span);
+        assert_eq!(fullest, (first as u64, most), "span {span}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn spread_indexes_step_as_the_division_does(shape in spreads(), seed in any::<u64>()) {
+            check_spread(shape, seed);
+        }
+    }
+
+    /// The proptest above at 4 096 cases. Tier-1 skips it; CI runs it with
+    /// `--release -- --ignored`.
+    #[test]
+    #[ignore = "4 096 cases: CI runs it with --release"]
+    fn spread_indexes_step_as_the_division_does_over_4096_cases() {
+        let mut rng = proptest::TestRng::from_name("spread_over_4096_cases");
+        for _ in 0..4096 {
+            check_spread(spreads().sample(&mut rng), any::<u64>().sample(&mut rng));
+        }
+    }
 
     #[test]
     fn arrival_processes_are_deterministic_and_sorted() {

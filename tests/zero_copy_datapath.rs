@@ -17,6 +17,7 @@
 //!   `HashMap` probe,
 //! * a new block's state requests no more memory than the switch model
 //!   charges for it, plus its bitmaps,
+//! * a sparse host keeps the pairs it is given, never a copy of them,
 //! * a lossless sparse allreduce builds one result vector, whatever the
 //!   number of ranks that read it.
 //!
@@ -401,6 +402,24 @@ fn a_hash_store_requests_its_charged_memory_and_its_bitmap() {
     let (store, calls, bytes) = counted(|| SparseHashStore::<f32>::new(1024, 128));
     assert_eq!(calls, 3, "slots, bitmap, spill buffer");
     assert_eq!(bytes, store.memory_bytes() as u64 + 1024 / 8);
+}
+
+#[test]
+fn a_sparse_host_keeps_its_callers_pairs() {
+    // Ascending pairs are kept where they are, rebased in place: building
+    // the host requests less than one copy of them. What it does request
+    // is its block offsets and its list of result shards, 772 B here
+    // against 32 KiB of pairs.
+    let total = SPAN * 64;
+    let pairs: Vec<(u32, f32)> = (0..total as u32).step_by(4).map(|i| (i, 1.0)).collect();
+    let copy = (pairs.len() * std::mem::size_of::<(u32, f32)>()) as u64;
+    let config = host_config(NodeId(0), 0);
+    let build = || SparseFlareHost::new(config, Sum, total, SPAN, PAIRS_PER_PACKET, pairs);
+    let (_host, calls, bytes) = counted(build);
+    assert!(
+        bytes < copy,
+        "{bytes} B in {calls} calls for {copy} B of pairs"
+    );
 }
 
 #[test]

@@ -81,6 +81,47 @@ class MatchingRule(unittest.TestCase):
         """
         self.assertEqual(self.scan(files), ([], []))
 
+    def one_fn_named(self, name, caller):
+        """A crate declaring `pub fn <name>`, and `src/main.rs` running `caller`."""
+        return {
+            "crates/a/src/lib.rs": f"""
+                pub fn {name}() -> usize {{ 1 }}
+            """,
+            "src/main.rs": f"""
+                fn main() {{ {caller} }}
+            """,
+        }
+
+    def test_a_let_binding_is_not_a_caller(self):
+        files = self.one_fn_named("width", "let width = 3; let mut width = 4;")
+        self.assertEqual(self.scan(files), (["a::lib::width"], []))
+
+    def test_a_let_pattern_naming_a_struct_is_a_caller(self):
+        files = {
+            "crates/a/src/lib.rs": """
+                pub struct Pair { pub a: u8 }
+            """,
+            "src/main.rs": """
+                fn main() { let Pair { a } = make(); }
+            """,
+        }
+        self.assertEqual(self.scan(files), ([], []))
+
+    def test_a_path_segment_is_not_a_caller_but_a_turbofish_is(self):
+        files = self.one_fn_named("width", "let _ = width::of(1);")
+        self.assertEqual(self.scan(files), (["a::lib::width"], []))
+        files = self.one_fn_named("width", "let _ = x.width::<u8>();")
+        self.assertEqual(self.scan(files), ([], []))
+
+    def test_a_private_or_trait_fn_declaration_is_not_a_caller(self):
+        files = self.one_fn_named("width", "")
+        files["crates/a/src/shape.rs"] = """
+            pub(crate) fn width() -> usize { 2 }
+            trait Wide { fn width(&self) -> usize; }
+            impl Wide for u8 { fn width(&self) -> usize { 3 } }
+        """
+        self.assertEqual(self.scan(files), (["a::lib::width"], []))
+
 
 if __name__ == "__main__":
     unittest.main()

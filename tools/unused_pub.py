@@ -10,9 +10,14 @@ An item is a `pub fn`, `pub const`, `pub static`, `pub struct`, `pub enum`,
 line of non-test code in `crates/*/src`, `src/`, `benchmark/src` or
 `examples/`, other than a line that declares a public item of that name.
 So two same-named items that nothing else names are both reported: a
-declaration never vouches for another. Comment lines and `use` /
-`pub use` lines do not count, and neither does anything under a `tests/`
-directory or inside a `#[cfg(test)]` item.
+declaration never vouches for another. Nor does a word that only shares
+the name: a `fn name` of any visibility (a private or trait method
+declares, it does not call), a `let name` binding of a `fn`, `const` or
+`static`'s name (after `let` a type's name is a pattern that uses it), or,
+for a `fn`, a `name::` path segment (a module or type; a turbofish
+`name::<` is a call). Comment
+lines and `use` / `pub use` lines do not count, and neither does anything
+under a `tests/` directory or inside a `#[cfg(test)]` item.
 
 The match is by name, not by type, so a method that shares its name with
 another one that is called (`new`, `len`) is taken as called: the check
@@ -164,21 +169,46 @@ def unused(root=ROOT):
     found, std_only = [], []
     for p, no, kind, name in decls:
         where = (item_path(root, p, name), p.relative_to(root), no)
-        matches = [line for q, n, line in words.get(name, ()) if (q, n) not in declared[name]]
+        matches = [
+            line
+            for q, n, line in words.get(name, ())
+            if (q, n) not in declared[name] and uses(line, name, kind)
+        ]
         if not matches:
             found.append(where)
         elif kind == "fn" and name in STD_METHODS and all(
-            only_method_calls(line, name) for line in matches
+            only_method_calls(line, name, kind) for line in matches
         ):
             std_only.append(where)
     return found, std_only
 
 
-def only_method_calls(line, name):
-    """Whether every use of `name` as a word on `line` is a `.name(` call."""
-    words = re.findall(rf"\b{name}\b", line)
-    calls = re.findall(rf"\.\s*{name}\s*(?:::\s*<[^()]*>\s*)?\(", line)
-    return len(words) == len(calls)
+def uses(line, name, kind):
+    """The matches of `name` as a word on `line` that may use a `kind` item of that name.
+
+    Not a `fn name` declaration; for a `fn`, `const` or `static` not a
+    `let name` binding (a type after `let` is a pattern that names it);
+    and for a `fn` not a `name::` path segment unless it is a turbofish,
+    `name::<`.
+    """
+    binding = r"\b(?:let(?:\s+mut)?|fn)\s+$" if kind in ("fn", "const", "static") else r"\bfn\s+$"
+    found = []
+    for m in re.finditer(rf"\b{name}\b", line):
+        if re.search(binding, line[: m.start()]):
+            continue
+        if kind == "fn" and re.match(r"\s*::(?!\s*<)", line[m.end() :]):
+            continue
+        found.append(m)
+    return found
+
+
+def only_method_calls(line, name, kind):
+    """Whether every use of `name` on `line` is a `.name(` call."""
+    return all(
+        re.search(r"\.\s*$", line[: m.start()])
+        and re.match(r"\s*(?:::\s*<[^()]*>\s*)?\(", line[m.end() :])
+        for m in uses(line, name, kind)
+    )
 
 
 def allowed():
