@@ -43,21 +43,6 @@ pub fn recursive_doubling_allreduce<T: Element, O: ReduceOp<T>>(
     state
 }
 
-/// Bytes each host transmits: `Z·log₂P` (vs `≈2Z` for ring), the closed
-/// form [`schedule::recursive_doubling`](crate::schedule::recursive_doubling)
-/// is tested against.
-#[cfg(test)]
-pub(crate) fn recdouble_bytes_per_host(z_bytes: u64, p: usize) -> u64 {
-    z_bytes * p.trailing_zeros() as u64
-}
-
-/// Ring-allreduce bytes each host transmits: `2(P−1)/P·Z`, the closed form
-/// [`schedule::ring`](crate::schedule::ring) is tested against.
-#[cfg(test)]
-pub(crate) fn ring_bytes_per_host(z_bytes: u64, p: usize) -> u64 {
-    (2 * (p as u64 - 1) * z_bytes) / p as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,15 +82,5 @@ mod tests {
     #[should_panic(expected = "2^k")]
     fn rejects_non_power_of_two() {
         recursive_doubling_allreduce(&Sum, &inputs(6, 4));
-    }
-
-    #[test]
-    fn traffic_formulas() {
-        assert_eq!(recdouble_bytes_per_host(1024, 8), 3072);
-        assert_eq!(ring_bytes_per_host(1024, 8), 1792); // 2·7/8·1024
-                                                        // Ring beats recursive doubling in bytes for P ≥ 4.
-        for p in [4usize, 8, 64] {
-            assert!(ring_bytes_per_host(1 << 20, p) < recdouble_bytes_per_host(1 << 20, p));
-        }
     }
 }

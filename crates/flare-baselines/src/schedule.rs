@@ -65,10 +65,10 @@ pub fn recursive_doubling(p: usize, rank: usize, elems: usize) -> Vec<Step> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recdouble::{recdouble_bytes_per_host, ring_bytes_per_host};
     use crate::{recursive_doubling_allreduce, ring_allreduce};
     use flare_core::dtype::Element;
     use flare_core::op::{golden_reduce, Custom, ReduceOp, Sum};
+    use flare_model::fabric::{recdouble_bytes_per_host, ring_bytes_per_host};
 
     type Generator = fn(usize, usize, usize) -> Vec<Step>;
 
@@ -144,7 +144,7 @@ mod tests {
 
     #[test]
     fn each_rank_sends_the_closed_form_bytes() {
-        for p in [2usize, 4, 8, 16] {
+        for p in [2usize, 4, 8, 16, 64] {
             let z = 64 * p;
             let z_bytes = 4 * z as u64;
             for rank in 0..p {

@@ -32,22 +32,5 @@ pub use queue::EventQueue;
 /// At the paper's 1 GHz PsPIN clock, 1 ns == 1 cycle.
 pub type Time = u64;
 
-/// One second in simulation time units. This and [`MICROSECOND`] complete
-/// the unit set beside [`MILLISECOND`], which fig15 reads; their one user
-/// is the test that the three agree.
-pub const SECOND: Time = 1_000_000_000;
 /// One millisecond in simulation time units.
 pub const MILLISECOND: Time = 1_000_000;
-/// One microsecond in simulation time units.
-pub const MICROSECOND: Time = 1_000;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn time_unit_constants_are_consistent() {
-        assert_eq!(SECOND, 1_000 * MILLISECOND);
-        assert_eq!(MILLISECOND, 1_000 * MICROSECOND);
-    }
-}

@@ -8,6 +8,11 @@
 //! *modeled* plots (Figures 5, 7, 10 and 13). The *simulated* plots
 //! (Figures 11, 14, 15) come from the simulators instead.
 //!
+//! Beside the switch-internal models, [`fabric`] holds the fabric's closed
+//! forms: the link bytes of a Flare, ring or recursive-doubling allreduce
+//! and the makespan of a root-bound fat-tree one, which the simulator's
+//! tests hold its runs against.
+//!
 //! Notation follows the paper's Table 2:
 //!
 //! | Symbol | Meaning |
@@ -28,6 +33,7 @@
 //! | `ℛ`    | working-memory buffers needed per allreduce (Little's law) |
 
 pub mod dense;
+pub mod fabric;
 pub mod params;
 pub mod policy;
 pub mod scheduling;

@@ -3,6 +3,7 @@
 //! host programs, on both single-switch and fat-tree topologies, checked
 //! against the golden sequential reduction.
 
+use flare::model::fabric;
 use flare::prelude::*;
 use flare::workloads::{dense_i32, dense_uniform_f32};
 
@@ -88,12 +89,10 @@ fn in_network_allreduce_halves_host_traffic_vs_ring() {
     let n = 4096usize;
     let inputs: Vec<Vec<i32>> = (0..8).map(|_| vec![1i32; n]).collect();
     let out = session.allreduce(inputs).run().unwrap();
-    // Up: 8 hosts × n×4 bytes; down: the same. Plus headers.
-    let payload = 8 * n as u64 * 4;
-    assert!(out.report.total_link_bytes() >= 2 * payload);
-    assert!(
-        out.report.total_link_bytes() < 2 * payload + payload / 4,
-        "headers only add a small overhead: {}",
-        out.report.total_link_bytes()
-    );
+    // Each host's Z = n×4 bytes goes up once and its result comes down
+    // once, on each of the star's 8 edges: 16 packets of 256 elements and
+    // a 16-byte header, 266 240 B in all.
+    let blocks = (n / 256) as u64;
+    let want = fabric::flare_link_bytes(blocks, 16 + 256 * 4, 8);
+    assert_eq!(out.report.total_link_bytes(), want);
 }

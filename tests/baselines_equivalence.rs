@@ -7,6 +7,7 @@ use flare::baselines::sparcml::{sparcml_allreduce, SparcmlHost};
 use flare::core::host::result_sink;
 use flare::core::op::{golden_reduce, Max, Min, Prod, ReduceOp, Sum};
 use flare::core::session::FlareSession;
+use flare::model::fabric;
 use flare::net::{LinkSpec, NetReport, NetSim, NodeId, Topology};
 use flare::workloads::{densify_f32, sparsify_random_k};
 
@@ -162,22 +163,6 @@ fn sparcml_switches_to_dense_when_data_densifies() {
     }
 }
 
-#[test]
-fn ring_transmits_roughly_twice_the_in_network_bytes() {
-    // Section 1's motivating comparison from the schedules: ring host
-    // traffic ≈ 2Z per host vs Z for Flare (measured on the simulator by
-    // `ring_link_bytes_are_2_p_minus_1_over_p_of_flares_on_a_star`).
-    use flare::baselines::schedule::{recursive_doubling, ring, Step};
-    let z = 1u64 << 20; // bytes, as one-byte elements
-    let sent = |steps: Vec<Step>| steps.iter().map(|s| s.send.len() as u64).sum::<u64>();
-    for p in [8usize, 16, 64] {
-        // 2(P−1)/P·Z: 1.75Z at P=8, approaching 2Z as P grows.
-        let ring = sent(ring(p, 0, z as usize));
-        assert!(ring > z * 17 / 10 && ring < 2 * z, "p={p}: {ring}");
-        assert!(sent(recursive_doubling(p, 0, z as usize)) >= ring);
-    }
-}
-
 /// Section 1's comparison measured: the link bytes of a ring and of a
 /// Flare dense allreduce of the same `z` i32 elements per host over the
 /// hosts of `fabric`, in that order, each result checked against the
@@ -227,26 +212,21 @@ fn ring_link_bytes_are_2_p_minus_1_over_p_of_flares_on_a_star() {
         };
         let [ring, flare] = ring_and_flare_link_bytes(star, z);
 
-        // Packets on links. Ring: each host sends 2(P−1) chunks of Z/P,
-        // and a segment crosses two links (host to switch to host). Flare:
-        // each host sends Z up, and the switch sends the result down to
-        // each host.
+        // A star is one leaf: each ring segment crosses two links (host to
+        // switch to host), and Flare's tree has one edge per host.
         let (p64, z_bytes) = (p as u64, 4 * z as u64);
-        let ring_packets = 2 * p64 * 2 * (p64 - 1) * (z_bytes / p64 / PAYLOAD);
-        let flare_packets = 2 * p64 * (z_bytes / PAYLOAD);
-        assert_eq!(ring, ring_packets * (PAYLOAD + HEADER), "ring, p={p}");
-        assert_eq!(flare, flare_packets * (PAYLOAD + HEADER), "flare, p={p}");
+        let ring_bytes = fabric::ring_link_bytes(p64, 1, z_bytes, PAYLOAD, HEADER);
+        let flare_bytes = fabric::flare_link_bytes(z_bytes / PAYLOAD, PAYLOAD + HEADER, p64);
+        assert_eq!(ring, ring_bytes, "ring, p={p}");
+        assert_eq!(flare, flare_bytes, "flare, p={p}");
         assert_eq!(ring * p64, flare * 2 * (p64 - 1), "p={p}");
     }
 }
 
 #[test]
 fn ring_and_flare_link_bytes_on_a_fat_tree_have_closed_forms() {
-    // Ranks go leaf by leaf, so of the P ring neighbours the L pairs that
-    // straddle two leaves (the wrap-around included) cross four links
-    // (host, leaf, spine, leaf, host) and the rest cross two. Flare's tree
-    // has P host–leaf edges and L leaf–root-spine edges, and each carries
-    // one contribution up and one result down per block.
+    // Ranks go leaf by leaf, so L ring pairs straddle two leaves. Flare's
+    // tree has P host–leaf edges and L leaf–root-spine edges.
     let z = 16 * 1024usize; // i32 elements
     for (leaves, per_leaf, spines) in [(2usize, 4usize, 2usize), (4, 4, 2)] {
         let fat_tree = || {
@@ -257,20 +237,11 @@ fn ring_and_flare_link_bytes_on_a_fat_tree_have_closed_forms() {
         let [ring, flare] = ring_and_flare_link_bytes(fat_tree, z);
 
         let (p, l, z_bytes) = ((leaves * per_leaf) as u64, leaves as u64, 4 * z as u64);
-        let segments = 2 * (p - 1) * (z_bytes / p / PAYLOAD);
-        let ring_hops = 2 * (p - l) + 4 * l;
-        let blocks = z_bytes / PAYLOAD;
+        let ring_bytes = fabric::ring_link_bytes(p, l, z_bytes, PAYLOAD, HEADER);
+        let flare_bytes = fabric::flare_link_bytes(z_bytes / PAYLOAD, PAYLOAD + HEADER, p + l);
         let shape = format!("{leaves} leaves of {per_leaf}");
-        assert_eq!(
-            ring,
-            segments * ring_hops * (PAYLOAD + HEADER),
-            "ring, {shape}"
-        );
-        assert_eq!(
-            flare,
-            2 * blocks * (p + l) * (PAYLOAD + HEADER),
-            "flare, {shape}"
-        );
+        assert_eq!(ring, ring_bytes, "ring, {shape}");
+        assert_eq!(flare, flare_bytes, "flare, {shape}");
     }
 }
 

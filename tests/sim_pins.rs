@@ -17,21 +17,28 @@
 //! two at a time): the three ~5 s rows get a test each, and the 1 024-host
 //! rows are `#[ignore]`d (run them optimised with `--ignored`).
 //!
-//! Dense fat-tree rows with more hosts than blocks are also checked
-//! against a closed form, not only against their pins: every host sends in
-//! block order, so the makespan is the root spine's serial pipeline plus
-//! one fill and one drain ([`Row::root_pipeline_ns`]). Their admitted
-//! window is the Little's-law ℛ, and it is tight: one block less and the
-//! root pipeline starves.
+//! Every lossless dense row's link bytes are also checked against their
+//! closed form ([`flare::model::fabric::flare_link_bytes`]), not only
+//! against their pins. Dense fat-tree rows with more hosts than blocks
+//! check their makespan too: every host sends in block order, so it is the
+//! root spine's serial pipeline plus one fill and one drain
+//! ([`flare::model::fabric::root_pipeline_ns`]). Their admitted window is
+//! the Little's-law ℛ, and it is tight: one block less and the root
+//! pipeline starves.
 
 use std::cmp::Ordering;
 
+use flare::core::wire::HEADER_BYTES;
 use flare::des::rng::splitmix64;
+use flare::model::fabric;
 use flare::prelude::*;
 use flare::workloads::sparse::densify_f32;
 
 const KIB: usize = 1024;
 const MIB: usize = 1024 * KIB;
+/// Jobs of each tenant of a fleet, and iterations of each job.
+const JOBS: usize = 2;
+const ITERATIONS: usize = 2;
 
 #[derive(Debug)]
 enum Payload {
@@ -62,9 +69,9 @@ struct Row {
     model: SwitchModel,
     /// Per-link drop probability; lossy rows retransmit after 200 µs.
     loss: f64,
-    /// 0 = one collective; otherwise that many Poisson tenants (two jobs
-    /// of two iterations each) through the traffic engine, every odd one
-    /// sparse when the fabric is lossy.
+    /// 0 = one collective; otherwise that many Poisson tenants
+    /// ([`JOBS`] jobs of [`ITERATIONS`] iterations each) through the
+    /// traffic engine, every odd one sparse when the fabric is lossy.
     tenants: usize,
     /// Makespan in ns, completion ([`RunReport::completion_ns`]: the last
     /// host done) in ns, events, link bytes, and the order digest
@@ -76,7 +83,7 @@ struct Row {
     want: [u64; 5],
     /// A fleet's pooled per-iteration p50 and p99, in ns.
     tails: Option<[u64; 2]>,
-    /// How the makespan compares with [`Row::root_pipeline_ns`], where it
+    /// How the makespan compares with [`fabric::root_pipeline_ns`], where it
     /// is checked; those rows also hold no more blocks open on any switch
     /// than the window they run at.
     root_pipeline: Option<Ordering>,
@@ -182,7 +189,7 @@ impl Row {
     }
 
     /// Run at `window` blocks, one less than it takes to keep the root
-    /// pipeline busy: the makespan exceeds [`Row::root_pipeline_ns`].
+    /// pipeline busy: the makespan exceeds [`fabric::root_pipeline_ns`].
     fn starved_at(self, window: usize) -> Self {
         let (root_pipeline, window) = (Some(Ordering::Greater), Some(window));
         Self {
@@ -202,26 +209,13 @@ impl Row {
         Self { admits, ..self }
     }
 
-    /// The makespan of a dense fat-tree collective whose root spine's
-    /// serial pipeline is the bottleneck, with every host sending its
-    /// blocks in the same order: the first aggregate reaches the root
-    /// (a host→leaf hop, the leaf folding one packet per host, a leaf→root
-    /// hop), the root folds one packet per leaf per block back to back, and
-    /// the last result comes down (root→leaf, the leaf's service, leaf→host).
-    fn root_pipeline_ns(&self) -> u64 {
-        let link = LinkSpec::hundred_gig();
-        let SwitchModel::RateLimited(rate) = SwitchModel::calibrated() else {
-            unreachable!("the session default is the serial pipeline");
-        };
-        let epp = Tuning::default().elems_per_packet;
-        let wire = flare::core::wire::HEADER_BYTES + epp * 4;
-        let hop = link.serialize_ns(wire as u32) + link.latency_ns;
-        let service = (wire as f64 / rate).ceil() as u64;
-        let (per_leaf, blocks) = (8, (self.bytes_per_host / (epp * 4)) as u64);
-        let leaves = (self.hosts / per_leaf) as u64;
-        let fill = hop + per_leaf as u64 * service + hop;
-        let drain = hop + service + hop;
-        fill + leaves * blocks * service + drain
+    /// Hosts per leaf of a fat-tree row.
+    fn per_leaf(&self) -> usize {
+        if self.hosts == 8 {
+            4
+        } else {
+            8
+        }
     }
 
     /// The run's report, a fleet's pooled tails and a sparse collective's
@@ -234,8 +228,7 @@ impl Row {
                 (topo, hosts)
             }
             FatTree => {
-                let per_leaf = if self.hosts == 8 { 4 } else { 8 };
-                let leaves = self.hosts / per_leaf;
+                let (per_leaf, leaves) = (self.per_leaf(), self.hosts / self.per_leaf());
                 let (topo, ft) = Topology::fat_tree_two_level(leaves, per_leaf, leaves, spec);
                 (topo, ft.hosts)
             }
@@ -254,11 +247,11 @@ impl Row {
             let mut engine = TrafficEngine::new(&mut session, 7);
             for i in 0..self.tenants {
                 let mut spec = TenantSpec::new(format!("tenant-{i}"), elems)
-                    .iterations(2)
+                    .iterations(ITERATIONS)
                     .compute(5_000, 0.2)
                     .arrivals(ArrivalProcess::Poisson {
                         mean_interarrival_ns: 20_000.0,
-                        jobs: 2,
+                        jobs: JOBS,
                     });
                 if self.loss > 0.0 && i % 2 == 1 {
                     spec = spec.sparse(0.2);
@@ -357,8 +350,29 @@ fn check(rows: &[Row]) {
             "completion after makespan for {row:?}"
         );
         assert_eq!(net.unroutable, 0, "unroutable packets for {row:?}");
+        // A full dense packet on the wire, and a host's blocks per run.
+        let epp = Tuning::default().elems_per_packet;
+        let wire = (HEADER_BYTES + epp * 4) as u64;
+        let blocks = (row.bytes_per_host / (epp * 4)) as u64;
+        let (hosts, per_leaf) = (row.hosts as u64, row.per_leaf() as u64);
+        if matches!(row.payload, Dense) && row.loss == 0.0 {
+            // One run of a single collective (0 tenants).
+            let runs = (row.tenants * JOBS * ITERATIONS).max(1) as u64;
+            let edges = match row.topo {
+                Star => hosts,
+                FatTree => hosts + hosts / per_leaf,
+            };
+            let want = fabric::flare_link_bytes(blocks * runs, wire, edges);
+            assert_eq!(net.total_link_bytes, want, "link bytes for {row:?}");
+        }
         if let Some(ordering) = row.root_pipeline {
-            let bound = row.root_pipeline_ns();
+            let link = LinkSpec::hundred_gig();
+            let SwitchModel::RateLimited(rate) = SwitchModel::calibrated() else {
+                unreachable!("the session default is the serial pipeline");
+            };
+            let hop = link.serialize_ns(wire as u32) + link.latency_ns;
+            let service = (wire as f64 / rate).ceil() as u64;
+            let bound = fabric::root_pipeline_ns(per_leaf, hosts / per_leaf, blocks, hop, service);
             assert_eq!(
                 got.0[0].cmp(&bound),
                 ordering,

@@ -5,7 +5,10 @@
 //! 1. **Fidelity** — with `SwitchModel::Hpu(HpuParams::figure5())` the
 //!    network simulator reproduces the analytical switch bandwidth and
 //!    queue build-up of `flare_model::scheduling` on the Figure 5
-//!    illustrative switch, within a documented tolerance.
+//!    illustrative switch, within a documented tolerance:
+//!    `flare_bench::fig05_net`'s tests
+//!    `des_bandwidth_tracks_the_analytical_model` and
+//!    `des_queue_peaks_match_the_model_q` are the witness.
 //! 2. **Determinism** — `Hpu` sessions are bitwise-reproducible: same
 //!    inputs, same seed ⇒ same results and same makespan.
 //! 3. **Regression** — the default `RateLimited` model, at the calibrated
@@ -15,53 +18,8 @@
 
 use flare::core::op::{golden_reduce, Sum};
 use flare::core::session::FlareSession;
-use flare::model::{scheduling, SwitchParams};
+use flare::model::SwitchParams;
 use flare::net::{HpuParams, LinkSpec, SwitchModel, Topology};
-
-/// Documented tolerance of the DES-vs-analytical bandwidth comparison:
-/// the DES runs a finite trace and pays one pipeline fill/drain (~τ)
-/// against the asymptotic closed form — under 2% at 256 blocks.
-const BW_TOLERANCE: f64 = 0.02;
-
-#[test]
-fn hpu_des_reproduces_the_analytical_figure5_bandwidth() {
-    let params = SwitchParams::figure5();
-    let tau = params.l_cycles();
-    for (subset, label) in [(params.cores(), "S=K"), (1, "S=1")] {
-        let op = scheduling::evaluate(&params, subset, 1.0, tau);
-        let hpu = HpuParams::figure5().with_subset_size(subset);
-        let trace = flare_bench::fig05_net::line_rate_trace(params.ports, 256);
-        let (des_bw, _peak) = flare_bench::fig05_net::run_des(hpu, &trace);
-        let rel = (des_bw - op.bandwidth_pkt_cycle).abs() / op.bandwidth_pkt_cycle;
-        assert!(
-            rel < BW_TOLERANCE,
-            "{label}: DES bandwidth {des_bw} vs model {} (rel {rel})",
-            op.bandwidth_pkt_cycle
-        );
-    }
-}
-
-#[test]
-fn hpu_des_reproduces_the_analytical_queue_buildup() {
-    // Scenario B (S=1, δc=1): per-core queue Q = P/S·(1 − δk/τ) = 3;
-    // scenario C (S=1, δc=τ): staggering removes it. The DES must agree
-    // exactly — the queue trace is integer-valued on the toy switch.
-    let params = SwitchParams::figure5();
-    let tau = params.l_cycles();
-    let line = flare_bench::fig05_net::line_rate_trace(params.ports, 64);
-    let staggered = flare_bench::fig05_net::staggered_trace(params.ports, 64, tau as u64);
-    let hpu = || HpuParams::figure5().with_subset_size(1);
-
-    let model_b = scheduling::evaluate(&params, 1, 1.0, tau);
-    let (_, peak_b) = flare_bench::fig05_net::run_des(hpu(), &line);
-    assert_eq!(model_b.q, 3.0);
-    assert_eq!(peak_b as f64, model_b.q, "burst queue must match Eq. Q");
-
-    let model_c = scheduling::evaluate(&params, 1, tau, tau);
-    let (_, peak_c) = flare_bench::fig05_net::run_des(hpu(), &staggered);
-    assert_eq!(model_c.q, 0.0);
-    assert_eq!(peak_c, 0, "staggered sending must not queue");
-}
 
 fn hpu_session(hosts: usize) -> FlareSession {
     let (topo, _sw, _hosts) = Topology::star(hosts, LinkSpec::hundred_gig());
